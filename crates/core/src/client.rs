@@ -6,8 +6,7 @@
 
 use crate::framework::framework_measurement;
 use crate::protocol::{
-    AttestationBinding, AuditBundle, BundleAttestation, DomainStatus, Request, Response,
-    ShardAuditBundle, UpdateNotice,
+    AttestationBinding, BundleAttestation, DomainStatus, Request, Response, UpdateNotice,
 };
 use distrust_crypto::schnorr::VerifyingKey;
 use distrust_crypto::sha256::Digest;
@@ -154,32 +153,18 @@ pub struct DomainAudit {
     pub status: Option<DomainStatus>,
     /// Why the audit of this domain failed, if it did.
     pub failure: Option<String>,
-    /// `true` when this domain answered the single-round-trip
-    /// [`Request::BatchAudit`]; `false` when the client fell back to the
-    /// legacy per-step sequence.
-    pub batched: bool,
 }
 
-/// How the client's audits have been served, cumulatively: domains that
-/// answered the batched single-round-trip request vs. domains that forced
-/// the legacy per-step fallback.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct AuditStats {
-    /// Domain audits completed through [`Request::BatchAudit`].
-    pub batched_domains: u64,
-    /// Domain audits that fell back to the per-step path.
-    pub fallback_domains: u64,
-}
-
-/// What one domain answered a pipelined `BatchAudit` with.
-enum BatchAuditAnswer {
-    /// The legacy single-tree bundle (1-shard logs; byte-compatible with
-    /// pre-shard servers).
-    Legacy(Box<AuditBundle>),
-    /// The sharded bundle (multi-shard logs).
-    Sharded(Box<ShardAuditBundle>),
-    /// No bundle at all — fall back to the per-step audit.
-    Fallback,
+impl DomainAudit {
+    /// An audit of `index` that failed before any status was established.
+    fn failed(index: u32, reason: String) -> Self {
+        Self {
+            index,
+            attested: false,
+            status: None,
+            failure: Some(reason),
+        }
+    }
 }
 
 /// The outcome of one full audit round.
@@ -210,26 +195,15 @@ impl AuditReport {
 /// A stateful client for one deployment: connects to all domains, audits,
 /// calls the application, and pushes updates (when it is the developer).
 ///
-/// Audits are batched by default: one pipelined [`Request::BatchAudit`]
-/// frame per domain over a persistent connection returns attestation,
-/// checkpoints, and a range consistency proof in a single round-trip, and
-/// the auditor's verified-prefix cache skips everything it has already
-/// checked. Domains that do not understand the batched request (old
-/// servers answer it with an error) transparently fall back to the legacy
-/// `Attest`/`GetCheckpoint`/`GetConsistency` sequence; [`AuditStats`]
-/// records which path served each domain.
+/// Auditing is one exchange per domain (§3.3, Figure 2): a pipelined
+/// [`Request::BatchAudit`] frame over a persistent connection returns
+/// attestation, checkpoints, and a range consistency proof in a single
+/// round-trip, and the auditor's verified-prefix cache skips everything it
+/// has already checked. A domain that answers with anything else fails
+/// the audit.
 pub struct DeploymentClient {
     descriptor: DeploymentDescriptor,
     connections: Vec<Option<PipelinedClient<TcpTransport>>>,
-    /// Per-domain: did the server answer `BatchAudit` with a bundle? Set
-    /// to `false` on the first fallback so later audits skip the wasted
-    /// probe round-trip; reset to `true` whenever a fresh connection is
-    /// opened (the server may have been upgraded).
-    batch_capable: Vec<bool>,
-    /// Per-domain: did the server answer [`Request::Gossip`] with an
-    /// envelope? Same probe-once/reset-on-reconnect discipline as
-    /// `batch_capable`.
-    gossip_capable: Vec<bool>,
     auditor: Auditor,
     /// Transferable misbehavior evidence this client holds — produced by
     /// its own auditor or verified after arriving through gossip. Once a
@@ -237,7 +211,6 @@ pub struct DeploymentClient {
     /// failed: evidence does not expire with the round that found it.
     evidence: EvidencePool,
     rng: Box<dyn RngCore + Send>,
-    stats: AuditStats,
 }
 
 impl DeploymentClient {
@@ -254,23 +227,15 @@ impl DeploymentClient {
         Self {
             descriptor,
             connections: (0..n).map(|_| None).collect(),
-            batch_capable: vec![true; n],
-            gossip_capable: vec![true; n],
             auditor,
             evidence: EvidencePool::new(),
             rng,
-            stats: AuditStats::default(),
         }
     }
 
     /// The deployment descriptor.
     pub fn descriptor(&self) -> &DeploymentDescriptor {
         &self.descriptor
-    }
-
-    /// Cumulative batched-vs-fallback audit accounting.
-    pub fn audit_stats(&self) -> AuditStats {
-        self.stats
     }
 
     /// The auditor's verified-prefix cache for one domain: highest
@@ -295,10 +260,6 @@ impl DeploymentClient {
         if self.connections[idx].is_none() {
             let transport = TcpTransport::connect(info.addr)?;
             self.connections[idx] = Some(PipelinedClient::new(transport));
-            // A fresh connection may be talking to an upgraded server:
-            // re-probe the batched audit and gossip once.
-            self.batch_capable[idx] = true;
-            self.gossip_capable[idx] = true;
         }
         Ok(self.connections[idx].as_mut().expect("just connected"))
     }
@@ -454,10 +415,8 @@ impl DeploymentClient {
         }
     }
 
-    /// Fetches raw log leaves of one **shard** from a domain. Old servers
-    /// do not understand the request; for shard 0 the client transparently
-    /// falls back to the legacy whole-log fetch (on a 1-shard log the two
-    /// are identical), for any other shard the server's error surfaces.
+    /// Fetches raw log leaves of one **shard** from a domain. An
+    /// out-of-range shard or offset surfaces the server's error.
     pub fn shard_entries(
         &mut self,
         domain: u32,
@@ -466,15 +425,6 @@ impl DeploymentClient {
     ) -> Result<Vec<Vec<u8>>, ClientError> {
         match self.exchange(domain, &Request::GetShardEntries { shard, from })? {
             Response::LogEntries(entries) => Ok(entries),
-            // An old server cannot decode the request tag and answers the
-            // dispatcher's "malformed request" frame; shard 0 of its
-            // (necessarily 1-shard) log IS the log. Any *other* error is a
-            // real answer from a shard-aware server — an out-of-range
-            // shard or offset — and must surface, not be papered over
-            // with globally-flattened entries.
-            Response::Error(e) if shard == 0 && e.starts_with("malformed request") => {
-                self.log_entries(domain, from)
-            }
             other => Err(ClientError::Unexpected(format!("{other:?}"))),
         }
     }
@@ -575,33 +525,23 @@ impl DeploymentClient {
 
     /// One explicit epidemic exchange with `domain`: send this client's
     /// envelope, ingest whatever the domain's bulletin board answers.
-    /// Returns newly discovered misbehavior. Old servers answer with an
-    /// error frame; that is remembered (per connection) and reported as
-    /// an empty discovery, since gossip is best-effort by design.
+    /// Returns newly discovered misbehavior.
     pub fn gossip_with_domain(&mut self, domain: u32) -> Result<Vec<Misbehavior>, ClientError> {
-        if !self.gossip_capable[domain as usize] {
-            return Ok(Vec::new());
-        }
         let request = Request::Gossip {
             envelope: self.gossip_envelope(),
         };
         match self.exchange(domain, &request)? {
             Response::Gossip { envelope } => Ok(self.ingest_envelope(&envelope)),
-            Response::Error(_) => {
-                self.gossip_capable[domain as usize] = false;
-                Ok(Vec::new())
-            }
             other => Err(ClientError::Unexpected(format!("{other:?}"))),
         }
     }
 
     /// Performs a full audit round across all domains.
     ///
-    /// The fast path issues one [`Request::BatchAudit`] per domain —
-    /// pipelined, so every domain's request is in flight before any
-    /// response is read — and gets attestation, checkpoints, and a range
-    /// consistency proof back in a single round-trip per domain, matched
-    /// by request id. Per domain it:
+    /// One [`Request::BatchAudit`] per domain — pipelined, so every
+    /// domain's request is in flight before any response is read — gets
+    /// attestation, checkpoints, and a range consistency proof back in a
+    /// single round-trip per domain, matched by request id. Per domain it:
     ///
     /// 1. verifies the TEE quote end-to-end (cert chain → vendor root,
     ///    evidence, measurement, nonce echo);
@@ -611,10 +551,11 @@ impl DeploymentClient {
     ///    everything previously seen;
     /// 3. requires the freshest checkpoint to match the attested status.
     ///
-    /// Domains that do not understand `BatchAudit` (old servers answer
-    /// with an error frame) fall back to the legacy per-step sequence
-    /// with identical detection semantics. Finally the digest histories
-    /// are cross-checked across all domains.
+    /// A connection that turns out to be dead (the domain restarted since
+    /// the last round) is reopened once and the audit re-issued with a
+    /// fresh nonce. Any answer other than a decodable bundle fails that
+    /// domain's audit with the reason recorded. Finally the digest
+    /// histories are cross-checked across all domains.
     ///
     /// `expected_app` pins the digest of the published code, when the
     /// client has computed it from source (§3.3's "the developer
@@ -626,102 +567,39 @@ impl DeploymentClient {
         let mut misbehavior = Vec::new();
 
         // Phase 1: pipeline one BatchAudit frame to every domain before
-        // reading anything back. Domains that already proved they do not
-        // speak it are not re-probed (no wasted round-trip); the flag
-        // resets when a fresh connection is opened. A gossip exchange
-        // rides on the same connection right behind the audit frame —
-        // encoded once, servers answer strictly in request order, so the
-        // bundle is always the first frame back and the envelope the
-        // second. The piggyback is what makes "someone is watching"
-        // ambient: every routine audit also compares notes.
-        let mut inflight: Vec<Option<(u64, [u8; 32])>> = Vec::with_capacity(n as usize);
-        let mut gossip_inflight = vec![false; n as usize];
+        // reading anything back. A gossip exchange rides on the same
+        // connection right behind the audit frame — encoded once, servers
+        // answer strictly in request order, so the bundle is always the
+        // first frame back and the envelope the second. The piggyback is
+        // what makes "someone is watching" ambient: every routine audit
+        // also compares notes.
         let gossip_wire = Request::Gossip {
             envelope: self.gossip_envelope(),
         }
         .to_wire();
-        for d in 0..n {
-            if !self.batch_capable[d as usize] {
-                inflight.push(None);
-                continue;
-            }
-            let mut nonce = [0u8; 32];
-            self.rng.fill_bytes(&mut nonce);
-            let verified_size = self.auditor.latest(d).map(|cp| cp.body.size).unwrap_or(0);
-            let gossip_capable = self.gossip_capable[d as usize];
-            let mut gossip_sent = false;
-            let sent = match self.connection(d) {
-                Ok(conn) => {
-                    let id = conn.next_request_id();
-                    let request = Request::BatchAudit {
-                        request_id: id,
-                        nonce,
-                        verified_size,
-                    };
-                    match conn.send(&request.to_wire()) {
-                        Ok(()) => {
-                            gossip_sent = gossip_capable && conn.send(&gossip_wire).is_ok();
-                            Some((id, nonce))
-                        }
-                        Err(_) => None,
-                    }
-                }
-                Err(_) => None,
-            };
-            if sent.is_none() {
-                // Broken connection: the legacy path below reconnects.
-                self.connections[d as usize] = None;
-            }
-            gossip_inflight[d as usize] = gossip_sent;
-            inflight.push(sent);
-        }
+        let inflight: Vec<_> = (0..n).map(|d| self.send_audit(d, &gossip_wire)).collect();
 
-        // Phase 2: collect responses (and fall back per domain if needed).
-        for d in 0..n {
-            let audit = match inflight[d as usize] {
-                Some((id, nonce)) => {
-                    let answer = self.collect_batch_audit(d, id);
-                    // The envelope is the next in-order frame on this
-                    // connection (even when an old server answered the
-                    // audit with an error); it must be drained *before*
-                    // any legacy fallback issues new requests, or their
-                    // answers would desynchronise.
-                    if gossip_inflight[d as usize] {
-                        self.collect_gossip_answer(d, &mut misbehavior);
-                    }
-                    match answer {
-                        BatchAuditAnswer::Legacy(bundle) => {
-                            self.stats.batched_domains += 1;
-                            self.process_audit_bundle(
-                                d,
-                                nonce,
-                                *bundle,
-                                &expected_measurement,
-                                &mut misbehavior,
-                            )
-                        }
-                        BatchAuditAnswer::Sharded(bundle) => {
-                            self.stats.batched_domains += 1;
-                            self.process_shard_audit_bundle(
-                                d,
-                                nonce,
-                                *bundle,
-                                &expected_measurement,
-                                &mut misbehavior,
-                            )
-                        }
-                        BatchAuditAnswer::Fallback => {
-                            self.stats.fallback_domains += 1;
-                            self.audit_domain_legacy(d, &expected_measurement, &mut misbehavior)
-                        }
-                    }
-                }
-                None => {
-                    self.stats.fallback_domains += 1;
-                    self.audit_domain_legacy(d, &expected_measurement, &mut misbehavior)
-                }
-            };
-            domains.push(audit);
+        // Phase 2: collect and judge the answers.
+        for (d, sent) in (0..n).zip(inflight) {
+            let mut answer = sent.and_then(|(id, nonce)| Ok((self.recv_audit(d, id)?, nonce)));
+            if matches!(answer, Err(ClientError::ConnectionLost(_))) {
+                answer = self
+                    .send_audit(d, &gossip_wire)
+                    .and_then(|(id, nonce)| Ok((self.recv_audit(d, id)?, nonce)));
+            }
+            // A connection that survived the exchange still owes the
+            // envelope; drain it before anything else reads from it.
+            self.collect_gossip_answer(d, &mut misbehavior);
+            domains.push(match answer {
+                Ok((response, nonce)) => self.process_audit_answer(
+                    d,
+                    nonce,
+                    response,
+                    &expected_measurement,
+                    &mut misbehavior,
+                ),
+                Err(e) => DomainAudit::failed(d, format!("audit request failed: {e}")),
+            });
         }
 
         // Evidence never expires with the round that found it: a domain
@@ -763,76 +641,69 @@ impl DeploymentClient {
         }
     }
 
-    /// Reads the response to an in-flight `BatchAudit`. A server may
-    /// answer with the legacy single-tree bundle (tag 12) or the sharded
-    /// one (tag 13) — both carry the echoed request id in the same
-    /// position, so one peek matches either. `Fallback` means "use the
-    /// per-step path": the server answered with something else entirely
-    /// (an old server's error frame — remembered, so the domain is not
-    /// probed again on this connection) or the connection died.
-    fn collect_batch_audit(&mut self, domain: u32, id: u64) -> BatchAuditAnswer {
-        let Some(conn) = self.connections[domain as usize].as_mut() else {
-            return BatchAuditAnswer::Fallback;
+    /// Sends `domain` a `BatchAudit` under a fresh nonce with the gossip
+    /// frame right behind it, returning the request id and nonce to match
+    /// the answer against.
+    fn send_audit(
+        &mut self,
+        domain: u32,
+        gossip_wire: &[u8],
+    ) -> Result<(u64, [u8; 32]), ClientError> {
+        let mut nonce = [0u8; 32];
+        self.rng.fill_bytes(&mut nonce);
+        let verified_size = self
+            .auditor
+            .latest(domain)
+            .map(|cp| cp.body.size)
+            .unwrap_or(0);
+        let request_id = self.connection(domain)?.next_request_id();
+        let request = Request::BatchAudit {
+            request_id,
+            nonce,
+            verified_size,
         };
-        let frame = match conn.recv_matching(id, Response::peek_request_id) {
-            Ok(frame) => frame,
-            Err(_) => {
-                self.connections[domain as usize] = None;
-                return BatchAuditAnswer::Fallback;
-            }
-        };
-        match Response::from_wire(&frame) {
-            Ok(Response::AuditBundle(bundle)) => {
-                debug_assert_eq!(bundle.request_id, id, "recv_matching matched by this id");
-                BatchAuditAnswer::Legacy(bundle)
-            }
-            Ok(Response::ShardAuditBundle(bundle)) => {
-                debug_assert_eq!(bundle.request_id, id, "recv_matching matched by this id");
-                BatchAuditAnswer::Sharded(bundle)
-            }
-            _ => {
-                // The server answered, just not with a bundle: an old
-                // server. Stop probing it every round.
-                self.batch_capable[domain as usize] = false;
-                BatchAuditAnswer::Fallback
+        self.send_raw(domain, &request.to_wire())?;
+        self.send_raw(domain, gossip_wire)?;
+        Ok((request_id, nonce))
+    }
+
+    /// Reads the answer to an in-flight `BatchAudit`. A domain answers
+    /// with the single-tree bundle (tag 12) or the sharded one (tag 13) —
+    /// both carry the echoed request id in the same position, so one peek
+    /// matches either; a frame without an id is handed back as is.
+    fn recv_audit(&mut self, domain: u32, id: u64) -> Result<Response, ClientError> {
+        let idx = domain as usize;
+        let conn = self.connections[idx]
+            .as_mut()
+            .ok_or(ClientError::NoSuchDomain(domain))?;
+        match conn.recv_matching(id, Response::peek_request_id) {
+            Ok(frame) => Response::from_wire(&frame).map_err(ClientError::Decode),
+            Err(e) => {
+                self.connections[idx] = None;
+                Err(ClientError::ConnectionLost(e))
             }
         }
     }
 
     /// Drains and ingests the gossip envelope riding behind a pipelined
-    /// `BatchAudit` on `domain`'s connection. A dead connection means the
-    /// frame is gone with it (gossip is best-effort; nothing to do); an
-    /// old server's error frame marks the domain not gossip-capable so
-    /// later audits skip the piggyback until a reconnect re-probes.
+    /// `BatchAudit` on `domain`'s connection. Gossip is best-effort: a
+    /// dead connection means the frame is gone with it, and an answer
+    /// that is not an envelope costs only freshness.
     fn collect_gossip_answer(&mut self, domain: u32, misbehavior: &mut Vec<Misbehavior>) {
-        let idx = domain as usize;
-        if self.connections[idx].is_none() {
+        if self.connections[domain as usize].is_none() {
             return;
         }
-        match self.recv_raw(domain) {
-            Ok(Response::Gossip { envelope }) => {
-                misbehavior.extend(self.ingest_envelope(&envelope));
-            }
-            Ok(Response::Error(_)) => {
-                self.gossip_capable[idx] = false;
-            }
-            Ok(_) | Err(_) => {
-                // recv_raw resets the connection on transport errors; an
-                // unexpected variant means a server this client cannot
-                // reason about — stop gossiping with it on this
-                // connection either way.
-                self.gossip_capable[idx] = false;
-            }
+        if let Ok(Response::Gossip { envelope }) = self.recv_raw(domain) {
+            misbehavior.extend(self.ingest_envelope(&envelope));
         }
     }
 
-    /// Shared attestation verification for the batched and per-step
-    /// paths: checks a TEE quote end-to-end (vendor pin, cert chain,
+    /// Checks a TEE quote end-to-end (vendor pin, cert chain,
     /// measurement, nonce binding) or accepts a plain status for
     /// vendor-less domains, recording the outcome on `audit`.
     fn apply_attestation(
         &self,
-        attestation: BundleAttestation,
+        attestation: &BundleAttestation,
         nonce: [u8; 32],
         expected_measurement: &Digest,
         audit: &mut DomainAudit,
@@ -872,89 +743,63 @@ impl DeploymentClient {
                 if info.vendor.is_some() {
                     audit.failure = Some("TEE-backed domain refused to attest".to_string());
                 } else {
-                    audit.status = Some(status);
+                    audit.status = Some(status.clone());
                 }
             }
         }
     }
 
-    /// Verifies one domain's **sharded** batched audit response:
-    /// attestation first, then the shard bundle through the auditor
-    /// (per-epoch commitment recomputation, per-shard consistency runs,
-    /// per-shard verified prefixes).
-    fn process_shard_audit_bundle(
+    /// Judges one domain's answer to `BatchAudit`. Both bundle shapes go
+    /// through the same checks — attestation, then the auditor, then the
+    /// freshest checkpoint against the attested status — and differ only
+    /// in how the auditor walks them (sharded: per-epoch commitment
+    /// recomputation, per-shard consistency runs and verified prefixes).
+    /// Anything that is not a bundle fails the audit.
+    fn process_audit_answer(
         &mut self,
         domain: u32,
         nonce: [u8; 32],
-        response: ShardAuditBundle,
+        response: Response,
         expected_measurement: &Digest,
         misbehavior: &mut Vec<Misbehavior>,
     ) -> DomainAudit {
+        let (attestation, head, outcome): (_, _, &dyn Fn(&mut Auditor) -> AuditOutcome) =
+            match &response {
+                Response::AuditBundle(b) => {
+                    (&b.attestation, b.bundle.checkpoints.last(), &|auditor| {
+                        auditor.observe_bundle(domain, &b.bundle)
+                    })
+                }
+                Response::ShardAuditBundle(b) => (
+                    &b.attestation,
+                    b.bundle.epochs.last().map(|e| &e.checkpoint),
+                    &|auditor| auditor.observe_shard_bundle(domain, &b.bundle),
+                ),
+                Response::Error(e) => {
+                    return DomainAudit::failed(domain, format!("domain refused the audit: {e}"))
+                }
+                other => {
+                    return DomainAudit::failed(
+                        domain,
+                        format!("unexpected audit answer: {other:?}"),
+                    )
+                }
+            };
         let mut audit = DomainAudit {
             index: domain,
             attested: false,
             status: None,
             failure: None,
-            batched: true,
         };
-        self.apply_attestation(
-            response.attestation,
-            nonce,
-            expected_measurement,
-            &mut audit,
-        );
-        if let Some(status) = audit.status.clone() {
-            let matches_status = response.bundle.epochs.last().is_some_and(|e| {
-                e.checkpoint.body.size == status.log_size
-                    && e.checkpoint.body.head == status.log_head
-            });
-            match self.auditor.observe_shard_bundle(domain, &response.bundle) {
-                AuditOutcome::Consistent => {
-                    if !matches_status {
-                        audit.failure =
-                            Some("checkpoint disagrees with attested status".to_string());
-                    }
-                }
-                AuditOutcome::Misbehavior(m) => {
-                    audit.failure = Some(format!("log misbehavior: {m:?}"));
-                    misbehavior.push(*m);
-                }
-            }
-        }
-        audit
-    }
-
-    /// Verifies one domain's batched audit response: attestation first,
-    /// then the checkpoint bundle through the auditor.
-    fn process_audit_bundle(
-        &mut self,
-        domain: u32,
-        nonce: [u8; 32],
-        response: AuditBundle,
-        expected_measurement: &Digest,
-        misbehavior: &mut Vec<Misbehavior>,
-    ) -> DomainAudit {
-        let mut audit = DomainAudit {
-            index: domain,
-            attested: false,
-            status: None,
-            failure: None,
-            batched: true,
-        };
-        self.apply_attestation(
-            response.attestation,
-            nonce,
-            expected_measurement,
-            &mut audit,
-        );
-        if let Some(status) = audit.status.clone() {
-            // Feed the auditor first, exactly like the per-step path: a
+        self.apply_attestation(attestation, nonce, expected_measurement, &mut audit);
+        if let Some(status) = &audit.status {
+            // Feed the auditor before judging the status match: a
             // correctly signed bundle is evidence regardless of whether
             // it matches the claimed status.
-            let matches_status = response.bundle.checkpoints.last().is_some_and(|cp| {
+            let matches_status = head.is_some_and(|cp| {
                 cp.body.size == status.log_size && cp.body.head == status.log_head
             });
-            match self.auditor.observe_bundle(domain, &response.bundle) {
+            match outcome(&mut self.auditor) {
                 AuditOutcome::Consistent => {
                     if !matches_status {
                         audit.failure =
@@ -964,127 +809,6 @@ impl DeploymentClient {
                 AuditOutcome::Misbehavior(m) => {
                     audit.failure = Some(format!("log misbehavior: {m:?}"));
                     misbehavior.push(*m);
-                }
-            }
-        }
-        audit
-    }
-
-    /// The legacy per-step audit of one domain: `Attest`, then
-    /// `GetCheckpoint` (+ `GetConsistency` on growth), one round-trip
-    /// each. Kept for old servers that do not answer `BatchAudit`;
-    /// detection semantics are identical to the batched path.
-    fn audit_domain_legacy(
-        &mut self,
-        d: u32,
-        expected_measurement: &Digest,
-        misbehavior: &mut Vec<Misbehavior>,
-    ) -> DomainAudit {
-        let mut audit = DomainAudit {
-            index: d,
-            attested: false,
-            status: None,
-            failure: None,
-            batched: false,
-        };
-        let mut nonce = [0u8; 32];
-        self.rng.fill_bytes(&mut nonce);
-
-        // Step 1: attestation challenge (verified by the same helper the
-        // batched path uses — the two paths cannot drift).
-        match self.exchange(d, &Request::Attest { nonce }) {
-            Ok(Response::Quote(quote)) => self.apply_attestation(
-                BundleAttestation::Quote(quote),
-                nonce,
-                expected_measurement,
-                &mut audit,
-            ),
-            Ok(Response::Unattested(status)) => self.apply_attestation(
-                BundleAttestation::Unattested(status),
-                nonce,
-                expected_measurement,
-                &mut audit,
-            ),
-            Ok(other) => {
-                audit.failure = Some(format!("unexpected attest response: {other:?}"));
-            }
-            Err(e) => {
-                audit.failure = Some(format!("attest failed: {e}"));
-            }
-        }
-
-        // Step 2: checkpoint + consistency.
-        if let Some(status) = audit.status.clone() {
-            match self.exchange(d, &Request::GetCheckpoint) {
-                Ok(Response::Checkpoint(cp)) => {
-                    // Feed the auditor first: a correctly signed
-                    // checkpoint is evidence regardless of whether it
-                    // matches the claimed status — this is what turns
-                    // equivocation into a transferable proof.
-                    let prior = self.auditor.latest(d).cloned();
-                    let needs_proof = matches!(&prior,
-                        Some(p) if p.body.size > 0 && p.body.size < cp.body.size);
-                    let proof = if needs_proof {
-                        let p = prior.as_ref().expect("needs_proof implies prior");
-                        match self.exchange(
-                            d,
-                            &Request::GetConsistency {
-                                old_size: p.body.size,
-                            },
-                        ) {
-                            Ok(Response::Consistency(proof)) => Some(proof),
-                            _ => None,
-                        }
-                    } else {
-                        None
-                    };
-                    let known_sharded = self
-                        .auditor
-                        .prefix_cache(d)
-                        .and_then(|c| c.shard_prefixes())
-                        .is_some();
-                    if needs_proof && proof.is_none() && known_sharded {
-                        // The log grew and no proof came back — but this
-                        // domain has already proven itself *sharded*, and
-                        // sharded logs have no top-level consistency
-                        // proofs to serve on the per-step path (they are
-                        // audited via BatchAudit). Not feeding the auditor
-                        // keeps this honest-but-unprovable degraded round
-                        // from being booked as `InconsistentGrowth`
-                        // misbehavior (which would refuse the whole
-                        // deployment); the domain still fails this audit
-                        // round, and the next batched round re-links from
-                        // the verified prefix. A domain that never showed
-                        // a shard decomposition gets no such benefit of
-                        // the doubt: a plain server refusing a growth
-                        // proof is exactly the history-rewrite signature.
-                        audit.failure = Some(
-                            "sharded log grew; no per-step consistency proof exists — \
-                             re-audit via the batched path"
-                                .to_string(),
-                        );
-                        return audit;
-                    }
-                    let matches_status =
-                        cp.body.size == status.log_size && cp.body.head == status.log_head;
-                    match self.auditor.observe(d, cp, proof.as_ref()) {
-                        AuditOutcome::Consistent => {
-                            if !matches_status {
-                                audit.failure =
-                                    Some("checkpoint disagrees with attested status".to_string());
-                            }
-                        }
-                        AuditOutcome::Misbehavior(m) => {
-                            audit.failure = Some(format!("log misbehavior: {m:?}"));
-                            misbehavior.push(*m);
-                        }
-                    }
-                }
-                Ok(other) => {
-                    audit.failure = Some(format!("unexpected checkpoint response: {other:?}"));
-                }
-                Err(e) => {
-                    audit.failure = Some(format!("checkpoint fetch failed: {e}"));
                 }
             }
         }

@@ -469,25 +469,6 @@ impl EnclaveFramework {
         Ok(self.status())
     }
 
-    /// Signs a checkpoint of the current log (the shard-head commitment;
-    /// on a 1-shard log, byte-identical to the legacy single-tree form).
-    /// Syncs the store first — sign-before-durable would let a crash
-    /// fabricate equivocation evidence against this domain's own key.
-    pub fn checkpoint(&mut self) -> Result<SignedCheckpoint, StoreError> {
-        self.log.sync()?;
-        self.logical_time += 1;
-        let snapshot = self.log.snapshot();
-        Ok(SignedCheckpoint::sign(
-            CheckpointBody {
-                log_id: self.config.log_id,
-                size: snapshot.total(),
-                head: snapshot.commitment(),
-                logical_time: self.logical_time,
-            },
-            &self.checkpoint_key,
-        ))
-    }
-
     /// `(hits, misses)` of the shared audit-bundle cache — how many
     /// `BatchAudit` requests were served without signing or proving.
     pub fn audit_cache_stats(&self) -> (u64, u64) {
@@ -664,11 +645,11 @@ impl EnclaveFramework {
             .unwrap_or_else(|| empty_runs(&self.log));
         // Lead with the client's verified epoch itself (when it names
         // one): a verifier that trusts the `(size, head)` but has never
-        // seen its per-shard decomposition — a client whose last round
-        // fell back to the per-step path, say — re-learns the baseline
-        // from this epoch (the binding is checked against the signed
-        // head) and can then walk the runs. Costs one skipped-signature
-        // checkpoint for everyone else.
+        // seen its per-shard decomposition — one that took the signed
+        // checkpoint alone, say — re-learns the baseline from this epoch
+        // (the binding is checked against the signed head) and can then
+        // walk the runs. Costs one skipped-signature checkpoint for
+        // everyone else.
         let mut epochs = Vec::with_capacity(included.len() + 1);
         if let Some(b) = baseline_epoch {
             epochs.push(ShardEpoch {
@@ -717,28 +698,6 @@ impl EnclaveFramework {
                 },
                 Err(e) => Response::UpdateRejected(e.to_string()),
             },
-            Request::GetCheckpoint => match self.checkpoint() {
-                Ok(cp) => Response::Checkpoint(cp),
-                Err(e) => Response::Error(format!("checkpoint unavailable: {e}")),
-            },
-            Request::GetConsistency { old_size } => {
-                // Top-level consistency proofs exist only for the 1-shard
-                // (single-tree) layout; a sharded commitment is not
-                // append-only and is audited per shard via `BatchAudit`.
-                if self.log.shard_count() != 1 {
-                    return Response::Error(
-                        "sharded log has no top-level consistency proof; audit via BatchAudit"
-                            .into(),
-                    );
-                }
-                let current = self.log.total_len();
-                match self.log.prove_shard_consistency(0, old_size, current) {
-                    Some(proof) => Response::Consistency(proof),
-                    None => Response::Error(format!(
-                        "no consistency proof from {old_size} to {current}"
-                    )),
-                }
-            }
             Request::GetLogEntries { from } => {
                 // The multi-shard flattening (shards concatenated in
                 // shard order) is NOT append-only — an append to a lower
@@ -1014,17 +973,30 @@ mod tests {
         }
     }
 
+    fn audit_bundle_from(fw: &mut EnclaveFramework, verified_size: u64) -> CheckpointBundle {
+        match fw.handle(Request::BatchAudit {
+            request_id: 1,
+            nonce: [1; 32],
+            verified_size,
+        }) {
+            Response::AuditBundle(b) => b.bundle,
+            other => panic!("unexpected {other:?}"),
+        }
+    }
+
     #[test]
     fn checkpoints_sign_current_log() {
         let mut fw = fresh_framework();
         fw.apply_update(&release(1)).unwrap();
-        let cp = fw.checkpoint().unwrap();
+        let cp = audit_bundle_from(&mut fw, 0).checkpoints.pop().unwrap();
         assert_eq!(cp.body.size, 1);
         assert_eq!(cp.body.head, fw.status().log_head);
-        let key = SigningKey::derive(b"framework tests", b"checkpoint").verifying_key();
-        assert!(cp.verify(&key));
-        // Logical time advances.
-        let cp2 = fw.checkpoint().unwrap();
+        assert!(cp.verify(&checkpoint_vk()));
+        // Serving an audit signs nothing: the epoch's checkpoint comes
+        // back bit for bit until the next update mints a later one.
+        assert_eq!(audit_bundle_from(&mut fw, 1).checkpoints, vec![cp.clone()]);
+        fw.apply_update(&release(2)).unwrap();
+        let cp2 = audit_bundle_from(&mut fw, 1).checkpoints.pop().unwrap();
         assert!(cp2.body.logical_time > cp.body.logical_time);
     }
 
@@ -1035,14 +1007,14 @@ mod tests {
         let head1 = fw.status().log_head;
         fw.apply_update(&release(2)).unwrap();
         let head2 = fw.status().log_head;
-        match fw.handle(Request::GetConsistency { old_size: 1 }) {
-            Response::Consistency(p) => assert!(p.verify(&head1, &head2)),
-            other => panic!("unexpected {other:?}"),
-        }
-        assert!(matches!(
-            fw.handle(Request::GetConsistency { old_size: 5 }),
-            Response::Error(_)
-        ));
+        let bundle = audit_bundle_from(&mut fw, 1);
+        assert_eq!(bundle.proof.len(), 1, "one step, 1→2");
+        assert!(bundle.proof.step(0).unwrap().verify(&head1, &head2));
+        // A verified size past the head has nothing to prove: the latest
+        // checkpoint alone.
+        let bundle = audit_bundle_from(&mut fw, 5);
+        assert_eq!(bundle.checkpoints.len(), 1);
+        assert!(bundle.proof.is_empty());
     }
 
     #[test]
@@ -1111,28 +1083,14 @@ mod tests {
         let mut fw = fresh_framework();
         fw.apply_update(&release(1)).unwrap();
         let mut auditor = Auditor::new(vec![checkpoint_vk()]);
-        let bundle = match fw.handle(Request::BatchAudit {
-            request_id: 1,
-            nonce: [1; 32],
-            verified_size: 0,
-        }) {
-            Response::AuditBundle(b) => b.bundle,
-            other => panic!("unexpected {other:?}"),
-        };
+        let bundle = audit_bundle_from(&mut fw, 0);
         assert!(auditor.observe_bundle(0, &bundle).is_consistent());
         assert_eq!(auditor.latest(0).unwrap().body.size, 1);
 
         // Growth: the next bundle links the verified prefix to the head.
         fw.apply_update(&release(2)).unwrap();
         fw.apply_update(&release(3)).unwrap();
-        let bundle = match fw.handle(Request::BatchAudit {
-            request_id: 2,
-            nonce: [2; 32],
-            verified_size: 1,
-        }) {
-            Response::AuditBundle(b) => b.bundle,
-            other => panic!("unexpected {other:?}"),
-        };
+        let bundle = audit_bundle_from(&mut fw, 1);
         assert_eq!(bundle.checkpoints.len(), 2, "sizes 2 and 3");
         assert_eq!(bundle.proof.len(), 2, "steps 1→2 and 2→3");
         assert!(auditor.observe_bundle(0, &bundle).is_consistent());
@@ -1140,14 +1098,7 @@ mod tests {
 
         // Steady state: same bundle again — nothing verified, all skipped.
         let before = auditor.prefix_cache(0).unwrap().signatures_verified();
-        let bundle = match fw.handle(Request::BatchAudit {
-            request_id: 3,
-            nonce: [3; 32],
-            verified_size: 3,
-        }) {
-            Response::AuditBundle(b) => b.bundle,
-            other => panic!("unexpected {other:?}"),
-        };
+        let bundle = audit_bundle_from(&mut fw, 3);
         assert!(auditor.observe_bundle(0, &bundle).is_consistent());
         let cache = auditor.prefix_cache(0).unwrap();
         assert_eq!(
@@ -1162,28 +1113,14 @@ mod tests {
         use distrust_log::auditor::Auditor;
         let mut fw = fresh_framework();
         let mut auditor = Auditor::new(vec![checkpoint_vk()]);
-        let bundle = match fw.handle(Request::BatchAudit {
-            request_id: 7,
-            nonce: [7; 32],
-            verified_size: 0,
-        }) {
-            Response::AuditBundle(b) => b.bundle,
-            other => panic!("unexpected {other:?}"),
-        };
+        let bundle = audit_bundle_from(&mut fw, 0);
         assert_eq!(bundle.checkpoints.len(), 1);
         assert_eq!(bundle.checkpoints[0].body.size, 0);
         assert!(auditor.observe_bundle(0, &bundle).is_consistent());
         // First install: growth from the empty log is vacuously
         // consistent.
         fw.apply_update(&release(1)).unwrap();
-        let bundle = match fw.handle(Request::BatchAudit {
-            request_id: 8,
-            nonce: [8; 32],
-            verified_size: 0,
-        }) {
-            Response::AuditBundle(b) => b.bundle,
-            other => panic!("unexpected {other:?}"),
-        };
+        let bundle = audit_bundle_from(&mut fw, 0);
         assert!(auditor.observe_bundle(0, &bundle).is_consistent());
         assert_eq!(auditor.latest(0).unwrap().body.size, 1);
     }

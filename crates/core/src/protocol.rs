@@ -9,8 +9,6 @@ use crate::manifest::{ReleaseManifest, SignedRelease};
 use distrust_gossip::envelope::GossipEnvelope;
 use distrust_gossip::witness::CosignedHeads;
 use distrust_log::batch::CheckpointBundle;
-use distrust_log::checkpoint::SignedCheckpoint;
-use distrust_log::merkle::ConsistencyProof;
 use distrust_log::shard::ShardBundle;
 use distrust_tee::attest::Quote;
 use distrust_wire::codec::{decode_seq, encode_seq, Decode, DecodeError, Encode};
@@ -44,20 +42,12 @@ pub enum Request {
         /// The signed release.
         release: SignedRelease,
     },
-    /// Request a signed checkpoint of the code-digest log.
-    GetCheckpoint,
-    /// Request a consistency proof from `old_size` to the current log.
-    GetConsistency {
-        /// Size the client last verified.
-        old_size: u64,
-    },
     /// Fetch log leaves `[from, current)` for replay/inspection. On
     /// multi-shard domains the response is the shard-order flattening and
     /// only `from = 0` is served (the flattening is not append-only, so
     /// incremental offsets would silently skip entries — incremental
     /// readers use [`Request::GetShardEntries`], which is append-only
-    /// within its shard). 1-shard domains keep the legacy semantics
-    /// exactly.
+    /// within its shard). 1-shard domains serve any `from`.
     GetLogEntries {
         /// First index to return.
         from: u64,
@@ -67,12 +57,10 @@ pub enum Request {
         /// First notice index of interest.
         since: u64,
     },
-    /// One-round-trip audit: attestation + latest checkpoint(s) + a range
-    /// consistency proof from `verified_size`, all in a single response
-    /// ([`Response::AuditBundle`]). Replaces the per-step
-    /// `Attest`/`GetCheckpoint`/`GetConsistency` sequence for servers that
-    /// understand it; old servers answer with an error and the client
-    /// falls back to the per-step path.
+    /// The audit exchange (§3.3): attestation + latest checkpoint(s) + a
+    /// range consistency proof from `verified_size`, all in a single
+    /// response ([`Response::AuditBundle`], or
+    /// [`Response::ShardAuditBundle`] on multi-shard domains).
     BatchAudit {
         /// Client-chosen id echoed in the response, so several audits can
         /// be pipelined over one connection and matched back.
@@ -85,8 +73,8 @@ pub enum Request {
     },
     /// Fetch leaves `[from, len)` of one **shard** of a sharded log.
     /// Single-shard domains treat shard 0 exactly like
-    /// [`Request::GetLogEntries`]; old servers answer with an error and
-    /// the client falls back to the legacy request for shard 0.
+    /// [`Request::GetLogEntries`]; an out-of-range shard or offset is
+    /// answered with an error.
     GetShardEntries {
         /// Shard index.
         shard: u32,
@@ -96,8 +84,7 @@ pub enum Request {
     /// Epidemic checkpoint exchange: the sender's latest signed heads and
     /// any transferable misbehavior evidence it holds. Answered with
     /// [`Response::Gossip`] carrying the receiver's view, so every
-    /// exchange compares notes in both directions. Old servers answer
-    /// with an error; gossip is best-effort, so senders just move on.
+    /// exchange compares notes in both directions.
     Gossip {
         /// What the sender knows.
         envelope: GossipEnvelope,
@@ -126,11 +113,8 @@ impl Encode for Request {
                 3u8.encode(out);
                 release.encode(out);
             }
-            Request::GetCheckpoint => 4u8.encode(out),
-            Request::GetConsistency { old_size } => {
-                5u8.encode(out);
-                old_size.encode(out);
-            }
+            // Tags 4 and 5 are retired (the removed per-step checkpoint
+            // and consistency requests) and must not be reused.
             Request::GetLogEntries { from } => {
                 6u8.encode(out);
                 from.encode(out);
@@ -189,10 +173,6 @@ impl Decode for Request {
             },
             3 => Request::Update {
                 release: Decode::decode(input)?,
-            },
-            4 => Request::GetCheckpoint,
-            5 => Request::GetConsistency {
-                old_size: Decode::decode(input)?,
             },
             6 => Request::GetLogEntries {
                 from: Decode::decode(input)?,
@@ -387,10 +367,6 @@ pub enum Response {
     },
     /// Update rejected (bad signature, stale version, …).
     UpdateRejected(String),
-    /// Signed log checkpoint.
-    Checkpoint(SignedCheckpoint),
-    /// Consistency proof.
-    Consistency(ConsistencyProof),
     /// Raw log leaves.
     LogEntries(Vec<Vec<u8>>),
     /// Update notices.
@@ -453,16 +429,8 @@ impl Encode for Response {
                 6u8.encode(out);
                 e.encode(out);
             }
-            Response::Checkpoint(c) => {
-                7u8.encode(out);
-                c.encode(out);
-            }
-            Response::Consistency(p) => {
-                8u8.encode(out);
-                p.old_size.encode(out);
-                p.new_size.encode(out);
-                encode_seq(&p.path, out);
-            }
+            // Tags 7 and 8 are retired (the answers to request tags 4
+            // and 5) and must not be reused.
             Response::LogEntries(entries) => {
                 9u8.encode(out);
                 encode_seq(entries, out);
@@ -503,8 +471,7 @@ impl Response {
     /// keep them in sync). This is the peek pipelined audit clients match
     /// responses with: a client cannot know in advance whether a domain's
     /// log is sharded, so matching only one tag would park the other
-    /// shape's frames forever. Returns `None` for every other response,
-    /// including the error frames old servers answer with.
+    /// shape's frames forever. Returns `None` for every other response.
     pub fn peek_request_id(frame: &[u8]) -> Option<u64> {
         match frame.split_first() {
             Some((&12, rest)) | Some((&13, rest)) => {
@@ -530,12 +497,6 @@ impl Decode for Response {
                 digest: Decode::decode(input)?,
             },
             6 => Response::UpdateRejected(Decode::decode(input)?),
-            7 => Response::Checkpoint(Decode::decode(input)?),
-            8 => Response::Consistency(ConsistencyProof {
-                old_size: Decode::decode(input)?,
-                new_size: Decode::decode(input)?,
-                path: decode_seq(input)?,
-            }),
             9 => Response::LogEntries(decode_seq(input)?),
             10 => Response::Notices(decode_seq(input)?),
             11 => Response::Error(Decode::decode(input)?),
@@ -582,8 +543,6 @@ mod tests {
                 payload: b"payload".to_vec(),
             },
             Request::Update { release },
-            Request::GetCheckpoint,
-            Request::GetConsistency { old_size: 3 },
             Request::GetLogEntries { from: 1 },
             Request::GetNotices { since: 2 },
             Request::BatchAudit {
@@ -613,11 +572,6 @@ mod tests {
                 digest: [3; 32],
             },
             Response::UpdateRejected("stale".into()),
-            Response::Consistency(ConsistencyProof {
-                old_size: 1,
-                new_size: 2,
-                path: vec![[7; 32]],
-            }),
             Response::LogEntries(vec![b"leaf".to_vec()]),
             Response::Notices(vec![UpdateNotice {
                 manifest: ReleaseManifest {

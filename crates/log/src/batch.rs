@@ -11,7 +11,7 @@
 //!   every shared subtree hash stored once
 //!   ([`MerkleLog::prove_consistency_range`]). A domain can hand one
 //!   bundle to a client that is many epochs behind instead of answering
-//!   one `GetConsistency` round-trip per epoch.
+//!   one consistency-proof round-trip per epoch.
 //! * **Across audit rounds** — [`VerifiedPrefixCache`] remembers the
 //!   highest `(size, head)` a verifier has already checked, so repeated
 //!   audits of an unchanged log verify nothing at all and audits of a

@@ -108,11 +108,6 @@ fn main() {
     let report = client.audit(Some(&v2_digest));
     println!("  post-update audit clean: {} ✅", report.is_clean());
     assert!(report.is_clean());
-    let stats = client.audit_stats();
-    println!(
-        "  audits served batched: {} domain-rounds ({} legacy fallbacks)",
-        stats.batched_domains, stats.fallback_domains
-    );
 
     println!("\nusers never had to trust the developer's word: every step is auditable.");
 }

@@ -3,86 +3,55 @@
 //! the paper's core guarantee ("the user will be able to detect whenever
 //! the system does not execute the expected code … and will obtain a
 //! publicly verifiable proof of misbehavior").
+//!
+//! `BatchAudit` is the only audit exchange, so a domain cannot pick how it
+//! is examined: refusing the request fails the audit, and a dead
+//! connection is reopened once rather than worked around.
 
+mod common;
+
+use common::{bundle_fake, client, descriptor_for, signed, status_with};
 use distrust::core::protocol::{Request, Response};
 use distrust::core::server::DirectHost;
-use distrust::core::{DeploymentClient, DeploymentDescriptor, DomainInfo};
-use distrust::crypto::drbg::HmacDrbg;
 use distrust::crypto::schnorr::SigningKey;
 use distrust::log::auditor::Misbehavior;
-use distrust::log::checkpoint::{log_id, CheckpointBody, SignedCheckpoint};
-use distrust::tee::host::EnclaveService;
-use distrust::tee::vendor::VendorRoots;
+use distrust::log::batch::{CheckpointBundle, ProofBundle};
+use distrust::log::checkpoint::log_id;
+use distrust::wire::transport::{TcpAcceptor, Transport};
 use distrust::wire::{Decode, Encode};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
-/// A malicious trust domain: answers status/attest like an honest
-/// unattested domain, but signs a DIFFERENT log head on every checkpoint
-/// request — classic equivocation (showing different histories to
-/// different clients).
-struct EquivocatingDomain {
-    key: SigningKey,
-    log_id: [u8; 32],
-    flip: bool,
+/// One signed checkpoint, no proof: what a domain showing a single epoch
+/// serves.
+fn lone(checkpoint: distrust::log::SignedCheckpoint) -> CheckpointBundle {
+    CheckpointBundle {
+        checkpoints: vec![checkpoint],
+        proof: ProofBundle::default(),
+    }
 }
 
-impl EnclaveService for EquivocatingDomain {
-    fn handle(&mut self, request: Vec<u8>) -> Vec<u8> {
-        let response = match Request::from_wire(&request) {
-            Ok(Request::Attest { nonce }) => {
-                let status = distrust::core::DomainStatus {
-                    domain_index: 0,
-                    app_digest: [1; 32],
-                    app_version: 1,
-                    log_size: 1,
-                    log_head: [0xaa; 32],
-                    framework_measurement: [2; 32],
-                };
-                let _ = nonce;
-                Response::Unattested(status)
-            }
-            Ok(Request::GetCheckpoint) => {
-                self.flip = !self.flip;
-                let head = if self.flip { [0xaa; 32] } else { [0xbb; 32] };
-                Response::Checkpoint(SignedCheckpoint::sign(
-                    CheckpointBody {
-                        log_id: self.log_id,
-                        size: 1,
-                        head,
-                        logical_time: 1,
-                    },
-                    &self.key,
-                ))
-            }
-            Ok(_) => Response::Error("not implemented".into()),
-            Err(e) => Response::Error(format!("{e}")),
-        };
-        response.to_wire()
-    }
+/// A malicious trust domain: reports the same status every round, but
+/// signs a DIFFERENT log head for the same size on every audit — classic
+/// equivocation (showing different histories to different clients).
+fn equivocating_domain(key: SigningKey, lid: [u8; 32]) -> DirectHost {
+    let mut flip = false;
+    DirectHost::spawn(bundle_fake(move || {
+        flip = !flip;
+        let head = if flip { [0xaa; 32] } else { [0xbb; 32] };
+        (
+            status_with([0xaa; 32], 1),
+            lone(signed(&key, lid, 1, head, 1)),
+        )
+    }))
+    .expect("spawn")
 }
 
 #[test]
 fn equivocating_domain_yields_transferable_proof() {
     let key = SigningKey::derive(b"equivocator", b"checkpoint");
-    let lid = log_id(b"evil-deploy", 0);
-    let mut host = DirectHost::spawn(EquivocatingDomain {
-        key,
-        log_id: lid,
-        flip: false,
-    })
-    .expect("spawn");
-
-    let descriptor = DeploymentDescriptor {
-        app_name: "any".into(),
-        developer_key: SigningKey::derive(b"dev", b"k").verifying_key(),
-        vendor_roots: VendorRoots::new(vec![]),
-        domains: vec![DomainInfo {
-            index: 0,
-            addr: host.addr(),
-            vendor: None,
-            checkpoint_key: key.verifying_key(),
-        }],
-    };
-    let mut client = DeploymentClient::new(descriptor, Box::new(HmacDrbg::new(b"auditor", b"")));
+    let mut host = equivocating_domain(key, log_id(b"evil-deploy", 0));
+    let mut client = client(&descriptor_for(host.addr(), &key), b"auditor");
 
     // First audit: checkpoint says head 0xaa — fine so far (matches the
     // status the fake domain reports).
@@ -104,11 +73,6 @@ fn equivocating_domain_yields_transferable_proof() {
         })
         .expect("equivocation detected");
 
-    // This mock predates BatchAudit: both audits must have fallen back to
-    // the legacy per-step path — detection works identically there.
-    assert_eq!(client.audit_stats().fallback_domains, 2);
-    assert_eq!(client.audit_stats().batched_domains, 0);
-
     // The proof is PUBLICLY verifiable: serialize, hand to a third party
     // knowing only the domain's public key, verify.
     let wire = equivocation.to_wire();
@@ -122,82 +86,27 @@ fn equivocating_domain_yields_transferable_proof() {
     host.shutdown();
 }
 
-/// A domain that rewrites history: reports a log that is not an extension
-/// of what it previously showed.
-struct RewritingDomain {
-    key: SigningKey,
-    log_id: [u8; 32],
-    phase: u64,
-}
-
-impl EnclaveService for RewritingDomain {
-    fn handle(&mut self, request: Vec<u8>) -> Vec<u8> {
-        let response = match Request::from_wire(&request) {
-            Ok(Request::Attest { .. }) => {
-                self.phase += 1;
-                // Two different "histories": sizes grow but heads are
-                // unrelated and no consistency proof will be offered.
-                let (size, head) = if self.phase == 1 {
-                    (1u64, [0x10u8; 32])
-                } else {
-                    (2u64, [0x20u8; 32])
-                };
-                Response::Unattested(distrust::core::DomainStatus {
-                    domain_index: 0,
-                    app_digest: [1; 32],
-                    app_version: 1,
-                    log_size: size,
-                    log_head: head,
-                    framework_measurement: [2; 32],
-                })
-            }
-            Ok(Request::GetCheckpoint) => {
-                let (size, head) = if self.phase <= 1 {
-                    (1u64, [0x10u8; 32])
-                } else {
-                    (2u64, [0x20u8; 32])
-                };
-                Response::Checkpoint(SignedCheckpoint::sign(
-                    CheckpointBody {
-                        log_id: self.log_id,
-                        size,
-                        head,
-                        logical_time: self.phase,
-                    },
-                    &self.key,
-                ))
-            }
-            Ok(Request::GetConsistency { .. }) => Response::Error("no proof available".into()),
-            Ok(_) => Response::Error("not implemented".into()),
-            Err(e) => Response::Error(format!("{e}")),
-        };
-        response.to_wire()
-    }
-}
-
 #[test]
 fn history_rewrite_without_proof_is_flagged() {
+    // A domain that rewrites history: sizes grow but the heads are
+    // unrelated and no consistency proof is offered.
     let key = SigningKey::derive(b"rewriter", b"checkpoint");
     let lid = log_id(b"rewrite-deploy", 0);
-    let mut host = DirectHost::spawn(RewritingDomain {
-        key,
-        log_id: lid,
-        phase: 0,
-    })
+    let mut phase = 0u64;
+    let mut host = DirectHost::spawn(bundle_fake(move || {
+        phase += 1;
+        let (size, head) = if phase == 1 {
+            (1u64, [0x10u8; 32])
+        } else {
+            (2u64, [0x20u8; 32])
+        };
+        (
+            status_with(head, size),
+            lone(signed(&key, lid, size, head, phase)),
+        )
+    }))
     .expect("spawn");
-
-    let descriptor = DeploymentDescriptor {
-        app_name: "any".into(),
-        developer_key: SigningKey::derive(b"dev", b"k").verifying_key(),
-        vendor_roots: VendorRoots::new(vec![]),
-        domains: vec![DomainInfo {
-            index: 0,
-            addr: host.addr(),
-            vendor: None,
-            checkpoint_key: key.verifying_key(),
-        }],
-    };
-    let mut client = DeploymentClient::new(descriptor, Box::new(HmacDrbg::new(b"auditor", b"")));
+    let mut client = client(&descriptor_for(host.addr(), &key), b"auditor");
 
     let first = client.audit(None);
     assert!(first.misbehavior.is_empty(), "{first:?}");
@@ -213,118 +122,14 @@ fn history_rewrite_without_proof_is_flagged() {
     host.shutdown();
 }
 
-/// An honest pre-BatchAudit server: answers the per-step protocol
-/// correctly and errors on everything newer, counting how often it gets
-/// probed with the batched request.
-struct LegacyOnlyDomain {
-    key: SigningKey,
-    log_id: [u8; 32],
-    batch_probes: std::sync::Arc<std::sync::atomic::AtomicU64>,
-}
-
-impl EnclaveService for LegacyOnlyDomain {
-    fn handle(&mut self, request: Vec<u8>) -> Vec<u8> {
-        use distrust::core::protocol::Request::*;
-        let head = [0x77; 32];
-        let response = match Request::from_wire(&request) {
-            Ok(BatchAudit { .. }) => {
-                self.batch_probes
-                    .fetch_add(1, std::sync::atomic::Ordering::SeqCst);
-                Response::Error("unknown request".into())
-            }
-            Ok(Attest { .. }) => Response::Unattested(distrust::core::DomainStatus {
-                domain_index: 0,
-                app_digest: [1; 32],
-                app_version: 1,
-                log_size: 1,
-                log_head: head,
-                framework_measurement: [2; 32],
-            }),
-            Ok(GetCheckpoint) => Response::Checkpoint(SignedCheckpoint::sign(
-                CheckpointBody {
-                    log_id: self.log_id,
-                    size: 1,
-                    head,
-                    logical_time: 1,
-                },
-                &self.key,
-            )),
-            Ok(_) => Response::Error("not implemented".into()),
-            Err(e) => Response::Error(format!("{e}")),
-        };
-        response.to_wire()
-    }
-}
-
-#[test]
-fn legacy_domain_is_probed_once_then_served_per_step() {
-    let key = SigningKey::derive(b"legacy-only", b"checkpoint");
-    let lid = log_id(b"legacy-deploy", 0);
-    let probes = std::sync::Arc::new(std::sync::atomic::AtomicU64::new(0));
-    let mut host = DirectHost::spawn(LegacyOnlyDomain {
-        key,
-        log_id: lid,
-        batch_probes: std::sync::Arc::clone(&probes),
-    })
-    .expect("spawn");
-
-    let descriptor = DeploymentDescriptor {
-        app_name: "any".into(),
-        developer_key: SigningKey::derive(b"dev", b"k").verifying_key(),
-        vendor_roots: VendorRoots::new(vec![]),
-        domains: vec![DomainInfo {
-            index: 0,
-            addr: host.addr(),
-            vendor: None,
-            checkpoint_key: key.verifying_key(),
-        }],
-    };
-    let mut client = DeploymentClient::new(descriptor, Box::new(HmacDrbg::new(b"auditor", b"")));
-
-    // Three audit rounds against an honest legacy server: all succeed via
-    // the per-step fallback...
-    for _ in 0..3 {
-        let report = client.audit(None);
-        assert!(
-            report.domains[0].failure.is_none() && !report.domains[0].batched,
-            "{report:?}"
-        );
-    }
-    assert_eq!(client.audit_stats().fallback_domains, 3);
-    // ...but the batched probe was paid exactly once; later rounds on the
-    // same connection skip it.
-    assert_eq!(probes.load(std::sync::atomic::Ordering::SeqCst), 1);
-
-    host.shutdown();
-}
-
 #[test]
 fn checkpoint_signed_by_wrong_key_is_flagged() {
     let real_key = SigningKey::derive(b"hijacked", b"real");
     let attacker_key = SigningKey::derive(b"hijacked", b"attacker");
-    let lid = log_id(b"hijack-deploy", 0);
     // The domain signs with the attacker's key (e.g. after host takeover
-    // of an unattested domain).
-    let mut host = DirectHost::spawn(EquivocatingDomain {
-        key: attacker_key,
-        log_id: lid,
-        flip: false,
-    })
-    .expect("spawn");
-
-    let descriptor = DeploymentDescriptor {
-        app_name: "any".into(),
-        developer_key: SigningKey::derive(b"dev", b"k").verifying_key(),
-        vendor_roots: VendorRoots::new(vec![]),
-        domains: vec![DomainInfo {
-            index: 0,
-            addr: host.addr(),
-            vendor: None,
-            // Client pins the REAL key.
-            checkpoint_key: real_key.verifying_key(),
-        }],
-    };
-    let mut client = DeploymentClient::new(descriptor, Box::new(HmacDrbg::new(b"auditor", b"")));
+    // of an unattested domain); the client pins the REAL key.
+    let mut host = equivocating_domain(attacker_key, log_id(b"hijack-deploy", 0));
+    let mut client = client(&descriptor_for(host.addr(), &real_key), b"auditor");
     let report = client.audit(None);
     assert!(
         report
@@ -334,4 +139,120 @@ fn checkpoint_signed_by_wrong_key_is_flagged() {
         "{report:?}"
     );
     host.shutdown();
+}
+
+#[test]
+fn refusing_batch_audit_fails_the_audit_after_one_frame() {
+    // A domain does not get to choose how it is examined: answering the
+    // audit with an error is a failed audit carrying that reason, not an
+    // invitation to try some other protocol.
+    let key = SigningKey::derive(b"refuser", b"checkpoint");
+    let audit_frames = Arc::new(AtomicU64::new(0));
+    let other_frames = Arc::new(AtomicU64::new(0));
+    let (audits, others) = (Arc::clone(&audit_frames), Arc::clone(&other_frames));
+    let mut host = DirectHost::spawn(move |request: Vec<u8>| {
+        match Request::from_wire(&request) {
+            Ok(Request::BatchAudit { .. }) => audits.fetch_add(1, Ordering::SeqCst),
+            // The piggybacked gossip frame is not an audit attempt.
+            Ok(Request::Gossip { .. }) => 0,
+            _ => others.fetch_add(1, Ordering::SeqCst),
+        };
+        Response::Error("audits are not served here".into()).to_wire()
+    })
+    .expect("spawn");
+    let mut client = client(&descriptor_for(host.addr(), &key), b"auditor");
+
+    let report = client.audit(None);
+    assert!(!report.is_clean());
+    let failure = report.domains[0].failure.as_deref().expect("audit failed");
+    assert!(
+        failure.contains("audits are not served here"),
+        "the domain's reason is recorded: {failure}"
+    );
+    assert!(report.domains[0].status.is_none());
+    assert_eq!(audit_frames.load(Ordering::SeqCst), 1, "one audit frame");
+    assert_eq!(other_frames.load(Ordering::SeqCst), 0, "no second protocol");
+
+    host.shutdown();
+}
+
+#[test]
+fn dropped_connection_is_reopened_once_and_the_audit_resent() {
+    // A server that closes the connection after every frame it answers
+    // (it stops answering and reads until the client hangs up). A client
+    // left holding such a connection finds out only when it next reads
+    // from it; the audit then reconnects once and re-issues the request.
+    let key = SigningKey::derive(b"dropper", b"checkpoint");
+    let lid = log_id(b"dropper-deploy", 0);
+    let acceptor = TcpAcceptor::bind_loopback().expect("bind");
+    let addr = acceptor.local_addr().expect("addr");
+    let connections = Arc::new(AtomicU64::new(0));
+    let answered_audits = Arc::new(AtomicU64::new(0));
+    let ignored_audits = Arc::new(AtomicU64::new(0));
+    let (conns, answered, ignored) = (
+        Arc::clone(&connections),
+        Arc::clone(&answered_audits),
+        Arc::clone(&ignored_audits),
+    );
+    let done = Arc::new(std::sync::atomic::AtomicBool::new(false));
+    let server_done = Arc::clone(&done);
+    let server = std::thread::spawn(move || {
+        let mut domain = bundle_fake(move || {
+            (
+                status_with([0x55; 32], 1),
+                lone(signed(&key, lid, 1, [0x55; 32], 1)),
+            )
+        });
+        use distrust::tee::host::EnclaveService;
+        while let Ok(mut transport) = acceptor.accept() {
+            if server_done.load(Ordering::SeqCst) {
+                break;
+            }
+            conns.fetch_add(1, Ordering::SeqCst);
+            let Ok(frame) = transport.recv() else {
+                continue;
+            };
+            if matches!(Request::from_wire(&frame), Ok(Request::BatchAudit { .. })) {
+                answered.fetch_add(1, Ordering::SeqCst);
+            }
+            transport.send(&domain.handle(frame)).expect("answer");
+            transport
+                .try_clone_stream()
+                .and_then(|s| s.shutdown(std::net::Shutdown::Write))
+                .expect("half-close");
+            while let Ok(frame) = transport.recv() {
+                if matches!(Request::from_wire(&frame), Ok(Request::BatchAudit { .. })) {
+                    ignored.fetch_add(1, Ordering::SeqCst);
+                }
+            }
+        }
+    });
+    let mut client = client(&descriptor_for(addr, &key), b"auditor");
+
+    // Round 1 on a fresh connection: the bundle arrives, the gossip
+    // answer does not (best-effort), the client notices the hang-up.
+    let first = client.audit(None);
+    assert!(first.is_clean(), "{first:?}");
+    assert_eq!(connections.load(Ordering::SeqCst), 1);
+
+    // An answered exchange leaves the client holding a connection the
+    // server has already closed.
+    assert!(matches!(
+        client.exchange(0, &Request::GetStatus),
+        Ok(Response::Error(_))
+    ));
+    assert_eq!(connections.load(Ordering::SeqCst), 2);
+
+    // Round 2 starts on that dead connection: its frame goes unanswered,
+    // the client reconnects once, resends, and the audit is clean.
+    let second = client.audit(None);
+    assert!(second.is_clean(), "{second:?}");
+    assert_eq!(connections.load(Ordering::SeqCst), 3, "one reconnect");
+    assert_eq!(ignored_audits.load(Ordering::SeqCst), 1, "the stale send");
+    assert_eq!(answered_audits.load(Ordering::SeqCst), 2, "one per round");
+
+    done.store(true, Ordering::SeqCst);
+    drop(client);
+    std::net::TcpStream::connect(addr).expect("wake the acceptor");
+    server.join().expect("server thread");
 }

@@ -5,10 +5,10 @@
 //! the canonical encodings (via their SHA-256) so accidental wire-format
 //! changes fail loudly instead of silently invalidating old logs.
 
-use distrust::core::protocol::{DomainStatus, Request};
+use distrust::core::protocol::{DomainStatus, Request, Response};
 use distrust::core::Deployment;
 use distrust::crypto::sha256;
-use distrust::wire::Encode;
+use distrust::wire::{Decode, DecodeError, Encode};
 
 fn digest_hex(bytes: &[u8]) -> String {
     sha256(bytes).iter().map(|b| format!("{b:02x}")).collect()
@@ -33,6 +33,63 @@ fn golden_request_encodings() {
         digest_hex(&attest.to_wire()),
         digest_hex(&[vec![0u8], vec![7u8; 32]].concat()),
     );
+}
+
+#[test]
+fn golden_tag_assignments() {
+    // One tag per message, never renumbered: a transcript recorded against
+    // any release decodes to the same messages, or not at all.
+    let requests = [
+        (Request::Attest { nonce: [0; 32] }, 0u8),
+        (Request::GetStatus, 1),
+        (
+            Request::AppCall {
+                method: 0,
+                payload: vec![],
+            },
+            2,
+        ),
+        (Request::GetLogEntries { from: 0 }, 6),
+        (Request::GetNotices { since: 0 }, 7),
+        (
+            Request::BatchAudit {
+                request_id: 0,
+                nonce: [0; 32],
+                verified_size: 0,
+            },
+            8,
+        ),
+        (Request::GetShardEntries { shard: 0, from: 0 }, 9),
+        (Request::WitnessHead, 11),
+    ];
+    for (request, tag) in requests {
+        assert_eq!(request.to_wire()[0], tag, "{request:?}");
+    }
+    let responses = [
+        (Response::AppError(String::new()), 4u8),
+        (Response::UpdateRejected(String::new()), 6),
+        (Response::LogEntries(vec![]), 9),
+        (Response::Notices(vec![]), 10),
+        (Response::Error(String::new()), 11),
+        (Response::WitnessHead { cosigned: None }, 15),
+    ];
+    for (response, tag) in responses {
+        assert_eq!(response.to_wire()[0], tag, "{response:?}");
+    }
+    // The gaps are the per-step audit messages, retired for good: request
+    // tags 4/5 and response tags 7/8 refuse to decode.
+    for tag in [4u8, 5] {
+        assert_eq!(
+            Request::from_wire(&[tag, 0, 0, 0, 0, 0, 0, 0, 0]),
+            Err(DecodeError::InvalidTag(tag))
+        );
+    }
+    for tag in [7u8, 8] {
+        assert_eq!(
+            Response::from_wire(&[tag, 0, 0, 0, 0, 0, 0, 0, 0]),
+            Err(DecodeError::InvalidTag(tag))
+        );
+    }
 }
 
 #[test]

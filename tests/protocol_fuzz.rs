@@ -216,7 +216,7 @@ proptest! {
     /// must agree byte-for-byte, since responses are hashed into quotes).
     #[test]
     fn structured_requests_round_trip(
-        tag in 0u8..10,
+        tag in 0u8..8,
         nonce in any::<[u8; 32]>(),
         method in any::<u64>(),
         payload in proptest::collection::vec(any::<u8>(), 0..64),
@@ -226,11 +226,9 @@ proptest! {
             0 => Request::Attest { nonce },
             1 => Request::GetStatus,
             2 => Request::AppCall { method, payload: payload.clone() },
-            3 => Request::GetCheckpoint,
-            4 => Request::GetConsistency { old_size: number },
-            5 => Request::GetLogEntries { from: number },
-            6 => Request::GetNotices { since: number },
-            7 => Request::BatchAudit {
+            3 => Request::GetLogEntries { from: number },
+            4 => Request::GetNotices { since: number },
+            5 => Request::BatchAudit {
                 request_id: method,
                 nonce,
                 verified_size: number,
@@ -448,23 +446,112 @@ fn attest_on_a_tee_domain_answers_with_a_quote() {
 
 #[test]
 fn consistency_proofs_between_installed_epochs_decode_and_verify() {
-    let mut svc = service_with_history(); // log size 3
-    let frame = svc.handle(Request::GetConsistency { old_size: 1 }.to_wire());
+    // Log size 3: a client at size 1 is served epochs 2 and 3 plus the
+    // steps 1→2 and 2→3.
+    let all = match Response::from_wire(&batch_audit_response_frame(0)).expect("decodes") {
+        Response::AuditBundle(b) => b.bundle.checkpoints,
+        other => panic!("expected audit bundle, got {other:?}"),
+    };
+    let frame = batch_audit_response_frame(1);
     match Response::from_wire(&frame).expect("decodes") {
-        Response::Consistency(p) => {
-            assert_eq!((p.old_size, p.new_size), (1, 3));
-            // Canonical encoding: the decoded proof re-encodes to the
+        Response::AuditBundle(b) => {
+            assert_eq!(b.bundle.checkpoints, all[1..]);
+            assert_eq!(b.bundle.proof.len(), 2);
+            for i in 0..2 {
+                let step = b.bundle.proof.step(i).expect("step");
+                assert!(step.verify(&all[i].body.head, &all[i + 1].body.head));
+            }
+            // Canonical encoding: the decoded bundle re-encodes to the
             // server's exact bytes.
-            assert_eq!(Response::Consistency(p).to_wire(), frame);
+            assert_eq!(Response::AuditBundle(b).to_wire(), frame);
         }
-        other => panic!("expected consistency proof, got {other:?}"),
+        other => panic!("expected audit bundle, got {other:?}"),
     }
-    // Past the head: an error frame, still decodable.
-    let frame = svc.handle(Request::GetConsistency { old_size: 99 }.to_wire());
-    assert!(matches!(
-        Response::from_wire(&frame),
-        Ok(Response::Error(_))
-    ));
+}
+
+/// The guarantees the single audit exchange rests on: serving an audit
+/// signs nothing, and only an update moves a domain's logical clock.
+#[test]
+fn only_updates_advance_logical_time_and_audits_reuse_signatures() {
+    fn audit(svc: &mut FrameworkService, request_id: u64) -> Vec<SignedCheckpoint> {
+        let request = Request::BatchAudit {
+            request_id,
+            nonce: [request_id as u8; 32],
+            verified_size: 0,
+        };
+        match Response::from_wire(&svc.handle(request.to_wire())).expect("decodes") {
+            Response::AuditBundle(b) => b.bundle.checkpoints,
+            other => panic!("expected audit bundle, got {other:?}"),
+        }
+    }
+    let mut svc = service_with_history();
+    let before = audit(&mut svc, 1);
+    assert_eq!(
+        before.iter().map(|cp| cp.to_wire()).collect::<Vec<_>>(),
+        audit(&mut svc, 2)
+            .iter()
+            .map(|cp| cp.to_wire())
+            .collect::<Vec<_>>(),
+        "two audits with no update in between serve byte-identical checkpoints"
+    );
+    // Every request that is not an update, then audit again: still the
+    // same signed bytes, so nothing re-signed and no clock tick.
+    for request in [
+        Request::Attest { nonce: [4; 32] },
+        Request::GetStatus,
+        Request::AppCall {
+            method: 0,
+            payload: vec![],
+        },
+        Request::GetLogEntries { from: 0 },
+        Request::GetNotices { since: 0 },
+        Request::GetShardEntries { shard: 0, from: 0 },
+        Request::Gossip {
+            envelope: GossipEnvelope::empty(),
+        },
+        Request::WitnessHead,
+    ] {
+        svc.handle(request.to_wire());
+    }
+    assert_eq!(audit(&mut svc, 3), before);
+    // An update does move the clock: one notice tick, one checkpoint tick.
+    let dev = SigningKey::derive(b"protocol fuzz", b"dev");
+    let release = SignedRelease::create("fuzzed", 4, "", &counter_module(4), &dev);
+    svc.framework_mut().apply_update(&release).expect("applies");
+    let after = audit(&mut svc, 4);
+    assert_eq!(after[..3], before[..]);
+    assert_eq!(
+        after[3].body.logical_time,
+        before[2].body.logical_time + 2,
+        "the only ticks since the last epoch are the update's own"
+    );
+}
+
+/// The per-step audit messages are gone for good: their tags decode as
+/// invalid instead of being quietly reassigned.
+#[test]
+fn retired_per_step_tags_do_not_decode() {
+    use distrust::wire::DecodeError;
+    for tag in [4u8, 5] {
+        let mut frame = vec![tag];
+        frame.extend_from_slice(&[0; 16]);
+        assert_eq!(
+            Request::from_wire(&frame),
+            Err(DecodeError::InvalidTag(tag))
+        );
+        assert!(matches!(
+            Response::from_wire(&service().handle(frame)),
+            Ok(Response::Error(_))
+        ));
+    }
+    for tag in [7u8, 8] {
+        let mut frame = vec![tag];
+        frame.extend_from_slice(&[0; 16]);
+        assert_eq!(
+            Response::from_wire(&frame),
+            Err(DecodeError::InvalidTag(tag))
+        );
+    }
 }
 
 #[test]
@@ -538,12 +625,6 @@ fn every_request_variant_gets_a_sensible_answer_without_an_app() {
             },
             |r| matches!(r, Response::AppError(_)),
         ),
-        (Request::GetCheckpoint, |r| {
-            matches!(r, Response::Checkpoint(_))
-        }),
-        (Request::GetConsistency { old_size: 99 }, |r| {
-            matches!(r, Response::Error(_))
-        }),
         (Request::GetLogEntries { from: 0 }, |r| {
             matches!(r, Response::LogEntries(_))
         }),

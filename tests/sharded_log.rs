@@ -92,7 +92,11 @@ proptest! {
         let legacy_proof = plain.prove_consistency(old, leaf_count);
         prop_assert_eq!(&new_proof, &legacy_proof);
         if let (Some(a), Some(b)) = (new_proof, legacy_proof) {
-            prop_assert_eq!(a.to_wire_proof(), b.to_wire_proof());
+            // `ConsistencyProof` rides the wire inside a `ProofBundle`.
+            prop_assert_eq!(
+                ProofBundle::from_proofs(&[a]).to_wire(),
+                ProofBundle::from_proofs(&[b]).to_wire()
+            );
         }
     }
 
@@ -160,18 +164,6 @@ proptest! {
     }
 }
 
-/// `ConsistencyProof` has no standalone Encode impl (it rides inside
-/// responses); compare the canonical response encoding instead.
-trait WireProof {
-    fn to_wire_proof(&self) -> Vec<u8>;
-}
-
-impl WireProof for distrust::log::ConsistencyProof {
-    fn to_wire_proof(&self) -> Vec<u8> {
-        Response::Consistency(self.clone()).to_wire()
-    }
-}
-
 #[test]
 fn sharded_deployment_audits_clean_end_to_end() {
     // A real 4-shard deployment over real sockets: audits flow through
@@ -182,10 +174,6 @@ fn sharded_deployment_audits_clean_end_to_end() {
 
     let report = client.audit(Some(&deployment.initial_app_digest));
     assert!(report.is_clean(), "{report:?}");
-    assert!(
-        report.domains.iter().all(|d| d.batched),
-        "sharded audits must ride the batched path: {report:?}"
-    );
     // The auditor tracked per-shard prefixes for every domain.
     for d in 0..3u32 {
         let cache = client.auditor_prefix_cache(d).expect("domain exists");
@@ -236,10 +224,10 @@ fn sharded_deployment_audits_clean_end_to_end() {
 }
 
 #[test]
-fn shard_entries_and_fallback() {
-    // New request against a sharded deployment: per-shard slices come
-    // back; out-of-range shards error; and on a 1-shard deployment shard 0
-    // equals the legacy whole-log fetch.
+fn shard_entries_slice_the_log() {
+    // Against a sharded deployment per-shard slices come back and
+    // out-of-range shards error; on a 1-shard deployment shard 0 equals
+    // the whole-log fetch.
     let sharded = launch_sharded(b"shard entries", 2, 4);
     let mut client = sharded.client(b"reader");
     let flattened = client.log_entries(0, 0).unwrap();
@@ -254,9 +242,8 @@ fn shard_entries_and_fallback() {
         "out-of-range shard must error"
     );
     // An out-of-range offset within a real shard surfaces the server's
-    // error — it must NOT fall back to the globally-flattened log and
-    // present that as shard data (shard-aware servers only get the
-    // fallback on the "malformed request" frame old servers answer with).
+    // error — the globally-flattened log must never be presented as
+    // shard data.
     let routed = ShardedLog::new(4).shard_for(b"adder");
     for s in 0..4u32 {
         if s == routed {
@@ -264,12 +251,12 @@ fn shard_entries_and_fallback() {
         }
         assert!(
             client.shard_entries(0, s, 1).is_err(),
-            "offset past empty shard {s} must error, not fall back"
+            "offset past empty shard {s} must error"
         );
     }
 
-    let legacy = launch_sharded(b"shard entries legacy", 2, 1);
-    let mut client = legacy.client(b"reader");
+    let single = launch_sharded(b"shard entries legacy", 2, 1);
+    let mut client = single.client(b"reader");
     assert_eq!(
         client.shard_entries(0, 0, 0).unwrap(),
         client.log_entries(0, 0).unwrap(),
@@ -280,9 +267,8 @@ fn shard_entries_and_fallback() {
 #[test]
 fn shard_unaware_prefix_relinks_through_batched_audit() {
     // A verifier can trust a sharded domain's `(size, head)` without ever
-    // having seen its per-shard decomposition — e.g. its previous round
-    // fell back to the per-step path (`GetCheckpoint` serves the plain
-    // top-level checkpoint). The next batched audit must re-link: the
+    // having seen its per-shard decomposition — it took the signed epoch
+    // checkpoint alone. The next batched audit must re-link: the
     // server leads the bundle with the client's verified epoch (snapshot
     // included, binding checked against the already-trusted head), so the
     // walk re-learns the baseline instead of wedging into a permanent
@@ -310,13 +296,21 @@ fn shard_unaware_prefix_relinks_through_batched_audit() {
     let v1 = distrust::core::SignedRelease::create("adder", 1, "", &adder_module(100), &dev);
     fw.apply_update(&v1).expect("v1 applies");
 
-    // Legacy-path observation: top-level checkpoint only, no shard info.
+    // Observe the served v1 epoch checkpoint on its own: top level only,
+    // no shard info.
     let mut auditor = Auditor::new(vec![cp_vk]);
-    let cp = fw.checkpoint().unwrap();
+    let cp = match fw.handle(Request::BatchAudit {
+        request_id: 0,
+        nonce: [0; 32],
+        verified_size: 0,
+    }) {
+        Response::ShardAuditBundle(mut b) => b.bundle.epochs.pop().expect("v1 epoch").checkpoint,
+        other => panic!("expected sharded bundle, got {other:?}"),
+    };
     assert!(auditor.observe(0, cp, None).is_consistent());
     assert!(
         auditor.prefix_cache(0).unwrap().shard_prefixes().is_none(),
-        "per-step path learns no shard decomposition"
+        "a lone checkpoint teaches no shard decomposition"
     );
 
     // The log grows; the batched round must re-link from the trusted
@@ -343,9 +337,8 @@ fn shard_unaware_prefix_relinks_through_batched_audit() {
 #[test]
 fn one_shard_deployment_byte_compatible_on_the_wire() {
     // The serving side of the compatibility contract: a 1-shard
-    // deployment answers BatchAudit with the *legacy* bundle shape (tag
-    // 12) and GetConsistency with real proofs — nothing about sharding
-    // leaks into the wire format old clients parse.
+    // deployment answers BatchAudit with the single-tree bundle shape
+    // (tag 12) — nothing about sharding leaks into that wire format.
     let deployment = launch_sharded(b"one shard wire", 2, 1);
     let mut client = deployment.client(b"prober");
     match client
@@ -382,54 +375,4 @@ fn one_shard_deployment_byte_compatible_on_the_wire() {
         }
         other => panic!("4-shard deployment must answer the sharded bundle, got {other:?}"),
     }
-}
-
-#[test]
-fn legacy_per_step_audit_still_works_on_one_shard_deployment() {
-    // An "old client" that never sends BatchAudit (per-step path only)
-    // must audit a new 1-shard deployment unchanged.
-    let deployment = launch_sharded(b"per-step compat", 2, 1);
-    let mut client = deployment.client(b"old-auditor");
-    let mut auditor = Auditor::new(
-        deployment
-            .descriptor
-            .domains
-            .iter()
-            .map(|d| d.checkpoint_key)
-            .collect(),
-    );
-    for d in 0..2u32 {
-        let cp = match client.exchange(d, &Request::GetCheckpoint).unwrap() {
-            Response::Checkpoint(cp) => cp,
-            other => panic!("unexpected {other:?}"),
-        };
-        assert!(auditor.observe(d, cp, None).is_consistent());
-    }
-    // Growth with a per-step consistency proof.
-    let release = deployment.sign_release(2, "v2", &adder_module(200));
-    let mut dev_client = deployment.client(b"developer");
-    for result in dev_client.push_update(&release) {
-        result.expect("accepted");
-    }
-    for d in 0..2u32 {
-        let proof = match client
-            .exchange(d, &Request::GetConsistency { old_size: 1 })
-            .unwrap()
-        {
-            Response::Consistency(p) => p,
-            other => panic!("unexpected {other:?}"),
-        };
-        let cp = match client.exchange(d, &Request::GetCheckpoint).unwrap() {
-            Response::Checkpoint(cp) => cp,
-            other => panic!("unexpected {other:?}"),
-        };
-        assert!(
-            auditor.observe(d, cp, Some(&proof)).is_consistent(),
-            "per-step audit of domain {d} failed"
-        );
-    }
-
-    // An empty `ProofBundle` (what an old client's tooling would build
-    // from the per-step responses) is accepted by the batched ingest too.
-    let _ = ProofBundle::default();
 }

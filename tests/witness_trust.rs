@@ -65,7 +65,7 @@ fn thin_client_trusts_via_one_cosignature() {
         .expect("head installed");
 
     // The thin client's whole trust establishment: one aggregated
-    // signature verification. Zero audit traffic, batched or legacy.
+    // signature verification. Zero audit traffic.
     let mut thin = deployment.client(b"thin client");
     let mut session = thin.session(TrustPolicy::witnessed(quorum.public_key, 2));
     session
@@ -82,12 +82,18 @@ fn thin_client_trusts_via_one_cosignature() {
         1,
         "exactly one aggregated-signature verification establishes trust"
     );
-    let stats = session.client().audit_stats();
-    assert_eq!(
-        (stats.batched_domains, stats.fallback_domains),
-        (0, 0),
-        "the witnessed session never audited any domain"
-    );
+    for d in 0..3 {
+        let cache = session.client().auditor_prefix_cache(d).expect("domain");
+        assert_eq!(
+            (
+                cache.signatures_verified(),
+                cache.consistency_verified(),
+                cache.skipped()
+            ),
+            (0, 0, 0),
+            "the witnessed session never audited domain {d}"
+        );
+    }
 
     // The session keeps working (the head stays fresh by default policy).
     let recovered = backup
