@@ -3,7 +3,8 @@
 //! (O(log n) proofs) — across log sizes.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use distrust_log::{HashChain, MerkleLog};
+use distrust_bench::HashChain;
+use distrust_log::MerkleLog;
 
 fn build_chain(n: usize) -> HashChain {
     let mut chain = HashChain::new();

@@ -1,7 +1,6 @@
-//! Concurrency benchmark for the wire layer (ISSUE 2 acceptance): p50/p99
-//! request latency at 100 / 1000 / 4000 concurrent connections, event-loop
-//! server (fixed pool of 4 reactor threads + 1 accept thread) vs. the
-//! thread-per-connection baseline (one OS thread per client).
+//! Concurrency benchmark for the wire layer: p50/p99 request latency at
+//! 100 / 1000 / 4000 concurrent connections against one [`FrameServer`]
+//! (fixed pool of 4 reactor threads + 1 accept thread).
 //!
 //! Custom harness (`harness = false`): criterion's mean-of-iterations shape
 //! cannot express "open N sockets, keep them all live, report tail
@@ -11,7 +10,7 @@
 //! and appended to `bench_results/wire_concurrency.json`.
 
 use distrust_wire::codec::{Decode, Encode};
-use distrust_wire::rpc::{EventLoopRpcServer, RpcServer};
+use distrust_wire::server::FrameServer;
 use distrust_wire::transport::{max_open_files, TcpTransport, Transport};
 use std::net::SocketAddr;
 use std::sync::{Arc, Barrier};
@@ -21,48 +20,16 @@ const CLIENT_COUNTS: &[usize] = &[100, 1000, 4000];
 const WORKERS: usize = 8;
 const WARMUP_ROUNDS: usize = 1;
 const MEASURED_ROUNDS: usize = 5;
+const REACTOR_THREADS: usize = 4;
 
-fn handler(req: u64) -> Result<u64, String> {
-    Ok(req.wrapping_mul(0x9e37_79b9) ^ 0x5bd1)
+fn handler(req: u64) -> u64 {
+    req.wrapping_mul(0x9e37_79b9) ^ 0x5bd1
 }
 
-/// Either server, reduced to "an address to hammer and a way to stop".
-enum Server {
-    EventLoop(EventLoopRpcServer),
-    ThreadPerConn(RpcServer),
-}
-
-impl Server {
-    fn spawn(event_loop: bool) -> std::io::Result<Self> {
-        let h = Arc::new(handler as fn(u64) -> Result<u64, String>);
-        Ok(if event_loop {
-            Self::EventLoop(EventLoopRpcServer::spawn::<u64, u64, _>(h)?)
-        } else {
-            Self::ThreadPerConn(RpcServer::spawn::<u64, u64, _>(h)?)
-        })
-    }
-
-    fn addr(&self) -> SocketAddr {
-        match self {
-            Self::EventLoop(s) => s.local_addr(),
-            Self::ThreadPerConn(s) => s.local_addr(),
-        }
-    }
-
-    fn shutdown(&mut self) {
-        match self {
-            Self::EventLoop(s) => s.shutdown(),
-            Self::ThreadPerConn(s) => s.shutdown(),
-        }
-    }
-
-    fn label(event_loop: bool) -> &'static str {
-        if event_loop {
-            "event-loop (4 reactors)"
-        } else {
-            "thread-per-connection"
-        }
-    }
+/// The served frame protocol: a wire-encoded `u64` in, `handler` of it
+/// out; an undecodable request gets an empty frame.
+fn service(frame: &[u8]) -> Vec<u8> {
+    u64::from_wire(frame).map_or_else(|_| Vec::new(), |req| handler(req).to_wire())
 }
 
 /// One worker: `conns` connections, pipelined send-all-then-recv-all
@@ -88,11 +55,9 @@ fn worker(
             for (i, t) in transports.iter_mut().enumerate() {
                 let frame = t.recv().expect("recv");
                 let elapsed = sent_at[i].elapsed();
-                let (status, payload) = frame.split_first().expect("envelope");
-                assert_eq!(*status, 0x00, "ok envelope");
-                let resp = u64::from_wire(payload).expect("decode");
+                let resp = u64::from_wire(&frame).expect("decode");
                 let req = (round * conns + i) as u64;
-                assert_eq!(resp, handler(req).unwrap());
+                assert_eq!(resp, handler(req));
                 if round >= WARMUP_ROUNDS {
                     latencies.push(elapsed.as_nanos() as u64);
                 }
@@ -103,7 +68,6 @@ fn worker(
 }
 
 struct Row {
-    server: &'static str,
     clients: usize,
     requests: usize,
     p50: Duration,
@@ -116,9 +80,9 @@ fn percentile(sorted: &[u64], p: f64) -> Duration {
     Duration::from_nanos(sorted[idx])
 }
 
-fn run(event_loop: bool, clients: usize) -> Row {
-    let mut server = Server::spawn(event_loop).expect("spawn server");
-    let addr = server.addr();
+fn run(clients: usize) -> Row {
+    let mut server = FrameServer::spawn(Arc::new(service), REACTOR_THREADS).expect("spawn server");
+    let addr = server.local_addr();
     let barrier = Arc::new(Barrier::new(WORKERS));
     let started = Instant::now();
     // Distribute the remainder so exactly `clients` connections open.
@@ -136,7 +100,6 @@ fn run(event_loop: bool, clients: usize) -> Row {
     server.shutdown();
     latencies.sort_unstable();
     Row {
-        server: Server::label(event_loop),
         clients,
         requests: latencies.len(),
         p50: percentile(&latencies, 0.50),
@@ -150,8 +113,8 @@ fn main() {
     let fd_budget = max_open_files().map(|limit| limit.saturating_sub(200) / 2);
     let mut rows = Vec::new();
     println!(
-        "{:<24} {:>8} {:>10} {:>12} {:>12} {:>12}",
-        "server", "clients", "requests", "p50", "p99", "req/s"
+        "{:>8} {:>10} {:>12} {:>12} {:>12}",
+        "clients", "requests", "p50", "p99", "req/s"
     );
     for &requested in CLIENT_COUNTS {
         let clients = match fd_budget {
@@ -165,21 +128,18 @@ fn main() {
             eprintln!("fd limit too tight for {requested} clients; skipping");
             continue;
         }
-        for event_loop in [false, true] {
-            let row = run(event_loop, clients);
-            println!(
-                "{:<24} {:>8} {:>10} {:>10.2?} {:>10.2?} {:>12.0}",
-                row.server, row.clients, row.requests, row.p50, row.p99, row.throughput
-            );
-            rows.push(row);
-        }
+        let row = run(clients);
+        println!(
+            "{:>8} {:>10} {:>10.2?} {:>10.2?} {:>12.0}",
+            row.clients, row.requests, row.p50, row.p99, row.throughput
+        );
+        rows.push(row);
     }
     let entries: Vec<String> = rows
         .iter()
         .map(|r| {
             format!(
-                "  {{\"server\": \"{}\", \"clients\": {}, \"requests\": {}, \"p50_us\": {:.1}, \"p99_us\": {:.1}, \"req_per_s\": {:.0}}}",
-                r.server,
+                "  {{\"clients\": {}, \"requests\": {}, \"p50_us\": {:.1}, \"p99_us\": {:.1}, \"req_per_s\": {:.0}}}",
                 r.clients,
                 r.requests,
                 r.p50.as_secs_f64() * 1e6,

@@ -5,9 +5,10 @@
 //! Entry `i` commits to the whole history: `H_i = SHA256(dst || H_{i-1} ||
 //! leaf_i)`. The head digest is the log's compact commitment; auditors
 //! replay entries to verify it. A hash chain has O(n) proofs — the Merkle
-//! log in [`crate::merkle`] is the O(log n) alternative discussed in the
-//! paper's "deployment tomorrow" section; benches compare the two
-//! (Ablation B).
+//! log in [`distrust_log::merkle`] is the O(log n) alternative discussed in
+//! the paper's "deployment tomorrow" section and the one the framework
+//! runs on; this chain lives here only as the other arm of the
+//! `log_designs` ablation (Ablation B).
 
 use distrust_crypto::sha256::{sha256_many, Digest};
 

@@ -14,7 +14,9 @@
 //! | TEE + Sandbox | client —socket→ proxy —socket→ framework —socket→ sandboxed signer (two *additional* sockets, §5) |
 
 pub mod environments;
+pub mod hashchain;
 pub mod stats;
 
 pub use environments::{Environment, SigningBench};
+pub use hashchain::HashChain;
 pub use stats::Summary;

@@ -541,7 +541,10 @@ impl DeploymentClient {
     /// One [`Request::BatchAudit`] per domain — pipelined, so every
     /// domain's request is in flight before any response is read — gets
     /// attestation, checkpoints, and a range consistency proof back in a
-    /// single round-trip per domain, matched by request id. Per domain it:
+    /// single round-trip per domain. Connections are answered in request
+    /// order, so the next frame back is the answer; it must echo the
+    /// request id or the audit fails before anything in it is examined.
+    /// Per domain it:
     ///
     /// 1. verifies the TEE quote end-to-end (cert chain → vendor root,
     ///    evidence, measurement, nonce echo);
@@ -581,18 +584,19 @@ impl DeploymentClient {
 
         // Phase 2: collect and judge the answers.
         for (d, sent) in (0..n).zip(inflight) {
-            let mut answer = sent.and_then(|(id, nonce)| Ok((self.recv_audit(d, id)?, nonce)));
+            let mut answer = sent.and_then(|sent| Ok((self.recv_raw(d)?, sent)));
             if matches!(answer, Err(ClientError::ConnectionLost(_))) {
                 answer = self
                     .send_audit(d, &gossip_wire)
-                    .and_then(|(id, nonce)| Ok((self.recv_audit(d, id)?, nonce)));
+                    .and_then(|sent| Ok((self.recv_raw(d)?, sent)));
             }
             // A connection that survived the exchange still owes the
             // envelope; drain it before anything else reads from it.
             self.collect_gossip_answer(d, &mut misbehavior);
             domains.push(match answer {
-                Ok((response, nonce)) => self.process_audit_answer(
+                Ok((response, (request_id, nonce))) => self.process_audit_answer(
                     d,
+                    request_id,
                     nonce,
                     response,
                     &expected_measurement,
@@ -642,8 +646,8 @@ impl DeploymentClient {
     }
 
     /// Sends `domain` a `BatchAudit` under a fresh nonce with the gossip
-    /// frame right behind it, returning the request id and nonce to match
-    /// the answer against.
+    /// frame right behind it, returning the request id and nonce the
+    /// answer must echo.
     fn send_audit(
         &mut self,
         domain: u32,
@@ -665,24 +669,6 @@ impl DeploymentClient {
         self.send_raw(domain, &request.to_wire())?;
         self.send_raw(domain, gossip_wire)?;
         Ok((request_id, nonce))
-    }
-
-    /// Reads the answer to an in-flight `BatchAudit`. A domain answers
-    /// with the single-tree bundle (tag 12) or the sharded one (tag 13) —
-    /// both carry the echoed request id in the same position, so one peek
-    /// matches either; a frame without an id is handed back as is.
-    fn recv_audit(&mut self, domain: u32, id: u64) -> Result<Response, ClientError> {
-        let idx = domain as usize;
-        let conn = self.connections[idx]
-            .as_mut()
-            .ok_or(ClientError::NoSuchDomain(domain))?;
-        match conn.recv_matching(id, Response::peek_request_id) {
-            Ok(frame) => Response::from_wire(&frame).map_err(ClientError::Decode),
-            Err(e) => {
-                self.connections[idx] = None;
-                Err(ClientError::ConnectionLost(e))
-            }
-        }
     }
 
     /// Drains and ingests the gossip envelope riding behind a pipelined
@@ -754,23 +740,27 @@ impl DeploymentClient {
     /// freshest checkpoint against the attested status — and differ only
     /// in how the auditor walks them (sharded: per-epoch commitment
     /// recomputation, per-shard consistency runs and verified prefixes).
-    /// Anything that is not a bundle fails the audit.
+    /// Anything that is not a bundle echoing `request_id` fails the audit
+    /// with the auditor having seen none of it.
     fn process_audit_answer(
         &mut self,
         domain: u32,
+        request_id: u64,
         nonce: [u8; 32],
         response: Response,
         expected_measurement: &Digest,
         misbehavior: &mut Vec<Misbehavior>,
     ) -> DomainAudit {
-        let (attestation, head, outcome): (_, _, &dyn Fn(&mut Auditor) -> AuditOutcome) =
+        let (echoed, attestation, head, outcome): (_, _, _, &dyn Fn(&mut Auditor) -> AuditOutcome) =
             match &response {
-                Response::AuditBundle(b) => {
-                    (&b.attestation, b.bundle.checkpoints.last(), &|auditor| {
-                        auditor.observe_bundle(domain, &b.bundle)
-                    })
-                }
+                Response::AuditBundle(b) => (
+                    b.request_id,
+                    &b.attestation,
+                    b.bundle.checkpoints.last(),
+                    &|auditor| auditor.observe_bundle(domain, &b.bundle),
+                ),
                 Response::ShardAuditBundle(b) => (
+                    b.request_id,
                     &b.attestation,
                     b.bundle.epochs.last().map(|e| &e.checkpoint),
                     &|auditor| auditor.observe_shard_bundle(domain, &b.bundle),
@@ -785,6 +775,12 @@ impl DeploymentClient {
                     )
                 }
             };
+        if echoed != request_id {
+            return DomainAudit::failed(
+                domain,
+                format!("audit answer echoes request id {echoed}, expected {request_id}"),
+            );
+        }
         let mut audit = DomainAudit {
             index: domain,
             attested: false,

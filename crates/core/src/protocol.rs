@@ -62,8 +62,8 @@ pub enum Request {
     /// response ([`Response::AuditBundle`], or
     /// [`Response::ShardAuditBundle`] on multi-shard domains).
     BatchAudit {
-        /// Client-chosen id echoed in the response, so several audits can
-        /// be pipelined over one connection and matched back.
+        /// Client-chosen id the response must echo: the client rejects
+        /// an answer carrying any other id.
         request_id: u64,
         /// Client-chosen freshness nonce (bound into the TEE quote).
         nonce: [u8; 32],
@@ -304,7 +304,7 @@ impl Decode for BundleAttestation {
 /// prefix, and the consistency proof bundle linking them.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct AuditBundle {
-    /// Echo of the request id, so pipelined audits match up.
+    /// Echo of the request id; the client checks it.
     pub request_id: u64,
     /// Quote (TEE domains) or plain status (domain 0).
     pub attestation: BundleAttestation,
@@ -326,7 +326,7 @@ wire_struct!(AuditBundle {
 /// deployment (which no old deployment can be).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ShardAuditBundle {
-    /// Echo of the request id, so pipelined audits match up.
+    /// Echo of the request id; the client checks it.
     pub request_id: u64,
     /// Quote (TEE domains) or plain status (domain 0).
     pub attestation: BundleAttestation,
@@ -459,25 +459,6 @@ impl Encode for Response {
                 15u8.encode(out);
                 cosigned.encode(out);
             }
-        }
-    }
-}
-
-impl Response {
-    /// Cheaply extracts the echoed request id from an encoded audit
-    /// answer without a full decode — [`Response::AuditBundle`] (tag 12)
-    /// and [`Response::ShardAuditBundle`] (tag 13) lay out `request_id`
-    /// identically right after the tag byte (see the `Encode` impl above;
-    /// keep them in sync). This is the peek pipelined audit clients match
-    /// responses with: a client cannot know in advance whether a domain's
-    /// log is sharded, so matching only one tag would park the other
-    /// shape's frames forever. Returns `None` for every other response.
-    pub fn peek_request_id(frame: &[u8]) -> Option<u64> {
-        match frame.split_first() {
-            Some((&12, rest)) | Some((&13, rest)) => {
-                Some(u64::from_le_bytes(rest.get(..8)?.try_into().ok()?))
-            }
-            _ => None,
         }
     }
 }
@@ -663,27 +644,6 @@ mod tests {
             Request::encode_update(&release),
             Request::Update { release }.to_wire()
         );
-    }
-
-    #[test]
-    fn request_id_peek_agrees_with_full_decode() {
-        let bundle = sample_audit_bundle();
-        let id = bundle.request_id;
-        let wire = Response::AuditBundle(Box::new(bundle)).to_wire();
-        assert_eq!(Response::peek_request_id(&wire), Some(id));
-        // The sharded answer peeks identically.
-        let sharded = sample_shard_audit_bundle();
-        let sid = sharded.request_id;
-        let swire = Response::ShardAuditBundle(Box::new(sharded)).to_wire();
-        assert_eq!(Response::peek_request_id(&swire), Some(sid));
-        // Non-bundle responses and short frames peek to None.
-        assert_eq!(
-            Response::peek_request_id(&Response::Error("x".into()).to_wire()),
-            None
-        );
-        assert_eq!(Response::peek_request_id(&[12, 1, 2]), None);
-        assert_eq!(Response::peek_request_id(&[13, 1, 2]), None);
-        assert_eq!(Response::peek_request_id(&[]), None);
     }
 
     #[test]

@@ -5,18 +5,17 @@
 //! over a single socket — no enclave proxy hop — and its attestation
 //! response is [`crate::protocol::Response::Unattested`].
 //!
-//! Since ISSUE 2 the host serves that socket through the wire crate's
-//! readiness event loop ([`EventLoopRpcServer`] in raw-frame mode) instead
-//! of spawning one blocking thread per connection: a fixed pool of reactor
-//! threads multiplexes every client, so a domain can hold thousands of
-//! concurrent connections open. The wire format is unchanged — plain
-//! length-prefixed frames, errors encoded inside the service's own response
-//! messages — so existing clients (e.g.
-//! [`EnclaveClient`](distrust_tee::host::EnclaveClient)) work as before.
+//! The host serves that socket through the wire crate's [`FrameServer`]:
+//! a fixed pool of reactor threads multiplexes every client, so a domain
+//! can hold thousands of concurrent connections open. The wire format is
+//! plain length-prefixed frames, errors encoded inside the service's own
+//! response messages — the same frames
+//! [`EnclaveClient`](distrust_tee::host::EnclaveClient) speaks to an
+//! enclave proxy.
 
 use distrust_tee::host::EnclaveService;
 use distrust_wire::reactor::FrameService;
-use distrust_wire::rpc::EventLoopRpcServer;
+use distrust_wire::server::FrameServer;
 use distrust_wire::sync::HealthyMutex;
 use std::net::SocketAddr;
 use std::sync::Arc;
@@ -28,20 +27,19 @@ const REACTOR_THREADS: usize = 2;
 
 /// A running single-socket service host.
 pub struct DirectHost {
-    inner: EventLoopRpcServer,
+    inner: FrameServer,
 }
 
 impl DirectHost {
     /// Spawns the service on an ephemeral loopback port. The service runs
     /// behind a mutex: one request at a time, in whatever order the
-    /// reactor pool completes frames — the same serialization the old
-    /// thread-per-connection host provided.
+    /// reactor pool completes frames.
     pub fn spawn<S: EnclaveService>(service: S) -> std::io::Result<Self> {
         let service = HealthyMutex::new(service);
         let frames: FrameService =
             Arc::new(move |request: &[u8]| service.lock_healthy().handle(request.to_vec()));
         Ok(Self {
-            inner: EventLoopRpcServer::spawn_frames(frames, REACTOR_THREADS)?,
+            inner: FrameServer::spawn(frames, REACTOR_THREADS)?,
         })
     }
 

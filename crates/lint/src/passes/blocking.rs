@@ -3,13 +3,12 @@
 //! from reactor callback paths.
 //!
 //! Entry points are configured by function name: the reactor loop itself,
-//! the per-connection pump/flush/adopt paths, and every `handle`/
-//! `handle_impl` — the service callbacks that `wire::reactor` invokes on
-//! its worker threads (the framework dispatcher runs there via
-//! `DirectHost`). Reachability follows the workspace-wide resolved call
-//! graph, crossing crate seams; edges into `*_timeout` functions are not
-//! followed, because timed receives are the sanctioned bounded
-//! alternative.
+//! the per-connection pump/flush/adopt paths, and every `handle` — the
+//! service callbacks that `wire::reactor` invokes on its worker threads
+//! (the framework dispatcher runs there via `DirectHost`). Reachability
+//! follows the workspace-wide resolved call graph, crossing crate seams;
+//! edges into `*_timeout` functions are not followed, because timed
+//! receives are the sanctioned bounded alternative.
 
 use crate::facts::blocking_call;
 use crate::model::Model;
@@ -20,18 +19,10 @@ pub const PASS: &str = "blocking";
 
 /// Default entry set for this repository.
 pub fn default_entries() -> Vec<String> {
-    [
-        "reactor_loop",
-        "pump",
-        "try_flush",
-        "adopt",
-        "envelope_service",
-        "handle",
-        "handle_impl",
-    ]
-    .iter()
-    .map(|s| s.to_string())
-    .collect()
+    ["reactor_loop", "pump", "try_flush", "adopt", "handle"]
+        .iter()
+        .map(|s| s.to_string())
+        .collect()
 }
 
 pub fn run(model: &Model, entries: &[String], report: &mut Report) {

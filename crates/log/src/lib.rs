@@ -5,15 +5,11 @@
 //! append-only log should provide integrity: once an entry is added, it
 //! cannot be altered or deleted."
 //!
-//! Two interchangeable log structures are provided:
+//! The log is [`merkle::MerkleLog`] — an RFC 6962-style Merkle log with
+//! O(log n) inclusion and consistency proofs, the
+//! Certificate-Transparency-grade infrastructure §4.2 points to.
 //!
-//! * [`hashchain::HashChain`] — the paper's §4.1 design (each TEE keeps a
-//!   hash chain of code digests); O(1) append, O(n) audit.
-//! * [`merkle::MerkleLog`] — an RFC 6962-style Merkle log with O(log n)
-//!   inclusion and consistency proofs, the Certificate-Transparency-grade
-//!   infrastructure §4.2 points to.
-//!
-//! On top of either, [`checkpoint`] provides signed tree heads and
+//! On top of it, [`checkpoint`] provides signed tree heads and
 //! transferable equivocation proofs, and [`auditor`] implements the client
 //! logic: verify each domain's log growth and cross-check digest histories
 //! across all `n` domains. [`batch`] amortises the audit hot path:
@@ -31,7 +27,6 @@
 pub mod auditor;
 pub mod batch;
 pub mod checkpoint;
-pub mod hashchain;
 pub mod merkle;
 pub mod shard;
 pub mod store;
@@ -39,7 +34,6 @@ pub mod store;
 pub use auditor::{digests_match, AuditOutcome, Auditor, Misbehavior};
 pub use batch::{BundleStep, CheckpointBundle, ProofBundle, VerifiedPrefixCache};
 pub use checkpoint::{log_id, CheckpointBody, EquivocationProof, SignedCheckpoint};
-pub use hashchain::HashChain;
 pub use merkle::{CompactRoot, ConsistencyProof, InclusionProof, MerkleLog};
 pub use shard::{ShardBundle, ShardEpoch, ShardProofBundle, ShardSnapshot, ShardedLog};
 pub use store::{

@@ -3,8 +3,8 @@
 //! The paper's inspiration is Certificate Transparency (§1, §4.2): CT logs
 //! are Merkle trees precisely because they give auditors O(log n) proofs
 //! instead of full replays. This module is the "deployment tomorrow"
-//! counterpart to [`crate::hashchain`]; Ablation B benchmarks the two
-//! against each other.
+//! counterpart to the paper's §4.1 hash chain; the `log_designs` ablation
+//! in `distrust-bench` measures the two against each other.
 //!
 //! Hashing follows RFC 6962 §2.1: `leaf = H(0x00 || data)`,
 //! `node = H(0x01 || left || right)`, split at the largest power of two

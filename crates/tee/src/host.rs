@@ -16,7 +16,7 @@
 //! invoked in-process (no sockets) via [`EnclaveService::handle`] directly.
 
 use distrust_wire::frame::{read_frame, write_frame};
-use distrust_wire::rpc::accept_with_retry;
+use distrust_wire::server::accept_with_retry;
 use distrust_wire::sync::HealthyMutex;
 use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -86,8 +86,8 @@ impl EnclaveHost {
 
         // Socket 2: the "vsock" between host proxy and enclave interior.
         // Both accept loops retry through errors with exponential backoff
-        // (`accept_with_retry`, the same hardening the wire crate's RPC
-        // servers got): an EMFILE burst or a client racing RST must not
+        // (`accept_with_retry`, shared with the wire crate's frame
+        // server): an EMFILE burst or a client racing RST must not
         // leave a zombie listener that looks alive but accepts nothing.
         let internal_listener = TcpListener::bind(("127.0.0.1", 0))?;
         let internal_addr = internal_listener.local_addr()?;
@@ -134,9 +134,9 @@ impl EnclaveHost {
                         });
                     if let Err(e) = spawned {
                         // Out of threads: refuse loudly instead of silently
-                        // dropping the socket on the floor (matching
-                        // RpcServer) — the proxy side sees the close and
-                        // reports its own failure to the client.
+                        // dropping the socket on the floor — the proxy
+                        // side sees the close and reports its own failure
+                        // to the client.
                         eprintln!("{label}: failed to spawn connection thread: {e}");
                     }
                 }

@@ -1,23 +1,23 @@
 //! # distrust-wire
 //!
-//! Deterministic serialization, framing, transports, and RPC for the
-//! `distrust` workspace.
+//! Deterministic serialization, framing, the TCP transport, and the frame
+//! server for the `distrust` workspace.
 //!
-//! Design notes (see DESIGN.md §5): explicit message types with a canonical
-//! binary codec so that hashed/signed structures have one byte
-//! representation everywhere; real TCP loopback sockets wherever the
-//! paper's evaluation attributes cost to socket hops. Serving comes in two
-//! shapes: the original blocking thread-per-connection loop
-//! ([`rpc::RpcServer`]) and a readiness-based event loop ([`reactor`],
-//! [`frame_nb`], [`rpc::EventLoopRpcServer`]) that multiplexes thousands of
-//! connections onto a small fixed thread pool.
+//! Explicit message types with a canonical binary codec, so that
+//! hashed/signed structures have one byte representation everywhere; real
+//! TCP loopback sockets wherever the paper's evaluation attributes cost to
+//! socket hops. There is one wire path: a [`TcpTransport`] sends
+//! length-prefixed frames, and a [`FrameServer`] — a listener feeding a
+//! readiness-based event loop ([`reactor`], [`frame_nb`]) that multiplexes
+//! thousands of connections onto a small fixed thread pool — answers each
+//! connection strictly in request order.
 
 pub mod codec;
 pub mod frame;
 pub mod frame_nb;
 pub mod pipeline;
 pub mod reactor;
-pub mod rpc;
+pub mod server;
 pub mod sync;
 pub mod transport;
 
@@ -26,8 +26,6 @@ pub use frame::{read_frame, write_frame, FrameError, MAX_FRAME_LEN, READ_CHUNK};
 pub use frame_nb::{FrameReader, WriteBuf};
 pub use pipeline::PipelinedClient;
 pub use reactor::{FrameService, Reactor, ReactorHandle};
-pub use rpc::{EventLoopRpcServer, RpcClient, RpcError, RpcHandler, RpcServer};
+pub use server::FrameServer;
 pub use sync::HealthyMutex;
-pub use transport::{
-    ChannelTransport, SharedTransport, TcpAcceptor, TcpTransport, Transport, TransportError,
-};
+pub use transport::{TcpTransport, Transport, TransportError};

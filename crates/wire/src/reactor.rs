@@ -1,8 +1,8 @@
 //! Hand-rolled readiness event loop over `std`-only non-blocking sockets.
 //!
 //! The paper's evaluation (§5, Table 3) pins most deployment overhead on
-//! the socket hops between client, framework, and sandboxed app, and the
-//! blocking wire layer burns one OS thread per connection on top of that.
+//! the socket hops between client, framework, and sandboxed app; a
+//! blocking server would burn one OS thread per connection on top of that.
 //! This module multiplexes thousands of connections onto a small fixed pool
 //! of reactor threads instead.
 //!

@@ -1,20 +1,18 @@
-//! Message transports: real TCP loopback and an in-process channel pair.
+//! Message transport over real TCP loopback sockets.
 //!
 //! Every hop in the deployment — client ↔ trust domain, enclave host ↔
 //! framework, framework ↔ sandboxed app — speaks "send a byte message /
-//! receive a byte message" through the [`Transport`] trait. Production-shaped
-//! traffic uses [`TcpTransport`] (real sockets, real syscalls — what Table 3
-//! measures); unit tests that don't care about socket cost use
-//! [`ChannelTransport`].
+//! receive a byte message" through the [`Transport`] trait. All traffic
+//! uses [`TcpTransport`] (real sockets, real syscalls — what Table 3
+//! measures); the trait exists so the pipeline tests can substitute an
+//! in-process fake.
 
 use crate::frame::{write_frame, FrameError, READ_CHUNK};
 use crate::frame_nb::FrameReader;
-use crate::sync::HealthyMutex;
-use crossbeam::channel::{Receiver, Sender};
 use std::collections::VecDeque;
 use std::io::Read;
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::time::{Duration, Instant};
+use std::net::{SocketAddr, TcpStream};
+use std::time::Duration;
 
 /// Transport-level errors.
 #[derive(Debug)]
@@ -103,29 +101,14 @@ impl TcpTransport {
         Self::new(TcpStream::connect(addr)?)
     }
 
-    /// The peer address.
-    pub fn peer_addr(&self) -> std::io::Result<SocketAddr> {
-        self.stream.peer_addr()
-    }
-
-    /// Clones the underlying socket handle. A supervisor can call
-    /// [`TcpStream::shutdown`] on the clone to unblock a thread parked in
-    /// [`Transport::recv`] on the original.
-    pub fn try_clone_stream(&self) -> std::io::Result<TcpStream> {
-        self.stream.try_clone()
-    }
-
     fn set_timeout(&mut self, timeout: Option<Duration>) -> Result<(), TransportError> {
-        if timeout.is_some() != self.timeout_set {
+        // Blocking mode already set costs nothing; a timed receive always
+        // sets the timeout, since the duration may differ per call.
+        if timeout.is_some() || self.timeout_set {
             self.stream
                 .set_read_timeout(timeout)
                 .map_err(|e| TransportError::Frame(FrameError::Io(e)))?;
             self.timeout_set = timeout.is_some();
-        } else if timeout.is_some() {
-            // Timed mode stays on but the duration may differ per call.
-            self.stream
-                .set_read_timeout(timeout)
-                .map_err(|e| TransportError::Frame(FrameError::Io(e)))?;
         }
         Ok(())
     }
@@ -202,42 +185,20 @@ impl Transport for TcpTransport {
     }
 }
 
-/// A TCP listener that hands out [`TcpTransport`]s.
-pub struct TcpAcceptor {
-    listener: TcpListener,
+/// In-process transport half over `std::sync::mpsc` channels: the fake
+/// the pipeline tests substitute for a socket.
+#[cfg(test)]
+pub(crate) struct ChannelTransport {
+    tx: std::sync::mpsc::Sender<Vec<u8>>,
+    rx: std::sync::mpsc::Receiver<Vec<u8>>,
 }
 
-impl TcpAcceptor {
-    /// Binds to an ephemeral loopback port.
-    pub fn bind_loopback() -> std::io::Result<Self> {
-        Ok(Self {
-            listener: TcpListener::bind(("127.0.0.1", 0))?,
-        })
-    }
-
-    /// The bound address (share with clients).
-    pub fn local_addr(&self) -> std::io::Result<SocketAddr> {
-        self.listener.local_addr()
-    }
-
-    /// Blocks until a client connects.
-    pub fn accept(&self) -> std::io::Result<TcpTransport> {
-        let (stream, _) = self.listener.accept()?;
-        TcpTransport::new(stream)
-    }
-}
-
-/// In-process transport half backed by crossbeam channels.
-pub struct ChannelTransport {
-    tx: Sender<Vec<u8>>,
-    rx: Receiver<Vec<u8>>,
-}
-
+#[cfg(test)]
 impl ChannelTransport {
     /// Creates a connected pair of endpoints.
-    pub fn pair() -> (ChannelTransport, ChannelTransport) {
-        let (tx_a, rx_a) = crossbeam::channel::unbounded();
-        let (tx_b, rx_b) = crossbeam::channel::unbounded();
+    pub(crate) fn pair() -> (ChannelTransport, ChannelTransport) {
+        let (tx_a, rx_a) = std::sync::mpsc::channel();
+        let (tx_b, rx_b) = std::sync::mpsc::channel();
         (
             ChannelTransport { tx: tx_a, rx: rx_b },
             ChannelTransport { tx: tx_b, rx: rx_a },
@@ -245,6 +206,7 @@ impl ChannelTransport {
     }
 }
 
+#[cfg(test)]
 impl Transport for ChannelTransport {
     fn send(&mut self, payload: &[u8]) -> Result<(), TransportError> {
         self.tx
@@ -257,42 +219,13 @@ impl Transport for ChannelTransport {
     }
 
     fn recv_timeout(&mut self, timeout: Duration) -> Result<Option<Vec<u8>>, TransportError> {
-        let deadline = Instant::now() + timeout;
-        loop {
-            match self.rx.try_recv() {
-                Ok(msg) => return Ok(Some(msg)),
-                // The shim's try_recv does not distinguish "empty" from
-                // "disconnected"; a blocking recv would. Poll until the
-                // deadline, then report the timeout — a genuinely dead
-                // channel is caught by the next blocking receive or send.
-                Err(_) if Instant::now() >= deadline => return Ok(None),
-                Err(_) => std::thread::sleep(Duration::from_micros(100)),
+        match self.rx.recv_timeout(timeout) {
+            Ok(msg) => Ok(Some(msg)),
+            Err(std::sync::mpsc::RecvTimeoutError::Timeout) => Ok(None),
+            Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => {
+                Err(TransportError::Disconnected)
             }
         }
-    }
-}
-
-/// A thread-safe wrapper allowing a transport to be shared by reference
-/// (one request/response at a time).
-pub struct SharedTransport<T: Transport> {
-    inner: HealthyMutex<T>,
-}
-
-impl<T: Transport> SharedTransport<T> {
-    /// Wraps a transport.
-    pub fn new(inner: T) -> Self {
-        Self {
-            inner: HealthyMutex::new(inner),
-        }
-    }
-
-    /// Performs a blocking request/response exchange atomically.
-    pub fn exchange(&self, payload: &[u8]) -> Result<Vec<u8>, TransportError> {
-        let mut guard = self.inner.lock_healthy();
-        // lint:allow(lock-order): serialising one full request/response under the lock is this type's purpose — releasing between send and recv would interleave responses across callers
-        guard.send(payload)?;
-        // lint:allow(lock-order): the paired receive must stay under the same guard or another caller could steal this response
-        guard.recv()
     }
 }
 
@@ -309,7 +242,18 @@ pub fn max_open_files() -> Option<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::net::TcpListener;
     use std::thread;
+
+    fn listen() -> (TcpListener, SocketAddr) {
+        let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
+        let addr = listener.local_addr().unwrap();
+        (listener, addr)
+    }
+
+    fn accept(listener: &TcpListener) -> TcpTransport {
+        TcpTransport::new(listener.accept().unwrap().0).unwrap()
+    }
 
     #[test]
     fn channel_pair_round_trip() {
@@ -333,10 +277,9 @@ mod tests {
 
     #[test]
     fn tcp_round_trip() {
-        let acceptor = TcpAcceptor::bind_loopback().unwrap();
-        let addr = acceptor.local_addr().unwrap();
+        let (listener, addr) = listen();
         let server = thread::spawn(move || {
-            let mut t = acceptor.accept().unwrap();
+            let mut t = accept(&listener);
             let msg = t.recv().unwrap();
             t.send(&msg).unwrap(); // echo
         });
@@ -348,10 +291,9 @@ mod tests {
 
     #[test]
     fn tcp_close_detected() {
-        let acceptor = TcpAcceptor::bind_loopback().unwrap();
-        let addr = acceptor.local_addr().unwrap();
+        let (listener, addr) = listen();
         let server = thread::spawn(move || {
-            let _t = acceptor.accept().unwrap();
+            let _t = accept(&listener);
             // Drop immediately.
         });
         let mut client = TcpTransport::connect(addr).unwrap();
@@ -360,50 +302,27 @@ mod tests {
     }
 
     #[test]
-    fn shared_transport_exchanges() {
-        let (a, mut b) = ChannelTransport::pair();
-        let shared = SharedTransport::new(a);
-        let server = thread::spawn(move || {
-            for _ in 0..3 {
-                let req = b.recv().unwrap();
-                let mut resp = req.clone();
-                resp.push(b'!');
-                b.send(&resp).unwrap();
-            }
-        });
-        for msg in [b"one".as_slice(), b"two", b"three"] {
-            let resp = shared.exchange(msg).unwrap();
-            assert_eq!(&resp[..resp.len() - 1], msg);
-            assert_eq!(*resp.last().unwrap(), b'!');
-        }
-        server.join().unwrap();
-    }
-
-    #[test]
     fn tcp_recv_timeout_preserves_partial_frames() {
-        let acceptor = TcpAcceptor::bind_loopback().unwrap();
-        let addr = acceptor.local_addr().unwrap();
-        let (started_tx, started_rx) = crossbeam::channel::unbounded();
-        let (go_tx, go_rx) = crossbeam::channel::unbounded::<()>();
+        let (listener, addr) = listen();
+        let (started_tx, started_rx) = std::sync::mpsc::channel();
+        let (go_tx, go_rx) = std::sync::mpsc::channel::<()>();
         let server = thread::spawn(move || {
-            let t = acceptor.accept().unwrap();
+            let (mut raw, _) = listener.accept().unwrap();
+            raw.set_nodelay(true).unwrap();
             // Send half a frame (header + partial payload), then stall
             // until the client has observed a timeout, then finish it.
             let payload = vec![0x5au8; 100];
             let mut wire = (payload.len() as u32).to_le_bytes().to_vec();
             wire.extend_from_slice(&payload);
             use std::io::Write;
-            let stream = t.try_clone_stream().unwrap();
-            let mut raw = stream;
             raw.write_all(&wire[..40]).unwrap();
             raw.flush().unwrap();
             started_tx.send(()).unwrap();
             go_rx.recv().unwrap();
             raw.write_all(&wire[40..]).unwrap();
             raw.flush().unwrap();
-            // Keep the transport alive until the client is done.
+            // Keep the socket alive until the client is done.
             go_rx.recv().ok();
-            drop(t);
         });
         let mut client = TcpTransport::connect(addr).unwrap();
         started_rx.recv().unwrap();
@@ -421,10 +340,9 @@ mod tests {
 
     #[test]
     fn tcp_recv_timeout_returns_buffered_frames_immediately() {
-        let acceptor = TcpAcceptor::bind_loopback().unwrap();
-        let addr = acceptor.local_addr().unwrap();
+        let (listener, addr) = listen();
         let server = thread::spawn(move || {
-            let mut t = acceptor.accept().unwrap();
+            let mut t = accept(&listener);
             // Two frames in one burst: one read may complete both.
             t.send(b"first").unwrap();
             t.send(b"second").unwrap();
@@ -456,12 +374,11 @@ mod tests {
 
     #[test]
     fn large_message_over_tcp() {
-        let acceptor = TcpAcceptor::bind_loopback().unwrap();
-        let addr = acceptor.local_addr().unwrap();
+        let (listener, addr) = listen();
         let payload = vec![0xabu8; 1_000_000];
         let expected = payload.clone();
         let server = thread::spawn(move || {
-            let mut t = acceptor.accept().unwrap();
+            let mut t = accept(&listener);
             let got = t.recv().unwrap();
             assert_eq!(got.len(), 1_000_000);
             t.send(&got[..10]).unwrap();

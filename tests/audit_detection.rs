@@ -11,13 +11,13 @@
 mod common;
 
 use common::{bundle_fake, client, descriptor_for, signed, status_with};
-use distrust::core::protocol::{Request, Response};
+use distrust::core::protocol::{AuditBundle, BundleAttestation, Request, Response};
 use distrust::core::server::DirectHost;
 use distrust::crypto::schnorr::SigningKey;
 use distrust::log::auditor::Misbehavior;
 use distrust::log::batch::{CheckpointBundle, ProofBundle};
 use distrust::log::checkpoint::log_id;
-use distrust::wire::transport::{TcpAcceptor, Transport};
+use distrust::wire::transport::{TcpTransport, Transport};
 use distrust::wire::{Decode, Encode};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -184,8 +184,8 @@ fn dropped_connection_is_reopened_once_and_the_audit_resent() {
     // from it; the audit then reconnects once and re-issues the request.
     let key = SigningKey::derive(b"dropper", b"checkpoint");
     let lid = log_id(b"dropper-deploy", 0);
-    let acceptor = TcpAcceptor::bind_loopback().expect("bind");
-    let addr = acceptor.local_addr().expect("addr");
+    let listener = std::net::TcpListener::bind(("127.0.0.1", 0)).expect("bind");
+    let addr = listener.local_addr().expect("addr");
     let connections = Arc::new(AtomicU64::new(0));
     let answered_audits = Arc::new(AtomicU64::new(0));
     let ignored_audits = Arc::new(AtomicU64::new(0));
@@ -204,11 +204,13 @@ fn dropped_connection_is_reopened_once_and_the_audit_resent() {
             )
         });
         use distrust::tee::host::EnclaveService;
-        while let Ok(mut transport) = acceptor.accept() {
+        while let Ok((stream, _)) = listener.accept() {
             if server_done.load(Ordering::SeqCst) {
                 break;
             }
             conns.fetch_add(1, Ordering::SeqCst);
+            let write_half = stream.try_clone().expect("clone");
+            let mut transport = TcpTransport::new(stream).expect("wrap");
             let Ok(frame) = transport.recv() else {
                 continue;
             };
@@ -216,9 +218,8 @@ fn dropped_connection_is_reopened_once_and_the_audit_resent() {
                 answered.fetch_add(1, Ordering::SeqCst);
             }
             transport.send(&domain.handle(frame)).expect("answer");
-            transport
-                .try_clone_stream()
-                .and_then(|s| s.shutdown(std::net::Shutdown::Write))
+            write_half
+                .shutdown(std::net::Shutdown::Write)
                 .expect("half-close");
             while let Ok(frame) = transport.recv() {
                 if matches!(Request::from_wire(&frame), Ok(Request::BatchAudit { .. })) {
@@ -255,4 +256,67 @@ fn dropped_connection_is_reopened_once_and_the_audit_resent() {
     drop(client);
     std::net::TcpStream::connect(addr).expect("wake the acceptor");
     server.join().expect("server thread");
+}
+
+#[test]
+fn bundle_echoing_another_request_id_fails_the_audit_and_returns() {
+    // A byzantine domain answers the first audit with a well-signed bundle
+    // that echoes somebody else's request id. The client reads exactly one
+    // frame per request, so it must notice, fail that domain without
+    // showing the auditor any of the bundle, and stay frame-aligned for
+    // the next round — not wait for a "right" frame that never comes.
+    let key = SigningKey::derive(b"misechoer", b"checkpoint");
+    let lid = log_id(b"misecho-deploy", 0);
+    let mut lied = false;
+    let mut host = DirectHost::spawn(move |request: Vec<u8>| {
+        let response = match Request::from_wire(&request) {
+            Ok(Request::BatchAudit { request_id, .. }) => {
+                let echoed = if lied { request_id } else { request_id + 1000 };
+                lied = true;
+                Response::AuditBundle(Box::new(AuditBundle {
+                    request_id: echoed,
+                    attestation: BundleAttestation::Unattested(status_with([0x77; 32], 1)),
+                    bundle: lone(signed(&key, lid, 1, [0x77; 32], 1)),
+                }))
+            }
+            Ok(Request::Gossip { envelope }) => Response::Gossip { envelope },
+            _ => Response::Error("not implemented".into()),
+        };
+        response.to_wire()
+    })
+    .expect("spawn");
+    let mut client = client(&descriptor_for(host.addr(), &key), b"auditor");
+
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    let auditor = std::thread::spawn(move || {
+        let first = client.audit(None);
+        let untouched = client.auditor_prefix_cache(0).cloned();
+        let second = client.audit(None);
+        done_tx.send((first, untouched, second)).expect("report");
+    });
+    let (first, untouched, second) = done_rx
+        .recv_timeout(std::time::Duration::from_secs(5))
+        .expect("audit() must return, not wait for a matching id");
+    auditor.join().expect("auditor thread");
+
+    let failure = first.domains[0].failure.as_deref().expect("audit failed");
+    assert!(
+        failure.contains("1001") && failure.contains("expected 1"),
+        "both ids are named: {failure}"
+    );
+    assert!(first.domains[0].status.is_none());
+    let cache = untouched.expect("domain 0 has a cache");
+    assert_eq!(
+        (
+            cache.verified_size(),
+            cache.signatures_verified(),
+            cache.consistency_verified(),
+            cache.skipped()
+        ),
+        (None, 0, 0, 0),
+        "the auditor saw nothing of the mis-echoed bundle"
+    );
+    assert!(second.is_clean(), "connection still aligned: {second:?}");
+
+    host.shutdown();
 }

@@ -5,8 +5,9 @@
 use distrust::apps::analytics::{self, AnalyticsClient};
 use distrust::core::{Deployment, TrustPolicy};
 use distrust::crypto::drbg::HmacDrbg;
-use distrust::wire::rpc::{EventLoopRpcServer, RpcClient};
-use distrust::wire::transport::max_open_files;
+use distrust::wire::server::FrameServer;
+use distrust::wire::transport::{max_open_files, TcpTransport, Transport};
+use distrust::wire::{Decode, Encode};
 use std::sync::{Arc, Barrier};
 
 /// 500 independent auditors batch-auditing one trust domain through the
@@ -26,8 +27,6 @@ fn event_loop_sustains_500_concurrent_batch_auditors() {
     use distrust::log::StorageConfig;
     use distrust::sandbox::guests::counter_module;
     use distrust::sandbox::Limits;
-    use distrust::wire::transport::{TcpTransport, Transport};
-    use distrust::wire::{Decode, Encode};
 
     let dev = SigningKey::derive(b"batch audit load", b"developer");
     let checkpoint_key = SigningKey::derive(b"batch audit load", b"checkpoint");
@@ -48,7 +47,7 @@ fn event_loop_sustains_500_concurrent_batch_auditors() {
     .unwrap();
     let release = SignedRelease::create("audited", 1, "", &counter_module(1), &dev);
     let expected_status = fw.apply_update(&release).expect("v1 installs");
-    // DirectHost serves through EventLoopRpcServer (raw-frame mode).
+    // DirectHost serves through the wire crate's FrameServer.
     let mut host = DirectHost::spawn(FrameworkService::new(fw)).expect("spawn");
     let addr = host.addr();
     let vk = checkpoint_key.verifying_key();
@@ -224,9 +223,12 @@ fn concurrent_audits_and_calls() {
 fn event_loop_sustains_1000_concurrent_clients() {
     // 1000 connections held open simultaneously, multiplexed on a fixed
     // pool: 4 reactor threads + 1 accept thread, far under the 1000 OS
-    // threads the blocking server would need.
-    let handler = Arc::new(|req: u64| -> Result<u64, String> { Ok(req.wrapping_mul(31) ^ 0xd15) });
-    let mut server = EventLoopRpcServer::spawn::<u64, u64, _>(handler).expect("spawn");
+    // threads a blocking server would need.
+    let service = |frame: &[u8]| {
+        let req = u64::from_wire(frame).expect("request decodes");
+        (req.wrapping_mul(31) ^ 0xd15).to_wire()
+    };
+    let mut server = FrameServer::spawn(Arc::new(service), 4).expect("spawn");
     let addr = server.local_addr();
 
     let workers = 8usize;
@@ -252,14 +254,15 @@ fn event_loop_sustains_1000_concurrent_clients() {
         let barrier = Arc::clone(&barrier);
         joins.push(std::thread::spawn(move || {
             let mut clients: Vec<_> = (0..per_worker)
-                .map(|_| RpcClient::connect(addr).expect("connect"))
+                .map(|_| TcpTransport::connect(addr).expect("connect"))
                 .collect();
             // All 1000 connections are open before any traffic flows.
             barrier.wait();
             for round in 0..rounds {
                 for (i, client) in clients.iter_mut().enumerate() {
                     let req = (w * per_worker + i) as u64 * 10 + round;
-                    let resp: u64 = client.call(&req).expect("call");
+                    client.send(&req.to_wire()).expect("send");
+                    let resp = u64::from_wire(&client.recv().expect("recv")).expect("decode");
                     assert_eq!(resp, req.wrapping_mul(31) ^ 0xd15);
                 }
             }
