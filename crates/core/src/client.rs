@@ -246,6 +246,18 @@ impl DeploymentClient {
         self.auditor.prefix_cache(domain)
     }
 
+    /// `(verified, skipped)`: relayed heads (gossip envelopes from peers
+    /// and bulletin boards) whose signature this client checked, and those
+    /// it recognised byte for byte as already verified. With
+    /// [`Self::auditor_prefix_cache`] this accounts for every checkpoint
+    /// signature check the client performs.
+    pub fn relayed_head_checks(&self) -> (u64, u64) {
+        (
+            self.auditor.relayed_verified(),
+            self.auditor.relayed_skipped(),
+        )
+    }
+
     /// The persistent connection to `domain`, opened on first use.
     fn connection(
         &mut self,
@@ -443,16 +455,31 @@ impl DeploymentClient {
         &mut self,
         payload: &[(u32, distrust_log::SignedCheckpoint)],
     ) -> Vec<Misbehavior> {
-        let mut found = Vec::new();
-        for (domain, cp) in payload {
-            if let AuditOutcome::Misbehavior(m) = self.auditor.ingest_gossip(*domain, cp.clone()) {
-                if let Some(bundle) = EvidenceBundle::from_misbehavior(&m) {
-                    self.evidence.insert(bundle);
-                }
-                found.push(*m);
-            }
-        }
-        found
+        payload
+            .iter()
+            .filter_map(|(domain, cp)| self.ingest_relayed_head(*domain, cp))
+            .collect()
+    }
+
+    /// Feeds one relayed head to the auditor. A relayed head can prove
+    /// exactly one thing — that its domain signed two views of one size —
+    /// so only that is reported (and kept as transferable evidence). A
+    /// head that does not verify under the pinned key is noise: anyone
+    /// can post one on a bulletin board, so it accuses nobody, changes no
+    /// state and is never relayed onwards. (A bad signature inside a
+    /// domain's *own* audit answer is that domain's doing and fails its
+    /// audit — see [`Self::audit`].)
+    fn ingest_relayed_head(
+        &mut self,
+        domain: u32,
+        checkpoint: &distrust_log::SignedCheckpoint,
+    ) -> Option<Misbehavior> {
+        let AuditOutcome::Misbehavior(m) = self.auditor.ingest_gossip(domain, checkpoint.clone())
+        else {
+            return None;
+        };
+        self.evidence.insert(EvidenceBundle::from_misbehavior(&m)?);
+        Some(*m)
     }
 
     /// The gossip envelope this client would hand a peer (or piggyback on
@@ -472,21 +499,16 @@ impl DeploymentClient {
 
     /// Merges a peer's (or a domain bulletin board's) envelope: heads are
     /// checked for conflicts against everything this client has verified,
-    /// and evidence is verified against the pinned checkpoint keys.
-    /// Returns every *newly discovered* piece of misbehavior.
+    /// and evidence is verified against the pinned checkpoint keys. Heads
+    /// and evidence this client has already verified byte for byte cost a
+    /// comparison; forged ones are dropped. Returns every *newly
+    /// discovered* piece of misbehavior.
     pub fn ingest_envelope(&mut self, envelope: &GossipEnvelope) -> Vec<Misbehavior> {
-        let mut found = Vec::new();
-        for head in &envelope.heads {
-            if let AuditOutcome::Misbehavior(m) = self
-                .auditor
-                .ingest_gossip(head.domain, head.checkpoint.clone())
-            {
-                if let Some(bundle) = EvidenceBundle::from_misbehavior(&m) {
-                    self.evidence.insert(bundle);
-                }
-                found.push(*m);
-            }
-        }
+        let mut found: Vec<Misbehavior> = envelope
+            .heads
+            .iter()
+            .filter_map(|head| self.ingest_relayed_head(head.domain, &head.checkpoint))
+            .collect();
         for bundle in &envelope.evidence {
             if self.ingest_evidence(bundle) {
                 found.push(Misbehavior::Equivocation {
@@ -501,16 +523,14 @@ impl DeploymentClient {
     /// Verifies one transferable evidence bundle against the pinned
     /// checkpoint key of the accused domain and, if it holds, keeps it.
     /// Returns `true` when the bundle is valid **and new** — invalid
-    /// bundles (including attempts to frame an honest domain) and
-    /// duplicates are dropped without effect.
+    /// bundles (including attempts to frame an honest domain) are dropped
+    /// without effect, and a bundle already held is recognised before
+    /// either of its signatures is checked again.
     pub fn ingest_evidence(&mut self, bundle: &EvidenceBundle) -> bool {
         let Some(info) = self.descriptor.domains.get(bundle.domain as usize) else {
             return false;
         };
-        if !bundle.verify(&info.checkpoint_key) {
-            return false;
-        }
-        self.evidence.insert(bundle.clone())
+        self.evidence.insert_verifying(bundle, &info.checkpoint_key)
     }
 
     /// The transferable evidence this client holds.

@@ -135,10 +135,13 @@ const MAX_BOARD_EVIDENCE: usize = 64;
 /// other domain's checkpoint key, so it cannot tell a real peer head from
 /// a fabricated one. That is fine: the board is a rendezvous, not an
 /// authority. Every client verifies relayed heads and evidence against
-/// its own pinned keys on ingest, so the worst a poisoned board costs is
-/// wasted bytes. Bounds are hard caps with oldest-first eviction for
-/// heads and insert-refusal for evidence, so a flooder cannot grow the
-/// domain's memory.
+/// its own pinned keys on ingest and drops what fails, so the worst a
+/// poisoned board costs each reader is the bytes and one signature check
+/// per fabricated head (two per fabricated bundle) per audit, at most
+/// [`MAX_BOARD_HEADS`] + 2·[`MAX_BOARD_EVIDENCE`] of them; genuine
+/// entries a reader has verified before cost it a comparison. Bounds are
+/// hard caps with oldest-first eviction for heads and insert-refusal for
+/// evidence, so a flooder cannot grow the domain's memory.
 #[derive(Default)]
 struct GossipBoard {
     /// Relayed peer heads, oldest first, deduplicated exactly.
@@ -195,6 +198,8 @@ pub struct EnclaveFramework {
     /// The per-shard snapshot behind each epoch checkpoint, parallel to
     /// `epoch_checkpoints` — what sharded audit bundles serve and what
     /// maps a client's verified total size back to per-shard baselines.
+    /// Kept on multi-shard logs only: a 1-shard epoch's snapshot is its
+    /// checkpoint's `(size, head)` and nothing reads it.
     epoch_snapshots: Vec<ShardSnapshot>,
     /// Shared proof/bundle cache for [`Request::BatchAudit`].
     audit_cache: AuditCache,
@@ -282,7 +287,9 @@ impl EnclaveFramework {
                     }
                     logical_time = logical_time.max(cp.body.logical_time);
                     epoch_checkpoints.push(cp);
-                    epoch_snapshots.push(snapshot);
+                    if shards > 1 {
+                        epoch_snapshots.push(snapshot);
+                    }
                 }
                 META_NOTICE => {
                     let notice = UpdateNotice::from_wire(&record.payload)
@@ -306,6 +313,15 @@ impl EnclaveFramework {
             if last.body.size == snapshot.total() && last.body.head != snapshot.commitment() {
                 return Err(StoreError::Corrupt(
                     "recovered log diverges from signed head",
+                ));
+            }
+            // Persisted signatures are decoded as opaque bytes; the head
+            // this domain is about to serve must be one its own key
+            // signed (a damaged record, or a directory that belongs to
+            // another deployment, fails here rather than at every client).
+            if !last.verify(&checkpoint_key.verifying_key()) {
+                return Err(StoreError::Corrupt(
+                    "newest signed head does not verify under this domain's key",
                 ));
             }
         }
@@ -454,7 +470,9 @@ impl EnclaveFramework {
             .and_then(|()| self.log.append_meta(META_EPOCH, &epoch_wire))
             .map_err(|e| ReleaseError::Persist(e.to_string()))?;
         self.epoch_checkpoints.push(checkpoint);
-        self.epoch_snapshots.push(snapshot);
+        if snapshot.shard_count() > 1 {
+            self.epoch_snapshots.push(snapshot);
+        }
         self.audit_cache.bundles.clear();
         self.audit_cache.shard_bundles.clear();
         // 3. Activate (and lock, if this is a final release).
@@ -1123,6 +1141,39 @@ mod tests {
         let bundle = audit_bundle_from(&mut fw, 0);
         assert!(auditor.observe_bundle(0, &bundle).is_consistent());
         assert_eq!(auditor.latest(0).unwrap().body.size, 1);
+    }
+
+    #[test]
+    fn boot_refuses_a_newest_head_its_own_key_did_not_sign() {
+        use distrust_log::store::MemStore;
+        let open = |store: Arc<dyn LogStore>, key: &[u8]| {
+            EnclaveFramework::open_with_store(
+                FrameworkConfig {
+                    domain_index: 0,
+                    app_name: "counter".into(),
+                    developer_key: dev().verifying_key(),
+                    log_id: [7; 32],
+                    limits: Limits::default(),
+                    log_shards: 1,
+                    storage: StorageConfig::Ephemeral,
+                },
+                None,
+                SigningKey::derive(b"framework tests", key),
+                Box::new(NoImports),
+                store,
+            )
+        };
+        let store: Arc<dyn LogStore> = Arc::new(MemStore::new(1));
+        let mut fw = open(Arc::clone(&store), b"checkpoint").unwrap();
+        fw.apply_update(&release(1)).unwrap();
+        drop(fw);
+        // The same key resumes; any other key finds history it cannot
+        // vouch for and must not serve.
+        assert!(open(Arc::clone(&store), b"checkpoint").is_ok());
+        assert!(matches!(
+            open(store, b"another key"),
+            Err(StoreError::Corrupt(_))
+        ));
     }
 
     #[test]

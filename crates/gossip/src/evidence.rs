@@ -75,12 +75,15 @@ impl EvidenceBundle {
 
 /// A bounded, deduplicated set of verified evidence bundles.
 ///
-/// The pool stores only bundles the owner has already verified (callers
-/// verify before inserting); it exists to remember and re-gossip them.
+/// The pool stores only bundles the owner has verified — relayed ones
+/// through [`EvidencePool::insert_verifying`], locally produced ones (an
+/// auditor's own findings) through [`EvidencePool::insert`]; it exists to
+/// remember and re-gossip them.
 #[derive(Default)]
 pub struct EvidencePool {
     seen: HashSet<Digest>,
     items: Vec<EvidenceBundle>,
+    verifications: u64,
 }
 
 impl EvidencePool {
@@ -89,8 +92,9 @@ impl EvidencePool {
         Self::default()
     }
 
-    /// Inserts a bundle. Returns `true` when it is new (not a duplicate,
-    /// pool not full) — the signal that it is worth re-gossiping.
+    /// Inserts a bundle the caller has already verified. Returns `true`
+    /// when it is new (not a duplicate, pool not full) — the signal that
+    /// it is worth re-gossiping.
     pub fn insert(&mut self, bundle: EvidenceBundle) -> bool {
         if self.items.len() >= MAX_EVIDENCE_POOL {
             return false;
@@ -100,6 +104,31 @@ impl EvidencePool {
         }
         self.items.push(bundle);
         true
+    }
+
+    /// Inserts a relayed bundle if it is new and verifies under `key`,
+    /// the accused domain's pinned checkpoint key. A bundle the pool
+    /// already holds (boards relay every bundle on every audit once a
+    /// conviction exists) or has no room for returns `false` before
+    /// either signature is checked; so does one that fails verification.
+    pub fn insert_verifying(&mut self, bundle: &EvidenceBundle, key: &VerifyingKey) -> bool {
+        let dedup = bundle.dedup_key();
+        if self.items.len() >= MAX_EVIDENCE_POOL || self.seen.contains(&dedup) {
+            return false;
+        }
+        self.verifications += 1;
+        if !bundle.verify(key) {
+            return false;
+        }
+        self.seen.insert(dedup);
+        self.items.push(bundle.clone());
+        true
+    }
+
+    /// Relayed bundles whose signatures were checked, valid or not
+    /// ([`EvidencePool::insert_verifying`]).
+    pub fn verifications(&self) -> u64 {
+        self.verifications
     }
 
     /// The bundles held, in insertion order.
@@ -175,6 +204,41 @@ mod tests {
             offered_size: 3,
         };
         assert_eq!(EvidenceBundle::from_misbehavior(&m), None);
+    }
+
+    #[test]
+    fn a_bundle_already_held_is_recognised_before_it_is_verified() {
+        let sk = SigningKey::derive(b"evidence", b"equivocator");
+        let vk = sk.verifying_key();
+        let bundle = EvidenceBundle {
+            domain: 1,
+            proof: conflicting_proof(&sk),
+        };
+        let mut pool = EvidencePool::new();
+        assert!(pool.insert_verifying(&bundle, &vk));
+        assert_eq!(pool.verifications(), 1);
+        // What a board relays on every later audit: the same bundle.
+        for _ in 0..3 {
+            assert!(!pool.insert_verifying(&bundle, &vk));
+        }
+        assert_eq!(pool.verifications(), 1, "a held bundle was verified again");
+        assert_eq!(pool.items().len(), 1);
+
+        // The auditor's own finding is held without a check, and relayed
+        // copies of it are duplicates too.
+        let mut own = EvidencePool::new();
+        assert!(own.insert(bundle.clone()));
+        assert!(!own.insert_verifying(&bundle, &vk));
+        assert_eq!(own.verifications(), 0);
+
+        // A bundle that does not verify is checked, dropped, and — never
+        // having been held — checked again when it comes back.
+        let honest = SigningKey::derive(b"evidence", b"honest").verifying_key();
+        let mut framed = EvidencePool::new();
+        assert!(!framed.insert_verifying(&bundle, &honest));
+        assert!(!framed.insert_verifying(&bundle, &honest));
+        assert_eq!(framed.verifications(), 2);
+        assert!(framed.items().is_empty() && !framed.convicts(1));
     }
 
     #[test]

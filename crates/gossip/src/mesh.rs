@@ -98,9 +98,7 @@ impl GossipNode {
             let Some(key) = self.keys.get(bundle.domain as usize) else {
                 continue;
             };
-            if bundle.verify(key) {
-                self.pool.insert(bundle.clone());
-            }
+            self.pool.insert_verifying(bundle, key);
         }
     }
 

@@ -14,8 +14,15 @@
 //! per-step path) or as a whole [`CheckpointBundle`]
 //! ([`Auditor::observe_bundle`], the batched path): identical detection
 //! semantics, but the batched path costs one round-trip and — thanks to
-//! the per-domain [`VerifiedPrefixCache`] — never re-verifies signatures
-//! or proofs at or below the already-verified prefix.
+//! the per-domain [`VerifiedPrefixCache`] — never re-verifies proofs at or
+//! below the already-verified prefix.
+//!
+//! Every ingest path, relayed heads ([`Auditor::ingest_gossip`]) included,
+//! verifies a signed checkpoint **once**: a checkpoint byte-identical —
+//! body and signature — to one this auditor already verified under the
+//! domain's pinned key costs a comparison, not a Schnorr verification.
+//! Anything else (same body under other signature bytes included) is
+//! unknown and verified in full.
 
 use crate::batch::{CheckpointBundle, VerifiedPrefixCache};
 use crate::checkpoint::{EquivocationProof, SignedCheckpoint};
@@ -103,20 +110,75 @@ impl AuditOutcome {
     }
 }
 
+/// A map from log size to `V`, kept as a `Vec` sorted by size.
+///
+/// What an auditor remembers per domain — one entry per release, for as
+/// long as it lives — arrives in size order (an append), and a hash
+/// table's scattered buckets keep its whole doubled capacity resident
+/// where a `Vec` touches only what it holds.
+#[derive(Debug, PartialEq)]
+struct BySize<V>(Vec<(u64, V)>);
+
+impl<V> BySize<V> {
+    fn position(&self, size: u64) -> Result<usize, usize> {
+        self.0.binary_search_by_key(&size, |(s, _)| *s)
+    }
+
+    fn get(&self, size: &u64) -> Option<&V> {
+        let at = self.position(*size).ok()?;
+        self.0.get(at).map(|(_, value)| value)
+    }
+
+    fn insert(&mut self, size: u64, value: V) {
+        match self.position(size) {
+            Ok(at) => self.0[at].1 = value,
+            Err(at) => self.0.insert(at, (size, value)),
+        }
+    }
+
+    fn values(&self) -> impl Iterator<Item = &V> {
+        self.0.iter().map(|(_, value)| value)
+    }
+}
+
 /// Per-domain audit state: the log public key and the latest verified
 /// checkpoint with all checkpoints ever accepted (for equivocation hunting).
 struct DomainState {
     key: VerifyingKey,
     latest: Option<SignedCheckpoint>,
     /// All correctly signed checkpoints seen, by size — equivocation is
-    /// detected by finding two different heads at one size.
-    seen: HashMap<u64, SignedCheckpoint>,
+    /// detected by finding two different heads at one size. Only ever
+    /// holds checkpoints that passed [`SignedCheckpoint::verify`] under
+    /// `key`, which is what [`Self::already_verified`] rests on.
+    seen: BySize<SignedCheckpoint>,
     /// Highest fully verified prefix plus performed/skipped verification
     /// counters — what makes batched audits cheap on repeat.
     cache: VerifiedPrefixCache,
+    /// Relayed heads ([`Auditor::ingest_gossip`]) whose signature was
+    /// checked, valid or not.
+    relayed_verified: u64,
+    /// Relayed heads recognised as already verified and not checked again.
+    relayed_skipped: u64,
+    /// The reference the skip rule is tested against: an auditor that
+    /// recognises nothing and verifies every signature it is shown.
+    #[cfg(test)]
+    verify_everything: bool,
 }
 
 impl DomainState {
+    /// The one "verify a signed head once" rule, under every ingest path:
+    /// `cp` is byte-identical — body **and** signature — to a checkpoint
+    /// this auditor already verified under the domain's key, so verifying
+    /// it again could only repeat the answer. The same body under
+    /// different signature bytes is not known.
+    fn already_verified(&self, cp: &SignedCheckpoint) -> bool {
+        #[cfg(test)]
+        if self.verify_everything {
+            return false;
+        }
+        self.seen.get(&cp.body.size) == Some(cp)
+    }
+
     /// Checkpoint-level prechecks shared by both batched ingest paths
     /// ([`Auditor::observe_bundle`] and [`Auditor::observe_shard_bundle`]
     /// — the sharded path layers per-shard verification on top, but the
@@ -135,11 +197,7 @@ impl DomainState {
         // 1. Signatures, skipping checkpoints byte-identical to ones this
         //    auditor already verified (the common steady-state case).
         for cp in cps {
-            let known = self
-                .seen
-                .get(&cp.body.size)
-                .is_some_and(|prior| prior == *cp);
-            if known {
+            if self.already_verified(cp) {
                 self.cache.note_skipped();
                 continue;
             }
@@ -227,8 +285,12 @@ impl Auditor {
                 .map(|key| DomainState {
                     key,
                     latest: None,
-                    seen: HashMap::new(),
+                    seen: BySize(Vec::new()),
                     cache: VerifiedPrefixCache::new(),
+                    relayed_verified: 0,
+                    relayed_skipped: 0,
+                    #[cfg(test)]
+                    verify_everything: false,
                 })
                 .collect(),
         }
@@ -259,20 +321,19 @@ impl Auditor {
                 checkpoint,
             }));
         };
-        // Verified-prefix fast path: a checkpoint byte-identical to the
-        // latest verified one has nothing left to prove — no signature
-        // re-verification, no proof.
-        if state.latest.as_ref() == Some(&checkpoint) {
+        if state.already_verified(&checkpoint) {
+            // Re-serving the latest verified checkpoint (the steady
+            // state) falls through the checks below to `Consistent`; an
+            // older known one is still a rollback.
             state.cache.note_skipped();
-            return AuditOutcome::Consistent;
-        }
-        if !checkpoint.verify(&state.key) {
+        } else if !checkpoint.verify(&state.key) {
             return AuditOutcome::Misbehavior(Box::new(Misbehavior::BadSignature {
                 domain,
                 checkpoint,
             }));
+        } else {
+            state.cache.note_signature();
         }
-        state.cache.note_signature();
         // Equivocation hunt: same size, different head, both signed.
         if let Some(prior) = state.seen.get(&checkpoint.body.size) {
             if prior.body.head != checkpoint.body.head
@@ -627,6 +688,14 @@ impl Auditor {
     /// Unlike [`Auditor::observe`], gossip makes no freshness or growth
     /// demands: the relaying client may legitimately be behind, so only
     /// signature validity and same-size-different-head conflicts matter.
+    ///
+    /// A head this auditor has already verified byte for byte — what a
+    /// bulletin board relays on every audit after the first — costs a
+    /// comparison ([`Auditor::relayed_skipped`]); an unknown one is
+    /// verified once ([`Auditor::relayed_verified`]). A head that fails
+    /// verification says nothing about the domain — whoever relayed it may
+    /// have made it up — so `BadSignature` here names the head, and
+    /// callers relaying for strangers drop it as noise.
     pub fn ingest_gossip(&mut self, domain: u32, checkpoint: SignedCheckpoint) -> AuditOutcome {
         let Some(state) = self.domains.get_mut(domain as usize) else {
             return AuditOutcome::Misbehavior(Box::new(Misbehavior::BadSignature {
@@ -634,6 +703,11 @@ impl Auditor {
                 checkpoint,
             }));
         };
+        if state.already_verified(&checkpoint) {
+            state.relayed_skipped += 1;
+            return AuditOutcome::Consistent;
+        }
+        state.relayed_verified += 1;
         if !checkpoint.verify(&state.key) {
             return AuditOutcome::Misbehavior(Box::new(Misbehavior::BadSignature {
                 domain,
@@ -657,6 +731,20 @@ impl Auditor {
             state.seen.insert(checkpoint.body.size, checkpoint);
         }
         AuditOutcome::Consistent
+    }
+
+    /// Signature checks performed on relayed heads
+    /// ([`Auditor::ingest_gossip`]), summed over domains. Kept apart from
+    /// the [`VerifiedPrefixCache`] counters, which describe what the
+    /// domains' own audit answers cost.
+    pub fn relayed_verified(&self) -> u64 {
+        self.domains.iter().map(|d| d.relayed_verified).sum()
+    }
+
+    /// Relayed heads recognised as already verified and not checked again,
+    /// summed over domains.
+    pub fn relayed_skipped(&self) -> u64 {
+        self.domains.iter().map(|d| d.relayed_skipped).sum()
     }
 
     /// Exports the latest verified checkpoints for gossiping to peers.
@@ -1415,6 +1503,235 @@ mod tests {
                     assert!(matches!(*m, Misbehavior::InconsistentGrowth { .. }))
                 }
                 other => panic!("expected inconsistent growth, got {other:?}"),
+            }
+        }
+    }
+
+    mod verify_once {
+        use super::*;
+        use crate::batch::CheckpointBundle;
+        use proptest::prelude::*;
+
+        /// An honest domain with one signed epoch per append, serving
+        /// bundles the way the framework does.
+        struct Chain {
+            domain: Domain,
+            epochs: Vec<SignedCheckpoint>,
+        }
+
+        impl Chain {
+            fn new(appends: usize) -> Self {
+                let mut chain = Self {
+                    domain: Domain::new(0),
+                    epochs: Vec::new(),
+                };
+                (0..appends).for_each(|_| chain.append());
+                chain
+            }
+
+            fn append(&mut self) {
+                let leaf = format!("leaf {}", self.epochs.len());
+                self.domain.log.append(leaf.as_bytes());
+                let cp = self.domain.checkpoint();
+                self.epochs.push(cp);
+            }
+
+            fn bundle_for(&self, verified: u64) -> CheckpointBundle {
+                let mut checkpoints: Vec<SignedCheckpoint> = self
+                    .epochs
+                    .iter()
+                    .filter(|cp| cp.body.size > verified)
+                    .cloned()
+                    .collect();
+                if checkpoints.is_empty() {
+                    checkpoints.push(self.epochs.last().expect("non-empty").clone());
+                }
+                let mut sizes: Vec<usize> = Vec::new();
+                if verified >= 1 {
+                    sizes.push(verified as usize);
+                }
+                sizes.extend(checkpoints.iter().map(|cp| cp.body.size as usize));
+                sizes.dedup();
+                let proof = self
+                    .domain
+                    .log
+                    .prove_consistency_range(&sizes)
+                    .expect("honest range");
+                CheckpointBundle { checkpoints, proof }
+            }
+
+            /// `cp` as an honest party, a forger without the key, a
+            /// bit-flipper, or the equivocating domain itself would relay
+            /// it.
+            fn variant(&self, cp: &SignedCheckpoint, kind: u8, bit: u16) -> SignedCheckpoint {
+                let mut cp = cp.clone();
+                match kind % 4 {
+                    0 => {}
+                    1 => {
+                        let stranger = SigningKey::derive(b"stranger", b"");
+                        cp = SignedCheckpoint::sign(cp.body, &stranger);
+                    }
+                    2 => {
+                        let bit = bit as usize % (cp.signature.len() * 8);
+                        cp.signature[bit / 8] ^= 1 << (bit % 8);
+                    }
+                    _ => {
+                        cp.body.head[0] ^= 0xff;
+                        cp = SignedCheckpoint::sign(cp.body, &self.domain.sk);
+                    }
+                }
+                cp
+            }
+        }
+
+        fn checks(auditor: &Auditor) -> u64 {
+            auditor.relayed_verified() + auditor.domains[0].cache.signatures_verified()
+        }
+
+        #[test]
+        fn a_relayed_head_is_verified_once_then_compared() {
+            let chain = Chain::new(2);
+            let mut auditor = auditor_for(std::slice::from_ref(&chain.domain));
+            assert!(auditor
+                .observe_bundle(0, &chain.bundle_for(0))
+                .is_consistent());
+            // Both epochs came through the bundle: relaying them costs
+            // comparisons, however often a board repeats them.
+            for _ in 0..3 {
+                for cp in &chain.epochs {
+                    assert!(auditor.ingest_gossip(0, cp.clone()).is_consistent());
+                }
+            }
+            assert_eq!(
+                (auditor.relayed_verified(), auditor.relayed_skipped()),
+                (0, 6)
+            );
+
+            // A head first met through gossip is verified there, once, and
+            // is then known to every other path as well.
+            let mut fresh = auditor_for(std::slice::from_ref(&chain.domain));
+            let head = chain.epochs[1].clone();
+            assert!(fresh.ingest_gossip(0, head.clone()).is_consistent());
+            assert!(fresh.ingest_gossip(0, head.clone()).is_consistent());
+            assert_eq!((fresh.relayed_verified(), fresh.relayed_skipped()), (1, 1));
+            assert!(fresh.observe(0, head, None).is_consistent());
+            let cache = fresh.prefix_cache(0).unwrap();
+            assert_eq!((cache.signatures_verified(), cache.skipped()), (0, 1));
+        }
+
+        #[test]
+        fn a_known_body_under_other_signature_bytes_is_verified_not_skipped() {
+            let chain = Chain::new(1);
+            let genuine = chain.epochs[0].clone();
+            let mut auditor = auditor_for(std::slice::from_ref(&chain.domain));
+            assert!(auditor.observe(0, genuine.clone(), None).is_consistent());
+            for (i, byte) in [0usize, 47, 48, 79].into_iter().enumerate() {
+                let mut tampered = genuine.clone();
+                tampered.signature[byte] ^= 1;
+                match auditor.ingest_gossip(0, tampered.clone()) {
+                    AuditOutcome::Misbehavior(m) => {
+                        assert!(matches!(*m, Misbehavior::BadSignature { .. }))
+                    }
+                    other => panic!("flipped signature byte {byte} accepted: {other:?}"),
+                }
+                assert_eq!(
+                    auditor.relayed_verified(),
+                    i as u64 + 1,
+                    "byte {byte} skipped"
+                );
+                match auditor.observe(0, tampered, None) {
+                    AuditOutcome::Misbehavior(m) => {
+                        assert!(matches!(*m, Misbehavior::BadSignature { .. }))
+                    }
+                    other => panic!("flipped signature byte {byte} accepted: {other:?}"),
+                }
+            }
+            assert_eq!(auditor.relayed_skipped(), 0);
+            assert_eq!(auditor.domains[0].seen.get(&1), Some(&genuine));
+            assert_eq!(auditor.latest(0), Some(&genuine));
+        }
+
+        #[test]
+        fn a_known_size_under_another_head_still_yields_the_proof() {
+            let chain = Chain::new(1);
+            let mut auditor = auditor_for(std::slice::from_ref(&chain.domain));
+            assert!(auditor
+                .observe(0, chain.epochs[0].clone(), None)
+                .is_consistent());
+            let fork = chain.variant(&chain.epochs[0], 3, 0);
+            match auditor.ingest_gossip(0, fork) {
+                AuditOutcome::Misbehavior(m) => match *m {
+                    Misbehavior::Equivocation { proof, .. } => {
+                        assert!(proof.verify(&chain.domain.sk.verifying_key()))
+                    }
+                    other => panic!("expected equivocation, got {other:?}"),
+                },
+                other => panic!("expected misbehavior, got {other:?}"),
+            }
+            assert_eq!(
+                (auditor.relayed_verified(), auditor.relayed_skipped()),
+                (1, 0)
+            );
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(24))]
+
+            /// The skip is exact: over arbitrary interleavings of bundle,
+            /// per-step and gossip ingest of honest, repeated, stale,
+            /// forged, bit-flipped and equivocating checkpoints, an
+            /// auditor that recognises what it has verified answers every
+            /// call exactly as one that verifies everything, and ends
+            /// holding exactly the same checkpoints.
+            #[test]
+            fn skipping_known_checkpoints_changes_no_outcome(
+                ops in proptest::collection::vec((0u8..4, any::<u8>(), any::<u8>(), any::<u16>()), 1..24),
+            ) {
+                let mut chain = Chain::new(1);
+                let keys = vec![chain.domain.sk.verifying_key()];
+                let mut skipping = Auditor::new(keys.clone());
+                let mut reference = Auditor::new(keys);
+                reference.domains[0].verify_everything = true;
+
+                for (op, pick, kind, bit) in ops {
+                    let picked = chain.epochs[pick as usize % chain.epochs.len()].clone();
+                    let verified = skipping.latest(0).map_or(0, |cp| cp.body.size);
+                    let outcomes: Vec<String> = [&mut skipping, &mut reference]
+                        .into_iter()
+                        .map(|auditor| match op {
+                            0 => {
+                                let mut bundle = chain.bundle_for(verified);
+                                let last = bundle.checkpoints.pop().expect("non-empty");
+                                bundle.checkpoints.push(chain.variant(&last, kind, bit));
+                                format!("{:?}", auditor.observe_bundle(0, &bundle))
+                            }
+                            1 => {
+                                let cp = chain.variant(&picked, kind, bit);
+                                format!("{:?}", auditor.ingest_gossip(0, cp))
+                            }
+                            2 => {
+                                let cp = chain.variant(&picked, kind, bit);
+                                let proof = (verified >= 1 && cp.body.size > verified)
+                                    .then(|| {
+                                        chain.domain.log.prove_consistency(
+                                            verified as usize,
+                                            cp.body.size as usize,
+                                        )
+                                    })
+                                    .flatten();
+                                format!("{:?}", auditor.observe(0, cp, proof.as_ref()))
+                            }
+                            _ => String::new(),
+                        })
+                        .collect();
+                    prop_assert_eq!(&outcomes[0], &outcomes[1]);
+                    if op == 3 {
+                        chain.append();
+                    }
+                }
+                prop_assert_eq!(&skipping.domains[0].seen, &reference.domains[0].seen);
+                prop_assert_eq!(skipping.latest(0), reference.latest(0));
+                prop_assert!(checks(&skipping) <= checks(&reference));
             }
         }
     }

@@ -47,41 +47,42 @@ impl CheckpointBody {
 }
 
 /// A checkpoint with its signature.
+///
+/// The signature is held as its 80 wire bytes and parsed by
+/// [`SignedCheckpoint::verify`]: decoding a checkpoint costs a copy, two
+/// checkpoints are the same signed statement exactly when they are equal
+/// byte for byte, and a malformed signature point is a failed
+/// verification of that one checkpoint rather than a decode error that
+/// voids the frame around it. Nothing may act on a checkpoint that has not
+/// passed `verify` (or is byte-identical to one that has).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SignedCheckpoint {
     /// The signed body.
     pub body: CheckpointBody,
-    /// Schnorr signature by the domain's log key.
-    pub signature: SchnorrSignature,
+    /// Schnorr signature by the domain's log key, in wire form
+    /// (compressed `R` ‖ `s`).
+    pub signature: [u8; 80],
 }
 
-impl Encode for SignedCheckpoint {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.body.encode(out);
-        self.signature.to_bytes().encode(out);
-    }
-}
-
-impl Decode for SignedCheckpoint {
-    fn decode(input: &mut &[u8]) -> Result<Self, DecodeError> {
-        let body = CheckpointBody::decode(input)?;
-        let sig_bytes = <[u8; 80]>::decode(input)?;
-        let signature = SchnorrSignature::from_bytes(&sig_bytes)
-            .ok_or(DecodeError::Invalid("checkpoint signature"))?;
-        Ok(Self { body, signature })
-    }
-}
+wire_struct!(SignedCheckpoint {
+    body: CheckpointBody,
+    signature: [u8; 80],
+});
 
 impl SignedCheckpoint {
     /// Signs a checkpoint body.
     pub fn sign(body: CheckpointBody, key: &SigningKey) -> Self {
-        let signature = key.sign(&body.signing_bytes());
+        let signature = key.sign(&body.signing_bytes()).to_bytes();
         Self { body, signature }
     }
 
-    /// Verifies the signature under the domain's log key.
+    /// Verifies the signature under the domain's log key. `false` when the
+    /// signature bytes are not a valid encoding (point off the curve or
+    /// outside the prime-order subgroup, non-canonical scalar) or the
+    /// Schnorr equation does not hold.
     pub fn verify(&self, key: &VerifyingKey) -> bool {
-        key.verify(&self.body.signing_bytes(), &self.signature)
+        SchnorrSignature::from_bytes(&self.signature)
+            .is_some_and(|signature| key.verify(&self.body.signing_bytes(), &signature))
     }
 }
 

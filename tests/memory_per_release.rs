@@ -1,0 +1,189 @@
+//! What a release and an audit leave behind in memory.
+//!
+//! A deployment's memory may grow with *releases* — every release adds a
+//! log leaf, an update notice and a signed epoch on each domain, and one
+//! verified checkpoint per domain in every auditing client — and with
+//! nothing else: an audit that finds no new release must retain no byte.
+//! The benchmark's `rss_mb` on `audit_churn` is these per-release numbers
+//! times the releases a run completes, so they are pinned here where they
+//! can be counted exactly: live heap bytes as the allocator hands them
+//! out, on the measuring thread only. Resident memory is that plus the
+//! allocator's rounding, which this test does not see; run with
+//! `--nocapture` for the numbers.
+
+use distrust::apps::analytics;
+use distrust::core::abi::NoImports;
+use distrust::core::framework::{EnclaveFramework, FrameworkConfig};
+use distrust::core::{Deployment, SignedRelease};
+use distrust::crypto::schnorr::SigningKey;
+use distrust::log::checkpoint::log_id;
+use distrust::log::{DurableOptions, StorageConfig};
+use distrust::sandbox::guests::counter_module;
+use distrust::sandbox::Limits;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+thread_local! {
+    /// Bytes this thread has allocated minus bytes it has freed. Plain
+    /// data with a constant initialiser: reading it never allocates and
+    /// it has no destructor to run at thread exit.
+    static THREAD_NET: Cell<i64> = const { Cell::new(0) };
+}
+
+/// The system allocator, counting each thread's net live bytes.
+struct CountingAllocator;
+
+fn count(delta: i64) {
+    let _ = THREAD_NET.try_with(|net| net.set(net.get() + delta));
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`, whose
+// contract is the one `GlobalAlloc` states; the bookkeeping touches only a
+// thread-local integer and cannot allocate or unwind.
+unsafe impl GlobalAlloc for CountingAllocator {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        // SAFETY: `layout` is the caller's, passed through as received.
+        let ptr = unsafe { System.alloc(layout) };
+        if !ptr.is_null() {
+            count(layout.size() as i64);
+        }
+        ptr
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        count(-(layout.size() as i64));
+        // SAFETY: `ptr` was returned by `System` for this `layout`, as the
+        // caller of `dealloc` guarantees for the allocator it came from.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        // SAFETY: same block, same layout, caller-checked `new_size`.
+        let new_ptr = unsafe { System.realloc(ptr, layout, new_size) };
+        if !new_ptr.is_null() {
+            count(new_size as i64 - layout.size() as i64);
+        }
+        new_ptr
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: CountingAllocator = CountingAllocator;
+
+fn live_bytes() -> i64 {
+    THREAD_NET.with(Cell::get)
+}
+
+/// Releases applied before anything is measured, so one-off set-up
+/// (connections, first table allocations) is behind us.
+const WARM_RELEASES: u64 = 32;
+/// Releases a per-release figure is averaged over: enough that the
+/// doubling of a `Vec` or hash table lands inside the window as often as
+/// it does in a long run.
+const MEASURED_RELEASES: u64 = 96;
+
+/// Most heap a domain may retain per release (450 bytes today): the log
+/// leaf and its hashes, the update notice, the signed epoch, and the
+/// containers' spare capacity. The per-shard snapshot a 1-shard log used
+/// to keep beside every epoch (88 bytes in two allocations) is what this
+/// bound would catch coming back.
+const DOMAIN_BYTES_PER_RELEASE: i64 = 640;
+/// Most heap an auditing client of an n = 3 deployment may retain per
+/// release: one verified checkpoint (168 bytes with its size key) per
+/// domain, twice over for a `Vec` that has just doubled its capacity
+/// (1008 bytes over this window), and a little slack.
+const CLIENT_BYTES_PER_RELEASE: i64 = 1152;
+
+#[test]
+fn a_domain_retains_a_bounded_amount_per_release() {
+    let developer = SigningKey::derive(b"memory test", b"developer");
+    let dir = std::env::temp_dir().join(format!("distrust-memory-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut framework = EnclaveFramework::open(
+        FrameworkConfig {
+            domain_index: 0,
+            app_name: "counter".into(),
+            developer_key: developer.verifying_key(),
+            log_id: log_id(b"memory test", 0),
+            limits: Limits::default(),
+            log_shards: 1,
+            storage: StorageConfig::Durable(DurableOptions::new(&dir)),
+        },
+        None,
+        SigningKey::derive(b"memory test", b"checkpoint"),
+        Box::new(NoImports),
+    )
+    .expect("open");
+    let mut apply = |version: u64| {
+        let release = SignedRelease::create(
+            "counter",
+            version,
+            "release notes",
+            &counter_module(version),
+            &developer,
+        );
+        framework.apply_update(&release).expect("release accepted");
+    };
+    (1..=WARM_RELEASES).for_each(&mut apply);
+    let before = live_bytes();
+    (WARM_RELEASES + 1..=WARM_RELEASES + MEASURED_RELEASES).for_each(&mut apply);
+    let per_release = (live_bytes() - before) / MEASURED_RELEASES as i64;
+    println!("domain: {per_release} live heap bytes retained per release");
+    drop(framework);
+    let _ = std::fs::remove_dir_all(&dir);
+    assert!(
+        (0..=DOMAIN_BYTES_PER_RELEASE).contains(&per_release),
+        "a domain retains {per_release} bytes per release"
+    );
+}
+
+#[test]
+fn an_auditing_client_retains_nothing_per_audit_and_a_bounded_amount_per_release() {
+    let mut deployment =
+        Deployment::launch(analytics::app_spec(3), b"memory test").expect("launch");
+    let mut developer = deployment.client(b"developer");
+    let mut auditor = deployment.client(b"auditor");
+    let mut version = 1;
+    let mut push = |deployment: &Deployment| {
+        version += 1;
+        let release = deployment.sign_release(version, "notes", &counter_module(version));
+        for ack in developer.push_update(&release) {
+            ack.expect("release accepted");
+        }
+    };
+    // Bytes retained across `audit` calls only: the developer's pushes run
+    // on this thread too and are not the auditor's memory.
+    let audit = |auditor: &mut distrust::core::DeploymentClient| {
+        let before = live_bytes();
+        let report = auditor.audit(None);
+        assert!(report.is_clean(), "{report:?}");
+        drop(report);
+        live_bytes() - before
+    };
+    for _ in 0..WARM_RELEASES {
+        push(&deployment);
+        audit(&mut auditor);
+    }
+
+    // No release, no growth — exactly.
+    audit(&mut auditor);
+    let idle: Vec<i64> = (0..16).map(|_| audit(&mut auditor)).collect();
+    println!("client: live heap bytes retained by each of 16 audits with no release: {idle:?}");
+    assert!(
+        idle.iter().all(|&bytes| bytes == 0),
+        "audits that found nothing new retained memory: {idle:?}"
+    );
+
+    let mut retained = 0;
+    for _ in 0..MEASURED_RELEASES {
+        push(&deployment);
+        retained += audit(&mut auditor);
+    }
+    let per_release = retained / MEASURED_RELEASES as i64;
+    println!("client (n = 3): {per_release} live heap bytes retained per release");
+    deployment.shutdown();
+    assert!(
+        (0..=CLIENT_BYTES_PER_RELEASE).contains(&per_release),
+        "an auditing client retains {per_release} bytes per release"
+    );
+}

@@ -866,3 +866,82 @@ proptest! {
         prop_assert!(witness_head_answered);
     }
 }
+
+// ---------------------------------------------------------------------
+// Signed checkpoints: the signature travels as 80 opaque bytes and is
+// parsed by `verify`, so decoding accepts any 80 bytes and verification
+// is where a malformed or tampered signature is refused.
+// ---------------------------------------------------------------------
+
+fn checkpoint_key() -> SigningKey {
+    SigningKey::derive(b"protocol fuzz", b"gossip domain")
+}
+
+/// Body (32 + 8 + 32 + 8) plus signature (80).
+const CHECKPOINT_WIRE_BYTES: usize = 160;
+
+/// Every single-bit flip of a genuine checkpoint, body and signature
+/// alike, decodes (as a different value) and fails verification — one
+/// head refused, never a panic and never a frame-level decode error.
+#[test]
+fn every_single_bit_flip_of_a_checkpoint_fails_verification() {
+    let vk = checkpoint_key().verifying_key();
+    let genuine = gossip_checkpoint(0, 0x5a, 9);
+    let wire = genuine.to_wire();
+    assert_eq!(wire.len(), CHECKPOINT_WIRE_BYTES);
+    assert!(SignedCheckpoint::from_wire(&wire).unwrap().verify(&vk));
+    for bit in 0..wire.len() * 8 {
+        let mut mutated = wire.clone();
+        mutated[bit / 8] ^= 1 << (bit % 8);
+        let decoded = SignedCheckpoint::from_wire(&mutated).unwrap_or_else(|e| {
+            panic!("bit {bit}: a checkpoint of the right length must decode: {e}")
+        });
+        assert_ne!(decoded, genuine, "bit {bit}");
+        assert_eq!(
+            decoded.to_wire(),
+            mutated,
+            "bit {bit}: re-encoding changed bytes"
+        );
+        assert!(
+            !decoded.verify(&vk),
+            "bit {bit}: tampered checkpoint verified"
+        );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Any body under any 80 signature bytes decodes, re-encodes to the
+    /// exact input, and does not verify; every proper prefix and every
+    /// extension is refused by the decoder.
+    #[test]
+    fn arbitrary_checkpoint_bytes_decode_exactly_and_never_verify(
+        bytes in proptest::collection::vec(any::<u8>(), CHECKPOINT_WIRE_BYTES),
+        cut in 0usize..CHECKPOINT_WIRE_BYTES,
+        garbage in proptest::collection::vec(any::<u8>(), 1..16),
+    ) {
+        let decoded = SignedCheckpoint::from_wire(&bytes).expect("160 bytes always decode");
+        prop_assert_eq!(decoded.to_wire(), bytes.clone());
+        prop_assert!(!decoded.verify(&checkpoint_key().verifying_key()));
+        prop_assert!(SignedCheckpoint::from_wire(&bytes[..cut]).is_err());
+        let mut extended = bytes;
+        extended.extend_from_slice(&garbage);
+        prop_assert!(SignedCheckpoint::from_wire(&extended).is_err());
+    }
+
+    /// A genuine body under arbitrary signature bytes: decodes, does not
+    /// verify. (The forger's cheapest attempt — keep the head, invent the
+    /// signature.)
+    #[test]
+    fn a_genuine_body_under_arbitrary_signature_bytes_never_verifies(
+        signature in proptest::collection::vec(any::<u8>(), 80),
+    ) {
+        let mut forged = gossip_checkpoint(0, 0x5a, 9);
+        prop_assume!(forged.signature[..] != signature[..]);
+        forged.signature.copy_from_slice(&signature);
+        let decoded = SignedCheckpoint::from_wire(&forged.to_wire()).expect("decodes");
+        prop_assert_eq!(&decoded, &forged);
+        prop_assert!(!decoded.verify(&checkpoint_key().verifying_key()));
+    }
+}
