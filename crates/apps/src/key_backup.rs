@@ -342,16 +342,21 @@ impl KeyBackupClient {
         commitment: &Digest,
     ) -> Result<Vec<u8>, ClientError> {
         let request = recover_request(user_id, token);
-        let shares =
-            session.fanout_collect(METHOD_RECOVER, request, self.threshold, |d, resp| {
-                match parse_response(resp) {
-                    Ok(RecoverStatus::Ok(data)) => Some(ByteShare {
-                        x: (d + 1) as u8,
-                        data,
-                    }),
-                    _ => None,
-                }
-            })?;
+        let shares = session.fanout_collect(
+            METHOD_RECOVER,
+            request,
+            self.threshold,
+            |d, resp| match parse_response(resp) {
+                Ok(RecoverStatus::Ok(data)) => Some(ByteShare {
+                    x: (d + 1) as u8,
+                    data,
+                }),
+                _ => None,
+            },
+            // Shares carry nothing to check them against one another; the
+            // recombined secret is checked against the commitment below.
+            |_| {},
+        )?;
         let secret = gf256::combine(&shares, self.threshold)
             .map_err(|e| ClientError::Unexpected(format!("combine failed: {e}")))?;
         if &distrust_crypto::sha256(&secret) != commitment {

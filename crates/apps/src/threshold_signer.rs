@@ -12,8 +12,16 @@
 //! thousands of guest↔host boundary crossings and interpreted control flow
 //! that the paper's Table 3 prices). The share itself lives host-side,
 //! sealed to the trust domain; partial signatures leave through the guest
-//! outbox, are verified against Feldman commitments client-side, and
-//! aggregate into a standard BLS signature under the group public key.
+//! outbox and aggregate client-side into a standard BLS signature under
+//! the group public key.
+//!
+//! The client verifies what it returns, not what it receives: it
+//! aggregates the first `t` partials that parse and checks the *aggregate*
+//! under the group key — one pairing check per signature. BLS signatures
+//! are unique, so an aggregate that passes is the group signature whatever
+//! the partials looked like one by one. The per-partial Feldman checks are
+//! the slow path that names a lying domain, and run only once an aggregate
+//! has failed (see [`distrust_crypto::threshold::Combiner`]).
 //!
 //! Method ids: `1` = sign (payload = message bytes, response = 48-byte
 //! compressed partial signature), `2` = share index (1 byte).
@@ -362,7 +370,8 @@ pub fn setup<R: rand::RngCore + ?Sized>(
 ) -> Result<(AppSpec, ThresholdPublic), ThresholdError> {
     let keys = threshold::generate(t, n, rng)?;
     // Every share holder verifies its share against the commitments before
-    // accepting it (Feldman VSS — see DESIGN.md §5).
+    // accepting it (Feldman VSS): a dealer that hands one domain a share
+    // off the committed polynomial is caught here, not at signing time.
     for share in &keys.shares {
         assert!(
             keys.commitments.verify_share(share),
@@ -396,17 +405,18 @@ pub fn setup<R: rand::RngCore + ?Sized>(
 pub enum SignError {
     /// Too few domains answered with valid partial signatures.
     NotEnoughPartials {
-        /// Valid partials collected.
+        /// Partials still held when no domain was left to ask: every one
+        /// parses, none has failed a Feldman check.
         got: usize,
         /// Threshold required.
         need: usize,
     },
-    /// Aggregation failed.
+    /// Aggregation failed, or the aggregate fails under the group key
+    /// although every partial passes its Feldman check
+    /// ([`ThresholdError::KeyMismatch`]: inconsistent public parameters).
     Threshold(ThresholdError),
     /// Transport failure talking to a domain.
     Client(ClientError),
-    /// The aggregate did not verify under the group key.
-    AggregateInvalid,
 }
 
 impl core::fmt::Display for SignError {
@@ -417,7 +427,6 @@ impl core::fmt::Display for SignError {
             }
             Self::Threshold(e) => write!(f, "aggregation failed: {e}"),
             Self::Client(e) => write!(f, "transport failure: {e}"),
-            Self::AggregateInvalid => write!(f, "aggregate signature invalid"),
         }
     }
 }
@@ -425,8 +434,9 @@ impl core::fmt::Display for SignError {
 impl std::error::Error for SignError {}
 
 /// Client-side signing orchestration: request partial signatures from
-/// domains, verify each against the Feldman commitments, aggregate the
-/// first `t` valid ones, and verify the result under the group key.
+/// domains, aggregate the first `t` that parse, verify the aggregate under
+/// the group key, and fall back to the per-partial Feldman checks only to
+/// name and replace a lying domain.
 pub struct ThresholdSigningClient {
     /// Public parameters.
     pub public: ThresholdPublic,
@@ -469,32 +479,49 @@ impl ThresholdSigningClient {
     /// The message is broadcast to every domain in one pipelined fan-out
     /// under [`distrust_core::QuorumPolicy::Threshold`]`(t)` (via
     /// [`Session::fanout_collect`]): all `n` sign requests are in flight
-    /// at once and the call returns as soon as `t` valid partials arrive
-    /// — a slow or dead domain does not delay the signature as long as
-    /// `t` domains are healthy. Each collected partial is verified
-    /// against the Feldman commitments before it counts; domains whose
-    /// responses were abandoned are re-asked if some partials fail
-    /// verification.
+    /// at once and collection stops at the `t`-th answer that parses
+    /// (48 canonical bytes, on the curve, in the subgroup) — a slow or
+    /// dead domain does not delay the signature as long as `t` domains are
+    /// healthy.
+    ///
+    /// Order of operations: hash the message once; aggregate the `t`
+    /// partials; check the aggregate under the group key; return it. That
+    /// is one pairing check per signature, and it is the check the caller
+    /// relies on: `Ok(σ)` is returned only for a `σ` this call has itself
+    /// verified under [`ThresholdPublic::public_key`]. Because exactly one
+    /// signature verifies for a given key and message, a passing aggregate
+    /// *is* the group signature — no statement is made about the partials
+    /// it came from. Only when the aggregate fails are the held partials
+    /// checked one by one against the Feldman commitments (same `H(m)`,
+    /// each partial at most once): the failing ones are dropped, and
+    /// collection continues from the domains whose responses were
+    /// abandoned. A domain whose answer was read is never asked again, so
+    /// a lying minority costs one failed check per round it spoils, at
+    /// most `n − t` rounds, and cannot stop signing.
     pub fn sign(&self, session: &mut Session<'_>, message: &[u8]) -> Result<Signature, SignError> {
         let t = self.public.threshold;
+        let mut combiner = threshold::Combiner::new(
+            t,
+            &self.public.public_key,
+            &self.public.commitments,
+            message,
+        );
+        let mut combined = Ok(None);
         let partials = session
-            .fanout_collect(METHOD_SIGN, message.to_vec(), t, |d, payload| {
-                Self::parse_partial(d, payload)
-                    .ok()
-                    .filter(|p| threshold::verify_partial(&self.public.commitments, message, p))
-            })
+            .fanout_collect(
+                METHOD_SIGN,
+                message.to_vec(),
+                t,
+                |d, payload| Self::parse_partial(d, payload).ok(),
+                |batch| combined = combiner.combine(batch),
+            )
             .map_err(SignError::Client)?;
-        if partials.len() < t {
-            return Err(SignError::NotEnoughPartials {
+        combined
+            .map_err(SignError::Threshold)?
+            .ok_or(SignError::NotEnoughPartials {
                 got: partials.len(),
                 need: t,
-            });
-        }
-        let signature = threshold::aggregate(t, &partials).map_err(SignError::Threshold)?;
-        if !self.public.public_key.verify(message, &signature) {
-            return Err(SignError::AggregateInvalid);
-        }
-        Ok(signature)
+            })
     }
 }
 

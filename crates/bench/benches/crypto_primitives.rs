@@ -7,8 +7,8 @@ use distrust_crypto::bls::SecretKey;
 use distrust_crypto::drbg::HmacDrbg;
 use distrust_crypto::fr::Fr;
 use distrust_crypto::g1::{hash_to_g1, G1Projective};
-use distrust_crypto::g2::G2Projective;
-use distrust_crypto::pairing::pairing;
+use distrust_crypto::g2::{G2Affine, G2Projective};
+use distrust_crypto::pairing::{pairing, pairing_equality};
 
 fn bench_primitives(c: &mut Criterion) {
     let mut rng = HmacDrbg::new(b"crypto bench", b"");
@@ -30,6 +30,20 @@ fn bench_primitives(c: &mut Criterion) {
     let q = g2.mul_scalar(&scalar).to_affine();
     group.bench_function("pairing", |b| {
         b.iter(|| std::hint::black_box(pairing(&p, &q)))
+    });
+
+    // One BLS-shaped check, `e(sP, g₂) == e(P, s·g₂)`: two pairs through
+    // the shared Miller loop (the generator's lines from the process-wide
+    // table, the key's prepared per call), one final exponentiation.
+    let base = G1Projective::generator().to_affine();
+    let g2_gen = G2Affine::generator();
+    group.bench_function("pairing_check", |b| {
+        b.iter(|| std::hint::black_box(pairing_equality(&p, &g2_gen, &base, &q)))
+    });
+
+    // The endomorphism subgroup test every decoded G1 point goes through.
+    group.bench_function("g1_subgroup_check", |b| {
+        b.iter(|| std::hint::black_box(p.is_torsion_free()))
     });
 
     let mut counter = 0u64;

@@ -854,14 +854,21 @@ impl<'c> Session<'c> {
 
     /// Threshold collection with app-level validation: broadcasts
     /// `method`/`payload` under [`QuorumPolicy::Threshold`] and keeps
-    /// collecting until `need` responses pass `validate` or no domain is
+    /// collecting until `need` responses pass validation or no domain is
     /// left to ask.
     ///
     /// A domain can answer successfully at the transport level and still
-    /// fail validation (an invalid partial signature, a refused recovery
-    /// attempt) — such answers do not count, and the next round re-asks
+    /// fail validation — such answers do not count. Validation has two
+    /// stages. `validate` looks at one answer on its own (a reply that
+    /// does not parse, a refused recovery attempt). Once `need` values are
+    /// held, `jointly` is handed the batch and removes what a check of the
+    /// values *together* rejects (partial signatures whose aggregate does
+    /// not verify have a culprit among them, which is only then worth
+    /// finding); a caller with nothing to check jointly passes `|_| {}`.
+    /// While fewer than `need` values are held, the next round re-asks
     /// only the domains whose responses were abandoned when the previous
-    /// quorum was satisfied early. Returns the validated values, possibly
+    /// quorum was satisfied early — a domain whose answer was read is
+    /// never asked again. Returns the values held at the end, possibly
     /// fewer than `need` when the deployment cannot provide them; the
     /// caller decides whether that is fatal.
     pub fn fanout_collect<T>(
@@ -870,6 +877,7 @@ impl<'c> Session<'c> {
         payload: Vec<u8>,
         need: usize,
         mut validate: impl FnMut(u32, &[u8]) -> Option<T>,
+        mut jointly: impl FnMut(&mut Vec<T>),
     ) -> Result<Vec<T>, ClientError> {
         let mut collected = Vec::with_capacity(need);
         let mut targets: Option<Vec<u32>> = None; // None = all domains
@@ -888,6 +896,9 @@ impl<'c> Session<'c> {
                 if let Some(value) = validate(d, resp) {
                     collected.push(value);
                 }
+            }
+            if collected.len() >= need {
+                jointly(&mut collected);
             }
             // Only domains whose answers were abandoned (quorum met
             // before they replied) are worth re-asking; everyone else has

@@ -67,25 +67,33 @@ impl SecretKey {
 }
 
 impl PublicKey {
-    /// Verifies `σ` over `message`: `e(σ, g₂) == e(H(m), pk)`.
-    pub fn verify(&self, message: &[u8], signature: &Signature) -> bool {
+    /// The one pairing check every verification in this crate goes
+    /// through: `e(σ, g₂) == e(h, pk)` for a message already hashed to
+    /// `h ∈ G1`. Refuses an infinity signature or key and a signature point
+    /// off the curve or outside the order-`r` subgroup.
+    ///
+    /// [`Self::verify`], [`Self::verify_possession`] and
+    /// [`crate::threshold::verify_partial`] hash (and derive the key) and
+    /// call this; a caller checking several signatures over one message
+    /// hashes once and calls it directly.
+    pub fn verify_prehashed(&self, h: &G1Affine, signature: &Signature) -> bool {
         if signature.0.infinity || self.0.infinity {
             return false;
         }
         if !signature.0.is_on_curve() || !signature.0.is_torsion_free() {
             return false;
         }
-        let h = hash_to_g1(message, MSG_DST).to_affine();
-        pairing_equality(&signature.0, &G2Affine::generator(), &h, &self.0)
+        pairing_equality(&signature.0, &G2Affine::generator(), h, &self.0)
+    }
+
+    /// Verifies `σ` over `message`: `e(σ, g₂) == e(H(m), pk)`.
+    pub fn verify(&self, message: &[u8], signature: &Signature) -> bool {
+        self.verify_prehashed(&hash_to_g1(message, MSG_DST).to_affine(), signature)
     }
 
     /// Verifies a proof of possession for this key.
     pub fn verify_possession(&self, pop: &Signature) -> bool {
-        if pop.0.infinity || self.0.infinity {
-            return false;
-        }
-        let h = hash_to_g1(&self.to_bytes(), POP_DST).to_affine();
-        pairing_equality(&pop.0, &G2Affine::generator(), &h, &self.0)
+        self.verify_prehashed(&hash_to_g1(&self.to_bytes(), POP_DST).to_affine(), pop)
     }
 
     /// Compressed encoding.
@@ -223,6 +231,32 @@ mod tests {
         let (_, pk) = keypair(b"k1");
         let id_sig = Signature(G1Affine::identity());
         assert!(!pk.verify(b"msg", &id_sig));
+    }
+
+    #[test]
+    fn verify_refuses_a_signature_point_outside_g1() {
+        let (sk, pk) = keypair(b"subgroup");
+        let sig = sk.sign(b"msg");
+        let shifted = Signature(sig.0.plus_order_three_point());
+        let h = hash_to_g1(b"msg", MSG_DST).to_affine();
+        assert!(
+            pairing_equality(&shifted.0, &G2Affine::generator(), &h, &pk.0),
+            "the bare pairing equation accepts it"
+        );
+        assert!(pk.verify(b"msg", &sig));
+        assert!(!pk.verify(b"msg", &shifted));
+        assert!(!pk.verify_prehashed(&h, &shifted));
+        // Not encodable either.
+        assert!(Signature::from_bytes(&shifted.to_bytes()).is_none());
+    }
+
+    #[test]
+    fn verify_possession_refuses_a_proof_outside_g1() {
+        let (sk, pk) = keypair(b"subgroup pop");
+        let pop = sk.prove_possession();
+        assert!(pk.verify_possession(&pop));
+        let shifted = Signature(pop.0.plus_order_three_point());
+        assert!(!pk.verify_possession(&shifted));
     }
 
     #[test]

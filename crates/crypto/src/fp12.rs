@@ -84,9 +84,21 @@ impl Fp12 {
         }
     }
 
-    /// Squaring.
+    /// Squaring, by the complex method: with `w² = v`,
+    /// `(a0 + a1 w)² = (a0 + a1)(a0 + v·a1) − a0a1 − v·a0a1 + 2·a0a1 w` —
+    /// two `Fp6` products where [`Self::mul`] takes three.
     pub fn square(&self) -> Self {
-        self.mul(self)
+        let ab = self.c0.mul(&self.c1);
+        let c0 = self
+            .c0
+            .add(&self.c1)
+            .mul(&self.c0.add(&self.c1.mul_by_v()))
+            .sub(&ab)
+            .sub(&ab.mul_by_v());
+        Self {
+            c0,
+            c1: ab.double(),
+        }
     }
 
     /// Conjugation over Fp6: `c1 ↦ -c1`. For elements in the cyclotomic
@@ -169,12 +181,29 @@ impl core::fmt::Debug for Fp12 {
 mod tests {
     use super::*;
     use crate::drbg::HmacDrbg;
+    use proptest::prelude::*;
 
     #[test]
     fn w_squared_is_v() {
         let w = Fp12::new(Fp6::ZERO, Fp6::ONE);
         let v = Fp12::new(Fp6::new(Fp2::ZERO, Fp2::ONE, Fp2::ZERO), Fp6::ZERO);
         assert_eq!(w.square(), v);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        #[test]
+        fn complex_squaring_matches_mul(seed in any::<[u8; 32]>(), shape in 0u8..9) {
+            let mut rng = HmacDrbg::new(b"fp12 square oracle", &seed);
+            let pick = |k: u8, rng: &mut HmacDrbg| match k % 3 {
+                0 => Fp6::random(rng),
+                1 => Fp6::ZERO,
+                _ => Fp6::ONE,
+            };
+            let a = Fp12::new(pick(shape, &mut rng), pick(shape / 3, &mut rng));
+            prop_assert_eq!(a.square(), a.mul(&a));
+        }
     }
 
     #[test]

@@ -87,7 +87,31 @@ impl Fp6 {
     /// r0 = a0b0 + ξ(a1b2 + a2b1)
     /// r1 = a0b1 + a1b0 + ξ(a2b2)
     /// r2 = a0b2 + a1b1 + a2b0
+    ///
+    /// Karatsuba: each cross sum `aᵢbⱼ + aⱼbᵢ` is
+    /// `(aᵢ + aⱼ)(bᵢ + bⱼ) − aᵢbᵢ − aⱼbⱼ`, so six `Fp2` products do the
+    /// work of the schoolbook nine.
     pub fn mul(&self, rhs: &Self) -> Self {
+        let a0b0 = self.c0.mul(&rhs.c0);
+        let a1b1 = self.c1.mul(&rhs.c1);
+        let a2b2 = self.c2.mul(&rhs.c2);
+        let cross = |ai: &Fp2, aj: &Fp2, bi: &Fp2, bj: &Fp2, aibi: &Fp2, ajbj: &Fp2| {
+            ai.add(aj).mul(&bi.add(bj)).sub(aibi).sub(ajbj)
+        };
+        let c12 = cross(&self.c1, &self.c2, &rhs.c1, &rhs.c2, &a1b1, &a2b2);
+        let c01 = cross(&self.c0, &self.c1, &rhs.c0, &rhs.c1, &a0b0, &a1b1);
+        let c02 = cross(&self.c0, &self.c2, &rhs.c0, &rhs.c2, &a0b0, &a2b2);
+        Self {
+            c0: c12.mul_by_nonresidue().add(&a0b0),
+            c1: c01.add(&a2b2.mul_by_nonresidue()),
+            c2: c02.add(&a1b1),
+        }
+    }
+
+    /// The nine-product schoolbook multiplication [`Self::mul`] is checked
+    /// against.
+    #[cfg(test)]
+    fn mul_schoolbook(&self, rhs: &Self) -> Self {
         let a0b0 = self.c0.mul(&rhs.c0);
         let a1b1 = self.c1.mul(&rhs.c1);
         let a2b2 = self.c2.mul(&rhs.c2);
@@ -203,6 +227,7 @@ impl core::fmt::Debug for Fp6 {
 mod tests {
     use super::*;
     use crate::drbg::HmacDrbg;
+    use proptest::prelude::*;
 
     fn sample(rng: &mut HmacDrbg) -> Fp6 {
         Fp6::random(rng)
@@ -226,6 +251,31 @@ mod tests {
             assert_eq!(a.mul(&b), b.mul(&a));
             assert_eq!(a.mul(&b).mul(&c), a.mul(&b.mul(&c)));
             assert_eq!(a.mul(&b.add(&c)), a.mul(&b).add(&a.mul(&c)));
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        #[test]
+        fn karatsuba_matches_schoolbook(seed in any::<[u8; 32]>(), shape in 0u8..27) {
+            let mut rng = HmacDrbg::new(b"fp6 mul oracle", &seed);
+            // Each coefficient of the left operand random, zero or one, so
+            // sparse operands and the identities are hit as well.
+            let pick = |k: u8, rng: &mut HmacDrbg| match k % 3 {
+                0 => Fp2::random(rng),
+                1 => Fp2::ZERO,
+                _ => Fp2::ONE,
+            };
+            let a = Fp6::new(
+                pick(shape, &mut rng),
+                pick(shape / 3, &mut rng),
+                pick(shape / 9, &mut rng),
+            );
+            let b = sample(&mut rng);
+            prop_assert_eq!(a.mul(&b), a.mul_schoolbook(&b));
+            prop_assert_eq!(b.mul(&a), b.mul_schoolbook(&a));
+            prop_assert_eq!(a.square(), a.mul_schoolbook(&a));
         }
     }
 

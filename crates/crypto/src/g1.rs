@@ -7,10 +7,39 @@
 
 use crate::fp::Fp;
 use crate::fr::Fr;
+use crate::limbs;
 use crate::sha256::sha256_many;
+use crate::BLS_X;
+use std::sync::OnceLock;
 
 /// The G1 cofactor `h1 = 0x396c8c005555e1568c00aaab0000aaab`.
 pub const COFACTOR: [u64; 2] = [0x8c00_aaab_0000_aaab, 0x396c_8c00_5555_e156];
+
+/// The cube root of unity `β ∈ Fp` for which the endomorphism
+/// `φ(x, y) = (βx, y)` acts on G1 as multiplication by `−u²`, `u` the curve
+/// parameter ([`BLS_X`] is `|u|`).
+///
+/// `Fp` holds two primitive cube roots of unity, `ω = g^((p−1)/3)` for any
+/// non-cube `g`, and `ω²`; `φ` built on one is `[−u²]` on G1 and on the
+/// other `[u² − 1]` (the two roots of `λ² + λ + 1` modulo `r`). Derived
+/// once from the modulus and settled by the relation on the generator,
+/// rather than transcribed.
+fn beta() -> &'static Fp {
+    static BETA: OnceLock<Fp> = OnceLock::new();
+    BETA.get_or_init(|| {
+        let exp = limbs::div_by_u64(&limbs::sub_small(&Fp::MODULUS, 1), 3);
+        let omega = (2u64..)
+            .map(|g| Fp::from_u64(g).pow_vartime(&exp))
+            .find(|w| *w != Fp::ONE)
+            .expect("a non-cube exists below 2^64");
+        let g = G1Affine::generator();
+        let minus_u2_g = G1Projective::from(g).mul_by_u_squared().neg();
+        [omega, omega.square()]
+            .into_iter()
+            .find(|beta| G1Projective::from(g.endomorphism(beta)) == minus_u2_g)
+            .expect("one of the two cube roots of unity acts as [-u^2] on G1")
+    })
+}
 
 /// Affine G1 point (or the point at infinity).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -71,8 +100,28 @@ impl G1Affine {
         y2 == x3_plus_b
     }
 
-    /// Subgroup membership: `[r]P == O`. Variable time.
+    /// `φ(x, y) = (βx, y)` for a cube root of unity `β`: a curve
+    /// endomorphism, because only `x³` enters the curve equation.
+    fn endomorphism(&self, beta: &Fp) -> Self {
+        Self {
+            x: self.x.mul(beta),
+            ..*self
+        }
+    }
+
+    /// Subgroup membership of a point on the curve, by Scott's
+    /// endomorphism test (eprint 2021/1130 §6, proof revised in 2022/352):
+    /// `P ∈ G1 ⇔ φ(P) = −[u²]P`. Two 64-bit ladders instead of the 255-bit
+    /// `[r]P`. Variable time.
     pub fn is_torsion_free(&self) -> bool {
+        let u2_p = G1Projective::from(*self).mul_by_u_squared();
+        G1Projective::from(self.endomorphism(beta())) == u2_p.neg()
+    }
+
+    /// Subgroup membership by definition, `[r]P == O` — the oracle
+    /// [`Self::is_torsion_free`] is checked against.
+    #[cfg(test)]
+    fn is_annihilated_by_r(&self) -> bool {
         G1Projective::from(*self)
             .mul_limbs(&Fr::MODULUS)
             .is_identity()
@@ -85,6 +134,23 @@ impl G1Affine {
             y: self.y.neg(),
             infinity: self.infinity,
         }
+    }
+
+    /// `P + T` for `T = (0, 2)`, a point of order 3: for `P ∈ G1`, on the
+    /// curve and outside G1. The pairing does not see `T` (a point of order
+    /// prime to `r` lies in `r·E(Fp)`, where the reduced pairing is
+    /// trivial), so tests use this to show that a subgroup check, not the
+    /// pairing equation, is what refuses `σ + T`.
+    #[cfg(test)]
+    pub(crate) fn plus_order_three_point(&self) -> Self {
+        let t = Self {
+            x: Fp::ZERO,
+            y: Fp::from_u64(2),
+            infinity: false,
+        };
+        let shifted = G1Projective::from(*self).add_affine(&t).to_affine();
+        assert!(shifted.is_on_curve() && !shifted.is_annihilated_by_r());
+        shifted
     }
 
     /// Compressed encoding: 48 bytes, big-endian `x` with flag bits in the
@@ -113,10 +179,10 @@ impl G1Affine {
             return None; // not marked compressed
         }
         if flags & 0x40 != 0 {
-            // Infinity must have an all-zero body.
+            // Infinity has one encoding: no sign bit, all-zero body.
             let mut body = *bytes;
             body[0] &= 0x1f;
-            if body.iter().any(|&b| b != 0) {
+            if flags & 0x20 != 0 || body.iter().any(|&b| b != 0) {
                 return None;
             }
             return Some(Self::identity());
@@ -302,6 +368,11 @@ impl G1Projective {
         acc
     }
 
+    /// `[u²]P` for the curve parameter `u`: two 64-bit ladders.
+    fn mul_by_u_squared(&self) -> Self {
+        self.mul_limbs(&[BLS_X]).mul_limbs(&[BLS_X])
+    }
+
     /// Multiplies by the G1 cofactor, mapping any curve point into the
     /// order-`r` subgroup.
     pub fn clear_cofactor(&self) -> Self {
@@ -319,8 +390,9 @@ impl G1Projective {
 ///
 /// **Not constant time**: the iteration count leaks information about the
 /// (public) message. Do not use for secret inputs. Standards-track
-/// deployments should use SSWU; this repository documents the substitution
-/// in DESIGN.md.
+/// deployments should use SSWU (RFC 9380); try-and-increment is this
+/// repository's substitution for it — the same distribution on G1 at far
+/// less code, acceptable only because every hashed input here is public.
 pub fn hash_to_g1(msg: &[u8], dst: &[u8]) -> G1Projective {
     for ctr in 0u16..=1024 {
         let ctr_bytes = ctr.to_be_bytes();
@@ -354,12 +426,115 @@ pub fn hash_to_g1(msg: &[u8], dst: &[u8]) -> G1Projective {
 mod tests {
     use super::*;
     use crate::drbg::HmacDrbg;
+    use proptest::prelude::*;
+    use rand::RngCore;
 
     #[test]
     fn generator_on_curve_and_torsion_free() {
         let g = G1Affine::generator();
         assert!(g.is_on_curve());
         assert!(g.is_torsion_free());
+    }
+
+    /// A random point of `E(Fp)` — before any cofactor clearing, so almost
+    /// never in G1.
+    fn random_curve_point(rng: &mut HmacDrbg) -> G1Projective {
+        loop {
+            let x = Fp::random(rng);
+            if let Some(y) = x.square().mul(&x).add(&Fp::from_u64(4)).sqrt() {
+                let y = if rng.next_u32() & 1 == 1 { y.neg() } else { y };
+                return G1Projective { x, y, z: Fp::ONE };
+            }
+        }
+    }
+
+    /// Both subgroup tests on `p`, which must agree; returns their verdict.
+    fn in_g1(p: &G1Projective) -> bool {
+        let p = p.to_affine();
+        assert!(p.is_on_curve());
+        let verdict = p.is_torsion_free();
+        assert_eq!(verdict, p.is_annihilated_by_r(), "tests disagree on {p:?}");
+        verdict
+    }
+
+    #[test]
+    fn beta_is_a_primitive_cube_root_of_unity_acting_as_minus_u_squared() {
+        let beta = beta();
+        assert_ne!(*beta, Fp::ONE);
+        assert_eq!(beta.square().mul(beta), Fp::ONE);
+        // The other root fails the relation on the generator.
+        let g = G1Affine::generator();
+        let minus_u2_g = G1Projective::from(g).mul_by_u_squared().neg();
+        assert_eq!(G1Projective::from(g.endomorphism(beta)), minus_u2_g);
+        assert_ne!(
+            G1Projective::from(g.endomorphism(&beta.square())),
+            minus_u2_g
+        );
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// The endomorphism test against `[r]P == O` on points of G1,
+        /// points of the curve outside it, pure cofactor points and mixed
+        /// ones. (That at least 95 % of raw curve points lie outside G1 —
+        /// or this would test nothing — is counted in
+        /// `small_order_points_and_the_identity`.)
+        #[test]
+        fn endomorphism_test_agrees_with_the_definition(seed in any::<[u8; 32]>()) {
+            let mut rng = HmacDrbg::new(b"g1 subgroup oracle", &seed);
+            let member = G1Projective::random(&mut rng);
+            prop_assert!(in_g1(&member));
+            prop_assert!(in_g1(&member.double().neg()));
+
+            let raw = random_curve_point(&mut rng);
+            let cleared = raw.clear_cofactor();
+            prop_assert!(in_g1(&cleared));
+            // [r]P kills the G1 component and leaves the cofactor one.
+            let cofactor_part = raw.mul_limbs(&Fr::MODULUS);
+            prop_assert_eq!(in_g1(&raw), cofactor_part.is_identity());
+            prop_assert_eq!(in_g1(&cofactor_part), cofactor_part.is_identity());
+            prop_assert_eq!(
+                in_g1(&member.add(&cofactor_part)),
+                cofactor_part.is_identity()
+            );
+        }
+    }
+
+    #[test]
+    fn small_order_points_and_the_identity() {
+        assert!(in_g1(&G1Projective::identity()));
+        let mut rng = HmacDrbg::new(b"g1 subgroup oracle", b"small order");
+        let mut outside = 0;
+        let mut orders_seen = [false; 2];
+        for _ in 0..20 {
+            let raw = random_curve_point(&mut rng);
+            outside += usize::from(!in_g1(&raw));
+            // Divide the cofactor out: what [r]P leaves has order dividing
+            // h = 3 · 11² · …; strip every other prime, then walk down to
+            // order exactly ℓ.
+            let cofactor_part = raw.mul_limbs(&Fr::MODULUS);
+            for (slot, l) in [3u128, 11].into_iter().enumerate() {
+                let mut rest = (COFACTOR[1] as u128) << 64 | COFACTOR[0] as u128;
+                while rest.is_multiple_of(l) {
+                    rest /= l;
+                }
+                let (rest, l) = ([rest as u64, (rest >> 64) as u64], [l as u64]);
+                let mut point = cofactor_part.mul_limbs(&rest);
+                if point.is_identity() {
+                    continue;
+                }
+                while !point.mul_limbs(&l).is_identity() {
+                    point = point.mul_limbs(&l);
+                }
+                orders_seen[slot] = true;
+                assert!(!in_g1(&point), "a point of order {l:?} is not in G1");
+                // Nor is its sum with a point that is.
+                assert!(!in_g1(&point.add(&G1Projective::generator())));
+            }
+        }
+        assert!(outside >= 19, "only {outside} of 20 raw points outside G1");
+        assert_eq!(orders_seen, [true, true], "orders 3 and 11 both exercised");
     }
 
     #[test]
@@ -436,6 +611,68 @@ mod tests {
         // return the generator.
         if let Some(p) = G1Affine::from_compressed(&tampered) {
             assert_ne!(p, G1Affine::generator());
+        }
+    }
+
+    #[test]
+    fn infinity_has_exactly_one_encoding() {
+        // All eight flag patterns over a zero body. Not compressed: 0x00
+        // to 0x60. Compressed, x = 0: the order-3 points (0, ±2), on the
+        // curve and outside G1. Infinity with the sign bit: 0xe0 — decoded
+        // to the identity before this was fixed, a second encoding of it.
+        let decoded: Vec<u8> = (0u8..8)
+            .map(|flags| flags << 5)
+            .filter(|&flags| {
+                let mut bytes = [0u8; 48];
+                bytes[0] = flags;
+                G1Affine::from_compressed(&bytes).is_some()
+            })
+            .collect();
+        assert_eq!(decoded, vec![0xc0]);
+        let t = G1Affine::identity().plus_order_three_point();
+        assert!(t.x.is_zero() && !t.is_torsion_free());
+        assert!(G1Projective::from(t).mul_limbs(&[3]).is_identity());
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// Whatever decodes re-encodes to the bytes it came from: one
+        /// byte string per point. Inputs are valid encodings (a G1 point,
+        /// a raw curve point, infinity) under every flag pattern, with and
+        /// without a flipped body bit — arbitrary bytes practically never
+        /// get past the subgroup test, so they alone would test nothing.
+        #[test]
+        fn decoding_is_canonical(
+            seed in any::<[u8; 32]>(),
+            kind in 0u8..3,
+            flags in 0u8..8,
+            flip in 0usize..2 * 48 * 8,
+            arbitrary in any::<[u8; 48]>(),
+        ) {
+            let mut rng = HmacDrbg::new(b"g1 canonical", &seed);
+            let point = match kind {
+                0 => G1Projective::random(&mut rng).to_affine(),
+                1 => random_curve_point(&mut rng).to_affine(),
+                _ => G1Affine::identity(),
+            };
+            let mut bytes = point.to_compressed();
+            bytes[0] = (bytes[0] & 0x1f) | (flags << 5);
+            // Half the cases leave the body alone.
+            if flip < 48 * 8 {
+                bytes[flip / 8] ^= 1 << (flip % 8);
+            }
+            for candidate in [bytes, arbitrary] {
+                if let Some(decoded) = G1Affine::from_compressed(&candidate) {
+                    prop_assert_eq!(decoded.to_compressed(), candidate);
+                    prop_assert!(decoded.is_on_curve() && decoded.is_annihilated_by_r());
+                }
+            }
+            // And the point's own encoding round-trips when it is in G1.
+            prop_assert_eq!(
+                G1Affine::from_compressed(&point.to_compressed()),
+                point.is_annihilated_by_r().then_some(point)
+            );
         }
     }
 

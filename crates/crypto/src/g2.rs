@@ -146,9 +146,10 @@ impl G2Affine {
             return None;
         }
         if flags & 0x40 != 0 {
+            // Infinity has one encoding: no sign bit, all-zero body.
             let mut body = *bytes;
             body[0] &= 0x1f;
-            if body.iter().any(|&b| b != 0) {
+            if flags & 0x20 != 0 || body.iter().any(|&b| b != 0) {
                 return None;
             }
             return Some(Self::identity());
@@ -345,6 +346,7 @@ impl G2Projective {
 mod tests {
     use super::*;
     use crate::drbg::HmacDrbg;
+    use proptest::prelude::*;
 
     #[test]
     fn generator_on_curve_and_torsion_free() {
@@ -403,6 +405,57 @@ mod tests {
         bad[0] = 0xc0;
         bad[95] = 7;
         assert!(G2Affine::from_compressed(&bad).is_none());
+    }
+
+    #[test]
+    fn infinity_has_exactly_one_encoding() {
+        // All eight flag patterns over a zero body: 0xe0 (infinity *and*
+        // the sign bit) used to decode to the identity as well.
+        let decoded: Vec<u8> = (0u8..8)
+            .map(|flags| flags << 5)
+            .filter(|&flags| {
+                let mut bytes = [0u8; 96];
+                bytes[0] = flags;
+                G2Affine::from_compressed(&bytes).is_some()
+            })
+            .collect();
+        assert_eq!(decoded, vec![0xc0]);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(12))]
+
+        /// Whatever decodes re-encodes to the bytes it came from. Inputs
+        /// are valid encodings (a G2 point, infinity) under every flag
+        /// pattern, with and without a flipped body bit, and arbitrary
+        /// bytes.
+        #[test]
+        fn decoding_is_canonical(
+            seed in any::<[u8; 32]>(),
+            infinity in any::<bool>(),
+            flags in 0u8..8,
+            flip in 0usize..2 * 96 * 8,
+            arbitrary in any::<[u8; 96]>(),
+        ) {
+            let mut rng = HmacDrbg::new(b"g2 canonical", &seed);
+            let point = if infinity {
+                G2Affine::identity()
+            } else {
+                G2Projective::random(&mut rng).to_affine()
+            };
+            let mut bytes = point.to_compressed();
+            bytes[0] = (bytes[0] & 0x1f) | (flags << 5);
+            // Half the cases leave the body alone.
+            if flip < 96 * 8 {
+                bytes[flip / 8] ^= 1 << (flip % 8);
+            }
+            for candidate in [bytes, arbitrary] {
+                if let Some(decoded) = G2Affine::from_compressed(&candidate) {
+                    prop_assert_eq!(decoded.to_compressed(), candidate);
+                    prop_assert!(decoded.is_on_curve() && decoded.is_torsion_free());
+                }
+            }
+        }
     }
 
     #[test]

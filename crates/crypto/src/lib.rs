@@ -44,6 +44,11 @@ pub mod schnorr;
 pub mod sha256;
 pub mod threshold;
 
+/// `|x|` for the BLS12-381 curve parameter `x = -0xd201000000010000`
+/// (`r = x⁴ − x² + 1`): the Miller loop's length and the scalar of the G1
+/// subgroup test.
+pub(crate) const BLS_X: u64 = 0xd201_0000_0001_0000;
+
 pub use fp::Fp;
 pub use fr::Fr;
 pub use g1::{hash_to_g1, G1Affine, G1Projective};

@@ -6,17 +6,30 @@
 //! parameter `x = -0xd201000000010000`, then the easy + hard parts of the
 //! final exponentiation, with cyclotomic squarings in the hard part.
 //!
+//! There is one Miller loop. The doubling and addition steps depend on the
+//! G2 argument alone, so they run once per G2 point into a table of line
+//! coefficients (`prepare`, 68 triples; the generator's is built once
+//! per process), and the loop proper walks the tables of all its pairs
+//! together: one accumulator, squared once per bit of `x`, multiplied by
+//! every pair's line at that step. A product of `k` pairings therefore
+//! costs 63 `Fp12` squarings and one final exponentiation, not `63·k` and
+//! `k` — and [`pairing`], [`multi_pairing`] and [`pairing_equality`] are
+//! that loop over one, `k` and two pairs.
+//!
 //! Correctness is established by property tests: bilinearity in both
-//! arguments, non-degeneracy, and compatibility with scalar multiplication.
+//! arguments, non-degeneracy, compatibility with scalar multiplication, and
+//! agreement of the shared loop with a product of reference single-pair
+//! pairings that compute their lines on the fly.
 
 use crate::fp12::Fp12;
 use crate::fp2::Fp2;
 use crate::fr::Fr;
 use crate::g1::G1Affine;
 use crate::g2::{G2Affine, G2Projective};
-
-/// |x| for the BLS parameter `x = -0xd201000000010000`.
-const BLS_X: u64 = 0xd201_0000_0001_0000;
+use crate::BLS_X;
+use std::borrow::Cow;
+use std::cell::Cell;
+use std::sync::OnceLock;
 
 /// An element of the target group `GT ⊂ Fp12*` (the image of the pairing).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -48,9 +61,12 @@ impl Gt {
     }
 }
 
+/// Line coefficients produced by one doubling or addition step.
+type Line = (Fp2, Fp2, Fp2);
+
 /// Doubling step of the Miller loop; mutates `r ← 2r` and returns the line
 /// coefficients. Adapted from Algorithm 26 of eprint 2010/354.
-fn doubling_step(r: &mut G2Projective) -> (Fp2, Fp2, Fp2) {
+fn doubling_step(r: &mut G2Projective) -> Line {
     let tmp0 = r.x.square();
     let tmp1 = r.y.square();
     let tmp2 = tmp1.square();
@@ -74,7 +90,7 @@ fn doubling_step(r: &mut G2Projective) -> (Fp2, Fp2, Fp2) {
 
 /// Addition step of the Miller loop; mutates `r ← r + q` and returns the
 /// line coefficients. Adapted from Algorithm 27 of eprint 2010/354.
-fn addition_step(r: &mut G2Projective, q: &G2Affine) -> (Fp2, Fp2, Fp2) {
+fn addition_step(r: &mut G2Projective, q: &G2Affine) -> Line {
     let zsquared = r.z.square();
     let ysquared = q.y.square();
     let t0 = zsquared.mul(&q.x);
@@ -108,28 +124,70 @@ fn addition_step(r: &mut G2Projective, q: &G2Affine) -> (Fp2, Fp2, Fp2) {
 }
 
 /// Evaluates a line (coefficient triple) at `p` and multiplies it into `f`.
-fn ell(f: &Fp12, coeffs: &(Fp2, Fp2, Fp2), p: &G1Affine) -> Fp12 {
+fn ell(f: &Fp12, coeffs: &Line, p: &G1Affine) -> Fp12 {
     let c0 = coeffs.0.mul_by_fp(&p.y);
     let c1 = coeffs.1.mul_by_fp(&p.x);
     f.mul_by_014(&coeffs.2, &c1, &c0)
 }
 
-/// The Miller loop, producing the unreduced pairing value.
-fn miller_loop(p: &G1Affine, q: &G2Affine) -> Fp12 {
-    if p.infinity || q.infinity {
-        return Fp12::ONE;
+/// Bits of `|x|` below the most significant one, high to low — the
+/// iterations of the Miller loop.
+fn loop_bits() -> impl Iterator<Item = bool> {
+    let top = 63 - BLS_X.leading_zeros();
+    (0..top).rev().map(|i| (BLS_X >> i) & 1 == 1)
+}
+
+/// The line functions of one G2 point along the Miller loop, in the order
+/// the loop meets them: one per doubling, one more after it where the bit
+/// of `|x|` is set. Empty for the point at infinity.
+fn prepare(q: &G2Affine) -> Vec<Line> {
+    let mut lines = Vec::new();
+    if !q.infinity {
+        let mut r = G2Projective::from(*q);
+        for bit in loop_bits() {
+            lines.push(doubling_step(&mut r));
+            if bit {
+                lines.push(addition_step(&mut r, q));
+            }
+        }
     }
-    let mut r = G2Projective::from(*q);
+    lines
+}
+
+/// The line table for `q`: the process-wide one when `q` is the generator
+/// (the G2 argument of the signature side of every BLS check), a fresh one
+/// otherwise.
+fn lines_of(q: &G2Affine) -> Cow<'static, [Line]> {
+    static GENERATOR: OnceLock<Vec<Line>> = OnceLock::new();
+    if *q == G2Affine::generator() {
+        Cow::Borrowed(GENERATOR.get_or_init(|| prepare(q)))
+    } else {
+        Cow::Owned(prepare(q))
+    }
+}
+
+/// The Miller loop over all `pairs` — a G1 point and the line table of a
+/// G2 point each — at once, producing the unreduced value of
+/// `∏ e(pᵢ, qᵢ)`. A pair with the point at infinity on either side
+/// contributes the factor one.
+fn miller_loop(pairs: &[(&G1Affine, &[Line])]) -> Fp12 {
+    let pairs: Vec<_> = pairs
+        .iter()
+        .filter(|(p, lines)| !p.infinity && !lines.is_empty())
+        .collect();
+    let mut next = 0;
+    let mut times_next_lines = |f: Fp12| {
+        let step = next;
+        next += 1;
+        pairs
+            .iter()
+            .fold(f, |f, (p, lines)| ell(&f, &lines[step], p))
+    };
     let mut f = Fp12::ONE;
-    // Iterate over the bits of |BLS_X| below the most significant one.
-    let top = 63 - BLS_X.leading_zeros() as usize;
-    for i in (0..top).rev() {
-        f = f.square();
-        let coeffs = doubling_step(&mut r);
-        f = ell(&f, &coeffs, p);
-        if (BLS_X >> i) & 1 == 1 {
-            let coeffs = addition_step(&mut r, q);
-            f = ell(&f, &coeffs, p);
+    for bit in loop_bits() {
+        f = times_next_lines(f.square());
+        if bit {
+            f = times_next_lines(f);
         }
     }
     // x < 0: conjugate.
@@ -196,8 +254,21 @@ fn cyclotomic_exp(f: &Fp12) -> Fp12 {
     tmp.conjugate()
 }
 
+thread_local! {
+    static FINAL_EXPONENTIATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Final exponentiations the calling thread has performed so far. Every
+/// pairing check costs exactly one, on the thread that asks for it, so the
+/// difference across a call is the number of checks it made — what tests
+/// assert on instead of time.
+pub fn final_exponentiations() -> u64 {
+    FINAL_EXPONENTIATIONS.with(Cell::get)
+}
+
 /// The final exponentiation `f^{(p^12 - 1)/r}`.
 fn final_exponentiation(f: &Fp12) -> Gt {
+    FINAL_EXPONENTIATIONS.with(|n| n.set(n.get() + 1));
     let mut f = *f;
     // Easy part: f^{(p^6 - 1)(p^2 + 1)}.
     let mut t0 = f;
@@ -236,25 +307,26 @@ fn final_exponentiation(f: &Fp12) -> Gt {
 
 /// Computes the pairing `e(p, q)`.
 pub fn pairing(p: &G1Affine, q: &G2Affine) -> Gt {
-    final_exponentiation(&miller_loop(p, q))
+    final_exponentiation(&miller_loop(&[(p, &lines_of(q))]))
 }
 
-/// Computes `∏ e(p_i, q_i)` with a shared final exponentiation — the shape
-/// used by batched signature verification.
+/// Computes `∏ e(p_i, q_i)` with a shared Miller loop and final
+/// exponentiation — the shape used by batched signature verification.
 pub fn multi_pairing(pairs: &[(G1Affine, G2Affine)]) -> Gt {
-    let mut f = Fp12::ONE;
-    for (p, q) in pairs {
-        f = f.mul(&miller_loop(p, q));
-    }
-    final_exponentiation(&f)
+    let tables: Vec<_> = pairs.iter().map(|(_, q)| lines_of(q)).collect();
+    let pairs: Vec<_> = pairs
+        .iter()
+        .zip(&tables)
+        .map(|((p, _), lines)| (p, lines.as_ref()))
+        .collect();
+    final_exponentiation(&miller_loop(&pairs))
 }
 
 /// Checks `e(a1, a2) == e(b1, b2)` using the product trick:
-/// `e(a1, a2)·e(-b1, b2) == 1`. One final exponentiation total.
+/// `e(a1, a2)·e(-b1, b2) == 1`. One Miller loop, one final exponentiation.
 pub fn pairing_equality(a1: &G1Affine, a2: &G2Affine, b1: &G1Affine, b2: &G2Affine) -> bool {
-    let f1 = miller_loop(a1, a2);
-    let f2 = miller_loop(&b1.neg(), b2);
-    final_exponentiation(&f1.mul(&f2)).is_identity()
+    let f = miller_loop(&[(a1, &lines_of(a2)), (&b1.neg(), &lines_of(b2))]);
+    final_exponentiation(&f).is_identity()
 }
 
 #[cfg(test)]
@@ -262,6 +334,91 @@ mod tests {
     use super::*;
     use crate::drbg::HmacDrbg;
     use crate::g1::G1Projective;
+    use proptest::prelude::*;
+
+    /// The single-pair pairing this module used to be built on: lines
+    /// computed on the fly, one loop and one final exponentiation per
+    /// pair. Kept as the reference the shared loop is checked against.
+    fn reference_pairing(p: &G1Affine, q: &G2Affine) -> Gt {
+        if p.infinity || q.infinity {
+            return Gt::IDENTITY;
+        }
+        let mut r = G2Projective::from(*q);
+        let mut f = Fp12::ONE;
+        for bit in loop_bits() {
+            f = ell(&f.mul(&f), &doubling_step(&mut r), p);
+            if bit {
+                f = ell(&f, &addition_step(&mut r, q), p);
+            }
+        }
+        final_exponentiation(&f.conjugate())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(6))]
+
+        /// The shared loop over k = 1…4 pairs, any of them with infinity on
+        /// either side and any G2 argument the generator, equals the
+        /// product of reference pairings.
+        #[test]
+        fn shared_loop_matches_product_of_reference_pairings(
+            seed in any::<[u8; 32]>(),
+            shapes in proptest::collection::vec(0u8..9, 1..=4),
+        ) {
+            let mut rng = HmacDrbg::new(b"pairing oracle", &seed);
+            let pairs: Vec<(G1Affine, G2Affine)> = shapes
+                .iter()
+                .map(|shape| {
+                    let p = match shape % 3 {
+                        0 => G1Affine::identity(),
+                        _ => G1Projective::random(&mut rng).to_affine(),
+                    };
+                    let q = match shape / 3 {
+                        0 => G2Affine::identity(),
+                        1 => G2Affine::generator(),
+                        _ => G2Projective::random(&mut rng).to_affine(),
+                    };
+                    (p, q)
+                })
+                .collect();
+            let expected = pairs
+                .iter()
+                .fold(Gt::IDENTITY, |acc, (p, q)| acc.mul(&reference_pairing(p, q)));
+            prop_assert_eq!(multi_pairing(&pairs), expected);
+            let (p, q) = &pairs[0];
+            prop_assert_eq!(pairing(p, q), reference_pairing(p, q));
+            if let [(a1, a2), (b1, b2), ..] = pairs.as_slice() {
+                prop_assert_eq!(
+                    pairing_equality(a1, a2, b1, b2),
+                    reference_pairing(a1, a2) == reference_pairing(b1, b2)
+                );
+                prop_assert!(pairing_equality(a1, a2, a1, a2));
+            }
+        }
+    }
+
+    #[test]
+    fn the_shared_generator_table_is_the_freshly_prepared_one() {
+        let g = G2Affine::generator();
+        let shared = lines_of(&g);
+        assert!(matches!(shared, Cow::Borrowed(_)));
+        assert_eq!(shared.as_ref(), prepare(&g).as_slice());
+        assert_eq!(shared.len(), 68);
+        // Any other point gets its own.
+        let other = G2Projective::generator().double().to_affine();
+        assert!(matches!(lines_of(&other), Cow::Owned(_)));
+        assert!(lines_of(&G2Affine::identity()).is_empty());
+    }
+
+    #[test]
+    fn every_pairing_check_is_one_counted_final_exponentiation() {
+        let (g1, g2) = (G1Affine::generator(), G2Affine::generator());
+        let before = final_exponentiations();
+        pairing(&g1, &g2);
+        multi_pairing(&[(g1, g2), (g1, g2), (g1, g2)]);
+        assert!(pairing_equality(&g1, &g2, &g1, &g2));
+        assert_eq!(final_exponentiations() - before, 3);
+    }
 
     #[test]
     fn non_degenerate() {

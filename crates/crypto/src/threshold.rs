@@ -5,13 +5,17 @@
 //! domain stores a secret key share, and the trust domains can jointly sign
 //! a message" (§5). We implement a trusted-dealer setup hardened with
 //! Feldman commitments so each trust domain can verify its share — strictly
-//! stronger than the prototype's plain dealer (documented in DESIGN.md).
+//! stronger than the prototype's plain dealer, which hands out shares nobody
+//! can check.
+//!
+//! A client turns partial signatures into a group signature with a
+//! [`Combiner`]: aggregate first, one pairing check under the group key, and
+//! the per-partial Feldman checks only to name a culprit once that fails.
 
-use crate::bls::{PublicKey, Signature};
+use crate::bls::{PublicKey, Signature, MSG_DST};
 use crate::fr::Fr;
-use crate::g1::{hash_to_g1, G1Projective};
+use crate::g1::{hash_to_g1, G1Affine, G1Projective};
 use crate::g2::{G2Affine, G2Projective};
-use crate::pairing::pairing_equality;
 
 /// Errors from threshold operations.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -24,6 +28,10 @@ pub enum ThresholdError {
     ShareVerificationFailed { index: u8 },
     /// Duplicate share indices in an aggregation set.
     DuplicateIndex(u8),
+    /// Every partial passes its Feldman check yet their aggregate fails
+    /// under the group key: the key is not the one the commitments commit
+    /// to.
+    KeyMismatch,
 }
 
 impl core::fmt::Display for ThresholdError {
@@ -39,6 +47,9 @@ impl core::fmt::Display for ThresholdError {
                 write!(f, "share {index} failed Feldman verification")
             }
             Self::DuplicateIndex(i) => write!(f, "duplicate share index {i}"),
+            Self::KeyMismatch => {
+                write!(f, "group key does not match the Feldman commitments")
+            }
         }
     }
 }
@@ -166,7 +177,7 @@ fn eval_poly(coeffs: &[Fr], x: &Fr) -> Fr {
 
 /// Produces a partial signature with one share.
 pub fn partial_sign(share: &KeyShare, message: &[u8]) -> PartialSignature {
-    let h = hash_to_g1(message, crate::bls::MSG_DST);
+    let h = hash_to_g1(message, MSG_DST);
     PartialSignature {
         index: share.index,
         value: Signature(h.mul_scalar(&share.value).to_affine()),
@@ -180,12 +191,10 @@ pub fn verify_partial(
     message: &[u8],
     partial: &PartialSignature,
 ) -> bool {
-    if partial.value.0.infinity {
-        return false;
-    }
-    let pk_i = commitments.share_public_key(partial.index);
-    let h = hash_to_g1(message, crate::bls::MSG_DST).to_affine();
-    pairing_equality(&partial.value.0, &G2Affine::generator(), &h, &pk_i.0)
+    let h = hash_to_g1(message, MSG_DST).to_affine();
+    commitments
+        .share_public_key(partial.index)
+        .verify_prehashed(&h, &partial.value)
 }
 
 /// Lagrange coefficient `λ_i = Π_{j≠i} x_j / (x_j − x_i)` evaluated at 0.
@@ -229,6 +238,90 @@ pub fn aggregate(t: usize, partials: &[PartialSignature]) -> Result<Signature, T
         acc = acc.add(&G1Projective::from(p.value.0).mul_scalar(&lambda));
     }
     Ok(Signature(acc.to_affine()))
+}
+
+/// Client-side combination of partial signatures over one message into a
+/// group signature the caller can rely on — one pairing check when nobody
+/// lies.
+///
+/// **What "verified" means.** [`Combiner::combine`] hands out a signature
+/// only after checking it under the group key. BLS signatures are unique:
+/// for a given key and message exactly one point of G1 verifies, so a
+/// Lagrange aggregate that passes that check *is* the group signature,
+/// whatever the partials looked like one by one — two wrong partials whose
+/// errors cancel under the Lagrange weights yield the very bytes honest
+/// ones would. Partials are therefore not checked individually on the way
+/// in. The Feldman check of a single partial is the slow path that says
+/// *which* share holder lied; it runs only once an aggregate has failed,
+/// against the same `H(m)`, and at most once per partial.
+pub struct Combiner<'a> {
+    t: usize,
+    group_key: &'a PublicKey,
+    commitments: &'a FeldmanCommitments,
+    /// `H(m)`, hashed once.
+    h: G1Affine,
+    /// How many leading partials of the caller's batch have passed their
+    /// Feldman check (the survivors of an earlier failed round).
+    vetted: usize,
+    culprits: Vec<u8>,
+}
+
+impl<'a> Combiner<'a> {
+    /// A combiner for threshold-`t` signatures over `message` under
+    /// `group_key`, with `commitments` to blame individual partials.
+    pub fn new(
+        t: usize,
+        group_key: &'a PublicKey,
+        commitments: &'a FeldmanCommitments,
+        message: &[u8],
+    ) -> Self {
+        Self {
+            t,
+            group_key,
+            commitments,
+            h: hash_to_g1(message, MSG_DST).to_affine(),
+            vetted: 0,
+            culprits: Vec::new(),
+        }
+    }
+
+    /// Aggregates `partials[..t]` and checks the result under the group
+    /// key. `Ok(Some(σ))` is the verified group signature. `Ok(None)` means
+    /// the check failed and the partials that fail their Feldman check
+    /// have been removed from `partials` (survivors keep their order, at
+    /// the front) and recorded in [`Self::culprits`]: push replacements
+    /// and call again. Errors: [`aggregate`]'s, and
+    /// [`ThresholdError::KeyMismatch`] when no partial is to blame.
+    pub fn combine(
+        &mut self,
+        partials: &mut Vec<PartialSignature>,
+    ) -> Result<Option<Signature>, ThresholdError> {
+        let signature = aggregate(self.t, partials)?;
+        if self.group_key.verify_prehashed(&self.h, &signature) {
+            return Ok(Some(signature));
+        }
+        // Someone lied. Whoever survived an earlier round has been checked.
+        let (valid, failed): (Vec<_>, Vec<_>) = partials
+            .split_off(self.vetted.min(partials.len()))
+            .into_iter()
+            .partition(|p| {
+                self.commitments
+                    .share_public_key(p.index)
+                    .verify_prehashed(&self.h, &p.value)
+            });
+        partials.extend(valid);
+        self.vetted = partials.len();
+        if failed.is_empty() {
+            return Err(ThresholdError::KeyMismatch);
+        }
+        self.culprits.extend(failed.iter().map(|p| p.index));
+        Ok(None)
+    }
+
+    /// Share indices whose partials failed the Feldman check so far.
+    pub fn culprits(&self) -> &[u8] {
+        &self.culprits
+    }
 }
 
 /// Reconstructs a shared secret scalar from `t` shares (used by tests and by
@@ -379,6 +472,156 @@ mod tests {
             value: good.value,
         };
         assert!(!verify_partial(&keys.commitments, msg, &mislabeled));
+    }
+
+    /// Pairing checks `f` performs on this thread.
+    fn checks_in<T>(f: impl FnOnce() -> T) -> (T, u64) {
+        let before = crate::pairing::final_exponentiations();
+        let out = f();
+        (out, crate::pairing::final_exponentiations() - before)
+    }
+
+    #[test]
+    fn honest_partials_combine_with_one_pairing_check() {
+        let keys = setup(3, 5, b"combine honest");
+        let msg = b"one check";
+        let mut partials: Vec<PartialSignature> = keys.shares[1..4]
+            .iter()
+            .map(|s| partial_sign(s, msg))
+            .collect();
+        let mut combiner = Combiner::new(3, &keys.public_key, &keys.commitments, msg);
+        let (sig, checks) = checks_in(|| combiner.combine(&mut partials));
+        let sig = sig.unwrap().expect("honest partials verify");
+        assert_eq!(checks, 1);
+        assert!(keys.public_key.verify(msg, &sig));
+        assert!(combiner.culprits().is_empty());
+        assert_eq!(partials.len(), 3);
+    }
+
+    /// "Verified" is a statement about the signature handed out, not about
+    /// the partials: two partials that are each wrong, with errors that
+    /// cancel under the Lagrange weights of the subset, aggregate to the
+    /// unique group signature and are accepted without being looked at.
+    #[test]
+    fn partials_whose_errors_cancel_yield_the_group_signature() {
+        let keys = setup(3, 5, b"combine cancel");
+        let msg = b"errors that cancel";
+        let honest: Vec<PartialSignature> = keys.shares[..3]
+            .iter()
+            .map(|s| partial_sign(s, msg))
+            .collect();
+        let expected = aggregate(3, &honest).unwrap();
+
+        // σ₁' = σ₁ + λ₂·E and σ₂' = σ₂ − λ₁·E: λ₁σ₁' + λ₂σ₂' = λ₁σ₁ + λ₂σ₂.
+        let indices = [1u8, 2, 3];
+        let e = hash_to_g1(b"some error term", b"test");
+        let shift = |p: &PartialSignature, by: &G1Projective| PartialSignature {
+            index: p.index,
+            value: Signature(G1Projective::from(p.value.0).add(by).to_affine()),
+        };
+        let mut skewed = vec![
+            shift(&honest[0], &e.mul_scalar(&lagrange_at_zero(&indices, 1))),
+            shift(
+                &honest[1],
+                &e.mul_scalar(&lagrange_at_zero(&indices, 0)).neg(),
+            ),
+            honest[2],
+        ];
+        assert!(!verify_partial(&keys.commitments, msg, &skewed[0]));
+        assert!(!verify_partial(&keys.commitments, msg, &skewed[1]));
+
+        let mut combiner = Combiner::new(3, &keys.public_key, &keys.commitments, msg);
+        let (sig, checks) = checks_in(|| combiner.combine(&mut skewed));
+        assert_eq!(sig, Ok(Some(expected)));
+        assert_eq!(checks, 1);
+        assert!(combiner.culprits().is_empty());
+    }
+
+    #[test]
+    fn a_failed_aggregate_names_its_culprits_and_checks_each_partial_once() {
+        let keys = setup(3, 7, b"combine blame");
+        let msg = b"who lied";
+        let honest: Vec<PartialSignature> =
+            keys.shares.iter().map(|s| partial_sign(s, msg)).collect();
+        let mut batch = vec![
+            // Share 1 answers with the point at infinity.
+            PartialSignature {
+                index: 1,
+                value: Signature(G1Affine::identity()),
+            },
+            // Share 2 passes off share 3's partial as its own.
+            PartialSignature {
+                index: 2,
+                value: honest[2].value,
+            },
+            honest[3],
+        ];
+        let mut combiner = Combiner::new(3, &keys.public_key, &keys.commitments, msg);
+        // The failed aggregate, then the two finite partials (infinity is
+        // refused before any pairing).
+        let (round, checks) = checks_in(|| combiner.combine(&mut batch));
+        assert_eq!(round, Ok(None));
+        assert_eq!(checks, 3);
+        assert_eq!(combiner.culprits(), &[1, 2]);
+        assert_eq!(batch, vec![honest[3]]);
+
+        // A well-formed partial under a share nobody dealt, and an honest
+        // one: the survivor of the first round is not checked again.
+        let stranger = KeyShare {
+            index: 5,
+            value: Fr::from_u64(7),
+        };
+        batch.extend([partial_sign(&stranger, msg), honest[5]]);
+        let (round, checks) = checks_in(|| combiner.combine(&mut batch));
+        assert_eq!(round, Ok(None));
+        assert_eq!(checks, 3);
+        assert_eq!(combiner.culprits(), &[1, 2, 5]);
+        assert_eq!(batch, vec![honest[3], honest[5]]);
+
+        batch.push(honest[6]);
+        let (round, checks) = checks_in(|| combiner.combine(&mut batch));
+        let sig = round.unwrap().expect("three honest partials");
+        assert_eq!(checks, 1);
+        assert!(keys.public_key.verify(msg, &sig));
+        assert_eq!(combiner.culprits(), &[1, 2, 5]);
+
+        // Too few left to aggregate is the caller's to report.
+        batch.truncate(2);
+        assert_eq!(
+            combiner.combine(&mut batch),
+            Err(ThresholdError::InsufficientShares { have: 2, need: 3 })
+        );
+    }
+
+    #[test]
+    fn a_group_key_the_commitments_do_not_commit_to_is_an_error_not_a_loop() {
+        let keys = setup(2, 3, b"combine mismatch");
+        let other = setup(2, 3, b"combine mismatch, other dealer");
+        let msg = b"pinned the wrong key";
+        let mut partials: Vec<PartialSignature> = keys.shares[..2]
+            .iter()
+            .map(|s| partial_sign(s, msg))
+            .collect();
+        let mut combiner = Combiner::new(2, &other.public_key, &keys.commitments, msg);
+        assert_eq!(
+            combiner.combine(&mut partials),
+            Err(ThresholdError::KeyMismatch)
+        );
+        assert!(combiner.culprits().is_empty());
+        assert_eq!(partials.len(), 2);
+    }
+
+    #[test]
+    fn verify_partial_refuses_a_point_outside_g1() {
+        let keys = setup(2, 3, b"partial subgroup");
+        let msg = b"audit me";
+        let good = partial_sign(&keys.shares[0], msg);
+        assert!(verify_partial(&keys.commitments, msg, &good));
+        let shifted = PartialSignature {
+            index: good.index,
+            value: Signature(good.value.0.plus_order_three_point()),
+        };
+        assert!(!verify_partial(&keys.commitments, msg, &shifted));
     }
 
     #[test]

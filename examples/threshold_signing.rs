@@ -30,8 +30,9 @@ fn main() {
     let mut session = client.session(TrustPolicy::pinned(deployment.initial_app_digest));
 
     // Collect partial signatures and aggregate: one pipelined fan-out,
-    // returning as soon as t = 3 valid partials are in (the gating audit
-    // runs inside this first call).
+    // returning as soon as t = 3 partials are in and their aggregate
+    // verifies under the group key (the gating audit runs inside this
+    // first call).
     let signer = ThresholdSigningClient::new(public.clone());
     let message = b"release v2.1.0 of the wallet firmware";
 

@@ -38,7 +38,8 @@
 //! let mut session = client.session(TrustPolicy::pinned(deployment.initial_app_digest));
 //!
 //! // Jointly sign with t-of-n trust domains: one pipelined fan-out,
-//! // returning as soon as t valid partial signatures arrive.
+//! // returning as soon as t partial signatures have arrived and their
+//! // aggregate verifies under the group key.
 //! let signer = threshold_signer::ThresholdSigningClient::new(public);
 //! let sig = signer.sign(&mut session, b"hello distributed trust").unwrap();
 //! assert!(session.last_audit().unwrap().is_clean());
