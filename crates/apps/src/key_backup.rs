@@ -165,23 +165,26 @@ impl BackupHost {
 }
 
 impl AppHost for BackupHost {
+    /// The guest declares each import's argument count and chooses every
+    /// address and length, and a release may carry any guest: a wrong count
+    /// or a payload too short for its header is an error, never an index.
     fn call(&mut self, name: &str, args: &[u64], memory: &mut Memory) -> Result<Vec<u64>, String> {
-        match name {
-            "backup.store" => {
-                let (addr, len) = (args[0], args[1]);
-                let payload = memory.read(addr, len).map_err(|e| e.to_string())?.to_vec();
-                let user_id = u64::from_le_bytes(payload[..8].try_into().expect("8 bytes"));
-                let mut token_hash = [0u8; 32];
-                token_hash.copy_from_slice(&payload[8..40]);
-                let share = payload[40..].to_vec();
+        match (name, args) {
+            ("backup.store", &[addr, len]) => {
+                let payload = memory.read(addr, len).map_err(|e| e.to_string())?;
+                // user_id(8) + token_hash(32) + share
+                let short = || format!("backup.store payload of {len} bytes is too short");
+                let (user_id, rest) = payload.split_first_chunk::<8>().ok_or_else(short)?;
+                let (token_hash, share) = rest.split_first_chunk::<32>().ok_or_else(short)?;
+                let user_id = u64::from_le_bytes(*user_id);
                 if self.records.contains_key(&user_id) {
                     return Ok(vec![5]);
                 }
-                self.records.insert(user_id, (token_hash, share));
+                self.records.insert(user_id, (*token_hash, share.to_vec()));
                 Ok(vec![0])
             }
-            "backup.fetch" => {
-                let user_id = Self::read_user_id(memory, args[0])?;
+            ("backup.fetch", &[addr]) => {
+                let user_id = Self::read_user_id(memory, addr)?;
                 match self.records.get(&user_id) {
                     Some((hash, _)) => {
                         memory
@@ -192,8 +195,8 @@ impl AppHost for BackupHost {
                     None => Ok(vec![0]),
                 }
             }
-            "backup.share_out" => {
-                let user_id = Self::read_user_id(memory, args[0])?;
+            ("backup.share_out", &[addr]) => {
+                let user_id = Self::read_user_id(memory, addr)?;
                 let (_, share) = self
                     .records
                     .get(&user_id)
@@ -203,14 +206,16 @@ impl AppHost for BackupHost {
                     .map_err(|e| e.to_string())?;
                 Ok(vec![share.len() as u64])
             }
-            "crypto.sha256_to" => {
-                let (addr, len, out) = (args[0], args[1], args[2]);
-                let data = memory.read(addr, len).map_err(|e| e.to_string())?.to_vec();
-                let digest = distrust_crypto::sha256(&data);
+            ("crypto.sha256_to", &[addr, len, out]) => {
+                let data = memory.read(addr, len).map_err(|e| e.to_string())?;
+                let digest = distrust_crypto::sha256(data);
                 memory.write(out, &digest).map_err(|e| e.to_string())?;
                 Ok(vec![])
             }
-            other => Err(format!("unknown import {other:?}")),
+            _ => Err(format!(
+                "unknown import {name:?} with {} arguments",
+                args.len()
+            )),
         }
     }
 }

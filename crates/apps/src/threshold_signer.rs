@@ -10,7 +10,11 @@
 //! formulas — with only the 381-bit **field operations** exposed as host
 //! imports (the analogue of a Wasm build calling a native bignum, with the
 //! thousands of guest↔host boundary crossings and interpreted control flow
-//! that the paper's Table 3 prices). The share itself lives host-side,
+//! that the paper's Table 3 prices). The imports are three-address over a
+//! fixed host-side register file, the convention every native bignum
+//! exposes (`mpz_mul(rop, a, b)`): the guest names the destination
+//! register, one crossing per field operation, and a crossing allocates
+//! nothing and grows nothing on the host. The share itself lives host-side,
 //! sealed to the trust domain; partial signatures leave through the guest
 //! outbox and aggregate client-side into a standard BLS signature under
 //! the group public key.
@@ -44,14 +48,18 @@ pub const METHOD_SIGN: u64 = 1;
 /// Method id for querying the share index.
 pub const METHOD_INDEX: u64 = 2;
 
-/// Guest memory slots holding the Fp handles of the accumulator (Jacobian)
-/// and the base point (affine).
-mod layout {
-    pub const ACC_X: u64 = 256;
-    pub const ACC_Y: u64 = 264;
-    pub const ACC_Z: u64 = 272;
-    pub const BASE_X: u64 = 288;
-    pub const BASE_Y: u64 = 296;
+/// The host's field registers, as the guest names them: the accumulator
+/// (Jacobian), the base point `H(m)` (affine), and the eight temporaries
+/// the two point formulas need between them.
+mod reg {
+    pub const ACC_X: u64 = 0;
+    pub const ACC_Y: u64 = 1;
+    pub const ACC_Z: u64 = 2;
+    pub const BASE_X: u64 = 3;
+    pub const BASE_Y: u64 = 4;
+    /// The first of the eight temporaries.
+    pub const T: u64 = 5;
+    pub const COUNT: usize = T as usize + 8;
 }
 
 /// Import indices (order of declaration below).
@@ -64,6 +72,7 @@ struct Imports {
     dbl: u16,
     tpl: u16,
     one: u16,
+    mov: u16,
     is_zero: u16,
     share_bit: u16,
     emit: u16,
@@ -72,114 +81,118 @@ struct Imports {
 
 fn declare_imports(mb: &mut ModuleBuilder) -> Imports {
     Imports {
-        // Resets the handle table, hashes the message to an affine G1
-        // point, returns (x_handle, y_handle).
-        hash_msg: mb.import("bls.hash_msg", 2, 2),
-        sq: mb.import("fp.sq", 1, 1),
-        mul: mb.import("fp.mul", 2, 1),
-        add: mb.import("fp.add", 2, 1),
-        sub: mb.import("fp.sub", 2, 1),
-        dbl: mb.import("fp.dbl", 1, 1),
-        tpl: mb.import("fp.tpl", 1, 1),
-        one: mb.import("fp.one", 0, 1),
+        // hash_msg(addr, len): hashes the message to an affine G1 point
+        // and writes it into the two base registers.
+        hash_msg: mb.import("bls.hash_msg", 2, 0),
+        // Field operations name their destination register first and
+        // return nothing: sq(dst, a), mul(dst, a, b), …, one(dst).
+        sq: mb.import("fp.sq", 2, 0),
+        mul: mb.import("fp.mul", 3, 0),
+        add: mb.import("fp.add", 3, 0),
+        sub: mb.import("fp.sub", 3, 0),
+        dbl: mb.import("fp.dbl", 2, 0),
+        tpl: mb.import("fp.tpl", 2, 0),
+        one: mb.import("fp.one", 1, 0),
+        mov: mb.import("fp.mov", 2, 0),
         is_zero: mb.import("fp.is_zero", 1, 1),
         share_bit: mb.import("bls.share_bit", 1, 1),
-        // emit(x, y, z): Jacobian → affine → compressed bytes → outbox.
+        // emit(x, y, z): the Jacobian point in those three registers →
+        // affine → compressed bytes → outbox; returns the length.
         emit: mb.import("bls.emit", 3, 1),
         share_index: mb.import("bls.share_index", 0, 1),
     }
 }
 
+/// Emits `import(dst, a)`: one crossing, no result.
+fn op2(f: &mut FuncBuilder, import: u16, dst: u64, a: u64) {
+    f.constant(dst).constant(a).host(import);
+}
+
+/// Emits `import(dst, a, b)`: one crossing, no result.
+fn op3(f: &mut FuncBuilder, import: u16, dst: u64, a: u64, b: u64) {
+    f.constant(dst).constant(a).constant(b).host(import);
+}
+
 /// Builds the guest function for Jacobian point doubling (a = 0 curve):
-/// reads the accumulator handles from memory, runs the dbl-2009-l-style
-/// formula through field host calls, writes the result handles back.
+/// runs the dbl-2009-l formula on the accumulator registers through field
+/// host calls, writing X3, Y3 and Z3 in place.
 fn build_double(im: &Imports) -> distrust_sandbox::Function {
-    // locals: 0=X 1=Y 2=Z 3=A 4=B 5=C 6=D 7=E 8=F 9=Z3
-    // Z3 is computed first because it needs the old Y, which the Y3 slot
-    // overwrites.
-    let mut f = FuncBuilder::new(0, 10, 0);
-    f.constant(layout::ACC_X).load64(0).lset(0);
-    f.constant(layout::ACC_Y).load64(0).lset(1);
-    f.constant(layout::ACC_Z).load64(0).lset(2);
-    // Z3 first (needs old Y and old Z): Z3 = 2·Y·Z  → stash in local 9.
-    f.lget(1).lget(2).host(im.mul).host(im.dbl).lset(9);
+    use reg::{ACC_X as X, ACC_Y as Y, ACC_Z as Z};
+    let [a, b, c, d, e, ff] = [0, 1, 2, 3, 4, 5].map(|t| reg::T + t);
+    let mut f = FuncBuilder::new(0, 0, 0);
+    // Z3 = 2·Y·Z first: it needs the old Y, which Y3 overwrites.
+    op3(&mut f, im.mul, Z, Y, Z);
+    op2(&mut f, im.dbl, Z, Z);
     // A = X²; B = Y²; C = B²
-    f.lget(0).host(im.sq).lset(3);
-    f.lget(1).host(im.sq).lset(4);
-    f.lget(4).host(im.sq).lset(5);
-    // D = 2·((X + B)² − A − C)  → local 6
-    f.lget(0).lget(4).host(im.add).host(im.sq).lset(6);
-    f.lget(6).lget(3).host(im.sub).lset(6);
-    f.lget(6).lget(5).host(im.sub).lset(6);
-    f.lget(6).host(im.dbl).lset(6);
-    // E = 3A → 7 ; F = E² → 8
-    f.lget(3).host(im.tpl).lset(7);
-    f.lget(7).host(im.sq).lset(8);
-    // X3 = F − 2D → local 0
-    f.lget(6).host(im.dbl).lset(4); // reuse 4 as temp (B dead)
-    f.lget(8).lget(4).host(im.sub).lset(0);
-    // Y3 = E·(D − X3) − 8C → local 1
-    f.lget(6).lget(0).host(im.sub).lset(4);
-    f.lget(7).lget(4).host(im.mul).lset(4);
-    f.lget(5).host(im.dbl).host(im.dbl).host(im.dbl).lset(5);
-    f.lget(4).lget(5).host(im.sub).lset(1);
-    // Store back.
-    f.constant(layout::ACC_X).lget(0).store64(0);
-    f.constant(layout::ACC_Y).lget(1).store64(0);
-    f.constant(layout::ACC_Z).lget(9).store64(0);
+    op2(&mut f, im.sq, a, X);
+    op2(&mut f, im.sq, b, Y);
+    op2(&mut f, im.sq, c, b);
+    // D = 2·((X + B)² − A − C)
+    op3(&mut f, im.add, d, X, b);
+    op2(&mut f, im.sq, d, d);
+    op3(&mut f, im.sub, d, d, a);
+    op3(&mut f, im.sub, d, d, c);
+    op2(&mut f, im.dbl, d, d);
+    // E = 3A; F = E²
+    op2(&mut f, im.tpl, e, a);
+    op2(&mut f, im.sq, ff, e);
+    // X3 = F − 2D (B is dead: reuse it)
+    op2(&mut f, im.dbl, b, d);
+    op3(&mut f, im.sub, X, ff, b);
+    // Y3 = E·(D − X3) − 8C
+    op3(&mut f, im.sub, b, d, X);
+    op3(&mut f, im.mul, b, e, b);
+    op2(&mut f, im.dbl, c, c);
+    op2(&mut f, im.dbl, c, c);
+    op2(&mut f, im.dbl, c, c);
+    op3(&mut f, im.sub, Y, b, c);
     f.ret();
     f.build().expect("double builds")
 }
 
 /// Builds the guest function for mixed addition `acc += base` (madd-2007-bl
-/// with Z2 = 1). Traps if `acc == ±base` (probability ≈ 2⁻²⁵⁵ in the
-/// ladder; a trap is contained by the framework).
+/// with Z2 = 1), in place on the accumulator registers. Traps if
+/// `acc == ±base` (probability ≈ 2⁻²⁵⁵ in the ladder; a trap is contained by
+/// the framework).
 fn build_add_base(im: &Imports) -> distrust_sandbox::Function {
-    // locals: 0=X1 1=Y1 2=Z1 3=X2 4=Y2 5=Z1Z1 6=H 7=I 8=J 9=r 10=V 11=t 12=u
-    let mut f = FuncBuilder::new(0, 13, 0);
-    f.constant(layout::ACC_X).load64(0).lset(0);
-    f.constant(layout::ACC_Y).load64(0).lset(1);
-    f.constant(layout::ACC_Z).load64(0).lset(2);
-    f.constant(layout::BASE_X).load64(0).lset(3);
-    f.constant(layout::BASE_Y).load64(0).lset(4);
-    // Z1Z1 = Z1²
-    f.lget(2).host(im.sq).lset(5);
-    // U2 = X2·Z1Z1 → t ; H = U2 − X1
-    f.lget(3).lget(5).host(im.mul).lset(11);
-    f.lget(11).lget(0).host(im.sub).lset(6);
+    use reg::{ACC_X as X1, ACC_Y as Y1, ACC_Z as Z1, BASE_X as X2, BASE_Y as Y2};
+    let [z1z1, t, h, r, hh, i, j, v] = [0, 1, 2, 3, 4, 5, 6, 7].map(|t| reg::T + t);
+    let mut f = FuncBuilder::new(0, 0, 0);
+    // Z1Z1 = Z1²; U2 = X2·Z1Z1 → t; H = U2 − X1
+    op2(&mut f, im.sq, z1z1, Z1);
+    op3(&mut f, im.mul, t, X2, z1z1);
+    op3(&mut f, im.sub, h, t, X1);
     // Degenerate case guard.
-    f.lget(6).host(im.is_zero).jz("ok");
+    f.constant(h).host(im.is_zero).jz("ok");
     f.op(Instr::Trap);
     f.label("ok");
-    // S2 = Y2·Z1·Z1Z1 → t
-    f.lget(4).lget(2).host(im.mul).lset(11);
-    f.lget(11).lget(5).host(im.mul).lset(11);
-    // r = 2·(S2 − Y1)
-    f.lget(11).lget(1).host(im.sub).host(im.dbl).lset(9);
-    // HH = H² → u ; I = 4·HH ; J = H·I
-    f.lget(6).host(im.sq).lset(12);
-    f.lget(12).host(im.dbl).host(im.dbl).lset(7);
-    f.lget(6).lget(7).host(im.mul).lset(8);
-    // V = X1·I
-    f.lget(0).lget(7).host(im.mul).lset(10);
-    // X3 = r² − J − 2V
-    f.lget(9).host(im.sq).lset(11);
-    f.lget(11).lget(8).host(im.sub).lset(11);
-    f.lget(10).host(im.dbl).lset(7); // reuse 7 (I dead)
-    f.lget(11).lget(7).host(im.sub).lset(11); // X3 in t (11)
-                                              // Y3 = r·(V − X3) − 2·Y1·J
-    f.lget(10).lget(11).host(im.sub).lset(7);
-    f.lget(9).lget(7).host(im.mul).lset(7);
-    f.lget(1).lget(8).host(im.mul).host(im.dbl).lset(8);
-    f.lget(7).lget(8).host(im.sub).lset(7); // Y3 in 7
-                                            // Z3 = (Z1 + H)² − Z1Z1 − HH
-    f.lget(2).lget(6).host(im.add).host(im.sq).lset(8);
-    f.lget(8).lget(5).host(im.sub).lset(8);
-    f.lget(8).lget(12).host(im.sub).lset(8); // Z3 in 8
-                                             // Store back.
-    f.constant(layout::ACC_X).lget(11).store64(0);
-    f.constant(layout::ACC_Y).lget(7).store64(0);
-    f.constant(layout::ACC_Z).lget(8).store64(0);
+    // S2 = Y2·Z1·Z1Z1 → t; r = 2·(S2 − Y1)
+    op3(&mut f, im.mul, t, Y2, Z1);
+    op3(&mut f, im.mul, t, t, z1z1);
+    op3(&mut f, im.sub, r, t, Y1);
+    op2(&mut f, im.dbl, r, r);
+    // HH = H²; I = 4·HH; J = H·I; V = X1·I
+    op2(&mut f, im.sq, hh, h);
+    op2(&mut f, im.dbl, i, hh);
+    op2(&mut f, im.dbl, i, i);
+    op3(&mut f, im.mul, j, h, i);
+    op3(&mut f, im.mul, v, X1, i);
+    // X3 = r² − J − 2V (I is dead: reuse it)
+    op2(&mut f, im.sq, t, r);
+    op3(&mut f, im.sub, t, t, j);
+    op2(&mut f, im.dbl, i, v);
+    op3(&mut f, im.sub, X1, t, i);
+    // Y3 = r·(V − X3) − 2·Y1·J
+    op3(&mut f, im.sub, i, v, X1);
+    op3(&mut f, im.mul, i, r, i);
+    op3(&mut f, im.mul, j, Y1, j);
+    op2(&mut f, im.dbl, j, j);
+    op3(&mut f, im.sub, Y1, i, j);
+    // Z3 = (Z1 + H)² − Z1Z1 − HH
+    op3(&mut f, im.add, t, Z1, h);
+    op2(&mut f, im.sq, t, t);
+    op3(&mut f, im.sub, t, t, z1z1);
+    op3(&mut f, im.sub, Z1, t, hh);
     f.ret();
     f.build().expect("add_base builds")
 }
@@ -207,10 +220,8 @@ pub fn signer_module() -> Module {
 
     // --- the signing ladder.
     f.label("sign");
-    // base = H(m): host returns (x, y); store handles (y on top).
+    // base = H(m)
     f.lget(1).lget(2).host(im.hash_msg);
-    f.constant(layout::BASE_Y).op(Instr::Swap).store64(0);
-    f.constant(layout::BASE_X).op(Instr::Swap).store64(0);
     // Find the top set bit of the share, scanning from 254 down.
     f.constant(254).lset(3);
     f.label("scan");
@@ -219,15 +230,9 @@ pub fn signer_module() -> Module {
     f.jmp("scan"); // share == 0 is rejected at keygen; bit must exist.
     f.label("found");
     // acc = (base_x, base_y, 1)
-    f.constant(layout::ACC_X)
-        .constant(layout::BASE_X)
-        .load64(0)
-        .store64(0);
-    f.constant(layout::ACC_Y)
-        .constant(layout::BASE_Y)
-        .load64(0)
-        .store64(0);
-    f.constant(layout::ACC_Z).host(im.one).store64(0);
+    op2(&mut f, im.mov, reg::ACC_X, reg::BASE_X);
+    op2(&mut f, im.mov, reg::ACC_Y, reg::BASE_Y);
+    f.constant(reg::ACC_Z).host(im.one);
     // for i-1 down to 0: acc = 2·acc; if bit(i): acc += base
     f.label("ladder");
     f.lget(3).jz("emit_point");
@@ -238,9 +243,9 @@ pub fn signer_module() -> Module {
     f.jmp("ladder");
     // Emit the compressed point and return its length.
     f.label("emit_point");
-    f.constant(layout::ACC_X).load64(0);
-    f.constant(layout::ACC_Y).load64(0);
-    f.constant(layout::ACC_Z).load64(0);
+    f.constant(reg::ACC_X)
+        .constant(reg::ACC_Y)
+        .constant(reg::ACC_Z);
     f.host(im.emit).ret();
 
     let handle_idx = mb.function(f.build().expect("signer guest builds"));
@@ -251,12 +256,12 @@ pub fn signer_module() -> Module {
     mb.build()
 }
 
-/// Host-side state for one trust domain: its key share and the Fp-element
-/// slot table the guest addresses by handle.
+/// Host-side state for one trust domain: its key share and the field
+/// registers the guest computes in. Nothing here grows with use.
 pub struct SignerHost {
     share: KeyShare,
     share_bits: [u64; 4],
-    slots: Vec<Fp>,
+    regs: [Fp; reg::COUNT],
 }
 
 impl SignerHost {
@@ -265,77 +270,67 @@ impl SignerHost {
         Self {
             share_bits: share.value.to_canonical_limbs(),
             share,
-            slots: Vec::new(),
+            regs: [Fp::ZERO; reg::COUNT],
         }
     }
 
-    fn push_slot(&mut self, v: Fp) -> u64 {
-        self.slots.push(v);
-        (self.slots.len() - 1) as u64
+    /// Reads register `r`; the guest chooses `r`, so it is checked.
+    fn reg(&self, r: u64) -> Result<Fp, String> {
+        let slot = usize::try_from(r).ok().and_then(|r| self.regs.get(r));
+        slot.copied()
+            .ok_or_else(|| format!("field register {r} out of range"))
     }
 
-    fn slot(&self, h: u64) -> Result<Fp, String> {
-        self.slots
-            .get(h as usize)
-            .copied()
-            .ok_or_else(|| format!("invalid field handle {h}"))
+    /// Writes register `dst`, checked like [`Self::reg`].
+    fn set(&mut self, dst: u64, v: Fp) -> Result<Vec<u64>, String> {
+        let slot = usize::try_from(dst)
+            .ok()
+            .and_then(|dst| self.regs.get_mut(dst))
+            .ok_or_else(|| format!("field register {dst} out of range"))?;
+        *slot = v;
+        Ok(Vec::new())
     }
 }
 
 impl AppHost for SignerHost {
+    /// The module that declares an import also declares how many arguments
+    /// it passes, and a release may carry any module: a name paired with
+    /// the wrong argument count is an error like an unknown name.
     fn call(&mut self, name: &str, args: &[u64], memory: &mut Memory) -> Result<Vec<u64>, String> {
-        match name {
-            "bls.hash_msg" => {
-                let (addr, len) = (args[0], args[1]);
-                let msg = memory.read(addr, len).map_err(|e| e.to_string())?.to_vec();
-                self.slots.clear();
-                let h = hash_to_g1(&msg, distrust_crypto::bls::MSG_DST).to_affine();
-                let hx = self.push_slot(h.x);
-                let hy = self.push_slot(h.y);
-                Ok(vec![hx, hy])
+        // Matched as bytes, not as `str`: byte-string patterns compile to a
+        // decision tree on length and bytes, and this runs 8 000 times per
+        // signature.
+        match (name.as_bytes(), args) {
+            (b"fp.sq", &[dst, a]) => self.set(dst, self.reg(a)?.square()),
+            (b"fp.mul", &[dst, a, b]) => self.set(dst, self.reg(a)?.mul(&self.reg(b)?)),
+            (b"fp.add", &[dst, a, b]) => self.set(dst, self.reg(a)?.add(&self.reg(b)?)),
+            (b"fp.sub", &[dst, a, b]) => self.set(dst, self.reg(a)?.sub(&self.reg(b)?)),
+            (b"fp.dbl", &[dst, a]) => self.set(dst, self.reg(a)?.double()),
+            (b"fp.tpl", &[dst, a]) => {
+                let a = self.reg(a)?;
+                self.set(dst, a.double().add(&a))
             }
-            "fp.sq" => {
-                let a = self.slot(args[0])?;
-                Ok(vec![self.push_slot(a.square())])
+            (b"fp.one", &[dst]) => self.set(dst, Fp::ONE),
+            (b"fp.mov", &[dst, a]) => self.set(dst, self.reg(a)?),
+            (b"fp.is_zero", &[a]) => Ok(vec![self.reg(a)?.is_zero() as u64]),
+            (b"bls.share_bit", &[i]) => {
+                let limb = usize::try_from(i / 64)
+                    .ok()
+                    .and_then(|limb| self.share_bits.get(limb))
+                    .ok_or_else(|| format!("share bit index {i} out of range"))?;
+                Ok(vec![(limb >> (i % 64)) & 1])
             }
-            "fp.mul" => {
-                let (a, b) = (self.slot(args[0])?, self.slot(args[1])?);
-                Ok(vec![self.push_slot(a.mul(&b))])
+            (b"bls.hash_msg", &[addr, len]) => {
+                let msg = memory.read(addr, len).map_err(|e| e.to_string())?;
+                let h = hash_to_g1(msg, distrust_crypto::bls::MSG_DST).to_affine();
+                self.set(reg::BASE_X, h.x)?;
+                self.set(reg::BASE_Y, h.y)
             }
-            "fp.add" => {
-                let (a, b) = (self.slot(args[0])?, self.slot(args[1])?);
-                Ok(vec![self.push_slot(a.add(&b))])
-            }
-            "fp.sub" => {
-                let (a, b) = (self.slot(args[0])?, self.slot(args[1])?);
-                Ok(vec![self.push_slot(a.sub(&b))])
-            }
-            "fp.dbl" => {
-                let a = self.slot(args[0])?;
-                Ok(vec![self.push_slot(a.double())])
-            }
-            "fp.tpl" => {
-                let a = self.slot(args[0])?;
-                Ok(vec![self.push_slot(a.double().add(&a))])
-            }
-            "fp.one" => Ok(vec![self.push_slot(Fp::ONE)]),
-            "fp.is_zero" => {
-                let a = self.slot(args[0])?;
-                Ok(vec![a.is_zero() as u64])
-            }
-            "bls.share_bit" => {
-                let i = args[0];
-                if i >= 256 {
-                    return Err(format!("share bit index {i} out of range"));
-                }
-                let bit = (self.share_bits[(i / 64) as usize] >> (i % 64)) & 1;
-                Ok(vec![bit])
-            }
-            "bls.emit" => {
+            (b"bls.emit", &[x, y, z]) => {
                 let point = G1Projective {
-                    x: self.slot(args[0])?,
-                    y: self.slot(args[1])?,
-                    z: self.slot(args[2])?,
+                    x: self.reg(x)?,
+                    y: self.reg(y)?,
+                    z: self.reg(z)?,
                 };
                 let bytes = point.to_affine().to_compressed();
                 memory
@@ -343,8 +338,11 @@ impl AppHost for SignerHost {
                     .map_err(|e| e.to_string())?;
                 Ok(vec![bytes.len() as u64])
             }
-            "bls.share_index" => Ok(vec![self.share.index as u64]),
-            other => Err(format!("unknown import {other:?}")),
+            (b"bls.share_index", &[]) => Ok(vec![self.share.index as u64]),
+            _ => Err(format!(
+                "unknown import {name:?} with {} arguments",
+                args.len()
+            )),
         }
     }
 }
@@ -655,6 +653,40 @@ mod tests {
             let mut host = SignerHost::new(share);
             let guest = sign_in_sandbox(&mut inst, &names, &mut host, b"edge").unwrap();
             assert_eq!(guest, sign_native(&share, b"edge"), "scalar {v}");
+        }
+    }
+
+    /// The scan for the share's top set bit at both ends of the range and
+    /// on both sides of a limb boundary; and on each instance a second
+    /// signature after a request that trapped: the registers still hold the
+    /// first signature's values then, and none may reach the second result.
+    #[test]
+    fn top_set_bit_positions_and_a_signature_after_a_trap() {
+        let module = signer_module();
+        let names = import_names(&module);
+        for (top, limbs) in [
+            (0, [1, 0, 0, 0]),
+            (1, [3, 0, 0, 0]),
+            (63, [(1 << 63) | 5, 0, 0, 0]),
+            (64, [9, 1, 0, 0]),
+            (254, [3, 0, 0, 1 << 62]),
+        ] {
+            let share = KeyShare {
+                index: 1,
+                value: distrust_crypto::fr::Fr::from_canonical_limbs(limbs).expect("below r"),
+            };
+            let mut inst = Instance::new(module.clone(), Limits::default()).unwrap();
+            let mut host = SignerHost::new(share);
+            let guest = sign_in_sandbox(&mut inst, &names, &mut host, b"edge").unwrap();
+            assert_eq!(guest, sign_native(&share, b"edge"), "top bit {top}");
+            let trapped = distrust_core::abi::app_call(&mut inst, &names, &mut host, 99, b"");
+            assert!(trapped.is_err(), "top bit {top}");
+            let guest = sign_in_sandbox(&mut inst, &names, &mut host, b"after a trap").unwrap();
+            assert_eq!(
+                guest,
+                sign_native(&share, b"after a trap"),
+                "top bit {top}, second signature"
+            );
         }
     }
 }

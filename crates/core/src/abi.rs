@@ -11,12 +11,20 @@
 //!   `(method_id, INBOX_ADDR, payload_len)`.
 //! * The guest writes its response at [`OUTBOX_ADDR`] and returns the
 //!   response length (at most [`OUTBOX_MAX`]).
-//! * Host imports are resolved **by name** against the [`AppHost`] the
-//!   trust domain was configured with; unknown imports fail at
-//!   instantiation, not at call time.
+//! * Host imports are dispatched **by name**, at each call, to the
+//!   [`AppHost`] the trust domain was configured with. Nothing resolves
+//!   them earlier: a module that imports a name its host does not know
+//!   installs and instantiates, and the call traps
+//!   ([`distrust_sandbox::Trap::Host`]) when it is reached.
+//! * The import table comes from the module, so the host must not trust
+//!   it: each import receives exactly as many arguments as the *guest*
+//!   declared for it. A host that is handed the wrong count, or an
+//!   address, length or index it cannot use, returns `Err`; a host that
+//!   panics instead is contained by [`app_call`] as a trap.
 
 use distrust_sandbox::vm::{Host, Memory};
 use distrust_sandbox::{Instance, Module};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// Guest address where request payloads are written.
 pub const INBOX_ADDR: u64 = 4096;
@@ -113,7 +121,9 @@ impl core::fmt::Display for AppCallError {
 
 impl std::error::Error for AppCallError {}
 
-/// Performs one application call following the ABI.
+/// Performs one application call following the ABI. Whatever the guest or
+/// the app host does — trap, run out of fuel, return an error, panic — the
+/// caller gets an [`AppCallError`] and keeps running.
 pub fn app_call(
     instance: &mut Instance,
     import_names: &[String],
@@ -129,13 +139,18 @@ pub fn app_call(
         .write(INBOX_ADDR, payload)
         .map_err(|t| AppCallError::Trap(t.to_string()))?;
     let mut host = HostAdapter::new(import_names, app_host);
-    let ret = instance
-        .invoke(
-            HANDLE_EXPORT,
-            &[method_id, INBOX_ADDR, payload.len() as u64],
-            &mut host,
-        )
-        .map_err(|t| AppCallError::Trap(t.to_string()))?;
+    let args = [method_id, INBOX_ADDR, payload.len() as u64];
+    // The app host is the application developer's code, not the
+    // framework's. A panic in it must cost this one request, not the
+    // thread that serves the domain: whatever the host had half-done is
+    // strictly less harmful than a domain that no longer answers audits
+    // (the argument `HealthyMutex` makes for poisoned locks). The panic
+    // hook has already written the message where the operator reads it.
+    let ret = catch_unwind(AssertUnwindSafe(|| {
+        instance.invoke(HANDLE_EXPORT, &args, &mut host)
+    }))
+    .map_err(|_| AppCallError::Trap("host import panicked".into()))?
+    .map_err(|t| AppCallError::Trap(t.to_string()))?;
     let out_len = ret.ok_or(AppCallError::NoResponse)?;
     if out_len as usize > OUTBOX_MAX {
         return Err(AppCallError::ResponseTooLarge(out_len));
@@ -246,6 +261,34 @@ mod tests {
         let names = import_names(&module);
         let mut inst = Instance::new(module, Limits::default()).unwrap();
         let out = app_call(&mut inst, &names, &mut Magic, 21, b"").unwrap();
+        assert_eq!(out, vec![42u8]);
+    }
+
+    /// The guest declares how many arguments an import gets; a host that
+    /// indexes past them panics, and `app_call` reports that as a trap.
+    #[test]
+    fn panicking_host_is_a_trap_and_the_next_call_is_served() {
+        struct Second;
+        impl AppHost for Second {
+            fn call(&mut self, _: &str, args: &[u64], _: &mut Memory) -> Result<Vec<u64>, String> {
+                Ok(vec![args[1]])
+            }
+        }
+        struct Doubler;
+        impl AppHost for Doubler {
+            fn call(&mut self, _: &str, args: &[u64], _: &mut Memory) -> Result<Vec<u64>, String> {
+                Ok(vec![args[0] * 2])
+            }
+        }
+        let module = hostcall_module();
+        let names = import_names(&module);
+        let mut inst = Instance::new(module, Limits::default()).unwrap();
+        let err = app_call(&mut inst, &names, &mut Second, 21, b"").unwrap_err();
+        assert!(
+            matches!(&err, AppCallError::Trap(msg) if msg.contains("host import panicked")),
+            "{err}"
+        );
+        let out = app_call(&mut inst, &names, &mut Doubler, 21, b"").unwrap();
         assert_eq!(out, vec![42u8]);
     }
 

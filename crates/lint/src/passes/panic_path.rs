@@ -3,16 +3,20 @@
 //! code, where remote input must never abort a trust domain.
 //!
 //! Scope is repo-aware: all of `wire` and `tee`, the `core` server files
-//! (`server.rs`, `framework.rs`, `protocol.rs`), and the decode-path
-//! functions of `log`. Unchecked indexing is only checked in decode-path
+//! (`server.rs`, `framework.rs`, `protocol.rs`), the decode-path
+//! functions of `log`, and the host-import bodies of `apps` and
+//! `core/src/abi.rs`. Unchecked indexing is only checked in decode-path
 //! functions (`decode*`, `from_wire*`, `peek_*`, `scan_*`, `take`,
 //! `read_frame`, `feed`) — the byte-parsing layer where an attacker (or a
-//! corrupted disk image) controls the offsets; elsewhere indexing over
-//! self-owned state is the lock passes' problem, not this one's.
+//! corrupted disk image) controls the offsets — and in host imports (`fn
+//! call` of an `impl AppHost for …` / `impl Host for …`), where the guest
+//! chooses the argument count, every argument and the bytes of its memory;
+//! elsewhere indexing over self-owned state is the lock passes' problem,
+//! not this one's.
 
 use crate::lexer::Tok;
 use crate::report::{Finding, Report};
-use crate::scan::SourceFile;
+use crate::scan::{FnDef, SourceFile};
 
 pub const PASS: &str = "panic";
 
@@ -29,6 +33,8 @@ pub enum Cover {
     Full,
     /// Only decode-path functions.
     Decode,
+    /// Only host-import bodies.
+    HostImports,
     /// Not a server path; skip.
     Skip,
 }
@@ -56,6 +62,8 @@ impl PanicScope {
                     Cover::Full
                 } else if path.starts_with("crates/log/src/") {
                     Cover::Decode
+                } else if path.starts_with("crates/apps/src/") || path == "crates/core/src/abi.rs" {
+                    Cover::HostImports
                 } else {
                     Cover::Skip
                 }
@@ -72,6 +80,13 @@ pub fn decode_fn(name: &str) -> bool {
         || matches!(name, "take" | "read_frame" | "feed")
 }
 
+/// The sandbox boundary seen from the host: `fn call` of an `impl AppHost
+/// for …` or `impl Host for …`. Its `args` slice is as long as the guest
+/// module declared and holds what the guest pushed.
+pub fn host_import_fn(def: &FnDef) -> bool {
+    def.name == "call" && matches!(def.impl_trait.as_deref(), Some("AppHost" | "Host"))
+}
+
 pub fn run(files: &[SourceFile], scope: PanicScope, report: &mut Report) {
     for file in files {
         let cover = scope.coverage(&file.path);
@@ -82,10 +97,22 @@ pub fn run(files: &[SourceFile], scope: PanicScope, report: &mut Report) {
             if def.in_test {
                 continue;
             }
-            let decode = decode_fn(&def.name);
-            if cover == Cover::Decode && !decode {
+            let (decode, host_import) = (decode_fn(&def.name), host_import_fn(def));
+            let covered = match cover {
+                Cover::Full => true,
+                Cover::Decode => decode,
+                Cover::HostImports => host_import,
+                Cover::Skip => false,
+            };
+            if !covered {
                 continue;
             }
+            // Where unchecked indexing is a finding, and what to call it.
+            let indexing = match (decode, host_import) {
+                (true, _) => Some("a decode path"),
+                (_, true) => Some("a host import"),
+                _ => None,
+            };
             let (open, close) = def.body;
             let nested: Vec<(usize, usize)> = file
                 .fns
@@ -99,14 +126,20 @@ pub fn run(files: &[SourceFile], scope: PanicScope, report: &mut Report) {
                     idx = nend + 1;
                     continue;
                 }
-                check_token(file, def.name.as_str(), decode, idx, report);
+                check_token(file, def.name.as_str(), indexing, idx, report);
                 idx += 1;
             }
         }
     }
 }
 
-fn check_token(file: &SourceFile, fn_name: &str, decode: bool, idx: usize, report: &mut Report) {
+fn check_token(
+    file: &SourceFile,
+    fn_name: &str,
+    indexing: Option<&str>,
+    idx: usize,
+    report: &mut Report,
+) {
     if let Some(name) = file.ident_at(idx) {
         if (name == "unwrap" || name == "expect")
             && idx > 0
@@ -131,7 +164,10 @@ fn check_token(file: &SourceFile, fn_name: &str, decode: bool, idx: usize, repor
         }
         return;
     }
-    if decode && file.punct_at(idx, '[') && idx > 0 {
+    let Some(path_kind) = indexing else {
+        return;
+    };
+    if file.punct_at(idx, '[') && idx > 0 {
         let indexable = match file.tokens.get(idx - 1).map(|t| &t.tok) {
             Some(Tok::Ident(name)) => !KEYWORDS.contains(&name.as_str()),
             Some(Tok::Punct(')')) | Some(Tok::Punct(']')) => true,
@@ -142,7 +178,7 @@ fn check_token(file: &SourceFile, fn_name: &str, decode: bool, idx: usize, repor
                 PASS,
                 &file.path,
                 file.line_at(idx),
-                format!("unchecked indexing on a decode path (in `{fn_name}`)"),
+                format!("unchecked indexing on {path_kind} (in `{fn_name}`)"),
             ));
         }
     }
@@ -210,11 +246,46 @@ mod unit {
     }
 
     #[test]
+    fn host_imports_are_a_boundary_in_apps_and_the_abi() {
+        // The guest declares the argument count and chooses every value.
+        let src = "impl AppHost for H {
+                fn call(&mut self, n: &str, args: &[u64], m: &mut Memory) {
+                    let addr = args[0];
+                    let p = m.read(addr, args[1]).unwrap();
+                    p[..8].len();
+                }
+                fn helper(&self, v: &[u64]) { v[0]; }
+            }
+            impl Other for H { fn call(&self, v: &[u64]) { v[0]; } }";
+        for path in ["crates/apps/src/key_backup.rs", "crates/core/src/abi.rs"] {
+            let report = run_on(path, src);
+            let messages: Vec<&str> = report.findings.iter().map(|f| f.message.as_str()).collect();
+            assert_eq!(report.findings.len(), 4, "{messages:?}");
+            assert!(messages.iter().all(|m| m.contains("(in `call`)")));
+            assert_eq!(
+                messages
+                    .iter()
+                    .filter(|m| m.contains("indexing on a host import"))
+                    .count(),
+                3
+            );
+        }
+        // The checked spelling is silent.
+        let src = "impl Host for H {
+                fn call(&mut self, i: u16, args: &[u64], m: &mut Memory) {
+                    let &[a, b] = args else { return Err(bad()) };
+                    m.read(a, b).map_err(e)?;
+                    Ok(vec![self.regs.get(0).copied()])
+                }
+            }";
+        assert_eq!(run_on("crates/apps/src/lib.rs", src).findings.len(), 0);
+    }
+
+    #[test]
     fn out_of_scope_crates_are_silent() {
-        let report = run_on(
-            "crates/apps/src/lib.rs",
-            "fn f(x: Option<u8>) { x.unwrap(); }",
-        );
-        assert_eq!(report.findings.len(), 0);
+        for path in ["crates/apps/src/lib.rs", "crates/sandbox/src/vm.rs"] {
+            let report = run_on(path, "fn f(x: Option<u8>) { x.unwrap(); }");
+            assert_eq!(report.findings.len(), 0);
+        }
     }
 }

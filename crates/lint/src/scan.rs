@@ -22,6 +22,8 @@ pub struct FnDef {
     pub in_test: bool,
     /// Type the enclosing `impl` block is for, when the fn is a method.
     pub owner: Option<String>,
+    /// Trait the enclosing `impl` block implements (`impl Trait for Type`).
+    pub impl_trait: Option<String>,
     /// Flow-insensitive local variable types inferred from `let`
     /// annotations (`let x: Type = …`), constructor calls
     /// (`let x = Type::new(…)`) and struct literals (`let x = Type { … }`).
@@ -72,10 +74,11 @@ impl SourceFile {
         file.fns = extract_fns(&file);
         let impls = impl_regions(&file);
         for def in &mut file.fns {
-            def.owner = impls
+            let region = impls
                 .iter()
-                .find(|(_, open, close)| def.body.0 > *open && def.body.1 < *close)
-                .map(|(ty, _, _)| ty.clone());
+                .find(|r| def.body.0 > r.open && def.body.1 < r.close);
+            def.owner = region.map(|r| r.owner.clone());
+            def.impl_trait = region.and_then(|r| r.impl_trait.clone());
         }
         let locals: Vec<BTreeMap<String, String>> =
             file.fns.iter().map(|def| fn_locals(&file, def)).collect();
@@ -315,6 +318,7 @@ fn extract_fns(file: &SourceFile) -> Vec<FnDef> {
                         body,
                         in_test: file.test_mask[i],
                         owner: None,
+                        impl_trait: None,
                         locals: BTreeMap::new(),
                     });
                     // Continue scanning *inside* the body too: nested fns
@@ -508,10 +512,19 @@ fn parse_structs(file: &SourceFile) -> BTreeMap<String, BTreeMap<String, String>
     out
 }
 
-/// `(owner type, body open, body close)` for every `impl` block: the type
-/// after `for` when present (`impl Trait for Type`), else the type after
-/// `impl` (skipping generics).
-fn impl_regions(file: &SourceFile) -> Vec<(String, usize, usize)> {
+/// One `impl` block: the type it is for, the trait it implements (if
+/// any), and the token indices of its body braces.
+struct ImplRegion {
+    owner: String,
+    impl_trait: Option<String>,
+    open: usize,
+    close: usize,
+}
+
+/// Every `impl` block of the file. The owner is the type after `for` when
+/// present (`impl Trait for Type`, the trait then being what stands before
+/// it), else the type after `impl`; `impl<…>` generics are skipped.
+fn impl_regions(file: &SourceFile) -> Vec<ImplRegion> {
     let tokens = &file.tokens;
     let mut out = Vec::new();
     let mut i = 0usize;
@@ -525,33 +538,35 @@ fn impl_regions(file: &SourceFile) -> Vec<(String, usize, usize)> {
             continue;
         };
         let close = close_of(tokens, open);
-        let for_kw = (i + 1..open).find(|&k| is_ident(tokens, k, "for"));
-        let ty_from = for_kw.map(|k| k + 1).unwrap_or_else(|| {
-            // Skip `impl<…>` generics.
-            if is_punct(tokens, i + 1, '<') {
-                let mut depth = 0i64;
-                let mut k = i + 1;
-                while k < open {
-                    if is_punct(tokens, k, '<') {
-                        depth += 1;
-                    } else if is_punct(tokens, k, '>') {
-                        depth -= 1;
-                        if depth == 0 {
-                            return k + 1;
-                        }
+        let mut after_generics = i + 1;
+        if is_punct(tokens, i + 1, '<') {
+            let mut depth = 0i64;
+            after_generics = open;
+            for k in i + 1..open {
+                if is_punct(tokens, k, '<') {
+                    depth += 1;
+                } else if is_punct(tokens, k, '>') {
+                    depth -= 1;
+                    if depth == 0 {
+                        after_generics = k + 1;
+                        break;
                     }
-                    k += 1;
                 }
-                open
-            } else {
-                i + 1
             }
-        });
+        }
+        let for_kw = (after_generics..open).find(|&k| is_ident(tokens, k, "for"));
+        let impl_trait = for_kw.and_then(|k| type_head(tokens, after_generics, k));
+        let ty_from = for_kw.map_or(after_generics, |k| k + 1);
         let ty_to = (ty_from..open)
             .find(|&k| is_ident(tokens, k, "where") || is_punct(tokens, k, '<'))
             .unwrap_or(open);
-        if let Some(ty) = type_head(tokens, ty_from, ty_to.max(ty_from)) {
-            out.push((ty, open, close));
+        if let Some(owner) = type_head(tokens, ty_from, ty_to.max(ty_from)) {
+            out.push(ImplRegion {
+                owner,
+                impl_trait,
+                open,
+                close,
+            });
         }
         i = open + 1; // impls aren't nested; fns inside are scanned anyway
     }
@@ -686,7 +701,9 @@ mod unit {
         let file = SourceFile::parse("crates/log/src/lib.rs".into(), src);
         let by_name = |n: &str| file.fns.iter().find(|f| f.name == n).unwrap();
         assert_eq!(by_name("push_one").owner.as_deref(), Some("Store"));
+        assert_eq!(by_name("push_one").impl_trait, None);
         assert_eq!(by_name("drop").owner.as_deref(), Some("Store"));
+        assert_eq!(by_name("drop").impl_trait.as_deref(), Some("Drop"));
         assert_eq!(by_name("free").owner, None);
         assert_eq!(file.structs["Store"]["inner"], "Arc");
         assert!(!file.structs["Store"].contains_key("count"));

@@ -64,6 +64,30 @@ fn panic_fixture_fires_on_unwrap_and_decode_indexing() {
 }
 
 #[test]
+fn host_import_fixture_fires_on_guest_controlled_indexing() {
+    let report = analyze_fixture("bad_host_import");
+    assert!(report.findings.iter().all(|f| f.pass == "panic"));
+    let count = |needle: &str| {
+        report
+            .findings
+            .iter()
+            .filter(|f| f.message == needle)
+            .count()
+    };
+    // `args[0], args[1]` on one line, `payload[..8]` on another.
+    assert_eq!(
+        count("unchecked indexing on a host import (in `call`)"),
+        2,
+        "{:?}",
+        report.findings
+    );
+    assert_eq!(count("`.expect()` on a server path (in `call`)"), 1);
+    assert_eq!(report.findings.len(), 3, "{:?}", report.findings);
+    // `clean/host.rs` is the checked twin; `clean_fixture_reports_nothing`
+    // keeps it silent.
+}
+
+#[test]
 fn blocking_fixture_fires_with_call_chain() {
     let report = analyze_fixture("bad_blocking");
     assert_eq!(report.findings.len(), 1, "{:?}", report.findings);

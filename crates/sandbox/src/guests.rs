@@ -7,6 +7,14 @@
 //! (b) measure the interpreter's slowdown against native code for the
 //! sandbox-overhead ablation, mirroring the Wasm-vs-native study the paper
 //! cites (reference \[39\], Jangda et al.).
+//!
+//! The row that study prices for this repository is the threshold-signer
+//! guest in `distrust-apps` (Table 3's "Sandbox"): ≈ 37 000 guest
+//! instructions and 8 694 host crossings per signature, one per field
+//! operation. In the sandbox a share costs ≈ 50–75 % more than natively
+//! (`e2e`'s `sandbox.overhead_pct`; the paper's Wasm build pays 46 %). It
+//! was ≈ 130 % while every crossing and every activation allocated; what
+//! remains is dispatching imports by name (ROADMAP item 1).
 
 use crate::builder::{FuncBuilder, ModuleBuilder};
 use crate::isa::Instr;

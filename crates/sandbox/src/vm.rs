@@ -289,6 +289,7 @@ impl Instance {
             max_stack: self.limits.max_stack,
             max_call_depth: self.limits.max_call_depth,
             stack: Vec::with_capacity(256),
+            locals: Vec::with_capacity(64),
         };
         let result = exec.call_function(func_idx, args);
         self.last_fuel_used = self.limits.fuel - exec.fuel;
@@ -306,26 +307,13 @@ fn effective_addr(base: u64, off: u32) -> Result<u64, Trap> {
     })
 }
 
-/// One guest function activation: its code, locals, and program counter.
+/// One guest function activation: its code, where its parameters and locals
+/// start on the executor's shared locals vector, and its program counter.
 /// Lives on the heap (in the executor's frame vector), not the host stack.
 struct Frame<'m> {
     func: &'m Function,
-    locals: Vec<u64>,
+    base: usize,
     ip: usize,
-}
-
-impl<'m> Frame<'m> {
-    /// A fresh activation of `func`: arguments in the leading locals, the
-    /// declared locals zeroed, execution starting at the first instruction.
-    fn new(func: &'m Function, args: &[u64]) -> Self {
-        let mut locals = vec![0u64; func.params as usize + func.locals as usize];
-        locals[..args.len()].copy_from_slice(args);
-        Self {
-            func,
-            locals,
-            ip: 0,
-        }
-    }
 }
 
 struct Executor<'m, H: Host> {
@@ -336,6 +324,8 @@ struct Executor<'m, H: Host> {
     max_stack: usize,
     max_call_depth: usize,
     stack: Vec<u64>,
+    /// Parameters and locals of every live activation, innermost last.
+    locals: Vec<u64>,
 }
 
 impl<'m, H: Host> Executor<'m, H> {
@@ -360,12 +350,35 @@ impl<'m, H: Host> Executor<'m, H> {
         self.stack.pop().ok_or(Trap::StackUnderflow)
     }
 
+    /// The index where the top `n` values of the stack start.
+    fn operands(&self, n: u16) -> Result<usize, Trap> {
+        self.stack
+            .len()
+            .checked_sub(n as usize)
+            .ok_or(Trap::StackUnderflow)
+    }
+
+    /// A fresh activation of `func`: its arguments move from the value stack
+    /// onto the locals vector, the declared locals follow zeroed (the slots
+    /// may hold what an earlier activation left there), execution starts at
+    /// the first instruction.
+    fn enter(&mut self, func: &'m Function) -> Result<Frame<'m>, Trap> {
+        let split = self.operands(func.params)?;
+        let base = self.locals.len();
+        self.locals.extend_from_slice(&self.stack[split..]);
+        self.stack.truncate(split);
+        self.locals
+            .resize(self.locals.len() + func.locals as usize, 0);
+        Ok(Frame { func, base, ip: 0 })
+    }
+
     /// Runs `func_idx` to completion on an explicit frame stack.
     ///
     /// The interpreter is deliberately iterative: guest call depth consumes
-    /// heap (one [`Frame`] per activation), never host stack, so a
-    /// deeply-recursive guest can only trap with [`Trap::CallDepthExceeded`]
-    /// — it cannot overflow the host thread's stack and abort the process.
+    /// heap (one [`Frame`] and its slots per activation), never host stack,
+    /// so a deeply-recursive guest can only trap with
+    /// [`Trap::CallDepthExceeded`] — it cannot overflow the host thread's
+    /// stack and abort the process.
     fn call_function(&mut self, func_idx: u32, args: &[u64]) -> Result<Option<u64>, Trap> {
         let module = self.module;
         let root: &Function = module
@@ -375,7 +388,8 @@ impl<'m, H: Host> Executor<'m, H> {
         if self.max_call_depth == 0 {
             return Err(Trap::CallDepthExceeded);
         }
-        let mut frames = vec![Frame::new(root, args)];
+        self.stack.extend_from_slice(args);
+        let mut frames = vec![self.enter(root)?];
         loop {
             let frame = frames.last_mut().expect("at least the root frame");
             let func = frame.func;
@@ -387,15 +401,13 @@ impl<'m, H: Host> Executor<'m, H> {
             match *instr {
                 Instr::Const(v) => self.push(v)?,
                 Instr::LocalGet(i) => {
-                    let v = *frame.locals.get(i as usize).ok_or(Trap::StackUnderflow)?;
-                    self.push(v)?;
+                    let slot = self.locals.get(frame.base + i as usize);
+                    self.push(*slot.ok_or(Trap::StackUnderflow)?)?;
                 }
                 Instr::LocalSet(i) => {
                     let v = self.pop()?;
-                    *frame
-                        .locals
-                        .get_mut(i as usize)
-                        .ok_or(Trap::StackUnderflow)? = v;
+                    let slot = self.locals.get_mut(frame.base + i as usize);
+                    *slot.ok_or(Trap::StackUnderflow)? = v;
                 }
                 Instr::Add => self.binop(|a, b| Ok(a.wrapping_add(b)))?,
                 Instr::Sub => self.binop(|a, b| Ok(a.wrapping_sub(b)))?,
@@ -436,13 +448,7 @@ impl<'m, H: Host> Executor<'m, H> {
                         .functions
                         .get(target as usize)
                         .ok_or(Trap::InvalidFunction(target as u32))?;
-                    let nargs = callee.params as usize;
-                    if self.stack.len() < nargs {
-                        return Err(Trap::StackUnderflow);
-                    }
-                    let split = self.stack.len() - nargs;
-                    let call_args: Vec<u64> = self.stack.split_off(split);
-                    frames.push(Frame::new(callee, &call_args));
+                    frames.push(self.enter(callee)?);
                 }
                 Instr::HostCall(index) => {
                     self.charge(HOST_FUEL)?;
@@ -451,16 +457,13 @@ impl<'m, H: Host> Executor<'m, H> {
                         .imports
                         .get(index as usize)
                         .ok_or(Trap::InvalidHostCall(index))?;
-                    let nargs = sig.params as usize;
-                    if self.stack.len() < nargs {
-                        return Err(Trap::StackUnderflow);
-                    }
-                    let split = self.stack.len() - nargs;
-                    let call_args: Vec<u64> = self.stack.split_off(split);
+                    // The host reads its arguments where they already are.
+                    let split = self.operands(sig.params)?;
                     let results = self
                         .host
-                        .call(index, &call_args, self.memory)
+                        .call(index, &self.stack[split..], self.memory)
                         .map_err(Trap::Host)?;
+                    self.stack.truncate(split);
                     if results.len() != sig.returns as usize {
                         return Err(Trap::Host(format!(
                             "import {} returned {} values, declared {}",
@@ -479,6 +482,7 @@ impl<'m, H: Host> Executor<'m, H> {
                     } else {
                         None
                     };
+                    self.locals.truncate(frame.base);
                     frames.pop();
                     if frames.is_empty() {
                         return Ok(ret);
@@ -914,6 +918,74 @@ mod tests {
         };
         let mut inst = Instance::new(m, Limits::default()).unwrap();
         assert_eq!(inst.invoke("main", &[40], &mut NoHost), Ok(Some(42)));
+    }
+
+    /// Activations share one locals vector: a callee's declared locals must
+    /// read 0 even when its slots are the ones an earlier, returned
+    /// activation filled, and a callee must not disturb its caller's slots.
+    #[test]
+    fn declared_locals_read_zero_on_slots_an_earlier_activation_dirtied() {
+        let dirty = Function {
+            params: 1,
+            locals: 2,
+            returns: 0,
+            code: vec![
+                Instr::Const(0xdead),
+                Instr::LocalSet(0),
+                Instr::Const(0xbeef),
+                Instr::LocalSet(1),
+                Instr::Const(0xf00d),
+                Instr::LocalSet(2),
+                Instr::Return,
+            ],
+        };
+        // reader(a): reads both declared locals before writing them.
+        let reader = Function {
+            params: 1,
+            locals: 2,
+            returns: 1,
+            code: vec![
+                Instr::LocalGet(1),
+                Instr::LocalGet(2),
+                Instr::Or,
+                Instr::Const(7),
+                Instr::LocalSet(1),
+                Instr::LocalGet(0),
+                Instr::Add,
+                Instr::Return,
+            ],
+        };
+        // main(x): local 1 = 5; dirty(9); reader(x) + local 1.
+        let main = Function {
+            params: 1,
+            locals: 1,
+            returns: 1,
+            code: vec![
+                Instr::Const(5),
+                Instr::LocalSet(1),
+                Instr::Const(9),
+                Instr::Call(1),
+                Instr::LocalGet(0),
+                Instr::Call(2),
+                Instr::LocalGet(1),
+                Instr::Add,
+                Instr::Return,
+            ],
+        };
+        let m = Module {
+            imports: vec![],
+            functions: vec![main, dirty, reader],
+            exports: vec![Export {
+                name: "main".into(),
+                function: 0,
+            }],
+            data: vec![],
+            initial_pages: 1,
+            max_pages: 1,
+        };
+        let mut inst = Instance::new(m, Limits::default()).unwrap();
+        // (0 | 0) + 100 from the reader, + 5 from main's own local.
+        assert_eq!(inst.invoke("main", &[100], &mut NoHost), Ok(Some(105)));
     }
 
     #[test]

@@ -14,7 +14,9 @@
 //! backoff when a full sweep makes no progress. Sweeping is O(connections),
 //! but each sweep harvests every ready connection, so cost amortises
 //! exactly when it matters (many active clients) and the backoff caps idle
-//! burn when it does not.
+//! burn when it does not; its ceiling grows with the thread's connection
+//! count, so a few quiet connections are answered within a millisecond and
+//! thousands of them still cost a few dozen sweeps a second.
 //!
 //! Per-connection state lives in [`frame_nb`](crate::frame_nb): partial
 //! frame reads and writes survive across sweeps, which the blocking
@@ -37,13 +39,14 @@ pub type FrameService = Arc<dyn Fn(&[u8]) -> Vec<u8> + Send + Sync>;
 
 /// Sleep floor after an idle sweep.
 const IDLE_BACKOFF_MIN: Duration = Duration::from_micros(20);
-/// Sleep ceiling: bounds added latency for the first request after a quiet
-/// period. Any progress resets the backoff to the floor, so a busy or
-/// steadily-trickling connection never waits anywhere near this long — the
-/// cap is only reached after ~11 consecutive idle sweeps (tens of
-/// milliseconds of silence). It is set high enough that a thread parked on
-/// thousands of idle connections costs ~20 sweeps/sec (one `read` syscall
-/// per connection per sweep), not hundreds.
+/// Sleep ceiling of a thread that holds few connections: what the first
+/// request after a quiet period may wait. Any progress resets the backoff
+/// to the floor, so a busy or steadily-trickling connection never waits
+/// anywhere near this long.
+const IDLE_BACKOFF_FEW: Duration = Duration::from_millis(1);
+/// Sleep ceiling whatever the thread holds: a thread parked on thousands
+/// of idle connections costs ~20 sweeps/sec (one `read` syscall per
+/// connection per sweep), not hundreds.
 const IDLE_BACKOFF_MAX: Duration = Duration::from_millis(50);
 /// How long an empty reactor thread blocks on its intake queue per wait.
 const EMPTY_WAIT: Duration = Duration::from_millis(5);
@@ -285,6 +288,20 @@ fn adopt(stream: TcpStream, conns: &mut Vec<Conn>) {
     }
 }
 
+/// Sleep ceiling of a thread sweeping `conns` idle connections: at most one
+/// `read` per [`IDLE_BACKOFF_MIN`] on average, so the idle burn is bounded
+/// by syscall rate rather than by sweep rate. A quiet connection on a
+/// lightly loaded thread is answered within [`IDLE_BACKOFF_FEW`]; the
+/// doubling used to run to [`IDLE_BACKOFF_MAX`] for everyone, which made
+/// the wait after `t` of silence anything up to `t` — a request that
+/// arrived 10 ms after the previous one was served at once or 10 ms later
+/// depending on which side of a doubling it fell.
+fn idle_backoff_max(conns: usize) -> Duration {
+    IDLE_BACKOFF_MIN
+        .saturating_mul(u32::try_from(conns).unwrap_or(u32::MAX))
+        .clamp(IDLE_BACKOFF_FEW, IDLE_BACKOFF_MAX)
+}
+
 fn reactor_loop(intake: Receiver<TcpStream>, service: FrameService, shared: Arc<ReactorShared>) {
     let mut conns: Vec<Conn> = Vec::new();
     let mut scratch = vec![0u8; SCRATCH_LEN];
@@ -337,7 +354,7 @@ fn reactor_loop(intake: Receiver<TcpStream>, service: FrameService, shared: Arc<
                     backoff = IDLE_BACKOFF_MIN;
                 }
                 Err(RecvTimeoutError::Timeout) => {
-                    backoff = (backoff * 2).min(IDLE_BACKOFF_MAX);
+                    backoff = (backoff * 2).min(idle_backoff_max(conns.len()));
                 }
                 // Unreachable while `shared` (which owns the senders) is
                 // alive, but never turn it into a busy spin.
@@ -386,6 +403,37 @@ mod tests {
         assert_eq!(read_frame(&mut client).unwrap(), b"cba");
         write_frame(&mut client, b"12345").unwrap();
         assert_eq!(read_frame(&mut client).unwrap(), b"54321");
+        reactor.shutdown();
+    }
+
+    #[test]
+    fn idle_backoff_ceiling_follows_the_connection_count() {
+        assert_eq!(idle_backoff_max(0), IDLE_BACKOFF_FEW);
+        assert_eq!(idle_backoff_max(1), IDLE_BACKOFF_FEW);
+        assert_eq!(idle_backoff_max(50), IDLE_BACKOFF_FEW);
+        assert_eq!(idle_backoff_max(500), Duration::from_millis(10));
+        assert_eq!(idle_backoff_max(2_500), IDLE_BACKOFF_MAX);
+        assert_eq!(idle_backoff_max(usize::MAX), IDLE_BACKOFF_MAX);
+    }
+
+    /// The wait of the first request after a quiet period does not grow
+    /// with the quiet period. With the ceiling at 50 ms for every thread,
+    /// a request 60 ms after the last one sat out the rest of a 41 ms
+    /// sleep (≈ 20 ms); the best of five keeps a loaded host's stalls out.
+    #[test]
+    fn request_after_a_quiet_period_is_served_promptly() {
+        let mut reactor = Reactor::spawn(echo_service(), 1).unwrap();
+        let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
+        let mut client = connect_pair(&listener, &reactor.handle());
+        let mut best = Duration::MAX;
+        for _ in 0..5 {
+            std::thread::sleep(Duration::from_millis(60));
+            let sent = std::time::Instant::now();
+            write_frame(&mut client, b"ping").unwrap();
+            assert_eq!(read_frame(&mut client).unwrap(), b"gnip");
+            best = best.min(sent.elapsed());
+        }
+        assert!(best < Duration::from_millis(10), "best of five: {best:?}");
         reactor.shutdown();
     }
 

@@ -1,9 +1,11 @@
-//! What a release and an audit leave behind in memory.
+//! What a release, an audit and a signature leave behind in memory.
 //!
 //! A deployment's memory may grow with *releases* — every release adds a
 //! log leaf, an update notice and a signed epoch on each domain, and one
 //! verified checkpoint per domain in every auditing client — and with
-//! nothing else: an audit that finds no new release must retain no byte.
+//! nothing else: an audit that finds no new release must retain no byte,
+//! and neither may an application call (a signing domain once kept every
+//! field element of every signature, ≈ 417 KB after the first).
 //! The benchmark's `rss_mb` on `audit_churn` is these per-release numbers
 //! times the releases a run completes, so they are pinned here where they
 //! can be counted exactly: live heap bytes as the allocator hands them
@@ -12,14 +14,15 @@
 //! `--nocapture` for the numbers.
 
 use distrust::apps::analytics;
-use distrust::core::abi::NoImports;
+use distrust::apps::threshold_signer::{signer_module, SignerHost, METHOD_SIGN};
+use distrust::core::abi::{app_call, import_names, NoImports};
 use distrust::core::framework::{EnclaveFramework, FrameworkConfig};
 use distrust::core::{Deployment, SignedRelease};
 use distrust::crypto::schnorr::SigningKey;
 use distrust::log::checkpoint::log_id;
 use distrust::log::{DurableOptions, StorageConfig};
 use distrust::sandbox::guests::counter_module;
-use distrust::sandbox::Limits;
+use distrust::sandbox::{Instance, Limits};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -186,4 +189,32 @@ fn an_auditing_client_retains_nothing_per_audit_and_a_bounded_amount_per_release
         (0..=CLIENT_BYTES_PER_RELEASE).contains(&per_release),
         "an auditing client retains {per_release} bytes per release"
     );
+}
+
+#[test]
+fn a_signing_domain_retains_nothing_per_signature() {
+    let mut rng = distrust::crypto::drbg::HmacDrbg::new(b"memory test", b"dealer");
+    let keys = distrust::crypto::threshold::generate(2, 3, &mut rng).expect("keygen");
+    let module = signer_module();
+    let names = import_names(&module);
+    let mut instance = Instance::new(module, Limits::default()).expect("valid module");
+    let mut host = SignerHost::new(keys.shares[0]);
+    let mut sign = |i: u32| {
+        let partial = app_call(
+            &mut instance,
+            &names,
+            &mut host,
+            METHOD_SIGN,
+            &i.to_le_bytes(),
+        );
+        assert_eq!(partial.expect("signed").len(), 48);
+    };
+    sign(0);
+    let before = live_bytes();
+    (1..=64).for_each(&mut sign);
+    let retained = live_bytes() - before;
+    println!("signer: {retained} live heap bytes retained by 64 signatures");
+    assert_eq!(retained, 0, "64 signatures retained {retained} bytes");
+    // The host's state is its share and a fixed register file.
+    assert!(std::mem::size_of::<SignerHost>() <= 1024);
 }

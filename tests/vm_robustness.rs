@@ -4,8 +4,23 @@
 //!
 //! Property-based tests drive the decoder, validator, and interpreter with
 //! random bytes and random (structurally valid) instruction streams.
+//!
+//! The host imports are the other half of the boundary: the import table —
+//! names *and argument counts* — comes from the same arbitrary module, and
+//! every address, length and index a host receives is the guest's choice.
+//! The second half of this file calls each app host's imports the wrong
+//! way, in-process and on a live deployment, and then asks the same host
+//! for honest work.
 
-use distrust::sandbox::{Export, Function, Instance, Instr, Limits, Module, NoHost};
+use distrust::apps::{key_backup, threshold_signer};
+use distrust::core::abi::{
+    app_call, import_names, AppHost, HostAdapter, HANDLE_EXPORT, INBOX_ADDR,
+};
+use distrust::core::{ClientError, Deployment, TrustPolicy};
+use distrust::crypto::drbg::HmacDrbg;
+use distrust::sandbox::{
+    Export, FuncBuilder, Function, ImportSig, Instance, Instr, Limits, Memory, Module, NoHost, Trap,
+};
 use distrust::wire::Decode;
 use proptest::prelude::*;
 
@@ -151,4 +166,232 @@ proptest! {
         let back = Module::from_wire(&bytes).expect("round trip");
         prop_assert_eq!(back, module);
     }
+}
+
+/// The method id the doctored modules below answer with their extra call.
+const ROGUE_METHOD: u64 = 0x0bad;
+
+/// `module` with one more import, `name` declared with `args.len()`
+/// parameters, and a new `handle` in front of the old one: method
+/// [`ROGUE_METHOD`] calls that import with `args`; every other method is
+/// forwarded to the module's own `handle`, so the doctored module still
+/// does its job.
+fn with_rogue_call(mut module: Module, name: &str, args: &[u64], returns: u16) -> Module {
+    let import = module.imports.len() as u16;
+    module.imports.push(ImportSig {
+        name: name.into(),
+        params: args.len() as u16,
+        returns,
+    });
+    let honest = module.export(HANDLE_EXPORT).expect("an app module") as u16;
+    let mut f = FuncBuilder::new(3, 0, 1);
+    f.lget(0).constant(ROGUE_METHOD).op(Instr::Eq).jnz("rogue");
+    f.lget(0).lget(1).lget(2).call(honest).ret();
+    f.label("rogue");
+    for &arg in args {
+        f.constant(arg);
+    }
+    f.host(import);
+    for _ in 0..returns {
+        f.op(Instr::Drop);
+    }
+    f.constant(0).ret();
+    let front = module.functions.len() as u32;
+    module
+        .functions
+        .push(f.build().expect("front handle builds"));
+    for export in &mut module.exports {
+        if export.name == HANDLE_EXPORT {
+            export.function = front;
+        }
+    }
+    module
+}
+
+/// Calls every import of `module` with every argument count 0…3, each
+/// argument `u64::MAX`, going around `app_call` so that a panicking host
+/// fails the test instead of being contained. A count the host does not
+/// expect must come back as `Trap::Host`; the expected count with unusable
+/// arguments may trap or not, but must return. After every such call
+/// `honest` checks that the same instance and host still work.
+fn misuse_every_import(
+    module: &Module,
+    host: &mut dyn AppHost,
+    mut honest: impl FnMut(&mut Instance, &[String], &mut dyn AppHost),
+) {
+    for declared in &module.imports {
+        for arity in 0..=3u16 {
+            let args = vec![u64::MAX; arity as usize];
+            let rogue = with_rogue_call(module.clone(), &declared.name, &args, declared.returns);
+            let names = import_names(&rogue);
+            let mut instance = Instance::new(rogue, Limits::default()).expect("valid module");
+            let outcome = instance.invoke(
+                HANDLE_EXPORT,
+                &[ROGUE_METHOD, INBOX_ADDR, 0],
+                &mut HostAdapter::new(&names, host),
+            );
+            if arity != declared.params {
+                assert!(
+                    matches!(outcome, Err(Trap::Host(_))),
+                    "{} called with {arity} arguments: {outcome:?}",
+                    declared.name
+                );
+            }
+            honest(&mut instance, &names, host);
+        }
+    }
+}
+
+#[test]
+fn signer_host_survives_every_import_called_with_every_arity() {
+    let mut rng = HmacDrbg::new(b"vm robustness", b"signer host");
+    let keys = distrust::crypto::threshold::generate(1, 1, &mut rng).expect("keygen");
+    let share = keys.shares[0];
+    let mut host = threshold_signer::SignerHost::new(share);
+    misuse_every_import(
+        &threshold_signer::signer_module(),
+        &mut host,
+        |instance, names, host| {
+            let out = app_call(
+                instance,
+                names,
+                host,
+                threshold_signer::METHOD_SIGN,
+                b"still signing",
+            )
+            .expect("honest request served");
+            let native = threshold_signer::sign_native(&share, b"still signing");
+            assert_eq!(out, native.to_bytes().to_vec());
+        },
+    );
+}
+
+fn backup_store_payload(user: u64) -> Vec<u8> {
+    let mut payload = user.to_le_bytes().to_vec();
+    payload.extend_from_slice(&[7u8; 32]);
+    payload.extend_from_slice(b"share");
+    payload
+}
+
+#[test]
+fn backup_host_survives_every_import_called_with_every_arity() {
+    let mut host = key_backup::BackupHost::new();
+    let mut user = 0u64;
+    misuse_every_import(
+        &key_backup::backup_module(),
+        &mut host,
+        |instance, names, host| {
+            user += 1;
+            let stored = app_call(
+                instance,
+                names,
+                host,
+                key_backup::METHOD_STORE,
+                &backup_store_payload(user),
+            );
+            assert_eq!(stored, Ok(vec![0]), "honest store served");
+        },
+    );
+    assert_eq!(
+        host.record_count() as u64,
+        user,
+        "only honest stores stored"
+    );
+}
+
+/// `backup.store` slices a header out of a guest-chosen length: lengths
+/// short of the 40-byte header are errors, and nothing is stored.
+#[test]
+fn backup_store_refuses_a_payload_shorter_than_its_header() {
+    let mut host = key_backup::BackupHost::new();
+    for len in [0u64, 8, 39] {
+        let rogue = with_rogue_call(
+            key_backup::backup_module(),
+            "backup.store",
+            &[INBOX_ADDR, len],
+            1,
+        );
+        let names = import_names(&rogue);
+        let mut instance = Instance::new(rogue, Limits::default()).expect("valid module");
+        let outcome = instance.invoke(
+            HANDLE_EXPORT,
+            &[ROGUE_METHOD, INBOX_ADDR, 0],
+            &mut HostAdapter::new(&names, &mut host),
+        );
+        assert!(
+            matches!(outcome, Err(Trap::Host(_))),
+            "len {len}: {outcome:?}"
+        );
+        assert_eq!(host.record_count(), 0, "len {len} stored something");
+    }
+}
+
+/// Sends the rogue request five times to each domain of a live 2-domain
+/// deployment (domain 0 direct, domain 1 behind its enclave proxy), then
+/// requires an honest call and an audit to succeed on both.
+fn domains_outlive_the_rogue_request(
+    deployment: &Deployment,
+    honest: impl Fn(u32, Result<Vec<u8>, ClientError>),
+) {
+    let mut client = deployment.client(b"rogue client");
+    {
+        let mut session = client.session(TrustPolicy::audited());
+        for domain in 0..2 {
+            for attempt in 0..5 {
+                let answer = session.call(domain, ROGUE_METHOD, b"");
+                assert!(
+                    matches!(answer, Err(ClientError::App(_))),
+                    "domain {domain}, attempt {attempt}: {answer:?}"
+                );
+            }
+        }
+        for domain in 0..2 {
+            honest(
+                domain,
+                session.call(domain, threshold_signer::METHOD_INDEX, b""),
+            );
+        }
+    }
+    let report = client.audit(None);
+    assert!(report.is_clean(), "{report:?}");
+    assert_eq!(report.domains.len(), 2);
+}
+
+/// A release whose guest declares `fp.mul` with no parameters: on the
+/// parent commit the host indexed `args[0]`, the panic killed the serving
+/// thread, and the domain answered nothing afterwards — audits included.
+#[test]
+fn a_release_that_misdeclares_an_import_cannot_take_its_domain_down() {
+    let mut rng = HmacDrbg::new(b"vm robustness", b"live signer");
+    let (mut spec, _public) = threshold_signer::setup(2, 2, &mut rng).expect("setup");
+    spec.module = with_rogue_call(spec.module, "fp.mul", &[], 0);
+    let mut deployment = Deployment::launch(spec, b"rogue arity").expect("launch");
+    domains_outlive_the_rogue_request(&deployment, |domain, answer| {
+        assert_eq!(answer.expect("honest call served"), vec![domain as u8 + 1]);
+    });
+    deployment.shutdown();
+}
+
+/// An app host the framework does not control may simply panic. That costs
+/// the request (`app_call` reports a trap), not the domain.
+#[test]
+fn a_panicking_app_host_cannot_take_its_domain_down() {
+    struct Brittle;
+    impl AppHost for Brittle {
+        fn call(&mut self, name: &str, args: &[u64], _: &mut Memory) -> Result<Vec<u64>, String> {
+            match name {
+                "bls.share_index" => Ok(vec![42]),
+                _ => Ok(vec![args[0]]),
+            }
+        }
+    }
+    let mut rng = HmacDrbg::new(b"vm robustness", b"live brittle");
+    let (mut spec, _public) = threshold_signer::setup(2, 2, &mut rng).expect("setup");
+    spec.module = with_rogue_call(spec.module, "brittle.first", &[], 1);
+    spec.hosts = vec![Box::new(Brittle), Box::new(Brittle)];
+    let mut deployment = Deployment::launch(spec, b"rogue panic").expect("launch");
+    domains_outlive_the_rogue_request(&deployment, |_, answer| {
+        assert_eq!(answer.expect("honest call served"), vec![42]);
+    });
+    deployment.shutdown();
 }
