@@ -23,9 +23,8 @@
 //!    A thread appending to its own shard never waits in line behind
 //!    seven writers to one mutex, so p99/max append latency collapses.
 //!
-//! Custom harness (`harness = false`), same shape as `fanout_call`;
-//! results are printed as a table and written to
-//! `bench_results/sharded_append.json`.
+//! Custom harness (`harness = false`); results are printed as a table and
+//! written to `bench_results/sharded_append.json`.
 
 use distrust_log::{MerkleLog, ShardedLog};
 use std::sync::Arc;

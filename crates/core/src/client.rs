@@ -354,12 +354,10 @@ impl DeploymentClient {
         self.recv_raw(domain)
     }
 
-    /// Calls the application on one domain.
-    ///
-    /// Thin un-gated shim; prefer [`crate::session::Session`] (via
-    /// [`Self::session`]) for application traffic — it audits before the
-    /// first call and fans out to all domains in one round-trip.
-    pub fn call(
+    /// Calls the application on one domain, un-gated: the wire half of
+    /// [`crate::session::Session::call`], which is the public way to reach
+    /// an application — it audits before the first call.
+    pub(crate) fn call(
         &mut self,
         domain: u32,
         method: u64,

@@ -3,11 +3,12 @@
 //!
 //! §3.3's contract is *verify, then split trust*: a client should only use
 //! a distributed-trust deployment after auditing it. The bare
-//! [`DeploymentClient`] makes that optional (nothing stops an app from
-//! calling [`DeploymentClient::call`] without ever auditing) and makes
-//! multi-domain interaction a chore (every app hand-rolls a sequential
+//! [`DeploymentClient`] has no gate of its own (its raw
+//! [`DeploymentClient::exchange`] sends any request frame, audited or
+//! not) and would make multi-domain interaction a chore (a sequential
 //! per-domain loop, so one slow domain serializes the whole operation). A
-//! [`Session`] fixes both, by construction:
+//! [`Session`] is the way to reach an application, and fixes both by
+//! construction:
 //!
 //! * **Trust gating** — a [`TrustPolicy`] the session enforces: the
 //!   batched audit runs before the first application call and is refreshed

@@ -4,9 +4,6 @@
 //! whose only caller guards first and which must stay silent.
 
 pub const MAX_SLOTS: usize = 4096;
-/// Seeded dead cap: nothing compares against it, nothing it sizes, no
-/// other constant derives from it.
-pub const MAX_DEAD_SLOTS: usize = 64;
 
 /// Announced element count, straight off the wire.
 pub fn announced_len(input: &mut &[u8]) -> usize {

@@ -3,24 +3,23 @@
 //! custom configs pointed at snippet directories.
 
 use crate::passes::blocking;
-use crate::passes::cap_consistency::CapScope;
-use crate::passes::panic_path::PanicScope;
 use crate::passes::protocol::ProtocolCfg;
-use crate::passes::taint_alloc::TaintScope;
-use crate::passes::trust_boundary::TrustScope;
 use std::path::PathBuf;
+
+/// File scope of a path-scoped pass: the pass's own table of repo paths,
+/// or every file (fixtures).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Scope {
+    RepoDefault,
+    AllFiles,
+}
 
 #[derive(Debug, Clone)]
 pub struct Config {
     /// Workspace root the scan is relative to.
     pub root: PathBuf,
-    pub panic_scope: PanicScope,
-    /// File scope for the taint-alloc dataflow pass.
-    pub taint_scope: TaintScope,
-    /// File scope for the trust-boundary pass.
-    pub trust_scope: TrustScope,
-    /// File scope for the cap-consistency pass.
-    pub cap_scope: CapScope,
+    /// File scope of the panic, taint-alloc and trust-boundary passes.
+    pub scope: Scope,
     /// Function names treated as reactor callback entry points.
     pub reactor_entries: Vec<String>,
     /// Protocol-conformance configuration; `None` skips the pass.
@@ -32,10 +31,7 @@ impl Config {
     pub fn repo_default(root: PathBuf) -> Config {
         Config {
             root,
-            panic_scope: PanicScope::RepoDefault,
-            taint_scope: TaintScope::RepoDefault,
-            trust_scope: TrustScope::RepoDefault,
-            cap_scope: CapScope::RepoDefault,
+            scope: Scope::RepoDefault,
             reactor_entries: blocking::default_entries(),
             protocol: Some(ProtocolCfg::repo_default()),
         }
@@ -46,10 +42,7 @@ impl Config {
     pub fn fixture(root: PathBuf) -> Config {
         Config {
             root,
-            panic_scope: PanicScope::AllFiles,
-            taint_scope: TaintScope::AllFiles,
-            trust_scope: TrustScope::AllFiles,
-            cap_scope: CapScope::AllFiles,
+            scope: Scope::AllFiles,
             reactor_entries: blocking::default_entries(),
             protocol: None,
         }

@@ -1,6 +1,5 @@
 //! Interprocedural taint dataflow over the lexed token stream and the
-//! workspace-wide call graph: the substrate for the `taint-alloc` and
-//! `cap-consistency` passes.
+//! workspace-wide call graph: the substrate for the `taint-alloc` pass.
 //!
 //! The analysis is deliberately lexical and over-approximate, in the same
 //! spirit as the other passes:
@@ -44,7 +43,7 @@
 
 use crate::lexer::Tok;
 use crate::resolve::Resolver;
-use crate::scan::{FnDef, SourceFile};
+use crate::scan::{bracket_close, FnDef, SourceFile, KEYWORDS};
 use std::collections::BTreeMap;
 
 /// Longest source→sink chain retained in a report line.
@@ -88,12 +87,6 @@ pub const SIGNED_TYPES: [&str; 8] = [
     "ShardProofBundle",
     "AuditBundle",
     "ShardAuditBundle",
-];
-
-const KEYWORDS: [&str; 30] = [
-    "if", "else", "while", "for", "loop", "match", "return", "break", "continue", "let", "fn",
-    "impl", "pub", "use", "mod", "struct", "enum", "trait", "where", "as", "in", "ref", "mut",
-    "move", "dyn", "unsafe", "extern", "static", "const", "type",
 ];
 
 /// Upper-bound tier of a tracked value. `Ord` follows lattice order:
@@ -196,19 +189,6 @@ pub struct Site {
     pub chain: Vec<String>,
 }
 
-/// A decode-path allocation sink sized by a parameter with no
-/// workspace-visible bound: no caller caps it, no guard dominates it, no
-/// sanitizer clears it. Rendered by the `cap-consistency` pass.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
-pub struct CapGap {
-    pub file: String,
-    pub line: u32,
-    pub fn_name: String,
-    pub sink: String,
-    /// Names of the unbounded non-`self` parameters that size the sink.
-    pub params: Vec<String>,
-}
-
 struct FnInfo {
     name: String,
     file_idx: usize,
@@ -242,7 +222,6 @@ pub struct Dataflow {
     resolver: Resolver,
     summaries: Vec<Taint>,
     pub sites: Vec<Site>,
-    pub cap_gaps: Vec<CapGap>,
     /// Fixpoint sweeps across the summary and argument-taint phases.
     pub fixpoint_iters: usize,
 }
@@ -265,7 +244,6 @@ impl Dataflow {
             fns,
             resolver,
             sites: Vec::new(),
-            cap_gaps: Vec::new(),
             fixpoint_iters: 0,
         };
 
@@ -334,25 +312,14 @@ impl Dataflow {
             }
         }
 
-        // Phase 3 — sites and cap gaps, with caller context seeded in.
+        // Phase 3 — sites, with caller context seeded in.
         let mut sites = Vec::new();
-        let mut gaps = Vec::new();
         for i in 0..flow.fns.len() {
-            walk_fn(
-                &flow,
-                files,
-                i,
-                Some(&incoming),
-                Some((&mut sites, &mut gaps)),
-                None,
-            );
+            walk_fn(&flow, files, i, Some(&incoming), Some(&mut sites), None);
         }
         sites.sort();
         sites.dedup();
-        gaps.sort();
-        gaps.dedup();
         flow.sites = sites;
-        flow.cap_gaps = gaps;
         flow
     }
 }
@@ -480,7 +447,7 @@ fn walk_fn(
     files: &[SourceFile],
     fi: usize,
     incoming: Option<&Incoming>,
-    mut sinks: Option<(&mut Vec<Site>, &mut Vec<CapGap>)>,
+    mut sinks: Option<&mut Vec<Site>>,
     mut collect: Option<&mut Vec<ArgRec>>,
 ) -> Taint {
     let info = &flow.fns[fi];
@@ -583,7 +550,7 @@ fn walk_fn(
                             let has_range = (in_kw + 1..body_open - 1)
                                 .any(|k| file.punct_at(k, '.') && file.punct_at(k + 1, '.'));
                             if has_range && t.bound == Bound::Top {
-                                if let (Some(chain), Some((sites, _))) = (&t.chain, sinks.as_mut())
+                                if let (Some(chain), Some(sites)) = (&t.chain, sinks.as_deref_mut())
                                 {
                                     sites.push(Site {
                                         file: file.path.clone(),
@@ -661,8 +628,8 @@ fn walk_fn(
         }
 
         // -- sinks ------------------------------------------------------
-        if let Some((sites, gaps)) = sinks.as_mut() {
-            check_sink(flow, files, fi, &env, idx, sites, gaps);
+        if let Some(sites) = sinks.as_deref_mut() {
+            check_sink(flow, files, fi, &env, idx, sites);
         }
         idx += 1;
     }
@@ -1108,8 +1075,7 @@ fn collect_args(
 }
 
 /// Checks whether token `idx` is an allocation/index sink and records a
-/// site (or, for unbounded decode-path parameters, a cap gap) when its
-/// size expression warrants one.
+/// site when its size expression warrants one.
 fn check_sink(
     flow: &Dataflow,
     files: &[SourceFile],
@@ -1117,7 +1083,6 @@ fn check_sink(
     env: &BTreeMap<String, Taint>,
     idx: usize,
     sites: &mut Vec<Site>,
-    gaps: &mut Vec<CapGap>,
 ) {
     let info = &flow.fns[fi];
     let file = &files[info.file_idx];
@@ -1145,33 +1110,6 @@ fn check_sink(
                 sink: sink.to_string(),
                 chain: chain.clone(),
             });
-        } else if alloc && t.bound == Bound::Top && crate::passes::panic_path::decode_fn(&info.name)
-        {
-            // No attacker chain, but a decode-path allocation sized by a
-            // parameter nothing in the workspace bounds.
-            let self_mask = if info.params.first().map(String::as_str) == Some("self") {
-                1u64
-            } else {
-                0
-            };
-            if t.params & !self_mask != 0 {
-                let params: Vec<String> = info
-                    .params
-                    .iter()
-                    .enumerate()
-                    .filter(|(p, name)| {
-                        *p < 64 && t.params & (1u64 << p) != 0 && name.as_str() != "self"
-                    })
-                    .map(|(_, name)| name.clone())
-                    .collect();
-                gaps.push(CapGap {
-                    file: file.path.clone(),
-                    line,
-                    fn_name: info.name.clone(),
-                    sink: sink.to_string(),
-                    params,
-                });
-            }
         }
     };
 
@@ -1205,7 +1143,7 @@ fn check_sink(
                 }
             }
             "vec" if file.punct_at(idx + 1, '!') && file.punct_at(idx + 2, '[') => {
-                if let Some(cl) = bracket_close(file, idx + 2) {
+                if let Some(cl) = bracket_close(&file.tokens, idx + 2) {
                     let mut depth = 0i64;
                     for k in idx + 3..cl {
                         match file.tokens.get(k).map(|t| &t.tok) {
@@ -1233,29 +1171,13 @@ fn check_sink(
             _ => false,
         };
         if indexable {
-            if let Some(cl) = bracket_close(file, idx) {
+            if let Some(cl) = bracket_close(&file.tokens, idx) {
                 if idx + 1 < cl {
                     push(file.line_at(idx), "slice index", false, idx + 1, cl - 1);
                 }
             }
         }
     }
-}
-
-/// Matching `]` for the `[` at `open`.
-fn bracket_close(file: &SourceFile, open: usize) -> Option<usize> {
-    let mut depth = 0i64;
-    for k in open..file.tokens.len() {
-        if file.punct_at(k, '[') {
-            depth += 1;
-        } else if file.punct_at(k, ']') {
-            depth -= 1;
-            if depth == 0 {
-                return Some(k);
-            }
-        }
-    }
-    None
 }
 
 #[cfg(test)]
@@ -1465,39 +1387,13 @@ mod unit {
     #[test]
     fn capped_callers_bound_the_callee_parameter() {
         // Every call site caps the argument, so the callee's internal
-        // allocation is provably bounded: no site, no cap gap.
-        let flow = flow_of(&[(
+        // allocation is provably bounded: no site.
+        let s = sites(
             "crates/x/src/codec.rs",
             "fn grow(n: usize) { let v: Vec<u8> = Vec::with_capacity(n); } \
              fn setup() { grow(16); } fn setup_big() { grow(MAX_BATCH); }",
-        )]);
-        assert!(flow.sites.is_empty());
-        assert!(flow.cap_gaps.is_empty());
-    }
-
-    #[test]
-    fn unbounded_decode_param_is_a_cap_gap() {
-        // A decode-path allocation sized by a parameter with no caller
-        // and no guard: not a taint site (no chain), but a cap gap.
-        let flow = flow_of(&[(
-            "crates/x/src/codec.rs",
-            "pub fn decode_table(input: &mut &[u8], slots: usize) { \
-             let v: Vec<u64> = Vec::with_capacity(slots); }",
-        )]);
-        assert_eq!(flow.cap_gaps.len(), 1);
-        assert_eq!(flow.cap_gaps[0].fn_name, "decode_table");
-        assert_eq!(flow.cap_gaps[0].params, vec!["slots".to_string()]);
-    }
-
-    #[test]
-    fn guarded_decode_param_is_not_a_cap_gap() {
-        let flow = flow_of(&[(
-            "crates/x/src/codec.rs",
-            "pub fn decode_table(input: &mut &[u8], slots: usize) { \
-             if slots > MAX_SLOTS { return; } \
-             let v: Vec<u64> = Vec::with_capacity(slots); }",
-        )]);
-        assert!(flow.cap_gaps.is_empty());
+        );
+        assert!(s.is_empty());
     }
 
     #[test]
@@ -1529,7 +1425,6 @@ mod unit {
             ),
         ]);
         assert!(flow.sites.is_empty());
-        assert!(flow.cap_gaps.is_empty());
     }
 
     #[test]

@@ -18,7 +18,7 @@
 
 use crate::lexer::Tok;
 use crate::resolve::{Qual, Resolver};
-use crate::scan::{FnDef, SourceFile};
+use crate::scan::{FnDef, SourceFile, KEYWORDS};
 use std::fmt;
 
 /// Methods that acquire a guard. `.read()`/`.write()` count only with
@@ -47,12 +47,6 @@ const TRANSPARENT: [&str; 14] = [
 /// them (`conns_accept`, `tx_c`, …); stripped to merge with the original.
 const ALIAS_SUFFIXES: [&str; 9] = [
     "_accept", "_conn", "_c", "_i", "_e", "_t", "_tx", "_rx", "_2",
-];
-
-const KEYWORDS: [&str; 30] = [
-    "if", "else", "while", "for", "loop", "match", "return", "break", "continue", "let", "fn",
-    "impl", "pub", "use", "mod", "struct", "enum", "trait", "where", "as", "in", "ref", "mut",
-    "move", "dyn", "unsafe", "extern", "static", "const", "type",
 ];
 
 /// Identity of one named lock: canonical receiver name + defining file.

@@ -41,13 +41,16 @@ pub struct Token {
     pub line: u32,
 }
 
-/// Lexes `src` into a token stream, discarding comments.
-pub fn lex(src: &str) -> Vec<Token> {
+/// Lexes `src` into a token stream. Comments are discarded, except that
+/// each `//` comment's line and text (after the opener) is returned
+/// beside the tokens: allow markers live there and nowhere else.
+pub fn lex(src: &str) -> (Vec<Token>, Vec<(u32, String)>) {
     Lexer {
         chars: src.chars().collect(),
         pos: 0,
         line: 1,
         out: Vec::new(),
+        comments: Vec::new(),
     }
     .run()
 }
@@ -57,6 +60,7 @@ struct Lexer {
     pos: usize,
     line: u32,
     out: Vec<Token>,
+    comments: Vec<(u32, String)>,
 }
 
 impl Lexer {
@@ -77,15 +81,18 @@ impl Lexer {
         self.out.push(Token { tok, line });
     }
 
-    fn run(mut self) -> Vec<Token> {
+    fn run(mut self) -> (Vec<Token>, Vec<(u32, String)>) {
         while let Some(c) = self.peek(0) {
             let line = self.line;
             if c.is_whitespace() {
                 self.bump();
             } else if c == '/' && self.peek(1) == Some('/') {
+                let from = self.pos + 2;
                 while self.peek(0).is_some_and(|c| c != '\n') {
                     self.bump();
                 }
+                let text = self.chars[from..self.pos].iter().collect();
+                self.comments.push((line, text));
             } else if c == '/' && self.peek(1) == Some('*') {
                 self.block_comment();
             } else if c == '"' {
@@ -110,7 +117,7 @@ impl Lexer {
                 self.emit(Tok::Punct(c), line);
             }
         }
-        self.out
+        (self.out, self.comments)
     }
 
     fn block_comment(&mut self) {
@@ -333,7 +340,7 @@ mod tests {
     use super::*;
 
     fn kinds(src: &str) -> Vec<Tok> {
-        lex(src).into_iter().map(|t| t.tok).collect()
+        lex(src).0.into_iter().map(|t| t.tok).collect()
     }
 
     #[test]
@@ -451,7 +458,7 @@ mod tests {
 
     #[test]
     fn lines_track_through_multiline_constructs() {
-        let toks = lex("a\n/* c\nc */\nb \"s\ns\" d");
+        let (toks, _) = lex("a\n/* c\nc */\nb \"s\ns\" d");
         assert_eq!(toks[0].line, 1);
         assert_eq!(toks[1].line, 4); // b
         assert_eq!(toks[2].line, 4); // the string starts on line 4

@@ -1,6 +1,6 @@
 //! `distrust-lint`: repo-aware static analysis for the distrust workspace.
 //!
-//! Seven passes over a hand-rolled token stream (no registry
+//! Six passes over a hand-rolled token stream (no registry
 //! dependencies, std only), sharing one workspace-wide call graph that
 //! resolves `use` imports and type qualifiers across crate seams (see
 //! [`resolve`]):
@@ -21,17 +21,12 @@
 //!    with argument taint injected into callees.
 //! 6. **trust-boundary** — unverified signed-object fields flowing into
 //!    state-changing sinks before a verification call dominates them.
-//! 7. **cap-consistency** — `MAX_*`/`*_LEN` constants that bound nothing
-//!    (dead caps) and decode-path allocations sized by parameters no
-//!    caller, guard, or sanitizer bounds (cap gaps).
 //!
-//! Findings are suppressed only by `// lint:allow(<pass>): <reason>` on
-//! the same or preceding line (reason mandatory), or tolerated by a
-//! checked-in ratchet baseline (`lint-baseline.json`, reasons also
-//! mandatory) that refuses any growth in the count. See LINTS.md at the
-//! workspace root for the full contract.
+//! A finding is suppressed only by `// lint:allow(<pass>): <reason>` on
+//! the same or preceding line (reason mandatory); a marker that excuses
+//! nothing is itself a finding. See LINTS.md at the workspace root for
+//! the full contract and for the record each pass earns its place by.
 
-pub mod baseline;
 pub mod config;
 pub mod dataflow;
 pub mod facts;
@@ -78,13 +73,9 @@ impl Stats {
     }
 }
 
-/// Runs every pass under `cfg` and returns the finished report.
-pub fn analyze(cfg: &Config) -> io::Result<Report> {
-    analyze_with_stats(cfg).map(|(report, _)| report)
-}
-
-/// As [`analyze`], also returning the run's size counters.
-pub fn analyze_with_stats(cfg: &Config) -> io::Result<(Report, Stats)> {
+/// Runs every pass under `cfg`; returns the finished report and the run's
+/// size counters.
+pub fn analyze(cfg: &Config) -> io::Result<(Report, Stats)> {
     let start = std::time::Instant::now();
     let paths = discover(&cfg.root)?;
     let mut files = Vec::with_capacity(paths.len());
@@ -98,10 +89,9 @@ pub fn analyze_with_stats(cfg: &Config) -> io::Result<(Report, Stats)> {
     let mut report = Report::default();
     passes::lock_order::run(&model, &mut report);
     passes::blocking::run(&model, &cfg.reactor_entries, &mut report);
-    passes::panic_path::run(&files, cfg.panic_scope, &mut report);
-    passes::taint_alloc::run(&flow, cfg.taint_scope, &mut report);
-    passes::trust_boundary::run(&files, cfg.trust_scope, &mut report);
-    passes::cap_consistency::run(&files, &flow, cfg.cap_scope, &mut report);
+    passes::panic_path::run(&files, cfg.scope, &mut report);
+    passes::taint_alloc::run(&flow, cfg.scope, &mut report);
+    passes::trust_boundary::run(&files, cfg.scope, &mut report);
     if let Some(proto) = &cfg.protocol {
         let fuzz = std::fs::read_to_string(cfg.root.join(&proto.fuzz_file)).ok();
         passes::protocol::run(&files, proto, fuzz.as_deref(), &mut report);

@@ -1,17 +1,14 @@
 //! CLI for `distrust-lint`.
 //!
 //! ```text
-//! cargo run -p distrust-lint -- --deny --baseline lint-baseline.json  # CI gate
-//! cargo run -p distrust-lint -- --format json                        # machine-readable
-//! cargo run -p distrust-lint -- --root ../elsewhere                  # another workspace
-//! cargo run -p distrust-lint -- --write-baseline                     # regenerate ratchet
+//! cargo run -p distrust-lint -- --deny --stats        # CI gate
+//! cargo run -p distrust-lint -- --format json         # machine-readable
+//! cargo run -p distrust-lint -- --root ../elsewhere   # another workspace
 //! ```
 //!
-//! Exit codes: 0 clean (or findings without `--deny`), 1 denied findings
-//! under `--deny` (unallowlisted and not tolerated by the baseline),
-//! 2 usage or I/O error.
+//! Exit codes: 0 clean (or findings without `--deny`), 1 unallowlisted
+//! findings under `--deny`, 2 usage or I/O error.
 
-use distrust_lint::baseline::Baseline;
 use distrust_lint::config::Config;
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -21,8 +18,6 @@ fn main() -> ExitCode {
     let mut json = false;
     let mut stats = false;
     let mut root = PathBuf::from(".");
-    let mut baseline_path: Option<PathBuf> = None;
-    let mut write_baseline: Option<PathBuf> = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -42,31 +37,18 @@ fn main() -> ExitCode {
                     return ExitCode::from(2);
                 }
             },
-            "--baseline" => match args.next() {
-                Some(path) => baseline_path = Some(PathBuf::from(path)),
-                None => {
-                    eprintln!("--baseline expects a path");
-                    return ExitCode::from(2);
-                }
-            },
-            "--write-baseline" => {
-                write_baseline = Some(PathBuf::from("lint-baseline.json"));
-            }
             "--stats" => stats = true,
             "--help" | "-h" => {
                 println!(
-                    "distrust-lint [--deny] [--format text|json] [--root PATH]\n\
-                     \x20             [--baseline PATH] [--write-baseline] [--stats]\n\
+                    "distrust-lint [--deny] [--format text|json] [--root PATH] [--stats]\n\
                      Repo-aware static analysis: lock-order, panic-path, \
                      protocol-conformance, reactor-blocking, taint-alloc, \
-                     trust-boundary, cap-consistency.\n\
-                     --deny exits non-zero when denied findings remain; \
-                     --baseline PATH tolerates known findings (the ratchet) \
-                     but refuses any growth; --write-baseline regenerates \
-                     lint-baseline.json under --root, preserving reasons and \
-                     listing the stale entries it drops; --stats appends one \
-                     line of analysis-size counters (functions, call edges, \
-                     cross-crate edges, fixpoint iterations, wall time)."
+                     trust-boundary.\n\
+                     --deny exits non-zero when a finding is not excused by a \
+                     `lint:allow(<pass>): <reason>` comment beside it; \
+                     --stats appends one line of analysis-size counters \
+                     (functions, call edges, cross-crate edges, fixpoint \
+                     iterations, wall time)."
                 );
                 return ExitCode::SUCCESS;
             }
@@ -77,69 +59,12 @@ fn main() -> ExitCode {
         }
     }
 
-    let cfg = Config::repo_default(root.clone());
-    let (mut report, run_stats) = match distrust_lint::analyze_with_stats(&cfg) {
+    let (report, run_stats) = match distrust_lint::analyze(&Config::repo_default(root)) {
         Ok(out) => out,
         Err(err) => {
             eprintln!("distrust-lint: {err}");
             return ExitCode::from(2);
         }
-    };
-
-    if let Some(rel) = write_baseline {
-        let path = root.join(rel);
-        let prior = match std::fs::read_to_string(&path) {
-            Ok(text) => match Baseline::parse(&text) {
-                Ok(b) => b,
-                Err(err) => {
-                    eprintln!("distrust-lint: existing {}: {err}", path.display());
-                    return ExitCode::from(2);
-                }
-            },
-            Err(_) => Baseline::default(),
-        };
-        let next = Baseline::regenerate(&report, &prior);
-        if let Err(err) = std::fs::write(&path, next.render()) {
-            eprintln!("distrust-lint: writing {}: {err}", path.display());
-            return ExitCode::from(2);
-        }
-        let dropped = next.dropped_from(&prior);
-        println!(
-            "distrust-lint: wrote {} entr{} to {} ({} stale entr{} dropped)",
-            next.entries.len(),
-            if next.entries.len() == 1 { "y" } else { "ies" },
-            path.display(),
-            dropped.len(),
-            if dropped.len() == 1 { "y" } else { "ies" },
-        );
-        for e in &dropped {
-            println!(
-                "baseline dropped: {}: [{}] {} (was x{})",
-                e.file, e.pass, e.message, e.count
-            );
-        }
-        return ExitCode::SUCCESS;
-    }
-
-    let diff = match &baseline_path {
-        Some(path) => {
-            let text = match std::fs::read_to_string(path) {
-                Ok(text) => text,
-                Err(err) => {
-                    eprintln!("distrust-lint: reading {}: {err}", path.display());
-                    return ExitCode::from(2);
-                }
-            };
-            let baseline = match Baseline::parse(&text) {
-                Ok(b) => b,
-                Err(err) => {
-                    eprintln!("distrust-lint: {}: {err}", path.display());
-                    return ExitCode::from(2);
-                }
-            };
-            Some(baseline.apply(&mut report))
-        }
-        None => None,
     };
 
     if json {
@@ -150,23 +75,11 @@ fn main() -> ExitCode {
         }
     } else {
         print!("{}", report.render_text());
-        if let Some(diff) = &diff {
-            println!(
-                "baseline: {} matched, {} new, {} stale entr{}",
-                diff.matched,
-                diff.fresh,
-                diff.stale.len(),
-                if diff.stale.len() == 1 { "y" } else { "ies" }
-            );
-            for (pass, file, message, left) in &diff.stale {
-                println!("baseline stale: {file}: [{pass}] {message} (x{left}) — fixed? run --write-baseline");
-            }
-        }
         if stats {
             println!("{}", run_stats.render());
         }
     }
-    if deny && report.denied() > 0 {
+    if deny && report.unallowlisted() > 0 {
         return ExitCode::FAILURE;
     }
     ExitCode::SUCCESS

@@ -1,7 +1,6 @@
-//! The seven repo-specific analysis passes.
+//! The six repo-specific analysis passes.
 
 pub mod blocking;
-pub mod cap_consistency;
 pub mod lock_order;
 pub mod panic_path;
 pub mod protocol;

@@ -14,6 +14,7 @@
 //! elsewhere indexing over self-owned state is the lock passes' problem,
 //! not this one's.
 
+use crate::config::Scope;
 use crate::lexer::Tok;
 use crate::report::{Finding, Report};
 use crate::scan::{FnDef, SourceFile};
@@ -28,7 +29,7 @@ const KEYWORDS: [&str; 10] = [
 
 /// Which parts of a file the pass applies to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Cover {
+enum Cover {
     /// Every non-test function.
     Full,
     /// Only decode-path functions.
@@ -39,36 +40,23 @@ pub enum Cover {
     Skip,
 }
 
-/// File scope policy: the repo default, or everything (fixtures).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PanicScope {
-    RepoDefault,
-    AllFiles,
-}
-
-impl PanicScope {
-    pub fn coverage(&self, path: &str) -> Cover {
-        match self {
-            PanicScope::AllFiles => Cover::Full,
-            PanicScope::RepoDefault => {
-                if path.starts_with("crates/wire/src/")
-                    || path.starts_with("crates/tee/src/")
-                    || path.starts_with("crates/gossip/src/")
-                    || path == "crates/core/src/server.rs"
-                    || path == "crates/core/src/framework.rs"
-                    || path == "crates/core/src/protocol.rs"
-                    || path == "crates/core/src/witness.rs"
-                {
-                    Cover::Full
-                } else if path.starts_with("crates/log/src/") {
-                    Cover::Decode
-                } else if path.starts_with("crates/apps/src/") || path == "crates/core/src/abi.rs" {
-                    Cover::HostImports
-                } else {
-                    Cover::Skip
-                }
-            }
-        }
+/// The repo-default coverage of `path`.
+fn repo_coverage(path: &str) -> Cover {
+    if path.starts_with("crates/wire/src/")
+        || path.starts_with("crates/tee/src/")
+        || path.starts_with("crates/gossip/src/")
+        || path == "crates/core/src/server.rs"
+        || path == "crates/core/src/framework.rs"
+        || path == "crates/core/src/protocol.rs"
+        || path == "crates/core/src/witness.rs"
+    {
+        Cover::Full
+    } else if path.starts_with("crates/log/src/") {
+        Cover::Decode
+    } else if path.starts_with("crates/apps/src/") || path == "crates/core/src/abi.rs" {
+        Cover::HostImports
+    } else {
+        Cover::Skip
     }
 }
 
@@ -87,9 +75,12 @@ pub fn host_import_fn(def: &FnDef) -> bool {
     def.name == "call" && matches!(def.impl_trait.as_deref(), Some("AppHost" | "Host"))
 }
 
-pub fn run(files: &[SourceFile], scope: PanicScope, report: &mut Report) {
+pub fn run(files: &[SourceFile], scope: Scope, report: &mut Report) {
     for file in files {
-        let cover = scope.coverage(&file.path);
+        let cover = match scope {
+            Scope::AllFiles => Cover::Full,
+            Scope::RepoDefault => repo_coverage(&file.path),
+        };
         if cover == Cover::Skip {
             continue;
         }
@@ -191,7 +182,7 @@ mod unit {
     fn run_on(path: &str, src: &str) -> Report {
         let file = SourceFile::parse(path.into(), src);
         let mut report = Report::default();
-        run(&[file], PanicScope::RepoDefault, &mut report);
+        run(&[file], Scope::RepoDefault, &mut report);
         report.finish();
         report
     }

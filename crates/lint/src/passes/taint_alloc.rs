@@ -2,43 +2,30 @@
 //! decoded counts, unverified signed-object fields) reaching allocation,
 //! index, and loop-bound sinks — the length-bomb class, caught statically.
 //!
-//! The heavy lifting lives in [`crate::dataflow`], built once per run
-//! and shared with the cap-consistency pass; this pass scopes the
+//! The heavy lifting lives in [`crate::dataflow`]; this pass scopes the
 //! resulting sites to the server+client decode surface (`wire`, `log`,
 //! `core`, `tee`, `gossip`) and renders each as one finding with a
 //! deterministic source→sink chain, in the same spirit as the blocking
 //! pass's call chains.
 
+use crate::config::Scope;
 use crate::dataflow::Dataflow;
 use crate::report::{Finding, Report};
 
 pub const PASS: &str = "taint-alloc";
 
-/// File scope policy: the repo default, or everything (fixtures).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TaintScope {
-    RepoDefault,
-    AllFiles,
+/// The repo-default file scope.
+fn in_repo_scope(path: &str) -> bool {
+    path.starts_with("crates/wire/src/")
+        || path.starts_with("crates/log/src/")
+        || path.starts_with("crates/core/src/")
+        || path.starts_with("crates/tee/src/")
+        || path.starts_with("crates/gossip/src/")
 }
 
-impl TaintScope {
-    pub fn covers(&self, path: &str) -> bool {
-        match self {
-            TaintScope::AllFiles => true,
-            TaintScope::RepoDefault => {
-                path.starts_with("crates/wire/src/")
-                    || path.starts_with("crates/log/src/")
-                    || path.starts_with("crates/core/src/")
-                    || path.starts_with("crates/tee/src/")
-                    || path.starts_with("crates/gossip/src/")
-            }
-        }
-    }
-}
-
-pub fn run(flow: &Dataflow, scope: TaintScope, report: &mut Report) {
+pub fn run(flow: &Dataflow, scope: Scope, report: &mut Report) {
     for site in &flow.sites {
-        if !scope.covers(&site.file) {
+        if scope == Scope::RepoDefault && !in_repo_scope(&site.file) {
             continue;
         }
         report.findings.push(Finding::new(
@@ -64,7 +51,7 @@ mod unit {
         let file = SourceFile::parse(path.into(), src);
         let flow = Dataflow::build(std::slice::from_ref(&file));
         let mut report = Report::default();
-        run(&flow, TaintScope::RepoDefault, &mut report);
+        run(&flow, Scope::RepoDefault, &mut report);
         report.finish();
         report
     }

@@ -24,10 +24,11 @@
 //! Functions that *are* the verifier (named `verify*` or an auditor
 //! entry point) are exempt: they are the trust gate itself.
 
+use crate::config::Scope;
 use crate::dataflow::SIGNED_TYPES;
 use crate::lexer::Tok;
 use crate::report::{Finding, Report};
-use crate::scan::SourceFile;
+use crate::scan::{SourceFile, KEYWORDS};
 use std::collections::BTreeMap;
 
 pub const PASS: &str = "trust-boundary";
@@ -46,30 +47,11 @@ const SINK_FNS: [&str; 8] = [
     "append", "insert", "push", "adopt", "install", "extend", "record", "apply",
 ];
 
-const KEYWORDS: [&str; 30] = [
-    "if", "else", "while", "for", "loop", "match", "return", "break", "continue", "let", "fn",
-    "impl", "pub", "use", "mod", "struct", "enum", "trait", "where", "as", "in", "ref", "mut",
-    "move", "dyn", "unsafe", "extern", "static", "const", "type",
-];
-
-/// File scope policy: the repo default, or everything (fixtures).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TrustScope {
-    RepoDefault,
-    AllFiles,
-}
-
-impl TrustScope {
-    pub fn covers(&self, path: &str) -> bool {
-        match self {
-            TrustScope::AllFiles => true,
-            TrustScope::RepoDefault => {
-                path.starts_with("crates/core/src/")
-                    || path.starts_with("crates/log/src/")
-                    || path.starts_with("crates/tee/src/")
-            }
-        }
-    }
+/// The repo-default file scope.
+fn in_repo_scope(path: &str) -> bool {
+    path.starts_with("crates/core/src/")
+        || path.starts_with("crates/log/src/")
+        || path.starts_with("crates/tee/src/")
 }
 
 fn verifier_fn(name: &str) -> bool {
@@ -82,9 +64,9 @@ struct Tracked {
     verified: bool,
 }
 
-pub fn run(files: &[SourceFile], scope: TrustScope, report: &mut Report) {
+pub fn run(files: &[SourceFile], scope: Scope, report: &mut Report) {
     for file in files {
-        if !scope.covers(&file.path) {
+        if scope == Scope::RepoDefault && !in_repo_scope(&file.path) {
             continue;
         }
         for def in &file.fns {
@@ -419,7 +401,7 @@ mod unit {
     fn run_on(path: &str, src: &str) -> Report {
         let file = SourceFile::parse(path.into(), src);
         let mut report = Report::default();
-        run(&[file], TrustScope::RepoDefault, &mut report);
+        run(&[file], Scope::RepoDefault, &mut report);
         report.finish();
         report
     }

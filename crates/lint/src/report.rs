@@ -1,18 +1,17 @@
 //! Findings, allowlist application, and deterministic rendering.
 
 use crate::scan::SourceFile;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 
 /// Pass keys accepted in `lint:allow(<key>)` entries.
-pub const PASS_KEYS: [&str; 7] = [
+pub const PASS_KEYS: [&str; 6] = [
     "lock-order",
     "panic",
     "protocol",
     "blocking",
     "taint-alloc",
     "trust-boundary",
-    "cap-consistency",
 ];
 
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
@@ -23,8 +22,6 @@ pub struct Finding {
     pub message: String,
     /// The allow reason, when an allowlist entry covers this finding.
     pub allowed: Option<String>,
-    /// The baseline reason, when a `lint-baseline.json` entry covers it.
-    pub baselined: Option<String>,
 }
 
 impl Finding {
@@ -35,7 +32,6 @@ impl Finding {
             pass: pass.to_string(),
             message,
             allowed: None,
-            baselined: None,
         }
     }
 }
@@ -59,21 +55,23 @@ pub struct Report {
 impl Report {
     /// Applies allowlist comments: a finding is allowed when the same line
     /// or the line above carries `lint:allow(<its pass>)` *with a reason*.
-    /// Entries with empty reasons or unknown pass keys become findings of
-    /// their own (pass `allowlist`) and never suppress anything.
+    /// Entries with an empty reason or an unknown pass key, and entries
+    /// that excuse nothing (stale), become findings of their own (pass
+    /// `allowlist`) that no marker can suppress.
     pub fn apply_allows(&mut self, files: &[SourceFile]) {
-        let allows: BTreeMap<&str, &SourceFile> =
+        let by_path: BTreeMap<&str, &SourceFile> =
             files.iter().map(|f| (f.path.as_str(), f)).collect();
+        // (file, marker line, pass) of every entry that excused a finding.
+        let mut used: BTreeSet<(&str, u32, &str)> = BTreeSet::new();
         for finding in &mut self.findings {
-            let Some(file) = allows.get(finding.file.as_str()) else {
+            let Some(file) = by_path.get(finding.file.as_str()) else {
                 continue;
             };
             for line in [finding.line, finding.line.saturating_sub(1)] {
-                if let Some(entries) = file.allows.get(&line) {
-                    for e in entries {
-                        if e.pass == finding.pass && !e.reason.is_empty() {
-                            finding.allowed = Some(e.reason.clone());
-                        }
+                for e in file.allows.get(&line).into_iter().flatten() {
+                    if e.pass == finding.pass && !e.reason.is_empty() {
+                        finding.allowed = Some(e.reason.clone());
+                        used.insert((&file.path, line, &e.pass));
                     }
                 }
             }
@@ -81,24 +79,23 @@ impl Report {
         for file in files {
             for (&line, entries) in &file.allows {
                 for e in entries {
-                    if !PASS_KEYS.contains(&e.pass.as_str()) {
-                        self.findings.push(Finding::new(
-                            "allowlist",
-                            &file.path,
-                            line,
-                            format!("unknown pass `{}` in lint:allow entry", e.pass),
-                        ));
+                    let problem = if !PASS_KEYS.contains(&e.pass.as_str()) {
+                        format!("unknown pass `{}` in lint:allow entry", e.pass)
                     } else if e.reason.is_empty() {
-                        self.findings.push(Finding::new(
-                            "allowlist",
-                            &file.path,
-                            line,
-                            format!(
-                                "lint:allow({}) entry has no reason; every allowance must be justified",
-                                e.pass
-                            ),
-                        ));
-                    }
+                        format!(
+                            "lint:allow({}) entry has no reason; every allowance must be justified",
+                            e.pass
+                        )
+                    } else if !used.contains(&(file.path.as_str(), line, e.pass.as_str())) {
+                        format!(
+                            "stale lint:allow({0}) entry: no `{0}` finding on this line or the next",
+                            e.pass
+                        )
+                    } else {
+                        continue;
+                    };
+                    self.findings
+                        .push(Finding::new("allowlist", &file.path, line, problem));
                 }
             }
         }
@@ -110,52 +107,26 @@ impl Report {
         self.findings.dedup();
     }
 
+    /// Findings no allow marker excuses — what `--deny` gates on.
     pub fn unallowlisted(&self) -> usize {
         self.findings.iter().filter(|f| f.allowed.is_none()).count()
-    }
-
-    /// Findings neither allowlisted in code nor tolerated by a baseline —
-    /// what `--deny` gates on.
-    pub fn denied(&self) -> usize {
-        self.findings
-            .iter()
-            .filter(|f| f.allowed.is_none() && f.baselined.is_none())
-            .count()
     }
 
     pub fn render_text(&self) -> String {
         let mut out = String::new();
         for f in &self.findings {
-            match (&f.allowed, &f.baselined) {
-                (Some(reason), _) => {
-                    let _ = writeln!(
-                        out,
-                        "{}:{}: [{}] {} (allowed: {})",
-                        f.file, f.line, f.pass, f.message, reason
-                    );
-                }
-                (None, Some(reason)) => {
-                    let _ = writeln!(
-                        out,
-                        "{}:{}: [{}] {} (baselined: {})",
-                        f.file, f.line, f.pass, f.message, reason
-                    );
-                }
-                (None, None) => {
-                    let _ = writeln!(out, "{}:{}: [{}] {}", f.file, f.line, f.pass, f.message);
-                }
+            let _ = write!(out, "{}:{}: [{}] {}", f.file, f.line, f.pass, f.message);
+            if let Some(reason) = &f.allowed {
+                let _ = write!(out, " (allowed: {reason})");
             }
+            out.push('\n');
         }
-        let denied = self.denied();
+        let denied = self.unallowlisted();
         let _ = writeln!(
             out,
-            "distrust-lint: {} finding(s), {} allowlisted, {} baselined, {} denied",
+            "distrust-lint: {} finding(s), {} allowlisted, {} denied",
             self.findings.len(),
-            self.findings.iter().filter(|f| f.allowed.is_some()).count(),
-            self.findings
-                .iter()
-                .filter(|f| f.baselined.is_some())
-                .count(),
+            self.findings.len() - denied,
             denied
         );
         out
@@ -177,33 +148,23 @@ impl Report {
             );
             match &f.allowed {
                 Some(reason) => {
-                    let _ = write!(out, ",\"allowed\":true,\"reason\":{}", json_str(reason));
+                    let _ = write!(out, ",\"allowed\":true,\"reason\":{}}}", json_str(reason));
                 }
-                None => out.push_str(",\"allowed\":false"),
-            }
-            match &f.baselined {
-                Some(reason) => {
-                    let _ = write!(
-                        out,
-                        ",\"baselined\":true,\"baseline_reason\":{}}}",
-                        json_str(reason)
-                    );
-                }
-                None => out.push_str(",\"baselined\":false}"),
+                None => out.push_str(",\"allowed\":false}"),
             }
         }
         let _ = write!(
             out,
             "],\"total\":{},\"denied\":{}}}",
             self.findings.len(),
-            self.denied()
+            self.unallowlisted()
         );
         out.push('\n');
         out
     }
 }
 
-pub(crate) fn json_str(s: &str) -> String {
+fn json_str(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
     for c in s.chars() {
@@ -252,6 +213,29 @@ mod unit {
         report.finish();
         assert_eq!(report.unallowlisted(), 2);
         assert!(report.findings.iter().any(|f| f.pass == "allowlist"));
+    }
+
+    #[test]
+    fn marker_that_excuses_nothing_is_a_stale_finding() {
+        // The first marker reaches lines 1 and 2 and the finding is on
+        // line 3; the marker beside the finding names another pass.
+        let src =
+            "// lint:allow(panic): needed once\n\nfn f() {} // lint:allow(blocking): wrong pass\n";
+        let file = SourceFile::parse("crates/x/src/a.rs".into(), src);
+        let mut report = Report::default();
+        report
+            .findings
+            .push(Finding::new("panic", "crates/x/src/a.rs", 3, "boom".into()));
+        report.apply_allows(&[file]);
+        report.finish();
+        assert_eq!(report.unallowlisted(), 3);
+        let stale: Vec<u32> = report
+            .findings
+            .iter()
+            .filter(|f| f.pass == "allowlist" && f.message.starts_with("stale lint:allow("))
+            .map(|f| f.line)
+            .collect();
+        assert_eq!(stale, [1, 3]);
     }
 
     #[test]

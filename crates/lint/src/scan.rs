@@ -4,6 +4,14 @@
 use crate::lexer::{lex, Tok, Token};
 use std::collections::BTreeMap;
 
+/// Identifiers that can stand where a call, binding or receiver name is
+/// expected but never name one.
+pub const KEYWORDS: [&str; 30] = [
+    "if", "else", "while", "for", "loop", "match", "return", "break", "continue", "let", "fn",
+    "impl", "pub", "use", "mod", "struct", "enum", "trait", "where", "as", "in", "ref", "mut",
+    "move", "dyn", "unsafe", "extern", "static", "const", "type",
+];
+
 /// One `// lint:allow(<pass>): <reason>` entry.
 #[derive(Debug, Clone)]
 pub struct Allow {
@@ -54,9 +62,9 @@ pub struct SourceFile {
 impl SourceFile {
     pub fn parse(path: String, source: &str) -> SourceFile {
         let crate_name = crate_of(&path);
-        let tokens = lex(source);
+        let (tokens, comments) = lex(source);
         let depth = depths(&tokens);
-        let allows = parse_allows(source);
+        let allows = parse_allows(&comments);
         let test_mask = test_mask(&tokens);
         let mut file = SourceFile {
             path,
@@ -153,33 +161,26 @@ fn depths(tokens: &[Token]) -> Vec<u32> {
         .collect()
 }
 
-/// Parses `lint:allow(<pass>): <reason>` comments out of the raw text.
-/// An entry applies to its own line and to the line directly below it.
-fn parse_allows(source: &str) -> BTreeMap<u32, Vec<Allow>> {
+/// Parses `lint:allow(<pass>): <reason>` entries out of the file's `//`
+/// comments. An entry applies to its own line and to the line directly
+/// below it. Only a marker that opens a plain `//` comment counts: doc
+/// comments (`///`, `//!`) and string literals that merely *mention* the
+/// syntax stay inert.
+fn parse_allows(comments: &[(u32, String)]) -> BTreeMap<u32, Vec<Allow>> {
     let mut out: BTreeMap<u32, Vec<Allow>> = BTreeMap::new();
-    for (n, line) in source.lines().enumerate() {
-        // Only honour a marker that directly follows a plain `//` comment
-        // opener: doc comments (`///`, `//!`) and string literals that
-        // merely *mention* the syntax stay inert.
-        let Some(comment_at) = line.find("//") else {
-            continue;
-        };
-        let comment = line[comment_at + 2..].trim_start();
-        let Some(rest) = comment.strip_prefix("lint:allow(") else {
+    for (line, text) in comments {
+        let Some(rest) = text.trim_start().strip_prefix("lint:allow(") else {
             continue;
         };
         let Some(close) = rest.find(')') else {
             continue;
         };
         let pass = rest[..close].trim().to_string();
-        let after = &rest[close + 1..];
-        let reason = after
+        let reason = rest[close + 1..]
             .strip_prefix(':')
             .map(|r| r.trim().to_string())
             .unwrap_or_default();
-        out.entry(n as u32 + 1)
-            .or_default()
-            .push(Allow { pass, reason });
+        out.entry(*line).or_default().push(Allow { pass, reason });
     }
     out
 }
@@ -271,7 +272,7 @@ fn close_of(tokens: &[Token], open: usize) -> usize {
 }
 
 /// Matching `]` for the `[` at `open`.
-fn bracket_close(tokens: &[Token], open: usize) -> Option<usize> {
+pub(crate) fn bracket_close(tokens: &[Token], open: usize) -> Option<usize> {
     let mut depth = 0i64;
     for (i, t) in tokens.iter().enumerate().skip(open) {
         match t.tok {
@@ -638,7 +639,7 @@ mod unit {
     fn allows_parse_with_reasons() {
         let src =
             "x\n// lint:allow(panic): bounded by construction\ny // lint:allow(lock-order):\n";
-        let allows = parse_allows(src);
+        let allows = parse_allows(&lex(src).1);
         assert_eq!(allows[&2][0].pass, "panic");
         assert_eq!(allows[&2][0].reason, "bounded by construction");
         assert_eq!(allows[&3][0].pass, "lock-order");
@@ -647,8 +648,8 @@ mod unit {
 
     #[test]
     fn allow_marker_outside_comment_is_inert() {
-        let src = "let s = \"lint:allow(panic): nope\";\n";
-        assert!(parse_allows(src).is_empty());
+        let src = "let s = \"// lint:allow(panic): nope\";\n/// lint:allow(panic): doc\n";
+        assert!(parse_allows(&lex(src).1).is_empty());
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! deterministic across runs. The binary-level tests pin the CI contract:
 //! `--deny` exits non-zero on a seeded violation and zero on clean code.
 
-use distrust_lint::config::Config;
+use distrust_lint::config::{Config, Scope};
 use distrust_lint::passes::protocol::ProtocolCfg;
 use distrust_lint::report::Report;
 use std::path::{Path, PathBuf};
@@ -27,7 +27,15 @@ fn repo_root() -> PathBuf {
 }
 
 fn analyze_fixture(name: &str) -> Report {
-    distrust_lint::analyze(&Config::fixture(fixture_root(name))).expect("fixture scan")
+    let (report, _) =
+        distrust_lint::analyze(&Config::fixture(fixture_root(name))).expect("fixture scan");
+    report
+}
+
+fn analyze_repo() -> Report {
+    let (report, _) =
+        distrust_lint::analyze(&Config::repo_default(repo_root())).expect("repo scan");
+    report
 }
 
 #[test]
@@ -106,7 +114,7 @@ fn protocol_fixture_fires_on_every_seeded_defect() {
         fuzz_file: "fuzz.rs".into(),
         types: vec!["Request".into()],
     });
-    let report = distrust_lint::analyze(&cfg).expect("fixture scan");
+    let (report, _) = distrust_lint::analyze(&cfg).expect("fixture scan");
     assert!(
         report.findings.iter().all(|f| f.pass == "protocol"),
         "{:?}",
@@ -168,8 +176,7 @@ fn cross_crate_fixture_fires_each_seeded_defect_exactly() {
     assert_eq!(count("taint-alloc"), 2, "{:?}", report.findings);
     assert_eq!(count("lock-order"), 1, "{:?}", report.findings);
     assert_eq!(count("blocking"), 1, "{:?}", report.findings);
-    assert_eq!(count("cap-consistency"), 1, "{:?}", report.findings);
-    assert_eq!(report.findings.len(), 5, "{:?}", report.findings);
+    assert_eq!(report.findings.len(), 4, "{:?}", report.findings);
 
     let has = |needle: &str| report.findings.iter().any(|f| f.message.contains(needle));
     // Bomb 1: taint returned out of alpha sizes an allocation in beta; the
@@ -195,9 +202,6 @@ fn cross_crate_fixture_fires_each_seeded_defect_exactly() {
         "lock-order cycle: `egress@reactor` -> `ingress@sync` -> `egress@reactor`"
     ));
     assert!(has("pump -> relay -> drain"));
-    // The dead cap fires; the live guard cap does not.
-    assert!(has("`MAX_DEAD_SLOTS`"));
-    assert!(!has("`MAX_SLOTS`"), "{:?}", report.findings);
 }
 
 #[test]
@@ -233,17 +237,7 @@ fn cross_crate_report_is_identical_regardless_of_scan_order() {
         let mut report = Report::default();
         passes::lock_order::run(&model, &mut report);
         passes::blocking::run(&model, &passes::blocking::default_entries(), &mut report);
-        passes::taint_alloc::run(
-            &flow,
-            distrust_lint::passes::taint_alloc::TaintScope::AllFiles,
-            &mut report,
-        );
-        passes::cap_consistency::run(
-            &files,
-            &flow,
-            distrust_lint::passes::cap_consistency::CapScope::AllFiles,
-            &mut report,
-        );
+        passes::taint_alloc::run(&flow, Scope::AllFiles, &mut report);
         report.apply_allows(&files);
         report.finish();
         (report.render_text(), report.render_json())
@@ -258,17 +252,22 @@ fn cross_crate_report_is_identical_regardless_of_scan_order() {
 #[test]
 fn allowlist_suppresses_with_a_reason() {
     let report = analyze_fixture("allowed");
-    assert_eq!(report.findings.len(), 1, "{:?}", report.findings);
+    assert_eq!(report.findings.len(), 2, "{:?}", report.findings);
     let f = &report.findings[0];
     assert_eq!(f.pass, "panic");
     let reason = f.allowed.as_deref().expect("finding must be allowlisted");
     assert!(reason.contains("startup-time invariant"), "{reason}");
-    assert_eq!(report.unallowlisted(), 0);
+    // The stale twin excuses nothing, so it is the one denied finding.
+    let stale = &report.findings[1];
+    assert_eq!((stale.pass.as_str(), stale.line), ("allowlist", 12));
+    assert!(stale.message.starts_with("stale lint:allow(panic)"));
+    assert_eq!(stale.allowed, None);
+    assert_eq!(report.unallowlisted(), 1);
 }
 
 #[test]
 fn live_repo_has_zero_unallowlisted_findings() {
-    let report = distrust_lint::analyze(&Config::repo_default(repo_root())).expect("repo scan");
+    let report = analyze_repo();
     let denied: Vec<_> = report
         .findings
         .iter()
@@ -288,9 +287,7 @@ fn live_repo_has_zero_unallowlisted_findings() {
 
 #[test]
 fn report_is_byte_identical_across_runs() {
-    let cfg = Config::repo_default(repo_root());
-    let first = distrust_lint::analyze(&cfg).expect("repo scan");
-    let second = distrust_lint::analyze(&cfg).expect("repo scan");
+    let (first, second) = (analyze_repo(), analyze_repo());
     assert_eq!(first.render_text(), second.render_text());
     assert_eq!(first.render_json(), second.render_json());
 }
@@ -298,8 +295,7 @@ fn report_is_byte_identical_across_runs() {
 #[test]
 fn reports_are_byte_identical_across_root_spellings() {
     // `--root .` (run from the workspace root) and `--root <absolute>`
-    // must render byte-identical reports, or the checked-in baseline
-    // would only match from one invocation directory.
+    // must render byte-identical reports.
     let bin = env!("CARGO_BIN_EXE_distrust-lint");
     let root = repo_root();
     let via_dot = Command::new(bin)
@@ -319,12 +315,11 @@ fn reports_are_byte_identical_across_root_spellings() {
 }
 
 #[test]
-fn live_repo_is_clean_under_deny_with_checked_in_baseline() {
-    // The exact CI gate: the committed baseline must parse, and the live
-    // tree must produce zero denied findings under it.
+fn live_repo_is_clean_under_deny() {
+    // The exact CI gate: zero denied findings on the live tree.
     let bin = env!("CARGO_BIN_EXE_distrust-lint");
     let out = Command::new(bin)
-        .args(["--deny", "--baseline", "lint-baseline.json", "--root", "."])
+        .args(["--deny", "--root", "."])
         .current_dir(repo_root())
         .output()
         .expect("run lint binary");
@@ -335,72 +330,6 @@ fn live_repo_is_clean_under_deny_with_checked_in_baseline() {
         String::from_utf8_lossy(&out.stdout),
         String::from_utf8_lossy(&out.stderr)
     );
-}
-
-#[test]
-fn baseline_ratchet_tolerates_known_findings_and_rejects_growth() {
-    // Self-test of the ratchet loop on a scratch workspace shaped like
-    // the repo (so the binary's repo-default scopes cover it): seed a
-    // taint-alloc violation, write a baseline, and check that the same
-    // findings pass under it while an empty baseline still fails.
-    let bin = env!("CARGO_BIN_EXE_distrust-lint");
-    let scratch =
-        std::env::temp_dir().join(format!("distrust-lint-ratchet-{}", std::process::id()));
-    let src_dir = scratch.join("crates").join("wire").join("src");
-    std::fs::create_dir_all(&src_dir).expect("scratch tree");
-    std::fs::copy(
-        fixture_root("bad_taint_alloc").join("decode.rs"),
-        src_dir.join("decode.rs"),
-    )
-    .expect("seed violation");
-
-    // Without any baseline the seeded violations are denied.
-    let bare = Command::new(bin)
-        .args(["--deny", "--root"])
-        .arg(&scratch)
-        .output()
-        .expect("run lint binary");
-    assert_eq!(bare.status.code(), Some(1), "{:?}", bare);
-
-    // --write-baseline captures them...
-    let write = Command::new(bin)
-        .args(["--write-baseline", "--root"])
-        .arg(&scratch)
-        .output()
-        .expect("run lint binary");
-    assert_eq!(write.status.code(), Some(0), "{:?}", write);
-    let baseline_path = scratch.join("lint-baseline.json");
-    assert!(baseline_path.is_file());
-
-    // ...and the identical tree now passes the deny gate under it.
-    let ratcheted = Command::new(bin)
-        .args(["--deny", "--baseline"])
-        .arg(&baseline_path)
-        .args(["--root"])
-        .arg(&scratch)
-        .output()
-        .expect("run lint binary");
-    assert_eq!(
-        ratcheted.status.code(),
-        Some(0),
-        "stdout: {}",
-        String::from_utf8_lossy(&ratcheted.stdout)
-    );
-
-    // An empty baseline rejects the same findings: the ratchet refuses
-    // growth rather than grandfathering whatever currently fires.
-    let empty_path = scratch.join("empty-baseline.json");
-    std::fs::write(&empty_path, "{\n  \"entries\": [\n  ]\n}\n").expect("empty baseline");
-    let refused = Command::new(bin)
-        .args(["--deny", "--baseline"])
-        .arg(&empty_path)
-        .args(["--root"])
-        .arg(&scratch)
-        .output()
-        .expect("run lint binary");
-    assert_eq!(refused.status.code(), Some(1), "{:?}", refused);
-
-    std::fs::remove_dir_all(&scratch).ok();
 }
 
 #[test]

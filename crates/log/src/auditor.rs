@@ -211,7 +211,6 @@ impl DomainState {
         }
         // 2. Equivocation inside the batch.
         for (i, a) in cps.iter().enumerate() {
-            // lint:allow(taint-alloc): `i` enumerates `cps` itself, so the slice start is bounded by the batch length by construction
             for b in &cps[i + 1..] {
                 if a.body.size == b.body.size
                     && a.body.log_id == b.body.log_id

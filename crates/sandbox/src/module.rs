@@ -11,6 +11,11 @@ use distrust_wire::codec::{decode_seq, encode_seq, Decode, DecodeError, Encode};
 pub const PAGE_SIZE: usize = 64 * 1024;
 /// Hard cap on memory pages a module may request.
 pub const MAX_PAGES: u32 = 256; // 16 MiB
+/// Hard cap on the slots (`params + locals`) one function may declare. A
+/// `Call` costs the same fuel whatever the callee declares and the VM
+/// zeroes every declared slot on entry, so the cap is what bounds the
+/// work and memory of a call (2 KiB a frame).
+pub const MAX_FRAME_SLOTS: u32 = 256;
 
 /// Signature of an imported host function.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -179,6 +184,8 @@ pub enum ValidateError {
     JumpOutOfRange { function: u32, target: u32 },
     /// Local index beyond `params + locals`.
     BadLocal { function: u32, index: u16 },
+    /// `params + locals` beyond [`MAX_FRAME_SLOTS`].
+    TooManyLocals { function: u32, slots: u32 },
     /// Call target beyond the function table.
     BadCall { function: u32, target: u16 },
     /// Host call index beyond the import table.
@@ -205,6 +212,12 @@ impl core::fmt::Display for ValidateError {
             }
             Self::BadLocal { function, index } => {
                 write!(f, "fn {function}: local {index} out of range")
+            }
+            Self::TooManyLocals { function, slots } => {
+                write!(
+                    f,
+                    "fn {function}: {slots} frame slots exceed {MAX_FRAME_SLOTS}"
+                )
             }
             Self::BadCall { function, target } => {
                 write!(f, "fn {function}: call target {target} out of range")
@@ -280,6 +293,12 @@ impl Module {
                 return Err(ValidateError::EmptyFunction { function: fi32 });
             }
             let nlocals = func.params as u32 + func.locals as u32;
+            if nlocals > MAX_FRAME_SLOTS {
+                return Err(ValidateError::TooManyLocals {
+                    function: fi32,
+                    slots: nlocals,
+                });
+            }
             let len = func.code.len() as u32;
             for instr in &func.code {
                 match instr {
@@ -387,6 +406,22 @@ mod tests {
         let mut m = trivial_module();
         m.functions[0].code = vec![Instr::LocalGet(0), Instr::Return];
         assert!(matches!(m.validate(), Err(ValidateError::BadLocal { .. })));
+    }
+
+    #[test]
+    fn frame_slots_are_capped() {
+        let mut m = trivial_module();
+        m.functions[0].params = 6;
+        m.functions[0].locals = 250;
+        assert_eq!(m.validate(), Ok(()));
+        m.functions[0].locals = 251;
+        assert_eq!(
+            m.validate(),
+            Err(ValidateError::TooManyLocals {
+                function: 0,
+                slots: 257
+            })
+        );
     }
 
     #[test]

@@ -15,8 +15,6 @@
 //! * structs: fields in declaration order, no padding, no field tags;
 //! * enums: `u8` discriminant then the variant payload.
 
-use bytes::{Buf, BufMut};
-
 /// Maximum length accepted for any length-prefixed collection (16 MiB).
 /// Prevents a malicious peer from triggering huge allocations.
 pub const MAX_COLLECTION_LEN: usize = 16 * 1024 * 1024;
@@ -93,7 +91,7 @@ macro_rules! impl_int {
         $(
             impl Encode for $t {
                 fn encode(&self, out: &mut Vec<u8>) {
-                    out.put_slice(&self.to_le_bytes());
+                    out.extend_from_slice(&self.to_le_bytes());
                 }
             }
             impl Decode for $t {
@@ -111,7 +109,7 @@ impl_int!(u8, u16, u32, u64, i64);
 
 impl Encode for bool {
     fn encode(&self, out: &mut Vec<u8>) {
-        out.put_u8(*self as u8);
+        out.push(*self as u8);
     }
 }
 
@@ -145,7 +143,7 @@ pub fn decode_len(input: &mut &[u8]) -> Result<usize, DecodeError> {
 impl Encode for Vec<u8> {
     fn encode(&self, out: &mut Vec<u8>) {
         encode_len(self.len(), out);
-        out.put_slice(self);
+        out.extend_from_slice(self);
     }
 }
 
@@ -159,7 +157,7 @@ impl Decode for Vec<u8> {
 impl Encode for String {
     fn encode(&self, out: &mut Vec<u8>) {
         encode_len(self.len(), out);
-        out.put_slice(self.as_bytes());
+        out.extend_from_slice(self.as_bytes());
     }
 }
 
@@ -173,7 +171,7 @@ impl Decode for String {
 
 impl<const N: usize> Encode for [u8; N] {
     fn encode(&self, out: &mut Vec<u8>) {
-        out.put_slice(self);
+        out.extend_from_slice(self);
     }
 }
 
@@ -187,9 +185,9 @@ impl<const N: usize> Decode for [u8; N] {
 impl<T: Encode> Encode for Option<T> {
     fn encode(&self, out: &mut Vec<u8>) {
         match self {
-            None => out.put_u8(0),
+            None => out.push(0),
             Some(v) => {
-                out.put_u8(1);
+                out.push(1);
                 v.encode(out);
             }
         }
@@ -262,13 +260,6 @@ macro_rules! wire_struct {
             }
         }
     };
-}
-
-/// Unused-import shim so `bytes` stays a real dependency of the framing
-/// layer even when only the codec module is in play.
-#[allow(dead_code)]
-fn _buf_used(b: &mut dyn Buf) {
-    let _ = b.remaining();
 }
 
 #[cfg(test)]

@@ -76,9 +76,7 @@ impl<T: Transport> PipelinedClient<T> {
     /// Like [`Self::recv_next`], but gives up after `timeout` with
     /// `Ok(None)`. Abandoned responses drained while waiting count against
     /// the same timeout budget (the deadline is fixed up front, not
-    /// restarted per drained frame). Requires a transport that implements
-    /// [`Transport::recv_timeout`] non-blockingly (TCP does); others fall
-    /// back to a blocking receive.
+    /// restarted per drained frame).
     pub fn recv_next_timeout(
         &mut self,
         timeout: Duration,

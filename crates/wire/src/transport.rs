@@ -54,14 +54,7 @@ pub trait Transport: Send {
     /// bytes are retained, so a later `recv`/`recv_timeout` resumes where
     /// this one left off (quorum fan-out polls several transports in
     /// rounds without losing frame synchronisation).
-    ///
-    /// The default implementation ignores the timeout and blocks — correct
-    /// for transports whose `recv` cannot park mid-message, but real
-    /// socket transports should override it.
-    fn recv_timeout(&mut self, timeout: Duration) -> Result<Option<Vec<u8>>, TransportError> {
-        let _ = timeout;
-        self.recv().map(Some)
-    }
+    fn recv_timeout(&mut self, timeout: Duration) -> Result<Option<Vec<u8>>, TransportError>;
 }
 
 /// A [`Transport`] over a connected TCP stream.

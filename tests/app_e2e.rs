@@ -3,7 +3,8 @@
 
 use distrust::apps::analytics::{self, AnalyticsClient};
 use distrust::apps::key_backup::{self, KeyBackupClient, RecoverStatus};
-use distrust::core::{Deployment, TrustPolicy};
+use distrust::core::session::{DomainOutcome, FanoutCall, QuorumPolicy};
+use distrust::core::{ClientError, Deployment, TrustPolicy};
 use distrust::crypto::drbg::HmacDrbg;
 
 #[test]
@@ -164,4 +165,40 @@ fn analytics_audit_stays_clean_under_load() {
     assert_eq!(count, 20);
     assert_eq!(totals[1], 20);
     assert_eq!(totals[0], (0..20).sum::<u64>());
+}
+
+/// Figure 2: trust domain 0 runs without secure hardware. A policy that
+/// requires attestation leaves it out — refused by name on a direct call,
+/// never sent a fan-out request — while the attested domains 1..n carry
+/// the quorums that fit inside them.
+#[test]
+fn requiring_attestation_leaves_domain_zero_out() {
+    let deployment =
+        Deployment::launch(analytics::app_spec(3), b"attested only seed").expect("launch");
+    let mut client = deployment.client(b"careful user");
+    let mut session = client.session(TrustPolicy::audited().with_require_attested());
+    session.refresh_trust().expect("domains 1 and 2 attest");
+    assert_eq!(session.trusted_domains(), [1, 2]);
+
+    match session.call(0, analytics::METHOD_COUNT, b"") {
+        Err(ClientError::Untrusted { domain: 0, reason }) => {
+            assert!(reason.contains("attestation"), "{reason}")
+        }
+        other => panic!("domain 0 must be refused for not attesting: {other:?}"),
+    }
+    session
+        .call(1, analytics::METHOD_COUNT, b"")
+        .expect("an attested domain serves");
+
+    let count = FanoutCall::broadcast(analytics::METHOD_COUNT, Vec::new());
+    let two = session
+        .fanout(&count.clone().quorum(QuorumPolicy::Threshold(2)))
+        .expect("fan-out runs");
+    assert!(two.satisfied, "{two:?}");
+    assert!(matches!(two.outcomes[0], DomainOutcome::Untrusted(_)));
+    assert!(two.outcomes[1].is_ok() && two.outcomes[2].is_ok());
+
+    let all = session.fanout(&count).expect("fan-out runs");
+    assert!(!all.satisfied, "{all:?}");
+    assert_eq!(all.ok_count(), 2);
 }

@@ -1,9 +1,15 @@
 //! Fake single-domain deployments for the detection suites: an
 //! unattested trust domain that answers `BatchAudit` with whatever view a
-//! test scripts, plus the descriptor/client plumbing to audit it.
+//! test scripts, plus the descriptor/client plumbing to audit it — and the
+//! un-gated application call the update and lockdown suites use.
+
+// Each test binary uses its own subset of these helpers.
+#![allow(dead_code)]
 
 use distrust::core::protocol::{AuditBundle, BundleAttestation, Request, Response};
-use distrust::core::{DeploymentClient, DeploymentDescriptor, DomainInfo, DomainStatus};
+use distrust::core::{
+    ClientError, DeploymentClient, DeploymentDescriptor, DomainInfo, DomainStatus,
+};
 use distrust::crypto::drbg::HmacDrbg;
 use distrust::crypto::schnorr::SigningKey;
 use distrust::log::batch::CheckpointBundle;
@@ -26,6 +32,26 @@ pub fn descriptor_for(addr: SocketAddr, key: &SigningKey) -> DeploymentDescripto
             vendor: None,
             checkpoint_key: key.verifying_key(),
         }],
+    }
+}
+
+/// One application call on one domain with no audit in front of it, for
+/// suites that are about what a domain runs rather than whether to trust
+/// it. Applications go through `Session`, which audits first.
+pub fn app_call(
+    client: &mut DeploymentClient,
+    domain: u32,
+    method: u64,
+    payload: &[u8],
+) -> Result<Vec<u8>, ClientError> {
+    let request = Request::AppCall {
+        method,
+        payload: payload.to_vec(),
+    };
+    match client.exchange(domain, &request)? {
+        Response::AppResult { payload } => Ok(payload),
+        Response::AppError(e) => Err(ClientError::App(e)),
+        other => Err(ClientError::Unexpected(format!("{other:?}"))),
     }
 }
 

@@ -2,6 +2,9 @@
 //! corrupting state — audits, app calls, and updates interleaved from
 //! multiple threads.
 
+mod common;
+
+use common::app_call;
 use distrust::apps::analytics::{self, AnalyticsClient};
 use distrust::core::{Deployment, TrustPolicy};
 use distrust::crypto::drbg::HmacDrbg;
@@ -392,7 +395,7 @@ fn update_during_traffic_is_atomic() {
         joins.push(std::thread::spawn(move || {
             let mut client = deployment.client(format!("caller {t}").as_bytes());
             for i in 0..50 {
-                let out = client.call(i % 2, 1, b"").expect("call never errors");
+                let out = app_call(&mut client, i % 2, 1, b"").expect("call never errors");
                 assert!(out == vec![1] || out == vec![2], "saw {out:?}");
             }
         }));
@@ -414,6 +417,6 @@ fn update_during_traffic_is_atomic() {
     // Convergence.
     let mut client = deployment.client(b"final check");
     for d in 0..2 {
-        assert_eq!(client.call(d, 1, b"").unwrap(), vec![2]);
+        assert_eq!(app_call(&mut client, d, 1, b"").unwrap(), vec![2]);
     }
 }

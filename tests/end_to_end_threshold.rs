@@ -138,8 +138,9 @@ fn share_index_served_through_deployment() {
     let (spec, _public) = threshold_signer::setup(1, 2, &mut rng).expect("setup");
     let deployment = Deployment::launch(spec, b"e2e index seed").expect("launch");
     let mut client = deployment.client(b"client-4");
+    let mut session = client.session(TrustPolicy::audited());
     for domain in 0..2u32 {
-        let out = client
+        let out = session
             .call(domain, threshold_signer::METHOD_INDEX, b"")
             .expect("index call");
         assert_eq!(out, vec![(domain + 1) as u8]);

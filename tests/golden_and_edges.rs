@@ -5,6 +5,9 @@
 //! the canonical encodings (via their SHA-256) so accidental wire-format
 //! changes fail loudly instead of silently invalidating old logs.
 
+mod common;
+
+use common::app_call;
 use distrust::core::protocol::{DomainStatus, Request, Response};
 use distrust::core::Deployment;
 use distrust::crypto::sha256;
@@ -158,10 +161,8 @@ fn client_surfaces_unreachable_domains() {
     assert!(report.domains[0].failure.is_none());
     assert!(report.domains[1].failure.is_some());
     // App calls to the dead domain error; to the live one succeed.
-    assert!(client.call(1, 1, b"").is_err());
-    assert!(client
-        .call(0, distrust::apps::analytics::METHOD_COUNT, b"")
-        .is_ok());
+    assert!(app_call(&mut client, 1, 1, b"").is_err());
+    assert!(app_call(&mut client, 0, distrust::apps::analytics::METHOD_COUNT, b"").is_ok());
 }
 
 #[test]

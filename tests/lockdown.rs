@@ -2,6 +2,9 @@
 //! consider disabling her ability to push code updates to defend against
 //! future compromise." A final release permanently locks every domain.
 
+mod common;
+
+use common::app_call;
 use distrust::core::abi::{AppHost, HANDLE_EXPORT, OUTBOX_ADDR};
 use distrust::core::{AppSpec, ClientError, Deployment, NoImports};
 use distrust::sandbox::{FuncBuilder, Limits, Module, ModuleBuilder};
@@ -39,7 +42,7 @@ fn final_release_locks_all_domains() {
     for r in client.push_update(&final_release) {
         r.expect("final release accepted");
     }
-    assert_eq!(client.call(0, 1, b"").unwrap(), vec![2]);
+    assert_eq!(app_call(&mut client, 0, 1, b"").unwrap(), vec![2]);
 
     // Even the DEVELOPER cannot push v3 anymore — the whole point: a
     // future developer compromise cannot alter the running code.
@@ -54,7 +57,7 @@ fn final_release_locks_all_domains() {
     }
     // Behaviour frozen at v2; audit stays clean; log history immutable at
     // two entries.
-    assert_eq!(client.call(0, 1, b"").unwrap(), vec![2]);
+    assert_eq!(app_call(&mut client, 0, 1, b"").unwrap(), vec![2]);
     let report = client.audit(Some(&final_release.digest()));
     assert!(report.is_clean(), "{report:?}");
     for d in 0..3 {

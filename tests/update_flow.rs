@@ -5,6 +5,9 @@
 //! digest history is in every domain's append-only log, audits stay clean,
 //! and unauthorized updates are rejected everywhere.
 
+mod common;
+
+use common::app_call;
 use distrust::core::abi::{AppHost, HANDLE_EXPORT, OUTBOX_ADDR};
 use distrust::core::{AppSpec, Deployment, NoImports, Request, Response};
 use distrust::sandbox::{FuncBuilder, Limits, Module, ModuleBuilder};
@@ -47,7 +50,7 @@ fn signed_update_flows_to_all_domains() {
     let mut client = deployment.client(b"auditor");
 
     // v1 behaviour.
-    assert_eq!(client.call(1, 1, &[5]).unwrap(), vec![105u8]);
+    assert_eq!(app_call(&mut client, 1, 1, &[5]).unwrap(), vec![105u8]);
 
     // First audit pins state.
     let report = client.audit(Some(&deployment.initial_app_digest));
@@ -65,7 +68,7 @@ fn signed_update_flows_to_all_domains() {
 
     // Behaviour changed everywhere.
     for d in 0..4 {
-        assert_eq!(client.call(d, 1, &[5]).unwrap(), vec![205u8]);
+        assert_eq!(app_call(&mut client, d, 1, &[5]).unwrap(), vec![205u8]);
     }
 
     // Clients learn about the update: notices reference log index 1.
@@ -110,7 +113,7 @@ fn unsigned_update_rejected_everywhere() {
         }
     }
     // Behaviour unchanged; logs unchanged.
-    assert_eq!(client.call(0, 1, &[1]).unwrap(), vec![101u8]);
+    assert_eq!(app_call(&mut client, 0, 1, &[1]).unwrap(), vec![101u8]);
     for d in 0..3 {
         assert_eq!(client.log_entries(d, 0).unwrap().len(), 1);
     }
@@ -165,7 +168,7 @@ fn update_notice_precedes_new_code_serving() {
     let notices = client.notices(0, 0).unwrap();
     assert_eq!(notices.last().unwrap().manifest.version, 2);
     // Only now exercise the new code.
-    assert_eq!(client.call(0, 1, &[1]).unwrap(), vec![201u8]);
+    assert_eq!(app_call(&mut client, 0, 1, &[1]).unwrap(), vec![201u8]);
 }
 
 #[test]
@@ -184,7 +187,7 @@ fn malicious_but_signed_update_is_contained_and_evidenced() {
     // The hostile module doesn't export `handle`: every call errors, the
     // framework survives, and audits still work.
     for d in 0..3 {
-        assert!(client.call(d, 1, &[1]).is_err());
+        assert!(app_call(&mut client, d, 1, &[1]).is_err());
     }
     let report = client.audit(Some(&hostile_digest));
     assert!(report.is_clean(), "{report:?}");

@@ -16,7 +16,7 @@ use distrust::apps::{key_backup, threshold_signer};
 use distrust::core::abi::{
     app_call, import_names, AppHost, HostAdapter, HANDLE_EXPORT, INBOX_ADDR,
 };
-use distrust::core::{ClientError, Deployment, TrustPolicy};
+use distrust::core::{ClientError, Deployment, DeploymentClient, TrustPolicy};
 use distrust::crypto::drbg::HmacDrbg;
 use distrust::sandbox::{
     Export, FuncBuilder, Function, ImportSig, Instance, Instr, Limits, Memory, Module, NoHost, Trap,
@@ -326,9 +326,29 @@ fn backup_store_refuses_a_payload_shorter_than_its_header() {
     }
 }
 
-/// Sends the rogue request five times to each domain of a live 2-domain
-/// deployment (domain 0 direct, domain 1 behind its enclave proxy), then
-/// requires an honest call and an audit to succeed on both.
+/// Requires an honest call and an audit to succeed on both domains of a
+/// live 2-domain deployment (domain 0 direct, domain 1 behind its enclave
+/// proxy).
+fn both_domains_still_serve(
+    client: &mut DeploymentClient,
+    honest: impl Fn(u32, Result<Vec<u8>, ClientError>),
+) {
+    {
+        let mut session = client.session(TrustPolicy::audited());
+        for domain in 0..2 {
+            honest(
+                domain,
+                session.call(domain, threshold_signer::METHOD_INDEX, b""),
+            );
+        }
+    }
+    let report = client.audit(None);
+    assert!(report.is_clean(), "{report:?}");
+    assert_eq!(report.domains.len(), 2);
+}
+
+/// Sends the rogue request five times to each domain, then requires
+/// [`both_domains_still_serve`].
 fn domains_outlive_the_rogue_request(
     deployment: &Deployment,
     honest: impl Fn(u32, Result<Vec<u8>, ClientError>),
@@ -345,16 +365,8 @@ fn domains_outlive_the_rogue_request(
                 );
             }
         }
-        for domain in 0..2 {
-            honest(
-                domain,
-                session.call(domain, threshold_signer::METHOD_INDEX, b""),
-            );
-        }
     }
-    let report = client.audit(None);
-    assert!(report.is_clean(), "{report:?}");
-    assert_eq!(report.domains.len(), 2);
+    both_domains_still_serve(&mut client, honest);
 }
 
 /// A release whose guest declares `fp.mul` with no parameters: on the
@@ -392,6 +404,34 @@ fn a_panicking_app_host_cannot_take_its_domain_down() {
     let mut deployment = Deployment::launch(spec, b"rogue panic").expect("launch");
     domains_outlive_the_rogue_request(&deployment, |_, answer| {
         assert_eq!(answer.expect("honest call served"), vec![42]);
+    });
+    deployment.shutdown();
+}
+
+/// Frame slots are not free: a `Call` costs 9 fuel whatever the callee
+/// declares, and the VM zeroes every declared slot on entry. On the parent
+/// commit a function could declare 65 535 locals, so one request could
+/// spend its whole fuel budget zeroing 512 KB per call while holding the
+/// framework mutex. Every domain now refuses such a release at
+/// `push_update`, keeps the one it runs, and goes on serving calls and
+/// audits.
+#[test]
+fn a_release_that_declares_65535_locals_is_refused_by_every_domain() {
+    let mut rng = HmacDrbg::new(b"vm robustness", b"live frames");
+    let (spec, _public) = threshold_signer::setup(2, 2, &mut rng).expect("setup");
+    let mut greedy = spec.module.clone();
+    greedy.functions[0].locals = u16::MAX;
+    let mut deployment = Deployment::launch(spec, b"greedy frames").expect("launch");
+    let release = deployment.sign_release(2, "greedy frames", &greedy);
+    let mut client = deployment.client(b"developer");
+    for (domain, ack) in client.push_update(&release).into_iter().enumerate() {
+        assert!(
+            matches!(&ack, Err(ClientError::UpdateRejected(why)) if why.contains("frame slots")),
+            "domain {domain}: {ack:?}"
+        );
+    }
+    both_domains_still_serve(&mut client, |domain, answer| {
+        assert_eq!(answer.expect("honest call served"), vec![domain as u8 + 1]);
     });
     deployment.shutdown();
 }
