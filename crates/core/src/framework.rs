@@ -30,12 +30,13 @@ use distrust_gossip::envelope::{GossipEnvelope, GossipHead};
 use distrust_gossip::evidence::EvidenceBundle;
 use distrust_log::batch::{CheckpointBundle, ProofBundle};
 use distrust_log::checkpoint::{CheckpointBody, SignedCheckpoint};
+use distrust_log::merkle::PackedRecords;
 use distrust_log::shard::{ShardBundle, ShardEpoch, ShardSnapshot, ShardedLog};
 use distrust_log::store::{open_store, LogStore, StorageConfig, StoreError};
 use distrust_sandbox::{Instance, Limits};
 use distrust_tee::enclave::Enclave;
 use distrust_wire::codec::{Decode, Encode};
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
 /// Meta-log record kinds — the framework's durable signed artifacts,
@@ -103,6 +104,22 @@ struct RunningApp {
 /// the earliest included checkpoint.
 const MAX_BUNDLE_CHECKPOINTS: usize = 64;
 
+/// Signed epochs a 1-shard domain keeps in memory: the
+/// [`MAX_BUNDLE_CHECKPOINTS`] newest a bundle can carry, and the one
+/// before them — the furthest-behind epoch a client can stand on and still
+/// be served the unbroken chain from its own size. Everything older stays
+/// in its `META_EPOCH` record on disk and is neither loaded nor served: a
+/// client behind it gets one consistency step to the oldest epoch kept.
+const RETAINED_EPOCHS: usize = MAX_BUNDLE_CHECKPOINTS + 1;
+
+/// Most bundles the audit cache holds between two releases: one per size
+/// an honest client can report and be served a distinct, complete answer
+/// for — 0 and the [`RETAINED_EPOCHS`] sizes. `verified_size` is whatever
+/// an unauthenticated peer writes into its request, so without the bound
+/// one peer walking `1..current` would park `current` bundles here. A
+/// request that finds the cache full is built and answered, not stored.
+const MAX_CACHED_BUNDLES: usize = RETAINED_EPOCHS + 1;
+
 /// Shared per-epoch audit artifacts, amortised across every auditing
 /// client: one [`CheckpointBundle`] per distinct `verified_size`, rebuilt
 /// only when the log grows. With this cache a `BatchAudit` performs **no
@@ -115,7 +132,8 @@ struct AuditCache {
     epoch: u64,
     /// Signed size-0 checkpoint for audits of a still-empty log.
     genesis: Option<SignedCheckpoint>,
-    /// Bundles keyed by the client-reported verified size (1-shard logs).
+    /// Bundles keyed by the client-reported verified size (1-shard logs),
+    /// at most [`MAX_CACHED_BUNDLES`] of them.
     bundles: HashMap<u64, CheckpointBundle>,
     /// Sharded bundles keyed the same way (multi-shard logs).
     shard_bundles: HashMap<u64, ShardBundle>,
@@ -176,6 +194,15 @@ impl GossipBoard {
     }
 }
 
+/// Appends a freshly signed or recovered epoch, dropping the oldest one a
+/// 1-shard log no longer serves (see [`RETAINED_EPOCHS`]).
+fn retain_epoch(epochs: &mut VecDeque<SignedCheckpoint>, epoch: SignedCheckpoint, shards: usize) {
+    if shards == 1 && epochs.len() == RETAINED_EPOCHS {
+        epochs.pop_front();
+    }
+    epochs.push_back(epoch);
+}
+
 /// One trust domain's framework state.
 pub struct EnclaveFramework {
     config: FrameworkConfig,
@@ -190,11 +217,16 @@ pub struct EnclaveFramework {
     /// a top-level shard-head commitment. One shard reproduces the legacy
     /// single-tree wire format bit for bit.
     log: ShardedLog,
-    /// Update notices, one per activated release.
-    notices: Vec<UpdateNotice>,
+    /// Update notices, one per activated release, each as the wire bytes
+    /// its `META_NOTICE` record holds: [`Request::GetNotices`] is their
+    /// only reader.
+    notices: PackedRecords,
     /// One signed checkpoint per log append ("epoch"), signed at update
     /// time so audits are served from cache instead of signing per client.
-    epoch_checkpoints: Vec<SignedCheckpoint>,
+    /// On a 1-shard log the newest [`RETAINED_EPOCHS`], oldest first; a
+    /// multi-shard log keeps them all, index for index with
+    /// `epoch_snapshots`.
+    epoch_checkpoints: VecDeque<SignedCheckpoint>,
     /// The per-shard snapshot behind each epoch checkpoint, parallel to
     /// `epoch_checkpoints` — what sharded audit bundles serve and what
     /// maps a client's verified total size back to per-shard baselines.
@@ -241,9 +273,11 @@ impl EnclaveFramework {
     /// across framework lifetimes.
     ///
     /// Recovery rebuilds the Merkle shards from persisted leaves, then
-    /// replays the meta log: the genesis checkpoint, every epoch's signed
-    /// checkpoint + shard snapshot, and every update notice are *reused*,
-    /// not re-signed. Boot refuses to proceed when the signed history
+    /// replays the meta log: the genesis checkpoint, the signed epochs
+    /// (the newest 65 of a 1-shard log, `RETAINED_EPOCHS` — older records
+    /// are decoded and let go — with their shard snapshots on a
+    /// multi-shard one), and every update notice are *reused*, not
+    /// re-signed. Boot refuses to proceed when the signed history
     /// outruns the recovered log ([`StoreError::LostSignedHistory`] — a
     /// fsync hole or deleted segment) or diverges from it (`Corrupt`) —
     /// serving in either state would manufacture equivocation evidence
@@ -258,8 +292,10 @@ impl EnclaveFramework {
         let shards = config.log_shards.max(1) as usize;
         let (log, meta) = ShardedLog::with_store(shards, store)?;
         let mut genesis = None;
-        let mut notices: Vec<UpdateNotice> = Vec::new();
-        let mut epoch_checkpoints: Vec<SignedCheckpoint> = Vec::new();
+        let mut notices = PackedRecords::default();
+        let mut locked = false;
+        let mut recovered_version = 0u64;
+        let mut epoch_checkpoints = VecDeque::with_capacity(RETAINED_EPOCHS);
         let mut epoch_snapshots: Vec<ShardSnapshot> = Vec::new();
         let mut logical_time = 0u64;
         for record in &meta {
@@ -286,7 +322,7 @@ impl EnclaveFramework {
                         });
                     }
                     logical_time = logical_time.max(cp.body.logical_time);
-                    epoch_checkpoints.push(cp);
+                    retain_epoch(&mut epoch_checkpoints, cp, shards);
                     if shards > 1 {
                         epoch_snapshots.push(snapshot);
                     }
@@ -295,7 +331,9 @@ impl EnclaveFramework {
                     let notice = UpdateNotice::from_wire(&record.payload)
                         .map_err(|_| StoreError::Corrupt("meta notice record"))?;
                     logical_time = logical_time.max(notice.logical_time);
-                    notices.push(notice);
+                    locked |= notice.manifest.locks_updates;
+                    recovered_version = recovered_version.max(notice.manifest.version);
+                    notices.push(&record.payload);
                 }
                 _ => return Err(StoreError::Corrupt("unknown meta record kind")),
             }
@@ -303,7 +341,7 @@ impl EnclaveFramework {
         // Boot guards: the recovered log must carry every size the signed
         // history committed to, and match it bit for bit at the head.
         let snapshot = log.snapshot();
-        if let Some(last) = epoch_checkpoints.last() {
+        if let Some(last) = epoch_checkpoints.back() {
             if last.body.size > snapshot.total() {
                 return Err(StoreError::LostSignedHistory {
                     signed: last.body.size,
@@ -325,12 +363,6 @@ impl EnclaveFramework {
                 ));
             }
         }
-        let locked = notices.iter().any(|n| n.manifest.locks_updates);
-        let recovered_version = notices
-            .iter()
-            .map(|n| n.manifest.version)
-            .max()
-            .unwrap_or(0);
         Ok(Self {
             config,
             enclave,
@@ -437,7 +469,8 @@ impl EnclaveFramework {
             log_index,
             logical_time: self.logical_time,
         };
-        self.notices.push(notice.clone());
+        let notice_wire = notice.to_wire();
+        self.notices.push(&notice_wire);
         // Sign this epoch's checkpoint once, here — every BatchAudit until
         // the next update is served from it without touching the key. The
         // checkpoint signs the shard-head commitment (= the single tree's
@@ -466,10 +499,14 @@ impl EnclaveFramework {
         checkpoint.encode(&mut epoch_wire);
         snapshot.encode(&mut epoch_wire);
         self.log
-            .append_meta(META_NOTICE, &notice.to_wire())
+            .append_meta(META_NOTICE, &notice_wire)
             .and_then(|()| self.log.append_meta(META_EPOCH, &epoch_wire))
             .map_err(|e| ReleaseError::Persist(e.to_string()))?;
-        self.epoch_checkpoints.push(checkpoint);
+        retain_epoch(
+            &mut self.epoch_checkpoints,
+            checkpoint,
+            snapshot.shard_count(),
+        );
         if snapshot.shard_count() > 1 {
             self.epoch_snapshots.push(snapshot);
         }
@@ -543,7 +580,9 @@ impl EnclaveFramework {
         }
         self.audit_cache.misses += 1;
         let bundle = self.build_audit_bundle(key, current);
-        self.audit_cache.bundles.insert(key, bundle.clone());
+        if self.audit_cache.bundles.len() < MAX_CACHED_BUNDLES {
+            self.audit_cache.bundles.insert(key, bundle.clone());
+        }
         bundle
     }
 
@@ -561,7 +600,7 @@ impl EnclaveFramework {
             // Client already at the head: the latest checkpoint alone.
             // (The `last()` is guarded by the emptiness check above; the
             // if-let keeps this path panic-free regardless.)
-            if let Some(latest) = self.epoch_checkpoints.last() {
+            if let Some(latest) = self.epoch_checkpoints.back() {
                 return CheckpointBundle {
                     checkpoints: vec![latest.clone()],
                     proof: empty,
@@ -603,7 +642,9 @@ impl EnclaveFramework {
         }
         self.audit_cache.misses += 1;
         let bundle = self.build_shard_audit_bundle(key);
-        self.audit_cache.shard_bundles.insert(key, bundle.clone());
+        if self.audit_cache.shard_bundles.len() < MAX_CACHED_BUNDLES {
+            self.audit_cache.shard_bundles.insert(key, bundle.clone());
+        }
         bundle
     }
 
@@ -752,8 +793,8 @@ impl EnclaveFramework {
             Request::GetNotices { since } => Response::Notices(
                 self.notices
                     .iter()
-                    .filter(|n| n.log_index >= since)
-                    .cloned()
+                    .filter_map(|wire| UpdateNotice::from_wire(wire).ok())
+                    .filter(|notice| notice.log_index >= since)
                     .collect(),
             ),
             Request::BatchAudit {
@@ -800,7 +841,7 @@ impl EnclaveFramework {
                 // then everything clients have left on the board.
                 let own = self
                     .epoch_checkpoints
-                    .last()
+                    .back()
                     .cloned()
                     .unwrap_or_else(|| self.genesis_checkpoint());
                 let mut heads = Vec::with_capacity(1 + self.gossip.heads.len());
@@ -1126,6 +1167,58 @@ mod tests {
         );
     }
 
+    /// `verified_size` is the client's word. Every size gets its answer —
+    /// one an auditor standing at that size accepts and follows to the
+    /// head — but only [`MAX_CACHED_BUNDLES`] of them get a cache slot, and
+    /// a domain 200 releases old holds [`RETAINED_EPOCHS`] signed epochs.
+    #[test]
+    fn the_audit_cache_is_bounded_by_the_domain_not_by_its_clients() {
+        use distrust_log::auditor::Auditor;
+        const RELEASES: u64 = 200;
+        let mut fw = fresh_framework();
+        let epochs: Vec<SignedCheckpoint> = (1..=RELEASES)
+            .map(|version| {
+                fw.apply_update(&release(version)).unwrap();
+                audit_bundle_from(&mut fw, version).checkpoints.remove(0)
+            })
+            .collect();
+        assert_eq!(fw.epoch_checkpoints.len(), RETAINED_EPOCHS);
+        assert_eq!(fw.audit_cache.bundles.len(), 1);
+
+        // Every answer is the newest epochs, bit for bit, with one proof
+        // step per epoch. An auditor's full verdict costs 64 signature
+        // checks a size: on all 200 against optimised code (CI's release
+        // test step), on the ring's edge and every 16th in a debug build.
+        let oldest_kept = RELEASES - RETAINED_EPOCHS as u64 + 1;
+        for verified_size in 1..=RELEASES {
+            let bundle = audit_bundle_from(&mut fw, verified_size);
+            let served = bundle.checkpoints.len();
+            let expected = (RELEASES - verified_size).clamp(1, MAX_BUNDLE_CHECKPOINTS as u64);
+            assert_eq!(served as u64, expected);
+            assert_eq!(bundle.checkpoints, epochs[epochs.len() - served..]);
+            if verified_size < RELEASES {
+                assert_eq!(bundle.proof.len(), served);
+            }
+            let at_the_edge = verified_size.abs_diff(oldest_kept) <= 1;
+            if cfg!(debug_assertions) && !at_the_edge && verified_size % 16 != 0 {
+                continue;
+            }
+            let mut auditor = Auditor::new(vec![checkpoint_vk()]);
+            let standing_on = epochs[verified_size as usize - 1].clone();
+            assert!(auditor.observe(0, standing_on, None).is_consistent());
+            let outcome = auditor.observe_bundle(0, &bundle);
+            assert!(outcome.is_consistent(), "{verified_size}: {outcome:?}");
+            assert_eq!(auditor.latest(0).unwrap().body.size, RELEASES);
+        }
+        assert_eq!(fw.audit_cache.bundles.len(), MAX_CACHED_BUNDLES);
+        // Served all the same, cached or not: asking again is a hit only
+        // for the sizes that got a slot.
+        let (hits, misses) = fw.audit_cache_stats();
+        audit_bundle_from(&mut fw, 1);
+        audit_bundle_from(&mut fw, RELEASES - 1);
+        assert_eq!(fw.audit_cache_stats(), (hits + 1, misses + 1));
+    }
+
     #[test]
     fn batch_audit_on_empty_log_serves_genesis() {
         use distrust_log::auditor::Auditor;
@@ -1143,26 +1236,66 @@ mod tests {
         assert_eq!(auditor.latest(0).unwrap().body.size, 1);
     }
 
+    /// A framework over `store`, as a restart finds it.
+    fn open(store: Arc<dyn LogStore>, key: &[u8]) -> Result<EnclaveFramework, StoreError> {
+        EnclaveFramework::open_with_store(
+            FrameworkConfig {
+                domain_index: 0,
+                app_name: "counter".into(),
+                developer_key: dev().verifying_key(),
+                log_id: [7; 32],
+                limits: Limits::default(),
+                log_shards: 1,
+                storage: StorageConfig::Ephemeral,
+            },
+            None,
+            SigningKey::derive(b"framework tests", key),
+            Box::new(NoImports),
+            store,
+        )
+    }
+
+    /// Recovery keeps the tail the running domain kept, bit for bit, and
+    /// an auditor that verified a size long since dropped from it is
+    /// served across the restart as it would have been before.
+    #[test]
+    fn a_restart_recovers_the_ring_and_serves_a_client_behind_it() {
+        use distrust_log::auditor::Auditor;
+        use distrust_log::store::MemStore;
+        let store: Arc<dyn LogStore> = Arc::new(MemStore::new(1));
+        let mut fw = open(Arc::clone(&store), b"checkpoint").unwrap();
+        let mut auditor = Auditor::new(vec![checkpoint_vk()]);
+        let apply = |fw: &mut EnclaveFramework, versions: std::ops::RangeInclusive<u64>| {
+            for version in versions {
+                fw.apply_update(&release(version)).unwrap();
+            }
+        };
+        apply(&mut fw, 1..=2);
+        assert!(auditor
+            .observe_bundle(0, &audit_bundle_from(&mut fw, 0))
+            .is_consistent());
+        apply(&mut fw, 3..=102);
+        let ring = fw.epoch_checkpoints.clone();
+        assert_eq!(ring.len(), RETAINED_EPOCHS);
+        assert_eq!(ring.front().unwrap().body.size, 102 - 64);
+        let notices = fw.handle(Request::GetNotices { since: 100 });
+        drop(fw);
+
+        let mut fw = open(store, b"checkpoint").unwrap();
+        assert_eq!(fw.epoch_checkpoints, ring);
+        assert_eq!(fw.current_version(), 102);
+        assert_eq!(fw.handle(Request::GetNotices { since: 100 }), notices);
+        assert!(matches!(notices, Response::Notices(n) if n.len() == 2));
+        let bundle = audit_bundle_from(&mut fw, 2);
+        assert_eq!(bundle.checkpoints.len(), MAX_BUNDLE_CHECKPOINTS);
+        let outcome = auditor.observe_bundle(0, &bundle);
+        assert!(outcome.is_consistent(), "{outcome:?}");
+        assert_eq!(auditor.latest(0).unwrap().body.size, 102);
+    }
+
     #[test]
     fn boot_refuses_a_newest_head_its_own_key_did_not_sign() {
         use distrust_log::store::MemStore;
-        let open = |store: Arc<dyn LogStore>, key: &[u8]| {
-            EnclaveFramework::open_with_store(
-                FrameworkConfig {
-                    domain_index: 0,
-                    app_name: "counter".into(),
-                    developer_key: dev().verifying_key(),
-                    log_id: [7; 32],
-                    limits: Limits::default(),
-                    log_shards: 1,
-                    storage: StorageConfig::Ephemeral,
-                },
-                None,
-                SigningKey::derive(b"framework tests", key),
-                Box::new(NoImports),
-                store,
-            )
-        };
         let store: Arc<dyn LogStore> = Arc::new(MemStore::new(1));
         let mut fw = open(Arc::clone(&store), b"checkpoint").unwrap();
         fw.apply_update(&release(1)).unwrap();

@@ -1,9 +1,28 @@
 //! `G1` — the order-`r` subgroup of `E(Fp): y² = x³ + 4`.
 //!
 //! Points use Jacobian projective coordinates internally
-//! (`x = X/Z²`, `y = Y/Z³`, infinity encoded as `Z = 0`). Scalar
-//! multiplication is variable-time double-and-add; see the side-channel note
-//! in [`crate::limbs`].
+//! (`x = X/Z²`, `y = Y/Z³`, infinity encoded as `Z = 0`).
+//!
+//! There is one multiplication path per kind of point:
+//!
+//! * **A point known to lie in G1** — decoded by
+//!   [`G1Affine::from_compressed`], produced by [`hash_to_g1`], or a
+//!   multiple of the generator — goes through [`G1Projective::multi_scalar`]
+//!   ([`G1Projective::mul_scalar`] and [`G1Projective::mul_generator`] are
+//!   its one-term forms). The kernel splits every scalar along the
+//!   endomorphism `φ = [−u²]`, which acts that way **on G1 only**: handed a
+//!   curve point outside the subgroup it returns some other curve point,
+//!   not `k·P`. Membership is the caller's precondition; types that feed it
+//!   ([`crate::schnorr::VerifyingKey`]) keep their point private for that
+//!   reason.
+//! * **Any point of the curve** goes through the bit-by-bit
+//!   [`G1Projective::mul_limbs`] ladder, which assumes nothing: cofactor
+//!   clearing, the subgroup test itself, and the oracle the kernel is
+//!   tested against.
+//!
+//! Both are variable time — the kernel's digit pattern and table lookups
+//! depend on the scalar exactly as the ladder's additions do; see the
+//! side-channel note in [`crate::limbs`].
 
 use crate::fp::Fp;
 use crate::fr::Fr;
@@ -38,6 +57,99 @@ fn beta() -> &'static Fp {
             .into_iter()
             .find(|beta| G1Projective::from(g.endomorphism(beta)) == minus_u2_g)
             .expect("one of the two cube roots of unity acts as [-u^2] on G1")
+    })
+}
+
+/// Window of the NAFs over variable points, and the odd multiples of each
+/// it calls for, computed on every call.
+const VARIABLE_WINDOW: u32 = 5;
+const VARIABLE_TABLE: usize = 1 << (VARIABLE_WINDOW - 2);
+/// Window of the NAFs over the generator, whose odd multiples are computed
+/// once.
+const GENERATOR_WINDOW: u32 = 8;
+const GENERATOR_TABLE: usize = 1 << (GENERATOR_WINDOW - 2);
+
+/// `(k₁, k₂)` with `k = k₁ + k₂·u²` and both halves below `u² < 2¹²⁸`, so
+/// that `k·P = k₁·P + k₂·(−φ(P))` for `P ∈ G1`. `r = u⁴ − u² + 1 < u⁴`
+/// bounds the quotient, which is why a plain division (here by `u`, twice)
+/// serves where other curves need a lattice reduction.
+fn split_scalar(k: &Fr) -> (u128, u128) {
+    let (q, r1) = limbs::div_rem_u64(&k.to_canonical_limbs(), BLS_X);
+    let (q, r2) = limbs::div_rem_u64(&q, BLS_X);
+    debug_assert_eq!((q[2], q[3]), (0, 0), "k < u^4");
+    let k1 = r2 as u128 * BLS_X as u128 + r1 as u128;
+    let k2 = (q[1] as u128) << 64 | q[0] as u128;
+    (k1, k2)
+}
+
+/// A width-`w` non-adjacent form, least significant digit first: every
+/// non-zero digit is odd and below `2^(w−1)` in magnitude, and at least
+/// `w − 1` zeros follow it. A 128-bit value has at most 129 digits.
+struct Naf {
+    digits: [i8; 129],
+    len: usize,
+}
+
+impl Naf {
+    fn new(mut k: u128, w: u32) -> Self {
+        debug_assert!((2..=8).contains(&w), "digits are stored as i8");
+        let mut digits = [0i8; 129];
+        let mut len = 0;
+        while k != 0 {
+            if k & 1 == 1 {
+                let low = (k & ((1 << w) - 1)) as i32;
+                let digit = if low >= 1 << (w - 1) {
+                    low - (1 << w)
+                } else {
+                    low
+                };
+                digits[len] = digit as i8;
+                // (k − digit) / 2 without forming k + |digit|, which can
+                // exceed 128 bits.
+                k = (k >> 1).wrapping_sub((digit >> 1) as u128);
+            } else {
+                k >>= 1;
+            }
+            len += 1;
+        }
+        Self { digits, len }
+    }
+
+    /// Digit `i` when it is not zero, as the table offset of its magnitude
+    /// (`|d| / 2`, tables holding odd multiples) and whether it is negative.
+    fn digit(&self, i: usize) -> Option<(usize, bool)> {
+        let digit = *self.digits.get(i)?;
+        (digit != 0).then(|| (usize::from(digit.unsigned_abs() / 2), digit < 0))
+    }
+}
+
+/// Appends `P, 3P, …, (2n − 1)·P` to `table`: a digit `d` of a NAF finds
+/// `|d|·P` at offset `|d| / 2`. Tables live on the heap, here and in the
+/// kernel: every thread of a domain signs or verifies sooner or later, and
+/// a few kilobytes of arrays in these frames are resident stack pages in
+/// each of them for good.
+fn push_odd_multiples(table: &mut Vec<G1Projective>, p: &G1Projective, n: usize) {
+    let twice = p.double();
+    let mut multiple = *p;
+    table.push(multiple);
+    for _ in 1..n {
+        multiple = multiple.add(&twice);
+        table.push(multiple);
+    }
+}
+
+/// The odd multiples of the generator up to `127·G`, then those of `−φ(G)`,
+/// in affine form (≈ 13 KB, built on first use).
+fn generator_tables() -> &'static [G1Affine] {
+    static TABLES: OnceLock<Vec<G1Affine>> = OnceLock::new();
+    TABLES.get_or_init(|| {
+        let mut jacobian = Vec::with_capacity(GENERATOR_TABLE);
+        push_odd_multiples(&mut jacobian, &G1Projective::generator(), GENERATOR_TABLE);
+        let mut table: Vec<G1Affine> = jacobian.iter().map(G1Projective::to_affine).collect();
+        for i in 0..GENERATOR_TABLE {
+            table.push(table[i].endomorphism(beta()).neg());
+        }
+        table
     })
 }
 
@@ -335,9 +447,38 @@ impl G1Projective {
         }
     }
 
-    /// Mixed addition with an affine point.
+    /// Mixed addition with an affine point (`Z₂ = 1`: 11 field
+    /// multiplications against [`Self::add`]'s 16).
     pub fn add_affine(&self, rhs: &G1Affine) -> Self {
-        self.add(&G1Projective::from(*rhs))
+        if rhs.infinity {
+            return *self;
+        }
+        if self.is_identity() {
+            return (*rhs).into();
+        }
+        let z1z1 = self.z.square();
+        let u2 = rhs.x.mul(&z1z1);
+        let s2 = rhs.y.mul(&self.z).mul(&z1z1);
+        if self.x == u2 {
+            if self.y == s2 {
+                return self.double();
+            }
+            return Self::identity();
+        }
+        let h = u2.sub(&self.x);
+        let hh = h.square();
+        let i = hh.double().double();
+        let j = h.mul(&i);
+        let r = s2.sub(&self.y).double();
+        let v = self.x.mul(&i);
+        let x3 = r.square().sub(&j).sub(&v.double());
+        let y3 = r.mul(&v.sub(&x3)).sub(&self.y.mul(&j).double());
+        let z3 = self.z.add(&h).square().sub(&z1z1).sub(&hh);
+        Self {
+            x: x3,
+            y: y3,
+            z: z3,
+        }
     }
 
     /// Negation.
@@ -349,13 +490,78 @@ impl G1Projective {
         }
     }
 
-    /// Scalar multiplication by a field scalar.
-    pub fn mul_scalar(&self, k: &Fr) -> Self {
-        self.mul_limbs(&k.to_canonical_limbs())
+    /// `generator·G + Σ kᵢ·Pᵢ` for points `Pᵢ` **of G1** (see the module
+    /// header: outside the subgroup the result is not the sum), in one run
+    /// of at most 128 doublings whatever the number of terms.
+    ///
+    /// Each scalar is split as `k = k₁ + k₂·u²` and `k₂·u²·P` taken as
+    /// `k₂·(−φ(P))`, `φ(x, y) = (βx, y)` costing one multiplication per
+    /// table entry; all the 128-bit halves are recoded as NAFs — width 5
+    /// over eight odd multiples of each `Pᵢ`, width 8 over a static table
+    /// of the generator's — and consumed together, most significant digit
+    /// first. Variable time.
+    pub fn multi_scalar(generator: Option<&Fr>, terms: &[(Self, Fr)]) -> Self {
+        // One lane per half scalar: its digits, and the table they index.
+        let mut nafs = Vec::with_capacity(2 * terms.len());
+        let mut tables = Vec::with_capacity(2 * terms.len() * VARIABLE_TABLE);
+        for (p, k) in terms {
+            let (k1, k2) = split_scalar(k);
+            nafs.push(Naf::new(k1, VARIABLE_WINDOW));
+            nafs.push(Naf::new(k2, VARIABLE_WINDOW));
+            let direct = tables.len();
+            push_odd_multiples(&mut tables, p, VARIABLE_TABLE);
+            for i in direct..direct + VARIABLE_TABLE {
+                let minus_phi = Self {
+                    x: tables[i].x.mul(beta()),
+                    y: tables[i].y.neg(),
+                    z: tables[i].z,
+                };
+                tables.push(minus_phi);
+            }
+        }
+        let fixed = generator.map(|k| {
+            let (k1, k2) = split_scalar(k);
+            [k1, k2].map(|half| Naf::new(half, GENERATOR_WINDOW))
+        });
+        let fixed_lanes = || {
+            let nafs = fixed.iter().flatten();
+            nafs.zip(generator_tables().chunks_exact(GENERATOR_TABLE))
+        };
+        let len = nafs.iter().chain(fixed.iter().flatten()).map(|naf| naf.len);
+        let mut acc = Self::identity();
+        for i in (0..len.max().unwrap_or(0)).rev() {
+            acc = acc.double();
+            for (naf, table) in nafs.iter().zip(tables.chunks_exact(VARIABLE_TABLE)) {
+                if let Some((at, negative)) = naf.digit(i) {
+                    let entry = if negative { table[at].neg() } else { table[at] };
+                    acc = acc.add(&entry);
+                }
+            }
+            for (naf, table) in fixed_lanes() {
+                if let Some((at, negative)) = naf.digit(i) {
+                    let entry = if negative { table[at].neg() } else { table[at] };
+                    acc = acc.add_affine(&entry);
+                }
+            }
+        }
+        acc
     }
 
-    /// Scalar multiplication by an arbitrary little-endian limb integer
-    /// (used for cofactor clearing and torsion checks).
+    /// `k·P` for `P` **in G1**: [`Self::multi_scalar`] on one term.
+    pub fn mul_scalar(&self, k: &Fr) -> Self {
+        Self::multi_scalar(None, &[(*self, *k)])
+    }
+
+    /// `k·G` for the generator: [`Self::multi_scalar`] on the static table
+    /// alone.
+    pub fn mul_generator(k: &Fr) -> Self {
+        Self::multi_scalar(Some(k), &[])
+    }
+
+    /// Scalar multiplication of **any curve point** by a little-endian
+    /// limb integer, one bit at a time. Cofactor clearing and the subgroup
+    /// test need it because their inputs are not in G1 (yet); everything
+    /// else calls the kernel, whose tests use this as their oracle.
     pub fn mul_limbs(&self, k: &[u64]) -> Self {
         let mut acc = Self::identity();
         let nbits = k.len() * 64;
@@ -373,15 +579,19 @@ impl G1Projective {
         self.mul_limbs(&[BLS_X]).mul_limbs(&[BLS_X])
     }
 
-    /// Multiplies by the G1 cofactor, mapping any curve point into the
-    /// order-`r` subgroup.
+    /// Maps any curve point into the order-`r` subgroup, multiplying by
+    /// `h_eff = 1 − u` (RFC 9380 §8.8.1): 64 bits where the cofactor
+    /// `h = (1 − u)²/3` ([`COFACTOR`]) has 126. `[1 − u]` annihilates the
+    /// cofactor part of `E(Fp)` exactly as `[h]` does (Wahby–Boneh, eprint
+    /// 2019/403 §5), but it is a different scalar: a point comes back as
+    /// another point of G1 than `[h]P` would be.
     pub fn clear_cofactor(&self) -> Self {
-        self.mul_limbs(&COFACTOR)
+        self.mul_limbs(&[BLS_X + 1])
     }
 
     /// Samples a random subgroup element (generator times random scalar).
     pub fn random<R: rand::RngCore + ?Sized>(rng: &mut R) -> Self {
-        Self::generator().mul_scalar(&Fr::random(rng))
+        Self::mul_generator(&Fr::random(rng))
     }
 }
 
@@ -393,6 +603,13 @@ impl G1Projective {
 /// deployments should use SSWU (RFC 9380); try-and-increment is this
 /// repository's substitution for it — the same distribution on G1 at far
 /// less code, acceptable only because every hashed input here is public.
+///
+/// The cofactor is cleared by `h_eff = 1 − u`
+/// ([`G1Projective::clear_cofactor`]). Earlier revisions multiplied by the
+/// cofactor itself, so the point a message hashes to — and with it the
+/// bytes of every BLS signature — differs from theirs; nothing persists or
+/// pins either (signatures are verified where they are made, keys are
+/// unaffected).
 pub fn hash_to_g1(msg: &[u8], dst: &[u8]) -> G1Projective {
     for ctr in 0u16..=1024 {
         let ctr_bytes = ctr.to_be_bytes();
@@ -676,6 +893,175 @@ mod tests {
         }
     }
 
+    /// `u²`, the factor scalars are split along.
+    const U_SQUARED: u128 = (BLS_X as u128) * (BLS_X as u128);
+
+    fn fr_from_u128(v: u128) -> Fr {
+        Fr::from_canonical_limbs([v as u64, (v >> 64) as u64, 0, 0]).expect("below r")
+    }
+
+    /// Scalars the split treats specially, by selector: zero, one, `r − 1`,
+    /// an empty high half (`k < u²`), an empty low half (a multiple of
+    /// `u²`), `u² − 1` and `u²` either side of the boundary; anything else
+    /// is `random`.
+    fn edge_scalar(selector: u8, random: Fr) -> Fr {
+        match selector {
+            0 => Fr::ZERO,
+            1 => Fr::ONE,
+            2 => Fr::ZERO.sub(&Fr::ONE),
+            3 => fr_from_u128(split_scalar(&random).0),
+            4 => fr_from_u128(split_scalar(&random).1).mul(&fr_from_u128(U_SQUARED)),
+            5 => fr_from_u128(U_SQUARED - 1),
+            6 => fr_from_u128(U_SQUARED),
+            _ => random,
+        }
+    }
+
+    #[test]
+    fn phi_is_multiplication_by_minus_u_squared_and_the_tables_hold_odd_multiples() {
+        let lambda = Fr::ZERO.sub(&fr_from_u128(U_SQUARED));
+        assert!(lambda.square().add(&lambda).add(&Fr::ONE).is_zero());
+        let g = G1Projective::generator();
+        let (direct, minus_phi) = generator_tables().split_at(GENERATOR_TABLE);
+        assert_eq!((direct.len(), minus_phi.len()), (64, 64));
+        for (i, (p, q)) in direct.iter().zip(minus_phi).enumerate() {
+            let odd = [2 * i as u64 + 1];
+            assert_eq!(G1Projective::from(*p), g.mul_limbs(&odd));
+            assert!(q.is_on_curve());
+            assert_eq!(
+                G1Projective::from(*q),
+                g.mul_limbs(&odd)
+                    .mul_limbs(&lambda.to_canonical_limbs())
+                    .neg()
+            );
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// `k = k₁ + k₂·u²` with both halves below `u²`, and each half's
+        /// NAF is one: digits odd or zero, inside the window, non-zero
+        /// ones at least `w` apart, summing back to the half.
+        #[test]
+        fn scalars_split_into_two_short_halves_with_proper_nafs(
+            wide in any::<[u8; 64]>(),
+            selector in 0u8..16,
+            w in 2u32..=8,
+        ) {
+            let k = edge_scalar(selector, Fr::from_bytes_wide(&wide));
+            let (k1, k2) = split_scalar(&k);
+            prop_assert!(k1 < U_SQUARED && k2 < U_SQUARED);
+            prop_assert_eq!(
+                fr_from_u128(k1).add(&fr_from_u128(k2).mul(&fr_from_u128(U_SQUARED))),
+                k
+            );
+            for half in [k1, k2, u128::MAX] {
+                let naf = Naf::new(half, w);
+                let mut sum = Fr::ZERO;
+                let mut last_nonzero = None;
+                for i in (0..naf.len).rev() {
+                    let digit = i32::from(naf.digits[i]);
+                    sum = sum.double();
+                    let magnitude = Fr::from_u64(u64::from(digit.unsigned_abs()));
+                    sum = if digit < 0 { sum.sub(&magnitude) } else { sum.add(&magnitude) };
+                    if digit != 0 {
+                        prop_assert!(digit % 2 != 0 && digit.abs() < 1 << (w - 1));
+                        if let Some(above) = last_nonzero.replace(i) {
+                            prop_assert!(above - i >= w as usize);
+                        }
+                    }
+                }
+                prop_assert!(naf.digits[naf.len..].iter().all(|&d| d == 0));
+                prop_assert_eq!(sum, fr_from_u128(half));
+            }
+        }
+
+        /// The kernel against `Σ mul_limbs`, on one to six terms drawn
+        /// from what it treats specially: edge scalars, the identity, a
+        /// point repeated or negated (the additions that land on the
+        /// doubling and the cancelling branch) and `±G` beside the
+        /// generator's own lane.
+        #[test]
+        fn the_kernel_agrees_with_a_sum_of_ladders(
+            seed in any::<[u8; 32]>(),
+            terms in 1usize..=6,
+            with_generator in any::<bool>(),
+            selectors in any::<[u8; 14]>(),
+        ) {
+            let mut rng = HmacDrbg::new(b"g1 kernel oracle", &seed);
+            let mut points: Vec<G1Projective> = Vec::new();
+            let mut scalars = Vec::new();
+            for i in 0..terms {
+                let fresh = G1Projective::random(&mut rng);
+                let earlier = points.get(usize::from(selectors[i]) % (i + 1)).copied();
+                points.push(match (selectors[i] >> 4, earlier) {
+                    (0, _) => G1Projective::identity(),
+                    (1, _) => G1Projective::generator(),
+                    (2, _) => G1Projective::generator().neg(),
+                    (3 | 4, Some(p)) => p,
+                    (5 | 6, Some(p)) => p.neg(),
+                    _ => fresh,
+                });
+                let random = Fr::random(&mut rng);
+                // A repeated scalar under a repeated or negated point makes
+                // the accumulator meet its own value.
+                let repeated = scalars.get(usize::from(selectors[i]) % (i + 1)).copied();
+                scalars.push(match (selectors[7 + i] % 20, repeated) {
+                    (7..=9, Some(k)) => k,
+                    (selector, _) => edge_scalar(selector, random),
+                });
+            }
+            let generator = edge_scalar(selectors[13] % 16, Fr::random(&mut rng));
+            let mut expected = G1Projective::identity();
+            if with_generator {
+                expected = G1Projective::generator().mul_limbs(&generator.to_canonical_limbs());
+            }
+            for (p, k) in points.iter().zip(&scalars) {
+                expected = expected.add(&p.mul_limbs(&k.to_canonical_limbs()));
+            }
+            let pairs: Vec<(G1Projective, Fr)> = points.into_iter().zip(scalars).collect();
+            let got = G1Projective::multi_scalar(with_generator.then_some(&generator), &pairs);
+            prop_assert_eq!(got, expected);
+            prop_assert_eq!(pairs[0].0.mul_scalar(&pairs[0].1), pairs[0].0.mul_limbs(&pairs[0].1.to_canonical_limbs()));
+            prop_assert_eq!(
+                G1Projective::mul_generator(&generator),
+                G1Projective::generator().mul_limbs(&generator.to_canonical_limbs())
+            );
+        }
+
+        /// `[h]P` and `[1 − u]P` both land in G1 and vanish together, on
+        /// raw curve points and on their cofactor parts (where both must
+        /// vanish).
+        #[test]
+        fn both_cofactor_clearings_land_in_g1_and_vanish_together(seed in any::<[u8; 32]>()) {
+            let mut rng = HmacDrbg::new(b"g1 cofactor", &seed);
+            let raw = random_curve_point(&mut rng);
+            let cofactor_part = raw.mul_limbs(&Fr::MODULUS);
+            for point in [raw, cofactor_part, G1Projective::random(&mut rng), G1Projective::identity()] {
+                let by_h = point.mul_limbs(&COFACTOR);
+                let by_h_eff = point.clear_cofactor();
+                prop_assert!(in_g1(&by_h) && in_g1(&by_h_eff));
+                prop_assert_eq!(by_h.is_identity(), by_h_eff.is_identity());
+            }
+            prop_assert!(cofactor_part.clear_cofactor().is_identity());
+            prop_assert!(!raw.clear_cofactor().is_identity());
+        }
+    }
+
+    /// The precondition, shown rather than assumed: on a curve point outside
+    /// G1 the kernel does not compute `k·P` (φ is not `[−u²]` there), which
+    /// is why no such point may reach it.
+    #[test]
+    fn outside_g1_the_kernel_is_not_scalar_multiplication() {
+        let outside = G1Projective::from(G1Affine::generator().plus_order_three_point());
+        let k = fr_from_u128(U_SQUARED + 1);
+        assert_ne!(
+            outside.mul_scalar(&k),
+            outside.mul_limbs(&k.to_canonical_limbs())
+        );
+    }
+
     #[test]
     fn hash_to_g1_properties() {
         let p = hash_to_g1(b"message one", b"test-dst");
@@ -695,5 +1081,26 @@ mod tests {
         let p = G1Projective::random(&mut rng);
         let q = G1Projective::random(&mut rng);
         assert_eq!(p.add_affine(&q.to_affine()), p.add(&q));
+        // Every branch: either side the identity, the doubling, the
+        // cancellation — alone and under the generator's lane of the kernel.
+        let id = G1Projective::identity();
+        assert_eq!(id.add_affine(&q.to_affine()), q);
+        assert_eq!(p.add_affine(&G1Affine::identity()), p);
+        assert_eq!(
+            p.double().add_affine(&p.double().to_affine()),
+            p.double().double()
+        );
+        assert!(p
+            .double()
+            .add_affine(&p.double().neg().to_affine())
+            .is_identity());
+        let g = G1Projective::generator();
+        let one = Fr::ONE;
+        assert_eq!(
+            G1Projective::multi_scalar(Some(&one), &[(g, one)]),
+            g.double()
+        );
+        assert!(G1Projective::multi_scalar(Some(&one), &[(g.neg(), one)]).is_identity());
+        assert!(G1Projective::multi_scalar(None, &[]).is_identity());
     }
 }

@@ -149,10 +149,8 @@ pub fn mont_mul<const N: usize>(a: &[u64; N], b: &[u64; N], m: &[u64; N], inv: u
 }
 
 /// Divides the little-endian integer `a` by the single-limb divisor `d`,
-/// returning the quotient. Used to derive pairing exponents such as
-/// `(p - 1) / 6` from the stored modulus at start-up instead of hardcoding
-/// more magic constants.
-pub fn div_by_u64<const N: usize>(a: &[u64; N], d: u64) -> [u64; N] {
+/// returning quotient and remainder.
+pub fn div_rem_u64<const N: usize>(a: &[u64; N], d: u64) -> ([u64; N], u64) {
     assert!(d != 0, "division by zero");
     let mut out = [0u64; N];
     let mut rem: u128 = 0;
@@ -161,7 +159,14 @@ pub fn div_by_u64<const N: usize>(a: &[u64; N], d: u64) -> [u64; N] {
         out[i] = (cur / d as u128) as u64;
         rem = cur % d as u128;
     }
-    out
+    (out, rem as u64)
+}
+
+/// The quotient of [`div_rem_u64`]. Used to derive pairing exponents such
+/// as `(p - 1) / 6` from the stored modulus at start-up instead of
+/// hardcoding more magic constants.
+pub fn div_by_u64<const N: usize>(a: &[u64; N], d: u64) -> [u64; N] {
+    div_rem_u64(a, d).0
 }
 
 /// Subtracts the small constant `c` from `a`, asserting no underflow.
@@ -254,11 +259,13 @@ mod tests {
     #[test]
     fn div_by_small_matches_u128() {
         let a = [0xdead_beef_0123_4567u64, 0x0000_0000_ffff_ffff];
-        let q = div_by_u64(&a, 6);
+        let (q, rem) = div_rem_u64(&a, 6);
         let full = ((a[1] as u128) << 64) | a[0] as u128;
         let expect = full / 6;
         assert_eq!(q[0], expect as u64);
         assert_eq!(q[1], (expect >> 64) as u64);
+        assert_eq!(rem as u128, full % 6);
+        assert_eq!(div_by_u64(&a, 6), q);
     }
 
     #[test]

@@ -214,8 +214,17 @@ fn lagrange_at_zero(indices: &[u8], i: usize) -> Fr {
 }
 
 /// Combines `t` (or more) partial signatures into the group signature via
-/// Lagrange interpolation in the exponent. The result verifies under the
+/// Lagrange interpolation in the exponent: one `t`-term
+/// [`G1Projective::multi_scalar`] sum. The result verifies under the
 /// group public key exactly as an ordinary BLS signature.
+///
+/// Partials are expected to be points of G1, as
+/// [`Signature::from_bytes`] and [`partial_sign`] produce them. One that is
+/// not makes the sum some other curve point — as meaningless as the
+/// ladder's `Σ λᵢ·σᵢ` was over such input — and nothing downstream takes
+/// an aggregate on trust: [`PublicKey::verify_prehashed`] refuses whatever
+/// is not the one valid signature in G1, and the Feldman check that then
+/// runs ([`Combiner::combine`]) refuses the partial itself.
 pub fn aggregate(t: usize, partials: &[PartialSignature]) -> Result<Signature, ThresholdError> {
     if partials.len() < t {
         return Err(ThresholdError::InsufficientShares {
@@ -232,12 +241,14 @@ pub fn aggregate(t: usize, partials: &[PartialSignature]) -> Result<Signature, T
         seen[p.index as usize] = true;
     }
     let indices: Vec<u8> = selected.iter().map(|p| p.index).collect();
-    let mut acc = G1Projective::identity();
-    for (i, p) in selected.iter().enumerate() {
-        let lambda = lagrange_at_zero(&indices, i);
-        acc = acc.add(&G1Projective::from(p.value.0).mul_scalar(&lambda));
-    }
-    Ok(Signature(acc.to_affine()))
+    let terms: Vec<(G1Projective, Fr)> = selected
+        .iter()
+        .enumerate()
+        .map(|(i, p)| (p.value.0.into(), lagrange_at_zero(&indices, i)))
+        .collect();
+    Ok(Signature(
+        G1Projective::multi_scalar(None, &terms).to_affine(),
+    ))
 }
 
 /// Client-side combination of partial signatures over one message into a
@@ -622,6 +633,14 @@ mod tests {
             value: Signature(good.value.0.plus_order_three_point()),
         };
         assert!(!verify_partial(&keys.commitments, msg, &shifted));
+
+        // `aggregate` sums on a kernel that is only right on G1. What it
+        // makes of this partial is refused by the check on the aggregate,
+        // and the partial is then named.
+        let mut batch = vec![shifted, partial_sign(&keys.shares[1], msg)];
+        let mut combiner = Combiner::new(2, &keys.public_key, &keys.commitments, msg);
+        assert_eq!(combiner.combine(&mut batch), Ok(None));
+        assert_eq!(combiner.culprits(), &[good.index]);
     }
 
     #[test]

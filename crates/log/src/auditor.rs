@@ -115,9 +115,17 @@ impl AuditOutcome {
 /// What an auditor remembers per domain — one entry per release, for as
 /// long as it lives — arrives in size order (an append), and a hash
 /// table's scattered buckets keep its whole doubled capacity resident
-/// where a `Vec` touches only what it holds.
+/// where a `Vec` touches only what it holds. It grows by
+/// [`BY_SIZE_STEP`] entries at a time rather than doubling: this is the
+/// one structure of a client that grows for ever, and a doubled `Vec` of
+/// 168-byte entries sits at up to twice its contents.
 #[derive(Debug, PartialEq)]
 struct BySize<V>(Vec<(u64, V)>);
+
+/// Entries a full [`BySize`] makes room for (≈ 5 KiB of checkpoints): the
+/// most spare capacity it ever carries, against one reallocation per 32
+/// releases.
+const BY_SIZE_STEP: usize = 32;
 
 impl<V> BySize<V> {
     fn position(&self, size: u64) -> Result<usize, usize> {
@@ -132,7 +140,12 @@ impl<V> BySize<V> {
     fn insert(&mut self, size: u64, value: V) {
         match self.position(size) {
             Ok(at) => self.0[at].1 = value,
-            Err(at) => self.0.insert(at, (size, value)),
+            Err(at) => {
+                if self.0.len() == self.0.capacity() {
+                    self.0.reserve_exact(BY_SIZE_STEP);
+                }
+                self.0.insert(at, (size, value));
+            }
         }
     }
 

@@ -34,7 +34,7 @@ pub mod store;
 pub use auditor::{digests_match, AuditOutcome, Auditor, Misbehavior};
 pub use batch::{BundleStep, CheckpointBundle, ProofBundle, VerifiedPrefixCache};
 pub use checkpoint::{log_id, CheckpointBody, EquivocationProof, SignedCheckpoint};
-pub use merkle::{CompactRoot, ConsistencyProof, InclusionProof, MerkleLog};
+pub use merkle::{CompactRoot, ConsistencyProof, InclusionProof, MerkleLog, PackedRecords};
 pub use shard::{ShardBundle, ShardEpoch, ShardProofBundle, ShardSnapshot, ShardedLog};
 pub use store::{
     AppendAck, DurableOptions, DurableStore, LogStore, MemStore, MetaRecord, NullStore, Recovered,

@@ -89,6 +89,65 @@ pub fn prove_inclusion_over_hashes(hashes: &[Digest], index: usize) -> Option<In
     })
 }
 
+/// An append-only sequence of byte strings kept back to back in one
+/// buffer.
+///
+/// What a domain keeps for as long as it lives — log leaves, update
+/// notices — is written once per release and read rarely. One `Vec<u8>`
+/// (and `String`s) apiece made each release leave a handful of small
+/// allocations wedged between the short-lived buffers of every audit, and
+/// a domain's resident memory grew by well over what it held; packed, a
+/// release extends two vectors.
+#[derive(Clone, Debug, Default)]
+pub struct PackedRecords {
+    bytes: Vec<u8>,
+    /// `ends[i]` is where record `i` ends in `bytes` (and `i + 1` begins).
+    ends: Vec<usize>,
+}
+
+impl PackedRecords {
+    /// Number of records.
+    pub fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// True when empty.
+    pub fn is_empty(&self) -> bool {
+        self.ends.is_empty()
+    }
+
+    /// Appends a record.
+    pub fn push(&mut self, record: &[u8]) {
+        self.bytes.extend_from_slice(record);
+        self.ends.push(self.bytes.len());
+    }
+
+    /// The record at `index`.
+    pub fn get(&self, index: usize) -> Option<&[u8]> {
+        let end = *self.ends.get(index)?;
+        let start = match index.checked_sub(1) {
+            Some(before) => *self.ends.get(before)?,
+            None => 0,
+        };
+        self.bytes.get(start..end)
+    }
+
+    /// Every record, oldest first.
+    pub fn iter(&self) -> impl Iterator<Item = &[u8]> {
+        self.suffix(0)
+    }
+
+    /// The records from `index` on — `None` past the end, nothing exactly
+    /// at it.
+    pub fn iter_from(&self, index: usize) -> Option<impl Iterator<Item = &[u8]>> {
+        (index <= self.len()).then(|| self.suffix(index))
+    }
+
+    fn suffix(&self, index: usize) -> impl Iterator<Item = &[u8]> {
+        (index..self.len()).filter_map(|i| self.get(i))
+    }
+}
+
 /// An append-only Merkle tree over opaque leaves.
 ///
 /// Subtree hashes are cached incrementally: `levels[k][i]` is the root of
@@ -101,7 +160,7 @@ pub fn prove_inclusion_over_hashes(hashes: &[Digest], index: usize) -> Option<In
 /// with history.
 #[derive(Clone, Debug, Default)]
 pub struct MerkleLog {
-    leaves: Vec<Vec<u8>>,
+    leaves: PackedRecords,
     /// `levels[0]` holds the leaf hashes; `levels[k][i]` the root of the
     /// complete aligned subtree of `2^k` leaves starting at `i·2^k`.
     levels: Vec<Vec<Digest>>,
@@ -129,7 +188,7 @@ impl MerkleLog {
             self.levels.push(Vec::new());
         }
         self.levels[0].push(leaf_hash(data));
-        self.leaves.push(data.to_vec());
+        self.leaves.push(data);
         // Complete any aligned subtrees the new leaf finishes.
         let mut k = 0;
         loop {
@@ -149,14 +208,14 @@ impl MerkleLog {
 
     /// The leaf data at `index`.
     pub fn leaf(&self, index: usize) -> Option<&[u8]> {
-        self.leaves.get(index).map(|v| v.as_slice())
+        self.leaves.get(index)
     }
 
-    /// The leaves from `index` on — `None` past the end, the empty slice
-    /// exactly at it. Borrowing the suffix keeps serving paths index-free:
-    /// callers iterate a slice instead of asserting per-leaf range checks.
-    pub fn leaves_from(&self, index: usize) -> Option<&[Vec<u8>]> {
-        self.leaves.get(index..)
+    /// The leaves from `index` on — `None` past the end, nothing exactly
+    /// at it. Borrowing the suffix keeps serving paths index-free: callers
+    /// iterate it instead of asserting per-leaf range checks.
+    pub fn leaves_from(&self, index: usize) -> Option<impl Iterator<Item = &[u8]>> {
+        self.leaves.iter_from(index)
     }
 
     /// The right-edge subtree roots: the binary decomposition of the
@@ -703,12 +762,12 @@ mod tests {
     #[test]
     fn leaves_from_borrows_the_suffix() {
         let log = build(5);
-        assert_eq!(log.leaves_from(0).unwrap().len(), 5);
+        assert_eq!(log.leaves_from(0).unwrap().count(), 5);
         assert_eq!(
-            log.leaves_from(3).unwrap(),
-            &[b"leaf-3".to_vec(), b"leaf-4".to_vec()][..]
+            log.leaves_from(3).unwrap().collect::<Vec<_>>(),
+            [&b"leaf-3"[..], b"leaf-4"]
         );
-        assert_eq!(log.leaves_from(5).unwrap(), &[] as &[Vec<u8>]);
+        assert_eq!(log.leaves_from(5).unwrap().count(), 0);
         assert!(log.leaves_from(6).is_none());
     }
 

@@ -498,7 +498,7 @@ impl ShardedLog {
     pub fn entries_from(&self, shard: u32, from: u64) -> Option<Vec<Vec<u8>>> {
         let guard = self.shards.get(shard as usize)?.lock_healthy();
         let suffix = guard.leaves_from(usize::try_from(from).ok()?)?;
-        Some(suffix.to_vec())
+        Some(suffix.map(<[u8]>::to_vec).collect())
     }
 
     /// All leaves from global offset `from`, shards concatenated in shard
@@ -513,11 +513,11 @@ impl ShardedLog {
             let guard = shard.lock_healthy();
             match guard.leaves_from(skip) {
                 Some(suffix) => {
-                    all.extend(suffix.iter().cloned());
+                    all.extend(suffix.map(<[u8]>::to_vec));
                     skip = 0;
                 }
                 None => skip -= guard.len(),
-            }
+            };
         }
         if skip > 0 {
             return None; // `from` beyond the total length

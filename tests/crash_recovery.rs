@@ -123,7 +123,7 @@ fn assert_recovers_to_prefix(dir: &Path, mirror: &MerkleLog, context: &str) -> u
     // The repaired log must accept appends and keep agreeing with a
     // mirror that took the same path.
     let mut extended = MerkleLog::new();
-    for leaf in mirror.leaves_from(0).unwrap().iter().take(recovered) {
+    for leaf in mirror.leaves_from(0).unwrap().take(recovered) {
         extended.append(leaf);
     }
     log.append(0, b"post-crash").unwrap();

@@ -1,9 +1,9 @@
 //! What a release, an audit and a signature leave behind in memory.
 //!
 //! A deployment's memory may grow with *releases* — every release adds a
-//! log leaf, an update notice and a signed epoch on each domain, and one
-//! verified checkpoint per domain in every auditing client — and with
-//! nothing else: an audit that finds no new release must retain no byte,
+//! log leaf and an update notice on each domain (its signed epochs sit in
+//! a fixed ring), and one verified checkpoint per domain in every auditing
+//! client — and with nothing else: an audit that finds no new release must retain no byte,
 //! and neither may an application call (a signing domain once kept every
 //! field element of every signature, ≈ 417 KB after the first).
 //! The benchmark's `rss_mb` on `audit_churn` is these per-release numbers
@@ -85,17 +85,20 @@ const WARM_RELEASES: u64 = 32;
 /// it does in a long run.
 const MEASURED_RELEASES: u64 = 96;
 
-/// Most heap a domain may retain per release (450 bytes today): the log
-/// leaf and its hashes, the update notice, the signed epoch, and the
-/// containers' spare capacity. The per-shard snapshot a 1-shard log used
-/// to keep beside every epoch (88 bytes in two allocations) is what this
-/// bound would catch coming back.
-const DOMAIN_BYTES_PER_RELEASE: i64 = 640;
+/// Most heap a domain may retain per release (235 bytes today): the log
+/// leaf and its hashes and the update notice, both as bytes appended to
+/// one buffer, and the containers' spare capacity. The signed epoch is not
+/// among them — a 1-shard domain keeps its newest 65 in a ring allocated
+/// at boot — and a `Vec` of every epoch ever signed (160 bytes each, up to
+/// twice that after a doubling), or a notice kept as a struct with two
+/// heap strings, is what this bound would catch coming back.
+const DOMAIN_BYTES_PER_RELEASE: i64 = 320;
 /// Most heap an auditing client of an n = 3 deployment may retain per
-/// release: one verified checkpoint (168 bytes with its size key) per
-/// domain, twice over for a `Vec` that has just doubled its capacity
-/// (1008 bytes over this window), and a little slack.
-const CLIENT_BYTES_PER_RELEASE: i64 = 1152;
+/// release (504 bytes today): one verified checkpoint (168 bytes with its
+/// size key) per domain, in vectors that grow 32 entries at a time — the
+/// window is a multiple of that step, so their spare capacity cancels out
+/// of it. A doubling vector read 1008 bytes here.
+const CLIENT_BYTES_PER_RELEASE: i64 = 640;
 
 #[test]
 fn a_domain_retains_a_bounded_amount_per_release() {
