@@ -251,10 +251,5 @@ fn main() {
             )
         })
         .collect();
-    let json = format!("[\n{}\n]\n", entries.join(",\n"));
-    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../bench_results");
-    std::fs::create_dir_all(&dir).expect("mkdir bench_results");
-    let path = dir.join("audit_throughput.json");
-    std::fs::write(&path, json).expect("write results");
-    println!("\nwrote {}", path.display());
+    distrust_bench::report::write("audit_throughput", &entries);
 }

@@ -1,25 +1,31 @@
 //! Cold-start cost of a durable log (ISSUE 8 acceptance): rebuilding the
-//! signed commitment from segment checkpoints must be O(segments), not
-//! O(entries).
+//! signed head from segment checkpoints must be O(segments), not
+//! O(entries) — and, beside it, the guard that keeps a head cheap at all:
+//! `MerkleLog::root()` stays O(log n).
 //!
 //! Every sealed segment ends with a checkpoint record carrying the
-//! shard's right-edge subtree roots at that size, so
-//! [`DurableStore::cold_snapshot`] answers "what root did this log have?"
+//! tree's right-edge subtree roots at that size, so
+//! [`DurableStore::cold_head`] answers "what root did this log have?"
 //! by reading one trailer + one record per sealed segment and replaying
 //! only the unsealed tail — while a full [`ShardedLog::open`] must scan
 //! every byte and rehash every leaf to rebuild the in-memory proof tree.
-//! Both are measured here over the same directories, and two claims are
+//! Both are measured here over the same directories, and three claims are
 //! **asserted**, not just reported:
 //!
 //! 1. at the larger size the checkpoint path beats full replay by at
 //!    least [`MIN_SPEEDUP`]×;
 //! 2. growing the log 4× grows the checkpoint path by far less than 4×
-//!    (it is bounded by segment count and tail size, not entry count).
+//!    (it is bounded by segment count and tail size, not entry count);
+//! 3. every epoch the framework appends one leaf and signs the current
+//!    root, so a recompute-from-all-leaves `root()` would make `n` epochs
+//!    cost O(n²) hashes: 100k appends with a `root()` after each, and the
+//!    second half may cost at most [`MAX_SECOND_HALF_RATIO`]× the first
+//!    (quadratic growth makes it ~3×; the cached subtree levels ~1×).
 //!
-//! Custom harness (`harness = false`), same shape as `sharded_append`;
-//! results go to `bench_results/cold_start.json`.
+//! Custom harness (`harness = false`); results go to
+//! `bench_results/cold_start.json`.
 
-use distrust_log::{DurableOptions, DurableStore, ShardedLog, StorageConfig};
+use distrust_log::{DurableOptions, DurableStore, MerkleLog, ShardedLog, StorageConfig};
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
@@ -43,6 +49,12 @@ const MIN_SPEEDUP: f64 = 5.0;
 /// Claim 2: 4× the entries must cost the checkpoint path under this
 /// growth factor (linear would be ~4×; segment-bounded is ~1×).
 const MAX_COLD_GROWTH: f64 = 2.5;
+/// Leaves for the root-cost regression check.
+const ROOT_CHECK_LEAVES: usize = 100_000;
+/// Claim 3: the second 50k appends-with-a-root may cost this many times
+/// the first 50k. Generous noise headroom that still fails a quadratic
+/// regression.
+const MAX_SECOND_HALF_RATIO: f64 = 2.5;
 
 struct Row {
     entries: usize,
@@ -67,7 +79,7 @@ fn tempdir(tag: &str) -> PathBuf {
 
 /// Appends leaves through the ordinary durable path until `segments`
 /// segments have sealed, plus one leaf into the fresh tail. Returns the
-/// entry count and the live commitment.
+/// entry count and the live head.
 fn seed(dir: &Path, segments: usize) -> (usize, [u8; 32]) {
     let storage = StorageConfig::Durable(opts(dir));
     let (log, _) = ShardedLog::open(1, &storage).expect("seed open");
@@ -81,7 +93,7 @@ fn seed(dir: &Path, segments: usize) -> (usize, [u8; 32]) {
         entries += 1;
     }
     log.sync().expect("seed sync");
-    (entries, log.commitment())
+    (entries, log.head().1)
 }
 
 fn segment_files(dir: &Path) -> usize {
@@ -105,7 +117,7 @@ fn min_time(mut f: impl FnMut() -> [u8; 32], expect: [u8; 32], what: &str) -> Du
         let t = Instant::now();
         let got = f();
         let elapsed = t.elapsed();
-        assert_eq!(got, expect, "{what} produced a different commitment");
+        assert_eq!(got, expect, "{what} produced a different head");
         best = best.min(elapsed);
     }
     best
@@ -115,15 +127,15 @@ fn measure(segments: usize) -> Row {
     let dir = tempdir(&format!("{segments}"));
     let (entries, live) = seed(&dir, segments);
 
-    // Checkpoint path: open positions the writers (last segment only),
-    // cold_snapshot reads one seal per sealed segment + the tail.
+    // Checkpoint path: open positions the writer (last segment only),
+    // cold_head reads the newest seal + the tail.
     let cold = min_time(
         || {
-            let store = DurableStore::open(opts(&dir), 1).expect("cold open");
-            store.cold_snapshot().expect("cold snapshot").commitment()
+            let store = DurableStore::open(opts(&dir)).expect("cold open");
+            store.cold_head().expect("cold head").1
         },
         live,
-        "cold_snapshot",
+        "cold_head",
     );
 
     // Full replay: scan every byte, rehash every leaf, rebuild the tree.
@@ -131,7 +143,7 @@ fn measure(segments: usize) -> Row {
         || {
             let storage = StorageConfig::Durable(opts(&dir));
             let (log, _) = ShardedLog::open(1, &storage).expect("replay open");
-            log.commitment()
+            log.head().1
         },
         live,
         "full replay",
@@ -146,9 +158,38 @@ fn measure(segments: usize) -> Row {
     }
 }
 
+/// Appends 100k leaves calling `root()` every time, timing both halves.
+fn root_cost_check() -> (Duration, Duration) {
+    let mut log = MerkleLog::new();
+    let leaf = [0x5au8; 40];
+    let mut half = || {
+        let t = Instant::now();
+        for _ in 0..ROOT_CHECK_LEAVES / 2 {
+            log.append(&leaf);
+            std::hint::black_box(log.root());
+        }
+        t.elapsed()
+    };
+    (half(), half())
+}
+
 fn main() {
+    println!("MerkleLog root() cost: 100k appends with a root per append");
+    let (first, second) = root_cost_check();
+    let ratio = second.as_secs_f64() / first.as_secs_f64().max(f64::EPSILON);
     println!(
-        "cold start: commitment from segment checkpoints vs full replay \
+        "first 50k: {:.1} ms   second 50k: {:.1} ms   ratio: {ratio:.2}\n",
+        first.as_secs_f64() * 1e3,
+        second.as_secs_f64() * 1e3,
+    );
+    assert!(
+        ratio < MAX_SECOND_HALF_RATIO,
+        "root() cost grew {ratio:.2}x from the first to the second 50k appends — \
+         quadratic recomputation is back (cached subtree levels should hold this near 1x)"
+    );
+
+    println!(
+        "cold start: head from segment checkpoints vs full replay \
          ({LEAF_BYTES} B leaves, {} MiB segments, min of {REPS} runs)\n",
         SEGMENT_BYTES >> 20
     );
@@ -189,7 +230,7 @@ fn main() {
          — cost is tracking entry count, not segment count"
     );
 
-    let entries: Vec<String> = rows
+    let mut entries: Vec<String> = rows
         .iter()
         .map(|r| {
             format!(
@@ -206,10 +247,12 @@ fn main() {
             )
         })
         .collect();
-    let json = format!("[\n{}\n]\n", entries.join(",\n"));
-    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../bench_results");
-    std::fs::create_dir_all(&dir).expect("mkdir bench_results");
-    let path = dir.join("cold_start.json");
-    std::fs::write(&path, json).expect("write results");
-    println!("wrote {}", path.display());
+    entries.push(format!(
+        "  {{\"mode\": \"root_cost_check\", \"leaves\": {ROOT_CHECK_LEAVES}, \
+         \"first_half_ms\": {:.1}, \"second_half_ms\": {:.1}, \"ratio\": {ratio:.3}, \
+         \"max_ratio\": {MAX_SECOND_HALF_RATIO}}}",
+        first.as_secs_f64() * 1e3,
+        second.as_secs_f64() * 1e3,
+    ));
+    distrust_bench::report::write("cold_start", &entries);
 }

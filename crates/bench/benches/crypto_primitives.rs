@@ -117,12 +117,7 @@ fn main() {
             )
         })
         .collect();
-    let json = format!("[\n{}\n]\n", entries.join(",\n"));
-    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../bench_results");
-    std::fs::create_dir_all(&dir).expect("mkdir bench_results");
-    let path = dir.join("crypto_primitives.json");
-    std::fs::write(&path, json).expect("write results");
-    println!("wrote {}", path.display());
+    distrust_bench::report::write("crypto_primitives", &entries);
 
     let (verify, ladder) = (rows.median("schnorr_verify"), rows.median("g1_scalar_mul"));
     assert!(

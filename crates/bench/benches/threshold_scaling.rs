@@ -124,10 +124,5 @@ fn main() {
     }
     println!("(microseconds, median of {SAMPLES})");
 
-    let json = format!("[\n{}\n]\n", entries.join(",\n"));
-    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../bench_results");
-    std::fs::create_dir_all(&dir).expect("mkdir bench_results");
-    let path = dir.join("threshold_scaling.json");
-    std::fs::write(&path, json).expect("write results");
-    println!("wrote {}", path.display());
+    distrust_bench::report::write("threshold_scaling", &entries);
 }

@@ -148,12 +148,5 @@ fn main() {
             )
         })
         .collect();
-    let json = format!("[\n{}\n]\n", entries.join(",\n"));
-    // `cargo bench` runs with the package as CWD; anchor to the workspace
-    // root so the results land next to table3.json either way.
-    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../bench_results");
-    std::fs::create_dir_all(&dir).expect("mkdir bench_results");
-    let path = dir.join("wire_concurrency.json");
-    std::fs::write(&path, json).expect("write results");
-    println!("\nwrote {}", path.display());
+    distrust_bench::report::write("wire_concurrency", &entries);
 }

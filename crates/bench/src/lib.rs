@@ -15,6 +15,7 @@
 
 pub mod environments;
 pub mod hashchain;
+pub mod report;
 pub mod stats;
 
 pub use environments::{Environment, SigningBench};

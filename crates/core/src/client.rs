@@ -239,9 +239,8 @@ impl DeploymentClient {
     }
 
     /// The auditor's verified-prefix cache for one domain: highest
-    /// verified (total and per-shard) sizes plus performed/skipped
-    /// verification counters — what tests and benches use to prove audit
-    /// amortisation is real.
+    /// verified size plus performed/skipped verification counters — what
+    /// tests and benches use to prove audit amortisation is real.
     pub fn auditor_prefix_cache(&self, domain: u32) -> Option<&distrust_log::VerifiedPrefixCache> {
         self.auditor.prefix_cache(domain)
     }
@@ -409,33 +408,34 @@ impl DeploymentClient {
             .collect()
     }
 
-    /// Fetches update notices from a domain.
+    /// Fetches the update notices a domain issued at or after log index
+    /// `since`: the domain answers a page at a time, so this asks again
+    /// past the last notice received until an answer comes back empty.
     pub fn notices(&mut self, domain: u32, since: u64) -> Result<Vec<UpdateNotice>, ClientError> {
-        match self.exchange(domain, &Request::GetNotices { since })? {
-            Response::Notices(n) => Ok(n),
-            other => Err(ClientError::Unexpected(format!("{other:?}"))),
+        let mut all: Vec<UpdateNotice> = Vec::new();
+        loop {
+            let since = all
+                .last()
+                .map_or(since, |last| last.log_index.saturating_add(1));
+            match self.exchange(domain, &Request::GetNotices { since })? {
+                Response::Notices(page) if page.is_empty() => return Ok(all),
+                Response::Notices(page) => all.extend(page),
+                other => return Err(ClientError::Unexpected(format!("{other:?}"))),
+            }
         }
     }
 
-    /// Fetches raw log leaves from a domain.
+    /// Fetches a domain's raw log leaves from index `from` to the end,
+    /// page by page like [`Self::notices`].
     pub fn log_entries(&mut self, domain: u32, from: u64) -> Result<Vec<Vec<u8>>, ClientError> {
-        match self.exchange(domain, &Request::GetLogEntries { from })? {
-            Response::LogEntries(entries) => Ok(entries),
-            other => Err(ClientError::Unexpected(format!("{other:?}"))),
-        }
-    }
-
-    /// Fetches raw log leaves of one **shard** from a domain. An
-    /// out-of-range shard or offset surfaces the server's error.
-    pub fn shard_entries(
-        &mut self,
-        domain: u32,
-        shard: u32,
-        from: u64,
-    ) -> Result<Vec<Vec<u8>>, ClientError> {
-        match self.exchange(domain, &Request::GetShardEntries { shard, from })? {
-            Response::LogEntries(entries) => Ok(entries),
-            other => Err(ClientError::Unexpected(format!("{other:?}"))),
+        let mut all: Vec<Vec<u8>> = Vec::new();
+        loop {
+            let from = from.saturating_add(all.len() as u64);
+            match self.exchange(domain, &Request::GetLogEntries { from })? {
+                Response::LogEntries(page) if page.is_empty() => return Ok(all),
+                Response::LogEntries(page) => all.extend(page),
+                other => return Err(ClientError::Unexpected(format!("{other:?}"))),
+            }
         }
     }
 
@@ -753,11 +753,8 @@ impl DeploymentClient {
         }
     }
 
-    /// Judges one domain's answer to `BatchAudit`. Both bundle shapes go
-    /// through the same checks — attestation, then the auditor, then the
-    /// freshest checkpoint against the attested status — and differ only
-    /// in how the auditor walks them (sharded: per-epoch commitment
-    /// recomputation, per-shard consistency runs and verified prefixes).
+    /// Judges one domain's answer to `BatchAudit`: attestation, then the
+    /// auditor, then the freshest checkpoint against the attested status.
     /// Anything that is not a bundle echoing `request_id` fails the audit
     /// with the auditor having seen none of it.
     fn process_audit_answer(
@@ -769,34 +766,22 @@ impl DeploymentClient {
         expected_measurement: &Digest,
         misbehavior: &mut Vec<Misbehavior>,
     ) -> DomainAudit {
-        let (echoed, attestation, head, outcome): (_, _, _, &dyn Fn(&mut Auditor) -> AuditOutcome) =
-            match &response {
-                Response::AuditBundle(b) => (
-                    b.request_id,
-                    &b.attestation,
-                    b.bundle.checkpoints.last(),
-                    &|auditor| auditor.observe_bundle(domain, &b.bundle),
-                ),
-                Response::ShardAuditBundle(b) => (
-                    b.request_id,
-                    &b.attestation,
-                    b.bundle.epochs.last().map(|e| &e.checkpoint),
-                    &|auditor| auditor.observe_shard_bundle(domain, &b.bundle),
-                ),
-                Response::Error(e) => {
-                    return DomainAudit::failed(domain, format!("domain refused the audit: {e}"))
-                }
-                other => {
-                    return DomainAudit::failed(
-                        domain,
-                        format!("unexpected audit answer: {other:?}"),
-                    )
-                }
-            };
-        if echoed != request_id {
+        let answer = match response {
+            Response::AuditBundle(answer) => answer,
+            Response::Error(e) => {
+                return DomainAudit::failed(domain, format!("domain refused the audit: {e}"))
+            }
+            other => {
+                return DomainAudit::failed(domain, format!("unexpected audit answer: {other:?}"))
+            }
+        };
+        if answer.request_id != request_id {
             return DomainAudit::failed(
                 domain,
-                format!("audit answer echoes request id {echoed}, expected {request_id}"),
+                format!(
+                    "audit answer echoes request id {}, expected {request_id}",
+                    answer.request_id
+                ),
             );
         }
         let mut audit = DomainAudit {
@@ -805,15 +790,15 @@ impl DeploymentClient {
             status: None,
             failure: None,
         };
-        self.apply_attestation(attestation, nonce, expected_measurement, &mut audit);
+        self.apply_attestation(&answer.attestation, nonce, expected_measurement, &mut audit);
         if let Some(status) = &audit.status {
             // Feed the auditor before judging the status match: a
             // correctly signed bundle is evidence regardless of whether
             // it matches the claimed status.
-            let matches_status = head.is_some_and(|cp| {
+            let matches_status = answer.bundle.checkpoints.last().is_some_and(|cp| {
                 cp.body.size == status.log_size && cp.body.head == status.log_head
             });
-            match outcome(&mut self.auditor) {
+            match self.auditor.observe_bundle(domain, &answer.bundle) {
                 AuditOutcome::Consistent => {
                     if !matches_status {
                         audit.failure =

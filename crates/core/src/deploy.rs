@@ -113,26 +113,12 @@ impl From<std::io::Error> for DeployError {
 
 impl Deployment {
     /// Bootstraps the full deployment. `seed` makes the whole topology
-    /// reproducible (vendor roots, device keys, developer key). The
-    /// append-only logs use the legacy wire-compatible 1-shard layout;
-    /// see [`Deployment::launch_sharded`] for multi-shard logs.
+    /// reproducible (vendor roots, device keys, developer key).
     pub fn launch(spec: AppSpec, seed: &[u8]) -> Result<Self, DeployError> {
-        Self::launch_sharded(spec, seed, 1)
+        Self::launch_inner(spec, seed, 1, None)
     }
 
-    /// [`Deployment::launch`] with `log_shards` shards per domain log
-    /// (`0`/`1` = the byte-compatible single-tree layout). Multi-shard
-    /// domains sign shard-head commitments and serve sharded audit
-    /// bundles; clients handle both transparently.
-    pub fn launch_sharded(
-        spec: AppSpec,
-        seed: &[u8],
-        log_shards: u32,
-    ) -> Result<Self, DeployError> {
-        Self::launch_inner(spec, seed, log_shards, None)
-    }
-
-    /// [`Deployment::launch_sharded`] with durable per-domain logs under
+    /// [`Deployment::launch`] with durable per-domain logs under
     /// `data_dir` (one `domain-<i>/` subdirectory each). On a fresh
     /// directory this behaves exactly like an ephemeral launch; on a
     /// directory left by a previous launch each domain **recovers** its
@@ -144,6 +130,9 @@ impl Deployment {
     /// persisted (TEEs cannot migrate app state, §4.1), so a resumed
     /// domain serves log/audit traffic immediately but needs the next
     /// signed release before serving app calls again.
+    ///
+    /// `log_shards` must be 1 (see [`FrameworkConfig::log_shards`]); the
+    /// parameter exists until `e2e` stops naming it.
     pub fn launch_durable(
         spec: AppSpec,
         seed: &[u8],

@@ -22,7 +22,7 @@ use crate::abi::{app_call, import_names, AppHost};
 use crate::manifest::{ReleaseError, ReleaseManifest, SignedRelease};
 use crate::protocol::{
     AttestationBinding, AuditBundle, BundleAttestation, DomainStatus, Request, Response,
-    ShardAuditBundle, UpdateNotice,
+    UpdateNotice,
 };
 use distrust_crypto::schnorr::{SigningKey, VerifyingKey};
 use distrust_crypto::sha256::Digest;
@@ -31,11 +31,11 @@ use distrust_gossip::evidence::EvidenceBundle;
 use distrust_log::batch::{CheckpointBundle, ProofBundle};
 use distrust_log::checkpoint::{CheckpointBody, SignedCheckpoint};
 use distrust_log::merkle::PackedRecords;
-use distrust_log::shard::{ShardBundle, ShardEpoch, ShardSnapshot, ShardedLog};
-use distrust_log::store::{open_store, LogStore, StorageConfig, StoreError};
+use distrust_log::store::{LogStore, MetaRecord, StorageConfig, StoreError};
+use distrust_log::ShardedLog;
 use distrust_sandbox::{Instance, Limits};
 use distrust_tee::enclave::Enclave;
-use distrust_wire::codec::{Decode, Encode};
+use distrust_wire::codec::{decode_seq, encode_seq, Decode, Encode};
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
@@ -45,7 +45,9 @@ use std::sync::Arc;
 /// fresh ones (re-signing the same sizes would make an honest restart look
 /// like equivocation to a client holding the pre-crash head).
 const META_GENESIS: u8 = 1;
-/// An epoch: `SignedCheckpoint ‖ ShardSnapshot`, appended at update time.
+/// An epoch, appended at update time: the signed checkpoint, then its
+/// `(size, head)` once more as two one-entry sequences (see
+/// [`encode_epoch`]).
 const META_EPOCH: u8 = 2;
 /// An [`UpdateNotice`], appended (before its epoch record) at update time.
 const META_NOTICE: u8 = 3;
@@ -74,17 +76,9 @@ pub struct FrameworkConfig {
     pub log_id: [u8; 32],
     /// Sandbox execution limits applied to every application instance.
     pub limits: Limits,
-    /// Shards of the append-only log (appends route by the releasing
-    /// app's id). `1` (or `0`, normalized to `1`) keeps the legacy
-    /// single-tree layout — checkpoints, proofs, and audit bundles stay
-    /// byte-compatible with pre-shard deployments. With more shards,
-    /// checkpoints sign the top-level shard-head commitment and audits
-    /// are served as [`Response::ShardAuditBundle`]. Note that a
-    /// framework is pinned to one app, so *its own* appends all route to
-    /// that app's shard — multi-shard configs lay the commitment/audit
-    /// groundwork (and are what multi-app or key-range routing will
-    /// spread load across), but today's parallel-append win lives at the
-    /// `ShardedLog` layer, not in a single-app framework.
+    /// Must be `1`: a domain's log is one Merkle tree, and any other
+    /// value is refused at open ([`StoreError::ShardCountMismatch`]). The
+    /// field exists until `e2e` stops naming it.
     pub log_shards: u32,
     /// Where the log lives. [`StorageConfig::Ephemeral`] keeps everything
     /// in memory (tests, legacy behavior); [`StorageConfig::Durable`]
@@ -104,13 +98,20 @@ struct RunningApp {
 /// the earliest included checkpoint.
 const MAX_BUNDLE_CHECKPOINTS: usize = 64;
 
-/// Signed epochs a 1-shard domain keeps in memory: the
+/// Signed epochs a domain keeps in memory: the
 /// [`MAX_BUNDLE_CHECKPOINTS`] newest a bundle can carry, and the one
 /// before them — the furthest-behind epoch a client can stand on and still
 /// be served the unbroken chain from its own size. Everything older stays
 /// in its `META_EPOCH` record on disk and is neither loaded nor served: a
 /// client behind it gets one consistency step to the oldest epoch kept.
 const RETAINED_EPOCHS: usize = MAX_BUNDLE_CHECKPOINTS + 1;
+
+/// Bytes of records one [`Request::GetLogEntries`] or
+/// [`Request::GetNotices`] answer carries (the first record of a page
+/// always goes, whatever it weighs): both are served to any unauthenticated
+/// peer under the framework mutex, and an answer holding everything stopped
+/// fitting a frame at a couple of hundred thousand releases. ≈ 3 400 leaves.
+const PAGE_BYTES: usize = 256 << 10;
 
 /// Most bundles the audit cache holds between two releases: one per size
 /// an honest client can report and be served a distinct, complete answer
@@ -132,11 +133,9 @@ struct AuditCache {
     epoch: u64,
     /// Signed size-0 checkpoint for audits of a still-empty log.
     genesis: Option<SignedCheckpoint>,
-    /// Bundles keyed by the client-reported verified size (1-shard logs),
-    /// at most [`MAX_CACHED_BUNDLES`] of them.
+    /// Bundles keyed by the client-reported verified size, at most
+    /// [`MAX_CACHED_BUNDLES`] of them.
     bundles: HashMap<u64, CheckpointBundle>,
-    /// Sharded bundles keyed the same way (multi-shard logs).
-    shard_bundles: HashMap<u64, ShardBundle>,
     hits: u64,
     misses: u64,
 }
@@ -194,13 +193,59 @@ impl GossipBoard {
     }
 }
 
-/// Appends a freshly signed or recovered epoch, dropping the oldest one a
-/// 1-shard log no longer serves (see [`RETAINED_EPOCHS`]).
-fn retain_epoch(epochs: &mut VecDeque<SignedCheckpoint>, epoch: SignedCheckpoint, shards: usize) {
-    if shards == 1 && epochs.len() == RETAINED_EPOCHS {
+/// Appends a freshly signed or recovered epoch, dropping the oldest one
+/// the domain no longer serves (see [`RETAINED_EPOCHS`]).
+fn retain_epoch(epochs: &mut VecDeque<SignedCheckpoint>, epoch: SignedCheckpoint) {
+    if epochs.len() == RETAINED_EPOCHS {
         epochs.pop_front();
     }
     epochs.push_back(epoch);
+}
+
+/// A `META_EPOCH` payload. After the checkpoint come a sequence of sizes
+/// and a sequence of heads, one entry each and equal to what the
+/// checkpoint signs — the bytes every epoch record has carried since a log
+/// could be several trees with a `(size, head)` apiece. Kept, so that a
+/// directory written then and one written now are the same bytes.
+fn encode_epoch(checkpoint: &SignedCheckpoint) -> Vec<u8> {
+    let mut wire = Vec::new();
+    checkpoint.encode(&mut wire);
+    encode_seq(&[checkpoint.body.size], &mut wire);
+    encode_seq(&[checkpoint.body.head], &mut wire);
+    wire
+}
+
+/// Reads a `META_EPOCH` payload back. A record announcing any number of
+/// trees but one is the named boot refusal — this log would serve one of
+/// them as if it were the whole; one whose `(size, head)` is not its
+/// checkpoint's is damage.
+fn decode_epoch(payload: &[u8]) -> Result<SignedCheckpoint, StoreError> {
+    let mut input = payload;
+    let checkpoint = SignedCheckpoint::decode(&mut input)
+        .map_err(|_| StoreError::Corrupt("meta epoch checkpoint"))?;
+    let sizes: Vec<u64> =
+        decode_seq(&mut input).map_err(|_| StoreError::Corrupt("meta epoch snapshot"))?;
+    let heads: Vec<Digest> =
+        decode_seq(&mut input).map_err(|_| StoreError::Corrupt("meta epoch snapshot"))?;
+    if !input.is_empty() {
+        return Err(StoreError::Corrupt("meta epoch trailing bytes"));
+    }
+    if sizes.len() != heads.len() {
+        return Err(StoreError::Corrupt("meta epoch snapshot"));
+    }
+    if sizes.len() != 1 {
+        return Err(StoreError::ShardCountMismatch {
+            store: sizes.len(),
+            configured: 1,
+        });
+    }
+    if (sizes.first(), heads.first()) != (Some(&checkpoint.body.size), Some(&checkpoint.body.head))
+    {
+        return Err(StoreError::Corrupt(
+            "meta epoch snapshot disagrees with its checkpoint",
+        ));
+    }
+    Ok(checkpoint)
 }
 
 /// One trust domain's framework state.
@@ -213,9 +258,7 @@ pub struct EnclaveFramework {
     /// the enclave from the sealing secret; on domain 0 it is a plain host
     /// key. Clients pin the corresponding public keys at deployment.
     checkpoint_key: SigningKey,
-    /// The code-digest log: Merkle shards (appends routed by app id) under
-    /// a top-level shard-head commitment. One shard reproduces the legacy
-    /// single-tree wire format bit for bit.
+    /// The code-digest log: one Merkle tree over its durable store.
     log: ShardedLog,
     /// Update notices, one per activated release, each as the wire bytes
     /// its `META_NOTICE` record holds: [`Request::GetNotices`] is their
@@ -223,16 +266,8 @@ pub struct EnclaveFramework {
     notices: PackedRecords,
     /// One signed checkpoint per log append ("epoch"), signed at update
     /// time so audits are served from cache instead of signing per client.
-    /// On a 1-shard log the newest [`RETAINED_EPOCHS`], oldest first; a
-    /// multi-shard log keeps them all, index for index with
-    /// `epoch_snapshots`.
+    /// The newest [`RETAINED_EPOCHS`], oldest first.
     epoch_checkpoints: VecDeque<SignedCheckpoint>,
-    /// The per-shard snapshot behind each epoch checkpoint, parallel to
-    /// `epoch_checkpoints` — what sharded audit bundles serve and what
-    /// maps a client's verified total size back to per-shard baselines.
-    /// Kept on multi-shard logs only: a 1-shard epoch's snapshot is its
-    /// checkpoint's `(size, head)` and nothing reads it.
-    epoch_snapshots: Vec<ShardSnapshot>,
     /// Shared proof/bundle cache for [`Request::BatchAudit`].
     audit_cache: AuditCache,
     app: Option<RunningApp>,
@@ -263,21 +298,19 @@ impl EnclaveFramework {
         checkpoint_key: SigningKey,
         app_host: Box<dyn AppHost>,
     ) -> Result<Self, StoreError> {
-        let shards = config.log_shards.max(1) as usize;
-        let store = open_store(&config.storage, shards)?;
-        Self::open_with_store(config, enclave, checkpoint_key, app_host, store)
+        let opened = ShardedLog::open(config.log_shards as usize, &config.storage)?;
+        Self::resume(config, enclave, checkpoint_key, app_host, opened)
     }
 
     /// [`Self::open`] with an explicit store — the injection point for
     /// restart tests that share one [`distrust_log::store::MemStore`]
     /// across framework lifetimes.
     ///
-    /// Recovery rebuilds the Merkle shards from persisted leaves, then
+    /// Recovery rebuilds the Merkle tree from persisted leaves, then
     /// replays the meta log: the genesis checkpoint, the signed epochs
-    /// (the newest 65 of a 1-shard log, `RETAINED_EPOCHS` — older records
-    /// are decoded and let go — with their shard snapshots on a
-    /// multi-shard one), and every update notice are *reused*, not
-    /// re-signed. Boot refuses to proceed when the signed history
+    /// (the newest 65, `RETAINED_EPOCHS` — older records are decoded and
+    /// let go), and every update notice are *reused*, not re-signed. Boot
+    /// refuses to proceed when the signed history
     /// outruns the recovered log ([`StoreError::LostSignedHistory`] — a
     /// fsync hole or deleted segment) or diverges from it (`Corrupt`) —
     /// serving in either state would manufacture equivocation evidence
@@ -289,14 +322,28 @@ impl EnclaveFramework {
         app_host: Box<dyn AppHost>,
         store: Arc<dyn LogStore>,
     ) -> Result<Self, StoreError> {
-        let shards = config.log_shards.max(1) as usize;
-        let (log, meta) = ShardedLog::with_store(shards, store)?;
+        let opened = ShardedLog::with_store(store)?;
+        Self::resume(config, enclave, checkpoint_key, app_host, opened)
+    }
+
+    fn resume(
+        config: FrameworkConfig,
+        enclave: Option<Enclave>,
+        checkpoint_key: SigningKey,
+        app_host: Box<dyn AppHost>,
+        (log, meta): (ShardedLog, Vec<MetaRecord>),
+    ) -> Result<Self, StoreError> {
+        if config.log_shards != 1 {
+            return Err(StoreError::ShardCountMismatch {
+                store: 1,
+                configured: config.log_shards as usize,
+            });
+        }
         let mut genesis = None;
         let mut notices = PackedRecords::default();
         let mut locked = false;
         let mut recovered_version = 0u64;
         let mut epoch_checkpoints = VecDeque::with_capacity(RETAINED_EPOCHS);
-        let mut epoch_snapshots: Vec<ShardSnapshot> = Vec::new();
         let mut logical_time = 0u64;
         for record in &meta {
             match record.kind {
@@ -307,25 +354,9 @@ impl EnclaveFramework {
                     genesis = Some(cp);
                 }
                 META_EPOCH => {
-                    let mut input = record.payload.as_slice();
-                    let cp = SignedCheckpoint::decode(&mut input)
-                        .map_err(|_| StoreError::Corrupt("meta epoch checkpoint"))?;
-                    let snapshot = ShardSnapshot::decode(&mut input)
-                        .map_err(|_| StoreError::Corrupt("meta epoch snapshot"))?;
-                    if !input.is_empty() {
-                        return Err(StoreError::Corrupt("meta epoch trailing bytes"));
-                    }
-                    if snapshot.shard_count() != shards {
-                        return Err(StoreError::ShardCountMismatch {
-                            store: snapshot.shard_count(),
-                            configured: shards,
-                        });
-                    }
+                    let cp = decode_epoch(&record.payload)?;
                     logical_time = logical_time.max(cp.body.logical_time);
-                    retain_epoch(&mut epoch_checkpoints, cp, shards);
-                    if shards > 1 {
-                        epoch_snapshots.push(snapshot);
-                    }
+                    retain_epoch(&mut epoch_checkpoints, cp);
                 }
                 META_NOTICE => {
                     let notice = UpdateNotice::from_wire(&record.payload)
@@ -340,15 +371,15 @@ impl EnclaveFramework {
         }
         // Boot guards: the recovered log must carry every size the signed
         // history committed to, and match it bit for bit at the head.
-        let snapshot = log.snapshot();
+        let (size, head) = log.head();
         if let Some(last) = epoch_checkpoints.back() {
-            if last.body.size > snapshot.total() {
+            if last.body.size > size {
                 return Err(StoreError::LostSignedHistory {
                     signed: last.body.size,
-                    recovered: snapshot.total(),
+                    recovered: size,
                 });
             }
-            if last.body.size == snapshot.total() && last.body.head != snapshot.commitment() {
+            if last.body.size == size && last.body.head != head {
                 return Err(StoreError::Corrupt(
                     "recovered log diverges from signed head",
                 ));
@@ -370,7 +401,6 @@ impl EnclaveFramework {
             log,
             notices,
             epoch_checkpoints,
-            epoch_snapshots,
             audit_cache: AuditCache {
                 genesis,
                 ..AuditCache::default()
@@ -411,13 +441,13 @@ impl EnclaveFramework {
             Some(app) => (app.manifest.code_digest, app.manifest.version),
             None => ([0u8; 32], 0),
         };
-        let snapshot = self.log.snapshot();
+        let (log_size, log_head) = self.log.head();
         DomainStatus {
             domain_index: self.config.domain_index,
             app_digest,
             app_version,
-            log_size: snapshot.total(),
-            log_head: snapshot.commitment(),
+            log_size,
+            log_head,
             framework_measurement: framework_measurement(
                 &self.config.developer_key,
                 &self.config.app_name,
@@ -454,12 +484,10 @@ impl EnclaveFramework {
         // rejected without touching the log.
         let instance = Instance::new(module.clone(), self.config.limits)
             .map_err(|t| ReleaseError::InvalidModule(t.to_string()))?;
-        // 1. Log the digest (the permanent record), routed to the shard
-        //    the releasing app's id hashes to (shard 0 on 1-shard logs).
-        let shard = self.log.shard_for(release.manifest.app_name.as_bytes());
+        // 1. Log the digest (the permanent record).
         let log_index = self
             .log
-            .append(shard, &release.manifest.log_leaf())
+            .append(0, &release.manifest.log_leaf())
             .map_err(|e| ReleaseError::LogAppend(e.to_string()))?;
         // 2. Record the notice — visible to clients before the new code
         //    serves any request (we hold the domain lock throughout).
@@ -473,21 +501,19 @@ impl EnclaveFramework {
         self.notices.push(&notice_wire);
         // Sign this epoch's checkpoint once, here — every BatchAudit until
         // the next update is served from it without touching the key. The
-        // checkpoint signs the shard-head commitment (= the single tree's
-        // root on 1-shard logs) over the epoch's shard snapshot. The log
-        // is fsynced FIRST: a signed head must never outrun durable
+        // log is fsynced FIRST: a signed head must never outrun durable
         // history, or a crash between signing and syncing would turn this
         // honest domain's restart into equivocation evidence.
         self.log
             .sync()
             .map_err(|e| ReleaseError::LogAppend(e.to_string()))?;
         self.logical_time += 1;
-        let snapshot = self.log.snapshot();
+        let (size, head) = self.log.head();
         let checkpoint = SignedCheckpoint::sign(
             CheckpointBody {
                 log_id: self.config.log_id,
-                size: snapshot.total(),
-                head: snapshot.commitment(),
+                size,
+                head,
                 logical_time: self.logical_time,
             },
             &self.checkpoint_key,
@@ -495,23 +521,12 @@ impl EnclaveFramework {
         // Persist the signed artifacts (notice first — an epoch record
         // implies its notice): a restart reuses these instead of minting
         // fresh signatures for the same sizes.
-        let mut epoch_wire = Vec::new();
-        checkpoint.encode(&mut epoch_wire);
-        snapshot.encode(&mut epoch_wire);
         self.log
             .append_meta(META_NOTICE, &notice_wire)
-            .and_then(|()| self.log.append_meta(META_EPOCH, &epoch_wire))
+            .and_then(|()| self.log.append_meta(META_EPOCH, &encode_epoch(&checkpoint)))
             .map_err(|e| ReleaseError::Persist(e.to_string()))?;
-        retain_epoch(
-            &mut self.epoch_checkpoints,
-            checkpoint,
-            snapshot.shard_count(),
-        );
-        if snapshot.shard_count() > 1 {
-            self.epoch_snapshots.push(snapshot);
-        }
+        retain_epoch(&mut self.epoch_checkpoints, checkpoint);
         self.audit_cache.bundles.clear();
-        self.audit_cache.shard_bundles.clear();
         // 3. Activate (and lock, if this is a final release).
         self.app = Some(RunningApp {
             import_names: import_names(&module),
@@ -535,10 +550,9 @@ impl EnclaveFramework {
     /// `verified_size`: anything at or past the head needs only the
     /// latest checkpoint, so those collapse onto one slot.
     fn audit_cache_key(&mut self, verified_size: u64) -> (u64, u64) {
-        let current = self.log.total_len();
+        let current = self.log.lock().len() as u64;
         if self.audit_cache.epoch != current {
             self.audit_cache.bundles.clear();
-            self.audit_cache.shard_bundles.clear();
             self.audit_cache.epoch = current;
         }
         (verified_size.min(current), current)
@@ -555,7 +569,7 @@ impl EnclaveFramework {
             CheckpointBody {
                 log_id: self.config.log_id,
                 size: 0,
-                head: self.log.commitment(),
+                head: self.log.head().1,
                 logical_time: self.logical_time,
             },
             &self.checkpoint_key,
@@ -570,8 +584,7 @@ impl EnclaveFramework {
     }
 
     /// Serves the checkpoint/proof half of a batched audit from the shared
-    /// per-epoch cache, building (and caching) it on first demand
-    /// (1-shard logs: the legacy byte-compatible bundle).
+    /// per-epoch cache, building (and caching) it on first demand.
     fn audit_bundle(&mut self, verified_size: u64) -> CheckpointBundle {
         let (key, current) = self.audit_cache_key(verified_size);
         if let Some(bundle) = self.audit_cache.bundles.get(&key) {
@@ -625,102 +638,29 @@ impl EnclaveFramework {
         sizes.extend(checkpoints.iter().map(|cp| cp.body.size as usize));
         let proof = self
             .log
-            .lock_shard(0)
+            .lock()
             .prove_consistency_range(&sizes)
             .unwrap_or_default();
         CheckpointBundle { checkpoints, proof }
     }
 
-    /// The multi-shard counterpart of [`Self::audit_bundle`]: epoch shard
-    /// snapshots plus per-shard consistency runs from the client's
-    /// verified epoch, served from the same per-epoch cache.
-    fn shard_audit_bundle(&mut self, verified_size: u64) -> ShardBundle {
-        let (key, _) = self.audit_cache_key(verified_size);
-        if let Some(bundle) = self.audit_cache.shard_bundles.get(&key) {
-            self.audit_cache.hits += 1;
-            return bundle.clone();
-        }
-        self.audit_cache.misses += 1;
-        let bundle = self.build_shard_audit_bundle(key);
-        if self.audit_cache.shard_bundles.len() < MAX_CACHED_BUNDLES {
-            self.audit_cache.shard_bundles.insert(key, bundle.clone());
-        }
-        bundle
-    }
-
-    fn build_shard_audit_bundle(&mut self, verified_size: u64) -> ShardBundle {
-        let shard_count = self.log.shard_count();
-        // Empty runs are always provable; a `None` here can only mean a
-        // baseline/shard-count mismatch, answered with the empty bundle
-        // (which verifies nothing) rather than a panic.
-        let empty_runs = |log: &ShardedLog| {
-            log.prove_shard_runs(&vec![0; shard_count], &[])
-                .unwrap_or_default()
+    /// Where in `self.notices` the first notice at or after log index
+    /// `since` sits. Notices are in log order, at most one per leaf, so
+    /// notice `p` names a leaf at or after `p` and the one wanted is at or
+    /// before position `since`: unless a crash once lost a notice between
+    /// its leaf and its record, the first step back already ends the walk.
+    fn first_notice_at(&self, since: u64) -> usize {
+        let log_index = |at: usize| {
+            let notice = UpdateNotice::from_wire(self.notices.get(at)?).ok()?;
+            Some(notice.log_index)
         };
-        if self.epoch_checkpoints.is_empty() {
-            let checkpoint = self.genesis_checkpoint();
-            return ShardBundle {
-                epochs: vec![ShardEpoch {
-                    checkpoint,
-                    shards: self.log.snapshot(),
-                }],
-                proof: empty_runs(&self.log),
-            };
+        let mut first = usize::try_from(since)
+            .unwrap_or(usize::MAX)
+            .min(self.notices.len());
+        while first > 0 && log_index(first - 1).is_some_and(|index| index >= since) {
+            first -= 1;
         }
-        // The client's verified total maps back to the epoch it verified
-        // (clients only ever verify signed epoch checkpoints); its shard
-        // sizes are the proof baseline. An unknown total gets the
-        // from-scratch baseline — the client's own per-shard cache decides
-        // what it accepts.
-        let baseline_epoch = self
-            .epoch_snapshots
-            .iter()
-            .position(|s| s.total() == verified_size);
-        let baseline: Vec<u64> = baseline_epoch
-            .map(|i| self.epoch_snapshots[i].sizes.clone())
-            .unwrap_or_else(|| vec![0; shard_count]);
-        let mut included: Vec<usize> = (0..self.epoch_checkpoints.len())
-            .filter(|&i| self.epoch_checkpoints[i].body.size > verified_size)
-            .collect();
-        if included.is_empty() {
-            // Client already at the head: the latest epoch alone, no runs.
-            let last = self.epoch_checkpoints.len() - 1;
-            return ShardBundle {
-                epochs: vec![ShardEpoch {
-                    checkpoint: self.epoch_checkpoints[last].clone(),
-                    shards: self.epoch_snapshots[last].clone(),
-                }],
-                proof: empty_runs(&self.log),
-            };
-        }
-        if included.len() > MAX_BUNDLE_CHECKPOINTS {
-            included.drain(..included.len() - MAX_BUNDLE_CHECKPOINTS);
-        }
-        let snapshots: Vec<&ShardSnapshot> =
-            included.iter().map(|&i| &self.epoch_snapshots[i]).collect();
-        let proof = self
-            .log
-            .prove_shard_runs(&baseline, &snapshots)
-            .unwrap_or_else(|| empty_runs(&self.log));
-        // Lead with the client's verified epoch itself (when it names
-        // one): a verifier that trusts the `(size, head)` but has never
-        // seen its per-shard decomposition — one that took the signed
-        // checkpoint alone, say — re-learns the baseline from this epoch
-        // (the binding is checked against the signed head) and can then
-        // walk the runs. Costs one skipped-signature checkpoint for
-        // everyone else.
-        let mut epochs = Vec::with_capacity(included.len() + 1);
-        if let Some(b) = baseline_epoch {
-            epochs.push(ShardEpoch {
-                checkpoint: self.epoch_checkpoints[b].clone(),
-                shards: self.epoch_snapshots[b].clone(),
-            });
-        }
-        epochs.extend(included.iter().map(|&i| ShardEpoch {
-            checkpoint: self.epoch_checkpoints[i].clone(),
-            shards: self.epoch_snapshots[i].clone(),
-        }));
-        ShardBundle { epochs, proof }
+        first
     }
 
     /// Handles one protocol request.
@@ -757,44 +697,16 @@ impl EnclaveFramework {
                 },
                 Err(e) => Response::UpdateRejected(e.to_string()),
             },
-            Request::GetLogEntries { from } => {
-                // The multi-shard flattening (shards concatenated in
-                // shard order) is NOT append-only — an append to a lower
-                // shard inserts mid-sequence — so incremental polling
-                // with a remembered offset would silently skip entries.
-                // Full dumps are fine; incremental reads are per-shard
-                // ([`Request::GetShardEntries`], append-only within a
-                // shard). On 1-shard logs the legacy semantics hold
-                // exactly.
-                if self.log.shard_count() != 1 && from != 0 {
-                    return Response::Error(
-                        "sharded log: incremental reads are per-shard; use GetShardEntries \
-                         (GetLogEntries supports only from=0 on multi-shard logs)"
-                            .into(),
-                    );
-                }
-                match self.log.all_entries_from(from) {
-                    Some(leaves) => Response::LogEntries(leaves),
-                    None => Response::Error("log range out of bounds".into()),
-                }
-            }
-            Request::GetShardEntries { shard, from } => {
-                if shard as usize >= self.log.shard_count() {
-                    return Response::Error(format!(
-                        "no shard {shard} (log has {})",
-                        self.log.shard_count()
-                    ));
-                }
-                match self.log.entries_from(shard, from) {
-                    Some(leaves) => Response::LogEntries(leaves),
-                    None => Response::Error("shard range out of bounds".into()),
-                }
-            }
+            Request::GetLogEntries { from } => match self.log.entries_from(from, PAGE_BYTES) {
+                Some(leaves) => Response::LogEntries(leaves),
+                None => Response::Error("log range out of bounds".into()),
+            },
             Request::GetNotices { since } => Response::Notices(
                 self.notices
-                    .iter()
+                    .page_from(self.first_notice_at(since), PAGE_BYTES)
+                    .into_iter()
+                    .flatten()
                     .filter_map(|wire| UpdateNotice::from_wire(wire).ok())
-                    .filter(|notice| notice.log_index >= since)
                     .collect(),
             ),
             Request::BatchAudit {
@@ -812,25 +724,12 @@ impl EnclaveFramework {
                     }
                     None => BundleAttestation::Unattested(binding.status),
                 };
-                // 1-shard logs answer with the legacy byte-compatible
-                // bundle; multi-shard logs with the sharded one. The
-                // request is the same either way — clients discover the
-                // layout from the response tag.
-                if self.log.shard_count() == 1 {
-                    let bundle = self.audit_bundle(verified_size);
-                    Response::AuditBundle(Box::new(AuditBundle {
-                        request_id,
-                        attestation,
-                        bundle,
-                    }))
-                } else {
-                    let bundle = self.shard_audit_bundle(verified_size);
-                    Response::ShardAuditBundle(Box::new(ShardAuditBundle {
-                        request_id,
-                        attestation,
-                        bundle,
-                    }))
-                }
+                let bundle = self.audit_bundle(verified_size);
+                Response::AuditBundle(Box::new(AuditBundle {
+                    request_id,
+                    attestation,
+                    bundle,
+                }))
             }
             Request::Gossip { envelope } => {
                 let own_domain = self.config.domain_index;
@@ -1262,7 +1161,7 @@ mod tests {
     fn a_restart_recovers_the_ring_and_serves_a_client_behind_it() {
         use distrust_log::auditor::Auditor;
         use distrust_log::store::MemStore;
-        let store: Arc<dyn LogStore> = Arc::new(MemStore::new(1));
+        let store: Arc<dyn LogStore> = Arc::new(MemStore::new());
         let mut fw = open(Arc::clone(&store), b"checkpoint").unwrap();
         let mut auditor = Auditor::new(vec![checkpoint_vk()]);
         let apply = |fw: &mut EnclaveFramework, versions: std::ops::RangeInclusive<u64>| {
@@ -1296,7 +1195,7 @@ mod tests {
     #[test]
     fn boot_refuses_a_newest_head_its_own_key_did_not_sign() {
         use distrust_log::store::MemStore;
-        let store: Arc<dyn LogStore> = Arc::new(MemStore::new(1));
+        let store: Arc<dyn LogStore> = Arc::new(MemStore::new());
         let mut fw = open(Arc::clone(&store), b"checkpoint").unwrap();
         fw.apply_update(&release(1)).unwrap();
         drop(fw);

@@ -128,8 +128,7 @@ pub enum ReleaseError {
     /// permanently disabled.
     DeploymentLocked,
     /// The append-only log (or its durable store) refused the append —
-    /// shard routing inconsistency, storage I/O failure, or a fsync that
-    /// could not complete. Surfaced as a rejection rather than a panic so
+    /// storage I/O failure, or a fsync that could not complete. Surfaced as a rejection rather than a panic so
     /// one bad update cannot take the serving path down; nothing was
     /// activated.
     LogAppend(String),

@@ -9,7 +9,6 @@ use crate::manifest::{ReleaseManifest, SignedRelease};
 use distrust_gossip::envelope::GossipEnvelope;
 use distrust_gossip::witness::CosignedHeads;
 use distrust_log::batch::CheckpointBundle;
-use distrust_log::shard::ShardBundle;
 use distrust_tee::attest::Quote;
 use distrust_wire::codec::{decode_seq, encode_seq, Decode, DecodeError, Encode};
 use distrust_wire::wire_struct;
@@ -42,25 +41,24 @@ pub enum Request {
         /// The signed release.
         release: SignedRelease,
     },
-    /// Fetch log leaves `[from, current)` for replay/inspection. On
-    /// multi-shard domains the response is the shard-order flattening and
-    /// only `from = 0` is served (the flattening is not append-only, so
-    /// incremental offsets would silently skip entries — incremental
-    /// readers use [`Request::GetShardEntries`], which is append-only
-    /// within its shard). 1-shard domains serve any `from`.
+    /// Fetch log leaves from index `from` on, for replay/inspection. The
+    /// answer is one page — the leaves that fit a fixed byte budget, at
+    /// least one — so a reader asks again from where the page ended until
+    /// an answer comes back empty; a `from` past the end is an error.
     GetLogEntries {
         /// First index to return.
         from: u64,
     },
-    /// Fetch update notices issued at or after `since` (log index).
+    /// Fetch update notices issued at or after `since` (log index), one
+    /// page at a time like [`Request::GetLogEntries`]: the next page
+    /// starts after the last notice's `log_index`.
     GetNotices {
         /// First notice index of interest.
         since: u64,
     },
     /// The audit exchange (§3.3): attestation + latest checkpoint(s) + a
     /// range consistency proof from `verified_size`, all in a single
-    /// response ([`Response::AuditBundle`], or
-    /// [`Response::ShardAuditBundle`] on multi-shard domains).
+    /// response ([`Response::AuditBundle`]).
     BatchAudit {
         /// Client-chosen id the response must echo: the client rejects
         /// an answer carrying any other id.
@@ -70,16 +68,6 @@ pub enum Request {
         /// Log size the client last verified (0 = nothing verified); the
         /// proof bundle links from here to the current log head.
         verified_size: u64,
-    },
-    /// Fetch leaves `[from, len)` of one **shard** of a sharded log.
-    /// Single-shard domains treat shard 0 exactly like
-    /// [`Request::GetLogEntries`]; an out-of-range shard or offset is
-    /// answered with an error.
-    GetShardEntries {
-        /// Shard index.
-        shard: u32,
-        /// First in-shard index to return.
-        from: u64,
     },
     /// Epidemic checkpoint exchange: the sender's latest signed heads and
     /// any transferable misbehavior evidence it holds. Answered with
@@ -133,11 +121,8 @@ impl Encode for Request {
                 nonce.encode(out);
                 verified_size.encode(out);
             }
-            Request::GetShardEntries { shard, from } => {
-                9u8.encode(out);
-                shard.encode(out);
-                from.encode(out);
-            }
+            // Tag 9 is retired (the per-tree read of a log that could be
+            // several trees) and must not be reused.
             Request::Gossip { envelope } => {
                 10u8.encode(out);
                 envelope.encode(out);
@@ -184,10 +169,6 @@ impl Decode for Request {
                 request_id: Decode::decode(input)?,
                 nonce: Decode::decode(input)?,
                 verified_size: Decode::decode(input)?,
-            },
-            9 => Request::GetShardEntries {
-                shard: Decode::decode(input)?,
-                from: Decode::decode(input)?,
             },
             10 => Request::Gossip {
                 envelope: Decode::decode(input)?,
@@ -246,11 +227,8 @@ wire_struct!(AttestationBinding {
 pub struct UpdateNotice {
     /// Manifest of the release that was activated.
     pub manifest: ReleaseManifest,
-    /// Index of the release's leaf in the code-digest log — within the
-    /// shard the releasing app routes to. Appends route by app id, so one
-    /// app's notices carry strictly increasing indices into one shard
-    /// (`ShardedLog::shard_for(app_name)` recovers which); on a 1-shard
-    /// log this is the plain global index, as it always was.
+    /// Index of the release's leaf in the code-digest log; strictly
+    /// increasing from one notice to the next.
     pub log_index: u64,
     /// Domain-local logical time of activation.
     pub logical_time: u64,
@@ -318,29 +296,6 @@ wire_struct!(AuditBundle {
     bundle: CheckpointBundle,
 });
 
-/// The sharded-log answer to [`Request::BatchAudit`]: attestation plus a
-/// [`ShardBundle`] (per-epoch shard snapshots and per-shard consistency
-/// runs). Served only by domains whose log has more than one shard —
-/// 1-shard domains answer with the byte-compatible [`AuditBundle`], so
-/// old clients never see this variant unless they audit a multi-shard
-/// deployment (which no old deployment can be).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ShardAuditBundle {
-    /// Echo of the request id; the client checks it.
-    pub request_id: u64,
-    /// Quote (TEE domains) or plain status (domain 0).
-    pub attestation: BundleAttestation,
-    /// Epoch snapshots + per-shard proof runs from the client's verified
-    /// epoch.
-    pub bundle: ShardBundle,
-}
-
-wire_struct!(ShardAuditBundle {
-    request_id: u64,
-    attestation: BundleAttestation,
-    bundle: ShardBundle,
-});
-
 /// A response from a trust domain.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Response {
@@ -376,10 +331,6 @@ pub enum Response {
     /// Batched audit: attestation + checkpoints + range proof in one
     /// round-trip (answers [`Request::BatchAudit`]).
     AuditBundle(Box<AuditBundle>),
-    /// Sharded batched audit: attestation + epoch shard snapshots +
-    /// per-shard proof runs (answers [`Request::BatchAudit`] on domains
-    /// whose log has more than one shard).
-    ShardAuditBundle(Box<ShardAuditBundle>),
     /// The receiver's side of a gossip exchange (answers
     /// [`Request::Gossip`]): its latest signed heads plus any evidence it
     /// holds. Contents are claims — the receiving party verifies every
@@ -447,10 +398,8 @@ impl Encode for Response {
                 12u8.encode(out);
                 b.encode(out);
             }
-            Response::ShardAuditBundle(b) => {
-                13u8.encode(out);
-                b.encode(out);
-            }
+            // Tag 13 is retired (the second audit-bundle format, of a log
+            // that could be several trees) and must not be reused.
             Response::Gossip { envelope } => {
                 14u8.encode(out);
                 envelope.encode(out);
@@ -482,7 +431,6 @@ impl Decode for Response {
             10 => Response::Notices(decode_seq(input)?),
             11 => Response::Error(Decode::decode(input)?),
             12 => Response::AuditBundle(Box::new(Decode::decode(input)?)),
-            13 => Response::ShardAuditBundle(Box::new(Decode::decode(input)?)),
             14 => Response::Gossip {
                 envelope: Decode::decode(input)?,
             },
@@ -531,7 +479,6 @@ mod tests {
                 nonce: [7; 32],
                 verified_size: 5,
             },
-            Request::GetShardEntries { shard: 3, from: 9 },
         ];
         for req in requests {
             let wire = req.to_wire();
@@ -567,7 +514,6 @@ mod tests {
             }]),
             Response::Error("nope".into()),
             Response::AuditBundle(Box::new(sample_audit_bundle())),
-            Response::ShardAuditBundle(Box::new(sample_shard_audit_bundle())),
         ];
         for resp in responses {
             let wire = resp.to_wire();
@@ -601,40 +547,6 @@ mod tests {
         }
     }
 
-    fn sample_shard_audit_bundle() -> ShardAuditBundle {
-        use distrust_log::checkpoint::{CheckpointBody, SignedCheckpoint};
-        use distrust_log::shard::{ShardEpoch, ShardedLog};
-        let sk = SigningKey::derive(b"proto", b"shard-cp");
-        let log = ShardedLog::new(3);
-        let mut epochs = Vec::new();
-        let mut snaps = Vec::new();
-        for i in 0..4u64 {
-            log.append((i % 3) as u32, format!("v{i}").as_bytes())
-                .unwrap();
-            let snap = log.snapshot();
-            epochs.push(ShardEpoch {
-                checkpoint: SignedCheckpoint::sign(
-                    CheckpointBody {
-                        log_id: [3; 32],
-                        size: snap.total(),
-                        head: snap.commitment(),
-                        logical_time: i + 1,
-                    },
-                    &sk,
-                ),
-                shards: snap.clone(),
-            });
-            snaps.push(snap);
-        }
-        let refs: Vec<&distrust_log::shard::ShardSnapshot> = snaps.iter().collect();
-        let proof = log.prove_shard_runs(&[0, 0, 0], &refs).unwrap();
-        ShardAuditBundle {
-            request_id: 11,
-            attestation: BundleAttestation::Unattested(status()),
-            bundle: ShardBundle { epochs, proof },
-        }
-    }
-
     #[test]
     fn encode_update_matches_enum_encoding() {
         let dev = SigningKey::derive(b"proto", b"dev2");
@@ -649,17 +561,6 @@ mod tests {
     #[test]
     fn audit_bundle_truncation_rejected_at_every_cut() {
         let wire = Response::AuditBundle(Box::new(sample_audit_bundle())).to_wire();
-        for cut in 0..wire.len() {
-            assert!(
-                Response::from_wire(&wire[..cut]).is_err(),
-                "truncation at {cut} must not decode"
-            );
-        }
-    }
-
-    #[test]
-    fn shard_audit_bundle_truncation_rejected_at_every_cut() {
-        let wire = Response::ShardAuditBundle(Box::new(sample_shard_audit_bundle())).to_wire();
         for cut in 0..wire.len() {
             assert!(
                 Response::from_wire(&wire[..cut]).is_err(),

@@ -8,7 +8,7 @@
 //!   wire-decoded values (`decode`/`from_wire`/`read_frame` results), the
 //!   byte-slice parameters of decode entry points, and parameters typed
 //!   with a not-yet-verified signed object (`SignedCheckpoint`, `Quote`,
-//!   `ShardBundle`, …).
+//!   `CheckpointBundle`, …).
 //! * **Propagation** is a linear union: a let-binding, arithmetic
 //!   expression, field access or method chain carries the taint of every
 //!   identifier it mentions, and `.len()` deliberately propagates —
@@ -78,15 +78,12 @@ fn source_call(name: &str) -> Option<&'static str> {
 }
 
 /// Signed-object types whose fields are untrusted until verified.
-pub const SIGNED_TYPES: [&str; 8] = [
+pub const SIGNED_TYPES: [&str; 5] = [
     "SignedCheckpoint",
     "SignedRelease",
     "Quote",
     "CheckpointBundle",
-    "ShardBundle",
-    "ShardProofBundle",
     "AuditBundle",
-    "ShardAuditBundle",
 ];
 
 /// Upper-bound tier of a tracked value. `Ord` follows lattice order:
@@ -1246,13 +1243,13 @@ mod unit {
     fn signed_param_fields_root_taint() {
         let s = sites(
             "crates/x/src/auditor.rs",
-            "fn observe_thing(&mut self, bundle: &ShardBundle) { \
-             let shard_count = bundle.shards.shard_count(); \
-             let v = vec![0usize; shard_count]; }",
+            "fn observe_thing(&mut self, bundle: &CheckpointBundle) { \
+             let steps = bundle.proof.step_count(); \
+             let v = vec![0usize; steps]; }",
         );
         assert_eq!(s.len(), 1);
         assert_eq!(s[0].sink, "`vec![_; n]` length");
-        assert!(s[0].chain[0].contains("unverified `ShardBundle`"));
+        assert!(s[0].chain[0].contains("unverified `CheckpointBundle`"));
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! locks), flags cycles, double acquisitions of the same lock, and locks
 //! held across blocking calls.
 //!
-//! Call-derived self-edges (`shards -> shards` because `ShardedLog::append`
+//! Call-derived self-edges (`tree -> tree` because `ShardedLog::append`
 //! shares its name with `MerkleLog::append`) are suppressed: with
 //! name-based resolution they are overwhelmingly aliasing artifacts. A
 //! *direct* re-acquisition of the same named lock in one function still
@@ -247,10 +247,10 @@ mod unit {
 
     #[test]
     fn call_derived_self_edge_is_suppressed() {
-        // `append` resolves to both the sharded wrapper and the inner
-        // log's method; the wrapper's temporary guard must not create a
-        // shards -> shards cycle.
-        let report = run_on("fn append(log: &L) { shards.lock().append(data); } ");
+        // `append` resolves to both the log's wrapper and the inner
+        // tree's method; the wrapper's temporary guard must not create a
+        // tree -> tree cycle.
+        let report = run_on("fn append(log: &L) { tree.lock().append(data); } ");
         assert_eq!(report.findings.len(), 0);
     }
 

@@ -27,17 +27,9 @@
 use crate::batch::{CheckpointBundle, VerifiedPrefixCache};
 use crate::checkpoint::{EquivocationProof, SignedCheckpoint};
 use crate::merkle::ConsistencyProof;
-use crate::shard::ShardBundle;
 use distrust_crypto::schnorr::VerifyingKey;
 use distrust_crypto::sha256::Digest;
 use std::collections::HashMap;
-
-/// Most shards a [`ShardBundle`] may announce before the auditor rejects
-/// it as malformed. The sharded-log design targets tens of shards (one
-/// per append-heavy partition); 1024 leaves generous headroom while
-/// keeping every `shard_count`-sized allocation in the audit path bounded
-/// by a constant instead of by a wire-announced value.
-pub const MAX_BUNDLE_SHARDS: usize = 1024;
 
 /// Evidence of misbehavior discovered during an audit.
 #[derive(Clone, Debug)]
@@ -192,20 +184,17 @@ impl DomainState {
         self.seen.get(&cp.body.size) == Some(cp)
     }
 
-    /// Checkpoint-level prechecks shared by both batched ingest paths
-    /// ([`Auditor::observe_bundle`] and [`Auditor::observe_shard_bundle`]
-    /// — the sharded path layers per-shard verification on top, but the
-    /// evidence hunts over the *signed checkpoints* are one piece of
-    /// logic, maintained once). In order: signature verification skipping
-    /// checkpoints byte-identical to already-verified ones; equivocation
-    /// inside the batch (two correctly signed heads for one size are
-    /// transferable proof); equivocation against everything previously
-    /// seen; structural ascending sizes; and rollback below the verified
-    /// prefix. Returns the first misbehavior found, `None` when clean.
+    /// The checkpoint-level prechecks of [`Auditor::observe_bundle`], in
+    /// order: signature verification skipping checkpoints byte-identical
+    /// to already-verified ones; equivocation inside the batch (two
+    /// correctly signed heads for one size are transferable proof);
+    /// equivocation against everything previously seen; structural
+    /// ascending sizes; and rollback below the verified prefix. Returns
+    /// the first misbehavior found, `None` when clean.
     fn precheck_checkpoint_batch(
         &mut self,
         domain: u32,
-        cps: &[&SignedCheckpoint],
+        cps: &[SignedCheckpoint],
     ) -> Option<Misbehavior> {
         // 1. Signatures, skipping checkpoints byte-identical to ones this
         //    auditor already verified (the common steady-state case).
@@ -217,7 +206,7 @@ impl DomainState {
             if !cp.verify(&self.key) {
                 return Some(Misbehavior::BadSignature {
                     domain,
-                    checkpoint: (*cp).clone(),
+                    checkpoint: cp.clone(),
                 });
             }
             self.cache.note_signature();
@@ -232,8 +221,8 @@ impl DomainState {
                     return Some(Misbehavior::Equivocation {
                         domain,
                         proof: EquivocationProof {
-                            a: (*a).clone(),
-                            b: (*b).clone(),
+                            a: a.clone(),
+                            b: b.clone(),
                         },
                     });
                 }
@@ -247,7 +236,7 @@ impl DomainState {
                         domain,
                         proof: EquivocationProof {
                             a: prior.clone(),
-                            b: (*cp).clone(),
+                            b: cp.clone(),
                         },
                     });
                 }
@@ -443,12 +432,11 @@ impl Auditor {
                 reason: "bundle carries no checkpoints".into(),
             });
         }
-        // 1–5. The shared checkpoint-level prechecks: signatures (with
-        //      the byte-identical skip), equivocation inside the bundle
-        //      and against history, ascending sizes, and rollback below
-        //      the verified prefix.
-        let refs: Vec<&SignedCheckpoint> = cps.iter().collect();
-        if let Some(m) = state.precheck_checkpoint_batch(domain, &refs) {
+        // 1–5. The checkpoint-level prechecks: signatures (with the
+        //      byte-identical skip), equivocation inside the bundle and
+        //      against history, ascending sizes, and rollback below the
+        //      verified prefix.
+        if let Some(m) = state.precheck_checkpoint_batch(domain, cps) {
             return misb(m);
         }
         let last = cps.last().expect("non-empty");
@@ -498,186 +486,6 @@ impl Auditor {
         }
         state.cache.record(last.body.size, last.body.head);
         state.latest = Some(last.clone());
-        AuditOutcome::Consistent
-    }
-
-    /// Ingests a sharded-log audit bundle from `domain` — the shard-aware
-    /// analogue of [`Auditor::observe_bundle`], with the same checkpoint
-    /// detection semantics (signatures skipped at or below the verified
-    /// prefix, equivocation hunts inside the bundle and against history,
-    /// rollback) plus the sharded-commitment checks:
-    ///
-    /// * every epoch's snapshot must reproduce its signed `(size, head)` —
-    ///   `size = Σ shard sizes`, `head =` the shard-heads commitment;
-    /// * each shard must evolve append-only across epochs, proven by that
-    ///   shard's consistency run (one verification per grown transition
-    ///   above the per-shard verified prefix; a shard going backwards is
-    ///   flagged as [`Misbehavior::Rollback`] with that shard's sizes);
-    /// * the verified prefix is tracked **per shard**
-    ///   ([`VerifiedPrefixCache::shard_prefixes`]), so steady-state audits
-    ///   of a sharded log verify nothing at all, and a grown log costs one
-    ///   consistency check per shard that actually grew.
-    pub fn observe_shard_bundle(&mut self, domain: u32, bundle: &ShardBundle) -> AuditOutcome {
-        let misb = |m: Misbehavior| AuditOutcome::Misbehavior(Box::new(m));
-        let malformed = |domain: u32, reason: &str| {
-            AuditOutcome::Misbehavior(Box::new(Misbehavior::MalformedBundle {
-                domain,
-                reason: reason.into(),
-            }))
-        };
-        let Some(state) = self.domains.get_mut(domain as usize) else {
-            return malformed(domain, "unknown domain index");
-        };
-        let epochs = &bundle.epochs;
-        if epochs.is_empty() {
-            return malformed(domain, "bundle carries no epochs");
-        }
-        let shard_count = epochs[0].shards.shard_count();
-        if shard_count == 0 {
-            return malformed(domain, "epoch snapshot has no shards");
-        }
-        if shard_count > MAX_BUNDLE_SHARDS {
-            return malformed(domain, "bundle shard count exceeds the audit limit");
-        }
-        // No-op after the guard above; keeps every allocation and index
-        // below bounded by a constant rather than by wire input.
-        let shard_count = shard_count.min(MAX_BUNDLE_SHARDS);
-        if epochs.iter().any(|e| e.shards.shard_count() != shard_count) {
-            return malformed(domain, "shard count varies across epochs");
-        }
-        if bundle.proof.runs.len() != shard_count {
-            return malformed(domain, "proof runs do not match shard count");
-        }
-        // 0. Commitment binding: the snapshot must reproduce exactly the
-        //    signed (size, head). A snapshot that does not is not evidence
-        //    against the key — the signature may even be valid — but a
-        //    correct domain never serves it.
-        for e in epochs {
-            if !e.well_formed() {
-                return malformed(domain, "snapshot does not produce the signed (size, head)");
-            }
-        }
-        // 1–5. The shared checkpoint-level prechecks over the epochs'
-        //      signed checkpoints (identical logic to the single-tree
-        //      bundle path, maintained once).
-        let refs: Vec<&SignedCheckpoint> = epochs.iter().map(|e| &e.checkpoint).collect();
-        if let Some(m) = state.precheck_checkpoint_batch(domain, &refs) {
-            return misb(m);
-        }
-        // 6. Per-shard chain verification. The baseline is the cached
-        //    per-shard prefix; lacking one (first observation, or a domain
-        //    previously audited only through the single-tree path) the
-        //    first epoch's snapshot is adoptable as-is exactly when it IS
-        //    the already-trusted top-level state — otherwise growth from
-        //    unknown shard states is unverifiable.
-        let mut prev: Option<Vec<(u64, Digest)>> = match state.cache.shard_prefixes() {
-            Some(p) if p.len() == shard_count => Some(p.to_vec()),
-            Some(_) => return malformed(domain, "shard count changed across audits"),
-            None => match &state.latest {
-                None => None,
-                Some(trusted) => {
-                    let first = &epochs[0].checkpoint;
-                    if first.body.size == trusted.body.size && first.body.head == trusted.body.head
-                    {
-                        None // adopted below by the first-observation arm
-                    } else {
-                        return misb(Misbehavior::InconsistentGrowth {
-                            domain,
-                            trusted: trusted.clone(),
-                            offered: first.clone(),
-                        });
-                    }
-                }
-            },
-        };
-        let mut next_step = vec![0usize; shard_count];
-        for e in epochs {
-            let Some(prev_states) = &prev else {
-                // First observation: adopt the snapshot without proof,
-                // exactly as `observe` accepts its first checkpoint.
-                prev = Some(
-                    e.shards
-                        .sizes
-                        .iter()
-                        .copied()
-                        .zip(e.shards.heads.iter().copied())
-                        .collect(),
-                );
-                continue;
-            };
-            let mut advanced = false;
-            for s in 0..shard_count {
-                let (ps, ph) = prev_states[s];
-                let (ns, nh) = (e.shards.sizes[s], e.shards.heads[s]);
-                if ns < ps {
-                    return misb(Misbehavior::Rollback {
-                        domain,
-                        trusted_size: ps,
-                        offered_size: ns,
-                    });
-                }
-                if ns == ps {
-                    if nh != ph {
-                        // Same shard size, different head: a rewritten
-                        // shard hiding under a grown sibling.
-                        return misb(Misbehavior::InconsistentGrowth {
-                            domain,
-                            trusted: state.latest.clone().unwrap_or_else(|| e.checkpoint.clone()),
-                            offered: e.checkpoint.clone(),
-                        });
-                    }
-                    continue;
-                }
-                advanced = true;
-                if ps == 0 {
-                    // Growth from the empty shard is vacuously consistent.
-                    continue;
-                }
-                let expanded = bundle.proof.step(s, next_step[s]);
-                next_step[s] += 1;
-                let ok = match expanded {
-                    Some(p) => {
-                        state.cache.note_consistency();
-                        p.old_size == ps && p.new_size == ns && p.verify(&ph, &nh)
-                    }
-                    None => false,
-                };
-                if !ok {
-                    return misb(Misbehavior::InconsistentGrowth {
-                        domain,
-                        trusted: state.latest.clone().unwrap_or_else(|| e.checkpoint.clone()),
-                        offered: e.checkpoint.clone(),
-                    });
-                }
-            }
-            if !advanced {
-                // A re-served epoch (every shard unchanged): nothing to
-                // verify, mirroring the per-step duplicate handling.
-                state.cache.note_skipped();
-            }
-            prev = Some(
-                e.shards
-                    .sizes
-                    .iter()
-                    .copied()
-                    .zip(e.shards.heads.iter().copied())
-                    .collect(),
-            );
-        }
-        // 7. Commit.
-        for e in epochs {
-            state
-                .seen
-                .insert(e.checkpoint.body.size, e.checkpoint.clone());
-        }
-        let last = epochs.last().expect("non-empty");
-        state
-            .cache
-            .record(last.checkpoint.body.size, last.checkpoint.body.head);
-        state
-            .cache
-            .record_shards(&last.shards.sizes, &last.shards.heads);
-        state.latest = Some(last.checkpoint.clone());
         AuditOutcome::Consistent
     }
 
@@ -1194,329 +1002,6 @@ mod tests {
         };
         assert!(auditor.observe_bundle(0, &bundle).is_consistent());
         assert_eq!(auditor.latest(0).unwrap().body.size, 1);
-    }
-
-    mod sharded {
-        use super::*;
-        use crate::shard::{ShardBundle, ShardEpoch, ShardSnapshot, ShardedLog};
-
-        /// A sharded trust-domain mirror: shard log + per-epoch signed
-        /// checkpoints over the shard-head commitment, shaped like the
-        /// framework's shard-aware audit server side.
-        struct ShardDomain {
-            sk: SigningKey,
-            log: ShardedLog,
-            epochs: Vec<(SignedCheckpoint, ShardSnapshot)>,
-            lid: [u8; 32],
-            time: u64,
-        }
-
-        impl ShardDomain {
-            fn new(shards: usize) -> Self {
-                Self {
-                    sk: SigningKey::derive(b"shard auditor tests", &(shards as u32).to_le_bytes()),
-                    log: ShardedLog::new(shards),
-                    epochs: Vec::new(),
-                    lid: log_id(b"shard-dep", 0),
-                    time: 0,
-                }
-            }
-
-            fn append(&mut self, shard: u32, leaf: &[u8]) {
-                self.log.append(shard, leaf).expect("shard exists");
-                let snapshot = self.log.snapshot();
-                self.time += 1;
-                let cp = SignedCheckpoint::sign(
-                    CheckpointBody {
-                        log_id: self.lid,
-                        size: snapshot.total(),
-                        head: snapshot.commitment(),
-                        logical_time: self.time,
-                    },
-                    &self.sk,
-                );
-                self.epochs.push((cp, snapshot));
-            }
-
-            /// Bundle for a client whose per-shard verified sizes are
-            /// `baseline` (zeros = fresh client).
-            fn bundle_from(&self, baseline: &[u64]) -> ShardBundle {
-                let total: u64 = baseline.iter().sum();
-                let included: Vec<&(SignedCheckpoint, ShardSnapshot)> = self
-                    .epochs
-                    .iter()
-                    .filter(|(cp, _)| cp.body.size > total)
-                    .collect();
-                if included.is_empty() {
-                    let (cp, snap) = self.epochs.last().expect("non-empty").clone();
-                    return ShardBundle {
-                        epochs: vec![ShardEpoch {
-                            checkpoint: cp,
-                            shards: snap,
-                        }],
-                        proof: self
-                            .log
-                            .prove_shard_runs(baseline, &[])
-                            .expect("empty runs"),
-                    };
-                }
-                let snaps: Vec<&ShardSnapshot> = included.iter().map(|(_, s)| s).collect();
-                let proof = self
-                    .log
-                    .prove_shard_runs(baseline, &snaps)
-                    .expect("honest runs");
-                ShardBundle {
-                    epochs: included
-                        .into_iter()
-                        .map(|(cp, s)| ShardEpoch {
-                            checkpoint: cp.clone(),
-                            shards: s.clone(),
-                        })
-                        .collect(),
-                    proof,
-                }
-            }
-
-            fn auditor(&self) -> Auditor {
-                Auditor::new(vec![self.sk.verifying_key()])
-            }
-        }
-
-        fn baseline_of(auditor: &Auditor) -> Vec<u64> {
-            auditor
-                .prefix_cache(0)
-                .and_then(|c| c.shard_prefixes())
-                .map(|p| p.iter().map(|(s, _)| *s).collect())
-                .unwrap_or_default()
-        }
-
-        #[test]
-        fn honest_sharded_growth_is_consistent() {
-            let mut d = ShardDomain::new(3);
-            d.append(0, b"a0");
-            d.append(1, b"b0");
-            let mut auditor = d.auditor();
-            let bundle = d.bundle_from(&[0, 0, 0]);
-            assert!(auditor.observe_shard_bundle(0, &bundle).is_consistent());
-            assert_eq!(auditor.latest(0).unwrap().body.size, 2);
-            let prefixes = auditor.prefix_cache(0).unwrap().shard_prefixes().unwrap();
-            assert_eq!(
-                prefixes.iter().map(|(s, _)| *s).collect::<Vec<_>>(),
-                vec![1, 1, 0]
-            );
-
-            // Growth touching two shards, linked from the cached baseline.
-            d.append(0, b"a1");
-            d.append(2, b"c0");
-            let bundle = d.bundle_from(&baseline_of(&auditor));
-            assert!(auditor.observe_shard_bundle(0, &bundle).is_consistent());
-            assert_eq!(auditor.latest(0).unwrap().body.size, 4);
-
-            // Steady state: the same head again verifies nothing.
-            let cache = auditor.prefix_cache(0).unwrap();
-            let (sigs, cons) = (cache.signatures_verified(), cache.consistency_verified());
-            let bundle = d.bundle_from(&baseline_of(&auditor));
-            assert!(auditor.observe_shard_bundle(0, &bundle).is_consistent());
-            let cache = auditor.prefix_cache(0).unwrap();
-            assert_eq!(cache.signatures_verified(), sigs);
-            assert_eq!(cache.consistency_verified(), cons);
-        }
-
-        #[test]
-        fn bundle_shard_count_above_limit_is_malformed() {
-            // Regression for the shard-count bomb: `observe_shard_bundle`
-            // used to allocate `vec![0usize; shard_count]` (and index
-            // per-shard arrays) straight off the wire-announced count.
-            // Anything above MAX_BUNDLE_SHARDS must be rejected as
-            // malformed before any shard_count-sized work happens.
-            let mut d = ShardDomain::new(2);
-            d.append(0, b"a0");
-            let mut auditor = d.auditor();
-            let (cp, _) = d.epochs.last().expect("non-empty").clone();
-            let oversized = ShardSnapshot {
-                sizes: vec![0; MAX_BUNDLE_SHARDS + 1],
-                heads: vec![MerkleLog::new().root(); MAX_BUNDLE_SHARDS + 1],
-            };
-            let bundle = ShardBundle {
-                epochs: vec![ShardEpoch {
-                    checkpoint: cp,
-                    shards: oversized,
-                }],
-                proof: Default::default(),
-            };
-            match auditor.observe_shard_bundle(0, &bundle) {
-                AuditOutcome::Misbehavior(m) => match *m {
-                    Misbehavior::MalformedBundle { reason, .. } => {
-                        assert!(reason.contains("audit limit"), "reason: {reason}")
-                    }
-                    other => panic!("expected malformed bundle, got {other:?}"),
-                },
-                other => panic!("expected misbehavior, got {other:?}"),
-            }
-        }
-
-        #[test]
-        fn snapshot_commitment_mismatch_is_malformed() {
-            let mut d = ShardDomain::new(2);
-            d.append(0, b"a0");
-            let mut auditor = d.auditor();
-            let mut bundle = d.bundle_from(&[0, 0]);
-            // The served snapshot no longer reproduces the signed head.
-            bundle.epochs[0].shards.heads[1][0] ^= 0xff;
-            match auditor.observe_shard_bundle(0, &bundle) {
-                AuditOutcome::Misbehavior(m) => {
-                    assert!(matches!(*m, Misbehavior::MalformedBundle { .. }))
-                }
-                other => panic!("expected malformed, got {other:?}"),
-            }
-        }
-
-        #[test]
-        fn rewritten_shard_behind_grown_sibling_flagged() {
-            // Shard 0 is rewritten at constant size while shard 1 grows:
-            // the total grows, the commitment is correctly signed, but
-            // shard 0's head changed without an append.
-            let mut d = ShardDomain::new(2);
-            d.append(0, b"a0");
-            let mut auditor = d.auditor();
-            assert!(auditor
-                .observe_shard_bundle(0, &d.bundle_from(&[0, 0]))
-                .is_consistent());
-
-            let forged = ShardedLog::new(2);
-            forged.append(0, b"EVIL").unwrap();
-            forged.append(1, b"b0").unwrap();
-            let snap = forged.snapshot();
-            d.time += 1;
-            let cp = SignedCheckpoint::sign(
-                CheckpointBody {
-                    log_id: d.lid,
-                    size: snap.total(),
-                    head: snap.commitment(),
-                    logical_time: d.time,
-                },
-                &d.sk,
-            );
-            let bundle = ShardBundle {
-                epochs: vec![ShardEpoch {
-                    checkpoint: cp,
-                    shards: snap,
-                }],
-                proof: forged.prove_shard_runs(&[1, 0], &[]).expect("empty runs"),
-            };
-            match auditor.observe_shard_bundle(0, &bundle) {
-                AuditOutcome::Misbehavior(m) => {
-                    assert!(matches!(*m, Misbehavior::InconsistentGrowth { .. }))
-                }
-                other => panic!("expected inconsistent growth, got {other:?}"),
-            }
-        }
-
-        #[test]
-        fn per_shard_rollback_flagged() {
-            let mut d = ShardDomain::new(2);
-            d.append(0, b"a0");
-            d.append(0, b"a1");
-            let mut auditor = d.auditor();
-            assert!(auditor
-                .observe_shard_bundle(0, &d.bundle_from(&[0, 0]))
-                .is_consistent());
-            // A snapshot where shard 0 shrank but shard 1 grew enough to
-            // keep the total moving forward.
-            let forged = ShardedLog::new(2);
-            forged.append(0, b"a0").unwrap();
-            forged.append(1, b"b0").unwrap();
-            forged.append(1, b"b1").unwrap();
-            let snap = forged.snapshot();
-            d.time += 1;
-            let cp = SignedCheckpoint::sign(
-                CheckpointBody {
-                    log_id: d.lid,
-                    size: snap.total(),
-                    head: snap.commitment(),
-                    logical_time: d.time,
-                },
-                &d.sk,
-            );
-            let bundle = ShardBundle {
-                epochs: vec![ShardEpoch {
-                    checkpoint: cp,
-                    shards: snap,
-                }],
-                proof: forged.prove_shard_runs(&[1, 0], &[]).expect("runs"),
-            };
-            match auditor.observe_shard_bundle(0, &bundle) {
-                AuditOutcome::Misbehavior(m) => match *m {
-                    Misbehavior::Rollback {
-                        trusted_size,
-                        offered_size,
-                        ..
-                    } => {
-                        assert_eq!((trusted_size, offered_size), (2, 1));
-                    }
-                    other => panic!("expected rollback, got {other:?}"),
-                },
-                other => panic!("expected misbehavior, got {other:?}"),
-            }
-        }
-
-        #[test]
-        fn sharded_equivocation_yields_transferable_proof() {
-            let mut d = ShardDomain::new(2);
-            d.append(0, b"a0");
-            let mut auditor = d.auditor();
-            assert!(auditor
-                .observe_shard_bundle(0, &d.bundle_from(&[0, 0]))
-                .is_consistent());
-            // A conflicting, correctly signed view at the same total size.
-            let forked = ShardedLog::new(2);
-            forked.append(1, b"other-shard").unwrap();
-            let snap = forked.snapshot();
-            let cp = SignedCheckpoint::sign(
-                CheckpointBody {
-                    log_id: d.lid,
-                    size: snap.total(),
-                    head: snap.commitment(),
-                    logical_time: 99,
-                },
-                &d.sk,
-            );
-            let bundle = ShardBundle {
-                epochs: vec![ShardEpoch {
-                    checkpoint: cp,
-                    shards: snap,
-                }],
-                proof: forked.prove_shard_runs(&[0, 0], &[]).expect("runs"),
-            };
-            match auditor.observe_shard_bundle(0, &bundle) {
-                AuditOutcome::Misbehavior(m) => match *m {
-                    Misbehavior::Equivocation { proof, .. } => {
-                        assert!(proof.verify(&d.sk.verifying_key()));
-                    }
-                    other => panic!("expected equivocation, got {other:?}"),
-                },
-                other => panic!("expected misbehavior, got {other:?}"),
-            }
-        }
-
-        #[test]
-        fn missing_proof_step_rejected() {
-            let mut d = ShardDomain::new(2);
-            d.append(0, b"a0");
-            let mut auditor = d.auditor();
-            assert!(auditor
-                .observe_shard_bundle(0, &d.bundle_from(&[0, 0]))
-                .is_consistent());
-            d.append(0, b"a1");
-            let mut bundle = d.bundle_from(&baseline_of(&auditor));
-            bundle.proof.runs[0].steps.clear();
-            match auditor.observe_shard_bundle(0, &bundle) {
-                AuditOutcome::Misbehavior(m) => {
-                    assert!(matches!(*m, Misbehavior::InconsistentGrowth { .. }))
-                }
-                other => panic!("expected inconsistent growth, got {other:?}"),
-            }
-        }
     }
 
     mod verify_once {

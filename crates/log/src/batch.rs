@@ -213,9 +213,6 @@ impl MerkleLog {
 #[derive(Clone, Debug, Default)]
 pub struct VerifiedPrefixCache {
     verified: Option<(u64, Digest)>,
-    /// Per-shard verified `(size, head)` for sharded logs; empty until the
-    /// first shard-aware audit (legacy single-tree audits never touch it).
-    shard_verified: Vec<(u64, Digest)>,
     signatures_verified: u64,
     consistency_verified: u64,
     skipped: u64,
@@ -251,39 +248,6 @@ impl VerifiedPrefixCache {
         match self.verified {
             Some((s, _)) if size < s => {}
             _ => self.verified = Some((size, head)),
-        }
-    }
-
-    /// The per-shard verified prefixes, or `None` before the first
-    /// shard-aware verification (a legacy single-tree history).
-    pub fn shard_prefixes(&self) -> Option<&[(u64, Digest)]> {
-        if self.shard_verified.is_empty() {
-            None
-        } else {
-            Some(&self.shard_verified)
-        }
-    }
-
-    /// Records the per-shard states of a fully verified epoch. The shard
-    /// count is fixed by the first recording (a log cannot reshard under
-    /// its signed commitments); recordings never move a shard backwards.
-    pub fn record_shards(&mut self, sizes: &[u64], heads: &[Digest]) {
-        debug_assert_eq!(sizes.len(), heads.len());
-        if self.shard_verified.is_empty() {
-            self.shard_verified = sizes.iter().copied().zip(heads.iter().copied()).collect();
-            return;
-        }
-        if self.shard_verified.len() != sizes.len() {
-            return;
-        }
-        for (slot, (size, head)) in self
-            .shard_verified
-            .iter_mut()
-            .zip(sizes.iter().zip(heads.iter()))
-        {
-            if *size >= slot.0 {
-                *slot = (*size, *head);
-            }
         }
     }
 

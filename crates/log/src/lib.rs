@@ -15,28 +15,27 @@
 //! across all `n` domains. [`batch`] amortises the audit hot path:
 //! multi-checkpoint proof bundles with deduplicated nodes and a
 //! verified-prefix cache so repeated audits never re-verify old history.
-//! [`shard`] scales the write path: a [`shard::ShardedLog`] keeps `N`
-//! independently locked Merkle shards under one top-level shard-head
-//! commitment — byte-compatible with the single-tree format at one shard,
-//! parallel append throughput beyond it. [`store`] puts durability under
-//! all of it: a [`store::LogStore`] trait with an in-memory default and a
-//! segment-file implementation ([`store::DurableStore`]) whose write-ahead
-//! discipline and torn-tail recovery let a restarted domain resume the
-//! identical commitment instead of silently re-signing fresh history.
+//! [`store`] puts durability under all of it: a [`store::LogStore`] trait
+//! with an in-memory default and a segment-file implementation
+//! ([`store::DurableStore`]) whose write-ahead discipline and torn-tail
+//! recovery let a restarted domain resume the identical head instead of
+//! silently re-signing fresh history. [`domain_log`] is the two together —
+//! what one trust domain keeps: the tree a checkpoint signs `(len, root)`
+//! of, every leaf written to the store before it enters the tree.
 
 pub mod auditor;
 pub mod batch;
 pub mod checkpoint;
+pub mod domain_log;
 pub mod merkle;
-pub mod shard;
 pub mod store;
 
 pub use auditor::{digests_match, AuditOutcome, Auditor, Misbehavior};
 pub use batch::{BundleStep, CheckpointBundle, ProofBundle, VerifiedPrefixCache};
 pub use checkpoint::{log_id, CheckpointBody, EquivocationProof, SignedCheckpoint};
+pub use domain_log::ShardedLog;
 pub use merkle::{CompactRoot, ConsistencyProof, InclusionProof, MerkleLog, PackedRecords};
-pub use shard::{ShardBundle, ShardEpoch, ShardProofBundle, ShardSnapshot, ShardedLog};
 pub use store::{
     AppendAck, DurableOptions, DurableStore, LogStore, MemStore, MetaRecord, NullStore, Recovered,
-    RecoveredShard, StorageConfig, StoreError,
+    StorageConfig, StoreError,
 };

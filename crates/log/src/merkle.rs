@@ -37,58 +37,6 @@ fn split_point(n: usize) -> usize {
     k
 }
 
-/// Root of a Merkle tree whose **leaf hashes** are given directly (no
-/// `0x00` leaf prefixing — the entries are already digests). This is the
-/// commitment shape [`crate::shard::ShardedLog`] uses over its
-/// (domain-separated) shard-head leaves: for a single entry the root *is*
-/// that entry, which is what makes a 1-shard commitment byte-identical to
-/// the plain per-shard Merkle root. Callers own domain separation: feed
-/// digests that cannot collide with this tree's interior hashes (see
-/// [`crate::shard::shard_head_leaf`]).
-pub fn root_over_hashes(hashes: &[Digest]) -> Digest {
-    match hashes.len() {
-        0 => empty_root(),
-        1 => hashes[0],
-        n => {
-            let k = split_point(n);
-            node_hash(
-                &root_over_hashes(&hashes[..k]),
-                &root_over_hashes(&hashes[k..]),
-            )
-        }
-    }
-}
-
-/// Inclusion proof for entry `index` in the tree committed by
-/// [`root_over_hashes`]. Verify with [`InclusionProof::verify_hash`],
-/// passing the entry digest as the leaf hash.
-pub fn prove_inclusion_over_hashes(hashes: &[Digest], index: usize) -> Option<InclusionProof> {
-    if index >= hashes.len() {
-        return None;
-    }
-    fn path(hashes: &[Digest], index: usize, out: &mut Vec<Digest>) {
-        let n = hashes.len();
-        if n == 1 {
-            return;
-        }
-        let k = split_point(n);
-        if index < k {
-            path(&hashes[..k], index, out);
-            out.push(root_over_hashes(&hashes[k..]));
-        } else {
-            path(&hashes[k..], index - k, out);
-            out.push(root_over_hashes(&hashes[..k]));
-        }
-    }
-    let mut p = Vec::new();
-    path(hashes, index, &mut p);
-    Some(InclusionProof {
-        index: index as u64,
-        size: hashes.len() as u64,
-        path: p,
-    })
-}
-
 /// An append-only sequence of byte strings kept back to back in one
 /// buffer.
 ///
@@ -137,10 +85,18 @@ impl PackedRecords {
         self.suffix(0)
     }
 
-    /// The records from `index` on — `None` past the end, nothing exactly
-    /// at it.
-    pub fn iter_from(&self, index: usize) -> Option<impl Iterator<Item = &[u8]>> {
-        (index <= self.len()).then(|| self.suffix(index))
+    /// The records from `index` on, as many as fit in `budget` bytes —
+    /// and always the first, so a reader paging through makes progress
+    /// whatever one record weighs. `None` past the end, nothing exactly at
+    /// it.
+    pub fn page_from(&self, index: usize, budget: usize) -> Option<impl Iterator<Item = &[u8]>> {
+        let ends = self.ends.get(index..)?;
+        let start = index
+            .checked_sub(1)
+            .and_then(|before| self.ends.get(before))
+            .map_or(0, |end| *end);
+        let fit = ends.partition_point(|end| end - start <= budget).max(1);
+        Some(self.suffix(index).take(fit))
     }
 
     fn suffix(&self, index: usize) -> impl Iterator<Item = &[u8]> {
@@ -211,11 +167,12 @@ impl MerkleLog {
         self.leaves.get(index)
     }
 
-    /// The leaves from `index` on — `None` past the end, nothing exactly
-    /// at it. Borrowing the suffix keeps serving paths index-free: callers
-    /// iterate it instead of asserting per-leaf range checks.
-    pub fn leaves_from(&self, index: usize) -> Option<impl Iterator<Item = &[u8]>> {
-        self.leaves.iter_from(index)
+    /// The leaves from `index` on, as many as fit in `budget` bytes (see
+    /// [`PackedRecords::page_from`]) — `None` past the end, nothing
+    /// exactly at it. Borrowing the suffix keeps serving paths index-free:
+    /// callers iterate it instead of asserting per-leaf range checks.
+    pub fn leaves_from(&self, index: usize, budget: usize) -> Option<impl Iterator<Item = &[u8]>> {
+        self.leaves.page_from(index, budget)
     }
 
     /// The right-edge subtree roots: the binary decomposition of the
@@ -223,7 +180,7 @@ impl MerkleLog {
     /// straight from the level cache. This O(log n) vector determines
     /// [`MerkleLog::root`] (fold with [`CompactRoot`]) and is what a
     /// durable store persists per checkpoint so a cold start can rebuild
-    /// the head without replaying the whole shard.
+    /// the head without replaying the whole log.
     pub fn right_edge(&self) -> Vec<Digest> {
         let n = self.len();
         let mut edge = Vec::new();
@@ -456,7 +413,7 @@ impl ConsistencyProof {
 /// first (exactly [`MerkleLog::right_edge`]). Seed it from a persisted
 /// checkpoint, push the leaf hashes appended since, and fold the peaks
 /// right-to-left for the current root — O(log n) state, no leaf storage.
-/// This is the cold-start fast path: rebuild a shard head from a sealed
+/// This is the cold-start fast path: rebuild the log head from a sealed
 /// segment's checkpoint plus only the unsealed tail.
 #[derive(Clone, Debug, Default)]
 pub struct CompactRoot {
@@ -531,6 +488,22 @@ mod tests {
             log.append(format!("leaf-{i}").as_bytes());
         }
         log
+    }
+
+    /// The naive oracle: RFC 6962's recursive definition over leaf hashes,
+    /// no cache, O(n) per call.
+    fn root_over_hashes(hashes: &[Digest]) -> Digest {
+        match hashes.len() {
+            0 => empty_root(),
+            1 => hashes[0],
+            n => {
+                let k = split_point(n);
+                node_hash(
+                    &root_over_hashes(&hashes[..k]),
+                    &root_over_hashes(&hashes[k..]),
+                )
+            }
+        }
     }
 
     #[test]
@@ -707,8 +680,7 @@ mod tests {
 
     #[test]
     fn root_over_hashes_shapes() {
-        // Single entry: the root IS the entry (no leaf prefixing) — the
-        // property 1-shard wire compatibility rests on.
+        // The oracle itself, against the node hash written out by hand.
         let a = [1u8; 32];
         let b = [2u8; 32];
         let c = [3u8; 32];
@@ -718,18 +690,6 @@ mod tests {
             root_over_hashes(&[a, b, c]),
             node_hash(&node_hash(&a, &b), &c)
         );
-    }
-
-    #[test]
-    fn inclusion_over_hashes_verifies() {
-        let heads: Vec<Digest> = (0..5u8).map(|i| [i; 32]).collect();
-        let root = root_over_hashes(&heads);
-        for (i, head) in heads.iter().enumerate() {
-            let proof = prove_inclusion_over_hashes(&heads, i).unwrap();
-            assert!(proof.verify_hash(head, &root), "entry {i}");
-            assert!(!proof.verify_hash(&[0xee; 32], &root));
-        }
-        assert!(prove_inclusion_over_hashes(&heads, 5).is_none());
     }
 
     #[test]
@@ -762,13 +722,20 @@ mod tests {
     #[test]
     fn leaves_from_borrows_the_suffix() {
         let log = build(5);
-        assert_eq!(log.leaves_from(0).unwrap().count(), 5);
+        assert_eq!(log.leaves_from(0, usize::MAX).unwrap().count(), 5);
         assert_eq!(
-            log.leaves_from(3).unwrap().collect::<Vec<_>>(),
-            [&b"leaf-3"[..], b"leaf-4"]
+            log.leaves_from(3, usize::MAX).unwrap().collect::<Vec<_>>(),
+            vec![b"leaf-3".as_slice(), b"leaf-4"]
         );
-        assert_eq!(log.leaves_from(5).unwrap().count(), 0);
-        assert!(log.leaves_from(6).is_none());
+        assert_eq!(log.leaves_from(5, usize::MAX).unwrap().count(), 0);
+        assert!(log.leaves_from(6, usize::MAX).is_none());
+        // A page is what fits the budget (six bytes a leaf here), and at
+        // least one leaf however small the budget.
+        assert_eq!(log.leaves_from(0, 12).unwrap().count(), 2);
+        assert_eq!(log.leaves_from(1, 17).unwrap().count(), 2);
+        assert_eq!(log.leaves_from(2, 0).unwrap().count(), 1);
+        assert_eq!(log.leaves_from(4, 100).unwrap().count(), 1);
+        assert_eq!(log.leaves_from(5, 0).unwrap().count(), 0);
     }
 
     #[test]

@@ -1,14 +1,19 @@
-//! Append-only segment files per shard, with torn-tail recovery and a
+//! One chain of append-only segment files, with torn-tail recovery and a
 //! checkpoint-seeded cold-start path.
 //!
 //! File layout under one directory (one log per directory):
 //!
 //! ```text
-//! shard-0000-seg-00000000.dlog    segment chain for shard 0
+//! shard-0000-seg-00000000.dlog    the log's segment chain
 //! shard-0000-seg-00000001.dlog
-//! shard-0001-seg-00000000.dlog    …per shard
 //! meta.dlog                       framework meta log (signed artifacts)
 //! ```
+//!
+//! The `shard-0000-` prefix (and the header field behind it, always 0) is
+//! kept from the layout that once allowed several chains per directory, so
+//! that every directory written since opens unchanged. A directory holding
+//! a chain under any other index is refused by name at open
+//! ([`StoreError::ShardCountMismatch`]) rather than opened without it.
 //!
 //! Writes follow a write-ahead discipline: the caller hands a leaf to
 //! [`DurableStore::append`] *before* inserting it into the in-memory
@@ -17,7 +22,7 @@
 //! which checkpoint signing always calls first, so signed history never
 //! outruns durable history). When the active segment exceeds
 //! `segment_bytes`, the append acks `wants_checkpoint` and the log layer
-//! calls [`DurableStore::checkpoint`] with the shard's right-edge subtree
+//! calls [`DurableStore::checkpoint`] with the tree's right-edge subtree
 //! roots; the store writes the checkpoint record, a trailer pointing at
 //! it, fsyncs, and rotates to a fresh segment.
 //!
@@ -26,9 +31,9 @@
 //! truncates the first torn/corrupt record and everything after it, and
 //! returns the surviving leaves — the replayed tree then reports the
 //! exact pre-crash commitment (or a clean prefix of it). **Cold start**
-//! ([`DurableStore::cold_snapshot`]) instead trusts sealed trailers: it
-//! reads one checkpoint per shard plus only the unsealed tail, rebuilding
-//! every shard head in O(segments + tail) — the fast boot path the
+//! ([`DurableStore::cold_head`]) instead trusts sealed trailers: it
+//! reads the newest sealed checkpoint plus only the unsealed tail,
+//! rebuilding the head in O(segments + tail) — the fast boot path the
 //! `cold_start` bench measures. The blind spots of each path are
 //! documented in `PERSISTENCE.md`.
 
@@ -37,36 +42,33 @@ use super::segment::{
     encode_leaf_payload, encode_meta_header, encode_record, encode_segment_header, encode_trailer,
     scan_meta, scan_segment, SegmentHeader, HEADER_LEN, REC_CHECKPOINT, REC_LEAF, TRAILER_LEN,
 };
-use super::{
-    AppendAck, DurableOptions, LogStore, MetaRecord, Recovered, RecoveredShard, StoreError,
-};
+use super::{AppendAck, DurableOptions, LogStore, MetaRecord, Recovered, StoreError};
 use crate::merkle::{leaf_hash, CompactRoot};
-use crate::shard::ShardSnapshot;
 use distrust_crypto::sha256::Digest;
 use distrust_wire::sync::HealthyMutex;
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
-fn segment_path(dir: &Path, shard: u32, segment: u64) -> PathBuf {
-    dir.join(format!("shard-{shard:04}-seg-{segment:08}.dlog"))
+fn segment_path(dir: &Path, segment: u64) -> PathBuf {
+    dir.join(format!("shard-0000-seg-{segment:08}.dlog"))
 }
 
 fn meta_path(dir: &Path) -> PathBuf {
     dir.join("meta.dlog")
 }
 
-/// Parses a segment filename into `(shard, segment_index)`; `None` for
+/// Parses a segment filename into `(chain, segment_index)`; `None` for
 /// files that are not ours (they are left untouched).
 fn parse_segment_name(name: &str) -> Option<(u32, u64)> {
     let rest = name.strip_prefix("shard-")?;
-    let (shard, rest) = rest.split_at_checked(4)?;
+    let (chain, rest) = rest.split_at_checked(4)?;
     let rest = rest.strip_prefix("-seg-")?;
     let (segment, rest) = rest.split_at_checked(8)?;
     if rest != ".dlog" {
         return None;
     }
-    Some((shard.parse().ok()?, segment.parse().ok()?))
+    Some((chain.parse().ok()?, segment.parse().ok()?))
 }
 
 /// Makes a directory entry (new or truncated file) durable.
@@ -75,19 +77,19 @@ fn sync_dir(dir: &Path) -> Result<(), StoreError> {
     Ok(())
 }
 
-/// Per-shard write cursor. `file` is `None` between a seal and the next
-/// append (the successor segment is created lazily).
-struct ShardWriter {
+/// The write cursor. `file` is `None` between a seal and the next append
+/// (the successor segment is created lazily).
+struct Writer {
     /// Open handle on the active (unsealed) segment.
     file: Option<File>,
     /// Index of the active segment, or of the next one when `file` is
     /// `None`.
     segment_index: u64,
-    /// Shard leaf index at which the active segment starts.
+    /// Leaf index at which the active segment starts.
     segment_start: u64,
     /// Bytes written to the active segment (header included).
     written: u64,
-    /// Total leaves appended to this shard (durable + pending).
+    /// Total leaves appended (durable + pending).
     entries: u64,
     /// Appends since the last fsync.
     pending: u32,
@@ -101,60 +103,22 @@ struct MetaWriter {
 /// the format and the recovery/cold-start split.
 pub struct DurableStore {
     opts: DurableOptions,
-    writers: Vec<HealthyMutex<ShardWriter>>,
+    writer: HealthyMutex<Writer>,
     meta: HealthyMutex<MetaWriter>,
 }
 
-/// What the opener learned about one shard's last segment without reading
-/// the whole chain.
-struct TailPosition {
-    segment_index: u64,
-    segment_start: u64,
-    written: u64,
-    entries: u64,
-    /// Open handle positioned for appends; `None` when the tail is sealed
-    /// (or the shard has no segments yet).
-    file: Option<File>,
-}
-
 impl DurableStore {
-    /// Opens (creating if needed) the store under `opts.dir` for `shards`
-    /// shards. Positions write cursors by examining only each shard's
-    /// last segment; full validation and repair happen in
-    /// [`LogStore::recover`], which `ShardedLog::with_store` always calls
-    /// before the first append.
-    pub fn open(opts: DurableOptions, shards: usize) -> Result<Self, StoreError> {
-        let shards = shards.max(1);
+    /// Opens (creating if needed) the store under `opts.dir`. Positions
+    /// the write cursor by examining only the chain's last segment; full
+    /// validation and repair happen in [`LogStore::recover`], which
+    /// `ShardedLog::with_store` always calls before the first append.
+    pub fn open(opts: DurableOptions) -> Result<Self, StoreError> {
         std::fs::create_dir_all(&opts.dir)?;
-        let chains = list_segments(&opts.dir)?;
-        if let Some(&max_shard) = chains.iter().map(|(shard, _)| shard).max() {
-            if max_shard as usize >= shards {
-                return Err(StoreError::ShardCountMismatch {
-                    store: max_shard as usize + 1,
-                    configured: shards,
-                });
-            }
-        }
-        let mut writers = Vec::with_capacity(shards);
-        for shard in 0..shards as u32 {
-            let segments: Vec<u64> = chains
-                .iter()
-                .filter(|(s, _)| *s == shard)
-                .map(|(_, seg)| *seg)
-                .collect();
-            let tail = position_tail(&opts.dir, shard, &segments)?;
-            writers.push(HealthyMutex::new(ShardWriter {
-                file: tail.file,
-                segment_index: tail.segment_index,
-                segment_start: tail.segment_start,
-                written: tail.written,
-                entries: tail.entries,
-                pending: 0,
-            }));
-        }
+        let segments = list_segments(&opts.dir)?;
+        let writer = position_tail(&opts.dir, &segments)?;
         Ok(Self {
             opts,
-            writers,
+            writer: HealthyMutex::new(writer),
             meta: HealthyMutex::new(MetaWriter { file: None }),
         })
     }
@@ -164,19 +128,13 @@ impl DurableStore {
         &self.opts.dir
     }
 
-    fn writer(&self, shard: u32) -> Result<&HealthyMutex<ShardWriter>, StoreError> {
-        self.writers
-            .get(shard as usize)
-            .ok_or(StoreError::NoSuchShard(shard))
-    }
-
     /// Opens (creating + writing the header if needed) the active segment
     /// for a writer that has none.
-    fn ensure_active(&self, shard: u32, writer: &mut ShardWriter) -> Result<(), StoreError> {
+    fn ensure_active(&self, writer: &mut Writer) -> Result<(), StoreError> {
         if writer.file.is_some() {
             return Ok(());
         }
-        let path = segment_path(&self.opts.dir, shard, writer.segment_index);
+        let path = segment_path(&self.opts.dir, writer.segment_index);
         let mut file = OpenOptions::new()
             .read(true)
             .write(true)
@@ -189,7 +147,7 @@ impl DurableStore {
             file.set_len(0)?;
             file.seek(SeekFrom::Start(0))?;
             let header = encode_segment_header(&SegmentHeader {
-                shard,
+                shard: 0,
                 segment_index: writer.segment_index,
                 start_index: writer.segment_start,
             });
@@ -205,68 +163,87 @@ impl DurableStore {
         Ok(())
     }
 
-    /// Rebuilds every shard's `(size, head)` from sealed checkpoints plus
-    /// only the unsealed tail — O(segments + tail), independent of total
-    /// entry count. Trusts sealed trailers (their CRCs still guard every
-    /// byte read); deep historical corruption is the full
-    /// [`LogStore::recover`] scan's job.
-    pub fn cold_snapshot(&self) -> Result<ShardSnapshot, StoreError> {
-        let mut sizes = Vec::with_capacity(self.writers.len());
-        let mut heads = Vec::with_capacity(self.writers.len());
-        let chains = list_segments(&self.opts.dir)?;
-        for shard in 0..self.writers.len() as u32 {
-            let segments: Vec<u64> = chains
-                .iter()
-                .filter(|(s, _)| *s == shard)
-                .map(|(_, seg)| *seg)
-                .collect();
-            let (size, root) = cold_shard_head(&self.opts.dir, shard, &segments)?;
-            sizes.push(size);
-            heads.push(root);
+    /// Rebuilds the log's `(size, head)` from the newest sealed checkpoint
+    /// plus a replay of only the segments after it — O(segments + tail),
+    /// independent of total entry count. Trusts sealed trailers (their
+    /// CRCs still guard every byte read); deep historical corruption is
+    /// the full [`LogStore::recover`] scan's job.
+    pub fn cold_head(&self) -> Result<(u64, Digest), StoreError> {
+        let dir = &self.opts.dir;
+        let segments = list_segments(dir)?;
+        // Walk backwards to the newest cleanly sealed segment.
+        let mut acc = CompactRoot::new();
+        let mut replay_from = 0usize;
+        for (i, &seg) in segments.iter().enumerate().rev() {
+            if let Some((size, edge)) = read_seal(&segment_path(dir, seg)) {
+                let Some(seeded) = CompactRoot::from_right_edge(size, &edge) else {
+                    return Err(StoreError::Corrupt("sealed checkpoint edge shape"));
+                };
+                acc = seeded;
+                replay_from = i + 1;
+                break;
+            }
         }
-        Ok(ShardSnapshot { sizes, heads })
+        // Replay the unsealed tail (usually zero or one segment).
+        for &seg in segments.get(replay_from..).unwrap_or(&[]) {
+            let bytes = std::fs::read(segment_path(dir, seg))?;
+            let Ok(scanned) = scan_segment(&bytes) else {
+                continue; // torn header: nothing durable in this segment
+            };
+            if scanned.header.start_index != acc.size() {
+                return Err(StoreError::Corrupt("segment chain gap on cold start"));
+            }
+            for leaf in &scanned.leaves {
+                acc.push_leaf_hash(leaf_hash(leaf));
+            }
+        }
+        Ok((acc.size(), acc.root()))
     }
 }
 
-/// Sorted `(shard, segment)` pairs found in the directory.
-fn list_segments(dir: &Path) -> Result<Vec<(u32, u64)>, StoreError> {
+/// The chain's segment indices found in the directory, sorted. A segment
+/// of any chain but the one a log has is the named boot refusal: opening
+/// the directory without it would silently drop committed history.
+fn list_segments(dir: &Path) -> Result<Vec<u64>, StoreError> {
     let mut found = Vec::new();
     for entry in std::fs::read_dir(dir)? {
         let entry = entry?;
-        if let Some((shard, segment)) = entry.file_name().to_str().and_then(parse_segment_name) {
-            found.push((shard, segment));
+        match entry.file_name().to_str().and_then(parse_segment_name) {
+            Some((0, segment)) => found.push(segment),
+            Some((chain, _)) => {
+                return Err(StoreError::ShardCountMismatch {
+                    store: chain as usize + 1,
+                    configured: 1,
+                })
+            }
+            None => {}
         }
     }
     found.sort_unstable();
     Ok(found)
 }
 
-/// Positions a shard's write cursor from its last segment only (see
-/// [`DurableStore::open`]). `segments` is the shard's sorted segment
-/// index list.
-fn position_tail(dir: &Path, shard: u32, segments: &[u64]) -> Result<TailPosition, StoreError> {
-    let Some(&last) = segments.last() else {
-        return Ok(TailPosition {
-            segment_index: 0,
-            segment_start: 0,
-            written: 0,
-            entries: 0,
-            file: None,
-        });
+/// Positions the write cursor from the chain's last segment only (see
+/// [`DurableStore::open`]). `segments` is the sorted segment index list.
+fn position_tail(dir: &Path, segments: &[u64]) -> Result<Writer, StoreError> {
+    let at = |segment_index, segment_start, written, entries, file| Writer {
+        file,
+        segment_index,
+        segment_start,
+        written,
+        entries,
+        pending: 0,
     };
-    let path = segment_path(dir, shard, last);
+    let Some(&last) = segments.last() else {
+        return Ok(at(0, 0, 0, 0, None));
+    };
+    let path = segment_path(dir, last);
     let bytes = std::fs::read(&path)?;
     match scan_segment(&bytes) {
         Ok(scanned) if scanned.sealed => {
             // Sealed tail: the next append opens segment `last + 1`.
             let entries = scanned.header.start_index + scanned.leaves.len() as u64;
-            Ok(TailPosition {
-                segment_index: last + 1,
-                segment_start: entries,
-                written: 0,
-                entries,
-                file: None,
-            })
+            Ok(at(last + 1, entries, 0, entries, None))
         }
         Ok(scanned) => {
             // Unsealed tail: repair the torn suffix (if any) and append in
@@ -277,38 +254,32 @@ fn position_tail(dir: &Path, shard: u32, segments: &[u64]) -> Result<TailPositio
                 file.sync_data()?;
             }
             file.seek(SeekFrom::Start(scanned.valid_len))?;
-            Ok(TailPosition {
-                segment_index: last,
-                segment_start: scanned.header.start_index,
-                written: scanned.valid_len,
-                entries: scanned.header.start_index + scanned.leaves.len() as u64,
-                file: Some(file),
-            })
+            Ok(at(
+                last,
+                scanned.header.start_index,
+                scanned.valid_len,
+                scanned.header.start_index + scanned.leaves.len() as u64,
+                Some(file),
+            ))
         }
         Err(_) => {
             // Torn header: the segment holds nothing durable. Rewrite it
             // from scratch at the position the previous chain implies;
             // recover() validates that chain in full.
             std::fs::remove_file(&path)?;
-            let entries = previous_chain_entries(dir, shard, segments)?;
-            Ok(TailPosition {
-                segment_index: last,
-                segment_start: entries,
-                written: 0,
-                entries,
-                file: None,
-            })
+            let entries = previous_chain_entries(dir, segments)?;
+            Ok(at(last, entries, 0, entries, None))
         }
     }
 }
 
 /// Entries covered by the chain *before* its last segment, derived from
 /// the second-to-last segment's content (cheap: one file).
-fn previous_chain_entries(dir: &Path, shard: u32, segments: &[u64]) -> Result<u64, StoreError> {
+fn previous_chain_entries(dir: &Path, segments: &[u64]) -> Result<u64, StoreError> {
     let Some(&prev) = segments.len().checked_sub(2).and_then(|i| segments.get(i)) else {
         return Ok(0);
     };
-    let bytes = std::fs::read(segment_path(dir, shard, prev))?;
+    let bytes = std::fs::read(segment_path(dir, prev))?;
     match scan_segment(&bytes) {
         Ok(s) => Ok(s.header.start_index + s.leaves.len() as u64),
         Err(_) => Ok(0),
@@ -342,49 +313,16 @@ fn read_seal(path: &Path) -> Option<(u64, Vec<Digest>)> {
     }
 }
 
-/// One shard's `(size, root)` via the newest sealed checkpoint plus a
-/// replay of only the segments after it.
-fn cold_shard_head(dir: &Path, shard: u32, segments: &[u64]) -> Result<(u64, Digest), StoreError> {
-    // Walk backwards to the newest cleanly sealed segment.
-    let mut acc = CompactRoot::new();
-    let mut replay_from = 0usize;
-    for (i, &seg) in segments.iter().enumerate().rev() {
-        if let Some((size, edge)) = read_seal(&segment_path(dir, shard, seg)) {
-            let Some(seeded) = CompactRoot::from_right_edge(size, &edge) else {
-                return Err(StoreError::Corrupt("sealed checkpoint edge shape"));
-            };
-            acc = seeded;
-            replay_from = i + 1;
-            break;
-        }
-    }
-    // Replay the unsealed tail (usually zero or one segment).
-    for &seg in segments.get(replay_from..).unwrap_or(&[]) {
-        let bytes = std::fs::read(segment_path(dir, shard, seg))?;
-        let Ok(scanned) = scan_segment(&bytes) else {
-            continue; // torn header: nothing durable in this segment
-        };
-        if scanned.header.start_index != acc.size() {
-            return Err(StoreError::Corrupt("segment chain gap on cold start"));
-        }
-        for leaf in &scanned.leaves {
-            acc.push_leaf_hash(leaf_hash(leaf));
-        }
-    }
-    Ok((acc.size(), acc.root()))
-}
-
 impl LogStore for DurableStore {
-    fn append(&self, shard: u32, index: u64, leaf: &[u8]) -> Result<AppendAck, StoreError> {
-        let mut writer = self.writer(shard)?.lock_healthy();
+    fn append(&self, index: u64, leaf: &[u8]) -> Result<AppendAck, StoreError> {
+        let mut writer = self.writer.lock_healthy();
         if index != writer.entries {
             return Err(StoreError::IndexMismatch {
-                shard,
                 expected: writer.entries,
                 got: index,
             });
         }
-        self.ensure_active(shard, &mut writer)?;
+        self.ensure_active(&mut writer)?;
         let mut buf = Vec::with_capacity(leaf.len() + 32);
         encode_record(REC_LEAF, &encode_leaf_payload(index, leaf), &mut buf);
         let file = writer
@@ -406,11 +344,10 @@ impl LogStore for DurableStore {
         })
     }
 
-    fn checkpoint(&self, shard: u32, size: u64, right_edge: &[Digest]) -> Result<(), StoreError> {
-        let mut writer = self.writer(shard)?.lock_healthy();
+    fn checkpoint(&self, size: u64, right_edge: &[Digest]) -> Result<(), StoreError> {
+        let mut writer = self.writer.lock_healthy();
         if size != writer.entries {
             return Err(StoreError::IndexMismatch {
-                shard,
                 expected: writer.entries,
                 got: size,
             });
@@ -443,14 +380,12 @@ impl LogStore for DurableStore {
     }
 
     fn sync(&self) -> Result<(), StoreError> {
-        for writer in &self.writers {
-            let mut writer = writer.lock_healthy();
-            if writer.pending > 0 {
-                if let Some(file) = writer.file.as_mut() {
-                    file.sync_data()?;
-                }
-                writer.pending = 0;
+        let mut writer = self.writer.lock_healthy();
+        if writer.pending > 0 {
+            if let Some(file) = writer.file.as_mut() {
+                file.sync_data()?;
             }
+            writer.pending = 0;
         }
         Ok(())
     }
@@ -496,12 +431,11 @@ impl LogStore for DurableStore {
     }
 
     fn recover(&self) -> Result<Recovered, StoreError> {
-        let mut shards = Vec::with_capacity(self.writers.len());
-        for shard in 0..self.writers.len() as u32 {
+        let mut out = {
             // Hold the writer lock across the scan so appends cannot race
             // the repair, and reposition the cursor to the repaired state.
-            let mut writer = self.writer(shard)?.lock_healthy();
-            let recovered = recover_shard(&self.opts.dir, shard)?;
+            let mut writer = self.writer.lock_healthy();
+            let recovered = recover_chain(&self.opts.dir)?;
             writer.file = None;
             writer.entries = recovered.entries;
             writer.segment_index = recovered.next_segment;
@@ -513,9 +447,9 @@ impl LogStore for DurableStore {
                 file.seek(SeekFrom::Start(recovered.tail_written))?;
                 writer.file = Some(file);
             }
-            shards.push(recovered.shard);
-        }
-        let meta = {
+            recovered.log
+        };
+        out.meta = {
             let mut guard = self.meta.lock_healthy();
             // Drop any cached handle: the scan below is the authority and
             // append_meta will reopen (and re-repair) on next use.
@@ -539,13 +473,15 @@ impl LogStore for DurableStore {
                 Err(e) => return Err(e.into()),
             }
         };
-        Ok(Recovered { shards, meta })
+        Ok(out)
     }
 }
 
-/// Result of fully recovering one shard's chain.
-struct ShardRecovery {
-    shard: RecoveredShard,
+/// Result of fully recovering the segment chain.
+struct ChainRecovery {
+    /// Leaves, newest checkpoint and the torn flag; `meta` is not the
+    /// chain's to fill.
+    log: Recovered,
     entries: u64,
     /// Index the *active* (next-to-write) segment should have.
     next_segment: u64,
@@ -556,17 +492,13 @@ struct ShardRecovery {
     open_tail: Option<PathBuf>,
 }
 
-/// Scans one shard's full chain, repairing torn tails and deleting
-/// everything after the first unrecoverable point. Every byte of every
-/// segment is validated — this is the paranoid path; cold starts use
-/// [`DurableStore::cold_snapshot`] instead.
-fn recover_shard(dir: &Path, shard: u32) -> Result<ShardRecovery, StoreError> {
-    let segments: Vec<u64> = list_segments(dir)?
-        .into_iter()
-        .filter(|(s, _)| *s == shard)
-        .map(|(_, seg)| seg)
-        .collect();
-    let mut out = RecoveredShard::default();
+/// Scans the full chain, repairing torn tails and deleting everything
+/// after the first unrecoverable point. Every byte of every segment is
+/// validated — this is the paranoid path; cold starts use
+/// [`DurableStore::cold_head`] instead.
+fn recover_chain(dir: &Path) -> Result<ChainRecovery, StoreError> {
+    let segments = list_segments(dir)?;
+    let mut out = Recovered::default();
     let mut entries = 0u64;
     let mut next_segment = 0u64;
     let mut next_segment_start = 0u64;
@@ -574,7 +506,7 @@ fn recover_shard(dir: &Path, shard: u32) -> Result<ShardRecovery, StoreError> {
     let mut open_tail = None;
     let mut stop = false;
     for (i, &seg) in segments.iter().enumerate() {
-        let path = segment_path(dir, shard, seg);
+        let path = segment_path(dir, seg);
         if stop || seg != next_segment {
             // Chain broken earlier (or an index gap): everything after
             // the break is unreachable history — delete it.
@@ -593,7 +525,7 @@ fn recover_shard(dir: &Path, shard: u32) -> Result<ShardRecovery, StoreError> {
                 continue;
             }
         };
-        if scanned.header.shard != shard
+        if scanned.header.shard != 0
             || scanned.header.segment_index != seg
             || scanned.header.start_index != entries
         {
@@ -635,8 +567,8 @@ fn recover_shard(dir: &Path, shard: u32) -> Result<ShardRecovery, StoreError> {
     if open_tail.is_none() {
         next_segment_start = entries;
     }
-    Ok(ShardRecovery {
-        shard: out,
+    Ok(ChainRecovery {
+        log: out,
         entries,
         next_segment,
         next_segment_start,
@@ -671,25 +603,18 @@ mod tests {
     #[test]
     fn append_recover_round_trip() {
         let dir = tempdir("roundtrip");
-        let store = DurableStore::open(opts(&dir, 1 << 20), 2).unwrap();
-        assert!(store
-            .recover()
-            .unwrap()
-            .shards
-            .iter()
-            .all(|s| s.leaves.is_empty()));
+        let store = DurableStore::open(opts(&dir, 1 << 20)).unwrap();
+        assert!(store.recover().unwrap().leaves.is_empty());
         for i in 0..5u64 {
-            store.append(0, i, format!("a-{i}").as_bytes()).unwrap();
+            store.append(i, format!("a-{i}").as_bytes()).unwrap();
         }
-        store.append(1, 0, b"b-0").unwrap();
         store.append_meta(9, b"meta-record").unwrap();
         drop(store);
 
-        let store = DurableStore::open(opts(&dir, 1 << 20), 2).unwrap();
+        let store = DurableStore::open(opts(&dir, 1 << 20)).unwrap();
         let recovered = store.recover().unwrap();
-        assert_eq!(recovered.shards[0].leaves.len(), 5);
-        assert_eq!(recovered.shards[0].leaves[3], b"a-3");
-        assert_eq!(recovered.shards[1].leaves, vec![b"b-0".to_vec()]);
+        assert_eq!(recovered.leaves.len(), 5);
+        assert_eq!(recovered.leaves[3], b"a-3");
         assert_eq!(
             recovered.meta,
             vec![MetaRecord {
@@ -698,8 +623,8 @@ mod tests {
             }]
         );
         // The recovered store keeps appending where it left off.
-        store.append(0, 5, b"a-5").unwrap();
-        assert_eq!(store.recover().unwrap().shards[0].leaves.len(), 6);
+        store.append(5, b"a-5").unwrap();
+        assert_eq!(store.recover().unwrap().leaves.len(), 6);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -707,89 +632,92 @@ mod tests {
     fn rotation_seals_and_cold_start_matches_replay() {
         let dir = tempdir("rotate");
         // Tiny segments force several rotations.
-        let store = DurableStore::open(opts(&dir, 200), 1).unwrap();
+        let store = DurableStore::open(opts(&dir, 200)).unwrap();
         let mut mirror = MerkleLog::new();
         for i in 0..40u64 {
             let leaf = format!("leaf-{i:03}");
-            let ack = store.append(0, i, leaf.as_bytes()).unwrap();
+            let ack = store.append(i, leaf.as_bytes()).unwrap();
             mirror.append(leaf.as_bytes());
             if ack.wants_checkpoint {
-                store.checkpoint(0, i + 1, &mirror.right_edge()).unwrap();
+                store.checkpoint(i + 1, &mirror.right_edge()).unwrap();
             }
         }
         let files = list_segments(&dir).unwrap();
         assert!(files.len() > 2, "expected several segments, got {files:?}");
-        // Cold snapshot agrees with full replay.
-        let cold = store.cold_snapshot().unwrap();
-        assert_eq!(cold.sizes, vec![40]);
-        assert_eq!(cold.heads, vec![mirror.root()]);
+        // The cold head agrees with full replay.
+        assert_eq!(store.cold_head().unwrap(), (40, mirror.root()));
         drop(store);
-        let store = DurableStore::open(opts(&dir, 200), 1).unwrap();
+        let store = DurableStore::open(opts(&dir, 200)).unwrap();
         let recovered = store.recover().unwrap();
-        assert_eq!(recovered.shards[0].leaves.len(), 40);
+        assert_eq!(recovered.leaves.len(), 40);
         let mut replayed = MerkleLog::new();
-        for leaf in &recovered.shards[0].leaves {
+        for leaf in &recovered.leaves {
             replayed.append(leaf);
         }
         assert_eq!(replayed.root(), mirror.root());
-        assert_eq!(store.cold_snapshot().unwrap().heads, vec![mirror.root()]);
+        assert_eq!(store.cold_head().unwrap(), (40, mirror.root()));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn shard_count_mismatch_is_refused() {
+        // A directory written when a log could be several chains: the
+        // second chain's segment is history this store would never read,
+        // so opening is refused by name, before and after recovery.
         let dir = tempdir("mismatch");
-        let store = DurableStore::open(opts(&dir, 1 << 20), 4).unwrap();
-        store.append(3, 0, b"x").unwrap();
+        let store = DurableStore::open(opts(&dir, 1 << 20)).unwrap();
+        store.append(0, b"x").unwrap();
         drop(store);
+        let second_chain = dir.join("shard-0001-seg-00000000.dlog");
+        std::fs::copy(segment_path(&dir, 0), &second_chain).unwrap();
         assert!(matches!(
-            DurableStore::open(opts(&dir, 1 << 20), 2),
+            DurableStore::open(opts(&dir, 1 << 20)),
             Err(StoreError::ShardCountMismatch {
-                store: 4,
-                configured: 2
+                store: 2,
+                configured: 1
             })
         ));
-        // Growing the count is fine (new shards start empty).
-        let store = DurableStore::open(opts(&dir, 1 << 20), 8).unwrap();
-        let recovered = store.recover().unwrap();
-        assert_eq!(recovered.shards[3].leaves, vec![b"x".to_vec()]);
-        assert!(recovered.shards[7].leaves.is_empty());
+        // Nothing was repaired away on the way to the refusal.
+        assert!(second_chain.exists() && segment_path(&dir, 0).exists());
+        std::fs::remove_file(&second_chain).unwrap();
+        let store = DurableStore::open(opts(&dir, 1 << 20)).unwrap();
+        assert_eq!(store.recover().unwrap().leaves, vec![b"x".to_vec()]);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn torn_tail_is_truncated_on_open_and_recover() {
         let dir = tempdir("torn");
-        let store = DurableStore::open(opts(&dir, 1 << 20), 1).unwrap();
+        let store = DurableStore::open(opts(&dir, 1 << 20)).unwrap();
         for i in 0..3u64 {
-            store.append(0, i, format!("leaf-{i}").as_bytes()).unwrap();
+            store.append(i, format!("leaf-{i}").as_bytes()).unwrap();
         }
         drop(store);
         // Simulate a torn write: append garbage to the segment.
-        let path = segment_path(&dir, 0, 0);
+        let path = segment_path(&dir, 0);
         let clean_len = std::fs::metadata(&path).unwrap().len();
         let mut file = OpenOptions::new().append(true).open(&path).unwrap();
         file.write_all(&[0xDE, 0xAD, 0xBE]).unwrap();
         drop(file);
-        let store = DurableStore::open(opts(&dir, 1 << 20), 1).unwrap();
+        let store = DurableStore::open(opts(&dir, 1 << 20)).unwrap();
         // Open already repaired the tail, so recovery sees a clean file
         // with every durable leaf intact and the garbage gone.
         assert_eq!(std::fs::metadata(&path).unwrap().len(), clean_len);
         let recovered = store.recover().unwrap();
-        assert_eq!(recovered.shards[0].leaves.len(), 3);
-        assert!(!recovered.shards[0].torn, "open repairs the tail");
+        assert_eq!(recovered.leaves.len(), 3);
+        assert!(!recovered.torn, "open repairs the tail");
         // Appends continue cleanly after the repair.
-        store.append(0, 3, b"leaf-3").unwrap();
+        store.append(3, b"leaf-3").unwrap();
         let recovered = store.recover().unwrap();
-        assert_eq!(recovered.shards[0].leaves.len(), 4);
-        assert!(!recovered.shards[0].torn, "repair is permanent");
+        assert_eq!(recovered.leaves.len(), 4);
+        assert!(!recovered.torn, "repair is permanent");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn meta_log_survives_torn_tail() {
         let dir = tempdir("meta");
-        let store = DurableStore::open(opts(&dir, 1 << 20), 1).unwrap();
+        let store = DurableStore::open(opts(&dir, 1 << 20)).unwrap();
         store.append_meta(1, b"first").unwrap();
         store.append_meta(2, b"second").unwrap();
         drop(store);
@@ -799,7 +727,7 @@ mod tests {
             .unwrap();
         file.write_all(&[0x99; 5]).unwrap();
         drop(file);
-        let store = DurableStore::open(opts(&dir, 1 << 20), 1).unwrap();
+        let store = DurableStore::open(opts(&dir, 1 << 20)).unwrap();
         let recovered = store.recover().unwrap();
         assert_eq!(recovered.meta.len(), 2);
         store.append_meta(3, b"third").unwrap();

@@ -1,18 +1,18 @@
 //! Durable storage under the log layer.
 //!
-//! A [`crate::shard::ShardedLog`] keeps its Merkle trees in memory for
-//! proof generation, but every appended leaf also flows through a
+//! A [`crate::ShardedLog`] keeps its Merkle tree in memory for proof
+//! generation, but every appended leaf also flows through a
 //! [`LogStore`] *before* it is acknowledged into the tree — the
 //! write-ahead discipline that makes a restart recoverable instead of a
 //! silent history reset. Three implementations:
 //!
-//! * [`NullStore`] — no persistence, today's in-memory behavior and the
-//!   default for `ShardedLog::new` (tests, benches, ephemeral domains);
+//! * [`NullStore`] — no persistence, the default for an in-memory log
+//!   (tests, benches, ephemeral domains);
 //! * [`MemStore`] — retains appends in memory and can "recover" them,
 //!   exercising the full recovery path without a filesystem;
-//! * [`durable::DurableStore`] — append-only segment files per shard with
-//!   CRC-framed records, batched fsync, checkpointed subtree roots, and
-//!   torn-tail repair (see `PERSISTENCE.md`).
+//! * [`durable::DurableStore`] — one chain of append-only segment files
+//!   with CRC-framed records, batched fsync, checkpointed subtree roots,
+//!   and torn-tail repair (see `PERSISTENCE.md`).
 //!
 //! The store also carries a small **meta log** for the framework layer:
 //! signed genesis/epoch checkpoints and update notices, persisted so a
@@ -37,21 +37,21 @@ pub enum StoreError {
     Io(std::io::Error),
     /// On-disk state is unusable in a way truncation cannot repair.
     Corrupt(&'static str),
-    /// An append or checkpoint named a shard the store does not have.
+    /// An append named a chain other than the log's one (index 0).
     NoSuchShard(u32),
-    /// The store holds more shards than the log is configured for —
-    /// opening it would silently drop committed history.
+    /// A log is one chain, and either the store holds more (a
+    /// `shard-0001-*` segment, an epoch record of a multi-chain layout) or
+    /// the caller configured more — opening it as one would silently drop
+    /// committed history, so boot refuses.
     ShardCountMismatch {
-        /// Shards found in the store.
+        /// Chains found in the store.
         store: usize,
-        /// Shards the log was configured with.
+        /// Chains the log was configured with.
         configured: usize,
     },
     /// The caller's leaf index disagrees with the store's append position
     /// (a log/store divergence — a bug, surfaced instead of masked).
     IndexMismatch {
-        /// Shard the append targeted.
-        shard: u32,
         /// Next index the store expects.
         expected: u64,
         /// Index the caller presented.
@@ -73,19 +73,15 @@ impl core::fmt::Display for StoreError {
         match self {
             Self::Io(e) => write!(f, "storage i/o error: {e}"),
             Self::Corrupt(what) => write!(f, "storage corrupt: {what}"),
-            Self::NoSuchShard(s) => write!(f, "no shard {s} in store"),
+            Self::NoSuchShard(s) => write!(f, "no chain {s}: a log is one chain, index 0"),
             Self::ShardCountMismatch { store, configured } => write!(
                 f,
-                "store has {store} shards but the log is configured for {configured}"
+                "store holds {store} chain(s) and the log is configured for {configured}; \
+                 a log is exactly one"
             ),
-            Self::IndexMismatch {
-                shard,
-                expected,
-                got,
-            } => write!(
-                f,
-                "shard {shard} append at index {got}, store expects {expected}"
-            ),
+            Self::IndexMismatch { expected, got } => {
+                write!(f, "append at index {got}, store expects {expected}")
+            }
             Self::LostSignedHistory { signed, recovered } => write!(
                 f,
                 "signed history covers {signed} entries but only {recovered} were recovered; \
@@ -123,7 +119,7 @@ pub struct DurableOptions {
     /// bytes. Smaller segments mean cheaper cold starts and more
     /// checkpoint records; the default is 4 MiB.
     pub segment_bytes: u64,
-    /// `fsync` after this many appends (per shard). `1` syncs every
+    /// `fsync` after this many appends. `1` syncs every
     /// append; larger values batch — crash-safe for *signed* history
     /// either way, because checkpoint signing syncs first
     /// (`ShardedLog::sync`), but up to `fsync_every - 1` unsigned tail
@@ -147,7 +143,7 @@ impl DurableOptions {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AppendAck {
     /// The active segment is full: the caller should call
-    /// [`LogStore::checkpoint`] with the shard's current right edge so
+    /// [`LogStore::checkpoint`] with the tree's current right edge so
     /// the store can seal and rotate. Advisory — ignoring it only delays
     /// rotation.
     pub wants_checkpoint: bool,
@@ -162,9 +158,9 @@ pub struct MetaRecord {
     pub payload: Vec<u8>,
 }
 
-/// One shard's recovered state.
+/// Everything a store recovered at open.
 #[derive(Debug, Clone, Default)]
-pub struct RecoveredShard {
+pub struct Recovered {
     /// Leaf contents in append order.
     pub leaves: Vec<Vec<u8>>,
     /// The newest persisted checkpoint at or below the recovered length:
@@ -173,37 +169,21 @@ pub struct RecoveredShard {
     pub checkpoint: Option<(u64, Vec<Digest>)>,
     /// True when a torn or corrupt tail was discarded during recovery.
     pub torn: bool,
-}
-
-/// Everything a store recovered at open.
-#[derive(Debug, Clone, Default)]
-pub struct Recovered {
-    /// Per-shard state, shard-ordered. May be shorter than the configured
-    /// shard count (missing shards recover empty).
-    pub shards: Vec<RecoveredShard>,
     /// Meta records in append order.
     pub meta: Vec<MetaRecord>,
 }
 
-impl Recovered {
-    /// Total recovered leaves across all shards.
-    pub fn total_leaves(&self) -> u64 {
-        self.shards.iter().map(|s| s.leaves.len() as u64).sum()
-    }
-}
-
-/// The storage interface under [`crate::shard::ShardedLog`]. All methods
-/// take `&self`: stores are shared behind an `Arc` and synchronize
-/// internally (per-shard, so parallel shard appends stay parallel).
+/// The storage interface under [`crate::ShardedLog`]. All methods take
+/// `&self`: stores are shared behind an `Arc` and synchronize internally.
 pub trait LogStore: Send + Sync {
     /// Persists one leaf (write-ahead: called *before* the leaf enters
-    /// the in-memory tree). `index` is the leaf's index within `shard`
-    /// and must equal the store's append position.
-    fn append(&self, shard: u32, index: u64, leaf: &[u8]) -> Result<AppendAck, StoreError>;
+    /// the in-memory tree). `index` is the leaf's index in the log and
+    /// must equal the store's append position.
+    fn append(&self, index: u64, leaf: &[u8]) -> Result<AppendAck, StoreError>;
 
-    /// Persists a checkpoint of `shard` at `size` leaves with the tree's
-    /// right-edge subtree roots, sealing and rotating the active segment.
-    fn checkpoint(&self, shard: u32, size: u64, right_edge: &[Digest]) -> Result<(), StoreError>;
+    /// Persists a checkpoint at `size` leaves with the tree's right-edge
+    /// subtree roots, sealing and rotating the active segment.
+    fn checkpoint(&self, size: u64, right_edge: &[Digest]) -> Result<(), StoreError>;
 
     /// Durability barrier: when this returns, every previously appended
     /// leaf and meta record survives a crash.
@@ -213,32 +193,32 @@ pub trait LogStore: Send + Sync {
     /// records are rare and carry signatures).
     fn append_meta(&self, kind: u8, payload: &[u8]) -> Result<(), StoreError>;
 
-    /// Recovers persisted state, repairing torn tails. Called once by
-    /// `ShardedLog::with_store` before any append.
+    /// Recovers persisted state, repairing torn tails. Called once, when
+    /// the log opens, before any append.
     fn recover(&self) -> Result<Recovered, StoreError>;
 }
 
 /// Opens the store a [`StorageConfig`] describes.
-pub fn open_store(config: &StorageConfig, shards: usize) -> Result<Arc<dyn LogStore>, StoreError> {
+pub fn open_store(config: &StorageConfig) -> Result<Arc<dyn LogStore>, StoreError> {
     match config {
         StorageConfig::Ephemeral => Ok(Arc::new(NullStore)),
-        StorageConfig::Durable(opts) => Ok(Arc::new(DurableStore::open(opts.clone(), shards)?)),
+        StorageConfig::Durable(opts) => Ok(Arc::new(DurableStore::open(opts.clone())?)),
     }
 }
 
 /// The no-op store: nothing persists, recovery finds nothing. This is the
-/// default for `ShardedLog::new`, keeping ephemeral logs allocation-free
+/// default for an in-memory log, keeping ephemeral logs allocation-free
 /// on the storage side.
 pub struct NullStore;
 
 impl LogStore for NullStore {
-    fn append(&self, _shard: u32, _index: u64, _leaf: &[u8]) -> Result<AppendAck, StoreError> {
+    fn append(&self, _index: u64, _leaf: &[u8]) -> Result<AppendAck, StoreError> {
         Ok(AppendAck {
             wants_checkpoint: false,
         })
     }
 
-    fn checkpoint(&self, _shard: u32, _size: u64, _edge: &[Digest]) -> Result<(), StoreError> {
+    fn checkpoint(&self, _size: u64, _edge: &[Digest]) -> Result<(), StoreError> {
         Ok(())
     }
 
@@ -256,53 +236,40 @@ impl LogStore for NullStore {
 }
 
 /// An in-memory store that *does* retain state: appends and meta records
-/// accumulate and recover across `ShardedLog`/framework instances sharing
+/// accumulate and recover across log/framework instances sharing
 /// the same `Arc<MemStore>`. This exercises every recovery code path —
 /// restart regressions, signed-history reuse — without touching a
 /// filesystem, so such tests stay fast and parallel-safe.
+#[derive(Default)]
 pub struct MemStore {
-    shards: Vec<HealthyMutex<Vec<Vec<u8>>>>,
+    leaves: HealthyMutex<Vec<Vec<u8>>>,
     meta: HealthyMutex<Vec<MetaRecord>>,
 }
 
 impl MemStore {
-    /// An empty retained store with `shards` shards.
-    pub fn new(shards: usize) -> Self {
-        Self {
-            shards: (0..shards.max(1))
-                .map(|_| HealthyMutex::new(Vec::new()))
-                .collect(),
-            meta: HealthyMutex::new(Vec::new()),
-        }
+    /// An empty retained store.
+    pub fn new() -> Self {
+        Self::default()
     }
 }
 
 impl LogStore for MemStore {
-    fn append(&self, shard: u32, index: u64, leaf: &[u8]) -> Result<AppendAck, StoreError> {
-        let mut guard = self
-            .shards
-            .get(shard as usize)
-            .ok_or(StoreError::NoSuchShard(shard))?
-            .lock_healthy();
-        if index != guard.len() as u64 {
+    fn append(&self, index: u64, leaf: &[u8]) -> Result<AppendAck, StoreError> {
+        let mut leaves = self.leaves.lock_healthy();
+        if index != leaves.len() as u64 {
             return Err(StoreError::IndexMismatch {
-                shard,
-                expected: guard.len() as u64,
+                expected: leaves.len() as u64,
                 got: index,
             });
         }
-        guard.push(leaf.to_vec());
+        leaves.push(leaf.to_vec());
         Ok(AppendAck {
             wants_checkpoint: false,
         })
     }
 
-    fn checkpoint(&self, shard: u32, _size: u64, _edge: &[Digest]) -> Result<(), StoreError> {
-        if (shard as usize) < self.shards.len() {
-            Ok(())
-        } else {
-            Err(StoreError::NoSuchShard(shard))
-        }
+    fn checkpoint(&self, _size: u64, _edge: &[Digest]) -> Result<(), StoreError> {
+        Ok(())
     }
 
     fn sync(&self) -> Result<(), StoreError> {
@@ -318,16 +285,11 @@ impl LogStore for MemStore {
     }
 
     fn recover(&self) -> Result<Recovered, StoreError> {
+        let leaves = self.leaves.lock_healthy().clone();
         Ok(Recovered {
-            shards: self
-                .shards
-                .iter()
-                .map(|s| RecoveredShard {
-                    leaves: s.lock_healthy().clone(),
-                    checkpoint: None,
-                    torn: false,
-                })
-                .collect(),
+            leaves,
+            checkpoint: None,
+            torn: false,
             meta: self.meta.lock_healthy().clone(),
         })
     }
@@ -340,25 +302,20 @@ mod tests {
     #[test]
     fn null_store_recovers_nothing() {
         let store = NullStore;
-        store.append(0, 0, b"leaf").unwrap();
+        store.append(0, b"leaf").unwrap();
         store.append_meta(1, b"meta").unwrap();
         let recovered = store.recover().unwrap();
-        assert!(recovered.shards.is_empty() && recovered.meta.is_empty());
+        assert!(recovered.leaves.is_empty() && recovered.meta.is_empty());
     }
 
     #[test]
     fn mem_store_retains_across_recover() {
-        let store = MemStore::new(2);
-        store.append(0, 0, b"a").unwrap();
-        store.append(1, 0, b"b").unwrap();
-        store.append(0, 1, b"c").unwrap();
+        let store = MemStore::new();
+        store.append(0, b"a").unwrap();
+        store.append(1, b"c").unwrap();
         store.append_meta(7, b"sig").unwrap();
         let recovered = store.recover().unwrap();
-        assert_eq!(
-            recovered.shards[0].leaves,
-            vec![b"a".to_vec(), b"c".to_vec()]
-        );
-        assert_eq!(recovered.shards[1].leaves, vec![b"b".to_vec()]);
+        assert_eq!(recovered.leaves, vec![b"a".to_vec(), b"c".to_vec()]);
         assert_eq!(
             recovered.meta,
             vec![MetaRecord {
@@ -366,19 +323,13 @@ mod tests {
                 payload: b"sig".to_vec()
             }]
         );
-        assert_eq!(recovered.total_leaves(), 3);
         // Misuse is an error, not a panic.
         assert!(matches!(
-            store.append(0, 5, b"x"),
+            store.append(5, b"x"),
             Err(StoreError::IndexMismatch {
                 expected: 2,
                 got: 5,
-                ..
             })
-        ));
-        assert!(matches!(
-            store.append(9, 0, b"x"),
-            Err(StoreError::NoSuchShard(9))
         ));
     }
 }

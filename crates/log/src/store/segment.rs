@@ -13,20 +13,20 @@
 //!
 //! ```text
 //! segment  := header record* trailer?
-//! header   := magic[8] shard:u32 segment_index:u64 start_index:u64 crc:u32
+//! header   := magic[8] shard:u32 segment_index:u64 start_index:u64 crc:u32   (shard = 0)
 //! record   := kind:u8 len:u32 payload[len] crc:u32        (crc over kind‖len‖payload)
 //! trailer  := magic[8] checkpoint_offset:u64 crc:u32      (only on sealed segments)
 //! ```
 //!
 //! Record kinds: [`REC_LEAF`] carries `index:u64 ‖ data`; [`REC_CHECKPOINT`]
-//! carries `size:u64 ‖ count:u32 ‖ count × digest[32]` — the shard's
+//! carries `size:u64 ‖ count:u32 ‖ count × digest[32]` — the tree's
 //! right-edge subtree roots at `size` total leaves (see
 //! [`crate::merkle::CompactRoot`]). The meta log reuses the record framing
 //! under its own header magic with caller-defined kinds.
 
 use distrust_crypto::sha256::Digest;
 
-/// Magic opening every shard segment file (the `1` is the format version).
+/// Magic opening every segment file (the `1` is the format version).
 pub const SEGMENT_MAGIC: [u8; 8] = *b"DTRLSEG1";
 /// Magic opening the meta log file.
 pub const META_MAGIC: [u8; 8] = *b"DTRLMET1";
@@ -35,7 +35,7 @@ pub const TRAILER_MAGIC: [u8; 8] = *b"DTRLSEAL";
 
 /// Record kind: one log leaf (`index:u64 ‖ data`).
 pub const REC_LEAF: u8 = 1;
-/// Record kind: a shard checkpoint (`size:u64 ‖ right-edge digests`).
+/// Record kind: a checkpoint (`size:u64 ‖ right-edge digests`).
 pub const REC_CHECKPOINT: u8 = 2;
 
 /// Bytes in a segment or meta header.
@@ -97,16 +97,18 @@ const fn crc32_table() -> [u32; 256] {
     table
 }
 
-/// The identifying fields of a segment header. `start_index` is the shard
-/// leaf index of the segment's first record — recovery checks contiguity
+/// The identifying fields of a segment header. `start_index` is the leaf
+/// index of the segment's first record — recovery checks contiguity
 /// across the segment chain with it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SegmentHeader {
-    /// Shard this segment belongs to.
+    /// Which chain of the directory the segment belongs to, from when a
+    /// directory could hold several. Written 0 and required to be 0: the
+    /// field stays so the header's bytes do not move.
     pub shard: u32,
-    /// Position of this segment in the shard's chain (0-based).
+    /// Position of this segment in the chain (0-based).
     pub segment_index: u64,
-    /// Shard leaf index at which this segment starts.
+    /// Leaf index at which this segment starts.
     pub start_index: u64,
 }
 
@@ -229,7 +231,7 @@ pub fn decode_leaf_payload(payload: &[u8]) -> Result<(u64, &[u8]), SegmentError>
     Ok((index, data))
 }
 
-/// Encodes a [`REC_CHECKPOINT`] payload: the shard size and its right-edge
+/// Encodes a [`REC_CHECKPOINT`] payload: the log size and its right-edge
 /// subtree roots (see [`crate::merkle::MerkleLog::right_edge`]).
 pub fn encode_checkpoint_payload(size: u64, right_edge: &[Digest]) -> Vec<u8> {
     let mut out = Vec::with_capacity(12 + 32 * right_edge.len());

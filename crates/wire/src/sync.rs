@@ -1,7 +1,7 @@
 //! Workspace-standard mutex with uniform poisoning policy.
 //!
 //! Every server-side shared structure (connection registries, shared
-//! transports, shard logs, wrapped services) locks through
+//! transports, domain logs, wrapped services) locks through
 //! [`HealthyMutex::lock_healthy`]: if a previous holder panicked, the
 //! poison is shed and the guard is handed out anyway. The protected
 //! structures are all either append-only or idempotently rebuilt, so a

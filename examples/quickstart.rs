@@ -71,15 +71,9 @@ fn main() {
     assert_eq!(session.trusted_domains(), vec![0, 1, 2]);
 
     // What the audit actually verified: each domain's append-only log is
-    // a set of Merkle shards under one top-level commitment, and every
-    // shard head **rolls up into the signed checkpoint** — the domain
-    // signs `(total_size, shard_heads_root)`, so one signature vouches
-    // for every shard at once and a per-shard inclusion proof ties any
-    // shard head back to it. This deployment uses the default single
-    // shard, where the commitment IS the tree root (byte-compatible with
-    // pre-shard auditors); `Deployment::launch_sharded(spec, seed, n)`
-    // spreads apps across `n` shards for parallel appends, and the same
-    // session code audits either layout transparently.
+    // one Merkle tree, the domain signs its `(size, root)` at every
+    // release, and a consistency proof ties each signed head to the one
+    // this client last verified.
 
     println!("\nquickstart complete: deployed, audited-by-construction, used. ✅");
 }

@@ -6,14 +6,19 @@
 // Each test binary uses its own subset of these helpers.
 #![allow(dead_code)]
 
+use distrust::core::abi::NoImports;
+use distrust::core::framework::{EnclaveFramework, FrameworkConfig};
 use distrust::core::protocol::{AuditBundle, BundleAttestation, Request, Response};
 use distrust::core::{
-    ClientError, DeploymentClient, DeploymentDescriptor, DomainInfo, DomainStatus,
+    ClientError, DeploymentClient, DeploymentDescriptor, DomainInfo, DomainStatus, SignedRelease,
 };
 use distrust::crypto::drbg::HmacDrbg;
 use distrust::crypto::schnorr::SigningKey;
 use distrust::log::batch::CheckpointBundle;
-use distrust::log::checkpoint::{CheckpointBody, SignedCheckpoint};
+use distrust::log::checkpoint::{log_id, CheckpointBody, SignedCheckpoint};
+use distrust::log::{StorageConfig, StoreError};
+use distrust::sandbox::guests::counter_module;
+use distrust::sandbox::Limits;
 use distrust::tee::host::EnclaveService;
 use distrust::tee::vendor::VendorRoots;
 use distrust::wire::{Decode, Encode};
@@ -109,4 +114,55 @@ pub fn bundle_fake(
         };
         response.to_wire()
     }
+}
+
+/// The checkpoint key of [`pinned_domain`].
+pub fn pinned_checkpoint_key() -> SigningKey {
+    SigningKey::derive(b"byte pins", b"checkpoint")
+}
+
+/// Release `version` of the byte-pin fixture.
+pub fn pinned_release(version: u64) -> SignedRelease {
+    SignedRelease::create(
+        "counter",
+        version,
+        &format!("release {version}"),
+        &counter_module(version),
+        &SigningKey::derive(b"byte pins", b"developer"),
+    )
+}
+
+/// The domain behind the byte pins (`tests/crash_recovery.rs` pins its
+/// directory, `tests/golden_and_edges.rs` its audit answers): trust domain
+/// 0 of a fixed deployment over `storage`, as a boot finds it. Signing,
+/// release creation and logical time are all deterministic, so everything
+/// it writes and answers is a constant of the formats.
+pub fn pinned_domain(storage: StorageConfig) -> Result<EnclaveFramework, StoreError> {
+    EnclaveFramework::open(
+        pinned_config(storage),
+        None,
+        pinned_checkpoint_key(),
+        Box::new(NoImports),
+    )
+}
+
+/// The configuration [`pinned_domain`] opens with.
+pub fn pinned_config(storage: StorageConfig) -> FrameworkConfig {
+    FrameworkConfig {
+        domain_index: 0,
+        app_name: "counter".into(),
+        developer_key: SigningKey::derive(b"byte pins", b"developer").verifying_key(),
+        log_id: log_id(b"byte pins", 0),
+        limits: Limits::default(),
+        log_shards: 1,
+        storage,
+    }
+}
+
+/// Lower-case hex of `bytes`' SHA-256.
+pub fn digest_hex(bytes: &[u8]) -> String {
+    distrust::crypto::sha256(bytes)
+        .iter()
+        .map(|b| format!("{b:02x}"))
+        .collect()
 }

@@ -3,22 +3,28 @@
 //!
 //! Two layers are exercised. At the **log** layer, a kill-at-every-offset
 //! matrix truncates (and bit-flips) the on-disk segment bytes and asserts
-//! the invariant the recovery algorithm promises: the recovered shard
-//! commitment equals the commitment of some *prefix* of the pre-crash
-//! history — never a panic, never a root the log did not once have. At the
+//! the invariant the recovery algorithm promises: the recovered head
+//! equals the head of some *prefix* of the pre-crash history — never a panic, never a root the log did not once have. At the
 //! **framework** layer, a restarted domain must resume its *signed*
 //! history: the persisted genesis/epoch checkpoints are reused (re-signing
 //! would look like equivocation), so an auditing client holding the
 //! pre-crash head sees ordinary growth.
 
+mod common;
+
+use common::{digest_hex, pinned_checkpoint_key, pinned_config, pinned_domain, pinned_release};
 use distrust::core::abi::{AppHost, NoImports, HANDLE_EXPORT, OUTBOX_ADDR};
 use distrust::core::framework::{EnclaveFramework, FrameworkConfig};
 use distrust::core::{AppSpec, Deployment, Request, Response, SignedRelease};
 use distrust::crypto::schnorr::SigningKey;
-use distrust::log::auditor::Auditor;
-use distrust::log::checkpoint::log_id;
-use distrust::log::{DurableOptions, MerkleLog, ShardedLog, StorageConfig, StoreError};
+use distrust::log::auditor::{AuditOutcome, Auditor};
+use distrust::log::checkpoint::{log_id, CheckpointBody, SignedCheckpoint};
+use distrust::log::{
+    DurableOptions, DurableStore, LogStore, MerkleLog, ShardedLog, StorageConfig, StoreError,
+};
 use distrust::sandbox::{FuncBuilder, Limits, Module, ModuleBuilder};
+use distrust::wire::codec::encode_seq;
+use distrust::wire::Encode;
 use std::path::{Path, PathBuf};
 
 /// Method 1 returns `base + input[0]`.
@@ -65,7 +71,7 @@ fn copy_dir(src: &Path, dst: &Path) {
     }
 }
 
-/// Shard-0 segment files of a 1-shard log, in segment order.
+/// The log's segment files, in segment order.
 fn segment_files(dir: &Path) -> Vec<PathBuf> {
     let mut files: Vec<PathBuf> = std::fs::read_dir(dir)
         .unwrap()
@@ -80,11 +86,11 @@ fn segment_files(dir: &Path) -> Vec<PathBuf> {
     files
 }
 
-/// Builds a 1-shard durable log with enough leaves to span several
-/// segments, returning its directory and a mirror of every prefix root:
-/// `mirror.root_of_prefix(k)` is the commitment the log had at `k` leaves
-/// (for one shard the snapshot commitment IS the tree root, byte for byte
-/// — so this doubles as the legacy wire-format compatibility check).
+/// Builds a durable log with enough leaves to span several segments,
+/// returning its directory and a mirror of every prefix root:
+/// `mirror.root_of_prefix(k)` is the head the log had at `k` leaves (what
+/// a checkpoint signs IS the plain tree root, byte for byte — so this
+/// doubles as the wire-format compatibility check).
 fn seeded_log(tag: &str, leaves: usize) -> (PathBuf, MerkleLog) {
     let dir = tempdir(tag);
     let (log, meta) = ShardedLog::open(1, &durable(&dir, 192)).unwrap();
@@ -95,41 +101,41 @@ fn seeded_log(tag: &str, leaves: usize) -> (PathBuf, MerkleLog) {
         log.append(0, leaf.as_bytes()).unwrap();
         mirror.append(leaf.as_bytes());
         assert_eq!(
-            log.commitment(),
-            mirror.root_of_prefix(i + 1),
-            "1-shard durable log must stay byte-compatible with the plain tree"
+            log.head(),
+            ((i + 1) as u64, mirror.root_of_prefix(i + 1)),
+            "the durable log must stay byte-compatible with the plain tree"
         );
     }
     (dir, mirror)
 }
 
 /// Opens the (possibly damaged) copy and asserts the recovery invariant:
-/// some prefix of the pre-crash history, identical commitment, and the
+/// some prefix of the pre-crash history, identical head, and the
 /// log keeps working. Returns the recovered length.
 fn assert_recovers_to_prefix(dir: &Path, mirror: &MerkleLog, context: &str) -> usize {
     let (log, _) = ShardedLog::open(1, &durable(dir, 192))
         .unwrap_or_else(|e| panic!("{context}: recovery must not fail: {e}"));
-    let recovered = log.total_len() as usize;
+    let recovered = log.head().0 as usize;
     assert!(
         recovered <= mirror.len(),
         "{context}: recovered {recovered} leaves, only {} ever existed",
         mirror.len()
     );
     assert_eq!(
-        log.commitment(),
+        log.head().1,
         mirror.root_of_prefix(recovered),
         "{context}: recovered root must be the exact pre-crash prefix root"
     );
     // The repaired log must accept appends and keep agreeing with a
     // mirror that took the same path.
     let mut extended = MerkleLog::new();
-    for leaf in mirror.leaves_from(0).unwrap().take(recovered) {
+    for leaf in mirror.leaves_from(0, usize::MAX).unwrap().take(recovered) {
         extended.append(leaf);
     }
     log.append(0, b"post-crash").unwrap();
     extended.append(b"post-crash");
     assert_eq!(
-        log.commitment(),
+        log.head().1,
         extended.root(),
         "{context}: post-repair append diverged"
     );
@@ -155,7 +161,7 @@ fn truncating_the_tail_at_every_byte_offset_recovers_a_prefix() {
         copy_dir(&dir, &scratch);
         std::fs::remove_file(scratch.join(&tail_name)).unwrap();
         let (log, _) = ShardedLog::open(1, &durable(&scratch, 192)).unwrap();
-        let floor = log.total_len() as usize;
+        let floor = log.head().0 as usize;
         let _ = std::fs::remove_dir_all(&scratch);
         floor
     };
@@ -200,74 +206,46 @@ fn flipping_any_byte_anywhere_recovers_a_prefix() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-#[test]
-fn multi_shard_restart_resumes_identical_commitment() {
-    let dir = tempdir("multishard");
-    let storage = durable(&dir, 256);
-    let (before_snapshot, before_lens) = {
-        let (log, _) = ShardedLog::open(4, &storage).unwrap();
-        for i in 0..40 {
-            log.append_routed(format!("key-{i}").as_bytes(), format!("val-{i}").as_bytes())
-                .unwrap();
-        }
-        log.sync().unwrap();
-        let lens: Vec<u64> = (0..4).map(|s| log.shard_len(s).unwrap()).collect();
-        (log.snapshot(), lens)
-    };
-    let (log, _) = ShardedLog::open(4, &storage).unwrap();
-    assert_eq!(
-        log.snapshot(),
-        before_snapshot,
-        "restart changed the snapshot"
-    );
-    for (s, len) in before_lens.iter().enumerate() {
-        assert_eq!(log.shard_len(s as u32), Some(*len));
-    }
-    // Routing and appends continue where they left off.
-    log.append_routed(b"key-40", b"val-40").unwrap();
-    assert_eq!(log.total_len(), 41);
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-fn framework_config(shards: u32, dev: &SigningKey, storage: StorageConfig) -> FrameworkConfig {
+fn framework_config(dev: &SigningKey, storage: StorageConfig) -> FrameworkConfig {
     FrameworkConfig {
         domain_index: 0,
         app_name: "adder".into(),
         developer_key: dev.verifying_key(),
         log_id: log_id(b"crash", 0),
         limits: Limits::default(),
-        log_shards: shards,
+        log_shards: 1,
         storage,
+    }
+}
+
+/// One audit of `fw` from wherever `auditor` stands.
+fn observe(auditor: &mut Auditor, fw: &mut EnclaveFramework, id: u64) -> AuditOutcome {
+    let verified_size = auditor.latest(0).map_or(0, |cp| cp.body.size);
+    let request = Request::BatchAudit {
+        request_id: id,
+        nonce: [id as u8; 32],
+        verified_size,
+    };
+    match fw.handle(request) {
+        Response::AuditBundle(b) => auditor.observe_bundle(0, &b.bundle),
+        other => panic!("expected an audit bundle, got {other:?}"),
     }
 }
 
 /// The satellite regression: restart a domain, then re-audit with a
 /// client that verified the pre-crash head. Any re-signing of old history
 /// (fresh genesis, shifted epoch) would surface as misbehavior here.
-fn restart_keeps_auditor_consistent(shards: u32) {
-    let dir = tempdir(&format!("fw-restart-{shards}"));
+#[test]
+fn restarted_domain_resumes_signed_history_one_shard() {
+    let dir = tempdir("fw-restart");
     let storage = durable(&dir, 4 << 20);
     let dev = SigningKey::derive(b"crash", b"dev");
     let cp_key = SigningKey::derive(b"crash", b"cp");
     let mut auditor = Auditor::new(vec![cp_key.verifying_key()]);
 
-    let observe = |auditor: &mut Auditor, fw: &mut EnclaveFramework, id: u64| {
-        let verified = auditor.latest(0).map(|cp| cp.body.size).unwrap_or(0);
-        let request = Request::BatchAudit {
-            request_id: id,
-            nonce: [id as u8; 32],
-            verified_size: verified,
-        };
-        match fw.handle(request) {
-            Response::AuditBundle(b) => auditor.observe_bundle(0, &b.bundle),
-            Response::ShardAuditBundle(b) => auditor.observe_shard_bundle(0, &b.bundle),
-            other => panic!("expected an audit bundle, got {other:?}"),
-        }
-    };
-
     let (pre_size, pre_head) = {
         let mut fw = EnclaveFramework::open(
-            framework_config(shards, &dev, storage.clone()),
+            framework_config(&dev, storage.clone()),
             None,
             cp_key,
             Box::new(NoImports),
@@ -286,7 +264,7 @@ fn restart_keeps_auditor_consistent(shards: u32) {
     }; // domain crashes here
 
     let mut fw = EnclaveFramework::open(
-        framework_config(shards, &dev, storage),
+        framework_config(&dev, storage),
         None,
         cp_key,
         Box::new(NoImports),
@@ -332,14 +310,181 @@ fn restart_keeps_auditor_consistent(shards: u32) {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-#[test]
-fn restarted_domain_resumes_signed_history_one_shard() {
-    restart_keeps_auditor_consistent(1);
+/// SHA-256 over every file of `dir`, sorted by name: the name, a zero
+/// byte, the length and the contents.
+fn directory_digest(dir: &Path) -> String {
+    let mut files: Vec<PathBuf> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .collect();
+    files.sort();
+    let mut image = Vec::new();
+    for file in files {
+        let contents = std::fs::read(&file).unwrap();
+        image.extend_from_slice(file.file_name().unwrap().to_str().unwrap().as_bytes());
+        image.push(0);
+        image.extend_from_slice(&(contents.len() as u64).to_le_bytes());
+        image.extend_from_slice(&contents);
+    }
+    digest_hex(&image)
+}
+
+/// Six releases on the pinned domain over segments small enough to seal
+/// two of them: the directory it leaves.
+fn pinned_directory(tag: &str) -> (PathBuf, StorageConfig) {
+    let dir = tempdir(tag);
+    let storage = durable(&dir, 256);
+    let mut domain = pinned_domain(storage.clone()).unwrap();
+    for version in 1..=6 {
+        domain.apply_update(&pinned_release(version)).unwrap();
+    }
+    (dir, storage)
 }
 
 #[test]
-fn restarted_domain_resumes_signed_history_four_shards() {
-    restart_keeps_auditor_consistent(4);
+fn the_directory_a_domain_leaves_is_pinned_and_reopens() {
+    // Recorded on the commit before the shard layer was deleted: file
+    // names, segment headers, leaf and checkpoint records, trailers and
+    // every meta record, bit for bit.
+    let (dir, storage) = pinned_directory("pinned");
+    let names: Vec<String> = segment_files(&dir)
+        .iter()
+        .map(|p| p.file_name().unwrap().to_str().unwrap().to_string())
+        .collect();
+    assert_eq!(
+        names,
+        [
+            "shard-0000-seg-00000000.dlog",
+            "shard-0000-seg-00000001.dlog"
+        ],
+        "two sealed segments"
+    );
+    assert_eq!(
+        directory_digest(&dir),
+        "fbf7cf1b5b4ac727a83d487cbb00f9939d9145c8a361aefb89f16af358bd4ca1"
+    );
+
+    // "An existing directory opens": the same bytes reopen, audit clean
+    // from a client that has seen nothing, and take a seventh release.
+    let mut domain = pinned_domain(storage).expect("the pinned directory reopens");
+    assert_eq!(domain.status().log_size, 6);
+    let mut auditor = Auditor::new(vec![pinned_checkpoint_key().verifying_key()]);
+    assert!(observe(&mut auditor, &mut domain, 1).is_consistent());
+    assert_eq!(auditor.latest(0).unwrap().body.size, 6);
+    domain
+        .apply_update(&pinned_release(7))
+        .expect("a seventh release");
+    assert!(observe(&mut auditor, &mut domain, 2).is_consistent());
+    assert_eq!(auditor.latest(0).unwrap().body.size, 7);
+    assert_eq!(segment_files(&dir).len(), 3);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// What the pinned directory's domain answers a boot with, after `damage`
+/// had the directory and its meta log to itself.
+fn boot_after(tag: &str, damage: impl FnOnce(&Path, &dyn LogStore)) -> Option<StoreError> {
+    let (dir, storage) = pinned_directory(tag);
+    {
+        let StorageConfig::Durable(opts) = &storage else {
+            unreachable!("the pinned directory is durable");
+        };
+        damage(&dir, &DurableStore::open(opts.clone()).unwrap());
+    }
+    let refusal = pinned_domain(storage).err();
+    let _ = std::fs::remove_dir_all(&dir);
+    refusal
+}
+
+/// A `META_EPOCH` payload: `checkpoint`, then the `(sizes, heads)` pair
+/// of sequences that follows it on disk.
+fn epoch_record(checkpoint: &SignedCheckpoint, sizes: &[u64], heads: &[[u8; 32]]) -> Vec<u8> {
+    let mut wire = checkpoint.to_wire();
+    encode_seq(sizes, &mut wire);
+    encode_seq(heads, &mut wire);
+    wire
+}
+
+/// The epoch the pinned domain would sign after a seventh release.
+fn seventh_epoch() -> SignedCheckpoint {
+    SignedCheckpoint::sign(
+        CheckpointBody {
+            log_id: log_id(b"byte pins", 0),
+            size: 7,
+            head: [7; 32],
+            logical_time: 99,
+        },
+        &pinned_checkpoint_key(),
+    )
+}
+
+/// Every way a directory can say "this log was more than one tree" — or a
+/// caller can ask for that — is a refusal by name: never a fresh log over
+/// the directory, never one tree served as if it were the whole.
+#[test]
+fn a_layout_of_several_trees_is_refused_by_name() {
+    const META_EPOCH: u8 = 2;
+    // Undamaged, the directory boots (what the refusals below are not).
+    assert!(boot_after("refuse-nothing", |_, _| {}).is_none());
+
+    let second_chain = boot_after("refuse-chain", |dir, _| {
+        std::fs::copy(
+            dir.join("shard-0000-seg-00000000.dlog"),
+            dir.join("shard-0001-seg-00000000.dlog"),
+        )
+        .unwrap();
+    });
+    assert!(
+        matches!(
+            second_chain,
+            Some(StoreError::ShardCountMismatch {
+                store: 2,
+                configured: 1
+            })
+        ),
+        "a second segment chain: {second_chain:?}"
+    );
+
+    let two_trees = boot_after("refuse-epoch", |_, store| {
+        let record = epoch_record(&seventh_epoch(), &[4, 3], &[[1; 32], [2; 32]]);
+        store.append_meta(META_EPOCH, &record).unwrap();
+    });
+    assert!(
+        matches!(
+            two_trees,
+            Some(StoreError::ShardCountMismatch {
+                store: 2,
+                configured: 1
+            })
+        ),
+        "an epoch record of two trees: {two_trees:?}"
+    );
+
+    let disagreeing = boot_after("refuse-snapshot", |_, store| {
+        let record = epoch_record(&seventh_epoch(), &[7], &[[8; 32]]);
+        store.append_meta(META_EPOCH, &record).unwrap();
+    });
+    assert!(
+        matches!(disagreeing, Some(StoreError::Corrupt(_))),
+        "an epoch record whose (size, head) is not its checkpoint's: {disagreeing:?}"
+    );
+
+    let (dir, storage) = pinned_directory("refuse-config");
+    let config = FrameworkConfig {
+        log_shards: 4,
+        ..pinned_config(storage)
+    };
+    let four = EnclaveFramework::open(config, None, pinned_checkpoint_key(), Box::new(NoImports));
+    assert!(
+        matches!(
+            four,
+            Err(StoreError::ShardCountMismatch {
+                store: 1,
+                configured: 4
+            })
+        ),
+        "log_shards: 4 over a directory that boots with 1"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -353,7 +498,7 @@ fn missing_log_behind_signed_history_refuses_to_boot() {
     let cp_key = SigningKey::derive(b"lost", b"cp");
     {
         let mut fw = EnclaveFramework::open(
-            framework_config(1, &dev, storage.clone()),
+            framework_config(&dev, storage.clone()),
             None,
             cp_key,
             Box::new(NoImports),
@@ -368,7 +513,7 @@ fn missing_log_behind_signed_history_refuses_to_boot() {
         std::fs::remove_file(file).unwrap();
     }
     match EnclaveFramework::open(
-        framework_config(1, &dev, storage),
+        framework_config(&dev, storage),
         None,
         cp_key,
         Box::new(NoImports),

@@ -7,15 +7,11 @@
 
 mod common;
 
-use common::app_call;
+use common::{app_call, digest_hex, pinned_domain, pinned_release};
 use distrust::core::protocol::{DomainStatus, Request, Response};
 use distrust::core::Deployment;
-use distrust::crypto::sha256;
+use distrust::log::StorageConfig;
 use distrust::wire::{Decode, DecodeError, Encode};
-
-fn digest_hex(bytes: &[u8]) -> String {
-    sha256(bytes).iter().map(|b| format!("{b:02x}")).collect()
-}
 
 #[test]
 fn golden_request_encodings() {
@@ -62,7 +58,6 @@ fn golden_tag_assignments() {
             },
             8,
         ),
-        (Request::GetShardEntries { shard: 0, from: 0 }, 9),
         (Request::WitnessHead, 11),
     ];
     for (request, tag) in requests {
@@ -79,18 +74,59 @@ fn golden_tag_assignments() {
     for (response, tag) in responses {
         assert_eq!(response.to_wire()[0], tag, "{response:?}");
     }
-    // The gaps are the per-step audit messages, retired for good: request
-    // tags 4/5 and response tags 7/8 refuse to decode.
-    for tag in [4u8, 5] {
+    // The gaps are retired for good and refuse to decode: the per-step
+    // audit messages (request tags 4/5, response tags 7/8), and the
+    // per-tree read and second audit-bundle format of a log that could be
+    // several trees (request tag 9, response tag 13).
+    for tag in [4u8, 5, 9] {
         assert_eq!(
             Request::from_wire(&[tag, 0, 0, 0, 0, 0, 0, 0, 0]),
             Err(DecodeError::InvalidTag(tag))
         );
     }
-    for tag in [7u8, 8] {
+    for tag in [7u8, 8, 13] {
         assert_eq!(
             Response::from_wire(&[tag, 0, 0, 0, 0, 0, 0, 0, 0]),
             Err(DecodeError::InvalidTag(tag))
+        );
+    }
+}
+
+#[test]
+fn golden_batch_audit_answers() {
+    // Recorded on the commit before the shard layer was deleted: what
+    // domain 0 answers a fresh client and one standing on size 3, after
+    // six releases, byte for byte — tag 12, the unattested status, the
+    // signed epochs and the pooled consistency proof.
+    let mut domain = pinned_domain(StorageConfig::Ephemeral).unwrap();
+    for version in 1..=6 {
+        domain.apply_update(&pinned_release(version)).unwrap();
+    }
+    let pins = [
+        (
+            0u64,
+            1458usize,
+            "c7591b5412a2d20c5ddcbf9a7ef31a748716418c7441c01026a7fa30c9cc13b8",
+        ),
+        (
+            3,
+            898,
+            "427c5d7046c8fc81dd23c42dff316e4d0db2406bd9c0169f1ca5ead7ac10143d",
+        ),
+    ];
+    for (verified_size, len, digest) in pins {
+        let wire = domain
+            .handle(Request::BatchAudit {
+                request_id: 7,
+                nonce: [3; 32],
+                verified_size,
+            })
+            .to_wire();
+        assert_eq!(wire[0], 12);
+        assert_eq!(
+            (wire.len(), digest_hex(&wire).as_str()),
+            (len, digest),
+            "verified_size {verified_size}"
         );
     }
 }

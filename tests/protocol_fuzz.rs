@@ -49,34 +49,6 @@ fn service_with_history() -> FrameworkService {
     svc
 }
 
-/// A 4-shard service with three installed releases, so batched audits are
-/// answered with the sharded bundle shape (`Response::ShardAuditBundle`).
-fn sharded_service_with_history() -> FrameworkService {
-    let dev = SigningKey::derive(b"protocol fuzz", b"dev");
-    let mut svc = FrameworkService::new(
-        EnclaveFramework::open(
-            FrameworkConfig {
-                domain_index: 0,
-                app_name: "fuzzed".into(),
-                developer_key: dev.verifying_key(),
-                log_id: [2; 32],
-                limits: Limits::default(),
-                log_shards: 4,
-                storage: StorageConfig::Ephemeral,
-            },
-            None,
-            SigningKey::derive(b"protocol fuzz", b"cp-sharded"),
-            Box::new(NoImports),
-        )
-        .unwrap(),
-    );
-    for v in 1..=3u64 {
-        let release = SignedRelease::create("fuzzed", v, "", &counter_module(v), &dev);
-        svc.framework_mut().apply_update(&release).expect("applies");
-    }
-    svc
-}
-
 /// A TEE-backed service (simulated vendor + provisioned device):
 /// `Request::Attest` is answered with a real `Response::Quote` instead of
 /// the unattested fallback.
@@ -141,34 +113,6 @@ fn echo_app_module() -> Module {
     mb.build()
 }
 
-/// A real server-produced `ShardAuditBundle` response frame, cached for
-/// verified sizes 0..=5 like its single-tree sibling below.
-fn shard_audit_response_frame(verified_size: u64) -> Vec<u8> {
-    use std::sync::OnceLock;
-    static FRAMES: OnceLock<Vec<Vec<u8>>> = OnceLock::new();
-    let frames = FRAMES.get_or_init(|| {
-        let mut svc = sharded_service_with_history();
-        (0..=5u64)
-            .map(|vs| {
-                let frame = svc.handle(
-                    Request::BatchAudit {
-                        request_id: 77,
-                        nonce: [7; 32],
-                        verified_size: vs,
-                    }
-                    .to_wire(),
-                );
-                assert!(matches!(
-                    Response::from_wire(&frame),
-                    Ok(Response::ShardAuditBundle(_))
-                ));
-                frame
-            })
-            .collect()
-    });
-    frames[verified_size as usize].clone()
-}
-
 /// A real server-produced `AuditBundle` response frame. Built once per
 /// process (release signing is expensive in debug builds) and cached for
 /// verified sizes 0..=5.
@@ -216,7 +160,7 @@ proptest! {
     /// must agree byte-for-byte, since responses are hashed into quotes).
     #[test]
     fn structured_requests_round_trip(
-        tag in 0u8..8,
+        tag in 0u8..6,
         nonce in any::<[u8; 32]>(),
         method in any::<u64>(),
         payload in proptest::collection::vec(any::<u8>(), 0..64),
@@ -228,14 +172,10 @@ proptest! {
             2 => Request::AppCall { method, payload: payload.clone() },
             3 => Request::GetLogEntries { from: number },
             4 => Request::GetNotices { since: number },
-            5 => Request::BatchAudit {
+            _ => Request::BatchAudit {
                 request_id: method,
                 nonce,
                 verified_size: number,
-            },
-            _ => Request::GetShardEntries {
-                shard: method as u32,
-                from: number,
             },
         };
         let wire = request.to_wire();
@@ -299,59 +239,58 @@ proptest! {
         prop_assert!(Response::from_wire(&frame).is_err());
     }
 
-    /// Truncating a real sharded audit response at any point must error —
-    /// never panic, never decode to a different value.
+    /// Arbitrary read offsets — far past the end included — always get a
+    /// decodable answer back, never a panic or a hang: the leaves (or
+    /// notices) from there on, or an error for a leaf offset past the end.
     #[test]
-    fn truncated_shard_audit_bundle_rejected(verified_size in 0u64..5, cut_seed in any::<u64>()) {
-        let frame = shard_audit_response_frame(verified_size);
-        let cut = (cut_seed as usize) % frame.len();
-        prop_assert!(Response::from_wire(&frame[..cut]).is_err());
-    }
-
-    /// Flipping any single bit of a sharded audit response either fails to
-    /// decode or decodes to a *different* value (canonical encoding): a
-    /// tampered shard bundle always reaches the verifier visibly changed.
-    #[test]
-    fn bit_flipped_shard_audit_bundle_never_misparses(
-        verified_size in 0u64..5,
-        flip_seed in any::<u64>(),
+    fn arbitrary_read_offsets_answered(
+        offset in prop_oneof![0u64..6, any::<u64>()],
+        with_history in any::<bool>(),
     ) {
-        let frame = shard_audit_response_frame(verified_size);
-        let original = Response::from_wire(&frame).expect("valid frame decodes");
-        let mut mutated = frame.clone();
-        let bit = (flip_seed as usize) % (frame.len() * 8);
-        mutated[bit / 8] ^= 1 << (bit % 8);
-        match Response::from_wire(&mutated) {
-            Err(_) => {}
-            Ok(decoded) => {
-                prop_assert_ne!(decoded, original);
+        let (mut svc, len) = if with_history { (service_with_history(), 3u64) } else { (service(), 0) };
+        let expected = len.saturating_sub(offset) as usize;
+        match Response::from_wire(&svc.handle(Request::GetLogEntries { from: offset }.to_wire())) {
+            Ok(Response::LogEntries(leaves)) => {
+                prop_assert!(offset <= len);
+                prop_assert_eq!(leaves.len(), expected);
             }
+            Ok(Response::Error(_)) => prop_assert!(offset > len),
+            other => prop_assert!(false, "unexpected answer {:?}", other),
+        }
+        match Response::from_wire(&svc.handle(Request::GetNotices { since: offset }.to_wire())) {
+            Ok(Response::Notices(notices)) => {
+                prop_assert_eq!(notices.len(), expected);
+                prop_assert!(notices.iter().all(|n| n.log_index >= offset));
+            }
+            other => prop_assert!(false, "unexpected answer {:?}", other),
         }
     }
 
-    /// Trailing garbage after a complete sharded audit response is
-    /// rejected, not silently dropped.
+    /// Arbitrary bytes led by a retired tag — the per-step audit messages
+    /// (requests 4/5, responses 7/8), the per-tree read (request 9) and
+    /// the second audit-bundle format (response 13) — never decode and
+    /// never panic: the decoder names the tag, the service answers with
+    /// an error frame.
     #[test]
-    fn shard_audit_bundle_with_trailing_bytes_rejected(
-        garbage in proptest::collection::vec(any::<u8>(), 1..64),
+    fn bytes_led_by_a_retired_tag_never_decode(
+        pick in 0usize..6,
+        rest in proptest::collection::vec(any::<u8>(), 0..256),
     ) {
-        let mut frame = shard_audit_response_frame(0);
-        frame.extend_from_slice(&garbage);
-        prop_assert!(Response::from_wire(&frame).is_err());
-    }
-
-    /// Arbitrary GetShardEntries parameters — shard indices and offsets
-    /// far out of range included — always get a decodable answer back,
-    /// never a panic or a hang.
-    #[test]
-    fn arbitrary_shard_entry_requests_answered(
-        shard in any::<u32>(),
-        from in any::<u64>(),
-        sharded in any::<bool>(),
-    ) {
-        let mut svc = if sharded { sharded_service_with_history() } else { service() };
-        let response_bytes = svc.handle(Request::GetShardEntries { shard, from }.to_wire());
-        prop_assert!(Response::from_wire(&response_bytes).is_ok());
+        use distrust::wire::DecodeError;
+        let (is_request, tag) =
+            [(true, 4u8), (true, 5), (true, 9), (false, 7), (false, 8), (false, 13)][pick];
+        let mut frame = vec![tag];
+        frame.extend_from_slice(&rest);
+        if is_request {
+            prop_assert_eq!(Request::from_wire(&frame), Err(DecodeError::InvalidTag(tag)));
+            let answered_with_an_error = matches!(
+                Response::from_wire(&service().handle(frame)),
+                Ok(Response::Error(_))
+            );
+            prop_assert!(answered_with_an_error);
+        } else {
+            prop_assert_eq!(Response::from_wire(&frame), Err(DecodeError::InvalidTag(tag)));
+        }
     }
 }
 
@@ -505,7 +444,6 @@ fn only_updates_advance_logical_time_and_audits_reuse_signatures() {
         },
         Request::GetLogEntries { from: 0 },
         Request::GetNotices { since: 0 },
-        Request::GetShardEntries { shard: 0, from: 0 },
         Request::Gossip {
             envelope: GossipEnvelope::empty(),
         },
@@ -583,33 +521,6 @@ fn audit_bundle_length_bombs_rejected_before_allocation() {
 }
 
 #[test]
-fn shard_audit_bundle_length_bombs_rejected_before_allocation() {
-    // Same layout as the single-tree bundle up to the sequence length
-    // prefix: tag(1) + request_id(8) + attestation tag(1) + DomainStatus,
-    // then the epoch sequence length. A ludicrous epoch count must fail
-    // fast on the length guard, not attempt the allocation.
-    let frame = shard_audit_response_frame(0);
-    let status_len = distrust::core::DomainStatus {
-        domain_index: 0,
-        app_digest: [0; 32],
-        app_version: 0,
-        log_size: 0,
-        log_head: [0; 32],
-        framework_measurement: [0; 32],
-    }
-    .to_wire()
-    .len();
-    let off = 1 + 8 + 1 + status_len;
-    let mut bomb = frame.clone();
-    bomb[off..off + 4].copy_from_slice(&u32::MAX.to_le_bytes());
-    assert!(Response::from_wire(&bomb).is_err());
-    // Sanity: patching the same bytes back decodes again.
-    let mut intact = bomb;
-    intact[off..off + 4].copy_from_slice(&frame[off..off + 4]);
-    assert!(Response::from_wire(&intact).is_ok());
-}
-
-#[test]
 fn every_request_variant_gets_a_sensible_answer_without_an_app() {
     type ResponseCheck = fn(&Response) -> bool;
     let mut svc = service();
@@ -630,12 +541,6 @@ fn every_request_variant_gets_a_sensible_answer_without_an_app() {
         }),
         (Request::GetNotices { since: 0 }, |r| {
             matches!(r, Response::Notices(_))
-        }),
-        (Request::GetShardEntries { shard: 0, from: 0 }, |r| {
-            matches!(r, Response::LogEntries(_))
-        }),
-        (Request::GetShardEntries { shard: 9, from: 0 }, |r| {
-            matches!(r, Response::Error(_))
         }),
     ];
     for (request, check) in cases {

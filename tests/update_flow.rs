@@ -199,3 +199,109 @@ fn malicious_but_signed_update_is_contained_and_evidenced() {
         assert_eq!(leaves[0], client.log_entries((d + 1) % 3, 0).unwrap()[0]);
     }
 }
+
+/// A log no answer can hold in one piece is still read from the start:
+/// `GetLogEntries` and `GetNotices` answer a page, and the client asks on
+/// until an answer comes back empty. (Before, both answered with
+/// everything they had, under the framework mutex, and past a couple of
+/// hundred thousand releases the answer no longer fitted a frame.)
+#[test]
+fn long_logs_are_served_and_read_a_page_at_a_time() {
+    use common::{client, descriptor_for, pinned_checkpoint_key};
+    use distrust::core::framework::{EnclaveFramework, FrameworkConfig, FrameworkService};
+    use distrust::core::protocol::UpdateNotice;
+    use distrust::core::server::DirectHost;
+    use distrust::core::ReleaseManifest;
+    use distrust::log::{LogStore, MemStore, StorageConfig};
+    use distrust::wire::Encode;
+    use std::sync::Arc;
+
+    const LEAVES: u64 = 10_000;
+    /// The one leaf whose notice a crash lost between the log and the
+    /// meta log: every later notice sits one position before its leaf.
+    const LOST_NOTICE: u64 = 5_000;
+    const META_NOTICE: u8 = 3;
+
+    // 10 000 releases as a restart finds them — leaves and notices in the
+    // store, nothing signed (signing them would take minutes and change
+    // nothing about reading them back).
+    let store = Arc::new(MemStore::new());
+    let manifest = |i: u64| ReleaseManifest {
+        app_name: "counter".into(),
+        version: i + 1,
+        code_digest: [i as u8; 32],
+        notes: format!("release notes {i}"),
+        locks_updates: false,
+    };
+    let leaf = |i: u64| manifest(i).log_leaf();
+    for i in 0..LEAVES {
+        store.append(i, &leaf(i)).unwrap();
+        if i == LOST_NOTICE {
+            continue;
+        }
+        let notice = UpdateNotice {
+            manifest: manifest(i),
+            log_index: i,
+            logical_time: 2 * i + 1,
+        };
+        store.append_meta(META_NOTICE, &notice.to_wire()).unwrap();
+    }
+    let key = pinned_checkpoint_key();
+    let framework = EnclaveFramework::open_with_store(
+        FrameworkConfig {
+            domain_index: 0,
+            app_name: "counter".into(),
+            developer_key: key.verifying_key(),
+            log_id: [9; 32],
+            limits: Limits::default(),
+            log_shards: 1,
+            storage: StorageConfig::Ephemeral,
+        },
+        None,
+        key,
+        Box::new(NoImports),
+        store,
+    )
+    .unwrap();
+    let mut host = DirectHost::spawn(FrameworkService::new(framework)).unwrap();
+    let mut client = client(&descriptor_for(host.addr(), &key), b"reader");
+
+    // One answer is one page: the start of what was asked for, well short
+    // of all of it.
+    let page = match client.exchange(0, &Request::GetLogEntries { from: 0 }) {
+        Ok(Response::LogEntries(page)) => page,
+        other => panic!("unexpected {other:?}"),
+    };
+    assert!(!page.is_empty() && (page.len() as u64) < LEAVES / 2);
+    assert!(page.iter().map(Vec::len).sum::<usize>() <= 256 << 10);
+    assert_eq!(page[0], leaf(0));
+    let notice_page = match client.exchange(0, &Request::GetNotices { since: 0 }) {
+        Ok(Response::Notices(page)) => page,
+        other => panic!("unexpected {other:?}"),
+    };
+    assert!(!notice_page.is_empty() && (notice_page.len() as u64) < LEAVES / 2);
+
+    // The client reassembles the whole log, and any suffix of it.
+    let all = client.log_entries(0, 0).unwrap();
+    assert_eq!(all.len() as u64, LEAVES);
+    assert!(all.iter().zip(0..).all(|(got, i)| *got == leaf(i)));
+    assert_eq!(
+        client.log_entries(0, LEAVES - 10).unwrap(),
+        all[all.len() - 10..]
+    );
+    assert!(client.log_entries(0, LEAVES).unwrap().is_empty());
+    assert!(client.log_entries(0, LEAVES + 1).is_err());
+
+    // Notices likewise, by log index — across the one that is missing.
+    let notices = client.notices(0, 0).unwrap();
+    assert_eq!(notices.len() as u64, LEAVES - 1);
+    assert!(notices.windows(2).all(|w| w[0].log_index < w[1].log_index));
+    for since in [LOST_NOTICE - 1, LOST_NOTICE, LOST_NOTICE + 1, LEAVES - 3] {
+        let got = client.notices(0, since).unwrap();
+        let expected: Vec<_> = notices.iter().filter(|n| n.log_index >= since).collect();
+        assert_eq!(got.iter().collect::<Vec<_>>(), expected, "since {since}");
+    }
+    assert!(client.notices(0, LEAVES).unwrap().is_empty());
+    assert!(client.notices(0, u64::MAX).unwrap().is_empty());
+    host.shutdown();
+}
