@@ -1,11 +1,15 @@
-//! Ablation A: attestation costs — quote generation, quote verification,
+//! Ablation A: attestation costs — quote generation, quote decoding and
+//! quote verification (separately: decoding parses the device key and
+//! copies the two signatures, every signature check is verification's),
 //! and the full client audit as the number of trust domains grows.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use distrust_apps::analytics;
 use distrust_core::Deployment;
 use distrust_crypto::drbg::HmacDrbg;
+use distrust_tee::attest::Quote;
 use distrust_tee::vendor::{Vendor, VendorKind, VendorRoots};
+use distrust_wire::codec::{Decode, Encode};
 
 fn bench_attestation(c: &mut Criterion) {
     // Micro: quote generation + verification per vendor.
@@ -21,6 +25,10 @@ fn bench_attestation(c: &mut Criterion) {
             b.iter(|| std::hint::black_box(enclave.quote(b"nonce and log head")))
         });
         let quote = enclave.quote(b"nonce and log head");
+        let wire = quote.to_wire();
+        group.bench_function(BenchmarkId::new("quote_decode", kind.name()), |b| {
+            b.iter(|| std::hint::black_box(Quote::from_wire(&wire).is_ok()))
+        });
         group.bench_function(BenchmarkId::new("quote_verify", kind.name()), |b| {
             b.iter(|| std::hint::black_box(quote.verify(&roots, Some(&[7; 32]), None).is_ok()))
         });

@@ -453,31 +453,34 @@ impl DeploymentClient {
         &mut self,
         payload: &[(u32, distrust_log::SignedCheckpoint)],
     ) -> Vec<Misbehavior> {
-        payload
-            .iter()
-            .filter_map(|(domain, cp)| self.ingest_relayed_head(*domain, cp))
-            .collect()
+        let heads: Vec<_> = payload.iter().map(|(domain, cp)| (*domain, cp)).collect();
+        self.ingest_relayed_heads(&heads)
     }
 
-    /// Feeds one relayed head to the auditor. A relayed head can prove
-    /// exactly one thing — that its domain signed two views of one size —
-    /// so only that is reported (and kept as transferable evidence). A
-    /// head that does not verify under the pinned key is noise: anyone
-    /// can post one on a bulletin board, so it accuses nobody, changes no
-    /// state and is never relayed onwards. (A bad signature inside a
-    /// domain's *own* audit answer is that domain's doing and fails its
-    /// audit — see [`Self::audit`].)
-    fn ingest_relayed_head(
+    /// Feeds relayed heads to the auditor, which verifies the unknown ones
+    /// of each domain in one call under that domain's key. A relayed head
+    /// can prove exactly one thing — that its domain signed two views of
+    /// one size — so only that is reported (and kept as transferable
+    /// evidence). A head that does not verify under the pinned key is
+    /// noise: anyone can post one on a bulletin board, so it accuses
+    /// nobody, changes no state and is never relayed onwards. (A bad
+    /// signature inside a domain's *own* audit answer is that domain's
+    /// doing and fails its audit — see [`Self::audit`].)
+    fn ingest_relayed_heads(
         &mut self,
-        domain: u32,
-        checkpoint: &distrust_log::SignedCheckpoint,
-    ) -> Option<Misbehavior> {
-        let AuditOutcome::Misbehavior(m) = self.auditor.ingest_gossip(domain, checkpoint.clone())
-        else {
-            return None;
-        };
-        self.evidence.insert(EvidenceBundle::from_misbehavior(&m)?);
-        Some(*m)
+        heads: &[(u32, &distrust_log::SignedCheckpoint)],
+    ) -> Vec<Misbehavior> {
+        let mut found = Vec::new();
+        for outcome in self.auditor.ingest_gossip_heads(heads) {
+            let AuditOutcome::Misbehavior(m) = outcome else {
+                continue;
+            };
+            if let Some(evidence) = EvidenceBundle::from_misbehavior(&m) {
+                self.evidence.insert(evidence);
+                found.push(*m);
+            }
+        }
+        found
     }
 
     /// The gossip envelope this client would hand a peer (or piggyback on
@@ -502,11 +505,12 @@ impl DeploymentClient {
     /// comparison; forged ones are dropped. Returns every *newly
     /// discovered* piece of misbehavior.
     pub fn ingest_envelope(&mut self, envelope: &GossipEnvelope) -> Vec<Misbehavior> {
-        let mut found: Vec<Misbehavior> = envelope
+        let heads: Vec<_> = envelope
             .heads
             .iter()
-            .filter_map(|head| self.ingest_relayed_head(head.domain, &head.checkpoint))
+            .map(|head| (head.domain, &head.checkpoint))
             .collect();
+        let mut found = self.ingest_relayed_heads(&heads);
         for bundle in &envelope.evidence {
             if self.ingest_evidence(bundle) {
                 found.push(Misbehavior::Equivocation {

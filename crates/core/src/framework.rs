@@ -28,7 +28,7 @@ use distrust_crypto::schnorr::{SigningKey, VerifyingKey};
 use distrust_crypto::sha256::Digest;
 use distrust_gossip::envelope::{GossipEnvelope, GossipHead};
 use distrust_gossip::evidence::EvidenceBundle;
-use distrust_log::batch::{CheckpointBundle, ProofBundle};
+use distrust_log::batch::{CheckpointBundle, ProofBundle, MAX_BUNDLE_CHECKPOINTS};
 use distrust_log::checkpoint::{CheckpointBody, SignedCheckpoint};
 use distrust_log::merkle::PackedRecords;
 use distrust_log::store::{LogStore, MetaRecord, StorageConfig, StoreError};
@@ -92,11 +92,6 @@ struct RunningApp {
     import_names: Vec<String>,
     manifest: ReleaseManifest,
 }
-
-/// Upper bound on checkpoints per [`AuditBundle`]; a client further behind
-/// than this gets one direct consistency step from its verified size to
-/// the earliest included checkpoint.
-const MAX_BUNDLE_CHECKPOINTS: usize = 64;
 
 /// Signed epochs a domain keeps in memory: the
 /// [`MAX_BUNDLE_CHECKPOINTS`] newest a bundle can carry, and the one

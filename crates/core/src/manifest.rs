@@ -73,7 +73,10 @@ pub struct SignedRelease {
     pub manifest: ReleaseManifest,
     /// Canonical module bytes (decode with [`Module::from_wire`]).
     pub module_bytes: Vec<u8>,
-    /// Developer signature over [`ReleaseManifest::signing_bytes`].
+    /// Developer signature over [`ReleaseManifest::signing_bytes`]: its
+    /// wire bytes, checked by [`SignedRelease::verify`] — a release whose
+    /// signature bytes are no signature decodes, and is refused there as
+    /// [`ReleaseError::BadSignature`].
     pub signature: SchnorrSignature,
 }
 
@@ -87,14 +90,10 @@ impl Encode for SignedRelease {
 
 impl Decode for SignedRelease {
     fn decode(input: &mut &[u8]) -> Result<Self, DecodeError> {
-        let manifest = ReleaseManifest::decode(input)?;
-        let module_bytes = Vec::<u8>::decode(input)?;
-        let sig = <[u8; 80]>::decode(input)?;
         Ok(Self {
-            manifest,
-            module_bytes,
-            signature: SchnorrSignature::from_bytes(&sig)
-                .ok_or(DecodeError::Invalid("release signature"))?,
+            manifest: Decode::decode(input)?,
+            module_bytes: Decode::decode(input)?,
+            signature: SchnorrSignature::from_bytes(&Decode::decode(input)?),
         })
     }
 }
@@ -300,6 +299,29 @@ mod tests {
             release.verify(&dev.verifying_key()),
             Err(ReleaseError::BadSignature)
         );
+    }
+
+    /// What the decoder refused while it parsed the signature is refused
+    /// by `verify`, by name: an `R` that is no point at all (`x = 1`, and
+    /// `1 + 4` has no square root) and one in the cofactor torsion
+    /// (`x = 0`: the order-3 point `(0, 2)`).
+    #[test]
+    fn signature_bytes_that_are_no_point_of_g1_decode_and_fail_verification() {
+        let dev = dev_key();
+        let release = SignedRelease::create("counter", 1, "v1", &counter_module(1), &dev);
+        for x in [1u8, 0] {
+            let mut bytes = release.signature.to_bytes();
+            bytes[..48].fill(0);
+            (bytes[0], bytes[47]) = (0x80, x);
+            let mut spoiled = release.clone();
+            spoiled.signature = SchnorrSignature::from_bytes(&bytes);
+            let decoded = SignedRelease::from_wire(&spoiled.to_wire()).expect("decodes");
+            assert_eq!(decoded, spoiled);
+            assert_eq!(
+                decoded.verify(&dev.verifying_key()),
+                Err(ReleaseError::BadSignature)
+            );
+        }
     }
 
     #[test]

@@ -159,14 +159,22 @@ macro_rules! prime_field {
                 res
             }
 
-            /// Multiplicative inverse via Fermat's little theorem;
-            /// `None` for zero.
+            /// Multiplicative inverse; `None` for zero. The Euclidean
+            /// [`inv_mod`]($crate::limbs::inv_mod) runs on the Montgomery
+            /// representative `aR` and returns `a⁻¹R⁻¹`; one
+            /// multiplication by `R³` makes that `a⁻¹R`.
             pub fn invert(&self) -> Option<Self> {
                 if self.is_zero() {
                     return None;
                 }
-                let exp = $crate::limbs::sub_small(&Self::MODULUS, 2);
-                Some(self.pow_vartime(&exp))
+                let inverse = $crate::limbs::inv_mod(&self.0, &Self::MODULUS);
+                let r3 = $crate::limbs::mont_mul(&Self::R2, &Self::R2, &Self::MODULUS, Self::INV);
+                Some(Self($crate::limbs::mont_mul(
+                    &inverse,
+                    &r3,
+                    &Self::MODULUS,
+                    Self::INV,
+                )))
             }
 
             /// Samples a uniformly random element by wide reduction of

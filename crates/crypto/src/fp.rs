@@ -180,10 +180,27 @@ mod tests {
         }
 
         #[test]
-        fn invert_round_trip(a in arb_fp()) {
+        fn invert_round_trip(a in arb_fp(), shift in 0usize..380) {
             prop_assume!(!a.is_zero());
-            let inv = a.invert().unwrap();
-            prop_assert_eq!(a.mul(&inv), Fp::ONE);
+            // The Euclidean inverse against Fermat's, which it replaced —
+            // on `a`, and on the representatives its halvings treat
+            // specially: a power of two, its neighbours, one, `m − 1`.
+            let (mut power, mut one) = ([0u64; 6], [0u64; 6]);
+            power[shift / 64] = 1 << (shift % 64);
+            one[0] = 1;
+            let fermat = limbs::sub_small(&Fp::MODULUS, 2);
+            let raw = [
+                power,
+                limbs::sub_small(&power, 1),
+                limbs::add(&power, &one).0,
+                limbs::sub_small(&Fp::MODULUS, 1),
+            ];
+            let raw = raw.map(Fp::from_raw_unchecked).into_iter();
+            for x in raw.chain([a, a.neg()]).filter(|x| !x.is_zero()) {
+                let inv = x.invert().unwrap();
+                prop_assert_eq!(x.mul(&inv), Fp::ONE);
+                prop_assert_eq!(inv, x.pow_vartime(&fermat));
+            }
         }
 
         #[test]

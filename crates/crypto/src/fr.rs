@@ -104,9 +104,27 @@ mod tests {
         }
 
         #[test]
-        fn invert_round_trip(a in arb_fr()) {
+        fn invert_round_trip(a in arb_fr(), shift in 0usize..254) {
             prop_assume!(!a.is_zero());
-            prop_assert_eq!(a.mul(&a.invert().unwrap()), Fr::ONE);
+            // The Euclidean inverse against Fermat's, which it replaced —
+            // on `a`, and on the representatives its halvings treat
+            // specially: a power of two, its neighbours, one, `m − 1`.
+            let (mut power, mut one) = ([0u64; 4], [0u64; 4]);
+            power[shift / 64] = 1 << (shift % 64);
+            one[0] = 1;
+            let fermat = crate::limbs::sub_small(&Fr::MODULUS, 2);
+            let raw = [
+                power,
+                crate::limbs::sub_small(&power, 1),
+                crate::limbs::add(&power, &one).0,
+                crate::limbs::sub_small(&Fr::MODULUS, 1),
+            ];
+            let raw = raw.map(Fr::from_raw_unchecked).into_iter();
+            for x in raw.chain([a, a.neg()]).filter(|x| !x.is_zero()) {
+                let inv = x.invert().unwrap();
+                prop_assert_eq!(x.mul(&inv), Fr::ONE);
+                prop_assert_eq!(inv, x.pow_vartime(&fermat));
+            }
         }
 
         #[test]

@@ -9,12 +9,17 @@
 //!   [`G1Affine::from_compressed`], produced by [`hash_to_g1`], or a
 //!   multiple of the generator — goes through [`G1Projective::multi_scalar`]
 //!   ([`G1Projective::mul_scalar`] and [`G1Projective::mul_generator`] are
-//!   its one-term forms). The kernel splits every scalar along the
-//!   endomorphism `φ = [−u²]`, which acts that way **on G1 only**: handed a
-//!   curve point outside the subgroup it returns some other curve point,
-//!   not `k·P`. Membership is the caller's precondition; types that feed it
+//!   its one-term forms). The kernel adds up **table lanes**: every point
+//!   enters it as a [`G1Table`], the odd multiples of the point and of
+//!   `−φ` of it, and every scalar is split along the endomorphism
+//!   `φ = [−u²]` so that its two 128-bit halves index those two runs.
+//!   `φ` acts that way **on G1 only**: a table built on a curve point
+//!   outside the subgroup yields some other curve point, not `k·P`.
+//!   Membership is the precondition of [`G1Table::new`] and
+//!   [`G1Table::narrow`]; types that feed them
 //!   ([`crate::schnorr::VerifyingKey`]) keep their point private for that
-//!   reason.
+//!   reason. The generator is not special: its table is one instance,
+//!   built once ([`G1Table::generator`]).
 //! * **Any point of the curve** goes through the bit-by-bit
 //!   [`G1Projective::mul_limbs`] ladder, which assumes nothing: cofactor
 //!   clearing, the subgroup test itself, and the oracle the kernel is
@@ -60,14 +65,12 @@ fn beta() -> &'static Fp {
     })
 }
 
-/// Window of the NAFs over variable points, and the odd multiples of each
-/// it calls for, computed on every call.
-const VARIABLE_WINDOW: u32 = 5;
-const VARIABLE_TABLE: usize = 1 << (VARIABLE_WINDOW - 2);
-/// Window of the NAFs over the generator, whose odd multiples are computed
-/// once.
-const GENERATOR_WINDOW: u32 = 8;
-const GENERATOR_TABLE: usize = 1 << (GENERATOR_WINDOW - 2);
+/// Window of a [`G1Table::narrow`] table's NAFs: eight odd multiples,
+/// cheap enough to build for a single sum.
+const NARROW_WINDOW: u32 = 5;
+/// Window of a [`G1Table::new`] table's NAFs: 64 odd multiples in affine
+/// form, for a point that many sums share.
+const WIDE_WINDOW: u32 = 8;
 
 /// `(k₁, k₂)` with `k = k₁ + k₂·u²` and both halves below `u² < 2¹²⁸`, so
 /// that `k·P = k₁·P + k₂·(−φ(P))` for `P ∈ G1`. `r = u⁴ − u² + 1 < u⁴`
@@ -123,34 +126,86 @@ impl Naf {
     }
 }
 
-/// Appends `P, 3P, …, (2n − 1)·P` to `table`: a digit `d` of a NAF finds
-/// `|d|·P` at offset `|d| / 2`. Tables live on the heap, here and in the
-/// kernel: every thread of a domain signs or verifies sooner or later, and
-/// a few kilobytes of arrays in these frames are resident stack pages in
-/// each of them for good.
-fn push_odd_multiples(table: &mut Vec<G1Projective>, p: &G1Projective, n: usize) {
-    let twice = p.double();
-    let mut multiple = *p;
-    table.push(multiple);
-    for _ in 1..n {
-        multiple = multiple.add(&twice);
-        table.push(multiple);
-    }
+/// One point's lanes of the kernel: its odd multiples `P, 3P, …` up to the
+/// window, then the same multiples of `−φ(P)`, so that a NAF digit `d` of
+/// either half of a split scalar finds its term at offset `|d| / 2` of its
+/// run. Tables live on the heap: every thread of a domain signs or
+/// verifies sooner or later, and kilobytes of arrays in the kernel's frame
+/// would be resident stack pages in each of them for good.
+pub struct G1Table(Multiples);
+
+enum Multiples {
+    /// Width [`WIDE_WINDOW`], affine (≈ 13 KB): mixed additions, at the
+    /// price of one inversion to build.
+    Wide(Vec<G1Affine>),
+    /// Width [`NARROW_WINDOW`], as the additions left them.
+    Narrow(Vec<G1Projective>),
 }
 
-/// The odd multiples of the generator up to `127·G`, then those of `−φ(G)`,
-/// in affine form (≈ 13 KB, built on first use).
-fn generator_tables() -> &'static [G1Affine] {
-    static TABLES: OnceLock<Vec<G1Affine>> = OnceLock::new();
-    TABLES.get_or_init(|| {
-        let mut jacobian = Vec::with_capacity(GENERATOR_TABLE);
-        push_odd_multiples(&mut jacobian, &G1Projective::generator(), GENERATOR_TABLE);
-        let mut table: Vec<G1Affine> = jacobian.iter().map(G1Projective::to_affine).collect();
-        for i in 0..GENERATOR_TABLE {
+/// `P, 3P, …, (2n − 1)·P`, with room for the `−φ` run behind them.
+fn odd_multiples(p: &G1Projective, n: usize) -> Vec<G1Projective> {
+    let twice = p.double();
+    let mut table = Vec::with_capacity(2 * n);
+    table.push(*p);
+    for i in 1..n {
+        table.push(table[i - 1].add(&twice));
+    }
+    table
+}
+
+impl G1Table {
+    /// The wide table of `p` **in G1** (see the module header): ≈ 90 µs to
+    /// build, against ≈ 22 µs saved on each sum that uses it in place of a
+    /// narrow one.
+    pub fn new(p: &G1Projective) -> Self {
+        let n = 1 << (WIDE_WINDOW - 2);
+        let mut table = G1Projective::batch_to_affine(&odd_multiples(p, n));
+        for i in 0..n {
             table.push(table[i].endomorphism(beta()).neg());
         }
-        table
-    })
+        Self(Multiples::Wide(table))
+    }
+
+    /// The narrow table of `p` **in G1**: eight additions, no inversion —
+    /// what a point multiplied once or a few times gets.
+    pub fn narrow(p: &G1Projective) -> Self {
+        let n = 1 << (NARROW_WINDOW - 2);
+        let mut table = odd_multiples(p, n);
+        for i in 0..n {
+            let minus_phi = G1Projective {
+                x: table[i].x.mul(beta()),
+                y: table[i].y.neg(),
+                z: table[i].z,
+            };
+            table.push(minus_phi);
+        }
+        Self(Multiples::Narrow(table))
+    }
+
+    /// The generator's wide table, built on first use.
+    pub fn generator() -> &'static Self {
+        static TABLE: OnceLock<G1Table> = OnceLock::new();
+        TABLE.get_or_init(|| Self::new(&G1Projective::generator()))
+    }
+
+    fn window(&self) -> u32 {
+        match self.0 {
+            Multiples::Wide(_) => WIDE_WINDOW,
+            Multiples::Narrow(_) => NARROW_WINDOW,
+        }
+    }
+
+    /// `acc ± ` the entry at `at` of run `half` (0 the point's own
+    /// multiples, 1 those of `−φ` of it).
+    fn add_to(&self, acc: &G1Projective, half: usize, at: usize, negative: bool) -> G1Projective {
+        let at = (half << (self.window() - 2)) + at;
+        match &self.0 {
+            Multiples::Wide(table) if negative => acc.add_affine(&table[at].neg()),
+            Multiples::Wide(table) => acc.add_affine(&table[at]),
+            Multiples::Narrow(table) if negative => acc.add(&table[at].neg()),
+            Multiples::Narrow(table) => acc.add(&table[at]),
+        }
+    }
 }
 
 /// Affine G1 point (or the point at infinity).
@@ -490,72 +545,76 @@ impl G1Projective {
         }
     }
 
-    /// `generator·G + Σ kᵢ·Pᵢ` for points `Pᵢ` **of G1** (see the module
-    /// header: outside the subgroup the result is not the sum), in one run
-    /// of at most 128 doublings whatever the number of terms.
+    /// `Σ kᵢ·Pᵢ` over tabled points `Pᵢ` (of G1, by the tables'
+    /// precondition), in one run of at most 128 doublings whatever the
+    /// number of terms.
     ///
     /// Each scalar is split as `k = k₁ + k₂·u²` and `k₂·u²·P` taken as
-    /// `k₂·(−φ(P))`, `φ(x, y) = (βx, y)` costing one multiplication per
-    /// table entry; all the 128-bit halves are recoded as NAFs — width 5
-    /// over eight odd multiples of each `Pᵢ`, width 8 over a static table
-    /// of the generator's — and consumed together, most significant digit
-    /// first. Variable time.
-    pub fn multi_scalar(generator: Option<&Fr>, terms: &[(Self, Fr)]) -> Self {
-        // One lane per half scalar: its digits, and the table they index.
-        let mut nafs = Vec::with_capacity(2 * terms.len());
-        let mut tables = Vec::with_capacity(2 * terms.len() * VARIABLE_TABLE);
-        for (p, k) in terms {
-            let (k1, k2) = split_scalar(k);
-            nafs.push(Naf::new(k1, VARIABLE_WINDOW));
-            nafs.push(Naf::new(k2, VARIABLE_WINDOW));
-            let direct = tables.len();
-            push_odd_multiples(&mut tables, p, VARIABLE_TABLE);
-            for i in direct..direct + VARIABLE_TABLE {
-                let minus_phi = Self {
-                    x: tables[i].x.mul(beta()),
-                    y: tables[i].y.neg(),
-                    z: tables[i].z,
-                };
-                tables.push(minus_phi);
-            }
-        }
-        let fixed = generator.map(|k| {
-            let (k1, k2) = split_scalar(k);
-            [k1, k2].map(|half| Naf::new(half, GENERATOR_WINDOW))
-        });
-        let fixed_lanes = || {
-            let nafs = fixed.iter().flatten();
-            nafs.zip(generator_tables().chunks_exact(GENERATOR_TABLE))
-        };
-        let len = nafs.iter().chain(fixed.iter().flatten()).map(|naf| naf.len);
+    /// `k₂·(−φ(P))`, the second run of `P`'s table; all the 128-bit halves
+    /// are recoded as NAFs of their table's width and consumed together,
+    /// most significant digit first. Variable time.
+    pub fn multi_scalar(lanes: &[(&G1Table, Fr)]) -> Self {
+        let nafs: Vec<[Naf; 2]> = lanes
+            .iter()
+            .map(|(table, k)| {
+                let (k1, k2) = split_scalar(k);
+                [k1, k2].map(|half| Naf::new(half, table.window()))
+            })
+            .collect();
+        let len = nafs.iter().flatten().map(|naf| naf.len).max().unwrap_or(0);
         let mut acc = Self::identity();
-        for i in (0..len.max().unwrap_or(0)).rev() {
+        for i in (0..len).rev() {
             acc = acc.double();
-            for (naf, table) in nafs.iter().zip(tables.chunks_exact(VARIABLE_TABLE)) {
-                if let Some((at, negative)) = naf.digit(i) {
-                    let entry = if negative { table[at].neg() } else { table[at] };
-                    acc = acc.add(&entry);
-                }
-            }
-            for (naf, table) in fixed_lanes() {
-                if let Some((at, negative)) = naf.digit(i) {
-                    let entry = if negative { table[at].neg() } else { table[at] };
-                    acc = acc.add_affine(&entry);
+            for ((table, _), halves) in lanes.iter().zip(&nafs) {
+                for (half, naf) in halves.iter().enumerate() {
+                    if let Some((at, negative)) = naf.digit(i) {
+                        acc = table.add_to(&acc, half, at, negative);
+                    }
                 }
             }
         }
         acc
     }
 
-    /// `k·P` for `P` **in G1**: [`Self::multi_scalar`] on one term.
+    /// `k·P` for `P` **in G1**: [`Self::multi_scalar`] on one narrow table.
     pub fn mul_scalar(&self, k: &Fr) -> Self {
-        Self::multi_scalar(None, &[(*self, *k)])
+        Self::multi_scalar(&[(&G1Table::narrow(self), *k)])
     }
 
-    /// `k·G` for the generator: [`Self::multi_scalar`] on the static table
-    /// alone.
+    /// `k·G` for the generator: [`Self::multi_scalar`] on its static table.
     pub fn mul_generator(k: &Fr) -> Self {
-        Self::multi_scalar(Some(k), &[])
+        Self::multi_scalar(&[(G1Table::generator(), *k)])
+    }
+
+    /// Affine forms of `points` for one field inversion between them
+    /// (Montgomery's trick: invert the product of the `z`s, peel one
+    /// factor off per point) where [`Self::to_affine`] pays one each.
+    pub fn batch_to_affine(points: &[Self]) -> Vec<G1Affine> {
+        // before[i]: the product of the non-zero `z`s ahead of point i.
+        let mut before = Vec::with_capacity(points.len());
+        let mut product = Fp::ONE;
+        for p in points {
+            before.push(product);
+            if !p.is_identity() {
+                product = product.mul(&p.z);
+            }
+        }
+        let mut inverse = product.invert().expect("a product of non-zero z");
+        let mut affine = vec![G1Affine::identity(); points.len()];
+        for (i, p) in points.iter().enumerate().rev() {
+            if p.is_identity() {
+                continue;
+            }
+            let z_inv = inverse.mul(&before[i]);
+            inverse = inverse.mul(&p.z);
+            let z_inv2 = z_inv.square();
+            affine[i] = G1Affine {
+                x: p.x.mul(&z_inv2),
+                y: p.y.mul(&z_inv2.mul(&z_inv)),
+                infinity: false,
+            };
+        }
+        affine
     }
 
     /// Scalar multiplication of **any curve point** by a little-endian
@@ -922,18 +981,29 @@ mod tests {
         let lambda = Fr::ZERO.sub(&fr_from_u128(U_SQUARED));
         assert!(lambda.square().add(&lambda).add(&Fr::ONE).is_zero());
         let g = G1Projective::generator();
-        let (direct, minus_phi) = generator_tables().split_at(GENERATOR_TABLE);
-        assert_eq!((direct.len(), minus_phi.len()), (64, 64));
-        for (i, (p, q)) in direct.iter().zip(minus_phi).enumerate() {
-            let odd = [2 * i as u64 + 1];
-            assert_eq!(G1Projective::from(*p), g.mul_limbs(&odd));
-            assert!(q.is_on_curve());
-            assert_eq!(
-                G1Projective::from(*q),
-                g.mul_limbs(&odd)
-                    .mul_limbs(&lambda.to_canonical_limbs())
-                    .neg()
-            );
+        let p = hash_to_g1(b"a tabled point", b"g1 tests");
+        let tables = [
+            (G1Table::generator(), g),
+            (&G1Table::new(&p), p),
+            (&G1Table::narrow(&p), p),
+        ];
+        for (table, point) in tables {
+            let entries: Vec<G1Projective> = match &table.0 {
+                Multiples::Wide(t) => t.iter().map(|q| G1Projective::from(*q)).collect(),
+                Multiples::Narrow(t) => t.clone(),
+            };
+            let (direct, minus_phi) = entries.split_at(entries.len() / 2);
+            assert_eq!(direct.len(), 1 << (table.window() - 2));
+            assert_eq!(direct.len(), minus_phi.len());
+            for (i, (p, q)) in direct.iter().zip(minus_phi).enumerate() {
+                let odd = [2 * i as u64 + 1];
+                assert_eq!(*p, point.mul_limbs(&odd));
+                assert!(q.to_affine().is_on_curve());
+                let expected = point
+                    .mul_limbs(&odd)
+                    .mul_limbs(&lambda.to_canonical_limbs());
+                assert_eq!(*q, expected.neg());
+            }
         }
     }
 
@@ -1020,14 +1090,42 @@ mod tests {
             for (p, k) in points.iter().zip(&scalars) {
                 expected = expected.add(&p.mul_limbs(&k.to_canonical_limbs()));
             }
-            let pairs: Vec<(G1Projective, Fr)> = points.into_iter().zip(scalars).collect();
-            let got = G1Projective::multi_scalar(with_generator.then_some(&generator), &pairs);
-            prop_assert_eq!(got, expected);
-            prop_assert_eq!(pairs[0].0.mul_scalar(&pairs[0].1), pairs[0].0.mul_limbs(&pairs[0].1.to_canonical_limbs()));
+            // Every point on a narrow table, and on a wide one: the same sum.
+            let first = (points[0], scalars[0]);
+            for build in [G1Table::narrow, G1Table::new] {
+                let tables: Vec<G1Table> = points.iter().map(build).collect();
+                let mut lanes: Vec<(&G1Table, Fr)> = tables.iter().zip(scalars.iter().copied()).collect();
+                if with_generator {
+                    lanes.push((G1Table::generator(), generator));
+                }
+                prop_assert_eq!(G1Projective::multi_scalar(&lanes), expected);
+            }
+            prop_assert_eq!(first.0.mul_scalar(&first.1), first.0.mul_limbs(&first.1.to_canonical_limbs()));
             prop_assert_eq!(
                 G1Projective::mul_generator(&generator),
                 G1Projective::generator().mul_limbs(&generator.to_canonical_limbs())
             );
+        }
+
+        /// One shared inversion gives what one inversion each gives, with
+        /// identities anywhere in the batch (and nothing but identities,
+        /// and nothing at all).
+        #[test]
+        fn batch_to_affine_agrees_with_to_affine(
+            seed in any::<[u8; 32]>(),
+            len in 0usize..12,
+            identities in any::<u16>(),
+        ) {
+            let mut rng = HmacDrbg::new(b"g1 batch affine", &seed);
+            let points: Vec<G1Projective> = (0..len)
+                .map(|i| match identities >> i & 1 {
+                    1 => G1Projective::identity(),
+                    // Off the z = 1 chart, as sums come out of the kernel.
+                    _ => G1Projective::random(&mut rng).double(),
+                })
+                .collect();
+            let expected: Vec<G1Affine> = points.iter().map(G1Projective::to_affine).collect();
+            prop_assert_eq!(G1Projective::batch_to_affine(&points), expected);
         }
 
         /// `[h]P` and `[1 − u]P` both land in G1 and vanish together, on
@@ -1096,11 +1194,14 @@ mod tests {
             .is_identity());
         let g = G1Projective::generator();
         let one = Fr::ONE;
+        let fixed = (G1Table::generator(), one);
         assert_eq!(
-            G1Projective::multi_scalar(Some(&one), &[(g, one)]),
+            G1Projective::multi_scalar(&[fixed, (&G1Table::narrow(&g), one)]),
             g.double()
         );
-        assert!(G1Projective::multi_scalar(Some(&one), &[(g.neg(), one)]).is_identity());
-        assert!(G1Projective::multi_scalar(None, &[]).is_identity());
+        assert!(
+            G1Projective::multi_scalar(&[fixed, (&G1Table::narrow(&g.neg()), one)]).is_identity()
+        );
+        assert!(G1Projective::multi_scalar(&[]).is_identity());
     }
 }

@@ -178,6 +178,48 @@ pub fn sub_small<const N: usize>(a: &[u64; N], c: u64) -> [u64; N] {
     out
 }
 
+/// `a⁻¹ mod m` for an odd prime `m` and `0 < a < m`, by the binary
+/// extended Euclidean algorithm: at most two halvings per bit of `m`, each
+/// a shift and sometimes an addition, where raising to `m − 2` costs a
+/// multiplication or two per bit. Variable time, like the rest of this
+/// file.
+pub fn inv_mod<const N: usize>(a: &[u64; N], m: &[u64; N]) -> [u64; N] {
+    // Halves `t` (even), and `x` with it modulo `m`.
+    let halve = |t: &mut [u64; N], x: &mut [u64; N]| {
+        let mut carry = 0;
+        if x[0] & 1 == 1 {
+            (*x, carry) = add(x, m);
+        }
+        for (limbs, mut carry) in [(t, 0), (x, carry)] {
+            for limb in limbs.iter_mut().rev() {
+                (*limb, carry) = (*limb >> 1 | carry << 63, *limb & 1);
+            }
+        }
+    };
+    // Kept throughout: `x1·a ≡ u` and `x2·a ≡ v` modulo `m`.
+    let (mut u, mut v, mut x1, mut x2) = (*a, *m, [0u64; N], [0u64; N]);
+    x1[0] = 1;
+    let one = x1;
+    while u != one && v != one {
+        while u[0] & 1 == 0 {
+            halve(&mut u, &mut x1);
+        }
+        while v[0] & 1 == 0 {
+            halve(&mut v, &mut x2);
+        }
+        if lt(&u, &v) {
+            (v, x2) = (sub(&v, &u).0, sub_mod(&x2, &x1, m));
+        } else {
+            (u, x1) = (sub(&u, &v).0, sub_mod(&x1, &x2, m));
+        }
+    }
+    if u == one {
+        x1
+    } else {
+        x2
+    }
+}
+
 /// Interprets 8-byte chunks of a big-endian byte slice as little-endian limbs.
 ///
 /// `bytes.len()` must equal `8 * N`.

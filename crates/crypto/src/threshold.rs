@@ -14,7 +14,7 @@
 
 use crate::bls::{PublicKey, Signature, MSG_DST};
 use crate::fr::Fr;
-use crate::g1::{hash_to_g1, G1Affine, G1Projective};
+use crate::g1::{hash_to_g1, G1Affine, G1Projective, G1Table};
 use crate::g2::{G2Affine, G2Projective};
 
 /// Errors from threshold operations.
@@ -241,14 +241,16 @@ pub fn aggregate(t: usize, partials: &[PartialSignature]) -> Result<Signature, T
         seen[p.index as usize] = true;
     }
     let indices: Vec<u8> = selected.iter().map(|p| p.index).collect();
-    let terms: Vec<(G1Projective, Fr)> = selected
+    let tables: Vec<G1Table> = selected
+        .iter()
+        .map(|p| G1Table::narrow(&p.value.0.into()))
+        .collect();
+    let lanes: Vec<(&G1Table, Fr)> = tables
         .iter()
         .enumerate()
-        .map(|(i, p)| (p.value.0.into(), lagrange_at_zero(&indices, i)))
+        .map(|(i, table)| (table, lagrange_at_zero(&indices, i)))
         .collect();
-    Ok(Signature(
-        G1Projective::multi_scalar(None, &terms).to_affine(),
-    ))
+    Ok(Signature(G1Projective::multi_scalar(&lanes).to_affine()))
 }
 
 /// Client-side combination of partial signatures over one message into a

@@ -241,6 +241,31 @@ mod tests {
         assert!(framed.items().is_empty() && !framed.convicts(1));
     }
 
+    /// A bundle whose signature bytes are no point of G1 — `x = 1` is on
+    /// no point of the curve, `x = 0` is the order-3 point `(0, 2)` of the
+    /// cofactor torsion — decodes like any other, fails `verify`, and is
+    /// dropped by the pool: checked, never held, convicting nobody.
+    #[test]
+    fn signature_bytes_that_are_no_point_of_g1_decode_and_are_dropped() {
+        let sk = SigningKey::derive(b"evidence", b"equivocator");
+        let vk = sk.verifying_key();
+        let mut pool = EvidencePool::new();
+        for x in [1u8, 0] {
+            let mut bundle = EvidenceBundle {
+                domain: 1,
+                proof: conflicting_proof(&sk),
+            };
+            bundle.proof.b.signature[..48].fill(0);
+            (bundle.proof.b.signature[0], bundle.proof.b.signature[47]) = (0x80, x);
+            let decoded = EvidenceBundle::from_wire(&bundle.to_wire()).expect("decodes");
+            assert_eq!(decoded, bundle);
+            assert!(!decoded.verify(&vk));
+            assert!(!pool.insert_verifying(&decoded, &vk));
+        }
+        assert_eq!(pool.verifications(), 2);
+        assert!(pool.items().is_empty() && !pool.convicts(1));
+    }
+
     #[test]
     fn pool_dedups_and_caps() {
         let sk = SigningKey::derive(b"evidence", b"equivocator");

@@ -13,7 +13,7 @@
 //!   or that are bound from a `decode`/`from_wire` of one;
 //! * **verified** — a `verify*` call, or one of the auditor entry points
 //!   (`observe`, `observe_bundle`, `precheck_checkpoint_batch`,
-//!   `ingest_gossip`), with the variable as
+//!   `ingest_gossip`, `ingest_gossip_heads`), with the variable as
 //!   receiver or argument, marks it verified from that token on;
 //! * **sink** — a state-changing call (`append`, `insert`, `push`,
 //!   `adopt`, `install`, `extend`, `record`, `apply`) whose receiver
@@ -34,11 +34,12 @@ use std::collections::BTreeMap;
 pub const PASS: &str = "trust-boundary";
 
 /// Auditor entry points that constitute verification of their argument.
-const VERIFIER_FNS: [&str; 4] = [
+const VERIFIER_FNS: [&str; 5] = [
     "observe",
     "observe_bundle",
     "precheck_checkpoint_batch",
     "ingest_gossip",
+    "ingest_gossip_heads",
 ];
 
 /// State-changing calls.

@@ -24,7 +24,7 @@
 //! Anything else (same body under other signature bytes included) is
 //! unknown and verified in full.
 
-use crate::batch::{CheckpointBundle, VerifiedPrefixCache};
+use crate::batch::{CheckpointBundle, VerifiedPrefixCache, MAX_BUNDLE_CHECKPOINTS};
 use crate::checkpoint::{EquivocationProof, SignedCheckpoint};
 use crate::merkle::ConsistencyProof;
 use distrust_crypto::schnorr::VerifyingKey;
@@ -197,19 +197,28 @@ impl DomainState {
         cps: &[SignedCheckpoint],
     ) -> Option<Misbehavior> {
         // 1. Signatures, skipping checkpoints byte-identical to ones this
-        //    auditor already verified (the common steady-state case).
-        for cp in cps {
-            if self.already_verified(cp) {
+        //    auditor already verified (the common steady-state case); the
+        //    rest in one call under the domain's key, counted up to the
+        //    first that fails.
+        let known: Vec<bool> = cps.iter().map(|cp| self.already_verified(cp)).collect();
+        let unknown: Vec<&SignedCheckpoint> = cps
+            .iter()
+            .zip(&known)
+            .filter_map(|(cp, known)| (!known).then_some(cp))
+            .collect();
+        let mut until_bad = SignedCheckpoint::verify_all(&unknown, &self.key).err();
+        for (cp, known) in cps.iter().zip(known) {
+            if known {
                 self.cache.note_skipped();
-                continue;
-            }
-            if !cp.verify(&self.key) {
+            } else if until_bad == Some(0) {
                 return Some(Misbehavior::BadSignature {
                     domain,
                     checkpoint: cp.clone(),
                 });
+            } else {
+                self.cache.note_signature();
+                until_bad = until_bad.map(|n| n - 1);
             }
-            self.cache.note_signature();
         }
         // 2. Equivocation inside the batch.
         for (i, a) in cps.iter().enumerate() {
@@ -269,6 +278,29 @@ impl DomainState {
             }
         }
         None
+    }
+
+    /// What a relayed head that verified can still say: the equivocation
+    /// proof when this auditor holds another head for its size, otherwise
+    /// nothing — it is remembered, to be compared against from now on.
+    fn keep_relayed(&mut self, domain: u32, checkpoint: &SignedCheckpoint) -> AuditOutcome {
+        match self.seen.get(&checkpoint.body.size) {
+            Some(prior)
+                if prior.body.head != checkpoint.body.head
+                    && prior.body.log_id == checkpoint.body.log_id =>
+            {
+                let proof = EquivocationProof {
+                    a: prior.clone(),
+                    b: checkpoint.clone(),
+                };
+                AuditOutcome::Misbehavior(Box::new(Misbehavior::Equivocation { domain, proof }))
+            }
+            Some(_) => AuditOutcome::Consistent,
+            None => {
+                self.seen.insert(checkpoint.body.size, checkpoint.clone());
+                AuditOutcome::Consistent
+            }
+        }
     }
 }
 
@@ -432,6 +464,14 @@ impl Auditor {
                 reason: "bundle carries no checkpoints".into(),
             });
         }
+        // Before any of them costs a verification: decoding refuses such a
+        // bundle, this is the same refusal for one built in process.
+        if cps.len() > MAX_BUNDLE_CHECKPOINTS {
+            return misb(Misbehavior::MalformedBundle {
+                domain,
+                reason: format!("more than {MAX_BUNDLE_CHECKPOINTS} checkpoints"),
+            });
+        }
         // 1–5. The checkpoint-level prechecks: signatures (with the
         //      byte-identical skip), equivocation inside the bundle and
         //      against history, ascending sizes, and rollback below the
@@ -517,40 +557,58 @@ impl Auditor {
     /// have made it up — so `BadSignature` here names the head, and
     /// callers relaying for strangers drop it as noise.
     pub fn ingest_gossip(&mut self, domain: u32, checkpoint: SignedCheckpoint) -> AuditOutcome {
-        let Some(state) = self.domains.get_mut(domain as usize) else {
-            return AuditOutcome::Misbehavior(Box::new(Misbehavior::BadSignature {
-                domain,
-                checkpoint,
-            }));
-        };
-        if state.already_verified(&checkpoint) {
-            state.relayed_skipped += 1;
-            return AuditOutcome::Consistent;
-        }
-        state.relayed_verified += 1;
-        if !checkpoint.verify(&state.key) {
-            return AuditOutcome::Misbehavior(Box::new(Misbehavior::BadSignature {
-                domain,
-                checkpoint,
-            }));
-        }
-        if let Some(prior) = state.seen.get(&checkpoint.body.size) {
-            if prior.body.head != checkpoint.body.head
-                && prior.body.log_id == checkpoint.body.log_id
-            {
-                let proof = EquivocationProof {
-                    a: prior.clone(),
-                    b: checkpoint,
-                };
-                return AuditOutcome::Misbehavior(Box::new(Misbehavior::Equivocation {
-                    domain,
-                    proof,
-                }));
+        let mut outcomes = self.ingest_gossip_heads(&[(domain, &checkpoint)]);
+        outcomes.pop().expect("one outcome per head")
+    }
+
+    /// [`Self::ingest_gossip`] for every head of an envelope at once, one
+    /// outcome per head in the order given and the same outcome, state and
+    /// counters as ingesting them one by one — but the heads of one domain
+    /// this auditor has not verified before go through one
+    /// [`SignedCheckpoint::verify_all`] under that domain's key. A board
+    /// poisoned with forged heads gets no discount: from the first head
+    /// that fails, the rest of that domain's are checked one at a time.
+    pub fn ingest_gossip_heads(&mut self, heads: &[(u32, &SignedCheckpoint)]) -> Vec<AuditOutcome> {
+        // Per head: `None` when known byte for byte, else whether it
+        // verifies. An unknown domain index has no key to verify under.
+        let mut verified: Vec<Option<bool>> = heads.iter().map(|_| Some(false)).collect();
+        for (domain, state) in self.domains.iter_mut().enumerate() {
+            let mut unknown: Vec<(&SignedCheckpoint, &mut Option<bool>)> = Vec::new();
+            for (&(of, checkpoint), verdict) in heads.iter().zip(&mut verified) {
+                if of as usize != domain {
+                    continue;
+                }
+                if state.already_verified(checkpoint) {
+                    state.relayed_skipped += 1;
+                    *verdict = None;
+                } else {
+                    state.relayed_verified += 1;
+                    unknown.push((checkpoint, verdict));
+                }
             }
-        } else {
-            state.seen.insert(checkpoint.body.size, checkpoint);
+            let cps: Vec<&SignedCheckpoint> = unknown.iter().map(|(cp, _)| *cp).collect();
+            let first_bad = SignedCheckpoint::verify_all(&cps, &state.key).err();
+            for (i, (checkpoint, verdict)) in unknown.into_iter().enumerate() {
+                *verdict = Some(match first_bad {
+                    Some(bad) if i == bad => false,
+                    Some(bad) if i > bad => checkpoint.verify(&state.key),
+                    _ => true,
+                });
+            }
         }
-        AuditOutcome::Consistent
+        let judged = heads.iter().zip(verified);
+        judged
+            .map(|(&(domain, checkpoint), verified)| {
+                match (verified, self.domains.get_mut(domain as usize)) {
+                    (None, _) => AuditOutcome::Consistent,
+                    (Some(true), Some(state)) => state.keep_relayed(domain, checkpoint),
+                    _ => AuditOutcome::Misbehavior(Box::new(Misbehavior::BadSignature {
+                        domain,
+                        checkpoint: checkpoint.clone(),
+                    })),
+                }
+            })
+            .collect()
     }
 
     /// Signature checks performed on relayed heads
@@ -812,6 +870,48 @@ mod tests {
         }
     }
 
+    /// What a decoder would have refused is refused by `verify`, by name:
+    /// a checkpoint whose signature's `R` is no point at all (`x = 1`, and
+    /// `1 + 4` has no square root) or lies in the cofactor torsion
+    /// (`x = 0`: the order-3 point `(0, 2)`) decodes, fails verification,
+    /// and is this domain's `BadSignature` on every path that takes one.
+    #[test]
+    fn signature_bytes_that_are_no_point_of_g1_decode_and_are_a_bad_signature() {
+        use crate::batch::{CheckpointBundle, ProofBundle};
+        use distrust_crypto::fp::Fp;
+        use distrust_wire::codec::{Decode, Encode};
+        assert!(Fp::from_u64(1 + 4).sqrt().is_none());
+        let mut d = Domain::new(0);
+        d.log.append(b"v1");
+        let genuine = d.checkpoint();
+        for x in [1u8, 0] {
+            let mut spoiled = genuine.clone();
+            spoiled.signature[..48].fill(0);
+            (spoiled.signature[0], spoiled.signature[47]) = (0x80, x);
+            let decoded = SignedCheckpoint::from_wire(&spoiled.to_wire()).expect("decodes");
+            assert_eq!(decoded, spoiled);
+            assert!(!decoded.verify(&d.sk.verifying_key()));
+            let bundle = CheckpointBundle {
+                checkpoints: vec![decoded.clone()],
+                proof: ProofBundle::default(),
+            };
+            let mut auditor = auditor_for(std::slice::from_ref(&d));
+            for outcome in [
+                auditor.observe(0, decoded.clone(), None),
+                auditor.observe_bundle(0, &bundle),
+                auditor.ingest_gossip(0, decoded),
+            ] {
+                match outcome {
+                    AuditOutcome::Misbehavior(m) => {
+                        assert!(matches!(*m, Misbehavior::BadSignature { domain: 0, .. }))
+                    }
+                    other => panic!("expected a bad signature, got {other:?}"),
+                }
+            }
+            assert!(auditor.latest(0).is_none());
+        }
+    }
+
     #[test]
     fn cross_domain_divergence_detected() {
         let mut d0 = Domain::new(0);
@@ -983,6 +1083,43 @@ mod tests {
             )),
             other => panic!("expected rollback, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn a_bundle_past_the_limit_is_refused_before_any_signature_is_checked() {
+        use crate::batch::{CheckpointBundle, ProofBundle};
+        use distrust_wire::codec::{Decode, DecodeError, Encode};
+        // Correctly signed under the domain's own key, ascending: nothing
+        // wrong with it but its length — which is the attack, each entry
+        // being a verification the client would otherwise owe.
+        let mut d = Domain::new(0);
+        let mut auditor = auditor_for(std::slice::from_ref(&d));
+        let checkpoints: Vec<SignedCheckpoint> = (0..=MAX_BUNDLE_CHECKPOINTS)
+            .map(|_| {
+                d.log.append(b"release");
+                d.checkpoint()
+            })
+            .collect();
+        let mut bundle = CheckpointBundle {
+            checkpoints,
+            proof: ProofBundle::default(),
+        };
+        match auditor.observe_bundle(0, &bundle) {
+            AuditOutcome::Misbehavior(m) => {
+                assert!(matches!(*m, Misbehavior::MalformedBundle { domain: 0, .. }))
+            }
+            other => panic!("expected a malformed bundle, got {other:?}"),
+        }
+        let cache = auditor.prefix_cache(0).unwrap();
+        assert_eq!((cache.signatures_verified(), cache.skipped()), (0, 0));
+        assert!(auditor.latest(0).is_none());
+        assert_eq!(
+            CheckpointBundle::from_wire(&bundle.to_wire()),
+            Err(DecodeError::Invalid("checkpoint bundle length"))
+        );
+        // One fewer is a bundle like any other, on both paths.
+        bundle.checkpoints.pop();
+        assert_eq!(CheckpointBundle::from_wire(&bundle.to_wire()), Ok(bundle));
     }
 
     #[test]
@@ -1179,10 +1316,13 @@ mod tests {
             /// forged, bit-flipped and equivocating checkpoints, an
             /// auditor that recognises what it has verified answers every
             /// call exactly as one that verifies everything, and ends
-            /// holding exactly the same checkpoints.
+            /// holding exactly the same checkpoints. So is the batch: a
+            /// whole envelope's heads through one `ingest_gossip_heads`
+            /// (one `verify_all` per domain, a stranger's domain index
+            /// among them) against the reference taking them one by one.
             #[test]
             fn skipping_known_checkpoints_changes_no_outcome(
-                ops in proptest::collection::vec((0u8..4, any::<u8>(), any::<u8>(), any::<u16>()), 1..24),
+                ops in proptest::collection::vec((0u8..5, any::<u8>(), any::<u8>(), any::<u16>()), 1..24),
             ) {
                 let mut chain = Chain::new(1);
                 let keys = vec![chain.domain.sk.verifying_key()];
@@ -1193,9 +1333,30 @@ mod tests {
                 for (op, pick, kind, bit) in ops {
                     let picked = chain.epochs[pick as usize % chain.epochs.len()].clone();
                     let verified = skipping.latest(0).map_or(0, |cp| cp.body.size);
+                    // Up to nine heads, either side of the key-table
+                    // threshold, every third claimed for a domain nobody
+                    // pinned a key for.
+                    let envelope: Vec<(u32, SignedCheckpoint)> = (0..=pick % 9)
+                        .map(|j| {
+                            let at = (pick as usize + j as usize) % chain.epochs.len();
+                            let cp = chain.variant(&chain.epochs[at], kind.wrapping_add(j), bit);
+                            (if (kind ^ j) % 3 == 0 { 7 } else { 0 }, cp)
+                        })
+                        .collect();
                     let outcomes: Vec<String> = [&mut skipping, &mut reference]
                         .into_iter()
-                        .map(|auditor| match op {
+                        .enumerate()
+                        .map(|(one_by_one, auditor)| match op {
+                            4 if one_by_one == 0 => {
+                                let heads: Vec<_> = envelope.iter().map(|(d, cp)| (*d, cp)).collect();
+                                format!("{:?}", auditor.ingest_gossip_heads(&heads))
+                            }
+                            4 => {
+                                let heads = envelope.iter().cloned();
+                                let outcomes: Vec<_> =
+                                    heads.map(|(d, cp)| auditor.ingest_gossip(d, cp)).collect();
+                                format!("{outcomes:?}")
+                            }
                             0 => {
                                 let mut bundle = chain.bundle_for(verified);
                                 let last = bundle.checkpoints.pop().expect("non-empty");

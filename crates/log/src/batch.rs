@@ -155,10 +155,20 @@ impl ProofBundle {
     }
 }
 
+/// Upper bound on checkpoints per [`CheckpointBundle`]: what a domain
+/// building one stops at (a client further behind gets one direct
+/// consistency step from its verified size to the earliest checkpoint
+/// included), and what a client refuses to look past — each checkpoint is
+/// a signature verification, and the auditor compares them pairwise, so a
+/// frame's worth of correctly signed checkpoints would hold an audit for
+/// as long as its sender liked.
+pub const MAX_BUNDLE_CHECKPOINTS: usize = 64;
+
 /// The wire-facing audit object: signed checkpoints for a range of
-/// epochs (strictly ascending sizes, last entry freshest) plus the proof
-/// bundle linking them — and, when the verifier reported a non-zero
-/// verified prefix, linking that prefix to the first checkpoint.
+/// epochs (strictly ascending sizes, last entry freshest, at most
+/// [`MAX_BUNDLE_CHECKPOINTS`]) plus the proof bundle linking them — and,
+/// when the verifier reported a non-zero verified prefix, linking that
+/// prefix to the first checkpoint.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CheckpointBundle {
     /// Signed checkpoints in ascending size order.
@@ -176,8 +186,12 @@ impl Encode for CheckpointBundle {
 
 impl Decode for CheckpointBundle {
     fn decode(input: &mut &[u8]) -> Result<Self, DecodeError> {
+        let checkpoints: Vec<SignedCheckpoint> = decode_seq(input)?;
+        if checkpoints.len() > MAX_BUNDLE_CHECKPOINTS {
+            return Err(DecodeError::Invalid("checkpoint bundle length"));
+        }
         Ok(Self {
-            checkpoints: decode_seq(input)?,
+            checkpoints,
             proof: Decode::decode(input)?,
         })
     }

@@ -48,13 +48,14 @@ impl CheckpointBody {
 
 /// A checkpoint with its signature.
 ///
-/// The signature is held as its 80 wire bytes and parsed by
-/// [`SignedCheckpoint::verify`]: decoding a checkpoint costs a copy, two
-/// checkpoints are the same signed statement exactly when they are equal
-/// byte for byte, and a malformed signature point is a failed
-/// verification of that one checkpoint rather than a decode error that
-/// voids the frame around it. Nothing may act on a checkpoint that has not
-/// passed `verify` (or is byte-identical to one that has).
+/// The signature is held as its 80 wire bytes, which is all a Schnorr
+/// signature is until [`SignedCheckpoint::verify`] recomputes its `R`
+/// from them: decoding a checkpoint costs a copy, two checkpoints are the
+/// same signed statement exactly when they are equal byte for byte, and
+/// signature bytes that are no point of G1 are a failed verification of
+/// that one checkpoint rather than a decode error that voids the frame
+/// around it. Nothing may act on a checkpoint that has not passed `verify`
+/// (or is byte-identical to one that has).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SignedCheckpoint {
     /// The signed body.
@@ -81,8 +82,23 @@ impl SignedCheckpoint {
     /// outside the prime-order subgroup, non-canonical scalar) or the
     /// Schnorr equation does not hold.
     pub fn verify(&self, key: &VerifyingKey) -> bool {
-        SchnorrSignature::from_bytes(&self.signature)
-            .is_some_and(|signature| key.verify(&self.body.signing_bytes(), &signature))
+        Self::verify_all(&[self], key).is_ok()
+    }
+
+    /// Verifies every checkpoint of `checkpoints` under the one key in one
+    /// [`VerifyingKey::verify_all`] — a shared key table and one inversion
+    /// between them; `Err(i)` names the first that fails.
+    pub fn verify_all(checkpoints: &[&Self], key: &VerifyingKey) -> Result<(), usize> {
+        let signed: Vec<(Vec<u8>, SchnorrSignature)> = checkpoints
+            .iter()
+            .map(|cp| {
+                let signature = SchnorrSignature::from_bytes(&cp.signature);
+                (cp.body.signing_bytes(), signature)
+            })
+            .collect();
+        let items: Vec<(&[u8], &SchnorrSignature)> =
+            signed.iter().map(|(m, sig)| (m.as_slice(), sig)).collect();
+        key.verify_all(&items)
     }
 }
 
@@ -117,11 +133,10 @@ impl EquivocationProof {
     /// same `(log_id, size)`, and disagree about the head. Anyone holding
     /// the domain's public key can run this — the proof is transferable.
     pub fn verify(&self, key: &VerifyingKey) -> bool {
-        self.a.verify(key)
-            && self.b.verify(key)
-            && self.a.body.log_id == self.b.body.log_id
+        self.a.body.log_id == self.b.body.log_id
             && self.a.body.size == self.b.body.size
             && self.a.body.head != self.b.body.head
+            && SignedCheckpoint::verify_all(&[&self.a, &self.b], key).is_ok()
     }
 }
 

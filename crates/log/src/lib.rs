@@ -31,7 +31,9 @@ pub mod merkle;
 pub mod store;
 
 pub use auditor::{digests_match, AuditOutcome, Auditor, Misbehavior};
-pub use batch::{BundleStep, CheckpointBundle, ProofBundle, VerifiedPrefixCache};
+pub use batch::{
+    BundleStep, CheckpointBundle, ProofBundle, VerifiedPrefixCache, MAX_BUNDLE_CHECKPOINTS,
+};
 pub use checkpoint::{log_id, CheckpointBody, EquivocationProof, SignedCheckpoint};
 pub use domain_log::ShardedLog;
 pub use merkle::{CompactRoot, ConsistencyProof, InclusionProof, MerkleLog, PackedRecords};

@@ -173,7 +173,8 @@ impl AttestationDocument {
 pub struct Quote {
     /// The attested document.
     pub document: AttestationDocument,
-    /// Device signature over the document.
+    /// Device signature over the document: its wire bytes, checked by
+    /// [`Quote::verify`] and by nothing before it.
     pub signature: SchnorrSignature,
     /// Device certificate chaining to a vendor root.
     pub cert: DeviceCert,
@@ -189,14 +190,10 @@ impl Encode for Quote {
 
 impl Decode for Quote {
     fn decode(input: &mut &[u8]) -> Result<Self, DecodeError> {
-        let document = AttestationDocument::decode(input)?;
-        let sig = <[u8; 80]>::decode(input)?;
-        let cert = DeviceCert::decode(input)?;
         Ok(Self {
-            document,
-            signature: SchnorrSignature::from_bytes(&sig)
-                .ok_or(DecodeError::Invalid("quote signature"))?,
-            cert,
+            document: Decode::decode(input)?,
+            signature: SchnorrSignature::from_bytes(&Decode::decode(input)?),
+            cert: Decode::decode(input)?,
         })
     }
 }
@@ -384,6 +381,43 @@ mod tests {
             quote.verify(&roots, None, None),
             Err(AttestError::BadQuoteSignature)
         );
+    }
+
+    /// What the decoder refused while it parsed signatures is refused by
+    /// `verify`, by name, for the quote's signature and the certificate's:
+    /// an `R` that is no point at all (`x = 1`, and `1 + 4` has no square
+    /// root) and one in the cofactor torsion (`x = 0`: the order-3 point
+    /// `(0, 2)`).
+    #[test]
+    fn signature_bytes_that_are_no_point_of_g1_decode_and_fail_verification() {
+        let (vendor, enclave, roots) = setup(VendorKind::KeystoneSim);
+        let quote = enclave.quote(b"ud");
+        let spoil = |signature: &mut SchnorrSignature, x: u8| {
+            let mut bytes = signature.to_bytes();
+            bytes[..48].fill(0);
+            (bytes[0], bytes[47]) = (0x80, x);
+            *signature = SchnorrSignature::from_bytes(&bytes);
+        };
+        for x in [1u8, 0] {
+            let mut spoiled = quote.clone();
+            spoil(&mut spoiled.signature, x);
+            let decoded = Quote::from_wire(&spoiled.to_wire()).expect("decodes");
+            assert_eq!(decoded, spoiled);
+            assert_eq!(
+                decoded.verify(&roots, None, None),
+                Err(AttestError::BadQuoteSignature)
+            );
+
+            let mut spoiled = quote.clone();
+            spoil(&mut spoiled.cert.signature, x);
+            let decoded = Quote::from_wire(&spoiled.to_wire()).expect("decodes");
+            assert_eq!(decoded, spoiled);
+            assert!(!decoded.cert.verify(&vendor.root_key()));
+            assert_eq!(
+                decoded.verify(&roots, None, None),
+                Err(AttestError::BadCertChain)
+            );
+        }
     }
 
     #[test]

@@ -183,6 +183,60 @@ fn audit_flags_unexpected_published_digest() {
 }
 
 #[test]
+fn a_domain_serving_an_overlong_bundle_fails_its_own_audit_quickly() {
+    use common::{bundle_fake, signed, status_with};
+    use distrust::core::server::DirectHost;
+    use distrust::crypto::schnorr::SigningKey;
+    use distrust::log::batch::{CheckpointBundle, ProofBundle};
+
+    // Domain 1 of a live deployment is byzantine (here a stand-in at its
+    // address, unattested, under the checkpoint key the client pins for
+    // it): it answers every `BatchAudit` with 20 000 checkpoints, each
+    // correctly signed under that key. Every one used to be a signature verification
+    // owed by every auditing client, and then compared with every other.
+    let seed = b"overlong bundle seed";
+    let mut deployment =
+        Deployment::launch(distrust::apps::analytics::app_spec(3), seed).expect("launch");
+    let key = SigningKey::derive(seed, b"byzantine domain 1");
+    let mut descriptor = deployment.descriptor.clone();
+    let checkpoint = signed(&key, distrust::log::log_id(seed, 1), 1, [0xaa; 32], 1);
+    let mut byzantine = DirectHost::spawn(bundle_fake(move || {
+        let bundle = CheckpointBundle {
+            checkpoints: vec![checkpoint.clone(); 20_000],
+            proof: ProofBundle::default(),
+        };
+        (status_with([0xaa; 32], 1), bundle)
+    }))
+    .expect("spawn");
+    descriptor.domains[1].addr = byzantine.addr();
+    descriptor.domains[1].vendor = None;
+    descriptor.domains[1].checkpoint_key = key.verifying_key();
+    let mut client = distrust::core::DeploymentClient::new(
+        descriptor,
+        Box::new(distrust::crypto::drbg::HmacDrbg::new(b"c", b"")),
+    );
+
+    let started = std::time::Instant::now();
+    let report = client.audit(None);
+    let took = started.elapsed();
+    assert!(!report.is_clean());
+    let failure = report.domains[1].failure.as_deref().expect("audit failed");
+    assert!(
+        failure.contains("checkpoint bundle length"),
+        "refused for its length, at decode: {failure}"
+    );
+    assert!(report.domains[0].failure.is_none() && report.domains[2].failure.is_none());
+    let checked = client.auditor_prefix_cache(1).expect("domain exists");
+    assert_eq!(checked.signatures_verified(), 0);
+    // 20 000 verifications are seconds in release and a minute in debug;
+    // refusing the frame is a copy of its 3.4 MB.
+    assert!(took < std::time::Duration::from_secs(5), "took {took:?}");
+
+    byzantine.shutdown();
+    deployment.shutdown();
+}
+
+#[test]
 fn client_surfaces_unreachable_domains() {
     let deployment =
         Deployment::launch(distrust::apps::analytics::app_spec(2), b"unreachable seed").unwrap();

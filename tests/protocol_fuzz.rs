@@ -521,6 +521,38 @@ fn audit_bundle_length_bombs_rejected_before_allocation() {
 }
 
 #[test]
+fn audit_bundle_longer_than_a_domain_may_send_rejected_at_decode() {
+    use distrust::log::MAX_BUNDLE_CHECKPOINTS;
+    use distrust::wire::DecodeError;
+    // No lying length prefix here: a well-formed frame that really holds
+    // more checkpoints than a bundle may. Each would be a signature
+    // verification for the client, so the decoder is where it stops.
+    let Ok(Response::AuditBundle(mut answer)) = Response::from_wire(&batch_audit_response_frame(0))
+    else {
+        panic!("the fixture is an audit bundle");
+    };
+    let last = answer.bundle.checkpoints.last().expect("non-empty").clone();
+    answer
+        .bundle
+        .checkpoints
+        .resize(MAX_BUNDLE_CHECKPOINTS, last.clone());
+    let full = Response::AuditBundle(answer.clone()).to_wire();
+    assert_eq!(
+        Response::from_wire(&full),
+        Ok(Response::AuditBundle(answer.clone()))
+    );
+    for len in [MAX_BUNDLE_CHECKPOINTS + 1, 20_000] {
+        answer.bundle.checkpoints.resize(len, last.clone());
+        let bomb = Response::AuditBundle(answer.clone()).to_wire();
+        assert_eq!(
+            Response::from_wire(&bomb),
+            Err(DecodeError::Invalid("checkpoint bundle length")),
+            "{len} checkpoints"
+        );
+    }
+}
+
+#[test]
 fn every_request_variant_gets_a_sensible_answer_without_an_app() {
     type ResponseCheck = fn(&Response) -> bool;
     let mut svc = service();

@@ -172,3 +172,56 @@ fn an_audit_verifies_each_signed_head_once_on_all_paths_together() {
 
     deployment.shutdown();
 }
+
+#[test]
+fn one_forged_head_among_forty_costs_the_other_thirty_nine_nothing() {
+    // An envelope's heads of one domain are verified in one call under
+    // that domain's key; a forgery in the middle of it must stay what it
+    // is alone — noise — and take nothing from the heads around it.
+    let mut deployment = Deployment::launch(analytics::app_spec(N), SEED).expect("launch");
+    let mut client = deployment.client(b"reader");
+    let domain0 = SigningKey::derive(SEED, b"domain-0-checkpoint");
+    let stranger = SigningKey::derive(b"relayed heads", b"stranger");
+    let log_id = distrust::log::log_id(b"relayed heads", 0);
+    let heads: Vec<GossipHead> = (0..40u64)
+        .map(|i| {
+            let body = distrust::log::CheckpointBody {
+                log_id,
+                size: 100 + i,
+                head: [i as u8; 32],
+                logical_time: i,
+            };
+            let key = if i == 20 { &stranger } else { &domain0 };
+            GossipHead {
+                domain: 0,
+                checkpoint: SignedCheckpoint::sign(body, key),
+            }
+        })
+        .collect();
+    let envelope = GossipEnvelope {
+        heads,
+        evidence: Vec::new(),
+    };
+
+    assert!(
+        client.ingest_envelope(&envelope).is_empty(),
+        "no accusation"
+    );
+    assert_eq!(client.relayed_head_checks(), (40, 0));
+    assert!(client.evidence().is_empty() && !client.convicted(0));
+    // The 39 are held as verified: shown again they cost a comparison
+    // each, and only the forgery — never held — is checked again.
+    assert!(client.ingest_envelope(&envelope).is_empty());
+    assert_eq!(client.relayed_head_checks(), (41, 39));
+    // And held for what they are for: a second head under the domain's key
+    // for a size one of them covers is equivocation.
+    let mut fork = envelope.heads[21].checkpoint.body.clone();
+    fork.head[0] ^= 0xff;
+    let conflicting = [(0, SignedCheckpoint::sign(fork, &domain0))];
+    assert!(matches!(
+        client.ingest_gossip(&conflicting).as_slice(),
+        [Misbehavior::Equivocation { domain: 0, .. }]
+    ));
+
+    deployment.shutdown();
+}
