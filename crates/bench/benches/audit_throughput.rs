@@ -1,7 +1,7 @@
 //! Audit throughput benchmark: full audit rounds per second at 100 / 1000
-//! concurrent auditing clients over `BatchAudit` — one round-trip served
-//! from the host's shared per-epoch proof cache, verified client-side
-//! through the auditor's verified-prefix cache.
+//! concurrent auditing clients over `BatchAudit` — one round-trip built
+//! from the host's signed epochs, verified client-side through the
+//! auditor's verified-prefix cache.
 //!
 //! Custom harness (`harness = false`), same shape as `wire_concurrency`:
 //! N connections held open against one `DirectHost`-served trust domain,

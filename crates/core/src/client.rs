@@ -13,6 +13,7 @@ use distrust_crypto::sha256::Digest;
 use distrust_gossip::envelope::{GossipEnvelope, GossipHead};
 use distrust_gossip::evidence::{EvidenceBundle, EvidencePool};
 use distrust_log::auditor::{AuditOutcome, Auditor, Misbehavior};
+use distrust_log::MerkleLog;
 use distrust_tee::vendor::{VendorKind, VendorRoots};
 use distrust_wire::codec::{Decode, Encode};
 use distrust_wire::pipeline::PipelinedClient;
@@ -408,53 +409,112 @@ impl DeploymentClient {
             .collect()
     }
 
-    /// Fetches the update notices a domain issued at or after log index
-    /// `since`: the domain answers a page at a time, so this asks again
-    /// past the last notice received until an answer comes back empty.
-    pub fn notices(&mut self, domain: u32, since: u64) -> Result<Vec<UpdateNotice>, ClientError> {
-        let mut all: Vec<UpdateNotice> = Vec::new();
-        loop {
-            let since = all
-                .last()
-                .map_or(since, |last| last.log_index.saturating_add(1));
-            match self.exchange(domain, &Request::GetNotices { since })? {
-                Response::Notices(page) if page.is_empty() => return Ok(all),
-                Response::Notices(page) => all.extend(page),
-                other => return Err(ClientError::Unexpected(format!("{other:?}"))),
-            }
+    /// The size and root of the newest head this client has verified for
+    /// `domain`: what a paged read of its log ends at and is held against.
+    /// A client that has not audited the domain has nothing to hold its
+    /// answers to, and is refused.
+    fn verified_head(&self, domain: u32) -> Result<(u64, Digest), ClientError> {
+        if domain as usize >= self.descriptor.domains.len() {
+            return Err(ClientError::NoSuchDomain(domain));
         }
+        let head = self.auditor.latest(domain).ok_or_else(|| {
+            ClientError::AuditFailed(format!(
+                "no verified head for domain {domain}: audit before reading its log"
+            ))
+        })?;
+        Ok((head.body.size, head.body.head))
     }
 
-    /// Fetches a domain's raw log leaves from index `from` to the end,
-    /// page by page like [`Self::notices`].
+    /// Fetches the update notices a domain issued at or after log index
+    /// `since`, below the size of the newest head this client has verified
+    /// for it ([`Self::audit`] first). The domain answers a page at a
+    /// time, so this asks again past the last notice received until a page
+    /// comes back empty or the verified size is reached. Every notice must
+    /// name a later leaf than the one before it and one inside the
+    /// verified log: a page that does not is refused, so no answer can
+    /// hold the reader for more exchanges, or more memory, than the log it
+    /// verified has leaves. A domain that has grown since the audit runs
+    /// past the head — audit again and re-read.
+    pub fn notices(&mut self, domain: u32, since: u64) -> Result<Vec<UpdateNotice>, ClientError> {
+        let (size, _) = self.verified_head(domain)?;
+        let mut all: Vec<UpdateNotice> = Vec::new();
+        let mut since = since;
+        while since < size {
+            let page = match self.exchange(domain, &Request::GetNotices { since })? {
+                Response::Notices(page) => page,
+                other => return Err(ClientError::Unexpected(format!("{other:?}"))),
+            };
+            if page.is_empty() {
+                break;
+            }
+            for notice in page {
+                if notice.log_index < since || notice.log_index >= size {
+                    return Err(ClientError::Unexpected(format!(
+                        "domain {domain} answered a notice for leaf {} where only \
+                         {since}..{size} can follow",
+                        notice.log_index
+                    )));
+                }
+                since = notice.log_index + 1;
+                all.push(notice);
+            }
+        }
+        Ok(all)
+    }
+
+    /// Fetches a domain's raw log leaves from index `from` up to the size
+    /// of the newest head this client has verified for it
+    /// ([`Self::audit`] first), page by page like [`Self::notices`]. A
+    /// page that runs past that size, or an empty one short of it, is
+    /// refused; and a read from index 0 is the whole signed log, so the
+    /// RFC 6962 root over what came back must be the head that was signed
+    /// — a domain cannot hand a reader leaves it never logged.
     pub fn log_entries(&mut self, domain: u32, from: u64) -> Result<Vec<Vec<u8>>, ClientError> {
+        let (size, head) = self.verified_head(domain)?;
+        if from > size {
+            return Err(ClientError::AuditFailed(format!(
+                "domain {domain}: index {from} is past the verified size {size}"
+            )));
+        }
         let mut all: Vec<Vec<u8>> = Vec::new();
         loop {
-            let from = from.saturating_add(all.len() as u64);
-            match self.exchange(domain, &Request::GetLogEntries { from })? {
-                Response::LogEntries(page) if page.is_empty() => return Ok(all),
-                Response::LogEntries(page) => all.extend(page),
+            let at = from + all.len() as u64;
+            if at == size {
+                break;
+            }
+            let page = match self.exchange(domain, &Request::GetLogEntries { from: at })? {
+                Response::LogEntries(page) => page,
                 other => return Err(ClientError::Unexpected(format!("{other:?}"))),
+            };
+            if page.is_empty() || page.len() as u64 > size - at {
+                return Err(ClientError::Unexpected(format!(
+                    "domain {domain} answered {} leaves at index {at} of a log it signed at \
+                     size {size}",
+                    page.len()
+                )));
+            }
+            all.extend(page);
+        }
+        if from == 0 {
+            let mut tree = MerkleLog::new();
+            for leaf in &all {
+                tree.append(leaf);
+            }
+            if tree.root() != head {
+                return Err(ClientError::Unexpected(format!(
+                    "domain {domain} served {size} leaves that are not the log it signed"
+                )));
             }
         }
+        Ok(all)
     }
 
-    /// Exports this client's latest verified checkpoints for gossiping to
-    /// other clients (split-view detection, CT-style).
+    /// This client's latest verified checkpoints, one per domain it has
+    /// audited — the heads of [`Self::gossip_envelope`] without the
+    /// envelope, kept because `e2e/src/workloads.rs` reads them by this
+    /// name. Peers are handed the envelope.
     pub fn gossip_payload(&self) -> Vec<(u32, distrust_log::SignedCheckpoint)> {
         self.auditor.gossip_payload()
-    }
-
-    /// Ingests checkpoints relayed by another client. Returns any
-    /// misbehavior evidence discovered — in particular, an
-    /// [`distrust_log::Misbehavior::Equivocation`] when a domain showed
-    /// this client and the peer conflicting histories.
-    pub fn ingest_gossip(
-        &mut self,
-        payload: &[(u32, distrust_log::SignedCheckpoint)],
-    ) -> Vec<Misbehavior> {
-        let heads: Vec<_> = payload.iter().map(|(domain, cp)| (*domain, cp)).collect();
-        self.ingest_relayed_heads(&heads)
     }
 
     /// Feeds relayed heads to the auditor, which verifies the unknown ones

@@ -36,7 +36,7 @@ use distrust_log::ShardedLog;
 use distrust_sandbox::{Instance, Limits};
 use distrust_tee::enclave::Enclave;
 use distrust_wire::codec::{decode_seq, encode_seq, Decode, Encode};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 /// Meta-log record kinds — the framework's durable signed artifacts,
@@ -107,33 +107,6 @@ const RETAINED_EPOCHS: usize = MAX_BUNDLE_CHECKPOINTS + 1;
 /// peer under the framework mutex, and an answer holding everything stopped
 /// fitting a frame at a couple of hundred thousand releases. ≈ 3 400 leaves.
 const PAGE_BYTES: usize = 256 << 10;
-
-/// Most bundles the audit cache holds between two releases: one per size
-/// an honest client can report and be served a distinct, complete answer
-/// for — 0 and the [`RETAINED_EPOCHS`] sizes. `verified_size` is whatever
-/// an unauthenticated peer writes into its request, so without the bound
-/// one peer walking `1..current` would park `current` bundles here. A
-/// request that finds the cache full is built and answered, not stored.
-const MAX_CACHED_BUNDLES: usize = RETAINED_EPOCHS + 1;
-
-/// Shared per-epoch audit artifacts, amortised across every auditing
-/// client: one [`CheckpointBundle`] per distinct `verified_size`, rebuilt
-/// only when the log grows. With this cache a `BatchAudit` performs **no
-/// signing and no proof construction** in steady state — serving ten
-/// thousand auditors costs ten thousand hash-map lookups, not ten thousand
-/// Schnorr signatures.
-#[derive(Default)]
-struct AuditCache {
-    /// Log size the cached bundles describe; any other size invalidates.
-    epoch: u64,
-    /// Signed size-0 checkpoint for audits of a still-empty log.
-    genesis: Option<SignedCheckpoint>,
-    /// Bundles keyed by the client-reported verified size, at most
-    /// [`MAX_CACHED_BUNDLES`] of them.
-    bundles: HashMap<u64, CheckpointBundle>,
-    hits: u64,
-    misses: u64,
-}
 
 /// Most relayed peer heads the gossip board retains.
 const MAX_BOARD_HEADS: usize = 64;
@@ -260,11 +233,12 @@ pub struct EnclaveFramework {
     /// only reader.
     notices: PackedRecords,
     /// One signed checkpoint per log append ("epoch"), signed at update
-    /// time so audits are served from cache instead of signing per client.
-    /// The newest [`RETAINED_EPOCHS`], oldest first.
+    /// time so an audit never touches the checkpoint key. The newest
+    /// [`RETAINED_EPOCHS`], oldest first.
     epoch_checkpoints: VecDeque<SignedCheckpoint>,
-    /// Shared proof/bundle cache for [`Request::BatchAudit`].
-    audit_cache: AuditCache,
+    /// The size-0 checkpoint served while the log is still empty, signed
+    /// once (see [`Self::genesis_checkpoint`]).
+    genesis: Option<SignedCheckpoint>,
     app: Option<RunningApp>,
     app_host: Box<dyn AppHost>,
     logical_time: u64,
@@ -396,10 +370,7 @@ impl EnclaveFramework {
             log,
             notices,
             epoch_checkpoints,
-            audit_cache: AuditCache {
-                genesis,
-                ..AuditCache::default()
-            },
+            genesis,
             app: None,
             app_host,
             logical_time,
@@ -521,7 +492,6 @@ impl EnclaveFramework {
             .and_then(|()| self.log.append_meta(META_EPOCH, &encode_epoch(&checkpoint)))
             .map_err(|e| ReleaseError::Persist(e.to_string()))?;
         retain_epoch(&mut self.epoch_checkpoints, checkpoint);
-        self.audit_cache.bundles.clear();
         // 3. Activate (and lock, if this is a final release).
         self.app = Some(RunningApp {
             import_names: import_names(&module),
@@ -534,29 +504,10 @@ impl EnclaveFramework {
         Ok(self.status())
     }
 
-    /// `(hits, misses)` of the shared audit-bundle cache — how many
-    /// `BatchAudit` requests were served without signing or proving.
-    pub fn audit_cache_stats(&self) -> (u64, u64) {
-        (self.audit_cache.hits, self.audit_cache.misses)
-    }
-
-    /// Ensures the audit cache describes the current log size, clearing
-    /// stale bundles, and returns `(cache_key, current_size)` for
-    /// `verified_size`: anything at or past the head needs only the
-    /// latest checkpoint, so those collapse onto one slot.
-    fn audit_cache_key(&mut self, verified_size: u64) -> (u64, u64) {
-        let current = self.log.lock().len() as u64;
-        if self.audit_cache.epoch != current {
-            self.audit_cache.bundles.clear();
-            self.audit_cache.epoch = current;
-        }
-        (verified_size.min(current), current)
-    }
-
     /// Signs (once) and returns the size-0 checkpoint served while the
     /// log is still empty.
     fn genesis_checkpoint(&mut self) -> SignedCheckpoint {
-        if let Some(genesis) = &self.audit_cache.genesis {
+        if let Some(genesis) = &self.genesis {
             return genesis.clone();
         }
         self.logical_time += 1;
@@ -574,30 +525,22 @@ impl EnclaveFramework {
         // identical body except logical_time, which cannot read as
         // equivocation. Updates, by contrast, persist-or-fail.
         let _ = self.log.append_meta(META_GENESIS, &signed.to_wire());
-        self.audit_cache.genesis = Some(signed.clone());
+        self.genesis = Some(signed.clone());
         signed
     }
 
-    /// Serves the checkpoint/proof half of a batched audit from the shared
-    /// per-epoch cache, building (and caching) it on first demand.
+    /// The checkpoint/proof half of a batched audit for a client standing
+    /// on `verified_size` — whatever an unauthenticated peer wrote into its
+    /// request, so anything past the head is read as the head.
     fn audit_bundle(&mut self, verified_size: u64) -> CheckpointBundle {
-        let (key, current) = self.audit_cache_key(verified_size);
-        if let Some(bundle) = self.audit_cache.bundles.get(&key) {
-            self.audit_cache.hits += 1;
-            return bundle.clone();
-        }
-        self.audit_cache.misses += 1;
-        let bundle = self.build_audit_bundle(key, current);
-        if self.audit_cache.bundles.len() < MAX_CACHED_BUNDLES {
-            self.audit_cache.bundles.insert(key, bundle.clone());
-        }
-        bundle
+        let current = self.log.lock().len() as u64;
+        self.build_audit_bundle(verified_size.min(current), current)
     }
 
     fn build_audit_bundle(&mut self, verified_size: u64, current: u64) -> CheckpointBundle {
         let empty = ProofBundle::default();
         if self.epoch_checkpoints.is_empty() {
-            // Nothing installed yet: serve a (cached) signed view of the
+            // Nothing installed yet: serve the once-signed view of the
             // empty log.
             return CheckpointBundle {
                 checkpoints: vec![self.genesis_checkpoint()],
@@ -661,17 +604,6 @@ impl EnclaveFramework {
     /// Handles one protocol request.
     pub fn handle(&mut self, request: Request) -> Response {
         match request {
-            Request::Attest { nonce } => {
-                let binding = AttestationBinding {
-                    nonce,
-                    status: self.status(),
-                };
-                match &self.enclave {
-                    Some(enclave) => Response::Quote(Box::new(enclave.quote(&binding.to_wire()))),
-                    None => Response::Unattested(binding.status),
-                }
-            }
-            Request::GetStatus => Response::Status(self.status()),
             Request::AppCall { method, payload } => match &mut self.app {
                 None => Response::AppError("no application installed".into()),
                 Some(app) => match app_call(
@@ -729,7 +661,7 @@ impl EnclaveFramework {
             Request::Gossip { envelope } => {
                 let own_domain = self.config.domain_index;
                 self.gossip.ingest(envelope, own_domain);
-                // Reply with our own signed head first (reusing the cached
+                // Reply with our own signed head first (reusing the stored
                 // epoch/genesis signature — gossip must not mint fresh
                 // signatures, or every exchange would move the log head),
                 // then everything clients have left on the board.
@@ -840,7 +772,7 @@ mod tests {
         });
         assert!(matches!(resp, Response::AppError(_)));
         // Framework is still alive.
-        assert!(matches!(fw.handle(Request::GetStatus), Response::Status(_)));
+        assert_eq!(audit_bundle_from(&mut fw, 0).checkpoints.len(), 1);
     }
 
     #[test]
@@ -974,10 +906,16 @@ mod tests {
     fn attest_binds_nonce_and_status_unattested_domain() {
         let mut fw = fresh_framework();
         fw.apply_update(&release(1)).unwrap();
-        match fw.handle(Request::Attest { nonce: [9; 32] }) {
-            Response::Unattested(status) => {
-                assert_eq!(status.app_version, 1);
-            }
+        let request = Request::BatchAudit {
+            request_id: 1,
+            nonce: [9; 32],
+            verified_size: 0,
+        };
+        match fw.handle(request) {
+            Response::AuditBundle(b) => match b.attestation {
+                BundleAttestation::Unattested(status) => assert_eq!(status, fw.status()),
+                other => panic!("domain 0 has no enclave to quote from: {other:?}"),
+            },
             other => panic!("unexpected {other:?}"),
         }
     }
@@ -995,39 +933,6 @@ mod tests {
 
     fn checkpoint_vk() -> VerifyingKey {
         SigningKey::derive(b"framework tests", b"checkpoint").verifying_key()
-    }
-
-    #[test]
-    fn batch_audit_served_from_shared_cache() {
-        let mut fw = fresh_framework();
-        fw.apply_update(&release(1)).unwrap();
-        fw.apply_update(&release(2)).unwrap();
-        for i in 0..5u64 {
-            match fw.handle(Request::BatchAudit {
-                request_id: i,
-                nonce: [i as u8; 32],
-                verified_size: 0,
-            }) {
-                Response::AuditBundle(b) => {
-                    assert_eq!(b.request_id, i, "request id echoed");
-                    assert_eq!(b.bundle.checkpoints.len(), 2, "one checkpoint per epoch");
-                    assert!(b
-                        .bundle
-                        .checkpoints
-                        .iter()
-                        .all(|cp| cp.verify(&checkpoint_vk())));
-                    let last = b.bundle.checkpoints.last().unwrap();
-                    assert_eq!(last.body.size, 2);
-                    assert_eq!(last.body.head, fw.status().log_head);
-                }
-                other => panic!("unexpected {other:?}"),
-            }
-        }
-        // Five identical audits: one bundle build, four cache hits — and
-        // zero fresh signatures (the epoch checkpoints were signed at
-        // update time).
-        let (hits, misses) = fw.audit_cache_stats();
-        assert_eq!((hits, misses), (4, 1));
     }
 
     #[test]
@@ -1063,10 +968,10 @@ mod tests {
 
     /// `verified_size` is the client's word. Every size gets its answer —
     /// one an auditor standing at that size accepts and follows to the
-    /// head — but only [`MAX_CACHED_BUNDLES`] of them get a cache slot, and
-    /// a domain 200 releases old holds [`RETAINED_EPOCHS`] signed epochs.
+    /// head — and a domain 200 releases old holds [`RETAINED_EPOCHS`]
+    /// signed epochs to build them from.
     #[test]
-    fn the_audit_cache_is_bounded_by_the_domain_not_by_its_clients() {
+    fn every_verified_size_is_answered_from_the_retained_epochs() {
         use distrust_log::auditor::Auditor;
         const RELEASES: u64 = 200;
         let mut fw = fresh_framework();
@@ -1077,7 +982,6 @@ mod tests {
             })
             .collect();
         assert_eq!(fw.epoch_checkpoints.len(), RETAINED_EPOCHS);
-        assert_eq!(fw.audit_cache.bundles.len(), 1);
 
         // Every answer is the newest epochs, bit for bit, with one proof
         // step per epoch. An auditor's full verdict costs 64 signature
@@ -1104,13 +1008,6 @@ mod tests {
             assert!(outcome.is_consistent(), "{verified_size}: {outcome:?}");
             assert_eq!(auditor.latest(0).unwrap().body.size, RELEASES);
         }
-        assert_eq!(fw.audit_cache.bundles.len(), MAX_CACHED_BUNDLES);
-        // Served all the same, cached or not: asking again is a hit only
-        // for the sizes that got a slot.
-        let (hits, misses) = fw.audit_cache_stats();
-        audit_bundle_from(&mut fw, 1);
-        audit_bundle_from(&mut fw, RELEASES - 1);
-        assert_eq!(fw.audit_cache_stats(), (hits + 1, misses + 1));
     }
 
     #[test]
@@ -1207,10 +1104,10 @@ mod tests {
     fn service_round_trips_bytes() {
         use distrust_tee::host::EnclaveService;
         let mut svc = FrameworkService::new(fresh_framework());
-        let resp_bytes = svc.handle(Request::GetStatus.to_wire());
+        let resp_bytes = svc.handle(Request::GetNotices { since: 0 }.to_wire());
         assert!(matches!(
             Response::from_wire(&resp_bytes),
-            Ok(Response::Status(_))
+            Ok(Response::Notices(_))
         ));
         // Garbage in, error frame out.
         let resp_bytes = svc.handle(vec![0xff, 0xfe]);

@@ -21,14 +21,6 @@ use distrust_wire::wire_struct;
 #[derive(Clone, Debug, PartialEq, Eq)]
 #[allow(clippy::large_enum_variant)]
 pub enum Request {
-    /// Request an attestation quote binding `nonce` (freshness) together
-    /// with the domain's current log head and app digest.
-    Attest {
-        /// Client-chosen freshness nonce.
-        nonce: [u8; 32],
-    },
-    /// Request the domain's unauthenticated status snapshot.
-    GetStatus,
     /// Invoke the application.
     AppCall {
         /// Method selector passed to the guest's `handle` export.
@@ -87,11 +79,9 @@ pub enum Request {
 impl Encode for Request {
     fn encode(&self, out: &mut Vec<u8>) {
         match self {
-            Request::Attest { nonce } => {
-                0u8.encode(out);
-                nonce.encode(out);
-            }
-            Request::GetStatus => 1u8.encode(out),
+            // Tags 0 and 1 are retired (the per-step attestation and status
+            // requests: a `BatchAudit` answer carries both) and must not be
+            // reused.
             Request::AppCall { method, payload } => {
                 2u8.encode(out);
                 method.encode(out);
@@ -148,10 +138,6 @@ impl Request {
 impl Decode for Request {
     fn decode(input: &mut &[u8]) -> Result<Self, DecodeError> {
         Ok(match u8::decode(input)? {
-            0 => Request::Attest {
-                nonce: Decode::decode(input)?,
-            },
-            1 => Request::GetStatus,
             2 => Request::AppCall {
                 method: Decode::decode(input)?,
                 payload: Decode::decode(input)?,
@@ -180,7 +166,7 @@ impl Decode for Request {
 }
 
 /// A domain's status snapshot (authenticated only when carried inside
-/// attestation `user_data`; the plain response is advisory).
+/// attestation `user_data`; [`BundleAttestation::Unattested`] is advisory).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct DomainStatus {
     /// Index of this domain within the deployment.
@@ -247,8 +233,8 @@ pub enum BundleAttestation {
     /// TEE quote whose `user_data` carries the [`AttestationBinding`]
     /// (nonce + status) — authoritative for TEE-backed domains.
     Quote(Box<Quote>),
-    /// Plain status for trust domain 0, which has no secure hardware;
-    /// advisory, exactly like [`Response::Unattested`].
+    /// Plain status, signed by nothing, for trust domain 0, which has no
+    /// secure hardware (Figure 2). Clients treat it as advisory.
     Unattested(DomainStatus),
 }
 
@@ -299,13 +285,6 @@ wire_struct!(AuditBundle {
 /// A response from a trust domain.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Response {
-    /// Attestation quote (TEE-backed domains).
-    Quote(Box<Quote>),
-    /// Status signed by nothing — returned by trust domain 0, which has no
-    /// secure hardware (Figure 2). Clients treat it as advisory.
-    Unattested(DomainStatus),
-    /// Status snapshot.
-    Status(DomainStatus),
     /// Application call result.
     AppResult {
         /// Bytes the guest wrote to its outbox.
@@ -351,18 +330,9 @@ pub enum Response {
 impl Encode for Response {
     fn encode(&self, out: &mut Vec<u8>) {
         match self {
-            Response::Quote(q) => {
-                0u8.encode(out);
-                q.encode(out);
-            }
-            Response::Unattested(s) => {
-                1u8.encode(out);
-                s.encode(out);
-            }
-            Response::Status(s) => {
-                2u8.encode(out);
-                s.encode(out);
-            }
+            // Tags 0, 1 and 2 are retired (the answers to request tags 0
+            // and 1: a quote or an unattested status travels only inside a
+            // [`BundleAttestation`]) and must not be reused.
             Response::AppResult { payload } => {
                 3u8.encode(out);
                 payload.encode(out);
@@ -415,9 +385,6 @@ impl Encode for Response {
 impl Decode for Response {
     fn decode(input: &mut &[u8]) -> Result<Self, DecodeError> {
         Ok(match u8::decode(input)? {
-            0 => Response::Quote(Box::new(Decode::decode(input)?)),
-            1 => Response::Unattested(Decode::decode(input)?),
-            2 => Response::Status(Decode::decode(input)?),
             3 => Response::AppResult {
                 payload: Decode::decode(input)?,
             },
@@ -465,8 +432,6 @@ mod tests {
         let release =
             crate::manifest::SignedRelease::create("app", 1, "", &counter_module(1), &dev);
         let requests = vec![
-            Request::Attest { nonce: [9; 32] },
-            Request::GetStatus,
             Request::AppCall {
                 method: 7,
                 payload: b"payload".to_vec(),
@@ -489,8 +454,6 @@ mod tests {
     #[test]
     fn responses_round_trip() {
         let responses = vec![
-            Response::Unattested(status()),
-            Response::Status(status()),
             Response::AppResult {
                 payload: vec![1, 2, 3],
             },

@@ -2,8 +2,8 @@
 //!
 //! Figure 2: "Trust domain 0 is run by the application owner without any
 //! secure hardware." It runs the same framework code, but clients reach it
-//! over a single socket — no enclave proxy hop — and its attestation
-//! response is [`crate::protocol::Response::Unattested`].
+//! over a single socket — no enclave proxy hop — and the attestation in
+//! its audit answer is [`crate::protocol::BundleAttestation::Unattested`].
 //!
 //! The host serves that socket through the wire crate's [`FrameServer`]:
 //! a fixed pool of reactor threads multiplexes every client, so a domain

@@ -44,10 +44,6 @@ pub enum QuorumPolicy {
     /// abandoned. Failed domains do not count, but collection continues
     /// past them while unanswered domains remain.
     Threshold(usize),
-    /// Satisfied as soon as this many domains **answer** at all (success
-    /// or application error) — a race across replicas where arrival order
-    /// is the preference. Responses still in flight are abandoned.
-    First(usize),
 }
 
 /// Witness-quorum trust: accept one threshold-cosigned head vector in
@@ -324,14 +320,7 @@ impl FanoutReport {
             Ok(())
         } else {
             Err(ClientError::QuorumNotMet {
-                satisfied: match self.quorum {
-                    QuorumPolicy::First(_) => self
-                        .outcomes
-                        .iter()
-                        .filter(|o| matches!(o, DomainOutcome::Ok(_) | DomainOutcome::AppError(_)))
-                        .count(),
-                    _ => self.ok_count(),
-                },
+                satisfied: self.ok_count(),
                 required: self.required,
             })
         }
@@ -747,17 +736,12 @@ impl<'c> Session<'c> {
         let required = match call.quorum {
             QuorumPolicy::All => targets.len(),
             QuorumPolicy::Threshold(t) => t,
-            QuorumPolicy::First(k) => k,
         };
-        let count_any_answer = matches!(call.quorum, QuorumPolicy::First(_));
-        let mut satisfied_count = outcomes
-            .iter()
-            .filter(|o| o.is_ok() || (count_any_answer && matches!(o, DomainOutcome::AppError(_))))
-            .count();
+        let mut satisfied_count = 0usize;
 
         // Round-robin over pending domains with short timeouts so one
         // straggler cannot block a quorum the others already satisfy.
-        // Threshold/First exit as soon as the quorum is met, abandoning
+        // `Threshold` exits as soon as the quorum is met, abandoning
         // stragglers; `All` (and an unreachable quorum) keeps collecting
         // so the report carries every domain's actual answer. A deadline,
         // when set, bounds the whole collection: domains still silent at
@@ -765,10 +749,7 @@ impl<'c> Session<'c> {
         // their responses abandoned — a hung-but-connected domain costs
         // the budget, never an indefinite stall.
         let deadline_at = call.deadline.map(|budget| Instant::now() + budget);
-        let early_exit = matches!(
-            call.quorum,
-            QuorumPolicy::Threshold(_) | QuorumPolicy::First(_)
-        );
+        let early_exit = matches!(call.quorum, QuorumPolicy::Threshold(_));
         let mut poll = POLL_START;
         while !pending.is_empty() {
             if early_exit && satisfied_count >= required {
@@ -791,10 +772,7 @@ impl<'c> Session<'c> {
                     match self.client.try_recv_raw(d, Duration::ZERO) {
                         Ok(Some(response)) => {
                             let outcome = Self::response_outcome(Ok(response));
-                            if outcome.is_ok()
-                                || (count_any_answer
-                                    && matches!(outcome, DomainOutcome::AppError(_)))
-                            {
+                            if outcome.is_ok() {
                                 satisfied_count += 1;
                             }
                             outcomes[d as usize] = outcome;
@@ -825,9 +803,7 @@ impl<'c> Session<'c> {
                     Ok(Some(response)) => {
                         progressed = true;
                         let outcome = Self::response_outcome(Ok(response));
-                        if outcome.is_ok()
-                            || (count_any_answer && matches!(outcome, DomainOutcome::AppError(_)))
-                        {
+                        if outcome.is_ok() {
                             satisfied_count += 1;
                         }
                         outcomes[d as usize] = outcome;

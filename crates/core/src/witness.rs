@@ -239,7 +239,7 @@ mod tests {
         let mut relay = spawn_relay(1);
         let mut client = EnclaveClient::connect(relay.addr()).unwrap();
         let raw = client
-            .exchange(&Request::Attest { nonce: [0u8; 32] }.to_wire())
+            .exchange(&Request::GetLogEntries { from: 0 }.to_wire())
             .unwrap();
         assert!(matches!(
             Response::from_wire(&raw).unwrap(),

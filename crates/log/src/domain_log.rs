@@ -104,8 +104,8 @@ impl ShardedLog {
     /// in-memory tree under the lock, so no acknowledged entry can be lost
     /// to a crash that the store survived. When the store signals a full
     /// segment, the tree's right-edge subtree roots are sealed in as a
-    /// checkpoint (the O(segments) cold-start seed) and the segment
-    /// rotates.
+    /// checkpoint (the value the next boot holds its replayed tree
+    /// against) and the segment rotates.
     ///
     /// `shard` must be 0 ([`StoreError::NoSuchShard`] otherwise); the
     /// parameter exists until `e2e` stops naming it.

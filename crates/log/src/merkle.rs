@@ -179,8 +179,8 @@ impl MerkleLog {
     /// current size into complete aligned subtrees, highest first, read
     /// straight from the level cache. This O(log n) vector determines
     /// [`MerkleLog::root`] (fold with [`CompactRoot`]) and is what a
-    /// durable store persists per checkpoint so a cold start can rebuild
-    /// the head without replaying the whole log.
+    /// durable store persists per checkpoint, so recovery can hold the
+    /// tree it replays against a value stored when the segment was sealed.
     pub fn right_edge(&self) -> Vec<Digest> {
         let n = self.len();
         let mut edge = Vec::new();
@@ -408,72 +408,36 @@ impl ConsistencyProof {
     }
 }
 
-/// A constant-size accumulator for the root of a growing RFC 6962 tree:
-/// the "peaks" of the binary decomposition of the leaf count, highest
-/// first (exactly [`MerkleLog::right_edge`]). Seed it from a persisted
-/// checkpoint, push the leaf hashes appended since, and fold the peaks
-/// right-to-left for the current root — O(log n) state, no leaf storage.
-/// This is the cold-start fast path: rebuild the log head from a sealed
-/// segment's checkpoint plus only the unsealed tail.
-#[derive(Clone, Debug, Default)]
+/// The root of an RFC 6962 tree from its right edge alone: the "peaks" of
+/// the binary decomposition of the leaf count, highest first (exactly
+/// [`MerkleLog::right_edge`]), folded right-to-left. This is how recovery
+/// holds a sealed segment's checkpoint record against the replayed tree —
+/// O(log n) stored digests that a disk returning the wrong history cannot
+/// also get right.
+#[derive(Clone, Debug)]
 pub struct CompactRoot {
-    /// `(height, subtree root)` peaks, heights strictly decreasing.
-    peaks: Vec<(u32, Digest)>,
+    /// Subtree roots, heights strictly decreasing.
+    peaks: Vec<Digest>,
 }
 
 impl CompactRoot {
-    /// An empty accumulator (size 0).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Seeds the accumulator at `size` leaves from a persisted right
-    /// edge. `None` when the edge length does not match the size's binary
-    /// decomposition — a corrupt or mismatched checkpoint.
+    /// The edge of a tree of `size` leaves. `None` when the edge length
+    /// does not match the size's binary decomposition — a corrupt or
+    /// mismatched checkpoint.
     pub fn from_right_edge(size: u64, edge: &[Digest]) -> Option<Self> {
-        if edge.len() != size.count_ones() as usize {
-            return None;
-        }
-        let mut peaks = Vec::with_capacity(edge.len());
-        let mut heights = (0..u64::BITS).rev().filter(|k| size & (1u64 << k) != 0);
-        for root in edge {
-            peaks.push((heights.next()?, *root));
-        }
-        Some(Self { peaks })
+        (edge.len() == size.count_ones() as usize).then(|| Self {
+            peaks: edge.to_vec(),
+        })
     }
 
-    /// Number of leaves accumulated.
-    pub fn size(&self) -> u64 {
-        self.peaks.iter().map(|&(h, _)| 1u64 << h).sum()
-    }
-
-    /// Appends one leaf by its RFC 6962 leaf hash, merging completed
-    /// subtrees (amortised O(1) hashes).
-    pub fn push_leaf_hash(&mut self, leaf: Digest) {
-        self.peaks.push((0, leaf));
-        while let [.., (a, left), (b, right)] = self.peaks[..] {
-            if a != b {
-                break;
-            }
-            let parent = node_hash(&left, &right);
-            self.peaks.truncate(self.peaks.len() - 2);
-            self.peaks.push((a + 1, parent));
-        }
-    }
-
-    /// Appends one leaf by content.
-    pub fn push_leaf(&mut self, data: &[u8]) {
-        self.push_leaf_hash(leaf_hash(data));
-    }
-
-    /// The current tree root (the empty-tree root at size 0), equal to
+    /// The tree root (the empty-tree root at size 0), equal to
     /// [`MerkleLog::root`] over the same leaves.
     pub fn root(&self) -> Digest {
         let mut peaks = self.peaks.iter().rev();
-        let Some(&(_, first)) = peaks.next() else {
+        let Some(&first) = peaks.next() else {
             return empty_root();
         };
-        peaks.fold(first, |acc, &(_, peak)| node_hash(&peak, &acc))
+        peaks.fold(first, |acc, peak| node_hash(peak, &acc))
     }
 }
 
@@ -739,33 +703,13 @@ mod tests {
     }
 
     #[test]
-    fn compact_root_tracks_merkle_root() {
-        let mut log = MerkleLog::new();
-        let mut acc = CompactRoot::new();
-        assert_eq!(acc.root(), empty_root());
-        for i in 0..70usize {
-            let leaf = format!("leaf-{i}");
-            log.append(leaf.as_bytes());
-            acc.push_leaf(leaf.as_bytes());
-            assert_eq!(acc.root(), log.root(), "size {}", i + 1);
-            assert_eq!(acc.size(), log.len() as u64);
-        }
-    }
-
-    #[test]
     fn compact_root_seeds_from_right_edge() {
-        for n in [1usize, 2, 3, 6, 13, 32, 57] {
+        let empty = CompactRoot::from_right_edge(0, &[]).unwrap();
+        assert_eq!(empty.root(), empty_root());
+        for n in 1..=70usize {
             let log = build(n);
-            let mut acc = CompactRoot::from_right_edge(n as u64, &log.right_edge()).unwrap();
-            assert_eq!(acc.root(), log.root(), "seeded at {n}");
-            // Growing the seeded accumulator tracks the grown log.
-            let mut log = log;
-            for i in n..n + 9 {
-                let leaf = format!("leaf-{i}");
-                log.append(leaf.as_bytes());
-                acc.push_leaf(leaf.as_bytes());
-                assert_eq!(acc.root(), log.root(), "grown to {}", i + 1);
-            }
+            let seeded = CompactRoot::from_right_edge(n as u64, &log.right_edge()).unwrap();
+            assert_eq!(seeded.root(), log.root(), "seeded at {n}");
         }
         // A mismatched edge is rejected, not mis-folded.
         let log = build(6);

@@ -1,5 +1,4 @@
-//! One chain of append-only segment files, with torn-tail recovery and a
-//! checkpoint-seeded cold-start path.
+//! One chain of append-only segment files, with torn-tail recovery.
 //!
 //! File layout under one directory (one log per directory):
 //!
@@ -26,24 +25,23 @@
 //! roots; the store writes the checkpoint record, a trailer pointing at
 //! it, fsyncs, and rotates to a fresh segment.
 //!
-//! **Recovery** ([`LogStore::recover`]) scans every byte of every
-//! segment, validates CRCs and leaf-index contiguity across the chain,
-//! truncates the first torn/corrupt record and everything after it, and
-//! returns the surviving leaves — the replayed tree then reports the
-//! exact pre-crash commitment (or a clean prefix of it). **Cold start**
-//! ([`DurableStore::cold_head`]) instead trusts sealed trailers: it
-//! reads the newest sealed checkpoint plus only the unsealed tail,
-//! rebuilding the head in O(segments + tail) — the fast boot path the
-//! `cold_start` bench measures. The blind spots of each path are
+//! **Recovery** ([`LogStore::recover`]) is the one way a log comes up: it
+//! scans every byte of every segment, validates CRCs and leaf-index
+//! contiguity across the chain, truncates the first torn/corrupt record
+//! and everything after it, and returns the surviving leaves — the
+//! replayed tree then reports the exact pre-crash commitment (or a clean
+//! prefix of it). It also returns the newest sealed checkpoint record,
+//! which nothing boots *from*: it is a stored value the log layer holds
+//! the replayed tree against, so a disk that hands back well-formed
+//! records of the wrong history is refused by name. The blind spots are
 //! documented in `PERSISTENCE.md`.
 
 use super::segment::{
-    decode_checkpoint_payload, decode_record, decode_trailer, encode_checkpoint_payload,
-    encode_leaf_payload, encode_meta_header, encode_record, encode_segment_header, encode_trailer,
-    scan_meta, scan_segment, SegmentHeader, HEADER_LEN, REC_CHECKPOINT, REC_LEAF, TRAILER_LEN,
+    encode_checkpoint_payload, encode_leaf_payload, encode_meta_header, encode_record,
+    encode_segment_header, encode_trailer, scan_meta, scan_segment, SegmentHeader, HEADER_LEN,
+    REC_CHECKPOINT, REC_LEAF,
 };
 use super::{AppendAck, DurableOptions, LogStore, MetaRecord, Recovered, StoreError};
-use crate::merkle::{leaf_hash, CompactRoot};
 use distrust_crypto::sha256::Digest;
 use distrust_wire::sync::HealthyMutex;
 use std::fs::{File, OpenOptions};
@@ -100,7 +98,7 @@ struct MetaWriter {
 }
 
 /// Segment-file implementation of [`LogStore`]. See the module docs for
-/// the format and the recovery/cold-start split.
+/// the format and recovery.
 pub struct DurableStore {
     opts: DurableOptions,
     writer: HealthyMutex<Writer>,
@@ -121,11 +119,6 @@ impl DurableStore {
             writer: HealthyMutex::new(writer),
             meta: HealthyMutex::new(MetaWriter { file: None }),
         })
-    }
-
-    /// The store's directory.
-    pub fn dir(&self) -> &Path {
-        &self.opts.dir
     }
 
     /// Opens (creating + writing the header if needed) the active segment
@@ -161,43 +154,6 @@ impl DurableStore {
         }
         writer.file = Some(file);
         Ok(())
-    }
-
-    /// Rebuilds the log's `(size, head)` from the newest sealed checkpoint
-    /// plus a replay of only the segments after it — O(segments + tail),
-    /// independent of total entry count. Trusts sealed trailers (their
-    /// CRCs still guard every byte read); deep historical corruption is
-    /// the full [`LogStore::recover`] scan's job.
-    pub fn cold_head(&self) -> Result<(u64, Digest), StoreError> {
-        let dir = &self.opts.dir;
-        let segments = list_segments(dir)?;
-        // Walk backwards to the newest cleanly sealed segment.
-        let mut acc = CompactRoot::new();
-        let mut replay_from = 0usize;
-        for (i, &seg) in segments.iter().enumerate().rev() {
-            if let Some((size, edge)) = read_seal(&segment_path(dir, seg)) {
-                let Some(seeded) = CompactRoot::from_right_edge(size, &edge) else {
-                    return Err(StoreError::Corrupt("sealed checkpoint edge shape"));
-                };
-                acc = seeded;
-                replay_from = i + 1;
-                break;
-            }
-        }
-        // Replay the unsealed tail (usually zero or one segment).
-        for &seg in segments.get(replay_from..).unwrap_or(&[]) {
-            let bytes = std::fs::read(segment_path(dir, seg))?;
-            let Ok(scanned) = scan_segment(&bytes) else {
-                continue; // torn header: nothing durable in this segment
-            };
-            if scanned.header.start_index != acc.size() {
-                return Err(StoreError::Corrupt("segment chain gap on cold start"));
-            }
-            for leaf in &scanned.leaves {
-                acc.push_leaf_hash(leaf_hash(leaf));
-            }
-        }
-        Ok((acc.size(), acc.root()))
     }
 }
 
@@ -283,33 +239,6 @@ fn previous_chain_entries(dir: &Path, segments: &[u64]) -> Result<u64, StoreErro
     match scan_segment(&bytes) {
         Ok(s) => Ok(s.header.start_index + s.leaves.len() as u64),
         Err(_) => Ok(0),
-    }
-}
-
-/// Reads the trailer + checkpoint of a sealed segment without scanning
-/// its records. `None` when the file is not a cleanly sealed segment.
-fn read_seal(path: &Path) -> Option<(u64, Vec<Digest>)> {
-    let mut file = File::open(path).ok()?;
-    let len = file.metadata().ok()?.len();
-    let trailer_at = len.checked_sub(TRAILER_LEN as u64)?;
-    let mut trailer = [0u8; TRAILER_LEN];
-    file.seek(SeekFrom::Start(trailer_at)).ok()?;
-    file.read_exact(&mut trailer).ok()?;
-    let offset = decode_trailer(&trailer).ok()?;
-    if offset >= trailer_at {
-        return None;
-    }
-    file.seek(SeekFrom::Start(offset)).ok()?;
-    let mut record = Vec::new();
-    file.take(trailer_at - offset)
-        .read_to_end(&mut record)
-        .ok()?;
-    let mut input = record.as_slice();
-    match decode_record(&mut input) {
-        Ok((REC_CHECKPOINT, payload)) if input.is_empty() => {
-            decode_checkpoint_payload(payload).ok()
-        }
-        _ => None,
     }
 }
 
@@ -494,8 +423,7 @@ struct ChainRecovery {
 
 /// Scans the full chain, repairing torn tails and deleting everything
 /// after the first unrecoverable point. Every byte of every segment is
-/// validated — this is the paranoid path; cold starts use
-/// [`DurableStore::cold_head`] instead.
+/// validated.
 fn recover_chain(dir: &Path) -> Result<ChainRecovery, StoreError> {
     let segments = list_segments(dir)?;
     let mut out = Recovered::default();
@@ -629,7 +557,7 @@ mod tests {
     }
 
     #[test]
-    fn rotation_seals_and_cold_start_matches_replay() {
+    fn rotation_seals_and_replay_reproduces_the_head() {
         let dir = tempdir("rotate");
         // Tiny segments force several rotations.
         let store = DurableStore::open(opts(&dir, 200)).unwrap();
@@ -644,8 +572,6 @@ mod tests {
         }
         let files = list_segments(&dir).unwrap();
         assert!(files.len() > 2, "expected several segments, got {files:?}");
-        // The cold head agrees with full replay.
-        assert_eq!(store.cold_head().unwrap(), (40, mirror.root()));
         drop(store);
         let store = DurableStore::open(opts(&dir, 200)).unwrap();
         let recovered = store.recover().unwrap();
@@ -655,7 +581,14 @@ mod tests {
             replayed.append(leaf);
         }
         assert_eq!(replayed.root(), mirror.root());
-        assert_eq!(store.cold_head().unwrap(), (40, mirror.root()));
+        // The newest sealed checkpoint comes back with the leaves, and is
+        // the edge the tree had when that segment was sealed.
+        let (size, edge) = recovered.checkpoint.expect("a sealed checkpoint");
+        let mut at_seal = MerkleLog::new();
+        for leaf in recovered.leaves.iter().take(size as usize) {
+            at_seal.append(leaf);
+        }
+        assert_eq!(edge, at_seal.right_edge());
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -116,8 +116,8 @@ pub struct DurableOptions {
     /// directory).
     pub dir: PathBuf,
     /// Rotate (checkpoint + seal) a segment once it reaches this many
-    /// bytes. Smaller segments mean cheaper cold starts and more
-    /// checkpoint records; the default is 4 MiB.
+    /// bytes. Smaller segments mean more checkpoint records; the default
+    /// is 4 MiB.
     pub segment_bytes: u64,
     /// `fsync` after this many appends. `1` syncs every
     /// append; larger values batch — crash-safe for *signed* history

@@ -15,18 +15,15 @@
 //!   and the **code digest** that trust domains log and attest to.
 //! * [`vm`] — the interpreter: [`vm::Instance`], [`vm::Host`], [`vm::Trap`].
 //! * [`builder`] — programmatic construction with symbolic labels.
-//! * [`asm`] — a textual assembler (the "developer toolchain").
 //! * [`guests`] — reference guest programs, including a complete SHA-256
 //!   kernel validated against the native implementation.
 
-pub mod asm;
 pub mod builder;
 pub mod guests;
 pub mod isa;
 pub mod module;
 pub mod vm;
 
-pub use asm::{assemble, AsmError};
 pub use builder::{FuncBuilder, ModuleBuilder};
 pub use isa::Instr;
 pub use module::{Export, Function, ImportSig, Module, ValidateError, PAGE_SIZE};

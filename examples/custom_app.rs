@@ -1,6 +1,6 @@
-//! The full developer workflow: write application code in the sandbox
-//! assembly language, assemble it, sign it, deploy it across trust
-//! domains, audit, and call it — no Rust host functions required.
+//! The full developer workflow: write application code for the sandbox
+//! with `ModuleBuilder`, sign it, deploy it across trust domains, audit,
+//! and call it — no Rust host functions required.
 //!
 //! This is the reproduction's analogue of the paper's "developer compiles
 //! C++ to Wasm with Emscripten" pipeline (§5), at toy scale.
@@ -9,102 +9,59 @@
 //! cargo run --release --example custom_app
 //! ```
 
-use distrust::core::abi::AppHost;
+use distrust::core::abi::{AppHost, HANDLE_EXPORT, OUTBOX_ADDR};
 use distrust::core::{AppSpec, Deployment, FanoutCall, NoImports, TrustPolicy};
-use distrust::sandbox::{assemble, Limits};
+use distrust::sandbox::{FuncBuilder, Instr, Limits, Module, ModuleBuilder};
 
-/// The application source a (non-Rust) developer would write and publish.
+/// The application a developer would write and publish: the module the
+/// framework ABI asks for,
+///   `handle(method, inbox_addr, len) -> outbox length`,
+/// with two methods.
 /// Method 1: checksum — single byte, sum of the payload mod 256.
 /// Method 2: reverse — the payload, reversed.
-const APP_SOURCE: &str = r#"
-; checksum + reverse service, speaking the distrust framework ABI:
-;   handle(method, inbox_addr, len) -> outbox length
-; outbox lives at 20480.
-memory 1 1
+fn app_module() -> Module {
+    // Locals: 0 = method, 1 = inbox address, 2 = length, 3 = i, 4 = acc.
+    let mut f = FuncBuilder::new(3, 2, 1);
+    f.lget(0).constant(1).op(Instr::Eq).jnz("checksum");
+    f.lget(0).constant(2).op(Instr::Eq).jnz("reverse");
+    f.op(Instr::Trap);
 
-func handle params=3 locals=2 returns=1
-  local.get 0
-  const 1
-  eq
-  jnz @checksum
-  local.get 0
-  const 2
-  eq
-  jnz @reverse
-  trap
+    f.label("checksum");
+    f.constant(0).lset(3).constant(0).lset(4);
+    f.label("sum_loop");
+    f.lget(3).lget(2).op(Instr::GeU).jnz("sum_done");
+    f.lget(4).lget(1).lget(3).add().load8(0).add().lset(4);
+    f.lget(3).constant(1).add().lset(3).jmp("sum_loop");
+    f.label("sum_done");
+    f.constant(OUTBOX_ADDR);
+    f.lget(4).constant(0xff).and().store8(0);
+    f.constant(1).ret();
 
-@checksum:
-  ; local 3 = i, local 4 = acc
-  const 0
-  local.set 3
-  const 0
-  local.set 4
-@sum_loop:
-  local.get 3
-  local.get 2
-  ge_u
-  jnz @sum_done
-  local.get 4
-  local.get 1
-  local.get 3
-  add
-  load8 0
-  add
-  local.set 4
-  local.get 3
-  const 1
-  add
-  local.set 3
-  jmp @sum_loop
-@sum_done:
-  const 20480
-  local.get 4
-  const 0xff
-  and
-  store8 0
-  const 1
-  return
+    // outbox[i] = inbox[len - 1 - i]
+    f.label("reverse");
+    f.constant(0).lset(3);
+    f.label("rev_loop");
+    f.lget(3).lget(2).op(Instr::GeU).jnz("rev_done");
+    f.constant(OUTBOX_ADDR).lget(3).add();
+    f.lget(1).lget(2).add().constant(1).sub();
+    f.lget(3).sub().load8(0).store8(0);
+    f.lget(3).constant(1).add().lset(3).jmp("rev_loop");
+    f.label("rev_done");
+    f.lget(2).ret();
 
-@reverse:
-  ; outbox[i] = inbox[len - 1 - i]
-  const 0
-  local.set 3
-@rev_loop:
-  local.get 3
-  local.get 2
-  ge_u
-  jnz @rev_done
-  const 20480
-  local.get 3
-  add
-  local.get 1
-  local.get 2
-  add
-  const 1
-  sub
-  local.get 3
-  sub
-  load8 0
-  store8 0
-  local.get 3
-  const 1
-  add
-  local.set 3
-  jmp @rev_loop
-@rev_done:
-  local.get 2
-  return
-end
-
-export handle handle
-"#;
+    let mut module = ModuleBuilder::new(1, 1);
+    let handle = module.function(f.build().expect("labels resolve"));
+    module.export(HANDLE_EXPORT, handle);
+    module.build()
+}
 
 fn main() {
     println!("== custom app: assembly → signed release → audited deployment ==\n");
 
     // 1. "Compile" the published source. Anyone can re-run this and check
     //    the digest — that is the whole auditability story.
-    let module = assemble(APP_SOURCE).expect("assembles");
+    let module = app_module();
+    module.validate().expect("a valid module");
     let digest = module.digest();
     println!(
         "assembled {} bytes of module, code digest {}…",

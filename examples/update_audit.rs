@@ -83,7 +83,15 @@ fn main() {
     // -- What the client can verify afterwards.
     println!("\n-- client-side verification --");
     let client = session.client();
-    // 1. Update notices were issued (before the new code served anything).
+    // 1. The post-update audit is clean. Each domain answers with a single
+    //    BatchAudit round-trip: attestation + the new checkpoint + a
+    //    consistency proof linking it to the pre-update checkpoint this
+    //    client already verified (nothing below that prefix is re-checked).
+    //    The heads it verifies are what the reads below are held against.
+    let report = client.audit(Some(&v2_digest));
+    println!("  post-update audit clean: {} ✅", report.is_clean());
+    assert!(report.is_clean());
+    // 2. Update notices were issued (before the new code served anything).
     let notices = client.notices(0, 0).unwrap();
     for n in &notices {
         println!(
@@ -94,20 +102,14 @@ fn main() {
             n.log_index
         );
     }
-    // 2. The append-only log on every domain contains both digests, and
+    // 3. The append-only log on every domain contains both digests — the
+    //    leaves under the head just verified, or the read is refused — and
     //    the histories are identical across domains.
     let reference = client.log_entries(0, 0).unwrap();
     for d in 1..3u32 {
         assert_eq!(client.log_entries(d, 0).unwrap(), reference);
     }
     println!("  digest histories identical across all 3 domains ✅");
-    // 3. The post-update audit is clean. Each domain answers with a single
-    //    BatchAudit round-trip: attestation + the new checkpoint + a
-    //    consistency proof linking it to the pre-update checkpoint this
-    //    client already verified (nothing below that prefix is re-checked).
-    let report = client.audit(Some(&v2_digest));
-    println!("  post-update audit clean: {} ✅", report.is_clean());
-    assert!(report.is_clean());
 
     println!("\nusers never had to trust the developer's word: every step is auditable.");
 }

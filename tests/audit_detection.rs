@@ -6,13 +6,16 @@
 //!
 //! `BatchAudit` is the only audit exchange, so a domain cannot pick how it
 //! is examined: refusing the request fails the audit, and a dead
-//! connection is reopened once rather than worked around.
+//! connection is reopened once rather than worked around. What a client
+//! then *reads* from a domain — its leaves, its notices — is held against
+//! the head that audit verified.
 
 mod common;
 
-use common::{bundle_fake, client, descriptor_for, signed, status_with};
-use distrust::core::protocol::{AuditBundle, BundleAttestation, Request, Response};
+use common::{bundle_fake, bundle_fake_with, client, descriptor_for, signed, status_with};
+use distrust::core::protocol::{AuditBundle, BundleAttestation, Request, Response, UpdateNotice};
 use distrust::core::server::DirectHost;
+use distrust::core::{ClientError, DeploymentClient, ReleaseManifest};
 use distrust::crypto::schnorr::SigningKey;
 use distrust::log::auditor::Misbehavior;
 use distrust::log::batch::{CheckpointBundle, ProofBundle};
@@ -239,7 +242,7 @@ fn dropped_connection_is_reopened_once_and_the_audit_resent() {
     // An answered exchange leaves the client holding a connection the
     // server has already closed.
     assert!(matches!(
-        client.exchange(0, &Request::GetStatus),
+        client.exchange(0, &Request::WitnessHead),
         Ok(Response::Error(_))
     ));
     assert_eq!(connections.load(Ordering::SeqCst), 2);
@@ -318,5 +321,159 @@ fn bundle_echoing_another_request_id_fails_the_audit_and_returns() {
     );
     assert!(second.is_clean(), "connection still aligned: {second:?}");
 
+    host.shutdown();
+}
+
+/// The three leaves the reading tests' domain has logged and signed.
+fn logged_leaf(index: u64) -> Vec<u8> {
+    format!("release {index}").into_bytes()
+}
+
+/// Pages a byzantine reader-facing fake answers before it gives up and
+/// says "empty": a client that believes the domain about where its log
+/// ends collects them all, so the tests fail instead of hanging.
+const PAGES_BEFORE_GIVING_UP: u64 = 1_000;
+
+/// A domain that audits clean at a signed log of three [`logged_leaf`]s
+/// and answers the reads `reads` has an answer for, and a client that has
+/// audited it.
+fn audited_reader(
+    tag: &[u8],
+    mut reads: impl FnMut(Request) -> Option<Response> + Send + 'static,
+) -> (DirectHost, DeploymentClient) {
+    let key = SigningKey::derive(tag, b"checkpoint");
+    let mut log = distrust::log::MerkleLog::new();
+    for index in 0..3 {
+        log.append(&logged_leaf(index));
+    }
+    let head = log.root();
+    let checkpoint = signed(&key, log_id(tag, 0), 3, head, 1);
+    let host = DirectHost::spawn(bundle_fake_with(
+        move || (status_with(head, 3), lone(checkpoint.clone())),
+        move |request| reads(request).unwrap_or(Response::Error("not implemented".into())),
+    ))
+    .expect("spawn");
+    let mut client = client(&descriptor_for(host.addr(), &key), b"reader");
+    let report = client.audit(None);
+    assert!(report.is_clean(), "{report:?}");
+    (host, client)
+}
+
+#[test]
+fn a_log_read_ends_at_the_verified_size_whatever_the_domain_keeps_answering() {
+    // The domain never answers an empty page: past the three leaves it
+    // signed it invents one more, for as long as it is asked.
+    let asked = Arc::new(AtomicU64::new(0));
+    let counter = Arc::clone(&asked);
+    let (mut host, mut client) = audited_reader(b"endless pager", move |request| {
+        let Request::GetLogEntries { from } = request else {
+            return None;
+        };
+        let gave_up = counter.fetch_add(1, Ordering::SeqCst) >= PAGES_BEFORE_GIVING_UP;
+        let page = if gave_up {
+            vec![]
+        } else {
+            vec![logged_leaf(from)]
+        };
+        Some(Response::LogEntries(page))
+    });
+    let leaves = client.log_entries(0, 0).expect("the signed log");
+    assert_eq!(leaves, [logged_leaf(0), logged_leaf(1), logged_leaf(2)]);
+    assert_eq!(asked.load(Ordering::SeqCst), 3, "one exchange per page");
+    assert_eq!(client.log_entries(0, 2).unwrap(), [logged_leaf(2)]);
+    assert!(client.log_entries(0, 3).unwrap().is_empty());
+    assert!(matches!(
+        client.log_entries(0, 4),
+        Err(ClientError::AuditFailed(_))
+    ));
+    host.shutdown();
+
+    // One page holding more than the signed log has left is refused whole.
+    let (mut host, mut client) = audited_reader(b"overlong page", |request| match request {
+        Request::GetLogEntries { from } => Some(Response::LogEntries(
+            (from..from + 5).map(logged_leaf).collect(),
+        )),
+        _ => None,
+    });
+    match client.log_entries(0, 0) {
+        Err(ClientError::Unexpected(why)) => assert!(why.contains("5 leaves"), "{why}"),
+        other => panic!("a page past the signed size: {other:?}"),
+    }
+    host.shutdown();
+}
+
+#[test]
+fn a_notice_page_that_does_not_advance_is_refused() {
+    let notice = |log_index: u64| UpdateNotice {
+        manifest: ReleaseManifest {
+            app_name: "any".into(),
+            version: log_index + 1,
+            code_digest: [log_index as u8; 32],
+            notes: String::new(),
+            locks_updates: false,
+        },
+        log_index,
+        logical_time: log_index + 1,
+    };
+    // Whatever `since` says, the domain answers the notice for leaf 0.
+    let asked = Arc::new(AtomicU64::new(0));
+    let counter = Arc::clone(&asked);
+    let (mut host, mut client) = audited_reader(b"stuck notices", move |request| {
+        let Request::GetNotices { .. } = request else {
+            return None;
+        };
+        let gave_up = counter.fetch_add(1, Ordering::SeqCst) >= PAGES_BEFORE_GIVING_UP;
+        let page = if gave_up { vec![] } else { vec![notice(0)] };
+        Some(Response::Notices(page))
+    });
+    match client.notices(0, 0) {
+        Err(ClientError::Unexpected(why)) => assert!(why.contains("leaf 0"), "{why}"),
+        other => panic!("the same notice twice: {other:?}"),
+    }
+    assert_eq!(
+        asked.load(Ordering::SeqCst),
+        2,
+        "refused at the second page"
+    );
+    host.shutdown();
+
+    // Nor may a notice name a leaf the verified log does not have; the
+    // ones it does have come back, and the read stops at the size.
+    let (mut host, mut client) = audited_reader(b"notices past", move |request| match request {
+        Request::GetNotices { since } => {
+            Some(Response::Notices(vec![notice(since), notice(since + 1)]))
+        }
+        _ => None,
+    });
+    assert_eq!(client.notices(0, 1).unwrap(), [notice(1), notice(2)]);
+    assert!(client.notices(0, 3).unwrap().is_empty());
+    match client.notices(0, 2) {
+        Err(ClientError::Unexpected(why)) => assert!(why.contains("leaf 3"), "{why}"),
+        other => panic!("a notice for leaf 3 of a log of 3: {other:?}"),
+    }
+    host.shutdown();
+}
+
+#[test]
+fn a_substituted_leaf_is_not_the_log_that_was_signed() {
+    // Right count, right size, page boundaries in order — and leaf 1 is
+    // something the domain never logged.
+    let (mut host, mut client) = audited_reader(b"substituted leaf", |request| match request {
+        Request::GetLogEntries { from } => Some(Response::LogEntries(
+            (from..3)
+                .map(|index| match index {
+                    1 => b"release 1, as told to this reader".to_vec(),
+                    _ => logged_leaf(index),
+                })
+                .collect(),
+        )),
+        _ => None,
+    });
+    match client.log_entries(0, 0) {
+        Err(ClientError::Unexpected(why)) => {
+            assert!(why.contains("not the log it signed"), "{why}")
+        }
+        other => panic!("leaves that do not hash to the signed head: {other:?}"),
+    }
     host.shutdown();
 }

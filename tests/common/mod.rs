@@ -21,6 +21,7 @@ use distrust::sandbox::guests::counter_module;
 use distrust::sandbox::Limits;
 use distrust::tee::host::EnclaveService;
 use distrust::tee::vendor::VendorRoots;
+use distrust::wire::codec::encode_seq;
 use distrust::wire::{Decode, Encode};
 use std::net::SocketAddr;
 
@@ -97,7 +98,16 @@ pub fn signed(
 /// the `(status, bundle)` that `view` returns for that round, everything
 /// else with an error frame.
 pub fn bundle_fake(
+    view: impl FnMut() -> (DomainStatus, CheckpointBundle) + Send + 'static,
+) -> impl EnclaveService {
+    bundle_fake_with(view, |_| Response::Error("not implemented".into()))
+}
+
+/// [`bundle_fake`] for a domain that is also read from: every request
+/// that is not a `BatchAudit` gets what `other` answers it.
+pub fn bundle_fake_with(
     mut view: impl FnMut() -> (DomainStatus, CheckpointBundle) + Send + 'static,
+    mut other: impl FnMut(Request) -> Response + Send + 'static,
 ) -> impl EnclaveService {
     move |request: Vec<u8>| {
         let response = match Request::from_wire(&request) {
@@ -109,11 +119,20 @@ pub fn bundle_fake(
                     bundle,
                 }))
             }
-            Ok(_) => Response::Error("not implemented".into()),
+            Ok(request) => other(request),
             Err(e) => Response::Error(format!("{e}")),
         };
         response.to_wire()
     }
+}
+
+/// A `META_EPOCH` payload: `checkpoint`, then the `(sizes, heads)` pair
+/// of sequences that follows it on disk.
+pub fn epoch_record(checkpoint: &SignedCheckpoint, sizes: &[u64], heads: &[[u8; 32]]) -> Vec<u8> {
+    let mut wire = checkpoint.to_wire();
+    encode_seq(sizes, &mut wire);
+    encode_seq(heads, &mut wire);
+    wire
 }
 
 /// The checkpoint key of [`pinned_domain`].

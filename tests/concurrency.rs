@@ -349,7 +349,7 @@ fn fanout_tolerates_domain_death_mid_session() {
     let report = session
         .fanout(
             &FanoutCall::broadcast(analytics::METHOD_COUNT, Vec::new())
-                .quorum(QuorumPolicy::First(1)),
+                .quorum(QuorumPolicy::Threshold(1)),
         )
         .expect("fanout");
     assert!(report.satisfied);

@@ -12,7 +12,9 @@
 
 mod common;
 
-use common::{digest_hex, pinned_checkpoint_key, pinned_config, pinned_domain, pinned_release};
+use common::{
+    digest_hex, epoch_record, pinned_checkpoint_key, pinned_config, pinned_domain, pinned_release,
+};
 use distrust::core::abi::{AppHost, NoImports, HANDLE_EXPORT, OUTBOX_ADDR};
 use distrust::core::framework::{EnclaveFramework, FrameworkConfig};
 use distrust::core::{AppSpec, Deployment, Request, Response, SignedRelease};
@@ -23,8 +25,6 @@ use distrust::log::{
     DurableOptions, DurableStore, LogStore, MerkleLog, ShardedLog, StorageConfig, StoreError,
 };
 use distrust::sandbox::{FuncBuilder, Limits, Module, ModuleBuilder};
-use distrust::wire::codec::encode_seq;
-use distrust::wire::Encode;
 use std::path::{Path, PathBuf};
 
 /// Method 1 returns `base + input[0]`.
@@ -395,15 +395,6 @@ fn boot_after(tag: &str, damage: impl FnOnce(&Path, &dyn LogStore)) -> Option<St
     refusal
 }
 
-/// A `META_EPOCH` payload: `checkpoint`, then the `(sizes, heads)` pair
-/// of sequences that follows it on disk.
-fn epoch_record(checkpoint: &SignedCheckpoint, sizes: &[u64], heads: &[[u8; 32]]) -> Vec<u8> {
-    let mut wire = checkpoint.to_wire();
-    encode_seq(sizes, &mut wire);
-    encode_seq(heads, &mut wire);
-    wire
-}
-
 /// The epoch the pinned domain would sign after a seventh release.
 fn seventh_epoch() -> SignedCheckpoint {
     SignedCheckpoint::sign(
@@ -485,6 +476,83 @@ fn a_layout_of_several_trees_is_refused_by_name() {
         "log_shards: 4 over a directory that boots with 1"
     );
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// What the pinned domain answers a boot with after a seventh release —
+/// two sealed segments and a tail of one leaf, so the newest seal is not
+/// the end of the log — and after that seal's checkpoint record was
+/// rewritten: the payload `lie` makes of its `(size, edge)`, a valid CRC,
+/// the trailer pointing at it as before. A well-formed record the log
+/// never wrote.
+fn boot_after_resealing(
+    tag: &str,
+    lie: impl FnOnce(u64, Vec<[u8; 32]>) -> Vec<u8>,
+) -> Option<StoreError> {
+    use distrust::log::store::segment::{
+        decode_trailer, encode_record, encode_trailer, scan_segment, REC_CHECKPOINT, TRAILER_LEN,
+    };
+    let (dir, storage) = pinned_directory(tag);
+    pinned_domain(storage.clone())
+        .unwrap()
+        .apply_update(&pinned_release(7))
+        .unwrap();
+    let files = segment_files(&dir);
+    assert_eq!(files.len(), 3);
+    let bytes = std::fs::read(&files[1]).unwrap();
+    let scanned = scan_segment(&bytes).unwrap();
+    assert!(scanned.sealed, "the segment before the tail");
+    let (size, edge) = scanned.checkpoint.unwrap();
+    let offset = decode_trailer(&bytes[bytes.len() - TRAILER_LEN..]).unwrap();
+    let mut rewritten = bytes[..offset as usize].to_vec();
+    encode_record(REC_CHECKPOINT, &lie(size, edge), &mut rewritten);
+    rewritten.extend_from_slice(&encode_trailer(offset));
+    std::fs::write(&files[1], rewritten).unwrap();
+    let refusal = pinned_domain(storage).err();
+    let _ = std::fs::remove_dir_all(&dir);
+    refusal
+}
+
+/// Nothing boots *from* a sealed checkpoint record — every leaf is
+/// replayed — so what the record is for is this: a disk that returns
+/// well-formed bytes of the wrong history is refused by name, not served.
+#[test]
+fn a_lying_sealed_checkpoint_is_refused_by_name() {
+    use distrust::log::store::segment::encode_checkpoint_payload;
+    let as_it_was = boot_after_resealing("seal-honest", |size, edge| {
+        encode_checkpoint_payload(size, &edge)
+    });
+    assert!(as_it_was.is_none(), "{as_it_was:?}");
+
+    // Right size, right number of digests, every CRC valid — wrong digests.
+    let wrong_digests = boot_after_resealing("seal-digests", |size, mut edge| {
+        edge.iter_mut().for_each(|digest| digest[0] ^= 1);
+        encode_checkpoint_payload(size, &edge)
+    });
+    assert!(
+        matches!(
+            wrong_digests,
+            Some(StoreError::Corrupt("recovered checkpoint root mismatch"))
+        ),
+        "{wrong_digests:?}"
+    );
+
+    // A record of another size than the leaves before it never reaches
+    // that comparison: the scan ends at it as at a torn write, the leaf
+    // after it goes with it, and what refuses the boot is the signed
+    // history that leaf was part of.
+    let wrong_size = boot_after_resealing("seal-size", |size, edge| {
+        encode_checkpoint_payload(size - 2, &edge)
+    });
+    assert!(
+        matches!(
+            wrong_size,
+            Some(StoreError::LostSignedHistory {
+                signed: 7,
+                recovered: 6
+            })
+        ),
+        "{wrong_size:?}"
+    );
 }
 
 #[test]

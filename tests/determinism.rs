@@ -82,6 +82,7 @@ fn log_leaves_identical_across_domains() {
     // release, or cross-domain digest comparison would be vacuous.
     let deployment = Deployment::launch(analytics::app_spec(4), b"leaf determinism").unwrap();
     let mut client = deployment.client(b"auditor");
+    assert!(client.audit(None).is_clean());
     let reference = client.log_entries(0, 0).unwrap();
     assert!(!reference.is_empty());
     for d in 1..4 {

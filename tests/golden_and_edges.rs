@@ -17,20 +17,28 @@ use distrust::wire::{Decode, DecodeError, Encode};
 fn golden_request_encodings() {
     // If any of these change, the protocol version must be bumped and old
     // transcripts re-validated. (Values captured from the v1 format.)
-    let attest = Request::Attest { nonce: [7; 32] };
-    let status = Request::GetStatus;
+    let audit = Request::BatchAudit {
+        request_id: 0x0102,
+        nonce: [7; 32],
+        verified_size: 5,
+    };
     let call = Request::AppCall {
         method: 3,
         payload: b"payload".to_vec(),
     };
     // Structural pins (cheap to maintain, catch format drift):
-    assert_eq!(attest.to_wire().len(), 1 + 32);
-    assert_eq!(status.to_wire(), vec![1]);
+    assert_eq!(Request::WitnessHead.to_wire(), vec![11]);
     assert_eq!(call.to_wire().len(), 1 + 8 + 4 + 7);
     // Exact-content pins:
     assert_eq!(
-        digest_hex(&attest.to_wire()),
-        digest_hex(&[vec![0u8], vec![7u8; 32]].concat()),
+        audit.to_wire(),
+        [
+            vec![8u8],
+            vec![2, 1, 0, 0, 0, 0, 0, 0],
+            vec![7; 32],
+            vec![5, 0, 0, 0, 0, 0, 0, 0]
+        ]
+        .concat(),
     );
 }
 
@@ -39,14 +47,12 @@ fn golden_tag_assignments() {
     // One tag per message, never renumbered: a transcript recorded against
     // any release decodes to the same messages, or not at all.
     let requests = [
-        (Request::Attest { nonce: [0; 32] }, 0u8),
-        (Request::GetStatus, 1),
         (
             Request::AppCall {
                 method: 0,
                 payload: vec![],
             },
-            2,
+            2u8,
         ),
         (Request::GetLogEntries { from: 0 }, 6),
         (Request::GetNotices { since: 0 }, 7),
@@ -64,7 +70,8 @@ fn golden_tag_assignments() {
         assert_eq!(request.to_wire()[0], tag, "{request:?}");
     }
     let responses = [
-        (Response::AppError(String::new()), 4u8),
+        (Response::AppResult { payload: vec![] }, 3u8),
+        (Response::AppError(String::new()), 4),
         (Response::UpdateRejected(String::new()), 6),
         (Response::LogEntries(vec![]), 9),
         (Response::Notices(vec![]), 10),
@@ -75,16 +82,16 @@ fn golden_tag_assignments() {
         assert_eq!(response.to_wire()[0], tag, "{response:?}");
     }
     // The gaps are retired for good and refuse to decode: the per-step
-    // audit messages (request tags 4/5, response tags 7/8), and the
-    // per-tree read and second audit-bundle format of a log that could be
-    // several trees (request tag 9, response tag 13).
-    for tag in [4u8, 5, 9] {
+    // audit messages (request tags 0/1/4/5, response tags 0/1/2/7/8), and
+    // the per-tree read and second audit-bundle format of a log that could
+    // be several trees (request tag 9, response tag 13).
+    for tag in [0u8, 1, 4, 5, 9] {
         assert_eq!(
             Request::from_wire(&[tag, 0, 0, 0, 0, 0, 0, 0, 0]),
             Err(DecodeError::InvalidTag(tag))
         );
     }
-    for tag in [7u8, 8, 13] {
+    for tag in [0u8, 1, 2, 7, 8, 13] {
         assert_eq!(
             Response::from_wire(&[tag, 0, 0, 0, 0, 0, 0, 0, 0]),
             Err(DecodeError::InvalidTag(tag))

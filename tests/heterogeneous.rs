@@ -3,11 +3,27 @@
 //! client verifies each along its own vendor path.
 
 use distrust::apps::analytics;
-use distrust::core::protocol::{Request, Response};
-use distrust::core::Deployment;
-use distrust::tee::attest::PlatformEvidence;
+use distrust::core::protocol::{BundleAttestation, Request, Response};
+use distrust::core::{Deployment, DeploymentClient};
+use distrust::tee::attest::{PlatformEvidence, Quote};
 use distrust::tee::vendor::VendorKind;
 use distrust::wire::Decode;
+
+/// The quote in `domain`'s answer to one `BatchAudit` under `nonce`.
+fn quote_from(client: &mut DeploymentClient, domain: u32, nonce: [u8; 32]) -> Quote {
+    let request = Request::BatchAudit {
+        request_id: 1,
+        nonce,
+        verified_size: 0,
+    };
+    match client.exchange(domain, &request).expect("audit answer") {
+        Response::AuditBundle(answer) => match answer.attestation {
+            BundleAttestation::Quote(quote) => *quote,
+            other => panic!("domain {domain}: expected quote, got {other:?}"),
+        },
+        other => panic!("domain {domain}: expected an audit bundle, got {other:?}"),
+    }
+}
 
 #[test]
 fn domains_attest_with_vendor_specific_evidence() {
@@ -17,18 +33,7 @@ fn domains_attest_with_vendor_specific_evidence() {
 
     let mut seen = Vec::new();
     for d in 1..4u32 {
-        let resp = client
-            .exchange(
-                d,
-                &Request::Attest {
-                    nonce: [d as u8; 32],
-                },
-            )
-            .expect("attest");
-        let quote = match resp {
-            Response::Quote(q) => q,
-            other => panic!("domain {d}: expected quote, got {other:?}"),
-        };
+        let quote = quote_from(&mut client, d, [d as u8; 32]);
         // Evidence shape matches the pinned vendor for this domain.
         let pinned = deployment.descriptor.domains[d as usize].vendor.unwrap();
         assert_eq!(quote.document.vendor, pinned);
@@ -68,13 +73,7 @@ fn nonce_prevents_quote_replay() {
     let mut client = deployment.client(b"auditor");
 
     // Capture a quote for nonce A.
-    let resp = client
-        .exchange(1, &Request::Attest { nonce: [0xaa; 32] })
-        .expect("attest");
-    let quote_a = match resp {
-        Response::Quote(q) => q,
-        other => panic!("{other:?}"),
-    };
+    let quote_a = quote_from(&mut client, 1, [0xaa; 32]);
     // The quote itself verifies (it is genuine)…
     quote_a
         .verify(&deployment.descriptor.vendor_roots, None, None)
@@ -103,7 +102,7 @@ fn audit_rejects_vendor_substitution() {
         _ => VendorKind::SgxSim,
     };
     tampered.domains[1].vendor = Some(wrong);
-    let mut client = distrust::core::DeploymentClient::new(
+    let mut client = DeploymentClient::new(
         tampered,
         Box::new(distrust::crypto::drbg::HmacDrbg::new(b"auditor", b"")),
     );

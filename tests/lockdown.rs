@@ -110,6 +110,7 @@ fn lockdown_survives_through_notices() {
     for r in client.push_update(&final_release) {
         r.expect("accepted");
     }
+    assert!(client.audit(None).is_clean());
     for d in 0..2 {
         let notices = client.notices(d, 0).unwrap();
         let last = notices.last().unwrap();

@@ -4,7 +4,7 @@
 
 use distrust::core::abi::{NoImports, HANDLE_EXPORT, OUTBOX_ADDR};
 use distrust::core::framework::{EnclaveFramework, FrameworkConfig, FrameworkService};
-use distrust::core::protocol::{Request, Response};
+use distrust::core::protocol::{BundleAttestation, Request, Response};
 use distrust::core::SignedRelease;
 use distrust::crypto::drbg::HmacDrbg;
 use distrust::crypto::schnorr::SigningKey;
@@ -49,9 +49,8 @@ fn service_with_history() -> FrameworkService {
     svc
 }
 
-/// A TEE-backed service (simulated vendor + provisioned device):
-/// `Request::Attest` is answered with a real `Response::Quote` instead of
-/// the unattested fallback.
+/// A TEE-backed service (simulated vendor + provisioned device): its
+/// audit answer carries a real quote instead of the unattested fallback.
 fn attested_service() -> FrameworkService {
     let dev = SigningKey::derive(b"protocol fuzz", b"dev");
     let vendor = Vendor::new(VendorKind::ALL[0], b"protocol fuzz vendor");
@@ -160,18 +159,16 @@ proptest! {
     /// must agree byte-for-byte, since responses are hashed into quotes).
     #[test]
     fn structured_requests_round_trip(
-        tag in 0u8..6,
+        tag in 0u8..4,
         nonce in any::<[u8; 32]>(),
         method in any::<u64>(),
         payload in proptest::collection::vec(any::<u8>(), 0..64),
         number in any::<u64>(),
     ) {
         let request = match tag {
-            0 => Request::Attest { nonce },
-            1 => Request::GetStatus,
-            2 => Request::AppCall { method, payload: payload.clone() },
-            3 => Request::GetLogEntries { from: number },
-            4 => Request::GetNotices { since: number },
+            0 => Request::AppCall { method, payload: payload.clone() },
+            1 => Request::GetLogEntries { from: number },
+            2 => Request::GetNotices { since: number },
             _ => Request::BatchAudit {
                 request_id: method,
                 nonce,
@@ -267,18 +264,30 @@ proptest! {
     }
 
     /// Arbitrary bytes led by a retired tag — the per-step audit messages
-    /// (requests 4/5, responses 7/8), the per-tree read (request 9) and
-    /// the second audit-bundle format (response 13) — never decode and
-    /// never panic: the decoder names the tag, the service answers with
-    /// an error frame.
+    /// (requests 0/1/4/5, responses 0/1/2/7/8), the per-tree read
+    /// (request 9) and the second audit-bundle format (response 13) —
+    /// never decode and never panic: the decoder names the tag, the
+    /// service answers with an error frame.
     #[test]
     fn bytes_led_by_a_retired_tag_never_decode(
-        pick in 0usize..6,
+        pick in 0usize..11,
         rest in proptest::collection::vec(any::<u8>(), 0..256),
     ) {
         use distrust::wire::DecodeError;
-        let (is_request, tag) =
-            [(true, 4u8), (true, 5), (true, 9), (false, 7), (false, 8), (false, 13)][pick];
+        const RETIRED: [(bool, u8); 11] = [
+            (true, 0),
+            (true, 1),
+            (true, 4),
+            (true, 5),
+            (true, 9),
+            (false, 0),
+            (false, 1),
+            (false, 2),
+            (false, 7),
+            (false, 8),
+            (false, 13),
+        ];
+        let (is_request, tag) = RETIRED[pick];
         let mut frame = vec![tag];
         frame.extend_from_slice(&rest);
         if is_request {
@@ -372,12 +381,18 @@ proptest! {
 #[test]
 fn attest_on_a_tee_domain_answers_with_a_quote() {
     let mut svc = attested_service();
-    let frame = svc.handle(Request::Attest { nonce: [5; 32] }.to_wire());
+    let request = Request::BatchAudit {
+        request_id: 1,
+        nonce: [5; 32],
+        verified_size: 0,
+    };
+    let frame = svc.handle(request.to_wire());
     let response = Response::from_wire(&frame).expect("decodes");
-    assert!(
-        matches!(response, Response::Quote(_)),
-        "expected a quote, got {response:?}"
+    let carries_a_quote = matches!(
+        &response,
+        Response::AuditBundle(answer) if matches!(answer.attestation, BundleAttestation::Quote(_))
     );
+    assert!(carries_a_quote, "expected a quote, got {response:?}");
     // Canonical encoding: re-encoding the decoded quote reproduces the
     // server's exact bytes.
     assert_eq!(response.to_wire(), frame);
@@ -436,8 +451,6 @@ fn only_updates_advance_logical_time_and_audits_reuse_signatures() {
     // Every request that is not an update, then audit again: still the
     // same signed bytes, so nothing re-signed and no clock tick.
     for request in [
-        Request::Attest { nonce: [4; 32] },
-        Request::GetStatus,
         Request::AppCall {
             method: 0,
             payload: vec![],
@@ -470,7 +483,7 @@ fn only_updates_advance_logical_time_and_audits_reuse_signatures() {
 #[test]
 fn retired_per_step_tags_do_not_decode() {
     use distrust::wire::DecodeError;
-    for tag in [4u8, 5] {
+    for tag in [0u8, 1, 4, 5] {
         let mut frame = vec![tag];
         frame.extend_from_slice(&[0; 16]);
         assert_eq!(
@@ -482,7 +495,7 @@ fn retired_per_step_tags_do_not_decode() {
             Ok(Response::Error(_))
         ));
     }
-    for tag in [7u8, 8] {
+    for tag in [0u8, 1, 2, 7, 8] {
         let mut frame = vec![tag];
         frame.extend_from_slice(&[0; 16]);
         assert_eq!(
@@ -557,10 +570,14 @@ fn every_request_variant_gets_a_sensible_answer_without_an_app() {
     type ResponseCheck = fn(&Response) -> bool;
     let mut svc = service();
     let cases: Vec<(Request, ResponseCheck)> = vec![
-        (Request::GetStatus, |r| matches!(r, Response::Status(_))),
-        (Request::Attest { nonce: [0; 32] }, |r| {
-            matches!(r, Response::Unattested(_))
-        }),
+        (
+            Request::BatchAudit {
+                request_id: 1,
+                nonce: [0; 32],
+                verified_size: 0,
+            },
+            |r| matches!(r, Response::AuditBundle(_)),
+        ),
         (
             Request::AppCall {
                 method: 1,

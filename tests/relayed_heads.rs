@@ -217,9 +217,15 @@ fn one_forged_head_among_forty_costs_the_other_thirty_nine_nothing() {
     // for a size one of them covers is equivocation.
     let mut fork = envelope.heads[21].checkpoint.body.clone();
     fork.head[0] ^= 0xff;
-    let conflicting = [(0, SignedCheckpoint::sign(fork, &domain0))];
+    let conflicting = GossipEnvelope {
+        heads: vec![GossipHead {
+            domain: 0,
+            checkpoint: SignedCheckpoint::sign(fork, &domain0),
+        }],
+        evidence: Vec::new(),
+    };
     assert!(matches!(
-        client.ingest_gossip(&conflicting).as_slice(),
+        client.ingest_envelope(&conflicting).as_slice(),
         [Misbehavior::Equivocation { domain: 0, .. }]
     ));
 

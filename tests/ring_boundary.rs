@@ -16,6 +16,7 @@ use common::signed;
 use distrust::apps::analytics;
 use distrust::core::{Deployment, DeploymentClient};
 use distrust::crypto::schnorr::SigningKey;
+use distrust::gossip::envelope::{GossipEnvelope, GossipHead};
 use distrust::log::auditor::Misbehavior;
 use distrust::log::checkpoint::EquivocationProof;
 use distrust::log::SignedCheckpoint;
@@ -64,7 +65,14 @@ fn conflicting_head_convicts(client: &mut DeploymentClient, honest: &SignedCheck
     // from the deployment seed, so a test can sign as a forking domain 0.
     let key = SigningKey::derive(SEED, b"domain-0-checkpoint");
     let forged = signed(&key, honest.body.log_id, size, [0xbb; 32], u64::MAX);
-    match client.ingest_gossip(&[(0, forged)]).as_slice() {
+    let relayed = GossipEnvelope {
+        heads: vec![GossipHead {
+            domain: 0,
+            checkpoint: forged,
+        }],
+        evidence: Vec::new(),
+    };
+    match client.ingest_envelope(&relayed).as_slice() {
         [Misbehavior::Equivocation { domain: 0, proof }] => {
             assert_eq!(proof.a.body.size, size);
             let transported = EquivocationProof::from_wire(&proof.to_wire()).expect("decodes");
@@ -126,9 +134,11 @@ fn a_restart_loads_the_newest_epochs_and_serves_the_same_history() {
     // verified — which is what gossip is.
     let mut deployment = launch(&dir);
     let mut returning = deployment.client(b"returning");
-    assert!(returning.ingest_gossip(&early.gossip_payload()).is_empty());
     assert!(returning
-        .ingest_gossip(&current.gossip_payload())
+        .ingest_envelope(&early.gossip_envelope())
+        .is_empty());
+    assert!(returning
+        .ingest_envelope(&current.gossip_envelope())
         .is_empty());
     let report = returning.audit(None);
     assert!(report.is_clean(), "{report:?}");

@@ -71,7 +71,7 @@ fn gossip_exposes_split_view() {
     assert_ne!(head_a, head_b, "domain forked its history");
 
     // Gossip: B relays its checkpoints to A → equivocation proof.
-    let evidence = client_a.ingest_gossip(&client_b.gossip_payload());
+    let evidence = client_a.ingest_envelope(&client_b.gossip_envelope());
     let proof = evidence
         .iter()
         .find_map(|m| match m {
@@ -215,6 +215,6 @@ fn gossip_between_honest_clients_is_quiet() {
     let mut b = deployment.client(b"client b");
     assert!(a.audit(None).is_clean());
     assert!(b.audit(None).is_clean());
-    assert!(a.ingest_gossip(&b.gossip_payload()).is_empty());
-    assert!(b.ingest_gossip(&a.gossip_payload()).is_empty());
+    assert!(a.ingest_envelope(&b.gossip_envelope()).is_empty());
+    assert!(b.ingest_envelope(&a.gossip_envelope()).is_empty());
 }

@@ -71,6 +71,15 @@ fn signed_update_flows_to_all_domains() {
         assert_eq!(app_call(&mut client, d, 1, &[5]).unwrap(), vec![205u8]);
     }
 
+    // A read is held against the head the client last verified, and the
+    // domains have grown past it: the read is refused until the next audit.
+    assert!(client.notices(0, 0).is_err() && client.log_entries(0, 0).is_err());
+
+    // The post-update audit is clean — including consistency proofs from
+    // the pre-update checkpoint.
+    let report = client.audit(Some(&v2_digest));
+    assert!(report.is_clean(), "{report:?}");
+
     // Clients learn about the update: notices reference log index 1.
     for d in 0..4 {
         let notices = client.notices(d, 0).unwrap();
@@ -80,10 +89,7 @@ fn signed_update_flows_to_all_domains() {
         assert_eq!(notices[1].manifest.code_digest, v2_digest);
     }
 
-    // The log now has both digests, and the post-update audit is clean —
-    // including consistency proofs from the pre-update checkpoint.
-    let report = client.audit(Some(&v2_digest));
-    assert!(report.is_clean(), "{report:?}");
+    // The log now has both digests.
     for d in 0..4 {
         let leaves = client.log_entries(d, 0).unwrap();
         assert_eq!(leaves.len(), 2);
@@ -114,6 +120,7 @@ fn unsigned_update_rejected_everywhere() {
     }
     // Behaviour unchanged; logs unchanged.
     assert_eq!(app_call(&mut client, 0, 1, &[1]).unwrap(), vec![101u8]);
+    assert!(client.audit(None).is_clean());
     for d in 0..3 {
         assert_eq!(client.log_entries(d, 0).unwrap().len(), 1);
     }
@@ -165,7 +172,10 @@ fn update_notice_precedes_new_code_serving() {
         Response::UpdateAck { .. } => {}
         other => panic!("unexpected {other:?}"),
     }
-    let notices = client.notices(0, 0).unwrap();
+    let notices = match client.exchange(0, &Request::GetNotices { since: 0 }) {
+        Ok(Response::Notices(notices)) => notices,
+        other => panic!("unexpected {other:?}"),
+    };
     assert_eq!(notices.last().unwrap().manifest.version, 2);
     // Only now exercise the new code.
     assert_eq!(app_call(&mut client, 0, 1, &[1]).unwrap(), vec![201u8]);
@@ -207,12 +217,12 @@ fn malicious_but_signed_update_is_contained_and_evidenced() {
 /// hundred thousand releases the answer no longer fitted a frame.)
 #[test]
 fn long_logs_are_served_and_read_a_page_at_a_time() {
-    use common::{client, descriptor_for, pinned_checkpoint_key};
+    use common::{client, descriptor_for, epoch_record, pinned_checkpoint_key, signed};
     use distrust::core::framework::{EnclaveFramework, FrameworkConfig, FrameworkService};
     use distrust::core::protocol::UpdateNotice;
     use distrust::core::server::DirectHost;
     use distrust::core::ReleaseManifest;
-    use distrust::log::{LogStore, MemStore, StorageConfig};
+    use distrust::log::{LogStore, MemStore, MerkleLog, StorageConfig};
     use distrust::wire::Encode;
     use std::sync::Arc;
 
@@ -220,12 +230,15 @@ fn long_logs_are_served_and_read_a_page_at_a_time() {
     /// The one leaf whose notice a crash lost between the log and the
     /// meta log: every later notice sits one position before its leaf.
     const LOST_NOTICE: u64 = 5_000;
+    const META_EPOCH: u8 = 2;
     const META_NOTICE: u8 = 3;
 
     // 10 000 releases as a restart finds them — leaves and notices in the
-    // store, nothing signed (signing them would take minutes and change
-    // nothing about reading them back).
+    // store, and of the signed epochs only the newest (signing them all
+    // would take minutes and change nothing about reading the log back):
+    // the head a reader audits and is then held to.
     let store = Arc::new(MemStore::new());
+    let mut mirror = MerkleLog::new();
     let manifest = |i: u64| ReleaseManifest {
         app_name: "counter".into(),
         version: i + 1,
@@ -236,6 +249,7 @@ fn long_logs_are_served_and_read_a_page_at_a_time() {
     let leaf = |i: u64| manifest(i).log_leaf();
     for i in 0..LEAVES {
         store.append(i, &leaf(i)).unwrap();
+        mirror.append(&leaf(i));
         if i == LOST_NOTICE {
             continue;
         }
@@ -247,6 +261,9 @@ fn long_logs_are_served_and_read_a_page_at_a_time() {
         store.append_meta(META_NOTICE, &notice.to_wire()).unwrap();
     }
     let key = pinned_checkpoint_key();
+    let head = signed(&key, [9; 32], LEAVES, mirror.root(), 2 * LEAVES);
+    let epoch = epoch_record(&head, &[LEAVES], &[mirror.root()]);
+    store.append_meta(META_EPOCH, &epoch).unwrap();
     let framework = EnclaveFramework::open_with_store(
         FrameworkConfig {
             domain_index: 0,
@@ -281,7 +298,20 @@ fn long_logs_are_served_and_read_a_page_at_a_time() {
     };
     assert!(!notice_page.is_empty() && (notice_page.len() as u64) < LEAVES / 2);
 
-    // The client reassembles the whole log, and any suffix of it.
+    // A reader stands on a head it has verified, and has none yet.
+    assert!(matches!(
+        client.log_entries(0, 0),
+        Err(distrust::core::ClientError::AuditFailed(_))
+    ));
+    assert!(matches!(
+        client.notices(0, 0),
+        Err(distrust::core::ClientError::AuditFailed(_))
+    ));
+    let report = client.audit(None);
+    assert!(report.misbehavior.is_empty() && report.domains[0].failure.is_none());
+
+    // The client reassembles the whole log — 10 000 leaves under the root
+    // it verified — and any suffix of it.
     let all = client.log_entries(0, 0).unwrap();
     assert_eq!(all.len() as u64, LEAVES);
     assert!(all.iter().zip(0..).all(|(got, i)| *got == leaf(i)));
