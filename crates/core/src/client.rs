@@ -258,6 +258,12 @@ impl DeploymentClient {
         )
     }
 
+    /// Domains whose pinned checkpoint key this client keeps a table of
+    /// (`Auditor::kept_tables`): a one-off cost of its first audits.
+    pub fn kept_key_tables(&self) -> usize {
+        self.auditor.kept_tables()
+    }
+
     /// The persistent connection to `domain`, opened on first use.
     fn connection(
         &mut self,

@@ -17,17 +17,39 @@
 //!   outside the subgroup yields some other curve point, not `k·P`.
 //!   Membership is the precondition of [`G1Table::new`] and
 //!   [`G1Table::narrow`]; types that feed them
-//!   ([`crate::schnorr::VerifyingKey`]) keep their point private for that
-//!   reason. The generator is not special: its table is one instance,
-//!   built once ([`G1Table::generator`]).
+//!   ([`crate::schnorr::VerifyingKey`], [`crate::schnorr::KeptKey`]) keep
+//!   their point private for that reason.
 //! * **Any point of the curve** goes through the bit-by-bit
 //!   [`G1Projective::mul_limbs`] ladder, which assumes nothing: cofactor
 //!   clearing, the subgroup test itself, and the oracle the kernel is
 //!   tested against.
 //!
-//! Both are variable time — the kernel's digit pattern and table lookups
-//! depend on the scalar exactly as the ladder's additions do; see the
-//! side-channel note in [`crate::limbs`].
+//! **A table has a spacing.** A narrow table (window 5, built for one sum)
+//! and a wide one of spacing 1 (window 8, affine) hold the odd multiples of
+//! `P`, and a sum over them runs 129 doublings, one per bit of a half. A
+//! wide table of spacing `c` holds those of the `c` bases `2^(128/c·j)·P`
+//! as well, each half is consumed as `c` chunks of `128/c` bits, and a sum
+//! whose lanes are all spaced runs `128/c + 1` doublings for about as many
+//! additions — doublings were ≈ 60 % of a verification. The price is
+//! `c` times the table, so spacing goes only where a table is used for
+//! good:
+//!
+//! * the generator's own table has spacing 8 (≈ 106 KB, built once per
+//!   process, [`G1Table::generator`]): `k·G` — every Schnorr signature,
+//!   quote and checkpoint signed — takes 17 doublings where it took 128;
+//!   a spacing-1 one (≈ 13 KB) serves sums beside a narrow lane, which
+//!   cost 129 doublings anyway ([`G1Table::generator_beside`]);
+//! * a [`crate::schnorr::KeptKey`] — an auditor's pinned checkpoint key —
+//!   builds one of spacing 4 (≈ 53 KB) and keeps it, so each verification
+//!   under it takes 33;
+//! * every other point keeps what it had: a narrow table per sum.
+//!
+//! Both paths are variable time — the kernel's digit pattern and table
+//! lookups depend on the scalar exactly as the ladder's additions do; see
+//! the side-channel note in [`crate::limbs`]. Signing's secret nonce is
+//! recoded into the spaced generator table's chunks and its digits index
+//! that table exactly as they indexed the unspaced one: the same kind of
+//! dependence, on shorter NAFs.
 
 use crate::fp::Fp;
 use crate::fr::Fr;
@@ -68,9 +90,12 @@ fn beta() -> &'static Fp {
 /// Window of a [`G1Table::narrow`] table's NAFs: eight odd multiples,
 /// cheap enough to build for a single sum.
 const NARROW_WINDOW: u32 = 5;
-/// Window of a [`G1Table::new`] table's NAFs: 64 odd multiples in affine
-/// form, for a point that many sums share.
+/// Window of a [`G1Table::new`] table's NAFs: 64 odd multiples of each
+/// base in affine form, for a point that many sums share.
 const WIDE_WINDOW: u32 = 8;
+/// Spacing of [`G1Table::generator`]: eight bases 16 bits apart (≈ 106 KB,
+/// built once per process in ≈ 0.7 ms), so that `k·G` takes 17 doublings.
+const GENERATOR_SPACING: u32 = 8;
 
 /// `(k₁, k₂)` with `k = k₁ + k₂·u²` and both halves below `u² < 2¹²⁸`, so
 /// that `k·P = k₁·P + k₂·(−φ(P))` for `P ∈ G1`. `r = u⁴ − u² + 1 < u⁴`
@@ -126,19 +151,21 @@ impl Naf {
     }
 }
 
-/// One point's lanes of the kernel: its odd multiples `P, 3P, …` up to the
-/// window, then the same multiples of `−φ(P)`, so that a NAF digit `d` of
-/// either half of a split scalar finds its term at offset `|d| / 2` of its
-/// run. Tables live on the heap: every thread of a domain signs or
-/// verifies sooner or later, and kilobytes of arrays in the kernel's frame
-/// would be resident stack pages in each of them for good.
+/// One point's lanes of the kernel: runs of odd multiples `B, 3B, …` up to
+/// the window, one run per base `B`. A table of spacing `c` has the `c`
+/// bases `2^(128/c·j)·P`, then the same runs of `−φ` of them, so that a
+/// NAF digit `d` of chunk `j` of either half of a split scalar finds its
+/// term at offset `|d| / 2` of its run. Tables live on the heap: every
+/// thread of a domain signs or verifies sooner or later, and kilobytes of
+/// arrays in the kernel's frame would be resident stack pages in each of
+/// them for good.
 pub struct G1Table(Multiples);
 
 enum Multiples {
-    /// Width [`WIDE_WINDOW`], affine (≈ 13 KB): mixed additions, at the
-    /// price of one inversion to build.
-    Wide(Vec<G1Affine>),
-    /// Width [`NARROW_WINDOW`], as the additions left them.
+    /// Width [`WIDE_WINDOW`], affine (≈ 13 KB a base): mixed additions,
+    /// at the price of one inversion to build.
+    Wide { spacing: u32, runs: Vec<G1Affine> },
+    /// Width [`NARROW_WINDOW`], spacing 1, as the additions left them.
     Narrow(Vec<G1Projective>),
 }
 
@@ -154,16 +181,42 @@ fn odd_multiples(p: &G1Projective, n: usize) -> Vec<G1Projective> {
 }
 
 impl G1Table {
-    /// The wide table of `p` **in G1** (see the module header): ≈ 90 µs to
-    /// build, against ≈ 22 µs saved on each sum that uses it in place of a
-    /// narrow one.
-    pub fn new(p: &G1Projective) -> Self {
+    /// The wide table of `p` **in G1** (see the module header) with
+    /// spacing `c`, a power of two up to 128: the odd multiples of the `c`
+    /// bases `2^(128/c·j)·P` and of `−φ` of them, so that a sum whose
+    /// lanes all have spacing `c` takes `128/c + 1` doublings. Size and
+    /// build time grow with `c`: ≈ 13 KB and ≈ 85 µs a base. With `c = 1`
+    /// it takes ≈ 15 µs off each sum that uses it in place of a narrow
+    /// table.
+    pub fn new(p: &G1Projective, spacing: u32) -> Self {
+        assert!(
+            spacing.is_power_of_two() && spacing <= 128,
+            "a spacing divides 128"
+        );
         let n = 1 << (WIDE_WINDOW - 2);
-        let mut table = G1Projective::batch_to_affine(&odd_multiples(p, n));
-        for i in 0..n {
-            table.push(table[i].endomorphism(beta()).neg());
+        let mut bases = vec![*p];
+        for j in 1..spacing as usize {
+            let above = (0..128 / spacing).fold(bases[j - 1], |b, _| b.double());
+            bases.push(above);
         }
-        Self(Multiples::Wide(table))
+        // Twice each base in affine form, one inversion between them, so
+        // that the odd multiples take mixed additions.
+        let steps: Vec<G1Projective> = bases.iter().map(G1Projective::double).collect();
+        let steps = G1Projective::batch_to_affine(&steps);
+        let mut multiples = Vec::with_capacity(n * bases.len());
+        for (base, step) in bases.iter().zip(&steps) {
+            multiples.push(*base);
+            for _ in 1..n {
+                let last = multiples[multiples.len() - 1];
+                multiples.push(last.add_affine(step));
+            }
+        }
+        let mut runs = G1Projective::batch_to_affine(&multiples);
+        runs.reserve_exact(multiples.len());
+        for i in 0..multiples.len() {
+            runs.push(runs[i].endomorphism(beta()).neg());
+        }
+        Self(Multiples::Wide { spacing, runs })
     }
 
     /// The narrow table of `p` **in G1**: eight additions, no inversion —
@@ -182,26 +235,53 @@ impl G1Table {
         Self(Multiples::Narrow(table))
     }
 
-    /// The generator's wide table, built on first use.
+    /// The generator's table of spacing 8 (`GENERATOR_SPACING`), built on
+    /// first use: [`G1Projective::mul_generator`]'s, and what a sum whose
+    /// other lanes are spaced adds the generator from.
     pub fn generator() -> &'static Self {
         static TABLE: OnceLock<G1Table> = OnceLock::new();
-        TABLE.get_or_init(|| Self::new(&G1Projective::generator()))
+        TABLE.get_or_init(|| Self::new(&G1Projective::generator(), GENERATOR_SPACING))
+    }
+
+    /// The generator's table for a sum beside `other`: the spaced one
+    /// when `other` is spaced too, so that `other` alone sets the
+    /// doublings; beside a narrow or spacing-1 lane, which costs 129
+    /// doublings whatever the generator's table, the spacing-1 one
+    /// (≈ 13 KB, also built on first use), whose one chunk per half costs
+    /// fewer additions than eight: beside a narrow lane, a sum on the
+    /// spaced table takes 1.6–2.8 % longer (median ratios of six runs of
+    /// 60 interleaved pairs of 64 sums, every median above 1) — that much
+    /// of every verification under a key nobody keeps.
+    pub fn generator_beside(other: &G1Table) -> &'static Self {
+        static UNSPACED: OnceLock<G1Table> = OnceLock::new();
+        if other.spacing() > 1 {
+            Self::generator()
+        } else {
+            UNSPACED.get_or_init(|| Self::new(&G1Projective::generator(), 1))
+        }
+    }
+
+    fn spacing(&self) -> u32 {
+        match self.0 {
+            Multiples::Wide { spacing, .. } => spacing,
+            Multiples::Narrow(_) => 1,
+        }
     }
 
     fn window(&self) -> u32 {
         match self.0 {
-            Multiples::Wide(_) => WIDE_WINDOW,
+            Multiples::Wide { .. } => WIDE_WINDOW,
             Multiples::Narrow(_) => NARROW_WINDOW,
         }
     }
 
-    /// `acc ± ` the entry at `at` of run `half` (0 the point's own
-    /// multiples, 1 those of `−φ` of it).
-    fn add_to(&self, acc: &G1Projective, half: usize, at: usize, negative: bool) -> G1Projective {
-        let at = (half << (self.window() - 2)) + at;
+    /// `acc ± ` the entry at `at` of run `run`: the bases' own multiples
+    /// first, then those of `−φ` of them.
+    fn add_to(&self, acc: &G1Projective, run: usize, at: usize, negative: bool) -> G1Projective {
+        let at = (run << (self.window() - 2)) + at;
         match &self.0 {
-            Multiples::Wide(table) if negative => acc.add_affine(&table[at].neg()),
-            Multiples::Wide(table) => acc.add_affine(&table[at]),
+            Multiples::Wide { runs, .. } if negative => acc.add_affine(&runs[at].neg()),
+            Multiples::Wide { runs, .. } => acc.add_affine(&runs[at]),
             Multiples::Narrow(table) if negative => acc.add(&table[at].neg()),
             Multiples::Narrow(table) => acc.add(&table[at]),
         }
@@ -546,30 +626,40 @@ impl G1Projective {
     }
 
     /// `Σ kᵢ·Pᵢ` over tabled points `Pᵢ` (of G1, by the tables'
-    /// precondition), in one run of at most 128 doublings whatever the
-    /// number of terms.
+    /// precondition), in one run of doublings whatever the number of
+    /// terms: `128/c + 1` of them for the smallest spacing `c` among the
+    /// lanes, so at most 129.
     ///
     /// Each scalar is split as `k = k₁ + k₂·u²` and `k₂·u²·P` taken as
-    /// `k₂·(−φ(P))`, the second run of `P`'s table; all the 128-bit halves
-    /// are recoded as NAFs of their table's width and consumed together,
-    /// most significant digit first. Variable time.
+    /// `k₂·(−φ(P))`, the second half of `P`'s table. A lane of spacing `c`
+    /// cuts each 128-bit half into `c` chunks of `128/c` bits, chunk `j`
+    /// weighing `2^(128/c·j)`, the factor its table's run `j` has built
+    /// in. Every chunk is recoded as a NAF of its table's width and all of
+    /// them are consumed together, most significant digit first. Variable
+    /// time.
     pub fn multi_scalar(lanes: &[(&G1Table, Fr)]) -> Self {
-        let nafs: Vec<[Naf; 2]> = lanes
+        // Every run of every lane's table, with the NAF that indexes it.
+        let runs: Vec<(&G1Table, usize, Naf)> = lanes
             .iter()
-            .map(|(table, k)| {
-                let (k1, k2) = split_scalar(k);
-                [k1, k2].map(|half| Naf::new(half, table.window()))
+            .flat_map(|&(table, k)| {
+                let (k1, k2) = split_scalar(&k);
+                let spacing = table.spacing();
+                let bits = 128 / spacing;
+                let chunks = [k1, k2].into_iter().flat_map(move |half| {
+                    (0..spacing).map(move |j| (half >> (bits * j)) & (u128::MAX >> (128 - bits)))
+                });
+                chunks
+                    .enumerate()
+                    .map(move |(run, chunk)| (table, run, Naf::new(chunk, table.window())))
             })
             .collect();
-        let len = nafs.iter().flatten().map(|naf| naf.len).max().unwrap_or(0);
+        let len = runs.iter().map(|(_, _, naf)| naf.len).max().unwrap_or(0);
         let mut acc = Self::identity();
         for i in (0..len).rev() {
             acc = acc.double();
-            for ((table, _), halves) in lanes.iter().zip(&nafs) {
-                for (half, naf) in halves.iter().enumerate() {
-                    if let Some((at, negative)) = naf.digit(i) {
-                        acc = table.add_to(&acc, half, at, negative);
-                    }
+            for (table, run, naf) in &runs {
+                if let Some((at, negative)) = naf.digit(i) {
+                    acc = table.add_to(&acc, *run, at, negative);
                 }
             }
         }
@@ -581,7 +671,8 @@ impl G1Projective {
         Self::multi_scalar(&[(&G1Table::narrow(self), *k)])
     }
 
-    /// `k·G` for the generator: [`Self::multi_scalar`] on its static table.
+    /// `k·G` for the generator: [`Self::multi_scalar`] on its static
+    /// spaced table, 17 doublings.
     pub fn mul_generator(k: &Fr) -> Self {
         Self::multi_scalar(&[(G1Table::generator(), *k)])
     }
@@ -976,6 +1067,8 @@ mod tests {
         }
     }
 
+    /// Run `j` of a table of spacing `c` holds the odd multiples of
+    /// `2^(s·j)·P`, `s = 128/c`, and run `c + j` those of `−φ` of it.
     #[test]
     fn phi_is_multiplication_by_minus_u_squared_and_the_tables_hold_odd_multiples() {
         let lambda = Fr::ZERO.sub(&fr_from_u128(U_SQUARED));
@@ -983,26 +1076,44 @@ mod tests {
         let g = G1Projective::generator();
         let p = hash_to_g1(b"a tabled point", b"g1 tests");
         let tables = [
-            (G1Table::generator(), g),
-            (&G1Table::new(&p), p),
-            (&G1Table::narrow(&p), p),
+            (G1Table::generator(), g, GENERATOR_SPACING),
+            (G1Table::generator_beside(&G1Table::narrow(&p)), g, 1),
+            (&G1Table::new(&p, 1), p, 1),
+            (&G1Table::new(&p, 4), p, 4),
+            (&G1Table::narrow(&p), p, 1),
         ];
-        for (table, point) in tables {
+        for (table, point, spacing) in tables {
+            assert_eq!(table.spacing(), spacing);
             let entries: Vec<G1Projective> = match &table.0 {
-                Multiples::Wide(t) => t.iter().map(|q| G1Projective::from(*q)).collect(),
+                Multiples::Wide { runs, .. } => {
+                    runs.iter().map(|q| G1Projective::from(*q)).collect()
+                }
                 Multiples::Narrow(t) => t.clone(),
             };
+            let per_run = 1 << (table.window() - 2);
+            assert_eq!(entries.len(), 2 * spacing as usize * per_run);
             let (direct, minus_phi) = entries.split_at(entries.len() / 2);
-            assert_eq!(direct.len(), 1 << (table.window() - 2));
-            assert_eq!(direct.len(), minus_phi.len());
-            for (i, (p, q)) in direct.iter().zip(minus_phi).enumerate() {
-                let odd = [2 * i as u64 + 1];
-                assert_eq!(*p, point.mul_limbs(&odd));
-                assert!(q.to_affine().is_on_curve());
-                let expected = point
-                    .mul_limbs(&odd)
-                    .mul_limbs(&lambda.to_canonical_limbs());
-                assert_eq!(*q, expected.neg());
+            let s = 128 / spacing;
+            for (j, (direct, minus_phi)) in direct
+                .chunks(per_run)
+                .zip(minus_phi.chunks(per_run))
+                .enumerate()
+            {
+                // 2^(s·j), as limbs.
+                let mut weight = [0u64; 2];
+                let bit = s as usize * j;
+                weight[bit / 64] = 1 << (bit % 64);
+                let base = point.mul_limbs(&weight);
+                let image = base.mul_limbs(&lambda.to_canonical_limbs()).neg();
+                // (2i + 1)·base and (2i + 1)·image, by repeated addition.
+                let (mut odd, mut odd_image) = (base, image);
+                for (i, (p, q)) in direct.iter().zip(minus_phi).enumerate() {
+                    assert_eq!(*p, odd, "run {j}, entry {i}");
+                    assert!(q.to_affine().is_on_curve());
+                    assert_eq!(*q, odd_image, "run {j}, image entry {i}");
+                    odd = odd.add(&base.double());
+                    odd_image = odd_image.add(&image.double());
+                }
             }
         }
     }
@@ -1051,13 +1162,14 @@ mod tests {
         /// from what it treats specially: edge scalars, the identity, a
         /// point repeated or negated (the additions that land on the
         /// doubling and the cancelling branch) and `±G` beside the
-        /// generator's own lane.
+        /// generator's own lane — every table shape, alone and mixed.
         #[test]
         fn the_kernel_agrees_with_a_sum_of_ladders(
             seed in any::<[u8; 32]>(),
             terms in 1usize..=6,
             with_generator in any::<bool>(),
             selectors in any::<[u8; 14]>(),
+            kinds in any::<[u8; 6]>(),
         ) {
             let mut rng = HmacDrbg::new(b"g1 kernel oracle", &seed);
             let mut points: Vec<G1Projective> = Vec::new();
@@ -1090,13 +1202,24 @@ mod tests {
             for (p, k) in points.iter().zip(&scalars) {
                 expected = expected.add(&p.mul_limbs(&k.to_canonical_limbs()));
             }
-            // Every point on a narrow table, and on a wide one: the same sum.
+            // Every point on a narrow table, then on wide ones of spacing
+            // 1, 4 and 8, then each lane on a kind of its own, beside
+            // either of the generator's tables: the same sum.
             let first = (points[0], scalars[0]);
-            for build in [G1Table::narrow, G1Table::new] {
-                let tables: Vec<G1Table> = points.iter().map(build).collect();
-                let mut lanes: Vec<(&G1Table, Fr)> = tables.iter().zip(scalars.iter().copied()).collect();
+            let tables: Vec<[G1Table; 4]> = points
+                .iter()
+                .map(|p| [G1Table::narrow(p), G1Table::new(p, 1), G1Table::new(p, 4), G1Table::new(p, 8)])
+                .collect();
+            for uniform in [Some(0), Some(1), Some(2), Some(3), None] {
+                let mut lanes: Vec<(&G1Table, Fr)> = tables
+                    .iter()
+                    .zip(&kinds)
+                    .map(|(kinds, kind)| &kinds[uniform.unwrap_or(usize::from(*kind) % 4)])
+                    .zip(scalars.iter().copied())
+                    .collect();
                 if with_generator {
-                    lanes.push((G1Table::generator(), generator));
+                    let beside = G1Table::generator_beside(lanes[0].0);
+                    lanes.push((if kinds[0] & 4 == 0 { beside } else { G1Table::generator() }, generator));
                 }
                 prop_assert_eq!(G1Projective::multi_scalar(&lanes), expected);
             }

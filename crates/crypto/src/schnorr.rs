@@ -29,10 +29,26 @@
 //!
 //! Signing is one fixed-base multiplication and verification one two-lane
 //! sum, both on [`G1Projective::multi_scalar`] — variable time, as the
-//! ladder it replaced was. That kernel is only correct on points of G1,
-//! which is why a [`VerifyingKey`]'s point is private: a key exists only
-//! as the public half of a [`SigningKey`] or out of
-//! [`VerifyingKey::from_bytes`], whose decoder checks subgroup membership.
+//! ladder it replaced was. Signing takes `k·g₁` on the generator's table of
+//! spacing 8 (17 doublings); the secret nonce's NAF digits index that table
+//! exactly as they indexed the unspaced one, so what the timing of a
+//! signature depends on is unchanged in kind. That kernel is only correct
+//! on points of G1, which is why a [`VerifyingKey`]'s point is private: a
+//! key exists only as the public half of a [`SigningKey`] or out of
+//! [`VerifyingKey::from_bytes`], whose decoder checks subgroup membership,
+//! and a table of a key only out of a key.
+//!
+//! **Which keys keep a table.** A key verified under once or twice —
+//! evidence, device certificates, quotes — gets a narrow table per call
+//! ([`VerifyingKey::verify_all`]) and drops it. A key verified under for
+//! as long as its verifier lives — each domain's pinned checkpoint key in
+//! an auditor, whether a client's, a witness relay's or a gossip mesh's —
+//! is a [`KeptKey`]: once `WIDE_TABLE_FROM` signatures have been verified
+//! under it, it builds a table of spacing 4 (≈ 53 KB, ≈ 0.35 ms) and keeps
+//! it, and every later verification takes 33 doublings where it took 129
+//! (≈ 69 µs per signature in a batch of 36 against ≈ 130 alone). Either
+//! way the answer is the same: `R′` recomputed, one inversion per batch,
+//! compared in compressed form.
 
 use crate::drbg::HmacDrbg;
 use crate::fr::Fr;
@@ -42,15 +58,19 @@ use crate::sha256::sha256_many;
 /// Domain tag bound into every challenge hash.
 const CHALLENGE_DST: &[u8] = b"distrust/schnorr/v1";
 
-/// Signatures under one key from which [`VerifyingKey::verify_all`] builds
-/// the key a wide [`G1Table`] rather than share a narrow one. Measured,
-/// whole batches either way (medians of 200, three rounds alike): the wide
-/// table takes ≈ 90 µs to build against the narrow one's ≈ 7
-/// (`g1_table_build` in `bench_results/crypto_primitives.json`) and takes
-/// ≈ 22 µs off each `s·g₁ − e·pk` after — per signature 121 µs narrow
-/// against 122 wide in a batch of four, 123 against 119 in a batch of five,
-/// 125 against 115 in a batch of eight.
+/// Signatures verified under a [`KeptKey`] from which it builds its table
+/// of spacing 4. Measured per signature, whole batches, the table built
+/// inside (medians of 20, two quiet runs alike; `crypto_primitives`): 141
+/// µs in a batch of five, 114 in one of eight, 100 in one of twelve,
+/// against ≈ 125–130 on a narrow table, and ≈ 66 µs a signature from then
+/// on, alone or batched — the ≈ 350 µs build (`g1_table_build_spaced`) is
+/// repaid by the second signature verified after it.
 const WIDE_TABLE_FROM: usize = 5;
+
+/// Spacing of the table a [`KeptKey`] builds of its key: four bases
+/// (≈ 53 KB, ≈ 0.35 ms to build), and each later verification under the
+/// key takes 33 doublings where a narrow table takes 129.
+const KEPT_SPACING: u32 = 4;
 
 /// A Schnorr secret key, with the public key it signs under.
 #[derive(Clone, Copy, PartialEq, Eq)]
@@ -64,6 +84,18 @@ pub struct SigningKey {
 /// the field's privacy is for (see the module header).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct VerifyingKey(G1Affine);
+
+/// A verifying key its verifier keeps for good — an auditor's pinned
+/// checkpoint key, one per domain — which builds a spaced table of the key
+/// (spacing 4) once `WIDE_TABLE_FROM` (five) signatures have been
+/// verified under it, in one batch or across several, and verifies on it
+/// from then on. Until then it verifies as the [`VerifyingKey`] does.
+pub struct KeptKey {
+    key: VerifyingKey,
+    /// Signatures verified under `key` while `table` was not built.
+    verified: usize,
+    table: Option<G1Table>,
+}
 
 /// A Schnorr signature in wire form: compressed `R` (48 bytes) ‖ `s` (32
 /// bytes, big-endian). Any 80 bytes are a `SchnorrSignature`; whether they
@@ -141,10 +173,24 @@ impl VerifyingKey {
     /// the kernel; then one inversion takes every `R′` to affine form, and
     /// item `i` passes iff `R′ᵢ ≠ O` compresses to the 48 bytes received
     /// (the module header says why that is every check a decoder would
-    /// make). The identity's key verifies nothing.
+    /// make). The identity's key verifies nothing. The key gets a narrow
+    /// table for the call; a key verified under many times is a
+    /// [`KeptKey`].
     pub fn verify_all(&self, items: &[(&[u8], &SchnorrSignature)]) -> Result<(), usize> {
         // Nothing to verify is the steady state of an audit (every head
         // known byte for byte): no table, no inversion.
+        if items.is_empty() {
+            return Ok(());
+        }
+        self.verify_on(&G1Table::narrow(&self.0.into()), items)
+    }
+
+    /// [`Self::verify_all`] with `key_table`, a table of this key.
+    fn verify_on(
+        &self,
+        key_table: &G1Table,
+        items: &[(&[u8], &SchnorrSignature)],
+    ) -> Result<(), usize> {
         if items.is_empty() {
             return Ok(());
         }
@@ -152,11 +198,7 @@ impl VerifyingKey {
             return Err(0);
         }
         let key_bytes = self.to_bytes();
-        let key_table = if items.len() < WIDE_TABLE_FROM {
-            G1Table::narrow(&self.0.into())
-        } else {
-            G1Table::new(&self.0.into())
-        };
+        let generator = G1Table::generator_beside(key_table);
         // The commitments recomputed, up to the first `s` out of range:
         // nothing after a failure can change the answer.
         let mut out_of_range = None;
@@ -168,7 +210,7 @@ impl VerifyingKey {
                 break;
             };
             let minus_e = challenge(r, &key_bytes, message).neg();
-            let lanes = [(G1Table::generator(), s), (&key_table, minus_e)];
+            let lanes = [(generator, s), (key_table, minus_e)];
             recomputed.push(G1Projective::multi_scalar(&lanes));
         }
         let recomputed = G1Projective::batch_to_affine(&recomputed);
@@ -188,6 +230,40 @@ impl VerifyingKey {
     /// and in G1.
     pub fn from_bytes(bytes: &[u8; 48]) -> Option<Self> {
         G1Affine::from_compressed(bytes).map(VerifyingKey)
+    }
+}
+
+impl KeptKey {
+    /// `key`, to be kept; no table yet.
+    pub fn new(key: VerifyingKey) -> Self {
+        Self {
+            key,
+            verified: 0,
+            table: None,
+        }
+    }
+
+    /// Whether the key's spaced table has been built.
+    pub fn has_table(&self) -> bool {
+        self.table.is_some()
+    }
+
+    /// [`VerifyingKey::verify_all`], with the same answer — on the key's
+    /// spaced table when it is built, or when these items bring the count
+    /// of signatures verified under the key to `WIDE_TABLE_FROM`, which
+    /// builds it first.
+    pub fn verify_all(&mut self, items: &[(&[u8], &SchnorrSignature)]) -> Result<(), usize> {
+        if self.table.is_none() {
+            self.verified += items.len();
+            if self.verified < WIDE_TABLE_FROM {
+                return self.key.verify_all(items);
+            }
+        }
+        let key = &self.key;
+        let table = self
+            .table
+            .get_or_insert_with(|| G1Table::new(&key.0.into(), KEPT_SPACING));
+        key.verify_on(table, items)
     }
 }
 
@@ -424,13 +500,19 @@ mod tests {
             let verdict = vk.verify(&message, &sig);
             prop_assert_eq!(verdict, verify_by_decoding(&vk, &message, &sig));
             prop_assert_eq!(verdict, perturb == 0);
+            // And under the key kept: before its table is built, and after.
+            let item = [(message.as_slice(), &sig)];
+            let mut fresh = KeptKey::new(vk);
+            prop_assert_eq!(fresh.verify_all(&item).is_ok(), verdict);
+            prop_assert!(!fresh.has_table());
+            prop_assert_eq!(tabled(vk).verify_all(&item).is_ok(), verdict);
         }
 
         /// A batch answers with its *first* bad index — none, one or
         /// several spoiled entries, each in one of the three ways an entry
         /// fails (`s` out of range, wrong `R`, wrong message), at lengths
-        /// either side of the wide-table threshold — and agrees with
-        /// verifying item by item.
+        /// either side of the count at which a kept key builds its table —
+        /// and agrees with verifying item by item.
         #[test]
         fn a_batch_names_its_first_bad_entry(
             seed in any::<[u8; 32]>(),
@@ -460,12 +542,32 @@ mod tests {
             let items: Vec<(&[u8], &SchnorrSignature)> =
                 messages.iter().map(Vec::as_slice).zip(&sigs).collect();
             let first_bad = (0..len).find(|i| spoil >> i & 1 == 1);
-            prop_assert_eq!(vk.verify_all(&items), first_bad.map_or(Ok(()), Err));
+            let expected = first_bad.map_or(Ok(()), Err);
+            prop_assert_eq!(vk.verify_all(&items), expected);
             prop_assert_eq!(
                 items.iter().position(|(m, sig)| !vk.verify(m, sig)),
                 first_bad
             );
+            // Kept: the batch that builds the table (or does not reach the
+            // threshold), then the same batch on a table already built.
+            let mut kept = KeptKey::new(vk);
+            prop_assert_eq!(kept.verify_all(&items), expected);
+            prop_assert_eq!(kept.has_table(), len >= WIDE_TABLE_FROM);
+            prop_assert_eq!(tabled(vk).verify_all(&items), expected);
         }
+    }
+
+    /// `vk` kept, its table built by verifying `WIDE_TABLE_FROM`
+    /// signatures under it (whatever their verdict).
+    fn tabled(vk: VerifyingKey) -> KeptKey {
+        let mut kept = KeptKey::new(vk);
+        let junk = SchnorrSignature::from_bytes(&[0; 80]);
+        for _ in 0..WIDE_TABLE_FROM {
+            assert!(!kept.has_table());
+            assert_eq!(kept.verify_all(&[(b"junk", &junk)]), Err(0));
+        }
+        assert!(kept.has_table());
+        kept
     }
 
     /// The kernel under `verify` is only right on G1, so a key outside it

@@ -22,14 +22,23 @@
 //! body and signature — to one this auditor already verified under the
 //! domain's pinned key costs a comparison, not a Schnorr verification.
 //! Anything else (same body under other signature bytes included) is
-//! unknown and verified in full.
+//! unknown and verified in full — under the domain's pinned key as a
+//! [`KeptKey`], so that once a few signatures have been verified under it
+//! the auditor keeps a spaced table of that key (≈ 53 KB a domain, built
+//! once) and every later verification for the domain costs a third of the
+//! doublings.
+//!
+//! The cross-domain check ([`Auditor::cross_check`]) is incremental: each
+//! checkpoint is judged against the other domains' at its size when it is
+//! remembered, so an audit costs the same however many releases the
+//! auditor has seen.
 
 use crate::batch::{CheckpointBundle, VerifiedPrefixCache, MAX_BUNDLE_CHECKPOINTS};
 use crate::checkpoint::{EquivocationProof, SignedCheckpoint};
 use crate::merkle::ConsistencyProof;
-use distrust_crypto::schnorr::VerifyingKey;
+use distrust_crypto::schnorr::{KeptKey, VerifyingKey};
 use distrust_crypto::sha256::Digest;
-use std::collections::HashMap;
+use std::collections::BTreeSet;
 
 /// Evidence of misbehavior discovered during an audit.
 #[derive(Clone, Debug)]
@@ -141,6 +150,7 @@ impl<V> BySize<V> {
         }
     }
 
+    #[cfg(test)]
     fn values(&self) -> impl Iterator<Item = &V> {
         self.0.iter().map(|(_, value)| value)
     }
@@ -149,7 +159,8 @@ impl<V> BySize<V> {
 /// Per-domain audit state: the log public key and the latest verified
 /// checkpoint with all checkpoints ever accepted (for equivocation hunting).
 struct DomainState {
-    key: VerifyingKey,
+    /// The domain's pinned log key, with its table once it has one.
+    key: KeptKey,
     latest: Option<SignedCheckpoint>,
     /// All correctly signed checkpoints seen, by size — equivocation is
     /// detected by finding two different heads at one size. Only ever
@@ -206,7 +217,7 @@ impl DomainState {
             .zip(&known)
             .filter_map(|(cp, known)| (!known).then_some(cp))
             .collect();
-        let mut until_bad = SignedCheckpoint::verify_all(&unknown, &self.key).err();
+        let mut until_bad = SignedCheckpoint::verify_all_kept(&unknown, &mut self.key).err();
         for (cp, known) in cps.iter().zip(known) {
             if known {
                 self.cache.note_skipped();
@@ -279,34 +290,17 @@ impl DomainState {
         }
         None
     }
-
-    /// What a relayed head that verified can still say: the equivocation
-    /// proof when this auditor holds another head for its size, otherwise
-    /// nothing — it is remembered, to be compared against from now on.
-    fn keep_relayed(&mut self, domain: u32, checkpoint: &SignedCheckpoint) -> AuditOutcome {
-        match self.seen.get(&checkpoint.body.size) {
-            Some(prior)
-                if prior.body.head != checkpoint.body.head
-                    && prior.body.log_id == checkpoint.body.log_id =>
-            {
-                let proof = EquivocationProof {
-                    a: prior.clone(),
-                    b: checkpoint.clone(),
-                };
-                AuditOutcome::Misbehavior(Box::new(Misbehavior::Equivocation { domain, proof }))
-            }
-            Some(_) => AuditOutcome::Consistent,
-            None => {
-                self.seen.insert(checkpoint.body.size, checkpoint.clone());
-                AuditOutcome::Consistent
-            }
-        }
-    }
 }
 
 /// A stateful cross-domain log auditor.
 pub struct Auditor {
     domains: Vec<DomainState>,
+    /// Sizes at which two domains' remembered checkpoints were found to
+    /// disagree about the head, judged as each was remembered. A size
+    /// stays here until [`Auditor::cross_check`] finds it agreeing: an
+    /// entry of `seen` can be overwritten (a checkpoint under another
+    /// `log_id` is no equivocation), so a verdict can change afterwards.
+    divergent: BTreeSet<u64>,
 }
 
 impl Auditor {
@@ -316,7 +310,7 @@ impl Auditor {
             domains: keys
                 .into_iter()
                 .map(|key| DomainState {
-                    key,
+                    key: KeptKey::new(key),
                     latest: None,
                     seen: BySize(Vec::new()),
                     cache: VerifiedPrefixCache::new(),
@@ -326,6 +320,55 @@ impl Auditor {
                     verify_everything: false,
                 })
                 .collect(),
+            divergent: BTreeSet::new(),
+        }
+    }
+
+    /// Puts `checkpoint` into `domain`'s `seen` and judges its size
+    /// against every other domain's checkpoint there — the one way into
+    /// `seen`, so that [`Self::cross_check`] never has to walk it.
+    fn remember(&mut self, domain: usize, checkpoint: SignedCheckpoint) {
+        let (size, head) = (checkpoint.body.size, checkpoint.body.head);
+        let Some(state) = self.domains.get_mut(domain) else {
+            return;
+        };
+        state.seen.insert(size, checkpoint);
+        let disagrees = self
+            .domains
+            .iter()
+            .filter_map(|d| d.seen.get(&size))
+            .any(|other| other.body.head != head);
+        if disagrees {
+            self.divergent.insert(size);
+        }
+    }
+
+    /// What a relayed head that verified can still say: the equivocation
+    /// proof when this auditor holds another head for its size, otherwise
+    /// nothing — it is remembered, to be compared against from now on.
+    fn keep_relayed(&mut self, domain: u32, checkpoint: &SignedCheckpoint) -> AuditOutcome {
+        let state = self.domains.get(domain as usize);
+        match state.map(|d| d.seen.get(&checkpoint.body.size)) {
+            Some(Some(prior))
+                if prior.body.head != checkpoint.body.head
+                    && prior.body.log_id == checkpoint.body.log_id =>
+            {
+                let proof = EquivocationProof {
+                    a: prior.clone(),
+                    b: checkpoint.clone(),
+                };
+                AuditOutcome::Misbehavior(Box::new(Misbehavior::Equivocation { domain, proof }))
+            }
+            Some(Some(_)) => AuditOutcome::Consistent,
+            Some(None) => {
+                self.remember(domain as usize, checkpoint.clone());
+                AuditOutcome::Consistent
+            }
+            // No key is pinned for `domain`, so nothing verified under it.
+            None => AuditOutcome::Misbehavior(Box::new(Misbehavior::BadSignature {
+                domain,
+                checkpoint: checkpoint.clone(),
+            })),
         }
     }
 
@@ -359,7 +402,7 @@ impl Auditor {
             // state) falls through the checks below to `Consistent`; an
             // older known one is still a rollback.
             state.cache.note_skipped();
-        } else if !checkpoint.verify(&state.key) {
+        } else if SignedCheckpoint::verify_all_kept(&[&checkpoint], &mut state.key).is_err() {
             return AuditOutcome::Misbehavior(Box::new(Misbehavior::BadSignature {
                 domain,
                 checkpoint,
@@ -430,8 +473,8 @@ impl Auditor {
         state
             .cache
             .record(checkpoint.body.size, checkpoint.body.head);
-        state.seen.insert(checkpoint.body.size, checkpoint.clone());
-        state.latest = Some(checkpoint);
+        state.latest = Some(checkpoint.clone());
+        self.remember(domain as usize, checkpoint);
         AuditOutcome::Consistent
     }
 
@@ -521,11 +564,11 @@ impl Auditor {
             cur = Some(cp.clone());
         }
         // 7. Commit.
-        for cp in cps {
-            state.seen.insert(cp.body.size, cp.clone());
-        }
         state.cache.record(last.body.size, last.body.head);
         state.latest = Some(last.clone());
+        for cp in cps {
+            self.remember(domain as usize, cp.clone());
+        }
         AuditOutcome::Consistent
     }
 
@@ -587,26 +630,26 @@ impl Auditor {
                 }
             }
             let cps: Vec<&SignedCheckpoint> = unknown.iter().map(|(cp, _)| *cp).collect();
-            let first_bad = SignedCheckpoint::verify_all(&cps, &state.key).err();
+            let first_bad = SignedCheckpoint::verify_all_kept(&cps, &mut state.key).err();
             for (i, (checkpoint, verdict)) in unknown.into_iter().enumerate() {
                 *verdict = Some(match first_bad {
                     Some(bad) if i == bad => false,
-                    Some(bad) if i > bad => checkpoint.verify(&state.key),
+                    Some(bad) if i > bad => {
+                        SignedCheckpoint::verify_all_kept(&[checkpoint], &mut state.key).is_ok()
+                    }
                     _ => true,
                 });
             }
         }
         let judged = heads.iter().zip(verified);
         judged
-            .map(|(&(domain, checkpoint), verified)| {
-                match (verified, self.domains.get_mut(domain as usize)) {
-                    (None, _) => AuditOutcome::Consistent,
-                    (Some(true), Some(state)) => state.keep_relayed(domain, checkpoint),
-                    _ => AuditOutcome::Misbehavior(Box::new(Misbehavior::BadSignature {
-                        domain,
-                        checkpoint: checkpoint.clone(),
-                    })),
-                }
+            .map(|(&(domain, checkpoint), verified)| match verified {
+                None => AuditOutcome::Consistent,
+                Some(true) => self.keep_relayed(domain, checkpoint),
+                Some(false) => AuditOutcome::Misbehavior(Box::new(Misbehavior::BadSignature {
+                    domain,
+                    checkpoint: checkpoint.clone(),
+                })),
             })
             .collect()
     }
@@ -639,11 +682,54 @@ impl Auditor {
     /// divergence is flagged.
     ///
     /// Comparison is grouped by checkpoint size: every checkpoint each
-    /// domain has presented is bucketed by its announced log size, and all
-    /// checkpoints within a size bucket must share the same head. Domains
-    /// lagging behind (no checkpoint at a given size) are not flagged —
-    /// being behind is consistent; disagreeing at the same size is not.
-    pub fn cross_check(&self) -> AuditOutcome {
+    /// domain has presented (relayed heads included) is bucketed by its
+    /// announced log size, and all checkpoints within a size bucket must
+    /// share the same head. Domains lagging behind (no checkpoint at a
+    /// given size) are not flagged — being behind is consistent;
+    /// disagreeing at the same size is not. The smallest divergent size is
+    /// reported, with every domain's checkpoint at it. Nothing is checked
+    /// until two domains have a verified latest checkpoint.
+    ///
+    /// Each checkpoint was judged as it was remembered, so this re-judges
+    /// only the sizes found divergent then: its cost does not grow with
+    /// the releases the auditor has seen.
+    pub fn cross_check(&mut self) -> AuditOutcome {
+        if self.domains.iter().filter(|d| d.latest.is_some()).count() < 2 {
+            return AuditOutcome::Consistent;
+        }
+        let domains = &self.domains;
+        let views_at = |size: u64| -> Vec<(u32, &SignedCheckpoint)> {
+            let at = domains.iter().map(|d| d.seen.get(&size));
+            at.enumerate()
+                .filter_map(|(i, cp)| Some((i as u32, cp?)))
+                .collect()
+        };
+        self.divergent.retain(|&size| {
+            let views = views_at(size);
+            views
+                .iter()
+                .any(|(_, cp)| cp.body.head != views[0].1.body.head)
+        });
+        match self.divergent.first() {
+            Some(&size) => {
+                AuditOutcome::Misbehavior(Box::new(Misbehavior::CrossDomainDivergence {
+                    views: views_at(size)
+                        .into_iter()
+                        .map(|(i, cp)| (i, cp.clone()))
+                        .collect(),
+                }))
+            }
+            None => AuditOutcome::Consistent,
+        }
+    }
+
+    /// [`Self::cross_check`] as it was before it became incremental,
+    /// rebuilding the buckets from every remembered checkpoint on each
+    /// call — the reference the incremental check is tested against. (It
+    /// walked a hash map, so which divergent size it reported was the
+    /// map's iteration order; here it is the smallest.)
+    #[cfg(test)]
+    fn cross_check_by_rebuilding(&self) -> AuditOutcome {
         let mut views: Vec<(u32, &SignedCheckpoint)> = Vec::new();
         for (i, d) in self.domains.iter().enumerate() {
             if let Some(cp) = &d.latest {
@@ -653,10 +739,8 @@ impl Auditor {
         if views.len() < 2 {
             return AuditOutcome::Consistent;
         }
-        // Compare at the minimum common size using each domain's stored
-        // checkpoint for that size when available; otherwise compare heads
-        // only between same-size domains.
-        let mut by_size: HashMap<u64, Vec<(u32, &SignedCheckpoint)>> = HashMap::new();
+        let mut by_size: std::collections::BTreeMap<u64, Vec<(u32, &SignedCheckpoint)>> =
+            std::collections::BTreeMap::new();
         for (i, d) in self.domains.iter().enumerate() {
             for cp in d.seen.values() {
                 by_size
@@ -677,6 +761,12 @@ impl Auditor {
             }
         }
         AuditOutcome::Consistent
+    }
+
+    /// Domains whose pinned key's table this auditor has built (see
+    /// [`KeptKey`]): a one-off ≈ 53 KB each, never per release.
+    pub fn kept_tables(&self) -> usize {
+        self.domains.iter().filter(|d| d.key.has_table()).count()
     }
 }
 
@@ -1390,6 +1480,180 @@ mod tests {
                 prop_assert_eq!(&skipping.domains[0].seen, &reference.domains[0].seen);
                 prop_assert_eq!(skipping.latest(0), reference.latest(0));
                 prop_assert!(checks(&skipping) <= checks(&reference));
+            }
+        }
+    }
+
+    mod incremental_cross_check {
+        use super::*;
+        use crate::batch::CheckpointBundle;
+        use proptest::prelude::*;
+
+        /// Sizes the two histories run to.
+        const SIZES: u64 = 5;
+
+        /// Two histories that agree on their first leaf and on nothing
+        /// after it.
+        fn histories() -> [MerkleLog; 2] {
+            let mut logs = [MerkleLog::new(), MerkleLog::new()];
+            for i in 0..SIZES {
+                for (h, log) in logs.iter_mut().enumerate() {
+                    let tag = if i == 0 { 0 } else { h };
+                    log.append(format!("leaf {i} of history {tag}").as_bytes());
+                }
+            }
+            logs
+        }
+
+        /// Domain `d`'s checkpoint of `history` at `size`, under its own
+        /// log id or (`alias`) another — a checkpoint the equivocation
+        /// checks do not compare with the first, so it can overwrite it.
+        fn signed(d: u32, history: &MerkleLog, size: u64, alias: bool) -> SignedCheckpoint {
+            let deployment: &[u8] = if alias { b"alias" } else { b"dep" };
+            let body = CheckpointBody {
+                log_id: log_id(deployment, d),
+                size,
+                head: history.root_of_prefix(size as usize),
+                logical_time: size,
+            };
+            SignedCheckpoint::sign(body, &Domain::new(d).sk)
+        }
+
+        fn auditor_of(n: u32) -> Auditor {
+            Auditor::new((0..n).map(|d| Domain::new(d).sk.verifying_key()).collect())
+        }
+
+        /// Both checks, which must agree; returns the verdict.
+        fn cross_checked(auditor: &mut Auditor) -> AuditOutcome {
+            let reference = auditor.cross_check_by_rebuilding();
+            let outcome = auditor.cross_check();
+            assert_eq!(format!("{outcome:?}"), format!("{reference:?}"));
+            outcome
+        }
+
+        fn divergent_size(outcome: AuditOutcome) -> Option<u64> {
+            match outcome {
+                AuditOutcome::Consistent => None,
+                AuditOutcome::Misbehavior(m) => match *m {
+                    Misbehavior::CrossDomainDivergence { views } => Some(views[0].1.body.size),
+                    other => panic!("expected divergence, got {other:?}"),
+                },
+            }
+        }
+
+        /// What the proptest meets only by chance, in order: a divergence
+        /// first met while fewer than two domains had a latest
+        /// checkpoint, with a domain known only from gossip, is reported
+        /// once two have one — at the smallest divergent size; overwrites
+        /// under another log id end it size by size, and another starts
+        /// one.
+        #[test]
+        fn divergence_survives_the_early_return_and_follows_overwrites() {
+            let [honest, other] = histories();
+            let mut auditor = auditor_of(3);
+            for size in [3, 2] {
+                let head = signed(2, &other, size, false);
+                assert!(auditor.ingest_gossip(2, head).is_consistent());
+            }
+            assert!(auditor
+                .observe(0, signed(0, &honest, 2, false), None)
+                .is_consistent());
+            let proof = honest.prove_consistency(2, 3);
+            assert!(auditor
+                .observe(0, signed(0, &honest, 3, false), proof.as_ref())
+                .is_consistent());
+            assert_eq!(divergent_size(cross_checked(&mut auditor)), None);
+            assert!(auditor
+                .observe(1, signed(1, &honest, 3, false), None)
+                .is_consistent());
+            assert_eq!(divergent_size(cross_checked(&mut auditor)), Some(2));
+
+            // Domain 2 itself, under another log id, on the honest history.
+            assert!(auditor
+                .observe(2, signed(2, &honest, 2, true), None)
+                .is_consistent());
+            assert_eq!(divergent_size(cross_checked(&mut auditor)), Some(3));
+            assert!(auditor
+                .observe(2, signed(2, &honest, 3, true), proof.as_ref())
+                .is_consistent());
+            assert_eq!(divergent_size(cross_checked(&mut auditor)), None);
+
+            // A bundle re-serving domain 1's size under another log id and
+            // head passes every per-domain check, and diverges.
+            let bundle = CheckpointBundle {
+                checkpoints: vec![signed(1, &other, 3, true)],
+                proof: Default::default(),
+            };
+            assert!(auditor.observe_bundle(1, &bundle).is_consistent());
+            assert_eq!(divergent_size(cross_checked(&mut auditor)), Some(3));
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(24))]
+
+            /// The incremental check answers every call exactly as the
+            /// rebuilding one, over arbitrary interleavings of per-step,
+            /// bundle and gossip ingest on two to four domains, of either
+            /// history, under either log id (so entries get overwritten),
+            /// with domains met only through gossip, and with the check
+            /// called after some operations and not others.
+            #[test]
+            fn the_incremental_cross_check_agrees_with_rebuilding(
+                n in 2u32..=4,
+                ops in proptest::collection::vec((0u8..3, any::<u8>(), any::<u8>(), any::<bool>()), 1..32),
+            ) {
+                let histories = histories();
+                let mut auditor = auditor_of(n);
+                for (op, pick, variant, check) in ops {
+                    let d = u32::from(pick) % n;
+                    let history = &histories[usize::from(variant & 1)];
+                    let alias = variant & 2 != 0;
+                    let size = 1 + u64::from(variant >> 2) % SIZES;
+                    let verified = auditor.latest(d).map_or(0, |cp| cp.body.size);
+                    match op {
+                        0 => {
+                            let proof = (verified >= 1 && size > verified)
+                                .then(|| history.prove_consistency(verified as usize, size as usize))
+                                .flatten();
+                            auditor.observe(d, signed(d, history, size, alias), proof.as_ref());
+                        }
+                        1 => {
+                            let sizes: Vec<u64> = if size > verified {
+                                (verified + 1..=size).collect()
+                            } else {
+                                vec![size]
+                            };
+                            let linked: Vec<usize> = (verified >= 1)
+                                .then_some(verified)
+                                .into_iter()
+                                .chain(sizes.iter().copied())
+                                .map(|s| s as usize)
+                                .collect();
+                            let bundle = CheckpointBundle {
+                                checkpoints: sizes.iter().map(|&s| signed(d, history, s, alias)).collect(),
+                                proof: history.prove_consistency_range(&linked).unwrap_or_default(),
+                            };
+                            auditor.observe_bundle(d, &bundle);
+                        }
+                        _ => {
+                            // A board's relay: this head, and the next
+                            // domain's of the other history.
+                            let next = (d + 1) % n;
+                            let heads = [
+                                (d, signed(d, history, size, alias)),
+                                (next, signed(next, &histories[usize::from(!variant & 1)], size, !alias)),
+                            ];
+                            let heads: Vec<_> = heads.iter().map(|(d, cp)| (*d, cp)).collect();
+                            auditor.ingest_gossip_heads(&heads);
+                        }
+                    }
+                    if check {
+                        let reference = format!("{:?}", auditor.cross_check_by_rebuilding());
+                        prop_assert_eq!(format!("{:?}", auditor.cross_check()), reference);
+                    }
+                }
+                let reference = format!("{:?}", auditor.cross_check_by_rebuilding());
+                prop_assert_eq!(format!("{:?}", auditor.cross_check()), reference);
             }
         }
     }

@@ -7,7 +7,7 @@
 //! paper promises users (§1: "the user will obtain a publicly verifiable
 //! proof of misbehavior").
 
-use distrust_crypto::schnorr::{SchnorrSignature, SigningKey, VerifyingKey};
+use distrust_crypto::schnorr::{KeptKey, SchnorrSignature, SigningKey, VerifyingKey};
 use distrust_crypto::sha256::Digest;
 use distrust_wire::codec::{Decode, DecodeError, Encode};
 use distrust_wire::wire_struct;
@@ -89,6 +89,20 @@ impl SignedCheckpoint {
     /// [`VerifyingKey::verify_all`] — a shared key table and one inversion
     /// between them; `Err(i)` names the first that fails.
     pub fn verify_all(checkpoints: &[&Self], key: &VerifyingKey) -> Result<(), usize> {
+        Self::signed(checkpoints, |items| key.verify_all(items))
+    }
+
+    /// [`Self::verify_all`] under a key the caller keeps — an auditor's
+    /// pinned key for the domain — and so on its table once it has one.
+    pub fn verify_all_kept(checkpoints: &[&Self], key: &mut KeptKey) -> Result<(), usize> {
+        Self::signed(checkpoints, |items| key.verify_all(items))
+    }
+
+    /// `verify` applied to the `(message, signature)` pairs of `checkpoints`.
+    fn signed<T>(
+        checkpoints: &[&Self],
+        verify: impl FnOnce(&[(&[u8], &SchnorrSignature)]) -> T,
+    ) -> T {
         let signed: Vec<(Vec<u8>, SchnorrSignature)> = checkpoints
             .iter()
             .map(|cp| {
@@ -98,7 +112,7 @@ impl SignedCheckpoint {
             .collect();
         let items: Vec<(&[u8], &SchnorrSignature)> =
             signed.iter().map(|(m, sig)| (m.as_slice(), sig)).collect();
-        key.verify_all(&items)
+        verify(&items)
     }
 }
 
