@@ -34,9 +34,9 @@ use distrust_core::abi::{AppHost, OUTBOX_ADDR};
 use distrust_core::deploy::AppSpec;
 use distrust_core::session::Session;
 use distrust_core::ClientError;
-use distrust_crypto::bls::{PublicKey, Signature};
+use distrust_crypto::bls::{PreparedPublicKey, Signature};
 use distrust_crypto::fp::Fp;
-use distrust_crypto::g1::{hash_to_g1, G1Projective};
+use distrust_crypto::g1::{hash_to_g1, G1Affine, G1Projective};
 use distrust_crypto::threshold::{
     self, FeldmanCommitments, KeyShare, PartialSignature, ThresholdError,
 };
@@ -347,13 +347,15 @@ impl AppHost for SignerHost {
     }
 }
 
-/// Public parameters of a threshold-signing deployment.
+/// Public parameters of a threshold-signing deployment. Cheap to clone:
+/// the group key's line table is shared, not copied.
 #[derive(Clone, Debug)]
 pub struct ThresholdPublic {
     /// Signing threshold `t`.
     pub threshold: usize,
-    /// The group public key (a standard BLS key).
-    pub public_key: PublicKey,
+    /// The group public key (a standard BLS key), prepared once for the
+    /// pairing check every signature takes.
+    pub public_key: PreparedPublicKey,
     /// Feldman commitments for partial-signature verification.
     pub commitments: FeldmanCommitments,
 }
@@ -392,7 +394,7 @@ pub fn setup<R: rand::RngCore + ?Sized>(
         spec,
         ThresholdPublic {
             threshold: t,
-            public_key: keys.public_key,
+            public_key: PreparedPublicKey::new(keys.public_key),
             commitments: keys.commitments,
         },
     ))
@@ -460,15 +462,20 @@ impl ThresholdSigningClient {
         Self::parse_partial(domain, &payload)
     }
 
+    /// Decodes domain `domain`'s answer: 48 canonical bytes of a point on
+    /// the curve. Not tested for membership of G1 here: the aggregate is,
+    /// before its pairing check, and so is every partial the Feldman
+    /// checks look at once an aggregate fails — which names a partial
+    /// outside G1 rather than dropping it unnamed.
     fn parse_partial(domain: u32, payload: &[u8]) -> Result<PartialSignature, SignError> {
         let bytes: [u8; 48] = payload
             .try_into()
             .map_err(|_| SignError::Client(ClientError::Unexpected("bad sig length".into())))?;
-        let value = Signature::from_bytes(&bytes)
+        let point = G1Affine::from_compressed_unchecked(&bytes)
             .ok_or_else(|| SignError::Client(ClientError::Unexpected("bad sig point".into())))?;
         Ok(PartialSignature {
             index: (domain + 1) as u8,
-            value,
+            value: Signature(point),
         })
     }
 
@@ -478,9 +485,10 @@ impl ThresholdSigningClient {
     /// under [`distrust_core::QuorumPolicy::Threshold`]`(t)` (via
     /// [`Session::fanout_collect`]): all `n` sign requests are in flight
     /// at once and collection stops at the `t`-th answer that parses
-    /// (48 canonical bytes, on the curve, in the subgroup) — a slow or
-    /// dead domain does not delay the signature as long as `t` domains are
-    /// healthy.
+    /// (48 canonical bytes of a point on the curve; the subgroup test is
+    /// made once, on the aggregate, and on each partial the Feldman checks
+    /// look at) — a slow or dead domain does not delay the signature as
+    /// long as `t` domains are healthy.
     ///
     /// Order of operations: hash the message once; aggregate the `t`
     /// partials; check the aggregate under the group key; return it. That
@@ -636,7 +644,69 @@ mod tests {
         let (spec, public) = setup(2, 4, &mut rng).unwrap();
         assert_eq!(spec.hosts.len(), 4);
         assert_eq!(public.threshold, 2);
-        assert_eq!(public.commitments.public_key(), public.public_key);
+        assert_eq!(public.commitments.public_key(), *public.public_key.key());
+        // The group key's kept table is a fresh preparation of the key,
+        // and a clone of the parameters shares it.
+        let fresh = PreparedPublicKey::new(public.commitments.public_key());
+        assert_eq!(public.public_key, fresh);
+        assert_eq!(public.clone().public_key, fresh);
+    }
+
+    /// A partial `σᵢ + T`, with `T = (0, 2)` of order 3, is a point of
+    /// the curve outside G1. It parses, the aggregate it joins fails its
+    /// checks, and the combiner names its domain; an honest replacement
+    /// then completes the group signature.
+    #[test]
+    fn a_partial_outside_g1_is_named_not_dropped() {
+        let mut rng = HmacDrbg::new(b"signer tests", b"outside g1");
+        let keys = threshold::generate(2, 3, &mut rng).unwrap();
+        let public = ThresholdPublic {
+            threshold: 2,
+            public_key: PreparedPublicKey::new(keys.public_key),
+            commitments: keys.commitments.clone(),
+        };
+        let msg = b"one partial off the subgroup";
+        let honest: Vec<PartialSignature> = keys
+            .shares
+            .iter()
+            .map(|s| threshold::partial_sign(s, msg))
+            .collect();
+        let t = G1Affine {
+            x: Fp::ZERO,
+            y: Fp::from_u64(2),
+            infinity: false,
+        };
+        let shifted = G1Projective::from(honest[0].value.0)
+            .add_affine(&t)
+            .to_affine();
+        let bytes = shifted.to_compressed();
+        assert!(Signature::from_bytes(&bytes).is_none(), "not a point of G1");
+        let parsed = ThresholdSigningClient::parse_partial(0, &bytes).expect("on the curve");
+        assert_eq!(parsed.index, 1);
+        assert_eq!(parsed.value.0, shifted);
+
+        // An `x` whose `x³ + 4` is not a square is no point at all.
+        let off_curve = (1u64..)
+            .map(Fp::from_u64)
+            .find(|x| !x.square().mul(x).add(&Fp::from_u64(4)).is_square())
+            .expect("a non-square below 2^64");
+        let mut off_curve = off_curve.to_bytes_be();
+        off_curve[0] |= 0x80;
+        assert!(ThresholdSigningClient::parse_partial(0, &off_curve).is_err());
+
+        let mut combiner =
+            threshold::Combiner::new(2, &public.public_key, &public.commitments, msg);
+        let mut batch = vec![parsed, honest[1]];
+        assert_eq!(combiner.combine(&mut batch), Ok(None));
+        assert_eq!(combiner.culprits(), &[1]);
+        assert_eq!(batch, vec![honest[1]]);
+        batch.push(honest[2]);
+        let signature = combiner
+            .combine(&mut batch)
+            .unwrap()
+            .expect("two honest partials");
+        assert!(public.public_key.verify(msg, &signature));
+        assert_eq!(signature, threshold::aggregate(2, &honest[1..]).unwrap());
     }
 
     #[test]

@@ -5,7 +5,8 @@
 //!
 //! `client_sign` is what `ThresholdSigningClient::sign` does with the `t`
 //! partials it has parsed (`threshold::Combiner`): hash the message once,
-//! aggregate, one pairing check under the group key. Its `one_culprit`
+//! aggregate, one pairing check under the group key, whose lines are
+//! prepared once (`verify_group` prepares them per call). Its `one_culprit`
 //! variant has a wrong partial among the first `t`: the failed check, `t`
 //! Feldman checks to name it, an honest replacement, the check that
 //! passes. Checking every partial before aggregating — what the client
@@ -18,6 +19,7 @@
 //! machine they were taken on.
 
 use distrust_bench::stats::Summary;
+use distrust_crypto::bls::PreparedPublicKey;
 use distrust_crypto::drbg::HmacDrbg;
 use distrust_crypto::fr::Fr;
 use distrust_crypto::pairing::final_exponentiations;
@@ -71,9 +73,11 @@ fn main() {
             median_us(|| threshold::verify_partial(&keys.commitments, MSG, &partials[0]));
         let verify_group = median_us(|| keys.public_key.verify(MSG, &signature));
 
+        // The group key prepared once, as `ThresholdPublic` keeps it.
+        let group_key = PreparedPublicKey::new(keys.public_key);
         let client_sign = |batch: &[PartialSignature], spare: Option<PartialSignature>| {
             let mut batch = batch.to_vec();
-            let mut combiner = Combiner::new(t, &keys.public_key, &keys.commitments, MSG);
+            let mut combiner = Combiner::new(t, &group_key, &keys.commitments, MSG);
             let first = combiner.combine(&mut batch).expect("combine");
             let combined = first.or_else(|| {
                 batch.extend(spare);

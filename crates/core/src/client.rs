@@ -26,6 +26,10 @@ use std::net::SocketAddr;
 /// many answers that a fresh connection is cheaper than draining them.
 const MAX_ABANDONED_PER_CONN: u64 = 32;
 
+/// Why a domain this client holds transferable evidence against is
+/// refused, by an audit and by every session.
+pub(crate) const CONVICTED: &str = "transferable equivocation evidence held against this domain";
+
 /// What a client needs to know about one trust domain.
 #[derive(Clone, Debug)]
 pub struct DomainInfo {
@@ -699,8 +703,7 @@ impl DeploymentClient {
         // relayed through the mesh — fails every audit from then on.
         for audit in &mut domains {
             if audit.failure.is_none() && self.evidence.convicts(audit.index) {
-                audit.failure =
-                    Some("transferable equivocation evidence held against this domain".to_string());
+                audit.failure = Some(CONVICTED.to_string());
             }
         }
 

@@ -23,7 +23,7 @@
 //!   and key-backup recovery tolerates dead domains, without each app
 //!   reimplementing the logic.
 
-use crate::client::{AuditReport, ClientError, DeploymentClient};
+use crate::client::{AuditReport, ClientError, DeploymentClient, CONVICTED};
 use crate::protocol::{Request, Response};
 use distrust_crypto::bls;
 use distrust_crypto::sha256::Digest;
@@ -385,9 +385,15 @@ pub struct Session<'c> {
 
 impl<'c> Session<'c> {
     /// Wraps a client in a trust-gated session. No I/O happens here; the
-    /// gating audit runs lazily, before the first application call.
+    /// gating audit runs lazily, before the first application call. A
+    /// domain the client already holds evidence against starts poisoned:
+    /// a conviction outlives the session that learned of it, whatever
+    /// gate — audit or cosigned head — the next session passes.
     pub fn new(client: &'c mut DeploymentClient, policy: TrustPolicy) -> Self {
         let n = client.descriptor().domains.len();
+        let poisoned = (0..n as u32)
+            .map(|d| client.convicted(d).then(|| CONVICTED.to_string()))
+            .collect();
         Self {
             client,
             policy,
@@ -396,7 +402,7 @@ impl<'c> Session<'c> {
             audited: false,
             gate_failed: false,
             rounds_since_audit: 0,
-            poisoned: vec![None; n],
+            poisoned,
             cosigned: None,
             cosign_verifications: 0,
         }
@@ -574,8 +580,9 @@ impl<'c> Session<'c> {
     /// vector covers exactly this deployment's domains and that the
     /// aggregated signature verifies under the quorum public key. On
     /// success every domain the vector covers is trusted — except
-    /// domains already poisoned by transferable misbehavior evidence,
-    /// which stay refused.
+    /// domains the client holds transferable misbehavior evidence
+    /// against, learned in this session or any before it, which stay
+    /// refused.
     pub fn install_cosigned_head(&mut self, cosigned: &CosignedHeads) -> Result<(), ClientError> {
         let Some(witnessed) = self.policy.witnessed else {
             return Err(ClientError::Unexpected(
@@ -615,7 +622,7 @@ impl<'c> Session<'c> {
             return false;
         }
         if let Some(slot) = self.poisoned.get_mut(bundle.domain as usize) {
-            *slot = Some("transferable equivocation evidence held against this domain".to_string());
+            *slot = Some(CONVICTED.to_string());
         }
         true
     }

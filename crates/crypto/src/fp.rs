@@ -58,6 +58,16 @@ impl Fp {
         }
     }
 
+    /// Whether `self` has a square root — exactly when [`Self::sqrt`]
+    /// returns one, zero included — by its Jacobi symbol
+    /// ([`limbs::jacobi`], ≈ 2 µs where the square root's exponentiation
+    /// costs ≈ 38). The symbol reads the Montgomery representative `aR`
+    /// as it is: `R = 2³⁸⁴` is a square, so `aR` is one exactly when `a`
+    /// is.
+    pub fn is_square(&self) -> bool {
+        limbs::jacobi(&self.0, &Self::MODULUS) >= 0
+    }
+
     /// Multiplies by the small constant `k` (used by curve formulas).
     pub fn mul_small(&self, k: u64) -> Self {
         self.mul(&Self::from_u64(k))
@@ -201,6 +211,28 @@ mod tests {
                 prop_assert_eq!(x.mul(&inv), Fp::ONE);
                 prop_assert_eq!(inv, x.pow_vartime(&fermat));
             }
+        }
+
+        /// The Jacobi symbol against the square root it stands in front
+        /// of: on `a`, its square, and what the symbol treats specially —
+        /// zero, one, `p − 1` (a non-square, `p ≡ 3 mod 4`), the smallest
+        /// non-residue, and representatives whose low limbs are zero, so
+        /// that twos are stripped 63 and then 1 at a time and across limbs.
+        #[test]
+        fn is_square_agrees_with_sqrt(a in arb_fp(), limb in 1usize..6, low in any::<u64>()) {
+            let non_residue = (2u64..)
+                .map(Fp::from_u64)
+                .find(|x| x.sqrt().is_none())
+                .expect("a non-residue below 2^64");
+            // 64·limb trailing zeros, below p (whose top limb is above 2⁶⁰).
+            let mut raw = [0u64; 6];
+            raw[limb] = (low | 1) >> if limb == 5 { 4 } else { 0 };
+            let shifted = Fp(raw);
+            let cases = [a, a.square(), Fp::ZERO, Fp::ONE, Fp::ONE.neg(), non_residue, shifted];
+            for x in cases {
+                prop_assert_eq!(x.is_square(), x.sqrt().is_some());
+            }
+            prop_assert!(a.square().is_square() && !Fp::ONE.neg().is_square() && !non_residue.is_square());
         }
 
         #[test]

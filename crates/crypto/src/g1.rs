@@ -14,7 +14,10 @@
 //!   `−φ` of it, and every scalar is split along the endomorphism
 //!   `φ = [−u²]` so that its two 128-bit halves index those two runs.
 //!   `φ` acts that way **on G1 only**: a table built on a curve point
-//!   outside the subgroup yields some other curve point, not `k·P`.
+//!   outside the subgroup yields some other curve point, not `k·P`. (The
+//!   one caller that sums points decoded without the subgroup test,
+//!   [`crate::threshold::aggregate`], relies on nothing but the subgroup
+//!   test of the sum.)
 //!   Membership is the precondition of [`G1Table::new`] and
 //!   [`G1Table::narrow`]; types that feed them
 //!   ([`crate::schnorr::VerifyingKey`], [`crate::schnorr::KeptKey`]) keep
@@ -418,9 +421,22 @@ impl G1Affine {
         out
     }
 
-    /// Decodes a compressed point, enforcing canonical field encoding,
-    /// curve membership, and r-torsion membership.
+    /// Decodes a compressed point of G1: [`Self::from_compressed_unchecked`]
+    /// and then the subgroup test ([`Self::is_torsion_free`], ≈ 60 µs).
     pub fn from_compressed(bytes: &[u8; 48]) -> Option<Self> {
+        Self::from_compressed_unchecked(bytes).filter(Self::is_torsion_free)
+    }
+
+    /// Decodes a compressed point of the curve, enforcing canonical field
+    /// encoding and curve membership but **not** membership of G1: what
+    /// comes back may be `σ + T` for a point `T` of small order. Only for
+    /// a caller that subgroup-tests whatever it relies on: the threshold
+    /// client decodes partial signatures with it, because the aggregate
+    /// they sum to is tested before its pairing check and a partial is
+    /// tested when it is blamed ([`crate::threshold::aggregate`]). Such a
+    /// point breaks the precondition of the kernel's tables (see the
+    /// module header): their sum is some curve point, not `Σ kᵢ·Pᵢ`.
+    pub fn from_compressed_unchecked(bytes: &[u8; 48]) -> Option<Self> {
         let flags = bytes[0] & 0xe0;
         if flags & 0x80 == 0 {
             return None; // not marked compressed
@@ -442,16 +458,11 @@ impl G1Affine {
         if y.is_odd() != (flags & 0x20 != 0) {
             y = y.neg();
         }
-        let point = Self {
+        Some(Self {
             x,
             y,
             infinity: false,
-        };
-        if point.is_torsion_free() {
-            Some(point)
-        } else {
-            None
-        }
+        })
     }
 }
 
@@ -748,8 +759,16 @@ impl G1Projective {
 /// Hashes an arbitrary message to G1 with domain separation, using
 /// try-and-increment followed by cofactor clearing.
 ///
-/// **Not constant time**: the iteration count leaks information about the
-/// (public) message. Do not use for secret inputs. Standards-track
+/// About half of all candidates `x` are not the abscissa of a curve
+/// point: `x³ + 4` is not a square. Each is turned away by its Jacobi
+/// symbol ([`Fp::is_square`], ≈ 2 µs) rather than by a square root that
+/// fails (≈ 38 µs). The symbol refuses exactly what the square root
+/// refuses, so it changes no output: a message hashes to the point the
+/// square root alone would find (`hash_to_g1_outputs_are_pinned`).
+///
+/// **Not constant time**: the iteration count and the Jacobi symbol's
+/// steps leak information about the (public) message. Do not use for
+/// secret inputs. Standards-track
 /// deployments should use SSWU (RFC 9380); try-and-increment is this
 /// repository's substitution for it — the same distribution on G1 at far
 /// less code, acceptable only because every hashed input here is public.
@@ -773,9 +792,10 @@ pub fn hash_to_g1(msg: &[u8], dst: &[u8]) -> G1Projective {
             continue;
         };
         let y2 = x.square().mul(&x).add(&Fp::from_u64(4));
-        let Some(mut y) = y2.sqrt() else {
+        if !y2.is_square() {
             continue;
-        };
+        }
+        let mut y = y2.sqrt().expect("a square has a square root");
         if (h2[16] & 1 == 1) != y.is_odd() {
             y = y.neg();
         }
@@ -1041,6 +1061,45 @@ mod tests {
                 point.is_annihilated_by_r().then_some(point)
             );
         }
+
+        /// The curve-only decoder against the full one, on random bytes
+        /// (of which about one string in five is a curve point, almost
+        /// never of G1), on `σ`, `σ + T` for `T = (0, 2)` of order 3, and
+        /// on infinity, each under every flag pattern: where the full
+        /// decoder decodes, both give the same point; where only the
+        /// curve-only one does, the point is on the curve and outside G1.
+        #[test]
+        fn the_curve_only_decoder_is_the_full_one_without_the_subgroup_test(
+            seed in any::<[u8; 32]>(),
+            flags in 0u8..8,
+            arbitrary in any::<[u8; 48]>(),
+        ) {
+            let mut rng = HmacDrbg::new(b"g1 curve-only decoder", &seed);
+            let sigma = G1Projective::random(&mut rng).to_affine();
+            let points = [sigma, sigma.plus_order_three_point(), G1Affine::identity()];
+            let mut inputs: Vec<[u8; 48]> = points.iter().map(G1Affine::to_compressed).collect();
+            inputs.extend(inputs.clone().into_iter().map(|mut bytes| {
+                bytes[0] = (bytes[0] & 0x1f) | (flags << 5);
+                bytes
+            }));
+            inputs.push(arbitrary);
+            for bytes in inputs {
+                let unchecked = G1Affine::from_compressed_unchecked(&bytes);
+                match G1Affine::from_compressed(&bytes) {
+                    Some(point) => prop_assert_eq!(unchecked, Some(point)),
+                    None => {
+                        if let Some(point) = unchecked {
+                            prop_assert!(point.is_on_curve());
+                            prop_assert!(!point.is_torsion_free() && !point.is_annihilated_by_r());
+                            prop_assert_eq!(point.to_compressed(), bytes);
+                        }
+                    }
+                }
+            }
+            let shifted = sigma.plus_order_three_point();
+            prop_assert_eq!(G1Affine::from_compressed_unchecked(&shifted.to_compressed()), Some(shifted));
+            prop_assert_eq!(G1Affine::from_compressed(&shifted.to_compressed()), None);
+        }
     }
 
     /// `u²`, the factor scalars are split along.
@@ -1294,6 +1353,32 @@ mod tests {
         assert_ne!(p, r, "different DSTs map to different points");
         // Determinism.
         assert_eq!(p, hash_to_g1(b"message one", b"test-dst"));
+    }
+
+    /// What `hash_to_g1` returns, pinned bit for bit: the SHA-256 of the
+    /// compressed points 256 seeded messages of 0 to 63 bytes hash to,
+    /// recorded before the Jacobi symbol began turning candidates away. A
+    /// change that skips a candidate the square root would accept moves a
+    /// message to another point, and this digest with it.
+    #[test]
+    fn hash_to_g1_outputs_are_pinned() {
+        let mut rng = HmacDrbg::new(b"hash_to_g1 golden", b"");
+        let mut digest = crate::sha256::Sha256::new();
+        for i in 0..256 {
+            let mut msg = vec![0u8; i % 64];
+            rng.fill_bytes(&mut msg);
+            let point = hash_to_g1(&msg, crate::bls::MSG_DST).to_affine();
+            digest.update(&point.to_compressed());
+        }
+        let hex: String = digest
+            .finalize()
+            .iter()
+            .map(|b| format!("{b:02x}"))
+            .collect();
+        assert_eq!(
+            hex,
+            "fa024dd07f0cd73b28981f6ecf73e4cf8858ac56d0dafa449c1074ff5136af80"
+        );
     }
 
     #[test]

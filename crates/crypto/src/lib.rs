@@ -53,5 +53,5 @@ pub use fp::Fp;
 pub use fr::Fr;
 pub use g1::{hash_to_g1, G1Affine, G1Projective};
 pub use g2::{G2Affine, G2Projective};
-pub use pairing::{multi_pairing, pairing, pairing_equality, Gt};
+pub use pairing::{multi_pairing, pairing, pairing_equality, G2Prepared, Gt};
 pub use sha256::{sha256, sha256_many, Digest};

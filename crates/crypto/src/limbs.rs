@@ -220,6 +220,48 @@ pub fn inv_mod<const N: usize>(a: &[u64; N], m: &[u64; N]) -> [u64; N] {
     }
 }
 
+/// The Jacobi symbol `(a / m)` for odd `m` and `a < m`: `0` when they share
+/// a factor, else `±1` — for a prime `m`, `1` exactly when `a` is a non-zero
+/// square. The binary algorithm, shaped like [`inv_mod`]: strip the twos
+/// from `a`, each flipping the sign when `m ≡ ±3 (mod 8)`; swap the two
+/// when `a < m`, flipping it when both are `≡ 3 (mod 4)` (reciprocity);
+/// subtract. Shifts and subtractions where Euler's criterion raises to
+/// `(m − 1)/2`. Variable time, like the rest of this file.
+pub fn jacobi<const N: usize>(a: &[u64; N], m: &[u64; N]) -> i8 {
+    let (mut a, mut m, mut sign) = (*a, *m, 1);
+    while !is_zero(&a) {
+        // At most 63 twos a pass, a limb of zeros taking two: a `u64`
+        // shifted by 64 overflows.
+        loop {
+            let twos = a[0].trailing_zeros().min(63);
+            if twos == 0 {
+                break;
+            }
+            for i in 0..N {
+                let above = a.get(i + 1).map_or(0, |next| next << (64 - twos));
+                a[i] = a[i] >> twos | above;
+            }
+            if twos & 1 == 1 && matches!(m[0] & 7, 3 | 5) {
+                sign = -sign;
+            }
+        }
+        if lt(&a, &m) {
+            (a, m) = (m, a);
+            if a[0] & 3 == 3 && m[0] & 3 == 3 {
+                sign = -sign;
+            }
+        }
+        a = sub(&a, &m).0;
+    }
+    let mut one = [0u64; N];
+    one[0] = 1;
+    if m == one {
+        sign
+    } else {
+        0
+    }
+}
+
 /// Interprets 8-byte chunks of a big-endian byte slice as little-endian limbs.
 ///
 /// `bytes.len()` must equal `8 * N`.
@@ -308,6 +350,34 @@ mod tests {
         assert_eq!(q[1], (expect >> 64) as u64);
         assert_eq!(rem as u128, full % 6);
         assert_eq!(div_by_u64(&a, 6), q);
+    }
+
+    /// `(a / m)` by its definition for every `a < m` and odd `m < 256`,
+    /// primes and composites: the product over the prime factors `q` of
+    /// `m` of Euler's criterion `a^((q − 1)/2) mod q`. (Shifts across
+    /// limbs, and runs of 64 zeros, are `Fp::is_square`'s tests.)
+    #[test]
+    fn jacobi_is_the_product_of_legendre_symbols() {
+        let legendre = |a: u64, q: u64| match (0..(q - 1) / 2).fold(1, |x, _| x * a % q) {
+            0 => 0,
+            1 => 1,
+            _ => -1,
+        };
+        for m in (1u64..256).step_by(2) {
+            let mut factors = Vec::new();
+            let (mut rest, mut q) = (m, 3);
+            while rest > 1 {
+                while rest % q == 0 {
+                    factors.push(q);
+                    rest /= q;
+                }
+                q += 2;
+            }
+            for a in 0..m {
+                let expected = factors.iter().map(|&q| legendre(a, q)).product::<i8>();
+                assert_eq!(jacobi(&[a], &[m]), expected, "({a} / {m})");
+            }
+        }
     }
 
     #[test]

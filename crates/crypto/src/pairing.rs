@@ -8,18 +8,33 @@
 //!
 //! There is one Miller loop. The doubling and addition steps depend on the
 //! G2 argument alone, so they run once per G2 point into a table of line
-//! coefficients (`prepare`, 68 triples; the generator's is built once
-//! per process), and the loop proper walks the tables of all its pairs
-//! together: one accumulator, squared once per bit of `x`, multiplied by
-//! every pair's line at that step. A product of `k` pairings therefore
-//! costs 63 `Fp12` squarings and one final exponentiation, not `63·k` and
-//! `k` — and [`pairing`], [`multi_pairing`] and [`pairing_equality`] are
-//! that loop over one, `k` and two pairs.
+//! coefficients, a [`G2Prepared`] (68 triples, ≈ 0.12 ms to build), and
+//! the loop proper walks the tables of all its pairs together: one
+//! accumulator, squared once per bit of `x`, multiplied by every pair's
+//! line at that step. A product of `k` pairings therefore costs 63 `Fp12`
+//! squarings and one final exponentiation, not `63·k` and `k` — and
+//! [`pairing`], [`multi_pairing`] and [`pairing_equality`] are that loop
+//! over one, `k` and two pairs.
+//!
+//! Two tables are kept rather than rebuilt per check:
+//!
+//! * the generator's, built once per process ([`G2Prepared::generator`]):
+//!   the signature side of every BLS check;
+//! * a key's, kept by its [`crate::bls::PreparedPublicKey`]: a threshold
+//!   deployment's group key, prepared once with its public parameters.
+//!
+//! Any other G2 point — a key checked once, a Feldman share key — is
+//! prepared for the one check it takes part in.
+//!
+//! The final exponentiation takes `f^(p⁶)` as the conjugate, and its hard
+//! part raises to `3·(p⁴ − p² + 1)/r`: its values are the cubes of the
+//! textbook pairing's, which changes no equality it decides.
 //!
 //! Correctness is established by property tests: bilinearity in both
-//! arguments, non-degeneracy, compatibility with scalar multiplication, and
+//! arguments, non-degeneracy, compatibility with scalar multiplication,
 //! agreement of the shared loop with a product of reference single-pair
-//! pairings that compute their lines on the fly.
+//! pairings that compute their lines on the fly, and the final
+//! exponentiation against `f^(3·(p¹² − 1)/r)` computed by definition.
 
 use crate::fp12::Fp12;
 use crate::fp2::Fp2;
@@ -29,7 +44,7 @@ use crate::g2::{G2Affine, G2Projective};
 use crate::BLS_X;
 use std::borrow::Cow;
 use std::cell::Cell;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 /// An element of the target group `GT ⊂ Fp12*` (the image of the pairing).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -137,51 +152,67 @@ fn loop_bits() -> impl Iterator<Item = bool> {
     (0..top).rev().map(|i| (BLS_X >> i) & 1 == 1)
 }
 
-/// The line functions of one G2 point along the Miller loop, in the order
-/// the loop meets them: one per doubling, one more after it where the bit
-/// of `|x|` is set. Empty for the point at infinity.
-fn prepare(q: &G2Affine) -> Vec<Line> {
-    let mut lines = Vec::new();
-    if !q.infinity {
-        let mut r = G2Projective::from(*q);
-        for bit in loop_bits() {
-            lines.push(doubling_step(&mut r));
-            if bit {
-                lines.push(addition_step(&mut r, q));
+/// A G2 point prepared for the Miller loop: its line functions in the
+/// order the loop meets them, one per doubling and one more after it
+/// where the bit of `|x|` is set — 68 triples, ≈ 20 KB, shared by `Arc`
+/// so that a clone costs a reference count. Empty for the point at
+/// infinity, which pairs to one.
+#[derive(Clone, PartialEq)]
+pub struct G2Prepared(Arc<[Line]>);
+
+impl G2Prepared {
+    /// Runs `q`'s doubling and addition steps (≈ 0.12 ms) into its table.
+    pub fn new(q: &G2Affine) -> Self {
+        let mut lines = Vec::new();
+        if !q.infinity {
+            let mut r = G2Projective::from(*q);
+            for bit in loop_bits() {
+                lines.push(doubling_step(&mut r));
+                if bit {
+                    lines.push(addition_step(&mut r, q));
+                }
             }
         }
+        Self(lines.into())
     }
-    lines
+
+    /// The generator's table, built once per process on first use: the
+    /// G2 argument of the signature side of every BLS check.
+    pub fn generator() -> &'static Self {
+        static GENERATOR: OnceLock<G2Prepared> = OnceLock::new();
+        GENERATOR.get_or_init(|| Self::new(&G2Affine::generator()))
+    }
 }
 
-/// The line table for `q`: the process-wide one when `q` is the generator
-/// (the G2 argument of the signature side of every BLS check), a fresh one
-/// otherwise.
-fn lines_of(q: &G2Affine) -> Cow<'static, [Line]> {
-    static GENERATOR: OnceLock<Vec<Line>> = OnceLock::new();
+impl core::fmt::Debug for G2Prepared {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        write!(f, "G2Prepared({} lines)", self.0.len())
+    }
+}
+
+/// The table for `q` where a function takes bare points: the process-wide
+/// one when `q` is the generator, a fresh one otherwise.
+fn prepared(q: &G2Affine) -> Cow<'static, G2Prepared> {
     if *q == G2Affine::generator() {
-        Cow::Borrowed(GENERATOR.get_or_init(|| prepare(q)))
+        Cow::Borrowed(G2Prepared::generator())
     } else {
-        Cow::Owned(prepare(q))
+        Cow::Owned(G2Prepared::new(q))
     }
 }
 
-/// The Miller loop over all `pairs` — a G1 point and the line table of a
-/// G2 point each — at once, producing the unreduced value of
-/// `∏ e(pᵢ, qᵢ)`. A pair with the point at infinity on either side
-/// contributes the factor one.
-fn miller_loop(pairs: &[(&G1Affine, &[Line])]) -> Fp12 {
+/// The Miller loop over all `pairs` — a G1 point and a prepared G2 point
+/// each — at once, producing the unreduced value of `∏ e(pᵢ, qᵢ)`. A pair
+/// with the point at infinity on either side contributes the factor one.
+fn miller_loop(pairs: &[(&G1Affine, &G2Prepared)]) -> Fp12 {
     let pairs: Vec<_> = pairs
         .iter()
-        .filter(|(p, lines)| !p.infinity && !lines.is_empty())
+        .filter(|(p, q)| !p.infinity && !q.0.is_empty())
         .collect();
     let mut next = 0;
     let mut times_next_lines = |f: Fp12| {
         let step = next;
         next += 1;
-        pairs
-            .iter()
-            .fold(f, |f, (p, lines)| ell(&f, &lines[step], p))
+        pairs.iter().fold(f, |f, (p, q)| ell(&f, &q.0[step], p))
     };
     let mut f = Fp12::ONE;
     for bit in loop_bits() {
@@ -238,16 +269,13 @@ fn cyclotomic_square(f: &Fp12) -> Fp12 {
     }
 }
 
-/// `f^|x|` with cyclotomic squarings, then conjugated because `x < 0`.
+/// `f^|x|` with cyclotomic squarings — starting from `f` itself, the top
+/// bit of `|x|` — then conjugated because `x < 0`.
 fn cyclotomic_exp(f: &Fp12) -> Fp12 {
-    let mut tmp = Fp12::ONE;
-    let mut found_one = false;
-    for i in (0..64).rev() {
-        if found_one {
-            tmp = cyclotomic_square(&tmp);
-        }
-        if (BLS_X >> i) & 1 == 1 {
-            found_one = true;
+    let mut tmp = *f;
+    for bit in loop_bits() {
+        tmp = cyclotomic_square(&tmp);
+        if bit {
             tmp = tmp.mul(f);
         }
     }
@@ -270,11 +298,9 @@ pub fn final_exponentiations() -> u64 {
 fn final_exponentiation(f: &Fp12) -> Gt {
     FINAL_EXPONENTIATIONS.with(|n| n.set(n.get() + 1));
     let mut f = *f;
-    // Easy part: f^{(p^6 - 1)(p^2 + 1)}.
-    let mut t0 = f;
-    for _ in 0..6 {
-        t0 = t0.frobenius();
-    }
+    // Easy part: f^{(p^6 - 1)(p^2 + 1)}. Raising to p⁶ is the automorphism
+    // of Fp12 over Fp6 (w ↦ −w): the conjugate.
+    let t0 = f.conjugate();
     let t1 = f.invert().expect("Miller loop output is nonzero");
     let mut t2 = t0.mul(&t1);
     let t1 = t2;
@@ -307,25 +333,27 @@ fn final_exponentiation(f: &Fp12) -> Gt {
 
 /// Computes the pairing `e(p, q)`.
 pub fn pairing(p: &G1Affine, q: &G2Affine) -> Gt {
-    final_exponentiation(&miller_loop(&[(p, &lines_of(q))]))
+    final_exponentiation(&miller_loop(&[(p, &prepared(q))]))
 }
 
 /// Computes `∏ e(p_i, q_i)` with a shared Miller loop and final
 /// exponentiation — the shape used by batched signature verification.
 pub fn multi_pairing(pairs: &[(G1Affine, G2Affine)]) -> Gt {
-    let tables: Vec<_> = pairs.iter().map(|(_, q)| lines_of(q)).collect();
+    let tables: Vec<_> = pairs.iter().map(|(_, q)| prepared(q)).collect();
     let pairs: Vec<_> = pairs
         .iter()
         .zip(&tables)
-        .map(|((p, _), lines)| (p, lines.as_ref()))
+        .map(|((p, _), q)| (p, q.as_ref()))
         .collect();
     final_exponentiation(&miller_loop(&pairs))
 }
 
 /// Checks `e(a1, a2) == e(b1, b2)` using the product trick:
-/// `e(a1, a2)·e(-b1, b2) == 1`. One Miller loop, one final exponentiation.
-pub fn pairing_equality(a1: &G1Affine, a2: &G2Affine, b1: &G1Affine, b2: &G2Affine) -> bool {
-    let f = miller_loop(&[(a1, &lines_of(a2)), (&b1.neg(), &lines_of(b2))]);
+/// `e(a1, a2)·e(-b1, b2) == 1`. One Miller loop, one final exponentiation;
+/// the G2 sides come prepared, so a point checked against many times is
+/// prepared once.
+pub fn pairing_equality(a1: &G1Affine, a2: &G2Prepared, b1: &G1Affine, b2: &G2Prepared) -> bool {
+    let f = miller_loop(&[(a1, a2), (&b1.neg(), b2)]);
     final_exponentiation(&f).is_identity()
 }
 
@@ -388,26 +416,92 @@ mod tests {
             let (p, q) = &pairs[0];
             prop_assert_eq!(pairing(p, q), reference_pairing(p, q));
             if let [(a1, a2), (b1, b2), ..] = pairs.as_slice() {
+                let (a2p, b2p) = (G2Prepared::new(a2), prepared(b2));
                 prop_assert_eq!(
-                    pairing_equality(a1, a2, b1, b2),
+                    pairing_equality(a1, &a2p, b1, &b2p),
                     reference_pairing(a1, a2) == reference_pairing(b1, b2)
                 );
-                prop_assert!(pairing_equality(a1, a2, a1, a2));
+                prop_assert!(pairing_equality(a1, &a2p, a1, &a2p));
             }
+        }
+    }
+
+    /// `a·b` over little-endian limbs of any length, schoolbook.
+    fn wide_mul(a: &[u64], b: &[u64]) -> Vec<u64> {
+        let mut out = vec![0u64; a.len() + b.len()];
+        for (i, &ai) in a.iter().enumerate() {
+            let mut carry = 0;
+            for (j, &bj) in b.iter().enumerate() {
+                (out[i + j], carry) = crate::limbs::mac(out[i + j], ai, bj, carry);
+            }
+            out[i + b.len()] = carry;
+        }
+        out
+    }
+
+    /// `(p¹² − 1) / r`, the exponent the final exponentiation raises to by
+    /// definition: a schoolbook `p¹²`, then shift-and-subtract division by
+    /// `r`, which must leave nothing over.
+    fn final_exponent() -> Vec<u64> {
+        let mut power = vec![1u64];
+        for _ in 0..12 {
+            power = wide_mul(&power, &crate::fp::Fp::MODULUS);
+        }
+        power[0] -= 1; // p is odd, so p¹² is.
+                       // `rest < r < 2²⁵⁵`, so `2·rest + 1` fits the four limbs of `r`.
+        let (mut rest, mut quotient) = ([0u64; 4], vec![0u64; power.len()]);
+        for i in (0..64 * power.len()).rev() {
+            rest = crate::limbs::add(&rest, &rest).0;
+            rest[0] |= power[i / 64] >> (i % 64) & 1;
+            if !crate::limbs::lt(&rest, &Fr::MODULUS) {
+                rest = crate::limbs::sub(&rest, &Fr::MODULUS).0;
+                quotient[i / 64] |= 1 << (i % 64);
+            }
+        }
+        assert_eq!(rest, [0; 4], "r divides p^12 - 1");
+        quotient
+    }
+
+    /// The final exponentiation against its definition, `f^((p¹² − 1)/r)`
+    /// by square-and-multiply, on a Miller-loop output and on an element
+    /// of `Fp12` that is not one. The other tests here compare pairings
+    /// that all end in the same final exponentiation, so only this one
+    /// would see that step go wrong. The hard part's addition chain
+    /// raises to `3·(p⁴ − p² + 1)/r`, so what comes out is the cube of
+    /// the definition's value: `3` is prime to `r`, so the cube is still a
+    /// non-degenerate bilinear pairing, and a product is one exactly when
+    /// its cube is.
+    #[test]
+    fn the_final_exponentiation_is_the_cube_of_its_definition() {
+        let mut rng = HmacDrbg::new(b"pairing", b"final exponentiation");
+        let p = G1Projective::random(&mut rng).to_affine();
+        let q = G2Projective::random(&mut rng).to_affine();
+        let exponent = final_exponent();
+        for f in [
+            miller_loop(&[(&p, &G2Prepared::new(&q))]),
+            Fp12::random(&mut rng),
+        ] {
+            let by_definition = f.pow_vartime(&exponent);
+            let cube = by_definition.square().mul(&by_definition);
+            assert_eq!(final_exponentiation(&f).0, cube);
+            assert_ne!(by_definition, Fp12::ONE);
         }
     }
 
     #[test]
     fn the_shared_generator_table_is_the_freshly_prepared_one() {
         let g = G2Affine::generator();
-        let shared = lines_of(&g);
+        let shared = prepared(&g);
         assert!(matches!(shared, Cow::Borrowed(_)));
-        assert_eq!(shared.as_ref(), prepare(&g).as_slice());
-        assert_eq!(shared.len(), 68);
+        assert_eq!(*shared, G2Prepared::new(&g));
+        assert_eq!(shared.0.len(), 68);
         // Any other point gets its own.
         let other = G2Projective::generator().double().to_affine();
-        assert!(matches!(lines_of(&other), Cow::Owned(_)));
-        assert!(lines_of(&G2Affine::identity()).is_empty());
+        assert!(matches!(prepared(&other), Cow::Owned(_)));
+        assert!(prepared(&G2Affine::identity()).0.is_empty());
+        // A clone shares its table.
+        let kept = G2Prepared::new(&other);
+        assert!(Arc::ptr_eq(&kept.0, &kept.clone().0));
     }
 
     #[test]
@@ -416,7 +510,8 @@ mod tests {
         let before = final_exponentiations();
         pairing(&g1, &g2);
         multi_pairing(&[(g1, g2), (g1, g2), (g1, g2)]);
-        assert!(pairing_equality(&g1, &g2, &g1, &g2));
+        let g2 = G2Prepared::generator();
+        assert!(pairing_equality(&g1, g2, &g1, g2));
         assert_eq!(final_exponentiations() - before, 3);
     }
 
@@ -506,23 +601,14 @@ mod tests {
         let qa = crate::g2::G2Projective::generator()
             .mul_scalar(&a)
             .to_affine();
-        assert!(pairing_equality(
-            &pa,
-            &G2Affine::generator(),
-            &G1Affine::generator(),
-            &qa
-        ));
+        let (g1, g2) = (G1Affine::generator(), G2Prepared::generator());
+        assert!(pairing_equality(&pa, g2, &g1, &G2Prepared::new(&qa)));
         // Negative case.
         let b = a.add(&Fr::ONE);
         let qb = crate::g2::G2Projective::generator()
             .mul_scalar(&b)
             .to_affine();
-        assert!(!pairing_equality(
-            &pa,
-            &G2Affine::generator(),
-            &G1Affine::generator(),
-            &qb
-        ));
+        assert!(!pairing_equality(&pa, g2, &g1, &G2Prepared::new(&qb)));
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! [`Combiner`]: aggregate first, one pairing check under the group key, and
 //! the per-partial Feldman checks only to name a culprit once that fails.
 
-use crate::bls::{PublicKey, Signature, MSG_DST};
+use crate::bls::{PreparedPublicKey, PublicKey, Signature, MSG_DST};
 use crate::fr::Fr;
 use crate::g1::{hash_to_g1, G1Affine, G1Projective, G1Table};
 use crate::g2::{G2Affine, G2Projective};
@@ -218,13 +218,17 @@ fn lagrange_at_zero(indices: &[u8], i: usize) -> Fr {
 /// [`G1Projective::multi_scalar`] sum. The result verifies under the
 /// group public key exactly as an ordinary BLS signature.
 ///
-/// Partials are expected to be points of G1, as
-/// [`Signature::from_bytes`] and [`partial_sign`] produce them. One that is
-/// not makes the sum some other curve point — as meaningless as the
-/// ladder's `Σ λᵢ·σᵢ` was over such input — and nothing downstream takes
-/// an aggregate on trust: [`PublicKey::verify_prehashed`] refuses whatever
-/// is not the one valid signature in G1, and the Feldman check that then
-/// runs ([`Combiner::combine`]) refuses the partial itself.
+/// Partials need only be points of the curve: the threshold client
+/// decodes them with [`G1Affine::from_compressed_unchecked`], which skips
+/// the subgroup test. One outside G1 makes the sum some other curve point,
+/// since the kernel's tables assume G1 — as meaningless as the ladder's
+/// `Σ λᵢ·σᵢ` was over such input — and nothing downstream takes an
+/// aggregate on trust. [`PreparedPublicKey::verify_prehashed`]
+/// subgroup-tests the aggregate before its pairing and refuses whatever is
+/// not the one valid signature in G1. The Feldman checks that then run
+/// ([`Combiner::combine`]) subgroup-test each partial they look at, and
+/// name the one outside G1. So the subgroup test is made once per
+/// signature, on the aggregate, unless a check fails.
 pub fn aggregate(t: usize, partials: &[PartialSignature]) -> Result<Signature, ThresholdError> {
     if partials.len() < t {
         return Err(ThresholdError::InsufficientShares {
@@ -269,7 +273,7 @@ pub fn aggregate(t: usize, partials: &[PartialSignature]) -> Result<Signature, T
 /// against the same `H(m)`, and at most once per partial.
 pub struct Combiner<'a> {
     t: usize,
-    group_key: &'a PublicKey,
+    group_key: &'a PreparedPublicKey,
     commitments: &'a FeldmanCommitments,
     /// `H(m)`, hashed once.
     h: G1Affine,
@@ -281,10 +285,11 @@ pub struct Combiner<'a> {
 
 impl<'a> Combiner<'a> {
     /// A combiner for threshold-`t` signatures over `message` under
-    /// `group_key`, with `commitments` to blame individual partials.
+    /// `group_key` — prepared, so that its lines are not rebuilt per
+    /// signature — with `commitments` to blame individual partials.
     pub fn new(
         t: usize,
-        group_key: &'a PublicKey,
+        group_key: &'a PreparedPublicKey,
         commitments: &'a FeldmanCommitments,
         message: &[u8],
     ) -> Self {
@@ -502,7 +507,8 @@ mod tests {
             .iter()
             .map(|s| partial_sign(s, msg))
             .collect();
-        let mut combiner = Combiner::new(3, &keys.public_key, &keys.commitments, msg);
+        let group_key = PreparedPublicKey::new(keys.public_key);
+        let mut combiner = Combiner::new(3, &group_key, &keys.commitments, msg);
         let (sig, checks) = checks_in(|| combiner.combine(&mut partials));
         let sig = sig.unwrap().expect("honest partials verify");
         assert_eq!(checks, 1);
@@ -543,7 +549,8 @@ mod tests {
         assert!(!verify_partial(&keys.commitments, msg, &skewed[0]));
         assert!(!verify_partial(&keys.commitments, msg, &skewed[1]));
 
-        let mut combiner = Combiner::new(3, &keys.public_key, &keys.commitments, msg);
+        let group_key = PreparedPublicKey::new(keys.public_key);
+        let mut combiner = Combiner::new(3, &group_key, &keys.commitments, msg);
         let (sig, checks) = checks_in(|| combiner.combine(&mut skewed));
         assert_eq!(sig, Ok(Some(expected)));
         assert_eq!(checks, 1);
@@ -569,7 +576,8 @@ mod tests {
             },
             honest[3],
         ];
-        let mut combiner = Combiner::new(3, &keys.public_key, &keys.commitments, msg);
+        let group_key = PreparedPublicKey::new(keys.public_key);
+        let mut combiner = Combiner::new(3, &group_key, &keys.commitments, msg);
         // The failed aggregate, then the two finite partials (infinity is
         // refused before any pairing).
         let (round, checks) = checks_in(|| combiner.combine(&mut batch));
@@ -615,7 +623,8 @@ mod tests {
             .iter()
             .map(|s| partial_sign(s, msg))
             .collect();
-        let mut combiner = Combiner::new(2, &other.public_key, &keys.commitments, msg);
+        let group_key = PreparedPublicKey::new(other.public_key);
+        let mut combiner = Combiner::new(2, &group_key, &keys.commitments, msg);
         assert_eq!(
             combiner.combine(&mut partials),
             Err(ThresholdError::KeyMismatch)
@@ -640,7 +649,8 @@ mod tests {
         // makes of this partial is refused by the check on the aggregate,
         // and the partial is then named.
         let mut batch = vec![shifted, partial_sign(&keys.shares[1], msg)];
-        let mut combiner = Combiner::new(2, &keys.public_key, &keys.commitments, msg);
+        let group_key = PreparedPublicKey::new(keys.public_key);
+        let mut combiner = Combiner::new(2, &group_key, &keys.commitments, msg);
         assert_eq!(combiner.combine(&mut batch), Ok(None));
         assert_eq!(combiner.culprits(), &[good.index]);
     }

@@ -19,7 +19,7 @@ fn main() {
     let (spec, public) = threshold_signer::setup(3, 5, &mut rng).expect("setup");
     println!(
         "group public key: {}…",
-        hex(&public.public_key.to_bytes()[..12])
+        hex(&public.public_key.key().to_bytes()[..12])
     );
 
     let deployment = Deployment::launch(spec, b"threshold example seed").expect("launch");

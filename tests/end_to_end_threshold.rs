@@ -9,7 +9,7 @@ use distrust::apps::threshold_signer::{self, SignError, SignerHost, ThresholdSig
 use distrust::core::abi::AppHost;
 use distrust::core::session::Session;
 use distrust::core::{Deployment, TrustPolicy};
-use distrust::crypto::bls::Signature;
+use distrust::crypto::bls::{PreparedPublicKey, Signature};
 use distrust::crypto::drbg::HmacDrbg;
 use distrust::crypto::fr::Fr;
 use distrust::crypto::pairing::final_exponentiations;
@@ -202,7 +202,7 @@ impl LyingDeployment {
             deployment,
             public: threshold_signer::ThresholdPublic {
                 threshold: t,
-                public_key: keys.public_key,
+                public_key: PreparedPublicKey::new(keys.public_key),
                 commitments: keys.commitments,
             },
             asked,

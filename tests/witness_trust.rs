@@ -7,7 +7,7 @@
 
 use distrust::apps::key_backup::{self, KeyBackupClient};
 use distrust::core::witness::{exchange_gossip, fetch_witness_head, WitnessRelay};
-use distrust::core::{Deployment, DomainOutcome, FanoutCall, TrustPolicy};
+use distrust::core::{ClientError, Deployment, DomainOutcome, FanoutCall, TrustPolicy};
 use distrust::crypto::drbg::HmacDrbg;
 use distrust::crypto::schnorr::{SigningKey, VerifyingKey};
 use distrust::crypto::threshold;
@@ -187,6 +187,61 @@ fn evidence_between_fanouts_untrusts_the_domain_mid_session() {
     frame.domain = 1;
     assert!(!session.ingest_evidence(&frame));
     assert_eq!(session.trusted_domains(), vec![1, 2]);
+}
+
+/// A conviction outlives the session that learned of it. Domain 0 is
+/// convicted in an audited session; a later witnessed session on the same
+/// client installs a cosigned head, which clears every audit refusal, and
+/// must still refuse domain 0.
+#[test]
+fn a_conviction_outlives_its_session_under_a_witnessed_gate() {
+    let seed = b"conviction across sessions seed";
+    let deployment = Deployment::launch(key_backup::app_spec(3), seed).expect("launch");
+    let vks = checkpoint_keys(&deployment);
+
+    // Witnesses cosign the current heads, as in the thin-client test.
+    let mut operator = deployment.client(b"operator");
+    assert!(operator.audit(None).is_clean());
+    let mut observed = operator.gossip_payload();
+    observed.sort_by_key(|(d, _)| *d);
+    let heads: Vec<SignedCheckpoint> = observed.into_iter().map(|(_, cp)| cp).collect();
+    let mut rng = HmacDrbg::new(seed, b"quorum");
+    let quorum = threshold::generate(2, 3, &mut rng).expect("keygen");
+    let bodies: Vec<CheckpointBody> = heads.iter().map(|cp| cp.body.clone()).collect();
+    let mut agg = QuorumAggregator::new(quorum.commitments.clone(), bodies);
+    for share in quorum.shares.iter().take(2) {
+        let mut witness = Witness::new(*share, vks.clone());
+        assert!(agg.add(witness.observe_and_sign(&heads).expect("honest heads")));
+    }
+    let cosigned = agg.cosign().expect("aggregate");
+
+    // First session: domain 0 is convicted mid-session.
+    let mut client = deployment.client(b"user");
+    let mut first = client.session(TrustPolicy::audited());
+    assert!(first.ingest_evidence(&forged_evidence(seed)));
+    assert_eq!(first.trusted_domains(), vec![1, 2]);
+    drop(first);
+
+    // Second session on the same client, gated by the cosigned head.
+    let mut second = client.session(TrustPolicy::witnessed(quorum.public_key, 2));
+    assert_eq!(second.trusted_domains(), vec![1, 2], "before any gate");
+    second
+        .install_cosigned_head(&cosigned)
+        .expect("quorum signature verifies");
+    assert_eq!(second.trusted_domains(), vec![1, 2]);
+    let refused = second.call(0, key_backup::METHOD_RECOVER, b"");
+    assert!(
+        matches!(refused, Err(ClientError::Untrusted { domain: 0, .. })),
+        "convicted domain must stay refused: {refused:?}"
+    );
+    let fanout = second
+        .fanout(&FanoutCall::broadcast(key_backup::METHOD_RECOVER, vec![]))
+        .expect("the other domains serve");
+    assert!(matches!(
+        fanout.outcome(0),
+        Some(DomainOutcome::Untrusted(_))
+    ));
+    assert_eq!(second.cosign_verifications(), 1);
 }
 
 #[test]
