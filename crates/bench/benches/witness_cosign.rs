@@ -75,7 +75,10 @@ fn measure(n: usize) -> Row {
     let cosigned = agg.cosign().expect("aggregate");
 
     // Thin-client path: one aggregated-signature verification covers all
-    // n domains (what Session::install_cosigned_head runs).
+    // n domains' heads (what Session::install_cosigned_head runs before
+    // its gate). It says nothing about the code a domain runs: a policy
+    // that requires attestation or pins a digest still pays the full
+    // audit below.
     let cosign_verify = min_time(REPS, || cosigned.verify(&quorum.public_key));
 
     // Classic path: a FRESH client audits all n domains itself. Fresh per

@@ -52,6 +52,5 @@ pub use protocol::{DomainStatus, Request, Response, UpdateNotice};
 pub use server::DirectHost;
 pub use session::{
     DomainOutcome, FanoutCall, FanoutPayloads, FanoutReport, QuorumPolicy, Session, TrustPolicy,
-    WitnessedTrust,
 };
 pub use witness::WitnessRelay;

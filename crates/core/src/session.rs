@@ -46,26 +46,6 @@ pub enum QuorumPolicy {
     Threshold(usize),
 }
 
-/// Witness-quorum trust: accept one threshold-cosigned head vector in
-/// place of the full batched audit.
-///
-/// A thin client under this policy verifies exactly **one** aggregated
-/// BLS signature over the per-domain checkpoint heads — the work the
-/// witness quorum already did on its behalf — instead of auditing all
-/// `n` domains itself. The trust assumption shifts accordingly: the
-/// client trusts that at least `t` of the witnesses honestly verified
-/// each domain's checkpoint transition.
-#[derive(Clone, Copy, Debug)]
-pub struct WitnessedTrust {
-    /// The witness quorum's group public key (from
-    /// `FeldmanCommitments::public_key`). One signature under this key
-    /// vouches for the whole head vector.
-    pub quorum_pk: bls::PublicKey,
-    /// The threshold `t` the quorum was generated with — recorded for
-    /// reporting; the aggregated signature verifies (or not) regardless.
-    pub t: usize,
-}
-
 /// What a session demands before it lets application traffic through.
 ///
 /// The default policy ([`TrustPolicy::audited`]) runs the batched audit
@@ -89,10 +69,11 @@ pub struct TrustPolicy {
     /// client from published source (§3.3's "the developer open-sources
     /// her code"). Domains reporting any other digest are refused.
     pub pinned_app_digest: Option<Digest>,
-    /// Accept a threshold-cosigned head vector
-    /// ([`Session::install_cosigned_head`]) in place of the batched
-    /// audit. `None` (the default) keeps the audit-based gate.
-    pub witnessed: Option<WitnessedTrust>,
+    /// The witness quorum's group public key (from
+    /// `FeldmanCommitments::public_key`): accept a head vector cosigned
+    /// under it ([`Session::install_cosigned_head`]) in place of the
+    /// batched audit. `None` (the default) keeps the audit-based gate.
+    pub witnessed: Option<bls::PublicKey>,
 }
 
 impl Default for TrustPolicy {
@@ -136,13 +117,17 @@ impl TrustPolicy {
     }
 
     /// Witness-quorum gating: trust one aggregated cosignature from a
-    /// `t`-of-`n` witness quorum instead of auditing every domain. The
-    /// session refuses application traffic until a cosigned head is
-    /// installed ([`Session::install_cosigned_head`]) or a full audit
-    /// passes as a fallback.
-    pub fn witnessed(quorum_pk: bls::PublicKey, t: usize) -> Self {
+    /// threshold witness quorum instead of auditing every domain. The
+    /// client trusts that enough witnesses honestly verified each
+    /// domain's checkpoint transition — and witnesses check heads only,
+    /// so a cosigned head vouches for nothing else. The session refuses
+    /// application traffic until a cosigned head is installed
+    /// ([`Session::install_cosigned_head`]) or a full audit passes as a
+    /// fallback; a policy that also asks about code (attestation, a pin)
+    /// is answered only by that audit.
+    pub fn witnessed(quorum_pk: bls::PublicKey) -> Self {
         Self {
-            witnessed: Some(WitnessedTrust { quorum_pk, t }),
+            witnessed: Some(quorum_pk),
             ..Self::audited()
         }
     }
@@ -360,50 +345,126 @@ const POLL_MAX: Duration = Duration::from_millis(50);
 pub struct Session<'c> {
     client: &'c mut DeploymentClient,
     policy: TrustPolicy,
-    /// Per-domain refusal reason; `None` = trusted. Meaningful once
-    /// `audited` (or immediately, for an open policy).
+    /// Per-domain refusal reason; `None` = trusted. Written by [`gate`]
+    /// and, between gates, by [`Session::ingest_evidence`].
     refusals: Vec<Option<String>>,
     last_report: Option<AuditReport>,
-    audited: bool,
-    /// The last gating audit failed outright; every subsequent call
-    /// re-audits (and keeps refusing) until one passes.
-    gate_failed: bool,
+    /// The last gate — audit or cosigned head — passed.
+    passed: bool,
     rounds_since_audit: u64,
-    /// Per-domain refusal from out-of-band misbehavior evidence
-    /// ([`Session::ingest_evidence`]). Unlike `refusals`, which every
-    /// audit recomputes, a poisoned entry survives re-audits: a
-    /// cryptographic conviction does not expire because a later audit
-    /// round looked clean.
-    poisoned: Vec<Option<String>>,
-    /// The accepted cosigned head vector, when the policy is witnessed.
-    cosigned: Option<CosignedHeads>,
     /// How many aggregated-cosignature verifications this session has
     /// performed — observable so tests (and cost accounting) can assert
     /// the witnessed fast path did exactly one.
     cosign_verifications: u64,
 }
 
+/// The session's one trust decision, for both gates. `audit` is what
+/// established trust: a gating audit's report, or `None` for a cosigned
+/// head vector whose aggregate verified — which vouches for heads only,
+/// so a policy asking about code refuses every domain under it.
+/// `convicted[d]` says whether the client holds evidence against domain
+/// `d`. Returns the per-domain refusals (`None` = trusted), or `Err` when
+/// the gate fails outright.
+fn gate(
+    policy: &TrustPolicy,
+    audit: Option<&AuditReport>,
+    convicted: &[bool],
+) -> Result<Vec<Option<String>>, String> {
+    // Cryptographic misbehavior evidence (equivocation, rollback) is
+    // not a per-domain nuance: the deployment is lying to somebody.
+    // Refuse everything.
+    if let Some(report) = audit.filter(|r| !r.misbehavior.is_empty()) {
+        return Err(format!(
+            "audit collected misbehavior evidence: {:?}",
+            report.misbehavior
+        ));
+    }
+
+    // A conviction outlives the session that learned of it: whatever
+    // this gate saw, a convicted domain stays refused.
+    let refusals: Vec<Option<String>> = convicted
+        .iter()
+        .enumerate()
+        .map(|(i, &convicted)| {
+            if convicted {
+                return Some(CONVICTED.to_string());
+            }
+            let Some(report) = audit else {
+                return if policy.require_attested {
+                    Some("policy requires attestation; a cosigned head attests nothing".to_string())
+                } else if policy.pinned_app_digest.is_some() {
+                    Some("a cosigned head names no code".to_string())
+                } else {
+                    None
+                };
+            };
+            let Some(d) = report.domains.get(i) else {
+                return Some("audit returned no status".to_string());
+            };
+            if let Some(failure) = &d.failure {
+                Some(format!("audit failed: {failure}"))
+            } else if d.status.is_none() {
+                Some("audit returned no status".to_string())
+            } else if policy.require_attested && !d.attested {
+                Some("policy requires attestation; domain did not attest".to_string())
+            } else if policy
+                .pinned_app_digest
+                .is_some_and(|pin| d.status.as_ref().is_some_and(|s| s.app_digest != pin))
+            {
+                Some("running code digest differs from pinned digest".to_string())
+            } else {
+                None
+            }
+        })
+        .collect();
+
+    // The trusted survivors must agree among themselves on the running
+    // code digest — if they diverge, the client cannot tell who is
+    // honest, which is exactly the paper's detection condition.
+    let digests: Vec<Digest> = audit
+        .map_or(&[][..], |r| &r.domains)
+        .iter()
+        .zip(&refusals)
+        .filter(|(_, r)| r.is_none())
+        .filter_map(|(d, _)| d.status.as_ref().map(|s| s.app_digest))
+        .collect();
+    if !distrust_log::digests_match(&digests) {
+        return Err("trusted domains disagree on the running code digest".to_string());
+    }
+
+    // A gate that leaves nothing usable is a failed gate: the session
+    // refuses application traffic outright.
+    if refusals.iter().all(|r| r.is_some()) {
+        let reasons: Vec<String> = refusals
+            .iter()
+            .enumerate()
+            .filter_map(|(d, r)| r.as_ref().map(|r| format!("domain {d}: {r}")))
+            .collect();
+        return Err(format!(
+            "no domain passed the trust policy ({})",
+            reasons.join("; ")
+        ));
+    }
+    Ok(refusals)
+}
+
 impl<'c> Session<'c> {
     /// Wraps a client in a trust-gated session. No I/O happens here; the
     /// gating audit runs lazily, before the first application call. A
-    /// domain the client already holds evidence against starts poisoned:
+    /// domain the client already holds evidence against starts refused:
     /// a conviction outlives the session that learned of it, whatever
     /// gate — audit or cosigned head — the next session passes.
     pub fn new(client: &'c mut DeploymentClient, policy: TrustPolicy) -> Self {
-        let n = client.descriptor().domains.len();
-        let poisoned = (0..n as u32)
+        let refusals = (0..client.descriptor().domains.len() as u32)
             .map(|d| client.convicted(d).then(|| CONVICTED.to_string()))
             .collect();
         Self {
             client,
             policy,
-            refusals: vec![None; n],
+            refusals,
             last_report: None,
-            audited: false,
-            gate_failed: false,
+            passed: false,
             rounds_since_audit: 0,
-            poisoned,
-            cosigned: None,
             cosign_verifications: 0,
         }
     }
@@ -427,9 +488,8 @@ impl<'c> Session<'c> {
     pub fn trusted_domains(&self) -> Vec<u32> {
         self.refusals
             .iter()
-            .zip(&self.poisoned)
             .enumerate()
-            .filter_map(|(d, (r, p))| (r.is_none() && p.is_none()).then_some(d as u32))
+            .filter_map(|(d, r)| r.is_none().then_some(d as u32))
             .collect()
     }
 
@@ -438,11 +498,6 @@ impl<'c> Session<'c> {
     /// exactly one.
     pub fn cosign_verifications(&self) -> u64 {
         self.cosign_verifications
-    }
-
-    /// The cosigned head vector the session currently trusts, if any.
-    pub fn cosigned_head(&self) -> Option<&CosignedHeads> {
-        self.cosigned.as_ref()
     }
 
     /// Escape hatch to the underlying (un-gated) client — audits, gossip,
@@ -461,154 +516,84 @@ impl<'c> Session<'c> {
     /// Runs the gating audit and recomputes per-domain trust.
     fn run_audit(&mut self) -> Result<(), ClientError> {
         let report = self.client.audit(self.policy.pinned_app_digest.as_ref());
-        self.audited = true;
-        self.gate_failed = true; // cleared on the success path below
-        self.rounds_since_audit = 0;
-
-        // Cryptographic misbehavior evidence (equivocation, rollback) is
-        // not a per-domain nuance: the deployment is lying to somebody.
-        // Refuse everything.
-        if !report.misbehavior.is_empty() {
-            let why = format!(
-                "audit collected misbehavior evidence: {:?}",
-                report.misbehavior
-            );
-            self.refusals = vec![Some(why.clone()); self.refusals.len()];
-            self.last_report = Some(report);
-            return Err(ClientError::AuditFailed(why));
-        }
-
-        let mut refusals = Vec::with_capacity(report.domains.len());
-        for d in &report.domains {
-            let reason = if let Some(failure) = &d.failure {
-                Some(format!("audit failed: {failure}"))
-            } else if d.status.is_none() {
-                Some("audit returned no status".to_string())
-            } else if self.policy.require_attested && !d.attested {
-                Some("policy requires attestation; domain did not attest".to_string())
-            } else if self
-                .policy
-                .pinned_app_digest
-                .is_some_and(|pin| d.status.as_ref().is_some_and(|s| s.app_digest != pin))
-            {
-                Some("running code digest differs from pinned digest".to_string())
-            } else {
-                None
-            };
-            refusals.push(reason);
-        }
-
-        // The trusted survivors must agree among themselves on the running
-        // code digest — if they diverge, the client cannot tell who is
-        // honest, which is exactly the paper's detection condition.
-        let digests: Vec<Digest> = report
-            .domains
-            .iter()
-            .zip(&refusals)
-            .filter(|(_, r)| r.is_none())
-            .filter_map(|(d, _)| d.status.as_ref().map(|s| s.app_digest))
-            .collect();
-        if !distrust_log::digests_match(&digests) {
-            let why = "trusted domains disagree on the running code digest".to_string();
-            self.refusals = vec![Some(why.clone()); refusals.len()];
-            self.last_report = Some(report);
-            return Err(ClientError::AuditFailed(why));
-        }
-
-        // An audit that leaves nothing usable is a failed audit: the
-        // session refuses application traffic outright.
-        if refusals.iter().all(|r| r.is_some()) {
-            let reasons: Vec<String> = refusals
-                .iter()
-                .enumerate()
-                .filter_map(|(d, r)| r.as_ref().map(|r| format!("domain {d}: {r}")))
-                .collect();
-            self.refusals = refusals.clone();
-            self.last_report = Some(report);
-            return Err(ClientError::AuditFailed(format!(
-                "no domain passed the trust policy ({})",
-                reasons.join("; ")
-            )));
-        }
-
-        self.refusals = refusals;
+        let verdict = gate(&self.policy, Some(&report), &self.convictions());
         self.last_report = Some(report);
-        self.gate_failed = false;
+        self.settle(verdict)
+    }
+
+    /// Which domains the client holds transferable evidence against.
+    fn convictions(&self) -> Vec<bool> {
+        (0..self.domain_count() as u32)
+            .map(|d| self.client.convicted(d))
+            .collect()
+    }
+
+    /// Takes a gate's verdict as the session's trust state. A failed gate
+    /// refuses every domain until the next one passes.
+    fn settle(&mut self, verdict: Result<Vec<Option<String>>, String>) -> Result<(), ClientError> {
+        self.rounds_since_audit = 0;
+        self.passed = verdict.is_ok();
+        match verdict {
+            Ok(refusals) => self.refusals = refusals,
+            Err(why) => {
+                self.refusals = vec![Some(why.clone()); self.domain_count()];
+                return Err(ClientError::AuditFailed(why));
+            }
+        }
         Ok(())
     }
 
     /// Ensures the trust state is fresh enough for one more call round,
-    /// auditing (or re-auditing) if the policy demands it. After a failed
-    /// gate, every round re-audits: the session keeps refusing — and
-    /// keeps checking — until an audit passes.
-    ///
-    /// Under a witnessed policy an installed cosigned head
-    /// ([`Session::install_cosigned_head`]) satisfies the gate without
-    /// any audit traffic — that installation already marked the session
-    /// audited, so the freshness check below passes until the head goes
-    /// stale. A stale (or never-installed) witnessed session falls back
-    /// to the full batched audit rather than refusing outright.
+    /// auditing (or re-auditing) if the policy demands it. Until a gate —
+    /// audit or cosigned head — has passed, after one fails, and once it
+    /// is stale, every round re-audits: the session keeps refusing, and
+    /// keeps checking, until an audit passes.
     fn ensure_trust(&mut self) -> Result<(), ClientError> {
         if !self.policy.audit_before_use {
             return Ok(());
         }
-        if !self.audited || self.gate_failed || self.rounds_since_audit > self.policy.max_staleness
-        {
-            // Whatever cosigned head the session held no longer carries
-            // the gate; a fresh one can be installed after the audit.
-            self.cosigned = None;
+        if !self.passed || self.rounds_since_audit > self.policy.max_staleness {
             self.run_audit()?;
         }
         Ok(())
     }
 
-    /// Why `domain` is currently refused, if it is. Evidence poisoning
-    /// is checked first: a convicted domain stays refused no matter what
-    /// the latest audit (or an installed cosigned head) says about it.
+    /// Why `domain` is currently refused, if it is.
     fn refusal(&self, domain: u32) -> Option<&String> {
-        self.poisoned
-            .get(domain as usize)
-            .and_then(|p| p.as_ref())
-            .or_else(|| self.refusals.get(domain as usize).and_then(|r| r.as_ref()))
+        self.refusals.get(domain as usize).and_then(|r| r.as_ref())
     }
 
     /// Installs a witness-cosigned head vector as this session's trust
     /// basis, verifying **one** aggregated BLS signature in place of the
     /// full batched audit.
     ///
-    /// Requires a [`TrustPolicy::witnessed`] policy; checks that the
-    /// vector covers exactly this deployment's domains and that the
-    /// aggregated signature verifies under the quorum public key. On
-    /// success every domain the vector covers is trusted — except
-    /// domains the client holds transferable misbehavior evidence
-    /// against, learned in this session or any before it, which stay
-    /// refused.
+    /// Requires a [`TrustPolicy::witnessed`] policy. A vector that covers
+    /// this deployment's domains and verifies under the quorum key goes
+    /// through the same `gate` as an audit: convicted domains stay
+    /// refused, and a policy requiring attestation or a pinned digest
+    /// fails it. Any refusal leaves the session refusing until the
+    /// fallback audit passes.
     pub fn install_cosigned_head(&mut self, cosigned: &CosignedHeads) -> Result<(), ClientError> {
-        let Some(witnessed) = self.policy.witnessed else {
+        let Some(quorum_pk) = self.policy.witnessed else {
             return Err(ClientError::Unexpected(
                 "install_cosigned_head requires a witnessed trust policy".into(),
             ));
         };
         let n = self.domain_count();
-        if cosigned.heads.len() != n {
-            return Err(ClientError::AuditFailed(format!(
+        let verdict = if cosigned.heads.len() != n {
+            Err(format!(
                 "cosigned head vector covers {} domains; deployment has {n}",
                 cosigned.heads.len()
-            )));
-        }
-        self.cosign_verifications += 1;
-        if !cosigned.verify(&witnessed.quorum_pk) {
-            self.gate_failed = true;
-            return Err(ClientError::AuditFailed(
-                "cosigned head vector failed aggregated signature verification".into(),
-            ));
-        }
-        self.cosigned = Some(cosigned.clone());
-        self.refusals = vec![None; n];
-        self.audited = true;
-        self.gate_failed = false;
-        self.rounds_since_audit = 0;
-        Ok(())
+            ))
+        } else {
+            self.cosign_verifications += 1;
+            if cosigned.verify(&quorum_pk) {
+                gate(&self.policy, None, &self.convictions())
+            } else {
+                Err("cosigned head vector failed aggregated signature verification".into())
+            }
+        };
+        self.settle(verdict)
     }
 
     /// Ingests a transferable misbehavior bundle delivered out of band
@@ -616,12 +601,13 @@ impl<'c> Session<'c> {
     /// proof verifies against the deployment's pinned checkpoint key for
     /// the accused domain, that domain is refused for the rest of the
     /// session — effective immediately, even between two fan-outs of an
-    /// already-audited session. Returns whether the evidence verified.
+    /// already-audited session, and re-derived by every later gate from
+    /// the client's evidence. Returns whether the evidence verified.
     pub fn ingest_evidence(&mut self, bundle: &EvidenceBundle) -> bool {
         if !self.client.ingest_evidence(bundle) {
             return false;
         }
-        if let Some(slot) = self.poisoned.get_mut(bundle.domain as usize) {
+        if let Some(slot) = self.refusals.get_mut(bundle.domain as usize) {
             *slot = Some(CONVICTED.to_string());
         }
         true
@@ -908,6 +894,204 @@ impl<'c> Session<'c> {
         match e {
             ClientError::ConnectionLost(e) => DomainOutcome::ConnectionLost(e.to_string()),
             other => DomainOutcome::Failed(other.to_string()),
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::client::DomainAudit;
+    use crate::protocol::DomainStatus;
+    use distrust_log::auditor::Misbehavior;
+
+    const APP: Digest = [0xa1; 32];
+    const OTHER: Digest = [0xee; 32];
+
+    /// What one row expects of the gate.
+    enum Expect {
+        /// The gate passes and refuses no domain.
+        Trusts,
+        /// The gate passes and refuses exactly this domain, for this reason.
+        Refuses(usize, &'static str),
+        /// The gate fails outright with a reason containing this text.
+        Fails(&'static str),
+    }
+
+    /// Name, policy, basis, convictions, expectation.
+    type Row = (
+        &'static str,
+        TrustPolicy,
+        Option<AuditReport>,
+        [bool; 3],
+        Expect,
+    );
+
+    /// A clean audit of three attested domains running [`APP`], edited.
+    fn audit(edit: impl FnOnce(&mut AuditReport)) -> Option<AuditReport> {
+        let domains = (0..3)
+            .map(|index| DomainAudit {
+                index,
+                attested: true,
+                status: Some(DomainStatus {
+                    domain_index: index,
+                    app_digest: APP,
+                    app_version: 1,
+                    log_size: 1,
+                    log_head: [0; 32],
+                    framework_measurement: [0; 32],
+                }),
+                failure: None,
+            })
+            .collect();
+        let mut report = AuditReport {
+            domains,
+            digests_agree: true,
+            misbehavior: Vec::new(),
+            app_digest: Some(APP),
+        };
+        edit(&mut report);
+        Some(report)
+    }
+
+    fn set_digest(report: &mut AuditReport, domain: usize, digest: Digest) {
+        if let Some(status) = &mut report.domains[domain].status {
+            status.app_digest = digest;
+        }
+    }
+
+    /// One row per refusal reason, under each basis (an audit report, or
+    /// a cosigned head: `None`) where it applies.
+    #[test]
+    fn the_gate_refuses_each_domain_for_its_reason() {
+        let attested = TrustPolicy::audited().with_require_attested();
+        let none = [false; 3];
+        let rows: Vec<Row> = vec![
+            (
+                "clean audit",
+                TrustPolicy::audited(),
+                audit(|_| {}),
+                none,
+                Expect::Trusts,
+            ),
+            (
+                "verified cosigned head",
+                TrustPolicy::audited(),
+                None,
+                none,
+                Expect::Trusts,
+            ),
+            (
+                "convicted (audit)",
+                TrustPolicy::audited(),
+                audit(|_| {}),
+                [false, true, false],
+                Expect::Refuses(1, CONVICTED),
+            ),
+            (
+                "convicted (cosigned)",
+                TrustPolicy::audited(),
+                None,
+                [false, true, false],
+                Expect::Refuses(1, CONVICTED),
+            ),
+            (
+                "audit failure",
+                TrustPolicy::audited(),
+                audit(|r| r.domains[2].failure = Some("quote did not verify".into())),
+                none,
+                Expect::Refuses(2, "audit failed: quote did not verify"),
+            ),
+            (
+                "no status",
+                TrustPolicy::audited(),
+                audit(|r| r.domains[2].status = None),
+                none,
+                Expect::Refuses(2, "audit returned no status"),
+            ),
+            (
+                "not attested (audit)",
+                attested.clone(),
+                audit(|r| r.domains[0].attested = false),
+                none,
+                Expect::Refuses(0, "policy requires attestation; domain did not attest"),
+            ),
+            (
+                "attests nothing (cosigned)",
+                attested,
+                None,
+                none,
+                Expect::Fails(
+                    "domain 0: policy requires attestation; a cosigned head attests nothing",
+                ),
+            ),
+            (
+                "pin mismatch (audit)",
+                TrustPolicy::pinned(APP),
+                audit(|r| set_digest(r, 1, OTHER)),
+                none,
+                Expect::Refuses(1, "running code digest differs from pinned digest"),
+            ),
+            (
+                "names no code (cosigned)",
+                TrustPolicy::pinned(APP),
+                None,
+                none,
+                Expect::Fails("domain 0: a cosigned head names no code"),
+            ),
+            (
+                "survivors disagree",
+                TrustPolicy::audited(),
+                audit(|r| set_digest(r, 1, OTHER)),
+                none,
+                Expect::Fails("trusted domains disagree on the running code digest"),
+            ),
+            (
+                "misbehavior evidence",
+                TrustPolicy::audited(),
+                audit(|r| {
+                    r.misbehavior.push(Misbehavior::Rollback {
+                        domain: 1,
+                        trusted_size: 5,
+                        offered_size: 4,
+                    })
+                }),
+                none,
+                Expect::Fails("audit collected misbehavior evidence"),
+            ),
+            (
+                "all refused (audit)",
+                TrustPolicy::audited(),
+                audit(|r| r.domains.iter_mut().for_each(|d| d.status = None)),
+                none,
+                Expect::Fails(
+                    "no domain passed the trust policy (domain 0: audit returned no status",
+                ),
+            ),
+            (
+                "all refused (cosigned)",
+                TrustPolicy::audited(),
+                None,
+                [true; 3],
+                Expect::Fails("no domain passed the trust policy (domain 0: transferable"),
+            ),
+        ];
+        for (name, policy, report, convicted, expect) in rows {
+            let verdict = gate(&policy, report.as_ref(), &convicted);
+            match (expect, verdict) {
+                (Expect::Trusts, Ok(refusals)) => {
+                    assert_eq!(refusals, vec![None; 3], "{name}")
+                }
+                (Expect::Refuses(domain, reason), Ok(refusals)) => {
+                    let mut want = vec![None; 3];
+                    want[domain] = Some(reason.to_string());
+                    assert_eq!(refusals, want, "{name}");
+                }
+                (Expect::Fails(reason), Err(why)) => {
+                    assert!(why.contains(reason), "{name}: {why}")
+                }
+                (_, verdict) => panic!("{name}: unexpected verdict {verdict:?}"),
+            }
         }
     }
 }

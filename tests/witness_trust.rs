@@ -3,17 +3,20 @@
 //! from a relay over a real socket, instead of auditing all `n` domains —
 //! plus the evidence-poisoning regression: transferable misbehavior
 //! evidence delivered *between* two fan-outs excludes the convicted
-//! domain from the second one.
+//! domain from the second one, and the limits of a cosigned head: it
+//! vouches for heads only, so a policy that asks about code, a refused
+//! vector and a stale head all fall back to the full audit.
 
 use distrust::apps::key_backup::{self, KeyBackupClient};
 use distrust::core::witness::{exchange_gossip, fetch_witness_head, WitnessRelay};
-use distrust::core::{ClientError, Deployment, DomainOutcome, FanoutCall, TrustPolicy};
+use distrust::core::{ClientError, Deployment, DomainOutcome, FanoutCall, Session, TrustPolicy};
+use distrust::crypto::bls::PublicKey;
 use distrust::crypto::drbg::HmacDrbg;
 use distrust::crypto::schnorr::{SigningKey, VerifyingKey};
 use distrust::crypto::threshold;
 use distrust::gossip::envelope::GossipEnvelope;
 use distrust::gossip::evidence::EvidenceBundle;
-use distrust::gossip::witness::{QuorumAggregator, Witness};
+use distrust::gossip::witness::{CosignedHeads, QuorumAggregator, Witness};
 use distrust::log::checkpoint::{CheckpointBody, EquivocationProof, SignedCheckpoint};
 
 fn checkpoint_keys(deployment: &Deployment) -> Vec<VerifyingKey> {
@@ -25,40 +28,54 @@ fn checkpoint_keys(deployment: &Deployment) -> Vec<VerifyingKey> {
         .collect()
 }
 
-#[test]
-fn thin_client_trusts_via_one_cosignature() {
-    let deployment =
-        Deployment::launch(key_backup::app_spec(3), b"witness e2e seed").expect("launch");
-    let vks = checkpoint_keys(&deployment);
-
-    // An operator-side auditor collects every domain's current signed
-    // checkpoint the usual way (full batched audit).
+/// An operator-side auditor collects every domain's current signed
+/// checkpoint the usual way (full batched audit), and two witnesses of a
+/// 2-of-3 quorum independently verify the head set and cosign it.
+/// Returns the cosigned vector and the quorum's public key.
+fn cosign_current_heads(deployment: &Deployment, seed: &[u8]) -> (CosignedHeads, PublicKey) {
+    let vks = checkpoint_keys(deployment);
     let mut operator = deployment.client(b"operator");
     let report = operator.audit(None);
     assert!(report.is_clean(), "{report:?}");
     let mut observed = operator.gossip_payload();
     observed.sort_by_key(|(d, _)| *d);
-    assert_eq!(observed.len(), 3, "one head per domain");
+    assert_eq!(observed.len(), vks.len(), "one head per domain");
     let heads: Vec<SignedCheckpoint> = observed.into_iter().map(|(_, cp)| cp).collect();
 
-    // A 2-of-3 witness quorum independently verifies the head set and
-    // cosigns it.
-    let mut rng = HmacDrbg::new(b"witness e2e seed", b"quorum");
+    let mut rng = HmacDrbg::new(seed, b"quorum");
     let quorum = threshold::generate(2, 3, &mut rng).expect("keygen");
     let bodies: Vec<CheckpointBody> = heads.iter().map(|cp| cp.body.clone()).collect();
     let mut agg = QuorumAggregator::new(quorum.commitments.clone(), bodies);
     for share in quorum.shares.iter().take(2) {
         let mut witness = Witness::new(*share, vks.clone());
-        let partial = witness.observe_and_sign(&heads).expect("honest heads");
-        assert!(agg.add(partial));
+        assert!(agg.add(witness.observe_and_sign(&heads).expect("honest heads")));
     }
     assert!(agg.ready());
-    let cosigned = agg.cosign().expect("aggregate");
+    (agg.cosign().expect("aggregate"), quorum.public_key)
+}
+
+/// Domain `d`'s verified-prefix cache counters: signatures verified,
+/// consistency proofs verified, verifications skipped. `(0, 0, 0)` means
+/// the client never audited the domain.
+fn audit_counters(session: &mut Session, d: u32) -> (u64, u64, u64) {
+    let cache = session.client().auditor_prefix_cache(d).expect("domain");
+    (
+        cache.signatures_verified(),
+        cache.consistency_verified(),
+        cache.skipped(),
+    )
+}
+
+#[test]
+fn thin_client_trusts_via_one_cosignature() {
+    let seed = b"witness e2e seed";
+    let deployment = Deployment::launch(key_backup::app_spec(3), seed).expect("launch");
+    let (cosigned, quorum_pk) = cosign_current_heads(&deployment, seed);
 
     // The relay publishes the cosigned head; a thin client fetches it
     // over one socket exchange — relay mode: one response covers all n
     // domains.
-    let relay = WitnessRelay::spawn(vks).expect("relay");
+    let relay = WitnessRelay::spawn(checkpoint_keys(&deployment)).expect("relay");
     relay.install(cosigned);
     let fetched = fetch_witness_head(relay.addr())
         .expect("relay reachable")
@@ -67,7 +84,7 @@ fn thin_client_trusts_via_one_cosignature() {
     // The thin client's whole trust establishment: one aggregated
     // signature verification. Zero audit traffic.
     let mut thin = deployment.client(b"thin client");
-    let mut session = thin.session(TrustPolicy::witnessed(quorum.public_key, 2));
+    let mut session = thin.session(TrustPolicy::witnessed(quorum_pk));
     session
         .install_cosigned_head(&fetched)
         .expect("quorum signature verifies");
@@ -83,13 +100,8 @@ fn thin_client_trusts_via_one_cosignature() {
         "exactly one aggregated-signature verification establishes trust"
     );
     for d in 0..3 {
-        let cache = session.client().auditor_prefix_cache(d).expect("domain");
         assert_eq!(
-            (
-                cache.signatures_verified(),
-                cache.consistency_verified(),
-                cache.skipped()
-            ),
+            audit_counters(&mut session, d),
             (0, 0, 0),
             "the witnessed session never audited domain {d}"
         );
@@ -106,7 +118,7 @@ fn thin_client_trusts_via_one_cosignature() {
     let mut other_rng = HmacDrbg::new(b"witness e2e seed", b"other-quorum");
     let other = threshold::generate(2, 3, &mut other_rng).expect("keygen");
     let mut thin2 = deployment.client(b"thin client 2");
-    let mut session2 = thin2.session(TrustPolicy::witnessed(other.public_key, 2));
+    let mut session2 = thin2.session(TrustPolicy::witnessed(other.public_key));
     assert!(session2.install_cosigned_head(&fetched).is_err());
 }
 
@@ -197,23 +209,7 @@ fn evidence_between_fanouts_untrusts_the_domain_mid_session() {
 fn a_conviction_outlives_its_session_under_a_witnessed_gate() {
     let seed = b"conviction across sessions seed";
     let deployment = Deployment::launch(key_backup::app_spec(3), seed).expect("launch");
-    let vks = checkpoint_keys(&deployment);
-
-    // Witnesses cosign the current heads, as in the thin-client test.
-    let mut operator = deployment.client(b"operator");
-    assert!(operator.audit(None).is_clean());
-    let mut observed = operator.gossip_payload();
-    observed.sort_by_key(|(d, _)| *d);
-    let heads: Vec<SignedCheckpoint> = observed.into_iter().map(|(_, cp)| cp).collect();
-    let mut rng = HmacDrbg::new(seed, b"quorum");
-    let quorum = threshold::generate(2, 3, &mut rng).expect("keygen");
-    let bodies: Vec<CheckpointBody> = heads.iter().map(|cp| cp.body.clone()).collect();
-    let mut agg = QuorumAggregator::new(quorum.commitments.clone(), bodies);
-    for share in quorum.shares.iter().take(2) {
-        let mut witness = Witness::new(*share, vks.clone());
-        assert!(agg.add(witness.observe_and_sign(&heads).expect("honest heads")));
-    }
-    let cosigned = agg.cosign().expect("aggregate");
+    let (cosigned, quorum_pk) = cosign_current_heads(&deployment, seed);
 
     // First session: domain 0 is convicted mid-session.
     let mut client = deployment.client(b"user");
@@ -223,7 +219,7 @@ fn a_conviction_outlives_its_session_under_a_witnessed_gate() {
     drop(first);
 
     // Second session on the same client, gated by the cosigned head.
-    let mut second = client.session(TrustPolicy::witnessed(quorum.public_key, 2));
+    let mut second = client.session(TrustPolicy::witnessed(quorum_pk));
     assert_eq!(second.trusted_domains(), vec![1, 2], "before any gate");
     second
         .install_cosigned_head(&cosigned)
@@ -242,6 +238,121 @@ fn a_conviction_outlives_its_session_under_a_witnessed_gate() {
         Some(DomainOutcome::Untrusted(_))
     ));
     assert_eq!(second.cosign_verifications(), 1);
+}
+
+fn recover_everywhere() -> FanoutCall {
+    FanoutCall::broadcast(key_backup::METHOD_RECOVER, vec![])
+}
+
+/// A cosigned head attests nothing, so a witnessed session that requires
+/// attestation cannot pass on one: the install fails the gate and the
+/// next call's fallback audit refuses domain 0 by name, exactly as an
+/// audited session does (`app_e2e::requiring_attestation_leaves_domain_zero_out`).
+#[test]
+fn a_cosigned_head_cannot_satisfy_required_attestation() {
+    let seed = b"witnessed attestation seed";
+    let deployment = Deployment::launch(key_backup::app_spec(3), seed).expect("launch");
+    let (cosigned, quorum_pk) = cosign_current_heads(&deployment, seed);
+    let mut client = deployment.client(b"careful thin client");
+    let mut session = client.session(TrustPolicy::witnessed(quorum_pk).with_require_attested());
+
+    match session.install_cosigned_head(&cosigned) {
+        Err(ClientError::AuditFailed(why)) => assert!(why.contains("attestation"), "{why}"),
+        other => panic!("a cosigned head must not stand in for attestation: {other:?}"),
+    }
+    assert!(session.trusted_domains().is_empty());
+    let refused = session.call(0, key_backup::METHOD_RECOVER, b"");
+    assert!(
+        matches!(refused, Err(ClientError::Untrusted { domain: 0, .. })),
+        "the fallback audit refuses the unattested domain: {refused:?}"
+    );
+    assert_eq!(session.trusted_domains(), [1, 2]);
+}
+
+/// A cosigned head names no code, so it cannot satisfy a pin: the
+/// install fails, and the fallback audit finds no domain running the
+/// pinned digest.
+#[test]
+fn a_cosigned_head_cannot_satisfy_a_pin() {
+    let seed = b"witnessed pin seed";
+    let deployment = Deployment::launch(key_backup::app_spec(3), seed).expect("launch");
+    let (cosigned, quorum_pk) = cosign_current_heads(&deployment, seed);
+    let mut client = deployment.client(b"pinning thin client");
+    let mut session = client.session(TrustPolicy {
+        pinned_app_digest: Some([0xee; 32]),
+        ..TrustPolicy::witnessed(quorum_pk)
+    });
+
+    assert!(session.install_cosigned_head(&cosigned).is_err());
+    let refused = session.call(1, key_backup::METHOD_RECOVER, b"");
+    assert!(
+        matches!(refused, Err(ClientError::AuditFailed(_))),
+        "no domain runs the pinned code: {refused:?}"
+    );
+    assert!(session.trusted_domains().is_empty());
+}
+
+/// A vector of the wrong length is refused like a forged one: the
+/// refusal drops the gate that stood before it, and the next call
+/// re-audits.
+#[test]
+fn a_refused_cosigned_head_drops_the_previous_gate() {
+    let seed = b"short vector seed";
+    let deployment = Deployment::launch(key_backup::app_spec(3), seed).expect("launch");
+    let (cosigned, quorum_pk) = cosign_current_heads(&deployment, seed);
+    let mut client = deployment.client(b"user");
+    let mut session = client.session(TrustPolicy::witnessed(quorum_pk));
+    session.refresh_trust().expect("the audit passes");
+    assert_eq!(session.trusted_domains(), [0, 1, 2]);
+
+    let short = CosignedHeads {
+        heads: cosigned.heads[..2].to_vec(),
+        signature: cosigned.signature,
+    };
+    assert!(session.install_cosigned_head(&short).is_err());
+    assert!(session.trusted_domains().is_empty());
+
+    let before = audit_counters(&mut session, 1);
+    session
+        .fanout(&recover_everywhere())
+        .expect("the re-audit passes");
+    assert_ne!(
+        audit_counters(&mut session, 1),
+        before,
+        "the call re-audited"
+    );
+    assert_eq!(session.trusted_domains(), [0, 1, 2]);
+}
+
+/// An installed head carries the gate only until it goes stale; the
+/// first call after that runs the full audit, and no second
+/// cosignature is checked.
+#[test]
+fn a_stale_cosigned_head_falls_back_to_the_audit() {
+    let seed = b"stale head seed";
+    let deployment = Deployment::launch(key_backup::app_spec(3), seed).expect("launch");
+    let (cosigned, quorum_pk) = cosign_current_heads(&deployment, seed);
+    let mut client = deployment.client(b"thin client");
+    let mut session = client.session(TrustPolicy::witnessed(quorum_pk).with_max_staleness(1));
+    session
+        .install_cosigned_head(&cosigned)
+        .expect("quorum signature verifies");
+
+    for _ in 0..2 {
+        session.fanout(&recover_everywhere()).expect("fresh head");
+        assert_eq!(audit_counters(&mut session, 0), (0, 0, 0), "no audit yet");
+    }
+    session
+        .fanout(&recover_everywhere())
+        .expect("the fallback audit passes");
+    for d in 0..3 {
+        assert_ne!(
+            audit_counters(&mut session, d),
+            (0, 0, 0),
+            "the stale head sent domain {d} to the audit"
+        );
+    }
+    assert_eq!(session.cosign_verifications(), 1);
 }
 
 #[test]
