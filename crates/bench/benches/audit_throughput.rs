@@ -251,5 +251,8 @@ fn main() {
             )
         })
         .collect();
-    distrust_bench::report::write("audit_throughput", &entries);
+    distrust_bench::report::write(
+        "audit_throughput",
+        &format!("[\n{}\n]\n", entries.join(",\n")),
+    );
 }

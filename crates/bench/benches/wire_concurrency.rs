@@ -2,7 +2,7 @@
 //! 100 / 1000 / 4000 concurrent connections against one [`FrameServer`]
 //! (fixed pool of 4 reactor threads + 1 accept thread).
 //!
-//! Custom harness (`harness = false`): criterion's mean-of-iterations shape
+//! Custom harness (`harness = false`): a mean over iterations of one call
 //! cannot express "open N sockets, keep them all live, report tail
 //! latency". Requests are pipelined per worker — every connection has a
 //! request in flight before any response is read — so the numbers include
@@ -148,5 +148,8 @@ fn main() {
             )
         })
         .collect();
-    distrust_bench::report::write("wire_concurrency", &entries);
+    distrust_bench::report::write(
+        "wire_concurrency",
+        &format!("[\n{}\n]\n", entries.join(",\n")),
+    );
 }

@@ -10,8 +10,8 @@
 //! claim is **asserted**, not just reported: at n = 8 the cosigned-head
 //! verification beats the full batched audit.
 //!
-//! Custom harness (`harness = false`), same shape as `cold_start`;
-//! results go to `bench_results/witness_cosign.json`.
+//! Custom harness (`harness = false`); results go to
+//! `bench_results/witness_cosign.json`.
 
 use distrust_apps::key_backup;
 use distrust_core::Deployment;
@@ -141,5 +141,8 @@ fn main() {
             )
         })
         .collect();
-    distrust_bench::report::write("witness_cosign", &entries);
+    distrust_bench::report::write(
+        "witness_cosign",
+        &format!("[\n{}\n]\n", entries.join(",\n")),
+    );
 }

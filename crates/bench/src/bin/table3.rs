@@ -116,7 +116,7 @@ fn main() {
     }
     println!("{:-<88}", "");
 
-    // Shape assertions — the reproduction criterion from DESIGN.md.
+    // Shape assertions — what DESIGN.md asks a reproduction to show.
     let sandbox_inc = rows[1].summary.increase_over(&baseline);
     let tee_inc = rows[2].summary.increase_over(&baseline);
     let tomorrow_inc = rows[3].summary.increase_over(&baseline);
@@ -189,7 +189,6 @@ fn main() {
         ITERATIONS,
         row_objects.join(",\n"),
     );
-    std::fs::create_dir_all("bench_results").expect("mkdir bench_results");
-    std::fs::write("bench_results/table3.json", json).expect("write results");
-    println!("\nresults written to bench_results/table3.json");
+    println!();
+    distrust_bench::report::write("table3", &json);
 }

@@ -1,6 +1,5 @@
-//! Minimal latency statistics for the report binaries (criterion handles
-//! the statistics for `cargo bench`; the `table3` binary prints a
-//! paper-shaped table and wants plain numbers).
+//! Minimal latency statistics for the `table3` binary and the custom
+//! `cargo bench` harnesses, which print and record plain numbers.
 
 use std::time::Duration;
 

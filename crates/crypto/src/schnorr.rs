@@ -60,7 +60,7 @@ const CHALLENGE_DST: &[u8] = b"distrust/schnorr/v1";
 
 /// Signatures verified under a [`KeptKey`] from which it builds its table
 /// of spacing 4. Measured per signature, whole batches, the table built
-/// inside (medians of 20, two quiet runs alike; `crypto_primitives`): 141
+/// inside (medians of 20, two quiet runs alike): 141
 /// µs in a batch of five, 114 in one of eight, 100 in one of twelve,
 /// against ≈ 125–130 on a narrow table, and ≈ 66 µs a signature from then
 /// on, alone or batched — the ≈ 350 µs build (`g1_table_build_spaced`) is

@@ -499,22 +499,27 @@ mod tests {
         (out, crate::pairing::final_exponentiations() - before)
     }
 
+    /// Committees from the smallest to the largest a deployment is sized at.
+    const COMMITTEES: [(usize, usize); 5] = [(2, 3), (3, 5), (5, 8), (7, 10), (9, 13)];
+
     #[test]
     fn honest_partials_combine_with_one_pairing_check() {
-        let keys = setup(3, 5, b"combine honest");
-        let msg = b"one check";
-        let mut partials: Vec<PartialSignature> = keys.shares[1..4]
-            .iter()
-            .map(|s| partial_sign(s, msg))
-            .collect();
-        let group_key = PreparedPublicKey::new(keys.public_key);
-        let mut combiner = Combiner::new(3, &group_key, &keys.commitments, msg);
-        let (sig, checks) = checks_in(|| combiner.combine(&mut partials));
-        let sig = sig.unwrap().expect("honest partials verify");
-        assert_eq!(checks, 1);
-        assert!(keys.public_key.verify(msg, &sig));
-        assert!(combiner.culprits().is_empty());
-        assert_eq!(partials.len(), 3);
+        for (t, n) in COMMITTEES {
+            let keys = setup(t, n, b"combine honest");
+            let msg = b"one check";
+            let mut partials: Vec<PartialSignature> = keys.shares[1..=t]
+                .iter()
+                .map(|s| partial_sign(s, msg))
+                .collect();
+            let group_key = PreparedPublicKey::new(keys.public_key);
+            let mut combiner = Combiner::new(t, &group_key, &keys.commitments, msg);
+            let (sig, checks) = checks_in(|| combiner.combine(&mut partials));
+            let sig = sig.unwrap().expect("honest partials verify");
+            assert_eq!(checks, 1, "({t}, {n})");
+            assert!(keys.public_key.verify(msg, &sig));
+            assert!(combiner.culprits().is_empty());
+            assert_eq!(partials.len(), t);
+        }
     }
 
     /// "Verified" is a statement about the signature handed out, not about
@@ -612,6 +617,33 @@ mod tests {
             combiner.combine(&mut batch),
             Err(ThresholdError::InsufficientShares { have: 2, need: 3 })
         );
+
+        // At every committee size, one wrong partial among the first t
+        // costs t + 2 checks: the failed aggregate, t Feldman checks to
+        // name it, and the aggregate with an honest replacement. Share 1
+        // answers under a scalar nobody dealt.
+        let spoiled = KeyShare {
+            index: 1,
+            value: Fr::from_u64(7),
+        };
+        for (t, n) in COMMITTEES {
+            let keys = setup(t, n, b"combine one culprit");
+            let mut batch: Vec<PartialSignature> = keys.shares[..t]
+                .iter()
+                .map(|s| partial_sign(s, msg))
+                .collect();
+            batch[0] = partial_sign(&spoiled, msg);
+            let group_key = PreparedPublicKey::new(keys.public_key);
+            let mut combiner = Combiner::new(t, &group_key, &keys.commitments, msg);
+            let (round, failed) = checks_in(|| combiner.combine(&mut batch));
+            assert_eq!(round, Ok(None));
+            batch.push(partial_sign(&keys.shares[t], msg));
+            let (round, passed) = checks_in(|| combiner.combine(&mut batch));
+            let sig = round.unwrap().expect("t honest partials");
+            assert!(keys.public_key.verify(msg, &sig));
+            assert_eq!(combiner.culprits(), &[1]);
+            assert_eq!(failed + passed, t as u64 + 2, "({t}, {n})");
+        }
     }
 
     #[test]

@@ -2,13 +2,11 @@
 //!
 //! The flagship is a complete **SHA-256 compression kernel in sandbox
 //! bytecode** — the analogue of compiling a real algorithm to Wasm, used to
-//! (a) prove the VM executes non-trivial programs correctly (output is
-//! checked against the native implementation in `distrust-crypto`) and
-//! (b) measure the interpreter's slowdown against native code for the
-//! sandbox-overhead ablation, mirroring the Wasm-vs-native study the paper
-//! cites (reference \[39\], Jangda et al.).
+//! prove the VM executes non-trivial programs correctly (output is checked
+//! against the native implementation in `distrust-crypto`).
 //!
-//! The row that study prices for this repository is the threshold-signer
+//! The row the Wasm-vs-native study the paper cites (reference \[39\],
+//! Jangda et al.) prices for this repository is the threshold-signer
 //! guest in `distrust-apps` (Table 3's "Sandbox"): ≈ 37 000 guest
 //! instructions and 8 694 host crossings per signature, one per field
 //! operation. In the sandbox a share costs ≈ 50–75 % more than natively
@@ -19,7 +17,7 @@
 use crate::builder::{FuncBuilder, ModuleBuilder};
 use crate::isa::Instr;
 use crate::module::Module;
-use crate::vm::{Host, Instance, Limits, NoHost, Trap};
+use crate::vm::{Instance, Limits, NoHost, Trap};
 
 /// Guest memory layout for the SHA-256 module.
 pub mod sha256_layout {
@@ -361,52 +359,10 @@ pub fn hostile_module() -> Module {
     mb.build()
 }
 
-/// Host-call latency probe: a module that calls import 0 `n` times in a
-/// loop. Used by the sandbox-overhead ablation to price the guest↔host
-/// boundary (the analogue of the Wasm↔JS boundary in the paper's
-/// prototype).
-pub fn hostcall_loop_module() -> Module {
-    let mut mb = ModuleBuilder::new(1, 1);
-    let imp = mb.import("env.nop", 0, 0);
-    let mut f = FuncBuilder::new(1, 0, 0);
-    f.label("loop")
-        .lget(0)
-        .jz("done")
-        .host(imp)
-        .lget(0)
-        .constant(1)
-        .sub()
-        .lset(0)
-        .jmp("loop")
-        .label("done")
-        .ret();
-    let idx = mb.function(f.build().expect("builds"));
-    mb.export("run", idx);
-    mb.build()
-}
-
-/// A host that counts invocations of `env.nop`.
-pub struct CountingHost {
-    /// Number of host calls observed.
-    pub calls: u64,
-}
-
-impl Host for CountingHost {
-    fn call(
-        &mut self,
-        _index: u16,
-        _args: &[u64],
-        _memory: &mut crate::vm::Memory,
-    ) -> Result<Vec<u64>, String> {
-        self.calls += 1;
-        Ok(vec![])
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::vm::Limits;
+    use crate::vm::{Host, Limits};
 
     #[test]
     fn sha256_module_validates() {
@@ -482,6 +438,44 @@ mod tests {
         // The instance (and thus the framework hosting it) survives all of
         // the above and keeps serving.
         assert!(!inst.memory.is_empty());
+    }
+
+    /// A module whose `run(n)` calls import 0 `n` times in a loop.
+    fn hostcall_loop_module() -> Module {
+        let mut mb = ModuleBuilder::new(1, 1);
+        let imp = mb.import("env.nop", 0, 0);
+        let mut f = FuncBuilder::new(1, 0, 0);
+        f.label("loop")
+            .lget(0)
+            .jz("done")
+            .host(imp)
+            .lget(0)
+            .constant(1)
+            .sub()
+            .lset(0)
+            .jmp("loop")
+            .label("done")
+            .ret();
+        let idx = mb.function(f.build().expect("builds"));
+        mb.export("run", idx);
+        mb.build()
+    }
+
+    /// A host that counts invocations of `env.nop`.
+    struct CountingHost {
+        calls: u64,
+    }
+
+    impl Host for CountingHost {
+        fn call(
+            &mut self,
+            _index: u16,
+            _args: &[u64],
+            _memory: &mut crate::vm::Memory,
+        ) -> Result<Vec<u64>, String> {
+            self.calls += 1;
+            Ok(vec![])
+        }
     }
 
     #[test]

@@ -234,80 +234,85 @@ fn observe(auditor: &mut Auditor, fw: &mut EnclaveFramework, id: u64) -> AuditOu
 
 /// The satellite regression: restart a domain, then re-audit with a
 /// client that verified the pre-crash head. Any re-signing of old history
-/// (fresh genesis, shifted epoch) would surface as misbehavior here.
+/// (fresh genesis, shifted epoch) would surface as misbehavior here. Run
+/// over one segment, and over segments small enough that the replay at
+/// boot crosses a sealed one.
 #[test]
 fn restarted_domain_resumes_signed_history_one_shard() {
-    let dir = tempdir("fw-restart");
-    let storage = durable(&dir, 4 << 20);
-    let dev = SigningKey::derive(b"crash", b"dev");
-    let cp_key = SigningKey::derive(b"crash", b"cp");
-    let mut auditor = Auditor::new(vec![cp_key.verifying_key()]);
+    for (segment_bytes, segments) in [(4 << 20, 1), (32, 2)] {
+        let dir = tempdir(&format!("fw-restart-{segment_bytes}"));
+        let storage = durable(&dir, segment_bytes);
+        let dev = SigningKey::derive(b"crash", b"dev");
+        let cp_key = SigningKey::derive(b"crash", b"cp");
+        let mut auditor = Auditor::new(vec![cp_key.verifying_key()]);
 
-    let (pre_size, pre_head) = {
+        let (pre_size, pre_head) = {
+            let mut fw = EnclaveFramework::open(
+                framework_config(&dev, storage.clone()),
+                None,
+                cp_key,
+                Box::new(NoImports),
+            )
+            .unwrap();
+            let v1 = SignedRelease::create("adder", 1, "v1", &adder_module(100), &dev);
+            fw.apply_update(&v1).expect("v1 applies");
+            let v2 = SignedRelease::create("adder", 2, "v2", &adder_module(200), &dev);
+            fw.apply_update(&v2).expect("v2 applies");
+            assert!(
+                observe(&mut auditor, &mut fw, 1).is_consistent(),
+                "pre-crash audit must be clean"
+            );
+            let status = fw.status();
+            (status.log_size, status.log_head)
+        }; // domain crashes here
+        assert_eq!(segment_files(&dir).len(), segments);
+
         let mut fw = EnclaveFramework::open(
-            framework_config(&dev, storage.clone()),
+            framework_config(&dev, storage),
             None,
             cp_key,
             Box::new(NoImports),
         )
-        .unwrap();
-        let v1 = SignedRelease::create("adder", 1, "v1", &adder_module(100), &dev);
-        fw.apply_update(&v1).expect("v1 applies");
-        let v2 = SignedRelease::create("adder", 2, "v2", &adder_module(200), &dev);
-        fw.apply_update(&v2).expect("v2 applies");
-        assert!(
-            observe(&mut auditor, &mut fw, 1).is_consistent(),
-            "pre-crash audit must be clean"
-        );
+        .expect("restart recovers");
+
+        // The log resumed exactly where it crashed, and the version floor
+        // survived even though the app instance did not.
         let status = fw.status();
-        (status.log_size, status.log_head)
-    }; // domain crashes here
+        assert_eq!(status.log_size, pre_size, "restart changed the log size");
+        assert_eq!(status.log_head, pre_head, "restart changed the log head");
+        assert_eq!(
+            fw.current_version(),
+            2,
+            "recovered notices must floor the version"
+        );
+        let replay = SignedRelease::create("adder", 2, "v2 again", &adder_module(200), &dev);
+        assert!(
+            matches!(
+                fw.apply_update(&replay),
+                Err(distrust::core::ReleaseError::StaleVersion {
+                    current: 2,
+                    offered: 2
+                })
+            ),
+            "a replayed pre-crash version must stay stale after restart"
+        );
 
-    let mut fw = EnclaveFramework::open(
-        framework_config(&dev, storage),
-        None,
-        cp_key,
-        Box::new(NoImports),
-    )
-    .expect("restart recovers");
-
-    // The log resumed exactly where it crashed, and the version floor
-    // survived even though the app instance did not.
-    let status = fw.status();
-    assert_eq!(status.log_size, pre_size, "restart changed the log size");
-    assert_eq!(status.log_head, pre_head, "restart changed the log head");
-    assert_eq!(
-        fw.current_version(),
-        2,
-        "recovered notices must floor the version"
-    );
-    let replay = SignedRelease::create("adder", 2, "v2 again", &adder_module(200), &dev);
-    assert!(
-        matches!(
-            fw.apply_update(&replay),
-            Err(distrust::core::ReleaseError::StaleVersion {
-                current: 2,
-                offered: 2
-            })
-        ),
-        "a replayed pre-crash version must stay stale after restart"
-    );
-
-    // The pre-crash auditor sees ordinary growth — no equivocation, no
-    // rollback — both right after the restart and across a new release.
-    assert!(
-        observe(&mut auditor, &mut fw, 2).is_consistent(),
-        "restart must look like a pause to an auditor holding the pre-crash head"
-    );
-    assert_eq!(auditor.latest(0).unwrap().body.size, pre_size);
-    let v3 = SignedRelease::create("adder", 3, "v3", &adder_module(300), &dev);
-    fw.apply_update(&v3).expect("post-restart update applies");
-    assert!(
-        observe(&mut auditor, &mut fw, 3).is_consistent(),
-        "post-restart growth must chain onto the recovered history"
-    );
-    assert_eq!(auditor.latest(0).unwrap().body.size, pre_size + 1);
-    let _ = std::fs::remove_dir_all(&dir);
+        // The pre-crash auditor sees ordinary growth — no equivocation, no
+        // rollback — both right after the restart and across a new release.
+        assert!(
+            observe(&mut auditor, &mut fw, 2).is_consistent(),
+            "restart must look like a pause to an auditor holding the pre-crash head"
+        );
+        assert_eq!(auditor.latest(0).unwrap().body.size, pre_size);
+        let v3 = SignedRelease::create("adder", 3, "v3", &adder_module(300), &dev);
+        fw.apply_update(&v3).expect("post-restart update applies");
+        assert!(
+            observe(&mut auditor, &mut fw, 3).is_consistent(),
+            "post-restart growth must chain onto the recovered history"
+        );
+        assert_eq!(auditor.latest(0).unwrap().body.size, pre_size + 1);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
 
 /// SHA-256 over every file of `dir`, sorted by name: the name, a zero
