@@ -154,17 +154,26 @@ pub fn app_spec(n: usize) -> AppSpec {
 }
 
 /// Splits `values` into `n` additive shares (mod 2⁶⁴).
+///
+/// All `(n − 1)·dims` masks come from one `fill_bytes`, so a DRBG pays its
+/// per-call update once per submit rather than once per mask.
 pub fn share_values<R: rand::RngCore + ?Sized>(
     values: &[u64],
     n: usize,
     rng: &mut R,
 ) -> Vec<Vec<u64>> {
     assert!(n >= 1);
+    let mut mask_bytes = vec![0u8; (n - 1) * values.len() * 8];
+    if !mask_bytes.is_empty() {
+        rng.fill_bytes(&mut mask_bytes);
+    }
+    let mut masks = mask_bytes
+        .chunks_exact(8)
+        .map(|c| u64::from_le_bytes(c.try_into().expect("8 bytes")));
     let mut shares = vec![vec![0u64; values.len()]; n];
     for (dim, &v) in values.iter().enumerate() {
         let mut acc = 0u64;
-        for share in shares.iter_mut().take(n - 1) {
-            let r = rng.next_u64();
+        for (share, r) in shares.iter_mut().take(n - 1).zip(&mut masks) {
             share[dim] = r;
             acc = acc.wrapping_add(r);
         }
@@ -330,6 +339,48 @@ mod tests {
                 assert_eq!(sum, values[dim], "n={n} dim={dim}");
             }
         }
+    }
+
+    /// Counts the calls made on it; every draw yields the same byte.
+    #[derive(Default)]
+    struct CountingRng {
+        u32s: usize,
+        u64s: usize,
+        fills: usize,
+    }
+
+    impl rand::RngCore for CountingRng {
+        fn next_u32(&mut self) -> u32 {
+            self.u32s += 1;
+            0x0707_0707
+        }
+
+        fn next_u64(&mut self) -> u64 {
+            self.u64s += 1;
+            0x0707_0707_0707_0707
+        }
+
+        fn fill_bytes(&mut self, dest: &mut [u8]) {
+            self.fills += 1;
+            dest.fill(7);
+        }
+    }
+
+    #[test]
+    fn one_draw_per_submit() {
+        let values = [1u64, 2, 3, 4, 5, 6, 7, 8];
+        let mut rng = CountingRng::default();
+        let shares = share_values(&values, 8, &mut rng);
+        assert_eq!((rng.fills, rng.u64s, rng.u32s), (1, 0, 0));
+        assert_eq!(shares[0], vec![0x0707_0707_0707_0707; 8]);
+
+        let mut rng = CountingRng::default();
+        assert_eq!(share_values(&values, 1, &mut rng), vec![values.to_vec()]);
+        assert_eq!(
+            (rng.fills, rng.u64s, rng.u32s),
+            (0, 0, 0),
+            "n = 1 draws nothing"
+        );
     }
 
     #[test]

@@ -312,9 +312,12 @@ impl FanoutReport {
     }
 }
 
-/// How long the quorum collector waits on one domain before moving to the
-/// next, initially; doubles (up to [`POLL_MAX`]) whenever a full sweep of
-/// pending domains makes no progress.
+/// How long the quorum collector asks to wait on one domain before moving
+/// to the next, initially; doubles (up to [`POLL_MAX`]) whenever a full
+/// sweep of pending domains makes no progress. The wait actually taken is
+/// longer: `recv_timeout` clamps every wait to at least 1 ms, and the
+/// socket's `SO_RCVTIMEO` rounds that up to a whole jiffy (4 ms at
+/// `HZ=250`), so the first expiry costs a jiffy, not 500 µs.
 const POLL_START: Duration = Duration::from_micros(500);
 /// Ceiling for the per-domain poll interval.
 const POLL_MAX: Duration = Duration::from_millis(50);

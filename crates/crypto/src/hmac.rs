@@ -15,10 +15,15 @@ pub fn hmac_sha256(key: &[u8], message: &[u8]) -> Digest {
 }
 
 /// Incremental HMAC-SHA256.
+///
+/// Keying absorbs one padded key block into each of the inner and outer
+/// hashes; both midstates are kept, so to MAC many messages under one key,
+/// key once and clone the keyed state per message: a 32-byte message then
+/// costs two compressions instead of four.
 #[derive(Clone)]
 pub struct HmacSha256 {
     inner: Sha256,
-    opad_key: [u8; BLOCK_LEN],
+    outer: Sha256,
 }
 
 impl HmacSha256 {
@@ -39,10 +44,9 @@ impl HmacSha256 {
         }
         let mut inner = Sha256::new();
         inner.update(&ipad);
-        Self {
-            inner,
-            opad_key: opad,
-        }
+        let mut outer = Sha256::new();
+        outer.update(&opad);
+        Self { inner, outer }
     }
 
     /// Absorbs message bytes.
@@ -53,10 +57,8 @@ impl HmacSha256 {
 
     /// Produces the tag.
     pub fn finalize(self) -> Digest {
-        let inner_digest = self.inner.finalize();
-        let mut outer = Sha256::new();
-        outer.update(&self.opad_key);
-        outer.update(&inner_digest);
+        let mut outer = self.outer;
+        outer.update(&self.inner.finalize());
         outer.finalize()
     }
 }
@@ -74,8 +76,9 @@ pub fn hkdf_expand(prk: &Digest, info: &[u8], len: usize) -> Vec<u8> {
     let mut out = Vec::with_capacity(len);
     let mut t: Vec<u8> = Vec::new();
     let mut counter = 1u8;
+    let keyed = HmacSha256::new(prk);
     while out.len() < len {
-        let mut mac = HmacSha256::new(prk);
+        let mut mac = keyed.clone();
         mac.update(&t);
         mac.update(info);
         mac.update(&[counter]);
@@ -187,5 +190,18 @@ mod tests {
         mac.update(b"hello ");
         mac.update(b"world");
         assert_eq!(mac.finalize(), hmac_sha256(b"key", b"hello world"));
+    }
+
+    #[test]
+    fn cloned_keyed_state_matches_fresh_macs() {
+        let keyed = HmacSha256::new(b"one key, many messages");
+        for message in [&b"first message"[..], &[0xa5u8; 100][..]] {
+            let mut mac = keyed.clone();
+            mac.update(message);
+            assert_eq!(
+                mac.finalize(),
+                hmac_sha256(b"one key, many messages", message)
+            );
+        }
     }
 }

@@ -1,5 +1,5 @@
 //! Timing guards, run in release only (`cargo test -p distrust-crypto
-//! --release --test cost_ratios -- --ignored`): six costs the rest of the
+//! --release --test cost_ratios -- --ignored`): seven costs the rest of the
 //! tree is built on, each held as a ratio to another cost within one run,
 //! so that the host's speed cancels.
 //!
@@ -15,6 +15,7 @@ use distrust_crypto::fp::Fp;
 use distrust_crypto::fr::Fr;
 use distrust_crypto::g1::G1Projective;
 use distrust_crypto::g2::G2Projective;
+use distrust_crypto::hmac::{hmac_sha256, HmacSha256};
 use distrust_crypto::pairing::{pairing_equality, G2Prepared};
 use distrust_crypto::schnorr::{KeptKey, SchnorrSignature, SigningKey};
 use std::hint::black_box;
@@ -196,6 +197,35 @@ fn the_jacobi_symbol_costs_less_than_0_3_square_roots() {
         }),
         (1, &mut || {
             black_box(element.sqrt());
+        }),
+    );
+}
+
+/// An HMAC of 32 bytes from a clone of a keyed state (two compressions:
+/// what each block of `HmacDrbg::generate` costs) costs less than 0.65 of
+/// one keyed afresh (four).
+#[test]
+#[ignore = "timing guard: run in release with --ignored"]
+fn a_mac_from_a_kept_keyed_state_costs_less_than_0_65_fresh_ones() {
+    let _turn = turn();
+    const MACS: u32 = 1000;
+    let key = [0x4bu8; 32];
+    let message = [0x5au8; 32];
+    let keyed = HmacSha256::new(&key);
+    assert_costs_less(
+        "hmac_kept_key / hmac_sha256",
+        0.65,
+        (MACS, &mut || {
+            for _ in 0..MACS {
+                let mut mac = keyed.clone();
+                mac.update(black_box(&message));
+                black_box(mac.finalize());
+            }
+        }),
+        (MACS, &mut || {
+            for _ in 0..MACS {
+                black_box(hmac_sha256(black_box(&key), black_box(&message)));
+            }
         }),
     );
 }

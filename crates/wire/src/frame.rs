@@ -9,7 +9,7 @@
 //! Framing is deliberately dumb — no compression, no multiplexing — in the
 //! smoltcp spirit of simplicity and robustness.
 
-use std::io::{Read, Write};
+use std::io::{IoSlice, Read, Write};
 
 /// Maximum frame size accepted (16 MiB), matching the codec's collection cap.
 pub const MAX_FRAME_LEN: usize = 16 * 1024 * 1024;
@@ -49,13 +49,31 @@ impl From<std::io::Error> for FrameError {
 }
 
 /// Writes one frame (length prefix + payload) and flushes.
+///
+/// The prefix and the payload go to the writer in one vectored write, so
+/// on a socket a frame is one `writev` — one segment with `TCP_NODELAY`,
+/// one wake-up of the reader — rather than a 4-byte segment and then the
+/// rest. A partial write resumes where it stopped.
 pub fn write_frame<W: Write>(writer: &mut W, payload: &[u8]) -> Result<(), FrameError> {
     if payload.len() > MAX_FRAME_LEN {
         return Err(FrameError::Oversized(payload.len()));
     }
-    let len = payload.len() as u32;
-    writer.write_all(&len.to_le_bytes())?;
-    writer.write_all(payload)?;
+    let prefix = (payload.len() as u32).to_le_bytes();
+    let mut slices = [IoSlice::new(&prefix), IoSlice::new(payload)];
+    let mut unsent = &mut slices[..];
+    while !unsent.is_empty() {
+        match writer.write_vectored(unsent) {
+            Ok(0) => {
+                return Err(FrameError::Io(std::io::Error::new(
+                    std::io::ErrorKind::WriteZero,
+                    "writer accepted no frame bytes",
+                )))
+            }
+            Ok(n) => IoSlice::advance_slices(&mut unsent, n),
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(FrameError::Io(e)),
+        }
+    }
     writer.flush()?;
     Ok(())
 }
@@ -196,6 +214,65 @@ mod tests {
         };
         assert_eq!(read_frame(&mut reader).unwrap(), payload);
         assert!(reader.max_buf <= READ_CHUNK);
+    }
+
+    /// A writer that takes at most `limit` bytes per call, gathering
+    /// across slices the way `writev` does, and counts its calls.
+    struct CountingWriter {
+        data: Vec<u8>,
+        writes: usize,
+        limit: usize,
+    }
+
+    impl CountingWriter {
+        fn new(limit: usize) -> Self {
+            Self {
+                data: Vec::new(),
+                writes: 0,
+                limit,
+            }
+        }
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.write_vectored(&[IoSlice::new(buf)])
+        }
+
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> std::io::Result<usize> {
+            self.writes += 1;
+            let before = self.data.len();
+            for buf in bufs {
+                let take = buf.len().min(self.limit - (self.data.len() - before));
+                self.data.extend_from_slice(&buf[..take]);
+            }
+            Ok(self.data.len() - before)
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn one_write_per_frame() {
+        for payload in [&b""[..], b"hello", &[7u8; 5000]] {
+            let mut writer = CountingWriter::new(usize::MAX);
+            write_frame(&mut writer, payload).unwrap();
+            assert_eq!(writer.writes, 1, "{}-byte payload", payload.len());
+            let mut cur = Cursor::new(writer.data);
+            assert_eq!(read_frame(&mut cur).unwrap(), payload);
+        }
+    }
+
+    #[test]
+    fn partial_writes_resume() {
+        let payload: Vec<u8> = (0..100u8).collect();
+        let mut writer = CountingWriter::new(3);
+        write_frame(&mut writer, &payload).unwrap();
+        assert_eq!(writer.writes, (4 + payload.len()).div_ceil(3));
+        let mut cur = Cursor::new(writer.data);
+        assert_eq!(read_frame(&mut cur).unwrap(), payload);
     }
 
     #[test]

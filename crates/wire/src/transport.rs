@@ -69,10 +69,10 @@ pub struct TcpTransport {
     /// complete several small frames).
     ready: VecDeque<Vec<u8>>,
     scratch: Vec<u8>,
-    /// What the socket's read timeout is currently set to, so switching
-    /// between blocking and timed receives costs a syscall only when the
-    /// mode actually changes.
-    timeout_set: bool,
+    /// What the socket's read timeout is currently set to, so a receive
+    /// costs a `setsockopt` only when it wants a different timeout than
+    /// the last one.
+    timeout: Option<Duration>,
 }
 
 impl TcpTransport {
@@ -85,7 +85,7 @@ impl TcpTransport {
             reader: FrameReader::new(),
             ready: VecDeque::new(),
             scratch: vec![0u8; READ_CHUNK],
-            timeout_set: false,
+            timeout: None,
         })
     }
 
@@ -95,13 +95,11 @@ impl TcpTransport {
     }
 
     fn set_timeout(&mut self, timeout: Option<Duration>) -> Result<(), TransportError> {
-        // Blocking mode already set costs nothing; a timed receive always
-        // sets the timeout, since the duration may differ per call.
-        if timeout.is_some() || self.timeout_set {
+        if timeout != self.timeout {
             self.stream
                 .set_read_timeout(timeout)
                 .map_err(|e| TransportError::Frame(FrameError::Io(e)))?;
-            self.timeout_set = timeout.is_some();
+            self.timeout = timeout;
         }
         Ok(())
     }
@@ -351,6 +349,31 @@ mod tests {
             Some(b"second".to_vec())
         );
         drop(client);
+        server.join().unwrap();
+    }
+
+    #[test]
+    fn kept_timeout_follows_the_socket() {
+        let (listener, addr) = listen();
+        let (go_tx, go_rx) = std::sync::mpsc::channel::<()>();
+        let server = thread::spawn(move || {
+            let mut t = accept(&listener);
+            go_rx.recv().unwrap();
+            t.send(b"late").unwrap();
+            go_rx.recv().ok();
+        });
+        let mut client = TcpTransport::connect(addr).unwrap();
+        let wait = Duration::from_millis(5);
+        for _ in 0..2 {
+            assert!(client.recv_timeout(wait).unwrap().is_none());
+            assert_eq!(client.timeout, Some(wait));
+            assert!(client.stream.read_timeout().unwrap().is_some());
+        }
+        go_tx.send(()).unwrap();
+        assert_eq!(client.recv().unwrap(), b"late");
+        assert_eq!(client.timeout, None);
+        assert_eq!(client.stream.read_timeout().unwrap(), None);
+        drop(go_tx);
         server.join().unwrap();
     }
 
