@@ -15,6 +15,7 @@ use distrust_gossip::evidence::{EvidenceBundle, EvidencePool};
 use distrust_log::auditor::{AuditOutcome, Auditor, Misbehavior};
 use distrust_log::MerkleLog;
 use distrust_tee::vendor::{VendorKind, VendorRoots};
+use distrust_tee::KnownDevice;
 use distrust_wire::codec::{Decode, Encode};
 use distrust_wire::pipeline::PipelinedClient;
 use distrust_wire::transport::TcpTransport;
@@ -210,6 +211,10 @@ pub struct DeploymentClient {
     descriptor: DeploymentDescriptor,
     connections: Vec<Option<PipelinedClient<TcpTransport>>>,
     auditor: Auditor,
+    /// Per domain, the device whose quote last verified in full: a quote
+    /// under the byte-identical certificate skips the certificate check
+    /// and the key decode (see [`distrust_tee::Quote::verify_remembering`]).
+    devices: Vec<Option<KnownDevice>>,
     /// Transferable misbehavior evidence this client holds — produced by
     /// its own auditor or verified after arriving through gossip. Once a
     /// domain is convicted here, every subsequent audit reports it as
@@ -233,6 +238,7 @@ impl DeploymentClient {
             descriptor,
             connections: (0..n).map(|_| None).collect(),
             auditor,
+            devices: (0..n).map(|_| None).collect(),
             evidence: EvidencePool::new(),
             rng,
         }
@@ -262,10 +268,21 @@ impl DeploymentClient {
         )
     }
 
-    /// Domains whose pinned checkpoint key this client keeps a table of
-    /// (`Auditor::kept_tables`): a one-off cost of its first audits.
+    /// Signed checkpoints this client remembers, summed over domains
+    /// (`Auditor::remembered`): at most `WINDOW_BELOW + WINDOW_ABOVE` per
+    /// domain (`distrust_log::auditor`), however long it audits and
+    /// whatever the boards relay.
+    pub fn remembered_heads(&self) -> usize {
+        self.auditor.remembered()
+    }
+
+    /// Key tables this client keeps: one per domain whose pinned
+    /// checkpoint key it has built one of (`Auditor::kept_tables`), and
+    /// one per attested domain whose device key it has — a one-off cost
+    /// of its first audits.
     pub fn kept_key_tables(&self) -> usize {
-        self.auditor.kept_tables()
+        let devices = self.devices.iter().flatten();
+        self.auditor.kept_tables() + devices.filter(|d| d.has_table()).count()
     }
 
     /// The persistent connection to `domain`, opened on first use.
@@ -775,11 +792,12 @@ impl DeploymentClient {
         }
     }
 
-    /// Checks a TEE quote end-to-end (vendor pin, cert chain,
-    /// measurement, nonce binding) or accepts a plain status for
-    /// vendor-less domains, recording the outcome on `audit`.
+    /// Checks a TEE quote end-to-end (vendor pin, cert chain — once per
+    /// device, see `devices` — measurement, nonce binding) or
+    /// accepts a plain status for vendor-less domains, recording the
+    /// outcome on `audit`.
     fn apply_attestation(
-        &self,
+        &mut self,
         attestation: &BundleAttestation,
         nonce: [u8; 32],
         expected_measurement: &Digest,
@@ -789,14 +807,18 @@ impl DeploymentClient {
         match attestation {
             BundleAttestation::Quote(quote) => {
                 if info.vendor.is_none() {
-                    audit.failure = Some("domain 0 unexpectedly returned a quote".to_string());
+                    audit.failure = Some(format!(
+                        "domain {} unexpectedly returned a quote",
+                        audit.index
+                    ));
                 } else if info.vendor != Some(quote.document.vendor) {
                     audit.failure = Some(format!(
                         "vendor mismatch: pinned {:?}, quoted {:?}",
                         info.vendor, quote.document.vendor
                     ));
-                } else if let Err(e) = quote.verify(
+                } else if let Err(e) = quote.verify_remembering(
                     &self.descriptor.vendor_roots,
+                    &mut self.devices[audit.index as usize],
                     Some(expected_measurement),
                     None,
                 ) {

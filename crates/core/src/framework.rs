@@ -310,6 +310,9 @@ impl EnclaveFramework {
         }
         let mut genesis = None;
         let mut notices = PackedRecords::default();
+        let notice_records = meta.iter().filter(|r| r.kind == META_NOTICE);
+        let (count, bytes) = notice_records.fold((0, 0), |(n, b), r| (n + 1, b + r.payload.len()));
+        notices.reserve_exact(count, bytes);
         let mut locked = false;
         let mut recovered_version = 0u64;
         let mut epoch_checkpoints = VecDeque::with_capacity(RETAINED_EPOCHS);

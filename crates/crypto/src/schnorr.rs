@@ -39,11 +39,13 @@
 //! and a table of a key only out of a key.
 //!
 //! **Which keys keep a table.** A key verified under once or twice —
-//! evidence, device certificates, quotes — gets a narrow table per call
-//! ([`VerifyingKey::verify_all`]) and drops it. A key verified under for
-//! as long as its verifier lives — each domain's pinned checkpoint key in
-//! an auditor, whether a client's, a witness relay's or a gossip mesh's —
-//! is a [`KeptKey`]: once `WIDE_TABLE_FROM` signatures have been verified
+//! evidence, a vendor root over a device certificate, a quote checked
+//! once — gets a narrow table per call ([`VerifyingKey::verify_all`]) and
+//! drops it. A key verified under for as long as its verifier lives —
+//! each domain's pinned checkpoint key in an auditor, whether a client's,
+//! a witness relay's or a gossip mesh's, and each attested domain's
+//! device key in a client that audits it again and again — is a
+//! [`KeptKey`]: once `WIDE_TABLE_FROM` signatures have been verified
 //! under it, it builds a table of spacing 4 (≈ 53 KB, ≈ 0.35 ms) and keeps
 //! it, and every later verification takes 33 doublings where it took 129
 //! (≈ 69 µs per signature in a batch of 36 against ≈ 130 alone). Either

@@ -32,6 +32,16 @@
 //! checkpoint is judged against the other domains' at its size when it is
 //! remembered, so an audit costs the same however many releases the
 //! auditor has seen.
+//!
+//! What an auditor remembers of a domain is bounded: its latest verified
+//! checkpoint, the checkpoints at the [`WINDOW_BELOW`] sizes ending at
+//! that one's, and at most [`WINDOW_ABOVE`] relayed heads above it. It is
+//! a cache of heads verified under the domain's pinned key, never an
+//! authority: a head that has left it is simply unknown again, verified
+//! in full if it comes back. The window is anchored at the latest
+//! checkpoint, which a consistency proof backs, so heads a domain signs
+//! itself cannot push its verified history out; what detection loses is
+//! in GOSSIP.md's blind spots.
 
 use crate::batch::{CheckpointBundle, VerifiedPrefixCache, MAX_BUNDLE_CHECKPOINTS};
 use crate::checkpoint::{EquivocationProof, SignedCheckpoint};
@@ -111,21 +121,32 @@ impl AuditOutcome {
     }
 }
 
+/// Sizes at or below a domain's latest verified checkpoint whose
+/// checkpoints an auditor keeps, that one's included: two bundles' worth,
+/// so every checkpoint a domain's next answer can carry at or below the
+/// size the auditor asks from is still known.
+pub const WINDOW_BELOW: u64 = 2 * MAX_BUNDLE_CHECKPOINTS as u64;
+
+/// Relayed heads above a domain's latest verified checkpoint an auditor
+/// keeps: the newest, by size. An auditor that has verified no checkpoint
+/// of the domain itself (a witness, a mesh node) keeps only these.
+pub const WINDOW_ABOVE: usize = MAX_BUNDLE_CHECKPOINTS;
+
 /// A map from log size to `V`, kept as a `Vec` sorted by size.
 ///
-/// What an auditor remembers per domain — one entry per release, for as
-/// long as it lives — arrives in size order (an append), and a hash
-/// table's scattered buckets keep its whole doubled capacity resident
-/// where a `Vec` touches only what it holds. It grows by
-/// [`BY_SIZE_STEP`] entries at a time rather than doubling: this is the
-/// one structure of a client that grows for ever, and a doubled `Vec` of
-/// 168-byte entries sits at up to twice its contents.
+/// What an auditor remembers per domain — one entry per release, inside
+/// a window that slides with the latest — arrives in size order (an
+/// append) and leaves from the front, and a hash table's scattered
+/// buckets keep its whole doubled capacity resident where a `Vec` touches
+/// only what it holds. It grows by [`BY_SIZE_STEP`] entries at a time
+/// rather than doubling: a doubled `Vec` of 168-byte entries sits at up
+/// to twice its contents.
 #[derive(Debug, PartialEq)]
 struct BySize<V>(Vec<(u64, V)>);
 
 /// Entries a full [`BySize`] makes room for (≈ 5 KiB of checkpoints): the
 /// most spare capacity it ever carries, against one reallocation per 32
-/// releases.
+/// entries until the window is full, and none after.
 const BY_SIZE_STEP: usize = 32;
 
 impl<V> BySize<V> {
@@ -157,12 +178,14 @@ impl<V> BySize<V> {
 }
 
 /// Per-domain audit state: the log public key and the latest verified
-/// checkpoint with all checkpoints ever accepted (for equivocation hunting).
+/// checkpoint with the window of checkpoints around it (for equivocation
+/// hunting).
 struct DomainState {
     /// The domain's pinned log key, with its table once it has one.
     key: KeptKey,
     latest: Option<SignedCheckpoint>,
-    /// All correctly signed checkpoints seen, by size — equivocation is
+    /// The correctly signed checkpoints seen inside the window anchored at
+    /// `latest` (see [`WINDOW_BELOW`]), by size — equivocation is
     /// detected by finding two different heads at one size. Only ever
     /// holds checkpoints that passed [`SignedCheckpoint::verify`] under
     /// `key`, which is what [`Self::already_verified`] rests on.
@@ -175,10 +198,11 @@ struct DomainState {
     relayed_verified: u64,
     /// Relayed heads recognised as already verified and not checked again.
     relayed_skipped: u64,
-    /// The reference the skip rule is tested against: an auditor that
-    /// recognises nothing and verifies every signature it is shown.
+    /// The reference the skip rule and the window are tested against: an
+    /// auditor that recognises nothing, verifies every signature it is
+    /// shown, and forgets nothing.
     #[cfg(test)]
-    verify_everything: bool,
+    reference: bool,
 }
 
 impl DomainState {
@@ -189,10 +213,28 @@ impl DomainState {
     /// different signature bytes is not known.
     fn already_verified(&self, cp: &SignedCheckpoint) -> bool {
         #[cfg(test)]
-        if self.verify_everything {
+        if self.reference {
             return false;
         }
         self.seen.get(&cp.body.size) == Some(cp)
+    }
+
+    /// The positions in `seen` of the entries outside the window anchored
+    /// at `latest` (see [`WINDOW_BELOW`], [`WINDOW_ABOVE`]): those below
+    /// it, then the oldest of those above it beyond the newest
+    /// [`WINDOW_ABOVE`]. Without a latest, every entry is above it.
+    fn outside_window(&self) -> [std::ops::Range<usize>; 2] {
+        #[cfg(test)]
+        if self.reference {
+            return [0..0, 0..0];
+        }
+        let seen = &self.seen.0;
+        let latest = self.latest.as_ref().map(|cp| cp.body.size);
+        let floor = latest.and_then(|l| l.checked_sub(WINDOW_BELOW));
+        let below = floor.map_or(0, |f| seen.partition_point(|(s, _)| *s <= f));
+        let above = latest.map_or(0, |l| seen.partition_point(|(s, _)| *s <= l));
+        let excess = (seen.len() - above).saturating_sub(WINDOW_ABOVE);
+        [0..below, above..above + excess]
     }
 
     /// The checkpoint-level prechecks of [`Auditor::observe_bundle`], in
@@ -292,6 +334,9 @@ impl DomainState {
     }
 }
 
+/// Every domain's checkpoint at one size, by domain index.
+type Views = Vec<(u32, SignedCheckpoint)>;
+
 /// A stateful cross-domain log auditor.
 pub struct Auditor {
     domains: Vec<DomainState>,
@@ -301,6 +346,11 @@ pub struct Auditor {
     /// entry of `seen` can be overwritten (a checkpoint under another
     /// `log_id` is no equivocation), so a verdict can change afterwards.
     divergent: BTreeSet<u64>,
+    /// The smallest divergence whose checkpoints left a window while they
+    /// still disagreed: judged as they left, and reported by every
+    /// [`Auditor::cross_check`] from then on, as it would have been had
+    /// they stayed (nothing can overwrite them any more).
+    settled: Option<(u64, Views)>,
 }
 
 impl Auditor {
@@ -317,22 +367,59 @@ impl Auditor {
                     relayed_verified: 0,
                     relayed_skipped: 0,
                     #[cfg(test)]
-                    verify_everything: false,
+                    reference: false,
                 })
                 .collect(),
             divergent: BTreeSet::new(),
+            settled: None,
         }
     }
 
-    /// Puts `checkpoint` into `domain`'s `seen` and judges its size
-    /// against every other domain's checkpoint there — the one way into
-    /// `seen`, so that [`Self::cross_check`] never has to walk it.
+    /// Every domain's remembered checkpoint at `size`.
+    fn views_at(&self, size: u64) -> Views {
+        let at = self.domains.iter().map(|d| d.seen.get(&size));
+        at.enumerate()
+            .filter_map(|(i, cp)| Some((i as u32, cp?.clone())))
+            .collect()
+    }
+
+    /// Puts `checkpoint` into `domain`'s `seen` when it falls inside the
+    /// window, forgets what has left the window, and judges the new
+    /// checkpoint's size against every other domain's checkpoint there —
+    /// the one way into `seen`, so that [`Self::cross_check`] never has
+    /// to walk it. A divergent size that leaves the window is judged on
+    /// its way out, and kept as settled if it still diverges.
     fn remember(&mut self, domain: usize, checkpoint: SignedCheckpoint) {
         let (size, head) = (checkpoint.body.size, checkpoint.body.head);
         let Some(state) = self.domains.get_mut(domain) else {
             return;
         };
+        // lint:allow(trust-boundary): every caller has verified `checkpoint` under the domain's pinned key first (`observe`, `observe_bundle`, and `keep_relayed` behind `ingest_gossip_heads`)
         state.seen.insert(size, checkpoint);
+        let outside = state.outside_window();
+        let leaving: Vec<u64> = outside
+            .iter()
+            .flat_map(|range| &state.seen.0[range.clone()])
+            .map(|(s, _)| *s)
+            .filter(|s| self.divergent.contains(s))
+            .collect();
+        for left in leaving {
+            let views = self.views_at(left);
+            let disagree = views
+                .iter()
+                .any(|(_, cp)| cp.body.head != views[0].1.body.head);
+            if disagree && self.settled.as_ref().is_none_or(|(s, _)| left < *s) {
+                self.settled = Some((left, views));
+            }
+        }
+        let seen = &mut self.domains[domain].seen;
+        let [below, above] = outside;
+        seen.0.drain(above);
+        seen.0.drain(below);
+        if seen.get(&size).is_none() {
+            // Outside the window itself: verified, and forgotten.
+            return;
+        }
         let disagrees = self
             .domains
             .iter()
@@ -345,7 +432,8 @@ impl Auditor {
 
     /// What a relayed head that verified can still say: the equivocation
     /// proof when this auditor holds another head for its size, otherwise
-    /// nothing — it is remembered, to be compared against from now on.
+    /// nothing — it is remembered, to be compared against from now on, if
+    /// it falls inside the window.
     fn keep_relayed(&mut self, domain: u32, checkpoint: &SignedCheckpoint) -> AuditOutcome {
         let state = self.domains.get(domain as usize);
         match state.map(|d| d.seen.get(&checkpoint.body.size)) {
@@ -692,35 +780,26 @@ impl Auditor {
     ///
     /// Each checkpoint was judged as it was remembered, so this re-judges
     /// only the sizes found divergent then: its cost does not grow with
-    /// the releases the auditor has seen.
+    /// the releases the auditor has seen. A divergence whose checkpoints
+    /// left the window still disagreeing is reported from what they were
+    /// as they left.
     pub fn cross_check(&mut self) -> AuditOutcome {
         if self.domains.iter().filter(|d| d.latest.is_some()).count() < 2 {
             return AuditOutcome::Consistent;
         }
         let domains = &self.domains;
-        let views_at = |size: u64| -> Vec<(u32, &SignedCheckpoint)> {
-            let at = domains.iter().map(|d| d.seen.get(&size));
-            at.enumerate()
-                .filter_map(|(i, cp)| Some((i as u32, cp?)))
-                .collect()
-        };
         self.divergent.retain(|&size| {
-            let views = views_at(size);
-            views
-                .iter()
-                .any(|(_, cp)| cp.body.head != views[0].1.body.head)
+            let mut heads = domains.iter().filter_map(|d| d.seen.get(&size));
+            let first = heads.next().map(|cp| cp.body.head);
+            heads.any(|cp| Some(cp.body.head) != first)
         });
-        match self.divergent.first() {
-            Some(&size) => {
-                AuditOutcome::Misbehavior(Box::new(Misbehavior::CrossDomainDivergence {
-                    views: views_at(size)
-                        .into_iter()
-                        .map(|(i, cp)| (i, cp.clone()))
-                        .collect(),
-                }))
-            }
-            None => AuditOutcome::Consistent,
-        }
+        let live = self.divergent.first().copied();
+        let views = match (&self.settled, live) {
+            (Some((settled, views)), live) if live.is_none_or(|l| *settled < l) => views.clone(),
+            (_, Some(size)) => self.views_at(size),
+            (_, None) => return AuditOutcome::Consistent,
+        };
+        AuditOutcome::Misbehavior(Box::new(Misbehavior::CrossDomainDivergence { views }))
     }
 
     /// [`Self::cross_check`] as it was before it became incremental,
@@ -767,6 +846,13 @@ impl Auditor {
     /// [`KeptKey`]): a one-off ≈ 53 KB each, never per release.
     pub fn kept_tables(&self) -> usize {
         self.domains.iter().filter(|d| d.key.has_table()).count()
+    }
+
+    /// Checkpoints this auditor remembers, summed over domains: at most
+    /// [`WINDOW_BELOW`] + [`WINDOW_ABOVE`] a domain, however many releases
+    /// or relayed heads it has met.
+    pub fn remembered(&self) -> usize {
+        self.domains.iter().map(|d| d.seen.0.len()).sum()
     }
 }
 
@@ -1406,7 +1492,10 @@ mod tests {
             /// forged, bit-flipped and equivocating checkpoints, an
             /// auditor that recognises what it has verified answers every
             /// call exactly as one that verifies everything, and ends
-            /// holding exactly the same checkpoints. So is the batch: a
+            /// holding exactly the same checkpoints. So is the window: the
+            /// reference forgets nothing, and on this traffic, which stays
+            /// inside the window, the bounded auditor answers every call
+            /// as it does. So is the batch: a
             /// whole envelope's heads through one `ingest_gossip_heads`
             /// (one `verify_all` per domain, a stranger's domain index
             /// among them) against the reference taking them one by one.
@@ -1418,7 +1507,7 @@ mod tests {
                 let keys = vec![chain.domain.sk.verifying_key()];
                 let mut skipping = Auditor::new(keys.clone());
                 let mut reference = Auditor::new(keys);
-                reference.domains[0].verify_everything = true;
+                reference.domains[0].reference = true;
 
                 for (op, pick, kind, bit) in ops {
                     let picked = chain.epochs[pick as usize % chain.epochs.len()].clone();
@@ -1477,10 +1566,162 @@ mod tests {
                         chain.append();
                     }
                 }
+                prop_assert!(chain.epochs.len() <= WINDOW_ABOVE.min(WINDOW_BELOW as usize));
                 prop_assert_eq!(&skipping.domains[0].seen, &reference.domains[0].seen);
                 prop_assert_eq!(skipping.latest(0), reference.latest(0));
                 prop_assert!(checks(&skipping) <= checks(&reference));
             }
+        }
+    }
+
+    mod window {
+        use super::*;
+        use crate::batch::{CheckpointBundle, ProofBundle};
+
+        /// Domain `d`'s checkpoint of `log` at `size`, with `head` in place
+        /// of the real one when given.
+        fn signed(
+            d: &Domain,
+            log: &MerkleLog,
+            size: u64,
+            head: Option<Digest>,
+        ) -> SignedCheckpoint {
+            let body = CheckpointBody {
+                log_id: d.lid,
+                size,
+                head: head.unwrap_or_else(|| log.root_of_prefix(size as usize)),
+                logical_time: size,
+            };
+            SignedCheckpoint::sign(body, &d.sk)
+        }
+
+        fn sizes(auditor: &Auditor, domain: usize) -> Vec<u64> {
+            auditor.domains[domain]
+                .seen
+                .0
+                .iter()
+                .map(|(s, _)| *s)
+                .collect()
+        }
+
+        fn grown(log: &MerkleLog, from: u64, to: u64) -> ConsistencyProof {
+            log.prove_consistency(from as usize, to as usize)
+                .expect("honest growth")
+        }
+
+        /// The window slides with the latest verified checkpoint: what
+        /// falls below it is forgotten — and is unknown again, verified
+        /// if it comes back, no longer evidence, still a rollback in a
+        /// bundle — and relayed heads above it are capped at the newest
+        /// [`WINDOW_ABOVE`].
+        #[test]
+        fn the_window_slides_with_the_latest_and_caps_relayed_heads() {
+            let mut d = Domain::new(0);
+            (0..400).for_each(|i| {
+                d.log.append(format!("leaf {i}").as_bytes());
+            });
+            let log = d.log.clone();
+            let mut auditor = auditor_for(std::slice::from_ref(&d));
+            let at = |size| signed(&d, &log, size, None);
+            assert!(auditor.observe(0, at(100), None).is_consistent());
+            for size in [50, 150, 300] {
+                assert!(auditor.ingest_gossip(0, at(size)).is_consistent());
+            }
+            assert_eq!(sizes(&auditor, 0), [50, 100, 150, 300]);
+            let proof = grown(&log, 100, 250);
+            assert!(auditor.observe(0, at(250), Some(&proof)).is_consistent());
+            assert_eq!(sizes(&auditor, 0), [150, 250, 300]);
+
+            // Size 100 has left: the genuine head is verified again and
+            // not kept, a second head there proves nothing, and a bundle
+            // carrying either is a rollback.
+            assert!(auditor.ingest_gossip(0, at(100)).is_consistent());
+            assert_eq!(auditor.relayed_verified(), 4);
+            let fork = signed(&d, &log, 100, Some([0xee; 32]));
+            assert!(auditor.ingest_gossip(0, fork.clone()).is_consistent());
+            assert_eq!(sizes(&auditor, 0), [150, 250, 300]);
+            let bundle = CheckpointBundle {
+                checkpoints: vec![fork, at(250)],
+                proof: ProofBundle::default(),
+            };
+            match auditor.observe_bundle(0, &bundle) {
+                AuditOutcome::Misbehavior(m) => assert!(matches!(
+                    *m,
+                    Misbehavior::Rollback {
+                        trusted_size: 250,
+                        offered_size: 100,
+                        ..
+                    }
+                )),
+                other => panic!("expected rollback, got {other:?}"),
+            }
+
+            // Inside the window a second head is still the proof.
+            let fork = signed(&d, &log, 150, Some([0xee; 32]));
+            match auditor.ingest_gossip(0, fork) {
+                AuditOutcome::Misbehavior(m) => {
+                    assert!(matches!(*m, Misbehavior::Equivocation { domain: 0, .. }))
+                }
+                other => panic!("expected equivocation, got {other:?}"),
+            }
+
+            // Seventy heads above the latest: the newest sixty-four stay.
+            let heads: Vec<SignedCheckpoint> = (251..=320).map(at).collect();
+            let relayed: Vec<_> = heads.iter().map(|cp| (0, cp)).collect();
+            let outcomes = auditor.ingest_gossip_heads(&relayed);
+            assert!(outcomes.iter().all(AuditOutcome::is_consistent));
+            let above: Vec<u64> = (257..=320).collect();
+            assert_eq!(sizes(&auditor, 0), [[150, 250].as_slice(), &above].concat());
+            assert_eq!(auditor.remembered(), 2 + WINDOW_ABOVE);
+
+            // A latest further ahead keeps the sizes within reach of it.
+            let proof = grown(&log, 250, 400);
+            assert!(auditor.observe(0, at(400), Some(&proof)).is_consistent());
+            let kept: Vec<u64> = (400 - WINDOW_BELOW + 1..=320).chain([400]).collect();
+            assert_eq!(sizes(&auditor, 0), kept);
+
+            // A size no log reaches is still a size: kept above, nothing
+            // overflows.
+            let far = signed(&d, &log, u64::MAX, Some([7; 32]));
+            assert!(auditor.ingest_gossip(0, far).is_consistent());
+            assert_eq!(sizes(&auditor, 0), [kept, vec![u64::MAX]].concat());
+        }
+
+        /// A divergence whose checkpoints leave the window is judged as
+        /// they leave and reported from then on: one domain's latest
+        /// moving on does not make two domains agree.
+        #[test]
+        fn a_divergence_that_leaves_the_window_is_still_reported() {
+            let (mut d0, mut d1) = (Domain::new(0), Domain::new(1));
+            for i in 0..200 {
+                d0.log.append(format!("leaf {i}").as_bytes());
+                d1.log.append(format!("other leaf {i}").as_bytes());
+            }
+            let mut auditor = Auditor::new(vec![d0.sk.verifying_key(), d1.sk.verifying_key()]);
+            assert!(auditor
+                .observe(0, signed(&d0, &d0.log, 5, None), None)
+                .is_consistent());
+            assert!(auditor
+                .observe(1, signed(&d1, &d1.log, 5, None), None)
+                .is_consistent());
+            let views = |outcome: AuditOutcome| match outcome {
+                AuditOutcome::Misbehavior(m) => match *m {
+                    Misbehavior::CrossDomainDivergence { views } => views
+                        .iter()
+                        .map(|(d, cp)| (*d, cp.body.size))
+                        .collect::<Vec<_>>(),
+                    other => panic!("expected divergence, got {other:?}"),
+                },
+                other => panic!("expected divergence, got {other:?}"),
+            };
+            assert_eq!(views(auditor.cross_check()), [(0, 5), (1, 5)]);
+            for (d, domain) in [(1, &d1), (0, &d0)] {
+                let proof = grown(&domain.log, 5, 200);
+                let cp = signed(domain, &domain.log, 200, None);
+                assert!(auditor.observe(d, cp, Some(&proof)).is_consistent());
+                assert_eq!(views(auditor.cross_check()), [(0, 5), (1, 5)]);
+            }
+            assert_eq!(auditor.remembered(), 2);
         }
     }
 

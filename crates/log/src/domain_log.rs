@@ -66,6 +66,9 @@ impl ShardedLog {
     pub fn with_store(store: Arc<dyn LogStore>) -> Result<(Self, Vec<MetaRecord>), StoreError> {
         let recovered = store.recover()?;
         let mut tree = MerkleLog::new();
+        let bytes = recovered.leaves.iter().map(Vec::len).sum();
+        // lint:allow(taint-alloc): sized from the leaves recovery has already read into memory, so it reserves at most what they take
+        tree.reserve_exact(recovered.leaves.len(), bytes);
         for leaf in &recovered.leaves {
             tree.append(leaf);
         }

@@ -64,6 +64,16 @@ impl PackedRecords {
         self.ends.is_empty()
     }
 
+    /// Makes room for `records` more records of `bytes` bytes in all,
+    /// exactly: what a boot that knows what it is about to replay calls
+    /// once, instead of letting both vectors double their way there.
+    pub fn reserve_exact(&mut self, records: usize, bytes: usize) {
+        // lint:allow(taint-alloc): a boot sizes this from records it already holds in memory (recovered leaves, notice records), so it reserves at most what they take
+        self.bytes.reserve_exact(bytes);
+        // lint:allow(taint-alloc): a count of records already held in memory, as above
+        self.ends.reserve_exact(records);
+    }
+
     /// Appends a record.
     pub fn push(&mut self, record: &[u8]) {
         self.bytes.extend_from_slice(record);
@@ -136,6 +146,28 @@ impl MerkleLog {
     /// True when empty.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+
+    /// Makes room for `leaves` more leaves of `bytes` bytes in all,
+    /// exactly: the packed leaves, and every level of the cache at the
+    /// length those leaves take it to ([`PackedRecords::reserve_exact`]).
+    pub fn reserve_exact(&mut self, leaves: usize, bytes: usize) {
+        // lint:allow(taint-alloc): a boot sizes this from the leaves it has already read into memory, so it reserves at most what they take
+        self.leaves.reserve_exact(leaves, bytes);
+        // Level k holds one hash per complete aligned run of 2^k leaves.
+        let mut length = self.len() + leaves;
+        let mut k = 0;
+        while length > 0 {
+            if self.levels.len() == k {
+                self.levels.push(Vec::new());
+            }
+            if let Some(level) = self.levels.get_mut(k) {
+                // lint:allow(taint-alloc): at most one hash per leaf already held in memory, as above
+                level.reserve_exact(length - level.len());
+            }
+            length /= 2;
+            k += 1;
+        }
     }
 
     /// Appends a leaf, returning its index.
@@ -466,6 +498,38 @@ mod tests {
                     &root_over_hashes(&hashes[..k]),
                     &root_over_hashes(&hashes[k..]),
                 )
+            }
+        }
+    }
+
+    /// A log sized up front holds what it is about to replay without a
+    /// reallocation — every vector's capacity is its length afterwards —
+    /// and is the same tree as one grown by doubling.
+    #[test]
+    fn reserve_exact_sizes_every_vector_once() {
+        for (before, leaves) in [(0usize, 0usize), (0, 1), (0, 1000), (5, 27), (64, 64)] {
+            let data: Vec<Vec<u8>> = (0..before + leaves).map(|i| vec![i as u8; i % 7]).collect();
+            let mut doubled = MerkleLog::new();
+            data.iter().for_each(|leaf| {
+                doubled.append(leaf);
+            });
+            let mut sized = MerkleLog::new();
+            data[..before].iter().for_each(|leaf| {
+                sized.append(leaf);
+            });
+            let bytes = data[before..].iter().map(Vec::len).sum();
+            sized.reserve_exact(leaves, bytes);
+            data[before..].iter().for_each(|leaf| {
+                sized.append(leaf);
+            });
+            assert_eq!(sized.root(), doubled.root());
+            assert_eq!(sized.right_edge(), doubled.right_edge());
+            if before == 0 {
+                assert_eq!(sized.leaves.bytes.capacity(), sized.leaves.bytes.len());
+                assert_eq!(sized.leaves.ends.capacity(), sized.len());
+                for level in &sized.levels {
+                    assert_eq!(level.capacity(), level.len());
+                }
             }
         }
     }

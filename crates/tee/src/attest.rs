@@ -12,7 +12,7 @@
 //! SGX/Nitro/Keystone deployments.
 
 use crate::vendor::{DeviceCert, VendorKind, VendorRoots};
-use distrust_crypto::schnorr::SchnorrSignature;
+use distrust_crypto::schnorr::{KeptKey, SchnorrSignature, VerifyingKey};
 use distrust_crypto::sha256::Digest;
 use distrust_wire::codec::{decode_seq, encode_seq, Decode, DecodeError, Encode};
 
@@ -205,6 +205,8 @@ pub enum AttestError {
     UnknownVendor(VendorKind),
     /// Certificate does not chain to the pinned root.
     BadCertChain,
+    /// The root-signed device key is no point of G1.
+    BadDeviceKey,
     /// Quote signature invalid under the certified device key.
     BadQuoteSignature,
     /// Document fields disagree with the certificate.
@@ -228,6 +230,7 @@ impl core::fmt::Display for AttestError {
         match self {
             Self::UnknownVendor(k) => write!(f, "no pinned root for vendor {}", k.name()),
             Self::BadCertChain => write!(f, "device certificate does not chain to vendor root"),
+            Self::BadDeviceKey => write!(f, "certified device key is not a point of G1"),
             Self::BadQuoteSignature => write!(f, "quote signature invalid"),
             Self::CertMismatch => write!(f, "document/certificate mismatch"),
             Self::EvidenceMismatch => write!(f, "platform evidence inconsistent with measurement"),
@@ -239,22 +242,73 @@ impl core::fmt::Display for AttestError {
 
 impl std::error::Error for AttestError {}
 
+/// A device a verifier has seen pass [`Quote::verify_remembering`]: its
+/// certificate, the pinned root that certificate chained to, and its key,
+/// decoded once and kept ([`KeptKey`], which builds a table of the key
+/// from the fifth quote verified under it). A cache of something verified
+/// under a pinned key, never an authority: it lets the verifier skip only
+/// the two checks whose input is byte-identical to what it verified.
+pub struct KnownDevice {
+    cert: DeviceCert,
+    root: VerifyingKey,
+    key: KeptKey,
+}
+
+impl KnownDevice {
+    /// Whether the device key's table has been built.
+    pub fn has_table(&self) -> bool {
+        self.key.has_table()
+    }
+}
+
 impl Quote {
-    /// Full verification: certificate chain, document/cert binding,
-    /// signature, platform-evidence consistency, and optionally the
-    /// expected measurement and user data.
+    /// Full verification: [`Self::verify_remembering`] with nothing
+    /// remembered.
     pub fn verify(
         &self,
         roots: &VendorRoots,
         expected_measurement: Option<&Digest>,
         expected_user_data: Option<&[u8]>,
     ) -> Result<(), AttestError> {
+        self.verify_remembering(roots, &mut None, expected_measurement, expected_user_data)
+    }
+
+    /// Full verification — certificate chain, device key, document/cert
+    /// binding, signature, platform-evidence consistency, and optionally
+    /// the expected measurement and user data — given `known`, the device
+    /// this verifier last saw pass it for the same party.
+    ///
+    /// A certificate byte-identical to `known`'s, chaining to the same
+    /// pinned root, is neither checked against the root again nor its key
+    /// decoded again: the document signature is checked under the kept
+    /// key. Every other check is made on every quote. On success `known`
+    /// holds this quote's device; a quote that fails any check leaves it
+    /// as it was.
+    pub fn verify_remembering(
+        &self,
+        roots: &VendorRoots,
+        known: &mut Option<KnownDevice>,
+        expected_measurement: Option<&Digest>,
+        expected_user_data: Option<&[u8]>,
+    ) -> Result<(), AttestError> {
         let root = roots
             .root_for(self.document.vendor)
             .ok_or(AttestError::UnknownVendor(self.document.vendor))?;
-        if !self.cert.verify(root) {
-            return Err(AttestError::BadCertChain);
-        }
+        let mut first_sight = None;
+        let device = match known {
+            Some(device) if device.cert == self.cert && device.root == *root => device,
+            _ => {
+                if !self.cert.verify(root) {
+                    return Err(AttestError::BadCertChain);
+                }
+                let key = self.cert.decode_key().ok_or(AttestError::BadDeviceKey)?;
+                first_sight.insert(KnownDevice {
+                    cert: self.cert.clone(),
+                    root: *root,
+                    key: KeptKey::new(key),
+                })
+            }
+        };
         if self.cert.vendor != self.document.vendor
             || self.cert.device_id != self.document.device_id
         {
@@ -270,10 +324,11 @@ impl Quote {
         {
             return Err(AttestError::EvidenceMismatch);
         }
-        if !self
-            .cert
-            .device_key
-            .verify(&self.document.signing_bytes(), &self.signature)
+        let signed = self.document.signing_bytes();
+        if device
+            .key
+            .verify_all(&[(&signed, &self.signature)])
+            .is_err()
         {
             return Err(AttestError::BadQuoteSignature);
         }
@@ -289,6 +344,9 @@ impl Quote {
             if expected != self.document.user_data.as_slice() {
                 return Err(AttestError::WrongUserData);
             }
+        }
+        if first_sight.is_some() {
+            *known = first_sight;
         }
         Ok(())
     }
@@ -418,6 +476,125 @@ mod tests {
                 Err(AttestError::BadCertChain)
             );
         }
+    }
+
+    /// A root-signed certificate whose key bytes are no point of G1 (the
+    /// compressed flag over `x = 1`, and `1 + 4` has no square root)
+    /// decodes, chains to the root, and is refused by name where the key
+    /// is first relied on.
+    #[test]
+    fn a_certified_key_that_is_no_point_of_g1_decodes_and_fails_verification() {
+        let (vendor, enclave, roots) = setup(VendorKind::SgxSim);
+        let mut quote = enclave.quote(b"ud");
+        let mut key = [0u8; 48];
+        (key[0], key[47]) = (0x80, 1);
+        let cert = &mut quote.cert;
+        cert.device_key = key;
+        let signed = DeviceCert::signing_bytes(cert.vendor, &cert.device_id, &key);
+        cert.signature = vendor.leak_root_key().sign(&signed);
+        let decoded = Quote::from_wire(&quote.to_wire()).expect("decodes");
+        assert_eq!(decoded, quote);
+        assert!(decoded.cert.verify(&vendor.root_key()));
+        assert!(decoded.cert.decode_key().is_none());
+        assert_eq!(
+            decoded.verify(&roots, None, None),
+            Err(AttestError::BadDeviceKey)
+        );
+    }
+
+    /// What a verifier remembers of a device it verified, and what it
+    /// still checks: the device's first quote costs one certificate check
+    /// and one key decode, later quotes from it neither; a certificate
+    /// that differs from the kept one in any single field is checked in
+    /// full, and a forged one is refused and never replaces the kept
+    /// device; under the kept certificate a bad document signature, a
+    /// wrong measurement and stale user data are each refused as before.
+    #[test]
+    fn a_known_device_skips_the_chain_check_and_nothing_else() {
+        use crate::vendor::{cert_checks, device_key_decodes};
+        let (_vendor, enclave, roots) = setup(VendorKind::NitroSim);
+        let measurement = [0x42; 32];
+        let counts = || (cert_checks(), device_key_decodes());
+        let mut known = None;
+        let quote = enclave.quote(b"nonce 0");
+        let before = counts();
+        let verify = |quote: &Quote, known: &mut Option<KnownDevice>, user_data: &[u8]| {
+            quote.verify_remembering(&roots, known, Some(&measurement), Some(user_data))
+        };
+        verify(&quote, &mut known, b"nonce 0").expect("first sight");
+        assert_eq!(counts(), (before.0 + 1, before.1 + 1));
+        for i in 1..8 {
+            let user_data = format!("nonce {i}");
+            let quote = enclave.quote(user_data.as_bytes());
+            verify(&quote, &mut known, user_data.as_bytes()).expect("known device");
+        }
+        assert_eq!(counts(), (before.0 + 1, before.1 + 1));
+        assert!(known.as_ref().is_some_and(KnownDevice::has_table));
+
+        let kept = quote.cert.clone();
+        let edits: [fn(&mut DeviceCert); 4] = [
+            |cert| cert.vendor = VendorKind::KeystoneSim,
+            |cert| cert.device_id[3] ^= 1,
+            |cert| cert.device_key[20] ^= 1,
+            |cert| {
+                let mut bytes = cert.signature.to_bytes();
+                bytes[70] ^= 1;
+                cert.signature = SchnorrSignature::from_bytes(&bytes);
+            },
+        ];
+        for edit in edits {
+            let mut forged = enclave.quote(b"nonce");
+            edit(&mut forged.cert);
+            let checks = cert_checks();
+            assert_eq!(
+                verify(&forged, &mut known, b"nonce"),
+                Err(AttestError::BadCertChain)
+            );
+            assert_eq!(
+                cert_checks(),
+                checks + 1,
+                "a changed cert is checked in full"
+            );
+            assert_eq!(known.as_ref().map(|device| &device.cert), Some(&kept));
+        }
+
+        let mut tampered = enclave.quote(b"honest");
+        tampered.document.user_data = b"tampered".to_vec();
+        assert_eq!(
+            verify(&tampered, &mut known, b"tampered"),
+            Err(AttestError::BadQuoteSignature)
+        );
+        let fresh = enclave.quote(b"fresh");
+        assert!(matches!(
+            fresh.verify_remembering(&roots, &mut known, Some(&[0x43; 32]), None),
+            Err(AttestError::WrongMeasurement { .. })
+        ));
+        assert_eq!(
+            verify(&fresh, &mut known, b"stale"),
+            Err(AttestError::WrongUserData)
+        );
+        assert_eq!(counts(), (before.0 + 5, before.1 + 1));
+        assert_eq!(known.as_ref().map(|device| &device.cert), Some(&kept));
+    }
+
+    /// The kept device is held to the root it chained to: handed other
+    /// pinned roots, the same certificate is checked again, and refused
+    /// when it does not chain to them.
+    #[test]
+    fn a_known_device_is_checked_again_under_other_roots() {
+        let (_vendor, enclave, roots) = setup(VendorKind::KeystoneSim);
+        let mut known = None;
+        let quote = enclave.quote(b"ud");
+        quote
+            .verify_remembering(&roots, &mut known, None, None)
+            .expect("first sight");
+        let other = Vendor::new(VendorKind::KeystoneSim, b"another root");
+        let other_roots = VendorRoots::new(vec![(VendorKind::KeystoneSim, other.root_key())]);
+        assert_eq!(
+            quote.verify_remembering(&other_roots, &mut known, None, None),
+            Err(AttestError::BadCertChain)
+        );
+        assert!(known.is_some());
     }
 
     #[test]

@@ -24,7 +24,7 @@ pub mod enclave;
 pub mod host;
 pub mod vendor;
 
-pub use attest::{AttestError, AttestationDocument, PlatformEvidence, Quote};
+pub use attest::{AttestError, AttestationDocument, KnownDevice, PlatformEvidence, Quote};
 pub use enclave::{Enclave, SecureDevice};
 pub use host::{EnclaveClient, EnclaveHost, EnclaveService};
 pub use vendor::{DeviceCert, Vendor, VendorKind, VendorRoots};

@@ -13,6 +13,7 @@
 
 use distrust_crypto::schnorr::{SchnorrSignature, SigningKey, VerifyingKey};
 use distrust_wire::codec::{Decode, DecodeError, Encode};
+use std::cell::Cell;
 
 /// The three simulated secure-hardware ecosystems.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -68,41 +69,68 @@ impl Decode for VendorKind {
 /// Domain tag for device certificate signatures.
 const CERT_DST: &[u8] = b"distrust/tee/device-cert/v1";
 
+thread_local! {
+    static CERT_CHECKS: Cell<u64> = const { Cell::new(0) };
+    static KEY_DECODES: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Certificate signatures ([`DeviceCert::verify`]) the calling thread has
+/// checked so far: the difference across a call is the number it made —
+/// what tests assert on instead of time.
+pub fn cert_checks() -> u64 {
+    CERT_CHECKS.with(Cell::get)
+}
+
+/// Device keys ([`DeviceCert::decode_key`]) the calling thread has decoded
+/// so far, counted like [`cert_checks`].
+pub fn device_key_decodes() -> u64 {
+    KEY_DECODES.with(Cell::get)
+}
+
 /// A certificate binding a device key to a vendor root.
 ///
-/// Decoding checks the device key — it is multiplied by the verification
-/// kernel, whose precondition is a point of G1 — and copies the signature:
-/// bytes that are no signature fail [`DeviceCert::verify`], which is where
-/// a verifier learns anything about a certificate anyway.
+/// Decoding copies bytes and checks nothing: the device key stays its 48
+/// wire bytes, as the signature stays its 80, until a verification relies
+/// on it. [`DeviceCert::verify`] signs over those bytes as they came, and
+/// [`DeviceCert::decode_key`] is where they become a point of G1 — or are
+/// refused as none, which [`crate::Quote::verify`] reports by name.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct DeviceCert {
     /// Issuing vendor.
     pub vendor: VendorKind,
     /// Unique device identifier.
     pub device_id: [u8; 16],
-    /// The device's attestation public key.
-    pub device_key: VerifyingKey,
+    /// The device's attestation public key, in its compressed wire form.
+    pub device_key: [u8; 48],
     /// Vendor root signature over the above.
     pub signature: SchnorrSignature,
 }
 
 impl DeviceCert {
-    fn signing_bytes(
+    pub(crate) fn signing_bytes(
         vendor: VendorKind,
         device_id: &[u8; 16],
-        device_key: &VerifyingKey,
+        device_key: &[u8; 48],
     ) -> Vec<u8> {
         let mut out = CERT_DST.to_vec();
         vendor.encode(&mut out);
         device_id.encode(&mut out);
-        out.extend_from_slice(&device_key.to_bytes());
+        out.extend_from_slice(device_key);
         out
     }
 
     /// Verifies the certificate chain link against a vendor root key.
     pub fn verify(&self, root: &VerifyingKey) -> bool {
+        CERT_CHECKS.with(|n| n.set(n.get() + 1));
         let msg = Self::signing_bytes(self.vendor, &self.device_id, &self.device_key);
         root.verify(&msg, &self.signature)
+    }
+
+    /// The device key as a point of G1 — a square root and a subgroup
+    /// test — or `None` when its bytes are no such point.
+    pub fn decode_key(&self) -> Option<VerifyingKey> {
+        KEY_DECODES.with(|n| n.set(n.get() + 1));
+        VerifyingKey::from_bytes(&self.device_key)
     }
 }
 
@@ -110,23 +138,18 @@ impl Encode for DeviceCert {
     fn encode(&self, out: &mut Vec<u8>) {
         self.vendor.encode(out);
         self.device_id.encode(out);
-        self.device_key.to_bytes().encode(out);
+        self.device_key.encode(out);
         self.signature.to_bytes().encode(out);
     }
 }
 
 impl Decode for DeviceCert {
     fn decode(input: &mut &[u8]) -> Result<Self, DecodeError> {
-        let vendor = VendorKind::decode(input)?;
-        let device_id = <[u8; 16]>::decode(input)?;
-        let key_bytes = <[u8; 48]>::decode(input)?;
-        let sig_bytes = <[u8; 80]>::decode(input)?;
         Ok(Self {
-            vendor,
-            device_id,
-            device_key: VerifyingKey::from_bytes(&key_bytes)
-                .ok_or(DecodeError::Invalid("device key"))?,
-            signature: SchnorrSignature::from_bytes(&sig_bytes),
+            vendor: Decode::decode(input)?,
+            device_id: Decode::decode(input)?,
+            device_key: Decode::decode(input)?,
+            signature: SchnorrSignature::from_bytes(&Decode::decode(input)?),
         })
     }
 }
@@ -176,11 +199,12 @@ impl Vendor {
         let device_key = SigningKey::generate(rng);
         let mut sealing_secret = [0u8; 32];
         rng.fill_bytes(&mut sealing_secret);
-        let msg = DeviceCert::signing_bytes(self.kind, &device_id, &device_key.verifying_key());
+        let key_bytes = device_key.verifying_key().to_bytes();
+        let msg = DeviceCert::signing_bytes(self.kind, &device_id, &key_bytes);
         let cert = DeviceCert {
             vendor: self.kind,
             device_id,
-            device_key: device_key.verifying_key(),
+            device_key: key_bytes,
             signature: self.root.sign(&msg),
         };
         crate::enclave::SecureDevice::new(device_key, cert, sealing_secret)
@@ -296,12 +320,12 @@ mod tests {
         let mut rng = HmacDrbg::new(b"attacker rng", b"");
         let fake_key = SigningKey::generate(&mut rng);
         let device_id = [0xee; 16];
-        let msg =
-            DeviceCert::signing_bytes(VendorKind::SgxSim, &device_id, &fake_key.verifying_key());
+        let key_bytes = fake_key.verifying_key().to_bytes();
+        let msg = DeviceCert::signing_bytes(VendorKind::SgxSim, &device_id, &key_bytes);
         let forged = DeviceCert {
             vendor: VendorKind::SgxSim,
             device_id,
-            device_key: fake_key.verifying_key(),
+            device_key: key_bytes,
             signature: stolen.sign(&msg),
         };
         assert!(forged.verify(&vendor.root_key()));

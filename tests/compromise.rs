@@ -6,16 +6,31 @@
 //! * §3.2: a single-vendor TEE exploit forges attestation for that
 //!   vendor's domains only; heterogeneous hardware bounds the blast
 //!   radius, and cross-domain digest comparison still detects divergence.
+//! * A client's memory of the devices it verified saves the certificate
+//!   check and nothing else: a forged certificate, a bad quote signature,
+//!   other code or a replayed quote fail the audit as before, and a
+//!   failed quote never replaces the device the client keeps.
 
+use distrust::apps::analytics;
 use distrust::apps::key_backup::{self, KeyBackupClient, RecoverStatus};
 use distrust::core::framework::framework_measurement;
-use distrust::core::protocol::{AttestationBinding, DomainStatus};
-use distrust::core::{Deployment, TrustPolicy};
+use distrust::core::protocol::{
+    AttestationBinding, AuditBundle, BundleAttestation, DomainStatus, Request, Response,
+};
+use distrust::core::server::DirectHost;
+use distrust::core::{Deployment, DeploymentClient, DeploymentDescriptor, DomainInfo, TrustPolicy};
 use distrust::crypto::drbg::HmacDrbg;
 use distrust::crypto::gf256;
+use distrust::crypto::schnorr::SigningKey;
+use distrust::log::batch::{CheckpointBundle, ProofBundle};
+use distrust::log::checkpoint::{log_id, CheckpointBody, SignedCheckpoint};
 use distrust::tee::attest::{AttestationDocument, PlatformEvidence, Quote};
-use distrust::tee::vendor::{DeviceCert, VendorKind};
-use distrust::wire::Encode;
+use distrust::tee::vendor::{
+    cert_checks, device_key_decodes, DeviceCert, Vendor, VendorKind, VendorRoots,
+};
+use distrust::wire::{Decode, Encode};
+use std::sync::atomic::{AtomicU8, Ordering};
+use std::sync::Arc;
 
 #[test]
 fn figure1_compromised_developer_cannot_recover_user_key() {
@@ -129,7 +144,7 @@ fn vendor_exploit_forges_attestation_for_that_vendor_only() {
     let forged_cert = DeviceCert {
         vendor: VendorKind::SgxSim,
         device_id,
-        device_key: fake_device_key.verifying_key(),
+        device_key: fake_device_key.verifying_key().to_bytes(),
         signature: stolen_root.sign(&cert_msg),
     };
     let lying_status = DomainStatus {
@@ -292,4 +307,181 @@ fn heterogeneity_bounds_the_blast_radius() {
         .map(|d| d.status.as_ref().unwrap().app_digest)
         .collect();
     assert!(digests.windows(2).all(|w| w[0] == w[1]));
+}
+
+/// A warm client checks each device's certificate once: over twenty
+/// audits of an n = 3 deployment (two attested domains) it makes two
+/// certificate checks and two key decodes, all in the first audit, and
+/// none in the audits after.
+#[test]
+fn a_warm_client_checks_each_device_once() {
+    let mut deployment =
+        Deployment::launch(analytics::app_spec(3), b"device memory seed").expect("launch");
+    let mut client = deployment.client(b"auditor");
+    let counts = || (cert_checks(), device_key_decodes());
+    let before = counts();
+    assert!(client.audit(None).is_clean());
+    assert_eq!(counts(), (before.0 + 2, before.1 + 2));
+    for _ in 1..20 {
+        assert!(client.audit(None).is_clean());
+    }
+    assert_eq!(counts(), (before.0 + 2, before.1 + 2));
+    let report = client.audit(None);
+    assert!(report.is_clean());
+    assert_eq!(report.domains.iter().filter(|d| d.attested).count(), 2);
+    assert_eq!(counts(), (before.0 + 2, before.1 + 2));
+    deployment.shutdown();
+}
+
+/// How the scripted domain below answers the next audit.
+const HONEST: u8 = 0;
+const FORGED_CERT: u8 = 1;
+const BAD_SIGNATURE: u8 = 2;
+const OTHER_CODE: u8 = 3;
+const REPLAYED: u8 = 4;
+
+/// A client holding a device it verified meets that device's domain
+/// lying in every way a quote can: each lie fails the audit with the
+/// reason it always had, only a certificate that is not byte for byte
+/// the kept one is checked against the root again, and the kept device
+/// survives every failure — the next honest audit checks no certificate.
+#[test]
+fn a_kept_device_saves_only_the_chain_check_and_a_forgery_never_replaces_it() {
+    let app_name = "device memory";
+    let developer = SigningKey::derive(b"device memory", b"developer");
+    let measurement = framework_measurement(&developer.verifying_key(), app_name);
+    let vendor = Vendor::new(VendorKind::NitroSim, b"device memory vendor");
+    let mut rng = HmacDrbg::new(b"device memory", b"device");
+    let enclave = vendor.provision_device(&mut rng).launch(measurement);
+    let device_key = enclave.leak_attestation_key();
+    let checkpoint_key = SigningKey::derive(b"device memory", b"checkpoint");
+    let checkpoint = SignedCheckpoint::sign(
+        CheckpointBody {
+            log_id: log_id(b"device memory", 0),
+            size: 1,
+            head: [0xab; 32],
+            logical_time: 1,
+        },
+        &checkpoint_key,
+    );
+    let status = DomainStatus {
+        domain_index: 0,
+        app_digest: [0xcd; 32],
+        app_version: 1,
+        log_size: 1,
+        log_head: [0xab; 32],
+        framework_measurement: measurement,
+    };
+
+    let mode = Arc::new(AtomicU8::new(HONEST));
+    let script = Arc::clone(&mode);
+    let mut last_nonce = [0u8; 32];
+    let mut host = DirectHost::spawn(move |request: Vec<u8>| {
+        let Ok(Request::BatchAudit {
+            request_id, nonce, ..
+        }) = Request::from_wire(&request)
+        else {
+            return Response::Error("audits only".into()).to_wire();
+        };
+        let lie = script.load(Ordering::SeqCst);
+        let bound = if lie == REPLAYED { last_nonce } else { nonce };
+        last_nonce = nonce;
+        let binding = AttestationBinding {
+            nonce: bound,
+            status: status.clone(),
+        };
+        let mut quote = enclave.quote(&binding.to_wire());
+        match lie {
+            // The device's own key signs a document naming the edited
+            // certificate: only the root's signature is missing.
+            FORGED_CERT => {
+                quote.cert.device_id[0] ^= 1;
+                quote.document.device_id = quote.cert.device_id;
+                quote.signature = device_key.sign(&quote.document.signing_bytes());
+            }
+            BAD_SIGNATURE => quote.document.logical_time += 1,
+            OTHER_CODE => {
+                quote.document.measurement = [0x99; 32];
+                quote.document.evidence = PlatformEvidence::Nitro {
+                    pcrs: vec![[0x99; 32]],
+                    module_id: "i-other".into(),
+                };
+                quote.signature = device_key.sign(&quote.document.signing_bytes());
+            }
+            _ => {}
+        }
+        Response::AuditBundle(Box::new(AuditBundle {
+            request_id,
+            attestation: BundleAttestation::Quote(Box::new(quote)),
+            bundle: CheckpointBundle {
+                checkpoints: vec![checkpoint.clone()],
+                proof: ProofBundle::default(),
+            },
+        }))
+        .to_wire()
+    })
+    .expect("spawn");
+    let descriptor = DeploymentDescriptor {
+        app_name: app_name.into(),
+        developer_key: developer.verifying_key(),
+        vendor_roots: VendorRoots::new(vec![(VendorKind::NitroSim, vendor.root_key())]),
+        domains: vec![DomainInfo {
+            index: 0,
+            addr: host.addr(),
+            vendor: Some(VendorKind::NitroSim),
+            checkpoint_key: checkpoint_key.verifying_key(),
+        }],
+    };
+    let mut client =
+        DeploymentClient::new(descriptor.clone(), Box::new(HmacDrbg::new(b"client", b"")));
+
+    // One audit under `lie`: the failure it records, and the certificate
+    // checks it made.
+    let mut audit = |lie: u8| {
+        mode.store(lie, Ordering::SeqCst);
+        let checks = cert_checks();
+        let report = client.audit(None);
+        (report.domains[0].failure.clone(), cert_checks() - checks)
+    };
+    assert_eq!(audit(HONEST), (None, 1));
+    assert_eq!(audit(HONEST), (None, 0));
+    let cases = [
+        (FORGED_CERT, "does not chain to vendor root", 1),
+        (BAD_SIGNATURE, "quote signature invalid", 0),
+        (OTHER_CODE, "unexpected code measurement", 0),
+        (REPLAYED, "stale quote: nonce mismatch", 0),
+    ];
+    for (lie, reason, checks) in cases {
+        let (failure, made) = audit(lie);
+        let failure = failure.unwrap_or_else(|| panic!("lie {lie} passed the audit"));
+        assert!(failure.contains(reason), "lie {lie}: {failure}");
+        assert_eq!(made, checks, "lie {lie}: certificate checks");
+        assert_eq!(
+            audit(HONEST),
+            (None, 0),
+            "the kept device survives lie {lie}"
+        );
+    }
+
+    // A domain pinned as having no secure hardware that answers with a
+    // quote anyway is refused by its own index.
+    let mut unattested = descriptor;
+    let pinned = unattested.domains[0].clone();
+    unattested.domains = (0..2)
+        .map(|index| DomainInfo {
+            index,
+            vendor: None,
+            ..pinned.clone()
+        })
+        .collect();
+    let mut client = DeploymentClient::new(unattested, Box::new(HmacDrbg::new(b"other", b"")));
+    mode.store(HONEST, Ordering::SeqCst);
+    let report = client.audit(None);
+    for (index, domain) in report.domains.iter().enumerate() {
+        assert_eq!(
+            domain.failure.as_deref(),
+            Some(format!("domain {index} unexpectedly returned a quote").as_str())
+        );
+    }
+    host.shutdown();
 }

@@ -15,7 +15,7 @@ use distrust::core::{Deployment, DeploymentClient, TrustPolicy};
 use distrust::crypto::drbg::HmacDrbg;
 use distrust::crypto::schnorr::SigningKey;
 use distrust::gossip::envelope::{GossipEnvelope, GossipHead};
-use distrust::log::auditor::Misbehavior;
+use distrust::log::auditor::{Misbehavior, WINDOW_ABOVE, WINDOW_BELOW};
 use distrust::log::checkpoint::SignedCheckpoint;
 use distrust::sandbox::guests::counter_module;
 
@@ -25,8 +25,16 @@ const SEED: &[u8] = b"relayed heads seed";
 /// Leaves `checkpoint`, claimed to be `domain`'s, on the board of
 /// `board`, the way any client (or anyone who can open a socket) can.
 fn post(poster: &mut DeploymentClient, board: u32, domain: u32, checkpoint: SignedCheckpoint) {
+    post_all(poster, board, domain, vec![checkpoint]);
+}
+
+/// [`post`] for every head of `heads`, in one envelope.
+fn post_all(poster: &mut DeploymentClient, board: u32, domain: u32, heads: Vec<SignedCheckpoint>) {
     let envelope = GossipEnvelope {
-        heads: vec![GossipHead { domain, checkpoint }],
+        heads: heads
+            .into_iter()
+            .map(|checkpoint| GossipHead { domain, checkpoint })
+            .collect(),
         evidence: Vec::new(),
     };
     match poster.exchange(board, &Request::Gossip { envelope }) {
@@ -229,5 +237,96 @@ fn one_forged_head_among_forty_costs_the_other_thirty_nine_nothing() {
         [Misbehavior::Equivocation { domain: 0, .. }]
     ));
 
+    deployment.shutdown();
+}
+
+/// A domain that signs fresh heads at new sizes and posts them to the
+/// other domains' boards — each one correctly signed, so each one is
+/// verified — cannot grow a client that audits beside it: the client
+/// remembers at most its window per domain. Ten thousand heads, five
+/// thousand on each board; before the window was bounded the client kept
+/// every one it verified, up to 128 an audit.
+#[test]
+fn a_domain_flooding_the_boards_with_its_own_heads_leaves_a_client_within_its_bound() {
+    const ROUNDS: u64 = 10;
+    const PER_BOARD: u64 = 500;
+    let mut deployment = Deployment::launch(analytics::app_spec(N), SEED).expect("launch");
+    let mut developer = deployment.client(b"developer");
+    let mut flooder = deployment.client(b"flooder");
+    let mut auditor = deployment.client(b"auditor");
+    assert!(auditor.audit(None).is_clean());
+    let domain2 = SigningKey::derive(SEED, b"domain-2-checkpoint");
+    let template = auditor.gossip_payload()[2].1.body.clone();
+    let bound = N * (WINDOW_BELOW as usize + WINDOW_ABOVE);
+    let mut version = 1;
+    let mut fresh = 0u64;
+    for round in 0..ROUNDS {
+        for board in [0, 1] {
+            let heads = (0..PER_BOARD)
+                .map(|_| {
+                    fresh += 1;
+                    let mut body = template.clone();
+                    body.size += 1_000 + fresh;
+                    body.head = [(fresh % 251) as u8; 32];
+                    SignedCheckpoint::sign(body, &domain2)
+                })
+                .collect();
+            post_all(&mut flooder, board, 2, heads);
+        }
+        version += 1;
+        push(&deployment, &mut developer, version);
+        assert!(auditor.audit(None).is_clean(), "round {round}");
+        assert!(
+            auditor.remembered_heads() <= bound,
+            "round {round}: the client remembers {} heads, bound {bound}",
+            auditor.remembered_heads()
+        );
+    }
+    assert_eq!(fresh, 10_000);
+    let (verified, _) = auditor.relayed_head_checks();
+    assert!(
+        verified > bound as u64,
+        "the client verified only {verified} relayed heads: the flood no longer reaches it"
+    );
+    deployment.shutdown();
+}
+
+/// The window keeps what a split view needs: once a client has audited
+/// past a full window, a second head its domain signed for a size inside
+/// it — left on another domain's board — is still a transferable proof.
+#[test]
+fn a_split_view_inside_a_full_window_still_yields_transferable_equivocation() {
+    let mut deployment = Deployment::launch(analytics::app_spec(N), SEED).expect("launch");
+    let mut developer = deployment.client(b"developer");
+    let mut attacker = deployment.client(b"attacker");
+    let mut victim = deployment.client(b"victim");
+    let mut version = 1;
+    while version <= WINDOW_BELOW + 16 {
+        version += 1;
+        push(&deployment, &mut developer, version);
+        if version % 16 == 0 {
+            assert!(victim.audit(None).is_clean());
+        }
+    }
+    assert!(victim.audit(None).is_clean());
+    let latest = victim.gossip_payload()[0].1.body.clone();
+    assert!(victim.remembered_heads() >= N * WINDOW_BELOW as usize);
+
+    let domain0 = SigningKey::derive(SEED, b"domain-0-checkpoint");
+    let mut body = latest.clone();
+    body.size -= WINDOW_BELOW - 8;
+    body.head = [0x5a; 32];
+    post(&mut attacker, 1, 0, SignedCheckpoint::sign(body, &domain0));
+    let report = victim.audit(None);
+    let proof = report
+        .misbehavior
+        .iter()
+        .find_map(|m| match m {
+            Misbehavior::Equivocation { domain: 0, proof } => Some(proof.clone()),
+            _ => None,
+        })
+        .unwrap_or_else(|| panic!("no equivocation proof against domain 0: {report:?}"));
+    assert!(proof.verify(&deployment.descriptor.domains[0].checkpoint_key));
+    assert!(victim.convicted(0));
     deployment.shutdown();
 }
