@@ -1005,8 +1005,11 @@ mod tests {
                 continue;
             }
             let mut auditor = Auditor::new(vec![checkpoint_vk()]);
-            let standing_on = epochs[verified_size as usize - 1].clone();
-            assert!(auditor.observe(0, standing_on, None).is_consistent());
+            let standing_on = CheckpointBundle {
+                checkpoints: vec![epochs[verified_size as usize - 1].clone()],
+                proof: ProofBundle::default(),
+            };
+            assert!(auditor.observe_bundle(0, &standing_on).is_consistent());
             let outcome = auditor.observe_bundle(0, &bundle);
             assert!(outcome.is_consistent(), "{verified_size}: {outcome:?}");
             assert_eq!(auditor.latest(0).unwrap().body.size, RELEASES);

@@ -12,9 +12,9 @@
 //!   object (`SignedCheckpoint`, `SignedRelease`, `Quote`, `*Bundle*`),
 //!   or that are bound from a `decode`/`from_wire` of one;
 //! * **verified** — a `verify*` call, or one of the auditor entry points
-//!   (`observe`, `observe_bundle`, `precheck_checkpoint_batch`,
-//!   `ingest_gossip`, `ingest_gossip_heads`), with the variable as
-//!   receiver or argument, marks it verified from that token on;
+//!   (`observe_bundle`, `precheck_checkpoint_batch`, `ingest_gossip`,
+//!   `ingest_gossip_heads`), with the variable as receiver or argument,
+//!   marks it verified from that token on;
 //! * **sink** — a state-changing call (`append`, `insert`, `push`,
 //!   `adopt`, `install`, `extend`, `record`, `apply`) whose receiver
 //!   chain roots in stateful storage (`self`, or a variable bound from
@@ -34,8 +34,7 @@ use std::collections::BTreeMap;
 pub const PASS: &str = "trust-boundary";
 
 /// Auditor entry points that constitute verification of their argument.
-const VERIFIER_FNS: [&str; 5] = [
-    "observe",
+const VERIFIER_FNS: [&str; 4] = [
     "observe_bundle",
     "precheck_checkpoint_batch",
     "ingest_gossip",
@@ -447,11 +446,15 @@ mod unit {
 
     #[test]
     fn verifier_functions_are_exempt() {
+        let body = "(&mut self, cp: &SignedCheckpoint) { self.cache.insert(cp.root, 1); }";
         let report = run_on(
             "crates/log/src/auditor.rs",
-            "fn observe(&mut self, cp: &SignedCheckpoint) { self.cache.insert(cp.root, 1); }",
+            &format!("fn observe_bundle{body}"),
         );
         assert_eq!(report.findings.len(), 0);
+        // A name that is no entry point is no gate.
+        let report = run_on("crates/log/src/auditor.rs", &format!("fn observe{body}"));
+        assert_eq!(report.findings.len(), 1);
     }
 
     #[test]

@@ -227,6 +227,21 @@ fn test_region_end(tokens: &[Token], i: usize) -> Option<usize> {
     while is_punct(tokens, j, '#') && is_punct(tokens, j + 1, '[') {
         j = bracket_close(tokens, j + 1)? + 1;
     }
+    if is_field(tokens, j) {
+        // To the field's `,`, or to the delimiter closing its list. A
+        // generic type's `,` ends it early, which unmasks part of a
+        // test-only type and never masks the code after it.
+        let mut depth = 0usize;
+        for (k, t) in tokens.iter().enumerate().skip(j) {
+            match t.tok {
+                Tok::Punct('(' | '[' | '{') => depth += 1,
+                Tok::Punct(')' | ']' | '}') if depth == 0 => return Some(k - 1),
+                Tok::Punct(')' | ']' | '}') => depth -= 1,
+                Tok::Punct(',') if depth == 0 => return Some(k),
+                _ => {}
+            }
+        }
+    }
     // The guarded item runs to its body's closing brace, or to a `;` for
     // declarations like `use` re-exports.
     for (k, t) in tokens.iter().enumerate().skip(j) {
@@ -237,6 +252,23 @@ fn test_region_end(tokens: &[Token], i: usize) -> Option<usize> {
         }
     }
     Some(tokens.len() - 1)
+}
+
+/// A field starts at `i`, declared (`[pub[(…)]] name: …`) or in a struct
+/// literal (`name: …`, or `name` alone).
+fn is_field(tokens: &[Token], mut i: usize) -> bool {
+    if is_ident(tokens, i, "pub") {
+        i += 1;
+        if is_punct(tokens, i, '(') {
+            let Some(close) = find_punct(tokens, i, ')') else {
+                return false;
+            };
+            i = close + 1;
+        }
+    }
+    let named = matches!(tokens.get(i).map(|t| &t.tok),
+        Some(Tok::Ident(name)) if !KEYWORDS.contains(&name.as_str()));
+    named && [':', ',', '}'].iter().any(|&c| is_punct(tokens, i + 1, c))
 }
 
 fn is_ident(tokens: &[Token], i: usize, want: &str) -> bool {
@@ -660,6 +692,33 @@ mod unit {
         assert_eq!(live.len(), 1);
         assert_eq!(live[0].name, "live");
         assert_eq!(file.fns.len(), 2);
+    }
+
+    /// Whether the first token named `name` in `src` is test-only.
+    fn masked(src: &str, name: &str) -> bool {
+        let file = SourceFile::parse("crates/x/src/lib.rs".into(), src);
+        let is_name = |t: &Token| matches!(&t.tok, Tok::Ident(n) if n == name);
+        file.test_mask[file.tokens.iter().position(is_name).unwrap()]
+    }
+
+    /// The attribute masks what it guards and not what comes after it.
+    #[test]
+    fn a_test_only_field_or_statement_masks_only_itself() {
+        for src in [
+            // A declared field, with a trailing comma and without one,
+            // and a `pub` one.
+            "struct S {\n #[cfg(test)]\n guarded: bool,\n b: u8,\n}\nimpl S { fn after() {} }\n",
+            "struct S {\n b: u8,\n #[cfg(test)]\n guarded: bool\n}\nimpl S { fn after() {} }\n",
+            "struct S {\n #[cfg(test)]\n pub(crate) guarded: bool,\n}\nimpl S { fn after() {} }\n",
+            // A struct-literal field, and its shorthand.
+            "fn new() -> S {\n S { b: 0, #[cfg(test)] guarded: false }\n}\nfn after() {}\n",
+            "fn new() -> S {\n S { #[cfg(test)] guarded, b }\n}\nfn after() {}\n",
+            // A statement.
+            "fn f() {\n #[cfg(test)]\n if guarded { a.lock(); }\n after.lock();\n}\n",
+        ] {
+            assert!(masked(src, "guarded"), "{src}");
+            assert!(!masked(src, "after"), "{src}");
+        }
     }
 
     #[test]

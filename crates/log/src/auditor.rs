@@ -10,10 +10,9 @@
 //! are explicit: [`AuditOutcome::Consistent`], or a [`Misbehavior`] value
 //! carrying the strongest available evidence.
 //!
-//! Checkpoints can be ingested one at a time ([`Auditor::observe`], the
-//! per-step path) or as a whole [`CheckpointBundle`]
-//! ([`Auditor::observe_bundle`], the batched path): identical detection
-//! semantics, but the batched path costs one round-trip and — thanks to
+//! A domain's answer reaches the auditor one way: as a [`CheckpointBundle`]
+//! ([`Auditor::observe_bundle`]), one checkpoint or many with the
+//! consistency steps linking them. It costs one round-trip and — thanks to
 //! the per-domain [`VerifiedPrefixCache`] — never re-verifies proofs at or
 //! below the already-verified prefix.
 //!
@@ -45,10 +44,9 @@
 
 use crate::batch::{CheckpointBundle, VerifiedPrefixCache, MAX_BUNDLE_CHECKPOINTS};
 use crate::checkpoint::{EquivocationProof, SignedCheckpoint};
-use crate::merkle::ConsistencyProof;
 use distrust_crypto::schnorr::{KeptKey, VerifyingKey};
 use distrust_crypto::sha256::Digest;
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Evidence of misbehavior discovered during an audit.
 #[derive(Clone, Debug)]
@@ -170,11 +168,6 @@ impl<V> BySize<V> {
             }
         }
     }
-
-    #[cfg(test)]
-    fn values(&self) -> impl Iterator<Item = &V> {
-        self.0.iter().map(|(_, value)| value)
-    }
 }
 
 /// Per-domain audit state: the log public key and the latest verified
@@ -198,11 +191,6 @@ struct DomainState {
     relayed_verified: u64,
     /// Relayed heads recognised as already verified and not checked again.
     relayed_skipped: u64,
-    /// The reference the skip rule and the window are tested against: an
-    /// auditor that recognises nothing, verifies every signature it is
-    /// shown, and forgets nothing.
-    #[cfg(test)]
-    reference: bool,
 }
 
 impl DomainState {
@@ -212,10 +200,6 @@ impl DomainState {
     /// it again could only repeat the answer. The same body under
     /// different signature bytes is not known.
     fn already_verified(&self, cp: &SignedCheckpoint) -> bool {
-        #[cfg(test)]
-        if self.reference {
-            return false;
-        }
         self.seen.get(&cp.body.size) == Some(cp)
     }
 
@@ -224,10 +208,6 @@ impl DomainState {
     /// it, then the oldest of those above it beyond the newest
     /// [`WINDOW_ABOVE`]. Without a latest, every entry is above it.
     fn outside_window(&self) -> [std::ops::Range<usize>; 2] {
-        #[cfg(test)]
-        if self.reference {
-            return [0..0, 0..0];
-        }
         let seen = &self.seen.0;
         let latest = self.latest.as_ref().map(|cp| cp.body.size);
         let floor = latest.and_then(|l| l.checked_sub(WINDOW_BELOW));
@@ -273,22 +253,30 @@ impl DomainState {
                 until_bad = until_bad.map(|n| n - 1);
             }
         }
-        // 2. Equivocation inside the batch.
-        for (i, a) in cps.iter().enumerate() {
-            for b in &cps[i + 1..] {
-                if a.body.size == b.body.size
-                    && a.body.log_id == b.body.log_id
-                    && a.body.head != b.body.head
-                {
-                    return Some(Misbehavior::Equivocation {
-                        domain,
-                        proof: EquivocationProof {
-                            a: a.clone(),
-                            b: b.clone(),
-                        },
-                    });
-                }
+        // 2. Equivocation inside the batch, in one pass: per size and log
+        //    id, its first checkpoint and the first later one whose head
+        //    differs. Of those pairs, the one whose first checkpoint comes
+        //    first in the batch is reported — the first checkpoint that
+        //    has a conflicting later one.
+        let mut groups = BTreeMap::new();
+        for (at, cp) in cps.iter().enumerate() {
+            let key = (cp.body.size, &cp.body.log_id);
+            let (_, first, conflict) = groups.entry(key).or_insert((at, cp, None));
+            if conflict.is_none() && first.body.head != cp.body.head {
+                *conflict = Some(cp);
             }
+        }
+        let conflicts = groups
+            .into_values()
+            .filter_map(|(at, a, b)| Some((at, a, b?)));
+        if let Some((_, a, b)) = conflicts.min_by_key(|(at, ..)| *at) {
+            return Some(Misbehavior::Equivocation {
+                domain,
+                proof: EquivocationProof {
+                    a: a.clone(),
+                    b: b.clone(),
+                },
+            });
         }
         // 3. Equivocation against history.
         for cp in cps {
@@ -316,9 +304,9 @@ impl DomainState {
             }
         }
         // 5. Rollback: no checkpoint may be older than the verified
-        //    prefix — exactly what the per-step path flags when a served
-        //    checkpoint goes backwards (a stale cached bundle, or a stale
-        //    entry smuggled into an otherwise-fresh bundle).
+        //    prefix — a served checkpoint going backwards (a stale cached
+        //    bundle, or a stale entry smuggled into an otherwise-fresh
+        //    bundle).
         if let Some(trusted) = &self.latest {
             for cp in cps {
                 if cp.body.size < trusted.body.size {
@@ -366,8 +354,6 @@ impl Auditor {
                     cache: VerifiedPrefixCache::new(),
                     relayed_verified: 0,
                     relayed_skipped: 0,
-                    #[cfg(test)]
-                    reference: false,
                 })
                 .collect(),
             divergent: BTreeSet::new(),
@@ -394,7 +380,7 @@ impl Auditor {
         let Some(state) = self.domains.get_mut(domain) else {
             return;
         };
-        // lint:allow(trust-boundary): every caller has verified `checkpoint` under the domain's pinned key first (`observe`, `observe_bundle`, and `keep_relayed` behind `ingest_gossip_heads`)
+        // lint:allow(trust-boundary): every caller has verified `checkpoint` under the domain's pinned key first (`observe_bundle`, and `keep_relayed` behind `ingest_gossip_heads`)
         state.seen.insert(size, checkpoint);
         let outside = state.outside_window();
         let leaving: Vec<u64> = outside
@@ -470,116 +456,19 @@ impl Auditor {
         self.domains.get(domain as usize)?.latest.as_ref()
     }
 
-    /// Ingests one signed checkpoint from `domain`, with a consistency
-    /// proof against the previously verified checkpoint when one exists
-    /// (`proof` may be `None` for a first observation).
-    pub fn observe(
-        &mut self,
-        domain: u32,
-        checkpoint: SignedCheckpoint,
-        proof: Option<&ConsistencyProof>,
-    ) -> AuditOutcome {
-        let Some(state) = self.domains.get_mut(domain as usize) else {
-            return AuditOutcome::Misbehavior(Box::new(Misbehavior::BadSignature {
-                domain,
-                checkpoint,
-            }));
-        };
-        if state.already_verified(&checkpoint) {
-            // Re-serving the latest verified checkpoint (the steady
-            // state) falls through the checks below to `Consistent`; an
-            // older known one is still a rollback.
-            state.cache.note_skipped();
-        } else if SignedCheckpoint::verify_all_kept(&[&checkpoint], &mut state.key).is_err() {
-            return AuditOutcome::Misbehavior(Box::new(Misbehavior::BadSignature {
-                domain,
-                checkpoint,
-            }));
-        } else {
-            state.cache.note_signature();
-        }
-        // Equivocation hunt: same size, different head, both signed.
-        if let Some(prior) = state.seen.get(&checkpoint.body.size) {
-            if prior.body.head != checkpoint.body.head
-                && prior.body.log_id == checkpoint.body.log_id
-            {
-                let proof = EquivocationProof {
-                    a: prior.clone(),
-                    b: checkpoint.clone(),
-                };
-                return AuditOutcome::Misbehavior(Box::new(Misbehavior::Equivocation {
-                    domain,
-                    proof,
-                }));
-            }
-        }
-        if let Some(trusted) = &state.latest {
-            if checkpoint.body.size < trusted.body.size {
-                return AuditOutcome::Misbehavior(Box::new(Misbehavior::Rollback {
-                    domain,
-                    trusted_size: trusted.body.size,
-                    offered_size: checkpoint.body.size,
-                }));
-            }
-            if checkpoint.body.size == trusted.body.size {
-                // Same size: heads must match (the equivocation check above
-                // already caught the conflicting case for stored sizes).
-                if checkpoint.body.head != trusted.body.head {
-                    let proof = EquivocationProof {
-                        a: trusted.clone(),
-                        b: checkpoint.clone(),
-                    };
-                    return AuditOutcome::Misbehavior(Box::new(Misbehavior::Equivocation {
-                        domain,
-                        proof,
-                    }));
-                }
-            } else {
-                // Growth requires a valid consistency proof — except from
-                // size 0: the empty tree is a prefix of every tree, so
-                // growth from it is vacuously consistent (RFC 6962 defines
-                // no proof for old_size = 0).
-                let ok = trusted.body.size == 0
-                    || match proof {
-                        Some(p) => {
-                            state.cache.note_consistency();
-                            p.old_size == trusted.body.size
-                                && p.new_size == checkpoint.body.size
-                                && p.verify(&trusted.body.head, &checkpoint.body.head)
-                        }
-                        None => false,
-                    };
-                if !ok {
-                    return AuditOutcome::Misbehavior(Box::new(Misbehavior::InconsistentGrowth {
-                        domain,
-                        trusted: trusted.clone(),
-                        offered: checkpoint.clone(),
-                    }));
-                }
-            }
-        }
-        state
-            .cache
-            .record(checkpoint.body.size, checkpoint.body.head);
-        state.latest = Some(checkpoint.clone());
-        self.remember(domain as usize, checkpoint);
-        AuditOutcome::Consistent
-    }
-
-    /// Ingests a whole [`CheckpointBundle`] from `domain` — the batched
-    /// equivalent of calling [`Auditor::observe`] once per checkpoint with
-    /// the pairwise consistency proofs, with identical accept/flag
-    /// behaviour, but without re-verifying anything at or below the
-    /// already-verified prefix (see [`VerifiedPrefixCache`]).
+    /// Ingests a whole [`CheckpointBundle`] from `domain` — the one way a
+    /// domain's answer reaches this auditor's state, whether it carries
+    /// one checkpoint or many — without re-verifying anything at or below
+    /// the already-verified prefix (see [`VerifiedPrefixCache`]).
     ///
     /// Checks, in order: signatures on every checkpoint not already
     /// verified byte-for-byte; equivocation both *inside* the bundle and
     /// against all previously seen checkpoints (yielding a transferable
-    /// [`Misbehavior::Equivocation`] proof, exactly as in the per-step
-    /// path); structural validity (strictly ascending sizes); rollback of
-    /// the freshest checkpoint below the trusted size; and one
-    /// consistency-proof verification per size transition above the
-    /// verified prefix.
+    /// [`Misbehavior::Equivocation`] proof); structural validity
+    /// (ascending sizes); rollback of any checkpoint below the trusted
+    /// size; and one consistency-proof verification per size transition
+    /// above the verified prefix, whose step must link exactly the two
+    /// sizes it joins.
     pub fn observe_bundle(&mut self, domain: u32, bundle: &CheckpointBundle) -> AuditOutcome {
         let misb = |m: Misbehavior| AuditOutcome::Misbehavior(Box::new(m));
         let Some(state) = self.domains.get_mut(domain as usize) else {
@@ -629,6 +518,8 @@ impl Auditor {
                 state.cache.note_skipped();
                 continue;
             }
+            // The empty tree is a prefix of every tree: growth from it
+            // needs no step (RFC 6962 defines none from size 0).
             if prev.body.size > 0 {
                 let expanded = bundle.proof.step(next_step);
                 next_step += 1;
@@ -676,7 +567,7 @@ impl Auditor {
     /// gap) and feeding them here turns the split view into transferable
     /// evidence.
     ///
-    /// Unlike [`Auditor::observe`], gossip makes no freshness or growth
+    /// Unlike [`Auditor::observe_bundle`], gossip makes no freshness or growth
     /// demands: the relaying client may legitimately be behind, so only
     /// signature validity and same-size-different-head conflicts matter.
     ///
@@ -802,46 +693,6 @@ impl Auditor {
         AuditOutcome::Misbehavior(Box::new(Misbehavior::CrossDomainDivergence { views }))
     }
 
-    /// [`Self::cross_check`] as it was before it became incremental,
-    /// rebuilding the buckets from every remembered checkpoint on each
-    /// call — the reference the incremental check is tested against. (It
-    /// walked a hash map, so which divergent size it reported was the
-    /// map's iteration order; here it is the smallest.)
-    #[cfg(test)]
-    fn cross_check_by_rebuilding(&self) -> AuditOutcome {
-        let mut views: Vec<(u32, &SignedCheckpoint)> = Vec::new();
-        for (i, d) in self.domains.iter().enumerate() {
-            if let Some(cp) = &d.latest {
-                views.push((i as u32, cp));
-            }
-        }
-        if views.len() < 2 {
-            return AuditOutcome::Consistent;
-        }
-        let mut by_size: std::collections::BTreeMap<u64, Vec<(u32, &SignedCheckpoint)>> =
-            std::collections::BTreeMap::new();
-        for (i, d) in self.domains.iter().enumerate() {
-            for cp in d.seen.values() {
-                by_size
-                    .entry(cp.body.size)
-                    .or_default()
-                    .push((i as u32, cp));
-            }
-        }
-        for (_, group) in by_size {
-            if group.len() < 2 {
-                continue;
-            }
-            let head0 = group[0].1.body.head;
-            if group.iter().any(|(_, cp)| cp.body.head != head0) {
-                return AuditOutcome::Misbehavior(Box::new(Misbehavior::CrossDomainDivergence {
-                    views: group.into_iter().map(|(i, cp)| (i, cp.clone())).collect(),
-                }));
-            }
-        }
-        AuditOutcome::Consistent
-    }
-
     /// Domains whose pinned key's table this auditor has built (see
     /// [`KeptKey`]): a one-off ≈ 53 KB each, never per release.
     pub fn kept_tables(&self) -> usize {
@@ -867,10 +718,11 @@ pub fn digests_match(digests: &[Digest]) -> bool {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::batch::ProofBundle;
     use crate::checkpoint::{log_id, CheckpointBody};
-    use crate::merkle::MerkleLog;
+    use crate::merkle::{ConsistencyProof, MerkleLog};
     use distrust_crypto::schnorr::SigningKey;
 
     struct Domain {
@@ -908,17 +760,46 @@ mod tests {
         Auditor::new(domains.iter().map(|d| d.sk.verifying_key()).collect())
     }
 
+    /// Feeds `domain`'s checkpoint `cp` to `auditor` the one way a domain's
+    /// answer goes in: a bundle of that checkpoint alone, with `proof`
+    /// (from the auditor's verified size to `cp`'s) as its only step when
+    /// given.
+    pub(crate) fn step(
+        auditor: &mut Auditor,
+        domain: u32,
+        cp: SignedCheckpoint,
+        proof: Option<&ConsistencyProof>,
+    ) -> AuditOutcome {
+        let bundle = CheckpointBundle {
+            checkpoints: vec![cp],
+            proof: ProofBundle::from_proofs(proof.cloned().as_slice()),
+        };
+        auditor.observe_bundle(domain, &bundle)
+    }
+
+    /// False when `outcome` is an equivocation whose proof does not
+    /// convict the domain it names under that domain's `key`.
+    fn convicts(outcome: &AuditOutcome, key: impl Fn(u32) -> VerifyingKey) -> bool {
+        match outcome {
+            AuditOutcome::Misbehavior(m) => match &**m {
+                Misbehavior::Equivocation { domain, proof } => proof.verify(&key(*domain)),
+                _ => true,
+            },
+            AuditOutcome::Consistent => true,
+        }
+    }
+
     #[test]
     fn honest_growth_is_consistent() {
         let mut d = Domain::new(0);
         let mut auditor = auditor_for(std::slice::from_ref(&d));
         d.log.append(b"v1");
         let cp1 = d.checkpoint();
-        assert!(auditor.observe(0, cp1, None).is_consistent());
+        assert!(step(&mut auditor, 0, cp1, None).is_consistent());
         d.log.append(b"v2");
         let cp2 = d.checkpoint();
         let proof = d.log.prove_consistency(1, 2).unwrap();
-        assert!(auditor.observe(0, cp2, Some(&proof)).is_consistent());
+        assert!(step(&mut auditor, 0, cp2, Some(&proof)).is_consistent());
     }
 
     #[test]
@@ -927,10 +808,10 @@ mod tests {
         let mut auditor = auditor_for(std::slice::from_ref(&d));
         d.log.append(b"v1");
         let cp1 = d.checkpoint();
-        auditor.observe(0, cp1, None);
+        step(&mut auditor, 0, cp1, None);
         d.log.append(b"v2");
         let cp2 = d.checkpoint();
-        match auditor.observe(0, cp2, None) {
+        match step(&mut auditor, 0, cp2, None) {
             AuditOutcome::Misbehavior(m) => {
                 assert!(matches!(*m, Misbehavior::InconsistentGrowth { .. }))
             }
@@ -945,7 +826,7 @@ mod tests {
         d.log.append(b"v1");
         d.log.append(b"v2");
         let cp = d.checkpoint();
-        let _ = auditor.observe(0, cp, None);
+        let _ = step(&mut auditor, 0, cp, None);
         // Rebuild the log with a different history of the same length + 1.
         let mut forged = MerkleLog::new();
         forged.append(b"evil-1");
@@ -961,7 +842,7 @@ mod tests {
             &d.sk,
         );
         let bogus_proof = forged.prove_consistency(2, 3).unwrap();
-        match auditor.observe(0, forged_cp, Some(&bogus_proof)) {
+        match step(&mut auditor, 0, forged_cp, Some(&bogus_proof)) {
             AuditOutcome::Misbehavior(m) => {
                 assert!(matches!(*m, Misbehavior::InconsistentGrowth { .. }))
             }
@@ -976,7 +857,7 @@ mod tests {
         d.log.append(b"v1");
         d.log.append(b"v2");
         let cp2 = d.checkpoint();
-        auditor.observe(0, cp2, None);
+        step(&mut auditor, 0, cp2, None);
         // Offer a checkpoint for size 1.
         let old = SignedCheckpoint::sign(
             CheckpointBody {
@@ -987,7 +868,7 @@ mod tests {
             },
             &d.sk,
         );
-        match auditor.observe(0, old, None) {
+        match step(&mut auditor, 0, old, None) {
             AuditOutcome::Misbehavior(m) => {
                 assert!(matches!(*m, Misbehavior::Rollback { .. }))
             }
@@ -1001,7 +882,7 @@ mod tests {
         let mut auditor = auditor_for(std::slice::from_ref(&d));
         d.log.append(b"v1");
         let cp_honest = d.checkpoint();
-        auditor.observe(0, cp_honest, None);
+        step(&mut auditor, 0, cp_honest, None);
         // The domain signs a different head for the same size.
         let cp_fork = SignedCheckpoint::sign(
             CheckpointBody {
@@ -1012,7 +893,7 @@ mod tests {
             },
             &d.sk,
         );
-        match auditor.observe(0, cp_fork, None) {
+        match step(&mut auditor, 0, cp_fork, None) {
             AuditOutcome::Misbehavior(m) => match *m {
                 Misbehavior::Equivocation { domain, proof } => {
                     assert_eq!(domain, 0);
@@ -1038,7 +919,7 @@ mod tests {
             },
             &stranger,
         );
-        match auditor.observe(0, cp, None) {
+        match step(&mut auditor, 0, cp, None) {
             AuditOutcome::Misbehavior(m) => {
                 assert!(matches!(*m, Misbehavior::BadSignature { .. }))
             }
@@ -1053,7 +934,6 @@ mod tests {
     /// and is this domain's `BadSignature` on every path that takes one.
     #[test]
     fn signature_bytes_that_are_no_point_of_g1_decode_and_are_a_bad_signature() {
-        use crate::batch::{CheckpointBundle, ProofBundle};
         use distrust_crypto::fp::Fp;
         use distrust_wire::codec::{Decode, Encode};
         assert!(Fp::from_u64(1 + 4).sqrt().is_none());
@@ -1067,14 +947,9 @@ mod tests {
             let decoded = SignedCheckpoint::from_wire(&spoiled.to_wire()).expect("decodes");
             assert_eq!(decoded, spoiled);
             assert!(!decoded.verify(&d.sk.verifying_key()));
-            let bundle = CheckpointBundle {
-                checkpoints: vec![decoded.clone()],
-                proof: ProofBundle::default(),
-            };
             let mut auditor = auditor_for(std::slice::from_ref(&d));
             for outcome in [
-                auditor.observe(0, decoded.clone(), None),
-                auditor.observe_bundle(0, &bundle),
+                step(&mut auditor, 0, decoded.clone(), None),
                 auditor.ingest_gossip(0, decoded),
             ] {
                 match outcome {
@@ -1097,8 +972,8 @@ mod tests {
         d1.log.append(b"v1-evil");
         let cp0 = d0.checkpoint();
         let cp1 = d1.checkpoint();
-        assert!(auditor.observe(0, cp0, None).is_consistent());
-        assert!(auditor.observe(1, cp1, None).is_consistent());
+        assert!(step(&mut auditor, 0, cp0, None).is_consistent());
+        assert!(step(&mut auditor, 1, cp1, None).is_consistent());
         match auditor.cross_check() {
             AuditOutcome::Misbehavior(m) => match *m {
                 Misbehavior::CrossDomainDivergence { views } => {
@@ -1121,8 +996,8 @@ mod tests {
         }
         let cp0 = d0.checkpoint();
         let cp1 = d1.checkpoint();
-        auditor.observe(0, cp0, None);
-        auditor.observe(1, cp1, None);
+        step(&mut auditor, 0, cp0, None);
+        step(&mut auditor, 1, cp1, None);
         assert!(auditor.cross_check().is_consistent());
     }
 
@@ -1137,8 +1012,8 @@ mod tests {
         d1.log.append(b"v1");
         let cp0 = d0.checkpoint();
         let cp1 = d1.checkpoint();
-        auditor.observe(0, cp0, None);
-        auditor.observe(1, cp1, None);
+        step(&mut auditor, 0, cp0, None);
+        step(&mut auditor, 1, cp1, None);
         // Sizes differ (2 vs 1) so no same-size comparison exists; clean.
         assert!(auditor.cross_check().is_consistent());
     }
@@ -1162,12 +1037,8 @@ mod tests {
         };
         let mut auditor_a = auditor_for(std::slice::from_ref(&d));
         let mut auditor_b = auditor_for(std::slice::from_ref(&d));
-        assert!(auditor_a
-            .observe(0, make_cp([0xaa; 32]), None)
-            .is_consistent());
-        assert!(auditor_b
-            .observe(0, make_cp([0xbb; 32]), None)
-            .is_consistent());
+        assert!(step(&mut auditor_a, 0, make_cp([0xaa; 32]), None).is_consistent());
+        assert!(step(&mut auditor_b, 0, make_cp([0xbb; 32]), None).is_consistent());
         // Client B relays its view to client A.
         let payload = auditor_b.gossip_payload();
         assert_eq!(payload.len(), 1);
@@ -1192,8 +1063,8 @@ mod tests {
         d.log.append(b"v2");
         let new_cp = d.checkpoint();
         let proof = d.log.prove_consistency(1, 2).unwrap();
-        assert!(auditor.observe(0, old_cp.clone(), None).is_consistent());
-        assert!(auditor.observe(0, new_cp, Some(&proof)).is_consistent());
+        assert!(step(&mut auditor, 0, old_cp.clone(), None).is_consistent());
+        assert!(step(&mut auditor, 0, new_cp, Some(&proof)).is_consistent());
         // Peer is still at size 1 with the same head: fine.
         assert!(auditor.ingest_gossip(0, old_cp).is_consistent());
     }
@@ -1225,16 +1096,14 @@ mod tests {
 
     #[test]
     fn bundle_smuggling_stale_checkpoint_flagged_as_rollback() {
-        use crate::batch::{CheckpointBundle, ProofBundle};
-        // The per-step path flags any served checkpoint older than the
-        // verified prefix as Rollback; a stale entry hidden inside an
-        // otherwise-fresh bundle must be flagged identically.
+        // A served checkpoint older than the verified prefix is a
+        // Rollback, alone or hidden inside an otherwise-fresh bundle.
         let mut d = Domain::new(0);
         let mut auditor = auditor_for(std::slice::from_ref(&d));
         d.log.append(b"v1");
         d.log.append(b"v2");
         let cp2 = d.checkpoint();
-        assert!(auditor.observe(0, cp2.clone(), None).is_consistent());
+        assert!(step(&mut auditor, 0, cp2.clone(), None).is_consistent());
         let stale = SignedCheckpoint::sign(
             CheckpointBody {
                 log_id: d.lid,
@@ -1263,7 +1132,6 @@ mod tests {
 
     #[test]
     fn a_bundle_past_the_limit_is_refused_before_any_signature_is_checked() {
-        use crate::batch::{CheckpointBundle, ProofBundle};
         use distrust_wire::codec::{Decode, DecodeError, Encode};
         // Correctly signed under the domain's own key, ascending: nothing
         // wrong with it but its length — which is the attack, each entry
@@ -1300,10 +1168,9 @@ mod tests {
 
     #[test]
     fn bundle_with_duplicate_checkpoint_is_tolerated() {
-        use crate::batch::{CheckpointBundle, ProofBundle};
-        // A re-served checkpoint (same size, same head) is accepted by
-        // the per-step path; a bundle containing the duplicate must be
-        // too — only conflicting heads are evidence.
+        // A re-served checkpoint (same size, same head) is accepted, and
+        // so is a bundle containing the duplicate — only conflicting heads
+        // are evidence.
         let mut d = Domain::new(0);
         let mut auditor = auditor_for(std::slice::from_ref(&d));
         d.log.append(b"v1");
@@ -1317,10 +1184,219 @@ mod tests {
         assert_eq!(auditor.latest(0).unwrap().body.size, 1);
     }
 
+    /// A consistency step is evidence for the two sizes it names and no
+    /// others: a genuine 8 → 12 step does not link the 12-leaf head to a
+    /// checkpoint that claims it at size 10.
+    #[test]
+    fn a_proof_step_between_other_sizes_is_inconsistent_growth() {
+        let mut d = Domain::new(0);
+        for i in 0..12 {
+            d.log.append(format!("leaf {i}").as_bytes());
+        }
+        let at = |size, head| {
+            let body = CheckpointBody {
+                log_id: d.lid,
+                size,
+                head,
+                logical_time: size,
+            };
+            SignedCheckpoint::sign(body, &d.sk)
+        };
+        let mut auditor = auditor_for(std::slice::from_ref(&d));
+        let trusted = at(8, d.log.root_of_prefix(8));
+        assert!(step(&mut auditor, 0, trusted, None).is_consistent());
+        let genuine = d.log.prove_consistency(8, 12).unwrap();
+        assert!(genuine.verify(&d.log.root_of_prefix(8), &d.log.root()));
+        match step(&mut auditor, 0, at(10, d.log.root()), Some(&genuine)) {
+            AuditOutcome::Misbehavior(m) => match *m {
+                Misbehavior::InconsistentGrowth {
+                    domain: 0,
+                    trusted,
+                    offered,
+                } => assert_eq!((trusted.body.size, offered.body.size), (8, 10)),
+                other => panic!("expected inconsistent growth, got {other:?}"),
+            },
+            other => panic!("expected inconsistent growth, got {other:?}"),
+        }
+        assert_eq!(auditor.latest(0).unwrap().body.size, 8);
+    }
+
+    /// Of two conflicting groups in one bundle, the pair reported is the
+    /// first checkpoint that has a conflicting later one — size 5's first,
+    /// though size 7's conflict comes earlier in the bundle — against the
+    /// first later head that differs from it: not the one repeating it,
+    /// and not size 5's third head.
+    #[test]
+    fn an_in_bundle_equivocation_names_the_first_checkpoint_with_a_later_conflict() {
+        let d = Domain::new(0);
+        let at = |size, head, logical_time| {
+            let body = CheckpointBody {
+                log_id: d.lid,
+                size,
+                head: [head; 32],
+                logical_time,
+            };
+            SignedCheckpoint::sign(body, &d.sk)
+        };
+        let (first, conflict) = (at(5, 1, 1), at(5, 4, 5));
+        let bundle = CheckpointBundle {
+            checkpoints: vec![
+                first.clone(),
+                at(7, 2, 2),
+                at(7, 3, 3),
+                at(5, 1, 4),
+                conflict.clone(),
+                at(5, 6, 6),
+            ],
+            proof: ProofBundle::default(),
+        };
+        let mut auditor = auditor_for(std::slice::from_ref(&d));
+        match auditor.observe_bundle(0, &bundle) {
+            AuditOutcome::Misbehavior(m) => match *m {
+                Misbehavior::Equivocation { domain: 0, proof } => {
+                    assert_eq!(
+                        proof,
+                        EquivocationProof {
+                            a: first,
+                            b: conflict
+                        }
+                    );
+                    assert!(proof.verify(&d.sk.verifying_key()));
+                }
+                other => panic!("expected equivocation, got {other:?}"),
+            },
+            other => panic!("expected equivocation, got {other:?}"),
+        }
+        assert!(auditor.latest(0).is_none());
+    }
+
     mod verify_once {
         use super::*;
-        use crate::batch::CheckpointBundle;
         use proptest::prelude::*;
+
+        /// What the skip rule and the window are tested against: an
+        /// auditor of domain 0 alone that recognises nothing, verifies
+        /// every signature it is shown, forgets nothing, and takes
+        /// [`Auditor::observe_bundle`]'s checks in the order its rustdoc
+        /// gives them — for the bundles the proptest sends, which are
+        /// never empty or over the cap.
+        struct Reference {
+            key: VerifyingKey,
+            latest: Option<SignedCheckpoint>,
+            /// Every head that verified, by size.
+            seen: BTreeMap<u64, SignedCheckpoint>,
+            /// Signatures verified.
+            checks: u64,
+        }
+
+        fn misbehaved(m: Misbehavior) -> AuditOutcome {
+            AuditOutcome::Misbehavior(Box::new(m))
+        }
+
+        impl Reference {
+            fn new(key: VerifyingKey) -> Self {
+                Self {
+                    key,
+                    latest: None,
+                    seen: BTreeMap::new(),
+                    checks: 0,
+                }
+            }
+
+            fn verifies(&mut self, cp: &SignedCheckpoint) -> bool {
+                self.checks += 1;
+                cp.verify(&self.key)
+            }
+
+            /// The proof `cp` and the head held at its size make, when
+            /// they conflict.
+            fn against_history(&self, cp: &SignedCheckpoint) -> Option<EquivocationProof> {
+                let prior = self.seen.get(&cp.body.size)?;
+                let conflict =
+                    prior.body.log_id == cp.body.log_id && prior.body.head != cp.body.head;
+                conflict.then(|| EquivocationProof {
+                    a: prior.clone(),
+                    b: cp.clone(),
+                })
+            }
+
+            fn observe_bundle(&mut self, bundle: &CheckpointBundle) -> AuditOutcome {
+                let (domain, cps) = (0, &bundle.checkpoints);
+                if let Some(bad) = cps.iter().find(|cp| !self.verifies(cp)) {
+                    let checkpoint = bad.clone();
+                    return misbehaved(Misbehavior::BadSignature { domain, checkpoint });
+                }
+                for (i, a) in cps.iter().enumerate() {
+                    let conflict = cps[i + 1..].iter().find(|b| {
+                        (a.body.size, a.body.log_id) == (b.body.size, b.body.log_id)
+                            && a.body.head != b.body.head
+                    });
+                    if let Some(b) = conflict {
+                        let (a, b) = (a.clone(), b.clone());
+                        let proof = EquivocationProof { a, b };
+                        return misbehaved(Misbehavior::Equivocation { domain, proof });
+                    }
+                }
+                if let Some(proof) = cps.iter().find_map(|cp| self.against_history(cp)) {
+                    return misbehaved(Misbehavior::Equivocation { domain, proof });
+                }
+                if cps.windows(2).any(|w| w[1].body.size < w[0].body.size) {
+                    let reason = "checkpoint sizes descending".into();
+                    return misbehaved(Misbehavior::MalformedBundle { domain, reason });
+                }
+                if let Some(trusted) = &self.latest {
+                    let trusted_size = trusted.body.size;
+                    if let Some(stale) = cps.iter().find(|cp| cp.body.size < trusted_size) {
+                        let offered_size = stale.body.size;
+                        return misbehaved(Misbehavior::Rollback {
+                            domain,
+                            trusted_size,
+                            offered_size,
+                        });
+                    }
+                }
+                // One step per size transition above the latest, none from
+                // the empty tree.
+                let mut steps = (0..).map(|i| bundle.proof.step(i));
+                let mut prev = self.latest.clone();
+                for cp in cps {
+                    match &prev {
+                        Some(trusted) if trusted.body.size == cp.body.size => continue,
+                        Some(trusted) if trusted.body.size > 0 => {
+                            let linked = steps.next().flatten().is_some_and(|p| {
+                                (p.old_size, p.new_size) == (trusted.body.size, cp.body.size)
+                                    && p.verify(&trusted.body.head, &cp.body.head)
+                            });
+                            if !linked {
+                                return misbehaved(Misbehavior::InconsistentGrowth {
+                                    domain,
+                                    trusted: trusted.clone(),
+                                    offered: cp.clone(),
+                                });
+                            }
+                        }
+                        _ => {}
+                    }
+                    prev = Some(cp.clone());
+                }
+                self.latest = cps.last().cloned();
+                for cp in cps {
+                    self.seen.insert(cp.body.size, cp.clone());
+                }
+                AuditOutcome::Consistent
+            }
+
+            fn ingest_gossip(&mut self, domain: u32, checkpoint: SignedCheckpoint) -> AuditOutcome {
+                if domain != 0 || !self.verifies(&checkpoint) {
+                    return misbehaved(Misbehavior::BadSignature { domain, checkpoint });
+                }
+                if let Some(proof) = self.against_history(&checkpoint) {
+                    return misbehaved(Misbehavior::Equivocation { domain, proof });
+                }
+                self.seen.entry(checkpoint.body.size).or_insert(checkpoint);
+                AuditOutcome::Consistent
+            }
+        }
 
         /// An honest domain with one signed epoch per append, serving
         /// bundles the way the framework does.
@@ -1424,7 +1500,7 @@ mod tests {
             assert!(fresh.ingest_gossip(0, head.clone()).is_consistent());
             assert!(fresh.ingest_gossip(0, head.clone()).is_consistent());
             assert_eq!((fresh.relayed_verified(), fresh.relayed_skipped()), (1, 1));
-            assert!(fresh.observe(0, head, None).is_consistent());
+            assert!(step(&mut fresh, 0, head, None).is_consistent());
             let cache = fresh.prefix_cache(0).unwrap();
             assert_eq!((cache.signatures_verified(), cache.skipped()), (0, 1));
         }
@@ -1434,7 +1510,7 @@ mod tests {
             let chain = Chain::new(1);
             let genuine = chain.epochs[0].clone();
             let mut auditor = auditor_for(std::slice::from_ref(&chain.domain));
-            assert!(auditor.observe(0, genuine.clone(), None).is_consistent());
+            assert!(step(&mut auditor, 0, genuine.clone(), None).is_consistent());
             for (i, byte) in [0usize, 47, 48, 79].into_iter().enumerate() {
                 let mut tampered = genuine.clone();
                 tampered.signature[byte] ^= 1;
@@ -1449,7 +1525,7 @@ mod tests {
                     i as u64 + 1,
                     "byte {byte} skipped"
                 );
-                match auditor.observe(0, tampered, None) {
+                match step(&mut auditor, 0, tampered, None) {
                     AuditOutcome::Misbehavior(m) => {
                         assert!(matches!(*m, Misbehavior::BadSignature { .. }))
                     }
@@ -1465,9 +1541,7 @@ mod tests {
         fn a_known_size_under_another_head_still_yields_the_proof() {
             let chain = Chain::new(1);
             let mut auditor = auditor_for(std::slice::from_ref(&chain.domain));
-            assert!(auditor
-                .observe(0, chain.epochs[0].clone(), None)
-                .is_consistent());
+            assert!(step(&mut auditor, 0, chain.epochs[0].clone(), None).is_consistent());
             let fork = chain.variant(&chain.epochs[0], 3, 0);
             match auditor.ingest_gossip(0, fork) {
                 AuditOutcome::Misbehavior(m) => match *m {
@@ -1487,31 +1561,31 @@ mod tests {
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(24))]
 
-            /// The skip is exact: over arbitrary interleavings of bundle,
-            /// per-step and gossip ingest of honest, repeated, stale,
-            /// forged, bit-flipped and equivocating checkpoints, an
+            /// The skip is exact: over arbitrary interleavings of bundles,
+            /// one-checkpoint bundles and gossip of honest, repeated,
+            /// stale, forged, bit-flipped and equivocating checkpoints, an
             /// auditor that recognises what it has verified answers every
-            /// call exactly as one that verifies everything, and ends
-            /// holding exactly the same checkpoints. So is the window: the
-            /// reference forgets nothing, and on this traffic, which stays
-            /// inside the window, the bounded auditor answers every call
-            /// as it does. So is the batch: a
-            /// whole envelope's heads through one `ingest_gossip_heads`
-            /// (one `verify_all` per domain, a stranger's domain index
-            /// among them) against the reference taking them one by one.
+            /// call exactly as the [`Reference`] that verifies everything,
+            /// and ends holding exactly the same checkpoints. So is the
+            /// window: the reference forgets nothing, and on this traffic,
+            /// which stays inside the window, the bounded auditor answers
+            /// every call as it does. So is the batch: a whole envelope's
+            /// heads through one `ingest_gossip_heads` (one `verify_all`
+            /// per domain, a stranger's domain index among them) against
+            /// the reference taking them one by one. Every equivocation
+            /// either returns convicts the domain under its key.
             #[test]
             fn skipping_known_checkpoints_changes_no_outcome(
                 ops in proptest::collection::vec((0u8..5, any::<u8>(), any::<u8>(), any::<u16>()), 1..24),
             ) {
                 let mut chain = Chain::new(1);
-                let keys = vec![chain.domain.sk.verifying_key()];
-                let mut skipping = Auditor::new(keys.clone());
-                let mut reference = Auditor::new(keys);
-                reference.domains[0].reference = true;
+                let key = chain.domain.sk.verifying_key();
+                let mut auditor = Auditor::new(vec![key]);
+                let mut reference = Reference::new(key);
 
                 for (op, pick, kind, bit) in ops {
                     let picked = chain.epochs[pick as usize % chain.epochs.len()].clone();
-                    let verified = skipping.latest(0).map_or(0, |cp| cp.body.size);
+                    let verified = auditor.latest(0).map_or(0, |cp| cp.body.size);
                     // Up to nine heads, either side of the key-table
                     // threshold, every third claimed for a domain nobody
                     // pinned a key for.
@@ -1522,61 +1596,69 @@ mod tests {
                             (if (kind ^ j) % 3 == 0 { 7 } else { 0 }, cp)
                         })
                         .collect();
-                    let outcomes: Vec<String> = [&mut skipping, &mut reference]
-                        .into_iter()
-                        .enumerate()
-                        .map(|(one_by_one, auditor)| match op {
-                            4 if one_by_one == 0 => {
-                                let heads: Vec<_> = envelope.iter().map(|(d, cp)| (*d, cp)).collect();
-                                format!("{:?}", auditor.ingest_gossip_heads(&heads))
-                            }
-                            4 => {
-                                let heads = envelope.iter().cloned();
-                                let outcomes: Vec<_> =
-                                    heads.map(|(d, cp)| auditor.ingest_gossip(d, cp)).collect();
-                                format!("{outcomes:?}")
-                            }
-                            0 => {
-                                let mut bundle = chain.bundle_for(verified);
-                                let last = bundle.checkpoints.pop().expect("non-empty");
-                                bundle.checkpoints.push(chain.variant(&last, kind, bit));
-                                format!("{:?}", auditor.observe_bundle(0, &bundle))
-                            }
-                            1 => {
-                                let cp = chain.variant(&picked, kind, bit);
-                                format!("{:?}", auditor.ingest_gossip(0, cp))
-                            }
-                            2 => {
-                                let cp = chain.variant(&picked, kind, bit);
-                                let proof = (verified >= 1 && cp.body.size > verified)
-                                    .then(|| {
-                                        chain.domain.log.prove_consistency(
-                                            verified as usize,
-                                            cp.body.size as usize,
-                                        )
-                                    })
-                                    .flatten();
-                                format!("{:?}", auditor.observe(0, cp, proof.as_ref()))
-                            }
-                            _ => String::new(),
-                        })
-                        .collect();
-                    prop_assert_eq!(&outcomes[0], &outcomes[1]);
-                    if op == 3 {
-                        chain.append();
-                    }
+                    let (outcomes, expected) = match op {
+                        0 => {
+                            let mut bundle = chain.bundle_for(verified);
+                            let last = bundle.checkpoints.pop().expect("non-empty");
+                            bundle.checkpoints.push(chain.variant(&last, kind, bit));
+                            (
+                                vec![auditor.observe_bundle(0, &bundle)],
+                                vec![reference.observe_bundle(&bundle)],
+                            )
+                        }
+                        1 => {
+                            let cp = chain.variant(&picked, kind, bit);
+                            (
+                                vec![auditor.ingest_gossip(0, cp.clone())],
+                                vec![reference.ingest_gossip(0, cp)],
+                            )
+                        }
+                        2 => {
+                            let cp = chain.variant(&picked, kind, bit);
+                            let proof = (verified >= 1 && cp.body.size > verified)
+                                .then(|| {
+                                    chain.domain.log.prove_consistency(
+                                        verified as usize,
+                                        cp.body.size as usize,
+                                    )
+                                })
+                                .flatten();
+                            let one = CheckpointBundle {
+                                checkpoints: vec![cp.clone()],
+                                proof: ProofBundle::from_proofs(proof.as_slice()),
+                            };
+                            (
+                                vec![step(&mut auditor, 0, cp, proof.as_ref())],
+                                vec![reference.observe_bundle(&one)],
+                            )
+                        }
+                        4 => {
+                            let heads: Vec<_> = envelope.iter().map(|(d, cp)| (*d, cp)).collect();
+                            let one_by_one = envelope.iter().cloned();
+                            (
+                                auditor.ingest_gossip_heads(&heads),
+                                one_by_one.map(|(d, cp)| reference.ingest_gossip(d, cp)).collect(),
+                            )
+                        }
+                        _ => {
+                            chain.append();
+                            (Vec::new(), Vec::new())
+                        }
+                    };
+                    prop_assert_eq!(format!("{outcomes:?}"), format!("{expected:?}"));
+                    prop_assert!(outcomes.iter().all(|o| convicts(o, |_| key)));
                 }
                 prop_assert!(chain.epochs.len() <= WINDOW_ABOVE.min(WINDOW_BELOW as usize));
-                prop_assert_eq!(&skipping.domains[0].seen, &reference.domains[0].seen);
-                prop_assert_eq!(skipping.latest(0), reference.latest(0));
-                prop_assert!(checks(&skipping) <= checks(&reference));
+                let kept: Vec<(u64, SignedCheckpoint)> = reference.seen.into_iter().collect();
+                prop_assert_eq!(&auditor.domains[0].seen.0, &kept);
+                prop_assert_eq!(auditor.latest(0), reference.latest.as_ref());
+                prop_assert!(checks(&auditor) <= reference.checks);
             }
         }
     }
 
     mod window {
         use super::*;
-        use crate::batch::{CheckpointBundle, ProofBundle};
 
         /// Domain `d`'s checkpoint of `log` at `size`, with `head` in place
         /// of the real one when given.
@@ -1623,13 +1705,13 @@ mod tests {
             let log = d.log.clone();
             let mut auditor = auditor_for(std::slice::from_ref(&d));
             let at = |size| signed(&d, &log, size, None);
-            assert!(auditor.observe(0, at(100), None).is_consistent());
+            assert!(step(&mut auditor, 0, at(100), None).is_consistent());
             for size in [50, 150, 300] {
                 assert!(auditor.ingest_gossip(0, at(size)).is_consistent());
             }
             assert_eq!(sizes(&auditor, 0), [50, 100, 150, 300]);
             let proof = grown(&log, 100, 250);
-            assert!(auditor.observe(0, at(250), Some(&proof)).is_consistent());
+            assert!(step(&mut auditor, 0, at(250), Some(&proof)).is_consistent());
             assert_eq!(sizes(&auditor, 0), [150, 250, 300]);
 
             // Size 100 has left: the genuine head is verified again and
@@ -1676,7 +1758,7 @@ mod tests {
 
             // A latest further ahead keeps the sizes within reach of it.
             let proof = grown(&log, 250, 400);
-            assert!(auditor.observe(0, at(400), Some(&proof)).is_consistent());
+            assert!(step(&mut auditor, 0, at(400), Some(&proof)).is_consistent());
             let kept: Vec<u64> = (400 - WINDOW_BELOW + 1..=320).chain([400]).collect();
             assert_eq!(sizes(&auditor, 0), kept);
 
@@ -1698,12 +1780,8 @@ mod tests {
                 d1.log.append(format!("other leaf {i}").as_bytes());
             }
             let mut auditor = Auditor::new(vec![d0.sk.verifying_key(), d1.sk.verifying_key()]);
-            assert!(auditor
-                .observe(0, signed(&d0, &d0.log, 5, None), None)
-                .is_consistent());
-            assert!(auditor
-                .observe(1, signed(&d1, &d1.log, 5, None), None)
-                .is_consistent());
+            assert!(step(&mut auditor, 0, signed(&d0, &d0.log, 5, None), None).is_consistent());
+            assert!(step(&mut auditor, 1, signed(&d1, &d1.log, 5, None), None).is_consistent());
             let views = |outcome: AuditOutcome| match outcome {
                 AuditOutcome::Misbehavior(m) => match *m {
                     Misbehavior::CrossDomainDivergence { views } => views
@@ -1718,7 +1796,7 @@ mod tests {
             for (d, domain) in [(1, &d1), (0, &d0)] {
                 let proof = grown(&domain.log, 5, 200);
                 let cp = signed(domain, &domain.log, 200, None);
-                assert!(auditor.observe(d, cp, Some(&proof)).is_consistent());
+                assert!(step(&mut auditor, d, cp, Some(&proof)).is_consistent());
                 assert_eq!(views(auditor.cross_check()), [(0, 5), (1, 5)]);
             }
             assert_eq!(auditor.remembered(), 2);
@@ -1727,7 +1805,6 @@ mod tests {
 
     mod incremental_cross_check {
         use super::*;
-        use crate::batch::CheckpointBundle;
         use proptest::prelude::*;
 
         /// Sizes the two histories run to.
@@ -1760,13 +1837,57 @@ mod tests {
             SignedCheckpoint::sign(body, &Domain::new(d).sk)
         }
 
+        fn key_of(d: u32) -> VerifyingKey {
+            Domain::new(d).sk.verifying_key()
+        }
+
         fn auditor_of(n: u32) -> Auditor {
-            Auditor::new((0..n).map(|d| Domain::new(d).sk.verifying_key()).collect())
+            Auditor::new((0..n).map(key_of).collect())
+        }
+
+        /// [`Auditor::cross_check`] as it was before it became
+        /// incremental, rebuilding the buckets from every remembered
+        /// checkpoint on each call — the reference the incremental check
+        /// is tested against. (It walked a hash map, so which divergent
+        /// size it reported was the map's iteration order; here it is the
+        /// smallest.)
+        fn cross_check_by_rebuilding(auditor: &Auditor) -> AuditOutcome {
+            if auditor
+                .domains
+                .iter()
+                .filter(|d| d.latest.is_some())
+                .count()
+                < 2
+            {
+                return AuditOutcome::Consistent;
+            }
+            let mut by_size: BTreeMap<u64, Views> = BTreeMap::new();
+            for (i, d) in auditor.domains.iter().enumerate() {
+                for (size, cp) in &d.seen.0 {
+                    by_size
+                        .entry(*size)
+                        .or_default()
+                        .push((i as u32, cp.clone()));
+                }
+            }
+            let divergent = by_size.into_values().find(|group| {
+                group
+                    .iter()
+                    .any(|(_, cp)| cp.body.head != group[0].1.body.head)
+            });
+            match divergent {
+                Some(views) => {
+                    AuditOutcome::Misbehavior(Box::new(Misbehavior::CrossDomainDivergence {
+                        views,
+                    }))
+                }
+                None => AuditOutcome::Consistent,
+            }
         }
 
         /// Both checks, which must agree; returns the verdict.
         fn cross_checked(auditor: &mut Auditor) -> AuditOutcome {
-            let reference = auditor.cross_check_by_rebuilding();
+            let reference = cross_check_by_rebuilding(auditor);
             let outcome = auditor.cross_check();
             assert_eq!(format!("{outcome:?}"), format!("{reference:?}"));
             outcome
@@ -1796,27 +1917,25 @@ mod tests {
                 let head = signed(2, &other, size, false);
                 assert!(auditor.ingest_gossip(2, head).is_consistent());
             }
-            assert!(auditor
-                .observe(0, signed(0, &honest, 2, false), None)
-                .is_consistent());
+            assert!(step(&mut auditor, 0, signed(0, &honest, 2, false), None).is_consistent());
             let proof = honest.prove_consistency(2, 3);
-            assert!(auditor
-                .observe(0, signed(0, &honest, 3, false), proof.as_ref())
-                .is_consistent());
+            assert!(step(
+                &mut auditor,
+                0,
+                signed(0, &honest, 3, false),
+                proof.as_ref()
+            )
+            .is_consistent());
             assert_eq!(divergent_size(cross_checked(&mut auditor)), None);
-            assert!(auditor
-                .observe(1, signed(1, &honest, 3, false), None)
-                .is_consistent());
+            assert!(step(&mut auditor, 1, signed(1, &honest, 3, false), None).is_consistent());
             assert_eq!(divergent_size(cross_checked(&mut auditor)), Some(2));
 
             // Domain 2 itself, under another log id, on the honest history.
-            assert!(auditor
-                .observe(2, signed(2, &honest, 2, true), None)
-                .is_consistent());
+            assert!(step(&mut auditor, 2, signed(2, &honest, 2, true), None).is_consistent());
             assert_eq!(divergent_size(cross_checked(&mut auditor)), Some(3));
-            assert!(auditor
-                .observe(2, signed(2, &honest, 3, true), proof.as_ref())
-                .is_consistent());
+            assert!(
+                step(&mut auditor, 2, signed(2, &honest, 3, true), proof.as_ref()).is_consistent()
+            );
             assert_eq!(divergent_size(cross_checked(&mut auditor)), None);
 
             // A bundle re-serving domain 1's size under another log id and
@@ -1833,11 +1952,13 @@ mod tests {
             #![proptest_config(ProptestConfig::with_cases(24))]
 
             /// The incremental check answers every call exactly as the
-            /// rebuilding one, over arbitrary interleavings of per-step,
-            /// bundle and gossip ingest on two to four domains, of either
-            /// history, under either log id (so entries get overwritten),
-            /// with domains met only through gossip, and with the check
-            /// called after some operations and not others.
+            /// rebuilding one, over arbitrary interleavings of
+            /// one-checkpoint bundles, longer bundles and gossip on two to
+            /// four domains, of either history, under either log id (so
+            /// entries get overwritten), with domains met only through
+            /// gossip, and with the check called after some operations and
+            /// not others. Every equivocation any of them returns convicts
+            /// the domain it names under that domain's key.
             #[test]
             fn the_incremental_cross_check_agrees_with_rebuilding(
                 n in 2u32..=4,
@@ -1851,12 +1972,12 @@ mod tests {
                     let alias = variant & 2 != 0;
                     let size = 1 + u64::from(variant >> 2) % SIZES;
                     let verified = auditor.latest(d).map_or(0, |cp| cp.body.size);
-                    match op {
+                    let outcomes = match op {
                         0 => {
                             let proof = (verified >= 1 && size > verified)
                                 .then(|| history.prove_consistency(verified as usize, size as usize))
                                 .flatten();
-                            auditor.observe(d, signed(d, history, size, alias), proof.as_ref());
+                            vec![step(&mut auditor, d, signed(d, history, size, alias), proof.as_ref())]
                         }
                         1 => {
                             let sizes: Vec<u64> = if size > verified {
@@ -1874,7 +1995,7 @@ mod tests {
                                 checkpoints: sizes.iter().map(|&s| signed(d, history, s, alias)).collect(),
                                 proof: history.prove_consistency_range(&linked).unwrap_or_default(),
                             };
-                            auditor.observe_bundle(d, &bundle);
+                            vec![auditor.observe_bundle(d, &bundle)]
                         }
                         _ => {
                             // A board's relay: this head, and the next
@@ -1885,15 +2006,16 @@ mod tests {
                                 (next, signed(next, &histories[usize::from(!variant & 1)], size, !alias)),
                             ];
                             let heads: Vec<_> = heads.iter().map(|(d, cp)| (*d, cp)).collect();
-                            auditor.ingest_gossip_heads(&heads);
+                            auditor.ingest_gossip_heads(&heads)
                         }
-                    }
+                    };
+                    prop_assert!(outcomes.iter().all(|o| convicts(o, key_of)));
                     if check {
-                        let reference = format!("{:?}", auditor.cross_check_by_rebuilding());
+                        let reference = format!("{:?}", cross_check_by_rebuilding(&auditor));
                         prop_assert_eq!(format!("{:?}", auditor.cross_check()), reference);
                     }
                 }
-                let reference = format!("{:?}", auditor.cross_check_by_rebuilding());
+                let reference = format!("{:?}", cross_check_by_rebuilding(&auditor));
                 prop_assert_eq!(format!("{:?}", auditor.cross_check()), reference);
             }
         }

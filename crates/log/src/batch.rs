@@ -374,6 +374,7 @@ mod tests {
 
     mod properties {
         use super::super::*;
+        use crate::auditor::tests::step;
         use crate::auditor::Auditor;
         use crate::checkpoint::{log_id, CheckpointBody};
         use proptest::prelude::*;
@@ -442,8 +443,9 @@ mod tests {
             }
         }
 
-        /// Feeds the bundle to an auditor one checkpoint at a time with
-        /// the matching pairwise proofs — the per-step path.
+        /// Feeds the bundle's checkpoints to an auditor one bundle at a
+        /// time, each with the bundle's step from the auditor's verified
+        /// size to it.
         fn feed_sequential(auditor: &mut Auditor, bundle: &CheckpointBundle) -> bool {
             let steps: Vec<ConsistencyProof> = (0..bundle.proof.len())
                 .filter_map(|i| bundle.proof.step(i))
@@ -455,7 +457,7 @@ mod tests {
                         .iter()
                         .find(|p| p.old_size == t && p.new_size == cp.body.size)
                 });
-                if !auditor.observe(0, cp.clone(), proof).is_consistent() {
+                if !step(auditor, 0, cp.clone(), proof).is_consistent() {
                     return false;
                 }
             }
@@ -499,11 +501,11 @@ mod tests {
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(16))]
 
-            /// For random append/audit interleavings, batched verification
-            /// accepts iff sequential verification accepts — including
-            /// when the final bundle is tampered with — and a clean audit
-            /// never performs a verification at or below the cached
-            /// verified size.
+            /// For random append/audit interleavings, one multi-checkpoint
+            /// bundle is accepted iff the same checkpoints sent one bundle
+            /// at a time are — including when the final bundle is tampered
+            /// with — and a clean audit never performs a verification at
+            /// or below the cached verified size.
             #[test]
             fn batched_accepts_iff_sequential_accepts(
                 ops in proptest::collection::vec(0u8..4, 1..8),
