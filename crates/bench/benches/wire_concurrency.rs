@@ -28,8 +28,8 @@ fn handler(req: u64) -> u64 {
 
 /// The served frame protocol: a wire-encoded `u64` in, `handler` of it
 /// out; an undecodable request gets an empty frame.
-fn service(frame: &[u8]) -> Vec<u8> {
-    u64::from_wire(frame).map_or_else(|_| Vec::new(), |req| handler(req).to_wire())
+fn service(frame: &[u8]) -> Option<Vec<u8>> {
+    Some(u64::from_wire(frame).map_or_else(|_| Vec::new(), |req| handler(req).to_wire()))
 }
 
 /// One worker: `conns` connections, pipelined send-all-then-recv-all

@@ -11,7 +11,8 @@ use distrust_core::server::DirectHost;
 use distrust_crypto::bls::Signature;
 use distrust_crypto::threshold::{self, KeyShare};
 use distrust_sandbox::{Instance, Limits};
-use distrust_tee::host::{EnclaveClient, EnclaveHost};
+use distrust_tee::host::EnclaveHost;
+use distrust_wire::transport::{TcpTransport, Transport};
 
 /// Which Table 3 row an environment implements.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -55,7 +56,7 @@ enum Server {
 /// connected client.
 pub struct SigningBench {
     environment: Environment,
-    client: EnclaveClient,
+    client: TcpTransport,
     _server: Server,
     share: KeyShare,
 }
@@ -112,11 +113,10 @@ impl SigningBench {
                 // …and the enclave interior forwards to it, itself sitting
                 // behind the host's vsock-like proxy (the second extra
                 // socket).
-                let mut upstream = EnclaveClient::connect(inner_addr)?;
+                let mut upstream = TcpTransport::connect(inner_addr)?;
                 let outer = EnclaveHost::spawn(move |message: Vec<u8>| {
-                    upstream
-                        .exchange(&message)
-                        .expect("sandbox process reachable")
+                    upstream.send(&message).expect("sandbox process reachable");
+                    upstream.recv().expect("sandbox process answers")
                 })?;
                 let addr = outer.addr();
                 (Server::Tee(outer, inner), addr)
@@ -130,7 +130,7 @@ impl SigningBench {
                 (Server::TeeDirect(host), addr)
             }
         };
-        let client = EnclaveClient::connect(addr)?;
+        let client = TcpTransport::connect(addr)?;
         Ok(Self {
             environment,
             client,
@@ -146,7 +146,8 @@ impl SigningBench {
 
     /// One end-to-end signing request; returns the partial signature.
     pub fn sign(&mut self, message: &[u8]) -> Signature {
-        let bytes = self.client.exchange(message).expect("exchange");
+        self.client.send(message).expect("send");
+        let bytes = self.client.recv().expect("exchange");
         let arr: [u8; 48] = bytes.as_slice().try_into().expect("48-byte signature");
         Signature::from_bytes(&arr).expect("valid signature point")
     }

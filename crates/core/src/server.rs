@@ -9,9 +9,8 @@
 //! a fixed pool of reactor threads multiplexes every client, so a domain
 //! can hold thousands of concurrent connections open. The wire format is
 //! plain length-prefixed frames, errors encoded inside the service's own
-//! response messages — the same frames
-//! [`EnclaveClient`](distrust_tee::host::EnclaveClient) speaks to an
-//! enclave proxy.
+//! response messages — the same frames, and the same server, as an
+//! [`EnclaveHost`](distrust_tee::host::EnclaveHost)'s proxy.
 
 use distrust_tee::host::EnclaveService;
 use distrust_wire::reactor::FrameService;
@@ -37,7 +36,7 @@ impl DirectHost {
     pub fn spawn<S: EnclaveService>(service: S) -> std::io::Result<Self> {
         let service = HealthyMutex::new(service);
         let frames: FrameService =
-            Arc::new(move |request: &[u8]| service.lock_healthy().handle(request.to_vec()));
+            Arc::new(move |request: &[u8]| Some(service.lock_healthy().handle(request.to_vec())));
         Ok(Self {
             inner: FrameServer::spawn(frames, REACTOR_THREADS)?,
         })
@@ -58,7 +57,12 @@ impl DirectHost {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use distrust_tee::host::EnclaveClient;
+    use distrust_wire::transport::{TcpTransport, Transport, TransportError};
+
+    fn exchange(client: &mut TcpTransport, request: &[u8]) -> Result<Vec<u8>, TransportError> {
+        client.send(request)?;
+        client.recv()
+    }
 
     #[test]
     fn single_socket_round_trip() {
@@ -68,8 +72,11 @@ mod tests {
             r
         })
         .unwrap();
-        let mut client = EnclaveClient::connect(host.addr()).unwrap();
-        assert_eq!(client.exchange(b"hi").unwrap(), vec![b'h', b'i', 0xaa]);
+        let mut client = TcpTransport::connect(host.addr()).unwrap();
+        assert_eq!(
+            exchange(&mut client, b"hi").unwrap(),
+            vec![b'h', b'i', 0xaa]
+        );
         host.shutdown();
     }
 
@@ -81,9 +88,9 @@ mod tests {
             vec![n]
         })
         .unwrap();
-        let mut client = EnclaveClient::connect(host.addr()).unwrap();
-        assert_eq!(client.exchange(b"").unwrap(), vec![1]);
-        assert_eq!(client.exchange(b"").unwrap(), vec![2]);
+        let mut client = TcpTransport::connect(host.addr()).unwrap();
+        assert_eq!(exchange(&mut client, b"").unwrap(), vec![1]);
+        assert_eq!(exchange(&mut client, b"").unwrap(), vec![2]);
         host.shutdown();
     }
 
@@ -92,12 +99,12 @@ mod tests {
         let mut host = DirectHost::spawn(|req: Vec<u8>| req).unwrap();
         let addr = host.addr();
         // Many more connections than reactor threads, alive concurrently.
-        let mut clients: Vec<EnclaveClient> = (0..40)
-            .map(|_| EnclaveClient::connect(addr).unwrap())
+        let mut clients: Vec<TcpTransport> = (0..40)
+            .map(|_| TcpTransport::connect(addr).unwrap())
             .collect();
         for (i, c) in clients.iter_mut().enumerate() {
             let msg = vec![i as u8; 16];
-            assert_eq!(c.exchange(&msg).unwrap(), msg);
+            assert_eq!(exchange(c, &msg).unwrap(), msg);
         }
         host.shutdown();
     }
@@ -105,9 +112,9 @@ mod tests {
     #[test]
     fn shutdown_unblocks_idle_clients() {
         let mut host = DirectHost::spawn(|req: Vec<u8>| req).unwrap();
-        let mut client = EnclaveClient::connect(host.addr()).unwrap();
-        assert_eq!(client.exchange(b"x").unwrap(), b"x");
+        let mut client = TcpTransport::connect(host.addr()).unwrap();
+        assert_eq!(exchange(&mut client, b"x").unwrap(), b"x");
         host.shutdown();
-        assert!(client.exchange(b"y").is_err());
+        assert!(exchange(&mut client, b"y").is_err());
     }
 }

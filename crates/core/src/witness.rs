@@ -22,9 +22,9 @@ use distrust_crypto::schnorr::VerifyingKey;
 use distrust_gossip::envelope::GossipEnvelope;
 use distrust_gossip::mesh::GossipNode;
 use distrust_gossip::witness::CosignedHeads;
-use distrust_tee::host::EnclaveClient;
 use distrust_wire::codec::{Decode, Encode};
 use distrust_wire::sync::HealthyMutex;
+use distrust_wire::transport::{TcpTransport, Transport};
 use std::net::SocketAddr;
 use std::sync::Arc;
 
@@ -152,11 +152,9 @@ pub fn exchange_gossip(
 }
 
 fn exchange(addr: SocketAddr, request: &Request) -> Result<Response, ClientError> {
-    let mut client = EnclaveClient::connect(addr).map_err(ClientError::Io)?;
-    let raw = client
-        .exchange(&request.to_wire())
-        .map_err(ClientError::Io)?;
-    Response::from_wire(&raw).map_err(ClientError::Decode)
+    let mut client = TcpTransport::connect(addr)?;
+    client.send(&request.to_wire())?;
+    Response::from_wire(&client.recv()?).map_err(ClientError::Decode)
 }
 
 #[cfg(test)]
@@ -237,16 +235,16 @@ mod tests {
     #[test]
     fn refuses_non_gossip_requests_and_garbage() {
         let mut relay = spawn_relay(1);
-        let mut client = EnclaveClient::connect(relay.addr()).unwrap();
-        let raw = client
-            .exchange(&Request::GetLogEntries { from: 0 }.to_wire())
+        let mut client = TcpTransport::connect(relay.addr()).unwrap();
+        client
+            .send(&Request::GetLogEntries { from: 0 }.to_wire())
             .unwrap();
         assert!(matches!(
-            Response::from_wire(&raw).unwrap(),
+            Response::from_wire(&client.recv().unwrap()).unwrap(),
             Response::Error(_)
         ));
-        let raw = client.exchange(&[0xff, 0xee]).unwrap();
-        match Response::from_wire(&raw).unwrap() {
+        client.send(&[0xff, 0xee]).unwrap();
+        match Response::from_wire(&client.recv().unwrap()).unwrap() {
             Response::Error(e) => assert!(e.starts_with("malformed request")),
             other => panic!("expected error, got {other:?}"),
         }

@@ -5,7 +5,7 @@
 //! spirit as the other passes:
 //!
 //! * **Sources** root a taint chain: announced lengths (`decode_len`),
-//!   wire-decoded values (`decode`/`from_wire`/`read_frame` results), the
+//!   wire-decoded values (`decode`/`from_wire` results), the
 //!   byte-slice parameters of decode entry points, and parameters typed
 //!   with a not-yet-verified signed object (`SignedCheckpoint`, `Quote`,
 //!   `CheckpointBundle`, …).
@@ -62,7 +62,6 @@ fn source_call(name: &str) -> Option<&'static str> {
         "decode_len" => Some("announced length via `decode_len`"),
         "decode" => Some("wire-decoded value via `decode`"),
         "from_wire" => Some("wire-decoded value via `from_wire`"),
-        "read_frame" => Some("wire frame via `read_frame`"),
         // Segment-codec entry points: a disk image is attacker-shaped
         // until its CRCs check out, and even then lengths/offsets it
         // announces must be bounds-checked before they size anything.

@@ -92,16 +92,18 @@ pub struct FnFacts {
     pub calls: Vec<CallSite>,
 }
 
-/// Blocking classification by call name. `join` only counts with no
-/// arguments (thread join), so `Vec::join(", ")` stays inert; names ending
-/// in `_timeout` are the sanctioned bounded alternatives and never count.
+/// Blocking classification by call name. `wait` is the reactor's readiness
+/// wait (`wire::sys::wait`), which sleeps until a socket is ready. `join`
+/// only counts with no arguments (thread join), so `Vec::join(", ")` stays
+/// inert; names ending in `_timeout` are the sanctioned bounded
+/// alternatives and never count.
 pub fn blocking_call(call: &CallSite) -> Option<&'static str> {
     match call.name.as_str() {
         "sleep" => Some("sleep"),
         "connect" => Some("connect"),
         "accept" => Some("accept"),
         "recv" => Some("recv"),
-        "read_frame" => Some("read_frame"),
+        "wait" => Some("wait"),
         "write_frame" => Some("write_frame"),
         "join" if call.zero_args => Some("join"),
         _ => None,

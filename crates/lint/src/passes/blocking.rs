@@ -9,6 +9,12 @@
 //! follows the workspace-wide resolved call graph, crossing crate seams;
 //! edges into `*_timeout` functions are not followed, because timed
 //! receives are the sanctioned bounded alternative.
+//!
+//! One blocking call is what a reactor thread is built to make: the
+//! readiness `wait` that `reactor_loop` itself calls, on every connection
+//! at once. It is exempt there and nowhere else — a `wait` in a pump, a
+//! service callback, or a helper the loop calls stalls every other
+//! connection of the thread.
 
 use crate::facts::blocking_call;
 use crate::model::Model;
@@ -19,7 +25,7 @@ pub const PASS: &str = "blocking";
 
 /// Default entry set for this repository.
 pub fn default_entries() -> Vec<String> {
-    ["reactor_loop", "pump", "try_flush", "adopt", "handle"]
+    ["reactor_loop", "pump", "adopt", "handle"]
         .iter()
         .map(|s| s.to_string())
         .collect()
@@ -55,6 +61,9 @@ pub fn run(model: &Model, entries: &[String], report: &mut Report) {
         let f = &model.fns[i];
         for call in &f.calls {
             if let Some(kind) = blocking_call(call) {
+                if kind == "wait" && f.name == "reactor_loop" {
+                    continue;
+                }
                 report.findings.push(Finding::new(
                     PASS,
                     &f.file,
@@ -97,6 +106,20 @@ mod unit {
              fn recv_timeout(d: D) { std::thread::sleep(tiny); }",
         );
         assert_eq!(report.findings.len(), 0);
+    }
+
+    #[test]
+    fn only_the_loops_own_wait_is_exempt() {
+        let report = run_on("fn reactor_loop() { sys::wait(fds); pump(); } fn pump() {}");
+        assert_eq!(report.findings.len(), 0);
+        let report = run_on(
+            "fn reactor_loop() { settle(); } fn settle() { sys::wait(fds); } \
+             fn pump() { sys::wait(fds); }",
+        );
+        assert_eq!(report.findings.len(), 2, "{:?}", report.findings);
+        assert!(report.findings.iter().any(|f| f
+            .message
+            .contains("`wait` on a reactor path (reactor_loop -> settle)")));
     }
 
     #[test]

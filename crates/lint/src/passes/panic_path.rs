@@ -7,7 +7,7 @@
 //! functions of `log`, and the host-import bodies of `apps` and
 //! `core/src/abi.rs`. Unchecked indexing is only checked in decode-path
 //! functions (`decode*`, `from_wire*`, `peek_*`, `scan_*`, `take`,
-//! `read_frame`, `feed`) — the byte-parsing layer where an attacker (or a
+//! `feed`) — the byte-parsing layer where an attacker (or a
 //! corrupted disk image) controls the offsets — and in host imports (`fn
 //! call` of an `impl AppHost for …` / `impl Host for …`), where the guest
 //! chooses the argument count, every argument and the bytes of its memory;
@@ -65,7 +65,7 @@ pub fn decode_fn(name: &str) -> bool {
         || name.starts_with("from_wire")
         || name.starts_with("peek_")
         || name.starts_with("scan_")
-        || matches!(name, "take" | "read_frame" | "feed")
+        || matches!(name, "take" | "feed")
 }
 
 /// The sandbox boundary seen from the host: `fn call` of an `impl AppHost

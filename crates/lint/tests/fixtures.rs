@@ -106,6 +106,20 @@ fn blocking_fixture_fires_with_call_chain() {
 }
 
 #[test]
+fn lock_held_across_the_readiness_wait_fires() {
+    let report = analyze_fixture("bad_lock_wait");
+    assert_eq!(report.findings.len(), 1, "{:?}", report.findings);
+    let f = &report.findings[0];
+    assert_eq!(f.pass, "lock-order");
+    assert!(
+        f.message
+            .contains("lock `queue@reactor` held across blocking call `wait` in `drain`"),
+        "{}",
+        f.message
+    );
+}
+
+#[test]
 fn protocol_fixture_fires_on_every_seeded_defect() {
     let mut cfg = Config::fixture(fixture_root("bad_protocol"));
     cfg.protocol = Some(ProtocolCfg {

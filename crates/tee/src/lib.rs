@@ -15,7 +15,8 @@
 //! * [`attest`] — attestation documents, quotes, verification.
 //! * [`enclave`] — launched enclaves: quoting, sealed storage.
 //! * [`host`] — the two-socket proxy topology of the paper's prototype
-//!   (client → host proxy → enclave interior), used verbatim by Table 3.
+//!   (client → host proxy → enclave interior), used verbatim by Table 3;
+//!   both sockets are served by the wire's one server shape.
 //!
 //! See DESIGN.md for why simulation preserves the behaviours that matter.
 
@@ -26,5 +27,5 @@ pub mod vendor;
 
 pub use attest::{AttestError, AttestationDocument, KnownDevice, PlatformEvidence, Quote};
 pub use enclave::{Enclave, SecureDevice};
-pub use host::{EnclaveClient, EnclaveHost, EnclaveService};
+pub use host::{EnclaveHost, EnclaveService};
 pub use vendor::{DeviceCert, Vendor, VendorKind, VendorRoots};

@@ -7,17 +7,22 @@
 //! hop: `u32` little-endian length, then that many payload bytes.
 //!
 //! Framing is deliberately dumb — no compression, no multiplexing — in the
-//! smoltcp spirit of simplicity and robustness.
+//! smoltcp spirit of simplicity and robustness. Frames are written here and
+//! read by the one decoder, [`FrameReader`](crate::FrameReader).
 
-use std::io::{IoSlice, Read, Write};
+use std::io::{IoSlice, Write};
 
 /// Maximum frame size accepted (16 MiB), matching the codec's collection cap.
 pub const MAX_FRAME_LEN: usize = 16 * 1024 * 1024;
 
-/// Payload bytes are read and buffered in chunks of at most this size, so a
-/// peer announcing a huge frame cannot force a large allocation before it
-/// has actually delivered the bytes.
+/// A decoder reserves at most this many payload bytes ahead of the bytes a
+/// peer has delivered, so a peer announcing a huge frame cannot force a
+/// large allocation before it has actually sent the bytes.
 pub const READ_CHUNK: usize = 64 * 1024;
+
+/// The wire's one read-buffer size: what a reactor thread or a
+/// [`TcpTransport`](crate::TcpTransport) asks the socket for per `read`.
+pub(crate) const SCRATCH_LEN: usize = 16 * 1024;
 
 /// Errors from frame I/O.
 #[derive(Debug)]
@@ -78,50 +83,28 @@ pub fn write_frame<W: Write>(writer: &mut W, payload: &[u8]) -> Result<(), Frame
     Ok(())
 }
 
-/// Reads one frame. Returns [`FrameError::Closed`] on clean EOF at a frame
-/// boundary; mid-frame EOF is an I/O error.
-pub fn read_frame<R: Read>(reader: &mut R) -> Result<Vec<u8>, FrameError> {
-    let mut len_bytes = [0u8; 4];
-    // Distinguish clean close (0 bytes read) from torn frame.
-    let mut filled = 0;
-    while filled < 4 {
-        let (_, unfilled) = len_bytes.split_at_mut(filled);
-        match reader.read(unfilled) {
-            Ok(0) => {
-                if filled == 0 {
-                    return Err(FrameError::Closed);
-                }
-                return Err(FrameError::Io(std::io::Error::new(
-                    std::io::ErrorKind::UnexpectedEof,
-                    "eof inside frame header",
-                )));
-            }
-            Ok(n) => filled += n,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(FrameError::Io(e)),
-        }
-    }
-    let len = u32::from_le_bytes(len_bytes) as usize;
-    if len > MAX_FRAME_LEN {
-        return Err(FrameError::Oversized(len));
-    }
-    // Grow the buffer by at most READ_CHUNK at a time: the announced length
-    // is attacker-controlled, the delivered bytes are what we pay for.
-    let mut payload = Vec::with_capacity(len.min(READ_CHUNK));
-    while payload.len() < len {
-        let take = (len - payload.len()).min(READ_CHUNK);
-        let start = payload.len();
-        payload.resize(start + take, 0);
-        let (_, fresh) = payload.split_at_mut(start);
-        reader.read_exact(fresh)?;
-    }
-    Ok(payload)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::Cursor;
+    use crate::frame_nb::FrameReader;
+
+    /// Reads a whole stream through the one decoder, in socket-read-sized
+    /// pieces, and returns its frames and what its end means (the way
+    /// [`TcpTransport`](crate::TcpTransport) ends one).
+    fn read_all(stream: &[u8]) -> (Vec<Vec<u8>>, FrameError) {
+        let mut reader = FrameReader::new();
+        let mut frames = Vec::new();
+        for piece in stream.chunks(SCRATCH_LEN) {
+            if let Err(e) = reader.feed(piece, &mut frames) {
+                return (frames, e);
+            }
+        }
+        (frames, reader.eof())
+    }
+
+    fn is_torn(end: &FrameError) -> bool {
+        matches!(end, FrameError::Io(e) if e.kind() == std::io::ErrorKind::UnexpectedEof)
+    }
 
     #[test]
     fn round_trip() {
@@ -129,11 +112,9 @@ mod tests {
         write_frame(&mut buf, b"hello").unwrap();
         write_frame(&mut buf, b"").unwrap();
         write_frame(&mut buf, &[9u8; 1000]).unwrap();
-        let mut cur = Cursor::new(buf);
-        assert_eq!(read_frame(&mut cur).unwrap(), b"hello");
-        assert_eq!(read_frame(&mut cur).unwrap(), b"");
-        assert_eq!(read_frame(&mut cur).unwrap(), vec![9u8; 1000]);
-        assert!(matches!(read_frame(&mut cur), Err(FrameError::Closed)));
+        let (frames, end) = read_all(&buf);
+        assert_eq!(frames, [b"hello".to_vec(), Vec::new(), vec![9u8; 1000]]);
+        assert!(matches!(end, FrameError::Closed));
     }
 
     #[test]
@@ -149,57 +130,16 @@ mod tests {
 
     #[test]
     fn oversized_read_rejected() {
-        let mut buf = Vec::new();
-        buf.extend_from_slice(&(u32::MAX).to_le_bytes());
-        let mut cur = Cursor::new(buf);
-        assert!(matches!(
-            read_frame(&mut cur),
-            Err(FrameError::Oversized(_))
-        ));
+        let (frames, end) = read_all(&u32::MAX.to_le_bytes());
+        assert!(frames.is_empty());
+        assert!(matches!(end, FrameError::Oversized(_)));
     }
 
     #[test]
     fn torn_header_is_io_error() {
-        let mut cur = Cursor::new(vec![1u8, 0]);
-        assert!(matches!(read_frame(&mut cur), Err(FrameError::Io(_))));
-    }
-
-    /// A reader that serves from a small buffer and records the largest
-    /// destination buffer it was ever handed — a stand-in for "how much did
-    /// `read_frame` allocate up front".
-    struct TrackingReader {
-        data: Vec<u8>,
-        pos: usize,
-        max_buf: usize,
-    }
-
-    impl Read for TrackingReader {
-        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-            self.max_buf = self.max_buf.max(buf.len());
-            let n = buf.len().min(self.data.len() - self.pos);
-            buf[..n].copy_from_slice(&self.data[self.pos..self.pos + n]);
-            self.pos += n;
-            Ok(n)
-        }
-    }
-
-    #[test]
-    fn announced_16mib_with_3_bytes_fails_without_big_allocation() {
-        // Header promises MAX_FRAME_LEN; only 3 payload bytes ever arrive.
-        let mut data = (MAX_FRAME_LEN as u32).to_le_bytes().to_vec();
-        data.extend_from_slice(&[1, 2, 3]);
-        let mut reader = TrackingReader {
-            data,
-            pos: 0,
-            max_buf: 0,
-        };
-        assert!(matches!(read_frame(&mut reader), Err(FrameError::Io(_))));
-        assert!(
-            reader.max_buf <= READ_CHUNK,
-            "read buffer of {} bytes exceeds the {} byte chunk cap",
-            reader.max_buf,
-            READ_CHUNK
-        );
+        let (frames, end) = read_all(&[1u8, 0]);
+        assert!(frames.is_empty());
+        assert!(is_torn(&end), "{end}");
     }
 
     #[test]
@@ -207,13 +147,9 @@ mod tests {
         let payload: Vec<u8> = (0..READ_CHUNK * 2 + 17).map(|i| i as u8).collect();
         let mut buf = Vec::new();
         write_frame(&mut buf, &payload).unwrap();
-        let mut reader = TrackingReader {
-            data: buf,
-            pos: 0,
-            max_buf: 0,
-        };
-        assert_eq!(read_frame(&mut reader).unwrap(), payload);
-        assert!(reader.max_buf <= READ_CHUNK);
+        let (frames, end) = read_all(&buf);
+        assert_eq!(frames, [payload]);
+        assert!(matches!(end, FrameError::Closed));
     }
 
     /// A writer that takes at most `limit` bytes per call, gathering
@@ -260,8 +196,7 @@ mod tests {
             let mut writer = CountingWriter::new(usize::MAX);
             write_frame(&mut writer, payload).unwrap();
             assert_eq!(writer.writes, 1, "{}-byte payload", payload.len());
-            let mut cur = Cursor::new(writer.data);
-            assert_eq!(read_frame(&mut cur).unwrap(), payload);
+            assert_eq!(read_all(&writer.data).0, [payload]);
         }
     }
 
@@ -271,8 +206,7 @@ mod tests {
         let mut writer = CountingWriter::new(3);
         write_frame(&mut writer, &payload).unwrap();
         assert_eq!(writer.writes, (4 + payload.len()).div_ceil(3));
-        let mut cur = Cursor::new(writer.data);
-        assert_eq!(read_frame(&mut cur).unwrap(), payload);
+        assert_eq!(read_all(&writer.data).0, [payload]);
     }
 
     #[test]
@@ -280,7 +214,8 @@ mod tests {
         let mut buf = Vec::new();
         buf.extend_from_slice(&10u32.to_le_bytes());
         buf.extend_from_slice(&[1, 2, 3]); // only 3 of 10 payload bytes
-        let mut cur = Cursor::new(buf);
-        assert!(matches!(read_frame(&mut cur), Err(FrameError::Io(_))));
+        let (frames, end) = read_all(&buf);
+        assert!(frames.is_empty());
+        assert!(is_torn(&end), "{end}");
     }
 }

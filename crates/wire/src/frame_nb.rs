@@ -1,20 +1,19 @@
-//! Non-blocking frame state machines for the readiness event loop.
+//! The wire's frame state machines: the one decoder, and the write queue
+//! of the readiness event loop.
 //!
-//! [`read_frame`](crate::frame::read_frame) and
-//! [`write_frame`](crate::frame::write_frame) assume blocking I/O: they loop
-//! until a whole frame has crossed the socket. A readiness loop cannot do
-//! that — a connection may be readable for only part of a header, and a
-//! write may accept only part of a frame before `WouldBlock`. These types
-//! carry the partial state across readiness events:
+//! A connection may be readable for only part of a header, and a
+//! non-blocking write may accept only part of a frame before `WouldBlock`.
+//! These types carry the partial state across reads and readiness events:
 //!
 //! * [`FrameReader`] is fed whatever bytes the socket produced and emits
-//!   zero or more complete frames per feed, buffering the rest.
+//!   zero or more complete frames per feed, buffering the rest. The reactor
+//!   and [`TcpTransport`](crate::TcpTransport) both read through it.
 //! * [`WriteBuf`] queues encoded frames and flushes as much as the socket
 //!   will take, remembering its position for the next writable event.
 //!
-//! Both enforce [`MAX_FRAME_LEN`] and grow payload buffers incrementally
-//! (never allocating more than [`READ_CHUNK`] ahead of the bytes actually
-//! received), matching the blocking path's memory-amplification defence.
+//! Both enforce [`MAX_FRAME_LEN`], and the reader grows a payload buffer
+//! incrementally (never reserving more than [`READ_CHUNK`] ahead of the
+//! bytes actually received) — the memory-amplification defence.
 
 use crate::frame::{FrameError, MAX_FRAME_LEN, READ_CHUNK};
 use std::io::Write;
@@ -51,6 +50,19 @@ impl FrameReader {
     /// clean close at a frame boundary).
     pub fn at_boundary(&self) -> bool {
         !self.in_payload && self.header_filled == 0
+    }
+
+    /// What the stream ending here means: [`FrameError::Closed`] at a
+    /// frame boundary, a torn frame (`UnexpectedEof`) inside one.
+    pub(crate) fn eof(&self) -> FrameError {
+        if self.at_boundary() {
+            FrameError::Closed
+        } else {
+            FrameError::Io(std::io::Error::new(
+                std::io::ErrorKind::UnexpectedEof,
+                "eof inside frame",
+            ))
+        }
     }
 
     /// Consumes `data` (all of it), appending every frame completed by it
@@ -218,6 +230,9 @@ mod tests {
         ));
     }
 
+    /// A peer announcing [`MAX_FRAME_LEN`] and delivering 3 bytes makes the
+    /// reader reserve at most one [`READ_CHUNK`], and its close is a torn
+    /// frame.
     #[test]
     fn announced_large_frame_allocates_lazily() {
         let mut header = (MAX_FRAME_LEN as u32).to_le_bytes().to_vec();
@@ -227,10 +242,11 @@ mod tests {
         reader.feed(&header, &mut out).unwrap();
         assert!(out.is_empty());
         assert!(
-            reader.payload.capacity() <= 2 * READ_CHUNK,
+            reader.payload.capacity() <= READ_CHUNK,
             "capacity {} for 3 delivered bytes",
             reader.payload.capacity()
         );
+        assert!(matches!(reader.eof(), FrameError::Io(_)));
     }
 
     /// A writer that accepts a fixed number of bytes per call, then blocks.

@@ -10,7 +10,12 @@
 //! length-prefixed frames, and a [`FrameServer`] — a listener feeding a
 //! readiness-based event loop ([`reactor`], [`frame_nb`]) that multiplexes
 //! thousands of connections onto a small fixed thread pool — answers each
-//! connection strictly in request order.
+//! connection strictly in request order. Every server in the workspace,
+//! the enclave proxy included, is a [`FrameServer`], and every frame is
+//! read by one decoder, [`FrameReader`].
+//!
+//! [`sys`] holds the only `unsafe` code of the library crates: the
+//! `poll(2)` call a reactor thread waits in.
 
 pub mod codec;
 pub mod frame;
@@ -19,10 +24,11 @@ pub mod pipeline;
 pub mod reactor;
 pub mod server;
 pub mod sync;
+pub mod sys;
 pub mod transport;
 
 pub use codec::{Decode, DecodeError, Encode};
-pub use frame::{read_frame, write_frame, FrameError, MAX_FRAME_LEN, READ_CHUNK};
+pub use frame::{write_frame, FrameError, MAX_FRAME_LEN, READ_CHUNK};
 pub use frame_nb::{FrameReader, WriteBuf};
 pub use pipeline::PipelinedClient;
 pub use reactor::{FrameService, Reactor, ReactorHandle};

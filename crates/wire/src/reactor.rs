@@ -1,82 +1,56 @@
-//! Hand-rolled readiness event loop over `std`-only non-blocking sockets.
+//! Readiness event loop over `std` non-blocking sockets and `poll(2)`.
 //!
 //! The paper's evaluation (§5, Table 3) pins most deployment overhead on
 //! the socket hops between client, framework, and sandboxed app; a
 //! blocking server would burn one OS thread per connection on top of that.
-//! This module multiplexes thousands of connections onto a small fixed pool
-//! of reactor threads instead.
+//! This module multiplexes every connection onto a small fixed pool of
+//! reactor threads instead.
 //!
-//! No external event-loop crate is available offline, and `std` exposes no
-//! `poll(2)`, so readiness is level-triggered the portable way: every
-//! connection is switched to non-blocking mode, and each reactor thread
-//! sweeps its ready-set — draining reads until `WouldBlock`, flushing
-//! pending writes until `WouldBlock` — then sleeps with a small adaptive
-//! backoff when a full sweep makes no progress. Sweeping is O(connections),
-//! but each sweep harvests every ready connection, so cost amortises
-//! exactly when it matters (many active clients) and the backoff caps idle
-//! burn when it does not; its ceiling grows with the thread's connection
-//! count, so a few quiet connections are answered within a millisecond and
-//! thousands of them still cost a few dozen sweeps a second.
+//! Each reactor thread blocks in [`sys::wait`] on all of its connections
+//! plus a waker socket that registration and shutdown write one byte to.
+//! When the kernel reports connections ready, the thread pumps exactly
+//! those — draining reads until `WouldBlock`, flushing pending writes until
+//! `WouldBlock` — and waits again. An idle thread sleeps in the kernel
+//! until a byte arrives: there is no timer and no sweep. The wait itself is
+//! O(connections) per wake-up.
 //!
 //! Per-connection state lives in [`frame_nb`](crate::frame_nb): partial
-//! frame reads and writes survive across sweeps, which the blocking
-//! [`read_frame`](crate::frame::read_frame)/[`write_frame`](crate::frame::write_frame)
-//! pair cannot do.
+//! frame reads and writes survive across wake-ups.
 
+use crate::frame::SCRATCH_LEN;
 use crate::frame_nb::{FrameReader, WriteBuf};
-use std::io::Read;
+use crate::sys::{self, PollFd};
+use std::io::{Read, Write};
 use std::net::{Shutdown, TcpStream};
+use std::os::fd::AsRawFd;
+use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender, TryRecvError};
+use std::sync::mpsc::{Receiver, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
 
-/// A request-frame handler: one frame in, one response frame out. Shared by
-/// every reactor thread, so interior mutability (and locking, if the
-/// service is stateful) is the implementor's business.
-pub type FrameService = Arc<dyn Fn(&[u8]) -> Vec<u8> + Send + Sync>;
+/// A request-frame handler: one frame in, one response frame out. `None`
+/// answers no more on that connection: the reactor stops reading it,
+/// flushes the responses queued before, and closes it. Shared by every
+/// reactor thread, so interior mutability (and locking, if the service is
+/// stateful) is the implementor's business.
+pub type FrameService = Arc<dyn Fn(&[u8]) -> Option<Vec<u8>> + Send + Sync>;
 
-/// Sleep floor after an idle sweep.
-const IDLE_BACKOFF_MIN: Duration = Duration::from_micros(20);
-/// Sleep ceiling of a thread that holds few connections: what the first
-/// request after a quiet period may wait. Any progress resets the backoff
-/// to the floor, so a busy or steadily-trickling connection never waits
-/// anywhere near this long.
-const IDLE_BACKOFF_FEW: Duration = Duration::from_millis(1);
-/// Sleep ceiling whatever the thread holds: a thread parked on thousands
-/// of idle connections costs ~20 sweeps/sec (one `read` syscall per
-/// connection per sweep), not hundreds.
-const IDLE_BACKOFF_MAX: Duration = Duration::from_millis(50);
-/// How long an empty reactor thread blocks on its intake queue per wait.
-const EMPTY_WAIT: Duration = Duration::from_millis(5);
 /// Stop reading from a connection whose un-flushed responses exceed this.
 const WRITE_HIGH_WATER: usize = 1 << 20;
-/// Read buffer size per reactor thread (reused across connections).
-const SCRATCH_LEN: usize = 16 * 1024;
-/// Cap on bytes read from one connection per sweep: a peer that never
+/// Cap on bytes read from one connection per wake-up: a peer that never
 /// stops being readable must not starve its thread's other connections.
-const READ_BUDGET_PER_SWEEP: usize = 256 * 1024;
+const READ_BUDGET_PER_WAKE: usize = 256 * 1024;
 
 /// One multiplexed connection: socket plus resumable frame state.
 struct Conn {
     stream: TcpStream,
     reader: FrameReader,
     writer: WriteBuf,
-    /// Peer sent FIN: stop reading, but drain queued responses before
-    /// closing — a client may legitimately half-close after its last
-    /// request and still expect the reply.
+    /// Peer sent FIN, or the service answered `None`: stop reading, but
+    /// drain queued responses before closing — a client may legitimately
+    /// half-close after its last request and still expect the reply.
     eof: bool,
-}
-
-/// Outcome of one sweep over one connection.
-enum Pump {
-    /// Bytes moved or frames completed this sweep.
-    Progress,
-    /// Nothing ready; keep the connection.
-    Idle,
-    /// EOF, I/O error, or protocol violation; drop the connection.
-    Closed,
 }
 
 impl Conn {
@@ -91,49 +65,37 @@ impl Conn {
         })
     }
 
-    /// Flushes pending writes; partial writes still count as progress.
-    /// Returns `None` when the connection should close.
-    fn try_flush(&mut self, progress: &mut bool) -> Option<()> {
-        if self.writer.is_empty() {
-            return Some(());
+    /// What to wait for: input unless reading has stopped or the peer is
+    /// not draining its responses, output while responses are queued.
+    fn poll_fd(&self) -> PollFd {
+        let mut events = 0;
+        if !self.eof && self.writer.pending() <= WRITE_HIGH_WATER {
+            events |= sys::READ;
         }
-        let before = self.writer.pending();
-        match self.writer.flush(&mut self.stream) {
-            Ok(_) => {
-                if self.writer.pending() < before {
-                    *progress = true;
-                }
-                Some(())
-            }
-            Err(_) => None,
+        if !self.writer.is_empty() {
+            events |= sys::WRITE;
         }
+        PollFd::new(self.stream.as_raw_fd(), events)
     }
 
     /// Flushes pending writes, then drains readable bytes into complete
-    /// frames, dispatching each through `service`.
+    /// frames, dispatching each through `service`. Returns `false` when
+    /// the connection should close.
     fn pump(
         &mut self,
         service: &FrameService,
         scratch: &mut [u8],
         frames: &mut Vec<Vec<u8>>,
-    ) -> Pump {
-        let mut progress = false;
-        if self.try_flush(&mut progress).is_none() {
-            return Pump::Closed;
+    ) -> bool {
+        if self.writer.flush(&mut self.stream).is_err() {
+            return false;
         }
-        let mut budget = READ_BUDGET_PER_SWEEP;
-        while !self.eof && budget > 0 {
-            if self.writer.pending() > WRITE_HIGH_WATER {
-                // Backpressure: let the peer drain before reading more.
-                break;
-            }
+        let mut budget = READ_BUDGET_PER_WAKE;
+        // Past the high-water mark, let the peer drain before reading more.
+        while !self.eof && budget > 0 && self.writer.pending() <= WRITE_HIGH_WATER {
             match self.stream.read(scratch) {
-                Ok(0) => {
-                    self.eof = true;
-                    progress = true;
-                }
+                Ok(0) => self.eof = true,
                 Ok(n) => {
-                    progress = true;
                     budget = budget.saturating_sub(n);
                     // `frames` is thread-shared scratch: any frame left in it
                     // when we bail would be drained by the *next* connection
@@ -144,43 +106,63 @@ impl Conn {
                     // the scratch first.
                     if self.reader.feed(&scratch[..n], frames).is_err() {
                         frames.clear();
-                        return Pump::Closed;
+                        return false;
                     }
-                    // (An early return mid-drain is fine: dropping the
-                    // `Drain` iterator removes the remaining elements, so
-                    // the scratch is empty either way.)
+                    // (An early exit mid-drain is fine: dropping the `Drain`
+                    // iterator removes the remaining elements, so the
+                    // scratch is empty either way.)
                     for frame in frames.drain(..) {
-                        let response = service(&frame);
+                        let Some(response) = service(&frame) else {
+                            self.eof = true;
+                            break;
+                        };
                         if self.writer.push_frame(&response).is_err() {
-                            return Pump::Closed;
+                            return false;
                         }
                     }
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(_) => return Pump::Closed,
+                Err(_) => return false,
             }
         }
-        if self.try_flush(&mut progress).is_none() {
-            return Pump::Closed;
+        if self.writer.flush(&mut self.stream).is_err() {
+            return false;
         }
-        if self.eof && self.writer.is_empty() {
-            // Everything owed has been delivered; now the FIN is final.
-            return Pump::Closed;
-        }
-        if progress {
-            Pump::Progress
-        } else {
-            Pump::Idle
-        }
+        // Once everything owed has been delivered, the FIN is final.
+        !(self.eof && self.writer.is_empty())
     }
 }
 
-/// Shared half of the reactor: intake queues and the stop flag.
+/// The registration side of one reactor thread.
+struct Intake {
+    queue: Sender<TcpStream>,
+    /// Write end of the thread's waker; the thread waits on the read end.
+    waker: UnixStream,
+}
+
+impl Intake {
+    /// Ends the thread's current wait. The waker is non-blocking: when its
+    /// buffer is full, a wake-up is already pending and this one is moot.
+    fn wake(&self) {
+        let _ = (&self.waker).write(&[1]);
+    }
+}
+
+/// Shared half of the reactor: one intake per thread and the stop flag.
 struct ReactorShared {
-    queues: Vec<Sender<TcpStream>>,
+    intakes: Vec<Intake>,
     next: AtomicUsize,
     stop: AtomicBool,
+}
+
+impl ReactorShared {
+    fn stop(&self) {
+        self.stop.store(true, Ordering::SeqCst);
+        for intake in &self.intakes {
+            intake.wake();
+        }
+    }
 }
 
 /// A cloneable registration handle (what accept loops hold).
@@ -199,10 +181,13 @@ impl ReactorHandle {
                 "reactor is shut down",
             ));
         }
-        let i = self.shared.next.fetch_add(1, Ordering::Relaxed) % self.shared.queues.len();
-        self.shared.queues[i].send(stream).map_err(|_| {
+        let i = self.shared.next.fetch_add(1, Ordering::Relaxed) % self.shared.intakes.len();
+        let intake = &self.shared.intakes[i];
+        intake.queue.send(stream).map_err(|_| {
             std::io::Error::new(std::io::ErrorKind::NotConnected, "reactor thread exited")
-        })
+        })?;
+        intake.wake();
+        Ok(())
     }
 }
 
@@ -217,31 +202,34 @@ impl Reactor {
     /// dispatching complete request frames to `service`.
     pub fn spawn(service: FrameService, threads: usize) -> std::io::Result<Self> {
         let threads = threads.max(1);
-        let mut queues = Vec::with_capacity(threads);
-        let mut receivers = Vec::with_capacity(threads);
+        let mut intakes = Vec::with_capacity(threads);
+        let mut ends = Vec::with_capacity(threads);
         for _ in 0..threads {
-            let (tx, rx) = std::sync::mpsc::channel();
-            queues.push(tx);
-            receivers.push(rx);
+            let (queue, rx) = std::sync::mpsc::channel();
+            let (waker, wakee) = UnixStream::pair()?;
+            waker.set_nonblocking(true)?;
+            wakee.set_nonblocking(true)?;
+            intakes.push(Intake { queue, waker });
+            ends.push((rx, wakee));
         }
         let shared = Arc::new(ReactorShared {
-            queues,
+            intakes,
             next: AtomicUsize::new(0),
             stop: AtomicBool::new(false),
         });
         let mut handles = Vec::with_capacity(threads);
-        for (i, rx) in receivers.into_iter().enumerate() {
+        for (i, (rx, wakee)) in ends.into_iter().enumerate() {
             let shared_t = Arc::clone(&shared);
             let service_t = Arc::clone(&service);
             match std::thread::Builder::new()
                 .name(format!("wire-reactor-{i}"))
-                .spawn(move || reactor_loop(rx, service_t, shared_t))
+                .spawn(move || reactor_loop(rx, wakee, service_t, shared_t))
             {
                 Ok(h) => handles.push(h),
                 Err(e) => {
                     // Don't leak the threads already spawned: stop and join
                     // them before reporting the failure.
-                    shared.stop.store(true, Ordering::SeqCst);
+                    shared.stop();
                     for h in handles {
                         let _ = h.join();
                     }
@@ -265,7 +253,7 @@ impl Reactor {
     /// Stops every reactor thread, shutting down all multiplexed sockets,
     /// and joins the pool. Idempotent.
     pub fn shutdown(&mut self) {
-        self.shared.stop.store(true, Ordering::SeqCst);
+        self.shared.stop();
         for t in self.threads.drain(..) {
             let _ = t.join();
         }
@@ -278,93 +266,58 @@ impl Drop for Reactor {
     }
 }
 
-/// Switches a freshly accepted stream to non-blocking mode and adds it to
-/// the sweep set. Failure means the client sees a closed socket; say why on
-/// stderr instead of dropping it without a trace.
-fn adopt(stream: TcpStream, conns: &mut Vec<Conn>) {
-    match Conn::new(stream) {
-        Ok(conn) => conns.push(conn),
-        Err(e) => eprintln!("wire-reactor: dropping accepted connection: {e}"),
-    }
+/// Switches a freshly accepted stream to non-blocking mode for the wait
+/// set. Failure means the client sees a closed socket; say why on stderr
+/// instead of dropping it without a trace.
+fn adopt(stream: TcpStream) -> Option<Conn> {
+    Conn::new(stream)
+        .map_err(|e| eprintln!("wire-reactor: dropping accepted connection: {e}"))
+        .ok()
 }
 
-/// Sleep ceiling of a thread sweeping `conns` idle connections: at most one
-/// `read` per [`IDLE_BACKOFF_MIN`] on average, so the idle burn is bounded
-/// by syscall rate rather than by sweep rate. A quiet connection on a
-/// lightly loaded thread is answered within [`IDLE_BACKOFF_FEW`]; the
-/// doubling used to run to [`IDLE_BACKOFF_MAX`] for everyone, which made
-/// the wait after `t` of silence anything up to `t` — a request that
-/// arrived 10 ms after the previous one was served at once or 10 ms later
-/// depending on which side of a doubling it fell.
-fn idle_backoff_max(conns: usize) -> Duration {
-    IDLE_BACKOFF_MIN
-        .saturating_mul(u32::try_from(conns).unwrap_or(u32::MAX))
-        .clamp(IDLE_BACKOFF_FEW, IDLE_BACKOFF_MAX)
-}
-
-fn reactor_loop(intake: Receiver<TcpStream>, service: FrameService, shared: Arc<ReactorShared>) {
+fn reactor_loop(
+    intake: Receiver<TcpStream>,
+    mut waker: UnixStream,
+    service: FrameService,
+    shared: Arc<ReactorShared>,
+) {
     let mut conns: Vec<Conn> = Vec::new();
     let mut scratch = vec![0u8; SCRATCH_LEN];
     let mut frames: Vec<Vec<u8>> = Vec::new();
-    let mut backoff = IDLE_BACKOFF_MIN;
+    // `fds[0]` is the waker; `fds[1 + i]` is `conns[i]` as of the wait.
+    let mut fds: Vec<PollFd> = Vec::new();
     loop {
+        fds.clear();
+        fds.push(PollFd::new(waker.as_raw_fd(), sys::READ));
+        fds.extend(conns.iter().map(Conn::poll_fd));
+        // `poll` fails only for want of kernel memory (the set is
+        // well-formed by construction). Closing this thread's
+        // connections below is then the failure their peers see.
+        if sys::wait(&mut fds).is_err() {
+            break;
+        }
+        if fds[0].ready() {
+            // One byte per registration or shutdown; all are spent now.
+            while matches!(waker.read(&mut scratch), Ok(n) if n > 0) {}
+        }
+        // Only after the drain: a stop whose byte it consumed must be seen
+        // now, since no byte is left to end the next wait.
         if shared.stop.load(Ordering::SeqCst) {
             break;
         }
-        // With no connections, block on the intake queue instead of
-        // spinning; the timeout keeps the stop flag responsive.
-        if conns.is_empty() {
-            match intake.recv_timeout(EMPTY_WAIT) {
-                Ok(stream) => adopt(stream, &mut conns),
-                Err(RecvTimeoutError::Timeout) => continue,
-                Err(RecvTimeoutError::Disconnected) => break,
+        let mut slots = fds[1..].iter();
+        conns.retain_mut(|conn| {
+            if !slots.next().is_some_and(PollFd::ready)
+                || conn.pump(&service, &mut scratch, &mut frames)
+            {
+                return true;
             }
-        }
-        loop {
-            match intake.try_recv() {
-                Ok(stream) => adopt(stream, &mut conns),
-                Err(TryRecvError::Empty) => break,
-                Err(TryRecvError::Disconnected) => break,
-            }
-        }
-        let mut progress = false;
-        conns.retain_mut(
-            |conn| match conn.pump(&service, &mut scratch, &mut frames) {
-                Pump::Progress => {
-                    progress = true;
-                    true
-                }
-                Pump::Idle => true,
-                Pump::Closed => {
-                    let _ = conn.stream.shutdown(Shutdown::Both);
-                    false
-                }
-            },
-        );
-        if progress {
-            backoff = IDLE_BACKOFF_MIN;
-        } else {
-            // Park on the intake queue rather than in a blind sleep: the
-            // idle-CPU profile is identical, but a newly registered
-            // connection wakes the thread immediately instead of waiting
-            // out the rest of the backoff.
-            match intake.recv_timeout(backoff) {
-                Ok(stream) => {
-                    adopt(stream, &mut conns);
-                    backoff = IDLE_BACKOFF_MIN;
-                }
-                Err(RecvTimeoutError::Timeout) => {
-                    backoff = (backoff * 2).min(idle_backoff_max(conns.len()));
-                }
-                // Unreachable while `shared` (which owns the senders) is
-                // alive, but never turn it into a busy spin.
-                Err(RecvTimeoutError::Disconnected) => {
-                    // lint:allow(blocking): bounded idle backoff in a terminal state — the intake channel is gone, no lock is held, and sleeping beats a busy spin
-                    std::thread::sleep(backoff);
-                    backoff = (backoff * 2).min(IDLE_BACKOFF_MAX);
-                }
-            }
-        }
+            let _ = conn.stream.shutdown(Shutdown::Both);
+            false
+        });
+        // New connections join the next wait; data they already hold makes
+        // it return at once.
+        conns.extend(intake.try_iter().filter_map(adopt));
     }
     // Unblock any peer still waiting on us before the sockets drop.
     for conn in &conns {
@@ -375,23 +328,29 @@ fn reactor_loop(intake: Receiver<TcpStream>, service: FrameService, shared: Arc<
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::frame::{read_frame, write_frame};
+    use crate::frame::write_frame;
+    use crate::transport::{TcpTransport, Transport, TransportError};
     use std::net::{TcpListener, TcpStream};
+    use std::time::Duration;
 
     fn echo_service() -> FrameService {
         Arc::new(|frame: &[u8]| {
             let mut out = frame.to_vec();
             out.reverse();
-            out
+            Some(out)
         })
     }
 
-    fn connect_pair(listener: &TcpListener, handle: &ReactorHandle) -> TcpStream {
+    /// A client socket whose server side `handle` serves.
+    fn connect_raw(listener: &TcpListener, handle: &ReactorHandle) -> TcpStream {
         let client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
-        client.set_nodelay(true).unwrap();
         let (server_side, _) = listener.accept().unwrap();
         handle.register(server_side).unwrap();
         client
+    }
+
+    fn connect_pair(listener: &TcpListener, handle: &ReactorHandle) -> TcpTransport {
+        TcpTransport::new(connect_raw(listener, handle)).unwrap()
     }
 
     #[test]
@@ -399,27 +358,16 @@ mod tests {
         let mut reactor = Reactor::spawn(echo_service(), 2).unwrap();
         let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
         let mut client = connect_pair(&listener, &reactor.handle());
-        write_frame(&mut client, b"abc").unwrap();
-        assert_eq!(read_frame(&mut client).unwrap(), b"cba");
-        write_frame(&mut client, b"12345").unwrap();
-        assert_eq!(read_frame(&mut client).unwrap(), b"54321");
+        client.send(b"abc").unwrap();
+        assert_eq!(client.recv().unwrap(), b"cba");
+        client.send(b"12345").unwrap();
+        assert_eq!(client.recv().unwrap(), b"54321");
         reactor.shutdown();
     }
 
-    #[test]
-    fn idle_backoff_ceiling_follows_the_connection_count() {
-        assert_eq!(idle_backoff_max(0), IDLE_BACKOFF_FEW);
-        assert_eq!(idle_backoff_max(1), IDLE_BACKOFF_FEW);
-        assert_eq!(idle_backoff_max(50), IDLE_BACKOFF_FEW);
-        assert_eq!(idle_backoff_max(500), Duration::from_millis(10));
-        assert_eq!(idle_backoff_max(2_500), IDLE_BACKOFF_MAX);
-        assert_eq!(idle_backoff_max(usize::MAX), IDLE_BACKOFF_MAX);
-    }
-
-    /// The wait of the first request after a quiet period does not grow
-    /// with the quiet period. With the ceiling at 50 ms for every thread,
-    /// a request 60 ms after the last one sat out the rest of a 41 ms
-    /// sleep (≈ 20 ms); the best of five keeps a loaded host's stalls out.
+    /// The first request after a quiet period is served at once: an idle
+    /// thread waits in the kernel, not in a sleep it must sit out. The best
+    /// of five keeps a loaded host's stalls out.
     #[test]
     fn request_after_a_quiet_period_is_served_promptly() {
         let mut reactor = Reactor::spawn(echo_service(), 1).unwrap();
@@ -429,8 +377,8 @@ mod tests {
         for _ in 0..5 {
             std::thread::sleep(Duration::from_millis(60));
             let sent = std::time::Instant::now();
-            write_frame(&mut client, b"ping").unwrap();
-            assert_eq!(read_frame(&mut client).unwrap(), b"gnip");
+            client.send(b"ping").unwrap();
+            assert_eq!(client.recv().unwrap(), b"gnip");
             best = best.min(sent.elapsed());
         }
         assert!(best < Duration::from_millis(10), "best of five: {best:?}");
@@ -442,15 +390,15 @@ mod tests {
         let mut reactor = Reactor::spawn(echo_service(), 2).unwrap();
         let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
         let handle = reactor.handle();
-        let mut clients: Vec<TcpStream> =
+        let mut clients: Vec<TcpTransport> =
             (0..64).map(|_| connect_pair(&listener, &handle)).collect();
         // Pipelined: all sends first, then all receives.
         for (i, c) in clients.iter_mut().enumerate() {
-            write_frame(c, format!("msg {i}").as_bytes()).unwrap();
+            c.send(format!("msg {i}").as_bytes()).unwrap();
         }
         for (i, c) in clients.iter_mut().enumerate() {
             let expected: Vec<u8> = format!("msg {i}").bytes().rev().collect();
-            assert_eq!(read_frame(c).unwrap(), expected);
+            assert_eq!(c.recv().unwrap(), expected);
         }
         reactor.shutdown();
     }
@@ -461,10 +409,10 @@ mod tests {
         let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
         let mut client = connect_pair(&listener, &reactor.handle());
         let big: Vec<u8> = (0..500_000u32).map(|i| i as u8).collect();
-        write_frame(&mut client, &big).unwrap();
+        client.send(&big).unwrap();
         let mut expected = big;
         expected.reverse();
-        assert_eq!(read_frame(&mut client).unwrap(), expected);
+        assert_eq!(client.recv().unwrap(), expected);
         reactor.shutdown();
     }
 
@@ -475,7 +423,7 @@ mod tests {
         let mut client = connect_pair(&listener, &reactor.handle());
         reactor.shutdown();
         // The reactor shut the socket: the blocking read unblocks.
-        assert!(read_frame(&mut client).is_err());
+        assert!(client.recv().is_err());
         // Registration after shutdown is refused.
         let orphan = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
         assert!(reactor.handle().register(orphan).is_err());
@@ -487,14 +435,34 @@ mod tests {
         // delivered before the reactor drops the connection.
         let mut reactor = Reactor::spawn(echo_service(), 1).unwrap();
         let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
-        let mut client = connect_pair(&listener, &reactor.handle());
-        write_frame(&mut client, b"last words").unwrap();
-        client.shutdown(Shutdown::Write).unwrap();
-        assert_eq!(read_frame(&mut client).unwrap(), b"sdrow tsal");
-        assert!(matches!(
-            read_frame(&mut client),
-            Err(crate::frame::FrameError::Closed)
-        ));
+        let mut raw = connect_raw(&listener, &reactor.handle());
+        write_frame(&mut raw, b"last words").unwrap();
+        raw.shutdown(Shutdown::Write).unwrap();
+        let mut client = TcpTransport::new(raw).unwrap();
+        assert_eq!(client.recv().unwrap(), b"sdrow tsal");
+        assert!(matches!(client.recv(), Err(TransportError::Disconnected)));
+        reactor.shutdown();
+    }
+
+    /// A service answering `None` ends its connection, and the responses
+    /// queued before it still arrive, in order, before the close.
+    #[test]
+    fn refusal_flushes_the_responses_queued_before_it() {
+        let service: FrameService =
+            Arc::new(|frame: &[u8]| (frame != b"stop").then(|| frame.to_vec()));
+        let mut reactor = Reactor::spawn(service, 1).unwrap();
+        let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
+        let mut raw = connect_raw(&listener, &reactor.handle());
+        // One write, so the reactor decodes all three frames together.
+        let mut wire = Vec::new();
+        for frame in [&b"one"[..], b"two", b"stop"] {
+            write_frame(&mut wire, frame).unwrap();
+        }
+        raw.write_all(&wire).unwrap();
+        let mut client = TcpTransport::new(raw).unwrap();
+        assert_eq!(client.recv().unwrap(), b"one");
+        assert_eq!(client.recv().unwrap(), b"two");
+        assert!(matches!(client.recv(), Err(TransportError::Disconnected)));
         reactor.shutdown();
     }
 
@@ -503,19 +471,19 @@ mod tests {
         let mut reactor = Reactor::spawn(echo_service(), 1).unwrap();
         let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
         let handle = reactor.handle();
-        let mut bad = connect_pair(&listener, &handle);
+        let mut bad = connect_raw(&listener, &handle);
         let mut good = connect_pair(&listener, &handle);
-        use std::io::Write;
         bad.write_all(&u32::MAX.to_le_bytes()).unwrap();
-        assert!(read_frame(&mut bad).is_err(), "violator disconnected");
-        write_frame(&mut good, b"still here").unwrap();
-        assert_eq!(read_frame(&mut good).unwrap(), b"ereh llits");
+        let mut bad = TcpTransport::new(bad).unwrap();
+        assert!(bad.recv().is_err(), "violator disconnected");
+        good.send(b"still here").unwrap();
+        assert_eq!(good.recv().unwrap(), b"ereh llits");
         reactor.shutdown();
     }
 
     /// Regression: `feed` can complete a frame into the thread-shared
     /// scratch Vec and *then* fail on an oversized header in the same read.
-    /// The completed frame used to survive the `Pump::Closed` return and be
+    /// The completed frame used to survive the connection's close and be
     /// drained by the next connection this thread pumped — connection A's
     /// response delivered to connection B.
     #[test]
@@ -523,9 +491,8 @@ mod tests {
         let mut reactor = Reactor::spawn(echo_service(), 1).unwrap();
         let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
         let handle = reactor.handle();
-        let mut bad = connect_pair(&listener, &handle);
+        let mut bad = connect_raw(&listener, &handle);
         let mut good = connect_pair(&listener, &handle);
-        use std::io::Write;
         // One write, so both arrive in the same read chunk: a complete
         // valid frame immediately followed by an oversized header.
         let mut wire = Vec::new();
@@ -536,15 +503,16 @@ mod tests {
         // the write across two reads the reactor legitimately answers the
         // valid frame before hitting the bad header — tolerate that one
         // response rather than flake.
-        while let Ok(resp) = read_frame(&mut bad) {
+        let mut bad = TcpTransport::new(bad).unwrap();
+        while let Ok(resp) = bad.recv() {
             assert_eq!(resp, b"nosiop", "only the echo may precede the close");
         }
         // The single reactor thread now serves `good`; the first response
         // it reads must answer its own request, not the stale "poison".
-        write_frame(&mut good, b"clean").unwrap();
-        assert_eq!(read_frame(&mut good).unwrap(), b"naelc");
-        write_frame(&mut good, b"again").unwrap();
-        assert_eq!(read_frame(&mut good).unwrap(), b"niaga");
+        good.send(b"clean").unwrap();
+        assert_eq!(good.recv().unwrap(), b"naelc");
+        good.send(b"again").unwrap();
+        assert_eq!(good.recv().unwrap(), b"niaga");
         reactor.shutdown();
     }
 }

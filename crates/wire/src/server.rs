@@ -1,5 +1,7 @@
 //! The one server shape: a loopback listener whose accept loop hands every
 //! connection to a [`Reactor`] pool serving plain length-prefixed frames.
+//! The trust domains' direct hosts and both sockets of an enclave host are
+//! this server.
 //!
 //! There is no envelope at this layer — the trust-domain protocol encodes
 //! errors inside its own response messages — and a connection is answered
@@ -21,12 +23,7 @@ use std::thread::JoinHandle;
 /// doubling to a 500 ms ceiling) so a sustained storm, like fd exhaustion,
 /// costs almost no CPU, yet the listener recovers within half a second of
 /// the condition clearing. Returns `None` only once the stop flag is set.
-///
-/// Public because every accept loop in the workspace shares this
-/// contract — [`FrameServer`] and the TEE enclave proxy retry through the
-/// same helper instead of each growing its own subtly different
-/// zombie-listener bug.
-pub fn accept_with_retry<T>(
+fn accept_with_retry<T>(
     label: &str,
     stop: &AtomicBool,
     consecutive_errors: &mut u32,
@@ -139,7 +136,7 @@ mod tests {
     use crate::transport::{TcpTransport, Transport};
 
     fn tripler() -> FrameService {
-        Arc::new(|frame: &[u8]| frame.iter().map(|b| b.wrapping_mul(3)).collect())
+        Arc::new(|frame: &[u8]| Some(frame.iter().map(|b| b.wrapping_mul(3)).collect()))
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! measures); the trait exists so the pipeline tests can substitute an
 //! in-process fake.
 
-use crate::frame::{write_frame, FrameError, READ_CHUNK};
+use crate::frame::{write_frame, FrameError, SCRATCH_LEN};
 use crate::frame_nb::FrameReader;
 use std::collections::VecDeque;
 use std::io::Read;
@@ -84,7 +84,7 @@ impl TcpTransport {
             stream,
             reader: FrameReader::new(),
             ready: VecDeque::new(),
-            scratch: vec![0u8; READ_CHUNK],
+            scratch: vec![0u8; SCRATCH_LEN],
             timeout: None,
         })
     }
@@ -113,26 +113,12 @@ impl TcpTransport {
                 return Ok(Some(frame));
             }
             match self.stream.read(&mut self.scratch) {
-                Ok(0) => {
-                    return Err(if self.reader.at_boundary() {
-                        TransportError::Disconnected
-                    } else {
-                        TransportError::Frame(FrameError::Io(std::io::Error::new(
-                            std::io::ErrorKind::UnexpectedEof,
-                            "eof inside frame",
-                        )))
-                    });
-                }
+                Ok(0) => return Err(self.reader.eof().into()),
                 Ok(n) => {
                     let mut out = Vec::new();
                     let fed = self.reader.feed(&self.scratch[..n], &mut out);
                     self.ready.extend(out);
-                    if let Err(e) = fed {
-                        return Err(match e {
-                            FrameError::Closed => TransportError::Disconnected,
-                            other => TransportError::Frame(other),
-                        });
-                    }
+                    fed?;
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
                 Err(e)
@@ -290,6 +276,38 @@ mod tests {
         let mut client = TcpTransport::connect(addr).unwrap();
         server.join().unwrap();
         assert!(matches!(client.recv(), Err(TransportError::Disconnected)));
+    }
+
+    /// The peer closes after `bytes` and the client's next receive says
+    /// what that close means.
+    fn recv_after_close(bytes: &'static [u8]) -> Result<Vec<u8>, TransportError> {
+        let (listener, addr) = listen();
+        let server = thread::spawn(move || {
+            use std::io::Write;
+            let (mut raw, _) = listener.accept().unwrap();
+            raw.write_all(bytes).unwrap();
+        });
+        let mut client = TcpTransport::connect(addr).unwrap();
+        server.join().unwrap();
+        client.recv()
+    }
+
+    fn is_torn(result: Result<Vec<u8>, TransportError>) -> bool {
+        matches!(
+            result,
+            Err(TransportError::Frame(FrameError::Io(e)))
+                if e.kind() == std::io::ErrorKind::UnexpectedEof
+        )
+    }
+
+    #[test]
+    fn tcp_eof_inside_a_header_is_a_torn_frame() {
+        assert!(is_torn(recv_after_close(&[5, 0])));
+    }
+
+    #[test]
+    fn tcp_eof_inside_a_payload_is_a_torn_frame() {
+        assert!(is_torn(recv_after_close(&[5, 0, 0, 0, b'a', b'b'])));
     }
 
     #[test]

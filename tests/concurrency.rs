@@ -229,7 +229,7 @@ fn event_loop_sustains_1000_concurrent_clients() {
     // threads a blocking server would need.
     let service = |frame: &[u8]| {
         let req = u64::from_wire(frame).expect("request decodes");
-        (req.wrapping_mul(31) ^ 0xd15).to_wire()
+        Some((req.wrapping_mul(31) ^ 0xd15).to_wire())
     };
     let mut server = FrameServer::spawn(Arc::new(service), 4).expect("spawn");
     let addr = server.local_addr();
