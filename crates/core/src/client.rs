@@ -21,6 +21,7 @@ use distrust_wire::pipeline::PipelinedClient;
 use distrust_wire::transport::TcpTransport;
 use rand::RngCore;
 use std::net::SocketAddr;
+use std::os::fd::{AsRawFd, RawFd};
 
 /// A connection carrying more abandoned-but-undrained responses than this
 /// is reset instead of reused: the straggling server behind it owes so
@@ -342,19 +343,21 @@ impl DeploymentClient {
         }
     }
 
-    /// Like [`Self::recv_raw`] but waits at most `timeout`; `Ok(None)`
-    /// means no complete response arrived in time (partial bytes are
-    /// retained by the transport — nothing desynchronises).
-    pub(crate) fn try_recv_raw(
+    /// Like [`Self::recv_raw`], but never waits: a response already
+    /// decoded, or one read of the socket when `readable` (a
+    /// [`distrust_wire::sys::wait`] on [`Self::socket`] reported it).
+    /// `Ok(None)`: no complete response yet (partial bytes are retained by
+    /// the transport — nothing desynchronises).
+    pub(crate) fn recv_ready(
         &mut self,
         domain: u32,
-        timeout: std::time::Duration,
+        readable: bool,
     ) -> Result<Option<Response>, ClientError> {
         let idx = domain as usize;
         let conn = self.connections[idx]
             .as_mut()
             .ok_or(ClientError::NoSuchDomain(domain))?;
-        match conn.recv_next_timeout(timeout) {
+        match conn.recv_ready(readable) {
             Ok(Some(frame)) => Response::from_wire(&frame)
                 .map(Some)
                 .map_err(ClientError::Decode),
@@ -364,6 +367,12 @@ impl DeploymentClient {
                 Err(ClientError::ConnectionLost(e))
             }
         }
+    }
+
+    /// The socket of the open connection to `domain`, to wait on.
+    pub(crate) fn socket(&self, domain: u32) -> Option<RawFd> {
+        let conn = self.connections.get(domain as usize)?.as_ref()?;
+        Some(conn.as_raw_fd())
     }
 
     /// Declares that the in-flight response from `domain` will never be

@@ -30,6 +30,7 @@ use distrust_crypto::sha256::Digest;
 use distrust_gossip::evidence::EvidenceBundle;
 use distrust_gossip::witness::CosignedHeads;
 use distrust_wire::codec::Encode;
+use distrust_wire::sys::{self, PollFd};
 use std::time::{Duration, Instant};
 
 /// How many per-domain successes a fan-out needs before it is satisfied.
@@ -173,7 +174,9 @@ pub struct FanoutCall {
     /// up on ([`DomainOutcome::Failed`], its response abandoned on the
     /// wire) instead of stalling the collection — without a budget, a
     /// hung-but-connected domain blocks an [`QuorumPolicy::All`] quorum
-    /// forever. `None` (the default) waits indefinitely.
+    /// forever. The budget is kept to within a millisecond: the collector
+    /// waits on every pending domain at once for the time that is left.
+    /// `None` (the default) waits indefinitely.
     pub deadline: Option<Duration>,
 }
 
@@ -311,16 +314,6 @@ impl FanoutReport {
         }
     }
 }
-
-/// How long the quorum collector asks to wait on one domain before moving
-/// to the next, initially; doubles (up to [`POLL_MAX`]) whenever a full
-/// sweep of pending domains makes no progress. The wait actually taken is
-/// longer: `recv_timeout` clamps every wait to at least 1 ms, and the
-/// socket's `SO_RCVTIMEO` rounds that up to a whole jiffy (4 ms at
-/// `HZ=250`), so the first expiry costs a jiffy, not 500 µs.
-const POLL_START: Duration = Duration::from_micros(500);
-/// Ceiling for the per-domain poll interval.
-const POLL_MAX: Duration = Duration::from_millis(50);
 
 /// A trust-gated window of application traffic against one deployment.
 ///
@@ -646,7 +639,6 @@ impl<'c> Session<'c> {
     /// error.
     pub fn fanout(&mut self, call: &FanoutCall) -> Result<FanoutReport, ClientError> {
         self.ensure_trust()?;
-        self.rounds_since_audit += 1;
         let n = self.domain_count();
         if let FanoutPayloads::PerDomain(payloads) = &call.payloads {
             if payloads.len() != n {
@@ -723,6 +715,9 @@ impl<'c> Session<'c> {
                 reasons.join("; ")
             )));
         }
+        // A round is counted only once requests went out: a fan-out
+        // refused above cost the trust state nothing.
+        self.rounds_since_audit += 1;
 
         // Phase 2: collect until the quorum is satisfied. `All` counts
         // every *targeted* domain — a target the trust gate refused still
@@ -734,86 +729,80 @@ impl<'c> Session<'c> {
             QuorumPolicy::Threshold(t) => t,
         };
         let mut satisfied_count = 0usize;
-
-        // Round-robin over pending domains with short timeouts so one
-        // straggler cannot block a quorum the others already satisfy.
-        // `Threshold` exits as soon as the quorum is met, abandoning
-        // stragglers; `All` (and an unreachable quorum) keeps collecting
-        // so the report carries every domain's actual answer. A deadline,
-        // when set, bounds the whole collection: domains still silent at
-        // expiry are given one final non-blocking read, then failed and
-        // their responses abandoned — a hung-but-connected domain costs
-        // the budget, never an indefinite stall.
-        let deadline_at = call.deadline.map(|budget| Instant::now() + budget);
         let early_exit = matches!(call.quorum, QuorumPolicy::Threshold(_));
-        let mut poll = POLL_START;
-        while !pending.is_empty() {
-            if early_exit && satisfied_count >= required {
-                // Quorum satisfied with responses still in flight:
-                // abandon them (drained off the wire on the connection's
-                // next use). These are the domains a retry round may
-                // re-ask ([`FanoutReport::abandoned`]).
+        if !early_exit && call.deadline.is_none() {
+            // Nothing ends this collection before every answer is in, so
+            // it reads them in order, blocking on each, as `push_update`
+            // and `audit` do.
+            for d in pending {
+                let outcome = Self::response_outcome(self.client.recv_raw(d));
+                satisfied_count += usize::from(outcome.is_ok());
+                outcomes[d as usize] = outcome;
+            }
+        } else {
+            // A collection that can end early — its threshold met, its
+            // deadline passed — blocks in one wait on every pending socket
+            // for the time that is left, and reads only the sockets the
+            // wait reports, so a silent domain holds up no one. The first
+            // pass reads nothing: it takes only answers already decoded.
+            // `Threshold` stops reading once the quorum is met and
+            // abandons the stragglers (drained off the wire on the
+            // connection's next use; the domains a retry round may
+            // re-ask, [`FanoutReport::abandoned`]). A deadline fails
+            // whoever is still silent at expiry and abandons their
+            // responses — a hung-but-connected domain costs the budget,
+            // never an indefinite stall.
+            let deadline_at = call.deadline.map(|budget| Instant::now() + budget);
+            let mut readable = vec![false; pending.len()];
+            loop {
+                let mut reported = readable.iter();
+                pending.retain(|&d| {
+                    let readable = reported.next().is_some_and(|&r| r);
+                    if early_exit && satisfied_count >= required {
+                        return true;
+                    }
+                    let outcome = match self.client.recv_ready(d, readable) {
+                        Ok(None) => return true,
+                        Ok(Some(response)) => Self::response_outcome(Ok(response)),
+                        Err(e) => Self::error_outcome(e),
+                    };
+                    satisfied_count += usize::from(outcome.is_ok());
+                    outcomes[d as usize] = outcome;
+                    false
+                });
+                if pending.is_empty() {
+                    break;
+                }
+                let left = deadline_at.map(|at| at.saturating_duration_since(Instant::now()));
+                let given_up = if early_exit && satisfied_count >= required {
+                    DomainOutcome::Abandoned
+                } else if left == Some(Duration::ZERO) {
+                    DomainOutcome::Failed(
+                        "fanout deadline exceeded before the domain answered".into(),
+                    )
+                } else {
+                    // A pending domain always has its connection (losing
+                    // it settled the domain above); -1 is a slot `poll`
+                    // skips.
+                    let mut fds: Vec<PollFd> = pending
+                        .iter()
+                        .map(|&d| PollFd::new(self.client.socket(d).unwrap_or(-1), sys::READ))
+                        .collect();
+                    match sys::wait(&mut fds, left) {
+                        Ok(_) => {
+                            readable = fds.iter().map(PollFd::ready).collect();
+                            continue;
+                        }
+                        Err(e) => {
+                            DomainOutcome::Failed(format!("waiting for an answer failed: {e}"))
+                        }
+                    }
+                };
                 for d in pending.drain(..) {
                     self.client.abandon_response(d);
-                    outcomes[d as usize] = DomainOutcome::Abandoned;
+                    outcomes[d as usize] = given_up.clone();
                 }
                 break;
-            }
-            let expired = deadline_at.is_some_and(|at| Instant::now() >= at);
-            if expired {
-                // Budget exhausted: one last non-blocking look at each
-                // straggler (its answer may already be buffered), then
-                // give up on whoever stayed silent.
-                for d in pending.drain(..) {
-                    match self.client.try_recv_raw(d, Duration::ZERO) {
-                        Ok(Some(response)) => {
-                            let outcome = Self::response_outcome(Ok(response));
-                            if outcome.is_ok() {
-                                satisfied_count += 1;
-                            }
-                            outcomes[d as usize] = outcome;
-                        }
-                        Ok(None) => {
-                            self.client.abandon_response(d);
-                            outcomes[d as usize] = DomainOutcome::Failed(
-                                "fanout deadline exceeded before the domain answered".into(),
-                            );
-                        }
-                        Err(e) => outcomes[d as usize] = Self::error_outcome(e),
-                    }
-                }
-                break;
-            }
-            let mut progressed = false;
-            let mut still_pending = Vec::with_capacity(pending.len());
-            for d in pending {
-                if early_exit && satisfied_count >= required {
-                    still_pending.push(d);
-                    continue;
-                }
-                let wait = match deadline_at {
-                    Some(at) => poll.min(at.saturating_duration_since(Instant::now())),
-                    None => poll,
-                };
-                match self.client.try_recv_raw(d, wait) {
-                    Ok(Some(response)) => {
-                        progressed = true;
-                        let outcome = Self::response_outcome(Ok(response));
-                        if outcome.is_ok() {
-                            satisfied_count += 1;
-                        }
-                        outcomes[d as usize] = outcome;
-                    }
-                    Ok(None) => still_pending.push(d),
-                    Err(e) => {
-                        progressed = true;
-                        outcomes[d as usize] = Self::error_outcome(e);
-                    }
-                }
-            }
-            pending = still_pending;
-            if !progressed {
-                poll = (poll * 2).min(POLL_MAX);
             }
         }
 

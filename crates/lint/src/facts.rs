@@ -95,8 +95,7 @@ pub struct FnFacts {
 /// Blocking classification by call name. `wait` is the reactor's readiness
 /// wait (`wire::sys::wait`), which sleeps until a socket is ready. `join`
 /// only counts with no arguments (thread join), so `Vec::join(", ")` stays
-/// inert; names ending in `_timeout` are the sanctioned bounded
-/// alternatives and never count.
+/// inert; a timed receive (`recv_timeout`) is bounded and never counts.
 pub fn blocking_call(call: &CallSite) -> Option<&'static str> {
     match call.name.as_str() {
         "sleep" => Some("sleep"),

@@ -8,9 +8,7 @@
 //! workspace; `shutdown`, because `TcpStream::shutdown` on a served
 //! socket would otherwise union every server's teardown method (which
 //! joins accept threads — teardown runs in owner contexts, never on a
-//! serving path); and anything ending in `_timeout`, because timed
-//! receives are the sanctioned bounded alternative to the blocking calls
-//! these passes hunt. `open` is opaque only when the callee type is
+//! serving path). `open` is opaque only when the callee type is
 //! unknown: `ShardedLog::open` (or `store.open()` on an inferred
 //! receiver) resolves to the real constructor, while `File::open` and
 //! bare `open(…)` stay inert.
@@ -177,7 +175,7 @@ mod unit {
     fn may_block_propagates_but_not_through_timeouts() {
         let m = model(
             "fn a() { b(); } fn b() { std::thread::sleep(d); } \
-             fn c() { poll_timeout(); } fn poll_timeout() { std::thread::sleep(d); }",
+             fn c() { intake.recv_timeout(d); }",
         );
         let a = m.fns.iter().position(|f| f.name == "a").unwrap();
         let c = m.fns.iter().position(|f| f.name == "c").unwrap();

@@ -6,9 +6,7 @@
 //! the per-connection pump/flush/adopt paths, and every `handle` — the
 //! service callbacks that `wire::reactor` invokes on its worker threads
 //! (the framework dispatcher runs there via `DirectHost`). Reachability
-//! follows the workspace-wide resolved call graph, crossing crate seams;
-//! edges into `*_timeout` functions are not followed, because timed
-//! receives are the sanctioned bounded alternative.
+//! follows the workspace-wide resolved call graph, crossing crate seams.
 //!
 //! One blocking call is what a reactor thread is built to make: the
 //! readiness `wait` that `reactor_loop` itself calls, on every connection
@@ -101,10 +99,7 @@ mod unit {
 
     #[test]
     fn timed_receives_are_exempt() {
-        let report = run_on(
-            "fn reactor_loop() { intake.recv_timeout(d); } \
-             fn recv_timeout(d: D) { std::thread::sleep(tiny); }",
-        );
+        let report = run_on("fn reactor_loop() { intake.recv_timeout(d); }");
         assert_eq!(report.findings.len(), 0);
     }
 

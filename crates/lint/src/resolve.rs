@@ -25,10 +25,9 @@
 //! * Bare `f(…)` follows the file's imports (cross-crate when the import
 //!   says so), else same-crate name lookup.
 //!
-//! `drop`, `shutdown`, and `*_timeout` stay opaque everywhere (see
-//! [`crate::model`] for why). `open` is opaque unless a workspace type
-//! owns it and the call names that type explicitly or via an inferred
-//! receiver.
+//! `drop` and `shutdown` stay opaque everywhere (see [`crate::model`] for
+//! why). `open` is opaque unless a workspace type owns it and the call
+//! names that type explicitly or via an inferred receiver.
 
 use crate::scan::{FnDef, SourceFile};
 use std::collections::{BTreeMap, BTreeSet};
@@ -145,7 +144,7 @@ impl Resolver {
     /// Callee candidates for the call `name` with qualifier `qual`, as
     /// seen from canonical function `caller`.
     pub fn targets(&self, caller: usize, name: &str, qual: &Qual) -> Vec<usize> {
-        if name == "drop" || name == "shutdown" || name.ends_with("_timeout") {
+        if name == "drop" || name == "shutdown" {
             return Vec::new();
         }
         let meta = &self.metas[caller];

@@ -15,7 +15,8 @@
 //! read by one decoder, [`FrameReader`].
 //!
 //! [`sys`] holds the only `unsafe` code of the library crates: the
-//! `poll(2)` call a reactor thread waits in.
+//! `poll(2)` call a reactor thread waits in, and a client's fan-out waits
+//! in on every pending connection at once.
 
 pub mod codec;
 pub mod frame;

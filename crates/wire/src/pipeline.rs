@@ -10,8 +10,8 @@
 //! (a quorum was satisfied without it) says so, and the stale frame is
 //! dropped when it arrives.
 
-use crate::transport::{Transport, TransportError};
-use std::time::Duration;
+use crate::transport::{TcpTransport, Transport, TransportError};
+use std::os::fd::{AsRawFd, RawFd};
 
 /// A connection with multiple in-flight requests, answered in request
 /// order.
@@ -72,31 +72,29 @@ impl<T: Transport> PipelinedClient<T> {
             return Ok(frame);
         }
     }
+}
 
-    /// Like [`Self::recv_next`], but gives up after `timeout` with
-    /// `Ok(None)`. Abandoned responses drained while waiting count against
-    /// the same timeout budget (the deadline is fixed up front, not
-    /// restarted per drained frame).
-    pub fn recv_next_timeout(
-        &mut self,
-        timeout: Duration,
-    ) -> Result<Option<Vec<u8>>, TransportError> {
-        let deadline = std::time::Instant::now() + timeout;
-        let mut remaining = timeout;
-        loop {
-            let Some(frame) = self.transport.recv_timeout(remaining)? else {
-                return Ok(None);
-            };
-            if self.skip > 0 {
-                self.skip -= 1;
-                remaining = deadline.saturating_duration_since(std::time::Instant::now());
-                if remaining.is_zero() {
-                    return Ok(None);
-                }
-                continue;
+impl PipelinedClient<TcpTransport> {
+    /// Like [`Self::recv_next`], but never waits: abandoned responses are
+    /// drained first, from frames already decoded and, when `readable`
+    /// (the caller's [`crate::sys::wait`] reported this connection's
+    /// socket), from at most one read of it
+    /// ([`TcpTransport::recv_ready`]). `Ok(None)`: no frame for the caller
+    /// yet.
+    pub fn recv_ready(&mut self, mut readable: bool) -> Result<Option<Vec<u8>>, TransportError> {
+        while let Some(frame) = self.transport.recv_ready(std::mem::take(&mut readable))? {
+            if self.skip == 0 {
+                return Ok(Some(frame));
             }
-            return Ok(Some(frame));
+            self.skip -= 1;
         }
+        Ok(None)
+    }
+}
+
+impl<T: Transport + AsRawFd> AsRawFd for PipelinedClient<T> {
+    fn as_raw_fd(&self) -> RawFd {
+        self.transport.as_raw_fd()
     }
 }
 
@@ -162,19 +160,33 @@ mod tests {
     }
 
     #[test]
-    fn recv_next_timeout_times_out_then_delivers() {
-        let (a, mut b) = ChannelTransport::pair();
-        let mut client = PipelinedClient::new(a);
-        assert!(client
-            .recv_next_timeout(std::time::Duration::from_millis(5))
-            .unwrap()
-            .is_none());
-        b.send(b"late").unwrap();
-        assert_eq!(
-            client
-                .recv_next_timeout(std::time::Duration::from_millis(100))
-                .unwrap(),
-            Some(b"late".to_vec())
-        );
+    fn recv_ready_skips_abandoned_frames_then_delivers() {
+        use crate::sys::{self, PollFd};
+        let listener = std::net::TcpListener::bind(("127.0.0.1", 0)).unwrap();
+        let addr = listener.local_addr().unwrap();
+        let server = std::thread::spawn(move || {
+            let mut t = TcpTransport::new(listener.accept().unwrap().0).unwrap();
+            for _ in 0..2 {
+                let req = t.recv().unwrap();
+                t.send(&req).unwrap();
+            }
+            let _ = t.recv(); // park until the client closes
+        });
+        let mut client = PipelinedClient::new(TcpTransport::connect(addr).unwrap());
+        // Nothing decoded and no readiness reported: no read, no frame.
+        assert_eq!(client.recv_ready(false).unwrap(), None);
+        client.send(&frame(1, b"abandoned")).unwrap();
+        client.abandon_next_response();
+        client.send(&frame(2, b"wanted")).unwrap();
+        let mut wanted = None;
+        while wanted.is_none() {
+            let mut fds = [PollFd::new(client.as_raw_fd(), sys::READ)];
+            sys::wait(&mut fds, None).unwrap();
+            wanted = client.recv_ready(fds[0].ready()).unwrap();
+        }
+        assert_eq!(wanted, Some(frame(2, b"wanted")));
+        assert_eq!(client.abandoned_pending(), 0);
+        drop(client);
+        server.join().unwrap();
     }
 }

@@ -293,7 +293,7 @@ fn reactor_loop(
         // `poll` fails only for want of kernel memory (the set is
         // well-formed by construction). Closing this thread's
         // connections below is then the failure their peers see.
-        if sys::wait(&mut fds).is_err() {
+        if sys::wait(&mut fds, None).is_err() {
             break;
         }
         if fds[0].ready() {

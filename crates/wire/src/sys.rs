@@ -1,10 +1,13 @@
 //! The one operating-system call `std` does not expose: `poll(2)`.
 //!
-//! A reactor thread blocks here until one of its sockets is ready, instead
-//! of sweeping them on a timer. This is the product crates' only `unsafe`
-//! code: one foreign declaration and one call, both below.
+//! A reactor thread blocks here until one of its sockets is ready, and a
+//! fan-out collector until one of its pending domains answers or its
+//! deadline passes, instead of either sweeping sockets on a timer. This is
+//! the product crates' only `unsafe` code: one foreign declaration and one
+//! call, both below.
 
 use std::os::fd::RawFd;
+use std::time::{Duration, Instant};
 
 /// Wait until the descriptor is readable (`POLLIN`).
 pub const READ: i16 = 0x001;
@@ -42,17 +45,30 @@ extern "C" {
     fn poll(fds: *mut PollFd, nfds: std::ffi::c_ulong, timeout: i32) -> i32;
 }
 
-/// Blocks until at least one of `fds` is ready, and returns how many are.
-/// A signal that interrupts the wait restarts it.
-pub fn wait(fds: &mut [PollFd]) -> std::io::Result<usize> {
+/// Blocks until at least one of `fds` is ready or `timeout` has passed,
+/// and returns how many are ready (0 when the timeout passed first).
+/// `None`, or a timeout too long for the clock to add, waits with none.
+/// The kernel counts the timeout in whole milliseconds, so it is rounded
+/// up (the wait never ends early) and capped at `i32::MAX` of them, about
+/// 24 days. A signal that interrupts the wait restarts it for the time
+/// that is left.
+pub fn wait(fds: &mut [PollFd], timeout: Option<Duration>) -> std::io::Result<usize> {
     let len = std::ffi::c_ulong::try_from(fds.len())
         .map_err(|_| std::io::Error::from(std::io::ErrorKind::InvalidInput))?;
+    let deadline = timeout.and_then(|t| Instant::now().checked_add(t));
     loop {
+        let millis = match deadline {
+            None => -1,
+            Some(at) => {
+                let left = at.saturating_duration_since(Instant::now());
+                i32::try_from(left.as_nanos().div_ceil(1_000_000)).unwrap_or(i32::MAX)
+            }
+        };
         // SAFETY: `fds` is a live, exclusively borrowed slice of `len`
         // `#[repr(C)]` pollfd records for the whole call, and the kernel
         // writes only their `revents` fields; a timeout of -1 means no
         // timeout.
-        let ready = unsafe { poll(fds.as_mut_ptr(), len, -1) };
+        let ready = unsafe { poll(fds.as_mut_ptr(), len, millis) };
         if let Ok(ready) = usize::try_from(ready) {
             return Ok(ready);
         }
@@ -79,11 +95,22 @@ mod tests {
             PollFd::new(quiet_rx.as_raw_fd(), READ),
             PollFd::new(loud_rx.as_raw_fd(), READ),
         ];
-        assert_eq!(wait(&mut fds).unwrap(), 1);
+        assert_eq!(wait(&mut fds, None).unwrap(), 1);
         assert!(!fds[0].ready());
         assert!(fds[1].ready());
         // A socket with room in its buffer is writable at once.
         let mut fds = [PollFd::new(quiet_tx.as_raw_fd(), WRITE)];
-        assert_eq!(wait(&mut fds).unwrap(), 1);
+        assert_eq!(wait(&mut fds, None).unwrap(), 1);
+    }
+
+    #[test]
+    fn a_quiet_descriptor_times_out_no_sooner_than_asked() {
+        let (_tx, rx) = UnixStream::pair().unwrap();
+        let mut fds = [PollFd::new(rx.as_raw_fd(), READ)];
+        let timeout = Duration::from_millis(20);
+        let started = Instant::now();
+        assert_eq!(wait(&mut fds, Some(timeout)).unwrap(), 0);
+        assert!(started.elapsed() >= timeout, "{:?}", started.elapsed());
+        assert!(!fds[0].ready());
     }
 }

@@ -12,7 +12,7 @@ use crate::frame_nb::FrameReader;
 use std::collections::VecDeque;
 use std::io::Read;
 use std::net::{SocketAddr, TcpStream};
-use std::time::Duration;
+use std::os::fd::{AsRawFd, RawFd};
 
 /// Transport-level errors.
 #[derive(Debug)]
@@ -43,25 +43,24 @@ impl From<FrameError> for TransportError {
     }
 }
 
-/// A bidirectional, message-oriented byte transport.
+/// A bidirectional, message-oriented byte transport: send one message,
+/// block until one arrives. Waiting on several transports at once is not
+/// the trait's business; a caller that needs it waits on the sockets in
+/// [`crate::sys::wait`] and reads with [`TcpTransport::recv_ready`].
 pub trait Transport: Send {
     /// Sends one message.
     fn send(&mut self, payload: &[u8]) -> Result<(), TransportError>;
     /// Blocks until one message arrives.
     fn recv(&mut self) -> Result<Vec<u8>, TransportError>;
-    /// Waits at most `timeout` for one message. `Ok(None)` means the
-    /// timeout elapsed with no complete message; any partially received
-    /// bytes are retained, so a later `recv`/`recv_timeout` resumes where
-    /// this one left off (quorum fan-out polls several transports in
-    /// rounds without losing frame synchronisation).
-    fn recv_timeout(&mut self, timeout: Duration) -> Result<Option<Vec<u8>>, TransportError>;
 }
 
 /// A [`Transport`] over a connected TCP stream.
 ///
-/// Reads go through a resumable [`FrameReader`], so a timed-out
-/// [`Transport::recv_timeout`] can leave half a frame buffered and the next
-/// receive picks it up — the stream never desynchronises.
+/// Reads go through a resumable [`FrameReader`], so a read that ends
+/// mid-frame leaves the half frame buffered and the next receive picks it
+/// up — the stream never desynchronises. Its socket ([`AsRawFd`]) can be
+/// waited on beside others, and [`Self::recv_ready`] then reads only what
+/// the wait reported.
 pub struct TcpTransport {
     stream: TcpStream,
     reader: FrameReader,
@@ -69,10 +68,6 @@ pub struct TcpTransport {
     /// complete several small frames).
     ready: VecDeque<Vec<u8>>,
     scratch: Vec<u8>,
-    /// What the socket's read timeout is currently set to, so a receive
-    /// costs a `setsockopt` only when it wants a different timeout than
-    /// the last one.
-    timeout: Option<Duration>,
 }
 
 impl TcpTransport {
@@ -85,7 +80,6 @@ impl TcpTransport {
             reader: FrameReader::new(),
             ready: VecDeque::new(),
             scratch: vec![0u8; SCRATCH_LEN],
-            timeout: None,
         })
     }
 
@@ -94,43 +88,41 @@ impl TcpTransport {
         Self::new(TcpStream::connect(addr)?)
     }
 
-    fn set_timeout(&mut self, timeout: Option<Duration>) -> Result<(), TransportError> {
-        if timeout != self.timeout {
-            self.stream
-                .set_read_timeout(timeout)
-                .map_err(|e| TransportError::Frame(FrameError::Io(e)))?;
-            self.timeout = timeout;
+    /// Returns a frame already decoded, without touching the socket; when
+    /// there is none and `readable` (the caller's [`crate::sys::wait`]
+    /// reported this socket), makes one `read` and returns the first frame
+    /// it completed. `Ok(None)`: no complete frame yet, and any partial one
+    /// stays buffered. Never a second read: on this blocking socket, it
+    /// could wait for bytes that are not coming.
+    pub fn recv_ready(&mut self, readable: bool) -> Result<Option<Vec<u8>>, TransportError> {
+        if self.ready.is_empty() && readable {
+            self.read_once()?;
         }
-        Ok(())
+        Ok(self.ready.pop_front())
     }
 
-    /// Reads until a complete frame is available. `timed` controls whether
-    /// a `WouldBlock`/`TimedOut` read surfaces as `Ok(None)` (the socket
-    /// read timeout expired) or is treated as an error.
-    fn fill_one(&mut self, timed: bool) -> Result<Option<Vec<u8>>, TransportError> {
+    /// One `read` of the socket (blocking until it has bytes), decoded into
+    /// `ready`.
+    fn read_once(&mut self) -> Result<(), TransportError> {
         loop {
-            if let Some(frame) = self.ready.pop_front() {
-                return Ok(Some(frame));
-            }
             match self.stream.read(&mut self.scratch) {
                 Ok(0) => return Err(self.reader.eof().into()),
                 Ok(n) => {
                     let mut out = Vec::new();
                     let fed = self.reader.feed(&self.scratch[..n], &mut out);
                     self.ready.extend(out);
-                    fed?;
+                    return fed.map_err(TransportError::from);
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(e)
-                    if timed
-                        && (e.kind() == std::io::ErrorKind::WouldBlock
-                            || e.kind() == std::io::ErrorKind::TimedOut) =>
-                {
-                    return Ok(None)
-                }
                 Err(e) => return Err(TransportError::Frame(FrameError::Io(e))),
             }
         }
+    }
+}
+
+impl AsRawFd for TcpTransport {
+    fn as_raw_fd(&self) -> RawFd {
+        self.stream.as_raw_fd()
     }
 }
 
@@ -141,24 +133,12 @@ impl Transport for TcpTransport {
     }
 
     fn recv(&mut self) -> Result<Vec<u8>, TransportError> {
-        self.set_timeout(None)?;
-        // An untimed `fill_one` only returns `Ok(None)` if the socket
-        // still had a stale read timeout configured; looping (rather than
-        // unwrapping) keeps this path panic-free either way.
         loop {
-            if let Some(frame) = self.fill_one(false)? {
+            if let Some(frame) = self.ready.pop_front() {
                 return Ok(frame);
             }
+            self.read_once()?;
         }
-    }
-
-    fn recv_timeout(&mut self, timeout: Duration) -> Result<Option<Vec<u8>>, TransportError> {
-        if let Some(frame) = self.ready.pop_front() {
-            return Ok(Some(frame));
-        }
-        // A zero timeout would mean "blocking" to the OS; clamp up.
-        self.set_timeout(Some(timeout.max(Duration::from_millis(1))))?;
-        self.fill_one(true)
     }
 }
 
@@ -194,16 +174,6 @@ impl Transport for ChannelTransport {
     fn recv(&mut self) -> Result<Vec<u8>, TransportError> {
         self.rx.recv().map_err(|_| TransportError::Disconnected)
     }
-
-    fn recv_timeout(&mut self, timeout: Duration) -> Result<Option<Vec<u8>>, TransportError> {
-        match self.rx.recv_timeout(timeout) {
-            Ok(msg) => Ok(Some(msg)),
-            Err(std::sync::mpsc::RecvTimeoutError::Timeout) => Ok(None),
-            Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => {
-                Err(TransportError::Disconnected)
-            }
-        }
-    }
 }
 
 /// Soft open-file limit of this process, if discoverable (Linux
@@ -219,8 +189,10 @@ pub fn max_open_files() -> Option<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sys::{self, PollFd};
     use std::net::TcpListener;
     use std::thread;
+    use std::time::Duration;
 
     fn listen() -> (TcpListener, SocketAddr) {
         let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
@@ -310,8 +282,14 @@ mod tests {
         assert!(is_torn(recv_after_close(&[5, 0, 0, 0, b'a', b'b'])));
     }
 
+    /// Whether `transport`'s socket has bytes to read right now.
+    fn readable(transport: &TcpTransport) -> bool {
+        let mut fds = [PollFd::new(transport.as_raw_fd(), sys::READ)];
+        sys::wait(&mut fds, Some(Duration::from_secs(5))).unwrap() == 1
+    }
+
     #[test]
-    fn tcp_recv_timeout_preserves_partial_frames() {
+    fn tcp_recv_ready_preserves_partial_frames() {
         let (listener, addr) = listen();
         let (started_tx, started_rx) = std::sync::mpsc::channel();
         let (go_tx, go_rx) = std::sync::mpsc::channel::<()>();
@@ -319,7 +297,7 @@ mod tests {
             let (mut raw, _) = listener.accept().unwrap();
             raw.set_nodelay(true).unwrap();
             // Send half a frame (header + partial payload), then stall
-            // until the client has observed a timeout, then finish it.
+            // until the client has read it, then finish it.
             let payload = vec![0x5au8; 100];
             let mut wire = (payload.len() as u32).to_le_bytes().to_vec();
             wire.extend_from_slice(&payload);
@@ -335,75 +313,48 @@ mod tests {
         });
         let mut client = TcpTransport::connect(addr).unwrap();
         started_rx.recv().unwrap();
-        // Times out mid-frame without losing the buffered half.
-        assert!(client
-            .recv_timeout(Duration::from_millis(20))
-            .unwrap()
-            .is_none());
+        // The socket is ready, but its one read ends mid-frame: nothing
+        // comes back, and the buffered half is kept.
+        assert!(readable(&client));
+        assert!(client.recv_ready(true).unwrap().is_none());
+        // Nothing is decoded, so an unreported socket is not read.
+        assert!(client.recv_ready(false).unwrap().is_none());
         go_tx.send(()).unwrap();
         // The completed frame arrives intact — no desynchronisation.
-        assert_eq!(client.recv().unwrap(), vec![0x5au8; 100]);
+        assert!(readable(&client));
+        assert_eq!(client.recv_ready(true).unwrap(), Some(vec![0x5au8; 100]));
         drop(go_tx);
         server.join().unwrap();
     }
 
     #[test]
-    fn tcp_recv_timeout_returns_buffered_frames_immediately() {
+    fn tcp_recv_ready_returns_decoded_frames_without_a_read() {
         let (listener, addr) = listen();
+        let (written_tx, written_rx) = std::sync::mpsc::channel();
         let server = thread::spawn(move || {
-            let mut t = accept(&listener);
-            // Two frames in one burst: one read may complete both.
-            t.send(b"first").unwrap();
-            t.send(b"second").unwrap();
-            let _ = t.recv(); // park until the client closes
+            let (mut raw, _) = listener.accept().unwrap();
+            // Two frames in one write: one read completes both.
+            let mut wire = Vec::new();
+            for payload in [&b"first"[..], b"second"] {
+                wire.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+                wire.extend_from_slice(payload);
+            }
+            use std::io::Write;
+            raw.write_all(&wire).unwrap();
+            written_tx.send(()).unwrap();
+            let _ = raw.read(&mut [0u8; 1]); // park until the client closes
         });
         let mut client = TcpTransport::connect(addr).unwrap();
-        assert_eq!(
-            client.recv_timeout(Duration::from_secs(5)).unwrap(),
-            Some(b"first".to_vec())
-        );
-        assert_eq!(
-            client.recv_timeout(Duration::from_secs(5)).unwrap(),
-            Some(b"second".to_vec())
-        );
+        written_rx.recv().unwrap();
+        assert!(readable(&client));
+        assert_eq!(client.recv_ready(true).unwrap(), Some(b"first".to_vec()));
+        // The second frame was decoded by the same read: it comes back
+        // although the caller reports nothing, and the socket is drained.
+        assert_eq!(client.recv_ready(false).unwrap(), Some(b"second".to_vec()));
+        let mut fds = [PollFd::new(client.as_raw_fd(), sys::READ)];
+        assert_eq!(sys::wait(&mut fds, Some(Duration::ZERO)).unwrap(), 0);
         drop(client);
         server.join().unwrap();
-    }
-
-    #[test]
-    fn kept_timeout_follows_the_socket() {
-        let (listener, addr) = listen();
-        let (go_tx, go_rx) = std::sync::mpsc::channel::<()>();
-        let server = thread::spawn(move || {
-            let mut t = accept(&listener);
-            go_rx.recv().unwrap();
-            t.send(b"late").unwrap();
-            go_rx.recv().ok();
-        });
-        let mut client = TcpTransport::connect(addr).unwrap();
-        let wait = Duration::from_millis(5);
-        for _ in 0..2 {
-            assert!(client.recv_timeout(wait).unwrap().is_none());
-            assert_eq!(client.timeout, Some(wait));
-            assert!(client.stream.read_timeout().unwrap().is_some());
-        }
-        go_tx.send(()).unwrap();
-        assert_eq!(client.recv().unwrap(), b"late");
-        assert_eq!(client.timeout, None);
-        assert_eq!(client.stream.read_timeout().unwrap(), None);
-        drop(go_tx);
-        server.join().unwrap();
-    }
-
-    #[test]
-    fn channel_recv_timeout() {
-        let (mut a, mut b) = ChannelTransport::pair();
-        assert!(a.recv_timeout(Duration::from_millis(5)).unwrap().is_none());
-        b.send(b"hello").unwrap();
-        assert_eq!(
-            a.recv_timeout(Duration::from_secs(1)).unwrap(),
-            Some(b"hello".to_vec())
-        );
     }
 
     #[test]

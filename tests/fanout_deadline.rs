@@ -7,9 +7,14 @@
 //! vanishes into its socket buffer and no response ever comes. Connect
 //! timeouts, error frames, and dead sockets all surface on their own;
 //! only a silent, live connection needs the wall-clock budget.
+//!
+//! Silent domains must also cost nothing a healthy quorum does not need,
+//! and the budget must be kept to within a millisecond or so, however
+//! many of them are listed first. The file ends with what a fan-out the
+//! session refuses costs the trust state: nothing.
 
 use distrust::core::abi::{AppHost, NoImports, HANDLE_EXPORT, OUTBOX_ADDR};
-use distrust::core::client::DeploymentClient;
+use distrust::core::client::{DeploymentClient, DomainInfo};
 use distrust::core::session::{DomainOutcome, FanoutCall, QuorumPolicy, TrustPolicy};
 use distrust::core::{AppSpec, Deployment};
 use distrust::crypto::drbg::HmacDrbg;
@@ -166,4 +171,139 @@ fn deadline_generous_enough_changes_nothing() {
         .expect("fanout runs");
     assert!(report.satisfied, "{report:?}");
     assert_eq!(report.ok_count(), 3);
+}
+
+/// A real `n`-domain deployment of [`echo_module`].
+fn echo_deployment(n: usize, seed: &[u8]) -> Deployment {
+    let spec = AppSpec {
+        name: "echo".into(),
+        module: echo_module(),
+        notes: "v1".into(),
+        hosts: (0..n)
+            .map(|_| Box::new(NoImports) as Box<dyn AppHost>)
+            .collect(),
+        limits: Limits::default(),
+    };
+    Deployment::launch(spec, seed).expect("launch")
+}
+
+/// Silent domains listed before the one healthy domain.
+const SILENT: u32 = 8;
+
+/// A one-domain deployment whose client sees [`SILENT`] hung listeners
+/// first and the real domain last.
+fn deployment_behind_silent_domains() -> (Deployment, DeploymentClient) {
+    let deployment = echo_deployment(1, b"silent first");
+    let mut descriptor = deployment.descriptor.clone();
+    let healthy = descriptor.domains[0].clone();
+    descriptor.domains = (0..SILENT)
+        .map(|index| DomainInfo {
+            index,
+            addr: hung_listener(),
+            ..healthy.clone()
+        })
+        .chain([DomainInfo {
+            index: SILENT,
+            ..healthy
+        }])
+        .collect();
+    let client = DeploymentClient::new(
+        descriptor,
+        Box::new(HmacDrbg::new(b"silent first", b"client-rng")),
+    );
+    (deployment, client)
+}
+
+#[test]
+fn silent_domains_cost_an_early_exit_nothing() {
+    let (deployment, mut client) = deployment_behind_silent_domains();
+    let mut session = client.session(TrustPolicy::open());
+    let call = FanoutCall::broadcast(1, vec![3])
+        .quorum(QuorumPolicy::Threshold(1))
+        .deadline(Duration::from_secs(10));
+    let mut best = Duration::MAX;
+    for _ in 0..5 {
+        let started = Instant::now();
+        let report = session.fanout(&call).expect("fanout runs");
+        best = best.min(started.elapsed());
+        assert!(report.satisfied, "{report:?}");
+        assert!(
+            matches!(&report.outcomes[SILENT as usize], DomainOutcome::Ok(p) if p == &vec![4u8])
+        );
+        assert_eq!(report.abandoned(), (0..SILENT).collect::<Vec<_>>());
+    }
+    // The healthy domain answers in well under a millisecond; waiting on
+    // one silent domain at a time costs each of them at least that much.
+    assert!(
+        best < Duration::from_millis(5),
+        "a Threshold(1) fan-out took {best:?} behind {SILENT} silent domains"
+    );
+    drop(session);
+    drop(deployment);
+}
+
+#[test]
+fn a_deadline_behind_silent_domains_is_kept() {
+    let (deployment, mut client) = deployment_behind_silent_domains();
+    let mut session = client.session(TrustPolicy::open());
+    let budget = Duration::from_millis(20);
+    let call = FanoutCall::broadcast(1, vec![3]).deadline(budget);
+    let mut best = Duration::MAX;
+    for _ in 0..3 {
+        let started = Instant::now();
+        let report = session.fanout(&call).expect("fanout runs");
+        let elapsed = started.elapsed();
+        best = best.min(elapsed);
+        assert!(elapsed >= budget, "gave up after {elapsed:?}");
+        assert!(!report.satisfied);
+        assert!(report.outcomes[SILENT as usize].is_ok(), "{report:?}");
+        for d in 0..SILENT as usize {
+            assert!(
+                matches!(&report.outcomes[d], DomainOutcome::Failed(why) if why.contains("deadline")),
+                "{:?}",
+                report.outcomes[d]
+            );
+        }
+    }
+    assert!(
+        best < budget + Duration::from_millis(5),
+        "a {budget:?} deadline took {best:?} behind {SILENT} silent domains"
+    );
+    drop(session);
+    drop(deployment);
+}
+
+/// A fan-out the session refuses before sending anything — a payload
+/// count that does not match the deployment, a target that does not
+/// exist — is not a round of application traffic, so it does not bring
+/// the next audit closer.
+#[test]
+fn a_refused_fanout_uses_up_no_staleness_round() {
+    let deployment = echo_deployment(3, b"staleness rounds");
+    let mut client = deployment.client(b"client");
+    let mut session = client.session(TrustPolicy::audited().with_max_staleness(1));
+    // Every audit looks at domain 0's checkpoint once more: verified the
+    // first time, recognised as verified after that.
+    let audits_seen = |session: &mut distrust::core::session::Session<'_>| {
+        let cache = session.client().auditor_prefix_cache(0).expect("domain 0");
+        cache.signatures_verified() + cache.skipped()
+    };
+    let valid = FanoutCall::broadcast(1, vec![1]);
+    assert!(session.fanout(&valid).expect("first round").satisfied);
+    let after_first = audits_seen(&mut session);
+    assert!(after_first > 0, "the first round audits");
+
+    let short = FanoutCall::per_domain(1, vec![vec![1]; 2]);
+    assert!(session.fanout(&short).is_err(), "one payload too few");
+    let missing = FanoutCall::broadcast(1, vec![1]).targets(vec![0, 7]);
+    assert!(session.fanout(&missing).is_err(), "no domain 7");
+
+    assert!(session.fanout(&valid).expect("second round").satisfied);
+    assert_eq!(
+        audits_seen(&mut session),
+        after_first,
+        "two refused fan-outs must not make the second round re-audit"
+    );
+    drop(session);
+    drop(deployment);
 }
