@@ -5,9 +5,10 @@
 //! domains can jointly sign a message."
 //!
 //! Faithful to the prototype's architecture, the signing computation runs
-//! *inside the sandbox*: the guest executes the complete double-and-add
-//! scalar ladder — including the Jacobian point-doubling and mixed-addition
-//! formulas — with only the 381-bit **field operations** exposed as host
+//! *inside the sandbox*: the guest executes the complete scalar ladder —
+//! one Jacobian point doubling per digit of the share's width-2 NAF and
+//! one mixed addition of `±H(m)` per further non-zero digit, formulas
+//! included — with only the 381-bit **field operations** exposed as host
 //! imports (the analogue of a Wasm build calling a native bignum, with the
 //! thousands of guest↔host boundary crossings and interpreted control flow
 //! that the paper's Table 3 prices). The imports are three-address over a
@@ -18,6 +19,19 @@
 //! sealed to the trust domain; partial signatures leave through the guest
 //! outbox and aggregate client-side into a standard BLS signature under
 //! the group public key.
+//!
+//! Table 3's two rows here do not run the same algorithm, as the paper's
+//! do (one algorithm compiled to Wasm and natively). Native
+//! [`sign_native`] runs the endomorphism-split windowed-NAF kernel
+//! ([`G1Projective::multi_scalar`]); the guest walks one signed digit at a
+//! time, 7 469 crossings per signature on `e2e`'s share (8 694 with the
+//! binary double-and-add before it). `e2e`'s `sandbox.overhead_pct`
+//! (traced `share_single`) reads a median ≈ 163 % (≈ 215 % with the
+//! binary ladder), not the paper's 46 %. Much of that gap is the
+//! algorithm: the host side of the crossings alone (field operations and
+//! dispatch, `crypto.host_us_per_sign`) reads about twice native's whole
+//! signature. The guest's own split is left until `e2e` stops keeping
+//! every reply (ROADMAP 1(c)).
 //!
 //! The client verifies what it returns, not what it receives: it
 //! aggregates the first `t` partials that parse and checks the *aggregate*
@@ -36,7 +50,8 @@ use distrust_core::session::Session;
 use distrust_core::ClientError;
 use distrust_crypto::bls::{PreparedPublicKey, Signature};
 use distrust_crypto::fp::Fp;
-use distrust_crypto::g1::{hash_to_g1, G1Affine, G1Projective};
+use distrust_crypto::fr::Fr;
+use distrust_crypto::g1::{hash_to_g1, G1Affine, G1Projective, Naf};
 use distrust_crypto::threshold::{
     self, FeldmanCommitments, KeyShare, PartialSignature, ThresholdError,
 };
@@ -49,16 +64,18 @@ pub const METHOD_SIGN: u64 = 1;
 pub const METHOD_INDEX: u64 = 2;
 
 /// The host's field registers, as the guest names them: the accumulator
-/// (Jacobian), the base point `H(m)` (affine), and the eight temporaries
-/// the two point formulas need between them.
+/// (Jacobian), the base point `H(m)` (affine) with the `y` of `−H(m)`
+/// beside it, and the eight temporaries the two point formulas need
+/// between them.
 mod reg {
     pub const ACC_X: u64 = 0;
     pub const ACC_Y: u64 = 1;
     pub const ACC_Z: u64 = 2;
     pub const BASE_X: u64 = 3;
     pub const BASE_Y: u64 = 4;
+    pub const BASE_NEG_Y: u64 = 5;
     /// The first of the eight temporaries.
-    pub const T: u64 = 5;
+    pub const T: u64 = 6;
     pub const COUNT: usize = T as usize + 8;
 }
 
@@ -74,7 +91,7 @@ struct Imports {
     one: u16,
     mov: u16,
     is_zero: u16,
-    share_bit: u16,
+    share_digit: u16,
     emit: u16,
     share_index: u16,
 }
@@ -95,7 +112,8 @@ fn declare_imports(mb: &mut ModuleBuilder) -> Imports {
         one: mb.import("fp.one", 1, 0),
         mov: mb.import("fp.mov", 2, 0),
         is_zero: mb.import("fp.is_zero", 1, 1),
-        share_bit: mb.import("bls.share_bit", 1, 1),
+        // share_digit(i): digit `i` of the share's NAF, as an `i64`.
+        share_digit: mb.import("bls.share_digit", 1, 1),
         // emit(x, y, z): the Jacobian point in those three registers →
         // affine → compressed bytes → outbox; returns the length.
         emit: mb.import("bls.emit", 3, 1),
@@ -150,14 +168,22 @@ fn build_double(im: &Imports) -> distrust_sandbox::Function {
     f.build().expect("double builds")
 }
 
-/// Builds the guest function for mixed addition `acc += base` (madd-2007-bl
-/// with Z2 = 1), in place on the accumulator registers. Traps if
-/// `acc == ±base` (probability ≈ 2⁻²⁵⁵ in the ladder; a trap is contained by
-/// the framework).
+/// Builds the guest function for mixed addition `acc += (BASE_X, y)`
+/// (madd-2007-bl with Z2 = 1), in place on the accumulator registers; its
+/// one parameter names the register of `y`, `BASE_Y` to add `H(m)` and
+/// `BASE_NEG_Y` to add `−H(m)`. Traps if `acc == ±(BASE_X, y)`, that is if
+/// `H = 0`, which the ladder never asks. Walking a NAF of magnitude
+/// `m < r` from its top digit, the accumulator before each addition is
+/// `±v·H(m)` with `2 ≤ v`; before every addition but the last digit's
+/// `v ≤ m/2 + 2 < r − 1`, and before that one `v ≤ m + 1`. So `v ≡ ±1`
+/// (mod `r`) needs `m = r − 2` ending on digit `−1`, and [`share_naf`]
+/// never walks that NAF: the share's other NAF, of `2`, takes no
+/// addition at all. The trap stays for a guest of another release; a
+/// trap is contained by the framework.
 fn build_add_base(im: &Imports) -> distrust_sandbox::Function {
-    use reg::{ACC_X as X1, ACC_Y as Y1, ACC_Z as Z1, BASE_X as X2, BASE_Y as Y2};
+    use reg::{ACC_X as X1, ACC_Y as Y1, ACC_Z as Z1, BASE_X as X2};
     let [z1z1, t, h, r, hh, i, j, v] = [0, 1, 2, 3, 4, 5, 6, 7].map(|t| reg::T + t);
-    let mut f = FuncBuilder::new(0, 0, 0);
+    let mut f = FuncBuilder::new(1, 0, 0);
     // Z1Z1 = Z1²; U2 = X2·Z1Z1 → t; H = U2 − X1
     op2(&mut f, im.sq, z1z1, Z1);
     op3(&mut f, im.mul, t, X2, z1z1);
@@ -166,8 +192,9 @@ fn build_add_base(im: &Imports) -> distrust_sandbox::Function {
     f.constant(h).host(im.is_zero).jz("ok");
     f.op(Instr::Trap);
     f.label("ok");
-    // S2 = Y2·Z1·Z1Z1 → t; r = 2·(S2 − Y1)
-    op3(&mut f, im.mul, t, Y2, Z1);
+    // S2 = Y2·Z1·Z1Z1 → t (Y2 in the register parameter 0 names);
+    // r = 2·(S2 − Y1)
+    f.constant(t).lget(0).constant(Z1).host(im.mul);
     op3(&mut f, im.mul, t, t, z1z1);
     op3(&mut f, im.sub, r, t, Y1);
     op2(&mut f, im.dbl, r, r);
@@ -197,6 +224,15 @@ fn build_add_base(im: &Imports) -> distrust_sandbox::Function {
     f.build().expect("add_base builds")
 }
 
+/// Emits code that pushes the register of the `y` that digit `±1` (in
+/// local 4) adds: `BASE_Y` for `1`, `BASE_NEG_Y` for `−1`.
+fn push_base_y(f: &mut FuncBuilder) {
+    f.lget(4).constant(1).op(Instr::Eq);
+    f.constant(reg::BASE_Y)
+        .constant(reg::BASE_NEG_Y)
+        .op(Instr::Select);
+}
+
 /// Builds the threshold-signer guest module. Function indices: 0 = the
 /// exported `handle`, 1 = point doubling, 2 = mixed addition.
 pub fn signer_module() -> Module {
@@ -204,8 +240,8 @@ pub fn signer_module() -> Module {
     let im = declare_imports(&mut mb);
 
     // handle(method, addr, len) -> outbox length
-    // locals: 3 = bit index i
-    let mut f = FuncBuilder::new(3, 1, 1);
+    // locals: 3 = digit index i, 4 = digit i
+    let mut f = FuncBuilder::new(3, 2, 1);
     f.lget(0).constant(METHOD_SIGN).op(Instr::Eq).jnz("sign");
     f.lget(0).constant(METHOD_INDEX).op(Instr::Eq).jnz("index");
     f.op(Instr::Trap);
@@ -218,27 +254,35 @@ pub fn signer_module() -> Module {
         .constant(1)
         .ret();
 
-    // --- the signing ladder.
+    // --- the signing ladder, over the share's NAF.
     f.label("sign");
-    // base = H(m)
+    // base = H(m); −y = (y − y) − y, two field operations like any other
     f.lget(1).lget(2).host(im.hash_msg);
-    // Find the top set bit of the share, scanning from 254 down.
-    f.constant(254).lset(3);
+    let (y, neg_y) = (reg::BASE_Y, reg::BASE_NEG_Y);
+    op3(&mut f, im.sub, neg_y, y, y);
+    op3(&mut f, im.sub, neg_y, neg_y, y);
+    // Find the top non-zero digit, scanning from 255 down.
+    f.constant(255).lset(3);
     f.label("scan");
-    f.lget(3).host(im.share_bit).jnz("found");
+    f.lget(3).host(im.share_digit).lset(4);
+    f.lget(4).jnz("found");
     f.lget(3).constant(1).sub().lset(3);
-    f.jmp("scan"); // share == 0 is rejected at keygen; bit must exist.
+    f.jmp("scan"); // share == 0 is rejected at keygen; a digit must exist.
     f.label("found");
-    // acc = (base_x, base_y, 1)
+    // acc = (base_x, ±base_y, 1), signed as the top digit
+    f.constant(reg::ACC_Y);
+    push_base_y(&mut f);
+    f.host(im.mov);
     op2(&mut f, im.mov, reg::ACC_X, reg::BASE_X);
-    op2(&mut f, im.mov, reg::ACC_Y, reg::BASE_Y);
     f.constant(reg::ACC_Z).host(im.one);
-    // for i-1 down to 0: acc = 2·acc; if bit(i): acc += base
+    // for i-1 down to 0: acc = 2·acc; if digit(i) = ±1: acc += ±base
     f.label("ladder");
     f.lget(3).jz("emit_point");
     f.lget(3).constant(1).sub().lset(3);
     f.call(1); // double
-    f.lget(3).host(im.share_bit).jz("ladder");
+    f.lget(3).host(im.share_digit).lset(4);
+    f.lget(4).jz("ladder");
+    push_base_y(&mut f);
     f.call(2); // add_base
     f.jmp("ladder");
     // Emit the compressed point and return its length.
@@ -256,20 +300,21 @@ pub fn signer_module() -> Module {
     mb.build()
 }
 
-/// Host-side state for one trust domain: its key share and the field
-/// registers the guest computes in. Nothing here grows with use.
+/// Host-side state for one trust domain: its key share, recoded for the
+/// ladder, and the field registers the guest computes in. Nothing here
+/// grows with use.
 pub struct SignerHost {
-    share: KeyShare,
-    share_bits: [u64; 4],
+    index: u8,
+    share_naf: Naf<256>,
     regs: [Fp; reg::COUNT],
 }
 
 impl SignerHost {
-    /// Wraps a share.
+    /// Wraps a share, recoded once into the width-2 NAF the guest walks.
     pub fn new(share: KeyShare) -> Self {
         Self {
-            share_bits: share.value.to_canonical_limbs(),
-            share,
+            index: share.index,
+            share_naf: share_naf(&share.value),
             regs: [Fp::ZERO; reg::COUNT],
         }
     }
@@ -292,14 +337,33 @@ impl SignerHost {
     }
 }
 
+/// The width-2 NAF (digits `0` and `±1`, at most 256 of them) the ladder
+/// walks for the share `k`. Two stand for the same point `k·H(m)`: the
+/// NAF of `k` and the NAF of `r − k` negated. The ladder walks whichever
+/// takes fewer point operations (a doubling per digit, an addition per
+/// non-zero one), the first on a tie.
+fn share_naf(k: &Fr) -> Naf<256> {
+    let point_ops = |naf: &Naf<256>| {
+        let digits = naf.digits();
+        digits.len() + digits.iter().filter(|&&d| d != 0).count()
+    };
+    let plain = Naf::new(&k.to_canonical_limbs(), 2);
+    let negated = -Naf::new(&k.neg().to_canonical_limbs(), 2);
+    if point_ops(&negated) < point_ops(&plain) {
+        negated
+    } else {
+        plain
+    }
+}
+
 impl AppHost for SignerHost {
     /// The module that declares an import also declares how many arguments
     /// it passes, and a release may carry any module: a name paired with
     /// the wrong argument count is an error like an unknown name.
     fn call(&mut self, name: &str, args: &[u64], memory: &mut Memory) -> Result<Vec<u64>, String> {
         // Matched as bytes, not as `str`: byte-string patterns compile to a
-        // decision tree on length and bytes, and this runs 8 000 times per
-        // signature.
+        // decision tree on length and bytes, and this runs about 7 500 times
+        // per signature.
         match (name.as_bytes(), args) {
             (b"fp.sq", &[dst, a]) => self.set(dst, self.reg(a)?.square()),
             (b"fp.mul", &[dst, a, b]) => self.set(dst, self.reg(a)?.mul(&self.reg(b)?)),
@@ -313,12 +377,12 @@ impl AppHost for SignerHost {
             (b"fp.one", &[dst]) => self.set(dst, Fp::ONE),
             (b"fp.mov", &[dst, a]) => self.set(dst, self.reg(a)?),
             (b"fp.is_zero", &[a]) => Ok(vec![self.reg(a)?.is_zero() as u64]),
-            (b"bls.share_bit", &[i]) => {
-                let limb = usize::try_from(i / 64)
+            (b"bls.share_digit", &[i]) => {
+                let digit = usize::try_from(i)
                     .ok()
-                    .and_then(|limb| self.share_bits.get(limb))
-                    .ok_or_else(|| format!("share bit index {i} out of range"))?;
-                Ok(vec![(limb >> (i % 64)) & 1])
+                    .and_then(|i| self.share_naf.digit(i))
+                    .ok_or_else(|| format!("share digit index {i} out of range"))?;
+                Ok(vec![i64::from(digit) as u64])
             }
             (b"bls.hash_msg", &[addr, len]) => {
                 let msg = memory.read(addr, len).map_err(|e| e.to_string())?;
@@ -338,7 +402,7 @@ impl AppHost for SignerHost {
                     .map_err(|e| e.to_string())?;
                 Ok(vec![bytes.len() as u64])
             }
-            (b"bls.share_index", &[]) => Ok(vec![self.share.index as u64]),
+            (b"bls.share_index", &[]) => Ok(vec![self.index as u64]),
             _ => Err(format!(
                 "unknown import {name:?} with {} arguments",
                 args.len()
@@ -709,25 +773,141 @@ mod tests {
         assert_eq!(signature, threshold::aggregate(2, &honest[1..]).unwrap());
     }
 
+    /// `2^k` as a scalar.
+    fn pow2(k: u32) -> Fr {
+        Fr::from_u64(2).pow_vartime(&[u64::from(k)])
+    }
+
+    /// Shares at the edges of the recoding sign byte for byte as natively:
+    /// tiny ones (a top digit near the bottom of the scan), `r − 1`,
+    /// `r − 2` and `r − 3` (walked as `−1`, `−2` and `−3`; the NAF of
+    /// `r − 2` itself would end on the doubling case), both sides of
+    /// `r/2`, powers of two and the runs of ones below them (one long
+    /// carry), alternating bits, and a share whose NAF takes all 256
+    /// digits.
     #[test]
     fn small_scalar_edge_cases() {
-        // Shares with tiny values exercise the top-bit scan.
         let module = signer_module();
         let names = import_names(&module);
-        for v in [1u64, 2, 3, 255] {
-            let share = KeyShare {
-                index: 1,
-                value: distrust_crypto::fr::Fr::from_u64(v),
-            };
+        let minus = |v: u64| Fr::ZERO.sub(&Fr::from_u64(v));
+        let half = Fr::from_u64(2).invert().expect("2 is invertible");
+        let all_256_digits = pow2(254).add(&pow2(253));
+        assert_eq!(share_naf(&all_256_digits).digits().len(), 256);
+        let mut shares: Vec<Fr> = [1u64, 2, 3, 255].map(Fr::from_u64).to_vec();
+        shares.extend([minus(1), minus(2), minus(3), all_256_digits]);
+        // (r − 1)/2, (r + 1)/2 and their neighbours
+        shares.extend([minus(1), Fr::ZERO, Fr::ONE].map(|d| half.add(&d)));
+        for k in [1, 2, 63, 64, 65, 127, 128, 200, 253, 254] {
+            shares.extend([pow2(k), pow2(k).sub(&Fr::ONE)]);
+        }
+        for pattern in [0x5555_5555_5555_5555u64, 0xaaaa_aaaa_aaaa_aaaa] {
+            let limbs = [pattern, pattern, pattern, pattern >> 2];
+            shares.push(Fr::from_canonical_limbs(limbs).expect("below r"));
+        }
+        for value in shares {
+            let share = KeyShare { index: 1, value };
             let mut inst = Instance::new(module.clone(), Limits::default()).unwrap();
             let mut host = SignerHost::new(share);
             let guest = sign_in_sandbox(&mut inst, &names, &mut host, b"edge").unwrap();
-            assert_eq!(guest, sign_native(&share, b"edge"), "scalar {v}");
+            assert_eq!(
+                guest,
+                sign_native(&share, b"edge"),
+                "scalar {:x?}",
+                value.to_canonical_limbs()
+            );
         }
     }
 
-    /// The scan for the share's top set bit at both ends of the range and
-    /// on both sides of a limb boundary; and on each instance a second
+    /// Forwards to the signer and counts its crossings by import name.
+    struct Counting {
+        host: SignerHost,
+        calls: std::collections::BTreeMap<String, usize>,
+    }
+
+    impl AppHost for Counting {
+        fn call(
+            &mut self,
+            name: &str,
+            args: &[u64],
+            memory: &mut Memory,
+        ) -> Result<Vec<u64>, String> {
+            *self.calls.entry(name.to_string()).or_default() += 1;
+            self.host.call(name, args, memory)
+        }
+    }
+
+    /// The ladder walks the share's NAF: one doubling per digit below the
+    /// top one and one addition per further non-zero digit. `fp.tpl` is
+    /// the doubling's alone and `fp.is_zero` the addition's; every other
+    /// crossing is the formulas' field operations, the 256 digit reads
+    /// (the scan down to the top digit, then one per digit below it), the
+    /// hash and the two subtractions that negate its `y`, the
+    /// accumulator's three initial moves and the emit.
+    #[test]
+    fn crossings_follow_the_shares_naf() {
+        let module = signer_module();
+        let names = import_names(&module);
+        let crossings = |f: usize| {
+            let code = &module.functions[f].code;
+            code.iter()
+                .filter(|i| matches!(i, Instr::HostCall(_)))
+                .count()
+        };
+        let (per_double, per_add) = (crossings(1), crossings(2));
+        let mut rng = HmacDrbg::new(b"signer tests", b"crossings");
+        let keys = threshold::generate(2, 6, &mut rng).unwrap();
+        for share in &keys.shares {
+            let naf = share_naf(&share.value);
+            let digits = naf.digits();
+            let doublings = digits.len() - 1;
+            let additions = digits.iter().filter(|&&d| d != 0).count() - 1;
+
+            let mut inst = Instance::new(module.clone(), Limits::default()).unwrap();
+            let mut counting = Counting {
+                host: SignerHost::new(*share),
+                calls: Default::default(),
+            };
+            let msg = b"count the crossings";
+            let out =
+                distrust_core::abi::app_call(&mut inst, &names, &mut counting, METHOD_SIGN, msg)
+                    .unwrap();
+            assert_eq!(out, sign_native(share, msg).to_bytes());
+            let calls = counting.calls;
+            let at = |name: &str| calls.get(name).copied().unwrap_or(0);
+            assert_eq!(at("fp.tpl"), doublings, "share {}", share.index);
+            assert_eq!(at("fp.is_zero"), additions, "share {}", share.index);
+            assert_eq!(at("bls.share_digit"), 256, "share {}", share.index);
+            let total: usize = calls.values().sum();
+            let expected = 1 + 2 + 256 + 3 + 1 + per_double * doublings + per_add * additions;
+            assert_eq!(total, expected, "share {}", share.index);
+        }
+    }
+
+    /// The digit import is the guest's to call with any index: from one
+    /// past the form's 256 digits on, it is an error the VM turns into a
+    /// trap, not a panic.
+    #[test]
+    fn share_digit_past_the_form_is_an_error() {
+        let mut rng = HmacDrbg::new(b"signer tests", b"digit range");
+        let keys = threshold::generate(1, 1, &mut rng).unwrap();
+        let mut inst = Instance::new(signer_module(), Limits::default()).unwrap();
+        let mut host = SignerHost::new(keys.shares[0]);
+        let naf = share_naf(&keys.shares[0].value);
+        for i in [0u64, 1, 254, 255] {
+            let digit = host.call("bls.share_digit", &[i], &mut inst.memory);
+            let expected = i64::from(naf.digit(i as usize).unwrap()) as u64;
+            assert_eq!(digit, Ok(vec![expected]), "digit {i}");
+        }
+        for i in [256u64, 257, 1 << 32, u64::MAX] {
+            let digit = host.call("bls.share_digit", &[i], &mut inst.memory);
+            assert!(digit.is_err(), "digit {i}");
+        }
+    }
+
+    /// The scan for the top digit of the share's NAF at both ends of the
+    /// range and on both sides of a limb boundary (the last share, above
+    /// `r/2`, is walked as `k − r`, a negative top digit); and on each
+    /// instance a second
     /// signature after a request that trapped: the registers still hold the
     /// first signature's values then, and none may reach the second result.
     #[test]

@@ -113,45 +113,98 @@ fn split_scalar(k: &Fr) -> (u128, u128) {
     (k1, k2)
 }
 
-/// A width-`w` non-adjacent form, least significant digit first: every
-/// non-zero digit is odd and below `2^(w−1)` in magnitude, and at least
-/// `w − 1` zeros follow it. A 128-bit value has at most 129 digits.
-struct Naf {
-    digits: [i8; 129],
+/// A width-`w` non-adjacent form of a non-negative integer, least
+/// significant digit first, in room for `N` digits: every non-zero digit
+/// is odd and below `2^(w−1)` in magnitude, and at least `w − 1` zeros
+/// follow it. A value below `2^b` has at most `b + 1` digits, so the
+/// kernel's 128-bit halves fit in 129 and a scalar of [`Fr`] (below
+/// `r < 2²⁵⁵`) in 256.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Naf<const N: usize> {
+    digits: [i8; N],
     len: usize,
 }
 
-impl Naf {
-    fn new(mut k: u128, w: u32) -> Self {
-        debug_assert!((2..=8).contains(&w), "digits are stored as i8");
-        let mut digits = [0i8; 129];
+impl<const N: usize> Naf<N> {
+    /// The form of `k`, given as little-endian 64-bit limbs, for a width
+    /// `w` in `2..=8`. Panics if it needs more than `N` digits.
+    pub fn new(k: &[u64], w: u32) -> Self {
+        assert!((2..=8).contains(&w), "digits are stored as i8");
+        let mask = (1u64 << w) - 1;
+        // Bits `pos..pos + w` of `k`, zero past its top.
+        let window = |pos: usize| {
+            let (limb, shift) = (pos / 64, pos % 64);
+            let low = k.get(limb).map_or(0, |l| l >> shift);
+            let high = match k.get(limb + 1) {
+                Some(h) if shift + w as usize > 64 => h << (64 - shift),
+                _ => 0,
+            };
+            (low | high) & mask
+        };
+        let mut digits = [0i8; N];
         let mut len = 0;
-        while k != 0 {
-            if k & 1 == 1 {
-                let low = (k & ((1 << w) - 1)) as i32;
-                let digit = if low >= 1 << (w - 1) {
-                    low - (1 << w)
-                } else {
-                    low
-                };
-                digits[len] = digit as i8;
-                // (k − digit) / 2 without forming k + |digit|, which can
-                // exceed 128 bits.
-                k = (k >> 1).wrapping_sub((digit >> 1) as u128);
-            } else {
-                k >>= 1;
+        let bits = k
+            .iter()
+            .rposition(|&limb| limb != 0)
+            .map_or(0, |top| 64 * top + 64 - k[top].leading_zeros() as usize);
+        // `carry` is the 1 that a negative digit left at bit `pos`: the
+        // value still to recode is `k >> pos` plus it.
+        let (mut pos, mut carry) = (0, 0);
+        while pos < bits || carry != 0 {
+            let low = window(pos) + carry;
+            if low & 1 == 0 {
+                // A zero digit: the bit equals the carry, which moves up.
+                pos += 1;
+                continue;
             }
-            len += 1;
+            let digit = if low >= 1 << (w - 1) {
+                carry = 1;
+                low as i32 - (1 << w)
+            } else {
+                carry = 0;
+                low as i32
+            };
+            digits[pos] = digit as i8;
+            len = pos + 1;
+            // The digit clears the window: its other `w − 1` digits are 0.
+            pos += w as usize;
         }
         Self { digits, len }
     }
 
+    /// The digits up to the top non-zero one; empty for `k = 0`.
+    pub fn digits(&self) -> &[i8] {
+        &self.digits[..self.len]
+    }
+
+    /// Digit `i`, zero above the top one; `None` from `N` on.
+    pub fn digit(&self, i: usize) -> Option<i8> {
+        self.digits.get(i).copied()
+    }
+
     /// Digit `i` when it is not zero, as the table offset of its magnitude
     /// (`|d| / 2`, tables holding odd multiples) and whether it is negative.
-    fn digit(&self, i: usize) -> Option<(usize, bool)> {
+    fn term(&self, i: usize) -> Option<(usize, bool)> {
         let digit = *self.digits.get(i)?;
         (digit != 0).then(|| (usize::from(digit.unsigned_abs() / 2), digit < 0))
     }
+}
+
+/// The same digits negated: a form of `−k`.
+impl<const N: usize> core::ops::Neg for Naf<N> {
+    type Output = Self;
+
+    fn neg(mut self) -> Self {
+        for d in &mut self.digits {
+            *d = -*d;
+        }
+        self
+    }
+}
+
+/// The kernel's NAF of a 128-bit chunk of a split scalar.
+fn chunk_naf(chunk: u128, w: u32) -> Naf<129> {
+    Naf::new(&[chunk as u64, (chunk >> 64) as u64], w)
 }
 
 /// One point's lanes of the kernel: runs of odd multiples `B, 3B, …` up to
@@ -650,7 +703,7 @@ impl G1Projective {
     /// time.
     pub fn multi_scalar(lanes: &[(&G1Table, Fr)]) -> Self {
         // Every run of every lane's table, with the NAF that indexes it.
-        let runs: Vec<(&G1Table, usize, Naf)> = lanes
+        let runs: Vec<(&G1Table, usize, Naf<129>)> = lanes
             .iter()
             .flat_map(|&(table, k)| {
                 let (k1, k2) = split_scalar(&k);
@@ -661,7 +714,7 @@ impl G1Projective {
                 });
                 chunks
                     .enumerate()
-                    .map(move |(run, chunk)| (table, run, Naf::new(chunk, table.window())))
+                    .map(move |(run, chunk)| (table, run, chunk_naf(chunk, table.window())))
             })
             .collect();
         let len = runs.iter().map(|(_, _, naf)| naf.len).max().unwrap_or(0);
@@ -669,7 +722,7 @@ impl G1Projective {
         for i in (0..len).rev() {
             acc = acc.double();
             for (table, run, naf) in &runs {
-                if let Some((at, negative)) = naf.digit(i) {
+                if let Some((at, negative)) = naf.term(i) {
                     acc = table.add_to(&acc, *run, at, negative);
                 }
             }
@@ -1109,6 +1162,36 @@ mod tests {
         Fr::from_canonical_limbs([v as u64, (v >> 64) as u64, 0, 0]).expect("below r")
     }
 
+    /// `naf` is a width-`w` NAF of `value` (modulo `r`): digits odd or
+    /// zero, inside the window, non-zero ones at least `w` apart, the top
+    /// one non-zero, none stored above it, summing back to `value`.
+    fn check_naf<const N: usize>(naf: &Naf<N>, value: Fr, w: u32) -> Result<(), TestCaseError> {
+        let digits = naf.digits();
+        prop_assert!(digits.last().is_none_or(|&d| d != 0));
+        prop_assert!((digits.len()..N).all(|i| naf.digit(i) == Some(0)));
+        prop_assert_eq!(naf.digit(N), None);
+        let mut sum = Fr::ZERO;
+        let mut last_nonzero = None;
+        for (i, &digit) in digits.iter().enumerate().rev() {
+            let digit = i32::from(digit);
+            sum = sum.double();
+            let magnitude = Fr::from_u64(u64::from(digit.unsigned_abs()));
+            sum = if digit < 0 {
+                sum.sub(&magnitude)
+            } else {
+                sum.add(&magnitude)
+            };
+            if digit != 0 {
+                prop_assert!(digit % 2 != 0 && digit.abs() < 1 << (w - 1));
+                if let Some(above) = last_nonzero.replace(i) {
+                    prop_assert!(above - i >= w as usize);
+                }
+            }
+        }
+        prop_assert_eq!(sum, value);
+        Ok(())
+    }
+
     /// Scalars the split treats specially, by selector: zero, one, `r − 1`,
     /// an empty high half (`k < u²`), an empty low half (a multiple of
     /// `u²`), `u² − 1` and `u²` either side of the boundary; anything else
@@ -1181,8 +1264,8 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(24))]
 
         /// `k = k₁ + k₂·u²` with both halves below `u²`, and each half's
-        /// NAF is one: digits odd or zero, inside the window, non-zero
-        /// ones at least `w` apart, summing back to the half.
+        /// NAF is one (see [`check_naf`]); so are the NAFs of `k` itself
+        /// and of `2²⁵⁶ − 1`, which takes all 257 digits.
         #[test]
         fn scalars_split_into_two_short_halves_with_proper_nafs(
             wide in any::<[u8; 64]>(),
@@ -1197,24 +1280,15 @@ mod tests {
                 k
             );
             for half in [k1, k2, u128::MAX] {
-                let naf = Naf::new(half, w);
-                let mut sum = Fr::ZERO;
-                let mut last_nonzero = None;
-                for i in (0..naf.len).rev() {
-                    let digit = i32::from(naf.digits[i]);
-                    sum = sum.double();
-                    let magnitude = Fr::from_u64(u64::from(digit.unsigned_abs()));
-                    sum = if digit < 0 { sum.sub(&magnitude) } else { sum.add(&magnitude) };
-                    if digit != 0 {
-                        prop_assert!(digit % 2 != 0 && digit.abs() < 1 << (w - 1));
-                        if let Some(above) = last_nonzero.replace(i) {
-                            prop_assert!(above - i >= w as usize);
-                        }
-                    }
-                }
-                prop_assert!(naf.digits[naf.len..].iter().all(|&d| d == 0));
-                prop_assert_eq!(sum, fr_from_u128(half));
+                check_naf(&chunk_naf(half, w), fr_from_u128(half), w)?;
             }
+            let naf = Naf::<256>::new(&k.to_canonical_limbs(), w);
+            check_naf(&naf, k, w)?;
+            check_naf(&-naf, k.neg(), w)?;
+            let all_ones = Naf::<257>::new(&[u64::MAX; 4], w);
+            prop_assert_eq!(all_ones.digits().len(), 257);
+            let two_256 = Fr::from_u64(1 << 32).pow_vartime(&[8]);
+            check_naf(&all_ones, two_256.sub(&Fr::ONE), w)?;
         }
 
         /// The kernel against `Σ mul_limbs`, on one to six terms drawn

@@ -7,12 +7,16 @@
 //!
 //! The row the Wasm-vs-native study the paper cites (reference \[39\],
 //! Jangda et al.) prices for this repository is the threshold-signer
-//! guest in `distrust-apps` (Table 3's "Sandbox"): ≈ 37 000 guest
-//! instructions and 8 694 host crossings per signature, one per field
-//! operation. In the sandbox a share costs ≈ 50–75 % more than natively
-//! (`e2e`'s `sandbox.overhead_pct`; the paper's Wasm build pays 46 %). It
-//! was ≈ 130 % while every crossing and every activation allocated; what
-//! remains is dispatching imports by name (ROADMAP item 1).
+//! guest in `distrust-apps` (Table 3's "Sandbox"): a double-and-add over
+//! the share's width-2 NAF, 7 469 host crossings per signature on `e2e`'s
+//! share, one per field operation. The study prices one algorithm built
+//! two ways (the paper's Wasm build pays 46 %); here native signing runs
+//! the endomorphism-split windowed-NAF kernel, a different algorithm, so
+//! `e2e`'s `sandbox.overhead_pct` (traced `share_single`) reads a median
+//! ≈ 163 %, ≈ 215 % with the binary ladder and its 8 694 crossings. Much
+//! of that gap is the algorithm (the host side of the crossings alone
+//! reads about twice native's whole signature); the rest is by-name
+//! import dispatch and the interpreter loop (ROADMAP's Sandbox item).
 
 use crate::builder::{FuncBuilder, ModuleBuilder};
 use crate::isa::Instr;
