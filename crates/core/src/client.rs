@@ -8,6 +8,7 @@ use crate::framework::framework_measurement;
 use crate::protocol::{
     AttestationBinding, BundleAttestation, DomainStatus, Request, Response, UpdateNotice,
 };
+use crate::session::QuorumPolicy;
 use distrust_crypto::schnorr::VerifyingKey;
 use distrust_crypto::sha256::Digest;
 use distrust_gossip::envelope::{GossipEnvelope, GossipHead};
@@ -18,10 +19,23 @@ use distrust_tee::vendor::{VendorKind, VendorRoots};
 use distrust_tee::KnownDevice;
 use distrust_wire::codec::{Decode, Encode};
 use distrust_wire::pipeline::PipelinedClient;
+use distrust_wire::sys::{self, PollFd};
 use distrust_wire::transport::TcpTransport;
 use rand::RngCore;
-use std::net::SocketAddr;
-use std::os::fd::{AsRawFd, RawFd};
+use std::net::{SocketAddr, TcpStream};
+use std::os::fd::AsRawFd;
+use std::time::{Duration, Instant};
+
+/// The longest the client waits on a trust domain: to connect, and for
+/// the answers a call owes. A domain still silent then is given up on for
+/// that call only. It loses its connection, which owes answers that may
+/// never come, and an audit fails it with a reason naming this bound. But
+/// silence is not evidence: nothing is convicted, the next call
+/// reconnects, and the next audit it answers trusts it again. Two seconds
+/// is over 16 times the slowest honest answer in a debug build (a 3-of-5
+/// signing fan-out, ≈ 0.1 s), and a `Threshold` call stops waiting once
+/// its quorum has answered.
+pub const SILENCE: Duration = Duration::from_secs(2);
 
 /// A connection carrying more abandoned-but-undrained responses than this
 /// is reset instead of reused: the straggling server behind it owes so
@@ -78,6 +92,10 @@ pub enum ClientError {
     /// were in flight on the same connection are gone with it. The client
     /// reconnects on the next use.
     ConnectionLost(distrust_wire::TransportError),
+    /// The domain let [`SILENCE`] pass without answering. It is given up
+    /// on for this call, and its connection is dropped; it is not
+    /// convicted of anything.
+    Silent,
     /// Could not decode the response.
     Decode(distrust_wire::DecodeError),
     /// The domain answered, but not with the expected variant.
@@ -114,6 +132,7 @@ impl core::fmt::Display for ClientError {
         match self {
             Self::Io(e) => write!(f, "i/o error: {e}"),
             Self::ConnectionLost(e) => write!(f, "connection lost: {e}"),
+            Self::Silent => write!(f, "no answer before the SILENCE deadline ({SILENCE:?})"),
             Self::Decode(e) => write!(f, "decode error: {e}"),
             Self::Unexpected(what) => write!(f, "unexpected response: {what}"),
             Self::App(e) => write!(f, "application error: {e}"),
@@ -210,7 +229,7 @@ impl AuditReport {
 /// the audit.
 pub struct DeploymentClient {
     descriptor: DeploymentDescriptor,
-    connections: Vec<Option<PipelinedClient<TcpTransport>>>,
+    connections: Vec<Option<PipelinedClient>>,
     auditor: Auditor,
     /// Per domain, the device whose quote last verified in full: a quote
     /// under the byte-identical certificate skips the certificate check
@@ -286,11 +305,9 @@ impl DeploymentClient {
         self.auditor.kept_tables() + devices.filter(|d| d.has_table()).count()
     }
 
-    /// The persistent connection to `domain`, opened on first use.
-    fn connection(
-        &mut self,
-        domain: u32,
-    ) -> Result<&mut PipelinedClient<TcpTransport>, ClientError> {
+    /// The persistent connection to `domain`, opened on first use (a
+    /// connect that takes longer than [`SILENCE`] fails).
+    fn connection(&mut self, domain: u32) -> Result<&mut PipelinedClient, ClientError> {
         let idx = domain as usize;
         let info = self
             .descriptor
@@ -298,7 +315,7 @@ impl DeploymentClient {
             .get(idx)
             .ok_or(ClientError::NoSuchDomain(domain))?;
         if self.connections[idx].is_none() {
-            let transport = TcpTransport::connect(info.addr)?;
+            let transport = TcpTransport::new(TcpStream::connect_timeout(&info.addr, SILENCE)?)?;
             self.connections[idx] = Some(PipelinedClient::new(transport));
         }
         Ok(self.connections[idx].as_mut().expect("just connected"))
@@ -327,67 +344,116 @@ impl DeploymentClient {
         }
     }
 
-    /// Receives the next response frame from `domain` (blocking), after
-    /// draining any responses the caller previously abandoned.
-    pub(crate) fn recv_raw(&mut self, domain: u32) -> Result<Response, ClientError> {
-        let idx = domain as usize;
-        let conn = self.connections[idx]
-            .as_mut()
-            .ok_or(ClientError::NoSuchDomain(domain))?;
-        match conn.recv_next() {
-            Ok(frame) => Response::from_wire(&frame).map_err(ClientError::Decode),
+    /// A response already decoded from `domain`, or one read of its
+    /// socket when `readable` (a wait reported it); never waits. `None`:
+    /// no complete response yet (partial bytes are retained by the
+    /// transport — nothing desynchronises). A domain with no connection,
+    /// or one lost now, is answered with the error.
+    fn recv_ready(&mut self, domain: u32, readable: bool) -> Option<Result<Response, ClientError>> {
+        let slot = &mut self.connections[domain as usize];
+        let Some(conn) = slot else {
+            return Some(Err(ClientError::NoSuchDomain(domain)));
+        };
+        match conn.recv_ready(readable).transpose()? {
+            Ok(frame) => Some(Response::from_wire(&frame).map_err(ClientError::Decode)),
             Err(e) => {
-                self.connections[idx] = None;
-                Err(ClientError::ConnectionLost(e))
+                *slot = None;
+                Some(Err(ClientError::ConnectionLost(e)))
             }
         }
     }
 
-    /// Like [`Self::recv_raw`], but never waits: a response already
-    /// decoded, or one read of the socket when `readable` (a
-    /// [`distrust_wire::sys::wait`] on [`Self::socket`] reported it).
-    /// `Ok(None)`: no complete response yet (partial bytes are retained by
-    /// the transport — nothing desynchronises).
-    pub(crate) fn recv_ready(
+    /// The client's one collector: every receive it makes comes through
+    /// here. Each domain in `pending` owes one answer; each answer, or
+    /// the reason there is none, goes to `take`, which says whether it
+    /// counts toward `quorum`. Returns how many counted.
+    ///
+    /// A collection that needs every answer ([`QuorumPolicy::All`]) waits
+    /// on the oldest pending socket only: it cannot end before that one
+    /// answers, and a wait on one descriptor is the cheapest. A
+    /// `Threshold(t)` collection waits on every pending socket at once and
+    /// stops once `t` answers counted; the stragglers it leaves in
+    /// `pending` have their responses abandoned, drained off the wire on
+    /// the connection's next use. Every pass reads only the sockets the
+    /// wait reported, besides answers already decoded. At `until`, one
+    /// last zero-timeout look at every pending socket takes whatever has
+    /// arrived. A domain still silent after it loses its connection and
+    /// is handed to `take` as [`ClientError::Silent`].
+    pub(crate) fn gather(
         &mut self,
-        domain: u32,
-        readable: bool,
-    ) -> Result<Option<Response>, ClientError> {
-        let idx = domain as usize;
-        let conn = self.connections[idx]
-            .as_mut()
-            .ok_or(ClientError::NoSuchDomain(domain))?;
-        match conn.recv_ready(readable) {
-            Ok(Some(frame)) => Response::from_wire(&frame)
-                .map(Some)
-                .map_err(ClientError::Decode),
-            Ok(None) => Ok(None),
-            Err(e) => {
-                self.connections[idx] = None;
-                Err(ClientError::ConnectionLost(e))
+        pending: &mut Vec<u32>,
+        quorum: QuorumPolicy,
+        until: Instant,
+        mut take: impl FnMut(u32, Result<Response, ClientError>) -> bool,
+    ) -> usize {
+        let (every, needed) = match quorum {
+            QuorumPolicy::All => (true, usize::MAX),
+            QuorumPolicy::Threshold(t) => (false, t),
+        };
+        let mut counted = 0;
+        // What the last wait looked at: the oldest pending socket, or all.
+        // Allocated once per collection, so no answer allocates.
+        let mut fds: Vec<PollFd> = Vec::new();
+        let mut last_look = false;
+        let mut failed_wait: Option<std::io::ErrorKind> = None;
+        loop {
+            let mut reported = fds.iter();
+            pending.retain(|&d| {
+                let readable = reported.next().is_some_and(PollFd::ready);
+                if counted >= needed {
+                    return true;
+                }
+                let answer = match self.recv_ready(d, readable) {
+                    Some(answer) => answer,
+                    None if !last_look => return true,
+                    // Silent past the bound: it loses its connection, which
+                    // owes an answer that may never come.
+                    None => {
+                        self.connections[d as usize] = None;
+                        Err(failed_wait.map_or(ClientError::Silent, |e| ClientError::Io(e.into())))
+                    }
+                };
+                counted += usize::from(take(d, answer));
+                false
+            });
+            // The last look settles every domain, unless the quorum is met.
+            if pending.is_empty() || counted >= needed {
+                break;
+            }
+            let left = until.saturating_duration_since(Instant::now());
+            last_look = left.is_zero();
+            let watched = if every && !last_look { 1 } else { usize::MAX };
+            // A pending domain always has its connection (losing it
+            // settled the domain above); -1 is a slot `poll` skips.
+            fds.clear();
+            fds.extend(pending.iter().take(watched).map(|&d| {
+                let conn = self.connections[d as usize].as_ref();
+                PollFd::new(conn.map_or(-1, AsRawFd::as_raw_fd), sys::READ)
+            }));
+            if let Err(e) = sys::wait(&mut fds, Some(left)) {
+                failed_wait = Some(e.kind());
+                last_look = true;
             }
         }
-    }
-
-    /// The socket of the open connection to `domain`, to wait on.
-    pub(crate) fn socket(&self, domain: u32) -> Option<RawFd> {
-        let conn = self.connections.get(domain as usize)?.as_ref()?;
-        Some(conn.as_raw_fd())
-    }
-
-    /// Declares that the in-flight response from `domain` will never be
-    /// collected (a quorum was satisfied without it); it is discarded when
-    /// it eventually arrives, keeping the connection usable.
-    pub(crate) fn abandon_response(&mut self, domain: u32) {
-        if let Some(conn) = self.connections[domain as usize].as_mut() {
-            conn.abandon_next_response();
+        for &d in pending.iter() {
+            if let Some(conn) = self.connections[d as usize].as_mut() {
+                conn.abandon_next_response();
+            }
         }
+        counted
     }
 
     /// Sends one request to one domain.
     pub fn exchange(&mut self, domain: u32, request: &Request) -> Result<Response, ClientError> {
         self.send_raw(domain, &request.to_wire())?;
-        self.recv_raw(domain)
+        // Overwritten: the collector settles every pending domain.
+        let mut answer = Err(ClientError::NoSuchDomain(domain));
+        let until = Instant::now() + SILENCE;
+        self.gather(&mut vec![domain], QuorumPolicy::All, until, |_, a| {
+            answer = a;
+            false
+        });
+        answer
     }
 
     /// Calls the application on one domain, un-gated: the wire half of
@@ -424,25 +490,32 @@ impl DeploymentClient {
     ///
     /// The release — module bytes included — is encoded exactly once and
     /// the same frame is fanned out to all `n` domains, every request in
-    /// flight before any acknowledgement is read.
+    /// flight before any acknowledgement is read. A domain silent for
+    /// [`SILENCE`] gets an `Err` naming the bound, and the push returns
+    /// after at most that long.
     pub fn push_update(
         &mut self,
         release: &crate::manifest::SignedRelease,
     ) -> Vec<Result<(u64, Digest), ClientError>> {
         let wire = Request::encode_update(release);
         let n = self.descriptor.domains.len() as u32;
-        let sent: Vec<Result<(), ClientError>> = (0..n).map(|d| self.send_raw(d, &wire)).collect();
-        sent.into_iter()
-            .enumerate()
-            .map(|(d, sent)| {
-                sent?;
-                match self.recv_raw(d as u32)? {
-                    Response::UpdateAck { log_size, digest } => Ok((log_size, digest)),
-                    Response::UpdateRejected(e) => Err(ClientError::UpdateRejected(e)),
-                    other => Err(ClientError::Unexpected(format!("{other:?}"))),
-                }
-            })
-            .collect()
+        // A sent domain's placeholder is overwritten by its answer, or by
+        // its silence.
+        let mut acks: Vec<_> = (0..n)
+            .map(|d| self.send_raw(d, &wire).map(|()| (0, [0; 32])))
+            .collect();
+        let mut pending: Vec<u32> = (0..n).filter(|&d| acks[d as usize].is_ok()).collect();
+        let until = Instant::now() + SILENCE;
+        self.gather(&mut pending, QuorumPolicy::All, until, |d, answer| {
+            acks[d as usize] = match answer {
+                Ok(Response::UpdateAck { log_size, digest }) => Ok((log_size, digest)),
+                Ok(Response::UpdateRejected(e)) => Err(ClientError::UpdateRejected(e)),
+                Ok(other) => Err(ClientError::Unexpected(format!("{other:?}"))),
+                Err(e) => Err(e),
+            };
+            false
+        });
+        acks
     }
 
     /// The size and root of the newest head this client has verified for
@@ -674,9 +747,15 @@ impl DeploymentClient {
     ///
     /// A connection that turns out to be dead (the domain restarted since
     /// the last round) is reopened once and the audit re-issued with a
-    /// fresh nonce. Any answer other than a decodable bundle fails that
-    /// domain's audit with the reason recorded. Finally the digest
-    /// histories are cross-checked across all domains.
+    /// fresh nonce. The whole round, reissue included, waits at most
+    /// [`SILENCE`] for the answers: a domain silent that long fails its
+    /// audit with a reason naming the bound and loses its connection, so
+    /// a silent minority delays a round by the bound and never stalls it.
+    /// That failure is not evidence: nothing is convicted, and the next
+    /// audit reconnects and judges the domain afresh. Any answer other
+    /// than a decodable bundle fails that domain's audit with the reason
+    /// recorded. Finally the digest histories are cross-checked across
+    /// all domains.
     ///
     /// `expected_app` pins the digest of the published code, when the
     /// client has computed it from source (§3.3's "the developer
@@ -698,19 +777,50 @@ impl DeploymentClient {
             envelope: self.gossip_envelope(),
         }
         .to_wire();
-        let inflight: Vec<_> = (0..n).map(|d| self.send_audit(d, &gossip_wire)).collect();
+        let mut sent: Vec<_> = (0..n).map(|d| self.send_audit(d, &gossip_wire)).collect();
 
-        // Phase 2: collect and judge the answers.
-        for (d, sent) in (0..n).zip(inflight) {
-            let mut answer = sent.and_then(|sent| Ok((self.recv_raw(d)?, sent)));
-            if matches!(answer, Err(ClientError::ConnectionLost(_))) {
-                answer = self
-                    .send_audit(d, &gossip_wire)
-                    .and_then(|sent| Ok((self.recv_raw(d)?, sent)));
+        // Phase 2: collect every answer under one deadline for the round.
+        // Each domain owes its bundle, then its envelope: listed twice, it
+        // hands the collector's first answer to the bundle. A connection
+        // found dead (the domain restarted since the last round) is
+        // reopened once and the audit re-issued under a fresh nonce.
+        let until = Instant::now() + SILENCE;
+        // Per domain, the bundle and the envelope it answered.
+        let mut answers: Vec<(Option<Response>, Option<GossipEnvelope>)> =
+            vec![(None, None); n as usize];
+        for reissue in [false, true] {
+            let mut pending = Vec::with_capacity(2 * n as usize);
+            for i in 0..n as usize {
+                if reissue && matches!(sent[i], Err(ClientError::ConnectionLost(_))) {
+                    sent[i] = self.send_audit(i as u32, &gossip_wire);
+                }
+                if sent[i].is_ok() && answers[i].0.is_none() {
+                    pending.push(i as u32);
+                }
             }
-            // A connection that survived the exchange still owes the
-            // envelope; drain it before anything else reads from it.
-            self.collect_gossip_answer(d, &mut misbehavior);
+            pending.extend_from_within(..);
+            // A domain's first answer is its bundle, or why there is none.
+            self.gather(&mut pending, QuorumPolicy::All, until, |d, answer| {
+                let (i, (bundle, envelope)) = (d as usize, &mut answers[d as usize]);
+                match answer {
+                    _ if sent[i].is_err() => {}
+                    Ok(response) if bundle.is_none() => *bundle = Some(response),
+                    Err(e) if bundle.is_none() => sent[i] = Err(e),
+                    // Gossip is best-effort: any other answer costs only
+                    // freshness.
+                    Ok(Response::Gossip { envelope: e }) => *envelope = Some(e),
+                    _ => {}
+                }
+                false
+            });
+        }
+
+        // Phase 3: judge the answers, each domain's envelope first.
+        for (d, (sent, (bundle, gossip))) in (0..n).zip(sent.into_iter().zip(answers)) {
+            if let Some(envelope) = gossip {
+                misbehavior.extend(self.ingest_envelope(&envelope));
+            }
+            let answer = sent.map(|sent| (bundle.expect("collected above"), sent));
             domains.push(match answer {
                 Ok((response, (request_id, nonce))) => self.process_audit_answer(
                     d,
@@ -733,7 +843,7 @@ impl DeploymentClient {
             }
         }
 
-        // Phase 3: cross-domain digest comparison.
+        // Phase 4: cross-domain digest comparison.
         if let AuditOutcome::Misbehavior(m) = self.auditor.cross_check() {
             misbehavior.push(*m);
         }
@@ -786,19 +896,6 @@ impl DeploymentClient {
         self.send_raw(domain, &request.to_wire())?;
         self.send_raw(domain, gossip_wire)?;
         Ok((request_id, nonce))
-    }
-
-    /// Drains and ingests the gossip envelope riding behind a pipelined
-    /// `BatchAudit` on `domain`'s connection. Gossip is best-effort: a
-    /// dead connection means the frame is gone with it, and an answer
-    /// that is not an envelope costs only freshness.
-    fn collect_gossip_answer(&mut self, domain: u32, misbehavior: &mut Vec<Misbehavior>) {
-        if self.connections[domain as usize].is_none() {
-            return;
-        }
-        if let Ok(Response::Gossip { envelope }) = self.recv_raw(domain) {
-            misbehavior.extend(self.ingest_envelope(&envelope));
-        }
     }
 
     /// Checks a TEE quote end-to-end (vendor pin, cert chain — once per

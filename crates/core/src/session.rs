@@ -22,23 +22,29 @@
 //!   session, so threshold signing returns as soon as `t` partials arrive
 //!   and key-backup recovery tolerates dead domains, without each app
 //!   reimplementing the logic.
+//! * **One bound on silence** — every wait for a domain, the gating
+//!   audit's included, goes through the client's one collector and lasts
+//!   at most [`SILENCE`]. A domain silent that long fails the call at
+//!   hand and is refused by that round's audit, so a `t`-of-`n` call
+//!   goes ahead on the rest; silence is never evidence, and the next
+//!   audit the domain answers trusts it again.
 
-use crate::client::{AuditReport, ClientError, DeploymentClient, CONVICTED};
+use crate::client::{AuditReport, ClientError, DeploymentClient, CONVICTED, SILENCE};
 use crate::protocol::{Request, Response};
 use distrust_crypto::bls;
 use distrust_crypto::sha256::Digest;
 use distrust_gossip::evidence::EvidenceBundle;
 use distrust_gossip::witness::CosignedHeads;
 use distrust_wire::codec::Encode;
-use distrust_wire::sys::{self, PollFd};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// How many per-domain successes a fan-out needs before it is satisfied.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum QuorumPolicy {
     /// Every targeted domain must answer successfully. The fan-out still
     /// collects every response (slow domains bound the latency, but they
-    /// bound it once, not `n` times as a sequential loop would).
+    /// bound it once, not `n` times as a sequential loop would, and a
+    /// silent one for at most [`SILENCE`]).
     All,
     /// Satisfied as soon as this many domains answer **successfully**
     /// (an [`DomainOutcome::Ok`]); responses still in flight are
@@ -157,8 +163,9 @@ pub enum FanoutPayloads {
     PerDomain(Vec<Vec<u8>>),
 }
 
-/// One application fan-out: method, payload(s), quorum, deadline, and
-/// (optionally) a subset of domains to target.
+/// One application fan-out: method, payload(s), quorum, and (optionally)
+/// a subset of domains to target. Every fan-out waits at most
+/// [`SILENCE`] for the domains it asks.
 #[derive(Clone, Debug)]
 pub struct FanoutCall {
     /// Method selector passed to the guest.
@@ -169,15 +176,6 @@ pub struct FanoutCall {
     pub quorum: QuorumPolicy,
     /// Domains to target; `None` targets the whole deployment.
     pub targets: Option<Vec<u32>>,
-    /// Wall-clock budget for the whole fan-out. A domain that accepted
-    /// its request but has not answered when the budget runs out is given
-    /// up on ([`DomainOutcome::Failed`], its response abandoned on the
-    /// wire) instead of stalling the collection — without a budget, a
-    /// hung-but-connected domain blocks an [`QuorumPolicy::All`] quorum
-    /// forever. The budget is kept to within a millisecond: the collector
-    /// waits on every pending domain at once for the time that is left.
-    /// `None` (the default) waits indefinitely.
-    pub deadline: Option<Duration>,
 }
 
 impl FanoutCall {
@@ -188,7 +186,6 @@ impl FanoutCall {
             payloads: FanoutPayloads::Broadcast(payload),
             quorum: QuorumPolicy::All,
             targets: None,
-            deadline: None,
         }
     }
 
@@ -199,19 +196,12 @@ impl FanoutCall {
             payloads: FanoutPayloads::PerDomain(payloads),
             quorum: QuorumPolicy::All,
             targets: None,
-            deadline: None,
         }
     }
 
     /// Sets the quorum policy.
     pub fn quorum(mut self, quorum: QuorumPolicy) -> Self {
         self.quorum = quorum;
-        self
-    }
-
-    /// Sets the fan-out's wall-clock budget (see [`FanoutCall::deadline`]).
-    pub fn deadline(mut self, budget: Duration) -> Self {
-        self.deadline = Some(budget);
         self
     }
 
@@ -236,7 +226,8 @@ pub enum DomainOutcome {
     /// in flight on the same connection died with it.
     ConnectionLost(String),
     /// The request could not be sent or the response was unusable
-    /// (connect failure, decode error, unexpected variant).
+    /// (connect failure, decode error, unexpected variant), or the domain
+    /// stayed silent for [`SILENCE`].
     Failed(String),
     /// The session's trust policy refused this domain; no request was
     /// sent.
@@ -630,7 +621,7 @@ impl<'c> Session<'c> {
 
     /// Pipelined fan-out: sends the call to every (targeted, trusted)
     /// domain before reading any response, then collects responses until
-    /// the quorum is satisfied.
+    /// the quorum is satisfied or [`SILENCE`] has passed.
     ///
     /// Returns `Err` only when the trust gate refuses the whole operation
     /// (failed audit, or no targeted domain trusted); per-domain failures
@@ -728,88 +719,26 @@ impl<'c> Session<'c> {
             QuorumPolicy::All => targets.len(),
             QuorumPolicy::Threshold(t) => t,
         };
-        let mut satisfied_count = 0usize;
-        let early_exit = matches!(call.quorum, QuorumPolicy::Threshold(_));
-        if !early_exit && call.deadline.is_none() {
-            // Nothing ends this collection before every answer is in, so
-            // it reads them in order, blocking on each, as `push_update`
-            // and `audit` do.
-            for d in pending {
-                let outcome = Self::response_outcome(self.client.recv_raw(d));
-                satisfied_count += usize::from(outcome.is_ok());
-                outcomes[d as usize] = outcome;
-            }
-        } else {
-            // A collection that can end early — its threshold met, its
-            // deadline passed — blocks in one wait on every pending socket
-            // for the time that is left, and reads only the sockets the
-            // wait reports, so a silent domain holds up no one. The first
-            // pass reads nothing: it takes only answers already decoded.
-            // `Threshold` stops reading once the quorum is met and
-            // abandons the stragglers (drained off the wire on the
-            // connection's next use; the domains a retry round may
-            // re-ask, [`FanoutReport::abandoned`]). A deadline fails
-            // whoever is still silent at expiry and abandons their
-            // responses — a hung-but-connected domain costs the budget,
-            // never an indefinite stall.
-            let deadline_at = call.deadline.map(|budget| Instant::now() + budget);
-            let mut readable = vec![false; pending.len()];
-            loop {
-                let mut reported = readable.iter();
-                pending.retain(|&d| {
-                    let readable = reported.next().is_some_and(|&r| r);
-                    if early_exit && satisfied_count >= required {
-                        return true;
-                    }
-                    let outcome = match self.client.recv_ready(d, readable) {
-                        Ok(None) => return true,
-                        Ok(Some(response)) => Self::response_outcome(Ok(response)),
-                        Err(e) => Self::error_outcome(e),
-                    };
-                    satisfied_count += usize::from(outcome.is_ok());
-                    outcomes[d as usize] = outcome;
-                    false
-                });
-                if pending.is_empty() {
-                    break;
-                }
-                let left = deadline_at.map(|at| at.saturating_duration_since(Instant::now()));
-                let given_up = if early_exit && satisfied_count >= required {
-                    DomainOutcome::Abandoned
-                } else if left == Some(Duration::ZERO) {
-                    DomainOutcome::Failed(
-                        "fanout deadline exceeded before the domain answered".into(),
-                    )
-                } else {
-                    // A pending domain always has its connection (losing
-                    // it settled the domain above); -1 is a slot `poll`
-                    // skips.
-                    let mut fds: Vec<PollFd> = pending
-                        .iter()
-                        .map(|&d| PollFd::new(self.client.socket(d).unwrap_or(-1), sys::READ))
-                        .collect();
-                    match sys::wait(&mut fds, left) {
-                        Ok(_) => {
-                            readable = fds.iter().map(PollFd::ready).collect();
-                            continue;
-                        }
-                        Err(e) => {
-                            DomainOutcome::Failed(format!("waiting for an answer failed: {e}"))
-                        }
-                    }
-                };
-                for d in pending.drain(..) {
-                    self.client.abandon_response(d);
-                    outcomes[d as usize] = given_up.clone();
-                }
-                break;
-            }
+        // The collector waits on every pending domain at once under a
+        // `Threshold` quorum and stops once it is met; the stragglers left
+        // in `pending` are abandoned (drained off the wire on the
+        // connection's next use; the domains a retry round may re-ask,
+        // [`FanoutReport::abandoned`]). A domain silent for [`SILENCE`]
+        // fails this round instead of stalling it.
+        let until = Instant::now() + SILENCE;
+        let settle = |d: u32, answer| {
+            outcomes[d as usize] = Self::response_outcome(answer);
+            outcomes[d as usize].is_ok()
+        };
+        let satisfied = self.client.gather(&mut pending, call.quorum, until, settle);
+        for d in pending {
+            outcomes[d as usize] = DomainOutcome::Abandoned;
         }
 
         Ok(FanoutReport {
             outcomes,
             quorum: call.quorum,
-            satisfied: satisfied_count >= required,
+            satisfied: satisfied >= required,
             required,
         })
     }

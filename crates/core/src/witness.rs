@@ -15,7 +15,7 @@
 //! withhold news — a liveness attack the client bounds with its staleness
 //! policy — but cannot forge a head vector the quorum never signed.
 
-use crate::client::ClientError;
+use crate::client::{ClientError, SILENCE};
 use crate::protocol::{Request, Response};
 use crate::server::DirectHost;
 use distrust_crypto::schnorr::VerifyingKey;
@@ -24,9 +24,12 @@ use distrust_gossip::mesh::GossipNode;
 use distrust_gossip::witness::CosignedHeads;
 use distrust_wire::codec::{Decode, Encode};
 use distrust_wire::sync::HealthyMutex;
+use distrust_wire::sys::{self, PollFd};
 use distrust_wire::transport::{TcpTransport, Transport};
-use std::net::SocketAddr;
+use std::net::{SocketAddr, TcpStream};
+use std::os::fd::AsRawFd;
 use std::sync::Arc;
+use std::time::Instant;
 
 /// Shared state behind the relay's service closure.
 struct RelayState {
@@ -151,10 +154,21 @@ pub fn exchange_gossip(
     }
 }
 
+/// One request to a relay on a connection of its own, waiting at most
+/// [`SILENCE`] to connect and as long again for the answer: a silent relay
+/// costs a thin client the bound, never a stall.
 fn exchange(addr: SocketAddr, request: &Request) -> Result<Response, ClientError> {
-    let mut client = TcpTransport::connect(addr)?;
+    let mut client = TcpTransport::new(TcpStream::connect_timeout(&addr, SILENCE)?)?;
     client.send(&request.to_wire())?;
-    Response::from_wire(&client.recv()?).map_err(ClientError::Decode)
+    let until = Instant::now() + SILENCE;
+    let left = || Some(until.saturating_duration_since(Instant::now()));
+    let mut fds = [PollFd::new(client.as_raw_fd(), sys::READ)];
+    while sys::wait(&mut fds, left())? > 0 {
+        if let Some(frame) = client.recv_ready(true)? {
+            return Response::from_wire(&frame).map_err(ClientError::Decode);
+        }
+    }
+    Err(ClientError::Silent)
 }
 
 #[cfg(test)]
@@ -230,6 +244,35 @@ mod tests {
         assert_eq!(reply.heads.len(), 1);
         assert_eq!(reply.heads[0].domain, 1);
         relay.shutdown();
+    }
+
+    #[test]
+    fn a_silent_relay_costs_the_bound_not_a_stall() {
+        // A bound listener that never accepts: the kernel completes the
+        // handshake and buffers the request, and nothing ever answers.
+        let listener = std::net::TcpListener::bind(("127.0.0.1", 0)).unwrap();
+        let addr = listener.local_addr().unwrap();
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        let fetcher = std::thread::spawn(move || {
+            let started = Instant::now();
+            let result = fetch_witness_head(addr).map(|_| ());
+            let _ = done_tx.send((result, started.elapsed()));
+        });
+        // The watchdog: a stalled fetch fails the test instead of hanging it.
+        let (result, elapsed) = done_rx
+            .recv_timeout(SILENCE + std::time::Duration::from_secs(5))
+            .expect("a silent relay stalled the thin client");
+        fetcher
+            .join()
+            .expect("the fetch thread ends once it has sent");
+        let err = result.expect_err("a silent relay answered");
+        assert!(err.to_string().contains("SILENCE"), "{err}");
+        assert!(elapsed >= SILENCE, "gave up after {elapsed:?}");
+        assert!(
+            elapsed < SILENCE + std::time::Duration::from_millis(500),
+            "{elapsed:?}"
+        );
+        drop(listener);
     }
 
     #[test]

@@ -15,8 +15,8 @@
 //! read by one decoder, [`FrameReader`].
 //!
 //! [`sys`] holds the only `unsafe` code of the library crates: the
-//! `poll(2)` call a reactor thread waits in, and a client's fan-out waits
-//! in on every pending connection at once.
+//! `poll(2)` call a reactor thread waits in, and every client wait for a
+//! trust domain's answer, each bounded, waits in.
 
 pub mod codec;
 pub mod frame;

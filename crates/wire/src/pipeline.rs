@@ -8,15 +8,17 @@
 //! oldest unanswered request — there is no reordering to undo and nothing
 //! is buffered ahead of the caller. A caller that gives up on a response
 //! (a quorum was satisfied without it) says so, and the stale frame is
-//! dropped when it arrives.
+//! dropped when it arrives. Nothing here waits: the caller waits on the
+//! connection's socket ([`AsRawFd`]) in [`crate::sys::wait`], for as long
+//! as it is willing to, and then reads with [`PipelinedClient::recv_ready`].
 
 use crate::transport::{TcpTransport, Transport, TransportError};
 use std::os::fd::{AsRawFd, RawFd};
 
 /// A connection with multiple in-flight requests, answered in request
 /// order.
-pub struct PipelinedClient<T: Transport> {
-    transport: T,
+pub struct PipelinedClient {
+    transport: TcpTransport,
     next_id: u64,
     /// Responses the caller gave up waiting for (a quorum was satisfied
     /// without them). Responses arrive in request order per connection, so
@@ -25,9 +27,9 @@ pub struct PipelinedClient<T: Transport> {
     skip: u64,
 }
 
-impl<T: Transport> PipelinedClient<T> {
+impl PipelinedClient {
     /// Wraps a connected transport.
-    pub fn new(transport: T) -> Self {
+    pub fn new(transport: TcpTransport) -> Self {
         Self {
             transport,
             next_id: 1,
@@ -60,25 +62,10 @@ impl<T: Transport> PipelinedClient<T> {
         self.transport.send(frame)
     }
 
-    /// Receives the next frame addressed to the caller, draining any
-    /// abandoned responses first.
-    pub fn recv_next(&mut self) -> Result<Vec<u8>, TransportError> {
-        loop {
-            let frame = self.transport.recv()?;
-            if self.skip > 0 {
-                self.skip -= 1;
-                continue;
-            }
-            return Ok(frame);
-        }
-    }
-}
-
-impl PipelinedClient<TcpTransport> {
-    /// Like [`Self::recv_next`], but never waits: abandoned responses are
-    /// drained first, from frames already decoded and, when `readable`
-    /// (the caller's [`crate::sys::wait`] reported this connection's
-    /// socket), from at most one read of it
+    /// The next frame addressed to the caller, if one is here; never
+    /// waits. Abandoned responses are drained first, from frames already
+    /// decoded and, when `readable` (the caller's [`crate::sys::wait`]
+    /// reported this connection's socket), from at most one read of it
     /// ([`TcpTransport::recv_ready`]). `Ok(None)`: no frame for the caller
     /// yet.
     pub fn recv_ready(&mut self, mut readable: bool) -> Result<Option<Vec<u8>>, TransportError> {
@@ -92,7 +79,7 @@ impl PipelinedClient<TcpTransport> {
     }
 }
 
-impl<T: Transport + AsRawFd> AsRawFd for PipelinedClient<T> {
+impl AsRawFd for PipelinedClient {
     fn as_raw_fd(&self) -> RawFd {
         self.transport.as_raw_fd()
     }
@@ -101,7 +88,9 @@ impl<T: Transport + AsRawFd> AsRawFd for PipelinedClient<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::transport::ChannelTransport;
+    use crate::sys::{self, PollFd};
+    use std::net::TcpListener;
+    use std::thread::{self, JoinHandle};
 
     /// Toy protocol for tests: 8-byte LE id, then payload.
     fn frame(id: u64, payload: &[u8]) -> Vec<u8> {
@@ -110,69 +99,90 @@ mod tests {
         f
     }
 
+    /// A loopback peer that answers `answers` requests with `reply`, then
+    /// parks until the client closes; and a client connected to it.
+    fn serve(answers: usize, reply: fn(Vec<u8>) -> Vec<u8>) -> (PipelinedClient, JoinHandle<()>) {
+        let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
+        let addr = listener.local_addr().unwrap();
+        let server = thread::spawn(move || {
+            let mut t = TcpTransport::new(listener.accept().unwrap().0).unwrap();
+            for _ in 0..answers {
+                let req = t.recv().unwrap();
+                t.send(&reply(req)).unwrap();
+            }
+            let _ = t.recv(); // park until the client closes
+        });
+        (
+            PipelinedClient::new(TcpTransport::connect(addr).unwrap()),
+            server,
+        )
+    }
+
+    /// The next frame for the caller: one already decoded, or one read
+    /// after each wait on the client's socket until it completes a frame.
+    fn next(client: &mut PipelinedClient) -> Result<Vec<u8>, TransportError> {
+        let mut readable = false;
+        loop {
+            if let Some(frame) = client.recv_ready(readable)? {
+                return Ok(frame);
+            }
+            let mut fds = [PollFd::new(client.as_raw_fd(), sys::READ)];
+            sys::wait(&mut fds, None).unwrap();
+            readable = fds[0].ready();
+        }
+    }
+
     #[test]
     fn in_order_responses_match() {
-        let (a, mut b) = ChannelTransport::pair();
-        let mut client = PipelinedClient::new(a);
+        let (mut client, server) = serve(2, |mut req| {
+            req.extend_from_slice(b"-ack");
+            req
+        });
         let id1 = client.next_request_id();
         let id2 = client.next_request_id();
         client.send(&frame(id1, b"q1")).unwrap();
         client.send(&frame(id2, b"q2")).unwrap();
-        // Server answers in order.
-        for _ in 0..2 {
-            let req = b.recv().unwrap();
-            let mut resp = req.clone();
-            resp.extend_from_slice(b"-ack");
-            b.send(&resp).unwrap();
-        }
-        assert_eq!(client.recv_next().unwrap(), frame(id1, b"q1-ack"));
-        assert_eq!(client.recv_next().unwrap(), frame(id2, b"q2-ack"));
+        // The server answers in order.
+        assert_eq!(next(&mut client).unwrap(), frame(id1, b"q1-ack"));
+        assert_eq!(next(&mut client).unwrap(), frame(id2, b"q2-ack"));
+        drop(client);
+        server.join().unwrap();
     }
 
     #[test]
     fn disconnect_propagates() {
-        let (a, b) = ChannelTransport::pair();
-        let mut client = PipelinedClient::new(a);
-        drop(b);
+        // The peer closes at once: it answers nothing and parks on a
+        // receive that fails when it is gone.
+        let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
+        let addr = listener.local_addr().unwrap();
+        let server = thread::spawn(move || drop(listener.accept().unwrap()));
+        let mut client = PipelinedClient::new(TcpTransport::connect(addr).unwrap());
+        server.join().unwrap();
         assert!(matches!(
-            client.recv_next(),
+            next(&mut client),
             Err(TransportError::Disconnected)
         ));
     }
 
     #[test]
     fn abandoned_responses_are_drained_before_fresh_ones() {
-        let (a, mut b) = ChannelTransport::pair();
-        let mut client = PipelinedClient::new(a);
+        let (mut client, server) = serve(2, |req| req);
         // Two requests in flight; the caller gives up on the first.
         client.send(&frame(1, b"abandoned")).unwrap();
         client.send(&frame(2, b"wanted")).unwrap();
         client.abandon_next_response();
         assert_eq!(client.abandoned_pending(), 1);
-        // The server answers both, in order.
-        for _ in 0..2 {
-            let req = b.recv().unwrap();
-            b.send(&req).unwrap();
-        }
-        // recv_next skips the stale response and yields the fresh one.
-        assert_eq!(client.recv_next().unwrap(), frame(2, b"wanted"));
+        // The server answers both, in order; the stale response is
+        // skipped and the fresh one delivered.
+        assert_eq!(next(&mut client).unwrap(), frame(2, b"wanted"));
         assert_eq!(client.abandoned_pending(), 0);
+        drop(client);
+        server.join().unwrap();
     }
 
     #[test]
     fn recv_ready_skips_abandoned_frames_then_delivers() {
-        use crate::sys::{self, PollFd};
-        let listener = std::net::TcpListener::bind(("127.0.0.1", 0)).unwrap();
-        let addr = listener.local_addr().unwrap();
-        let server = std::thread::spawn(move || {
-            let mut t = TcpTransport::new(listener.accept().unwrap().0).unwrap();
-            for _ in 0..2 {
-                let req = t.recv().unwrap();
-                t.send(&req).unwrap();
-            }
-            let _ = t.recv(); // park until the client closes
-        });
-        let mut client = PipelinedClient::new(TcpTransport::connect(addr).unwrap());
+        let (mut client, server) = serve(2, |req| req);
         // Nothing decoded and no readiness reported: no read, no frame.
         assert_eq!(client.recv_ready(false).unwrap(), None);
         client.send(&frame(1, b"abandoned")).unwrap();

@@ -1,8 +1,8 @@
 //! The one operating-system call `std` does not expose: `poll(2)`.
 //!
 //! A reactor thread blocks here until one of its sockets is ready, and a
-//! fan-out collector until one of its pending domains answers or its
-//! deadline passes, instead of either sweeping sockets on a timer. This is
+//! client's collector until a pending domain answers or its bound on
+//! silence passes, instead of either sweeping sockets on a timer. This is
 //! the product crates' only `unsafe` code: one foreign declaration and one
 //! call, both below.
 

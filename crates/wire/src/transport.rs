@@ -1,11 +1,11 @@
 //! Message transport over real TCP loopback sockets.
 //!
 //! Every hop in the deployment — client ↔ trust domain, enclave host ↔
-//! framework, framework ↔ sandboxed app — speaks "send a byte message /
-//! receive a byte message" through the [`Transport`] trait. All traffic
-//! uses [`TcpTransport`] (real sockets, real syscalls — what Table 3
-//! measures); the trait exists so the pipeline tests can substitute an
-//! in-process fake.
+//! framework, framework ↔ sandboxed app — sends and receives byte
+//! messages over [`TcpTransport`] (real sockets, real syscalls — what
+//! Table 3 measures). The [`Transport`] trait has that one impl; it stays
+//! only because the benchmark harness (`e2e/src/probes.rs`) imports it to
+//! reach `send` and `recv` (ROADMAP item 17).
 
 use crate::frame::{write_frame, FrameError, SCRATCH_LEN};
 use crate::frame_nb::FrameReader;
@@ -44,8 +44,8 @@ impl From<FrameError> for TransportError {
 }
 
 /// A bidirectional, message-oriented byte transport: send one message,
-/// block until one arrives. Waiting on several transports at once is not
-/// the trait's business; a caller that needs it waits on the sockets in
+/// block until one arrives. A caller that must not wait without a bound —
+/// every client of a trust domain — waits on the socket in
 /// [`crate::sys::wait`] and reads with [`TcpTransport::recv_ready`].
 pub trait Transport: Send {
     /// Sends one message.
@@ -142,40 +142,6 @@ impl Transport for TcpTransport {
     }
 }
 
-/// In-process transport half over `std::sync::mpsc` channels: the fake
-/// the pipeline tests substitute for a socket.
-#[cfg(test)]
-pub(crate) struct ChannelTransport {
-    tx: std::sync::mpsc::Sender<Vec<u8>>,
-    rx: std::sync::mpsc::Receiver<Vec<u8>>,
-}
-
-#[cfg(test)]
-impl ChannelTransport {
-    /// Creates a connected pair of endpoints.
-    pub(crate) fn pair() -> (ChannelTransport, ChannelTransport) {
-        let (tx_a, rx_a) = std::sync::mpsc::channel();
-        let (tx_b, rx_b) = std::sync::mpsc::channel();
-        (
-            ChannelTransport { tx: tx_a, rx: rx_b },
-            ChannelTransport { tx: tx_b, rx: rx_a },
-        )
-    }
-}
-
-#[cfg(test)]
-impl Transport for ChannelTransport {
-    fn send(&mut self, payload: &[u8]) -> Result<(), TransportError> {
-        self.tx
-            .send(payload.to_vec())
-            .map_err(|_| TransportError::Disconnected)
-    }
-
-    fn recv(&mut self) -> Result<Vec<u8>, TransportError> {
-        self.rx.recv().map_err(|_| TransportError::Disconnected)
-    }
-}
-
 /// Soft open-file limit of this process, if discoverable (Linux
 /// `/proc/self/limits`). Load tests and benches use it to size loopback
 /// connection counts: each in-process client costs two descriptors, the
@@ -202,26 +168,6 @@ mod tests {
 
     fn accept(listener: &TcpListener) -> TcpTransport {
         TcpTransport::new(listener.accept().unwrap().0).unwrap()
-    }
-
-    #[test]
-    fn channel_pair_round_trip() {
-        let (mut a, mut b) = ChannelTransport::pair();
-        a.send(b"ping").unwrap();
-        assert_eq!(b.recv().unwrap(), b"ping");
-        b.send(b"pong").unwrap();
-        assert_eq!(a.recv().unwrap(), b"pong");
-    }
-
-    #[test]
-    fn channel_disconnect_detected() {
-        let (mut a, b) = ChannelTransport::pair();
-        drop(b);
-        assert!(matches!(a.recv(), Err(TransportError::Disconnected)));
-        assert!(matches!(
-            a.send(b"into the void"),
-            Err(TransportError::Disconnected)
-        ));
     }
 
     #[test]

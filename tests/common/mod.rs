@@ -1,16 +1,18 @@
 //! Fake single-domain deployments for the detection suites: an
 //! unattested trust domain that answers `BatchAudit` with whatever view a
 //! test scripts, plus the descriptor/client plumbing to audit it — and the
-//! un-gated application call the update and lockdown suites use.
+//! un-gated application call the update and lockdown suites use; and an
+//! echo deployment and a silent domain for the suites about silence.
 
 // Each test binary uses its own subset of these helpers.
 #![allow(dead_code)]
 
-use distrust::core::abi::NoImports;
+use distrust::core::abi::{AppHost, NoImports, HANDLE_EXPORT, OUTBOX_ADDR};
 use distrust::core::framework::{EnclaveFramework, FrameworkConfig};
 use distrust::core::protocol::{AuditBundle, BundleAttestation, Request, Response};
 use distrust::core::{
-    ClientError, DeploymentClient, DeploymentDescriptor, DomainInfo, DomainStatus, SignedRelease,
+    AppSpec, ClientError, Deployment, DeploymentClient, DeploymentDescriptor, DomainInfo,
+    DomainStatus, SignedRelease,
 };
 use distrust::crypto::drbg::HmacDrbg;
 use distrust::crypto::schnorr::SigningKey;
@@ -18,12 +20,12 @@ use distrust::log::batch::CheckpointBundle;
 use distrust::log::checkpoint::{log_id, CheckpointBody, SignedCheckpoint};
 use distrust::log::{StorageConfig, StoreError};
 use distrust::sandbox::guests::counter_module;
-use distrust::sandbox::Limits;
+use distrust::sandbox::{FuncBuilder, Limits, Module, ModuleBuilder};
 use distrust::tee::host::EnclaveService;
 use distrust::tee::vendor::VendorRoots;
 use distrust::wire::codec::encode_seq;
 use distrust::wire::{Decode, Encode};
-use std::net::SocketAddr;
+use std::net::{SocketAddr, TcpListener};
 
 /// A one-domain deployment at `addr` whose checkpoint key is pinned to
 /// `key`.
@@ -184,4 +186,53 @@ pub fn digest_hex(bytes: &[u8]) -> String {
         .iter()
         .map(|b| format!("{b:02x}"))
         .collect()
+}
+
+/// Method 1 answers `input[0] + step`.
+pub fn echo_module(step: u64) -> Module {
+    let mut mb = ModuleBuilder::new(1, 1);
+    let mut f = FuncBuilder::new(3, 0, 1);
+    f.constant(OUTBOX_ADDR)
+        .lget(1)
+        .load8(0)
+        .constant(step)
+        .add()
+        .store8(0)
+        .constant(1)
+        .ret();
+    let idx = mb.function(f.build().unwrap());
+    mb.export(HANDLE_EXPORT, idx);
+    mb.build()
+}
+
+/// A real `n`-domain deployment of `echo_module(1)`.
+pub fn echo_deployment(n: usize, seed: &[u8]) -> Deployment {
+    let spec = AppSpec {
+        name: "echo".into(),
+        module: echo_module(1),
+        notes: "v1".into(),
+        hosts: (0..n)
+            .map(|_| Box::new(NoImports) as Box<dyn AppHost>)
+            .collect(),
+        limits: Limits::default(),
+    };
+    Deployment::launch(spec, seed).expect("launch")
+}
+
+/// A listener that accepts every connection and never writes a byte back
+/// — the sockets are parked alive for the life of the test process. Put in
+/// a descriptor, it is a domain that is connected, alive and silent.
+pub fn hung_listener() -> SocketAddr {
+    let listener = TcpListener::bind(("127.0.0.1", 0)).expect("bind");
+    let addr = listener.local_addr().expect("addr");
+    std::thread::Builder::new()
+        .name("hung-domain".into())
+        .spawn(move || {
+            let mut parked = Vec::new();
+            for conn in listener.incoming().flatten() {
+                parked.push(conn);
+            }
+        })
+        .expect("spawn");
+    addr
 }

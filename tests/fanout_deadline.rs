@@ -1,74 +1,32 @@
-//! Fan-out deadline budgets: a hung-but-connected domain must time out
-//! into [`DomainOutcome::Failed`] instead of stalling an `All` quorum
-//! forever (ROADMAP, PR 4 "Remaining").
+//! The fan-out's deadline: a hung-but-connected domain must time out into
+//! [`DomainOutcome::Failed`] after [`SILENCE`] instead of stalling an
+//! `All` quorum forever (ROADMAP, PR 4 "Remaining").
 //!
 //! The hung domain here is the nastiest kind: it *accepts* the TCP
 //! connection and *reads* nothing-visible-to-the-client — the request
 //! vanishes into its socket buffer and no response ever comes. Connect
 //! timeouts, error frames, and dead sockets all surface on their own;
-//! only a silent, live connection needs the wall-clock budget.
+//! only a silent, live connection needs the bound.
 //!
 //! Silent domains must also cost nothing a healthy quorum does not need,
-//! and the budget must be kept to within a millisecond or so, however
+//! and the bound must be kept to within a millisecond or so, however
 //! many of them are listed first. The file ends with what a fan-out the
-//! session refuses costs the trust state: nothing.
+//! session refuses costs the trust state: nothing. `tests/silent_minority.rs`
+//! holds the same bound on the audited path.
 
-use distrust::core::abi::{AppHost, NoImports, HANDLE_EXPORT, OUTBOX_ADDR};
-use distrust::core::client::{DeploymentClient, DomainInfo};
+mod common;
+
+use common::{echo_deployment, hung_listener};
+use distrust::core::client::{DeploymentClient, DomainInfo, SILENCE};
 use distrust::core::session::{DomainOutcome, FanoutCall, QuorumPolicy, TrustPolicy};
-use distrust::core::{AppSpec, Deployment};
+use distrust::core::Deployment;
 use distrust::crypto::drbg::HmacDrbg;
-use distrust::sandbox::{FuncBuilder, Limits, Module, ModuleBuilder};
-use std::net::{SocketAddr, TcpListener};
 use std::time::{Duration, Instant};
-
-/// Method 1 echoes `input[0] + 1`.
-fn echo_module() -> Module {
-    let mut mb = ModuleBuilder::new(1, 1);
-    let mut f = FuncBuilder::new(3, 0, 1);
-    f.constant(OUTBOX_ADDR)
-        .lget(1)
-        .load8(0)
-        .constant(1)
-        .add()
-        .store8(0)
-        .constant(1)
-        .ret();
-    let idx = mb.function(f.build().unwrap());
-    mb.export(HANDLE_EXPORT, idx);
-    mb.build()
-}
-
-/// A listener that accepts every connection and never writes a byte back
-/// — the sockets are parked alive for the life of the test process.
-fn hung_listener() -> SocketAddr {
-    let listener = TcpListener::bind(("127.0.0.1", 0)).expect("bind");
-    let addr = listener.local_addr().expect("addr");
-    std::thread::Builder::new()
-        .name("hung-domain".into())
-        .spawn(move || {
-            let mut parked = Vec::new();
-            for conn in listener.incoming().flatten() {
-                parked.push(conn);
-            }
-        })
-        .expect("spawn");
-    addr
-}
 
 /// A real 3-domain deployment whose domain 1 is swapped for a hung
 /// listener in the client's descriptor — connected, silent, alive.
 fn deployment_with_hung_domain() -> (Deployment, DeploymentClient) {
-    let spec = AppSpec {
-        name: "echo".into(),
-        module: echo_module(),
-        notes: "v1".into(),
-        hosts: (0..3)
-            .map(|_| Box::new(NoImports) as Box<dyn AppHost>)
-            .collect(),
-        limits: Limits::default(),
-    };
-    let deployment = Deployment::launch(spec, b"fanout deadline").expect("launch");
+    let deployment = echo_deployment(3, b"fanout deadline");
     let mut descriptor = deployment.descriptor.clone();
     descriptor.domains[1].addr = hung_listener();
     let client = DeploymentClient::new(
@@ -82,14 +40,14 @@ fn deployment_with_hung_domain() -> (Deployment, DeploymentClient) {
 fn hung_domain_times_out_instead_of_stalling_all_quorum() {
     let (deployment, mut client) = deployment_with_hung_domain();
     // An open policy: the trust gate must not touch the hung domain
-    // before the fan-out does (the gating audit would hang on it too —
-    // it shares the same budget machinery only through fanout here).
+    // before the fan-out does (the gating audit would refuse it first;
+    // `silent_minority.rs` covers that path).
     let mut session = client.session(TrustPolicy::open());
 
-    let budget = Duration::from_millis(400);
+    let budget = SILENCE;
     let started = Instant::now();
     let report = session
-        .fanout(&FanoutCall::broadcast(1, vec![5]).deadline(budget))
+        .fanout(&FanoutCall::broadcast(1, vec![5]))
         .expect("fanout runs");
     let elapsed = started.elapsed();
 
@@ -114,11 +72,11 @@ fn hung_domain_times_out_instead_of_stalling_all_quorum() {
         "fanout took {elapsed:?} against a {budget:?} budget"
     );
 
-    // The session survives: a second deadline-bounded round still serves
-    // the healthy domains (the hung connection owes an abandoned response
-    // and simply times out again).
+    // The session survives: a second round still serves the healthy
+    // domains (the hung domain lost its connection, is reconnected, and
+    // simply times out again).
     let report = session
-        .fanout(&FanoutCall::broadcast(1, vec![7]).deadline(budget))
+        .fanout(&FanoutCall::broadcast(1, vec![7]))
         .expect("fanout runs again");
     assert!(matches!(&report.outcomes[0], DomainOutcome::Ok(p) if p == &vec![8u8]));
     assert!(matches!(&report.outcomes[1], DomainOutcome::Failed(_)));
@@ -134,11 +92,7 @@ fn threshold_quorum_races_past_hung_domain_within_deadline() {
     let mut session = client.session(TrustPolicy::open());
 
     let report = session
-        .fanout(
-            &FanoutCall::broadcast(1, vec![10])
-                .quorum(QuorumPolicy::Threshold(2))
-                .deadline(Duration::from_secs(10)),
-        )
+        .fanout(&FanoutCall::broadcast(1, vec![10]).quorum(QuorumPolicy::Threshold(2)))
         .expect("fanout runs");
     // Two healthy answers satisfy the quorum long before the deadline;
     // the hung domain's response is abandoned, not failed.
@@ -152,39 +106,15 @@ fn threshold_quorum_races_past_hung_domain_within_deadline() {
 
 #[test]
 fn deadline_generous_enough_changes_nothing() {
-    // With no hung domain and a roomy budget, a deadline-bounded fan-out
-    // behaves exactly like an unbounded one.
-    let spec = AppSpec {
-        name: "echo".into(),
-        module: echo_module(),
-        notes: "v1".into(),
-        hosts: (0..3)
-            .map(|_| Box::new(NoImports) as Box<dyn AppHost>)
-            .collect(),
-        limits: Limits::default(),
-    };
-    let deployment = Deployment::launch(spec, b"healthy deadline").expect("launch");
+    // With no hung domain, the bound on silence changes nothing.
+    let deployment = echo_deployment(3, b"healthy deadline");
     let mut client = deployment.client(b"client");
     let mut session = client.session(TrustPolicy::audited());
     let report = session
-        .fanout(&FanoutCall::broadcast(1, vec![1]).deadline(Duration::from_secs(30)))
+        .fanout(&FanoutCall::broadcast(1, vec![1]))
         .expect("fanout runs");
     assert!(report.satisfied, "{report:?}");
     assert_eq!(report.ok_count(), 3);
-}
-
-/// A real `n`-domain deployment of [`echo_module`].
-fn echo_deployment(n: usize, seed: &[u8]) -> Deployment {
-    let spec = AppSpec {
-        name: "echo".into(),
-        module: echo_module(),
-        notes: "v1".into(),
-        hosts: (0..n)
-            .map(|_| Box::new(NoImports) as Box<dyn AppHost>)
-            .collect(),
-        limits: Limits::default(),
-    };
-    Deployment::launch(spec, seed).expect("launch")
 }
 
 /// Silent domains listed before the one healthy domain.
@@ -218,9 +148,7 @@ fn deployment_behind_silent_domains() -> (Deployment, DeploymentClient) {
 fn silent_domains_cost_an_early_exit_nothing() {
     let (deployment, mut client) = deployment_behind_silent_domains();
     let mut session = client.session(TrustPolicy::open());
-    let call = FanoutCall::broadcast(1, vec![3])
-        .quorum(QuorumPolicy::Threshold(1))
-        .deadline(Duration::from_secs(10));
+    let call = FanoutCall::broadcast(1, vec![3]).quorum(QuorumPolicy::Threshold(1));
     let mut best = Duration::MAX;
     for _ in 0..5 {
         let started = Instant::now();
@@ -246,8 +174,8 @@ fn silent_domains_cost_an_early_exit_nothing() {
 fn a_deadline_behind_silent_domains_is_kept() {
     let (deployment, mut client) = deployment_behind_silent_domains();
     let mut session = client.session(TrustPolicy::open());
-    let budget = Duration::from_millis(20);
-    let call = FanoutCall::broadcast(1, vec![3]).deadline(budget);
+    let budget = SILENCE;
+    let call = FanoutCall::broadcast(1, vec![3]);
     let mut best = Duration::MAX;
     for _ in 0..3 {
         let started = Instant::now();
