@@ -46,6 +46,19 @@ const MAX_ABANDONED_PER_CONN: u64 = 32;
 /// refused, by an audit and by every session.
 pub(crate) const CONVICTED: &str = "transferable equivocation evidence held against this domain";
 
+/// What [`DeploymentClient::gather`] does after handing its caller an
+/// answer.
+pub(crate) enum Taken {
+    /// The answer counts toward the quorum.
+    Counted,
+    /// It does not count; collecting goes on.
+    Uncounted,
+    /// Return now. The domains not yet settled stay pending, their
+    /// answers still owed: the caller has something to do first (reissue
+    /// to a lost connection) and collects again under the same deadline.
+    Return,
+}
+
 /// What a client needs to know about one trust domain.
 #[derive(Clone, Debug)]
 pub struct DomainInfo {
@@ -366,11 +379,16 @@ impl DeploymentClient {
     /// The client's one collector: every receive it makes comes through
     /// here. Each domain in `pending` owes one answer; each answer, or
     /// the reason there is none, goes to `take`, which says whether it
-    /// counts toward `quorum`. Returns how many counted.
+    /// counts toward `quorum` or that the collector must return at once
+    /// ([`Taken`]). Returns how many counted.
     ///
     /// A collection that needs every answer ([`QuorumPolicy::All`]) waits
-    /// on the oldest pending socket only: it cannot end before that one
-    /// answers, and a wait on one descriptor is the cheapest. A
+    /// for an answer on the oldest pending socket only: it cannot end
+    /// before that one answers, so a wait that wakes for no other answer
+    /// costs one `poll` per answer. It also watches the other pending
+    /// sockets for a hang-up, which no healthy socket reports, so that a
+    /// lost connection behind a slow or silent domain is seen when it is
+    /// lost. A
     /// `Threshold(t)` collection waits on every pending socket at once and
     /// stops once `t` answers counted; the stragglers it leaves in
     /// `pending` have their responses abandoned, drained off the wire on
@@ -384,23 +402,24 @@ impl DeploymentClient {
         pending: &mut Vec<u32>,
         quorum: QuorumPolicy,
         until: Instant,
-        mut take: impl FnMut(u32, Result<Response, ClientError>) -> bool,
+        mut take: impl FnMut(u32, Result<Response, ClientError>) -> Taken,
     ) -> usize {
         let (every, needed) = match quorum {
             QuorumPolicy::All => (true, usize::MAX),
             QuorumPolicy::Threshold(t) => (false, t),
         };
         let mut counted = 0;
-        // What the last wait looked at: the oldest pending socket, or all.
+        // What the last wait looked at, one slot per pending domain.
         // Allocated once per collection, so no answer allocates.
         let mut fds: Vec<PollFd> = Vec::new();
         let mut last_look = false;
         let mut failed_wait: Option<std::io::ErrorKind> = None;
+        let mut returning = false;
         loop {
             let mut reported = fds.iter();
             pending.retain(|&d| {
                 let readable = reported.next().is_some_and(PollFd::ready);
-                if counted >= needed {
+                if counted >= needed || returning {
                     return true;
                 }
                 let answer = match self.recv_ready(d, readable) {
@@ -413,22 +432,34 @@ impl DeploymentClient {
                         Err(failed_wait.map_or(ClientError::Silent, |e| ClientError::Io(e.into())))
                     }
                 };
-                counted += usize::from(take(d, answer));
+                match take(d, answer) {
+                    Taken::Counted => counted += 1,
+                    Taken::Uncounted => {}
+                    Taken::Return => returning = true,
+                }
                 false
             });
+            if returning {
+                return counted;
+            }
             // The last look settles every domain, unless the quorum is met.
             if pending.is_empty() || counted >= needed {
                 break;
             }
             let left = until.saturating_duration_since(Instant::now());
             last_look = left.is_zero();
-            let watched = if every && !last_look { 1 } else { usize::MAX };
+            let answers_awaited = if every && !last_look { 1 } else { usize::MAX };
             // A pending domain always has its connection (losing it
             // settled the domain above); -1 is a slot `poll` skips.
             fds.clear();
-            fds.extend(pending.iter().take(watched).map(|&d| {
+            fds.extend(pending.iter().enumerate().map(|(i, &d)| {
                 let conn = self.connections[d as usize].as_ref();
-                PollFd::new(conn.map_or(-1, AsRawFd::as_raw_fd), sys::READ)
+                let events = if i < answers_awaited {
+                    sys::READ
+                } else {
+                    sys::HANG_UP
+                };
+                PollFd::new(conn.map_or(-1, AsRawFd::as_raw_fd), events)
             }));
             if let Err(e) = sys::wait(&mut fds, Some(left)) {
                 failed_wait = Some(e.kind());
@@ -451,7 +482,7 @@ impl DeploymentClient {
         let until = Instant::now() + SILENCE;
         self.gather(&mut vec![domain], QuorumPolicy::All, until, |_, a| {
             answer = a;
-            false
+            Taken::Uncounted
         });
         answer
     }
@@ -513,7 +544,7 @@ impl DeploymentClient {
                 Ok(other) => Err(ClientError::Unexpected(format!("{other:?}"))),
                 Err(e) => Err(e),
             };
-            false
+            Taken::Uncounted
         });
         acks
     }
@@ -747,7 +778,9 @@ impl DeploymentClient {
     ///
     /// A connection that turns out to be dead (the domain restarted since
     /// the last round) is reopened once and the audit re-issued with a
-    /// fresh nonce. The whole round, reissue included, waits at most
+    /// fresh nonce, as soon as the loss is seen: when sending, or inside
+    /// the round, where the collector watches every pending connection
+    /// for a hang-up. The whole round, reissue included, waits at most
     /// [`SILENCE`] for the answers: a domain silent that long fails its
     /// audit with a reason naming the bound and loses its connection, so
     /// a silent minority delays a round by the bound and never stalls it.
@@ -783,36 +816,50 @@ impl DeploymentClient {
         // Each domain owes its bundle, then its envelope: listed twice, it
         // hands the collector's first answer to the bundle. A connection
         // found dead (the domain restarted since the last round) is
-        // reopened once and the audit re-issued under a fresh nonce.
+        // reopened once and the audit re-issued under a fresh nonce as
+        // soon as the loss is seen, when sending or inside the round: the
+        // reissue is collected under the same deadline, not after it.
         let until = Instant::now() + SILENCE;
+        let mut reissued = vec![false; n as usize];
+        let mut lost: Vec<u32> = (0..n)
+            .filter(|&d| matches!(sent[d as usize], Err(ClientError::ConnectionLost(_))))
+            .collect();
+        let mut pending: Vec<u32> = (0..n).filter(|&d| sent[d as usize].is_ok()).collect();
+        pending.extend_from_within(..);
         // Per domain, the bundle and the envelope it answered.
         let mut answers: Vec<(Option<Response>, Option<GossipEnvelope>)> =
             vec![(None, None); n as usize];
-        for reissue in [false, true] {
-            let mut pending = Vec::with_capacity(2 * n as usize);
-            for i in 0..n as usize {
-                if reissue && matches!(sent[i], Err(ClientError::ConnectionLost(_))) {
-                    sent[i] = self.send_audit(i as u32, &gossip_wire);
-                }
-                if sent[i].is_ok() && answers[i].0.is_none() {
-                    pending.push(i as u32);
+        loop {
+            for d in lost.drain(..) {
+                // Its envelope's place goes with the connection that owed it.
+                pending.retain(|&p| p != d);
+                reissued[d as usize] = true;
+                sent[d as usize] = self.send_audit(d, &gossip_wire);
+                if sent[d as usize].is_ok() {
+                    pending.extend([d, d]);
                 }
             }
-            pending.extend_from_within(..);
             // A domain's first answer is its bundle, or why there is none.
             self.gather(&mut pending, QuorumPolicy::All, until, |d, answer| {
                 let (i, (bundle, envelope)) = (d as usize, &mut answers[d as usize]);
                 match answer {
                     _ if sent[i].is_err() => {}
                     Ok(response) if bundle.is_none() => *bundle = Some(response),
+                    Err(ClientError::ConnectionLost(_)) if bundle.is_none() && !reissued[i] => {
+                        lost.push(d);
+                        return Taken::Return;
+                    }
                     Err(e) if bundle.is_none() => sent[i] = Err(e),
                     // Gossip is best-effort: any other answer costs only
                     // freshness.
                     Ok(Response::Gossip { envelope: e }) => *envelope = Some(e),
                     _ => {}
                 }
-                false
+                Taken::Uncounted
             });
+            if lost.is_empty() {
+                break;
+            }
         }
 
         // Phase 3: judge the answers, each domain's envelope first.

@@ -29,7 +29,7 @@
 //!   goes ahead on the rest; silence is never evidence, and the next
 //!   audit the domain answers trusts it again.
 
-use crate::client::{AuditReport, ClientError, DeploymentClient, CONVICTED, SILENCE};
+use crate::client::{AuditReport, ClientError, DeploymentClient, Taken, CONVICTED, SILENCE};
 use crate::protocol::{Request, Response};
 use distrust_crypto::bls;
 use distrust_crypto::sha256::Digest;
@@ -728,7 +728,11 @@ impl<'c> Session<'c> {
         let until = Instant::now() + SILENCE;
         let settle = |d: u32, answer| {
             outcomes[d as usize] = Self::response_outcome(answer);
-            outcomes[d as usize].is_ok()
+            if outcomes[d as usize].is_ok() {
+                Taken::Counted
+            } else {
+                Taken::Uncounted
+            }
         };
         let satisfied = self.client.gather(&mut pending, call.quorum, until, settle);
         for d in pending {

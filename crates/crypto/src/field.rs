@@ -21,6 +21,14 @@ macro_rules! prime_field {
         $(#[$doc:meta])*
         $name:ident, $n:expr, $bytes:expr, $modulus:expr, $inv:expr, $r:expr, $r2:expr
     ) => {
+        // The kernel's no-carry multiplication needs the modulus's top limb
+        // below 2^63 − 1; that also makes 2m < 2^{64n}, so a sum of two
+        // elements never carries out of the top limb.
+        const _: () = {
+            let modulus: [u64; $n] = $modulus;
+            assert!(modulus[$n - 1] < (1 << 63) - 1, "modulus too wide for the field kernel");
+        };
+
         $(#[$doc])*
         #[derive(Clone, Copy, PartialEq, Eq, Hash)]
         pub struct $name(pub(crate) [u64; $n]);
@@ -111,15 +119,10 @@ macro_rules! prime_field {
                 Self($crate::limbs::sub_mod(&self.0, &rhs.0, &Self::MODULUS))
             }
 
-            /// Additive inverse.
+            /// Additive inverse: `0 − self`.
             #[inline]
             pub fn neg(&self) -> Self {
-                if self.is_zero() {
-                    *self
-                } else {
-                    let (out, _) = $crate::limbs::sub(&Self::MODULUS, &self.0);
-                    Self(out)
-                }
+                Self($crate::limbs::sub_mod(&[0; $n], &self.0, &Self::MODULUS))
             }
 
             /// Field multiplication (Montgomery).
@@ -133,10 +136,15 @@ macro_rules! prime_field {
                 ))
             }
 
-            /// Squaring.
+            /// Squaring, by its own routine: each cross product is taken
+            /// once.
             #[inline]
             pub fn square(&self) -> Self {
-                self.mul(self)
+                Self($crate::limbs::mont_square::<$n, { 2 * $n }>(
+                    &self.0,
+                    &Self::MODULUS,
+                    Self::INV,
+                ))
             }
 
             /// Doubling.
@@ -187,12 +195,19 @@ macro_rules! prime_field {
 
             /// Reduces a `2 × $bytes` big-endian integer into the field.
             ///
-            /// Splits the value as `hi·2^{64n} + lo` and maps each half into
-            /// Montgomery form with one multiplication: `lo·R2·R^{-1} = lo·R`
-            /// and `hi·R3·R^{-1} = hi·2^{64n}·R`, where `R3 = R2·R2·R^{-1}`.
+            /// Splits the value as `hi·2^{64n} + lo`, reduces each half below
+            /// the modulus (the multiplication takes only field elements), and
+            /// maps each into Montgomery form with one multiplication:
+            /// `lo·R2·R^{-1} = lo·R` and `hi·R3·R^{-1} = hi·2^{64n}·R`, where
+            /// `R3 = R2·R2·R^{-1}`.
             pub fn from_bytes_wide(bytes: &[u8; 2 * $bytes]) -> Self {
-                let hi: [u64; $n] = $crate::limbs::limbs_from_be_bytes(&bytes[..$bytes]);
-                let lo: [u64; $n] = $crate::limbs::limbs_from_be_bytes(&bytes[$bytes..]);
+                let half = |b: &[u8]| {
+                    $crate::limbs::reduce_below(
+                        &$crate::limbs::limbs_from_be_bytes::<$n>(b),
+                        &Self::MODULUS,
+                    )
+                };
+                let (hi, lo) = (half(&bytes[..$bytes]), half(&bytes[$bytes..]));
                 let r3 = $crate::limbs::mont_mul(&Self::R2, &Self::R2, &Self::MODULUS, Self::INV);
                 let lo_m = $crate::limbs::mont_mul(&lo, &Self::R2, &Self::MODULUS, Self::INV);
                 let hi_m = $crate::limbs::mont_mul(&hi, &r3, &Self::MODULUS, Self::INV);

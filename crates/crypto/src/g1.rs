@@ -814,10 +814,11 @@ impl G1Projective {
 ///
 /// About half of all candidates `x` are not the abscissa of a curve
 /// point: `x³ + 4` is not a square. Each is turned away by its Jacobi
-/// symbol ([`Fp::is_square`], ≈ 2 µs) rather than by a square root that
-/// fails (≈ 38 µs). The symbol refuses exactly what the square root
-/// refuses, so it changes no output: a message hashes to the point the
-/// square root alone would find (`hash_to_g1_outputs_are_pinned`).
+/// symbol ([`Fp::is_square`], ≈ 4 µs on a 2-core x86-64 guest) rather
+/// than by a square root that fails (≈ 65 µs there). The symbol refuses
+/// exactly what the square root refuses, so it changes no output: a
+/// message hashes to the point the square root alone would find
+/// (`hash_to_g1_outputs_are_pinned`).
 ///
 /// **Not constant time**: the iteration count and the Jacobi symbol's
 /// steps leak information about the (public) message. Do not use for

@@ -13,6 +13,15 @@ use std::time::{Duration, Instant};
 pub const READ: i16 = 0x001;
 /// Wait until the descriptor is writable (`POLLOUT`).
 pub const WRITE: i16 = 0x004;
+/// Wait until the peer has hung up: closed the connection, or only its
+/// sending half (`POLLRDHUP`, on Linux). An error or a hang-up of both
+/// halves is reported whatever was asked (`POLLERR`, `POLLHUP`), and is
+/// all this waits for elsewhere.
+pub const HANG_UP: i16 = if cfg!(any(target_os = "linux", target_os = "android")) {
+    0x2000
+} else {
+    0
+};
 
 /// One descriptor to wait on, laid out as the kernel's `struct pollfd`.
 #[repr(C)]
@@ -24,7 +33,8 @@ pub struct PollFd {
 }
 
 impl PollFd {
-    /// Waits on `fd` for `events` (a union of [`READ`] and [`WRITE`]).
+    /// Waits on `fd` for `events` (a union of [`READ`] and [`WRITE`], or
+    /// [`HANG_UP`]).
     pub fn new(fd: RawFd, events: i16) -> Self {
         Self {
             fd,
@@ -101,6 +111,17 @@ mod tests {
         // A socket with room in its buffer is writable at once.
         let mut fds = [PollFd::new(quiet_tx.as_raw_fd(), WRITE)];
         assert_eq!(wait(&mut fds, None).unwrap(), 1);
+    }
+
+    #[test]
+    fn a_hang_up_is_reported_and_an_answer_waiting_is_not() {
+        let (mut peer, watched) = UnixStream::pair().unwrap();
+        peer.write_all(&[1]).unwrap();
+        let mut fds = [PollFd::new(watched.as_raw_fd(), HANG_UP)];
+        assert_eq!(wait(&mut fds, Some(Duration::ZERO)).unwrap(), 0);
+        drop(peer);
+        assert_eq!(wait(&mut fds, Some(Duration::ZERO)).unwrap(), 1);
+        assert!(fds[0].ready());
     }
 
     #[test]

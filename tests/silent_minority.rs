@@ -20,7 +20,7 @@ use distrust::crypto::drbg::HmacDrbg;
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::{mpsc, Arc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -168,45 +168,74 @@ fn a_push_past_a_silent_domain_returns_within_the_bound() {
     assert!(why.contains("SILENCE"), "{why}");
 }
 
-/// A proxy in front of `upstream` that forwards both ways, except that
-/// while `muted` it reads what the client sends and drops it.
-fn muting_proxy(upstream: SocketAddr, muted: Arc<AtomicBool>) -> SocketAddr {
-    let listener = TcpListener::bind(("127.0.0.1", 0)).expect("bind");
-    let addr = listener.local_addr().expect("addr");
-    thread::spawn(move || {
-        for client in listener.incoming().flatten() {
-            let server = TcpStream::connect(upstream).expect("upstream");
-            let (mut from_client, mut to_server) = (
-                client.try_clone().expect("clone"),
-                server.try_clone().expect("clone"),
-            );
-            let muted = Arc::clone(&muted);
-            thread::spawn(move || {
-                let mut buf = [0u8; 16 * 1024];
-                while let Ok(n @ 1..) = from_client.read(&mut buf) {
-                    if !muted.load(Ordering::SeqCst) && to_server.write_all(&buf[..n]).is_err() {
-                        break;
+/// A proxy in front of a domain that forwards both ways, and that a case
+/// turns against the client through its switches.
+#[derive(Clone, Default)]
+struct Proxy {
+    /// While set, what the client sends is read and dropped.
+    muted: Arc<AtomicBool>,
+    /// When set, the next bytes a client sends are dropped and its
+    /// connection closed, and the switch is cleared: a domain that
+    /// restarts inside a round.
+    hang_up: Arc<AtomicBool>,
+    /// Every client connection accepted, for a case to close: a domain
+    /// that restarted between rounds.
+    clients: Arc<Mutex<Vec<TcpStream>>>,
+}
+
+impl Proxy {
+    /// Starts the proxy in front of `upstream`; returns its address.
+    fn start(&self, upstream: SocketAddr) -> SocketAddr {
+        let listener = TcpListener::bind(("127.0.0.1", 0)).expect("bind");
+        let addr = listener.local_addr().expect("addr");
+        let proxy = self.clone();
+        thread::spawn(move || {
+            for client in listener.incoming().flatten() {
+                proxy
+                    .clients
+                    .lock()
+                    .unwrap()
+                    .push(client.try_clone().expect("clone"));
+                let server = TcpStream::connect(upstream).expect("upstream");
+                let (mut from_client, mut to_server) = (
+                    client.try_clone().expect("clone"),
+                    server.try_clone().expect("clone"),
+                );
+                let proxy = proxy.clone();
+                thread::spawn(move || {
+                    let mut buf = [0u8; 16 * 1024];
+                    while let Ok(n @ 1..) = from_client.read(&mut buf) {
+                        if proxy.hang_up.swap(false, Ordering::SeqCst) {
+                            let _ = from_client.shutdown(Shutdown::Both);
+                            break;
+                        }
+                        if !proxy.muted.load(Ordering::SeqCst)
+                            && to_server.write_all(&buf[..n]).is_err()
+                        {
+                            break;
+                        }
                     }
-                }
-                let _ = to_server.shutdown(Shutdown::Both);
-            });
-            let (mut from_server, mut to_client) = (server, client);
-            thread::spawn(move || {
-                let _ = std::io::copy(&mut from_server, &mut to_client);
-                let _ = to_client.shutdown(Shutdown::Both);
-            });
-        }
-    });
-    addr
+                    let _ = to_server.shutdown(Shutdown::Both);
+                });
+                let (mut from_server, mut to_client) = (server, client);
+                thread::spawn(move || {
+                    let _ = std::io::copy(&mut from_server, &mut to_client);
+                    let _ = to_client.shutdown(Shutdown::Both);
+                });
+            }
+        });
+        addr
+    }
 }
 
 #[test]
 fn a_muted_domain_is_trusted_at_the_first_audit_after_unmuting() {
     let (muted_refusal, trusted_after, report) = under_watchdog(|| {
         let deployment = echo_deployment(3, b"muted domain");
-        let muted = Arc::new(AtomicBool::new(false));
+        let proxy = Proxy::default();
+        let muted = &proxy.muted;
         let mut descriptor = deployment.descriptor.clone();
-        descriptor.domains[1].addr = muting_proxy(descriptor.domains[1].addr, Arc::clone(&muted));
+        descriptor.domains[1].addr = proxy.start(descriptor.domains[1].addr);
         let mut client =
             DeploymentClient::new(descriptor, Box::new(HmacDrbg::new(b"muted", b"client-rng")));
         let mut session = client.session(TrustPolicy::audited());
@@ -233,4 +262,60 @@ fn a_muted_domain_is_trusted_at_the_first_audit_after_unmuting() {
     assert_eq!(trusted_after, vec![0, 1, 2]);
     assert!(report.satisfied, "{report:?}");
     assert!(report.successes().all(|(_, answer)| answer == [2]));
+}
+
+/// Audits a deployment of three whose domain 0 is silent and whose domain
+/// 1 sits behind a proxy, turns the proxy against the client with
+/// `restart`, and audits again. Returns the domains trusted after each
+/// audit and how long the second took.
+fn audit_past_a_restart_behind_a_silent_domain(
+    restart: fn(&Proxy),
+) -> (Vec<u32>, Vec<u32>, Duration) {
+    under_watchdog(move || {
+        let deployment = echo_deployment(3, b"restarted behind silent");
+        let proxy = Proxy::default();
+        let mut descriptor = deployment.descriptor.clone();
+        descriptor.domains[0].addr = hung_listener();
+        descriptor.domains[1].addr = proxy.start(descriptor.domains[1].addr);
+        let mut client = DeploymentClient::new(
+            descriptor,
+            Box::new(HmacDrbg::new(b"restarted", b"client-rng")),
+        );
+        let mut session = client.session(TrustPolicy::audited());
+        session.refresh_trust().expect("two domains pass");
+        let trusted_before = session.trusted_domains();
+        restart(&proxy);
+        let started = Instant::now();
+        session.refresh_trust().expect("two domains pass");
+        (trusted_before, session.trusted_domains(), started.elapsed())
+    })
+}
+
+/// A domain that restarted between two audits, behind a silent one: the
+/// second audit finds its connection closed while sending to it. The
+/// audit is reissued at once, and the domain is trusted in that round.
+#[test]
+fn a_domain_restarted_between_audits_behind_a_silent_one_is_trusted_in_the_round() {
+    let (before, after, elapsed) = audit_past_a_restart_behind_a_silent_domain(|proxy| {
+        for connection in proxy.clients.lock().unwrap().drain(..) {
+            connection.shutdown(Shutdown::Both).expect("shutdown");
+        }
+    });
+    assert_eq!(before, vec![1, 2]);
+    assert_eq!(after, vec![1, 2]);
+    assert!(elapsed < SILENCE + SLACK, "took {elapsed:?}");
+}
+
+/// A domain that restarts inside the round, behind a silent one: its
+/// connection is closed once the audit is sent, while the silent domain
+/// holds the round's wait. The collector sees the hang-up, the audit is
+/// reissued under the same deadline, and the domain is trusted.
+#[test]
+fn a_domain_restarted_inside_the_round_behind_a_silent_one_is_trusted_in_it() {
+    let (before, after, elapsed) = audit_past_a_restart_behind_a_silent_domain(|proxy| {
+        proxy.hang_up.store(true, Ordering::SeqCst);
+    });
+    assert_eq!(before, vec![1, 2]);
+    assert_eq!(after, vec![1, 2]);
+    assert!(elapsed < SILENCE + SLACK, "took {elapsed:?}");
 }
