@@ -16,10 +16,13 @@
 /// * `$inv` — `-modulus^{-1} mod 2^64`.
 /// * `$r` — `2^{64n} mod modulus` (i.e. `1` in Montgomery form).
 /// * `$r2` — `2^{128n} mod modulus`, used to enter Montgomery form.
+/// * `$r3` — `2^{192n} mod modulus`, which takes a value carrying one
+///   factor `R⁻¹` too many (an inverse from `inv_mod`, a wide reduction's
+///   high half) into Montgomery form.
 macro_rules! prime_field {
     (
         $(#[$doc:meta])*
-        $name:ident, $n:expr, $bytes:expr, $modulus:expr, $inv:expr, $r:expr, $r2:expr
+        $name:ident, $n:expr, $bytes:expr, $modulus:expr, $inv:expr, $r:expr, $r2:expr, $r3:expr
     ) => {
         // The kernel's no-carry multiplication needs the modulus's top limb
         // below 2^63 − 1; that also makes 2m < 2^{64n}, so a sum of two
@@ -43,6 +46,8 @@ macro_rules! prime_field {
             pub(crate) const INV: u64 = $inv;
             pub(crate) const R: [u64; $n] = $r;
             pub(crate) const R2: [u64; $n] = $r2;
+            /// `R2·R2·R⁻¹ = R³ mod m`.
+            pub(crate) const R3: [u64; $n] = $r3;
 
             /// The additive identity.
             pub const ZERO: Self = Self([0u64; $n]);
@@ -176,10 +181,9 @@ macro_rules! prime_field {
                     return None;
                 }
                 let inverse = $crate::limbs::inv_mod(&self.0, &Self::MODULUS);
-                let r3 = $crate::limbs::mont_mul(&Self::R2, &Self::R2, &Self::MODULUS, Self::INV);
                 Some(Self($crate::limbs::mont_mul(
                     &inverse,
-                    &r3,
+                    &Self::R3,
                     &Self::MODULUS,
                     Self::INV,
                 )))
@@ -198,8 +202,7 @@ macro_rules! prime_field {
             /// Splits the value as `hi·2^{64n} + lo`, reduces each half below
             /// the modulus (the multiplication takes only field elements), and
             /// maps each into Montgomery form with one multiplication:
-            /// `lo·R2·R^{-1} = lo·R` and `hi·R3·R^{-1} = hi·2^{64n}·R`, where
-            /// `R3 = R2·R2·R^{-1}`.
+            /// `lo·R2·R^{-1} = lo·R` and `hi·R3·R^{-1} = hi·2^{64n}·R`.
             pub fn from_bytes_wide(bytes: &[u8; 2 * $bytes]) -> Self {
                 let half = |b: &[u8]| {
                     $crate::limbs::reduce_below(
@@ -208,9 +211,8 @@ macro_rules! prime_field {
                     )
                 };
                 let (hi, lo) = (half(&bytes[..$bytes]), half(&bytes[$bytes..]));
-                let r3 = $crate::limbs::mont_mul(&Self::R2, &Self::R2, &Self::MODULUS, Self::INV);
                 let lo_m = $crate::limbs::mont_mul(&lo, &Self::R2, &Self::MODULUS, Self::INV);
-                let hi_m = $crate::limbs::mont_mul(&hi, &r3, &Self::MODULUS, Self::INV);
+                let hi_m = $crate::limbs::mont_mul(&hi, &Self::R3, &Self::MODULUS, Self::INV);
                 Self($crate::limbs::add_mod(&lo_m, &hi_m, &Self::MODULUS))
             }
 

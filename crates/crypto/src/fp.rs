@@ -35,6 +35,14 @@ prime_field!(
         0x67eb_88a9_939d_83c0,
         0x9a79_3e85_b519_952d,
         0x1198_8fe5_92ca_e3aa,
+    ],
+    [
+        0xed48_ac6b_d94c_a1e0,
+        0x315f_831e_03a7_adf8,
+        0x9a53_352a_615e_29dd,
+        0x34c0_4e5e_921e_1761,
+        0x2512_d435_6572_4728,
+        0x0aa6_3460_9175_5d4d,
     ]
 );
 
@@ -74,6 +82,12 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
     use rand::SeedableRng;
+
+    #[test]
+    fn r3_is_r2_times_r2_in_montgomery_form() {
+        let r3 = crate::limbs::mont_mul(&Fp::R2, &Fp::R2, &Fp::MODULUS, Fp::INV);
+        assert_eq!(Fp::R3, r3);
+    }
 
     fn arb_fp() -> impl Strategy<Value = Fp> {
         any::<[u8; 96]>().prop_map(|bytes| Fp::from_bytes_wide(&bytes))

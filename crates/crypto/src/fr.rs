@@ -27,6 +27,12 @@ prime_field!(
         0x2b6c_edcb_8792_5c23,
         0x05d3_1496_7254_398f,
         0x0748_d9d9_9f59_ff11,
+    ],
+    [
+        0xc62c_1807_439b_73af,
+        0x1b3e_0d18_8cf0_6990,
+        0x73d1_3c71_c7b5_f418,
+        0x6e2a_5bb9_c8db_33e9,
     ]
 );
 
@@ -53,6 +59,12 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
     use rand::SeedableRng;
+
+    #[test]
+    fn r3_is_r2_times_r2_in_montgomery_form() {
+        let r3 = crate::limbs::mont_mul(&Fr::R2, &Fr::R2, &Fr::MODULUS, Fr::INV);
+        assert_eq!(Fr::R3, r3);
+    }
 
     fn arb_fr() -> impl Strategy<Value = Fr> {
         any::<[u8; 64]>().prop_map(|bytes| Fr::from_bytes_wide(&bytes))

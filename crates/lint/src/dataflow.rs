@@ -14,8 +14,8 @@
 //!   identifier it mentions, and `.len()` deliberately propagates —
 //!   the length of an attacker-shaped collection is attacker-shaped
 //!   (element-size amplification is exactly the PR 2 length-bomb class).
-//!   Calls resolve through [`crate::resolve::Resolver`] — across crate
-//!   seams, through `use` imports and type qualifiers — with a fixpoint
+//!   Calls resolve through the analysis's one [`crate::resolve::Resolver`]
+//!   — across crate seams, through `use` imports and type qualifiers — with a fixpoint
 //!   param→return summary per callee, and a second fixpoint injects
 //!   argument taint *into* callees context-insensitively: a length
 //!   decoded in `wire` that sizes an allocation inside a `log` helper
@@ -43,7 +43,7 @@
 
 use crate::lexer::Tok;
 use crate::resolve::Resolver;
-use crate::scan::{bracket_close, FnDef, SourceFile, KEYWORDS};
+use crate::scan::{FnDef, SourceFile, KEYWORDS};
 use std::collections::BTreeMap;
 
 /// Longest source→sink chain retained in a report line.
@@ -213,18 +213,31 @@ struct Incoming {
     seen: Vec<Vec<bool>>,
 }
 
+/// The analysis's result: every tainted sink reached.
 pub struct Dataflow {
-    fns: Vec<FnInfo>,
-    resolver: Resolver,
-    summaries: Vec<Taint>,
     pub sites: Vec<Site>,
     /// Fixpoint sweeps across the summary and argument-taint phases.
     pub fixpoint_iters: usize,
 }
 
+/// What the walkers read while the fixpoints run.
+struct Flow<'a> {
+    files: &'a [SourceFile],
+    resolver: &'a Resolver,
+    fns: Vec<FnInfo>,
+    summaries: Vec<Taint>,
+}
+
 impl Dataflow {
+    /// The dataflow over `files` with a resolver of its own, for a caller
+    /// that runs no other analysis over them.
     pub fn build(files: &[SourceFile]) -> Dataflow {
-        let resolver = Resolver::build(files);
+        Dataflow::new(files, &Resolver::build(files))
+    }
+
+    /// The dataflow over `files`, resolving calls through `resolver`,
+    /// which must have been built over the same files.
+    pub fn new(files: &[SourceFile], resolver: &Resolver) -> Dataflow {
         let mut fns = Vec::new();
         for (file_idx, file) in files.iter().enumerate() {
             for def in &file.fns {
@@ -235,22 +248,22 @@ impl Dataflow {
             }
         }
         debug_assert_eq!(fns.len(), resolver.fn_count());
-        let mut flow = Dataflow {
+        let mut flow = Flow {
+            files,
+            resolver,
             summaries: vec![Taint::default(); fns.len()],
             fns,
-            resolver,
-            sites: Vec::new(),
-            fixpoint_iters: 0,
         };
+        let mut fixpoint_iters = 0;
 
         // Phase 1 — param→return summaries, with no caller context: a
         // summary must describe the callee for *every* caller, so caller
         // chains are not allowed to pollute it.
         for _ in 0..MAX_ITERS {
-            flow.fixpoint_iters += 1;
+            fixpoint_iters += 1;
             let mut changed = false;
             for i in 0..flow.fns.len() {
-                let ret = walk_fn(&flow, files, i, None, None, None);
+                let ret = walk_fn(&flow, i, None, None, None);
                 let mut next = flow.summaries[i].clone();
                 next.merge(&ret);
                 if next != flow.summaries[i] {
@@ -279,10 +292,10 @@ impl Dataflow {
                 .collect(),
         };
         for _ in 0..MAX_ITERS {
-            flow.fixpoint_iters += 1;
+            fixpoint_iters += 1;
             let mut recs: Vec<ArgRec> = Vec::new();
             for i in 0..flow.fns.len() {
-                walk_fn(&flow, files, i, Some(&incoming), None, Some(&mut recs));
+                walk_fn(&flow, i, Some(&incoming), None, Some(&mut recs));
             }
             let mut changed = false;
             for rec in recs {
@@ -311,12 +324,14 @@ impl Dataflow {
         // Phase 3 — sites, with caller context seeded in.
         let mut sites = Vec::new();
         for i in 0..flow.fns.len() {
-            walk_fn(&flow, files, i, Some(&incoming), Some(&mut sites), None);
+            walk_fn(&flow, i, Some(&incoming), Some(&mut sites), None);
         }
         sites.sort();
         sites.dedup();
-        flow.sites = sites;
-        flow
+        Dataflow {
+            sites,
+            fixpoint_iters,
+        }
     }
 }
 
@@ -324,35 +339,28 @@ impl Dataflow {
 fn fn_info(file: &SourceFile, file_idx: usize, def: &FnDef) -> FnInfo {
     let mut params = Vec::new();
     let mut seeds = Vec::new();
-    if let Some((sig_open, sig_close)) = signature_parens(file, def) {
-        for (lo, hi) in split_top_commas(file, sig_open + 1, sig_close.saturating_sub(1)) {
-            let idx = params.len();
-            let (name, ty_from) = param_name(file, lo, hi);
-            let ty_has = |want: &dyn Fn(&str) -> bool| -> Option<String> {
-                (ty_from..=hi)
-                    .find_map(|k| file.ident_at(k).filter(|n| want(n)).map(|n| n.to_string()))
-            };
-            if let Some(ty) = ty_has(&|n: &str| SIGNED_TYPES.contains(&n)) {
-                seeds.push((
-                    idx,
-                    format!(
-                        "unverified `{ty}` (param `{name}` of `{}`) at {}:{}",
-                        def.name, file.path, def.line
-                    ),
-                ));
-            } else if crate::passes::panic_path::decode_fn(&def.name)
-                && ty_has(&|n: &str| n == "u8").is_some()
-            {
-                seeds.push((
-                    idx,
-                    format!(
-                        "wire bytes `{name}` of `{}` at {}:{}",
-                        def.name, file.path, def.line
-                    ),
-                ));
-            }
-            params.push(name);
+    for (idx, param) in file.params(def).into_iter().enumerate() {
+        let name = param.name;
+        if let Some(ty) = signed_type(file, param.ty.clone()) {
+            seeds.push((
+                idx,
+                format!(
+                    "unverified `{ty}` (param `{name}` of `{}`) at {}:{}",
+                    def.name, file.path, def.line
+                ),
+            ));
+        } else if crate::passes::panic_path::decode_fn(&def.name)
+            && param.ty.clone().any(|k| file.ident_at(k) == Some("u8"))
+        {
+            seeds.push((
+                idx,
+                format!(
+                    "wire bytes `{name}` of `{}` at {}:{}",
+                    def.name, file.path, def.line
+                ),
+            ));
         }
+        params.push(name);
     }
     FnInfo {
         name: def.name.clone(),
@@ -364,98 +372,25 @@ fn fn_info(file: &SourceFile, file_idx: usize, def: &FnDef) -> FnInfo {
     }
 }
 
-/// Token range of the parameter list's parentheses for `def`.
-fn signature_parens(file: &SourceFile, def: &FnDef) -> Option<(usize, usize)> {
-    // Find the `fn` keyword introducing this definition, nearest first.
-    let fn_kw = (0..def.body.0)
-        .rev()
-        .find(|&k| file.ident_at(k) == Some("fn") && file.ident_at(k + 1) == Some(&def.name))?;
-    let open = (fn_kw + 2..def.body.0).find(|&k| file.punct_at(k, '('))?;
-    let mut depth = 0i64;
-    for k in open..def.body.0 {
-        if file.punct_at(k, '(') {
-            depth += 1;
-        } else if file.punct_at(k, ')') {
-            depth -= 1;
-            if depth == 0 {
-                return Some((open, k));
-            }
-        }
-    }
-    None
-}
-
-/// Splits `lo..=hi` on commas at paren/bracket/brace depth 0. Braces
-/// count too: a closure argument (`move || { f(a, b) }`) is one
-/// argument, not however many commas its body happens to contain.
-fn split_top_commas(file: &SourceFile, lo: usize, hi: usize) -> Vec<(usize, usize)> {
-    let mut out = Vec::new();
-    if lo > hi {
-        return out;
-    }
-    let mut depth = 0i64;
-    let mut start = lo;
-    for k in lo..=hi {
-        match file.tokens.get(k).map(|t| &t.tok) {
-            Some(Tok::Punct('(')) | Some(Tok::Punct('[')) | Some(Tok::Punct('{')) => depth += 1,
-            Some(Tok::Punct(')')) | Some(Tok::Punct(']')) | Some(Tok::Punct('}')) => depth -= 1,
-            Some(Tok::Punct(',')) if depth == 0 => {
-                if start < k {
-                    out.push((start, k - 1));
-                }
-                start = k + 1;
-            }
-            _ => {}
-        }
-    }
-    if start <= hi {
-        out.push((start, hi));
-    }
-    out
-}
-
-/// Name of the parameter in `lo..=hi`, and where its type tokens begin.
-fn param_name(file: &SourceFile, lo: usize, hi: usize) -> (String, usize) {
-    let mut k = lo;
-    while k <= hi {
-        match file.ident_at(k) {
-            Some("mut") | Some("ref") => k += 1,
-            Some("self") => return ("self".to_string(), hi + 1),
-            Some(name) => {
-                let name = name.to_string();
-                let ty_from = (k + 1..=hi)
-                    .find(|&c| file.punct_at(c, ':'))
-                    .map(|c| c + 1)
-                    .unwrap_or(hi + 1);
-                return (name, ty_from);
-            }
-            None => k += 1,
-        }
-    }
-    ("<pat>".to_string(), lo)
+/// The first signed-object type named in `range`.
+pub fn signed_type(file: &SourceFile, mut range: std::ops::Range<usize>) -> Option<&str> {
+    range.find_map(|k| file.ident_at(k).filter(|n| SIGNED_TYPES.contains(n)))
 }
 
 /// Walks one function body: returns the return-value taint and, when
 /// requested, records tainted sink reaches (`sinks`) or argument flows
 /// into resolved callees (`collect`).
 fn walk_fn(
-    flow: &Dataflow,
-    files: &[SourceFile],
+    flow: &Flow,
     fi: usize,
     incoming: Option<&Incoming>,
     mut sinks: Option<&mut Vec<Site>>,
     mut collect: Option<&mut Vec<ArgRec>>,
 ) -> Taint {
     let info = &flow.fns[fi];
-    let file = &files[info.file_idx];
+    let file = &flow.files[info.file_idx];
     let (open, close) = info.body;
     let body_depth = file.depth[open];
-    let nested: Vec<(usize, usize)> = file
-        .fns
-        .iter()
-        .filter(|g| g.body.0 > open && g.body.1 < close)
-        .map(|g| g.body)
-        .collect();
 
     let mut env: BTreeMap<String, Taint> = BTreeMap::new();
     for (i, p) in info.params.iter().enumerate() {
@@ -487,7 +422,7 @@ fn walk_fn(
     let mut last_semi = open;
     let mut idx = open + 1;
     while idx < close {
-        if let Some(&(_, nend)) = nested.iter().find(|(ns, _)| *ns == idx) {
+        if let Some(nend) = file.nested_fn_end(&info.def, idx) {
             idx = nend + 1;
             continue;
         }
@@ -505,12 +440,9 @@ fn walk_fn(
         if let Some(name) = file.ident_at(idx) {
             match name {
                 "let" => {
-                    let d = file.depth[idx];
-                    if let Some(eq) = find_assign_eq(file, idx + 1, close) {
-                        let term = (eq + 1..close)
-                            .find(|&k| file.punct_at(k, ';') && file.depth[k] == d)
-                            .unwrap_or(close);
-                        let t = eval(flow, files, fi, &env, eq + 1, term - 1, MAX_FUEL);
+                    if let Some(eq) = (idx + 1..close).find(|&k| file.assign_at(k, true)) {
+                        let term = file.stmt_end(eq + 1, file.depth[idx], close);
+                        let t = eval(flow, fi, &env, eq + 1, term - 1, MAX_FUEL);
                         // Strong update: a shadowing `let` replaces the
                         // prior taint, so `let n = n.min(CAP);` launders.
                         for b in pattern_binds(file, idx + 1, eq - 1) {
@@ -525,7 +457,7 @@ fn walk_fn(
                     if let Some(gopen) = (idx + 1..close)
                         .find(|&k| file.punct_at(k, '{') && file.depth[k] == body_depth + 1)
                     {
-                        let gclose = file.matching_close(gopen);
+                        let gclose = file.group_end(gopen);
                         let has_return =
                             (gopen..gclose).any(|k| file.ident_at(k) == Some("return"));
                         if has_return && idx + 1 < gopen {
@@ -542,7 +474,7 @@ fn walk_fn(
                         (idx + 1..close).find(|&k| file.punct_at(k, '{') && file.depth[k] == d + 1);
                     if let (Some(in_kw), Some(body_open)) = (in_kw, body_open) {
                         if in_kw < body_open {
-                            let t = eval(flow, files, fi, &env, in_kw + 1, body_open - 1, MAX_FUEL);
+                            let t = eval(flow, fi, &env, in_kw + 1, body_open - 1, MAX_FUEL);
                             let has_range = (in_kw + 1..body_open - 1)
                                 .any(|k| file.punct_at(k, '.') && file.punct_at(k + 1, '.'));
                             if has_range && t.bound == Bound::Top {
@@ -564,12 +496,9 @@ fn walk_fn(
                     }
                 }
                 "return" => {
-                    let d = file.depth[idx];
-                    let term = (idx + 1..close)
-                        .find(|&k| file.punct_at(k, ';') && file.depth[k] == d)
-                        .unwrap_or(close);
+                    let term = file.stmt_end(idx + 1, file.depth[idx], close);
                     if idx + 1 < term {
-                        ret.merge(&eval(flow, files, fi, &env, idx + 1, term - 1, MAX_FUEL));
+                        ret.merge(&eval(flow, fi, &env, idx + 1, term - 1, MAX_FUEL));
                     }
                 }
                 _ => {}
@@ -577,17 +506,7 @@ fn walk_fn(
         }
 
         // -- plain reassignment `x = expr` / `x += expr` ----------------
-        if file.punct_at(idx, '=')
-            && !file.punct_at(idx + 1, '=')
-            && !matches!(
-                file.tokens.get(idx.saturating_sub(1)).map(|t| &t.tok),
-                Some(Tok::Punct('='))
-                    | Some(Tok::Punct('<'))
-                    | Some(Tok::Punct('>'))
-                    | Some(Tok::Punct('!'))
-            )
-            && !file.punct_at(idx + 1, '>')
-        {
+        if file.assign_at(idx, false) {
             let (lhs_at, compound) = match file.tokens.get(idx.saturating_sub(1)).map(|t| &t.tok) {
                 Some(Tok::Ident(_)) => (idx - 1, false),
                 Some(Tok::Punct(op)) if "+-*/%&|^".contains(*op) => (idx.saturating_sub(2), true),
@@ -599,12 +518,9 @@ fn walk_fn(
                     let is_let = lhs_at > 0
                         && matches!(file.ident_at(lhs_at - 1), Some("let") | Some("mut"));
                     if !is_field && !is_let && !KEYWORDS.contains(&lhs) {
-                        let d = file.depth[idx];
-                        let term = (idx + 1..close)
-                            .find(|&k| file.punct_at(k, ';') && file.depth[k] == d)
-                            .unwrap_or(close);
+                        let term = file.stmt_end(idx + 1, file.depth[idx], close);
                         if idx + 1 < term {
-                            let t = eval(flow, files, fi, &env, idx + 1, term - 1, MAX_FUEL);
+                            let t = eval(flow, fi, &env, idx + 1, term - 1, MAX_FUEL);
                             if compound {
                                 // `x += expr` keeps the old value as an
                                 // operand, so the prior taint survives.
@@ -620,27 +536,19 @@ fn walk_fn(
 
         // -- argument flow into resolved callees ------------------------
         if let Some(recs) = collect.as_deref_mut() {
-            collect_args(flow, files, fi, &env, idx, recs);
+            collect_args(flow, fi, &env, idx, recs);
         }
 
         // -- sinks ------------------------------------------------------
         if let Some(sites) = sinks.as_deref_mut() {
-            check_sink(flow, files, fi, &env, idx, sites);
+            check_sink(flow, fi, &env, idx, sites);
         }
         idx += 1;
     }
 
     // Trailing expression (implicit return).
     if last_semi + 1 < close {
-        ret.merge(&eval(
-            flow,
-            files,
-            fi,
-            &env,
-            last_semi + 1,
-            close - 1,
-            MAX_FUEL,
-        ));
+        ret.merge(&eval(flow, fi, &env, last_semi + 1, close - 1, MAX_FUEL));
     }
     ret
 }
@@ -760,22 +668,6 @@ fn screaming_const(name: &str) -> bool {
         && name.chars().any(|c| c.is_ascii_alphabetic())
 }
 
-/// First `=` that is a let-binding operator (not `==`, `=>`, `<=`, `!=`)
-/// scanning from `from`. A preceding `>` is allowed: between a `let` and
-/// its `=` it can only close a generic type annotation (`let x: Vec<u8>
-/// = …`), never a comparison.
-fn find_assign_eq(file: &SourceFile, from: usize, close: usize) -> Option<usize> {
-    (from..close).find(|&k| {
-        file.punct_at(k, '=')
-            && !file.punct_at(k + 1, '=')
-            && !file.punct_at(k + 1, '>')
-            && !matches!(
-                file.tokens.get(k.saturating_sub(1)).map(|t| &t.tok),
-                Some(Tok::Punct('=')) | Some(Tok::Punct('<')) | Some(Tok::Punct('!'))
-            )
-    })
-}
-
 /// Lowercase identifiers bound by a pattern in `lo..=hi` (stops at a
 /// type-annotation `:` at paren depth 0; skips path segments).
 fn pattern_binds(file: &SourceFile, lo: usize, hi: usize) -> Vec<String> {
@@ -819,7 +711,7 @@ fn sanitized(file: &SourceFile, lo: usize, hi: usize) -> bool {
                 return true;
             }
             if name == "min" && k > 0 && file.punct_at(k - 1, '.') && file.punct_at(k + 1, '(') {
-                if let Some(cl) = match_close(file, k + 1, hi + 1) {
+                if let Some(cl) = file.matching(k + 1).filter(|&cl| cl <= hi) {
                     let constish = (k + 2..cl).all(|a| match file.tokens.get(a).map(|t| &t.tok) {
                         Some(Tok::Number(_)) => true,
                         Some(Tok::Ident(n)) => n
@@ -838,28 +730,11 @@ fn sanitized(file: &SourceFile, lo: usize, hi: usize) -> bool {
     false
 }
 
-/// Matching `)` for the `(` at `open`, bounded by `limit`.
-fn match_close(file: &SourceFile, open: usize, limit: usize) -> Option<usize> {
-    let mut depth = 0i64;
-    for k in open..limit.min(file.tokens.len()) {
-        if file.punct_at(k, '(') {
-            depth += 1;
-        } else if file.punct_at(k, ')') {
-            depth -= 1;
-            if depth == 0 {
-                return Some(k);
-            }
-        }
-    }
-    None
-}
-
 /// Taint of the expression spanning tokens `lo..=hi`: the union of every
 /// environment-tainted identifier, rooted source call, and resolved
 /// callee summary in the range. Sanitizers clear the whole range.
 fn eval(
-    flow: &Dataflow,
-    files: &[SourceFile],
+    flow: &Flow,
     fi: usize,
     env: &BTreeMap<String, Taint>,
     lo: usize,
@@ -867,7 +742,7 @@ fn eval(
     fuel: usize,
 ) -> Taint {
     let info = &flow.fns[fi];
-    let file = &files[info.file_idx];
+    let file = &flow.files[info.file_idx];
     if lo > hi || fuel == 0 {
         return Taint::default();
     }
@@ -904,8 +779,8 @@ fn eval(
             let qual = flow.resolver.qualifier_at(file, &info.def, k);
             let callees = flow.resolver.targets(fi, name, &qual);
             if !callees.is_empty() {
-                let close = match_close(file, k + 1, hi + 1).unwrap_or(hi);
-                let args = split_top_commas(file, k + 2, close.saturating_sub(1));
+                let close = file.matching(k + 1).filter(|&cl| cl <= hi).unwrap_or(hi);
+                let args = file.split_commas(k + 2, close.saturating_sub(1), false);
                 let is_method = k > 0 && file.punct_at(k - 1, '.');
                 for &j in &callees {
                     let s = &flow.summaries[j];
@@ -939,7 +814,7 @@ fn eval(
                             p
                         };
                         if let Some(&(alo, ahi)) = args.get(a) {
-                            let t = eval(flow, files, fi, env, alo, ahi, fuel - 1);
+                            let t = eval(flow, fi, env, alo, ahi, fuel - 1);
                             if let Some(chain) = &t.chain {
                                 let mut routed = t.clone();
                                 routed.chain = Some(with_hop(
@@ -1016,15 +891,14 @@ fn is_len_of(file: &SourceFile, k: usize, hi: usize) -> bool {
 /// When token `idx` is a resolved call, records the taint each argument
 /// carries into the callee's parameter slots.
 fn collect_args(
-    flow: &Dataflow,
-    files: &[SourceFile],
+    flow: &Flow,
     fi: usize,
     env: &BTreeMap<String, Taint>,
     idx: usize,
     recs: &mut Vec<ArgRec>,
 ) {
     let info = &flow.fns[fi];
-    let file = &files[info.file_idx];
+    let file = &flow.files[info.file_idx];
     let Some(name) = file.ident_at(idx) else {
         return;
     };
@@ -1036,10 +910,10 @@ fn collect_args(
     if callees.is_empty() {
         return;
     }
-    let Some(cl) = match_close(file, idx + 1, file.tokens.len()) else {
+    let Some(cl) = file.matching(idx + 1) else {
         return;
     };
-    let args = split_top_commas(file, idx + 2, cl.saturating_sub(1));
+    let args = file.split_commas(idx + 2, cl.saturating_sub(1), false);
     let is_method = idx > 0 && file.punct_at(idx - 1, '.');
     let line = file.line_at(idx);
     for &j in &callees {
@@ -1055,7 +929,7 @@ fn collect_args(
                 p
             };
             if let Some(&(alo, ahi)) = args.get(a) {
-                let taint = eval(flow, files, fi, env, alo, ahi, MAX_FUEL);
+                let taint = eval(flow, fi, env, alo, ahi, MAX_FUEL);
                 recs.push(ArgRec {
                     callee: j,
                     param: p,
@@ -1073,15 +947,14 @@ fn collect_args(
 /// Checks whether token `idx` is an allocation/index sink and records a
 /// site when its size expression warrants one.
 fn check_sink(
-    flow: &Dataflow,
-    files: &[SourceFile],
+    flow: &Flow,
     fi: usize,
     env: &BTreeMap<String, Taint>,
     idx: usize,
     sites: &mut Vec<Site>,
 ) {
     let info = &flow.fns[fi];
-    let file = &files[info.file_idx];
+    let file = &flow.files[info.file_idx];
     // Allocation sinks fire at `Input` too: a guard against the input
     // length does not prevent element-size amplification. Index sinks
     // only fire unbounded.
@@ -1089,7 +962,7 @@ fn check_sink(
         if lo > hi {
             return;
         }
-        let t = eval(flow, files, fi, env, lo, hi, MAX_FUEL);
+        let t = eval(flow, fi, env, lo, hi, MAX_FUEL);
         let fires = if alloc {
             !t.bound.alloc_safe()
         } else {
@@ -1113,7 +986,7 @@ fn check_sink(
         let line = file.line_at(idx);
         match name {
             "with_capacity" if file.punct_at(idx + 1, '(') => {
-                if let Some(cl) = match_close(file, idx + 1, file.tokens.len()) {
+                if let Some(cl) = file.matching(idx + 1) {
                     push(
                         line,
                         "`Vec::with_capacity`",
@@ -1126,20 +999,20 @@ fn check_sink(
             "reserve" | "reserve_exact"
                 if idx > 0 && file.punct_at(idx - 1, '.') && file.punct_at(idx + 1, '(') =>
             {
-                if let Some(cl) = match_close(file, idx + 1, file.tokens.len()) {
+                if let Some(cl) = file.matching(idx + 1) {
                     push(line, "`reserve`", true, idx + 2, cl.saturating_sub(1));
                 }
             }
             "resize" if idx > 0 && file.punct_at(idx - 1, '.') && file.punct_at(idx + 1, '(') => {
-                if let Some(cl) = match_close(file, idx + 1, file.tokens.len()) {
-                    let args = split_top_commas(file, idx + 2, cl.saturating_sub(1));
+                if let Some(cl) = file.matching(idx + 1) {
+                    let args = file.split_commas(idx + 2, cl.saturating_sub(1), false);
                     if let Some(&(alo, ahi)) = args.first() {
                         push(line, "`resize` length", true, alo, ahi);
                     }
                 }
             }
             "vec" if file.punct_at(idx + 1, '!') && file.punct_at(idx + 2, '[') => {
-                if let Some(cl) = bracket_close(&file.tokens, idx + 2) {
+                if let Some(cl) = file.matching(idx + 2) {
                     let mut depth = 0i64;
                     for k in idx + 3..cl {
                         match file.tokens.get(k).map(|t| &t.tok) {
@@ -1167,7 +1040,7 @@ fn check_sink(
             _ => false,
         };
         if indexable {
-            if let Some(cl) = bracket_close(&file.tokens, idx) {
+            if let Some(cl) = file.matching(idx) {
                 if idx + 1 < cl {
                     push(file.line_at(idx), "slice index", false, idx + 1, cl - 1);
                 }

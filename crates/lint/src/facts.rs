@@ -17,7 +17,7 @@
 //! locks that happen to share a field name stay distinct.
 
 use crate::lexer::Tok;
-use crate::resolve::{Qual, Resolver};
+use crate::resolve::Resolver;
 use crate::scan::{FnDef, SourceFile, KEYWORDS};
 use std::fmt;
 
@@ -76,8 +76,8 @@ pub struct CallSite {
     pub name: String,
     pub line: u32,
     pub zero_args: bool,
-    /// How the site names its callee (`Type::f`, `recv.f`, `a::b::f`, …).
-    pub qual: Qual,
+    /// Canonical indices of the functions the call resolves to.
+    pub callees: Vec<usize>,
     pub held: Vec<(LockId, u32)>,
 }
 
@@ -110,8 +110,8 @@ pub fn blocking_call(call: &CallSite) -> Option<&'static str> {
 }
 
 /// Extracts facts for every non-test function in `file`, in the
-/// resolver's canonical order.
-pub fn function_facts(file: &SourceFile, resolver: &Resolver) -> Vec<FnFacts> {
+/// resolver's canonical order; the file's first one has index `first`.
+pub fn function_facts(file: &SourceFile, resolver: &Resolver, first: usize) -> Vec<FnFacts> {
     let stem = file
         .path
         .rsplit('/')
@@ -122,7 +122,8 @@ pub fn function_facts(file: &SourceFile, resolver: &Resolver) -> Vec<FnFacts> {
     file.fns
         .iter()
         .filter(|f| !f.in_test)
-        .map(|f| walk_fn(file, f, &stem, resolver))
+        .enumerate()
+        .map(|(k, f)| walk_fn(file, f, &stem, resolver, first + k))
         .collect()
 }
 
@@ -133,15 +134,14 @@ struct Guard {
     end: usize,
 }
 
-fn walk_fn(file: &SourceFile, def: &FnDef, stem: &str, resolver: &Resolver) -> FnFacts {
+fn walk_fn(
+    file: &SourceFile,
+    def: &FnDef,
+    stem: &str,
+    resolver: &Resolver,
+    canonical_idx: usize,
+) -> FnFacts {
     let (open, close) = def.body;
-    // Nested named fns are walked on their own; skip their token ranges.
-    let nested: Vec<(usize, usize)> = file
-        .fns
-        .iter()
-        .filter(|g| g.body.0 > open && g.body.1 < close)
-        .map(|g| g.body)
-        .collect();
 
     let mut guards: Vec<Guard> = Vec::new();
     let mut facts = FnFacts {
@@ -155,7 +155,7 @@ fn walk_fn(file: &SourceFile, def: &FnDef, stem: &str, resolver: &Resolver) -> F
 
     let mut idx = open;
     while idx <= close {
-        if let Some(&(_, nend)) = nested.iter().find(|(ns, _)| *ns == idx) {
+        if let Some(nend) = file.nested_fn_end(def, idx) {
             idx = nend + 1;
             continue;
         }
@@ -184,7 +184,11 @@ fn walk_fn(file: &SourceFile, def: &FnDef, stem: &str, resolver: &Resolver) -> F
                 name: name.to_string(),
                 line: file.line_at(idx),
                 zero_args: file.punct_at(idx + 2, ')'),
-                qual: resolver.qualifier_at(file, def, idx),
+                callees: resolver.targets(
+                    canonical_idx,
+                    name,
+                    &resolver.qualifier_at(file, def, idx),
+                ),
                 held,
             });
         }
@@ -244,8 +248,7 @@ fn receiver_lock(file: &SourceFile, idx: usize, stem: &str) -> LockId {
 fn receiver_base(file: &SourceFile, mut j: usize) -> Option<String> {
     loop {
         match file.tokens.get(j).map(|t| &t.tok)? {
-            Tok::Punct(')') => j = open_before(file, j, '(', ')')?.checked_sub(1)?,
-            Tok::Punct(']') => j = open_before(file, j, '[', ']')?.checked_sub(1)?,
+            Tok::Punct(')' | ']') => j = file.matching(j)?.checked_sub(1)?,
             Tok::Punct('?') | Tok::Punct('.') => j = j.checked_sub(1)?,
             Tok::Ident(name) => {
                 if TRANSPARENT.contains(&name.as_str()) || name == "self" {
@@ -259,22 +262,6 @@ fn receiver_base(file: &SourceFile, mut j: usize) -> Option<String> {
     }
 }
 
-/// Matching opener for the closer at `close`, scanning backwards.
-fn open_before(file: &SourceFile, close: usize, open_c: char, close_c: char) -> Option<usize> {
-    let mut depth = 0i64;
-    for k in (0..=close).rev() {
-        if file.punct_at(k, close_c) {
-            depth += 1;
-        } else if file.punct_at(k, open_c) {
-            depth -= 1;
-            if depth == 0 {
-                return Some(k);
-            }
-        }
-    }
-    None
-}
-
 /// Token index where the guard acquired at `idx` stops being held.
 fn guard_end(file: &SourceFile, idx: usize, body_close: usize) -> usize {
     let depth = file.depth[idx];
@@ -282,12 +269,12 @@ fn guard_end(file: &SourceFile, idx: usize, body_close: usize) -> usize {
 
     // Let-bound guard: `.lock()` terminates the initializer expression.
     if file.ident_at(stmt_start) == Some("let") && file.punct_at(idx + 3, ';') {
-        let var = let_binding_name(file, stmt_start);
+        let var = file.let_name(stmt_start).map(|(_, name)| name);
         let block_end = (idx + 3..=body_close)
             .find(|&k| file.punct_at(k, '}') && file.depth[k] == depth)
             .unwrap_or(body_close);
         if let Some(var) = var {
-            if let Some(d) = explicit_drop(file, idx + 3, block_end, &var) {
+            if let Some(d) = explicit_drop(file, idx + 3, block_end, var) {
                 return d;
             }
         }
@@ -306,14 +293,12 @@ fn guard_end(file: &SourceFile, idx: usize, body_close: usize) -> usize {
         if let Some(open) =
             (idx..=body_close).find(|&k| file.punct_at(k, '{') && file.depth[k] == depth + 1)
         {
-            return file.matching_close(open);
+            return file.group_end(open);
         }
     }
 
     // Plain temporary: to the end of the statement.
-    (idx..=body_close)
-        .find(|&k| file.punct_at(k, ';') && file.depth[k] == depth)
-        .unwrap_or(body_close)
+    file.stmt_end(idx, depth, body_close)
 }
 
 /// Nearest statement boundary at or before `idx` (token just after the
@@ -324,15 +309,6 @@ fn stmt_start(file: &SourceFile, idx: usize) -> usize {
         .find(|&k| file.punct_at(k, ';') || file.punct_at(k, '{') || file.punct_at(k, '}'))
         .map(|k| k + 1)
         .unwrap_or(0)
-}
-
-/// The variable bound by a `let` statement starting at `let_idx`.
-fn let_binding_name(file: &SourceFile, let_idx: usize) -> Option<String> {
-    let mut k = let_idx + 1;
-    if file.ident_at(k) == Some("mut") {
-        k += 1;
-    }
-    file.ident_at(k).map(|s| s.to_string())
 }
 
 /// First `drop(var)` between `from` and `to`, returning its index.
@@ -363,7 +339,7 @@ mod unit {
     fn facts(src: &str) -> Vec<FnFacts> {
         let file = SourceFile::parse("crates/x/src/demo.rs".into(), src);
         let resolver = Resolver::build(std::slice::from_ref(&file));
-        function_facts(&file, &resolver)
+        function_facts(&file, &resolver, 0)
     }
 
     #[test]

@@ -1,9 +1,12 @@
 //! `distrust-lint`: repo-aware static analysis for the distrust workspace.
 //!
 //! Six passes over a hand-rolled token stream (no registry
-//! dependencies, std only), sharing one workspace-wide call graph that
-//! resolves `use` imports and type qualifiers across crate seams (see
-//! [`resolve`]):
+//! dependencies, std only). [`analyze`] builds one workspace-wide
+//! [`resolve::Resolver`], which resolves `use` imports and type
+//! qualifiers across crate seams, and hands it to both the call-graph
+//! [`model`] and the taint [`dataflow`], so every pass sees the same call
+//! edges. Every walker reads tokens through the helpers on
+//! [`scan::SourceFile`]. The passes:
 //!
 //! 1. **lock-order** — global lock-order graph over named lock fields;
 //!    flags cycles, double acquisitions, and locks held across blocking
@@ -41,6 +44,7 @@ use config::Config;
 use dataflow::Dataflow;
 use model::Model;
 use report::Report;
+use resolve::Resolver;
 use scan::SourceFile;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -84,11 +88,12 @@ pub fn analyze(cfg: &Config) -> io::Result<(Report, Stats)> {
         files.push(SourceFile::parse(path, &source));
     }
 
-    let model = Model::build(&files);
-    let flow = Dataflow::build(&files);
+    let resolver = Resolver::build(&files);
+    let model = Model::new(&files, &resolver);
+    let flow = Dataflow::new(&files, &resolver);
     let mut report = Report::default();
     passes::lock_order::run(&model, &mut report);
-    passes::blocking::run(&model, &cfg.reactor_entries, &mut report);
+    passes::blocking::run(&model, &passes::blocking::default_entries(), &mut report);
     passes::panic_path::run(&files, cfg.scope, &mut report);
     passes::taint_alloc::run(&flow, cfg.scope, &mut report);
     passes::trust_boundary::run(&files, cfg.scope, &mut report);

@@ -1,8 +1,10 @@
 //! Whole-workspace model: every function's facts plus the cross-crate
 //! call graph, lock summaries, and may-block summaries derived from them.
 //!
-//! Calls resolve through [`crate::resolve::Resolver`], which follows
-//! `use` imports and type qualifiers across crate seams. A few names are
+//! Calls resolve through the analysis's one [`crate::resolve::Resolver`],
+//! which follows `use` imports and type qualifiers across crate seams;
+//! each call site keeps its callees, so the fixpoints below never resolve
+//! a name twice. A few names are
 //! deliberately opaque everywhere: `drop`, because an explicit
 //! `drop(guard)` would otherwise union every `Drop` impl in the
 //! workspace; `shutdown`, because `TcpStream::shutdown` on a served
@@ -20,7 +22,6 @@ use std::collections::BTreeSet;
 
 pub struct Model {
     pub fns: Vec<FnFacts>,
-    resolver: Resolver,
     /// Per function: all locks acquired directly or via resolved calls.
     locks: Vec<BTreeSet<LockId>>,
     /// Per function: a sample description of a reachable blocking call,
@@ -34,35 +35,33 @@ pub struct Model {
 }
 
 impl Model {
+    /// A model over `files` with a resolver of its own, for a caller that
+    /// runs no other analysis over them.
     pub fn build(files: &[SourceFile]) -> Model {
-        let resolver = Resolver::build(files);
-        let fns: Vec<FnFacts> = files
-            .iter()
-            .flat_map(|f| function_facts(f, &resolver))
-            .collect();
+        Model::new(files, &Resolver::build(files))
+    }
+
+    /// A model over `files`, resolving calls through `resolver`, which
+    /// must have been built over the same files.
+    pub fn new(files: &[SourceFile], resolver: &Resolver) -> Model {
+        let mut fns: Vec<FnFacts> = Vec::with_capacity(resolver.fn_count());
+        for file in files {
+            let facts = function_facts(file, resolver, fns.len());
+            fns.extend(facts);
+        }
         debug_assert_eq!(fns.len(), resolver.fn_count());
         let mut model = Model {
             locks: vec![BTreeSet::new(); fns.len()],
             may_block: vec![None; fns.len()],
             fns,
-            resolver,
             call_edges: 0,
             cross_crate_edges: 0,
             fixpoint_iters: 0,
         };
-        model.count_edges();
+        model.count_edges(resolver);
         model.compute_locks();
         model.compute_may_block();
         model
-    }
-
-    pub fn resolver(&self) -> &Resolver {
-        &self.resolver
-    }
-
-    /// Callee candidates for the `call`-th site of function `caller`.
-    pub fn resolve_call(&self, caller: usize, call: &crate::facts::CallSite) -> Vec<usize> {
-        self.resolver.targets(caller, &call.name, &call.qual)
     }
 
     pub fn locks_of(&self, idx: usize) -> &BTreeSet<LockId> {
@@ -73,12 +72,12 @@ impl Model {
         self.may_block[idx].as_deref()
     }
 
-    fn count_edges(&mut self) {
+    fn count_edges(&mut self, resolver: &Resolver) {
         for i in 0..self.fns.len() {
             for call in &self.fns[i].calls {
-                for j in self.resolver.targets(i, &call.name, &call.qual) {
+                for &j in &call.callees {
                     self.call_edges += 1;
-                    if self.resolver.cross_crate(i, j) {
+                    if resolver.cross_crate(i, j) {
                         self.cross_crate_edges += 1;
                     }
                 }
@@ -100,7 +99,7 @@ impl Model {
             for i in 0..self.fns.len() {
                 let mut add: Vec<LockId> = Vec::new();
                 for call in &self.fns[i].calls {
-                    for j in self.resolver.targets(i, &call.name, &call.qual) {
+                    for &j in &call.callees {
                         for l in &self.locks[j] {
                             if !self.locks[i].contains(l) {
                                 add.push(l.clone());
@@ -135,7 +134,7 @@ impl Model {
                 }
                 let mut found: Option<String> = None;
                 for call in &self.fns[i].calls {
-                    for j in self.resolver.targets(i, &call.name, &call.qual) {
+                    for &j in &call.callees {
                         if let Some(desc) = &self.may_block[j] {
                             found = Some(format!("{} -> {}", call.name, desc));
                             break;

@@ -46,7 +46,7 @@ pub fn run(model: &Model, entries: &[String], report: &mut Report) {
         at += 1;
         let chain = origin[&i].clone();
         for call in &model.fns[i].calls {
-            for j in model.resolve_call(i, call) {
+            for &j in &call.callees {
                 if let std::collections::btree_map::Entry::Vacant(slot) = origin.entry(j) {
                     slot.insert(format!("{chain} -> {}", model.fns[j].name));
                     queue.push(j);

@@ -26,7 +26,7 @@ struct Edge {
 pub fn run(model: &Model, report: &mut Report) {
     let mut edges: BTreeMap<(LockId, LockId), Edge> = BTreeMap::new();
 
-    for (fi, f) in model.fns.iter().enumerate() {
+    for f in &model.fns {
         for acq in &f.acquires {
             for (held, held_line) in &acq.held {
                 if *held == acq.lock {
@@ -72,7 +72,7 @@ pub fn run(model: &Model, report: &mut Report) {
                 }
                 continue;
             }
-            let callees = model.resolve_call(fi, call);
+            let callees = &call.callees;
             if let Some(desc) = callees.iter().find_map(|&j| model.may_block(j)) {
                 for (held, _) in &call.held {
                     report.findings.push(Finding::new(
@@ -86,7 +86,7 @@ pub fn run(model: &Model, report: &mut Report) {
                     ));
                 }
             }
-            for &j in &callees {
+            for &j in callees {
                 for inner in model.locks_of(j) {
                     for (held, _) in &call.held {
                         if inner != held {

@@ -14,7 +14,7 @@
 //! elsewhere indexing over self-owned state is the lock passes' problem,
 //! not this one's.
 
-use crate::config::Scope;
+use crate::config::{Cover, Scope};
 use crate::lexer::Tok;
 use crate::report::{Finding, Report};
 use crate::scan::{FnDef, SourceFile};
@@ -26,39 +26,6 @@ const PANIC_MACROS: [&str; 4] = ["panic", "unreachable", "todo", "unimplemented"
 const KEYWORDS: [&str; 10] = [
     "if", "else", "match", "return", "in", "as", "mut", "ref", "move", "break",
 ];
-
-/// Which parts of a file the pass applies to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Cover {
-    /// Every non-test function.
-    Full,
-    /// Only decode-path functions.
-    Decode,
-    /// Only host-import bodies.
-    HostImports,
-    /// Not a server path; skip.
-    Skip,
-}
-
-/// The repo-default coverage of `path`.
-fn repo_coverage(path: &str) -> Cover {
-    if path.starts_with("crates/wire/src/")
-        || path.starts_with("crates/tee/src/")
-        || path.starts_with("crates/gossip/src/")
-        || path == "crates/core/src/server.rs"
-        || path == "crates/core/src/framework.rs"
-        || path == "crates/core/src/protocol.rs"
-        || path == "crates/core/src/witness.rs"
-    {
-        Cover::Full
-    } else if path.starts_with("crates/log/src/") {
-        Cover::Decode
-    } else if path.starts_with("crates/apps/src/") || path == "crates/core/src/abi.rs" {
-        Cover::HostImports
-    } else {
-        Cover::Skip
-    }
-}
 
 pub fn decode_fn(name: &str) -> bool {
     name.starts_with("decode")
@@ -77,10 +44,7 @@ pub fn host_import_fn(def: &FnDef) -> bool {
 
 pub fn run(files: &[SourceFile], scope: Scope, report: &mut Report) {
     for file in files {
-        let cover = match scope {
-            Scope::AllFiles => Cover::Full,
-            Scope::RepoDefault => repo_coverage(&file.path),
-        };
+        let cover = scope.covers(&file.path).panic;
         if cover == Cover::Skip {
             continue;
         }
@@ -105,15 +69,9 @@ pub fn run(files: &[SourceFile], scope: Scope, report: &mut Report) {
                 _ => None,
             };
             let (open, close) = def.body;
-            let nested: Vec<(usize, usize)> = file
-                .fns
-                .iter()
-                .filter(|g| g.body.0 > open && g.body.1 < close)
-                .map(|g| g.body)
-                .collect();
             let mut idx = open;
             while idx <= close {
-                if let Some(&(_, nend)) = nested.iter().find(|(ns, _)| *ns == idx) {
+                if let Some(nend) = file.nested_fn_end(def, idx) {
                     idx = nend + 1;
                     continue;
                 }

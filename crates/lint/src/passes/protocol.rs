@@ -176,7 +176,7 @@ fn impl_block(file: &SourceFile, trait_name: &str, type_name: &str) -> Option<(u
                 && file.ident_at(j + 2) == Some(type_name)
             {
                 let open = (j + 3..file.tokens.len()).find(|&k| file.punct_at(k, '{'))?;
-                return Some((open, file.matching_close(open)));
+                return Some((open, file.group_end(open)));
             }
         }
         i += 1;

@@ -14,18 +14,9 @@ use crate::report::{Finding, Report};
 
 pub const PASS: &str = "taint-alloc";
 
-/// The repo-default file scope.
-fn in_repo_scope(path: &str) -> bool {
-    path.starts_with("crates/wire/src/")
-        || path.starts_with("crates/log/src/")
-        || path.starts_with("crates/core/src/")
-        || path.starts_with("crates/tee/src/")
-        || path.starts_with("crates/gossip/src/")
-}
-
 pub fn run(flow: &Dataflow, scope: Scope, report: &mut Report) {
     for site in &flow.sites {
-        if scope == Scope::RepoDefault && !in_repo_scope(&site.file) {
+        if !scope.covers(&site.file).taint_alloc {
             continue;
         }
         report.findings.push(Finding::new(

@@ -25,10 +25,10 @@
 //! entry point) are exempt: they are the trust gate itself.
 
 use crate::config::Scope;
-use crate::dataflow::SIGNED_TYPES;
+use crate::dataflow::signed_type;
 use crate::lexer::Tok;
 use crate::report::{Finding, Report};
-use crate::scan::{SourceFile, KEYWORDS};
+use crate::scan::{FnDef, SourceFile, KEYWORDS};
 use std::collections::BTreeMap;
 
 pub const PASS: &str = "trust-boundary";
@@ -46,13 +46,6 @@ const SINK_FNS: [&str; 8] = [
     "append", "insert", "push", "adopt", "install", "extend", "record", "apply",
 ];
 
-/// The repo-default file scope.
-fn in_repo_scope(path: &str) -> bool {
-    path.starts_with("crates/core/src/")
-        || path.starts_with("crates/log/src/")
-        || path.starts_with("crates/tee/src/")
-}
-
 fn verifier_fn(name: &str) -> bool {
     name.starts_with("verify") || VERIFIER_FNS.contains(&name)
 }
@@ -65,7 +58,7 @@ struct Tracked {
 
 pub fn run(files: &[SourceFile], scope: Scope, report: &mut Report) {
     for file in files {
-        if scope == Scope::RepoDefault && !in_repo_scope(&file.path) {
+        if !scope.covers(&file.path).trust_boundary {
             continue;
         }
         for def in &file.fns {
@@ -77,33 +70,29 @@ pub fn run(files: &[SourceFile], scope: Scope, report: &mut Report) {
     }
 }
 
-fn scan_fn(file: &SourceFile, def: &crate::scan::FnDef, report: &mut Report) {
+fn scan_fn(file: &SourceFile, def: &FnDef, report: &mut Report) {
     let (open, close) = def.body;
     let mut tracked: BTreeMap<String, Tracked> = BTreeMap::new();
     let mut stateful: Vec<String> = vec!["self".to_string()];
 
     // Parameters typed with a signed object.
-    for (name, ty) in signed_params(file, def) {
+    for param in file.params(def) {
+        let Some(ty) = signed_type(file, param.ty) else {
+            continue;
+        };
         tracked.insert(
-            name.clone(),
+            param.name,
             Tracked {
-                ty,
+                ty: ty.to_string(),
                 origin: format!("param of `{}` at {}:{}", def.name, file.path, def.line),
                 verified: false,
             },
         );
     }
 
-    let nested: Vec<(usize, usize)> = file
-        .fns
-        .iter()
-        .filter(|g| g.body.0 > open && g.body.1 < close)
-        .map(|g| g.body)
-        .collect();
-
     let mut idx = open + 1;
     while idx < close {
-        if let Some(&(_, nend)) = nested.iter().find(|(ns, _)| *ns == idx) {
+        if let Some(nend) = file.nested_fn_end(def, idx) {
             idx = nend + 1;
             continue;
         }
@@ -113,20 +102,12 @@ fn scan_fn(file: &SourceFile, def: &crate::scan::FnDef, report: &mut Report) {
         // whose initializer mentions `self` (or another stateful var)
         // extends the stateful set instead.
         if file.ident_at(idx) == Some("let") {
-            track_let(
-                file,
-                idx,
-                close,
-                &mut tracked,
-                &mut stateful,
-                def,
-                &file.path,
-            );
+            track_let(file, idx, close, &mut tracked, &mut stateful, def);
         }
 
         if let Some(name) = file.ident_at(idx) {
             if file.punct_at(idx + 1, '(') && !KEYWORDS.contains(&name) {
-                let cl = paren_close(file, idx + 1).unwrap_or(close);
+                let cl = file.matching(idx + 1).unwrap_or(close);
                 if verifier_fn(name) {
                     // Receiver and every argument become verified.
                     let recv = receiver_base(file, idx);
@@ -168,27 +149,14 @@ fn scan_fn(file: &SourceFile, def: &crate::scan::FnDef, report: &mut Report) {
 
         // `self.field = …tracked…` — state assignment from an unverified
         // signed object.
-        if file.punct_at(idx, '=')
-            && !file.punct_at(idx + 1, '=')
-            && !file.punct_at(idx + 1, '>')
-            && !matches!(
-                file.tokens.get(idx.saturating_sub(1)).map(|t| &t.tok),
-                Some(Tok::Punct('='))
-                    | Some(Tok::Punct('<'))
-                    | Some(Tok::Punct('>'))
-                    | Some(Tok::Punct('!'))
-            )
-        {
+        if file.assign_at(idx, false) {
             if let Some((base, base_idx)) = assign_lhs_base(file, idx) {
                 // Skip let-bindings: `let module = …` is a fresh local, not
                 // a state write, even when the name is already stateful.
                 let is_let = base_idx > 0
                     && matches!(file.ident_at(base_idx - 1), Some("let") | Some("mut"));
                 if !is_let && stateful.iter().any(|s| s == &base) {
-                    let d = file.depth[idx];
-                    let term = (idx + 1..close)
-                        .find(|&k| file.punct_at(k, ';') && file.depth[k] == d)
-                        .unwrap_or(close);
+                    let term = file.stmt_end(idx + 1, file.depth[idx], close);
                     for (var, t) in &tracked {
                         if t.verified {
                             continue;
@@ -215,46 +183,6 @@ fn scan_fn(file: &SourceFile, def: &crate::scan::FnDef, report: &mut Report) {
     }
 }
 
-/// Signed-object parameters of `def`: (name, type).
-fn signed_params(file: &SourceFile, def: &crate::scan::FnDef) -> Vec<(String, String)> {
-    let mut out = Vec::new();
-    let Some(fn_kw) = (0..def.body.0)
-        .rev()
-        .find(|&k| file.ident_at(k) == Some("fn") && file.ident_at(k + 1) == Some(&def.name))
-    else {
-        return out;
-    };
-    let Some(sig_open) = (fn_kw + 2..def.body.0).find(|&k| file.punct_at(k, '(')) else {
-        return out;
-    };
-    let Some(sig_close) = paren_close(file, sig_open) else {
-        return out;
-    };
-    // Walk params: name is the ident directly before a top-level `:`.
-    let mut depth = 0i64;
-    let mut cur_name: Option<String> = None;
-    for k in sig_open + 1..sig_close {
-        match file.tokens.get(k).map(|t| &t.tok) {
-            Some(Tok::Punct('(')) | Some(Tok::Punct('[')) | Some(Tok::Punct('<')) => depth += 1,
-            Some(Tok::Punct(')')) | Some(Tok::Punct(']')) | Some(Tok::Punct('>')) => depth -= 1,
-            Some(Tok::Punct(',')) if depth <= 0 => cur_name = None,
-            Some(Tok::Punct(':')) if depth <= 0 => {}
-            Some(Tok::Ident(name)) => {
-                if depth <= 0 && file.punct_at(k + 1, ':') {
-                    cur_name = Some(name.clone());
-                } else if SIGNED_TYPES.contains(&name.as_str()) {
-                    if let Some(p) = &cur_name {
-                        out.push((p.clone(), name.clone()));
-                        cur_name = None;
-                    }
-                }
-            }
-            _ => {}
-        }
-    }
-    out
-}
-
 /// Processes one `let` statement for tracked/stateful bookkeeping.
 fn track_let(
     file: &SourceFile,
@@ -262,51 +190,21 @@ fn track_let(
     close: usize,
     tracked: &mut BTreeMap<String, Tracked>,
     stateful: &mut Vec<String>,
-    def: &crate::scan::FnDef,
-    path: &str,
+    def: &FnDef,
 ) {
-    let d = file.depth[let_idx];
-    // A preceding `>` is allowed here: between a `let` and its `=` it can
-    // only close a generic annotation (`let x: Vec<u8> = …`), never a
-    // comparison.
-    let Some(eq) = (let_idx + 1..close).find(|&k| {
-        file.punct_at(k, '=')
-            && !file.punct_at(k + 1, '=')
-            && !file.punct_at(k + 1, '>')
-            && !matches!(
-                file.tokens.get(k.saturating_sub(1)).map(|t| &t.tok),
-                Some(Tok::Punct('=')) | Some(Tok::Punct('<')) | Some(Tok::Punct('!'))
-            )
-    }) else {
+    let Some(eq) = (let_idx + 1..close).find(|&k| file.assign_at(k, true)) else {
         return;
     };
-    let term = (eq + 1..close)
-        .find(|&k| file.punct_at(k, ';') && file.depth[k] == d)
-        .unwrap_or(close);
-    // Binding name: first plain ident after `let`/`mut` (destructuring
-    // patterns fall back to their first lowercase ident — good enough for
-    // the `let Some(x) = …` shapes this repo uses).
-    let mut name: Option<String> = None;
-    for k in let_idx + 1..eq {
-        if let Some(n) = file.ident_at(k) {
-            let lower = n
-                .chars()
-                .next()
-                .is_some_and(|c| c.is_lowercase() || c == '_');
-            if lower && n != "mut" && n != "ref" && !KEYWORDS.contains(&n) {
-                name = Some(n.to_string());
-                break;
-            }
-        }
-    }
-    let Some(name) = name else { return };
+    let term = file.stmt_end(eq + 1, file.depth[let_idx], close);
+    // Destructuring patterns track their first name — good enough for the
+    // `let Some(x) = …` shapes this repo uses.
+    let Some((_, name)) = file.let_name(let_idx) else {
+        return;
+    };
+    let name = name.to_string();
 
     // Signed type named in the annotation or the initializer?
-    let signed_ty = (let_idx + 1..term).find_map(|k| {
-        file.ident_at(k)
-            .filter(|n| SIGNED_TYPES.contains(n))
-            .map(|n| n.to_string())
-    });
+    let signed_ty = signed_type(file, let_idx + 1..term).map(str::to_string);
     let decoded = (eq + 1..term).any(|k| {
         matches!(file.ident_at(k), Some("decode") | Some("from_wire")) && file.punct_at(k + 1, '(')
     });
@@ -317,7 +215,8 @@ fn track_let(
                 Tracked {
                     ty,
                     origin: format!(
-                        "decoded at {path}:{} in `{}`",
+                        "decoded at {}:{} in `{}`",
+                        file.path,
                         file.line_at(let_idx),
                         def.name
                     ),
@@ -376,21 +275,6 @@ fn assign_lhs_base(file: &SourceFile, eq_idx: usize) -> Option<(String, usize)> 
         }
     }
     Some((base, j))
-}
-
-fn paren_close(file: &SourceFile, open: usize) -> Option<usize> {
-    let mut depth = 0i64;
-    for k in open..file.tokens.len() {
-        if file.punct_at(k, '(') {
-            depth += 1;
-        } else if file.punct_at(k, ')') {
-            depth -= 1;
-            if depth == 0 {
-                return Some(k);
-            }
-        }
-    }
-    None
 }
 
 #[cfg(test)]

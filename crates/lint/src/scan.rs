@@ -1,8 +1,11 @@
 //! Source model: one lexed file with its allowlist comments, test-only
-//! regions, and extracted function bodies.
+//! regions, and extracted function bodies — and the token helpers every
+//! walker shares: delimiter matching, nested-fn skipping, parameter
+//! lists, comma splitting, `let` names, assignments and statement ends.
 
 use crate::lexer::{lex, Tok, Token};
 use std::collections::BTreeMap;
+use std::ops::Range;
 
 /// Identifiers that can stand where a call, binding or receiver name is
 /// expected but never name one.
@@ -11,6 +14,9 @@ pub const KEYWORDS: [&str; 30] = [
     "impl", "pub", "use", "mod", "struct", "enum", "trait", "where", "as", "in", "ref", "mut",
     "move", "dyn", "unsafe", "extern", "static", "const", "type",
 ];
+
+/// The delimiter pairs [`SourceFile::matching`] knows.
+const DELIMITERS: [(char, char); 3] = [('(', ')'), ('[', ']'), ('{', '}')];
 
 /// One `// lint:allow(<pass>): <reason>` entry.
 #[derive(Debug, Clone)]
@@ -24,6 +30,8 @@ pub struct Allow {
 pub struct FnDef {
     pub name: String,
     pub line: u32,
+    /// Token index of the `fn` keyword.
+    pub sig: usize,
     /// Token indices of the opening and closing body braces, inclusive.
     pub body: (usize, usize),
     /// True when the function lives inside `#[cfg(test)]` or `mod tests`.
@@ -36,6 +44,16 @@ pub struct FnDef {
     /// annotations (`let x: Type = …`), constructor calls
     /// (`let x = Type::new(…)`) and struct literals (`let x = Type { … }`).
     pub locals: BTreeMap<String, String>,
+}
+
+/// One parameter of a fn signature.
+#[derive(Debug, Clone)]
+pub struct Param {
+    /// `self`, the first name the pattern binds, or `<pat>` if none.
+    pub name: String,
+    /// Token range of the declared type; empty for `self` forms and
+    /// untyped parameters.
+    pub ty: Range<usize>,
 }
 
 /// A lexed source file plus everything the passes need to interpret it.
@@ -61,23 +79,20 @@ pub struct SourceFile {
 
 impl SourceFile {
     pub fn parse(path: String, source: &str) -> SourceFile {
-        let crate_name = crate_of(&path);
         let (tokens, comments) = lex(source);
-        let depth = depths(&tokens);
-        let allows = parse_allows(&comments);
-        let test_mask = test_mask(&tokens);
         let mut file = SourceFile {
+            crate_name: crate_of(&path),
             path,
-            crate_name,
+            depth: depths(&tokens),
             tokens,
-            depth,
-            allows,
-            test_mask,
+            allows: parse_allows(&comments),
+            test_mask: Vec::new(),
             fns: Vec::new(),
             imports: BTreeMap::new(),
             structs: BTreeMap::new(),
         };
-        file.imports = parse_imports(&file.tokens);
+        file.test_mask = test_mask(&file);
+        file.imports = parse_imports(&file);
         file.structs = parse_structs(&file);
         file.fns = extract_fns(&file);
         let impls = impl_regions(&file);
@@ -115,22 +130,172 @@ impl SourceFile {
         self.tokens.get(idx).map(|t| t.line).unwrap_or(0)
     }
 
-    /// Finds the matching `}` for the `{` at `open` (token index).
-    pub fn matching_close(&self, open: usize) -> usize {
-        let mut depth = 0i64;
-        for (i, t) in self.tokens.iter().enumerate().skip(open) {
-            match t.tok {
-                Tok::Punct('{') => depth += 1,
-                Tok::Punct('}') => {
-                    depth -= 1;
-                    if depth == 0 {
-                        return i;
+    /// The delimiter matching the one at `at`: forward from `(`, `[` or
+    /// `{` to its closer, backward from `)`, `]` or `}` to its opener.
+    /// Only delimiters of that kind count, so a closer of another kind
+    /// neither ends nor nests the group. `None` when `at` holds no
+    /// delimiter or the group never closes.
+    pub fn matching(&self, at: usize) -> Option<usize> {
+        let Some(Tok::Punct(c)) = self.tokens.get(at).map(|t| &t.tok) else {
+            return None;
+        };
+        let (open, close) = DELIMITERS
+            .into_iter()
+            .find(|&(o, cl)| *c == o || *c == cl)?;
+        let forward = *c == open;
+        let (deeper, shallower) = if forward {
+            (open, close)
+        } else {
+            (close, open)
+        };
+        let (mut k, mut depth) = (at, 0usize);
+        loop {
+            if self.punct_at(k, deeper) {
+                depth += 1;
+            } else if self.punct_at(k, shallower) {
+                depth -= 1;
+                if depth == 0 {
+                    return Some(k);
+                }
+            }
+            k = if forward { k + 1 } else { k.checked_sub(1)? };
+            if k == self.tokens.len() {
+                return None;
+            }
+        }
+    }
+
+    /// The last token of the group opened at `open`, or of the file when
+    /// the group never closes.
+    pub fn group_end(&self, open: usize) -> usize {
+        self.matching(open)
+            .unwrap_or(self.tokens.len().saturating_sub(1))
+    }
+
+    /// When a fn nested in `def`'s body opens its own body at `idx`, the
+    /// index of that body's closing brace: walkers skip it, since the
+    /// nested fn is walked on its own.
+    pub fn nested_fn_end(&self, def: &FnDef, idx: usize) -> Option<usize> {
+        if idx <= def.body.0 || idx >= def.body.1 || !self.punct_at(idx, '{') {
+            return None;
+        }
+        self.fns
+            .iter()
+            .find(|g| g.body.0 == idx && g.body.1 < def.body.1)
+            .map(|g| g.body.1)
+    }
+
+    /// `def`'s parameters, in order.
+    pub fn params(&self, def: &FnDef) -> Vec<Param> {
+        let Some(open) = (def.sig + 2..def.body.0).find(|&k| self.punct_at(k, '(')) else {
+            return Vec::new();
+        };
+        let Some(close) = self.matching(open).filter(|&c| c < def.body.0) else {
+            return Vec::new();
+        };
+        self.split_commas(open + 1, close - 1, true)
+            .into_iter()
+            .map(|(lo, hi)| self.param(lo, hi))
+            .collect()
+    }
+
+    /// The parameter spelled in `lo..=hi`.
+    fn param(&self, lo: usize, hi: usize) -> Param {
+        for k in lo..=hi {
+            match self.ident_at(k) {
+                None | Some("mut" | "ref") => {}
+                Some("self") => {
+                    return Param {
+                        name: "self".to_string(),
+                        ty: hi + 1..hi + 1,
                     }
+                }
+                Some(name) => {
+                    let ty_from = (k + 1..=hi)
+                        .find(|&c| self.punct_at(c, ':'))
+                        .map_or(hi + 1, |c| c + 1);
+                    return Param {
+                        name: name.to_string(),
+                        ty: ty_from..hi + 1,
+                    };
+                }
+            }
+        }
+        Param {
+            name: "<pat>".to_string(),
+            ty: lo..hi + 1,
+        }
+    }
+
+    /// Splits `lo..=hi` on the commas outside every `()`, `[]` and `{}` —
+    /// a closure argument is one argument, however many commas its body
+    /// holds — and, when `generics`, outside `<>` too (a type's
+    /// `HashMap<K, V>`; the `>` of an arrow closes nothing). Expressions
+    /// split without `generics`, where `<` compares. Empty pieces drop.
+    pub fn split_commas(&self, lo: usize, hi: usize, generics: bool) -> Vec<(usize, usize)> {
+        let mut out = Vec::new();
+        if lo > hi {
+            return out;
+        }
+        let mut depth = 0i64;
+        let mut start = lo;
+        for k in lo..=hi {
+            match self.tokens.get(k).map(|t| &t.tok) {
+                Some(Tok::Punct('(' | '[' | '{')) => depth += 1,
+                Some(Tok::Punct(')' | ']' | '}')) => depth -= 1,
+                Some(Tok::Punct('<')) if generics => depth += 1,
+                Some(Tok::Punct('>')) if generics && !self.punct_at(k.wrapping_sub(1), '-') => {
+                    depth -= 1
+                }
+                Some(Tok::Punct(',')) if depth == 0 => {
+                    if start < k {
+                        out.push((start, k - 1));
+                    }
+                    start = k + 1;
                 }
                 _ => {}
             }
         }
-        self.tokens.len().saturating_sub(1)
+        if start <= hi {
+            out.push((start, hi));
+        }
+        out
+    }
+
+    /// The name a `let` at `let_idx` binds, with its token index: the
+    /// first lowercase identifier of the pattern that is no keyword — `x`
+    /// of `let mut x`, `let Some(x)` and `let (x, y)`.
+    pub fn let_name(&self, let_idx: usize) -> Option<(usize, &str)> {
+        (let_idx + 1..self.tokens.len())
+            .take_while(|&k| !self.punct_at(k, '=') && !self.punct_at(k, ';'))
+            .find_map(|k| {
+                let name = self.ident_at(k)?;
+                let lower = name.starts_with(|c: char| c.is_lowercase() || c == '_');
+                (lower && !KEYWORDS.contains(&name)).then_some((k, name))
+            })
+    }
+
+    /// True when the `=` at `idx` assigns: it is no part of `==`, `=>`,
+    /// `<=`, `!=` or `>=`. Between a `let` and its `=` (`in_let`), a `>`
+    /// before it can only close a generic annotation (`let x: Vec<u8> =
+    /// …`), so there it assigns too.
+    pub fn assign_at(&self, idx: usize, in_let: bool) -> bool {
+        self.punct_at(idx, '=')
+            && !self.punct_at(idx + 1, '=')
+            && !self.punct_at(idx + 1, '>')
+            && !matches!(
+                self.tokens.get(idx.wrapping_sub(1)).map(|t| &t.tok),
+                Some(Tok::Punct('=' | '<' | '!'))
+            )
+            && (in_let || !self.punct_at(idx.wrapping_sub(1), '>'))
+    }
+
+    /// The first `;` at brace depth `depth` in `from..close`, else `close`:
+    /// where a statement at that depth ends.
+    pub fn stmt_end(&self, from: usize, depth: u32, close: usize) -> usize {
+        (from..close)
+            .find(|&k| self.punct_at(k, ';') && self.depth[k] == depth)
+            .unwrap_or(close)
     }
 }
 
@@ -186,11 +351,11 @@ fn parse_allows(comments: &[(u32, String)]) -> BTreeMap<u32, Vec<Allow>> {
 }
 
 /// Marks tokens inside `#[cfg(test)]` items and `mod tests { … }` bodies.
-fn test_mask(tokens: &[Token]) -> Vec<bool> {
-    let mut mask = vec![false; tokens.len()];
+fn test_mask(file: &SourceFile) -> Vec<bool> {
+    let mut mask = vec![false; file.tokens.len()];
     let mut i = 0usize;
-    while i < tokens.len() {
-        if let Some(end) = test_region_end(tokens, i) {
+    while i < file.tokens.len() {
+        if let Some(end) = test_region_end(file, i) {
             for m in mask.iter_mut().take(end + 1).skip(i) {
                 *m = true;
             }
@@ -203,31 +368,29 @@ fn test_mask(tokens: &[Token]) -> Vec<bool> {
 }
 
 /// If a test-only region starts at token `i`, returns its last token index.
-fn test_region_end(tokens: &[Token], i: usize) -> Option<usize> {
-    if is_ident(tokens, i, "mod") && is_ident(tokens, i + 1, "tests") {
-        let open = find_punct(tokens, i + 2, '{')?;
-        return Some(close_of(tokens, open));
+fn test_region_end(file: &SourceFile, i: usize) -> Option<usize> {
+    let tokens = &file.tokens;
+    if file.ident_at(i) == Some("mod") && file.ident_at(i + 1) == Some("tests") {
+        let open = (i + 2..tokens.len()).find(|&k| file.punct_at(k, '{'))?;
+        return Some(file.group_end(open));
     }
     // `#[cfg(test)]` (possibly `#[cfg(all(test, …))]`): the attribute plus
     // the item that follows it, skipping any further attributes.
-    if !is_punct(tokens, i, '#') || !is_punct(tokens, i + 1, '[') {
+    if !file.punct_at(i, '#') || !file.punct_at(i + 1, '[') {
         return None;
     }
-    let attr_close = bracket_close(tokens, i + 1)?;
-    if !is_ident(tokens, i + 2, "cfg") {
+    let attr_close = file.matching(i + 1)?;
+    if file.ident_at(i + 2) != Some("cfg") {
         return None;
     }
-    let has_test = tokens[i..=attr_close]
-        .iter()
-        .any(|t| matches!(&t.tok, Tok::Ident(name) if name == "test"));
-    if !has_test {
+    if !(i..=attr_close).any(|k| file.ident_at(k) == Some("test")) {
         return None;
     }
     let mut j = attr_close + 1;
-    while is_punct(tokens, j, '#') && is_punct(tokens, j + 1, '[') {
-        j = bracket_close(tokens, j + 1)? + 1;
+    while file.punct_at(j, '#') && file.punct_at(j + 1, '[') {
+        j = file.matching(j + 1)? + 1;
     }
-    if is_field(tokens, j) {
+    if is_field(file, j) {
         // To the field's `,`, or to the delimiter closing its list. A
         // generic type's `,` ends it early, which unmasks part of a
         // test-only type and never masks the code after it.
@@ -246,7 +409,7 @@ fn test_region_end(tokens: &[Token], i: usize) -> Option<usize> {
     // declarations like `use` re-exports.
     for (k, t) in tokens.iter().enumerate().skip(j) {
         match t.tok {
-            Tok::Punct('{') => return Some(close_of(tokens, k)),
+            Tok::Punct('{') => return Some(file.group_end(k)),
             Tok::Punct(';') => return Some(k),
             _ => {}
         }
@@ -256,124 +419,64 @@ fn test_region_end(tokens: &[Token], i: usize) -> Option<usize> {
 
 /// A field starts at `i`, declared (`[pub[(…)]] name: …`) or in a struct
 /// literal (`name: …`, or `name` alone).
-fn is_field(tokens: &[Token], mut i: usize) -> bool {
-    if is_ident(tokens, i, "pub") {
+fn is_field(file: &SourceFile, mut i: usize) -> bool {
+    if file.ident_at(i) == Some("pub") {
         i += 1;
-        if is_punct(tokens, i, '(') {
-            let Some(close) = find_punct(tokens, i, ')') else {
+        if file.punct_at(i, '(') {
+            let Some(close) = (i..file.tokens.len()).find(|&k| file.punct_at(k, ')')) else {
                 return false;
             };
             i = close + 1;
         }
     }
-    let named = matches!(tokens.get(i).map(|t| &t.tok),
-        Some(Tok::Ident(name)) if !KEYWORDS.contains(&name.as_str()));
-    named && [':', ',', '}'].iter().any(|&c| is_punct(tokens, i + 1, c))
-}
-
-fn is_ident(tokens: &[Token], i: usize, want: &str) -> bool {
-    matches!(tokens.get(i).map(|t| &t.tok), Some(Tok::Ident(name)) if name == want)
-}
-
-fn is_punct(tokens: &[Token], i: usize, c: char) -> bool {
-    matches!(tokens.get(i).map(|t| &t.tok), Some(Tok::Punct(p)) if *p == c)
-}
-
-fn find_punct(tokens: &[Token], from: usize, c: char) -> Option<usize> {
-    tokens[from..]
-        .iter()
-        .position(|t| matches!(&t.tok, Tok::Punct(p) if *p == c))
-        .map(|off| from + off)
-}
-
-fn close_of(tokens: &[Token], open: usize) -> usize {
-    let mut depth = 0i64;
-    for (i, t) in tokens.iter().enumerate().skip(open) {
-        match t.tok {
-            Tok::Punct('{') => depth += 1,
-            Tok::Punct('}') => {
-                depth -= 1;
-                if depth == 0 {
-                    return i;
-                }
-            }
-            _ => {}
-        }
-    }
-    tokens.len().saturating_sub(1)
-}
-
-/// Matching `]` for the `[` at `open`.
-pub(crate) fn bracket_close(tokens: &[Token], open: usize) -> Option<usize> {
-    let mut depth = 0i64;
-    for (i, t) in tokens.iter().enumerate().skip(open) {
-        match t.tok {
-            Tok::Punct('[') => depth += 1,
-            Tok::Punct(']') => {
-                depth -= 1;
-                if depth == 0 {
-                    return Some(i);
-                }
-            }
-            _ => {}
-        }
-    }
-    None
+    let named = file
+        .ident_at(i)
+        .is_some_and(|name| !KEYWORDS.contains(&name));
+    named && [':', ',', '}'].iter().any(|&c| file.punct_at(i + 1, c))
 }
 
 fn extract_fns(file: &SourceFile) -> Vec<FnDef> {
     let tokens = &file.tokens;
     let mut fns = Vec::new();
-    let mut i = 0usize;
-    while i < tokens.len() {
-        if is_ident(tokens, i, "fn") {
-            if let Some(Tok::Ident(name)) = tokens.get(i + 1).map(|t| &t.tok) {
-                // The body is the first `{` before any `;` (trait method
-                // declarations have no body). Type positions between the
-                // signature and the body contain no braces in this
-                // codebase's dialect.
-                let mut j = i + 2;
-                let mut body = None;
-                while j < tokens.len() {
-                    match tokens[j].tok {
-                        Tok::Punct('{') => {
-                            body = Some((j, close_of(tokens, j)));
-                            break;
-                        }
-                        Tok::Punct(';') => break,
-                        _ => j += 1,
-                    }
-                }
-                if let Some(body) = body {
-                    fns.push(FnDef {
-                        name: name.clone(),
-                        line: tokens[i].line,
-                        body,
-                        in_test: file.test_mask[i],
-                        owner: None,
-                        impl_trait: None,
-                        locals: BTreeMap::new(),
-                    });
-                    // Continue scanning *inside* the body too: nested fns
-                    // are rare but shouldn't be invisible.
-                    i += 2;
-                    continue;
-                }
-            }
+    for i in 0..tokens.len() {
+        if file.ident_at(i) != Some("fn") {
+            continue;
         }
-        i += 1;
+        let Some(name) = file.ident_at(i + 1) else {
+            continue;
+        };
+        // The body is the first `{` before any `;` (trait method
+        // declarations have no body). Type positions between the
+        // signature and the body contain no braces in this codebase's
+        // dialect. Nested fns are extracted too: the scan goes on inside
+        // the body.
+        let open = (i + 2..tokens.len())
+            .find(|&j| file.punct_at(j, '{') || file.punct_at(j, ';'))
+            .filter(|&j| file.punct_at(j, '{'));
+        if let Some(open) = open {
+            fns.push(FnDef {
+                name: name.to_string(),
+                line: tokens[i].line,
+                sig: i,
+                body: (open, file.group_end(open)),
+                in_test: file.test_mask[i],
+                owner: None,
+                impl_trait: None,
+                locals: BTreeMap::new(),
+            });
+        }
     }
     fns
 }
 
 /// Collects every `use` declaration into `local name → path segments`.
-fn parse_imports(tokens: &[Token]) -> BTreeMap<String, Vec<String>> {
+fn parse_imports(file: &SourceFile) -> BTreeMap<String, Vec<String>> {
     let mut out = BTreeMap::new();
     let mut i = 0usize;
-    while i < tokens.len() {
-        if is_ident(tokens, i, "use") {
+    while i < file.tokens.len() {
+        if file.ident_at(i) == Some("use") {
             let mut j = i + 1;
-            parse_use_tree(tokens, &mut j, &mut Vec::new(), &mut out);
+            parse_use_tree(file, &mut j, &mut Vec::new(), &mut out);
             i = j.max(i + 1);
         } else {
             i += 1;
@@ -385,17 +488,17 @@ fn parse_imports(tokens: &[Token]) -> BTreeMap<String, Vec<String>> {
 /// Parses one use-tree at `*j` (segments, `{…}` groups, `as` aliases,
 /// globs), recording leaves into `out`. Stops before `;`, `,` or `}`.
 fn parse_use_tree(
-    tokens: &[Token],
+    file: &SourceFile,
     j: &mut usize,
     prefix: &mut Vec<String>,
     out: &mut BTreeMap<String, Vec<String>>,
 ) {
     let base_len = prefix.len();
     loop {
-        match tokens.get(*j).map(|t| &t.tok) {
+        match file.tokens.get(*j).map(|t| &t.tok) {
             Some(Tok::Ident(name)) if name == "as" => {
-                if let Some(Tok::Ident(alias)) = tokens.get(*j + 1).map(|t| &t.tok) {
-                    out.insert(alias.clone(), prefix.clone());
+                if let Some(alias) = file.ident_at(*j + 1) {
+                    out.insert(alias.to_string(), prefix.clone());
                     *j += 2;
                 }
                 break;
@@ -403,11 +506,11 @@ fn parse_use_tree(
             Some(Tok::Ident(name)) => {
                 prefix.push(name.clone());
                 *j += 1;
-                if matches!(tokens.get(*j).map(|t| &t.tok), Some(Tok::PathSep)) {
+                if file.path_sep_at(*j) {
                     *j += 1;
                     continue;
                 }
-                if is_ident(tokens, *j, "as") {
+                if file.ident_at(*j) == Some("as") {
                     continue; // handled by the `as` arm next iteration
                 }
                 // Leaf: `use a::b::Name;` binds `Name`; `use a::b::{self}`
@@ -426,7 +529,7 @@ fn parse_use_tree(
             Some(Tok::Punct('{')) => {
                 *j += 1;
                 loop {
-                    match tokens.get(*j).map(|t| &t.tok) {
+                    match file.tokens.get(*j).map(|t| &t.tok) {
                         Some(Tok::Punct('}')) => {
                             *j += 1;
                             break;
@@ -435,7 +538,7 @@ fn parse_use_tree(
                         None => break,
                         _ => {
                             let before = *j;
-                            parse_use_tree(tokens, j, &mut prefix.clone(), out);
+                            parse_use_tree(file, j, &mut prefix.clone(), out);
                             if *j == before {
                                 *j += 1; // never stall on unexpected tokens
                             }
@@ -453,16 +556,16 @@ fn parse_use_tree(
 /// First uppercase-initial ident in `lo..hi` (the outermost type of an
 /// annotation like `Arc<Mutex<T>>` — `Arc`), skipping path prefixes so
 /// `wire::sync::HealthyMutex` yields `HealthyMutex`.
-fn type_head(tokens: &[Token], lo: usize, hi: usize) -> Option<String> {
+fn type_head(file: &SourceFile, lo: usize, hi: usize) -> Option<String> {
     let mut k = lo;
     while k < hi {
-        if let Some(Tok::Ident(name)) = tokens.get(k).map(|t| &t.tok) {
-            if matches!(tokens.get(k + 1).map(|t| &t.tok), Some(Tok::PathSep)) {
+        if let Some(name) = file.ident_at(k) {
+            if file.path_sep_at(k + 1) {
                 k += 2;
                 continue;
             }
-            if name.chars().next().is_some_and(|c| c.is_uppercase()) {
-                return Some(name.clone());
+            if name.starts_with(|c: char| c.is_uppercase()) {
+                return Some(name.to_string());
             }
         }
         k += 1;
@@ -476,68 +579,50 @@ fn parse_structs(file: &SourceFile) -> BTreeMap<String, BTreeMap<String, String>
     let mut out: BTreeMap<String, BTreeMap<String, String>> = BTreeMap::new();
     let mut i = 0usize;
     while i < tokens.len() {
-        if !is_ident(tokens, i, "struct") {
-            i += 1;
-            continue;
-        }
-        let Some(Tok::Ident(name)) = tokens.get(i + 1).map(|t| &t.tok) else {
+        let Some(name) = file
+            .ident_at(i + 1)
+            .filter(|_| file.ident_at(i) == Some("struct"))
+        else {
             i += 1;
             continue;
         };
         // Body is the first `{` before any `;` or `(` (tuple/unit structs
         // have no named fields).
-        let mut j = i + 2;
-        let mut open = None;
-        while j < tokens.len() {
-            match tokens[j].tok {
-                Tok::Punct('{') => {
-                    open = Some(j);
-                    break;
-                }
-                Tok::Punct(';') | Tok::Punct('(') => break,
-                _ => j += 1,
-            }
-        }
-        let Some(open) = open else {
+        let Some(open) = (i + 2..tokens.len())
+            .find(|&j| [';', '(', '{'].iter().any(|&c| file.punct_at(j, c)))
+            .filter(|&j| file.punct_at(j, '{'))
+        else {
             i += 2;
             continue;
         };
-        let close = close_of(tokens, open);
-        let fields = out.entry(name.clone()).or_default();
+        let close = file.group_end(open);
+        let fields = out.entry(name.to_string()).or_default();
         let mut k = open + 1;
         while k < close {
             // A field is `ident :` at the body's brace depth.
-            let is_field = matches!(tokens.get(k).map(|t| &t.tok), Some(Tok::Ident(_)))
-                && is_punct(tokens, k + 1, ':')
-                && file.depth[k] == file.depth[open];
-            if is_field {
-                let field = match &tokens[k].tok {
-                    Tok::Ident(n) => n.clone(),
-                    _ => unreachable!(),
-                };
-                // The type runs to the next comma outside `<>`/`()`/`[]`.
-                let mut depth = 0i64;
-                let mut end = k + 2;
-                while end < close {
-                    match tokens.get(end).map(|t| &t.tok) {
-                        Some(Tok::Punct('<')) | Some(Tok::Punct('(')) | Some(Tok::Punct('[')) => {
-                            depth += 1
-                        }
-                        Some(Tok::Punct('>')) | Some(Tok::Punct(')')) | Some(Tok::Punct(']')) => {
-                            depth -= 1
-                        }
-                        Some(Tok::Punct(',')) if depth <= 0 => break,
-                        _ => {}
-                    }
-                    end += 1;
-                }
-                if let Some(ty) = type_head(tokens, k + 2, end) {
-                    fields.insert(field, ty);
-                }
-                k = end + 1;
-            } else {
+            let field = file
+                .ident_at(k)
+                .filter(|_| file.punct_at(k + 1, ':') && file.depth[k] == file.depth[open]);
+            let Some(field) = field else {
                 k += 1;
+                continue;
+            };
+            // The type runs to the next comma outside `<>`/`()`/`[]`.
+            let mut depth = 0i64;
+            let mut end = k + 2;
+            while end < close {
+                match tokens.get(end).map(|t| &t.tok) {
+                    Some(Tok::Punct('<' | '(' | '[')) => depth += 1,
+                    Some(Tok::Punct('>' | ')' | ']')) => depth -= 1,
+                    Some(Tok::Punct(',')) if depth <= 0 => break,
+                    _ => {}
+                }
+                end += 1;
             }
+            if let Some(ty) = type_head(file, k + 2, end) {
+                fields.insert(field.to_string(), ty);
+            }
+            k = end + 1;
         }
         i = close + 1;
     }
@@ -558,27 +643,26 @@ struct ImplRegion {
 /// present (`impl Trait for Type`, the trait then being what stands before
 /// it), else the type after `impl`; `impl<…>` generics are skipped.
 fn impl_regions(file: &SourceFile) -> Vec<ImplRegion> {
-    let tokens = &file.tokens;
     let mut out = Vec::new();
     let mut i = 0usize;
-    while i < tokens.len() {
-        if !is_ident(tokens, i, "impl") {
+    while i < file.tokens.len() {
+        if file.ident_at(i) != Some("impl") {
             i += 1;
             continue;
         }
-        let Some(open) = find_punct(tokens, i + 1, '{') else {
+        let Some(open) = (i + 1..file.tokens.len()).find(|&k| file.punct_at(k, '{')) else {
             i += 1;
             continue;
         };
-        let close = close_of(tokens, open);
+        let close = file.group_end(open);
         let mut after_generics = i + 1;
-        if is_punct(tokens, i + 1, '<') {
+        if file.punct_at(i + 1, '<') {
             let mut depth = 0i64;
             after_generics = open;
             for k in i + 1..open {
-                if is_punct(tokens, k, '<') {
+                if file.punct_at(k, '<') {
                     depth += 1;
-                } else if is_punct(tokens, k, '>') {
+                } else if file.punct_at(k, '>') {
                     depth -= 1;
                     if depth == 0 {
                         after_generics = k + 1;
@@ -587,13 +671,13 @@ fn impl_regions(file: &SourceFile) -> Vec<ImplRegion> {
                 }
             }
         }
-        let for_kw = (after_generics..open).find(|&k| is_ident(tokens, k, "for"));
-        let impl_trait = for_kw.and_then(|k| type_head(tokens, after_generics, k));
+        let for_kw = (after_generics..open).find(|&k| file.ident_at(k) == Some("for"));
+        let impl_trait = for_kw.and_then(|k| type_head(file, after_generics, k));
         let ty_from = for_kw.map_or(after_generics, |k| k + 1);
         let ty_to = (ty_from..open)
-            .find(|&k| is_ident(tokens, k, "where") || is_punct(tokens, k, '<'))
+            .find(|&k| file.ident_at(k) == Some("where") || file.punct_at(k, '<'))
             .unwrap_or(open);
-        if let Some(owner) = type_head(tokens, ty_from, ty_to.max(ty_from)) {
+        if let Some(owner) = type_head(file, ty_from, ty_to.max(ty_from)) {
             out.push(ImplRegion {
                 owner,
                 impl_trait,
@@ -609,59 +693,38 @@ fn impl_regions(file: &SourceFile) -> Vec<ImplRegion> {
 /// Infers local variable types inside one fn body, flow-insensitively:
 /// `let x: Type = …`, `let x = Type::ctor(…)`, `let x = Type { … }`.
 fn fn_locals(file: &SourceFile, def: &FnDef) -> BTreeMap<String, String> {
-    let tokens = &file.tokens;
     let (open, close) = def.body;
     let mut out = BTreeMap::new();
-    let mut k = open + 1;
-    while k < close {
-        if !is_ident(tokens, k, "let") {
-            k += 1;
+    for k in open + 1..close {
+        if file.ident_at(k) != Some("let") {
             continue;
         }
-        let mut j = k + 1;
-        if is_ident(tokens, j, "mut") {
-            j += 1;
-        }
-        let Some(Tok::Ident(var)) = tokens.get(j).map(|t| &t.tok) else {
-            k += 1;
+        let Some((j, var)) = file.let_name(k) else {
             continue;
         };
-        let var = var.clone();
-        if var
-            .chars()
-            .next()
-            .is_some_and(|c| c.is_uppercase() || KEYWORD_LIKE.contains(&var.as_str()))
-        {
-            k += 1;
-            continue;
-        }
-        let mut ty = None;
-        if is_punct(tokens, j + 1, ':') {
+        let ty = if file.punct_at(j + 1, ':') {
             // Annotated: type runs to the `=` (or `;` for uninitialized).
             let end = (j + 2..close)
-                .find(|&c| is_punct(tokens, c, '=') || is_punct(tokens, c, ';'))
+                .find(|&c| file.punct_at(c, '=') || file.punct_at(c, ';'))
                 .unwrap_or(close);
-            ty = type_head(tokens, j + 2, end);
-        } else if is_punct(tokens, j + 1, '=') {
+            type_head(file, j + 2, end)
+        } else if file.punct_at(j + 1, '=') {
             // `let x = Type::ctor(…)` / `let x = Type { … }`.
-            if let Some(Tok::Ident(head)) = tokens.get(j + 2).map(|t| &t.tok) {
-                let upper = head.chars().next().is_some_and(|c| c.is_uppercase());
-                let ctor = matches!(tokens.get(j + 3).map(|t| &t.tok), Some(Tok::PathSep));
-                let literal = is_punct(tokens, j + 3, '{');
-                if upper && (ctor || literal) {
-                    ty = Some(head.clone());
-                }
-            }
-        }
+            file.ident_at(j + 2)
+                .filter(|head| {
+                    head.starts_with(|c: char| c.is_uppercase())
+                        && (file.path_sep_at(j + 3) || file.punct_at(j + 3, '{'))
+                })
+                .map(str::to_string)
+        } else {
+            None
+        };
         if let Some(ty) = ty {
-            out.entry(var).or_insert(ty);
+            out.entry(var.to_string()).or_insert(ty);
         }
-        k = j + 1;
     }
     out
 }
-
-const KEYWORD_LIKE: [&str; 4] = ["mut", "ref", "box", "move"];
 
 #[cfg(test)]
 mod unit {
@@ -719,6 +782,113 @@ mod unit {
             assert!(masked(src, "guarded"), "{src}");
             assert!(!masked(src, "after"), "{src}");
         }
+    }
+
+    #[test]
+    fn delimiters_match_both_ways_through_nesting() {
+        // f ( a [ b { c } ( d ) ] , [ e ] ) { g }
+        // 0 1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16 17 18 19
+        let file = SourceFile::parse("crates/x/src/lib.rs".into(), "f(a[b{c}(d)], [e]) { g }");
+        for (open, close) in [(1, 16), (3, 11), (5, 7), (8, 10), (13, 15), (17, 19)] {
+            assert_eq!(file.matching(open), Some(close), "from {open}");
+            assert_eq!(file.matching(close), Some(open), "from {close}");
+        }
+        assert_eq!(file.matching(0), None, "an identifier is no delimiter");
+    }
+
+    #[test]
+    fn a_closer_of_another_kind_neither_ends_nor_nests_a_group() {
+        let file = SourceFile::parse("crates/x/src/lib.rs".into(), "( ] } )");
+        assert_eq!(file.matching(0), Some(3));
+        assert_eq!(file.matching(3), Some(0));
+    }
+
+    #[test]
+    fn an_unbalanced_tail_matches_nothing() {
+        let file = SourceFile::parse("crates/x/src/lib.rs".into(), "fn f() { g(a[1, (b");
+        assert_eq!(file.matching(2), Some(3), "`f()` closes");
+        for k in 4..file.tokens.len() {
+            if ["(", "[", "{"]
+                .iter()
+                .any(|c| file.punct_at(k, c.chars().next().unwrap()))
+            {
+                assert_eq!(file.matching(k), None, "token {k}");
+            }
+        }
+        assert_eq!(file.matching(file.tokens.len()), None);
+        assert_eq!(file.group_end(4), file.tokens.len() - 1);
+        // A closer with nothing open before it.
+        let file = SourceFile::parse("crates/x/src/lib.rs".into(), "a) b]");
+        assert_eq!(file.matching(1), None);
+        assert_eq!(file.matching(3), None);
+    }
+
+    #[test]
+    fn params_name_self_mut_patterns_and_generic_types() {
+        let src = "fn f(&mut self, mut n: usize, (a, b): (u8, u8),                    m: HashMap<K, Vec<V>>, g: impl Fn(u8, u8) -> Result<u8, E>, _: u8) {}";
+        let file = SourceFile::parse("crates/x/src/lib.rs".into(), src);
+        let params = file.params(&file.fns[0]);
+        let names: Vec<&str> = params.iter().map(|p| p.name.as_str()).collect();
+        assert_eq!(names, ["self", "n", "a", "m", "g", "_"]);
+        assert!(params[0].ty.is_empty());
+        let ty = |p: &Param| -> Vec<String> {
+            p.ty.clone()
+                .filter_map(|k| file.ident_at(k).map(str::to_string))
+                .collect()
+        };
+        assert_eq!(ty(&params[1]), ["usize"]);
+        assert_eq!(ty(&params[3]), ["HashMap", "K", "Vec", "V"]);
+        assert_eq!(
+            ty(&params[4]),
+            ["impl", "Fn", "u8", "u8", "Result", "u8", "E"]
+        );
+        let file = SourceFile::parse("crates/x/src/lib.rs".into(), "fn none() {}");
+        assert!(file.params(&file.fns[0]).is_empty());
+    }
+
+    #[test]
+    fn expressions_split_where_types_would_not() {
+        let file = SourceFile::parse(
+            "crates/x/src/lib.rs".into(),
+            "a < b, c > d, |x| { f(x, y) }",
+        );
+        let last = file.tokens.len() - 1;
+        assert_eq!(file.split_commas(0, last, false).len(), 3);
+        assert_eq!(file.split_commas(0, last, true).len(), 2);
+    }
+
+    #[test]
+    fn let_names_skip_keywords_and_constructors() {
+        let src = "fn f() { let mut x = 1; let Some(y) = o; let (p, q) = t; let ref r = s; }";
+        let file = SourceFile::parse("crates/x/src/lib.rs".into(), src);
+        let names: Vec<&str> = (0..file.tokens.len())
+            .filter(|&k| file.ident_at(k) == Some("let"))
+            .filter_map(|k| file.let_name(k).map(|(_, name)| name))
+            .collect();
+        assert_eq!(names, ["x", "y", "p", "r"]);
+    }
+
+    #[test]
+    fn nested_fns_are_skipped_by_their_enclosing_walk() {
+        let src = "fn outer() { a(); fn inner() { b(); } c(); }";
+        let file = SourceFile::parse("crates/x/src/lib.rs".into(), src);
+        let (outer, inner) = (&file.fns[0], &file.fns[1]);
+        assert_eq!(inner.name, "inner");
+        assert_eq!(file.nested_fn_end(outer, inner.body.0), Some(inner.body.1));
+        // Not from the fn's own body, nor from inside the nested one.
+        assert_eq!(file.nested_fn_end(outer, outer.body.0), None);
+        assert_eq!(file.nested_fn_end(inner, inner.body.0), None);
+        let mut seen = Vec::new();
+        let mut idx = outer.body.0;
+        while idx <= outer.body.1 {
+            if let Some(end) = file.nested_fn_end(outer, idx) {
+                idx = end + 1;
+                continue;
+            }
+            seen.extend(file.ident_at(idx));
+            idx += 1;
+        }
+        assert_eq!(seen, ["a", "fn", "inner", "c"]);
     }
 
     #[test]

@@ -16,10 +16,10 @@
 //!
 //! Writes follow a write-ahead discipline: the caller hands a leaf to
 //! [`DurableStore::append`] *before* inserting it into the in-memory
-//! Merkle tree; the bytes reach the OS immediately and an `fsync` lands
-//! every `fsync_every` appends (plus on demand via [`LogStore::sync`] —
-//! which checkpoint signing always calls first, so signed history never
-//! outruns durable history). When the active segment exceeds
+//! Merkle tree, and the append `fsync`s before it returns, so no
+//! acknowledged leaf is lost in a crash ([`LogStore::sync`], which
+//! checkpoint signing calls first, has nothing left to flush). When the
+//! active segment exceeds
 //! `segment_bytes`, the append acks `wants_checkpoint` and the log layer
 //! calls [`DurableStore::checkpoint`] with the tree's right-edge subtree
 //! roots; the store writes the checkpoint record, a trailer pointing at
@@ -87,10 +87,8 @@ struct Writer {
     segment_start: u64,
     /// Bytes written to the active segment (header included).
     written: u64,
-    /// Total leaves appended (durable + pending).
+    /// Total leaves appended.
     entries: u64,
-    /// Appends since the last fsync.
-    pending: u32,
 }
 
 struct MetaWriter {
@@ -188,7 +186,6 @@ fn position_tail(dir: &Path, segments: &[u64]) -> Result<Writer, StoreError> {
         segment_start,
         written,
         entries,
-        pending: 0,
     };
     let Some(&last) = segments.last() else {
         return Ok(at(0, 0, 0, 0, None));
@@ -261,12 +258,8 @@ impl LogStore for DurableStore {
         file.write_all(&buf)?;
         writer.written += buf.len() as u64;
         writer.entries += 1;
-        writer.pending += 1;
-        if writer.pending >= self.opts.fsync_every.max(1) {
-            if let Some(file) = writer.file.as_mut() {
-                file.sync_data()?;
-            }
-            writer.pending = 0;
+        if let Some(file) = writer.file.as_mut() {
+            file.sync_data()?;
         }
         Ok(AppendAck {
             wants_checkpoint: writer.written >= self.opts.segment_bytes,
@@ -304,18 +297,11 @@ impl LogStore for DurableStore {
         writer.segment_index += 1;
         writer.segment_start = writer.entries;
         writer.written = 0;
-        writer.pending = 0;
         Ok(())
     }
 
+    /// Every leaf and meta record is synced by the append that wrote it.
     fn sync(&self) -> Result<(), StoreError> {
-        let mut writer = self.writer.lock_healthy();
-        if writer.pending > 0 {
-            if let Some(file) = writer.file.as_mut() {
-                file.sync_data()?;
-            }
-            writer.pending = 0;
-        }
         Ok(())
     }
 
@@ -370,7 +356,6 @@ impl LogStore for DurableStore {
             writer.segment_index = recovered.next_segment;
             writer.segment_start = recovered.next_segment_start;
             writer.written = recovered.tail_written;
-            writer.pending = 0;
             if let Some(path) = recovered.open_tail {
                 let mut file = OpenOptions::new().read(true).write(true).open(&path)?;
                 file.seek(SeekFrom::Start(recovered.tail_written))?;
@@ -524,7 +509,6 @@ mod tests {
         DurableOptions {
             dir: dir.to_path_buf(),
             segment_bytes,
-            fsync_every: 1,
         }
     }
 

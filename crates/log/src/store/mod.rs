@@ -119,22 +119,14 @@ pub struct DurableOptions {
     /// bytes. Smaller segments mean more checkpoint records; the default
     /// is 4 MiB.
     pub segment_bytes: u64,
-    /// `fsync` after this many appends. `1` syncs every
-    /// append; larger values batch — crash-safe for *signed* history
-    /// either way, because checkpoint signing syncs first
-    /// (`ShardedLog::sync`), but up to `fsync_every - 1` unsigned tail
-    /// entries may be lost in a crash.
-    pub fsync_every: u32,
 }
 
 impl DurableOptions {
-    /// Durable storage under `dir` with conservative defaults: 4 MiB
-    /// segments, fsync on every append.
+    /// Durable storage under `dir` with 4 MiB segments.
     pub fn new(dir: impl Into<PathBuf>) -> Self {
         Self {
             dir: dir.into(),
             segment_bytes: 4 << 20,
-            fsync_every: 1,
         }
     }
 }

@@ -58,7 +58,6 @@ fn durable(dir: &Path, segment_bytes: u64) -> StorageConfig {
     StorageConfig::Durable(DurableOptions {
         dir: dir.to_path_buf(),
         segment_bytes,
-        fsync_every: 1,
     })
 }
 
