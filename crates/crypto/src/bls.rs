@@ -8,14 +8,12 @@
 //! each.
 
 use crate::fr::Fr;
-use crate::g1::{hash_to_g1, G1Affine, G1Projective};
+use crate::g1::{hash_to_g1, G1Affine};
 use crate::g2::{G2Affine, G2Projective};
 use crate::pairing::{pairing_equality, G2Prepared};
 
 /// Domain separation tag for message hashing.
 pub const MSG_DST: &[u8] = b"distrust/bls/msg/v1";
-/// Domain separation tag for proofs of possession.
-pub const POP_DST: &[u8] = b"distrust/bls/pop/v1";
 
 /// A BLS secret key (a nonzero scalar).
 #[derive(Clone, Copy, PartialEq, Eq)]
@@ -56,15 +54,6 @@ impl SecretKey {
     /// Signs a message: `σ = sk·H(m)`.
     pub fn sign(&self, message: &[u8]) -> Signature {
         let h = hash_to_g1(message, MSG_DST);
-        Signature(h.mul_scalar(&self.0).to_affine())
-    }
-
-    /// Produces a proof of possession (a signature over the public key
-    /// under a separate domain), defeating rogue-key attacks in aggregate
-    /// settings.
-    pub fn prove_possession(&self) -> Signature {
-        let pk_bytes = self.public_key().to_bytes();
-        let h = hash_to_g1(&pk_bytes, POP_DST);
         Signature(h.mul_scalar(&self.0).to_affine())
     }
 }
@@ -126,9 +115,9 @@ impl core::fmt::Debug for PreparedPublicKey {
 
 impl PublicKey {
     /// [`PreparedPublicKey::verify_prehashed`] under this key, prepared
-    /// for the one check. [`Self::verify`], [`Self::verify_possession`]
-    /// and [`crate::threshold::verify_partial`] hash (and derive the key)
-    /// and call this.
+    /// for the one check. [`Self::verify`] and
+    /// [`crate::threshold::verify_partial`] hash (and derive the key) and
+    /// call this.
     pub fn verify_prehashed(&self, h: &G1Affine, signature: &Signature) -> bool {
         PreparedPublicKey::new(*self).verify_prehashed(h, signature)
     }
@@ -136,11 +125,6 @@ impl PublicKey {
     /// Verifies `σ` over `message`: `e(σ, g₂) == e(H(m), pk)`.
     pub fn verify(&self, message: &[u8], signature: &Signature) -> bool {
         self.verify_prehashed(&hash_to_g1(message, MSG_DST).to_affine(), signature)
-    }
-
-    /// Verifies a proof of possession for this key.
-    pub fn verify_possession(&self, pop: &Signature) -> bool {
-        self.verify_prehashed(&hash_to_g1(&self.to_bytes(), POP_DST).to_affine(), pop)
     }
 
     /// Compressed encoding.
@@ -151,19 +135,6 @@ impl PublicKey {
     /// Decoding with full validation.
     pub fn from_bytes(bytes: &[u8; 96]) -> Option<Self> {
         G2Affine::from_compressed(bytes).map(PublicKey)
-    }
-
-    /// Aggregates public keys (for verifying an aggregate signature over a
-    /// common message). Callers must have checked proofs of possession.
-    pub fn aggregate(keys: &[PublicKey]) -> Option<PublicKey> {
-        if keys.is_empty() {
-            return None;
-        }
-        let mut acc = G2Projective::identity();
-        for k in keys {
-            acc = acc.add(&G2Projective::from(k.0));
-        }
-        Some(PublicKey(acc.to_affine()))
     }
 }
 
@@ -177,61 +148,11 @@ impl Signature {
     pub fn from_bytes(bytes: &[u8; 48]) -> Option<Self> {
         G1Affine::from_compressed(bytes).map(Signature)
     }
-
-    /// Aggregates signatures by group addition.
-    pub fn aggregate(sigs: &[Signature]) -> Option<Signature> {
-        if sigs.is_empty() {
-            return None;
-        }
-        let mut acc = G1Projective::identity();
-        for s in sigs {
-            acc = acc.add(&G1Projective::from(s.0));
-        }
-        Some(Signature(acc.to_affine()))
-    }
-}
-
-/// Verifies an aggregate signature where **all signers signed the same
-/// message** (the multi-signature case used for cross-domain checkpoint
-/// co-signing). Requires proofs of possession for all keys.
-pub fn verify_same_message(keys: &[PublicKey], message: &[u8], signature: &Signature) -> bool {
-    match PublicKey::aggregate(keys) {
-        Some(apk) => apk.verify(message, signature),
-        None => false,
-    }
-}
-
-/// Verifies an aggregate signature over **distinct messages**:
-/// `e(σ, g₂) == ∏ e(H(mᵢ), pkᵢ)`, with one shared final exponentiation.
-/// Messages must be pairwise distinct (callers enforce; identical messages
-/// would enable the standard aggregation pitfall without PoPs).
-pub fn verify_aggregate_distinct(pairs: &[(PublicKey, &[u8])], signature: &Signature) -> bool {
-    if pairs.is_empty() || signature.0.infinity {
-        return false;
-    }
-    for (i, (_, m)) in pairs.iter().enumerate() {
-        for (_, m2) in pairs.iter().skip(i + 1) {
-            if m == m2 {
-                return false;
-            }
-        }
-    }
-    if !signature.0.is_on_curve() || !signature.0.is_torsion_free() {
-        return false;
-    }
-    // e(-σ, g₂) · ∏ e(H(mᵢ), pkᵢ) == 1
-    let mut terms: Vec<(crate::g1::G1Affine, G2Affine)> = Vec::with_capacity(pairs.len() + 1);
-    terms.push((signature.0.neg(), G2Affine::generator()));
-    for (pk, msg) in pairs {
-        terms.push((hash_to_g1(msg, MSG_DST).to_affine(), pk.0));
-    }
-    crate::pairing::multi_pairing(&terms).is_identity()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::drbg::HmacDrbg;
 
     fn keypair(tag: &[u8]) -> (SecretKey, PublicKey) {
         let sk = SecretKey::derive(b"bls test seed", tag);
@@ -323,15 +244,6 @@ mod tests {
     }
 
     #[test]
-    fn verify_possession_refuses_a_proof_outside_g1() {
-        let (sk, pk) = keypair(b"subgroup pop");
-        let pop = sk.prove_possession();
-        assert!(pk.verify_possession(&pop));
-        let shifted = Signature(pop.0.plus_order_three_point());
-        assert!(!pk.verify_possession(&shifted));
-    }
-
-    #[test]
     fn serialization_round_trip() {
         let (sk, pk) = keypair(b"ser");
         let sig = sk.sign(b"serialize me");
@@ -339,67 +251,17 @@ mod tests {
         assert_eq!(Signature::from_bytes(&sig.to_bytes()), Some(sig));
     }
 
+    /// A derived key's public key and its signature on a fixed message,
+    /// recorded before the group law moved into [`crate::curve`].
     #[test]
-    fn proof_of_possession() {
-        let (sk, pk) = keypair(b"pop");
-        let pop = sk.prove_possession();
-        assert!(pk.verify_possession(&pop));
-        let (_, pk2) = keypair(b"pop2");
-        assert!(!pk2.verify_possession(&pop));
-        // A PoP is not a valid message signature (domain separation).
-        assert!(!pk.verify(&pk.to_bytes(), &pop));
-    }
-
-    #[test]
-    fn aggregate_same_message() {
-        let mut rng = HmacDrbg::new(b"agg", b"");
-        let keys: Vec<SecretKey> = (0..4).map(|_| SecretKey::generate(&mut rng)).collect();
-        let pks: Vec<PublicKey> = keys.iter().map(|k| k.public_key()).collect();
-        let msg = b"checkpoint at height 7";
-        let sigs: Vec<Signature> = keys.iter().map(|k| k.sign(msg)).collect();
-        let agg = Signature::aggregate(&sigs).unwrap();
-        assert!(verify_same_message(&pks, msg, &agg));
-        // Dropping one signature breaks verification.
-        let partial = Signature::aggregate(&sigs[..3]).unwrap();
-        assert!(!verify_same_message(&pks, msg, &partial));
-    }
-
-    #[test]
-    fn empty_aggregation_is_none() {
-        assert!(Signature::aggregate(&[]).is_none());
-        assert!(PublicKey::aggregate(&[]).is_none());
-    }
-
-    #[test]
-    fn aggregate_distinct_messages() {
-        let mut rng = HmacDrbg::new(b"agg distinct", b"");
-        let keys: Vec<SecretKey> = (0..3).map(|_| SecretKey::generate(&mut rng)).collect();
-        let messages: [&[u8]; 3] = [b"alpha", b"beta", b"gamma"];
-        let sigs: Vec<Signature> = keys.iter().zip(&messages).map(|(k, m)| k.sign(m)).collect();
-        let agg = Signature::aggregate(&sigs).unwrap();
-        let pairs: Vec<(PublicKey, &[u8])> = keys
-            .iter()
-            .zip(&messages)
-            .map(|(k, m)| (k.public_key(), *m))
-            .collect();
-        assert!(verify_aggregate_distinct(&pairs, &agg));
-        // Swapping two messages breaks it.
-        let swapped: Vec<(PublicKey, &[u8])> = vec![
-            (keys[0].public_key(), messages[1]),
-            (keys[1].public_key(), messages[0]),
-            (keys[2].public_key(), messages[2]),
-        ];
-        assert!(!verify_aggregate_distinct(&swapped, &agg));
-        // Dropping a signer breaks it.
-        assert!(!verify_aggregate_distinct(&pairs[..2], &agg));
-        // Duplicate messages rejected outright.
-        let dup: Vec<(PublicKey, &[u8])> = vec![
-            (keys[0].public_key(), b"same".as_slice()),
-            (keys[1].public_key(), b"same".as_slice()),
-        ];
-        assert!(!verify_aggregate_distinct(&dup, &agg));
-        // Empty set rejected.
-        assert!(!verify_aggregate_distinct(&[], &agg));
+    fn derived_key_and_signature_are_pinned() {
+        let hex = |bytes: &[u8]| -> String { bytes.iter().map(|b| format!("{b:02x}")).collect() };
+        let sk = SecretKey::derive(b"bls pinned vectors", b"pin");
+        let pk = sk.public_key();
+        let sig = sk.sign(b"one group law");
+        assert_eq!(hex(&pk.to_bytes()), "b7597f0543dee3cff2ed47bf275046cf9f5c7b47ef47d5e77f4f20d0c02aba474b112ba45ccda00536334005eba8fdcf034afd8734af5234acf25638a92e89c100822e2bd826a7dd9edcf8629063672adcf52f470e1357d415a0ed6ab301c4dc");
+        assert_eq!(hex(&sig.to_bytes()), "a72f8693b0c39a4850dfe91fe60150be150f7eeb3b90816a37d08b947b0dbf9ef495dad0213a8d06d13e9ebfdf5a2462");
+        assert!(pk.verify(b"one group law", &sig));
     }
 
     #[test]

@@ -47,6 +47,17 @@ prime_field!(
 );
 
 impl Fp {
+    /// `1/2 = (p + 1)/2`, in Montgomery form: a constant of the field
+    /// rather than an inversion wherever it is used.
+    pub(crate) const HALF: Self = Self([
+        0x1804_0000_0001_5554,
+        0x8550_0005_3ab0_0001,
+        0x633c_b57c_253c_276f,
+        0x6e22_d1ec_31eb_b502,
+        0xd391_6126_f2d1_4ca2,
+        0x17fb_b857_1a00_6596,
+    ]);
+
     /// Square root for `p ≡ 3 (mod 4)`: `x^{(p+1)/4}`, validated by squaring.
     pub fn sqrt(&self) -> Option<Self> {
         // (p + 1) / 4 == (p - 3) / 4 + 1, computed once from the modulus
@@ -87,6 +98,12 @@ mod tests {
     fn r3_is_r2_times_r2_in_montgomery_form() {
         let r3 = crate::limbs::mont_mul(&Fp::R2, &Fp::R2, &Fp::MODULUS, Fp::INV);
         assert_eq!(Fp::R3, r3);
+    }
+
+    #[test]
+    fn half_is_the_inverse_of_two() {
+        assert_eq!(Fp::HALF.double(), Fp::ONE);
+        assert_eq!(Fp::from_u64(2).invert(), Some(Fp::HALF));
     }
 
     fn arb_fp() -> impl Strategy<Value = Fp> {

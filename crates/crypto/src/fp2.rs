@@ -144,37 +144,32 @@ impl Fp2 {
         res
     }
 
-    /// Square root in Fp2 (used when decompressing G2 points).
-    ///
-    /// Uses the generic algorithm for `p ≡ 3 (mod 4)`: compute
-    /// `a1 = x^{(p-3)/4}`, then check the two candidate branches.
+    /// Square root in Fp2 (used when decompressing G2 points), by the norm
+    /// method. `x = c0 + c1·u` is a square exactly when its norm
+    /// `c0² + c1²` is a square `α²` in Fp; a root is then `δ + c1/(2δ)·u`
+    /// for `δ² = (c0 ± α)/2`, with the sign of `α` for which that has a
+    /// root. When neither sign gives a non-zero `δ` (`c1 = 0` and `c0` a
+    /// non-square), the root is `√(−c0)·u`. Every candidate is checked by
+    /// squaring.
     pub fn sqrt(&self) -> Option<Self> {
         if self.is_zero() {
             return Some(*self);
         }
-        // x^((p^2 + 7) / 16) does not apply here; use the simple approach:
-        // candidate = x^((p^2+7)/16)... Instead, exploit the norm map:
-        // write x = c0 + c1 u; a square root exists iff norm(x) is a QR in Fp.
-        // alpha = sqrt(norm) ; then solve delta^2 = (c0 + alpha)/2.
         let norm = self.c0.square().add(&self.c1.square());
         let alpha = norm.sqrt()?;
-        let two_inv = Fp::from_u64(2).invert().expect("2 != 0");
-        // Try both ±alpha.
         for a in [alpha, alpha.neg()] {
-            let delta2 = self.c0.add(&a).mul(&two_inv);
+            let delta2 = self.c0.add(&a).mul(&Fp::HALF);
             if let Some(delta) = delta2.sqrt() {
                 if delta.is_zero() {
                     continue;
                 }
-                // c1 = 2 * delta * d1 → d1 = c1 / (2 delta)
-                let d1 = self.c1.mul(&two_inv).mul(&delta.invert()?);
+                let d1 = self.c1.mul(&Fp::HALF).mul(&delta.invert()?);
                 let cand = Self { c0: delta, c1: d1 };
                 if cand.square() == *self {
                     return Some(cand);
                 }
             }
         }
-        // Handle c1 == 0 with c0 a non-residue: sqrt is purely imaginary.
         if self.c1.is_zero() {
             if let Some(root) = self.c0.neg().sqrt() {
                 let cand = Self {

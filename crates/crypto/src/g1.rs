@@ -1,7 +1,9 @@
 //! `G1` — the order-`r` subgroup of `E(Fp): y² = x³ + 4`.
 //!
-//! Points use Jacobian projective coordinates internally
-//! (`x = X/Z²`, `y = Y/Z³`, infinity encoded as `Z = 0`).
+//! The group law, the ladder and the compressed encoding are
+//! [`crate::curve`]'s, shared with G2. What is G1's own is here: its `b`
+//! and generator, Scott's subgroup test, hashing to G1, and the
+//! multi-scalar kernel every multiplication of a point of G1 runs on.
 //!
 //! There is one multiplication path per kind of point:
 //!
@@ -54,6 +56,7 @@
 //! that table exactly as they indexed the unspaced one: the same kind of
 //! dependence, on shorter NAFs.
 
+use crate::curve::{self, sealed::Sealed, Affine, BaseField, Projective};
 use crate::fp::Fp;
 use crate::fr::Fr;
 use crate::limbs;
@@ -344,32 +347,36 @@ impl G1Table {
     }
 }
 
-/// Affine G1 point (or the point at infinity).
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct G1Affine {
-    pub x: Fp,
-    pub y: Fp,
-    pub infinity: bool,
+impl Sealed for Fp {}
+
+/// `Fp` under the group law of [`crate::curve`], with `b = 4`.
+impl BaseField for Fp {
+    curve::forward_to_inherent!(Fp);
+    /// `4` in Montgomery form (`4·R mod p`).
+    const B: Self = Fp([
+        0xaa27_0000_000c_fff3,
+        0x53cc_0032_fc34_000a,
+        0x478f_e97a_6b0a_807f,
+        0xb1d3_7ebe_e6ba_24d7,
+        0x8ec9_733b_bf78_ab2f,
+        0x09d6_4551_3d83_de7e,
+    ]);
+
+    fn write_be(&self, out: &mut [u8]) {
+        out.copy_from_slice(&self.to_bytes_be());
+    }
+    fn read_be(bytes: &[u8]) -> Option<Self> {
+        Fp::from_bytes_be(bytes.try_into().ok()?)
+    }
 }
+
+/// Affine G1 point (or the point at infinity).
+pub type G1Affine = Affine<Fp>;
 
 /// Jacobian-projective G1 point.
-#[derive(Clone, Copy, Debug)]
-pub struct G1Projective {
-    pub x: Fp,
-    pub y: Fp,
-    pub z: Fp,
-}
+pub type G1Projective = Projective<Fp>;
 
 impl G1Affine {
-    /// The point at infinity.
-    pub const fn identity() -> Self {
-        Self {
-            x: Fp::ZERO,
-            y: Fp::ZERO,
-            infinity: true,
-        }
-    }
-
     /// The standard generator of G1.
     pub fn generator() -> Self {
         Self {
@@ -391,16 +398,6 @@ impl G1Affine {
             ]),
             infinity: false,
         }
-    }
-
-    /// Curve membership: `y² == x³ + 4` (or infinity).
-    pub fn is_on_curve(&self) -> bool {
-        if self.infinity {
-            return true;
-        }
-        let y2 = self.y.square();
-        let x3_plus_b = self.x.square().mul(&self.x).add(&Fp::from_u64(4));
-        y2 == x3_plus_b
     }
 
     /// `φ(x, y) = (βx, y)` for a cube root of unity `β`: a curve
@@ -430,15 +427,6 @@ impl G1Affine {
             .is_identity()
     }
 
-    /// Negation.
-    pub fn neg(&self) -> Self {
-        Self {
-            x: self.x,
-            y: self.y.neg(),
-            infinity: self.infinity,
-        }
-    }
-
     /// `P + T` for `T = (0, 2)`, a point of order 3: for `P ∈ G1`, on the
     /// curve and outside G1. The pairing does not see `T` (a point of order
     /// prime to `r` lies in `r·E(Fp)`, where the reduced pairing is
@@ -456,22 +444,10 @@ impl G1Affine {
         shifted
     }
 
-    /// Compressed encoding: 48 bytes, big-endian `x` with flag bits in the
-    /// top three bits of the first byte (`0x80` = compressed, `0x40` =
-    /// infinity, `0x20` = `y` odd). Self-consistent within this workspace.
+    /// Compressed encoding: 48 bytes, big-endian `x` under the flag bits
+    /// of [`crate::curve`]. Self-consistent within this workspace.
     pub fn to_compressed(&self) -> [u8; 48] {
-        if self.infinity {
-            let mut out = [0u8; 48];
-            out[0] = 0x80 | 0x40;
-            return out;
-        }
-        let mut out = self.x.to_bytes_be();
-        debug_assert_eq!(out[0] & 0xe0, 0, "x fits in 381 bits");
-        out[0] |= 0x80;
-        if self.y.is_odd() {
-            out[0] |= 0x20;
-        }
-        out
+        self.compress()
     }
 
     /// Decodes a compressed point of G1: [`Self::from_compressed_unchecked`]
@@ -490,203 +466,14 @@ impl G1Affine {
     /// point breaks the precondition of the kernel's tables (see the
     /// module header): their sum is some curve point, not `Σ kᵢ·Pᵢ`.
     pub fn from_compressed_unchecked(bytes: &[u8; 48]) -> Option<Self> {
-        let flags = bytes[0] & 0xe0;
-        if flags & 0x80 == 0 {
-            return None; // not marked compressed
-        }
-        if flags & 0x40 != 0 {
-            // Infinity has one encoding: no sign bit, all-zero body.
-            let mut body = *bytes;
-            body[0] &= 0x1f;
-            if flags & 0x20 != 0 || body.iter().any(|&b| b != 0) {
-                return None;
-            }
-            return Some(Self::identity());
-        }
-        let mut xb = *bytes;
-        xb[0] &= 0x1f;
-        let x = Fp::from_bytes_be(&xb)?;
-        let y2 = x.square().mul(&x).add(&Fp::from_u64(4));
-        let mut y = y2.sqrt()?;
-        if y.is_odd() != (flags & 0x20 != 0) {
-            y = y.neg();
-        }
-        Some(Self {
-            x,
-            y,
-            infinity: false,
-        })
+        Self::decompress(bytes)
     }
 }
-
-impl From<G1Affine> for G1Projective {
-    fn from(p: G1Affine) -> Self {
-        if p.infinity {
-            G1Projective::identity()
-        } else {
-            G1Projective {
-                x: p.x,
-                y: p.y,
-                z: Fp::ONE,
-            }
-        }
-    }
-}
-
-impl From<G1Projective> for G1Affine {
-    fn from(p: G1Projective) -> Self {
-        p.to_affine()
-    }
-}
-
-impl PartialEq for G1Projective {
-    fn eq(&self, other: &Self) -> bool {
-        // (X1, Y1, Z1) ~ (X2, Y2, Z2) iff X1 Z2² == X2 Z1² and Y1 Z2³ == Y2 Z1³.
-        let self_inf = self.is_identity();
-        let other_inf = other.is_identity();
-        if self_inf || other_inf {
-            return self_inf == other_inf;
-        }
-        let z1z1 = self.z.square();
-        let z2z2 = other.z.square();
-        self.x.mul(&z2z2) == other.x.mul(&z1z1)
-            && self.y.mul(&z2z2.mul(&other.z)) == other.y.mul(&z1z1.mul(&self.z))
-    }
-}
-impl Eq for G1Projective {}
 
 impl G1Projective {
-    /// The point at infinity.
-    pub const fn identity() -> Self {
-        Self {
-            x: Fp::ZERO,
-            y: Fp::ZERO,
-            z: Fp::ZERO,
-        }
-    }
-
     /// The standard generator.
     pub fn generator() -> Self {
         G1Affine::generator().into()
-    }
-
-    /// True for the point at infinity.
-    pub fn is_identity(&self) -> bool {
-        self.z.is_zero()
-    }
-
-    /// Converts to affine coordinates (one field inversion).
-    pub fn to_affine(&self) -> G1Affine {
-        if self.is_identity() {
-            return G1Affine::identity();
-        }
-        let z_inv = self.z.invert().expect("nonzero z");
-        let z_inv2 = z_inv.square();
-        G1Affine {
-            x: self.x.mul(&z_inv2),
-            y: self.y.mul(&z_inv2.mul(&z_inv)),
-            infinity: false,
-        }
-    }
-
-    /// Point doubling (Jacobian, a = 0).
-    pub fn double(&self) -> Self {
-        if self.is_identity() {
-            return *self;
-        }
-        let a = self.x.square();
-        let b = self.y.square();
-        let c = b.square();
-        let d = self.x.add(&b).square().sub(&a).sub(&c).double();
-        let e = a.double().add(&a);
-        let f = e.square();
-        let x3 = f.sub(&d.double());
-        let c8 = c.double().double().double();
-        let y3 = e.mul(&d.sub(&x3)).sub(&c8);
-        let z3 = self.y.mul(&self.z).double();
-        Self {
-            x: x3,
-            y: y3,
-            z: z3,
-        }
-    }
-
-    /// Point addition (Jacobian).
-    pub fn add(&self, rhs: &Self) -> Self {
-        if self.is_identity() {
-            return *rhs;
-        }
-        if rhs.is_identity() {
-            return *self;
-        }
-        let z1z1 = self.z.square();
-        let z2z2 = rhs.z.square();
-        let u1 = self.x.mul(&z2z2);
-        let u2 = rhs.x.mul(&z1z1);
-        let s1 = self.y.mul(&z2z2).mul(&rhs.z);
-        let s2 = rhs.y.mul(&z1z1).mul(&self.z);
-        if u1 == u2 {
-            if s1 == s2 {
-                return self.double();
-            }
-            return Self::identity();
-        }
-        let h = u2.sub(&u1);
-        let i = h.double().square();
-        let j = h.mul(&i);
-        let r = s2.sub(&s1).double();
-        let v = u1.mul(&i);
-        let x3 = r.square().sub(&j).sub(&v.double());
-        let y3 = r.mul(&v.sub(&x3)).sub(&s1.mul(&j).double());
-        let z3 = self.z.add(&rhs.z).square().sub(&z1z1).sub(&z2z2).mul(&h);
-        Self {
-            x: x3,
-            y: y3,
-            z: z3,
-        }
-    }
-
-    /// Mixed addition with an affine point (`Z₂ = 1`: 11 field
-    /// multiplications against [`Self::add`]'s 16).
-    pub fn add_affine(&self, rhs: &G1Affine) -> Self {
-        if rhs.infinity {
-            return *self;
-        }
-        if self.is_identity() {
-            return (*rhs).into();
-        }
-        let z1z1 = self.z.square();
-        let u2 = rhs.x.mul(&z1z1);
-        let s2 = rhs.y.mul(&self.z).mul(&z1z1);
-        if self.x == u2 {
-            if self.y == s2 {
-                return self.double();
-            }
-            return Self::identity();
-        }
-        let h = u2.sub(&self.x);
-        let hh = h.square();
-        let i = hh.double().double();
-        let j = h.mul(&i);
-        let r = s2.sub(&self.y).double();
-        let v = self.x.mul(&i);
-        let x3 = r.square().sub(&j).sub(&v.double());
-        let y3 = r.mul(&v.sub(&x3)).sub(&self.y.mul(&j).double());
-        let z3 = self.z.add(&h).square().sub(&z1z1).sub(&hh);
-        Self {
-            x: x3,
-            y: y3,
-            z: z3,
-        }
-    }
-
-    /// Negation.
-    pub fn neg(&self) -> Self {
-        Self {
-            x: self.x,
-            y: self.y.neg(),
-            z: self.z,
-        }
     }
 
     /// `Σ kᵢ·Pᵢ` over tabled points `Pᵢ` (of G1, by the tables'
@@ -760,32 +547,10 @@ impl G1Projective {
             if p.is_identity() {
                 continue;
             }
-            let z_inv = inverse.mul(&before[i]);
+            affine[i] = p.affine_with(&inverse.mul(&before[i]));
             inverse = inverse.mul(&p.z);
-            let z_inv2 = z_inv.square();
-            affine[i] = G1Affine {
-                x: p.x.mul(&z_inv2),
-                y: p.y.mul(&z_inv2.mul(&z_inv)),
-                infinity: false,
-            };
         }
         affine
-    }
-
-    /// Scalar multiplication of **any curve point** by a little-endian
-    /// limb integer, one bit at a time. Cofactor clearing and the subgroup
-    /// test need it because their inputs are not in G1 (yet); everything
-    /// else calls the kernel, whose tests use this as their oracle.
-    pub fn mul_limbs(&self, k: &[u64]) -> Self {
-        let mut acc = Self::identity();
-        let nbits = k.len() * 64;
-        for i in (0..nbits).rev() {
-            acc = acc.double();
-            if (k[i / 64] >> (i % 64)) & 1 == 1 {
-                acc = acc.add(self);
-            }
-        }
-        acc
     }
 
     /// `[u²]P` for the curve parameter `u`: two 64-bit ladders.
@@ -845,7 +610,7 @@ pub fn hash_to_g1(msg: &[u8], dst: &[u8]) -> G1Projective {
         let Some(x) = Fp::from_bytes_be(&xb) else {
             continue;
         };
-        let y2 = x.square().mul(&x).add(&Fp::from_u64(4));
+        let y2 = curve::x3_plus_b(&x);
         if !y2.is_square() {
             continue;
         }
@@ -882,7 +647,7 @@ mod tests {
     fn random_curve_point(rng: &mut HmacDrbg) -> G1Projective {
         loop {
             let x = Fp::random(rng);
-            if let Some(y) = x.square().mul(&x).add(&Fp::from_u64(4)).sqrt() {
+            if let Some(y) = curve::x3_plus_b(&x).sqrt() {
                 let y = if rng.next_u32() & 1 == 1 { y.neg() } else { y };
                 return G1Projective { x, y, z: Fp::ONE };
             }

@@ -1,55 +1,50 @@
 //! `G2` — the order-`r` subgroup of `E'(Fp2): y² = x³ + 4(u + 1)`.
 //!
-//! Same Jacobian representation and variable-time conventions as
-//! [`crate::g1`].
+//! The group law, the ladder and the compressed encoding are
+//! [`crate::curve`]'s, shared with G1. What is G2's own is here: its `b`
+//! and generator, the byte order of its encoding (`x.c1 ‖ x.c0`), and its
+//! subgroup test, `[r]P == O` on the ladder. Its scalar multiplication is
+//! that ladder too: G2 points are multiplied only to deal and check
+//! threshold keys. Nothing hashes to G2, so nothing clears its cofactor.
 
+use crate::curve::{self, sealed::Sealed, Affine, BaseField, Projective};
 use crate::fp::Fp;
 use crate::fp2::Fp2;
 use crate::fr::Fr;
 
-/// The G2 cofactor `h2` (508 bits), little-endian limbs.
-pub const COFACTOR: [u64; 8] = [
-    0xcf1c_38e3_1c72_38e5,
-    0x1616_ec6e_786f_0c70,
-    0x2153_7e29_3a66_91ae,
-    0xa628_f1cb_4d9e_82ef,
-    0xa68a_205b_2e5a_7ddf,
-    0xcd91_de45_4708_5aba,
-    0x091d_5079_2876_a202,
-    0x05d5_43a9_5414_e7f1,
-];
+impl Sealed for Fp2 {}
 
-/// `b' = 4(u + 1)`, the G2 curve constant.
-fn b2() -> Fp2 {
-    Fp2::new(Fp::from_u64(4), Fp::from_u64(4))
+/// `Fp2` under the group law of [`crate::curve`], with `b' = 4(u + 1)`.
+impl BaseField for Fp2 {
+    curve::forward_to_inherent!(Fp2);
+    /// `4 + 4u`.
+    const B: Self = Fp2 {
+        c0: <Fp as BaseField>::B,
+        c1: <Fp as BaseField>::B,
+    };
+
+    /// `x.c1 ‖ x.c0`, 48 bytes each.
+    fn write_be(&self, out: &mut [u8]) {
+        let (c1, c0) = out.split_at_mut(48);
+        c1.copy_from_slice(&self.c1.to_bytes_be());
+        c0.copy_from_slice(&self.c0.to_bytes_be());
+    }
+    fn read_be(bytes: &[u8]) -> Option<Self> {
+        let (c1, c0) = bytes.split_at_checked(48)?;
+        Some(Fp2::new(
+            Fp::from_bytes_be(c0.try_into().ok()?)?,
+            Fp::from_bytes_be(c1.try_into().ok()?)?,
+        ))
+    }
 }
 
 /// Affine G2 point (or the point at infinity).
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct G2Affine {
-    pub x: Fp2,
-    pub y: Fp2,
-    pub infinity: bool,
-}
+pub type G2Affine = Affine<Fp2>;
 
 /// Jacobian-projective G2 point.
-#[derive(Clone, Copy, Debug)]
-pub struct G2Projective {
-    pub x: Fp2,
-    pub y: Fp2,
-    pub z: Fp2,
-}
+pub type G2Projective = Projective<Fp2>;
 
 impl G2Affine {
-    /// The point at infinity.
-    pub const fn identity() -> Self {
-        Self {
-            x: Fp2::ZERO,
-            y: Fp2::ZERO,
-            infinity: true,
-        }
-    }
-
     /// The standard generator of G2.
     pub fn generator() -> Self {
         Self {
@@ -93,16 +88,6 @@ impl G2Affine {
         }
     }
 
-    /// Curve membership: `y² == x³ + 4(u+1)` (or infinity).
-    pub fn is_on_curve(&self) -> bool {
-        if self.infinity {
-            return true;
-        }
-        let y2 = self.y.square();
-        let rhs = self.x.square().mul(&self.x).add(&b2());
-        y2 == rhs
-    }
-
     /// Subgroup membership: `[r]P == O`. Variable time.
     pub fn is_torsion_free(&self) -> bool {
         G2Projective::from(*self)
@@ -110,230 +95,28 @@ impl G2Affine {
             .is_identity()
     }
 
-    /// Negation.
-    pub fn neg(&self) -> Self {
-        Self {
-            x: self.x,
-            y: self.y.neg(),
-            infinity: self.infinity,
-        }
-    }
-
-    /// Compressed encoding: 96 bytes — big-endian `x.c1 || x.c0` with flag
-    /// bits in the top three bits of the first byte (`0x80` compressed,
-    /// `0x40` infinity, `0x20` sign of `y`).
+    /// Compressed encoding: 96 bytes, big-endian `x.c1 ‖ x.c0` under the
+    /// flag bits of [`crate::curve`].
     pub fn to_compressed(&self) -> [u8; 96] {
-        let mut out = [0u8; 96];
-        if self.infinity {
-            out[0] = 0x80 | 0x40;
-            return out;
-        }
-        out[..48].copy_from_slice(&self.x.c1.to_bytes_be());
-        out[48..].copy_from_slice(&self.x.c0.to_bytes_be());
-        debug_assert_eq!(out[0] & 0xe0, 0);
-        out[0] |= 0x80;
-        if self.y.is_odd() {
-            out[0] |= 0x20;
-        }
-        out
+        self.compress()
     }
 
     /// Decodes a compressed point, enforcing canonical encoding, curve
     /// membership, and r-torsion membership.
     pub fn from_compressed(bytes: &[u8; 96]) -> Option<Self> {
-        let flags = bytes[0] & 0xe0;
-        if flags & 0x80 == 0 {
-            return None;
-        }
-        if flags & 0x40 != 0 {
-            // Infinity has one encoding: no sign bit, all-zero body.
-            let mut body = *bytes;
-            body[0] &= 0x1f;
-            if flags & 0x20 != 0 || body.iter().any(|&b| b != 0) {
-                return None;
-            }
-            return Some(Self::identity());
-        }
-        let mut c1b = [0u8; 48];
-        c1b.copy_from_slice(&bytes[..48]);
-        c1b[0] &= 0x1f;
-        let mut c0b = [0u8; 48];
-        c0b.copy_from_slice(&bytes[48..]);
-        let x = Fp2::new(Fp::from_bytes_be(&c0b)?, Fp::from_bytes_be(&c1b)?);
-        let y2 = x.square().mul(&x).add(&b2());
-        let mut y = y2.sqrt()?;
-        if y.is_odd() != (flags & 0x20 != 0) {
-            y = y.neg();
-        }
-        let point = Self {
-            x,
-            y,
-            infinity: false,
-        };
-        if point.is_torsion_free() {
-            Some(point)
-        } else {
-            None
-        }
+        Self::decompress(bytes).filter(Self::is_torsion_free)
     }
 }
-
-impl From<G2Affine> for G2Projective {
-    fn from(p: G2Affine) -> Self {
-        if p.infinity {
-            G2Projective::identity()
-        } else {
-            G2Projective {
-                x: p.x,
-                y: p.y,
-                z: Fp2::ONE,
-            }
-        }
-    }
-}
-
-impl From<G2Projective> for G2Affine {
-    fn from(p: G2Projective) -> Self {
-        p.to_affine()
-    }
-}
-
-impl PartialEq for G2Projective {
-    fn eq(&self, other: &Self) -> bool {
-        let self_inf = self.is_identity();
-        let other_inf = other.is_identity();
-        if self_inf || other_inf {
-            return self_inf == other_inf;
-        }
-        let z1z1 = self.z.square();
-        let z2z2 = other.z.square();
-        self.x.mul(&z2z2) == other.x.mul(&z1z1)
-            && self.y.mul(&z2z2.mul(&other.z)) == other.y.mul(&z1z1.mul(&self.z))
-    }
-}
-impl Eq for G2Projective {}
 
 impl G2Projective {
-    /// The point at infinity.
-    pub const fn identity() -> Self {
-        Self {
-            x: Fp2::ZERO,
-            y: Fp2::ZERO,
-            z: Fp2::ZERO,
-        }
-    }
-
     /// The standard generator.
     pub fn generator() -> Self {
         G2Affine::generator().into()
     }
 
-    /// True for the point at infinity.
-    pub fn is_identity(&self) -> bool {
-        self.z.is_zero()
-    }
-
-    /// Converts to affine coordinates.
-    pub fn to_affine(&self) -> G2Affine {
-        if self.is_identity() {
-            return G2Affine::identity();
-        }
-        let z_inv = self.z.invert().expect("nonzero z");
-        let z_inv2 = z_inv.square();
-        G2Affine {
-            x: self.x.mul(&z_inv2),
-            y: self.y.mul(&z_inv2.mul(&z_inv)),
-            infinity: false,
-        }
-    }
-
-    /// Point doubling (Jacobian, a = 0).
-    pub fn double(&self) -> Self {
-        if self.is_identity() {
-            return *self;
-        }
-        let a = self.x.square();
-        let b = self.y.square();
-        let c = b.square();
-        let d = self.x.add(&b).square().sub(&a).sub(&c).double();
-        let e = a.double().add(&a);
-        let f = e.square();
-        let x3 = f.sub(&d.double());
-        let c8 = c.double().double().double();
-        let y3 = e.mul(&d.sub(&x3)).sub(&c8);
-        let z3 = self.y.mul(&self.z).double();
-        Self {
-            x: x3,
-            y: y3,
-            z: z3,
-        }
-    }
-
-    /// Point addition (Jacobian).
-    pub fn add(&self, rhs: &Self) -> Self {
-        if self.is_identity() {
-            return *rhs;
-        }
-        if rhs.is_identity() {
-            return *self;
-        }
-        let z1z1 = self.z.square();
-        let z2z2 = rhs.z.square();
-        let u1 = self.x.mul(&z2z2);
-        let u2 = rhs.x.mul(&z1z1);
-        let s1 = self.y.mul(&z2z2).mul(&rhs.z);
-        let s2 = rhs.y.mul(&z1z1).mul(&self.z);
-        if u1 == u2 {
-            if s1 == s2 {
-                return self.double();
-            }
-            return Self::identity();
-        }
-        let h = u2.sub(&u1);
-        let i = h.double().square();
-        let j = h.mul(&i);
-        let r = s2.sub(&s1).double();
-        let v = u1.mul(&i);
-        let x3 = r.square().sub(&j).sub(&v.double());
-        let y3 = r.mul(&v.sub(&x3)).sub(&s1.mul(&j).double());
-        let z3 = self.z.add(&rhs.z).square().sub(&z1z1).sub(&z2z2).mul(&h);
-        Self {
-            x: x3,
-            y: y3,
-            z: z3,
-        }
-    }
-
-    /// Negation.
-    pub fn neg(&self) -> Self {
-        Self {
-            x: self.x,
-            y: self.y.neg(),
-            z: self.z,
-        }
-    }
-
-    /// Scalar multiplication by a field scalar.
+    /// Scalar multiplication by a field scalar, on the ladder.
     pub fn mul_scalar(&self, k: &Fr) -> Self {
         self.mul_limbs(&k.to_canonical_limbs())
-    }
-
-    /// Scalar multiplication by an arbitrary little-endian limb integer.
-    pub fn mul_limbs(&self, k: &[u64]) -> Self {
-        let mut acc = Self::identity();
-        let nbits = k.len() * 64;
-        for i in (0..nbits).rev() {
-            acc = acc.double();
-            if (k[i / 64] >> (i % 64)) & 1 == 1 {
-                acc = acc.add(self);
-            }
-        }
-        acc
-    }
-
-    /// Multiplies by the G2 cofactor.
-    pub fn clear_cofactor(&self) -> Self {
-        self.mul_limbs(&COFACTOR)
     }
 
     /// Samples a random subgroup element.
@@ -384,6 +167,25 @@ mod tests {
         let a = Fr::random(&mut rng);
         let b = Fr::random(&mut rng);
         assert_eq!(g.mul_scalar(&a).mul_scalar(&b), g.mul_scalar(&a.mul(&b)));
+    }
+
+    /// The compressed bytes of `G2`, `[2]G2` and `[r − 1]G2 = −G2`, recorded
+    /// before the group law moved into [`crate::curve`]: encoding, doubling
+    /// and the ladder, pinned bit for bit.
+    #[test]
+    fn encodings_are_pinned() {
+        let hex = |p: G2Projective| -> String {
+            p.to_affine()
+                .to_compressed()
+                .iter()
+                .map(|b| format!("{b:02x}"))
+                .collect()
+        };
+        let g = G2Projective::generator();
+        let r_minus_1 = crate::limbs::sub_small(&Fr::MODULUS, 1);
+        assert_eq!(hex(g), "93e02b6052719f607dacd3a088274f65596bd0d09920b61ab5da61bbdc7f5049334cf11213945d57e5ac7d055d042b7e024aa2b2f08f0a91260805272dc51051c6e47ad4fa403b02b4510b647ae3d1770bac0326a805bbefd48056c8c121bdb8");
+        assert_eq!(hex(g.double()), "aa4edef9c1ed7f729f520e47730a124fd70662a904ba1074728114d1031e1572c6c886f6b57ec72a6178288c47c335771638533957d540a9d2370f17cc7ed5863bc0b995b8825e0ee1ea1e1e4d00dbae81f14b0bf3611b78c952aacab827a053");
+        assert_eq!(hex(g.mul_limbs(&r_minus_1)), "b3e02b6052719f607dacd3a088274f65596bd0d09920b61ab5da61bbdc7f5049334cf11213945d57e5ac7d055d042b7e024aa2b2f08f0a91260805272dc51051c6e47ad4fa403b02b4510b647ae3d1770bac0326a805bbefd48056c8c121bdb8");
     }
 
     #[test]
@@ -456,22 +258,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn cofactor_clearing_lands_in_subgroup() {
-        // Build an arbitrary point of E'(Fp2) (not necessarily in G2) by
-        // sampling x until x³ + b is square, then clear the cofactor.
-        let mut rng = HmacDrbg::new(b"g2", b"cofactor");
-        let point = loop {
-            let x = Fp2::random(&mut rng);
-            let y2 = x.square().mul(&x).add(&b2());
-            if let Some(y) = y2.sqrt() {
-                break G2Projective { x, y, z: Fp2::ONE };
-            }
-        };
-        let cleared = point.clear_cofactor();
-        assert!(cleared.to_affine().is_on_curve());
-        assert!(cleared.mul_limbs(&Fr::MODULUS).is_identity());
     }
 }

@@ -11,9 +11,12 @@
 //! * [`hmac`] — HMAC-SHA256 + HKDF (sealing keys, nonce derivation).
 //! * [`drbg`] — HMAC-DRBG (deterministic randomness, RFC 6979-style nonces).
 //! * [`fp`]/[`fr`]/[`fp2`]/[`fp6`]/[`fp12`] — the BLS12-381 field tower.
-//! * [`g1`]/[`g2`] — curve groups with compressed encodings and hash-to-curve.
+//! * [`curve`] — one group law for both curves: Jacobian points, the
+//!   ladder and the compressed encoding, generic over the base field.
+//! * [`g1`]/[`g2`] — the two groups on it: generators, subgroup tests,
+//!   G1's multi-scalar kernel and hash-to-curve.
 //! * [`mod@pairing`] — the optimal ate pairing.
-//! * [`bls`] — BLS signatures (sign/verify/aggregate, proofs of possession).
+//! * [`bls`] — BLS signatures (sign/verify, keys prepared for many checks).
 //! * [`threshold`] — Shamir sharing over `Fr`, Feldman VSS, threshold BLS.
 //! * [`gf256`] — byte-oriented Shamir secret sharing (key backup payloads).
 //! * [`schnorr`] — Schnorr signatures over G1 (developer update keys, vendor
@@ -27,6 +30,7 @@
 //! has never been audited. Do not reuse for production secrets.
 
 pub mod bls;
+pub mod curve;
 pub mod drbg;
 pub(crate) mod field;
 pub mod fp;
@@ -53,5 +57,5 @@ pub use fp::Fp;
 pub use fr::Fr;
 pub use g1::{hash_to_g1, G1Affine, G1Projective};
 pub use g2::{G2Affine, G2Projective};
-pub use pairing::{multi_pairing, pairing, pairing_equality, G2Prepared, Gt};
+pub use pairing::{pairing, pairing_equality, G2Prepared, Gt};
 pub use sha256::{sha256, sha256_many, Digest};

@@ -13,8 +13,8 @@
 //! accumulator, squared once per bit of `x`, multiplied by every pair's
 //! line at that step. A product of `k` pairings therefore costs 63 `Fp12`
 //! squarings and one final exponentiation, not `63·k` and `k` — and
-//! [`pairing`], [`multi_pairing`] and [`pairing_equality`] are that loop
-//! over one, `k` and two pairs.
+//! [`pairing`] and [`pairing_equality`] are that loop over one and two
+//! pairs.
 //!
 //! Two tables are kept rather than rebuilt per check:
 //!
@@ -336,18 +336,6 @@ pub fn pairing(p: &G1Affine, q: &G2Affine) -> Gt {
     final_exponentiation(&miller_loop(&[(p, &prepared(q))]))
 }
 
-/// Computes `∏ e(p_i, q_i)` with a shared Miller loop and final
-/// exponentiation — the shape used by batched signature verification.
-pub fn multi_pairing(pairs: &[(G1Affine, G2Affine)]) -> Gt {
-    let tables: Vec<_> = pairs.iter().map(|(_, q)| prepared(q)).collect();
-    let pairs: Vec<_> = pairs
-        .iter()
-        .zip(&tables)
-        .map(|((p, _), q)| (p, q.as_ref()))
-        .collect();
-    final_exponentiation(&miller_loop(&pairs))
-}
-
 /// Checks `e(a1, a2) == e(b1, b2)` using the product trick:
 /// `e(a1, a2)·e(-b1, b2) == 1`. One Miller loop, one final exponentiation;
 /// the G2 sides come prepared, so a point checked against many times is
@@ -412,7 +400,9 @@ mod tests {
             let expected = pairs
                 .iter()
                 .fold(Gt::IDENTITY, |acc, (p, q)| acc.mul(&reference_pairing(p, q)));
-            prop_assert_eq!(multi_pairing(&pairs), expected);
+            let tables: Vec<_> = pairs.iter().map(|(_, q)| prepared(q)).collect();
+            let loop_pairs: Vec<_> = pairs.iter().zip(&tables).map(|((p, _), q)| (p, q.as_ref())).collect();
+            prop_assert_eq!(final_exponentiation(&miller_loop(&loop_pairs)), expected);
             let (p, q) = &pairs[0];
             prop_assert_eq!(pairing(p, q), reference_pairing(p, q));
             if let [(a1, a2), (b1, b2), ..] = pairs.as_slice() {
@@ -509,10 +499,9 @@ mod tests {
         let (g1, g2) = (G1Affine::generator(), G2Affine::generator());
         let before = final_exponentiations();
         pairing(&g1, &g2);
-        multi_pairing(&[(g1, g2), (g1, g2), (g1, g2)]);
         let g2 = G2Prepared::generator();
         assert!(pairing_equality(&g1, g2, &g1, g2));
-        assert_eq!(final_exponentiations() - before, 3);
+        assert_eq!(final_exponentiations() - before, 2);
     }
 
     #[test]
@@ -579,17 +568,6 @@ mod tests {
         let e = pairing(&G1Affine::generator(), &G2Affine::generator());
         let e_r = Gt(e.0.pow_vartime(&Fr::MODULUS));
         assert!(e_r.is_identity(), "GT elements have order dividing r");
-    }
-
-    #[test]
-    fn multi_pairing_matches_product() {
-        let mut rng = HmacDrbg::new(b"pairing", b"multi");
-        let p1 = G1Projective::random(&mut rng).to_affine();
-        let p2 = G1Projective::random(&mut rng).to_affine();
-        let q = G2Affine::generator();
-        let combined = multi_pairing(&[(p1, q), (p2, q)]);
-        let separate = pairing(&p1, &q).mul(&pairing(&p2, &q));
-        assert_eq!(combined, separate);
     }
 
     #[test]

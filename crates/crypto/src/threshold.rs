@@ -378,6 +378,19 @@ mod tests {
         generate(t, n, &mut rng).expect("valid parameters")
     }
 
+    /// The group key of a fixed-seed deal, recorded before the group law
+    /// moved into [`crate::curve`].
+    #[test]
+    fn a_seeded_group_key_is_pinned() {
+        let hex: String = setup(3, 5, b"pinned group key")
+            .public_key
+            .to_bytes()
+            .iter()
+            .map(|b| format!("{b:02x}"))
+            .collect();
+        assert_eq!(hex, "a62e373af26e09135859a17cc07128343733cba843ecd6eb00d2484924c37f7bc6df10b2357ec1bcf67d5c701b23f4511866c83af12dfd01e9b750430c001aa764f9f94a4816c37c1cb2396773c7bc1356cd81f7cd5e79061c26aafdb5973bad");
+    }
+
     #[test]
     fn rejects_bad_parameters() {
         let mut rng = HmacDrbg::new(b"params", b"");

@@ -89,6 +89,10 @@ struct Writer {
     written: u64,
     /// Total leaves appended.
     entries: u64,
+    /// A failed write could not be taken back: the active segment may
+    /// hold bytes past `written`, so nothing more is written to it until
+    /// the store is reopened and recovery repairs its tail.
+    unrepaired: bool,
 }
 
 struct MetaWriter {
@@ -153,6 +157,40 @@ impl DurableStore {
         writer.file = Some(file);
         Ok(())
     }
+
+    /// Writes `bytes` at the end of the active segment and makes them
+    /// durable with `sync`. The caller moves the cursor only once this
+    /// returns `Ok`. On an error the segment is cut back to `written`
+    /// through its path and the handle dropped, so the next write reopens
+    /// it where the last durable record ends; if the cut fails too, the
+    /// store refuses every write from then on
+    /// ([`StoreError::UnrepairedWrite`]).
+    fn write_synced(
+        &self,
+        writer: &mut Writer,
+        bytes: &[u8],
+        sync: fn(&File) -> std::io::Result<()>,
+    ) -> Result<(), StoreError> {
+        if writer.unrepaired {
+            return Err(StoreError::UnrepairedWrite);
+        }
+        self.ensure_active(writer)?;
+        let file = writer
+            .file
+            .as_mut()
+            .ok_or(StoreError::Corrupt("no active segment"))?;
+        let Err(error) = file.write_all(bytes).and_then(|()| sync(file)) else {
+            return Ok(());
+        };
+        writer.file = None;
+        let path = segment_path(&self.opts.dir, writer.segment_index);
+        let cut = OpenOptions::new()
+            .write(true)
+            .open(path)
+            .and_then(|file| file.set_len(writer.written).and_then(|()| file.sync_all()));
+        writer.unrepaired = cut.is_err();
+        Err(error.into())
+    }
 }
 
 /// The chain's segment indices found in the directory, sorted. A segment
@@ -186,6 +224,7 @@ fn position_tail(dir: &Path, segments: &[u64]) -> Result<Writer, StoreError> {
         segment_start,
         written,
         entries,
+        unrepaired: false,
     };
     let Some(&last) = segments.last() else {
         return Ok(at(0, 0, 0, 0, None));
@@ -248,19 +287,11 @@ impl LogStore for DurableStore {
                 got: index,
             });
         }
-        self.ensure_active(&mut writer)?;
         let mut buf = Vec::with_capacity(leaf.len() + 32);
         encode_record(REC_LEAF, &encode_leaf_payload(index, leaf), &mut buf);
-        let file = writer
-            .file
-            .as_mut()
-            .ok_or(StoreError::Corrupt("no active segment"))?;
-        file.write_all(&buf)?;
+        self.write_synced(&mut writer, &buf, File::sync_data)?;
         writer.written += buf.len() as u64;
         writer.entries += 1;
-        if let Some(file) = writer.file.as_mut() {
-            file.sync_data()?;
-        }
         Ok(AppendAck {
             wants_checkpoint: writer.written >= self.opts.segment_bytes,
         })
@@ -274,15 +305,11 @@ impl LogStore for DurableStore {
                 got: size,
             });
         }
-        if writer.file.is_none() {
+        if writer.written == 0 {
             // Nothing appended since the last seal; no segment to seal.
             return Ok(());
         }
         let offset = writer.written;
-        let file = writer
-            .file
-            .as_mut()
-            .ok_or(StoreError::Corrupt("no active segment"))?;
         let mut buf = Vec::new();
         encode_record(
             REC_CHECKPOINT,
@@ -290,8 +317,7 @@ impl LogStore for DurableStore {
             &mut buf,
         );
         buf.extend_from_slice(&encode_trailer(offset));
-        file.write_all(&buf)?;
-        file.sync_all()?;
+        self.write_synced(&mut writer, &buf, File::sync_all)?;
         // Rotate: the next append opens a fresh segment.
         writer.file = None;
         writer.segment_index += 1;
@@ -649,6 +675,118 @@ mod tests {
         assert_eq!(recovered.meta.len(), 2);
         store.append_meta(3, b"third").unwrap();
         assert_eq!(store.recover().unwrap().meta.len(), 3);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A handle on which writes succeed and syncs fail: `fdatasync` and
+    /// `fsync` on `/dev/null` return `EINVAL` on Linux.
+    fn unsyncable() -> File {
+        OpenOptions::new().write(true).open("/dev/null").unwrap()
+    }
+
+    /// Puts `bytes` at the end of the active segment through a handle of
+    /// its own: what a write that reached the page cache and then failed
+    /// to sync leaves behind.
+    fn leave_in_active_segment(store: &DurableStore, bytes: &[u8]) {
+        let segment = store.writer.lock_healthy().segment_index;
+        let path = segment_path(&store.opts.dir, segment);
+        let mut file = OpenOptions::new().append(true).open(path).unwrap();
+        file.write_all(bytes).unwrap();
+    }
+
+    /// A leaf whose sync fails is not taken: the store takes its index
+    /// again, and a reopened store recovers exactly the acknowledged
+    /// leaves, with no torn tail.
+    #[test]
+    fn a_failed_append_leaves_no_trace() {
+        let dir = tempdir("failed-append");
+        let store = DurableStore::open(opts(&dir, 1 << 20)).unwrap();
+        store.recover().unwrap();
+        store.append(0, b"acked-0").unwrap();
+        let mut lost = Vec::new();
+        encode_record(REC_LEAF, &encode_leaf_payload(1, b"lost"), &mut lost);
+        leave_in_active_segment(&store, &lost);
+        store.writer.lock_healthy().file = Some(unsyncable());
+        assert!(matches!(store.append(1, b"lost"), Err(StoreError::Io(_))));
+        store.append(1, b"acked-1").unwrap();
+        store.append(2, b"acked-2").unwrap();
+        drop(store);
+        let store = DurableStore::open(opts(&dir, 1 << 20)).unwrap();
+        let recovered = store.recover().unwrap();
+        assert_eq!(recovered.leaves, [&b"acked-0"[..], b"acked-1", b"acked-2"]);
+        assert!(!recovered.torn);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A checkpoint whose sync fails seals nothing: the next leaf goes
+    /// into the same segment, the checkpoint is taken again, and a
+    /// reopened store recovers exactly the acknowledged leaves and that
+    /// checkpoint.
+    #[test]
+    fn a_failed_checkpoint_leaves_no_trace() {
+        let dir = tempdir("failed-checkpoint");
+        // Every append fills the segment.
+        let store = DurableStore::open(opts(&dir, 1)).unwrap();
+        store.recover().unwrap();
+        let mut mirror = MerkleLog::new();
+        let leaves: [&[u8]; 3] = [b"acked-0", b"acked-1", b"acked-2"];
+        assert!(store.append(0, leaves[0]).unwrap().wants_checkpoint);
+        mirror.append(leaves[0]);
+        let mut lost = Vec::new();
+        let edge = mirror.right_edge();
+        encode_record(
+            REC_CHECKPOINT,
+            &encode_checkpoint_payload(1, &edge),
+            &mut lost,
+        );
+        lost.extend_from_slice(&encode_trailer(store.writer.lock_healthy().written));
+        leave_in_active_segment(&store, &lost);
+        store.writer.lock_healthy().file = Some(unsyncable());
+        assert!(matches!(store.checkpoint(1, &edge), Err(StoreError::Io(_))));
+        assert!(store.append(1, leaves[1]).unwrap().wants_checkpoint);
+        mirror.append(leaves[1]);
+        store.checkpoint(2, &mirror.right_edge()).unwrap();
+        store.append(2, leaves[2]).unwrap();
+        drop(store);
+        assert_eq!(list_segments(&dir).unwrap(), [0, 1]);
+        let store = DurableStore::open(opts(&dir, 1)).unwrap();
+        let recovered = store.recover().unwrap();
+        assert_eq!(recovered.leaves, leaves);
+        assert!(!recovered.torn);
+        let (size, edge) = recovered.checkpoint.expect("the retried checkpoint");
+        assert_eq!(size, 2);
+        let mut at_seal = MerkleLog::new();
+        for leaf in &leaves[..2] {
+            at_seal.append(leaf);
+        }
+        assert_eq!(edge, at_seal.right_edge());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// When the failed write cannot be cut away either — here its segment
+    /// is gone — the store refuses every write by name until reopened.
+    #[test]
+    fn a_failed_write_that_cannot_be_cut_stops_all_writes() {
+        let dir = tempdir("unrepaired");
+        let store = DurableStore::open(opts(&dir, 1 << 20)).unwrap();
+        store.recover().unwrap();
+        store.append(0, b"acked-0").unwrap();
+        std::fs::remove_file(segment_path(&dir, 0)).unwrap();
+        store.writer.lock_healthy().file = Some(unsyncable());
+        assert!(matches!(store.append(1, b"lost"), Err(StoreError::Io(_))));
+        assert!(matches!(
+            store.append(1, b"refused"),
+            Err(StoreError::UnrepairedWrite)
+        ));
+        let edge = [crate::merkle::leaf_hash(b"acked-0")];
+        assert!(matches!(
+            store.checkpoint(1, &edge),
+            Err(StoreError::UnrepairedWrite)
+        ));
+        drop(store);
+        let store = DurableStore::open(opts(&dir, 1 << 20)).unwrap();
+        store.recover().unwrap();
+        store.append(0, b"after reopen").unwrap();
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -57,6 +57,12 @@ pub enum StoreError {
         /// Index the caller presented.
         got: u64,
     },
+    /// A write failed and the bytes it may have left in the active
+    /// segment could not be cut away, so the store takes no more writes:
+    /// the next leaf would follow them, and a boot would read them as a
+    /// torn tail and truncate that leaf with them. Reopening the store
+    /// repairs the tail.
+    UnrepairedWrite,
     /// Recovered signed checkpoints describe a longer log than the store
     /// recovered. Serving from the shorter log would equivocate against
     /// the domain's own signatures, so boot refuses instead.
@@ -82,6 +88,10 @@ impl core::fmt::Display for StoreError {
             Self::IndexMismatch { expected, got } => {
                 write!(f, "append at index {got}, store expects {expected}")
             }
+            Self::UnrepairedWrite => f.write_str(
+                "a failed write could not be cut from the active segment; \
+                 the store takes no more writes until it is reopened",
+            ),
             Self::LostSignedHistory { signed, recovered } => write!(
                 f,
                 "signed history covers {signed} entries but only {recovered} were recovered; \
