@@ -26,12 +26,14 @@
 //! ([`G1Projective::multi_scalar`]); the guest walks one signed digit at a
 //! time, 7 469 crossings per signature on `e2e`'s share (8 694 with the
 //! binary double-and-add before it). `e2e`'s `sandbox.overhead_pct`
-//! (traced `share_single`) reads a median ≈ 163 % (≈ 215 % with the
-//! binary ladder), not the paper's 46 %. Much of that gap is the
-//! algorithm: the host side of the crossings alone (field operations and
-//! dispatch, `crypto.host_us_per_sign`) reads about twice native's whole
-//! signature. The guest's own split is left until `e2e` stops keeping
-//! every reply (ROADMAP 1(c)).
+//! (traced `share_single`) reads a median ≈ 99 % (≈ 146 % before a host
+//! call with constant operands became one interpreter step and the field
+//! imports computed in place, ≈ 215 % with the binary ladder), not the
+//! paper's 46 %. Much of that gap is the algorithm: the host side of the
+//! crossings alone (field operations and dispatch,
+//! `crypto.host_us_per_sign`) reads about twice native's whole signature.
+//! The guest's own split is left until `e2e` stops keeping every reply
+//! (ROADMAP 1(c)).
 //!
 //! The client verifies what it returns, not what it receives: it
 //! aggregates the first `t` partials that parse and checks the *aggregate*
@@ -302,7 +304,10 @@ pub fn signer_module() -> Module {
 
 /// Host-side state for one trust domain: its key share, recoded for the
 /// ladder, and the field registers the guest computes in. Nothing here
-/// grows with use.
+/// grows with use. A field import reads its source registers and writes
+/// its destination in place, in the register file; a register number is
+/// checked as an index, and the refusal's words are built only for a
+/// number past the file.
 pub struct SignerHost {
     index: u8,
     share_naf: Naf<256>,
@@ -319,22 +324,40 @@ impl SignerHost {
         }
     }
 
-    /// Reads register `r`; the guest chooses `r`, so it is checked.
-    fn reg(&self, r: u64) -> Result<Fp, String> {
-        let slot = usize::try_from(r).ok().and_then(|r| self.regs.get(r));
-        slot.copied()
-            .ok_or_else(|| format!("field register {r} out of range"))
-    }
-
-    /// Writes register `dst`, checked like [`Self::reg`].
-    fn set(&mut self, dst: u64, v: Fp) -> Result<Vec<u64>, String> {
-        let slot = usize::try_from(dst)
-            .ok()
-            .and_then(|dst| self.regs.get_mut(dst))
-            .ok_or_else(|| format!("field register {dst} out of range"))?;
-        *slot = v;
+    /// Writes `op` of source registers `srcs` to register `dst`, reading
+    /// and writing the register file in place. The guest chooses every
+    /// register, so each is checked, the sources first.
+    fn field<const N: usize>(
+        &mut self,
+        dst: u64,
+        srcs: [u64; N],
+        op: impl FnOnce([&Fp; N]) -> Fp,
+    ) -> Result<Vec<u64>, String> {
+        let mut at = [0; N];
+        for (slot, r) in at.iter_mut().zip(srcs) {
+            *slot = field_register(r).ok_or_else(|| out_of_range(r))?;
+        }
+        let dst = field_register(dst).ok_or_else(|| out_of_range(dst))?;
+        self.regs[dst] = op(at.map(|r| &self.regs[r]));
         Ok(Vec::new())
     }
+
+    /// Register `r`'s value, checked like [`Self::field`]'s.
+    fn read(&self, r: u64) -> Result<&Fp, String> {
+        field_register(r)
+            .map(|r| &self.regs[r])
+            .ok_or_else(|| out_of_range(r))
+    }
+}
+
+/// The slot of field register `r`, if the file has one.
+fn field_register(r: u64) -> Option<usize> {
+    usize::try_from(r).ok().filter(|&r| r < reg::COUNT)
+}
+
+/// The words register `r` is refused with.
+fn out_of_range(r: u64) -> String {
+    format!("field register {r} out of range")
 }
 
 /// The width-2 NAF (digits `0` and `±1`, at most 256 of them) the ladder
@@ -365,18 +388,15 @@ impl AppHost for SignerHost {
         // decision tree on length and bytes, and this runs about 7 500 times
         // per signature.
         match (name.as_bytes(), args) {
-            (b"fp.sq", &[dst, a]) => self.set(dst, self.reg(a)?.square()),
-            (b"fp.mul", &[dst, a, b]) => self.set(dst, self.reg(a)?.mul(&self.reg(b)?)),
-            (b"fp.add", &[dst, a, b]) => self.set(dst, self.reg(a)?.add(&self.reg(b)?)),
-            (b"fp.sub", &[dst, a, b]) => self.set(dst, self.reg(a)?.sub(&self.reg(b)?)),
-            (b"fp.dbl", &[dst, a]) => self.set(dst, self.reg(a)?.double()),
-            (b"fp.tpl", &[dst, a]) => {
-                let a = self.reg(a)?;
-                self.set(dst, a.double().add(&a))
-            }
-            (b"fp.one", &[dst]) => self.set(dst, Fp::ONE),
-            (b"fp.mov", &[dst, a]) => self.set(dst, self.reg(a)?),
-            (b"fp.is_zero", &[a]) => Ok(vec![self.reg(a)?.is_zero() as u64]),
+            (b"fp.sq", &[dst, a]) => self.field(dst, [a], |[a]| a.square()),
+            (b"fp.mul", &[dst, a, b]) => self.field(dst, [a, b], |[a, b]| a.mul(b)),
+            (b"fp.add", &[dst, a, b]) => self.field(dst, [a, b], |[a, b]| a.add(b)),
+            (b"fp.sub", &[dst, a, b]) => self.field(dst, [a, b], |[a, b]| a.sub(b)),
+            (b"fp.dbl", &[dst, a]) => self.field(dst, [a], |[a]| a.double()),
+            (b"fp.tpl", &[dst, a]) => self.field(dst, [a], |[a]| a.double().add(a)),
+            (b"fp.one", &[dst]) => self.field(dst, [], |[]| Fp::ONE),
+            (b"fp.mov", &[dst, a]) => self.field(dst, [a], |[a]| *a),
+            (b"fp.is_zero", &[a]) => Ok(vec![self.read(a)?.is_zero() as u64]),
             (b"bls.share_digit", &[i]) => {
                 let digit = usize::try_from(i)
                     .ok()
@@ -387,14 +407,14 @@ impl AppHost for SignerHost {
             (b"bls.hash_msg", &[addr, len]) => {
                 let msg = memory.read(addr, len).map_err(|e| e.to_string())?;
                 let h = hash_to_g1(msg, distrust_crypto::bls::MSG_DST).to_affine();
-                self.set(reg::BASE_X, h.x)?;
-                self.set(reg::BASE_Y, h.y)
+                self.field(reg::BASE_X, [], |[]| h.x)?;
+                self.field(reg::BASE_Y, [], |[]| h.y)
             }
             (b"bls.emit", &[x, y, z]) => {
                 let point = G1Projective {
-                    x: self.reg(x)?,
-                    y: self.reg(y)?,
-                    z: self.reg(z)?,
+                    x: *self.read(x)?,
+                    y: *self.read(y)?,
+                    z: *self.read(z)?,
                 };
                 let bytes = point.to_affine().to_compressed();
                 memory
@@ -901,6 +921,86 @@ mod tests {
         for i in [256u64, 257, 1 << 32, u64::MAX] {
             let digit = host.call("bls.share_digit", &[i], &mut inst.memory);
             assert!(digit.is_err(), "digit {i}");
+        }
+    }
+
+    /// What the host refuses, it refuses by the words it always has: a
+    /// register one past the file or at `u64::MAX`, as a source or as the
+    /// destination, and a field import named with the wrong argument
+    /// count. Each refusal, made by a guest, is a trap that leaves the
+    /// instance signing correctly.
+    #[test]
+    fn refused_registers_and_arities_trap_and_signing_goes_on() {
+        use distrust_core::abi::HostAdapter;
+        use distrust_sandbox::{Export, Function, ImportSig, Trap};
+        let mut rng = HmacDrbg::new(b"signer tests", b"refusals");
+        let share = threshold::generate(1, 1, &mut rng).unwrap().shares[0];
+        let mut module = signer_module();
+        let import = |name: &str, params: u16| {
+            module
+                .imports
+                .iter()
+                .position(|i| i.name == name && i.params == params)
+        };
+        let (mul, sq, one, is_zero) = (
+            import("fp.mul", 3).unwrap() as u16,
+            import("fp.sq", 2).unwrap() as u16,
+            import("fp.one", 1).unwrap() as u16,
+            import("fp.is_zero", 1).unwrap() as u16,
+        );
+        let mul_of_two = module.imports.len() as u16;
+        module.imports.push(ImportSig {
+            name: "fp.mul".into(),
+            params: 2,
+            returns: 0,
+        });
+        let past = reg::COUNT as u64;
+        let refusal = |r: u64| format!("field register {r} out of range");
+        assert_eq!(refusal(past), "field register 14 out of range");
+        let cases: [(Vec<u64>, u16, String); 7] = [
+            (vec![past, 0, 1], mul, refusal(past)),
+            (vec![0, past, 1], mul, refusal(past)),
+            (vec![0, 1, u64::MAX], mul, refusal(u64::MAX)),
+            (vec![u64::MAX, 0], sq, refusal(u64::MAX)),
+            (vec![past], one, refusal(past)),
+            (vec![past], is_zero, refusal(past)),
+            (
+                vec![0, 1],
+                mul_of_two,
+                r#"unknown import "fp.mul" with 2 arguments"#.into(),
+            ),
+        ];
+        for (i, (args, import, _)) in cases.iter().enumerate() {
+            let mut code: Vec<Instr> = args.iter().map(|&a| Instr::Const(a)).collect();
+            code.extend([Instr::HostCall(*import), Instr::Return]);
+            module.exports.push(Export {
+                name: format!("case {i}"),
+                function: module.functions.len() as u32,
+            });
+            module.functions.push(Function {
+                params: 0,
+                locals: 0,
+                returns: 0,
+                code,
+            });
+        }
+        let names = import_names(&module);
+        let mut inst = Instance::new(module, Limits::default()).unwrap();
+        let mut host = SignerHost::new(share);
+        for (i, (args, import, refusal)) in cases.iter().enumerate() {
+            let name = &names[*import as usize];
+            let direct = host.call(name, args, &mut inst.memory);
+            assert_eq!(direct, Err(refusal.clone()), "case {i}");
+            let mut adapter = HostAdapter::new(&names, &mut host);
+            let trapped = inst.invoke(&format!("case {i}"), &[], &mut adapter);
+            assert_eq!(trapped, Err(Trap::Host(refusal.clone())), "case {i}");
+            let message = format!("after case {i}");
+            let guest = sign_in_sandbox(&mut inst, &names, &mut host, message.as_bytes());
+            assert_eq!(
+                guest,
+                Ok(sign_native(&share, message.as_bytes())),
+                "case {i}"
+            );
         }
     }
 

@@ -95,8 +95,14 @@ struct Writer {
     unrepaired: bool,
 }
 
+/// The meta log's write cursor: its handle, opened on the first append,
+/// and what `Writer` keeps of a segment.
 struct MetaWriter {
     file: Option<File>,
+    /// Bytes of `meta.dlog` that hold its header and acknowledged records.
+    written: u64,
+    /// As `Writer::unrepaired`, for `meta.dlog`.
+    unrepaired: bool,
 }
 
 /// Segment-file implementation of [`LogStore`]. See the module docs for
@@ -119,7 +125,11 @@ impl DurableStore {
         Ok(Self {
             opts,
             writer: HealthyMutex::new(writer),
-            meta: HealthyMutex::new(MetaWriter { file: None }),
+            meta: HealthyMutex::new(MetaWriter {
+                file: None,
+                written: 0,
+                unrepaired: false,
+            }),
         })
     }
 
@@ -159,12 +169,8 @@ impl DurableStore {
     }
 
     /// Writes `bytes` at the end of the active segment and makes them
-    /// durable with `sync`. The caller moves the cursor only once this
-    /// returns `Ok`. On an error the segment is cut back to `written`
-    /// through its path and the handle dropped, so the next write reopens
-    /// it where the last durable record ends; if the cut fails too, the
-    /// store refuses every write from then on
-    /// ([`StoreError::UnrepairedWrite`]).
+    /// durable with `sync`, by [`write_or_cut_back`]. The caller moves the
+    /// cursor only once this returns `Ok`.
     fn write_synced(
         &self,
         writer: &mut Writer,
@@ -175,22 +181,44 @@ impl DurableStore {
             return Err(StoreError::UnrepairedWrite);
         }
         self.ensure_active(writer)?;
-        let file = writer
-            .file
-            .as_mut()
-            .ok_or(StoreError::Corrupt("no active segment"))?;
-        let Err(error) = file.write_all(bytes).and_then(|()| sync(file)) else {
-            return Ok(());
-        };
-        writer.file = None;
         let path = segment_path(&self.opts.dir, writer.segment_index);
-        let cut = OpenOptions::new()
-            .write(true)
-            .open(path)
-            .and_then(|file| file.set_len(writer.written).and_then(|()| file.sync_all()));
-        writer.unrepaired = cut.is_err();
-        Err(error.into())
+        write_or_cut_back(
+            &mut writer.file,
+            &mut writer.unrepaired,
+            &path,
+            writer.written,
+            bytes,
+            sync,
+        )
     }
+}
+
+/// Writes `bytes` at the end of the open `file` at `path` and makes them
+/// durable with `sync`. On an error the handle is dropped and the file cut
+/// back to `durable` bytes through its path, so that the next write
+/// reopens it where the last durable record ends, not after a partial one
+/// a later boot would truncate together with everything behind it. If the
+/// cut fails too, `unrepaired` is set, and its owner refuses every write
+/// from then on ([`StoreError::UnrepairedWrite`]).
+fn write_or_cut_back(
+    file: &mut Option<File>,
+    unrepaired: &mut bool,
+    path: &Path,
+    durable: u64,
+    bytes: &[u8],
+    sync: fn(&File) -> std::io::Result<()>,
+) -> Result<(), StoreError> {
+    let handle = file.as_mut().ok_or(StoreError::Corrupt("no open file"))?;
+    let Err(error) = handle.write_all(bytes).and_then(|()| sync(handle)) else {
+        return Ok(());
+    };
+    *file = None;
+    let cut = OpenOptions::new()
+        .write(true)
+        .open(path)
+        .and_then(|file| file.set_len(durable).and_then(|()| file.sync_all()));
+    *unrepaired = cut.is_err();
+    Err(error.into())
 }
 
 /// The chain's segment indices found in the directory, sorted. A segment
@@ -333,8 +361,11 @@ impl LogStore for DurableStore {
 
     fn append_meta(&self, kind: u8, payload: &[u8]) -> Result<(), StoreError> {
         let mut meta = self.meta.lock_healthy();
+        if meta.unrepaired {
+            return Err(StoreError::UnrepairedWrite);
+        }
+        let path = meta_path(&self.opts.dir);
         if meta.file.is_none() {
-            let path = meta_path(&self.opts.dir);
             let mut file = OpenOptions::new()
                 .read(true)
                 .write(true)
@@ -348,26 +379,33 @@ impl LogStore for DurableStore {
             };
             let scanned = scan_meta(&bytes);
             if scanned.valid_len == 0 {
+                let header = encode_meta_header();
                 file.set_len(0)?;
                 file.seek(SeekFrom::Start(0))?;
-                file.write_all(&encode_meta_header())?;
+                file.write_all(&header)?;
+                meta.written = header.len() as u64;
             } else {
                 if scanned.torn {
                     file.set_len(scanned.valid_len)?;
                 }
                 file.seek(SeekFrom::Start(scanned.valid_len))?;
+                meta.written = scanned.valid_len;
             }
             sync_dir(&self.opts.dir)?;
             meta.file = Some(file);
         }
-        let file = meta
-            .file
-            .as_mut()
-            .ok_or(StoreError::Corrupt("no meta log"))?;
         let mut buf = Vec::new();
         encode_record(kind, payload, &mut buf);
-        file.write_all(&buf)?;
-        file.sync_data()?;
+        let meta = &mut *meta;
+        write_or_cut_back(
+            &mut meta.file,
+            &mut meta.unrepaired,
+            &path,
+            meta.written,
+            &buf,
+            File::sync_data,
+        )?;
+        meta.written += buf.len() as u64;
         Ok(())
     }
 
@@ -787,6 +825,59 @@ mod tests {
         let store = DurableStore::open(opts(&dir, 1 << 20)).unwrap();
         store.recover().unwrap();
         store.append(0, b"after reopen").unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A meta record whose sync fails is not taken: the next record goes
+    /// where it would have, and a reopened store recovers exactly the
+    /// acknowledged records. When the failed record cannot be cut away
+    /// either — here `meta.dlog` is gone — every later meta append is
+    /// refused by name until the store is reopened.
+    #[test]
+    fn a_failed_meta_append_leaves_no_trace() {
+        let dir = tempdir("failed-meta-append");
+        let store = DurableStore::open(opts(&dir, 1 << 20)).unwrap();
+        store.recover().unwrap();
+        store.append_meta(1, b"acked-a").unwrap();
+        let mut lost = Vec::new();
+        encode_record(2, b"lost-b", &mut lost);
+        let mut file = OpenOptions::new()
+            .append(true)
+            .open(meta_path(&dir))
+            .unwrap();
+        file.write_all(&lost[..lost.len() - 3]).unwrap();
+        store.meta.lock_healthy().file = Some(unsyncable());
+        assert!(matches!(
+            store.append_meta(2, b"lost-b"),
+            Err(StoreError::Io(_))
+        ));
+        store.append_meta(3, b"acked-c").unwrap();
+        drop(store);
+        let store = DurableStore::open(opts(&dir, 1 << 20)).unwrap();
+        let recovered = store.recover().unwrap();
+        let meta: Vec<(u8, &[u8])> = recovered
+            .meta
+            .iter()
+            .map(|record| (record.kind, &record.payload[..]))
+            .collect();
+        assert_eq!(meta, [(1, &b"acked-a"[..]), (3, b"acked-c")]);
+
+        std::fs::remove_file(meta_path(&dir)).unwrap();
+        store.append_meta(4, b"opens").unwrap();
+        std::fs::remove_file(meta_path(&dir)).unwrap();
+        store.meta.lock_healthy().file = Some(unsyncable());
+        assert!(matches!(
+            store.append_meta(5, b"lost"),
+            Err(StoreError::Io(_))
+        ));
+        assert!(matches!(
+            store.append_meta(6, b"refused"),
+            Err(StoreError::UnrepairedWrite)
+        ));
+        drop(store);
+        let store = DurableStore::open(opts(&dir, 1 << 20)).unwrap();
+        store.recover().unwrap();
+        store.append_meta(7, b"after reopen").unwrap();
         let _ = std::fs::remove_dir_all(&dir);
     }
 
