@@ -149,15 +149,6 @@ impl BackupHost {
         self.records.len()
     }
 
-    /// **Compromise API**: everything an attacker who owns this domain
-    /// learns — used by the Figure 1 compromise test.
-    pub fn dump(&self) -> Vec<(u64, [u8; 32], Vec<u8>)> {
-        self.records
-            .iter()
-            .map(|(k, (h, s))| (*k, *h, s.clone()))
-            .collect()
-    }
-
     fn read_user_id(memory: &Memory, addr: u64) -> Result<u64, String> {
         let bytes = memory.read(addr, 8).map_err(|e| e.to_string())?;
         Ok(u64::from_le_bytes(bytes.try_into().expect("8 bytes")))

@@ -31,13 +31,12 @@ use distrust_gossip::evidence::EvidenceBundle;
 use distrust_log::batch::{CheckpointBundle, ProofBundle, MAX_BUNDLE_CHECKPOINTS};
 use distrust_log::checkpoint::{CheckpointBody, SignedCheckpoint};
 use distrust_log::merkle::PackedRecords;
-use distrust_log::store::{LogStore, MetaRecord, StorageConfig, StoreError};
+use distrust_log::store::{StorageConfig, StoreError};
 use distrust_log::ShardedLog;
 use distrust_sandbox::{Instance, Limits};
 use distrust_tee::enclave::Enclave;
 use distrust_wire::codec::{decode_seq, encode_seq, Decode, Encode};
 use std::collections::VecDeque;
-use std::sync::Arc;
 
 /// Meta-log record kinds — the framework's durable signed artifacts,
 /// persisted through [`ShardedLog::append_meta`] and replayed on boot so a
@@ -261,19 +260,6 @@ impl EnclaveFramework {
     /// persisted log and signed history. `enclave` is `None` for trust
     /// domain 0. With [`StorageConfig::Ephemeral`] this is infallible in
     /// practice and equivalent to the pre-durability constructor.
-    pub fn open(
-        config: FrameworkConfig,
-        enclave: Option<Enclave>,
-        checkpoint_key: SigningKey,
-        app_host: Box<dyn AppHost>,
-    ) -> Result<Self, StoreError> {
-        let opened = ShardedLog::open(config.log_shards as usize, &config.storage)?;
-        Self::resume(config, enclave, checkpoint_key, app_host, opened)
-    }
-
-    /// [`Self::open`] with an explicit store — the injection point for
-    /// restart tests that share one [`distrust_log::store::MemStore`]
-    /// across framework lifetimes.
     ///
     /// Recovery rebuilds the Merkle tree from persisted leaves, then
     /// replays the meta log: the genesis checkpoint, the signed epochs
@@ -284,34 +270,18 @@ impl EnclaveFramework {
     /// fsync hole or deleted segment) or diverges from it (`Corrupt`) —
     /// serving in either state would manufacture equivocation evidence
     /// against our own key.
-    pub fn open_with_store(
+    pub fn open(
         config: FrameworkConfig,
         enclave: Option<Enclave>,
         checkpoint_key: SigningKey,
         app_host: Box<dyn AppHost>,
-        store: Arc<dyn LogStore>,
     ) -> Result<Self, StoreError> {
-        let opened = ShardedLog::with_store(store)?;
-        Self::resume(config, enclave, checkpoint_key, app_host, opened)
-    }
-
-    fn resume(
-        config: FrameworkConfig,
-        enclave: Option<Enclave>,
-        checkpoint_key: SigningKey,
-        app_host: Box<dyn AppHost>,
-        (log, meta): (ShardedLog, Vec<MetaRecord>),
-    ) -> Result<Self, StoreError> {
-        if config.log_shards != 1 {
-            return Err(StoreError::ShardCountMismatch {
-                store: 1,
-                configured: config.log_shards as usize,
-            });
-        }
+        let (log, meta) = ShardedLog::open(config.log_shards as usize, &config.storage)?;
         let mut genesis = None;
         let mut notices = PackedRecords::default();
         let notice_records = meta.iter().filter(|r| r.kind == META_NOTICE);
         let (count, bytes) = notice_records.fold((0, 0), |(n, b), r| (n + 1, b + r.payload.len()));
+        // lint:allow(taint-alloc): sized from the notice records recovery has already read into memory, so it reserves at most what they take
         notices.reserve_exact(count, bytes);
         let mut locked = false;
         let mut recovered_version = 0u64;
@@ -383,11 +353,6 @@ impl EnclaveFramework {
         })
     }
 
-    /// True once a final release has locked this deployment.
-    pub fn is_locked(&self) -> bool {
-        self.locked
-    }
-
     /// Highest version this domain has accepted — from the running app or
     /// from recovered update notices (the instance itself does not
     /// survive a restart; the version floor must).
@@ -397,11 +362,6 @@ impl EnclaveFramework {
             .map(|a| a.manifest.version)
             .unwrap_or(0)
             .max(self.recovered_version)
-    }
-
-    /// Whether this domain has secure hardware.
-    pub fn is_attested(&self) -> bool {
-        self.enclave.is_some()
     }
 
     /// Current domain status snapshot.
@@ -470,12 +430,10 @@ impl EnclaveFramework {
         self.notices.push(&notice_wire);
         // Sign this epoch's checkpoint once, here — every BatchAudit until
         // the next update is served from it without touching the key. The
-        // log is fsynced FIRST: a signed head must never outrun durable
-        // history, or a crash between signing and syncing would turn this
-        // honest domain's restart into equivocation evidence.
-        self.log
-            .sync()
-            .map_err(|e| ReleaseError::LogAppend(e.to_string()))?;
+        // leaf was fsynced by the append above, before it entered the tree:
+        // a signed head never outruns durable history, so a crash after
+        // signing cannot turn this honest domain's restart into
+        // equivocation evidence.
         self.logical_time += 1;
         let (size, head) = self.log.head();
         let checkpoint = SignedCheckpoint::sign(
@@ -1033,9 +991,20 @@ mod tests {
         assert_eq!(auditor.latest(0).unwrap().body.size, 1);
     }
 
-    /// A framework over `store`, as a restart finds it.
-    fn open(store: Arc<dyn LogStore>, key: &[u8]) -> Result<EnclaveFramework, StoreError> {
-        EnclaveFramework::open_with_store(
+    /// A fresh directory for a durable framework; the caller removes it.
+    fn tempdir(tag: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!(
+            "distrust-framework-{tag}-{}-{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
+    /// A framework over the log in `dir`, as a restart finds it.
+    fn open(dir: &std::path::Path, key: &[u8]) -> Result<EnclaveFramework, StoreError> {
+        EnclaveFramework::open(
             FrameworkConfig {
                 domain_index: 0,
                 app_name: "counter".into(),
@@ -1043,12 +1012,11 @@ mod tests {
                 log_id: [7; 32],
                 limits: Limits::default(),
                 log_shards: 1,
-                storage: StorageConfig::Ephemeral,
+                storage: StorageConfig::Durable(distrust_log::DurableOptions::new(dir)),
             },
             None,
             SigningKey::derive(b"framework tests", key),
             Box::new(NoImports),
-            store,
         )
     }
 
@@ -1058,9 +1026,8 @@ mod tests {
     #[test]
     fn a_restart_recovers_the_ring_and_serves_a_client_behind_it() {
         use distrust_log::auditor::Auditor;
-        use distrust_log::store::MemStore;
-        let store: Arc<dyn LogStore> = Arc::new(MemStore::new());
-        let mut fw = open(Arc::clone(&store), b"checkpoint").unwrap();
+        let dir = tempdir("ring");
+        let mut fw = open(&dir, b"checkpoint").unwrap();
         let mut auditor = Auditor::new(vec![checkpoint_vk()]);
         let apply = |fw: &mut EnclaveFramework, versions: std::ops::RangeInclusive<u64>| {
             for version in versions {
@@ -1078,7 +1045,7 @@ mod tests {
         let notices = fw.handle(Request::GetNotices { since: 100 });
         drop(fw);
 
-        let mut fw = open(store, b"checkpoint").unwrap();
+        let mut fw = open(&dir, b"checkpoint").unwrap();
         assert_eq!(fw.epoch_checkpoints, ring);
         assert_eq!(fw.current_version(), 102);
         assert_eq!(fw.handle(Request::GetNotices { since: 100 }), notices);
@@ -1088,22 +1055,23 @@ mod tests {
         let outcome = auditor.observe_bundle(0, &bundle);
         assert!(outcome.is_consistent(), "{outcome:?}");
         assert_eq!(auditor.latest(0).unwrap().body.size, 102);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn boot_refuses_a_newest_head_its_own_key_did_not_sign() {
-        use distrust_log::store::MemStore;
-        let store: Arc<dyn LogStore> = Arc::new(MemStore::new());
-        let mut fw = open(Arc::clone(&store), b"checkpoint").unwrap();
+        let dir = tempdir("foreign-key");
+        let mut fw = open(&dir, b"checkpoint").unwrap();
         fw.apply_update(&release(1)).unwrap();
         drop(fw);
         // The same key resumes; any other key finds history it cannot
         // vouch for and must not serve.
-        assert!(open(Arc::clone(&store), b"checkpoint").is_ok());
+        assert!(open(&dir, b"checkpoint").is_ok());
         assert!(matches!(
-            open(store, b"another key"),
+            open(&dir, b"another key"),
             Err(StoreError::Corrupt(_))
         ));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

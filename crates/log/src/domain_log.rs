@@ -1,4 +1,5 @@
-//! A trust domain's log: one [`MerkleLog`] over one [`LogStore`] chain.
+//! A trust domain's log: one [`MerkleLog`], over one [`DurableStore`]
+//! chain when the log is durable.
 //!
 //! The tree lives in memory for proof generation; every leaf reaches the
 //! store first (write-ahead), so a restart replays the identical tree and
@@ -11,16 +12,17 @@
 //! has ever passed and refuses any other by name.
 
 use crate::merkle::{CompactRoot, MerkleLog};
-use crate::store::{open_store, LogStore, MetaRecord, NullStore, StorageConfig, StoreError};
+use crate::store::{DurableStore, MetaRecord, StorageConfig, StoreError};
 use distrust_crypto::sha256::Digest;
 use distrust_wire::sync::HealthyMutex;
-use std::sync::{Arc, MutexGuard};
+use std::sync::MutexGuard;
 
 /// An append-only Merkle log with its durable store underneath. See the
 /// module docs.
 pub struct ShardedLog {
     tree: HealthyMutex<MerkleLog>,
-    store: Arc<dyn LogStore>,
+    /// `None` for [`StorageConfig::Ephemeral`]: nothing persists.
+    store: Option<DurableStore>,
 }
 
 impl ShardedLog {
@@ -32,13 +34,20 @@ impl ShardedLog {
         assert_eq!(shards, 1, "a log is one tree");
         Self {
             tree: HealthyMutex::new(MerkleLog::new()),
-            store: Arc::new(NullStore),
+            store: None,
         }
     }
 
     /// Opens a log over the configured storage, recovering any persisted
     /// history. Returns the log plus the recovered framework meta records
     /// (signed checkpoints etc. — opaque to this layer).
+    ///
+    /// A durable log opens its [`DurableStore`], which runs the full
+    /// recovery: every persisted leaf is replayed into the in-memory tree,
+    /// and the recovered segment checkpoint is cross-checked against the
+    /// replayed tree — a checkpoint that does not reproduce its own subtree
+    /// roots means the store lied, and the open fails rather than serve a
+    /// divergent history.
     ///
     /// `shards` must be 1 ([`StoreError::ShardCountMismatch`] otherwise);
     /// the parameter exists until `e2e` stops naming it.
@@ -52,19 +61,10 @@ impl ShardedLog {
                 configured: shards,
             });
         }
-        Self::with_store(open_store(storage)?)
-    }
-
-    /// Opens a log over an explicit store (injection point for tests that
-    /// simulate restarts with a shared [`crate::store::MemStore`]).
-    ///
-    /// Runs the store's full recovery: every persisted leaf is replayed
-    /// into the in-memory tree, and the recovered segment checkpoint is
-    /// cross-checked against the replayed tree — a checkpoint that does
-    /// not reproduce its own subtree roots means the store lied, and the
-    /// open fails rather than serve a divergent history.
-    pub fn with_store(store: Arc<dyn LogStore>) -> Result<(Self, Vec<MetaRecord>), StoreError> {
-        let recovered = store.recover()?;
+        let StorageConfig::Durable(opts) = storage else {
+            return Ok((Self::new(1), Vec::new()));
+        };
+        let (store, recovered) = DurableStore::open(opts.clone())?;
         let mut tree = MerkleLog::new();
         let bytes = recovered.leaves.iter().map(Vec::len).sum();
         // lint:allow(taint-alloc): sized from the leaves recovery has already read into memory, so it reserves at most what they take
@@ -79,26 +79,20 @@ impl ShardedLog {
                 return Err(StoreError::Corrupt("recovered checkpoint root mismatch"));
             }
         }
-        Ok((
-            Self {
-                tree: HealthyMutex::new(tree),
-                store,
-            },
-            recovered.meta,
-        ))
-    }
-
-    /// Forces all pending appends to durable storage. Checkpoint signing
-    /// calls this first: a signed head must never outrun durable history,
-    /// or an honest crash would look like equivocation.
-    pub fn sync(&self) -> Result<(), StoreError> {
-        self.store.sync()
+        let log = Self {
+            tree: HealthyMutex::new(tree),
+            store: Some(store),
+        };
+        Ok((log, recovered.meta))
     }
 
     /// Appends a record to the framework meta log (signed checkpoints and
     /// notices — opaque bytes to this layer), durably.
     pub fn append_meta(&self, kind: u8, payload: &[u8]) -> Result<(), StoreError> {
-        self.store.append_meta(kind, payload)
+        match &self.store {
+            Some(store) => store.append_meta(kind, payload),
+            None => Ok(()),
+        }
     }
 
     /// Appends a leaf, returning its index.
@@ -107,8 +101,12 @@ impl ShardedLog {
     /// in-memory tree under the lock, so no acknowledged entry can be lost
     /// to a crash that the store survived. When the store signals a full
     /// segment, the tree's right-edge subtree roots are sealed in as a
-    /// checkpoint (the value the next boot holds its replayed tree
-    /// against) and the segment rotates.
+    /// checkpoint (the value the next boot holds its replayed tree against)
+    /// and the segment rotates. A failed rotation does not fail the append:
+    /// the leaf is already committed, and a caller that retried would log
+    /// it twice. The segment stays full, so the next append rotates again,
+    /// or is refused by name ([`StoreError::UnrepairedWrite`]) when the
+    /// failed write could not be cut away.
     ///
     /// `shard` must be 0 ([`StoreError::NoSuchShard`] otherwise); the
     /// parameter exists until `e2e` stops naming it.
@@ -118,11 +116,15 @@ impl ShardedLog {
         }
         let mut tree = self.tree.lock_healthy();
         let index = tree.len() as u64;
-        let ack = self.store.append(index, data)?;
+        let Some(store) = &self.store else {
+            tree.append(data);
+            return Ok(index);
+        };
+        let ack = store.append(index, data)?;
         tree.append(data);
         if ack.wants_checkpoint {
-            self.store
-                .checkpoint(tree.len() as u64, &tree.right_edge())?;
+            // The leaf is committed; a failed rotation is the next append's.
+            let _ = store.checkpoint(tree.len() as u64, &tree.right_edge());
         }
         Ok(index)
     }
@@ -152,7 +154,7 @@ impl ShardedLog {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::store::MemStore;
+    use crate::store::DurableOptions;
 
     #[test]
     fn the_log_is_the_tree() {
@@ -211,19 +213,69 @@ mod tests {
         let _ = ShardedLog::new(2);
     }
 
+    /// Options for a durable log in a fresh directory; the caller removes
+    /// it.
+    fn durable(tag: &str, segment_bytes: u64) -> DurableOptions {
+        let dir = std::env::temp_dir().join(format!(
+            "distrust-log-{tag}-{}-{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        DurableOptions { dir, segment_bytes }
+    }
+
+    #[test]
+    fn an_ephemeral_log_recovers_nothing() {
+        let (log, meta) = ShardedLog::open(1, &StorageConfig::Ephemeral).unwrap();
+        assert!(meta.is_empty());
+        log.append(0, b"leaf").unwrap();
+        log.append_meta(1, b"meta").unwrap();
+        drop(log);
+        let (log, meta) = ShardedLog::open(1, &StorageConfig::Ephemeral).unwrap();
+        assert_eq!(log.head().0, 0);
+        assert!(meta.is_empty());
+    }
+
     #[test]
     fn a_shared_store_replays_the_same_tree() {
-        let store: Arc<dyn LogStore> = Arc::new(MemStore::new());
-        let (log, meta) = ShardedLog::with_store(Arc::clone(&store)).unwrap();
+        let opts = durable("replay", 4 << 20);
+        let storage = StorageConfig::Durable(opts.clone());
+        let (log, meta) = ShardedLog::open(1, &storage).unwrap();
         assert!(meta.is_empty());
         log.append(0, b"one").unwrap();
         log.append(0, b"two").unwrap();
         log.append_meta(7, b"signed").unwrap();
         let head = log.head();
         drop(log);
-        let (log, meta) = ShardedLog::with_store(store).unwrap();
+        let (log, meta) = ShardedLog::open(1, &storage).unwrap();
         assert_eq!(log.head(), head);
         assert_eq!(meta.len(), 1);
         assert_eq!(log.append(0, b"three").unwrap(), 2);
+        let _ = std::fs::remove_dir_all(&opts.dir);
+    }
+
+    /// A rotation that fails after its leaf is durable and in the tree
+    /// leaves the append acknowledged; the next append seals the segment,
+    /// and a reopened log holds each leaf once.
+    #[test]
+    fn a_failed_rotation_does_not_fail_a_committed_append() {
+        // Every append fills its segment.
+        let opts = durable("failed-rotation", 1);
+        let storage = StorageConfig::Durable(opts.clone());
+        let (log, _) = ShardedLog::open(1, &storage).unwrap();
+        DurableStore::fail_next_checkpoint();
+        assert_eq!(log.append(0, b"zero").unwrap(), 0);
+        assert_eq!(log.append(0, b"one").unwrap(), 1);
+        let head = log.head();
+        drop(log);
+        let (_, recovered) = DurableStore::open(opts.clone()).unwrap();
+        assert_eq!(recovered.leaves, [&b"zero"[..], b"one"]);
+        assert!(!recovered.torn);
+        // The second append sealed the segment the first could not.
+        assert_eq!(recovered.checkpoint.map(|(size, _)| size), Some(2));
+        let (log, _) = ShardedLog::open(1, &storage).unwrap();
+        assert_eq!(log.head(), head);
+        let _ = std::fs::remove_dir_all(&opts.dir);
     }
 }

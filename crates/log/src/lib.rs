@@ -15,13 +15,13 @@
 //! across all `n` domains. [`batch`] amortises the audit hot path:
 //! multi-checkpoint proof bundles with deduplicated nodes and a
 //! verified-prefix cache so repeated audits never re-verify old history.
-//! [`store`] puts durability under all of it: a [`store::LogStore`] trait
-//! with an in-memory default and a segment-file implementation
-//! ([`store::DurableStore`]) whose write-ahead discipline and torn-tail
-//! recovery let a restarted domain resume the identical head instead of
-//! silently re-signing fresh history. [`domain_log`] is the two together —
-//! what one trust domain keeps: the tree a checkpoint signs `(len, root)`
-//! of, every leaf written to the store before it enters the tree.
+//! [`store`] puts durability under all of it: one segment-file store,
+//! [`store::DurableStore`], that recovers as it opens, and whose
+//! write-ahead discipline and torn-tail recovery let a restarted domain
+//! resume the identical head instead of silently re-signing fresh history.
+//! [`domain_log`] is the two together — what one trust domain keeps: the
+//! tree a checkpoint signs `(len, root)` of, every leaf of a durable log
+//! written to the store before it enters the tree.
 
 pub mod auditor;
 pub mod batch;
@@ -38,6 +38,5 @@ pub use checkpoint::{log_id, CheckpointBody, EquivocationProof, SignedCheckpoint
 pub use domain_log::ShardedLog;
 pub use merkle::{CompactRoot, ConsistencyProof, InclusionProof, MerkleLog, PackedRecords};
 pub use store::{
-    AppendAck, DurableOptions, DurableStore, LogStore, MemStore, MetaRecord, NullStore, Recovered,
-    StorageConfig, StoreError,
+    AppendAck, DurableOptions, DurableStore, MetaRecord, Recovered, StorageConfig, StoreError,
 };

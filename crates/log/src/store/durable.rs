@@ -17,20 +17,21 @@
 //! Writes follow a write-ahead discipline: the caller hands a leaf to
 //! [`DurableStore::append`] *before* inserting it into the in-memory
 //! Merkle tree, and the append `fsync`s before it returns, so no
-//! acknowledged leaf is lost in a crash ([`LogStore::sync`], which
-//! checkpoint signing calls first, has nothing left to flush). When the
-//! active segment exceeds
+//! acknowledged leaf is lost in a crash, and a head signed after it never
+//! outruns durable history. When the active segment exceeds
 //! `segment_bytes`, the append acks `wants_checkpoint` and the log layer
 //! calls [`DurableStore::checkpoint`] with the tree's right-edge subtree
 //! roots; the store writes the checkpoint record, a trailer pointing at
 //! it, fsyncs, and rotates to a fresh segment.
 //!
-//! **Recovery** ([`LogStore::recover`]) is the one way a log comes up: it
-//! scans every byte of every segment, validates CRCs and leaf-index
+//! **Recovery** is [`DurableStore::open`], the one way a store comes up,
+//! so no write can reach a store that has not been recovered: it scans
+//! every byte of every segment once, validates CRCs and leaf-index
 //! contiguity across the chain, truncates the first torn/corrupt record
-//! and everything after it, and returns the surviving leaves — the
-//! replayed tree then reports the exact pre-crash commitment (or a clean
-//! prefix of it). It also returns the newest sealed checkpoint record,
+//! and everything after it, places the write cursor where the surviving
+//! chain ends, and returns the surviving leaves — the replayed tree then
+//! reports the exact pre-crash commitment (or a clean prefix of it). It
+//! also returns the newest sealed checkpoint record,
 //! which nothing boots *from*: it is a stored value the log layer holds
 //! the replayed tree against, so a disk that hands back well-formed
 //! records of the wrong history is refused by name. The blind spots are
@@ -41,7 +42,7 @@ use super::segment::{
     encode_segment_header, encode_trailer, scan_meta, scan_segment, SegmentHeader, HEADER_LEN,
     REC_CHECKPOINT, REC_LEAF,
 };
-use super::{AppendAck, DurableOptions, LogStore, MetaRecord, Recovered, StoreError};
+use super::{AppendAck, DurableOptions, MetaRecord, Recovered, StoreError};
 use distrust_crypto::sha256::Digest;
 use distrust_wire::sync::HealthyMutex;
 use std::fs::{File, OpenOptions};
@@ -105,7 +106,7 @@ struct MetaWriter {
     unrepaired: bool,
 }
 
-/// Segment-file implementation of [`LogStore`]. See the module docs for
+/// The segment-file store under a durable log. See the module docs for
 /// the format and recovery.
 pub struct DurableStore {
     opts: DurableOptions,
@@ -114,15 +115,15 @@ pub struct DurableStore {
 }
 
 impl DurableStore {
-    /// Opens (creating if needed) the store under `opts.dir`. Positions
-    /// the write cursor by examining only the chain's last segment; full
-    /// validation and repair happen in [`LogStore::recover`], which
-    /// `ShardedLog::with_store` always calls before the first append.
-    pub fn open(opts: DurableOptions) -> Result<Self, StoreError> {
+    /// Opens (creating if needed) the store under `opts.dir` and recovers
+    /// it: one scan of the segment chain and of the meta log repairs their
+    /// torn tails, places the write cursor where the chain ends, and
+    /// returns what survived.
+    pub fn open(opts: DurableOptions) -> Result<(Self, Recovered), StoreError> {
         std::fs::create_dir_all(&opts.dir)?;
-        let segments = list_segments(&opts.dir)?;
-        let writer = position_tail(&opts.dir, &segments)?;
-        Ok(Self {
+        let (writer, mut recovered) = recover_chain(&opts.dir)?;
+        recovered.meta = recover_meta(&opts.dir)?;
+        let store = Self {
             opts,
             writer: HealthyMutex::new(writer),
             meta: HealthyMutex::new(MetaWriter {
@@ -130,7 +131,123 @@ impl DurableStore {
                 written: 0,
                 unrepaired: false,
             }),
+        };
+        Ok((store, recovered))
+    }
+
+    /// Persists one leaf, write-ahead: the caller inserts it into its
+    /// in-memory tree only once this returns `Ok`. `index` is the leaf's
+    /// index in the log and must equal the store's append position.
+    ///
+    /// The leaf is `fdatasync`ed before this returns. That is what keeps
+    /// **sync-before-sign** true: a head a domain signs after its appends
+    /// returned never outruns durable history, so an honest crash cannot
+    /// look like equivocation.
+    pub fn append(&self, index: u64, leaf: &[u8]) -> Result<AppendAck, StoreError> {
+        let mut writer = self.writer.lock_healthy();
+        if index != writer.entries {
+            return Err(StoreError::IndexMismatch {
+                expected: writer.entries,
+                got: index,
+            });
+        }
+        let mut buf = Vec::with_capacity(leaf.len() + 32);
+        encode_record(REC_LEAF, &encode_leaf_payload(index, leaf), &mut buf);
+        self.write_synced(&mut writer, &buf, File::sync_data)?;
+        writer.written += buf.len() as u64;
+        writer.entries += 1;
+        Ok(AppendAck {
+            wants_checkpoint: writer.written >= self.opts.segment_bytes,
         })
+    }
+
+    /// Persists a checkpoint at `size` leaves with the tree's right-edge
+    /// subtree roots, sealing the active segment; the next append opens a
+    /// fresh one. A failed checkpoint seals nothing, and the segment stays
+    /// full, so the next append asks for it again.
+    pub fn checkpoint(&self, size: u64, right_edge: &[Digest]) -> Result<(), StoreError> {
+        let mut writer = self.writer.lock_healthy();
+        if size != writer.entries {
+            return Err(StoreError::IndexMismatch {
+                expected: writer.entries,
+                got: size,
+            });
+        }
+        if writer.written == 0 {
+            // Nothing appended since the last seal; no segment to seal.
+            return Ok(());
+        }
+        #[cfg(test)]
+        if FAIL_NEXT_CHECKPOINT.take() {
+            writer.file = Some(unsyncable());
+        }
+        let offset = writer.written;
+        let mut buf = Vec::new();
+        encode_record(
+            REC_CHECKPOINT,
+            &encode_checkpoint_payload(size, right_edge),
+            &mut buf,
+        );
+        buf.extend_from_slice(&encode_trailer(offset));
+        self.write_synced(&mut writer, &buf, File::sync_all)?;
+        // Rotate: the next append opens a fresh segment.
+        writer.file = None;
+        writer.segment_index += 1;
+        writer.segment_start = writer.entries;
+        writer.written = 0;
+        Ok(())
+    }
+
+    /// Appends one framework meta record, synced before this returns (meta
+    /// records are rare and carry signatures).
+    pub fn append_meta(&self, kind: u8, payload: &[u8]) -> Result<(), StoreError> {
+        let mut meta = self.meta.lock_healthy();
+        if meta.unrepaired {
+            return Err(StoreError::UnrepairedWrite);
+        }
+        let path = meta_path(&self.opts.dir);
+        if meta.file.is_none() {
+            let mut file = OpenOptions::new()
+                .read(true)
+                .write(true)
+                .create(true)
+                .truncate(false)
+                .open(&path)?;
+            let bytes = {
+                let mut bytes = Vec::new();
+                file.read_to_end(&mut bytes)?;
+                bytes
+            };
+            let scanned = scan_meta(&bytes);
+            if scanned.valid_len == 0 {
+                let header = encode_meta_header();
+                file.set_len(0)?;
+                file.seek(SeekFrom::Start(0))?;
+                file.write_all(&header)?;
+                meta.written = header.len() as u64;
+            } else {
+                if scanned.torn {
+                    file.set_len(scanned.valid_len)?;
+                }
+                file.seek(SeekFrom::Start(scanned.valid_len))?;
+                meta.written = scanned.valid_len;
+            }
+            sync_dir(&self.opts.dir)?;
+            meta.file = Some(file);
+        }
+        let mut buf = Vec::new();
+        encode_record(kind, payload, &mut buf);
+        let meta = &mut *meta;
+        write_or_cut_back(
+            &mut meta.file,
+            &mut meta.unrepaired,
+            &path,
+            meta.written,
+            &buf,
+            File::sync_data,
+        )?;
+        meta.written += buf.len() as u64;
+        Ok(())
     }
 
     /// Opens (creating + writing the header if needed) the active segment
@@ -243,244 +360,40 @@ fn list_segments(dir: &Path) -> Result<Vec<u64>, StoreError> {
     Ok(found)
 }
 
-/// Positions the write cursor from the chain's last segment only (see
-/// [`DurableStore::open`]). `segments` is the sorted segment index list.
-fn position_tail(dir: &Path, segments: &[u64]) -> Result<Writer, StoreError> {
-    let at = |segment_index, segment_start, written, entries, file| Writer {
-        file,
-        segment_index,
-        segment_start,
-        written,
-        entries,
-        unrepaired: false,
+/// Scans `meta.dlog`, cutting away a torn tail, and returns its records.
+/// The meta writer opens the file on its first append and scans it then.
+fn recover_meta(dir: &Path) -> Result<Vec<MetaRecord>, StoreError> {
+    let path = meta_path(dir);
+    let bytes = match std::fs::read(&path) {
+        Ok(bytes) => bytes,
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Vec::new()),
+        Err(e) => return Err(e.into()),
     };
-    let Some(&last) = segments.last() else {
-        return Ok(at(0, 0, 0, 0, None));
-    };
-    let path = segment_path(dir, last);
-    let bytes = std::fs::read(&path)?;
-    match scan_segment(&bytes) {
-        Ok(scanned) if scanned.sealed => {
-            // Sealed tail: the next append opens segment `last + 1`.
-            let entries = scanned.header.start_index + scanned.leaves.len() as u64;
-            Ok(at(last + 1, entries, 0, entries, None))
-        }
-        Ok(scanned) => {
-            // Unsealed tail: repair the torn suffix (if any) and append in
-            // place.
-            let mut file = OpenOptions::new().read(true).write(true).open(&path)?;
-            if scanned.torn {
-                file.set_len(scanned.valid_len)?;
-                file.sync_data()?;
-            }
-            file.seek(SeekFrom::Start(scanned.valid_len))?;
-            Ok(at(
-                last,
-                scanned.header.start_index,
-                scanned.valid_len,
-                scanned.header.start_index + scanned.leaves.len() as u64,
-                Some(file),
-            ))
-        }
-        Err(_) => {
-            // Torn header: the segment holds nothing durable. Rewrite it
-            // from scratch at the position the previous chain implies;
-            // recover() validates that chain in full.
-            std::fs::remove_file(&path)?;
-            let entries = previous_chain_entries(dir, segments)?;
-            Ok(at(last, entries, 0, entries, None))
-        }
+    let scanned = scan_meta(&bytes);
+    if scanned.valid_len < bytes.len() as u64 {
+        let file = OpenOptions::new().write(true).open(&path)?;
+        file.set_len(scanned.valid_len)?;
+        file.sync_all()?;
     }
-}
-
-/// Entries covered by the chain *before* its last segment, derived from
-/// the second-to-last segment's content (cheap: one file).
-fn previous_chain_entries(dir: &Path, segments: &[u64]) -> Result<u64, StoreError> {
-    let Some(&prev) = segments.len().checked_sub(2).and_then(|i| segments.get(i)) else {
-        return Ok(0);
-    };
-    let bytes = std::fs::read(segment_path(dir, prev))?;
-    match scan_segment(&bytes) {
-        Ok(s) => Ok(s.header.start_index + s.leaves.len() as u64),
-        Err(_) => Ok(0),
-    }
-}
-
-impl LogStore for DurableStore {
-    fn append(&self, index: u64, leaf: &[u8]) -> Result<AppendAck, StoreError> {
-        let mut writer = self.writer.lock_healthy();
-        if index != writer.entries {
-            return Err(StoreError::IndexMismatch {
-                expected: writer.entries,
-                got: index,
-            });
-        }
-        let mut buf = Vec::with_capacity(leaf.len() + 32);
-        encode_record(REC_LEAF, &encode_leaf_payload(index, leaf), &mut buf);
-        self.write_synced(&mut writer, &buf, File::sync_data)?;
-        writer.written += buf.len() as u64;
-        writer.entries += 1;
-        Ok(AppendAck {
-            wants_checkpoint: writer.written >= self.opts.segment_bytes,
-        })
-    }
-
-    fn checkpoint(&self, size: u64, right_edge: &[Digest]) -> Result<(), StoreError> {
-        let mut writer = self.writer.lock_healthy();
-        if size != writer.entries {
-            return Err(StoreError::IndexMismatch {
-                expected: writer.entries,
-                got: size,
-            });
-        }
-        if writer.written == 0 {
-            // Nothing appended since the last seal; no segment to seal.
-            return Ok(());
-        }
-        let offset = writer.written;
-        let mut buf = Vec::new();
-        encode_record(
-            REC_CHECKPOINT,
-            &encode_checkpoint_payload(size, right_edge),
-            &mut buf,
-        );
-        buf.extend_from_slice(&encode_trailer(offset));
-        self.write_synced(&mut writer, &buf, File::sync_all)?;
-        // Rotate: the next append opens a fresh segment.
-        writer.file = None;
-        writer.segment_index += 1;
-        writer.segment_start = writer.entries;
-        writer.written = 0;
-        Ok(())
-    }
-
-    /// Every leaf and meta record is synced by the append that wrote it.
-    fn sync(&self) -> Result<(), StoreError> {
-        Ok(())
-    }
-
-    fn append_meta(&self, kind: u8, payload: &[u8]) -> Result<(), StoreError> {
-        let mut meta = self.meta.lock_healthy();
-        if meta.unrepaired {
-            return Err(StoreError::UnrepairedWrite);
-        }
-        let path = meta_path(&self.opts.dir);
-        if meta.file.is_none() {
-            let mut file = OpenOptions::new()
-                .read(true)
-                .write(true)
-                .create(true)
-                .truncate(false)
-                .open(&path)?;
-            let bytes = {
-                let mut bytes = Vec::new();
-                file.read_to_end(&mut bytes)?;
-                bytes
-            };
-            let scanned = scan_meta(&bytes);
-            if scanned.valid_len == 0 {
-                let header = encode_meta_header();
-                file.set_len(0)?;
-                file.seek(SeekFrom::Start(0))?;
-                file.write_all(&header)?;
-                meta.written = header.len() as u64;
-            } else {
-                if scanned.torn {
-                    file.set_len(scanned.valid_len)?;
-                }
-                file.seek(SeekFrom::Start(scanned.valid_len))?;
-                meta.written = scanned.valid_len;
-            }
-            sync_dir(&self.opts.dir)?;
-            meta.file = Some(file);
-        }
-        let mut buf = Vec::new();
-        encode_record(kind, payload, &mut buf);
-        let meta = &mut *meta;
-        write_or_cut_back(
-            &mut meta.file,
-            &mut meta.unrepaired,
-            &path,
-            meta.written,
-            &buf,
-            File::sync_data,
-        )?;
-        meta.written += buf.len() as u64;
-        Ok(())
-    }
-
-    fn recover(&self) -> Result<Recovered, StoreError> {
-        let mut out = {
-            // Hold the writer lock across the scan so appends cannot race
-            // the repair, and reposition the cursor to the repaired state.
-            let mut writer = self.writer.lock_healthy();
-            let recovered = recover_chain(&self.opts.dir)?;
-            writer.file = None;
-            writer.entries = recovered.entries;
-            writer.segment_index = recovered.next_segment;
-            writer.segment_start = recovered.next_segment_start;
-            writer.written = recovered.tail_written;
-            if let Some(path) = recovered.open_tail {
-                let mut file = OpenOptions::new().read(true).write(true).open(&path)?;
-                file.seek(SeekFrom::Start(recovered.tail_written))?;
-                writer.file = Some(file);
-            }
-            recovered.log
-        };
-        out.meta = {
-            let mut guard = self.meta.lock_healthy();
-            // Drop any cached handle: the scan below is the authority and
-            // append_meta will reopen (and re-repair) on next use.
-            guard.file = None;
-            let path = meta_path(&self.opts.dir);
-            match std::fs::read(&path) {
-                Ok(bytes) => {
-                    let scanned = scan_meta(&bytes);
-                    if scanned.valid_len < bytes.len() as u64 {
-                        let file = OpenOptions::new().write(true).open(&path)?;
-                        file.set_len(scanned.valid_len)?;
-                        file.sync_all()?;
-                    }
-                    scanned
-                        .records
-                        .into_iter()
-                        .map(|(kind, payload)| MetaRecord { kind, payload })
-                        .collect()
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
-                Err(e) => return Err(e.into()),
-            }
-        };
-        Ok(out)
-    }
-}
-
-/// Result of fully recovering the segment chain.
-struct ChainRecovery {
-    /// Leaves, newest checkpoint and the torn flag; `meta` is not the
-    /// chain's to fill.
-    log: Recovered,
-    entries: u64,
-    /// Index the *active* (next-to-write) segment should have.
-    next_segment: u64,
-    next_segment_start: u64,
-    /// Bytes already in the active segment (0 when it must be created).
-    tail_written: u64,
-    /// Path of the unsealed tail to reopen for appends, when one exists.
-    open_tail: Option<PathBuf>,
+    Ok(scanned
+        .records
+        .into_iter()
+        .map(|(kind, payload)| MetaRecord { kind, payload })
+        .collect())
 }
 
 /// Scans the full chain, repairing torn tails and deleting everything
-/// after the first unrecoverable point. Every byte of every segment is
-/// validated.
-fn recover_chain(dir: &Path) -> Result<ChainRecovery, StoreError> {
+/// after the first unrecoverable point, and returns the write cursor the
+/// surviving chain ends at with what it holds (`meta` is not the chain's
+/// to fill). Every byte of every segment is validated.
+fn recover_chain(dir: &Path) -> Result<(Writer, Recovered), StoreError> {
     let segments = list_segments(dir)?;
     let mut out = Recovered::default();
     let mut entries = 0u64;
     let mut next_segment = 0u64;
     let mut next_segment_start = 0u64;
-    let mut tail_written = 0u64;
-    let mut open_tail = None;
+    // The unsealed tail to append to, and the bytes it keeps.
+    let mut tail = None;
     let mut stop = false;
     for (i, &seg) in segments.iter().enumerate() {
         let path = segment_path(dir, seg);
@@ -526,32 +439,59 @@ fn recover_chain(dir: &Path) -> Result<ChainRecovery, StoreError> {
         if scanned.sealed && !scanned.torn {
             next_segment = seg + 1;
             next_segment_start = entries;
-            tail_written = 0;
-            open_tail = None;
+            tail = None;
         } else {
             // Unsealed (or repaired) tail: append here; later segments
             // are orphans of a pre-crash rotation that never completed.
             next_segment = seg;
             next_segment_start = scanned.header.start_index;
-            tail_written = scanned.valid_len;
-            open_tail = Some(path);
+            tail = Some((path, scanned.valid_len));
             if i + 1 < segments.len() {
                 stop = true;
             }
         }
     }
     sync_dir(dir)?;
-    if open_tail.is_none() {
-        next_segment_start = entries;
-    }
-    Ok(ChainRecovery {
-        log: out,
+    let (file, written) = match tail {
+        Some((path, valid_len)) => {
+            let mut file = OpenOptions::new().read(true).write(true).open(&path)?;
+            file.seek(SeekFrom::Start(valid_len))?;
+            (Some(file), valid_len)
+        }
+        None => (None, 0),
+    };
+    let writer = Writer {
+        file,
+        segment_index: next_segment,
+        segment_start: next_segment_start,
+        written,
         entries,
-        next_segment,
-        next_segment_start,
-        tail_written,
-        open_tail,
-    })
+        unrepaired: false,
+    };
+    Ok((writer, out))
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Set by [`DurableStore::fail_next_checkpoint`].
+    static FAIL_NEXT_CHECKPOINT: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+}
+
+/// A handle on which writes succeed and syncs fail: `fdatasync` and
+/// `fsync` on `/dev/null` return `EINVAL` on Linux.
+#[cfg(test)]
+fn unsyncable() -> File {
+    OpenOptions::new().write(true).open("/dev/null").unwrap()
+}
+
+#[cfg(test)]
+impl DurableStore {
+    /// Makes the next [`Self::checkpoint`] on this thread write through
+    /// [`unsyncable`] in place of its segment, as a disk that fails the
+    /// seal after the leaf before it was synced.
+    pub(crate) fn fail_next_checkpoint() {
+        FAIL_NEXT_CHECKPOINT.set(true);
+    }
 }
 
 #[cfg(test)]
@@ -576,19 +516,23 @@ mod tests {
         }
     }
 
+    /// The store under `dir`, opened (and so recovered) as a boot finds it.
+    fn open(dir: &Path, segment_bytes: u64) -> (DurableStore, Recovered) {
+        DurableStore::open(opts(dir, segment_bytes)).unwrap()
+    }
+
     #[test]
     fn append_recover_round_trip() {
         let dir = tempdir("roundtrip");
-        let store = DurableStore::open(opts(&dir, 1 << 20)).unwrap();
-        assert!(store.recover().unwrap().leaves.is_empty());
+        let (store, recovered) = open(&dir, 1 << 20);
+        assert!(recovered.leaves.is_empty());
         for i in 0..5u64 {
             store.append(i, format!("a-{i}").as_bytes()).unwrap();
         }
         store.append_meta(9, b"meta-record").unwrap();
         drop(store);
 
-        let store = DurableStore::open(opts(&dir, 1 << 20)).unwrap();
-        let recovered = store.recover().unwrap();
+        let (store, recovered) = open(&dir, 1 << 20);
         assert_eq!(recovered.leaves.len(), 5);
         assert_eq!(recovered.leaves[3], b"a-3");
         assert_eq!(
@@ -598,9 +542,18 @@ mod tests {
                 payload: b"meta-record".to_vec()
             }]
         );
-        // The recovered store keeps appending where it left off.
+        // The recovered store keeps appending where it left off, and an
+        // append at any other index is an error, not a panic.
         store.append(5, b"a-5").unwrap();
-        assert_eq!(store.recover().unwrap().leaves.len(), 6);
+        assert!(matches!(
+            store.append(7, b"x"),
+            Err(StoreError::IndexMismatch {
+                expected: 6,
+                got: 7,
+            })
+        ));
+        drop(store);
+        assert_eq!(open(&dir, 1 << 20).1.leaves.len(), 6);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -608,7 +561,7 @@ mod tests {
     fn rotation_seals_and_replay_reproduces_the_head() {
         let dir = tempdir("rotate");
         // Tiny segments force several rotations.
-        let store = DurableStore::open(opts(&dir, 200)).unwrap();
+        let (store, _) = open(&dir, 200);
         let mut mirror = MerkleLog::new();
         for i in 0..40u64 {
             let leaf = format!("leaf-{i:03}");
@@ -621,8 +574,7 @@ mod tests {
         let files = list_segments(&dir).unwrap();
         assert!(files.len() > 2, "expected several segments, got {files:?}");
         drop(store);
-        let store = DurableStore::open(opts(&dir, 200)).unwrap();
-        let recovered = store.recover().unwrap();
+        let (_, recovered) = open(&dir, 200);
         assert_eq!(recovered.leaves.len(), 40);
         let mut replayed = MerkleLog::new();
         for leaf in &recovered.leaves {
@@ -644,9 +596,9 @@ mod tests {
     fn shard_count_mismatch_is_refused() {
         // A directory written when a log could be several chains: the
         // second chain's segment is history this store would never read,
-        // so opening is refused by name, before and after recovery.
+        // so opening is refused by name.
         let dir = tempdir("mismatch");
-        let store = DurableStore::open(opts(&dir, 1 << 20)).unwrap();
+        let (store, _) = open(&dir, 1 << 20);
         store.append(0, b"x").unwrap();
         drop(store);
         let second_chain = dir.join("shard-0001-seg-00000000.dlog");
@@ -661,15 +613,14 @@ mod tests {
         // Nothing was repaired away on the way to the refusal.
         assert!(second_chain.exists() && segment_path(&dir, 0).exists());
         std::fs::remove_file(&second_chain).unwrap();
-        let store = DurableStore::open(opts(&dir, 1 << 20)).unwrap();
-        assert_eq!(store.recover().unwrap().leaves, vec![b"x".to_vec()]);
+        assert_eq!(open(&dir, 1 << 20).1.leaves, vec![b"x".to_vec()]);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn torn_tail_is_truncated_on_open_and_recover() {
         let dir = tempdir("torn");
-        let store = DurableStore::open(opts(&dir, 1 << 20)).unwrap();
+        let (store, _) = open(&dir, 1 << 20);
         for i in 0..3u64 {
             store.append(i, format!("leaf-{i}").as_bytes()).unwrap();
         }
@@ -680,16 +631,16 @@ mod tests {
         let mut file = OpenOptions::new().append(true).open(&path).unwrap();
         file.write_all(&[0xDE, 0xAD, 0xBE]).unwrap();
         drop(file);
-        let store = DurableStore::open(opts(&dir, 1 << 20)).unwrap();
-        // Open already repaired the tail, so recovery sees a clean file
-        // with every durable leaf intact and the garbage gone.
+        let (store, recovered) = open(&dir, 1 << 20);
+        // Open repaired the tail and says so: every durable leaf intact
+        // and the garbage gone.
         assert_eq!(std::fs::metadata(&path).unwrap().len(), clean_len);
-        let recovered = store.recover().unwrap();
         assert_eq!(recovered.leaves.len(), 3);
-        assert!(!recovered.torn, "open repairs the tail");
+        assert!(recovered.torn, "open repairs the tail");
         // Appends continue cleanly after the repair.
         store.append(3, b"leaf-3").unwrap();
-        let recovered = store.recover().unwrap();
+        drop(store);
+        let (_, recovered) = open(&dir, 1 << 20);
         assert_eq!(recovered.leaves.len(), 4);
         assert!(!recovered.torn, "repair is permanent");
         let _ = std::fs::remove_dir_all(&dir);
@@ -698,7 +649,7 @@ mod tests {
     #[test]
     fn meta_log_survives_torn_tail() {
         let dir = tempdir("meta");
-        let store = DurableStore::open(opts(&dir, 1 << 20)).unwrap();
+        let (store, _) = open(&dir, 1 << 20);
         store.append_meta(1, b"first").unwrap();
         store.append_meta(2, b"second").unwrap();
         drop(store);
@@ -708,18 +659,12 @@ mod tests {
             .unwrap();
         file.write_all(&[0x99; 5]).unwrap();
         drop(file);
-        let store = DurableStore::open(opts(&dir, 1 << 20)).unwrap();
-        let recovered = store.recover().unwrap();
+        let (store, recovered) = open(&dir, 1 << 20);
         assert_eq!(recovered.meta.len(), 2);
         store.append_meta(3, b"third").unwrap();
-        assert_eq!(store.recover().unwrap().meta.len(), 3);
+        drop(store);
+        assert_eq!(open(&dir, 1 << 20).1.meta.len(), 3);
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    /// A handle on which writes succeed and syncs fail: `fdatasync` and
-    /// `fsync` on `/dev/null` return `EINVAL` on Linux.
-    fn unsyncable() -> File {
-        OpenOptions::new().write(true).open("/dev/null").unwrap()
     }
 
     /// Puts `bytes` at the end of the active segment through a handle of
@@ -738,8 +683,7 @@ mod tests {
     #[test]
     fn a_failed_append_leaves_no_trace() {
         let dir = tempdir("failed-append");
-        let store = DurableStore::open(opts(&dir, 1 << 20)).unwrap();
-        store.recover().unwrap();
+        let (store, _) = open(&dir, 1 << 20);
         store.append(0, b"acked-0").unwrap();
         let mut lost = Vec::new();
         encode_record(REC_LEAF, &encode_leaf_payload(1, b"lost"), &mut lost);
@@ -749,8 +693,7 @@ mod tests {
         store.append(1, b"acked-1").unwrap();
         store.append(2, b"acked-2").unwrap();
         drop(store);
-        let store = DurableStore::open(opts(&dir, 1 << 20)).unwrap();
-        let recovered = store.recover().unwrap();
+        let (_, recovered) = open(&dir, 1 << 20);
         assert_eq!(recovered.leaves, [&b"acked-0"[..], b"acked-1", b"acked-2"]);
         assert!(!recovered.torn);
         let _ = std::fs::remove_dir_all(&dir);
@@ -764,8 +707,7 @@ mod tests {
     fn a_failed_checkpoint_leaves_no_trace() {
         let dir = tempdir("failed-checkpoint");
         // Every append fills the segment.
-        let store = DurableStore::open(opts(&dir, 1)).unwrap();
-        store.recover().unwrap();
+        let (store, _) = open(&dir, 1);
         let mut mirror = MerkleLog::new();
         let leaves: [&[u8]; 3] = [b"acked-0", b"acked-1", b"acked-2"];
         assert!(store.append(0, leaves[0]).unwrap().wants_checkpoint);
@@ -787,8 +729,7 @@ mod tests {
         store.append(2, leaves[2]).unwrap();
         drop(store);
         assert_eq!(list_segments(&dir).unwrap(), [0, 1]);
-        let store = DurableStore::open(opts(&dir, 1)).unwrap();
-        let recovered = store.recover().unwrap();
+        let (_, recovered) = open(&dir, 1);
         assert_eq!(recovered.leaves, leaves);
         assert!(!recovered.torn);
         let (size, edge) = recovered.checkpoint.expect("the retried checkpoint");
@@ -806,8 +747,7 @@ mod tests {
     #[test]
     fn a_failed_write_that_cannot_be_cut_stops_all_writes() {
         let dir = tempdir("unrepaired");
-        let store = DurableStore::open(opts(&dir, 1 << 20)).unwrap();
-        store.recover().unwrap();
+        let (store, _) = open(&dir, 1 << 20);
         store.append(0, b"acked-0").unwrap();
         std::fs::remove_file(segment_path(&dir, 0)).unwrap();
         store.writer.lock_healthy().file = Some(unsyncable());
@@ -822,8 +762,7 @@ mod tests {
             Err(StoreError::UnrepairedWrite)
         ));
         drop(store);
-        let store = DurableStore::open(opts(&dir, 1 << 20)).unwrap();
-        store.recover().unwrap();
+        let (store, _) = open(&dir, 1 << 20);
         store.append(0, b"after reopen").unwrap();
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -836,8 +775,7 @@ mod tests {
     #[test]
     fn a_failed_meta_append_leaves_no_trace() {
         let dir = tempdir("failed-meta-append");
-        let store = DurableStore::open(opts(&dir, 1 << 20)).unwrap();
-        store.recover().unwrap();
+        let (store, _) = open(&dir, 1 << 20);
         store.append_meta(1, b"acked-a").unwrap();
         let mut lost = Vec::new();
         encode_record(2, b"lost-b", &mut lost);
@@ -853,8 +791,7 @@ mod tests {
         ));
         store.append_meta(3, b"acked-c").unwrap();
         drop(store);
-        let store = DurableStore::open(opts(&dir, 1 << 20)).unwrap();
-        let recovered = store.recover().unwrap();
+        let (store, recovered) = open(&dir, 1 << 20);
         let meta: Vec<(u8, &[u8])> = recovered
             .meta
             .iter()
@@ -875,8 +812,7 @@ mod tests {
             Err(StoreError::UnrepairedWrite)
         ));
         drop(store);
-        let store = DurableStore::open(opts(&dir, 1 << 20)).unwrap();
-        store.recover().unwrap();
+        let (store, _) = open(&dir, 1 << 20);
         store.append_meta(7, b"after reopen").unwrap();
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -22,7 +22,7 @@ use distrust::crypto::schnorr::SigningKey;
 use distrust::log::auditor::{AuditOutcome, Auditor};
 use distrust::log::checkpoint::{log_id, CheckpointBody, SignedCheckpoint};
 use distrust::log::{
-    DurableOptions, DurableStore, LogStore, MerkleLog, ShardedLog, StorageConfig, StoreError,
+    DurableOptions, DurableStore, MerkleLog, ShardedLog, StorageConfig, StoreError,
 };
 use distrust::sandbox::{FuncBuilder, Limits, Module, ModuleBuilder};
 use std::path::{Path, PathBuf};
@@ -386,13 +386,13 @@ fn the_directory_a_domain_leaves_is_pinned_and_reopens() {
 
 /// What the pinned directory's domain answers a boot with, after `damage`
 /// had the directory and its meta log to itself.
-fn boot_after(tag: &str, damage: impl FnOnce(&Path, &dyn LogStore)) -> Option<StoreError> {
+fn boot_after(tag: &str, damage: impl FnOnce(&Path, &DurableStore)) -> Option<StoreError> {
     let (dir, storage) = pinned_directory(tag);
     {
         let StorageConfig::Durable(opts) = &storage else {
             unreachable!("the pinned directory is durable");
         };
-        damage(&dir, &DurableStore::open(opts.clone()).unwrap());
+        damage(&dir, &DurableStore::open(opts.clone()).unwrap().0);
     }
     let refusal = pinned_domain(storage).err();
     let _ = std::fs::remove_dir_all(&dir);

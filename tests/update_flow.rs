@@ -222,9 +222,8 @@ fn long_logs_are_served_and_read_a_page_at_a_time() {
     use distrust::core::protocol::UpdateNotice;
     use distrust::core::server::DirectHost;
     use distrust::core::ReleaseManifest;
-    use distrust::log::{LogStore, MemStore, MerkleLog, StorageConfig};
+    use distrust::log::{DurableOptions, DurableStore, MerkleLog, StorageConfig};
     use distrust::wire::Encode;
-    use std::sync::Arc;
 
     const LEAVES: u64 = 10_000;
     /// The one leaf whose notice a crash lost between the log and the
@@ -237,7 +236,9 @@ fn long_logs_are_served_and_read_a_page_at_a_time() {
     // store, and of the signed epochs only the newest (signing them all
     // would take minutes and change nothing about reading the log back):
     // the head a reader audits and is then held to.
-    let store = Arc::new(MemStore::new());
+    let dir = std::env::temp_dir().join(format!("distrust-long-log-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let (store, _) = DurableStore::open(DurableOptions::new(&dir)).unwrap();
     let mut mirror = MerkleLog::new();
     let manifest = |i: u64| ReleaseManifest {
         app_name: "counter".into(),
@@ -264,7 +265,8 @@ fn long_logs_are_served_and_read_a_page_at_a_time() {
     let head = signed(&key, [9; 32], LEAVES, mirror.root(), 2 * LEAVES);
     let epoch = epoch_record(&head, &[LEAVES], &[mirror.root()]);
     store.append_meta(META_EPOCH, &epoch).unwrap();
-    let framework = EnclaveFramework::open_with_store(
+    drop(store);
+    let framework = EnclaveFramework::open(
         FrameworkConfig {
             domain_index: 0,
             app_name: "counter".into(),
@@ -272,12 +274,11 @@ fn long_logs_are_served_and_read_a_page_at_a_time() {
             log_id: [9; 32],
             limits: Limits::default(),
             log_shards: 1,
-            storage: StorageConfig::Ephemeral,
+            storage: StorageConfig::Durable(DurableOptions::new(&dir)),
         },
         None,
         key,
         Box::new(NoImports),
-        store,
     )
     .unwrap();
     let mut host = DirectHost::spawn(FrameworkService::new(framework)).unwrap();
@@ -334,4 +335,5 @@ fn long_logs_are_served_and_read_a_page_at_a_time() {
     assert!(client.notices(0, LEAVES).unwrap().is_empty());
     assert!(client.notices(0, u64::MAX).unwrap().is_empty());
     host.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
 }
