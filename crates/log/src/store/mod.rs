@@ -168,3 +168,43 @@ pub struct Recovered {
     /// Meta records in append order.
     pub meta: Vec<MetaRecord>,
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A store retains its leaves and meta records across a recovery, and
+    /// an append at the wrong index is an error, not a panic.
+    #[test]
+    fn mem_store_retains_across_recover() {
+        let dir = std::env::temp_dir().join(format!(
+            "distrust-store-retain-{}-{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let (store, _) = DurableStore::open(DurableOptions::new(&dir)).unwrap();
+        store.append(0, b"a").unwrap();
+        store.append(1, b"c").unwrap();
+        store.append_meta(7, b"sig").unwrap();
+        drop(store);
+        let (store, recovered) = DurableStore::open(DurableOptions::new(&dir)).unwrap();
+        assert_eq!(recovered.leaves, vec![b"a".to_vec(), b"c".to_vec()]);
+        assert_eq!(
+            recovered.meta,
+            vec![MetaRecord {
+                kind: 7,
+                payload: b"sig".to_vec()
+            }]
+        );
+        assert!(matches!(
+            store.append(5, b"x"),
+            Err(StoreError::IndexMismatch {
+                expected: 2,
+                got: 5,
+            })
+        ));
+        drop(store);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
