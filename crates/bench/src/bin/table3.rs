@@ -32,11 +32,11 @@ fn measure(env: Environment) -> Summary {
     for i in 0..WARMUP + ITERATIONS {
         let message = format!("table3 message {i:06}");
         let start = Instant::now();
-        let sig = bench.sign(message.as_bytes());
+        let reply = bench.sign(message.as_bytes());
         let elapsed = start.elapsed();
         if i == 0 {
             assert!(
-                bench.verify_output(message.as_bytes(), &sig),
+                bench.verify_output(message.as_bytes(), &reply),
                 "environment produced a wrong signature"
             );
         }

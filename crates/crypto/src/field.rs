@@ -37,8 +37,6 @@ macro_rules! prime_field {
         pub struct $name(pub(crate) [u64; $n]);
 
         impl $name {
-            /// Number of 64-bit limbs in the representation.
-            pub const LIMBS: usize = $n;
             /// Width of the canonical big-endian byte encoding.
             pub const BYTES: usize = $bytes;
             /// The prime modulus, little-endian limbs.

@@ -148,7 +148,9 @@ impl Fp12 {
         }
     }
 
-    /// Variable-time exponentiation by little-endian limbs.
+    /// Variable-time exponentiation by little-endian limbs: the pairing
+    /// tests' reference.
+    #[cfg(test)]
     pub fn pow_vartime(&self, exp: &[u64]) -> Self {
         let mut res = Self::ONE;
         for &limb in exp.iter().rev() {

@@ -64,9 +64,6 @@ use crate::sha256::sha256_many;
 use crate::BLS_X;
 use std::sync::OnceLock;
 
-/// The G1 cofactor `h1 = 0x396c8c005555e1568c00aaab0000aaab`.
-pub const COFACTOR: [u64; 2] = [0x8c00_aaab_0000_aaab, 0x396c_8c00_5555_e156];
-
 /// The cube root of unity `β ∈ Fp` for which the endomorphism
 /// `φ(x, y) = (βx, y)` acts on G1 as multiplication by `−u²`, `u` the curve
 /// parameter ([`BLS_X`] is `|u|`).
@@ -560,7 +557,7 @@ impl G1Projective {
 
     /// Maps any curve point into the order-`r` subgroup, multiplying by
     /// `h_eff = 1 − u` (RFC 9380 §8.8.1): 64 bits where the cofactor
-    /// `h = (1 − u)²/3` ([`COFACTOR`]) has 126. `[1 − u]` annihilates the
+    /// `h = (1 − u)²/3 = 0x396c8c005555e1568c00aaab0000aaab` has 126. `[1 − u]` annihilates the
     /// cofactor part of `E(Fp)` exactly as `[h]` does (Wahby–Boneh, eprint
     /// 2019/403 §5), but it is a different scalar: a point comes back as
     /// another point of G1 than `[h]P` would be.
@@ -634,6 +631,9 @@ mod tests {
     use crate::drbg::HmacDrbg;
     use proptest::prelude::*;
     use rand::RngCore;
+
+    /// The G1 cofactor `h1 = 0x396c8c005555e1568c00aaab0000aaab`.
+    const COFACTOR: [u64; 2] = [0x8c00_aaab_0000_aaab, 0x396c_8c00_5555_e156];
 
     #[test]
     fn generator_on_curve_and_torsion_free() {

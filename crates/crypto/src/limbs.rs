@@ -338,16 +338,6 @@ pub fn bit<const N: usize>(a: &[u64; N], i: usize) -> bool {
     (a[i / 64] >> (i % 64)) & 1 == 1
 }
 
-/// Number of significant bits.
-pub fn bit_length<const N: usize>(a: &[u64; N]) -> usize {
-    for i in (0..N).rev() {
-        if a[i] != 0 {
-            return i * 64 + (64 - a[i].leading_zeros() as usize);
-        }
-    }
-    0
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -642,7 +632,5 @@ mod tests {
         assert!(bit(&a, 1));
         assert!(bit(&a, 64));
         assert!(!bit(&a, 65));
-        assert_eq!(bit_length(&a), 65);
-        assert_eq!(bit_length(&[0u64; 2]), 0);
     }
 }

@@ -38,7 +38,6 @@
 
 use crate::fp12::Fp12;
 use crate::fp2::Fp2;
-use crate::fr::Fr;
 use crate::g1::G1Affine;
 use crate::g2::{G2Affine, G2Projective};
 use crate::BLS_X;
@@ -51,9 +50,6 @@ use std::sync::{Arc, OnceLock};
 pub struct Gt(pub Fp12);
 
 impl Gt {
-    /// The identity element of GT.
-    pub const IDENTITY: Self = Gt(Fp12::ONE);
-
     /// Group operation (multiplication in Fp12).
     pub fn mul(&self, rhs: &Self) -> Self {
         Gt(self.0.mul(&rhs.0))
@@ -63,11 +59,6 @@ impl Gt {
     /// inversion is conjugation.
     pub fn invert(&self) -> Self {
         Gt(self.0.conjugate())
-    }
-
-    /// Exponentiation by a scalar.
-    pub fn pow(&self, k: &Fr) -> Self {
-        Gt(self.0.pow_vartime(&k.to_canonical_limbs()))
     }
 
     /// True for the identity.
@@ -349,8 +340,19 @@ pub fn pairing_equality(a1: &G1Affine, a2: &G2Prepared, b1: &G1Affine, b2: &G2Pr
 mod tests {
     use super::*;
     use crate::drbg::HmacDrbg;
+    use crate::fr::Fr;
     use crate::g1::G1Projective;
     use proptest::prelude::*;
+
+    impl Gt {
+        /// The identity element of GT.
+        const IDENTITY: Self = Gt(Fp12::ONE);
+
+        /// Exponentiation by a scalar: bilinearity's reference.
+        fn pow(&self, k: &Fr) -> Self {
+            Gt(self.0.pow_vartime(&k.to_canonical_limbs()))
+        }
+    }
 
     /// The single-pair pairing this module used to be built on: lines
     /// computed on the fly, one loop and one final exponentiation per

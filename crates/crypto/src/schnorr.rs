@@ -125,15 +125,6 @@ impl SigningKey {
         Self::new(Fr::random_nonzero(&mut drbg))
     }
 
-    /// Builds a key from a raw scalar (share-based identities).
-    pub fn from_scalar(s: Fr) -> Option<Self> {
-        if s.is_zero() {
-            None
-        } else {
-            Some(Self::new(s))
-        }
-    }
-
     fn new(secret: Fr) -> Self {
         Self {
             secret,
@@ -595,11 +586,5 @@ mod tests {
         assert!(!identity.verify(b"msg", &forged));
         assert_eq!(identity.verify_all(&[(b"msg", &forged)]), Err(0));
         assert_eq!(identity.verify_all(&[]), Ok(()));
-    }
-
-    #[test]
-    fn from_scalar_rejects_zero() {
-        assert!(SigningKey::from_scalar(Fr::ZERO).is_none());
-        assert!(SigningKey::from_scalar(Fr::ONE).is_some());
     }
 }

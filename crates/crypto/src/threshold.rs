@@ -342,36 +342,20 @@ impl<'a> Combiner<'a> {
     }
 }
 
-/// Reconstructs a shared secret scalar from `t` shares (used by tests and by
-/// the key-backup recovery flow, *never* by the signing path — signing keeps
-/// shares distributed).
-pub fn reconstruct_secret(t: usize, shares: &[KeyShare]) -> Result<Fr, ThresholdError> {
-    if shares.len() < t {
-        return Err(ThresholdError::InsufficientShares {
-            have: shares.len(),
-            need: t,
-        });
-    }
-    let selected = &shares[..t];
-    let mut seen = [false; 256];
-    for s in selected {
-        if s.index == 0 || seen[s.index as usize] {
-            return Err(ThresholdError::DuplicateIndex(s.index));
-        }
-        seen[s.index as usize] = true;
-    }
-    let indices: Vec<u8> = selected.iter().map(|s| s.index).collect();
-    let mut acc = Fr::ZERO;
-    for (i, s) in selected.iter().enumerate() {
-        acc = acc.add(&lagrange_at_zero(&indices, i).mul(&s.value));
-    }
-    Ok(acc)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::drbg::HmacDrbg;
+
+    /// The secret `shares` share, by Lagrange interpolation at zero: the
+    /// reference that a deal's shares share its group key. Signing never
+    /// reconstructs; it keeps the shares apart.
+    fn reconstruct_secret(shares: &[KeyShare]) -> Fr {
+        let indices: Vec<u8> = shares.iter().map(|s| s.index).collect();
+        shares.iter().enumerate().fold(Fr::ZERO, |acc, (i, s)| {
+            acc.add(&lagrange_at_zero(&indices, i).mul(&s.value))
+        })
+    }
 
     fn setup(t: usize, n: usize, tag: &[u8]) -> ThresholdKeys {
         let mut rng = HmacDrbg::new(b"threshold tests", tag);
@@ -704,7 +688,7 @@ mod tests {
     fn secret_reconstruction_round_trip() {
         let mut rng = HmacDrbg::new(b"reconstruct", b"");
         let keys = generate(3, 5, &mut rng).unwrap();
-        let secret = reconstruct_secret(3, &keys.shares[1..4]).unwrap();
+        let secret = reconstruct_secret(&keys.shares[1..4]);
         // The reconstructed secret must produce the group public key.
         let pk = crate::bls::SecretKey(secret).public_key();
         assert_eq!(pk, keys.public_key);
@@ -715,7 +699,7 @@ mod tests {
         let keys = setup(2, 3, b"tamper");
         let mut shares: Vec<KeyShare> = keys.shares[..2].to_vec();
         shares[0].value = shares[0].value.add(&Fr::ONE);
-        let secret = reconstruct_secret(2, &shares).unwrap();
+        let secret = reconstruct_secret(&shares);
         let pk = crate::bls::SecretKey(secret).public_key();
         assert_ne!(pk, keys.public_key);
     }

@@ -24,9 +24,9 @@
 //!   [`CosignedHeads`] a thin client verifies with a **single** pairing
 //!   check in place of auditing all `n` domains itself — one witness
 //!   response covers the whole deployment (relay mode).
-//! * [`mesh`] — a deterministic in-process mesh simulation
-//!   ([`Mesh`]/[`GossipNode`]) used by the convergence property tests: no
-//!   sockets, no sleeps, synchronous rounds.
+//! * [`mesh`] — [`GossipNode`], one honest auditor's gossip state: the
+//!   witness relays through one, and the convergence property tests wire
+//!   many into a deterministic in-process mesh (`tests/common/mesh.rs`).
 
 pub mod envelope;
 pub mod evidence;
@@ -35,7 +35,7 @@ pub mod witness;
 
 pub use envelope::{GossipEnvelope, GossipHead, MAX_ENVELOPE_EVIDENCE, MAX_ENVELOPE_HEADS};
 pub use evidence::{EvidenceBundle, EvidencePool, MAX_EVIDENCE_POOL};
-pub use mesh::{GossipNode, Mesh};
+pub use mesh::GossipNode;
 pub use witness::{
     cosign_signing_bytes, CosignedHeads, QuorumAggregator, Witness, WitnessError,
     MAX_COSIGNED_HEADS,

@@ -1,16 +1,10 @@
-//! Deterministic in-process gossip mesh.
+//! One honest auditor's gossip state.
 //!
-//! [`GossipNode`] is one honest auditor's gossip state: a verified view
-//! of every domain's checkpoints, the best (largest) verified head per
-//! domain for re-gossiping, and a pool of transferable evidence.
-//! [`Mesh`] wires nodes into an arbitrary undirected topology and runs
-//! *synchronous rounds*: each round snapshots every node's envelope,
-//! then delivers each snapshot along every edge in both directions. No
-//! sockets, no clocks, no sleeps — the same inputs always produce the
-//! same verdicts, which is what lets the convergence property test make
-//! an exact O(diameter) claim: a head crosses one edge per round, so two
-//! conflicting views meet within `dist(a, b)` rounds and the resulting
-//! evidence floods back out within `diameter` more.
+//! [`GossipNode`] holds a verified view of every domain's checkpoints,
+//! the best (largest) verified head per domain for re-gossiping, and a
+//! pool of transferable evidence. The witness relays through one; the
+//! convergence tests wire many into an in-process mesh
+//! (`tests/common/mesh.rs`).
 
 use crate::envelope::{GossipEnvelope, GossipHead};
 use crate::evidence::{EvidenceBundle, EvidencePool};
@@ -116,78 +110,6 @@ impl GossipNode {
     pub fn evidence(&self) -> &[EvidenceBundle] {
         self.pool.items()
     }
-
-    /// The node's auditor (read access, e.g. for cross-checking).
-    pub fn auditor(&self) -> &Auditor {
-        &self.auditor
-    }
-}
-
-/// A set of gossip nodes joined by undirected edges, stepped in
-/// deterministic synchronous rounds.
-pub struct Mesh {
-    nodes: Vec<GossipNode>,
-    edges: Vec<(usize, usize)>,
-}
-
-impl Mesh {
-    /// A mesh over `nodes` connected by the undirected `edges`
-    /// (self-loops and duplicate edges are tolerated and harmless).
-    pub fn new(nodes: Vec<GossipNode>, edges: Vec<(usize, usize)>) -> Self {
-        Self { nodes, edges }
-    }
-
-    /// Number of nodes.
-    pub fn len(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// Whether the mesh has no nodes.
-    pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
-    }
-
-    /// Read access to a node.
-    pub fn node(&self, i: usize) -> &GossipNode {
-        &self.nodes[i]
-    }
-
-    /// Mutable access to a node (used to inject direct observations).
-    pub fn node_mut(&mut self, i: usize) -> &mut GossipNode {
-        &mut self.nodes[i]
-    }
-
-    /// Runs one synchronous gossip round: snapshot every node's
-    /// envelope, then deliver each snapshot along every edge in both
-    /// directions. Snapshot-then-deliver means information moves at most
-    /// one hop per round — the property the convergence bound counts on.
-    pub fn round(&mut self) {
-        let snapshots: Vec<GossipEnvelope> = self.nodes.iter().map(|n| n.envelope()).collect();
-        for &(a, b) in &self.edges {
-            if a == b {
-                continue;
-            }
-            let env_a = snapshots[a].clone();
-            let env_b = snapshots[b].clone();
-            self.nodes[b].ingest(&env_a);
-            self.nodes[a].ingest(&env_b);
-        }
-    }
-
-    /// Runs rounds until every node convicts `domain` or `max_rounds`
-    /// is exhausted; returns the number of rounds run if converged.
-    pub fn converge_on(&mut self, domain: u32, max_rounds: usize) -> Option<usize> {
-        for r in 0..=max_rounds {
-            if self.nodes.iter().all(|n| n.convicted(domain)) {
-                return Some(r);
-            }
-            if r == max_rounds {
-                break;
-            }
-            self.round();
-        }
-        None
-    }
 }
 
 #[cfg(test)]
@@ -206,53 +128,6 @@ mod tests {
             },
             sk,
         )
-    }
-
-    #[test]
-    fn split_view_meets_in_the_middle_of_a_path() {
-        // Path topology 0—1—2—3—4; node 0 sees fork A, node 4 sees fork
-        // B of domain 0. Distance between the views is 4, evidence needs
-        // at most the diameter (4) more to flood back out.
-        let sk = SigningKey::derive(b"mesh", b"equivocator");
-        let keys = vec![sk.verifying_key()];
-        let nodes = (0..5).map(|_| GossipNode::new(keys.clone())).collect();
-        let edges = vec![(0, 1), (1, 2), (2, 3), (3, 4)];
-        let mut mesh = Mesh::new(nodes, edges);
-        mesh.node_mut(0)
-            .observe_checkpoint(0, checkpoint(&sk, 0, 7, 0xaa));
-        mesh.node_mut(4)
-            .observe_checkpoint(0, checkpoint(&sk, 0, 7, 0xbb));
-
-        let rounds = mesh
-            .converge_on(0, 2 * 4 + 2)
-            .expect("all nodes must convict within 2*diameter+2 rounds");
-        assert!(rounds <= 8, "path of 5 converged in {rounds} rounds");
-        for i in 0..mesh.len() {
-            assert!(mesh.node(i).convicted(0));
-            // The conviction is transferable: every node's evidence
-            // verifies against the domain's key alone.
-            assert!(mesh.node(i).evidence().iter().any(|b| b.verify(&keys[0])));
-        }
-    }
-
-    #[test]
-    fn honest_views_never_convict() {
-        let sk = SigningKey::derive(b"mesh", b"honest");
-        let keys = vec![sk.verifying_key()];
-        let nodes = (0..3).map(|_| GossipNode::new(keys.clone())).collect();
-        let mut mesh = Mesh::new(nodes, vec![(0, 1), (1, 2)]);
-        // Same history, different staleness — lagging is consistent.
-        mesh.node_mut(0)
-            .observe_checkpoint(0, checkpoint(&sk, 0, 3, 0x33));
-        mesh.node_mut(2)
-            .observe_checkpoint(0, checkpoint(&sk, 0, 3, 0x33));
-        for _ in 0..6 {
-            mesh.round();
-        }
-        for i in 0..mesh.len() {
-            assert!(!mesh.node(i).convicted(0));
-            assert!(mesh.node(i).evidence().is_empty());
-        }
     }
 
     #[test]
@@ -276,22 +151,5 @@ mod tests {
         });
         assert!(!node.convicted(0));
         assert!(node.evidence().is_empty());
-    }
-
-    #[test]
-    fn second_hand_heads_propagate() {
-        // Node 0 observes directly; nodes 1 and 2 learn the head only
-        // via gossip, and node 2 only via node 1's re-gossip.
-        let sk = SigningKey::derive(b"mesh", b"relay");
-        let keys = vec![sk.verifying_key()];
-        let nodes = (0..3).map(|_| GossipNode::new(keys.clone())).collect();
-        let mut mesh = Mesh::new(nodes, vec![(0, 1), (1, 2)]);
-        mesh.node_mut(0)
-            .observe_checkpoint(0, checkpoint(&sk, 0, 9, 0x99));
-        mesh.round();
-        mesh.round();
-        let head = mesh.node(2).envelope().heads;
-        assert_eq!(head.len(), 1);
-        assert_eq!(head[0].checkpoint.body.size, 9);
     }
 }

@@ -5,7 +5,9 @@
 #
 #   crates/lint/record.sh [-b BINARY] [-o DIR] SHA...
 #
-# For each SHA, `git archive` writes its `crates src tests` into DIR/SHA
+# For each SHA, `git archive` writes its `crates src tests examples e2e/src`
+# (the last three are the dead-surface pass's callers; a path the tree does
+# not have is skipped) into DIR/SHA
 # (default DIR: a fresh directory under ${TMPDIR:-/tmp}), the binary writes
 # its `--root DIR/SHA --format json` report to DIR/SHA.json, and one line
 # per tree follows on stdout:
@@ -38,8 +40,8 @@ for sha in "$@"; do
     tree=$out/$sha
     if [ ! -d "$tree" ]; then
         mkdir -p "$tree"
-        # A tree may predate `tests/`: archive the paths it has.
-        paths=$(for p in crates src tests; do
+        # A tree may predate `tests/` or `e2e/`: archive the paths it has.
+        paths=$(for p in crates src tests examples e2e/src; do
             if git cat-file -e "$sha:$p" 2>/dev/null; then echo "$p"; fi
         done)
         # shellcheck disable=SC2086 # one word per path

@@ -1,6 +1,6 @@
 //! `distrust-lint`: repo-aware static analysis for the distrust workspace.
 //!
-//! Six passes over a hand-rolled token stream (no registry
+//! Seven passes over a hand-rolled token stream (no registry
 //! dependencies, std only). [`analyze`] builds one workspace-wide
 //! [`resolve::Resolver`], which resolves `use` imports and type
 //! qualifiers across crate seams, and hands it to both the call-graph
@@ -24,6 +24,10 @@
 //!    with argument taint injected into callees.
 //! 6. **trust-boundary** — unverified signed-object fields flowing into
 //!    state-changing sinks before a verification call dominates them.
+//! 7. **dead-surface** — public items of the product crates whose name
+//!    appears nowhere but their own definition and their own file's
+//!    tests; `tests/`, `examples/`, `benches/` and `e2e/src` count as
+//!    callers and are read for identifiers only.
 //!
 //! A finding is suppressed only by `// lint:allow(<pass>): <reason>` on
 //! the same or preceding line (reason mandatory); a marker that excuses
@@ -42,10 +46,12 @@ pub mod scan;
 
 use config::Config;
 use dataflow::Dataflow;
+use lexer::{lex, Tok};
 use model::Model;
 use report::Report;
 use resolve::Resolver;
 use scan::SourceFile;
+use std::collections::BTreeSet;
 use std::io;
 use std::path::{Path, PathBuf};
 
@@ -81,11 +87,19 @@ impl Stats {
 /// size counters.
 pub fn analyze(cfg: &Config) -> io::Result<(Report, Stats)> {
     let start = std::time::Instant::now();
-    let paths = discover(&cfg.root)?;
+    let (paths, caller_paths) = discover(&cfg.root)?;
     let mut files = Vec::with_capacity(paths.len());
     for path in paths {
         let source = std::fs::read_to_string(cfg.root.join(&path))?;
         files.push(SourceFile::parse(path, &source));
+    }
+    let mut callers = BTreeSet::new();
+    for path in caller_paths {
+        let source = std::fs::read_to_string(cfg.root.join(&path))?;
+        callers.extend(lex(&source).0.into_iter().filter_map(|t| match t.tok {
+            Tok::Ident(name) => Some(name),
+            _ => None,
+        }));
     }
 
     let resolver = Resolver::build(&files);
@@ -101,6 +115,7 @@ pub fn analyze(cfg: &Config) -> io::Result<(Report, Stats)> {
         let fuzz = std::fs::read_to_string(cfg.root.join(&proto.fuzz_file)).ok();
         passes::protocol::run(&files, proto, fuzz.as_deref(), &mut report);
     }
+    passes::dead_surface::run(&files, &callers, &mut report);
     report.apply_allows(&files);
     report.finish();
     let stats = Stats {
@@ -113,36 +128,41 @@ pub fn analyze(cfg: &Config) -> io::Result<(Report, Stats)> {
     Ok((report, stats))
 }
 
-/// Collects the root-relative paths of every source file to scan, sorted
-/// for determinism. A workspace root scans `crates/*/src` plus `src/`;
-/// any other root (fixture directories) scans all `.rs` files under it.
-fn discover(root: &Path) -> io::Result<Vec<String>> {
-    let mut out = Vec::new();
+/// Collects the root-relative paths of every source file to scan, and of
+/// the caller files only the dead-surface pass reads, each sorted for
+/// determinism. A workspace root scans `crates/*/src` plus `src/`, and
+/// reads `tests/`, `examples/` and `benches/` at the root and in each
+/// crate, plus `e2e/src`, as callers; any other root (fixture
+/// directories) scans all `.rs` files under it and has no callers.
+fn discover(root: &Path) -> io::Result<(Vec<String>, Vec<String>)> {
+    let (mut sources, mut callers) = (Vec::new(), Vec::new());
     if root.join("crates").is_dir() {
-        let mut crates: Vec<PathBuf> = std::fs::read_dir(root.join("crates"))?
+        let mut dirs: Vec<PathBuf> = std::fs::read_dir(root.join("crates"))?
             .filter_map(|e| e.ok())
             .map(|e| e.path())
             .filter(|p| p.is_dir())
             .collect();
-        crates.sort();
-        for krate in crates {
-            let src = krate.join("src");
-            if src.is_dir() {
-                walk(root, &src, &mut out)?;
+        dirs.push(root.to_path_buf());
+        for dir in dirs {
+            walk(root, &dir.join("src"), &mut sources)?;
+            for sub in ["tests", "examples", "benches"] {
+                walk(root, &dir.join(sub), &mut callers)?;
             }
         }
-        let src = root.join("src");
-        if src.is_dir() {
-            walk(root, &src, &mut out)?;
-        }
+        walk(root, &root.join("e2e/src"), &mut callers)?;
     } else {
-        walk(root, root, &mut out)?;
+        walk(root, root, &mut sources)?;
     }
-    out.sort();
-    Ok(out)
+    sources.sort();
+    callers.sort();
+    Ok((sources, callers))
 }
 
+/// Appends every `.rs` file under `dir`, if it exists, to `out`.
 fn walk(root: &Path, dir: &Path, out: &mut Vec<String>) -> io::Result<()> {
+    if !dir.is_dir() {
+        return Ok(());
+    }
     let mut entries: Vec<PathBuf> = std::fs::read_dir(dir)?
         .filter_map(|e| e.ok())
         .map(|e| e.path())

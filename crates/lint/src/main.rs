@@ -43,7 +43,7 @@ fn main() -> ExitCode {
                     "distrust-lint [--deny] [--format text|json] [--root PATH] [--stats]\n\
                      Repo-aware static analysis: lock-order, panic-path, \
                      protocol-conformance, reactor-blocking, taint-alloc, \
-                     trust-boundary.\n\
+                     trust-boundary, dead-surface.\n\
                      --deny exits non-zero when a finding is not excused by a \
                      `lint:allow(<pass>): <reason>` comment beside it; \
                      --stats appends one line of analysis-size counters \

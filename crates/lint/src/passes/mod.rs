@@ -1,6 +1,7 @@
-//! The six repo-specific analysis passes.
+//! The seven repo-specific analysis passes.
 
 pub mod blocking;
+pub mod dead_surface;
 pub mod lock_order;
 pub mod panic_path;
 pub mod protocol;

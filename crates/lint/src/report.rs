@@ -5,13 +5,14 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 
 /// Pass keys accepted in `lint:allow(<key>)` entries.
-pub const PASS_KEYS: [&str; 6] = [
+pub const PASS_KEYS: [&str; 7] = [
     "lock-order",
     "panic",
     "protocol",
     "blocking",
     "taint-alloc",
     "trust-boundary",
+    "dead-surface",
 ];
 
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]

@@ -297,6 +297,52 @@ impl SourceFile {
             .find(|&k| self.punct_at(k, ';') && self.depth[k] == depth)
             .unwrap_or(close)
     }
+
+    /// The first token of the file's first top-level test-only item (a
+    /// `#[cfg(test)]` item or `mod tests`), or the token count when the
+    /// file has none.
+    pub fn first_test_item(&self) -> usize {
+        (0..self.tokens.len())
+            .find(|&k| self.test_mask[k] && self.depth[k] == 0)
+            .unwrap_or(self.tokens.len())
+    }
+
+    /// What a bare `pub` at `idx` declares, when it is a `fn` (through
+    /// `const`, `async`, `unsafe` and `extern "…"` qualifiers), a `const`,
+    /// a `struct` or an `enum`: the kind and the index of the item's name.
+    /// `pub(crate)` and every other item kind give `None`.
+    pub fn pub_item(&self, idx: usize) -> Option<(&'static str, usize)> {
+        if self.ident_at(idx) != Some("pub") || self.punct_at(idx + 1, '(') {
+            return None;
+        }
+        let mut k = idx + 1;
+        let kind = loop {
+            match self.ident_at(k) {
+                Some("fn") => break "fn",
+                Some("struct") => break "struct",
+                Some("enum") => break "enum",
+                Some("const")
+                    if !matches!(
+                        self.ident_at(k + 1),
+                        Some("fn" | "async" | "unsafe" | "extern")
+                    ) =>
+                {
+                    break "const"
+                }
+                Some("const" | "async" | "unsafe") => k += 1,
+                Some("extern") => {
+                    k += 1;
+                    if matches!(self.tokens.get(k).map(|t| &t.tok), Some(Tok::Str)) {
+                        k += 1;
+                    }
+                }
+                _ => return None,
+            }
+        };
+        self.ident_at(k + 1)
+            .filter(|&name| name != "_")
+            .map(|_| (kind, k + 1))
+    }
 }
 
 fn crate_of(path: &str) -> String {
@@ -889,6 +935,42 @@ mod unit {
             idx += 1;
         }
         assert_eq!(seen, ["a", "fn", "inner", "c"]);
+    }
+
+    #[test]
+    fn pub_items_name_fns_consts_and_types_only() {
+        let src = "pub fn a() {}\npub const fn b() {}\npub unsafe extern \"C\" fn c() {}\n\
+                   pub const D: u8 = 0;\npub const _: () = ();\npub struct E;\npub enum F {}\n\
+                   pub(crate) fn g() {}\npub trait H {}\npub mod i {}\npub use j::K;\n";
+        let file = SourceFile::parse("crates/x/src/lib.rs".into(), src);
+        let items: Vec<(&str, &str)> = (0..file.tokens.len())
+            .filter_map(|k| file.pub_item(k))
+            .map(|(kind, at)| (kind, file.ident_at(at).unwrap()))
+            .collect();
+        assert_eq!(
+            items,
+            [
+                ("fn", "a"),
+                ("fn", "b"),
+                ("fn", "c"),
+                ("const", "D"),
+                ("struct", "E"),
+                ("enum", "F")
+            ]
+        );
+    }
+
+    #[test]
+    fn the_first_test_item_is_top_level() {
+        // A test-only field masks tokens, but not at the top level.
+        let src = "struct S {\n #[cfg(test)]\n f: u8,\n}\npub fn live() {}\n\
+                   #[cfg(test)]\nfn helper() {}\npub fn after() {}\n";
+        let file = SourceFile::parse("crates/x/src/lib.rs".into(), src);
+        let first = file.first_test_item();
+        assert!(file.punct_at(first, '#'));
+        assert_eq!(file.line_at(first), 6);
+        let file = SourceFile::parse("crates/x/src/lib.rs".into(), "pub fn f() {}");
+        assert_eq!(file.first_test_item(), file.tokens.len());
     }
 
     #[test]

@@ -184,6 +184,43 @@ fn trust_boundary_fixture_fires_exactly() {
 }
 
 #[test]
+fn dead_surface_fixture_fires_exactly() {
+    let report = analyze_fixture("bad_dead_surface");
+    let fired: Vec<(&str, u32, bool)> = report
+        .findings
+        .iter()
+        .map(|f| (f.pass.as_str(), f.line, f.allowed.is_some()))
+        .collect();
+    assert_eq!(
+        fired,
+        [
+            ("dead-surface", 5, false),
+            ("dead-surface", 10, false),
+            ("dead-surface", 18, true)
+        ],
+        "{:?}",
+        report.findings
+    );
+    let messages: Vec<&str> = report.findings.iter().map(|f| f.message.as_str()).collect();
+    assert_eq!(
+        messages,
+        [
+            "public fn `orphan` has no caller: its name appears only in its definition \
+             and its own file's tests",
+            "public const `ONLY_TESTED` has no caller: its name appears only in its \
+             definition and its own file's tests",
+            "public fn `kept` has no caller: its name appears only in its definition \
+             and its own file's tests",
+        ]
+    );
+    assert!(report
+        .findings
+        .iter()
+        .all(|f| f.file == "crates/alpha/src/lib.rs"));
+    assert_eq!(report.unallowlisted(), 2);
+}
+
+#[test]
 fn cross_crate_fixture_fires_each_seeded_defect_exactly() {
     let report = analyze_fixture("cross_crate");
     let count = |pass: &str| report.findings.iter().filter(|f| f.pass == pass).count();

@@ -146,13 +146,6 @@ impl ProofBundle {
             path,
         })
     }
-
-    /// Total path entries across all steps (each one 4 bytes on the wire,
-    /// vs. 32 for a raw digest) — the compactness measure the unit tests
-    /// assert on.
-    pub fn total_path_entries(&self) -> usize {
-        self.steps.iter().map(|s| s.path.len()).sum()
-    }
 }
 
 /// Upper bound on checkpoints per [`CheckpointBundle`]: what a domain
@@ -347,7 +340,8 @@ mod tests {
             .windows(2)
             .map(|w| log.prove_consistency(w[0], w[1]).unwrap().path.len())
             .sum();
-        assert_eq!(bundle.total_path_entries(), raw_nodes);
+        let path_entries: usize = bundle.steps.iter().map(|s| s.path.len()).sum();
+        assert_eq!(path_entries, raw_nodes);
         assert!(
             bundle.nodes.len() < raw_nodes,
             "pool {} should be smaller than {} raw path nodes",

@@ -46,7 +46,7 @@ use super::{AppendAck, DurableOptions, MetaRecord, Recovered, StoreError};
 use distrust_crypto::sha256::Digest;
 use distrust_wire::sync::HealthyMutex;
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::io::{Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 fn segment_path(dir: &Path, segment: u64) -> PathBuf {
@@ -72,6 +72,13 @@ fn parse_segment_name(name: &str) -> Option<(u32, u64)> {
 
 /// Makes a directory entry (new or truncated file) durable.
 fn sync_dir(dir: &Path) -> Result<(), StoreError> {
+    #[cfg(test)]
+    {
+        DIR_SYNCS.set(DIR_SYNCS.get() + 1);
+        if FAIL_NEXT_DIR_SYNC.take() {
+            return Err(std::io::Error::other("injected directory sync failure").into());
+        }
+    }
     File::open(dir)?.sync_all()?;
     Ok(())
 }
@@ -100,7 +107,9 @@ struct Writer {
 /// and what `Writer` keeps of a segment.
 struct MetaWriter {
     file: Option<File>,
-    /// Bytes of `meta.dlog` that hold its header and acknowledged records.
+    /// Bytes of `meta.dlog` that hold its header and acknowledged records:
+    /// what recovery left, then what each append adds. 0 until the file
+    /// has a durable header.
     written: u64,
     /// As `Writer::unrepaired`, for `meta.dlog`.
     unrepaired: bool,
@@ -122,13 +131,14 @@ impl DurableStore {
     pub fn open(opts: DurableOptions) -> Result<(Self, Recovered), StoreError> {
         std::fs::create_dir_all(&opts.dir)?;
         let (writer, mut recovered) = recover_chain(&opts.dir)?;
-        recovered.meta = recover_meta(&opts.dir)?;
+        let (meta, meta_len) = recover_meta(&opts.dir)?;
+        recovered.meta = meta;
         let store = Self {
             opts,
             writer: HealthyMutex::new(writer),
             meta: HealthyMutex::new(MetaWriter {
                 file: None,
-                written: 0,
+                written: meta_len,
                 unrepaired: false,
             }),
         };
@@ -207,32 +217,23 @@ impl DurableStore {
         }
         let path = meta_path(&self.opts.dir);
         if meta.file.is_none() {
+            // Recovery (or a failed write's cut-back) left the file exactly
+            // `written` bytes long, so it is not read again; a missing or
+            // headerless one gets its header, durable with its entry before
+            // `written` counts it.
             let mut file = OpenOptions::new()
-                .read(true)
                 .write(true)
                 .create(true)
                 .truncate(false)
                 .open(&path)?;
-            let bytes = {
-                let mut bytes = Vec::new();
-                file.read_to_end(&mut bytes)?;
-                bytes
-            };
-            let scanned = scan_meta(&bytes);
-            if scanned.valid_len == 0 {
-                let header = encode_meta_header();
+            if meta.written == 0 || file.metadata()?.len() == 0 {
                 file.set_len(0)?;
-                file.seek(SeekFrom::Start(0))?;
-                file.write_all(&header)?;
-                meta.written = header.len() as u64;
+                file.write_all(&encode_meta_header())?;
+                sync_dir(&self.opts.dir)?;
+                meta.written = HEADER_LEN as u64;
             } else {
-                if scanned.torn {
-                    file.set_len(scanned.valid_len)?;
-                }
-                file.seek(SeekFrom::Start(scanned.valid_len))?;
-                meta.written = scanned.valid_len;
+                file.seek(SeekFrom::Start(meta.written))?;
             }
-            sync_dir(&self.opts.dir)?;
             meta.file = Some(file);
         }
         let mut buf = Vec::new();
@@ -265,17 +266,25 @@ impl DurableStore {
             .open(&path)?;
         let existing = file.metadata()?.len();
         if existing < HEADER_LEN as u64 {
-            // Fresh (or header-torn) segment: write the header.
-            file.set_len(0)?;
-            file.seek(SeekFrom::Start(0))?;
+            // Fresh (or header-torn) segment: write the header, then make
+            // it and the directory entry durable. A failure cuts the file
+            // back to empty, so the next call writes and syncs both again
+            // instead of reusing a header it never synced.
             let header = encode_segment_header(&SegmentHeader {
                 shard: 0,
                 segment_index: writer.segment_index,
                 start_index: writer.segment_start,
             });
-            file.write_all(&header)?;
-            file.sync_data()?;
-            sync_dir(&self.opts.dir)?;
+            let made = file
+                .set_len(0)
+                .and_then(|()| file.write_all(&header))
+                .and_then(|()| file.sync_data())
+                .map_err(StoreError::from)
+                .and_then(|()| sync_dir(&self.opts.dir));
+            if let Err(error) = made {
+                writer.unrepaired = cut_back(&path, 0).is_err();
+                return Err(error);
+            }
             writer.written = HEADER_LEN as u64;
         } else {
             file.seek(SeekFrom::Start(existing))?;
@@ -330,12 +339,15 @@ fn write_or_cut_back(
         return Ok(());
     };
     *file = None;
-    let cut = OpenOptions::new()
-        .write(true)
-        .open(path)
-        .and_then(|file| file.set_len(durable).and_then(|()| file.sync_all()));
-    *unrepaired = cut.is_err();
+    *unrepaired = cut_back(path, durable).is_err();
     Err(error.into())
+}
+
+/// Cuts the file at `path` back to its first `durable` bytes, durably.
+fn cut_back(path: &Path, durable: u64) -> std::io::Result<()> {
+    let file = OpenOptions::new().write(true).open(path)?;
+    file.set_len(durable)?;
+    file.sync_all()
 }
 
 /// The chain's segment indices found in the directory, sorted. A segment
@@ -360,13 +372,14 @@ fn list_segments(dir: &Path) -> Result<Vec<u64>, StoreError> {
     Ok(found)
 }
 
-/// Scans `meta.dlog`, cutting away a torn tail, and returns its records.
-/// The meta writer opens the file on its first append and scans it then.
-fn recover_meta(dir: &Path) -> Result<Vec<MetaRecord>, StoreError> {
+/// Scans `meta.dlog`, cutting away a torn tail, and returns its records
+/// with the length that survives (0 for a missing or headerless file). The
+/// meta writer opens the file on its first append, at that length.
+fn recover_meta(dir: &Path) -> Result<(Vec<MetaRecord>, u64), StoreError> {
     let path = meta_path(dir);
     let bytes = match std::fs::read(&path) {
         Ok(bytes) => bytes,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Vec::new()),
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok((Vec::new(), 0)),
         Err(e) => return Err(e.into()),
     };
     let scanned = scan_meta(&bytes);
@@ -375,11 +388,12 @@ fn recover_meta(dir: &Path) -> Result<Vec<MetaRecord>, StoreError> {
         file.set_len(scanned.valid_len)?;
         file.sync_all()?;
     }
-    Ok(scanned
+    let records = scanned
         .records
         .into_iter()
         .map(|(kind, payload)| MetaRecord { kind, payload })
-        .collect())
+        .collect();
+    Ok((records, scanned.valid_len))
 }
 
 /// Scans the full chain, repairing torn tails and deleting everything
@@ -475,6 +489,10 @@ fn recover_chain(dir: &Path) -> Result<(Writer, Recovered), StoreError> {
 thread_local! {
     /// Set by [`DurableStore::fail_next_checkpoint`].
     static FAIL_NEXT_CHECKPOINT: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+    /// Set by [`DurableStore::fail_next_dir_sync`].
+    static FAIL_NEXT_DIR_SYNC: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+    /// Directory syncs on this thread, failed ones included.
+    static DIR_SYNCS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
 /// A handle on which writes succeed and syncs fail: `fdatasync` and
@@ -491,6 +509,11 @@ impl DurableStore {
     /// seal after the leaf before it was synced.
     pub(crate) fn fail_next_checkpoint() {
         FAIL_NEXT_CHECKPOINT.set(true);
+    }
+
+    /// Makes the next directory sync on this thread fail.
+    fn fail_next_dir_sync() {
+        FAIL_NEXT_DIR_SYNC.set(true);
     }
 }
 
@@ -814,6 +837,29 @@ mod tests {
         drop(store);
         let (store, _) = open(&dir, 1 << 20);
         store.append_meta(7, b"after reopen").unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A segment whose header was written but whose directory entry never
+    /// synced is not reused as it stands: the retried append writes and
+    /// syncs both again before it acknowledges the leaf.
+    #[test]
+    fn a_failed_directory_sync_is_redone_before_the_next_append() {
+        let dir = tempdir("failed-dir-sync");
+        let (store, _) = open(&dir, 1 << 20);
+        DurableStore::fail_next_dir_sync();
+        assert!(matches!(store.append(0, b"first"), Err(StoreError::Io(_))));
+        let before = DIR_SYNCS.get();
+        store.append(0, b"first").unwrap();
+        assert_eq!(
+            DIR_SYNCS.get(),
+            before + 1,
+            "the retry synced the directory"
+        );
+        store.append(1, b"second").unwrap();
+        drop(store);
+        let (_, recovered) = open(&dir, 1 << 20);
+        assert_eq!(recovered.leaves, [b"first".to_vec(), b"second".to_vec()]);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -1,9 +1,8 @@
-//! Devices and launched enclaves: measurement, quoting, sealed storage.
+//! Devices and launched enclaves: measurement, quoting, derived keys.
 
 use crate::attest::{AttestationDocument, PlatformEvidence, Quote};
 use crate::vendor::{DeviceCert, VendorKind};
-use distrust_crypto::drbg::HmacDrbg;
-use distrust_crypto::hmac::{hkdf, hmac_sha256};
+use distrust_crypto::hmac::hkdf;
 use distrust_crypto::schnorr::SigningKey;
 use distrust_crypto::sha256::Digest;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -67,10 +66,6 @@ struct EnclaveInner {
 pub struct Enclave {
     inner: Arc<EnclaveInner>,
 }
-
-/// Sealed-blob framing: nonce (32) || ciphertext || tag (32).
-const SEAL_NONCE_LEN: usize = 32;
-const SEAL_TAG_LEN: usize = 32;
 
 impl Enclave {
     /// The code measurement this enclave was launched with.
@@ -143,74 +138,6 @@ impl Enclave {
         }
     }
 
-    /// Derives the sealing keys (encryption, MAC) bound to this device
-    /// *and* this measurement — a different code version cannot unseal.
-    fn sealing_keys(&self) -> ([u8; 32], [u8; 32]) {
-        let okm = hkdf(
-            b"distrust/tee/seal/v1",
-            &self.inner.device.sealing_secret,
-            &self.inner.measurement,
-            64,
-        );
-        let mut enc = [0u8; 32];
-        let mut mac = [0u8; 32];
-        enc.copy_from_slice(&okm[..32]);
-        mac.copy_from_slice(&okm[32..]);
-        (enc, mac)
-    }
-
-    /// Seals `plaintext` to this device + measurement: stream encryption
-    /// (HMAC-DRBG keystream) with encrypt-then-MAC integrity.
-    pub fn seal<R: rand::RngCore + ?Sized>(&self, plaintext: &[u8], rng: &mut R) -> Vec<u8> {
-        let (enc_key, mac_key) = self.sealing_keys();
-        let mut nonce = [0u8; SEAL_NONCE_LEN];
-        rng.fill_bytes(&mut nonce);
-        let mut stream = HmacDrbg::new(&enc_key, &nonce);
-        let mut keystream = vec![0u8; plaintext.len()];
-        stream.generate(&mut keystream);
-        let mut out = Vec::with_capacity(SEAL_NONCE_LEN + plaintext.len() + SEAL_TAG_LEN);
-        out.extend_from_slice(&nonce);
-        out.extend(plaintext.iter().zip(keystream.iter()).map(|(p, k)| p ^ k));
-        let tag = {
-            let mut mac = distrust_crypto::hmac::HmacSha256::new(&mac_key);
-            mac.update(&out);
-            mac.finalize()
-        };
-        out.extend_from_slice(&tag);
-        out
-    }
-
-    /// Unseals a blob; `None` if the MAC fails (tampered, or sealed by a
-    /// different device/measurement).
-    pub fn unseal(&self, sealed: &[u8]) -> Option<Vec<u8>> {
-        if sealed.len() < SEAL_NONCE_LEN + SEAL_TAG_LEN {
-            return None;
-        }
-        let (body, tag) = sealed.split_at(sealed.len() - SEAL_TAG_LEN);
-        let (enc_key, mac_key) = self.sealing_keys();
-        let expect = {
-            let mut mac = distrust_crypto::hmac::HmacSha256::new(&mac_key);
-            mac.update(body);
-            mac.finalize()
-        };
-        // Non-secret-dependent comparison is fine here (tags are public),
-        // but compare exactly.
-        if expect != tag {
-            return None;
-        }
-        let (nonce, ciphertext) = body.split_at(SEAL_NONCE_LEN);
-        let mut stream = HmacDrbg::new(&enc_key, nonce);
-        let mut keystream = vec![0u8; ciphertext.len()];
-        stream.generate(&mut keystream);
-        Some(
-            ciphertext
-                .iter()
-                .zip(keystream.iter())
-                .map(|(c, k)| c ^ k)
-                .collect(),
-        )
-    }
-
     /// Derives a signing key *inside the enclave*, bound to this device
     /// and this measurement — standard TEE key-derivation practice. The
     /// framework uses it for log-checkpoint signatures; a different code
@@ -235,18 +162,11 @@ impl Enclave {
     }
 }
 
-/// Derives a per-deployment MAC over arbitrary state, used by trust-domain
-/// hosts without secure hardware (trust domain 0) to provide *integrity
-/// only* storage — making the asymmetry between attested and unattested
-/// domains concrete in the type system.
-pub fn unattested_state_mac(key: &[u8; 32], state: &[u8]) -> Digest {
-    hmac_sha256(key, state)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::vendor::Vendor;
+    use distrust_crypto::drbg::HmacDrbg;
 
     fn enclave(kind: VendorKind, measurement: Digest) -> Enclave {
         let vendor = Vendor::new(kind, b"enclave tests");
@@ -255,82 +175,10 @@ mod tests {
     }
 
     #[test]
-    fn seal_unseal_round_trip() {
-        let e = enclave(VendorKind::SgxSim, [1; 32]);
-        let mut rng = HmacDrbg::new(b"seal rng", b"");
-        let secret = b"threshold key share #3";
-        let sealed = e.seal(secret, &mut rng);
-        assert_eq!(e.unseal(&sealed), Some(secret.to_vec()));
-        // Ciphertext is not the plaintext.
-        assert!(!sealed.windows(secret.len()).any(|w| w == secret));
-    }
-
-    #[test]
-    fn tampered_blob_rejected() {
-        let e = enclave(VendorKind::NitroSim, [2; 32]);
-        let mut rng = HmacDrbg::new(b"seal rng", b"");
-        let mut sealed = e.seal(b"data", &mut rng);
-        let mid = sealed.len() / 2;
-        sealed[mid] ^= 1;
-        assert_eq!(e.unseal(&sealed), None);
-        assert_eq!(e.unseal(&[0u8; 10]), None);
-    }
-
-    #[test]
-    fn sealing_bound_to_measurement() {
-        // Same device, different measurement → unseal fails. This is the
-        // property that makes "seal the framework, not the app" matter:
-        // an updated (different) framework could not steal sealed state.
-        let vendor = Vendor::new(VendorKind::KeystoneSim, b"bind test");
-        let mut rng = HmacDrbg::new(b"rng", b"");
-        let device_a = vendor.provision_device(&mut rng);
-        let cert_a = device_a.cert().clone();
-        let e1 = device_a.launch([1; 32]);
-        let mut rng2 = HmacDrbg::new(b"rng", b""); // same stream → same device secrets? No:
-        let device_b = vendor.provision_device(&mut rng2);
-        let e2 = device_b.launch([9; 32]);
-        let sealed = e1.seal(b"secret", &mut rng);
-        assert_eq!(e2.unseal(&sealed), None);
-        // Also differs across devices even at the same measurement.
-        let mut rng3 = HmacDrbg::new(b"rng3", b"");
-        let device_c = vendor.provision_device(&mut rng3);
-        let e3 = device_c.launch([1; 32]);
-        assert_eq!(e3.unseal(&sealed), None);
-        let _ = cert_a;
-    }
-
-    #[test]
     fn quotes_carry_measurement_and_user_data() {
         let e = enclave(VendorKind::SgxSim, [7; 32]);
         let q = e.quote(b"bound-data");
         assert_eq!(q.document.measurement, [7; 32]);
         assert_eq!(q.document.user_data, b"bound-data");
-    }
-
-    #[test]
-    fn seal_is_randomized() {
-        let e = enclave(VendorKind::SgxSim, [3; 32]);
-        let mut rng = HmacDrbg::new(b"seal rng", b"");
-        let a = e.seal(b"same plaintext", &mut rng);
-        let b = e.seal(b"same plaintext", &mut rng);
-        assert_ne!(a, b, "fresh nonce per seal");
-        assert_eq!(e.unseal(&a), e.unseal(&b));
-    }
-
-    #[test]
-    fn empty_plaintext_seals() {
-        let e = enclave(VendorKind::NitroSim, [4; 32]);
-        let mut rng = HmacDrbg::new(b"seal rng", b"");
-        let sealed = e.seal(b"", &mut rng);
-        assert_eq!(e.unseal(&sealed), Some(vec![]));
-    }
-
-    #[test]
-    fn unattested_mac_detects_changes() {
-        let key = [9u8; 32];
-        let m1 = unattested_state_mac(&key, b"state-v1");
-        let m2 = unattested_state_mac(&key, b"state-v2");
-        assert_ne!(m1, m2);
-        assert_eq!(m1, unattested_state_mac(&key, b"state-v1"));
     }
 }

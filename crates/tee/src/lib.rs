@@ -13,7 +13,7 @@
 //!
 //! * [`vendor`] — vendors, device certificates, pinned roots.
 //! * [`attest`] — attestation documents, quotes, verification.
-//! * [`enclave`] — launched enclaves: quoting, sealed storage.
+//! * [`enclave`] — launched enclaves: quoting, measurement-bound key derivation.
 //! * [`host`] — the two-socket proxy topology of the paper's prototype
 //!   (client → host proxy → enclave interior), used verbatim by Table 3;
 //!   both sockets are served by the wire's one server shape.

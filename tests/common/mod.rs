@@ -7,6 +7,8 @@
 // Each test binary uses its own subset of these helpers.
 #![allow(dead_code)]
 
+pub mod mesh;
+
 use distrust::core::abi::{AppHost, NoImports, HANDLE_EXPORT, OUTBOX_ADDR};
 use distrust::core::framework::{EnclaveFramework, FrameworkConfig};
 use distrust::core::protocol::{AuditBundle, BundleAttestation, Request, Response};

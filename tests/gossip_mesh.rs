@@ -11,8 +11,11 @@
 //! rounds, and the resulting evidence floods back out within `diameter`
 //! more. `2 * diameter + 2` rounds therefore always suffice.
 
+mod common;
+
+use common::mesh::Mesh;
 use distrust::crypto::schnorr::SigningKey;
-use distrust::gossip::mesh::{GossipNode, Mesh};
+use distrust::gossip::GossipNode;
 use distrust::log::checkpoint::{log_id, CheckpointBody, SignedCheckpoint};
 use proptest::prelude::*;
 
@@ -161,4 +164,68 @@ proptest! {
             prop_assert!(!mesh.node(i).convicted(0));
         }
     }
+}
+
+#[test]
+fn split_view_meets_in_the_middle_of_a_path() {
+    // Path topology 0—1—2—3—4; node 0 sees fork A, node 4 sees fork
+    // B of domain 0. Distance between the views is 4, evidence needs
+    // at most the diameter (4) more to flood back out.
+    let sk = SigningKey::derive(b"mesh", b"equivocator");
+    let keys = vec![sk.verifying_key()];
+    let nodes = (0..5).map(|_| GossipNode::new(keys.clone())).collect();
+    let edges = vec![(0, 1), (1, 2), (2, 3), (3, 4)];
+    let mut mesh = Mesh::new(nodes, edges);
+    mesh.node_mut(0)
+        .observe_checkpoint(0, checkpoint(&sk, 0, 7, 0xaa));
+    mesh.node_mut(4)
+        .observe_checkpoint(0, checkpoint(&sk, 0, 7, 0xbb));
+
+    let rounds = mesh
+        .converge_on(0, 2 * 4 + 2)
+        .expect("all nodes must convict within 2*diameter+2 rounds");
+    assert!(rounds <= 8, "path of 5 converged in {rounds} rounds");
+    for i in 0..mesh.len() {
+        assert!(mesh.node(i).convicted(0));
+        // The conviction is transferable: every node's evidence
+        // verifies against the domain's key alone.
+        assert!(mesh.node(i).evidence().iter().any(|b| b.verify(&keys[0])));
+    }
+}
+
+#[test]
+fn honest_views_never_convict() {
+    let sk = SigningKey::derive(b"mesh", b"honest");
+    let keys = vec![sk.verifying_key()];
+    let nodes = (0..3).map(|_| GossipNode::new(keys.clone())).collect();
+    let mut mesh = Mesh::new(nodes, vec![(0, 1), (1, 2)]);
+    // Same history, different staleness — lagging is consistent.
+    mesh.node_mut(0)
+        .observe_checkpoint(0, checkpoint(&sk, 0, 3, 0x33));
+    mesh.node_mut(2)
+        .observe_checkpoint(0, checkpoint(&sk, 0, 3, 0x33));
+    for _ in 0..6 {
+        mesh.round();
+    }
+    for i in 0..mesh.len() {
+        assert!(!mesh.node(i).convicted(0));
+        assert!(mesh.node(i).evidence().is_empty());
+    }
+}
+
+#[test]
+fn second_hand_heads_propagate() {
+    // Node 0 observes directly; nodes 1 and 2 learn the head only
+    // via gossip, and node 2 only via node 1's re-gossip.
+    let sk = SigningKey::derive(b"mesh", b"relay");
+    let keys = vec![sk.verifying_key()];
+    let nodes = (0..3).map(|_| GossipNode::new(keys.clone())).collect();
+    let mut mesh = Mesh::new(nodes, vec![(0, 1), (1, 2)]);
+    mesh.node_mut(0)
+        .observe_checkpoint(0, checkpoint(&sk, 0, 9, 0x99));
+    mesh.round();
+    mesh.round();
+    let head = mesh.node(2).envelope().heads;
+    assert_eq!(head.len(), 1);
+    assert_eq!(head[0].checkpoint.body.size, 9);
 }
