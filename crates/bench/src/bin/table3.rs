@@ -11,76 +11,105 @@
 //! TEE+Sandbox, with sandbox interpretation contributing the bulk of the
 //! overhead and the extra sockets a smaller additional cost. Results are
 //! also written to `bench_results/table3.json`.
+//!
+//! The four environments are timed interleaved: each sample calls every
+//! one once, in an order that rotates from sample to sample, and a row's
+//! increase is the median of its per-sample ratio to Baseline. A host
+//! that changes speed during the run then moves every row of a sample
+//! alike, where rows timed one after another would each meet a different
+//! host.
 
 use distrust_bench::{Environment, SigningBench, Summary};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 const WARMUP: usize = 20;
 const ITERATIONS: usize = 200;
 
+/// Table 3's rows, Baseline first: every ratio is to it.
+const ENVIRONMENTS: [Environment; 4] = [
+    Environment::Baseline,
+    Environment::Sandbox,
+    Environment::TeeSandbox,
+    Environment::TeeTomorrow,
+];
+
 struct Row {
     label: &'static str,
     summary: Summary,
+    /// Median of the per-sample ratios to Baseline, as a percentage
+    /// increase.
+    increase: f64,
     paper_ms: f64,
     paper_increase: Option<f64>,
 }
 
-fn measure(env: Environment) -> Summary {
-    let mut bench = SigningBench::start(env).expect("start environment");
-    // Distinct message per iteration so hash-to-curve work is not reused.
-    let mut samples = Vec::with_capacity(ITERATIONS);
+/// Per environment, its samples' summary and the median of its
+/// per-sample ratio to Baseline's, as a percentage increase.
+fn measure() -> Vec<(Summary, f64)> {
+    let mut benches: Vec<SigningBench> = ENVIRONMENTS
+        .iter()
+        .map(|&env| SigningBench::start(env).expect("start environment"))
+        .collect();
+    let mut times = vec![Vec::with_capacity(ITERATIONS); ENVIRONMENTS.len()];
     for i in 0..WARMUP + ITERATIONS {
+        // Distinct message per sample so hash-to-curve work is not reused.
         let message = format!("table3 message {i:06}");
-        let start = Instant::now();
-        let reply = bench.sign(message.as_bytes());
-        let elapsed = start.elapsed();
-        if i == 0 {
-            assert!(
-                bench.verify_output(message.as_bytes(), &reply),
-                "environment produced a wrong signature"
-            );
-        }
-        if i >= WARMUP {
-            samples.push(elapsed);
+        for j in 0..ENVIRONMENTS.len() {
+            let row = (i + j) % ENVIRONMENTS.len();
+            let bench = &mut benches[row];
+            let start = Instant::now();
+            let reply = bench.sign(message.as_bytes());
+            let elapsed = start.elapsed();
+            if i == 0 {
+                assert!(
+                    bench.verify_output(message.as_bytes(), &reply),
+                    "environment produced a wrong signature"
+                );
+            }
+            if i >= WARMUP {
+                times[row].push(elapsed);
+            }
         }
     }
-    Summary::from_samples(samples)
+    let baseline = times[0].clone();
+    times
+        .into_iter()
+        .map(|samples: Vec<Duration>| {
+            let mut ratios: Vec<f64> = samples
+                .iter()
+                .zip(&baseline)
+                .map(|(t, b)| t.as_secs_f64() / b.as_secs_f64())
+                .collect();
+            ratios.sort_by(f64::total_cmp);
+            let increase = (ratios[ratios.len() / 2] - 1.0) * 100.0;
+            (Summary::from_samples(samples), increase)
+        })
+        .collect()
 }
 
 fn main() {
-    println!("Regenerating Table 3 ({ITERATIONS} iterations per environment)…\n");
+    println!("Regenerating Table 3 ({ITERATIONS} interleaved samples of each environment)…\n");
 
-    let baseline = measure(Environment::Baseline);
-    let sandbox = measure(Environment::Sandbox);
-    let tee = measure(Environment::TeeSandbox);
-    let tomorrow = measure(Environment::TeeTomorrow);
-
-    let rows = [
-        Row {
-            label: "Baseline",
-            summary: baseline.clone(),
-            paper_ms: 10.2,
-            paper_increase: None,
-        },
-        Row {
-            label: "Sandbox",
-            summary: sandbox,
-            paper_ms: 14.9,
-            paper_increase: Some(46.1),
-        },
-        Row {
-            label: "TEE + Sandbox",
-            summary: tee,
-            paper_ms: 15.8,
-            paper_increase: Some(54.9),
-        },
-        Row {
-            label: "TEE (tomorrow)",
-            summary: tomorrow,
-            paper_ms: f64::NAN, // §4.2 projection — no paper number
-            paper_increase: None,
-        },
+    let paper = [
+        ("Baseline", 10.2, None),
+        ("Sandbox", 14.9, Some(46.1)),
+        ("TEE + Sandbox", 15.8, Some(54.9)),
+        // §4.2 projection — no paper number.
+        ("TEE (tomorrow)", f64::NAN, None),
     ];
+    let rows: Vec<Row> = measure()
+        .into_iter()
+        .zip(paper)
+        .map(
+            |((summary, increase), (label, paper_ms, paper_increase))| Row {
+                label,
+                summary,
+                increase,
+                paper_ms,
+                paper_increase,
+            },
+        )
+        .collect();
 
     println!("Table 3: Processing time for producing a BLS threshold signature share");
     println!("{:-<88}", "");
@@ -93,7 +122,7 @@ fn main() {
         let increase = if row.label == "Baseline" {
             "—".to_string()
         } else {
-            format!("+{:.1}%", row.summary.increase_over(&baseline))
+            format!("{:+.1}%", row.increase)
         };
         let paper_increase = match row.paper_increase {
             None => "—".to_string(),
@@ -117,9 +146,9 @@ fn main() {
     println!("{:-<88}", "");
 
     // Shape assertions — what DESIGN.md asks a reproduction to show.
-    let sandbox_inc = rows[1].summary.increase_over(&baseline);
-    let tee_inc = rows[2].summary.increase_over(&baseline);
-    let tomorrow_inc = rows[3].summary.increase_over(&baseline);
+    let sandbox_inc = rows[1].increase;
+    let tee_inc = rows[2].increase;
+    let tomorrow_inc = rows[3].increase;
     println!("\nshape check:");
     println!(
         "  sandbox adds overhead over baseline:        {} (+{:.1}%)",
@@ -156,7 +185,7 @@ fn main() {
             let increase_pct = if r.label == "Baseline" {
                 "null".to_string()
             } else {
-                json_f64(r.summary.increase_over(&baseline))
+                json_f64(r.increase)
             };
             let paper_increase = match r.paper_increase {
                 Some(p) => json_f64(p),
@@ -185,7 +214,11 @@ fn main() {
         })
         .collect();
     let json = format!(
-        "{{\n  \"experiment\": \"table3\",\n  \"iterations\": {},\n  \"rows\": [\n{}\n  ]\n}}\n",
+        concat!(
+            "{{\n  \"experiment\": \"table3\",\n  \"iterations\": {},\n",
+            "  \"increase\": \"median of per-sample ratios to Baseline, rows interleaved\",\n",
+            "  \"rows\": [\n{}\n  ]\n}}\n"
+        ),
         ITERATIONS,
         row_objects.join(",\n"),
     );

@@ -13,7 +13,7 @@
 use distrust_crypto::schnorr::{SchnorrSignature, SigningKey, VerifyingKey};
 use distrust_crypto::sha256::Digest;
 use distrust_sandbox::Module;
-use distrust_wire::codec::{Decode, DecodeError, Encode};
+use distrust_wire::codec::{Decode, Encode};
 use distrust_wire::wire_struct;
 
 /// Domain tag for release signatures.
@@ -80,23 +80,11 @@ pub struct SignedRelease {
     pub signature: SchnorrSignature,
 }
 
-impl Encode for SignedRelease {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.manifest.encode(out);
-        self.module_bytes.encode(out);
-        self.signature.to_bytes().encode(out);
-    }
-}
-
-impl Decode for SignedRelease {
-    fn decode(input: &mut &[u8]) -> Result<Self, DecodeError> {
-        Ok(Self {
-            manifest: Decode::decode(input)?,
-            module_bytes: Decode::decode(input)?,
-            signature: SchnorrSignature::from_bytes(&Decode::decode(input)?),
-        })
-    }
-}
+wire_struct!(SignedRelease {
+    manifest: ReleaseManifest,
+    module_bytes: Vec<u8>,
+    signature: SchnorrSignature,
+});
 
 /// Why a release was rejected by the framework.
 #[derive(Clone, Debug, PartialEq, Eq)]

@@ -10,8 +10,8 @@ use distrust_gossip::envelope::GossipEnvelope;
 use distrust_gossip::witness::CosignedHeads;
 use distrust_log::batch::CheckpointBundle;
 use distrust_tee::attest::Quote;
-use distrust_wire::codec::{decode_seq, encode_seq, Decode, DecodeError, Encode};
-use distrust_wire::wire_struct;
+use distrust_wire::codec::Encode;
+use distrust_wire::{wire_enum, wire_struct};
 
 /// A request to a trust domain.
 ///
@@ -76,92 +76,32 @@ pub enum Request {
     WitnessHead,
 }
 
-impl Encode for Request {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            // Tags 0 and 1 are retired (the per-step attestation and status
-            // requests: a `BatchAudit` answer carries both) and must not be
-            // reused.
-            Request::AppCall { method, payload } => {
-                2u8.encode(out);
-                method.encode(out);
-                payload.encode(out);
-            }
-            Request::Update { release } => {
-                3u8.encode(out);
-                release.encode(out);
-            }
-            // Tags 4 and 5 are retired (the removed per-step checkpoint
-            // and consistency requests) and must not be reused.
-            Request::GetLogEntries { from } => {
-                6u8.encode(out);
-                from.encode(out);
-            }
-            Request::GetNotices { since } => {
-                7u8.encode(out);
-                since.encode(out);
-            }
-            Request::BatchAudit {
-                request_id,
-                nonce,
-                verified_size,
-            } => {
-                8u8.encode(out);
-                request_id.encode(out);
-                nonce.encode(out);
-                verified_size.encode(out);
-            }
-            // Tag 9 is retired (the per-tree read of a log that could be
-            // several trees) and must not be reused.
-            Request::Gossip { envelope } => {
-                10u8.encode(out);
-                envelope.encode(out);
-            }
-            Request::WitnessHead => 11u8.encode(out),
-        }
-    }
-}
+/// `Request::Update`'s tag, which [`Request::encode_update`] writes too.
+const UPDATE_TAG: u8 = 3;
+
+// Request tags 0 and 1 are retired (the per-step attestation and status
+// requests: a `BatchAudit` answer carries both), 4 and 5 (the per-step
+// checkpoint and consistency requests) and 9 (the per-tree read of a log
+// that could be several trees).
+wire_enum!(Request {
+    2 => AppCall { method, payload },
+    UPDATE_TAG => Update { release },
+    6 => GetLogEntries { from },
+    7 => GetNotices { since },
+    8 => BatchAudit { request_id, nonce, verified_size },
+    10 => Gossip { envelope },
+    11 => WitnessHead,
+} retired [0, 1, 4, 5, 9]);
 
 impl Request {
     /// Encodes an [`Request::Update`] frame for `release` without cloning
     /// the release into a `Request` first — update fan-out sends the same
     /// bytes to every domain, and module bytes dwarf everything else.
-    /// Kept in lockstep with the `Encode` impl above (asserted by test).
+    /// It writes the table's own `UPDATE_TAG`; a test asserts the bytes.
     pub fn encode_update(release: &SignedRelease) -> Vec<u8> {
-        let mut out = Vec::new();
-        3u8.encode(&mut out);
+        let mut out = vec![UPDATE_TAG];
         release.encode(&mut out);
         out
-    }
-}
-
-impl Decode for Request {
-    fn decode(input: &mut &[u8]) -> Result<Self, DecodeError> {
-        Ok(match u8::decode(input)? {
-            2 => Request::AppCall {
-                method: Decode::decode(input)?,
-                payload: Decode::decode(input)?,
-            },
-            3 => Request::Update {
-                release: Decode::decode(input)?,
-            },
-            6 => Request::GetLogEntries {
-                from: Decode::decode(input)?,
-            },
-            7 => Request::GetNotices {
-                since: Decode::decode(input)?,
-            },
-            8 => Request::BatchAudit {
-                request_id: Decode::decode(input)?,
-                nonce: Decode::decode(input)?,
-                verified_size: Decode::decode(input)?,
-            },
-            10 => Request::Gossip {
-                envelope: Decode::decode(input)?,
-            },
-            11 => Request::WitnessHead,
-            other => return Err(DecodeError::InvalidTag(other)),
-        })
     }
 }
 
@@ -238,30 +178,10 @@ pub enum BundleAttestation {
     Unattested(DomainStatus),
 }
 
-impl Encode for BundleAttestation {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            BundleAttestation::Quote(q) => {
-                0u8.encode(out);
-                q.encode(out);
-            }
-            BundleAttestation::Unattested(s) => {
-                1u8.encode(out);
-                s.encode(out);
-            }
-        }
-    }
-}
-
-impl Decode for BundleAttestation {
-    fn decode(input: &mut &[u8]) -> Result<Self, DecodeError> {
-        Ok(match u8::decode(input)? {
-            0 => BundleAttestation::Quote(Box::new(Decode::decode(input)?)),
-            1 => BundleAttestation::Unattested(Decode::decode(input)?),
-            other => return Err(DecodeError::InvalidTag(other)),
-        })
-    }
-}
+wire_enum!(BundleAttestation {
+    0 => Quote(quote),
+    1 => Unattested(status),
+} retired []);
 
 /// Everything one audit round needs from one domain, in one response:
 /// attestation, the signed checkpoint(s) since the client's verified
@@ -327,93 +247,30 @@ pub enum Response {
     },
 }
 
-impl Encode for Response {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            // Tags 0, 1 and 2 are retired (the answers to request tags 0
-            // and 1: a quote or an unattested status travels only inside a
-            // [`BundleAttestation`]) and must not be reused.
-            Response::AppResult { payload } => {
-                3u8.encode(out);
-                payload.encode(out);
-            }
-            Response::AppError(e) => {
-                4u8.encode(out);
-                e.encode(out);
-            }
-            Response::UpdateAck { log_size, digest } => {
-                5u8.encode(out);
-                log_size.encode(out);
-                digest.encode(out);
-            }
-            Response::UpdateRejected(e) => {
-                6u8.encode(out);
-                e.encode(out);
-            }
-            // Tags 7 and 8 are retired (the answers to request tags 4
-            // and 5) and must not be reused.
-            Response::LogEntries(entries) => {
-                9u8.encode(out);
-                encode_seq(entries, out);
-            }
-            Response::Notices(notices) => {
-                10u8.encode(out);
-                encode_seq(notices, out);
-            }
-            Response::Error(e) => {
-                11u8.encode(out);
-                e.encode(out);
-            }
-            Response::AuditBundle(b) => {
-                12u8.encode(out);
-                b.encode(out);
-            }
-            // Tag 13 is retired (the second audit-bundle format, of a log
-            // that could be several trees) and must not be reused.
-            Response::Gossip { envelope } => {
-                14u8.encode(out);
-                envelope.encode(out);
-            }
-            Response::WitnessHead { cosigned } => {
-                15u8.encode(out);
-                cosigned.encode(out);
-            }
-        }
-    }
-}
-
-impl Decode for Response {
-    fn decode(input: &mut &[u8]) -> Result<Self, DecodeError> {
-        Ok(match u8::decode(input)? {
-            3 => Response::AppResult {
-                payload: Decode::decode(input)?,
-            },
-            4 => Response::AppError(Decode::decode(input)?),
-            5 => Response::UpdateAck {
-                log_size: Decode::decode(input)?,
-                digest: Decode::decode(input)?,
-            },
-            6 => Response::UpdateRejected(Decode::decode(input)?),
-            9 => Response::LogEntries(decode_seq(input)?),
-            10 => Response::Notices(decode_seq(input)?),
-            11 => Response::Error(Decode::decode(input)?),
-            12 => Response::AuditBundle(Box::new(Decode::decode(input)?)),
-            14 => Response::Gossip {
-                envelope: Decode::decode(input)?,
-            },
-            15 => Response::WitnessHead {
-                cosigned: Decode::decode(input)?,
-            },
-            other => return Err(DecodeError::InvalidTag(other)),
-        })
-    }
-}
+// Response tags 0, 1 and 2 are retired (the answers to request tags 0 and
+// 1: a quote or an unattested status travels only inside a
+// [`BundleAttestation`]), 7 and 8 (the answers to request tags 4 and 5)
+// and 13 (the second audit-bundle format, of a log that could be several
+// trees).
+wire_enum!(Response {
+    3 => AppResult { payload },
+    4 => AppError(message),
+    5 => UpdateAck { log_size, digest },
+    6 => UpdateRejected(reason),
+    9 => LogEntries(#[seq] entries),
+    10 => Notices(#[seq] notices),
+    11 => Error(message),
+    12 => AuditBundle(bundle),
+    14 => Gossip { envelope },
+    15 => WitnessHead { cosigned },
+} retired [0, 1, 2, 7, 8, 13]);
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use distrust_crypto::schnorr::SigningKey;
     use distrust_sandbox::guests::counter_module;
+    use distrust_wire::codec::Decode;
 
     fn status() -> DomainStatus {
         DomainStatus {

@@ -56,6 +56,7 @@ use crate::drbg::HmacDrbg;
 use crate::fr::Fr;
 use crate::g1::{G1Affine, G1Projective, G1Table};
 use crate::sha256::sha256_many;
+use distrust_wire::codec::{Decode, DecodeError, Encode};
 
 /// Domain tag bound into every challenge hash.
 const CHALLENGE_DST: &[u8] = b"distrust/schnorr/v1";
@@ -270,6 +271,19 @@ impl SchnorrSignature {
     /// until [`VerifyingKey::verify`].
     pub fn from_bytes(bytes: &[u8; 80]) -> Self {
         Self(*bytes)
+    }
+}
+
+/// On the wire a signature is its 80 bytes, copied both ways.
+impl Encode for SchnorrSignature {
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.0.encode(out);
+    }
+}
+
+impl Decode for SchnorrSignature {
+    fn decode(input: &mut &[u8]) -> Result<Self, DecodeError> {
+        <[u8; 80]>::decode(input).map(Self)
     }
 }
 

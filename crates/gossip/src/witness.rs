@@ -174,11 +174,6 @@ impl Witness {
         }
     }
 
-    /// This witness's share index (1-based, as in the threshold scheme).
-    pub fn index(&self) -> u8 {
-        self.share.index
-    }
-
     /// Verifies a full head set and, if every domain's head is
     /// signature-valid, conflict-free against everything this witness has
     /// ever seen, and not a rollback of anything it already cosigned,

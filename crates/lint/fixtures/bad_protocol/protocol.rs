@@ -1,40 +1,18 @@
-//! Seeded violations for the protocol pass: `Request::C` reuses tag 1
-//! (duplicate tag, and the tag decodes to `Request::B`), `Request::B` and
-//! `Request::C` have no fuzz coverage, and `Sideband` implements Encode
-//! with no Decode impl in this file.
+//! Seeded violations for the protocol pass: `Request::B` and `Request::C`
+//! have no fuzz coverage, and `Sideband` implements Encode with no Decode
+//! impl in this file.
 
 pub enum Request {
     A,
-    B,
-    C,
+    B(u64),
+    C { from: u64 },
 }
 
-impl Encode for Request {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            Request::A => {
-                0u8.encode(out);
-            }
-            Request::B => {
-                1u8.encode(out);
-            }
-            Request::C => {
-                1u8.encode(out);
-            }
-        }
-    }
-}
-
-impl Decode for Request {
-    fn decode(input: &mut &[u8]) -> Result<Self, DecodeError> {
-        let tag = u8::decode(input)?;
-        Ok(match tag {
-            0 => Request::A,
-            1 => Request::B,
-            _ => return Err(DecodeError::BadTag),
-        })
-    }
-}
+wire_enum!(Request {
+    0 => A,
+    1 => B(value),
+    2 => C { from },
+} retired []);
 
 pub struct Sideband;
 

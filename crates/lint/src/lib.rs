@@ -13,9 +13,9 @@
 //!    calls.
 //! 2. **panic** — `unwrap`/`expect`/panic-family macros and (on decode
 //!    paths) unchecked indexing in server-side request-handling code.
-//! 3. **protocol** — Request/Response tag uniqueness, encode↔decode
-//!    pairing, codec impl pairing, and fuzz-suite coverage for every
-//!    variant.
+//! 3. **protocol** — fuzz-suite coverage for every Request/Response
+//!    variant and `impl Encode`/`impl Decode` pairing of hand-written
+//!    codecs (wire tables get their tag checks from the compiler).
 //! 4. **blocking** — blocking calls reachable from reactor callback paths.
 //! 5. **taint-alloc** — interprocedural taint dataflow: wire-announced
 //!    lengths and unverified signed-object fields reaching allocation,
@@ -46,12 +46,11 @@ pub mod scan;
 
 use config::Config;
 use dataflow::Dataflow;
-use lexer::{lex, Tok};
+use lexer::lex;
 use model::Model;
 use report::Report;
 use resolve::Resolver;
 use scan::SourceFile;
-use std::collections::BTreeSet;
 use std::io;
 use std::path::{Path, PathBuf};
 
@@ -93,13 +92,10 @@ pub fn analyze(cfg: &Config) -> io::Result<(Report, Stats)> {
         let source = std::fs::read_to_string(cfg.root.join(&path))?;
         files.push(SourceFile::parse(path, &source));
     }
-    let mut callers = BTreeSet::new();
+    let mut callers = passes::dead_surface::Callers::default();
     for path in caller_paths {
         let source = std::fs::read_to_string(cfg.root.join(&path))?;
-        callers.extend(lex(&source).0.into_iter().filter_map(|t| match t.tok {
-            Tok::Ident(name) => Some(name),
-            _ => None,
-        }));
+        callers.add(&lex(&source).0);
     }
 
     let resolver = Resolver::build(&files);

@@ -124,7 +124,6 @@ fn protocol_fixture_fires_on_every_seeded_defect() {
     let mut cfg = Config::fixture(fixture_root("bad_protocol"));
     cfg.protocol = Some(ProtocolCfg {
         protocol_files: vec!["protocol.rs".into()],
-        codec_files: vec!["protocol.rs".into()],
         fuzz_file: "fuzz.rs".into(),
         types: vec!["Request".into()],
     });
@@ -134,11 +133,8 @@ fn protocol_fixture_fires_on_every_seeded_defect() {
         "{:?}",
         report.findings
     );
+    assert_eq!(report.findings.len(), 3, "{:?}", report.findings);
     let has = |needle: &str| report.findings.iter().any(|f| f.message.contains(needle));
-    assert!(has("tag 1 is encoded by more than one Request variant"));
-    assert!(has(
-        "Request::C encodes tag 1, but that tag decodes to Request::B"
-    ));
     assert!(has("Request::B has no coverage in fuzz.rs"));
     assert!(has("Request::C has no coverage in fuzz.rs"));
     assert!(has(
@@ -218,6 +214,35 @@ fn dead_surface_fixture_fires_exactly() {
         .iter()
         .all(|f| f.file == "crates/alpha/src/lib.rs"));
     assert_eq!(report.unallowlisted(), 2);
+}
+
+#[test]
+fn dead_method_fixture_fires_on_methods_nothing_calls() {
+    let report = analyze_fixture("bad_dead_method");
+    let fired: Vec<(&str, u32, &str)> = report
+        .findings
+        .iter()
+        .map(|f| (f.pass.as_str(), f.line, f.message.as_str()))
+        .collect();
+    assert_eq!(
+        fired,
+        [
+            (
+                "dead-surface",
+                15,
+                "public fn `Stack::len` has no caller: it is called or named as a path \
+                 only in its own file's tests"
+            ),
+            (
+                "dead-surface",
+                30,
+                "public fn `Stack::clear` has no caller: it is called or named as a \
+                 path only in its own file's tests"
+            ),
+        ],
+        "{:?}",
+        report.findings
+    );
 }
 
 #[test]

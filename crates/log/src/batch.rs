@@ -28,6 +28,7 @@ use crate::checkpoint::SignedCheckpoint;
 use crate::merkle::{ConsistencyProof, MerkleLog};
 use distrust_crypto::sha256::Digest;
 use distrust_wire::codec::{decode_seq, encode_seq, Decode, DecodeError, Encode};
+use distrust_wire::wire_struct;
 use std::collections::HashMap;
 
 /// One consistency step inside a [`ProofBundle`]: proves the tree of
@@ -44,23 +45,11 @@ pub struct BundleStep {
     pub path: Vec<u32>,
 }
 
-impl Encode for BundleStep {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.old_size.encode(out);
-        self.new_size.encode(out);
-        encode_seq(&self.path, out);
-    }
-}
-
-impl Decode for BundleStep {
-    fn decode(input: &mut &[u8]) -> Result<Self, DecodeError> {
-        Ok(Self {
-            old_size: Decode::decode(input)?,
-            new_size: Decode::decode(input)?,
-            path: decode_seq(input)?,
-        })
-    }
-}
+wire_struct!(BundleStep {
+    old_size: u64,
+    new_size: u64,
+    #[seq] path: Vec<u32>,
+});
 
 /// A compact multi-checkpoint consistency proof: pairwise RFC 6962
 /// consistency proofs for a run of tree sizes, with the subtree hashes
@@ -78,21 +67,10 @@ pub struct ProofBundle {
     pub steps: Vec<BundleStep>,
 }
 
-impl Encode for ProofBundle {
-    fn encode(&self, out: &mut Vec<u8>) {
-        encode_seq(&self.nodes, out);
-        encode_seq(&self.steps, out);
-    }
-}
-
-impl Decode for ProofBundle {
-    fn decode(input: &mut &[u8]) -> Result<Self, DecodeError> {
-        Ok(Self {
-            nodes: decode_seq(input)?,
-            steps: decode_seq(input)?,
-        })
-    }
-}
+wire_struct!(ProofBundle {
+    #[seq] nodes: Vec<Digest>,
+    #[seq] steps: Vec<BundleStep>,
+});
 
 impl ProofBundle {
     /// Builds a bundle from individual consistency proofs, deduplicating

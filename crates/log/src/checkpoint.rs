@@ -9,7 +9,7 @@
 
 use distrust_crypto::schnorr::{KeptKey, SchnorrSignature, SigningKey, VerifyingKey};
 use distrust_crypto::sha256::Digest;
-use distrust_wire::codec::{Decode, DecodeError, Encode};
+use distrust_wire::codec::Encode;
 use distrust_wire::wire_struct;
 
 /// The body of a checkpoint (the bytes that get signed).
@@ -126,21 +126,10 @@ pub struct EquivocationProof {
     pub b: SignedCheckpoint,
 }
 
-impl Encode for EquivocationProof {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.a.encode(out);
-        self.b.encode(out);
-    }
-}
-
-impl Decode for EquivocationProof {
-    fn decode(input: &mut &[u8]) -> Result<Self, DecodeError> {
-        Ok(Self {
-            a: SignedCheckpoint::decode(input)?,
-            b: SignedCheckpoint::decode(input)?,
-        })
-    }
-}
+wire_struct!(EquivocationProof {
+    a: SignedCheckpoint,
+    b: SignedCheckpoint,
+});
 
 impl EquivocationProof {
     /// Checks the proof: both checkpoints verify under `key`, describe the
@@ -166,6 +155,7 @@ pub fn log_id(deployment: &[u8], domain_index: u32) -> Digest {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use distrust_wire::codec::Decode;
 
     fn key(tag: &[u8]) -> SigningKey {
         SigningKey::derive(b"checkpoint tests", tag)

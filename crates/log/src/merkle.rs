@@ -194,11 +194,6 @@ impl MerkleLog {
         self.leaves.len() - 1
     }
 
-    /// The leaf data at `index`.
-    pub fn leaf(&self, index: usize) -> Option<&[u8]> {
-        self.leaves.get(index)
-    }
-
     /// The leaves from `index` on, as many as fit in `budget` bytes (see
     /// [`PackedRecords::page_from`]) — `None` past the end, nothing
     /// exactly at it. Borrowing the suffix keeps serving paths index-free:

@@ -7,7 +7,7 @@
 //! absolute jump targets instead of Wasm's structured blocks; everything
 //! else (bounds-checked memory, fuel, host boundary) carries over.
 
-use distrust_wire::codec::{Decode, DecodeError, Encode};
+use distrust_wire::wire_enum;
 
 /// One instruction. Operands are immediate; dynamic inputs come from the
 /// value stack (documented per variant as `[inputs] -> [outputs]`).
@@ -90,175 +90,50 @@ pub enum Instr {
     Trap,
 }
 
-impl Instr {
-    const OP_CONST: u8 = 0x01;
-    const OP_LOCAL_GET: u8 = 0x02;
-    const OP_LOCAL_SET: u8 = 0x03;
-    const OP_ADD: u8 = 0x10;
-    const OP_SUB: u8 = 0x11;
-    const OP_MUL: u8 = 0x12;
-    const OP_DIVU: u8 = 0x13;
-    const OP_REMU: u8 = 0x14;
-    const OP_AND: u8 = 0x15;
-    const OP_OR: u8 = 0x16;
-    const OP_XOR: u8 = 0x17;
-    const OP_SHL: u8 = 0x18;
-    const OP_SHRU: u8 = 0x19;
-    const OP_ROTR: u8 = 0x1a;
-    const OP_EQ: u8 = 0x20;
-    const OP_NE: u8 = 0x21;
-    const OP_LTU: u8 = 0x22;
-    const OP_GTU: u8 = 0x23;
-    const OP_LEU: u8 = 0x24;
-    const OP_GEU: u8 = 0x25;
-    const OP_JZ: u8 = 0x30;
-    const OP_JNZ: u8 = 0x31;
-    const OP_JMP: u8 = 0x32;
-    const OP_CALL: u8 = 0x33;
-    const OP_HOST: u8 = 0x34;
-    const OP_RET: u8 = 0x35;
-    const OP_LOAD8: u8 = 0x40;
-    const OP_LOAD64: u8 = 0x41;
-    const OP_STORE8: u8 = 0x42;
-    const OP_STORE64: u8 = 0x43;
-    const OP_MEMSIZE: u8 = 0x44;
-    const OP_MEMGROW: u8 = 0x45;
-    const OP_DROP: u8 = 0x50;
-    const OP_DUP: u8 = 0x51;
-    const OP_SWAP: u8 = 0x52;
-    const OP_SELECT: u8 = 0x53;
-    const OP_TRAP: u8 = 0x5f;
-}
-
-impl Encode for Instr {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            Instr::Const(v) => {
-                out.push(Self::OP_CONST);
-                v.encode(out);
-            }
-            Instr::LocalGet(i) => {
-                out.push(Self::OP_LOCAL_GET);
-                i.encode(out);
-            }
-            Instr::LocalSet(i) => {
-                out.push(Self::OP_LOCAL_SET);
-                i.encode(out);
-            }
-            Instr::Add => out.push(Self::OP_ADD),
-            Instr::Sub => out.push(Self::OP_SUB),
-            Instr::Mul => out.push(Self::OP_MUL),
-            Instr::DivU => out.push(Self::OP_DIVU),
-            Instr::RemU => out.push(Self::OP_REMU),
-            Instr::And => out.push(Self::OP_AND),
-            Instr::Or => out.push(Self::OP_OR),
-            Instr::Xor => out.push(Self::OP_XOR),
-            Instr::Shl => out.push(Self::OP_SHL),
-            Instr::ShrU => out.push(Self::OP_SHRU),
-            Instr::Rotr => out.push(Self::OP_ROTR),
-            Instr::Eq => out.push(Self::OP_EQ),
-            Instr::Ne => out.push(Self::OP_NE),
-            Instr::LtU => out.push(Self::OP_LTU),
-            Instr::GtU => out.push(Self::OP_GTU),
-            Instr::LeU => out.push(Self::OP_LEU),
-            Instr::GeU => out.push(Self::OP_GEU),
-            Instr::JumpIfZero(t) => {
-                out.push(Self::OP_JZ);
-                t.encode(out);
-            }
-            Instr::JumpIfNonZero(t) => {
-                out.push(Self::OP_JNZ);
-                t.encode(out);
-            }
-            Instr::Jump(t) => {
-                out.push(Self::OP_JMP);
-                t.encode(out);
-            }
-            Instr::Call(f) => {
-                out.push(Self::OP_CALL);
-                f.encode(out);
-            }
-            Instr::HostCall(f) => {
-                out.push(Self::OP_HOST);
-                f.encode(out);
-            }
-            Instr::Return => out.push(Self::OP_RET),
-            Instr::Load8(o) => {
-                out.push(Self::OP_LOAD8);
-                o.encode(out);
-            }
-            Instr::Load64(o) => {
-                out.push(Self::OP_LOAD64);
-                o.encode(out);
-            }
-            Instr::Store8(o) => {
-                out.push(Self::OP_STORE8);
-                o.encode(out);
-            }
-            Instr::Store64(o) => {
-                out.push(Self::OP_STORE64);
-                o.encode(out);
-            }
-            Instr::MemSize => out.push(Self::OP_MEMSIZE),
-            Instr::MemGrow => out.push(Self::OP_MEMGROW),
-            Instr::Drop => out.push(Self::OP_DROP),
-            Instr::Dup => out.push(Self::OP_DUP),
-            Instr::Swap => out.push(Self::OP_SWAP),
-            Instr::Select => out.push(Self::OP_SELECT),
-            Instr::Trap => out.push(Self::OP_TRAP),
-        }
-    }
-}
-
-impl Decode for Instr {
-    fn decode(input: &mut &[u8]) -> Result<Self, DecodeError> {
-        let op = u8::decode(input)?;
-        Ok(match op {
-            Self::OP_CONST => Instr::Const(u64::decode(input)?),
-            Self::OP_LOCAL_GET => Instr::LocalGet(u16::decode(input)?),
-            Self::OP_LOCAL_SET => Instr::LocalSet(u16::decode(input)?),
-            Self::OP_ADD => Instr::Add,
-            Self::OP_SUB => Instr::Sub,
-            Self::OP_MUL => Instr::Mul,
-            Self::OP_DIVU => Instr::DivU,
-            Self::OP_REMU => Instr::RemU,
-            Self::OP_AND => Instr::And,
-            Self::OP_OR => Instr::Or,
-            Self::OP_XOR => Instr::Xor,
-            Self::OP_SHL => Instr::Shl,
-            Self::OP_SHRU => Instr::ShrU,
-            Self::OP_ROTR => Instr::Rotr,
-            Self::OP_EQ => Instr::Eq,
-            Self::OP_NE => Instr::Ne,
-            Self::OP_LTU => Instr::LtU,
-            Self::OP_GTU => Instr::GtU,
-            Self::OP_LEU => Instr::LeU,
-            Self::OP_GEU => Instr::GeU,
-            Self::OP_JZ => Instr::JumpIfZero(u32::decode(input)?),
-            Self::OP_JNZ => Instr::JumpIfNonZero(u32::decode(input)?),
-            Self::OP_JMP => Instr::Jump(u32::decode(input)?),
-            Self::OP_CALL => Instr::Call(u16::decode(input)?),
-            Self::OP_HOST => Instr::HostCall(u16::decode(input)?),
-            Self::OP_RET => Instr::Return,
-            Self::OP_LOAD8 => Instr::Load8(u32::decode(input)?),
-            Self::OP_LOAD64 => Instr::Load64(u32::decode(input)?),
-            Self::OP_STORE8 => Instr::Store8(u32::decode(input)?),
-            Self::OP_STORE64 => Instr::Store64(u32::decode(input)?),
-            Self::OP_MEMSIZE => Instr::MemSize,
-            Self::OP_MEMGROW => Instr::MemGrow,
-            Self::OP_DROP => Instr::Drop,
-            Self::OP_DUP => Instr::Dup,
-            Self::OP_SWAP => Instr::Swap,
-            Self::OP_SELECT => Instr::Select,
-            Self::OP_TRAP => Instr::Trap,
-            other => return Err(DecodeError::InvalidTag(other)),
-        })
-    }
-}
+wire_enum!(Instr {
+    0x01 => Const(imm),
+    0x02 => LocalGet(local),
+    0x03 => LocalSet(local),
+    0x10 => Add,
+    0x11 => Sub,
+    0x12 => Mul,
+    0x13 => DivU,
+    0x14 => RemU,
+    0x15 => And,
+    0x16 => Or,
+    0x17 => Xor,
+    0x18 => Shl,
+    0x19 => ShrU,
+    0x1a => Rotr,
+    0x20 => Eq,
+    0x21 => Ne,
+    0x22 => LtU,
+    0x23 => GtU,
+    0x24 => LeU,
+    0x25 => GeU,
+    0x30 => JumpIfZero(target),
+    0x31 => JumpIfNonZero(target),
+    0x32 => Jump(target),
+    0x33 => Call(function),
+    0x34 => HostCall(import),
+    0x35 => Return,
+    0x40 => Load8(offset),
+    0x41 => Load64(offset),
+    0x42 => Store8(offset),
+    0x43 => Store64(offset),
+    0x44 => MemSize,
+    0x45 => MemGrow,
+    0x50 => Drop,
+    0x51 => Dup,
+    0x52 => Swap,
+    0x53 => Select,
+    0x5f => Trap,
+} retired []);
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use distrust_wire::codec::{Decode, Encode};
 
     fn all_variants() -> Vec<Instr> {
         vec![

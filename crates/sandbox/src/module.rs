@@ -6,6 +6,7 @@
 
 use crate::isa::Instr;
 use distrust_wire::codec::{decode_seq, encode_seq, Decode, DecodeError, Encode};
+use distrust_wire::wire_struct;
 
 /// Size of one linear-memory page (64 KiB, matching Wasm).
 pub const PAGE_SIZE: usize = 64 * 1024;
@@ -29,23 +30,11 @@ pub struct ImportSig {
     pub returns: u16,
 }
 
-impl Encode for ImportSig {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.name.encode(out);
-        self.params.encode(out);
-        self.returns.encode(out);
-    }
-}
-
-impl Decode for ImportSig {
-    fn decode(input: &mut &[u8]) -> Result<Self, DecodeError> {
-        Ok(Self {
-            name: String::decode(input)?,
-            params: u16::decode(input)?,
-            returns: u16::decode(input)?,
-        })
-    }
-}
+wire_struct!(ImportSig {
+    name: String,
+    params: u16,
+    returns: u16,
+});
 
 /// A function body.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -60,25 +49,12 @@ pub struct Function {
     pub code: Vec<Instr>,
 }
 
-impl Encode for Function {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.params.encode(out);
-        self.locals.encode(out);
-        self.returns.encode(out);
-        encode_seq(&self.code, out);
-    }
-}
-
-impl Decode for Function {
-    fn decode(input: &mut &[u8]) -> Result<Self, DecodeError> {
-        Ok(Self {
-            params: u16::decode(input)?,
-            locals: u16::decode(input)?,
-            returns: u16::decode(input)?,
-            code: decode_seq(input)?,
-        })
-    }
-}
+wire_struct!(Function {
+    params: u16,
+    locals: u16,
+    returns: u16,
+    #[seq] code: Vec<Instr>,
+});
 
 /// Initial memory contents.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -89,21 +65,10 @@ pub struct DataSegment {
     pub bytes: Vec<u8>,
 }
 
-impl Encode for DataSegment {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.offset.encode(out);
-        self.bytes.encode(out);
-    }
-}
-
-impl Decode for DataSegment {
-    fn decode(input: &mut &[u8]) -> Result<Self, DecodeError> {
-        Ok(Self {
-            offset: u32::decode(input)?,
-            bytes: Vec::<u8>::decode(input)?,
-        })
-    }
-}
+wire_struct!(DataSegment {
+    offset: u32,
+    bytes: Vec<u8>,
+});
 
 /// A named export pointing at a function index.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -114,21 +79,10 @@ pub struct Export {
     pub function: u32,
 }
 
-impl Encode for Export {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.name.encode(out);
-        self.function.encode(out);
-    }
-}
-
-impl Decode for Export {
-    fn decode(input: &mut &[u8]) -> Result<Self, DecodeError> {
-        Ok(Self {
-            name: String::decode(input)?,
-            function: u32::decode(input)?,
-        })
-    }
-}
+wire_struct!(Export {
+    name: String,
+    function: u32,
+});
 
 /// A complete sandbox module.
 #[derive(Clone, Debug, PartialEq, Eq, Default)]

@@ -14,7 +14,8 @@
 use crate::vendor::{DeviceCert, VendorKind, VendorRoots};
 use distrust_crypto::schnorr::{KeptKey, SchnorrSignature, VerifyingKey};
 use distrust_crypto::sha256::Digest;
-use distrust_wire::codec::{decode_seq, encode_seq, Decode, DecodeError, Encode};
+use distrust_wire::codec::Encode;
+use distrust_wire::{wire_enum, wire_struct};
 
 /// Domain tag for quote signatures.
 const QUOTE_DST: &[u8] = b"distrust/tee/quote/v1";
@@ -67,56 +68,11 @@ impl PlatformEvidence {
     }
 }
 
-impl Encode for PlatformEvidence {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            PlatformEvidence::Sgx {
-                mr_enclave,
-                mr_signer,
-                isv_svn,
-            } => {
-                0u8.encode(out);
-                mr_enclave.encode(out);
-                mr_signer.encode(out);
-                isv_svn.encode(out);
-            }
-            PlatformEvidence::Nitro { pcrs, module_id } => {
-                1u8.encode(out);
-                encode_seq(pcrs, out);
-                module_id.encode(out);
-            }
-            PlatformEvidence::Keystone {
-                sm_hash,
-                runtime_hash,
-            } => {
-                2u8.encode(out);
-                sm_hash.encode(out);
-                runtime_hash.encode(out);
-            }
-        }
-    }
-}
-
-impl Decode for PlatformEvidence {
-    fn decode(input: &mut &[u8]) -> Result<Self, DecodeError> {
-        match u8::decode(input)? {
-            0 => Ok(PlatformEvidence::Sgx {
-                mr_enclave: Decode::decode(input)?,
-                mr_signer: Decode::decode(input)?,
-                isv_svn: Decode::decode(input)?,
-            }),
-            1 => Ok(PlatformEvidence::Nitro {
-                pcrs: decode_seq(input)?,
-                module_id: Decode::decode(input)?,
-            }),
-            2 => Ok(PlatformEvidence::Keystone {
-                sm_hash: Decode::decode(input)?,
-                runtime_hash: Decode::decode(input)?,
-            }),
-            other => Err(DecodeError::InvalidTag(other)),
-        }
-    }
-}
+wire_enum!(PlatformEvidence {
+    0 => Sgx { mr_enclave, mr_signer, isv_svn },
+    1 => Nitro { #[seq] pcrs, module_id },
+    2 => Keystone { sm_hash, runtime_hash },
+} retired []);
 
 /// The signed body of an attestation.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -135,29 +91,14 @@ pub struct AttestationDocument {
     pub evidence: PlatformEvidence,
 }
 
-impl Encode for AttestationDocument {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.vendor.encode(out);
-        self.device_id.encode(out);
-        self.measurement.encode(out);
-        self.user_data.encode(out);
-        self.logical_time.encode(out);
-        self.evidence.encode(out);
-    }
-}
-
-impl Decode for AttestationDocument {
-    fn decode(input: &mut &[u8]) -> Result<Self, DecodeError> {
-        Ok(Self {
-            vendor: Decode::decode(input)?,
-            device_id: Decode::decode(input)?,
-            measurement: Decode::decode(input)?,
-            user_data: Decode::decode(input)?,
-            logical_time: Decode::decode(input)?,
-            evidence: Decode::decode(input)?,
-        })
-    }
-}
+wire_struct!(AttestationDocument {
+    vendor: VendorKind,
+    device_id: [u8; 16],
+    measurement: Digest,
+    user_data: Vec<u8>,
+    logical_time: u64,
+    evidence: PlatformEvidence,
+});
 
 impl AttestationDocument {
     /// Bytes covered by the device signature.
@@ -180,23 +121,11 @@ pub struct Quote {
     pub cert: DeviceCert,
 }
 
-impl Encode for Quote {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.document.encode(out);
-        self.signature.to_bytes().encode(out);
-        self.cert.encode(out);
-    }
-}
-
-impl Decode for Quote {
-    fn decode(input: &mut &[u8]) -> Result<Self, DecodeError> {
-        Ok(Self {
-            document: Decode::decode(input)?,
-            signature: SchnorrSignature::from_bytes(&Decode::decode(input)?),
-            cert: Decode::decode(input)?,
-        })
-    }
-}
+wire_struct!(Quote {
+    document: AttestationDocument,
+    signature: SchnorrSignature,
+    cert: DeviceCert,
+});
 
 /// Why a quote was rejected.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -357,6 +286,7 @@ mod tests {
     use super::*;
     use crate::vendor::Vendor;
     use distrust_crypto::drbg::HmacDrbg;
+    use distrust_wire::codec::Decode;
 
     fn setup(kind: VendorKind) -> (Vendor, crate::enclave::Enclave, VendorRoots) {
         let vendor = Vendor::new(kind, b"attest tests");

@@ -68,11 +68,6 @@ pub struct Enclave {
 }
 
 impl Enclave {
-    /// The code measurement this enclave was launched with.
-    pub fn measurement(&self) -> Digest {
-        self.inner.measurement
-    }
-
     /// The device certificate.
     pub fn cert(&self) -> &DeviceCert {
         &self.inner.device.cert
@@ -81,11 +76,6 @@ impl Enclave {
     /// The ecosystem this enclave runs on.
     pub fn vendor(&self) -> VendorKind {
         self.inner.device.cert.vendor
-    }
-
-    /// Current logical time (monotonic per enclave).
-    pub fn logical_time(&self) -> u64 {
-        self.inner.clock.load(Ordering::SeqCst)
     }
 
     /// Produces a signed quote binding `user_data` (log head, nonce, …) to

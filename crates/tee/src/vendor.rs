@@ -12,7 +12,8 @@
 //! survive a compromised vendor (the motivation for heterogeneity).
 
 use distrust_crypto::schnorr::{SchnorrSignature, SigningKey, VerifyingKey};
-use distrust_wire::codec::{Decode, DecodeError, Encode};
+use distrust_wire::codec::Encode;
+use distrust_wire::{wire_enum, wire_struct};
 use std::cell::Cell;
 
 /// The three simulated secure-hardware ecosystems.
@@ -44,27 +45,11 @@ impl VendorKind {
     }
 }
 
-impl Encode for VendorKind {
-    fn encode(&self, out: &mut Vec<u8>) {
-        let tag: u8 = match self {
-            VendorKind::SgxSim => 0,
-            VendorKind::NitroSim => 1,
-            VendorKind::KeystoneSim => 2,
-        };
-        tag.encode(out);
-    }
-}
-
-impl Decode for VendorKind {
-    fn decode(input: &mut &[u8]) -> Result<Self, DecodeError> {
-        match u8::decode(input)? {
-            0 => Ok(VendorKind::SgxSim),
-            1 => Ok(VendorKind::NitroSim),
-            2 => Ok(VendorKind::KeystoneSim),
-            other => Err(DecodeError::InvalidTag(other)),
-        }
-    }
-}
+wire_enum!(VendorKind {
+    0 => SgxSim,
+    1 => NitroSim,
+    2 => KeystoneSim,
+} retired []);
 
 /// Domain tag for device certificate signatures.
 const CERT_DST: &[u8] = b"distrust/tee/device-cert/v1";
@@ -134,25 +119,12 @@ impl DeviceCert {
     }
 }
 
-impl Encode for DeviceCert {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.vendor.encode(out);
-        self.device_id.encode(out);
-        self.device_key.encode(out);
-        self.signature.to_bytes().encode(out);
-    }
-}
-
-impl Decode for DeviceCert {
-    fn decode(input: &mut &[u8]) -> Result<Self, DecodeError> {
-        Ok(Self {
-            vendor: Decode::decode(input)?,
-            device_id: Decode::decode(input)?,
-            device_key: Decode::decode(input)?,
-            signature: SchnorrSignature::from_bytes(&Decode::decode(input)?),
-        })
-    }
-}
+wire_struct!(DeviceCert {
+    vendor: VendorKind,
+    device_id: [u8; 16],
+    device_key: [u8; 48],
+    signature: SchnorrSignature,
+});
 
 /// A simulated vendor: the root of trust for one hardware ecosystem.
 pub struct Vendor {
@@ -252,6 +224,7 @@ impl VendorRoots {
 mod tests {
     use super::*;
     use distrust_crypto::drbg::HmacDrbg;
+    use distrust_wire::codec::Decode;
 
     #[test]
     fn vendor_kind_wire_round_trip() {

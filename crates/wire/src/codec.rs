@@ -204,8 +204,21 @@ impl<T: Decode> Decode for Option<T> {
     }
 }
 
+impl<T: Encode> Encode for Box<T> {
+    fn encode(&self, out: &mut Vec<u8>) {
+        (**self).encode(out);
+    }
+}
+
+impl<T: Decode> Decode for Box<T> {
+    fn decode(input: &mut &[u8]) -> Result<Self, DecodeError> {
+        T::decode(input).map(Box::new)
+    }
+}
+
 // Generic Vec<T> for non-u8 element types would conflict with the Vec<u8>
-// impl, so collections of structs use this explicit pair of helpers.
+// impl, so collections of structs use this explicit pair of helpers; in
+// `wire_struct!` and `wire_enum!` a field marked `#[seq]` takes them.
 
 /// Encodes a slice of encodable values with a length prefix.
 pub fn encode_seq<T: Encode>(items: &[T], out: &mut Vec<u8>) {
@@ -239,27 +252,168 @@ pub fn decode_seq<T: Decode>(input: &mut &[u8]) -> Result<Vec<T>, DecodeError> {
     Ok(items)
 }
 
-/// Implements `Encode`/`Decode` for a struct field-by-field.
+/// Implements `Encode`/`Decode` for a struct field-by-field, in
+/// declaration order; a field marked `#[seq]` is a `Vec` of encodable
+/// values and goes through [`encode_seq`]/[`decode_seq`].
 ///
 /// ```ignore
-/// wire_struct!(MyMsg { seq: u64, payload: Vec<u8> });
+/// wire_struct!(MyMsg { seq: u64, payload: Vec<u8>, #[seq] items: Vec<Item> });
 /// ```
 #[macro_export]
 macro_rules! wire_struct {
-    ($name:ident { $($field:ident: $ty:ty),* $(,)? }) => {
+    ($name:ident { $($(#[$m:ident])? $field:ident: $ty:ty),* $(,)? }) => {
         impl $crate::codec::Encode for $name {
             fn encode(&self, out: &mut Vec<u8>) {
-                $( self.$field.encode(out); )*
+                $( $crate::wire_field!(encode out, $(#[$m])? &self.$field); )*
             }
         }
         impl $crate::codec::Decode for $name {
             fn decode(input: &mut &[u8]) -> Result<Self, $crate::codec::DecodeError> {
                 Ok(Self {
-                    $( $field: <$ty as $crate::codec::Decode>::decode(input)?, )*
+                    $( $field: $crate::wire_field!(decode input, $field $(#[$m])?), )*
                 })
             }
         }
     };
+}
+
+/// Implements `Encode`/`Decode` for a tagged enum from its one table.
+///
+/// Each row gives a variant its `u8` tag — a literal, or a `const` the
+/// crate also uses — and its fields in wire order: `tag => Unit`,
+/// `tag => Tuple(a)` or `tag => Struct { a, b }`, a field marked
+/// `#[seq]` as in [`wire_struct!`]. A variant encodes as its tag followed
+/// by its fields; the tag byte is read first and any tag no row holds
+/// decodes to [`DecodeError::InvalidTag`]. `retired [..]` lists tags an
+/// earlier layout used, which must never mean anything else: a row that
+/// takes one, or two rows that share a tag, do not compile.
+///
+/// ```
+/// use distrust_wire::codec::{Decode, DecodeError, Encode};
+/// use distrust_wire::wire_enum;
+///
+/// #[derive(Debug, PartialEq)]
+/// enum Msg {
+///     Ping,
+///     Echo(Vec<u8>),
+///     Move { from: u32, to: u32 },
+/// }
+/// wire_enum!(Msg {
+///     1 => Ping,
+///     2 => Echo(payload),
+///     3 => Move { from, to },
+/// } retired [0]);
+///
+/// let wire = Msg::Move { from: 7, to: 9 }.to_wire();
+/// assert_eq!(wire, [3, 7, 0, 0, 0, 9, 0, 0, 0]);
+/// assert_eq!(Msg::from_wire(&wire), Ok(Msg::Move { from: 7, to: 9 }));
+/// assert_eq!(Msg::from_wire(&[0]), Err(DecodeError::InvalidTag(0)));
+/// ```
+///
+/// Two rows with one tag do not build:
+///
+/// ```compile_fail
+/// use distrust_wire::wire_enum;
+///
+/// enum Msg {
+///     Ping,
+///     Pong,
+/// }
+/// wire_enum!(Msg {
+///     1 => Ping,
+///     1 => Pong,
+/// } retired [0]);
+/// ```
+///
+/// Nor does a row that takes a retired tag:
+///
+/// ```compile_fail
+/// use distrust_wire::wire_enum;
+///
+/// enum Msg {
+///     Ping,
+///     Pong,
+/// }
+/// wire_enum!(Msg {
+///     1 => Ping,
+///     0 => Pong,
+/// } retired [0]);
+/// ```
+#[macro_export]
+macro_rules! wire_enum {
+    ($name:ident {
+        $($tag:tt => $variant:ident
+            $(( $($(#[$tm:ident])? $tf:ident),+ ))?
+            $({ $($(#[$sm:ident])? $sf:ident),+ $(,)? })?
+        ),* $(,)?
+    } retired [$($retired:literal),* $(,)?]) => {
+        const _: () = $crate::codec::check_tags(&[$($tag),*], &[$($retired),*]);
+        impl $crate::codec::Encode for $name {
+            fn encode(&self, out: &mut Vec<u8>) {
+                match self {
+                    $($name::$variant $(( $($tf),+ ))? $({ $($sf),+ })? => {
+                        out.push($tag);
+                        $($( $crate::wire_field!(encode out, $(#[$tm])? $tf); )+)?
+                        $($( $crate::wire_field!(encode out, $(#[$sm])? $sf); )+)?
+                    })*
+                }
+            }
+        }
+        impl $crate::codec::Decode for $name {
+            fn decode(input: &mut &[u8]) -> Result<Self, $crate::codec::DecodeError> {
+                Ok(match <u8 as $crate::codec::Decode>::decode(input)? {
+                    $($tag => $name::$variant
+                        $(( $($crate::wire_field!(decode input, $tf $(#[$tm])?)),+ ))?
+                        $({ $($sf: $crate::wire_field!(decode input, $sf $(#[$sm])?)),+ })?,
+                    )*
+                    other => return Err($crate::codec::DecodeError::InvalidTag(other)),
+                })
+            }
+        }
+    };
+}
+
+/// One field of a [`wire_struct!`] or [`wire_enum!`] row: `encode` writes
+/// a value, `decode` reads the field named (its type comes from the
+/// variant or struct it builds); `#[seq]` selects the sequence codec.
+#[doc(hidden)]
+#[macro_export]
+macro_rules! wire_field {
+    (encode $out:ident, #[seq] $value:expr) => {
+        $crate::codec::encode_seq($value, $out)
+    };
+    (encode $out:ident, $value:expr) => {
+        $crate::codec::Encode::encode($value, $out)
+    };
+    (decode $input:ident, $field:ident #[seq]) => {
+        $crate::codec::decode_seq($input)?
+    };
+    (decode $input:ident, $field:ident) => {
+        $crate::codec::Decode::decode($input)?
+    };
+}
+
+/// The compile-time check behind [`wire_enum!`]: no two rows share a tag,
+/// and no row takes a retired one.
+#[doc(hidden)]
+pub const fn check_tags(tags: &[u8], retired: &[u8]) {
+    let mut i = 0;
+    while i < tags.len() {
+        let mut j = i + 1;
+        while j < tags.len() {
+            assert!(tags[i] != tags[j], "two rows of a wire table share a tag");
+            j += 1;
+        }
+        let mut k = 0;
+        while k < retired.len() {
+            assert!(
+                tags[i] != retired[k],
+                "a wire table row takes a retired tag"
+            );
+            k += 1;
+        }
+        i += 1;
+    }
 }
 
 #[cfg(test)]
