@@ -55,7 +55,6 @@ enum Server {
 /// A running signing service in one of the three environments, plus a
 /// connected client.
 pub struct SigningBench {
-    environment: Environment,
     client: TcpTransport,
     _server: Server,
     share: KeyShare,
@@ -132,16 +131,10 @@ impl SigningBench {
         };
         let client = TcpTransport::connect(addr)?;
         Ok(Self {
-            environment,
             client,
             _server: server,
             share,
         })
-    }
-
-    /// The environment this bench runs.
-    pub fn environment(&self) -> Environment {
-        self.environment
     }
 
     /// One end-to-end signing request: the request/response exchange and

@@ -21,7 +21,7 @@ const EMPTY_HEAD: &[u8] = b"distrust/hashchain/empty/v1";
 #[derive(Clone, Debug)]
 pub struct HashChain {
     leaves: Vec<Vec<u8>>,
-    heads: Vec<Digest>,
+    head: Digest,
 }
 
 impl Default for HashChain {
@@ -35,7 +35,7 @@ impl HashChain {
     pub fn new() -> Self {
         Self {
             leaves: Vec::new(),
-            heads: Vec::new(),
+            head: Self::empty_head(),
         }
     }
 
@@ -51,10 +51,7 @@ impl HashChain {
 
     /// The current head digest (commitment to the full history).
     pub fn head(&self) -> Digest {
-        match self.heads.last() {
-            Some(h) => *h,
-            None => Self::empty_head(),
-        }
+        self.head
     }
 
     /// Head digest of the empty chain.
@@ -64,26 +61,14 @@ impl HashChain {
 
     /// Appends a leaf and returns the new head.
     pub fn append(&mut self, leaf: &[u8]) -> Digest {
-        let prev = self.head();
-        let head = Self::link(&prev, leaf);
+        self.head = Self::link(&self.head, leaf);
         self.leaves.push(leaf.to_vec());
-        self.heads.push(head);
-        head
+        self.head
     }
 
     /// The chaining function, exposed so verifiers replay identically.
     pub fn link(prev: &Digest, leaf: &[u8]) -> Digest {
         sha256_many(&[LINK_DST, prev, leaf])
-    }
-
-    /// The head after entry `index` (0-based); `None` if out of range.
-    pub fn head_at(&self, index: usize) -> Option<Digest> {
-        self.heads.get(index).copied()
-    }
-
-    /// The leaf at `index`.
-    pub fn leaf(&self, index: usize) -> Option<&[u8]> {
-        self.leaves.get(index).map(|v| v.as_slice())
     }
 
     /// All leaves (an auditor downloads these to replay the chain).
@@ -99,22 +84,6 @@ impl HashChain {
             head = Self::link(&head, leaf);
         }
         head == *expected_head
-    }
-
-    /// Checks that `new_leaves` extends a chain whose head was
-    /// `trusted_head` after `trusted_len` entries, reaching `new_head`.
-    /// This is the incremental audit: a client that already verified a
-    /// prefix only replays the suffix.
-    pub fn verify_extension(
-        trusted_head: &Digest,
-        new_leaves: &[Vec<u8>],
-        new_head: &Digest,
-    ) -> bool {
-        let mut head = *trusted_head;
-        for leaf in new_leaves {
-            head = Self::link(&head, leaf);
-        }
-        head == *new_head
     }
 }
 
@@ -139,9 +108,6 @@ mod tests {
         assert_ne!(h1, h2);
         assert_eq!(chain.len(), 2);
         assert_eq!(chain.head(), h2);
-        assert_eq!(chain.head_at(0), Some(h1));
-        assert_eq!(chain.head_at(1), Some(h2));
-        assert_eq!(chain.head_at(2), None);
     }
 
     #[test]
@@ -172,32 +138,6 @@ mod tests {
         let mut reordered = chain.leaves().to_vec();
         reordered.swap(1, 2);
         assert!(!HashChain::verify_replay(&reordered, &head));
-    }
-
-    #[test]
-    fn incremental_extension() {
-        let mut chain = HashChain::new();
-        for i in 0..5u32 {
-            chain.append(&i.to_le_bytes());
-        }
-        let trusted = chain.head();
-        let suffix: Vec<Vec<u8>> = (5..8u32).map(|i| i.to_le_bytes().to_vec()).collect();
-        for leaf in &suffix {
-            chain.append(leaf);
-        }
-        assert!(HashChain::verify_extension(
-            &trusted,
-            &suffix,
-            &chain.head()
-        ));
-        // A forged suffix fails.
-        let mut forged = suffix.clone();
-        forged[0] = b"backdoored".to_vec();
-        assert!(!HashChain::verify_extension(
-            &trusted,
-            &forged,
-            &chain.head()
-        ));
     }
 
     #[test]
@@ -232,16 +172,17 @@ mod tests {
         ) {
             prop_assume!(split < leaves.len());
             let mut chain = HashChain::new();
-            for leaf in &leaves {
+            for leaf in &leaves[..=split] {
                 chain.append(leaf);
             }
-            let mid = chain.head_at(split).unwrap();
-            let suffix = &chain.leaves()[split + 1..];
-            prop_assert!(HashChain::verify_extension(
-                &mid,
-                suffix,
-                &chain.head()
-            ));
+            let mid = chain.head();
+            for leaf in &leaves[split + 1..] {
+                chain.append(leaf);
+            }
+            let replayed = leaves[split + 1..]
+                .iter()
+                .fold(mid, |head, leaf| HashChain::link(&head, leaf));
+            prop_assert_eq!(replayed, chain.head());
         }
     }
 }

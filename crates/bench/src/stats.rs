@@ -45,11 +45,6 @@ impl Summary {
     pub fn mean_ms(&self) -> f64 {
         self.mean.as_secs_f64() * 1e3
     }
-
-    /// Percentage increase of this summary's mean over a baseline mean.
-    pub fn increase_over(&self, baseline: &Summary) -> f64 {
-        (self.mean.as_secs_f64() / baseline.mean.as_secs_f64() - 1.0) * 100.0
-    }
 }
 
 #[cfg(test)]
@@ -71,14 +66,6 @@ mod tests {
         assert_eq!(s.median, Duration::from_millis(30));
         assert_eq!(s.min, Duration::from_millis(10));
         assert_eq!(s.max, Duration::from_millis(100));
-    }
-
-    #[test]
-    fn increase_computation() {
-        let base = Summary::from_samples(vec![Duration::from_millis(100); 3]);
-        let slower = Summary::from_samples(vec![Duration::from_millis(146); 3]);
-        let inc = slower.increase_over(&base);
-        assert!((inc - 46.0).abs() < 0.5, "{inc}");
     }
 
     #[test]

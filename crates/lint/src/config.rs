@@ -2,7 +2,6 @@
 //! itself. The binary always runs the repo default; fixture tests build
 //! custom configs pointed at snippet directories.
 
-use crate::passes::protocol::ProtocolCfg;
 use std::path::PathBuf;
 
 /// File scope of the path-scoped passes: the repo's path table
@@ -84,8 +83,6 @@ pub struct Config {
     pub root: PathBuf,
     /// File scope of the panic, taint-alloc and trust-boundary passes.
     pub scope: Scope,
-    /// Protocol-conformance configuration; `None` skips the pass.
-    pub protocol: Option<ProtocolCfg>,
 }
 
 impl Config {
@@ -94,17 +91,15 @@ impl Config {
         Config {
             root,
             scope: Scope::RepoDefault,
-            protocol: Some(ProtocolCfg::repo_default()),
         }
     }
 
     /// Fixture configuration: every file is in scope for the per-file
-    /// passes, the protocol pass is off unless the fixture provides files.
+    /// passes.
     pub fn fixture(root: PathBuf) -> Config {
         Config {
             root,
             scope: Scope::AllFiles,
-            protocol: None,
         }
     }
 }

@@ -1,6 +1,6 @@
 //! `distrust-lint`: repo-aware static analysis for the distrust workspace.
 //!
-//! Seven passes over a hand-rolled token stream (no registry
+//! Six passes over a hand-rolled token stream (no registry
 //! dependencies, std only). [`analyze`] builds one workspace-wide
 //! [`resolve::Resolver`], which resolves `use` imports and type
 //! qualifiers across crate seams, and hands it to both the call-graph
@@ -13,21 +13,18 @@
 //!    calls.
 //! 2. **panic** — `unwrap`/`expect`/panic-family macros and (on decode
 //!    paths) unchecked indexing in server-side request-handling code.
-//! 3. **protocol** — fuzz-suite coverage for every Request/Response
-//!    variant and `impl Encode`/`impl Decode` pairing of hand-written
-//!    codecs (wire tables get their tag checks from the compiler).
-//! 4. **blocking** — blocking calls reachable from reactor callback paths.
-//! 5. **taint-alloc** — interprocedural taint dataflow: wire-announced
+//! 3. **blocking** — blocking calls reachable from reactor callback paths.
+//! 4. **taint-alloc** — interprocedural taint dataflow: wire-announced
 //!    lengths and unverified signed-object fields reaching allocation,
 //!    index, and loop-bound sinks (the length-bomb class), with a
 //!    deterministic source→sink chain per finding — across crate seams,
 //!    with argument taint injected into callees.
-//! 6. **trust-boundary** — unverified signed-object fields flowing into
+//! 5. **trust-boundary** — unverified signed-object fields flowing into
 //!    state-changing sinks before a verification call dominates them.
-//! 7. **dead-surface** — public items of the product crates whose name
-//!    appears nowhere but their own definition and their own file's
-//!    tests; `tests/`, `examples/`, `benches/` and `e2e/src` count as
-//!    callers and are read for identifiers only.
+//! 6. **dead-surface** — public items of every crate whose name appears
+//!    nowhere but their own definition and their own file's tests;
+//!    `tests/`, `examples/`, `benches/` and `e2e/src` count as callers
+//!    and are read for identifiers only.
 //!
 //! A finding is suppressed only by `// lint:allow(<pass>): <reason>` on
 //! the same or preceding line (reason mandatory); a marker that excuses
@@ -53,6 +50,7 @@ use resolve::Resolver;
 use scan::SourceFile;
 use std::io;
 use std::path::{Path, PathBuf};
+use std::time::{Duration, Instant};
 
 /// Analysis-size counters for one run, for CI step summaries and the
 /// wall-time regression gate.
@@ -67,17 +65,33 @@ pub struct Stats {
     pub fixpoint_iters: usize,
     /// Wall time of the analysis (excluding process startup).
     pub wall_ms: u128,
+    /// Wall time of each pass, in run order, and of the shared stages the
+    /// passes read: the scan, the resolver, the call-graph model (which
+    /// only `lock-order` and `blocking` read) and the taint dataflow.
+    pub passes: Vec<(&'static str, Duration)>,
+    pub stages: Vec<(&'static str, Duration)>,
 }
 
 impl Stats {
+    /// Two lines: the size counters, ending with the total wall time, and
+    /// the time of each pass and shared stage.
     pub fn render(&self) -> String {
+        let times = |list: &[(&str, Duration)]| {
+            list.iter()
+                .map(|(name, t)| format!("{name} {:.1} ms", t.as_secs_f64() * 1e3))
+                .collect::<Vec<_>>()
+                .join(", ")
+        };
         format!(
-            "stats: {} functions, {} call edges ({} cross-crate), {} fixpoint iterations, {} ms",
+            "stats: {} functions, {} call edges ({} cross-crate), {} fixpoint iterations, {} ms\n\
+             passes: {} (shared: {})",
             self.functions,
             self.call_edges,
             self.cross_crate_edges,
             self.fixpoint_iters,
-            self.wall_ms
+            self.wall_ms,
+            times(&self.passes),
+            times(&self.stages),
         )
     }
 }
@@ -85,7 +99,12 @@ impl Stats {
 /// Runs every pass under `cfg`; returns the finished report and the run's
 /// size counters.
 pub fn analyze(cfg: &Config) -> io::Result<(Report, Stats)> {
-    let start = std::time::Instant::now();
+    let start = Instant::now();
+    let mut lap = start;
+    let mut since_lap = move || {
+        let now = Instant::now();
+        now - std::mem::replace(&mut lap, now)
+    };
     let (paths, caller_paths) = discover(&cfg.root)?;
     let mut files = Vec::with_capacity(paths.len());
     for path in paths {
@@ -97,21 +116,27 @@ pub fn analyze(cfg: &Config) -> io::Result<(Report, Stats)> {
         let source = std::fs::read_to_string(cfg.root.join(&path))?;
         callers.add(&lex(&source).0);
     }
+    let mut stages = vec![("scan", since_lap())];
 
     let resolver = Resolver::build(&files);
+    stages.push(("resolve", since_lap()));
     let model = Model::new(&files, &resolver);
+    stages.push(("model", since_lap()));
     let flow = Dataflow::new(&files, &resolver);
+    stages.push(("dataflow", since_lap()));
     let mut report = Report::default();
     passes::lock_order::run(&model, &mut report);
+    let mut pass_times = vec![(passes::lock_order::PASS, since_lap())];
     passes::blocking::run(&model, &passes::blocking::default_entries(), &mut report);
+    pass_times.push((passes::blocking::PASS, since_lap()));
     passes::panic_path::run(&files, cfg.scope, &mut report);
+    pass_times.push((passes::panic_path::PASS, since_lap()));
     passes::taint_alloc::run(&flow, cfg.scope, &mut report);
+    pass_times.push((passes::taint_alloc::PASS, since_lap()));
     passes::trust_boundary::run(&files, cfg.scope, &mut report);
-    if let Some(proto) = &cfg.protocol {
-        let fuzz = std::fs::read_to_string(cfg.root.join(&proto.fuzz_file)).ok();
-        passes::protocol::run(&files, proto, fuzz.as_deref(), &mut report);
-    }
+    pass_times.push((passes::trust_boundary::PASS, since_lap()));
     passes::dead_surface::run(&files, &callers, &mut report);
+    pass_times.push((passes::dead_surface::PASS, since_lap()));
     report.apply_allows(&files);
     report.finish();
     let stats = Stats {
@@ -120,6 +145,8 @@ pub fn analyze(cfg: &Config) -> io::Result<(Report, Stats)> {
         cross_crate_edges: model.cross_crate_edges,
         fixpoint_iters: model.fixpoint_iters + flow.fixpoint_iters,
         wall_ms: start.elapsed().as_millis(),
+        passes: pass_times,
+        stages,
     };
     Ok((report, stats))
 }

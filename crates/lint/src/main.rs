@@ -42,13 +42,14 @@ fn main() -> ExitCode {
                 println!(
                     "distrust-lint [--deny] [--format text|json] [--root PATH] [--stats]\n\
                      Repo-aware static analysis: lock-order, panic-path, \
-                     protocol-conformance, reactor-blocking, taint-alloc, \
-                     trust-boundary, dead-surface.\n\
+                     reactor-blocking, taint-alloc, trust-boundary, \
+                     dead-surface.\n\
                      --deny exits non-zero when a finding is not excused by a \
                      `lint:allow(<pass>): <reason>` comment beside it; \
                      --stats appends one line of analysis-size counters \
                      (functions, call edges, cross-crate edges, fixpoint \
-                     iterations, wall time)."
+                     iterations, wall time) and one of each pass's own \
+                     time."
                 );
                 return ExitCode::SUCCESS;
             }

@@ -1,4 +1,4 @@
-//! Pass 4 — reactor-blocking: flags blocking calls (untimed `recv`,
+//! Pass 3 — reactor-blocking: flags blocking calls (untimed `recv`,
 //! `sleep`, blocking `connect`/`accept`/`join`, whole-frame I/O) reachable
 //! from reactor callback paths.
 //!

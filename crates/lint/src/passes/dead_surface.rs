@@ -1,8 +1,7 @@
-//! Pass 7 — dead-surface: a public item with no caller. A bare `pub fn`,
+//! Pass 6 — dead-surface: a public item with no caller. A bare `pub fn`,
 //! `pub const`, `pub struct` or `pub enum` above its file's first
-//! test-only item, in a product crate (`crates/<name>/src`, apart from
-//! the tool crates), fires when nothing outside its own definition and
-//! its own file's test code uses it.
+//! test-only item, in any crate (`crates/<name>/src`), fires when nothing
+//! outside its own definition and its own file's test code uses it.
 //!
 //! A method — a `pub fn` inside an `impl` — is used where it is called or
 //! named as a path: `.name(`, `.name::<`, `Type::name`, `Self::name`. Any
@@ -19,10 +18,6 @@ use crate::scan::SourceFile;
 use std::collections::{BTreeMap, BTreeSet};
 
 pub const PASS: &str = "dead-surface";
-
-/// Crates whose public items are not checked: the lint and the benchmark
-/// harness are tools, not what a deployment runs.
-const TOOL_CRATES: [&str; 2] = ["lint", "bench"];
 
 /// What the caller files use: every identifier, and the names they call
 /// or name as a path.
@@ -51,7 +46,7 @@ pub fn run(files: &[SourceFile], callers: &Callers, report: &mut Report) {
         }
     }
     for file in files {
-        if !file.path.starts_with("crates/") || TOOL_CRATES.contains(&file.crate_name.as_str()) {
+        if !file.path.starts_with("crates/") {
             continue;
         }
         let own_tests = ident_counts(

@@ -1,4 +1,4 @@
-//! Pass 5 — taint-alloc: attacker-shaped values (announced lengths,
+//! Pass 4 — taint-alloc: attacker-shaped values (announced lengths,
 //! decoded counts, unverified signed-object fields) reaching allocation,
 //! index, and loop-bound sinks — the length-bomb class, caught statically.
 //!

@@ -1,4 +1,4 @@
-//! Pass 6 — trust-boundary: fields of a not-yet-verified signed object
+//! Pass 5 — trust-boundary: fields of a not-yet-verified signed object
 //! (checkpoint, release, quote, bundle) flowing into a state-changing
 //! sink — log appends, cache inserts, checkpoint adoption, session
 //! gating — before a verification call dominates them.

@@ -5,10 +5,9 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 
 /// Pass keys accepted in `lint:allow(<key>)` entries.
-pub const PASS_KEYS: [&str; 7] = [
+pub const PASS_KEYS: [&str; 6] = [
     "lock-order",
     "panic",
-    "protocol",
     "blocking",
     "taint-alloc",
     "trust-boundary",

@@ -126,10 +126,6 @@ impl Resolver {
         self.metas.len()
     }
 
-    pub fn meta(&self, idx: usize) -> &FnMeta {
-        &self.metas[idx]
-    }
-
     /// True when the edge `caller → callee` crosses a crate boundary.
     pub fn cross_crate(&self, caller: usize, callee: usize) -> bool {
         self.metas[caller].crate_name != self.metas[callee].crate_name
@@ -362,7 +358,7 @@ mod unit {
 
     fn idx_of(r: &Resolver, name: &str, crate_name: &str) -> usize {
         (0..r.fn_count())
-            .find(|&i| r.meta(i).name == name && r.meta(i).crate_name == crate_name)
+            .find(|&i| r.metas[i].name == name && r.metas[i].crate_name == crate_name)
             .unwrap()
     }
 

@@ -320,7 +320,12 @@ mod tests {
 
     #[test]
     fn wire_round_trip() {
-        let m = trivial_module();
+        // Two page counts that differ, so a decode reading them in the
+        // wrong order fails here.
+        let m = Module {
+            max_pages: 4,
+            ..trivial_module()
+        };
         let bytes = m.to_wire();
         assert_eq!(Module::from_wire(&bytes), Ok(m));
     }

@@ -1,8 +1,9 @@
 //! Fake single-domain deployments for the detection suites: an
 //! unattested trust domain that answers `BatchAudit` with whatever view a
 //! test scripts, plus the descriptor/client plumbing to audit it — and the
-//! un-gated application call the update and lockdown suites use; and an
-//! echo deployment and a silent domain for the suites about silence.
+//! un-gated application call the update and lockdown suites use; an
+//! echo deployment and a silent domain for the suites about silence; and
+//! the live-tag probe the wire suites hold their enums to.
 
 // Each test binary uses its own subset of these helpers.
 #![allow(dead_code)]
@@ -26,7 +27,7 @@ use distrust::sandbox::{FuncBuilder, Limits, Module, ModuleBuilder};
 use distrust::tee::host::EnclaveService;
 use distrust::tee::vendor::VendorRoots;
 use distrust::wire::codec::encode_seq;
-use distrust::wire::{Decode, Encode};
+use distrust::wire::{Decode, DecodeError, Encode};
 use std::net::{SocketAddr, TcpListener};
 
 /// A one-domain deployment at `addr` whose checkpoint key is pinned to
@@ -237,4 +238,18 @@ pub fn hung_listener() -> SocketAddr {
         })
         .expect("spawn");
     addr
+}
+
+/// The tags `T`'s decoder accepts, ascending: each `tag` whose frame
+/// `[tag, 0, 0, …]` decodes to anything but `InvalidTag(tag)`, a value or
+/// another error. A tag no row of the type's table holds, retired or never
+/// assigned, is refused by name and so is not live.
+pub fn live_tags<T: Decode>() -> Vec<u8> {
+    (0..=u8::MAX)
+        .filter(|&tag| {
+            let mut frame = vec![tag];
+            frame.extend_from_slice(&[0; 64]);
+            !matches!(T::from_wire(&frame), Err(DecodeError::InvalidTag(t)) if t == tag)
+        })
+        .collect()
 }

@@ -1,14 +1,22 @@
 //! Protocol robustness: trust domains face the open network, so the
 //! request decoder and the framework dispatcher must survive arbitrary
 //! bytes — answering with error frames, never crashing or hanging.
+//!
+//! Every `Request` and `Response` variant has a generator in
+//! [`fuzz_requests`] and [`fuzz_responses`], and
+//! `the_generators_cover_every_live_tag` holds those lists to the tags the
+//! decoders accept: a new wire message fails this suite until it is fuzzed.
+
+mod common;
 
 use distrust::core::abi::{NoImports, HANDLE_EXPORT, OUTBOX_ADDR};
 use distrust::core::framework::{EnclaveFramework, FrameworkConfig, FrameworkService};
-use distrust::core::protocol::{BundleAttestation, Request, Response};
-use distrust::core::SignedRelease;
+use distrust::core::protocol::{AuditBundle, BundleAttestation, Request, Response};
+use distrust::core::{DomainStatus, ReleaseManifest, SignedRelease, UpdateNotice};
+use distrust::crypto::bls::Signature;
 use distrust::crypto::drbg::HmacDrbg;
-use distrust::crypto::schnorr::SigningKey;
-use distrust::log::StorageConfig;
+use distrust::crypto::schnorr::{SchnorrSignature, SigningKey};
+use distrust::log::{BundleStep, CheckpointBundle, ProofBundle, StorageConfig};
 use distrust::sandbox::guests::counter_module;
 use distrust::sandbox::{FuncBuilder, Instr, Limits, Module, ModuleBuilder};
 use distrust::tee::host::EnclaveService;
@@ -141,6 +149,162 @@ fn batch_audit_response_frame(verified_size: u64) -> Vec<u8> {
     frames[verified_size as usize].clone()
 }
 
+/// 80 signature-shaped bytes spread from 32 drawn ones. Decoding checks
+/// no signature, so any bytes round-trip.
+fn bytes80(bytes: [u8; 32]) -> [u8; 80] {
+    std::array::from_fn(|i| bytes[i % 32] ^ i as u8)
+}
+
+fn fuzz_manifest(a: u64, b: u64, bytes: [u8; 32], payload: &[u8]) -> ReleaseManifest {
+    ReleaseManifest {
+        app_name: format!("app-{a}"),
+        version: b,
+        code_digest: bytes,
+        notes: String::from_utf8_lossy(payload).into_owned(),
+        locks_updates: a & 1 == 1,
+    }
+}
+
+fn fuzz_checkpoint(a: u64, b: u64, bytes: [u8; 32]) -> SignedCheckpoint {
+    SignedCheckpoint {
+        body: CheckpointBody {
+            log_id: bytes,
+            size: a,
+            head: bytes.map(|byte| !byte),
+            logical_time: b,
+        },
+        signature: bytes80(bytes),
+    }
+}
+
+fn fuzz_envelope(a: u64, b: u64, bytes: [u8; 32]) -> GossipEnvelope {
+    GossipEnvelope {
+        heads: vec![GossipHead {
+            domain: a as u32,
+            checkpoint: fuzz_checkpoint(a, b, bytes),
+        }],
+        evidence: vec![EvidenceBundle {
+            domain: b as u32,
+            proof: EquivocationProof {
+                a: fuzz_checkpoint(a, b, bytes),
+                b: fuzz_checkpoint(b, a, bytes),
+            },
+        }],
+    }
+}
+
+/// A well-formed quorum signature: the decoder refuses bytes that are no
+/// point of G1, so one real signature is made once and reused.
+fn cosign_signature() -> Signature {
+    use std::sync::OnceLock;
+    static SIGNATURE: OnceLock<Signature> = OnceLock::new();
+    *SIGNATURE.get_or_init(|| fuzz_cosigned_heads().signature)
+}
+
+/// One request of every variant, in tag order, built from the drawn
+/// fields.
+fn fuzz_requests(a: u64, b: u64, bytes: [u8; 32], payload: &[u8]) -> Vec<Request> {
+    vec![
+        Request::AppCall {
+            method: a,
+            payload: payload.to_vec(),
+        },
+        Request::Update {
+            release: SignedRelease {
+                manifest: fuzz_manifest(a, b, bytes, payload),
+                module_bytes: payload.to_vec(),
+                signature: SchnorrSignature::from_bytes(&bytes80(bytes)),
+            },
+        },
+        Request::GetLogEntries { from: a },
+        Request::GetNotices { since: b },
+        Request::BatchAudit {
+            request_id: a,
+            nonce: bytes,
+            verified_size: b,
+        },
+        Request::Gossip {
+            envelope: fuzz_envelope(a, b, bytes),
+        },
+        Request::WitnessHead,
+    ]
+}
+
+/// One response of every variant, in tag order, built from the drawn
+/// fields.
+fn fuzz_responses(a: u64, b: u64, bytes: [u8; 32], payload: &[u8]) -> Vec<Response> {
+    let text = String::from_utf8_lossy(payload).into_owned();
+    let status = DomainStatus {
+        domain_index: a as u32,
+        app_digest: bytes,
+        app_version: b,
+        log_size: a,
+        log_head: bytes.map(|byte| !byte),
+        framework_measurement: bytes,
+    };
+    vec![
+        Response::AppResult {
+            payload: payload.to_vec(),
+        },
+        Response::AppError(text.clone()),
+        Response::UpdateAck {
+            log_size: a,
+            digest: bytes,
+        },
+        Response::UpdateRejected(text.clone()),
+        Response::LogEntries(vec![payload.to_vec(), bytes.to_vec()]),
+        Response::Notices(vec![UpdateNotice {
+            manifest: fuzz_manifest(a, b, bytes, payload),
+            log_index: a,
+            logical_time: b,
+        }]),
+        Response::Error(text),
+        Response::AuditBundle(Box::new(AuditBundle {
+            request_id: a,
+            attestation: BundleAttestation::Unattested(status),
+            bundle: CheckpointBundle {
+                checkpoints: vec![fuzz_checkpoint(a, b, bytes)],
+                proof: ProofBundle {
+                    nodes: vec![bytes],
+                    steps: vec![BundleStep {
+                        old_size: a,
+                        new_size: b,
+                        path: vec![a as u32, b as u32],
+                    }],
+                },
+            },
+        })),
+        Response::Gossip {
+            envelope: fuzz_envelope(a, b, bytes),
+        },
+        Response::WitnessHead {
+            cosigned: (a & 1 == 1).then(|| CosignedHeads {
+                heads: vec![fuzz_checkpoint(a, b, bytes).body],
+                signature: cosign_signature(),
+            }),
+        },
+    ]
+}
+
+/// The generator lists lead with exactly the tags the decoders accept, in
+/// order: a variant added to `Request` or `Response` without a generator
+/// fails here.
+#[test]
+fn the_generators_cover_every_live_tag() {
+    fn leading<T: Encode>(values: &[T]) -> Vec<u8> {
+        values.iter().map(|value| value.to_wire()[0]).collect()
+    }
+    let (a, b, bytes, payload) = (1, 2, [3; 32], [4; 5]);
+    assert_eq!(
+        leading(&fuzz_requests(a, b, bytes, &payload)),
+        common::live_tags::<Request>()
+    );
+    assert_eq!(
+        leading(&fuzz_responses(a, b, bytes, &payload)),
+        common::live_tags::<Response>()
+    );
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 
@@ -155,43 +319,65 @@ proptest! {
         let _ = response;
     }
 
-    /// Request decode/encode round-trips (the framework and the client
+    /// Every request variant round-trips (the framework and the client
     /// must agree byte-for-byte, since responses are hashed into quotes).
     #[test]
     fn structured_requests_round_trip(
-        tag in 0u8..4,
-        nonce in any::<[u8; 32]>(),
-        method in any::<u64>(),
+        a in any::<u64>(),
+        b in any::<u64>(),
+        bytes in any::<[u8; 32]>(),
         payload in proptest::collection::vec(any::<u8>(), 0..64),
-        number in any::<u64>(),
     ) {
-        let request = match tag {
-            0 => Request::AppCall { method, payload: payload.clone() },
-            1 => Request::GetLogEntries { from: number },
-            2 => Request::GetNotices { since: number },
-            _ => Request::BatchAudit {
-                request_id: method,
-                nonce,
-                verified_size: number,
-            },
-        };
-        let wire = request.to_wire();
-        prop_assert_eq!(Request::from_wire(&wire), Ok(request));
+        for request in fuzz_requests(a, b, bytes, &payload) {
+            prop_assert_eq!(Request::from_wire(&request.to_wire()), Ok(request));
+        }
     }
 
-    /// Truncating a valid request at any point yields a decode error (or a
-    /// shorter valid request), never a panic; the service still answers.
+    /// Every response variant round-trips.
+    #[test]
+    fn structured_responses_round_trip(
+        a in any::<u64>(),
+        b in any::<u64>(),
+        bytes in any::<[u8; 32]>(),
+        payload in proptest::collection::vec(any::<u8>(), 0..64),
+    ) {
+        for response in fuzz_responses(a, b, bytes, &payload) {
+            prop_assert_eq!(Response::from_wire(&response.to_wire()), Ok(response));
+        }
+    }
+
+    /// A request of any variant cut short never decodes, and the service
+    /// still answers it with a frame that decodes, never a panic.
     #[test]
     fn truncated_requests_are_handled(
+        a in any::<u64>(),
+        b in any::<u64>(),
+        bytes in any::<[u8; 32]>(),
         payload in proptest::collection::vec(any::<u8>(), 0..32),
-        cut in 0usize..64,
+        cut_seed in any::<usize>(),
     ) {
-        let request = Request::AppCall { method: 1, payload };
-        let mut wire = request.to_wire();
-        wire.truncate(cut.min(wire.len()));
         let mut svc = service();
-        let response_bytes = svc.handle(wire);
-        prop_assert!(Response::from_wire(&response_bytes).is_ok());
+        for request in fuzz_requests(a, b, bytes, &payload) {
+            let mut wire = request.to_wire();
+            wire.truncate(cut_seed % wire.len());
+            prop_assert!(Request::from_wire(&wire).is_err());
+            prop_assert!(Response::from_wire(&svc.handle(wire)).is_ok());
+        }
+    }
+
+    /// A response of any variant cut short never decodes.
+    #[test]
+    fn truncated_responses_are_rejected(
+        a in any::<u64>(),
+        b in any::<u64>(),
+        bytes in any::<[u8; 32]>(),
+        payload in proptest::collection::vec(any::<u8>(), 0..32),
+        cut_seed in any::<usize>(),
+    ) {
+        for response in fuzz_responses(a, b, bytes, &payload) {
+            let wire = response.to_wire();
+            prop_assert!(Response::from_wire(&wire[..cut_seed % wire.len()]).is_err());
+        }
     }
 
     /// Truncating a real AuditBundle response at any point must error —
