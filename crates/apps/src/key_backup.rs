@@ -323,13 +323,15 @@ impl KeyBackupClient {
     /// Full recovery: collect `t` shares, recombine, verify against the
     /// commitment from [`Self::backup`].
     ///
-    /// The recovery request is broadcast under
-    /// [`distrust_core::QuorumPolicy::Threshold`]`(t)` (via
-    /// [`Session::fanout_collect`]): the fan-out returns as soon as `t`
-    /// domains answer, so dead or slow domains cost nothing as long as
-    /// `t` are alive. Domains that answered but refused (bad token,
-    /// unknown user, malformed reply) do not yield shares and are not
-    /// re-asked; only abandoned stragglers are.
+    /// The recovery request goes out through [`Session::fanout_collect`]:
+    /// a session's first call asks every domain, a later one the `t` the
+    /// session ranks best, with a domain that fails replaced at once and
+    /// every spare asked at the session's hedge point. It returns as soon
+    /// as `t` domains answer, so dead or slow domains cannot stop it as
+    /// long as `t` are alive. Domains that answered but refused (bad
+    /// token, unknown user, malformed reply) do not yield shares and are
+    /// not re-asked; abandoned stragglers are, once no domain is left
+    /// that was never asked.
     pub fn recover(
         &self,
         session: &mut Session<'_>,

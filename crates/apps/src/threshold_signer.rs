@@ -565,14 +565,16 @@ impl ThresholdSigningClient {
 
     /// Full signing flow across the deployment.
     ///
-    /// The message is broadcast to every domain in one pipelined fan-out
-    /// under [`distrust_core::QuorumPolicy::Threshold`]`(t)` (via
-    /// [`Session::fanout_collect`]): all `n` sign requests are in flight
-    /// at once and collection stops at the `t`-th answer that parses
-    /// (48 canonical bytes of a point on the curve; the subgroup test is
-    /// made once, on the aggregate, and on each partial the Feldman checks
-    /// look at) — a slow or dead domain does not delay the signature as
-    /// long as `t` domains are healthy.
+    /// The sign requests go out through [`Session::fanout_collect`]: a
+    /// session's first signature asks all `n` domains at once, and each
+    /// later one asks only the `t` the session ranks best, replacing a
+    /// domain that fails or lies at once and asking every spare if `t`
+    /// answers have not come by the session's hedge point (twice the
+    /// slowest answer it has counted). Collection stops at the `t`-th
+    /// answer that parses (48 canonical bytes of a point on the curve;
+    /// the subgroup test is made once, on the aggregate, and on each
+    /// partial the Feldman checks look at) — a slow or dead domain does
+    /// not stop the signature as long as `t` domains are healthy.
     ///
     /// Order of operations: hash the message once; aggregate the `t`
     /// partials; check the aggregate under the group key; return it. That
@@ -584,10 +586,12 @@ impl ThresholdSigningClient {
     /// it came from. Only when the aggregate fails are the held partials
     /// checked one by one against the Feldman commitments (same `H(m)`,
     /// each partial at most once): the failing ones are dropped, and
-    /// collection continues from the domains whose responses were
-    /// abandoned. A domain whose answer was read is never asked again, so
-    /// a lying minority costs one failed check per round it spoils, at
-    /// most `n − t` rounds, and cannot stop signing.
+    /// collection continues from domains never asked, then from those
+    /// whose responses were abandoned. A domain whose answer was read is
+    /// never asked again in that signature, and a domain caught lying
+    /// ranks last in the session's later ones, so a lying minority costs
+    /// one failed check per round it spoils, at most `n − t` rounds, and
+    /// cannot stop signing.
     pub fn sign(&self, session: &mut Session<'_>, message: &[u8]) -> Result<Signature, SignError> {
         let t = self.public.threshold;
         let mut combiner = threshold::Combiner::new(

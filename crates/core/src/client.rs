@@ -34,7 +34,11 @@ use std::time::{Duration, Instant};
 /// reconnects, and the next audit it answers trusts it again. Two seconds
 /// is over 16 times the slowest honest answer in a debug build (a 3-of-5
 /// signing fan-out, ≈ 0.1 s), and a `Threshold` call stops waiting once
-/// its quorum has answered.
+/// its quorum has answered. A warm threshold call
+/// ([`crate::session::Session::fanout_collect`]) waits far less for a
+/// domain that goes silent: at its hedge point, twice the slowest answer
+/// the session has counted, it asks every spare domain, all under this
+/// one bound.
 pub const SILENCE: Duration = Duration::from_secs(2);
 
 /// A connection carrying more abandoned-but-undrained responses than this
@@ -396,12 +400,16 @@ impl DeploymentClient {
     /// wait reported, besides answers already decoded. At `until`, one
     /// last zero-timeout look at every pending socket takes whatever has
     /// arrived. A domain still silent after it loses its connection and
-    /// is handed to `take` as [`ClientError::Silent`].
+    /// is handed to `take` as [`ClientError::Silent`]. A collection given
+    /// a `wake` before `until` returns then if it has not ended, as after
+    /// [`Taken::Return`]: the domains not yet settled stay pending, their
+    /// answers still owed.
     pub(crate) fn gather(
         &mut self,
         pending: &mut Vec<u32>,
         quorum: QuorumPolicy,
         until: Instant,
+        wake: Option<Instant>,
         mut take: impl FnMut(u32, Result<Response, ClientError>) -> Taken,
     ) -> usize {
         let (every, needed) = match quorum {
@@ -446,7 +454,11 @@ impl DeploymentClient {
             if pending.is_empty() || counted >= needed {
                 break;
             }
-            let left = until.saturating_duration_since(Instant::now());
+            let now = Instant::now();
+            if wake.is_some_and(|wake| wake <= now) {
+                return counted;
+            }
+            let left = until.saturating_duration_since(now);
             last_look = left.is_zero();
             let answers_awaited = if every && !last_look { 1 } else { usize::MAX };
             // A pending domain always has its connection (losing it
@@ -461,7 +473,8 @@ impl DeploymentClient {
                 };
                 PollFd::new(conn.map_or(-1, AsRawFd::as_raw_fd), events)
             }));
-            if let Err(e) = sys::wait(&mut fds, Some(left)) {
+            let timeout = wake.map_or(left, |wake| left.min(wake - now));
+            if let Err(e) = sys::wait(&mut fds, Some(timeout)) {
                 failed_wait = Some(e.kind());
                 last_look = true;
             }
@@ -480,7 +493,7 @@ impl DeploymentClient {
         // Overwritten: the collector settles every pending domain.
         let mut answer = Err(ClientError::NoSuchDomain(domain));
         let until = Instant::now() + SILENCE;
-        self.gather(&mut vec![domain], QuorumPolicy::All, until, |_, a| {
+        self.gather(&mut vec![domain], QuorumPolicy::All, until, None, |_, a| {
             answer = a;
             Taken::Uncounted
         });
@@ -537,7 +550,7 @@ impl DeploymentClient {
             .collect();
         let mut pending: Vec<u32> = (0..n).filter(|&d| acks[d as usize].is_ok()).collect();
         let until = Instant::now() + SILENCE;
-        self.gather(&mut pending, QuorumPolicy::All, until, |d, answer| {
+        self.gather(&mut pending, QuorumPolicy::All, until, None, |d, answer| {
             acks[d as usize] = match answer {
                 Ok(Response::UpdateAck { log_size, digest }) => Ok((log_size, digest)),
                 Ok(Response::UpdateRejected(e)) => Err(ClientError::UpdateRejected(e)),
@@ -840,7 +853,7 @@ impl DeploymentClient {
                 }
             }
             // A domain's first answer is its bundle, or why there is none.
-            self.gather(&mut pending, QuorumPolicy::All, until, |d, answer| {
+            self.gather(&mut pending, QuorumPolicy::All, until, None, |d, answer| {
                 let (i, (bundle, envelope)) = (d as usize, &mut answers[d as usize]);
                 match answer {
                     _ if sent[i].is_err() => {}

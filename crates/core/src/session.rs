@@ -36,7 +36,8 @@ use distrust_crypto::sha256::Digest;
 use distrust_gossip::evidence::EvidenceBundle;
 use distrust_gossip::witness::CosignedHeads;
 use distrust_wire::codec::Encode;
-use std::time::Instant;
+use std::cmp::Reverse;
+use std::time::{Duration, Instant};
 
 /// How many per-domain successes a fan-out needs before it is satisfied.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -343,6 +344,27 @@ pub struct Session<'c> {
     /// performed — observable so tests (and cost accounting) can assert
     /// the witnessed fast path did exactly one.
     cosign_verifications: u64,
+    /// What [`Session::fanout_collect`] last saw of each domain: the order
+    /// in which it asks them.
+    seen: Vec<Seen>,
+    /// The slowest answer a threshold call of this session has counted;
+    /// twice it is the call's hedge point.
+    slowest: Option<Duration>,
+}
+
+/// What a session last saw of one domain in a threshold call
+/// ([`Session::fanout_collect`]), in the order the next call asks.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+enum Seen {
+    /// Its answer counted.
+    Counted,
+    /// The call had what it needed before this domain answered.
+    Abandoned,
+    /// Never asked.
+    Unasked,
+    /// It failed, was still silent at the call's hedge point, or its
+    /// answer was refused by the call's checks (caught lying).
+    Failed,
 }
 
 /// The session's one trust decision, for both gates. `audit` is what
@@ -442,7 +464,8 @@ impl<'c> Session<'c> {
     /// a conviction outlives the session that learned of it, whatever
     /// gate — audit or cosigned head — the next session passes.
     pub fn new(client: &'c mut DeploymentClient, policy: TrustPolicy) -> Self {
-        let refusals = (0..client.descriptor().domains.len() as u32)
+        let n = client.descriptor().domains.len();
+        let refusals = (0..n as u32)
             .map(|d| client.convicted(d).then(|| CONVICTED.to_string()))
             .collect();
         Self {
@@ -453,6 +476,8 @@ impl<'c> Session<'c> {
             passed: false,
             rounds_since_audit: 0,
             cosign_verifications: 0,
+            seen: vec![Seen::Unasked; n],
+            slowest: None,
         }
     }
 
@@ -697,14 +722,7 @@ impl<'c> Session<'c> {
             }
         }
         if trusted_targets == 0 {
-            let reasons: Vec<String> = targets
-                .iter()
-                .filter_map(|&d| self.refusal(d).map(|r| format!("domain {d}: {r}")))
-                .collect();
-            return Err(ClientError::AuditFailed(format!(
-                "no targeted domain passed the trust policy ({})",
-                reasons.join("; ")
-            )));
+            return Err(self.none_trusted(&targets));
         }
         // A round is counted only once requests went out: a fan-out
         // refused above cost the trust state nothing.
@@ -734,7 +752,9 @@ impl<'c> Session<'c> {
                 Taken::Uncounted
             }
         };
-        let satisfied = self.client.gather(&mut pending, call.quorum, until, settle);
+        let satisfied = self
+            .client
+            .gather(&mut pending, call.quorum, until, None, settle);
         for d in pending {
             outcomes[d as usize] = DomainOutcome::Abandoned;
         }
@@ -747,26 +767,40 @@ impl<'c> Session<'c> {
         })
     }
 
-    /// Threshold collection with app-level validation: broadcasts
-    /// `method`/`payload` under [`QuorumPolicy::Threshold`] and keeps
-    /// collecting until `need` responses pass validation or no domain is
-    /// left to ask.
+    /// Threshold collection with app-level validation: asks trusted
+    /// domains for `method`/`payload` until `need` answers pass validation
+    /// or no domain is left to ask.
+    ///
+    /// A warm call asks only `need` domains, the best the session ranks:
+    /// in the order it last saw them, those whose answers counted, then
+    /// those abandoned, then those never asked, then those that failed,
+    /// were still silent at a hedge point or were caught lying. A domain
+    /// that fails or whose answer is refused is replaced at once by the
+    /// next-ranked domain not yet asked, and if `need` answers have not
+    /// counted by the **hedge point** every domain not yet asked is
+    /// asked. The hedge point is
+    /// twice the slowest answer this session has counted; until one has
+    /// counted, every trusted domain is asked at once. Every wait is under
+    /// the one [`SILENCE`] bound, so a minority that fails, lies or goes
+    /// silent cannot stop the call, and a healthy deployment answers each
+    /// warm call with `need` requests instead of `n`.
     ///
     /// A domain can answer successfully at the transport level and still
     /// fail validation — such answers do not count. Validation has two
     /// stages. `validate` looks at one answer on its own (a reply that
     /// does not parse, a refused recovery attempt). Once `need` values are
     /// held, `jointly` is handed the batch and removes what a check of the
-    /// values *together* rejects (partial signatures whose aggregate does
-    /// not verify have a culprit among them, which is only then worth
-    /// finding); a caller with nothing to check jointly passes `|_| {}`.
-    /// While fewer than `need` values are held, the next round re-asks
-    /// only the domains whose responses were abandoned when the previous
-    /// quorum was satisfied early — a domain whose answer was read is
-    /// never asked again. Returns the values held at the end, possibly
-    /// fewer than `need` when the deployment cannot provide them; the
-    /// caller decides whether that is fatal.
-    pub fn fanout_collect<T>(
+    /// values *together* rejects, keeping the survivors in order (partial
+    /// signatures whose aggregate does not verify have a culprit among
+    /// them, which is only then worth finding); a caller with nothing to
+    /// check jointly passes `|_| {}`. The domains it removes are caught
+    /// lying, and are replaced as a failed domain is. A domain whose
+    /// answer was read is never asked again; one whose answer was
+    /// abandoned when the batch filled is asked again only once no domain
+    /// is left that was never asked. Returns the values held at the end,
+    /// possibly fewer than `need` when the deployment cannot provide them;
+    /// the caller decides whether that is fatal.
+    pub fn fanout_collect<T: Clone + PartialEq>(
         &mut self,
         method: u64,
         payload: Vec<u8>,
@@ -774,36 +808,124 @@ impl<'c> Session<'c> {
         mut validate: impl FnMut(u32, &[u8]) -> Option<T>,
         mut jointly: impl FnMut(&mut Vec<T>),
     ) -> Result<Vec<T>, ClientError> {
-        let mut collected = Vec::with_capacity(need);
-        let mut targets: Option<Vec<u32>> = None; // None = all domains
-        loop {
-            let outstanding = need - collected.len();
-            let mut call = FanoutCall::broadcast(method, payload.clone())
-                .quorum(QuorumPolicy::Threshold(outstanding));
-            if let Some(t) = &targets {
-                call = call.targets(t.clone());
-            }
-            let report = self.fanout(&call)?;
-            for (d, resp) in report.successes() {
-                if collected.len() >= need {
-                    break;
-                }
-                if let Some(value) = validate(d, resp) {
-                    collected.push(value);
-                }
-            }
-            if collected.len() >= need {
-                jointly(&mut collected);
-            }
-            // Only domains whose answers were abandoned (quorum met
-            // before they replied) are worth re-asking; everyone else has
-            // already answered or failed.
-            let retry = report.abandoned();
-            if collected.len() >= need || retry.is_empty() {
-                return Ok(collected);
-            }
-            targets = Some(retry);
+        // Chosen only among the domains this round's gate trusts, the
+        // best-ranked last so that `pop` takes it.
+        self.ensure_trust()?;
+        let mut spares = self.trusted_domains();
+        if spares.is_empty() {
+            return Err(self.none_trusted(&(0..self.domain_count() as u32).collect::<Vec<_>>()));
         }
+        spares.sort_by_key(|&d| Reverse((self.seen[d as usize], d)));
+        self.rounds_since_audit += 1;
+
+        let wire = Request::AppCall { method, payload }.to_wire();
+        let start = Instant::now();
+        let until = start + SILENCE;
+        // `None`: every domain is asked, as there is no answer to time a
+        // hedge by yet, or the hedge point has passed.
+        let mut hedge = self.slowest.map(|slowest| start + 2 * slowest);
+        let (mut seen, mut slowest) = (self.seen.clone(), self.slowest);
+        let mut sent_at = vec![start; seen.len()];
+        let (mut values, mut holders) = (Vec::with_capacity(need), Vec::with_capacity(need));
+        let (mut pending, mut abandoned, mut late) = (Vec::new(), Vec::new(), Vec::new());
+        loop {
+            // Enough asked to fill the batch if each answers: never-asked
+            // domains first, abandoned ones once none of those is left.
+            while hedge.is_none() || pending.len() + values.len() < need {
+                if spares.is_empty() {
+                    spares = std::mem::take(&mut abandoned);
+                }
+                let Some(d) = spares.pop() else { break };
+                match self.client.send_raw(d, &wire) {
+                    Ok(()) => {
+                        sent_at[d as usize] = Instant::now();
+                        pending.push(d);
+                    }
+                    Err(_) => seen[d as usize] = Seen::Failed,
+                }
+            }
+            if pending.is_empty() {
+                break;
+            }
+            let replaceable = !spares.is_empty() || !abandoned.is_empty();
+            let outstanding = need - values.len();
+            let quorum = QuorumPolicy::Threshold(outstanding);
+            let wake = hedge.filter(|_| replaceable);
+            let counted = self
+                .client
+                .gather(&mut pending, quorum, until, wake, |d, answer| {
+                    let value = match Self::response_outcome(answer) {
+                        DomainOutcome::Ok(payload) => validate(d, &payload),
+                        _ => None,
+                    };
+                    let Some(value) = value else {
+                        seen[d as usize] = Seen::Failed;
+                        // Replaced now, not at the hedge point.
+                        return if replaceable {
+                            Taken::Return
+                        } else {
+                            Taken::Uncounted
+                        };
+                    };
+                    slowest = slowest.max(Some(sent_at[d as usize].elapsed()));
+                    values.push(value);
+                    holders.push(d);
+                    Taken::Counted
+                });
+            if counted < outstanding {
+                // An answer to replace, the hedge point, or nobody left.
+                if hedge.is_some_and(|hedge| hedge <= Instant::now()) {
+                    // Silent past it: ranked with the failed, unless its
+                    // answer still comes and counts.
+                    late.extend_from_slice(&pending);
+                    hedge = None;
+                }
+                continue;
+            }
+            // The batch is full; the answers still owed were abandoned.
+            for &d in &pending {
+                seen[d as usize] = Seen::Abandoned;
+            }
+            abandoned.append(&mut pending);
+            let batch = values.clone();
+            jointly(&mut values);
+            if values.len() >= need {
+                break;
+            }
+            let mut kept = values.iter().peekable();
+            holders = holders
+                .into_iter()
+                .zip(&batch)
+                .filter(|&(d, value)| {
+                    let survived = kept.next_if_eq(&value).is_some();
+                    if !survived {
+                        seen[d as usize] = Seen::Failed;
+                    }
+                    survived
+                })
+                .map(|(d, _)| d)
+                .collect();
+        }
+        for &d in &late {
+            seen[d as usize] = Seen::Failed;
+        }
+        for &d in &holders {
+            seen[d as usize] = Seen::Counted;
+        }
+        (self.seen, self.slowest) = (seen, slowest);
+        Ok(values)
+    }
+
+    /// Why a call to `targets` was refused as a whole: none is trusted.
+    fn none_trusted(&self, targets: &[u32]) -> ClientError {
+        let reasons: Vec<String> = targets
+            .iter()
+            .filter_map(|&d| self.refusal(d).map(|r| format!("domain {d}: {r}")))
+            .collect();
+        ClientError::AuditFailed(format!(
+            "no targeted domain passed the trust policy ({})",
+            reasons.join("; ")
+        ))
     }
 
     fn response_outcome(result: Result<Response, ClientError>) -> DomainOutcome {

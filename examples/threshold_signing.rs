@@ -29,10 +29,11 @@ fn main() {
     let mut client = deployment.client(b"signing client");
     let mut session = client.session(TrustPolicy::pinned(deployment.initial_app_digest));
 
-    // Collect partial signatures and aggregate: one pipelined fan-out,
-    // returning as soon as t = 3 partials are in and their aggregate
-    // verifies under the group key (the gating audit runs inside this
-    // first call).
+    // Collect partial signatures and aggregate: the session's first call
+    // asks all five domains at once (a later one asks only the t = 3 it
+    // ranks best) and returns as soon as three partials are in and their
+    // aggregate verifies under the group key (the gating audit runs
+    // inside this first call).
     let signer = ThresholdSigningClient::new(public.clone());
     let message = b"release v2.1.0 of the wallet firmware";
 

@@ -2,8 +2,9 @@
 //! unattested trust domain that answers `BatchAudit` with whatever view a
 //! test scripts, plus the descriptor/client plumbing to audit it — and the
 //! un-gated application call the update and lockdown suites use; an
-//! echo deployment and a silent domain for the suites about silence; and
-//! the live-tag probe the wire suites hold their enums to.
+//! echo deployment and a silent domain for the suites about silence; a
+//! counter of the sign requests that reach each domain of a signing
+//! deployment; and the live-tag probe the wire suites hold their enums to.
 
 // Each test binary uses its own subset of these helpers.
 #![allow(dead_code)]
@@ -23,12 +24,15 @@ use distrust::log::batch::CheckpointBundle;
 use distrust::log::checkpoint::{log_id, CheckpointBody, SignedCheckpoint};
 use distrust::log::{StorageConfig, StoreError};
 use distrust::sandbox::guests::counter_module;
+use distrust::sandbox::vm::Memory;
 use distrust::sandbox::{FuncBuilder, Limits, Module, ModuleBuilder};
 use distrust::tee::host::EnclaveService;
 use distrust::tee::vendor::VendorRoots;
 use distrust::wire::codec::encode_seq;
 use distrust::wire::{Decode, DecodeError, Encode};
 use std::net::{SocketAddr, TcpListener};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 /// A one-domain deployment at `addr` whose checkpoint key is pinned to
 /// `key`.
@@ -252,4 +256,39 @@ pub fn live_tags<T: Decode>() -> Vec<u8> {
             !matches!(T::from_wire(&frame), Err(DecodeError::InvalidTag(t)) if t == tag)
         })
         .collect()
+}
+
+/// One domain's host imports behind a counter of the sign requests that
+/// reach it: the threshold signer's guest hashes the message exactly once
+/// per request.
+pub struct CountingHost {
+    inner: Box<dyn AppHost>,
+    asked: Arc<AtomicUsize>,
+}
+
+impl AppHost for CountingHost {
+    fn call(&mut self, name: &str, args: &[u64], memory: &mut Memory) -> Result<Vec<u64>, String> {
+        if name == "bls.hash_msg" {
+            self.asked.fetch_add(1, Ordering::SeqCst);
+        }
+        self.inner.call(name, args, memory)
+    }
+}
+
+/// Puts every host of a signing deployment's `spec` behind a
+/// [`CountingHost`]; returns the counters, one per domain.
+pub fn count_sign_requests(spec: &mut AppSpec) -> Vec<Arc<AtomicUsize>> {
+    let hosts = std::mem::take(&mut spec.hosts);
+    let asked: Vec<Arc<AtomicUsize>> = hosts.iter().map(|_| Arc::default()).collect();
+    spec.hosts = hosts
+        .into_iter()
+        .zip(&asked)
+        .map(|(inner, asked)| {
+            Box::new(CountingHost {
+                inner,
+                asked: Arc::clone(asked),
+            }) as Box<dyn AppHost>
+        })
+        .collect();
+    asked
 }

@@ -11,10 +11,10 @@
 
 mod common;
 
-use common::{echo_deployment, echo_module, hung_listener};
+use common::{count_sign_requests, echo_deployment, echo_module, hung_listener};
 use distrust::apps::threshold_signer::{self, ThresholdSigningClient};
 use distrust::core::client::{DeploymentClient, SILENCE};
-use distrust::core::session::{FanoutCall, QuorumPolicy, TrustPolicy};
+use distrust::core::session::{FanoutCall, QuorumPolicy, Session, TrustPolicy};
 use distrust::core::Deployment;
 use distrust::crypto::drbg::HmacDrbg;
 use std::io::{Read, Write};
@@ -318,4 +318,121 @@ fn a_domain_restarted_inside_the_round_behind_a_silent_one_is_trusted_in_it() {
     assert_eq!(before, vec![1, 2]);
     assert_eq!(after, vec![1, 2]);
     assert!(elapsed < SILENCE + SLACK, "took {elapsed:?}");
+}
+
+/// What a warm signer made of a domain turned against it inside its first
+/// `t` (see [`sign_past_a_turned_warm_domain`]).
+struct Turned {
+    /// The domain turned.
+    turned: usize,
+    /// How long the signature after the turn took.
+    elapsed: Duration,
+    /// Whether both signatures after the turn verify.
+    verify: bool,
+    /// The sign requests that reached each domain in the signature after
+    /// the turn, and in the one after that.
+    asked: [Vec<usize>; 2],
+}
+
+/// A 3-of-5 signing deployment with every domain behind a [`Proxy`]. A
+/// session signs twice — the first signature asks every domain, the
+/// second, warm, asks the three whose answers counted — then one of those
+/// three is turned against the client with `turn`, and the session signs
+/// twice more.
+fn sign_past_a_turned_warm_domain(turn: fn(&Proxy)) -> Turned {
+    under_watchdog(move || {
+        let mut rng = HmacDrbg::new(b"turned warm domain", b"dealer");
+        let (mut spec, public) = threshold_signer::setup(3, 5, &mut rng).expect("setup");
+        let counters = count_sign_requests(&mut spec);
+        let deployment = Deployment::launch(spec, b"turned warm domain").expect("launch");
+        let proxies: Vec<Proxy> = (0..5).map(|_| Proxy::default()).collect();
+        let mut descriptor = deployment.descriptor.clone();
+        for (domain, proxy) in descriptor.domains.iter_mut().zip(&proxies) {
+            domain.addr = proxy.start(domain.addr);
+        }
+        let mut client = DeploymentClient::new(
+            descriptor,
+            Box::new(HmacDrbg::new(b"turned", b"client-rng")),
+        );
+        let mut session = client.session(TrustPolicy::audited());
+        let signer = ThresholdSigningClient::new(public.clone());
+        // The sign requests each domain but `skip` has served since the
+        // last look: an index call answered means every request before it
+        // on that connection was.
+        let asked_since = |session: &mut Session<'_>, skip: Option<usize>| -> Vec<usize> {
+            (0..5)
+                .map(|d| {
+                    if Some(d) != skip {
+                        session
+                            .call(d as u32, threshold_signer::METHOD_INDEX, b"")
+                            .expect("index call");
+                    }
+                    counters[d].swap(0, Ordering::SeqCst)
+                })
+                .collect::<Vec<_>>()
+        };
+        signer.sign(&mut session, b"cold").expect("signing");
+        assert_eq!(asked_since(&mut session, None), [1; 5]);
+        signer.sign(&mut session, b"warm").expect("signing");
+        let warm = asked_since(&mut session, None);
+        let turned = warm
+            .iter()
+            .position(|&a| a == 1)
+            .expect("a domain was asked");
+        turn(&proxies[turned]);
+        let started = Instant::now();
+        let third = signer.sign(&mut session, b"turned");
+        let elapsed = started.elapsed();
+        let third_asked = asked_since(&mut session, Some(turned));
+        let fourth = signer.sign(&mut session, b"after");
+        let fourth_asked = asked_since(&mut session, Some(turned));
+        let verify = [(b"turned".as_slice(), third), (b"after", fourth)]
+            .into_iter()
+            .all(|(m, sig)| sig.is_ok_and(|sig| public.public_key.verify(m, &sig)));
+        Turned {
+            turned,
+            elapsed,
+            verify,
+            asked: [third_asked, fourth_asked],
+        }
+    })
+}
+
+/// A domain that goes silent after the gating audit, inside a warm
+/// session's first `t`: the signature asks every spare at the hedge point
+/// and returns a round later, far inside [`SILENCE`]; the next signature
+/// asks three domains that answer, and not the silent one.
+#[test]
+fn a_domain_muted_inside_the_first_t_costs_one_hedge_not_silence() {
+    let turned = sign_past_a_turned_warm_domain(|proxy| proxy.muted.store(true, Ordering::SeqCst));
+    let [third, fourth] = &turned.asked;
+    assert!(turned.verify, "a signature does not verify");
+    assert!(
+        turned.elapsed < SILENCE / 4,
+        "took {:?} against a {SILENCE:?} bound",
+        turned.elapsed
+    );
+    // The two answering domains of the first three, and both spares.
+    assert_eq!(third[turned.turned], 0);
+    assert_eq!(third.iter().sum::<usize>(), 4, "{third:?}");
+    // Three requests, all answered: the muted domain was not asked, or
+    // the hedge would have asked a fourth.
+    assert_eq!(fourth.iter().sum::<usize>(), 3, "{fourth:?}");
+    assert!(fourth.iter().all(|&a| a <= 1), "{fourth:?}");
+}
+
+/// A domain whose connection closes inside a warm signature is replaced
+/// as soon as the loss is seen, by one spare: the hedge, which asks every
+/// spare, never comes. The next signature leaves the domain out.
+#[test]
+fn a_domain_that_hangs_up_inside_the_first_t_is_replaced_at_once() {
+    let turned =
+        sign_past_a_turned_warm_domain(|proxy| proxy.hang_up.store(true, Ordering::SeqCst));
+    let [third, fourth] = &turned.asked;
+    assert!(turned.verify, "a signature does not verify");
+    assert!(turned.elapsed < SILENCE / 4, "took {:?}", turned.elapsed);
+    assert_eq!(third[turned.turned], 0);
+    assert_eq!(third.iter().sum::<usize>(), 3, "{third:?}");
+    assert_eq!(fourth[turned.turned], 0, "{fourth:?}");
+    assert_eq!(fourth.iter().sum::<usize>(), 3, "{fourth:?}");
 }
