@@ -324,9 +324,11 @@ impl KeyBackupClient {
     /// commitment from [`Self::backup`].
     ///
     /// The recovery request goes out through [`Session::fanout_collect`]:
-    /// a session's first call asks every domain, a later one the `t` the
-    /// session ranks best, with a domain that fails replaced at once and
-    /// every spare asked at the session's hedge point. It returns as soon
+    /// a session's first recovery asks every domain, a later one the `t`
+    /// the session ranks best for recoveries, with a domain that fails
+    /// replaced at once and every spare asked at the session's hedge
+    /// point. A recovery refused everywhere (a wrong token) ranks domains
+    /// down for later recoveries only, never for another method. It returns as soon
     /// as `t` domains answer, so dead or slow domains cannot stop it as
     /// long as `t` are alive. Domains that answered but refused (bad
     /// token, unknown user, malformed reply) do not yield shares and are

@@ -570,11 +570,12 @@ impl ThresholdSigningClient {
     /// later one asks only the `t` the session ranks best, replacing a
     /// domain that fails or lies at once and asking every spare if `t`
     /// answers have not come by the session's hedge point (twice the
-    /// slowest answer it has counted). Collection stops at the `t`-th
-    /// answer that parses (48 canonical bytes of a point on the curve;
-    /// the subgroup test is made once, on the aggregate, and on each
-    /// partial the Feldman checks look at) — a slow or dead domain does
-    /// not stop the signature as long as `t` domains are healthy.
+    /// slowest sign answer it has counted, at most `SILENCE / 2`).
+    /// Collection stops at the `t`-th answer that parses (48 canonical
+    /// bytes of a point on the curve; the subgroup test is made once, on
+    /// the aggregate, and on each partial the Feldman checks look at) — a
+    /// slow or dead domain does not stop the signature as long as `t`
+    /// domains are healthy.
     ///
     /// Order of operations: hash the message once; aggregate the `t`
     /// partials; check the aggregate under the group key; return it. That
@@ -607,7 +608,11 @@ impl ThresholdSigningClient {
                 message.to_vec(),
                 t,
                 |d, payload| Self::parse_partial(d, payload).ok(),
-                |batch| combined = combiner.combine(batch),
+                |batch| {
+                    let mut partials = batch.iter().map(|&(_, p)| p).collect();
+                    combined = combiner.combine(&mut partials);
+                    batch.retain(|(_, p)| !combiner.culprits().contains(&p.index));
+                },
             )
             .map_err(SignError::Client)?;
         combined

@@ -37,8 +37,9 @@ use std::time::{Duration, Instant};
 /// its quorum has answered. A warm threshold call
 /// ([`crate::session::Session::fanout_collect`]) waits far less for a
 /// domain that goes silent: at its hedge point, twice the slowest answer
-/// the session has counted, it asks every spare domain, all under this
-/// one bound.
+/// the session has counted but never more than half this bound after its
+/// latest request, it asks every spare domain, each request given this
+/// whole bound from its sending.
 pub const SILENCE: Duration = Duration::from_secs(2);
 
 /// A connection carrying more abandoned-but-undrained responses than this

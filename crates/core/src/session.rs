@@ -37,6 +37,7 @@ use distrust_gossip::evidence::EvidenceBundle;
 use distrust_gossip::witness::CosignedHeads;
 use distrust_wire::codec::Encode;
 use std::cmp::Reverse;
+use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
 /// How many per-domain successes a fan-out needs before it is satisfied.
@@ -344,11 +345,20 @@ pub struct Session<'c> {
     /// performed — observable so tests (and cost accounting) can assert
     /// the witnessed fast path did exactly one.
     cosign_verifications: u64,
-    /// What [`Session::fanout_collect`] last saw of each domain: the order
-    /// in which it asks them.
+    /// What the threshold calls ([`Session::fanout_collect`]) of each
+    /// method have seen, kept apart so that one method's refusals and
+    /// latencies do not rank domains or time hedges for another.
+    rankings: HashMap<u64, Ranking>,
+}
+
+/// What a session's threshold calls of one method have seen.
+struct Ranking {
+    /// What the last call saw of each domain: the order in which the
+    /// next asks them.
     seen: Vec<Seen>,
-    /// The slowest answer a threshold call of this session has counted;
-    /// twice it is the call's hedge point.
+    /// The slowest answer a call has counted; twice it, at most
+    /// `SILENCE / 2`, is how long the asked domains have before every
+    /// spare is asked.
     slowest: Option<Duration>,
 }
 
@@ -464,8 +474,7 @@ impl<'c> Session<'c> {
     /// a conviction outlives the session that learned of it, whatever
     /// gate — audit or cosigned head — the next session passes.
     pub fn new(client: &'c mut DeploymentClient, policy: TrustPolicy) -> Self {
-        let n = client.descriptor().domains.len();
-        let refusals = (0..n as u32)
+        let refusals = (0..client.descriptor().domains.len() as u32)
             .map(|d| client.convicted(d).then(|| CONVICTED.to_string()))
             .collect();
         Self {
@@ -476,8 +485,7 @@ impl<'c> Session<'c> {
             passed: false,
             rounds_since_audit: 0,
             cosign_verifications: 0,
-            seen: vec![Seen::Unasked; n],
-            slowest: None,
+            rankings: HashMap::new(),
         }
     }
 
@@ -771,67 +779,78 @@ impl<'c> Session<'c> {
     /// domains for `method`/`payload` until `need` answers pass validation
     /// or no domain is left to ask.
     ///
-    /// A warm call asks only `need` domains, the best the session ranks:
-    /// in the order it last saw them, those whose answers counted, then
-    /// those abandoned, then those never asked, then those that failed,
-    /// were still silent at a hedge point or were caught lying. A domain
-    /// that fails or whose answer is refused is replaced at once by the
-    /// next-ranked domain not yet asked, and if `need` answers have not
-    /// counted by the **hedge point** every domain not yet asked is
-    /// asked. The hedge point is
-    /// twice the slowest answer this session has counted; until one has
-    /// counted, every trusted domain is asked at once. Every wait is under
-    /// the one [`SILENCE`] bound, so a minority that fails, lies or goes
-    /// silent cannot stop the call, and a healthy deployment answers each
-    /// warm call with `need` requests instead of `n`.
+    /// A warm call asks only `need` domains, the best the session ranks
+    /// for `method`: in the order its last call of `method` saw them,
+    /// those whose answers counted, then those abandoned, then those never
+    /// asked, then those that failed, were still silent at a hedge point
+    /// or were caught lying. A domain that fails or whose answer is
+    /// refused is replaced at once by the next-ranked domain not yet
+    /// asked, and if `need` answers have not counted by the **hedge
+    /// point** every domain not yet asked is asked. The hedge point is the
+    /// latest request plus twice the slowest answer the session's calls
+    /// of `method` have counted, but never more than `SILENCE / 2` past
+    /// it; until one answer of `method` has counted, every trusted domain
+    /// is asked at once. Each domain asked has the
+    /// full [`SILENCE`] from its own request, so a minority that fails,
+    /// lies or goes silent cannot stop the call, and a healthy deployment
+    /// answers each warm call with `need` requests instead of `n`.
+    /// Rankings and hedge points are kept per method: a call whose every
+    /// answer is refused (a recovery with a wrong token) ranks no domain
+    /// down for another method.
     ///
     /// A domain can answer successfully at the transport level and still
     /// fail validation — such answers do not count. Validation has two
     /// stages. `validate` looks at one answer on its own (a reply that
     /// does not parse, a refused recovery attempt). Once `need` values are
-    /// held, `jointly` is handed the batch and removes what a check of the
-    /// values *together* rejects, keeping the survivors in order (partial
-    /// signatures whose aggregate does not verify have a culprit among
-    /// them, which is only then worth finding); a caller with nothing to
-    /// check jointly passes `|_| {}`. The domains it removes are caught
-    /// lying, and are replaced as a failed domain is. A domain whose
-    /// answer was read is never asked again; one whose answer was
-    /// abandoned when the batch filled is asked again only once no domain
-    /// is left that was never asked. Returns the values held at the end,
-    /// possibly fewer than `need` when the deployment cannot provide them;
-    /// the caller decides whether that is fatal.
-    pub fn fanout_collect<T: Clone + PartialEq>(
+    /// held, `jointly` is handed the batch, each value beside the domain
+    /// that gave it, and removes what a check of the values *together*
+    /// rejects (partial signatures whose aggregate does not verify have a
+    /// culprit among them, which is only then worth finding); a caller
+    /// with nothing to check jointly passes `|_| {}`. The domains it
+    /// removes are caught lying, and are replaced as a failed domain is.
+    /// A domain whose answer was read is never asked again; one whose
+    /// answer was abandoned when the batch filled is asked again only once
+    /// no domain is left that was never asked. Returns the values held at
+    /// the end, possibly fewer than `need` when the deployment cannot
+    /// provide them; the caller decides whether that is fatal.
+    pub fn fanout_collect<T>(
         &mut self,
         method: u64,
         payload: Vec<u8>,
         need: usize,
         mut validate: impl FnMut(u32, &[u8]) -> Option<T>,
-        mut jointly: impl FnMut(&mut Vec<T>),
+        mut jointly: impl FnMut(&mut Vec<(u32, T)>),
     ) -> Result<Vec<T>, ClientError> {
         // Chosen only among the domains this round's gate trusts, the
         // best-ranked last so that `pop` takes it.
         self.ensure_trust()?;
+        let n = self.domain_count();
         let mut spares = self.trusted_domains();
         if spares.is_empty() {
-            return Err(self.none_trusted(&(0..self.domain_count() as u32).collect::<Vec<_>>()));
+            return Err(self.none_trusted(&(0..n as u32).collect::<Vec<_>>()));
         }
-        spares.sort_by_key(|&d| Reverse((self.seen[d as usize], d)));
+        let mut rank = self.rankings.remove(&method).unwrap_or(Ranking {
+            seen: vec![Seen::Unasked; n],
+            slowest: None,
+        });
+        spares.sort_by_key(|&d| Reverse((rank.seen[d as usize], d)));
         self.rounds_since_audit += 1;
 
         let wire = Request::AppCall { method, payload }.to_wire();
+        // `None`: no answer to time a hedge by yet, so every domain is
+        // asked at once.
+        let hedge_after = rank.slowest.map(|slowest| (2 * slowest).min(SILENCE / 2));
+        let mut broadcast = hedge_after.is_none();
         let start = Instant::now();
-        let until = start + SILENCE;
-        // `None`: every domain is asked, as there is no answer to time a
-        // hedge by yet, or the hedge point has passed.
-        let mut hedge = self.slowest.map(|slowest| start + 2 * slowest);
-        let (mut seen, mut slowest) = (self.seen.clone(), self.slowest);
-        let mut sent_at = vec![start; seen.len()];
-        let (mut values, mut holders) = (Vec::with_capacity(need), Vec::with_capacity(need));
+        let (mut until, mut hedge) = (start + SILENCE, None);
+        let mut sent_at = vec![start; n];
+        let mut held: Vec<(u32, T)> = Vec::with_capacity(need);
         let (mut pending, mut abandoned, mut late) = (Vec::new(), Vec::new(), Vec::new());
         loop {
             // Enough asked to fill the batch if each answers: never-asked
             // domains first, abandoned ones once none of those is left.
-            while hedge.is_none() || pending.len() + values.len() < need {
+            let mut sent = false;
+            while broadcast || pending.len() + held.len() < need {
                 if spares.is_empty() {
                     spares = std::mem::take(&mut abandoned);
                 }
@@ -840,17 +859,26 @@ impl<'c> Session<'c> {
                     Ok(()) => {
                         sent_at[d as usize] = Instant::now();
                         pending.push(d);
+                        sent = true;
                     }
-                    Err(_) => seen[d as usize] = Seen::Failed,
+                    Err(_) => rank.seen[d as usize] = Seen::Failed,
                 }
             }
             if pending.is_empty() {
                 break;
             }
+            if sent {
+                // The newest request has the full bound, so one sent late
+                // is never judged silent before it could answer; the hedge
+                // point stays well inside it.
+                let now = Instant::now();
+                until = now + SILENCE;
+                hedge = hedge_after.map(|wait| now + wait);
+            }
             let replaceable = !spares.is_empty() || !abandoned.is_empty();
-            let outstanding = need - values.len();
+            let outstanding = need - held.len();
             let quorum = QuorumPolicy::Threshold(outstanding);
-            let wake = hedge.filter(|_| replaceable);
+            let wake = hedge.filter(|_| !broadcast && replaceable);
             let counted = self
                 .client
                 .gather(&mut pending, quorum, until, wake, |d, answer| {
@@ -859,7 +887,7 @@ impl<'c> Session<'c> {
                         _ => None,
                     };
                     let Some(value) = value else {
-                        seen[d as usize] = Seen::Failed;
+                        rank.seen[d as usize] = Seen::Failed;
                         // Replaced now, not at the hedge point.
                         return if replaceable {
                             Taken::Return
@@ -867,53 +895,43 @@ impl<'c> Session<'c> {
                             Taken::Uncounted
                         };
                     };
-                    slowest = slowest.max(Some(sent_at[d as usize].elapsed()));
-                    values.push(value);
-                    holders.push(d);
+                    rank.slowest = rank.slowest.max(Some(sent_at[d as usize].elapsed()));
+                    held.push((d, value));
                     Taken::Counted
                 });
             if counted < outstanding {
                 // An answer to replace, the hedge point, or nobody left.
-                if hedge.is_some_and(|hedge| hedge <= Instant::now()) {
+                if wake.is_some_and(|hedge| hedge <= Instant::now()) {
                     // Silent past it: ranked with the failed, unless its
                     // answer still comes and counts.
                     late.extend_from_slice(&pending);
-                    hedge = None;
+                    broadcast = true;
                 }
                 continue;
             }
             // The batch is full; the answers still owed were abandoned.
             for &d in &pending {
-                seen[d as usize] = Seen::Abandoned;
+                rank.seen[d as usize] = Seen::Abandoned;
             }
             abandoned.append(&mut pending);
-            let batch = values.clone();
-            jointly(&mut values);
-            if values.len() >= need {
+            // What `jointly` removes was caught lying; what it keeps is
+            // ranked as counted below.
+            for &(d, _) in &held {
+                rank.seen[d as usize] = Seen::Failed;
+            }
+            jointly(&mut held);
+            if held.len() >= need {
                 break;
             }
-            let mut kept = values.iter().peekable();
-            holders = holders
-                .into_iter()
-                .zip(&batch)
-                .filter(|&(d, value)| {
-                    let survived = kept.next_if_eq(&value).is_some();
-                    if !survived {
-                        seen[d as usize] = Seen::Failed;
-                    }
-                    survived
-                })
-                .map(|(d, _)| d)
-                .collect();
         }
         for &d in &late {
-            seen[d as usize] = Seen::Failed;
+            rank.seen[d as usize] = Seen::Failed;
         }
-        for &d in &holders {
-            seen[d as usize] = Seen::Counted;
+        for &(d, _) in &held {
+            rank.seen[d as usize] = Seen::Counted;
         }
-        (self.seen, self.slowest) = (seen, slowest);
-        Ok(values)
+        self.rankings.insert(method, rank);
+        Ok(held.into_iter().map(|(_, value)| value).collect())
     }
 
     /// Why a call to `targets` was refused as a whole: none is trusted.

@@ -12,14 +12,14 @@
 mod common;
 
 use common::{count_sign_requests, echo_deployment, echo_module, hung_listener};
-use distrust::apps::threshold_signer::{self, ThresholdSigningClient};
+use distrust::apps::threshold_signer::{self, ThresholdPublic, ThresholdSigningClient};
 use distrust::core::client::{DeploymentClient, SILENCE};
 use distrust::core::session::{FanoutCall, QuorumPolicy, Session, TrustPolicy};
 use distrust::core::Deployment;
 use distrust::crypto::drbg::HmacDrbg;
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
@@ -181,6 +181,9 @@ struct Proxy {
     /// Every client connection accepted, for a case to close: a domain
     /// that restarted between rounds.
     clients: Arc<Mutex<Vec<TcpStream>>>,
+    /// While non-zero, what the client sends is held this many
+    /// milliseconds before it is forwarded: a slow domain.
+    lag_ms: Arc<AtomicU64>,
 }
 
 impl Proxy {
@@ -208,6 +211,10 @@ impl Proxy {
                         if proxy.hang_up.swap(false, Ordering::SeqCst) {
                             let _ = from_client.shutdown(Shutdown::Both);
                             break;
+                        }
+                        let lag = proxy.lag_ms.load(Ordering::SeqCst);
+                        if lag > 0 {
+                            thread::sleep(Duration::from_millis(lag));
                         }
                         if !proxy.muted.load(Ordering::SeqCst)
                             && to_server.write_all(&buf[..n]).is_err()
@@ -320,6 +327,76 @@ fn a_domain_restarted_inside_the_round_behind_a_silent_one_is_trusted_in_it() {
     assert!(elapsed < SILENCE + SLACK, "took {elapsed:?}");
 }
 
+/// A 3-of-5 signing deployment with every domain behind a [`Proxy`] and
+/// its sign requests counted, and a client of it that has passed its
+/// gating audit.
+struct ProxiedSigning {
+    /// Kept alive for the client.
+    _deployment: Deployment,
+    proxies: Vec<Proxy>,
+    counters: Vec<Arc<AtomicUsize>>,
+    public: ThresholdPublic,
+    client: DeploymentClient,
+}
+
+fn proxied_signing(seed: &[u8]) -> ProxiedSigning {
+    let mut rng = HmacDrbg::new(seed, b"dealer");
+    let (mut spec, public) = threshold_signer::setup(3, 5, &mut rng).expect("setup");
+    let counters = count_sign_requests(&mut spec);
+    let deployment = Deployment::launch(spec, seed).expect("launch");
+    let proxies: Vec<Proxy> = (0..5).map(|_| Proxy::default()).collect();
+    let mut descriptor = deployment.descriptor.clone();
+    for (domain, proxy) in descriptor.domains.iter_mut().zip(&proxies) {
+        domain.addr = proxy.start(domain.addr);
+    }
+    let client = DeploymentClient::new(descriptor, Box::new(HmacDrbg::new(seed, b"client-rng")));
+    ProxiedSigning {
+        _deployment: deployment,
+        proxies,
+        counters,
+        public,
+        client,
+    }
+}
+
+/// The sign requests each domain but `skip` has served since the last
+/// look: an index call answered means every request before it on that
+/// connection was.
+fn asked_since(
+    session: &mut Session<'_>,
+    counters: &[Arc<AtomicUsize>],
+    skip: Option<usize>,
+) -> Vec<usize> {
+    (0..counters.len())
+        .map(|d| {
+            if Some(d) != skip {
+                session
+                    .call(d as u32, threshold_signer::METHOD_INDEX, b"")
+                    .expect("index call");
+            }
+            counters[d].swap(0, Ordering::SeqCst)
+        })
+        .collect()
+}
+
+/// Signs a session's first signature with every domain lagging `lag`, so
+/// that the slowest answer the session has counted is at least `lag`.
+fn sign_cold_with_lag(
+    session: &mut Session<'_>,
+    signer: &ThresholdSigningClient,
+    proxies: &[Proxy],
+    lag: Duration,
+) {
+    session.refresh_trust().expect("every domain passes");
+    for proxy in proxies {
+        proxy.lag_ms.store(lag.as_millis() as u64, Ordering::SeqCst);
+    }
+    signer.sign(session, b"cold").expect("signing");
+    for proxy in proxies {
+        proxy.lag_ms.store(0, Ordering::SeqCst);
+    }
+}
+
 /// What a warm signer made of a domain turned against it inside its first
 /// `t` (see [`sign_past_a_turned_warm_domain`]).
 struct Turned {
@@ -334,61 +411,36 @@ struct Turned {
     asked: [Vec<usize>; 2],
 }
 
-/// A 3-of-5 signing deployment with every domain behind a [`Proxy`]. A
-/// session signs twice — the first signature asks every domain, the
-/// second, warm, asks the three whose answers counted — then one of those
-/// three is turned against the client with `turn`, and the session signs
-/// twice more.
-fn sign_past_a_turned_warm_domain(turn: fn(&Proxy)) -> Turned {
+/// A session of [`proxied_signing`] signs twice — the first signature,
+/// its domains lagging `cold_lag`, asks every domain, the second, warm,
+/// asks the three whose answers counted — then one of those three is
+/// turned against the client with `turn`, and the session signs twice
+/// more.
+fn sign_past_a_turned_warm_domain(cold_lag: Duration, turn: fn(&Proxy)) -> Turned {
     under_watchdog(move || {
-        let mut rng = HmacDrbg::new(b"turned warm domain", b"dealer");
-        let (mut spec, public) = threshold_signer::setup(3, 5, &mut rng).expect("setup");
-        let counters = count_sign_requests(&mut spec);
-        let deployment = Deployment::launch(spec, b"turned warm domain").expect("launch");
-        let proxies: Vec<Proxy> = (0..5).map(|_| Proxy::default()).collect();
-        let mut descriptor = deployment.descriptor.clone();
-        for (domain, proxy) in descriptor.domains.iter_mut().zip(&proxies) {
-            domain.addr = proxy.start(domain.addr);
-        }
-        let mut client = DeploymentClient::new(
-            descriptor,
-            Box::new(HmacDrbg::new(b"turned", b"client-rng")),
-        );
-        let mut session = client.session(TrustPolicy::audited());
-        let signer = ThresholdSigningClient::new(public.clone());
-        // The sign requests each domain but `skip` has served since the
-        // last look: an index call answered means every request before it
-        // on that connection was.
-        let asked_since = |session: &mut Session<'_>, skip: Option<usize>| -> Vec<usize> {
-            (0..5)
-                .map(|d| {
-                    if Some(d) != skip {
-                        session
-                            .call(d as u32, threshold_signer::METHOD_INDEX, b"")
-                            .expect("index call");
-                    }
-                    counters[d].swap(0, Ordering::SeqCst)
-                })
-                .collect::<Vec<_>>()
-        };
-        signer.sign(&mut session, b"cold").expect("signing");
-        assert_eq!(asked_since(&mut session, None), [1; 5]);
+        let mut setup = proxied_signing(b"turned warm domain");
+        let counters = &setup.counters;
+        let mut session = setup.client.session(TrustPolicy::audited());
+        let signer = ThresholdSigningClient::new(setup.public.clone());
+        sign_cold_with_lag(&mut session, &signer, &setup.proxies, cold_lag);
+        assert_eq!(asked_since(&mut session, counters, None), [1; 5]);
         signer.sign(&mut session, b"warm").expect("signing");
-        let warm = asked_since(&mut session, None);
+        let warm = asked_since(&mut session, counters, None);
+        assert_eq!(warm.iter().sum::<usize>(), 3, "{warm:?}");
         let turned = warm
             .iter()
             .position(|&a| a == 1)
             .expect("a domain was asked");
-        turn(&proxies[turned]);
+        turn(&setup.proxies[turned]);
         let started = Instant::now();
         let third = signer.sign(&mut session, b"turned");
         let elapsed = started.elapsed();
-        let third_asked = asked_since(&mut session, Some(turned));
+        let third_asked = asked_since(&mut session, counters, Some(turned));
         let fourth = signer.sign(&mut session, b"after");
-        let fourth_asked = asked_since(&mut session, Some(turned));
+        let fourth_asked = asked_since(&mut session, counters, Some(turned));
         let verify = [(b"turned".as_slice(), third), (b"after", fourth)]
             .into_iter()
-            .all(|(m, sig)| sig.is_ok_and(|sig| public.public_key.verify(m, &sig)));
+            .all(|(m, sig)| sig.is_ok_and(|sig| setup.public.public_key.verify(m, &sig)));
         Turned {
             turned,
             elapsed,
@@ -398,21 +450,18 @@ fn sign_past_a_turned_warm_domain(turn: fn(&Proxy)) -> Turned {
     })
 }
 
-/// A domain that goes silent after the gating audit, inside a warm
-/// session's first `t`: the signature asks every spare at the hedge point
-/// and returns a round later, far inside [`SILENCE`]; the next signature
-/// asks three domains that answer, and not the silent one.
-#[test]
-fn a_domain_muted_inside_the_first_t_costs_one_hedge_not_silence() {
-    let turned = sign_past_a_turned_warm_domain(|proxy| proxy.muted.store(true, Ordering::SeqCst));
+/// Checks what a signer did past a warm domain muted inside its first
+/// `t`: the signature after the mute took less than `bound` and asked the
+/// two answering domains of the first three and both spares; the next
+/// signature asked three domains that answered, and not the muted one.
+fn assert_one_hedge_past_a_muted_domain(turned: &Turned, bound: Duration) {
     let [third, fourth] = &turned.asked;
     assert!(turned.verify, "a signature does not verify");
     assert!(
-        turned.elapsed < SILENCE / 4,
-        "took {:?} against a {SILENCE:?} bound",
+        turned.elapsed < bound,
+        "took {:?} against {bound:?}",
         turned.elapsed
     );
-    // The two answering domains of the first three, and both spares.
     assert_eq!(third[turned.turned], 0);
     assert_eq!(third.iter().sum::<usize>(), 4, "{third:?}");
     // Three requests, all answered: the muted domain was not asked, or
@@ -421,13 +470,38 @@ fn a_domain_muted_inside_the_first_t_costs_one_hedge_not_silence() {
     assert!(fourth.iter().all(|&a| a <= 1), "{fourth:?}");
 }
 
+/// A domain that goes silent after the gating audit, inside a warm
+/// session's first `t`: the signature asks every spare at the hedge point
+/// and returns a round later, far inside [`SILENCE`].
+#[test]
+fn a_domain_muted_inside_the_first_t_costs_one_hedge_not_silence() {
+    let turned = sign_past_a_turned_warm_domain(Duration::ZERO, |proxy| {
+        proxy.muted.store(true, Ordering::SeqCst)
+    });
+    assert_one_hedge_past_a_muted_domain(&turned, SILENCE / 4);
+}
+
+/// The same, in a session whose slowest counted answer took more than
+/// `SILENCE / 2`: twice it would pass the deadline, so the hedge point
+/// is held at `SILENCE / 2`, and the spares it asks have the full bound
+/// from their own requests. The signature still verifies, well inside
+/// [`SILENCE`].
+#[test]
+fn a_domain_muted_after_a_slow_answer_costs_half_silence_at_most() {
+    let lag = SILENCE / 2 + Duration::from_millis(100);
+    let turned =
+        sign_past_a_turned_warm_domain(lag, |proxy| proxy.muted.store(true, Ordering::SeqCst));
+    assert_one_hedge_past_a_muted_domain(&turned, SILENCE / 2 + SLACK);
+}
+
 /// A domain whose connection closes inside a warm signature is replaced
 /// as soon as the loss is seen, by one spare: the hedge, which asks every
 /// spare, never comes. The next signature leaves the domain out.
 #[test]
 fn a_domain_that_hangs_up_inside_the_first_t_is_replaced_at_once() {
-    let turned =
-        sign_past_a_turned_warm_domain(|proxy| proxy.hang_up.store(true, Ordering::SeqCst));
+    let turned = sign_past_a_turned_warm_domain(Duration::ZERO, |proxy| {
+        proxy.hang_up.store(true, Ordering::SeqCst)
+    });
     let [third, fourth] = &turned.asked;
     assert!(turned.verify, "a signature does not verify");
     assert!(turned.elapsed < SILENCE / 4, "took {:?}", turned.elapsed);
@@ -435,4 +509,38 @@ fn a_domain_that_hangs_up_inside_the_first_t_is_replaced_at_once() {
     assert_eq!(third.iter().sum::<usize>(), 3, "{third:?}");
     assert_eq!(fourth[turned.turned], 0, "{fourth:?}");
     assert_eq!(fourth.iter().sum::<usize>(), 3, "{fourth:?}");
+}
+
+/// A session ranks domains per method: a threshold call of another
+/// method whose every answer is refused — as a recovery with a wrong
+/// token is — leaves the signatures' ranking as it was. Domain 0 lags in
+/// the session's first signature, so the three warm domains are not the
+/// three lowest indices that a ranking of five refused domains asks.
+#[test]
+fn every_answer_of_another_method_refused_leaves_the_signing_ranking_alone() {
+    let (warm, after) = under_watchdog(|| {
+        let mut setup = proxied_signing(b"ranked per method");
+        let counters = &setup.counters;
+        let mut session = setup.client.session(TrustPolicy::audited());
+        let signer = ThresholdSigningClient::new(setup.public.clone());
+        sign_cold_with_lag(&mut session, &signer, &setup.proxies[..1], SLACK);
+        asked_since(&mut session, counters, None);
+        signer.sign(&mut session, b"warm").expect("signing");
+        let warm = asked_since(&mut session, counters, None);
+        let refused = session
+            .fanout_collect(
+                threshold_signer::METHOD_INDEX,
+                Vec::new(),
+                3,
+                |_, _| None::<()>,
+                |_| {},
+            )
+            .expect("the call runs");
+        assert!(refused.is_empty());
+        signer.sign(&mut session, b"after").expect("signing");
+        (warm, asked_since(&mut session, counters, None))
+    });
+    assert_eq!(warm[0], 0, "{warm:?}");
+    assert_eq!(warm.iter().sum::<usize>(), 3, "{warm:?}");
+    assert_eq!(after, warm);
 }
