@@ -379,16 +379,23 @@ fn asked_since(
         .collect()
 }
 
-/// Signs a session's first signature with every domain lagging `lag`, so
-/// that the slowest answer the session has counted is at least `lag`.
+/// How long every domain lags in a session's first signature unless a
+/// case says otherwise: the hedge point, twice the slowest answer counted,
+/// then sits far above a warm answer's jitter, so no case's count of
+/// requests depends on the host's scheduling.
+const COLD_LAG: Duration = Duration::from_millis(100);
+
+/// Signs a session's first signature with domain `d` lagging `lags[d]`,
+/// so that the slowest answer the session has counted is at least the
+/// least of them.
 fn sign_cold_with_lag(
     session: &mut Session<'_>,
     signer: &ThresholdSigningClient,
     proxies: &[Proxy],
-    lag: Duration,
+    lags: &[Duration],
 ) {
     session.refresh_trust().expect("every domain passes");
-    for proxy in proxies {
+    for (proxy, lag) in proxies.iter().zip(lags) {
         proxy.lag_ms.store(lag.as_millis() as u64, Ordering::SeqCst);
     }
     signer.sign(session, b"cold").expect("signing");
@@ -422,7 +429,7 @@ fn sign_past_a_turned_warm_domain(cold_lag: Duration, turn: fn(&Proxy)) -> Turne
         let counters = &setup.counters;
         let mut session = setup.client.session(TrustPolicy::audited());
         let signer = ThresholdSigningClient::new(setup.public.clone());
-        sign_cold_with_lag(&mut session, &signer, &setup.proxies, cold_lag);
+        sign_cold_with_lag(&mut session, &signer, &setup.proxies, &[cold_lag; 5]);
         assert_eq!(asked_since(&mut session, counters, None), [1; 5]);
         signer.sign(&mut session, b"warm").expect("signing");
         let warm = asked_since(&mut session, counters, None);
@@ -475,9 +482,8 @@ fn assert_one_hedge_past_a_muted_domain(turned: &Turned, bound: Duration) {
 /// and returns a round later, far inside [`SILENCE`].
 #[test]
 fn a_domain_muted_inside_the_first_t_costs_one_hedge_not_silence() {
-    let turned = sign_past_a_turned_warm_domain(Duration::ZERO, |proxy| {
-        proxy.muted.store(true, Ordering::SeqCst)
-    });
+    let turned =
+        sign_past_a_turned_warm_domain(COLD_LAG, |proxy| proxy.muted.store(true, Ordering::SeqCst));
     assert_one_hedge_past_a_muted_domain(&turned, SILENCE / 4);
 }
 
@@ -499,7 +505,7 @@ fn a_domain_muted_after_a_slow_answer_costs_half_silence_at_most() {
 /// spare, never comes. The next signature leaves the domain out.
 #[test]
 fn a_domain_that_hangs_up_inside_the_first_t_is_replaced_at_once() {
-    let turned = sign_past_a_turned_warm_domain(Duration::ZERO, |proxy| {
+    let turned = sign_past_a_turned_warm_domain(COLD_LAG, |proxy| {
         proxy.hang_up.store(true, Ordering::SeqCst)
     });
     let [third, fourth] = &turned.asked;
@@ -513,9 +519,10 @@ fn a_domain_that_hangs_up_inside_the_first_t_is_replaced_at_once() {
 
 /// A session ranks domains per method: a threshold call of another
 /// method whose every answer is refused — as a recovery with a wrong
-/// token is — leaves the signatures' ranking as it was. Domain 0 lags in
-/// the session's first signature, so the three warm domains are not the
-/// three lowest indices that a ranking of five refused domains asks.
+/// token is — leaves the signatures' ranking as it was. Domain 0 lags
+/// longest in the session's first signature, so the three warm domains
+/// are not the three lowest indices that a ranking of five refused
+/// domains asks.
 #[test]
 fn every_answer_of_another_method_refused_leaves_the_signing_ranking_alone() {
     let (warm, after) = under_watchdog(|| {
@@ -523,7 +530,8 @@ fn every_answer_of_another_method_refused_leaves_the_signing_ranking_alone() {
         let counters = &setup.counters;
         let mut session = setup.client.session(TrustPolicy::audited());
         let signer = ThresholdSigningClient::new(setup.public.clone());
-        sign_cold_with_lag(&mut session, &signer, &setup.proxies[..1], SLACK);
+        let lags = [3 * COLD_LAG + SLACK, COLD_LAG, COLD_LAG, COLD_LAG, COLD_LAG];
+        sign_cold_with_lag(&mut session, &signer, &setup.proxies, &lags);
         asked_since(&mut session, counters, None);
         signer.sign(&mut session, b"warm").expect("signing");
         let warm = asked_since(&mut session, counters, None);
