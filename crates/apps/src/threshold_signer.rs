@@ -46,7 +46,7 @@
 //! Method ids: `1` = sign (payload = message bytes, response = 48-byte
 //! compressed partial signature), `2` = share index (1 byte).
 
-use distrust_core::abi::{AppHost, OUTBOX_ADDR};
+use distrust_core::abi::{app_call, import_names, AppHost, INBOX_ADDR, OUTBOX_ADDR};
 use distrust_core::deploy::AppSpec;
 use distrust_core::session::Session;
 use distrust_core::ClientError;
@@ -58,7 +58,7 @@ use distrust_crypto::threshold::{
     self, FeldmanCommitments, KeyShare, PartialSignature, ThresholdError,
 };
 use distrust_sandbox::vm::Memory;
-use distrust_sandbox::{FuncBuilder, Instr, Limits, Module, ModuleBuilder};
+use distrust_sandbox::{FuncBuilder, Instance, Instr, Limits, Module, ModuleBuilder};
 
 /// Method id for signing.
 pub const METHOD_SIGN: u64 = 1;
@@ -646,6 +646,82 @@ pub fn sign_native(share: &KeyShare, message: &[u8]) -> Signature {
     threshold::partial_sign(share, message).value
 }
 
+/// A [`SignerHost`] that writes down each call the guest makes of it.
+struct Recorder {
+    host: SignerHost,
+    calls: Vec<(String, Vec<u64>)>,
+}
+
+impl AppHost for Recorder {
+    fn call(&mut self, name: &str, args: &[u64], memory: &mut Memory) -> Result<Vec<u64>, String> {
+        self.calls.push((name.to_string(), args.to_vec()));
+        self.host.call(name, args, memory)
+    }
+}
+
+/// The guest's signing algorithm without the VM: the host calls one
+/// sandboxed signature made, replayed in order through [`SignerHost`]'s
+/// `AppHost::call` on the instance's memory. Every signature of a message
+/// of one length makes the same calls — the digits the guest walks are
+/// the share's, the registers it names its own — so one recording replays
+/// any message of its length; a message of another length is signed in
+/// the sandbox first, and recorded. Table 3's "guest algorithm, native"
+/// row, and the measure of the VM's own share of a signature.
+pub struct Replay {
+    instance: Instance,
+    names: Vec<String>,
+    recorder: Recorder,
+    /// The length of the message the calls were recorded for.
+    recorded: Option<usize>,
+}
+
+impl Replay {
+    /// A replay of signatures under `share`, with nothing recorded yet.
+    pub fn new(share: KeyShare) -> Self {
+        let module = signer_module();
+        Self {
+            names: import_names(&module),
+            instance: Instance::new(module, Limits::default()).expect("the signer module is valid"),
+            recorder: Recorder {
+                host: SignerHost::new(share),
+                calls: Vec::new(),
+            },
+            recorded: None,
+        }
+    }
+
+    /// Host calls in the recording: none before the first signature.
+    pub fn calls(&self) -> usize {
+        self.recorder.calls.len()
+    }
+
+    /// The partial signature on `message`, compressed, as the sandbox
+    /// answers it: the recorded calls replayed on the message written
+    /// where the guest reads its request, and the bytes the last
+    /// `bls.emit` wrote where the guest leaves its answer.
+    pub fn sign(&mut self, message: &[u8]) -> Result<Vec<u8>, String> {
+        let Recorder { host, calls } = &mut self.recorder;
+        if self.recorded != Some(message.len()) {
+            calls.clear();
+            let out = app_call(&mut self.instance, &self.names, &mut self.recorder, METHOD_SIGN, message);
+            self.recorded = out.is_ok().then_some(message.len());
+            return out.map_err(|e| e.to_string());
+        }
+        let memory = &mut self.instance.memory;
+        memory.write(INBOX_ADDR, message).map_err(|e| e.to_string())?;
+        // Through the trait object, as the VM calls it.
+        let host: &mut dyn AppHost = host;
+        let mut emitted = 0;
+        for (name, args) in calls.iter() {
+            let out = host.call(name, args, memory)?;
+            if name == "bls.emit" {
+                emitted = out[0];
+            }
+        }
+        Ok(memory.read(OUTBOX_ADDR, emitted).map_err(|e| e.to_string())?.to_vec())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -704,6 +780,25 @@ mod tests {
         }
         let agg = threshold::aggregate(3, &partials).unwrap();
         assert!(keys.public_key.verify(msg, &agg));
+    }
+
+    /// A replay signs every message of the recorded length as the sandbox
+    /// does, with the same calls each time, and signs a message of another
+    /// length in the sandbox, recording it.
+    #[test]
+    fn a_replay_of_the_host_calls_signs_as_the_sandbox_does() {
+        let mut rng = HmacDrbg::new(b"signer tests", b"replay");
+        let share = threshold::generate(2, 3, &mut rng).unwrap().shares[1];
+        let mut replay = Replay::new(share);
+        assert_eq!(replay.calls(), 0);
+        let mut recorded = Vec::new();
+        for message in [b"replayed 0".as_slice(), b"replayed 1", b"replayed 2", b"a longer one"] {
+            let out = replay.sign(message).unwrap();
+            assert_eq!(out, sign_native(&share, message).to_bytes().to_vec(), "{message:?}");
+            recorded.push(replay.calls());
+        }
+        assert!(recorded[0] > 0 && recorded[..3].iter().all(|&c| c == recorded[0]));
+        assert_ne!(recorded[3], 0);
     }
 
     #[test]

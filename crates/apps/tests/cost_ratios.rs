@@ -11,12 +11,12 @@
 //! of the crypto crate's `cost_ratios`).
 
 use distrust_apps::threshold_signer::{
-    sign_in_sandbox, sign_native, signer_module, SignerHost, METHOD_SIGN,
+    sign_in_sandbox, sign_native, signer_module, Replay, SignerHost, METHOD_SIGN,
 };
-use distrust_core::abi::{app_call, import_names, AppHost};
+use distrust_core::abi::{app_call, import_names};
 use distrust_crypto::drbg::HmacDrbg;
 use distrust_crypto::threshold;
-use distrust_sandbox::{Instance, Limits, Memory};
+use distrust_sandbox::{Instance, Limits};
 use std::time::Instant;
 
 /// Timed calls of each row, after one untimed call.
@@ -68,25 +68,13 @@ fn a_sandboxed_signature_costs_less_than_2_75_native_ones() {
     );
 }
 
-/// The host side of a signature, as the guest asked for it.
-struct Recorder {
-    host: SignerHost,
-    calls: Vec<(String, Vec<u64>)>,
-}
-
-impl AppHost for Recorder {
-    fn call(&mut self, name: &str, args: &[u64], memory: &mut Memory) -> Result<Vec<u64>, String> {
-        self.calls.push((name.to_string(), args.to_vec()));
-        self.host.call(name, args, memory)
-    }
-}
-
 /// The VM's own share of a sandboxed signature: the signature costs less
 /// than 1.5 replays of its own host calls — the same names and arguments,
-/// through `SignerHost`'s `AppHost::call`, on the same instance memory, in
-/// process — so what the interpreter adds to the host's field arithmetic
-/// and `H(m)` stays bounded. It reads 1.26–1.32 on a shared two-core
-/// x86-64 host: ≈ 75 µs of interpreter on ≈ 290 µs of host work.
+/// through `SignerHost`'s `AppHost::call`, on an instance's memory, in
+/// process ([`Replay`], Table 3's "guest algorithm, native" row) — so
+/// what the interpreter adds to the host's field arithmetic and `H(m)`
+/// stays bounded. It reads 1.26–1.32 on a shared two-core x86-64 host:
+/// ≈ 75 µs of interpreter on ≈ 290 µs of host work.
 #[test]
 #[ignore = "timing guard: run in release with --ignored"]
 fn a_sandboxed_signature_costs_less_than_1_5_replays_of_its_host_calls() {
@@ -96,27 +84,20 @@ fn a_sandboxed_signature_costs_less_than_1_5_replays_of_its_host_calls() {
     let module = signer_module();
     let names = import_names(&module);
     let mut instance = Instance::new(module, Limits::default()).unwrap();
+    let mut host = SignerHost::new(share);
     let message = b"table 3 workload";
     let expected = sign_native(&share, message).to_bytes().to_vec();
-    let mut recorder = Recorder {
-        host: SignerHost::new(share),
-        calls: Vec::new(),
-    };
-    let out = app_call(&mut instance, &names, &mut recorder, METHOD_SIGN, message);
-    assert_eq!(out, Ok(expected.clone()));
-    let Recorder { mut host, calls } = recorder;
-    // Row 0 signs in the sandbox, row 1 replays through the trait object
-    // the VM calls too; one untimed replay first.
+    let mut replay = Replay::new(share);
+    // The first signature of the replay is recorded, in its sandbox.
+    assert_eq!(replay.sign(message).as_ref(), Ok(&expected));
+    // Row 0 signs in the sandbox, row 1 replays; one untimed replay first.
     let mut run = |row: usize| {
-        if row == 0 {
-            let out = app_call(&mut instance, &names, &mut host, METHOD_SIGN, message);
-            assert_eq!(out.as_ref(), Ok(&expected));
+        let out = if row == 0 {
+            app_call(&mut instance, &names, &mut host, METHOD_SIGN, message).map_err(|e| e.to_string())
         } else {
-            let host: &mut dyn AppHost = &mut host;
-            for (name, args) in &calls {
-                host.call(name, args, &mut instance.memory).unwrap();
-            }
-        }
+            replay.sign(message)
+        };
+        assert_eq!(out.as_ref(), Ok(&expected));
     };
     run(1);
     let mut ratios: Vec<f64> = (0..SAMPLES)
@@ -134,7 +115,7 @@ fn a_sandboxed_signature_costs_less_than_1_5_replays_of_its_host_calls() {
     let ratio = ratios[SAMPLES / 2];
     println!(
         "sandboxed_sign / replayed_host_calls ({} calls): {ratio:.3} (bound {BOUND})",
-        calls.len()
+        replay.calls()
     );
     assert!(
         ratio < BOUND,

@@ -12,7 +12,14 @@
 //! overhead and the extra sockets a smaller additional cost. Results are
 //! also written to `bench_results/table3.json`.
 //!
-//! The four environments are timed interleaved: each sample calls every
+//! One row has no paper counterpart: the guest's algorithm run natively,
+//! the host calls of a sandboxed signature replayed without the VM
+//! (`threshold_signer::Replay`). Between Baseline and Sandbox, it splits
+//! the Sandbox row's increase into what the guest's algorithm costs and
+//! what the interpreter adds; the run also prints Sandbox over it, the
+//! figure the apps crate's replay guard holds.
+//!
+//! The five environments are timed interleaved: each sample calls every
 //! one once, in an order that rotates from sample to sample, and a row's
 //! increase is the median of its per-sample ratio to Baseline. A host
 //! that changes speed during the run then moves every row of a sample
@@ -26,8 +33,9 @@ const WARMUP: usize = 20;
 const ITERATIONS: usize = 200;
 
 /// Table 3's rows, Baseline first: every ratio is to it.
-const ENVIRONMENTS: [Environment; 4] = [
+const ENVIRONMENTS: [Environment; 5] = [
     Environment::Baseline,
+    Environment::GuestNative,
     Environment::Sandbox,
     Environment::TeeSandbox,
     Environment::TeeTomorrow,
@@ -43,9 +51,19 @@ struct Row {
     paper_increase: Option<f64>,
 }
 
-/// Per environment, its samples' summary and the median of its
-/// per-sample ratio to Baseline's, as a percentage increase.
-fn measure() -> Vec<(Summary, f64)> {
+/// The median over samples of `row`'s time over `against`'s.
+fn median_ratio(row: &[Duration], against: &[Duration]) -> f64 {
+    let mut ratios: Vec<f64> = row
+        .iter()
+        .zip(against)
+        .map(|(t, b)| t.as_secs_f64() / b.as_secs_f64())
+        .collect();
+    ratios.sort_by(f64::total_cmp);
+    ratios[ratios.len() / 2]
+}
+
+/// Per environment, in [`ENVIRONMENTS`]' order, its timed samples.
+fn measure() -> Vec<Vec<Duration>> {
     let mut benches: Vec<SigningBench> = ENVIRONMENTS
         .iter()
         .map(|&env| SigningBench::start(env).expect("start environment"))
@@ -71,53 +89,47 @@ fn measure() -> Vec<(Summary, f64)> {
             }
         }
     }
-    let baseline = times[0].clone();
     times
-        .into_iter()
-        .map(|samples: Vec<Duration>| {
-            let mut ratios: Vec<f64> = samples
-                .iter()
-                .zip(&baseline)
-                .map(|(t, b)| t.as_secs_f64() / b.as_secs_f64())
-                .collect();
-            ratios.sort_by(f64::total_cmp);
-            let increase = (ratios[ratios.len() / 2] - 1.0) * 100.0;
-            (Summary::from_samples(samples), increase)
-        })
-        .collect()
 }
 
 fn main() {
     println!("Regenerating Table 3 ({ITERATIONS} interleaved samples of each environment)…\n");
 
     let paper = [
-        ("Baseline", 10.2, None),
-        ("Sandbox", 14.9, Some(46.1)),
-        ("TEE + Sandbox", 15.8, Some(54.9)),
+        (10.2, None),
+        // The guest's algorithm natively — no paper number.
+        (f64::NAN, None),
+        (14.9, Some(46.1)),
+        (15.8, Some(54.9)),
         // §4.2 projection — no paper number.
-        ("TEE (tomorrow)", f64::NAN, None),
+        (f64::NAN, None),
     ];
-    let rows: Vec<Row> = measure()
-        .into_iter()
+    let times = measure();
+    let rows: Vec<Row> = ENVIRONMENTS
+        .iter()
+        .zip(&times)
         .zip(paper)
-        .map(
-            |((summary, increase), (label, paper_ms, paper_increase))| Row {
-                label,
-                summary,
-                increase,
-                paper_ms,
-                paper_increase,
-            },
-        )
+        .map(|((env, samples), (paper_ms, paper_increase))| Row {
+            label: env.label(),
+            summary: Summary::from_samples(samples.clone()),
+            increase: (median_ratio(samples, &times[0]) - 1.0) * 100.0,
+            paper_ms,
+            paper_increase,
+        })
         .collect();
+    let row = |env: Environment| ENVIRONMENTS.iter().position(|&e| e == env).expect("a row");
+    let vm_share = median_ratio(
+        &times[row(Environment::Sandbox)],
+        &times[row(Environment::GuestNative)],
+    );
 
     println!("Table 3: Processing time for producing a BLS threshold signature share");
-    println!("{:-<88}", "");
+    println!("{:-<118}", "");
     println!(
-        "{:<16} {:>14} {:>10} {:>10} | {:>12} {:>14}",
+        "{:<46} {:>14} {:>10} {:>10} | {:>12} {:>14}",
         "Environment", "Measured", "Increase", "p95", "Paper", "Paper increase"
     );
-    println!("{:-<88}", "");
+    println!("{:-<118}", "");
     for row in &rows {
         let increase = if row.label == "Baseline" {
             "—".to_string()
@@ -134,7 +146,7 @@ fn main() {
             format!("{:.1} ms", row.paper_ms)
         };
         println!(
-            "{:<16} {:>11.3} ms {:>10} {:>7.3} ms | {:>12} {:>14}",
+            "{:<46} {:>11.3} ms {:>10} {:>7.3} ms | {:>12} {:>14}",
             row.label,
             row.summary.mean_ms(),
             increase,
@@ -143,12 +155,16 @@ fn main() {
             paper_increase,
         );
     }
-    println!("{:-<88}", "");
+    println!("{:-<118}", "");
+    println!(
+        "\nSandbox / guest algorithm natively: {vm_share:.3} (the interpreter's share; \
+         the apps crate's replay guard holds it below 1.5)"
+    );
 
     // Shape assertions — what DESIGN.md asks a reproduction to show.
-    let sandbox_inc = rows[1].increase;
-    let tee_inc = rows[2].increase;
-    let tomorrow_inc = rows[3].increase;
+    let sandbox_inc = rows[row(Environment::Sandbox)].increase;
+    let tee_inc = rows[row(Environment::TeeSandbox)].increase;
+    let tomorrow_inc = rows[row(Environment::TeeTomorrow)].increase;
     println!("\nshape check:");
     println!(
         "  sandbox adds overhead over baseline:        {} (+{:.1}%)",
@@ -217,9 +233,11 @@ fn main() {
         concat!(
             "{{\n  \"experiment\": \"table3\",\n  \"iterations\": {},\n",
             "  \"increase\": \"median of per-sample ratios to Baseline, rows interleaved\",\n",
+            "  \"sandbox_over_guest_native\": {},\n",
             "  \"rows\": [\n{}\n  ]\n}}\n"
         ),
         ITERATIONS,
+        json_f64(vm_share),
         row_objects.join(",\n"),
     );
     println!();

@@ -1,11 +1,12 @@
-//! The three execution environments of Table 3.
+//! The three execution environments of Table 3, the §4.2 projection,
+//! and the guest's algorithm run natively.
 //!
 //! Each environment serves the identical workload — produce one BLS
 //! threshold signature share for a client-supplied message — behind the
 //! identical client interface (one framed TCP request/response), varying
 //! only the execution substrate, exactly as in the paper's §5 setup.
 
-use distrust_apps::threshold_signer::{signer_module, SignerHost};
+use distrust_apps::threshold_signer::{signer_module, Replay, SignerHost};
 use distrust_core::abi::{app_call, import_names};
 use distrust_core::server::DirectHost;
 use distrust_crypto::bls::Signature;
@@ -19,6 +20,10 @@ use distrust_wire::transport::{TcpTransport, Transport};
 pub enum Environment {
     /// Native execution: no TEE, no sandbox.
     Baseline,
+    /// The guest's algorithm without the VM: the host calls a sandboxed
+    /// signature makes, replayed natively. No paper row; it splits the
+    /// Sandbox row's increase into algorithm and interpreter.
+    GuestNative,
     /// Sandboxed execution (bytecode VM), no TEE.
     Sandbox,
     /// Sandboxed execution behind the simulated-TEE socket topology.
@@ -34,6 +39,7 @@ impl Environment {
     pub fn label(&self) -> &'static str {
         match self {
             Environment::Baseline => "Baseline",
+            Environment::GuestNative => "Guest algorithm, native (host calls replayed)",
             Environment::Sandbox => "Sandbox",
             Environment::TeeSandbox => "TEE + Sandbox",
             Environment::TeeTomorrow => "TEE (tomorrow)",
@@ -69,6 +75,11 @@ fn native_service(share: KeyShare) -> impl FnMut(Vec<u8>) -> Vec<u8> + Send + 's
     }
 }
 
+fn replay_service(share: KeyShare) -> impl FnMut(Vec<u8>) -> Vec<u8> + Send + 'static {
+    let mut replay = Replay::new(share);
+    move |message: Vec<u8>| replay.sign(&message).expect("signing succeeds")
+}
+
 fn sandbox_service(share: KeyShare) -> impl FnMut(Vec<u8>) -> Vec<u8> + Send + 'static {
     let module = signer_module();
     let names = import_names(&module);
@@ -96,6 +107,11 @@ impl SigningBench {
         let (server, addr) = match environment {
             Environment::Baseline => {
                 let host = DirectHost::spawn(native_service(share))?;
+                let addr = host.addr();
+                (Server::Direct(host), addr)
+            }
+            Environment::GuestNative => {
+                let host = DirectHost::spawn(replay_service(share))?;
                 let addr = host.addr();
                 (Server::Direct(host), addr)
             }
@@ -165,6 +181,7 @@ mod tests {
         let mut sigs = Vec::new();
         for env in [
             Environment::Baseline,
+            Environment::GuestNative,
             Environment::Sandbox,
             Environment::TeeSandbox,
             Environment::TeeTomorrow,
@@ -177,6 +194,7 @@ mod tests {
         assert_eq!(sigs[0], sigs[1]);
         assert_eq!(sigs[1], sigs[2]);
         assert_eq!(sigs[2], sigs[3]);
+        assert_eq!(sigs[3], sigs[4]);
     }
 
     #[test]

@@ -79,10 +79,12 @@ pub struct TrustPolicy {
     /// her code"). Domains reporting any other digest are refused.
     pub pinned_app_digest: Option<Digest>,
     /// The witness quorum's group public key (from
-    /// `FeldmanCommitments::public_key`): accept a head vector cosigned
-    /// under it ([`Session::install_cosigned_head`]) in place of the
-    /// batched audit. `None` (the default) keeps the audit-based gate.
-    pub witnessed: Option<bls::PublicKey>,
+    /// `FeldmanCommitments::public_key`), prepared once: accept a head
+    /// vector cosigned under it ([`Session::install_cosigned_head`]) in
+    /// place of the batched audit, without building the key's
+    /// Miller-loop lines for every vector. `None` (the default) keeps the
+    /// audit-based gate.
+    pub witnessed: Option<bls::PreparedPublicKey>,
 }
 
 impl Default for TrustPolicy {
@@ -133,10 +135,10 @@ impl TrustPolicy {
     /// application traffic until a cosigned head is installed
     /// ([`Session::install_cosigned_head`]) or a full audit passes as a
     /// fallback; a policy that also asks about code (attestation, a pin)
-    /// is answered only by that audit.
+    /// is answered only by that audit. The key is prepared here, once.
     pub fn witnessed(quorum_pk: bls::PublicKey) -> Self {
         Self {
-            witnessed: Some(quorum_pk),
+            witnessed: Some(bls::PreparedPublicKey::new(quorum_pk)),
             ..Self::audited()
         }
     }
@@ -356,9 +358,9 @@ struct Ranking {
     /// What the last call saw of each domain: the order in which the
     /// next asks them.
     seen: Vec<Seen>,
-    /// The slowest answer a call has counted; twice it, at most
-    /// `SILENCE / 2`, is how long the asked domains have before every
-    /// spare is asked.
+    /// The slowest answer a call has counted; twice it, held between
+    /// `SILENCE / 16` and `SILENCE / 2`, is how long the asked domains
+    /// have before every spare is asked.
     slowest: Option<Duration>,
 }
 
@@ -594,7 +596,7 @@ impl<'c> Session<'c> {
     /// fails it. Any refusal leaves the session refusing until the
     /// fallback audit passes.
     pub fn install_cosigned_head(&mut self, cosigned: &CosignedHeads) -> Result<(), ClientError> {
-        let Some(quorum_pk) = self.policy.witnessed else {
+        let Some(quorum_pk) = self.policy.witnessed.clone() else {
             return Err(ClientError::Unexpected(
                 "install_cosigned_head requires a witnessed trust policy".into(),
             ));
@@ -788,9 +790,11 @@ impl<'c> Session<'c> {
     /// asked, and if `need` answers have not counted by the **hedge
     /// point** every domain not yet asked is asked. The hedge point is the
     /// latest request plus twice the slowest answer the session's calls
-    /// of `method` have counted, but never more than `SILENCE / 2` past
-    /// it; until one answer of `method` has counted, every trusted domain
-    /// is asked at once. Each domain asked has the
+    /// of `method` have counted, but never less than `SILENCE / 16` past
+    /// it — a warm answer of a millisecond or two would otherwise leave
+    /// the scheduler's jitter to decide whether every spare is asked — and
+    /// never more than `SILENCE / 2`; until one answer of `method` has
+    /// counted, every trusted domain is asked at once. Each domain asked has the
     /// full [`SILENCE`] from its own request, so a minority that fails,
     /// lies or goes silent cannot stop the call, and a healthy deployment
     /// answers each warm call with `need` requests instead of `n`.
@@ -839,7 +843,9 @@ impl<'c> Session<'c> {
         let wire = Request::AppCall { method, payload }.to_wire();
         // `None`: no answer to time a hedge by yet, so every domain is
         // asked at once.
-        let hedge_after = rank.slowest.map(|slowest| (2 * slowest).min(SILENCE / 2));
+        let hedge_after = rank
+            .slowest
+            .map(|slowest| (2 * slowest).clamp(SILENCE / 16, SILENCE / 2));
         let mut broadcast = hedge_after.is_none();
         let start = Instant::now();
         let (mut until, mut hedge) = (start + SILENCE, None);

@@ -11,6 +11,7 @@ use crate::fr::Fr;
 use crate::g1::{hash_to_g1, G1Affine};
 use crate::g2::{G2Affine, G2Projective};
 use crate::pairing::{pairing_equality, G2Prepared};
+use std::borrow::Cow;
 
 /// Domain separation tag for message hashing.
 pub const MSG_DST: &[u8] = b"distrust/bls/msg/v1";
@@ -61,7 +62,7 @@ impl SecretKey {
 /// A public key kept with its Miller-loop lines: the key and its
 /// [`G2Prepared`] table, built together by [`Self::new`] and never changed
 /// apart. A key that checks many signatures — a threshold deployment's
-/// group key, kept in its public parameters — pays the ≈ 0.12 ms of
+/// group key, kept in its public parameters — pays the ≈ 0.19 ms of
 /// preparing it once instead of on every check. A clone shares the table.
 #[derive(Clone, PartialEq)]
 pub struct PreparedPublicKey {
@@ -104,6 +105,26 @@ impl PreparedPublicKey {
     /// Verifies `σ` over `message`: `e(σ, g₂) == e(H(m), pk)`.
     pub fn verify(&self, message: &[u8], signature: &Signature) -> bool {
         self.verify_prehashed(&hash_to_g1(message, MSG_DST).to_affine(), signature)
+    }
+}
+
+/// A key that can check a signature as a [`PreparedPublicKey`]: a kept
+/// one as it is, a bare [`PublicKey`] prepared for the one check. For a
+/// function that takes either.
+pub trait AsPrepared {
+    /// The key with its Miller-loop lines.
+    fn as_prepared(&self) -> Cow<'_, PreparedPublicKey>;
+}
+
+impl AsPrepared for PreparedPublicKey {
+    fn as_prepared(&self) -> Cow<'_, PreparedPublicKey> {
+        Cow::Borrowed(self)
+    }
+}
+
+impl AsPrepared for PublicKey {
+    fn as_prepared(&self) -> Cow<'_, PreparedPublicKey> {
+        Cow::Owned(PreparedPublicKey::new(*self))
     }
 }
 

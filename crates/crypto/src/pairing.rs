@@ -8,8 +8,16 @@
 //!
 //! There is one Miller loop. The doubling and addition steps depend on the
 //! G2 argument alone, so they run once per G2 point into a table of line
-//! coefficients, a [`G2Prepared`] (68 triples, ≈ 0.12 ms to build), and
-//! the loop proper walks the tables of all its pairs together: one
+//! coefficients, a [`G2Prepared`]. Each line is divided by its `v·w`
+//! coefficient as the table is built, with one batched `Fp2` inversion
+//! for all of them: 68 normalized pairs of `Fp2`, ≈ 13 KB (≈ 20 KB as
+//! triples), ≈ 0.19 ms to build (≈ 0.12 without normalizing). The loop
+//! scales each G1 point by `1/y`, one batched `Fp` inversion per check,
+//! so a line product multiplies by a known one at `v·w`: 10 `Fp2`
+//! products, not 13. What the division takes out of each line lies in
+//! `Fp2`, inside `Fp6`, which the final exponentiation sends to one, so
+//! no pairing value changes. The loop proper walks the tables of all its
+//! pairs together: one
 //! accumulator, squared once per bit of `x`, multiplied by every pair's
 //! line at that step. A product of `k` pairings therefore costs 63 `Fp12`
 //! squarings and one final exponentiation, not `63·k` and `k` — and
@@ -36,6 +44,7 @@
 //! pairings that compute their lines on the fly, and the final
 //! exponentiation against `f^(3·(p¹² − 1)/r)` computed by definition.
 
+use crate::fp::Fp;
 use crate::fp12::Fp12;
 use crate::fp2::Fp2;
 use crate::g1::G1Affine;
@@ -67,12 +76,17 @@ impl Gt {
     }
 }
 
-/// Line coefficients produced by one doubling or addition step.
-type Line = (Fp2, Fp2, Fp2);
+/// The coefficients one doubling or addition step produces: of `v·w`
+/// (to be scaled by a G1 point's `y`), of `v` (by its `x`) and of one.
+type Coefficients = (Fp2, Fp2, Fp2);
+
+/// A line as a [`G2Prepared`] keeps it: divided by its `v·w` coefficient,
+/// which leaves the coefficients of one and of `v` (see [`ell`]).
+type Line = (Fp2, Fp2);
 
 /// Doubling step of the Miller loop; mutates `r ← 2r` and returns the line
 /// coefficients. Adapted from Algorithm 26 of eprint 2010/354.
-fn doubling_step(r: &mut G2Projective) -> Line {
+fn doubling_step(r: &mut G2Projective) -> Coefficients {
     let tmp0 = r.x.square();
     let tmp1 = r.y.square();
     let tmp2 = tmp1.square();
@@ -96,7 +110,7 @@ fn doubling_step(r: &mut G2Projective) -> Line {
 
 /// Addition step of the Miller loop; mutates `r ← r + q` and returns the
 /// line coefficients. Adapted from Algorithm 27 of eprint 2010/354.
-fn addition_step(r: &mut G2Projective, q: &G2Affine) -> Line {
+fn addition_step(r: &mut G2Projective, q: &G2Affine) -> Coefficients {
     let zsquared = r.z.square();
     let ysquared = q.y.square();
     let t0 = zsquared.mul(&q.x);
@@ -129,11 +143,37 @@ fn addition_step(r: &mut G2Projective, q: &G2Affine) -> Line {
     (t10, t1, t9)
 }
 
-/// Evaluates a line (coefficient triple) at `p` and multiplies it into `f`.
-fn ell(f: &Fp12, coeffs: &Line, p: &G1Affine) -> Fp12 {
-    let c0 = coeffs.0.mul_by_fp(&p.y);
-    let c1 = coeffs.1.mul_by_fp(&p.x);
-    f.mul_by_014(&coeffs.2, &c1, &c0)
+/// A G1 point `(x, y)` scaled by `1/y`, as the loop evaluates normalized
+/// lines at it: `(x/y, 1/y)`.
+type Scaled = (Fp, Fp);
+
+/// Evaluates a normalized line at a scaled point and multiplies it into
+/// `f`. The line a step produced, `c·y·v·w + b·x·v + a`, divided by
+/// `c·y` is `a/c · 1/y + b/c · x/y · v + v·w`: two products by an `Fp`
+/// and a sparse product whose `v·w` coefficient is a known one. The
+/// factor `c·y` lies in `Fp2`, inside `Fp6`, and the final
+/// exponentiation's `p⁶ − 1` sends it to one.
+fn ell(f: &Fp12, line: &Line, (x_over_y, y_inv): &Scaled) -> Fp12 {
+    f.mul_by_line(&line.0.mul_by_fp(y_inv), &line.1.mul_by_fp(x_over_y))
+}
+
+/// Each point's `(x/y, 1/y)`, with one inversion between them
+/// (Montgomery's trick). No `y` may be zero.
+fn scale_by_inverse_y(points: &[&G1Affine]) -> Vec<Scaled> {
+    let mut before = Vec::with_capacity(points.len());
+    let mut product = Fp::ONE;
+    for p in points {
+        before.push(product);
+        product = product.mul(&p.y);
+    }
+    let mut inverse = product.invert().expect("no y is zero");
+    let mut scaled = vec![(Fp::ZERO, Fp::ZERO); points.len()];
+    for (i, p) in points.iter().enumerate().rev() {
+        let y_inv = inverse.mul(&before[i]);
+        inverse = inverse.mul(&p.y);
+        scaled[i] = (p.x.mul(&y_inv), y_inv);
+    }
+    scaled
 }
 
 /// Bits of `|x|` below the most significant one, high to low — the
@@ -145,24 +185,46 @@ fn loop_bits() -> impl Iterator<Item = bool> {
 
 /// A G2 point prepared for the Miller loop: its line functions in the
 /// order the loop meets them, one per doubling and one more after it
-/// where the bit of `|x|` is set — 68 triples, ≈ 20 KB, shared by `Arc`
-/// so that a clone costs a reference count. Empty for the point at
-/// infinity, which pairs to one.
+/// where the bit of `|x|` is set, each divided by its `v·w` coefficient
+/// — 68 normalized pairs, ≈ 13 KB, shared by `Arc` so that a clone costs
+/// a reference count. Empty for the point at infinity, which pairs to
+/// one.
 #[derive(Clone, PartialEq)]
 pub struct G2Prepared(Arc<[Line]>);
 
 impl G2Prepared {
-    /// Runs `q`'s doubling and addition steps (≈ 0.12 ms) into its table.
+    /// Runs `q`'s doubling and addition steps into its table and
+    /// normalizes the lines, with one `Fp2` inversion between them
+    /// (≈ 0.19 ms in all). A point outside G2 can meet a zero coefficient
+    /// where no point of G2 does; its table is left empty, as
+    /// infinity's.
     pub fn new(q: &G2Affine) -> Self {
-        let mut lines = Vec::new();
+        let mut steps = Vec::with_capacity(68);
         if !q.infinity {
             let mut r = G2Projective::from(*q);
             for bit in loop_bits() {
-                lines.push(doubling_step(&mut r));
+                steps.push(doubling_step(&mut r));
                 if bit {
-                    lines.push(addition_step(&mut r, q));
+                    steps.push(addition_step(&mut r, q));
                 }
             }
+        }
+        // Montgomery's trick over the `v·w` coefficients: `before[i]` is
+        // the product of those ahead of step `i`.
+        let mut before = Vec::with_capacity(steps.len());
+        let mut product = Fp2::ONE;
+        for (vw, _, _) in &steps {
+            before.push(product);
+            product = product.mul(vw);
+        }
+        let Some(mut inverse) = product.invert() else {
+            return Self(Arc::new([]));
+        };
+        let mut lines = vec![(Fp2::ZERO, Fp2::ZERO); steps.len()];
+        for (i, (vw, v, one)) in steps.iter().enumerate().rev() {
+            let vw_inv = inverse.mul(&before[i]);
+            inverse = inverse.mul(vw);
+            lines[i] = (one.mul(&vw_inv), v.mul(&vw_inv));
         }
         Self(lines.into())
     }
@@ -192,22 +254,35 @@ fn prepared(q: &G2Affine) -> Cow<'static, G2Prepared> {
 }
 
 /// The Miller loop over all `pairs` — a G1 point and a prepared G2 point
-/// each — at once, producing the unreduced value of `∏ e(pᵢ, qᵢ)`. A pair
-/// with the point at infinity on either side contributes the factor one.
+/// each — at once, producing the unreduced value of `∏ e(pᵢ, qᵢ)` up to a
+/// factor in `Fp6` that the final exponentiation removes. A pair with the
+/// point at infinity on either side contributes the factor one. The G1
+/// points are scaled by `1/y` once, for the normalized lines; a point
+/// with `y = 0` is off the curve (`E(Fp)` has no point of order two) and
+/// is passed over as infinity is.
 fn miller_loop(pairs: &[(&G1Affine, &G2Prepared)]) -> Fp12 {
-    let pairs: Vec<_> = pairs
+    let (points, tables): (Vec<&G1Affine>, Vec<&G2Prepared>) = pairs
         .iter()
-        .filter(|(p, q)| !p.infinity && !q.0.is_empty())
-        .collect();
+        .filter(|(p, q)| !p.infinity && !p.y.is_zero() && !q.0.is_empty())
+        .copied()
+        .unzip();
+    let scaled = scale_by_inverse_y(&points);
     let mut next = 0;
     let mut times_next_lines = |f: Fp12| {
         let step = next;
         next += 1;
-        pairs.iter().fold(f, |f, (p, q)| ell(&f, &q.0[step], p))
+        tables
+            .iter()
+            .zip(&scaled)
+            .fold(f, |f, (q, p)| ell(&f, &q.0[step], p))
     };
     let mut f = Fp12::ONE;
-    for bit in loop_bits() {
-        f = times_next_lines(f.square());
+    for (i, bit) in loop_bits().enumerate() {
+        // The first squaring would be of one.
+        if i > 0 {
+            f = f.square();
+        }
+        f = times_next_lines(f);
         if bit {
             f = times_next_lines(f);
         }
@@ -354,9 +429,17 @@ mod tests {
         }
     }
 
+    /// A line as a step produced it, evaluated at `p` as it is and
+    /// multiplied into `f`: what the loop did before lines were
+    /// normalized.
+    fn ell_unnormalized(f: &Fp12, (vw, v, one): &Coefficients, p: &G1Affine) -> Fp12 {
+        f.mul_by_014(one, &v.mul_by_fp(&p.x), &vw.mul_by_fp(&p.y))
+    }
+
     /// The single-pair pairing this module used to be built on: lines
-    /// computed on the fly, one loop and one final exponentiation per
-    /// pair. Kept as the reference the shared loop is checked against.
+    /// computed on the fly and not normalized, one loop and one final
+    /// exponentiation per pair. Kept as the reference the shared loop is
+    /// checked against.
     fn reference_pairing(p: &G1Affine, q: &G2Affine) -> Gt {
         if p.infinity || q.infinity {
             return Gt::IDENTITY;
@@ -364,9 +447,9 @@ mod tests {
         let mut r = G2Projective::from(*q);
         let mut f = Fp12::ONE;
         for bit in loop_bits() {
-            f = ell(&f.mul(&f), &doubling_step(&mut r), p);
+            f = ell_unnormalized(&f.mul(&f), &doubling_step(&mut r), p);
             if bit {
-                f = ell(&f, &addition_step(&mut r, q), p);
+                f = ell_unnormalized(&f, &addition_step(&mut r, q), p);
             }
         }
         final_exponentiation(&f.conjugate())

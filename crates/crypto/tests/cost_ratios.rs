@@ -1,5 +1,5 @@
 //! Timing guards, run in release only (`cargo test -p distrust-crypto
-//! --release --test cost_ratios -- --ignored`): eight costs the rest of the
+//! --release --test cost_ratios -- --ignored`): ten costs the rest of the
 //! tree is built on, each held as a ratio to another cost within one run,
 //! so that the host's speed cancels.
 //!
@@ -228,6 +228,66 @@ fn an_fp_squaring_costs_less_than_0_95_multiplications() {
             }
             black_box(x);
         }),
+    );
+}
+
+/// `OPS` multiplications in `Fp`, each by the last one's product: the
+/// unit the inversion and the square root are held to.
+fn fp_muls<const OPS: u32>(rng: &mut HmacDrbg) -> impl FnMut() {
+    let (start, factor) = (Fp::random(rng), Fp::random(rng));
+    move || {
+        let mut x = start;
+        for _ in 0..OPS {
+            x = black_box(x).mul(&factor);
+        }
+        black_box(x);
+    }
+}
+
+/// An inversion in `Fp` — the binary GCD, 31 steps on 64-bit
+/// approximations between full-width updates — costs less than 130
+/// multiplications. The bit-serial Euclid it replaced read ≈ 190.
+#[test]
+#[ignore = "timing guard: run in release with --ignored"]
+fn an_fp_inversion_costs_less_than_130_multiplications() {
+    let _turn = turn();
+    const INVERSIONS: u32 = 100;
+    const OPS: u32 = 1000;
+    let mut rng = rng();
+    let elements: Vec<Fp> = (0..INVERSIONS).map(|_| Fp::random(&mut rng)).collect();
+    assert_costs_less(
+        "fp_invert / fp_mul",
+        130.0,
+        (INVERSIONS, &mut || {
+            for x in &elements {
+                black_box(black_box(x).invert());
+            }
+        }),
+        (OPS, &mut fp_muls::<OPS>(&mut rng)),
+    );
+}
+
+/// A square root in `Fp` — `(p + 1)/4` by a width-5 window, 457
+/// squarings and multiplications — costs less than 600 multiplications.
+/// The bit-at-a-time exponentiation it replaced (613 of them, a third of
+/// them multiplications) read ≈ 740.
+#[test]
+#[ignore = "timing guard: run in release with --ignored"]
+fn an_fp_square_root_costs_less_than_600_multiplications() {
+    let _turn = turn();
+    const ROOTS: u32 = 20;
+    const OPS: u32 = 1000;
+    let mut rng = rng();
+    let squares: Vec<Fp> = (0..ROOTS).map(|_| Fp::random(&mut rng).square()).collect();
+    assert_costs_less(
+        "fp_sqrt / fp_mul",
+        600.0,
+        (ROOTS, &mut || {
+            for x in &squares {
+                black_box(black_box(x).sqrt());
+            }
+        }),
+        (OPS, &mut fp_muls::<OPS>(&mut rng)),
     );
 }
 

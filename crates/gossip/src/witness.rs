@@ -16,7 +16,7 @@
 //! witnesses suffice even if the rest are offline or malicious.
 
 use crate::evidence::{EvidenceBundle, EvidencePool};
-use distrust_crypto::bls::{PublicKey, Signature};
+use distrust_crypto::bls::{AsPrepared, Signature};
 use distrust_crypto::schnorr::VerifyingKey;
 use distrust_crypto::threshold::{
     aggregate, partial_sign, verify_partial, FeldmanCommitments, KeyShare, PartialSignature,
@@ -84,9 +84,14 @@ impl Decode for CosignedHeads {
 
 impl CosignedHeads {
     /// Verifies the aggregated signature under the quorum public key.
-    /// One pairing check; this is the thin client's whole audit.
-    pub fn verify(&self, quorum_pk: &PublicKey) -> bool {
-        quorum_pk.verify(&cosign_signing_bytes(&self.heads), &self.signature)
+    /// One pairing check; this is the thin client's whole audit. A client
+    /// that checks more than one vector keeps the key prepared (a
+    /// `PreparedPublicKey`), so the key's lines are not built again for
+    /// each; a bare `PublicKey` is prepared for the one check.
+    pub fn verify(&self, quorum_pk: &(impl AsPrepared + ?Sized)) -> bool {
+        quorum_pk
+            .as_prepared()
+            .verify(&cosign_signing_bytes(&self.heads), &self.signature)
     }
 }
 
@@ -292,6 +297,7 @@ impl QuorumAggregator {
 mod tests {
     use super::*;
     use distrust_crypto::drbg::HmacDrbg;
+    use distrust_crypto::bls::PreparedPublicKey;
     use distrust_crypto::schnorr::SigningKey;
     use distrust_crypto::threshold::generate;
     use distrust_log::checkpoint::log_id;
@@ -336,16 +342,18 @@ mod tests {
         }
         assert!(agg.ready());
         let cosigned = agg.cosign().unwrap();
-        assert!(cosigned.verify(&tk.public_key));
+        let quorum_pk = PreparedPublicKey::new(tk.public_key);
+        assert!(cosigned.verify(&quorum_pk));
 
         // Wire round-trip preserves verifiability.
         let back = CosignedHeads::from_wire(&cosigned.to_wire()).unwrap();
         assert_eq!(back, cosigned);
-        assert!(back.verify(&tk.public_key));
+        assert!(back.verify(&quorum_pk));
 
-        // A different quorum's key must not verify it.
+        // A different quorum's key must not verify it, kept or bare.
         let other = generate(2, 3, &mut HmacDrbg::new(b"witness-tests", b"other-quorum")).unwrap();
-        assert!(!cosigned.verify(&other.public_key));
+        assert!(!cosigned.verify(&PreparedPublicKey::new(other.public_key)));
+        assert!(!cosigned.verify(&other.public_key) && cosigned.verify(&tk.public_key));
     }
 
     #[test]

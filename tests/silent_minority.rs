@@ -552,3 +552,30 @@ fn every_answer_of_another_method_refused_leaves_the_signing_ranking_alone() {
     assert_eq!(warm.iter().sum::<usize>(), 3, "{warm:?}");
     assert_eq!(after, warm);
 }
+
+/// With no domain lagging, a warm signature's answers take a millisecond
+/// or two in a release build, so twice the slowest of them is inside the
+/// scheduler's jitter: the hedge point's floor, `SILENCE / 16`, keeps each
+/// warm signature to the three domains it asks, fifty times over.
+#[test]
+fn fifty_warm_signatures_without_lag_ask_three_domains_each() {
+    let asked = under_watchdog(|| {
+        let mut setup = proxied_signing(b"no lag");
+        let counters = &setup.counters;
+        let mut session = setup.client.session(TrustPolicy::audited());
+        let signer = ThresholdSigningClient::new(setup.public.clone());
+        signer.sign(&mut session, b"cold").expect("signing");
+        assert_eq!(asked_since(&mut session, counters, None), [1; 5]);
+        (0..50u8)
+            .map(|i| {
+                let message = [b'w', i];
+                let signature = signer.sign(&mut session, &message).expect("signing");
+                assert!(setup.public.public_key.verify(&message, &signature));
+                asked_since(&mut session, counters, None)
+            })
+            .collect::<Vec<_>>()
+    });
+    for (i, warm) in asked.iter().enumerate() {
+        assert_eq!(warm.iter().sum::<usize>(), 3, "warm signature {i}: {warm:?}");
+    }
+}
