@@ -703,12 +703,20 @@ impl Replay {
         let Recorder { host, calls } = &mut self.recorder;
         if self.recorded != Some(message.len()) {
             calls.clear();
-            let out = app_call(&mut self.instance, &self.names, &mut self.recorder, METHOD_SIGN, message);
+            let out = app_call(
+                &mut self.instance,
+                &self.names,
+                &mut self.recorder,
+                METHOD_SIGN,
+                message,
+            );
             self.recorded = out.is_ok().then_some(message.len());
             return out.map_err(|e| e.to_string());
         }
         let memory = &mut self.instance.memory;
-        memory.write(INBOX_ADDR, message).map_err(|e| e.to_string())?;
+        memory
+            .write(INBOX_ADDR, message)
+            .map_err(|e| e.to_string())?;
         // Through the trait object, as the VM calls it.
         let host: &mut dyn AppHost = host;
         let mut emitted = 0;
@@ -718,7 +726,10 @@ impl Replay {
                 emitted = out[0];
             }
         }
-        Ok(memory.read(OUTBOX_ADDR, emitted).map_err(|e| e.to_string())?.to_vec())
+        Ok(memory
+            .read(OUTBOX_ADDR, emitted)
+            .map_err(|e| e.to_string())?
+            .to_vec())
     }
 }
 
@@ -792,9 +803,18 @@ mod tests {
         let mut replay = Replay::new(share);
         assert_eq!(replay.calls(), 0);
         let mut recorded = Vec::new();
-        for message in [b"replayed 0".as_slice(), b"replayed 1", b"replayed 2", b"a longer one"] {
+        for message in [
+            b"replayed 0".as_slice(),
+            b"replayed 1",
+            b"replayed 2",
+            b"a longer one",
+        ] {
             let out = replay.sign(message).unwrap();
-            assert_eq!(out, sign_native(&share, message).to_bytes().to_vec(), "{message:?}");
+            assert_eq!(
+                out,
+                sign_native(&share, message).to_bytes().to_vec(),
+                "{message:?}"
+            );
             recorded.push(replay.calls());
         }
         assert!(recorded[0] > 0 && recorded[..3].iter().all(|&c| c == recorded[0]));

@@ -93,7 +93,8 @@ fn a_sandboxed_signature_costs_less_than_1_5_replays_of_its_host_calls() {
     // Row 0 signs in the sandbox, row 1 replays; one untimed replay first.
     let mut run = |row: usize| {
         let out = if row == 0 {
-            app_call(&mut instance, &names, &mut host, METHOD_SIGN, message).map_err(|e| e.to_string())
+            app_call(&mut instance, &names, &mut host, METHOD_SIGN, message)
+                .map_err(|e| e.to_string())
         } else {
             replay.sign(message)
         };

@@ -87,6 +87,26 @@ pub(crate) fn x3_plus_b<F: BaseField>(x: &F) -> F {
     x.square().mul(x).add(&F::B)
 }
 
+/// The inverses of `values` with one inversion between them (Montgomery's
+/// trick: invert their product, peel one factor off per value); `None`
+/// when one of them is zero.
+pub(crate) fn batch_invert<F: BaseField>(values: &[F]) -> Option<Vec<F>> {
+    // before[i]: the product of the values ahead of value i.
+    let mut before = Vec::with_capacity(values.len());
+    let mut product = F::ONE;
+    for value in values {
+        before.push(product);
+        product = product.mul(value);
+    }
+    let mut inverse = product.invert()?;
+    let mut inverses = vec![F::ZERO; values.len()];
+    for (i, value) in values.iter().enumerate().rev() {
+        inverses[i] = inverse.mul(&before[i]);
+        inverse = inverse.mul(value);
+    }
+    Some(inverses)
+}
+
 /// A point in affine coordinates, or the point at infinity.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct Affine<F> {

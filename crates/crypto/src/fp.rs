@@ -60,7 +60,11 @@ fn root_window() -> &'static [(u16, u8)] {
     WINDOW.get_or_init(|| {
         let mut one = [0u64; 6];
         one[0] = 1;
-        let exponent = limbs::add(&limbs::div_by_u64(&limbs::sub_small(&Fp::MODULUS, 3), 4), &one).0;
+        let exponent = limbs::add(
+            &limbs::div_by_u64(&limbs::sub_small(&Fp::MODULUS, 3), 4),
+            &one,
+        )
+        .0;
         let mut steps = Vec::new();
         let (mut top, mut squarings) = (384, 0);
         while top > 0 {
@@ -74,7 +78,9 @@ fn root_window() -> &'static [(u16, u8)] {
             while !limbs::bit(&exponent, low) {
                 low += 1;
             }
-            let digit = (low..=top).rev().fold(0, |d, i| d << 1 | u8::from(limbs::bit(&exponent, i)));
+            let digit = (low..=top)
+                .rev()
+                .fold(0, |d, i| d << 1 | u8::from(limbs::bit(&exponent, i)));
             steps.push((squarings + (top - low) as u16, digit));
             (top, squarings) = (low, 0);
         }
@@ -108,7 +114,9 @@ impl Fp {
         for k in 1..WINDOW_DIGITS {
             odd[k] = odd[k - 1].mul(&x2);
         }
-        let (first, rest) = root_window().split_first().expect("the exponent is not zero");
+        let (first, rest) = root_window()
+            .split_first()
+            .expect("the exponent is not zero");
         let mut candidate = odd[usize::from(first.1 / 2)];
         for &(squarings, digit) in rest {
             for _ in 0..squarings {
@@ -232,7 +240,9 @@ mod tests {
             .map(|&(squarings, digit)| usize::from(squarings) + usize::from(digit != 0))
             .sum();
         assert_eq!(1 + 15 + ops, 457, "first digit {}", first.1);
-        assert!(root_window().iter().all(|&(_, d)| d < 32 && (d == 0 || d % 2 == 1)));
+        assert!(root_window()
+            .iter()
+            .all(|&(_, d)| d < 32 && (d == 0 || d % 2 == 1)));
     }
 
     #[test]

@@ -157,7 +157,10 @@ impl Fp12 {
     /// [`Self::mul_by_014`] takes thirteen, and shifts by `v`.
     pub fn mul_by_line(&self, c0: &Fp2, c1: &Fp2) -> Self {
         Self {
-            c0: self.c0.mul_by_01(c0, c1).add(&self.c1.mul_by_v().mul_by_v()),
+            c0: self
+                .c0
+                .mul_by_01(c0, c1)
+                .add(&self.c1.mul_by_v().mul_by_v()),
             c1: self.c1.mul_by_01(c0, c1).add(&self.c0.mul_by_v()),
         }
     }

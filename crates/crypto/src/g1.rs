@@ -529,25 +529,22 @@ impl G1Projective {
     /// (Montgomery's trick: invert the product of the `z`s, peel one
     /// factor off per point) where [`Self::to_affine`] pays one each.
     pub fn batch_to_affine(points: &[Self]) -> Vec<G1Affine> {
-        // before[i]: the product of the non-zero `z`s ahead of point i.
-        let mut before = Vec::with_capacity(points.len());
-        let mut product = Fp::ONE;
-        for p in points {
-            before.push(product);
-            if !p.is_identity() {
-                product = product.mul(&p.z);
-            }
-        }
-        let mut inverse = product.invert().expect("a product of non-zero z");
-        let mut affine = vec![G1Affine::identity(); points.len()];
-        for (i, p) in points.iter().enumerate().rev() {
-            if p.is_identity() {
-                continue;
-            }
-            affine[i] = p.affine_with(&inverse.mul(&before[i]));
-            inverse = inverse.mul(&p.z);
-        }
-        affine
+        let zs: Vec<Fp> = points
+            .iter()
+            .filter(|p| !p.is_identity())
+            .map(|p| p.z)
+            .collect();
+        let mut z_inverses = curve::batch_invert(&zs).expect("no z is zero").into_iter();
+        points
+            .iter()
+            .map(|p| {
+                if p.is_identity() {
+                    G1Affine::identity()
+                } else {
+                    p.affine_with(&z_inverses.next().expect("one inverse per z"))
+                }
+            })
+            .collect()
     }
 
     /// `[u²]P` for the curve parameter `u`: two 64-bit ladders.

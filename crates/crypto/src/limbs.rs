@@ -257,9 +257,8 @@ fn combine_shift<const N: usize>(a: &[u64; N], b: &[u64; N], f: i64, g: i64) -> 
         acc >>= 64;
     }
     let hi = acc as u64;
-    let mut out: [u64; N] = core::array::from_fn(|i| {
-        sum[i] >> 31 | sum.get(i + 1).copied().unwrap_or(hi) << 33
-    });
+    let mut out: [u64; N] =
+        core::array::from_fn(|i| sum[i] >> 31 | sum.get(i + 1).copied().unwrap_or(hi) << 33);
     let negative = (acc as i64) < 0;
     if negative {
         out = sub(&[0; N], &out).0;
@@ -280,7 +279,9 @@ fn combine_shift_mod<const N: usize>(
     m: &[u64; N],
     minv: u64,
 ) -> [u64; N] {
-    let low = u[0].wrapping_mul(f as u64).wrapping_add(v[0].wrapping_mul(g as u64));
+    let low = u[0]
+        .wrapping_mul(f as u64)
+        .wrapping_add(v[0].wrapping_mul(g as u64));
     let k = low.wrapping_mul(minv) & 0x7fff_ffff;
     let mut sum = [0u64; N];
     let mut acc: i128 = 0;
@@ -290,9 +291,8 @@ fn combine_shift_mod<const N: usize>(
         acc >>= 64;
     }
     let hi = acc as u64;
-    let out: [u64; N] = core::array::from_fn(|i| {
-        sum[i] >> 31 | sum.get(i + 1).copied().unwrap_or(hi) << 33
-    });
+    let out: [u64; N] =
+        core::array::from_fn(|i| sum[i] >> 31 | sum.get(i + 1).copied().unwrap_or(hi) << 33);
     if (acc as i64) < 0 {
         add(&out, m).0
     } else {

@@ -44,6 +44,7 @@
 //! pairings that compute their lines on the fly, and the final
 //! exponentiation against `f^(3·(p¹² − 1)/r)` computed by definition.
 
+use crate::curve::batch_invert;
 use crate::fp::Fp;
 use crate::fp12::Fp12;
 use crate::fp2::Fp2;
@@ -157,23 +158,16 @@ fn ell(f: &Fp12, line: &Line, (x_over_y, y_inv): &Scaled) -> Fp12 {
     f.mul_by_line(&line.0.mul_by_fp(y_inv), &line.1.mul_by_fp(x_over_y))
 }
 
-/// Each point's `(x/y, 1/y)`, with one inversion between them
-/// (Montgomery's trick). No `y` may be zero.
+/// Each point's `(x/y, 1/y)`, with one inversion between them. No `y`
+/// may be zero.
 fn scale_by_inverse_y(points: &[&G1Affine]) -> Vec<Scaled> {
-    let mut before = Vec::with_capacity(points.len());
-    let mut product = Fp::ONE;
-    for p in points {
-        before.push(product);
-        product = product.mul(&p.y);
-    }
-    let mut inverse = product.invert().expect("no y is zero");
-    let mut scaled = vec![(Fp::ZERO, Fp::ZERO); points.len()];
-    for (i, p) in points.iter().enumerate().rev() {
-        let y_inv = inverse.mul(&before[i]);
-        inverse = inverse.mul(&p.y);
-        scaled[i] = (p.x.mul(&y_inv), y_inv);
-    }
-    scaled
+    let ys: Vec<Fp> = points.iter().map(|p| p.y).collect();
+    let y_inverses = batch_invert(&ys).expect("no y is zero");
+    points
+        .iter()
+        .zip(y_inverses)
+        .map(|(p, y_inv)| (p.x.mul(&y_inv), y_inv))
+        .collect()
 }
 
 /// Bits of `|x|` below the most significant one, high to low — the
@@ -209,24 +203,15 @@ impl G2Prepared {
                 }
             }
         }
-        // Montgomery's trick over the `v·w` coefficients: `before[i]` is
-        // the product of those ahead of step `i`.
-        let mut before = Vec::with_capacity(steps.len());
-        let mut product = Fp2::ONE;
-        for (vw, _, _) in &steps {
-            before.push(product);
-            product = product.mul(vw);
-        }
-        let Some(mut inverse) = product.invert() else {
+        let vw: Vec<Fp2> = steps.iter().map(|(vw, _, _)| *vw).collect();
+        let Some(vw_inverses) = batch_invert(&vw) else {
             return Self(Arc::new([]));
         };
-        let mut lines = vec![(Fp2::ZERO, Fp2::ZERO); steps.len()];
-        for (i, (vw, v, one)) in steps.iter().enumerate().rev() {
-            let vw_inv = inverse.mul(&before[i]);
-            inverse = inverse.mul(vw);
-            lines[i] = (one.mul(&vw_inv), v.mul(&vw_inv));
-        }
-        Self(lines.into())
+        let lines = steps
+            .iter()
+            .zip(vw_inverses)
+            .map(|((_, v, one), vw_inv)| (one.mul(&vw_inv), v.mul(&vw_inv)));
+        Self(lines.collect())
     }
 
     /// The generator's table, built once per process on first use: the

@@ -296,8 +296,8 @@ impl QuorumAggregator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use distrust_crypto::drbg::HmacDrbg;
     use distrust_crypto::bls::PreparedPublicKey;
+    use distrust_crypto::drbg::HmacDrbg;
     use distrust_crypto::schnorr::SigningKey;
     use distrust_crypto::threshold::generate;
     use distrust_log::checkpoint::log_id;

@@ -576,6 +576,10 @@ fn fifty_warm_signatures_without_lag_ask_three_domains_each() {
             .collect::<Vec<_>>()
     });
     for (i, warm) in asked.iter().enumerate() {
-        assert_eq!(warm.iter().sum::<usize>(), 3, "warm signature {i}: {warm:?}");
+        assert_eq!(
+            warm.iter().sum::<usize>(),
+            3,
+            "warm signature {i}: {warm:?}"
+        );
     }
 }
